@@ -1,5 +1,5 @@
-//! Fused end-to-end runtime benchmark: `run_pipeline` (all five stages
-//! on one shared executor, with import‖align‖sort fused into one
+//! Fused end-to-end runtime benchmark: `Plan::full().run` (all five
+//! stages on one shared executor, with import‖align‖sort fused into one
 //! overlapped triple and dupmark‖export overlapped) vs the same five
 //! stages run back to back, each on a private runtime.
 //!
@@ -31,8 +31,8 @@ use persona::pipeline::dupmark::mark_duplicates;
 use persona::pipeline::export::export_sam;
 use persona::pipeline::import::import_fastq;
 use persona::pipeline::sort::{sort_dataset, SortKey};
-use persona::plan::{Plan, PlanRequest, PlanSource};
-use persona::runtime::{run_pipeline, JobContext, PersonaRuntime};
+use persona::plan::{Plan, PlanReport, PlanRequest, PlanSource, Stage};
+use persona::runtime::{JobContext, PersonaRuntime};
 use persona_agd::chunk_io::ChunkStore;
 use persona_align::{Aligner, Kernel};
 use persona_bench::{mem_store, print_header, scale, write_bench_json, BenchError, World};
@@ -57,6 +57,25 @@ fn main() {
         std::process::exit(1);
     }
 }
+/// Runs the full plan over `fastq_bytes` as dataset `seq` on `rt`.
+fn run_full(
+    rt: &PersonaRuntime,
+    fastq_bytes: &[u8],
+    chunk: usize,
+    aligner: &Arc<dyn Aligner>,
+    reference: &[(String, u64)],
+) -> Result<PlanReport, BenchError> {
+    Ok(Plan::full().run(
+        rt,
+        PlanRequest {
+            name: "seq".into(),
+            source: PlanSource::fastq_bytes(fastq_bytes.to_vec()),
+            chunk_size: chunk,
+            aligner: Some(aligner.clone()),
+            reference: reference.to_vec(),
+        },
+    )?)
+}
 
 /// Runs the fused pipeline once on `threads` compute threads with the
 /// given kernel variant active and returns (elapsed seconds, SAM).
@@ -72,18 +91,9 @@ fn fused_run(
     let config = PersonaConfig { compute_threads: threads, ..PersonaConfig::default() };
     let store: Arc<dyn ChunkStore> = mem_store();
     let rt = PersonaRuntime::new(store, config)?;
-    let mut sam = Vec::new();
     let t0 = Instant::now();
-    run_pipeline(
-        &rt,
-        std::io::Cursor::new(fastq_bytes.to_vec()),
-        "seq",
-        chunk,
-        aligner.clone(),
-        reference,
-        &mut sam,
-    )?;
-    Ok((t0.elapsed().as_secs_f64(), sam))
+    let report = run_full(&rt, fastq_bytes, chunk, aligner, reference)?;
+    Ok((t0.elapsed().as_secs_f64(), report.sam.expect("full plan exports SAM")))
 }
 
 /// Runs the fused pipeline once with the shared metrics registry
@@ -106,17 +116,8 @@ fn telemetry_run(
     } else {
         rt
     };
-    let mut sam = Vec::new();
     let t0 = Instant::now();
-    run_pipeline(
-        &rt,
-        std::io::Cursor::new(fastq_bytes.to_vec()),
-        "seq",
-        chunk,
-        aligner.clone(),
-        reference,
-        &mut sam,
-    )?;
+    run_full(&rt, fastq_bytes, chunk, aligner, reference)?;
     Ok(t0.elapsed().as_secs_f64())
 }
 
@@ -160,19 +161,12 @@ fn run() -> Result<(), BenchError> {
     // count, stages overlapped through bounded chunk queues.
     let fused_store: Arc<dyn ChunkStore> = mem_store();
     let rt = PersonaRuntime::new(fused_store, config)?;
-    let mut fused_sam = Vec::new();
     let t0 = Instant::now();
-    let report = run_pipeline(
-        &rt,
-        std::io::Cursor::new(fastq_bytes.clone()),
-        "seq",
-        chunk,
-        aligner.clone(),
-        &world.reference,
-        &mut fused_sam,
-    )?;
+    let report = run_full(&rt, &fastq_bytes, chunk, &aligner, &world.reference)?;
     let fused_s = t0.elapsed().as_secs_f64();
-    assert_eq!(fused_sam, seq_sam, "fused output must be byte-identical");
+    assert_eq!(report.sam.as_deref(), Some(&seq_sam[..]), "fused output must be byte-identical");
+    let reads = report.reads();
+    let exported = report.stage(Stage::ExportSam).map_or(0, |s| s.records());
 
     print_header(
         "Fused end-to-end pipeline (shared executor)",
@@ -186,10 +180,7 @@ fn run() -> Result<(), BenchError> {
         sequential_s / fused_s,
         input_mb / fused_s
     );
-    println!(
-        "records: {} in = {} out (byte-identical SAM)",
-        report.import.reads, report.export.records
-    );
+    println!("records: {reads} in = {exported} out (byte-identical SAM)");
 
     // Thread × kernel sweep: the multi-thread trajectory for both
     // kernel variants, every point checked against the baseline SAM.
@@ -220,7 +211,6 @@ fn run() -> Result<(), BenchError> {
     // disabled vs enabled (trace spans attached). The observability
     // target is <3% throughput regression with telemetry on; both
     // datapoints land in BENCH_fused.json so the trajectory tracks it.
-    let reads = report.import.reads;
     let tele_off_s = telemetry_run(&fastq_bytes, &aligner, chunk, &world.reference, config, false)?;
     let tele_on_s = telemetry_run(&fastq_bytes, &aligner, chunk, &world.reference, config, true)?;
     let tele_off_rps = if tele_off_s > 0.0 { reads as f64 / tele_off_s } else { 0.0 };
@@ -253,7 +243,7 @@ fn run() -> Result<(), BenchError> {
     println!("no-dupmark plan ({}): {no_dupmark_s:.2} s", nd_report.plan.describe());
 
     // Machine-readable result for the CI bench trajectory.
-    let reads_per_sec = if fused_s > 0.0 { report.import.reads as f64 / fused_s } else { 0.0 };
+    let reads_per_sec = if fused_s > 0.0 { reads as f64 / fused_s } else { 0.0 };
     let stage_json = |rows: Vec<(&'static str, std::time::Duration, f64)>| -> String {
         rows.into_iter()
             .map(|(stage, elapsed, busy)| {
@@ -293,7 +283,7 @@ fn run() -> Result<(), BenchError> {
          \"overhead_pct\":{tele_overhead_pct:.3}}},\
          \"no_dupmark\":{{\"plan\":\"no-dupmark\",\"elapsed_s\":{no_dupmark_s:.6},\
          \"reads_per_sec\":{nd_reads_per_sec:.1},\"stages\":[{}]}}",
-        report.import.reads,
+        reads,
         if fused_s > 0.0 { sequential_s / fused_s } else { 0.0 },
         config.compute_threads,
         default_kernel.name(),

@@ -246,6 +246,7 @@ fn cache_command(addr: &str) {
 /// checked, written to `BENCH_cache.json`.
 fn cache_bench() {
     use persona::caching::{Digest, ResultCache};
+    use persona::runtime::JobContext;
 
     let sc = scale();
     let reads = ((4_000.0 * sc) as usize).max(200);
@@ -268,18 +269,18 @@ fn cache_bench() {
 
     // Warm path: land the import+align prefix, then run the
     // overlapping full plan against the populated cache.
-    let rt = PersonaRuntime::new(mem_store(), PersonaConfig::default()).unwrap();
-    let cache = ResultCache::new(32);
+    let cache = Arc::new(ResultCache::new(32));
+    let rt = PersonaRuntime::new(mem_store(), PersonaConfig::default())
+        .unwrap()
+        .for_job(JobContext::new(Priority::Normal).with_cache(cache.clone(), digest));
     let t0 = Instant::now();
-    let (_, prep_use) = Plan::import_align()
-        .run_cached(&rt, request("prefix"), &cache, digest)
-        .expect("prefix run");
+    let prep = Plan::import_align().run(&rt, request("prefix")).expect("prefix run");
     let prefix_s = t0.elapsed().as_secs_f64();
-    assert!(!prep_use.hit(), "first run must be cold");
+    assert!(!prep.cache.hit(), "first run must be cold");
     let t0 = Instant::now();
-    let (warm, warm_use) =
-        Plan::full().run_cached(&rt, request("warm"), &cache, digest).expect("warm run");
+    let warm = Plan::full().run(&rt, request("warm")).expect("warm run");
     let warm_s = t0.elapsed().as_secs_f64();
+    let warm_use = &warm.cache;
 
     assert!(warm_use.hit(), "overlapping plan must reuse the cached prefix");
     assert_eq!(warm.sam, cold.sam, "cache reuse must be byte-invisible");

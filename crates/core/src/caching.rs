@@ -1,7 +1,8 @@
-//! Plan-aware result caching: consult a [`ResultCache`] before
-//! executing, rewrite the plan to its uncached suffix, and register
-//! every durably-landed stage output under its content-addressed
-//! prefix key.
+//! Plan-aware result caching: when a job carries a [`ResultCache`]
+//! ([`JobContext::with_cache`](crate::runtime::JobContext::with_cache)),
+//! [`Plan::run`] consults it before executing, runs only the uncached
+//! suffix of the plan, and registers every durably-landed stage output
+//! under its content-addressed prefix key.
 //!
 //! A cache key is `(input digest, prefix key)`:
 //!
@@ -32,9 +33,8 @@ use persona_agd::Manifest;
 pub use persona_cache::{CacheEntry, CacheHit, CacheKey, CacheStats, Digest, ResultCache};
 use serde::{Serialize, Value};
 
-use crate::plan::{DataState, Plan, PlanReport, PlanRequest, PlanSource, Stage, StageObserver};
+use crate::plan::{DataState, Plan, PlanReport, PlanRequest, PlanSource, Stage};
 use crate::runtime::PersonaRuntime;
-use crate::Result;
 
 /// The per-run execution parameters that shape a prefix's output and
 /// therefore belong in its cache key.
@@ -77,7 +77,7 @@ pub fn digest_reference(reference: &[(String, u64)]) -> Digest {
 /// under `fp` — the second component of a [`CacheKey`].
 ///
 /// The encoding is compact JSON with a fixed field order: `input` and
-/// `stages` always (the [`Plan::prefix_json`] canonical form), then
+/// `stages` always (the plan's own wire form, cut at `len`), then
 /// `chunk_size` iff the prefix imports, then `aligner` and `reference`
 /// iff the prefix aligns. Parameters a prefix does not depend on stay
 /// out of its key, so e.g. changing the aligner still reuses a cached
@@ -106,10 +106,11 @@ pub fn prefix_key(plan: &Plan, len: usize, fp: &RunFingerprint) -> String {
         .expect("prefix key serialization is infallible")
 }
 
-/// How a cached run used the cache, alongside its [`PlanReport`].
+/// How a run used the result cache ([`PlanReport::cache`]).
 #[derive(Debug)]
 pub struct CacheUse {
-    /// Leading stages satisfied from the cache (0 on a miss).
+    /// Leading stages satisfied from the cache (0 on a miss, or when
+    /// the job had no cache).
     pub elided: usize,
     /// Cold-run nanoseconds the hit avoided (the reused prefix's
     /// recorded cost).
@@ -126,139 +127,111 @@ impl CacheUse {
     }
 }
 
-impl Plan {
-    /// [`Plan::run`] through a result cache: consult `cache` for the
-    /// longest cached prefix of this plan over `input_digest`, rewrite
-    /// the run to the uncached suffix, and register every durably
-    /// landed stage output under its prefix key as the run progresses.
-    /// Output is byte-identical to an uncached [`Plan::run`].
-    ///
-    /// Telemetry: bumps `cache.hits` / `cache.misses` /
-    /// `cache.evictions` / `cache.insertions` / `cache.reuse_saved_ns`
-    /// on the runtime's registry.
-    pub fn run_cached(
-        &self,
-        rt: &PersonaRuntime,
-        req: PlanRequest,
-        cache: &ResultCache,
-        input_digest: Digest,
-    ) -> Result<(PlanReport, CacheUse)> {
-        self.run_cached_observed(rt, req, cache, input_digest, &mut |_, _| {})
+/// One [`Plan::run`]'s dealings with the job's result cache: the lookup
+/// before anything executes, one registration per announced landing,
+/// and the pin on the consumed entry in between.
+///
+/// Telemetry: bumps `cache.hits` / `cache.misses` / `cache.evictions` /
+/// `cache.insertions` / `cache.invalidations` / `cache.reuse_saved_ns`
+/// on the runtime's registry.
+pub(crate) struct CacheSession<'a> {
+    cache: &'a ResultCache,
+    rt: &'a PersonaRuntime,
+    plan: &'a Plan,
+    fp: RunFingerprint,
+    input_digest: Digest,
+    started: Instant,
+    /// Leading stages the hit covers (0 on a miss).
+    elided: usize,
+    /// The consumed entry. Its pin keeps it unevictable for the whole
+    /// run — the dataset it names is live input.
+    hit: Option<CacheHit>,
+}
+
+impl<'a> CacheSession<'a> {
+    /// Looks up the longest cached prefix of `plan` for the job bound to
+    /// `rt` (`None` when it carries no cache) and readies the cache for
+    /// the stages that will execute.
+    pub(crate) fn open(
+        plan: &'a Plan,
+        rt: &'a PersonaRuntime,
+        req: &PlanRequest,
+        started: Instant,
+    ) -> Option<CacheSession<'a>> {
+        let (cache, input_digest) = rt.job()?.cache()?;
+        let fp = RunFingerprint::of_request(req);
+        let lens = plan.cacheable_prefixes();
+        let keys: Vec<String> = lens.iter().map(|&len| prefix_key(plan, len, &fp)).collect();
+        let telemetry = rt.telemetry();
+
+        let hit = cache.longest_match(*input_digest, &keys);
+        let (elided, source_name, keep) = match &hit {
+            Some(hit) => {
+                telemetry.counter("cache.hits").inc();
+                telemetry.counter("cache.reuse_saved_ns").add(hit.entry.cost_ns);
+                let elided = lens[hit.index];
+                // The first uncached stage mutates the shared dataset
+                // in place: supersede the consumed entry *before*
+                // mutating, so no new run can match the pre-mutation
+                // snapshot mid-rewrite. It comes back under the longer
+                // post-dupmark prefix.
+                if plan.stages().get(elided) == Some(&Stage::Dupmark) {
+                    cache.remove(&hit.key);
+                }
+                (elided, Some(hit.entry.manifest.name.as_str()), Some(&hit.key))
+            }
+            None => {
+                telemetry.counter("cache.misses").inc();
+                let source_name = match &req.source {
+                    PlanSource::Dataset(m) => Some(m.name.as_str()),
+                    PlanSource::Fastq(_) => None,
+                };
+                (0, source_name, None)
+            }
+        };
+        invalidate_written(cache, rt, &plan.stages()[elided..], source_name, &req.name, keep);
+        Some(CacheSession {
+            cache,
+            rt,
+            plan,
+            fp,
+            input_digest: *input_digest,
+            started,
+            elided,
+            hit,
+        })
     }
 
-    /// [`Plan::run_cached`] with a stage-completion observer (see
-    /// [`Plan::run_observed`]); the observer fires for the stages that
-    /// actually execute — cache-elided stages land nothing new.
-    pub fn run_cached_observed(
-        &self,
-        rt: &PersonaRuntime,
-        req: PlanRequest,
-        cache: &ResultCache,
-        input_digest: Digest,
-        on_stage: StageObserver<'_>,
-    ) -> Result<(PlanReport, CacheUse)> {
-        let started = Instant::now();
-        let fp = RunFingerprint::of_request(&req);
-        let lens = self.cacheable_prefixes();
-        let keys: Vec<String> = lens.iter().map(|&len| prefix_key(self, len, &fp)).collect();
-        let telemetry = rt.telemetry().clone();
+    /// The consumed entry and how many leading stages it covers.
+    pub(crate) fn hit(&self) -> Option<(usize, &CacheEntry)> {
+        self.hit.as_ref().map(|hit| (self.elided, &hit.entry))
+    }
 
-        let Some(hit) = cache.longest_match(input_digest, &keys) else {
-            telemetry.counter("cache.misses").inc();
-            let source_name = match &req.source {
-                PlanSource::Dataset(m) => Some(m.name.clone()),
-                _ => None,
-            };
-            invalidate_written(cache, rt, self.stages(), source_name.as_deref(), &req.name, None);
-            let mut reg = Registrar {
-                cache,
-                rt,
-                plan: self,
-                fp: &fp,
-                input_digest,
-                cursor: 0,
-                base_cost_ns: 0,
-                started,
-            };
-            let report = self.run_observed(rt, req, &mut |stage, manifest| {
-                on_stage(stage, manifest);
-                reg.observe(stage, manifest);
-            })?;
-            return Ok((report, CacheUse { elided: 0, saved_ns: 0, executed: Some(self.clone()) }));
-        };
-
-        let elided = lens[hit.index];
-        let saved_ns = hit.entry.cost_ns;
-        telemetry.counter("cache.hits").inc();
-        telemetry.counter("cache.reuse_saved_ns").add(saved_ns);
-        // The first uncached stage mutates the shared dataset in place:
-        // supersede the consumed entry *before* mutating, so no new run
-        // can match the pre-mutation snapshot mid-rewrite. It comes
-        // back under the longer post-dupmark prefix.
-        if self.stages().get(elided) == Some(&Stage::Dupmark) {
-            cache.remove(&hit.key);
+    /// Registers the dataset stage `idx` of the plan landed under the
+    /// prefix key ending at that stage, at the cost of the consumed
+    /// prefix plus this run so far.
+    pub(crate) fn landed(&self, idx: usize, manifest: &Manifest) {
+        let stages = self.plan.stages();
+        // A prefix whose next stage rewrites this dataset in place
+        // would be stale before anyone could reuse it: skip it.
+        if stages.get(idx + 1) == Some(&Stage::Dupmark) {
+            return;
         }
-
-        let Some(suffix) = self.suffix_plan(elided) else {
-            // Every stage was cached; synthesize the report from the
-            // entry (exports are never durable, so a fully-cached plan
-            // always ends in its final dataset state).
-            let mut report = PlanReport {
-                plan: self.clone(),
-                stages: Vec::new(),
-                manifest: None,
-                sorted: None,
-                sam: None,
-                bam: None,
-                elapsed: started.elapsed(),
-            };
-            place_manifest(&mut report, &hit.entry);
-            return Ok((report, CacheUse { elided, saved_ns, executed: None }));
+        let len = idx + 1;
+        let key = CacheKey::new(self.input_digest, prefix_key(self.plan, len, &self.fp));
+        let base_cost_ns = self.hit.as_ref().map_or(0, |hit| hit.entry.cost_ns);
+        let entry = CacheEntry {
+            manifest: manifest.clone(),
+            state: stages[idx].output().as_str().to_string(),
+            stages: len,
+            cost_ns: base_cost_ns + self.started.elapsed().as_nanos() as u64,
         };
-
-        invalidate_written(
-            cache,
-            rt,
-            suffix.stages(),
-            Some(&hit.entry.manifest.name),
-            &req.name,
-            Some(&hit.key),
-        );
-        let suffix_req = PlanRequest {
-            name: req.name,
-            source: PlanSource::Dataset(hit.entry.manifest.clone()),
-            chunk_size: req.chunk_size,
-            aligner: req.aligner,
-            reference: req.reference,
-        };
-        let mut reg = Registrar {
-            cache,
-            rt,
-            plan: self,
-            fp: &fp,
-            input_digest,
-            cursor: elided,
-            base_cost_ns: saved_ns,
-            started,
-        };
-        // The pin keeps the consumed entry unevictable for the whole
-        // suffix run — the dataset it names is live input.
-        let result = suffix.run_observed(rt, suffix_req, &mut |stage, manifest| {
-            on_stage(stage, manifest);
-            reg.observe(stage, manifest);
-        });
-        drop(hit.pin);
-        let mut report = result?;
-        // The report describes the submitted plan; the executed suffix
-        // travels in CacheUse.
-        report.plan = self.clone();
-        report.elapsed = started.elapsed();
-        if report.final_manifest().is_none() {
-            // The suffix landed no dataset (export-only): the plan's
-            // final dataset is the cached one.
-            place_manifest(&mut report, &hit.entry);
+        let evicted = self.cache.insert(key, entry);
+        let telemetry = self.rt.telemetry();
+        telemetry.counter("cache.insertions").inc();
+        if !evicted.is_empty() {
+            telemetry.counter("cache.evictions").add(evicted.len() as u64);
         }
-        Ok((report, CacheUse { elided, saved_ns, executed: Some(suffix) }))
     }
 }
 
@@ -310,62 +283,12 @@ fn invalidate_written(
 /// Slots a cached entry's manifest into the report field a cold run
 /// would have used: `sorted` for sorted/dup-marked state, `manifest`
 /// otherwise (see [`PlanReport::final_manifest`]).
-fn place_manifest(report: &mut PlanReport, entry: &CacheEntry) {
+pub(crate) fn place_manifest(report: &mut PlanReport, entry: &CacheEntry) {
     match DataState::parse(&entry.state) {
         Some(DataState::Sorted) | Some(DataState::DupMarked) => {
             report.sorted = Some(entry.manifest.clone());
         }
         _ => report.manifest = Some(entry.manifest.clone()),
-    }
-}
-
-/// Registers each durably-landed stage output under its prefix key as
-/// a run progresses, tracking positions against the *original* plan so
-/// a suffix run registers the deeper prefixes it completes.
-struct Registrar<'a> {
-    cache: &'a ResultCache,
-    rt: &'a PersonaRuntime,
-    plan: &'a Plan,
-    fp: &'a RunFingerprint,
-    input_digest: Digest,
-    /// Next original-plan stage index a notification can refer to.
-    cursor: usize,
-    /// Cost already attributed to the consumed prefix (0 on cold runs).
-    base_cost_ns: u64,
-    /// When this run started (suffix runs accrue on top of base cost).
-    started: Instant,
-}
-
-impl Registrar<'_> {
-    fn observe(&mut self, stage: Stage, manifest: &Manifest) {
-        let stages = self.plan.stages();
-        // Notifications arrive in plan order but fused groups skip
-        // inner stages (import‖align notifies only align), so locate
-        // this stage at or after the cursor.
-        let Some(off) = stages[self.cursor..].iter().position(|&s| s == stage) else {
-            return;
-        };
-        let g = self.cursor + off;
-        self.cursor = g + 1;
-        // A prefix whose next stage rewrites this dataset in place
-        // would be stale before anyone could reuse it: skip it.
-        if stages.get(g + 1) == Some(&Stage::Dupmark) {
-            return;
-        }
-        let len = g + 1;
-        let key = CacheKey::new(self.input_digest, prefix_key(self.plan, len, self.fp));
-        let entry = CacheEntry {
-            manifest: manifest.clone(),
-            state: stage.output().as_str().to_string(),
-            stages: len,
-            cost_ns: self.base_cost_ns + self.started.elapsed().as_nanos() as u64,
-        };
-        let evicted = self.cache.insert(key, entry);
-        let telemetry = self.rt.telemetry();
-        telemetry.counter("cache.insertions").inc();
-        if !evicted.is_empty() {
-            telemetry.counter("cache.evictions").add(evicted.len() as u64);
-        }
     }
 }
 

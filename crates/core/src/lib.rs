@@ -31,8 +31,7 @@
 //! typed by dataset state (FASTQ → encoded AGD → aligned → sorted →
 //! dup-marked → SAM/BGZF), and [`plan::Plan::run`] executes any valid
 //! composition with import‖align and dupmark‖export overlapped on the
-//! same cores. [`runtime::run_pipeline`] is the canned
-//! [`plan::Plan::full`] preset.
+//! same cores. [`plan::Plan::full`] is the paper's whole chain.
 //!
 //! The [`wire`] module is the network face of that composition surface:
 //! a length-prefixed JSON framing layer, the [`wire::Message`]
@@ -63,6 +62,11 @@ pub enum Error {
     /// The job's cancellation token fired; the pipeline stopped
     /// scheduling work and unwound.
     Cancelled,
+    /// A neighbouring stage of a fused group closed the chunk stream or
+    /// ended without delivering its manifest. Always a symptom of that
+    /// neighbour's own failure, never a root cause: the plan driver
+    /// surfaces the neighbour's error instead.
+    NeighbourClosed,
 }
 
 impl Error {
@@ -80,6 +84,7 @@ impl std::fmt::Display for Error {
             Error::Format(e) => write!(f, "format: {e}"),
             Error::Pipeline(what) => write!(f, "pipeline: {what}"),
             Error::Cancelled => write!(f, "job cancelled"),
+            Error::NeighbourClosed => write!(f, "pipeline: a neighbouring stage closed the stream"),
         }
     }
 }

@@ -25,12 +25,13 @@ use persona_align::Aligner;
 use persona_compress::codec::Codec;
 use persona_compress::deflate::CompressLevel;
 use persona_dataflow::graph::{GraphBuilder, RunReport};
+use persona_dataflow::DataflowError;
 
 use crate::config::PersonaConfig;
 use crate::manifest_server::{ChunkFeeder, ChunkTask, ManifestServer};
-use crate::pipeline::StageReport;
+use crate::pipeline::{deliver, graph_error, split_out, Edge, EdgeOut, StageReport};
 use crate::runtime::PersonaRuntime;
-use crate::{Error, Result};
+use crate::Result;
 
 /// Inputs to [`align_dataset`].
 pub struct AlignInputs<'a> {
@@ -121,29 +122,39 @@ pub fn align_dataset(inputs: AlignInputs<'_>) -> Result<AlignReport> {
 /// function over the same `ManifestServer`.
 pub fn align_with_server(inputs: AlignInputs<'_>, server: &ManifestServer) -> Result<AlignReport> {
     let rt = PersonaRuntime::new(inputs.store.clone(), inputs.config)?;
-    align_with_runtime(&rt, server, inputs.aligner.clone())
+    align_chunks(&rt, server, inputs.aligner.clone(), None)
 }
 
-/// Aligns chunks from `server` on a shared runtime: kernels split each
-/// chunk into subchunks and submit them as tagged task batches on the
-/// runtime's executor (Fig. 4). With a streaming server, alignment
-/// overlaps whatever stage is feeding it.
-pub fn align_with_runtime(
+/// The align stage on a shared runtime: aligns the chunks of `input`,
+/// then records the results column and `reference` in the dataset's
+/// manifest and persists it ([`finalize_manifest`]). With a live input
+/// alignment overlaps whatever stage is feeding it; with `out`, each
+/// chunk is announced downstream once its results are durable (how the
+/// incremental sort starts while later chunks are still aligning), and
+/// the finalized manifest follows.
+pub(crate) fn align_rt(
     rt: &PersonaRuntime,
-    server: &ManifestServer,
+    input: Edge,
     aligner: Arc<dyn Aligner>,
-) -> Result<AlignReport> {
-    align_with_runtime_to(rt, server, aligner, None)
+    reference: &[(String, u64)],
+    out: Option<EdgeOut>,
+) -> Result<(Manifest, AlignReport)> {
+    let (results_out, promise) = split_out(out);
+    let server = input.chunks(Some(rt.telemetry()));
+    let report = align_chunks(rt, &server, aligner, results_out)?;
+    let mut manifest = input.manifest()?;
+    finalize_manifest(rt.store().as_ref(), &mut manifest, reference)?;
+    deliver(promise, &manifest);
+    Ok((manifest, report))
 }
 
-/// [`align_with_runtime`] that additionally announces each chunk
-/// downstream: after a chunk's results column lands in the store, its
-/// task is pushed into `results_out`, which is how the fused
-/// `align → sort` pipeline streams finished chunks into the incremental
-/// sort while later chunks are still aligning. The feeder is dropped —
-/// closing the downstream queue — when the stage completes (the graph
-/// run consumes every node closure before returning).
-pub fn align_with_runtime_to(
+/// Aligns chunks from `server`: kernels split each chunk into subchunks
+/// and submit them as tagged task batches on the runtime's executor
+/// (Fig. 4). Each chunk's task is pushed into `results_out` after its
+/// results column lands in the store; the feeder is dropped — closing
+/// the downstream queue — when the stage completes (the graph run
+/// consumes every node closure before returning).
+fn align_chunks(
     rt: &PersonaRuntime,
     server: &ManifestServer,
     aligner: Arc<dyn Aligner>,
@@ -318,7 +329,7 @@ pub fn align_with_runtime_to(
                 // sort will read it straight back.
                 if let Some(out) = &results_out {
                     if !ctx.wait_external(|| out.push(chunk.task.clone())) {
-                        return Err("downstream sort closed the chunk stream".into());
+                        return Err(DataflowError::Canceled);
                     }
                 }
                 chunks_ctr.fetch_add(1, Ordering::Relaxed);
@@ -331,10 +342,7 @@ pub fn align_with_runtime_to(
         });
     }
 
-    let run =
-        g.run().map_err(
-            |(e, _)| if rt.is_cancelled() { Error::Cancelled } else { Error::Dataflow(e) },
-        )?;
+    let run = g.run().map_err(|(e, _)| graph_error(rt, e))?;
     let busy_fraction = timer.finish().busy_fraction();
     let merged_profile = *profile.lock();
     Ok(AlignReport {
@@ -478,7 +486,7 @@ mod tests {
             let server = server.clone();
             let aligner = aligner.clone();
             handles.push(std::thread::spawn(move || {
-                align_with_runtime(&rt, &server, aligner).unwrap().reads
+                align_chunks(&rt, &server, aligner, None).unwrap().reads
             }));
         }
         let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();

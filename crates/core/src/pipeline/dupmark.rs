@@ -28,8 +28,8 @@ use persona_compress::deflate::CompressLevel;
 use persona_dataflow::executor::Batch;
 
 use crate::config::PersonaConfig;
-use crate::manifest_server::{ChunkFeeder, ChunkTask};
-use crate::pipeline::StageReport;
+use crate::manifest_server::ChunkTask;
+use crate::pipeline::{deliver, split_out, Edge, EdgeOut, StageReport};
 use crate::runtime::PersonaRuntime;
 use crate::{Error, Result};
 
@@ -99,21 +99,27 @@ fn signature(r: &AlignmentResult) -> Option<(i64, bool, i64)> {
 /// private runtime, rewriting the column chunks in place.
 pub fn mark_duplicates(store: &Arc<dyn ChunkStore>, manifest: &Manifest) -> Result<DupmarkReport> {
     let rt = PersonaRuntime::new(store.clone(), PersonaConfig::default())?;
-    mark_duplicates_rt(&rt, manifest, None)
+    Ok(mark_duplicates_rt(&rt, Edge::Landed(manifest.clone()), None)?.1)
 }
 
-/// Marks duplicates on a shared runtime (no other column is touched).
+/// The dupmark stage on a shared runtime: marks duplicates in the
+/// landed dataset of `input` in place (no other column is touched; the
+/// scan is sequential in chunk order, so nothing streams *into* it) and
+/// returns the dataset's unchanged manifest.
 ///
-/// When `feeder` is given, every chunk is pushed to it as soon as its
-/// final results are durable in the store — unchanged chunks right
-/// after the scan, rewritten chunks once their executor write task
-/// lands — so a downstream consumer can overlap with the tail of the
-/// marking pass.
-pub fn mark_duplicates_rt(
+/// When `out` is given, the manifest is delivered up front and every
+/// chunk is announced as soon as its final results are durable in the
+/// store — unchanged chunks right after the scan, rewritten chunks once
+/// their executor write task lands — so a downstream consumer can
+/// overlap with the tail of the marking pass.
+pub(crate) fn mark_duplicates_rt(
     rt: &PersonaRuntime,
-    manifest: &Manifest,
-    feeder: Option<ChunkFeeder>,
-) -> Result<DupmarkReport> {
+    input: Edge,
+    out: Option<EdgeOut>,
+) -> Result<(Manifest, DupmarkReport)> {
+    let manifest = input.manifest()?;
+    let (feeder, promise) = split_out(out);
+    deliver(promise, &manifest);
     let timer = rt.stage_timer();
     let store = rt.store();
     let exec = rt.stage_exec(&timer);
@@ -272,12 +278,13 @@ pub fn mark_duplicates_rt(
     rt.check_cancelled()?;
 
     let stage = timer.finish();
-    Ok(DupmarkReport {
+    let report = DupmarkReport {
         elapsed: stage.elapsed,
         reads,
         duplicates,
         busy_fraction: stage.busy_fraction(),
-    })
+    };
+    Ok((manifest, report))
 }
 
 #[cfg(test)]
@@ -431,9 +438,9 @@ mod tests {
         let results: Vec<AlignmentResult> = (0..30).map(|i| result(i as i64 % 6, false)).collect();
         let (store, manifest) = world(results, 5);
         let rt = PersonaRuntime::new(store.clone(), PersonaConfig::small()).unwrap();
-        let (server, feeder) = crate::manifest_server::ManifestServer::streaming(4);
+        let (out, edge) = Edge::streaming(4, rt.telemetry());
         let collector = {
-            let server = server.clone();
+            let server = edge.chunks(None);
             std::thread::spawn(move || {
                 let mut idxs = Vec::new();
                 while let Some(task) = server.fetch() {
@@ -442,8 +449,10 @@ mod tests {
                 idxs
             })
         };
-        let report = mark_duplicates_rt(&rt, &manifest, Some(feeder)).unwrap();
+        let (_, report) =
+            mark_duplicates_rt(&rt, Edge::Landed(manifest.clone()), Some(out)).unwrap();
         assert_eq!(report.duplicates, 24);
+        assert_eq!(edge.manifest().unwrap(), manifest);
         let mut idxs = collector.join().unwrap();
         idxs.sort();
         assert_eq!(idxs, (0..manifest.records.len()).collect::<Vec<_>>());

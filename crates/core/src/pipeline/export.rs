@@ -20,10 +20,9 @@ use persona_formats::bam::{bgzf_block, bgzf_block_ranges};
 use persona_formats::sam::{RefMap, SamRecord};
 
 use crate::config::PersonaConfig;
-use crate::manifest_server::ManifestServer;
-use crate::pipeline::StageReport;
+use crate::pipeline::{graph_error, Edge, StageReport};
 use crate::runtime::PersonaRuntime;
-use crate::{Error, Result};
+use crate::Result;
 
 /// Outcome of an export run.
 #[derive(Debug)]
@@ -63,7 +62,7 @@ struct FormattedChunk {
 }
 
 /// Exports an aligned dataset as SAM text on a transient private
-/// runtime with a prefilled manifest server.
+/// runtime.
 pub fn export_sam(
     store: &Arc<dyn ChunkStore>,
     manifest: &Manifest,
@@ -71,21 +70,22 @@ pub fn export_sam(
     config: &PersonaConfig,
 ) -> Result<ExportReport> {
     let rt = PersonaRuntime::new(store.clone(), *config)?;
-    let server = ManifestServer::new(manifest);
-    export_sam_rt(&rt, manifest, &server, out)
+    export_sam_rt(&rt, Edge::Landed(manifest.clone()), out)
 }
 
-/// Exports chunks handed out by `server` as SAM text on a shared
-/// runtime. Formatting runs as subchunk task batches on the executor;
-/// the writer reassembles chunks in dataset order. With a streaming
-/// server this overlaps whatever stage is feeding it (duplicate
-/// marking in the fused pipeline).
-pub fn export_sam_rt(
+/// The export-sam stage on a shared runtime: formats the chunks of
+/// `input` as SAM text. Formatting runs as subchunk task batches on the
+/// executor; the writer reassembles chunks in dataset order. With a
+/// live input this overlaps whatever stage is feeding it (duplicate
+/// marking in the fused pipeline); the header needs the manifest up
+/// front, which such a producer delivers before its first chunk.
+pub(crate) fn export_sam_rt(
     rt: &PersonaRuntime,
-    manifest: &Manifest,
-    server: &ManifestServer,
+    input: Edge,
     out: &mut (impl Write + Send),
 ) -> Result<ExportReport> {
+    let server = input.chunks(Some(rt.telemetry()));
+    let manifest = input.manifest()?;
     let config = *rt.config();
     let timer = rt.stage_timer();
     let refs = Arc::new(RefMap::new(&manifest.reference));
@@ -106,7 +106,6 @@ pub fn export_sam_rt(
     let q_formatted = g.queue::<FormattedChunk>("formatted", config.capacity_for(1));
 
     {
-        let server = server.clone();
         let store = rt.store().clone();
         let exec = rt.stage_exec(&timer);
         let refs = refs.clone();
@@ -193,10 +192,7 @@ pub fn export_sam_rt(
         });
     }
 
-    let run =
-        g.run().map_err(
-            |(e, _)| if rt.is_cancelled() { Error::Cancelled } else { Error::Dataflow(e) },
-        )?;
+    let run = g.run().map_err(|(e, _)| graph_error(rt, e))?;
     let stage = timer.finish();
     let sink = writer_out.lock();
     out.write_all(&sink.buf)?;
@@ -228,17 +224,18 @@ pub fn export_bam(
     })
 }
 
-/// Exports an aligned dataset as BAM on a shared runtime: independent
-/// BGZF blocks compress as one executor task batch (how `samtools -@`
-/// parallelizes BAM writing, on Persona's scheduler).
-pub fn export_bam_rt(
+/// The export-bam stage on a shared runtime: writes the landed dataset
+/// of `input` as BAM, independent BGZF blocks compressing as one
+/// executor task batch (how `samtools -@` parallelizes BAM writing, on
+/// Persona's scheduler).
+pub(crate) fn export_bam_rt(
     rt: &PersonaRuntime,
-    manifest: &Manifest,
+    input: Edge,
     out: &mut impl Write,
     level: CompressLevel,
 ) -> Result<ExportReport> {
     let timer = rt.stage_timer();
-    let ds = persona_agd::dataset::Dataset::new(manifest.clone());
+    let ds = persona_agd::dataset::Dataset::new(input.manifest()?);
     let mut counting = CountingWriter { inner: out, written: 0 };
     let exec = rt.stage_exec(&timer);
     let n = persona_formats::convert::agd_to_bam_with(
@@ -379,7 +376,9 @@ mod tests {
         export_bam(&store, &manifest, &mut serial, CompressLevel::Fast).unwrap();
         let rt = PersonaRuntime::new(store.clone(), PersonaConfig::small()).unwrap();
         let mut parallel = Vec::new();
-        let report = export_bam_rt(&rt, &manifest, &mut parallel, CompressLevel::Fast).unwrap();
+        let report =
+            export_bam_rt(&rt, Edge::Landed(manifest.clone()), &mut parallel, CompressLevel::Fast)
+                .unwrap();
         assert_eq!(report.records, 300);
         assert_eq!(serial, parallel, "executor BGZF must be byte-identical");
     }

@@ -22,11 +22,12 @@ use persona_agd::manifest::{ChunkEntry, Manifest};
 use persona_compress::codec::Codec;
 use persona_compress::deflate::CompressLevel;
 use persona_dataflow::graph::GraphBuilder;
+use persona_dataflow::DataflowError;
 use persona_seq::Read;
 
 use crate::config::PersonaConfig;
-use crate::manifest_server::{ChunkFeeder, ChunkTask};
-use crate::pipeline::StageReport;
+use crate::manifest_server::ChunkTask;
+use crate::pipeline::{deliver, graph_error, split_out, EdgeOut, StageReport};
 use crate::runtime::PersonaRuntime;
 use crate::{Error, Result};
 
@@ -98,16 +99,17 @@ pub fn import_fastq(
 }
 
 /// Imports FASTQ on a shared runtime, encoding columns as executor task
-/// batches. When `feeder` is given, every written chunk is also pushed
-/// to it (the fused pipeline's import → align edge) and the feeder is
-/// closed when the import graph finishes.
-pub fn import_fastq_rt(
+/// batches. When `out` is given, every written chunk is also announced
+/// on it (the stream ends when the import graph finishes) and the
+/// manifest is delivered once it has landed.
+pub(crate) fn import_fastq_rt(
     rt: &PersonaRuntime,
     input: impl BufRead + Send + 'static,
     name: &str,
     chunk_size: usize,
-    feeder: Option<ChunkFeeder>,
+    out: Option<EdgeOut>,
 ) -> Result<(Manifest, ImportReport)> {
+    let (feeder, promise) = split_out(out);
     if chunk_size == 0 {
         return Err(Error::Pipeline("chunk_size must be positive".into()));
     }
@@ -252,7 +254,7 @@ pub fn import_fastq_rt(
                         num_records: chunk.num_records,
                     };
                     if !ctx.wait_external(|| feeder.push(task)) {
-                        return Err("downstream stage closed the chunk stream".into());
+                        return Err(DataflowError::Canceled);
                     }
                 }
                 ctx.add_items(1);
@@ -261,10 +263,7 @@ pub fn import_fastq_rt(
         });
     }
 
-    let run =
-        g.run().map_err(
-            |(e, _)| if rt.is_cancelled() { Error::Cancelled } else { Error::Dataflow(e) },
-        )?;
+    let run = g.run().map_err(|(e, _)| graph_error(rt, e))?;
     let stage = timer.finish();
 
     // Assemble the manifest in chunk order.
@@ -282,6 +281,7 @@ pub fn import_fastq_rt(
     manifest.total_records = first;
     manifest.validate()?;
     rt.store().put(&format!("{name}.manifest.json"), manifest.to_json()?.as_bytes())?;
+    deliver(promise, &manifest);
 
     Ok((
         manifest,
@@ -343,9 +343,9 @@ mod tests {
         let (bytes, _) = fastq_bytes(250);
         let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
         let rt = PersonaRuntime::new(store.clone(), PersonaConfig::small()).unwrap();
-        let (server, feeder) = crate::manifest_server::ManifestServer::streaming(4);
+        let (out, edge) = crate::pipeline::Edge::streaming(4, rt.telemetry());
         let collector = {
-            let server = server.clone();
+            let server = edge.chunks(None);
             std::thread::spawn(move || {
                 let mut stems = Vec::new();
                 while let Some(task) = server.fetch() {
@@ -355,7 +355,8 @@ mod tests {
             })
         };
         let (manifest, report) =
-            import_fastq_rt(&rt, std::io::Cursor::new(bytes), "st", 100, Some(feeder)).unwrap();
+            import_fastq_rt(&rt, std::io::Cursor::new(bytes), "st", 100, Some(out)).unwrap();
+        assert_eq!(edge.manifest().unwrap(), manifest);
         let mut got = collector.join().unwrap();
         got.sort();
         assert_eq!(got.len(), manifest.records.len());

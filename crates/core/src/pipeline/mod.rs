@@ -5,14 +5,113 @@
 //! BGZF compression — as fine-grain task batches on the runtime's
 //! shared executor ([`crate::runtime::PersonaRuntime`]), and every
 //! stage's report exposes the same [`StageReport`] utilization view.
+//!
+//! # The stage contract
+//!
+//! Every `*_rt` stage function consumes one `Edge` (import, the head
+//! of the chain, consumes FASTQ instead) and the stages that can stream
+//! — import, align, dupmark — optionally produce one through an
+//! `EdgeOut`. An edge is a chunk stream plus the dataset's manifest:
+//! both in hand for a dataset at rest, or a live queue fed by an
+//! upstream stage with the manifest promised on a channel. A producer
+//! pushes each chunk once it is durable in the store, delivers its
+//! manifest as soon as that is final, and closes the stream by
+//! returning; a stage whose neighbour closes the stream early, or ends
+//! without delivering the manifest, fails with
+//! [`Error::NeighbourClosed`]. The plan driver
+//! ([`crate::plan::Plan::run`]) wires any chain of stages through these
+//! two types alone.
 
+use std::sync::mpsc::{Receiver, Sender};
 use std::time::Duration;
+
+use persona_agd::manifest::Manifest;
+use persona_dataflow::DataflowError;
+use persona_telemetry::MetricsRegistry;
+
+use crate::manifest_server::{ChunkFeeder, ManifestServer};
+use crate::runtime::PersonaRuntime;
+use crate::{Error, Result};
 
 pub mod align;
 pub mod dupmark;
 pub mod export;
 pub mod import;
 pub mod sort;
+
+/// What a stage consumes: a dataset's chunks and its manifest.
+pub(crate) enum Edge {
+    /// A dataset at rest in the store.
+    Landed(Manifest),
+    /// The output of a live upstream stage: chunks arrive on the stream
+    /// as they become durable, and the manifest once upstream has
+    /// finalized it.
+    Live(ManifestServer, Receiver<Manifest>),
+}
+
+impl Edge {
+    /// Creates a live edge of at most `capacity` undispatched chunks,
+    /// returning the producing and the consuming end.
+    pub(crate) fn streaming(capacity: usize, telemetry: &MetricsRegistry) -> (EdgeOut, Edge) {
+        let (server, chunks) = ManifestServer::streaming_metered(capacity, Some(telemetry));
+        let (manifest, promised) = std::sync::mpsc::channel();
+        (EdgeOut { chunks, manifest }, Edge::Live(server, promised))
+    }
+
+    /// The chunk stream: the live queue, or every chunk of the landed
+    /// dataset (metered into `telemetry` when given).
+    pub(crate) fn chunks(&self, telemetry: Option<&MetricsRegistry>) -> ManifestServer {
+        match self {
+            Edge::Landed(manifest) => ManifestServer::new_metered(manifest, telemetry),
+            Edge::Live(server, _) => server.clone(),
+        }
+    }
+
+    /// The dataset's manifest, waiting for a live upstream to deliver
+    /// it. Consumers that drain the stream first never wait long: the
+    /// stream only ends once upstream has finished.
+    pub(crate) fn manifest(self) -> Result<Manifest> {
+        match self {
+            Edge::Landed(manifest) => Ok(manifest),
+            Edge::Live(_, promised) => promised.recv().map_err(|_| Error::NeighbourClosed),
+        }
+    }
+}
+
+/// The producing end of a live [`Edge`].
+pub(crate) struct EdgeOut {
+    /// Announces each chunk downstream; dropping it ends the stream.
+    pub(crate) chunks: ChunkFeeder,
+    /// Delivers the producer's manifest.
+    pub(crate) manifest: Sender<Manifest>,
+}
+
+/// Splits an optional [`EdgeOut`] into its two halves: stage bodies
+/// move the feeder into their writer and keep the promise for the end.
+pub(crate) fn split_out(out: Option<EdgeOut>) -> (Option<ChunkFeeder>, Option<Sender<Manifest>>) {
+    out.map(|o| (o.chunks, o.manifest)).unzip()
+}
+
+/// Delivers `manifest` on a stage's output edge, if it has one. A
+/// consumer that already died is not this stage's failure.
+pub(crate) fn deliver(promise: Option<Sender<Manifest>>, manifest: &Manifest) {
+    if let Some(promise) = promise {
+        let _ = promise.send(manifest.clone());
+    }
+}
+
+/// The error a stage reports when its dataflow graph failed with `e`:
+/// cancellation wins, and a writer that found its output stream closed
+/// (it returns [`DataflowError::Canceled`]) is a derived failure.
+pub(crate) fn graph_error(rt: &PersonaRuntime, e: DataflowError) -> Error {
+    if rt.is_cancelled() {
+        Error::Cancelled
+    } else if e == DataflowError::Canceled {
+        Error::NeighbourClosed
+    } else {
+        Error::Dataflow(e)
+    }
+}
 
 /// The uniform per-stage utilization surface: wall clock plus the
 /// stage's share of the shared executor's worker time.

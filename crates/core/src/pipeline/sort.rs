@@ -10,22 +10,21 @@
 //! sorting, records never need re-parsing: columns are permuted as
 //! opaque byte slices, with only the key column decoded.
 //!
-//! The sort is **incremental**: [`sort_streaming_rt`] pulls chunk tasks
-//! from a [`ManifestServer`] and folds sorted runs into superchunks as
-//! chunks arrive, so when the server is fed by a live upstream stage
-//! (the fused `align → sort` pipeline), run loading and superchunk
-//! merging overlap alignment instead of waiting behind a barrier.
-//! Chunks may arrive in *any* order: every record carries a
-//! `(key, chunk, position)` composite, so the merged output is the
-//! unique global order whatever the arrival interleaving — byte
-//! identical to sorting the finished dataset in one shot
-//! ([`sort_dataset_rt`], which is now a prefilled-server wrapper).
+//! The sort is **incremental**: it pulls chunk tasks from its input
+//! edge's [`ManifestServer`](crate::manifest_server::ManifestServer)
+//! and folds sorted runs into superchunks as chunks arrive, so when the
+//! edge is fed by a live upstream stage (the fused `align → sort`
+//! pipeline), run loading and superchunk merging overlap alignment
+//! instead of waiting behind a barrier. Chunks may arrive in *any*
+//! order: every record carries a `(key, chunk, position)` composite, so
+//! the merged output is the unique global order whatever the arrival
+//! interleaving — byte identical to sorting the finished dataset in one
+//! shot ([`sort_dataset`], the same code over a landed dataset).
 //!
 //! Every compute phase — per-chunk load+sort, superchunk merges, output
 //! chunk encode+write — runs as tagged task batches on the runtime's
 //! shared executor; the sort stage owns no threads of its own.
 
-use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -38,8 +37,8 @@ use persona_compress::codec::Codec;
 use persona_compress::deflate::CompressLevel;
 
 use crate::config::PersonaConfig;
-use crate::manifest_server::{ChunkTask, ManifestServer};
-use crate::pipeline::StageReport;
+use crate::manifest_server::ChunkTask;
+use crate::pipeline::{Edge, StageReport};
 use crate::runtime::PersonaRuntime;
 use crate::{Error, Result};
 
@@ -82,28 +81,6 @@ impl StageReport for SortReport {
     }
 }
 
-/// Where the streaming sort's *source manifest* (column codecs, row
-/// groups, chunk size) comes from when the output dataset is written.
-pub enum SortSource<'a> {
-    /// The source dataset already exists (standalone sort, or the fused
-    /// `align → sort` pair where align only adds a results column to an
-    /// encoded dataset).
-    Ready(&'a Manifest),
-    /// The source manifest is still being built by an upstream import;
-    /// it arrives on this channel when import finishes. The write phase
-    /// cannot start before every chunk has been merged, and the chunk
-    /// stream cannot end before upstream finished, so receiving here
-    /// never deadlocks.
-    Pending(Receiver<Manifest>),
-}
-
-/// The derived error the streaming sort reports when a
-/// [`SortSource::Pending`] channel closes without delivering a manifest
-/// — i.e. the upstream import died. Plan fusion matches on this marker
-/// to surface the upstream root cause instead of this symptom.
-pub(crate) const MISSING_SRC_MANIFEST: &str =
-    "sort write phase: upstream ended without delivering a source manifest";
-
 /// All columns of one loaded (or merged) run, as parallel record arrays.
 struct Run {
     /// `(key, tie)` per record. The tie embeds the record's global
@@ -143,46 +120,40 @@ pub fn sort_dataset(
     config: &PersonaConfig,
 ) -> Result<(Manifest, SortReport)> {
     let rt = PersonaRuntime::new(store.clone(), *config)?;
-    sort_dataset_rt(&rt, manifest, key, out_name)
+    sort_rt(&rt, Edge::Landed(manifest.clone()), key, out_name)
 }
 
-/// Sorts a finished dataset on a shared runtime. Unmapped records
-/// (location -1) sort first, matching the convention that they carry no
-/// coordinate. This is [`sort_streaming_rt`] over a prefilled server.
-pub fn sort_dataset_rt(
+/// The sort stage on a shared runtime: sorts the chunk stream of
+/// `input` into the dataset `out_name`, merging incrementally — each
+/// batch of arrived chunks is loaded and sorted on the executor, and
+/// full groups of runs fold into superchunks *while upstream is still
+/// producing*. The output dataset is independent of arrival order: runs
+/// merge on globally unique `(key, origin)` composite keys, where the
+/// origin tie-break encodes (chunk index, position in chunk). Unmapped
+/// records (location -1) sort first, matching the convention that they
+/// carry no coordinate.
+///
+/// The write phase takes column codecs, chunk sizing and reference
+/// contigs from the input's manifest; a live upstream delivers it after
+/// its last chunk, by which point every chunk has been merged.
+pub(crate) fn sort_rt(
     rt: &PersonaRuntime,
-    manifest: &Manifest,
+    input: Edge,
     key: SortKey,
     out_name: &str,
 ) -> Result<(Manifest, SortReport)> {
-    if key == SortKey::Coordinate && !manifest.has_column(columns::RESULTS) {
+    // Chunks streamed by a live upstream carry the results column that
+    // upstream is landing (only an align stage streams into a sort).
+    let has_results = match &input {
+        Edge::Landed(manifest) => manifest.has_column(columns::RESULTS),
+        Edge::Live(..) => true,
+    };
+    if key == SortKey::Coordinate && !has_results {
         return Err(Error::Pipeline("coordinate sort requires a results column".into()));
     }
-    let has_results = manifest.has_column(columns::RESULTS);
-    let server = ManifestServer::new(manifest);
-    sort_streaming_rt(rt, &server, SortSource::Ready(manifest), key, out_name, has_results, None)
-}
-
-/// Sorts the chunk stream dispensed by `server`, merging incrementally:
-/// each batch of arrived chunks is loaded and sorted on the executor,
-/// and full groups of runs fold into superchunks *while upstream is
-/// still producing*. The output dataset is independent of arrival
-/// order: runs merge on globally unique `(key, origin)` composite keys,
-/// where the origin tie-break encodes (chunk index, position in chunk).
-///
-/// `reference` overrides the output manifest's reference contigs; pass
-/// `None` to copy them from the source manifest (a fused `align → sort`
-/// pair must pass `Some`, because the source manifest predates
-/// `finalize_manifest`).
-pub fn sort_streaming_rt(
-    rt: &PersonaRuntime,
-    server: &ManifestServer,
-    src: SortSource<'_>,
-    key: SortKey,
-    out_name: &str,
-    has_results: bool,
-    reference: Option<&[(String, u64)]>,
-) -> Result<(Manifest, SortReport)> {
+    // Unmetered: a sort over a landed dataset publishes no `manifest.*`
+    // telemetry.
+    let server = input.chunks(None);
     let timer = rt.stage_timer();
     let exec = rt.stage_exec(&timer);
     let fanin = 8usize;
@@ -251,19 +222,9 @@ pub fn sort_streaming_rt(
     let final_run = fold(&exec, merged)?;
     let records = final_run.len() as u64;
 
-    // The write phase needs the source manifest for codecs and chunk
-    // sizing; a Pending source resolves it now (upstream necessarily
-    // finished before the chunk stream closed).
-    let owned_src: Manifest;
-    let src: &Manifest = match src {
-        SortSource::Ready(m) => m,
-        SortSource::Pending(rx) => {
-            owned_src = rx.recv().map_err(|_| Error::Pipeline(MISSING_SRC_MANIFEST.into()))?;
-            &owned_src
-        }
-    };
+    let src = input.manifest()?;
     let out_manifest =
-        write_sorted_dataset(rt, &timer, out_name, src, final_run, key, has_results, reference)?;
+        write_sorted_dataset(rt, &timer, out_name, &src, final_run, key, has_results)?;
 
     let stage = timer.finish();
     Ok((
@@ -395,7 +356,6 @@ fn merge_runs(mut runs: Vec<Run>) -> Run {
 
 /// Writes the merged run as a fresh AGD dataset, one executor task per
 /// output chunk.
-#[allow(clippy::too_many_arguments)]
 fn write_sorted_dataset(
     rt: &PersonaRuntime,
     timer: &crate::runtime::StageTimer,
@@ -404,7 +364,6 @@ fn write_sorted_dataset(
     run: Run,
     key: SortKey,
     has_results: bool,
-    reference: Option<&[(String, u64)]>,
 ) -> Result<Manifest> {
     let chunk_size = src
         .records
@@ -420,10 +379,7 @@ fn write_sorted_dataset(
     if has_results {
         manifest.add_column(columns::RESULTS, Codec::Gzip)?;
     }
-    match reference {
-        Some(r) => persona_formats::convert::set_reference(&mut manifest, r),
-        None => manifest.reference = src.reference.clone(),
-    }
+    manifest.reference = src.reference.clone();
     manifest.sort_order = match key {
         SortKey::Coordinate => SortOrder::Coordinate,
         SortKey::QueryName => SortOrder::QueryName,
@@ -643,9 +599,11 @@ mod tests {
     fn streamed_out_of_order_arrival_matches_one_shot_sort() {
         let (store, manifest) = world(300, 30);
         let rt = PersonaRuntime::new(store.clone(), PersonaConfig::small()).unwrap();
-        let (oneshot, _) = sort_dataset_rt(&rt, &manifest, SortKey::Coordinate, "ref").unwrap();
+        let (oneshot, _) =
+            sort_rt(&rt, Edge::Landed(manifest.clone()), SortKey::Coordinate, "ref").unwrap();
 
-        let (server, feeder) = ManifestServer::streaming(4);
+        let (out, edge) = Edge::streaming(4, rt.telemetry());
+        let (feeder, promise) = (out.chunks, out.manifest);
         let tasks: Vec<ChunkTask> = manifest
             .records
             .iter()
@@ -657,21 +615,14 @@ mod tests {
                 num_records: e.num_records,
             })
             .collect();
+        let src = manifest.clone();
         let producer = std::thread::spawn(move || {
             for t in tasks {
                 assert!(feeder.push(t));
             }
+            promise.send(src).unwrap();
         });
-        let (streamed, report) = sort_streaming_rt(
-            &rt,
-            &server,
-            SortSource::Ready(&manifest),
-            SortKey::Coordinate,
-            "str",
-            true,
-            None,
-        )
-        .unwrap();
+        let (streamed, report) = sort_rt(&rt, edge, SortKey::Coordinate, "str").unwrap();
         producer.join().unwrap();
         assert_eq!(report.records, 300);
         assert_eq!(report.runs, 10);

@@ -22,14 +22,14 @@
 //! the wrong order, a stage whose producer is missing, a duplicated
 //! stage, or an empty plan. A plan that builds is guaranteed runnable:
 //! [`Plan::run`] executes any valid plan on a (possibly job-bound)
-//! [`PersonaRuntime`] with the same fused streaming overlap and
-//! cooperative cancellation the fixed `run_pipeline` chain has — an
-//! `import` directly followed by `align` streams chunks through a
-//! bounded queue while both stages share the executor, an `align`
-//! directly followed by `sort` streams finished chunks into the
-//! incremental merge (a leading `import → align → sort` fuses as a
+//! [`PersonaRuntime`] with fused streaming overlap and cooperative
+//! cancellation — an `import` directly followed by `align` streams
+//! chunks through a bounded queue while both stages share the executor,
+//! an `align` directly followed by `sort` streams finished chunks into
+//! the incremental merge (a leading `import → align → sort` fuses as a
 //! triple), and `dupmark` directly followed by `export-sam` does the
-//! same.
+//! same. Which neighbours stream is stated once, in [`STREAMS`];
+//! everything else about fusion is derived from it.
 //!
 //! Plans serialize to JSON through the vendored serde
 //! (`{"input":"fastq","stages":["import","align",...]}`), and
@@ -45,13 +45,13 @@ use persona_align::Aligner;
 use persona_compress::deflate::CompressLevel;
 use serde::{field, DeError, Deserialize, Serialize, Value};
 
-use crate::manifest_server::ManifestServer;
+use crate::caching::{CacheSession, CacheUse};
 use crate::pipeline::align::{self, AlignReport};
 use crate::pipeline::dupmark::{self, DupmarkReport};
 use crate::pipeline::export::{self, ExportReport};
 use crate::pipeline::import::{self, ImportReport};
-use crate::pipeline::sort::{self, SortKey, SortReport, SortSource};
-use crate::pipeline::StageReport;
+use crate::pipeline::sort::{self, SortKey, SortReport};
+use crate::pipeline::{Edge, EdgeOut, StageReport};
 use crate::runtime::PersonaRuntime;
 use crate::{Error, Result};
 
@@ -196,7 +196,7 @@ impl Stage {
     }
 
     /// Whether this stage lands durable dataset state in the runtime's
-    /// store (and therefore notifies a [`StageObserver`] and is a
+    /// store (and therefore notifies the job's stage observer and is a
     /// candidate cache boundary). Export stages buffer bytes in memory
     /// and land nothing.
     pub fn is_durable(&self) -> bool {
@@ -348,6 +348,19 @@ impl PlanBuilder {
     }
 }
 
+/// The streaming adjacencies: `(producer, consumer)` pairs of stages
+/// that, when adjacent in a plan, overlap through a live chunk stream
+/// instead of running back to back. This table is the only place that
+/// names them — [`Plan::fusion_groups`], [`Plan::describe`] and the
+/// [`Plan::run`] driver all derive from it. A producer must accept an
+/// output edge and a consumer must drain its input's chunk stream (see
+/// the stage contract in [`crate::pipeline`]).
+pub const STREAMS: [(Stage, Stage); 3] = [
+    (Stage::Import, Stage::Align),
+    (Stage::Align, Stage::Sort),
+    (Stage::Dupmark, Stage::ExportSam),
+];
+
 /// The names accepted by [`Plan::preset`], in the order presets are
 /// documented (CLI `--plan` flags share this list).
 pub const PRESET_NAMES: [&str; 5] =
@@ -368,8 +381,8 @@ impl Plan {
         PlanBuilder::new(input)
     }
 
-    /// The whole paper pipeline: import ‖ align → sort → dupmark ‖
-    /// export-sam (what `run_pipeline` runs).
+    /// The whole paper pipeline: import ‖ align ‖ sort → dupmark ‖
+    /// export-sam.
     pub fn full() -> Plan {
         Plan::builder(DataState::Fastq)
             .then(Stage::Import)
@@ -503,32 +516,26 @@ impl Plan {
     /// The fusion grouping [`Plan::run`] will actually execute: one
     /// `start..end` range into [`Plan::stages`] per step, where a
     /// multi-stage range is a fused group whose stages overlap through
-    /// streaming queues (`import‖align`, `align‖sort`,
-    /// `import‖align‖sort`, `dupmark‖export-sam`).
+    /// streaming queues — the maximal chains over [`STREAMS`]
+    /// (`import‖align`, `align‖sort`, `import‖align‖sort`,
+    /// `dupmark‖export-sam`).
     pub fn fusion_groups(&self) -> Vec<std::ops::Range<usize>> {
-        Self::fusion_groups_of(&self.stages)
+        self.fusion_groups_from(0)
     }
 
-    /// [`Plan::fusion_groups`] over an arbitrary stage slice — the same
-    /// pairing rules the `run_observed` driver applies, so a cached
-    /// run's suffix can be described exactly as it will execute.
-    fn fusion_groups_of(stages: &[Stage]) -> Vec<std::ops::Range<usize>> {
+    /// [`Plan::fusion_groups`] of the stages from `skip` on, so a cached
+    /// run's suffix groups exactly as it will execute (eliding part of
+    /// a chain shortens it).
+    fn fusion_groups_from(&self, skip: usize) -> Vec<std::ops::Range<usize>> {
         let mut groups = Vec::new();
-        let mut i = 0usize;
-        while i < stages.len() {
-            let stage = stages[i];
-            let fused_next = stages.get(i + 1).copied().filter(|&next| {
-                (stage == Stage::Import && next == Stage::Align)
-                    || (stage == Stage::Align && next == Stage::Sort)
-                    || (stage == Stage::Dupmark && next == Stage::ExportSam)
-            });
-            let len = match (stage, fused_next) {
-                (Stage::Import, Some(Stage::Align)) if stages.get(i + 2) == Some(&Stage::Sort) => 3,
-                (_, Some(_)) => 2,
-                _ => 1,
-            };
-            groups.push(i..i + len);
-            i += len;
+        let mut start = skip;
+        for end in skip + 1..=self.stages.len() {
+            let fused = end < self.stages.len()
+                && STREAMS.contains(&(self.stages[end - 1], self.stages[end]));
+            if !fused {
+                groups.push(start..end);
+                start = end;
+            }
         }
         groups
     }
@@ -559,8 +566,8 @@ impl Plan {
                 self.stages[elided - 1].output().as_str()
             ));
         }
-        for group in Self::fusion_groups_of(&self.stages[elided..]) {
-            let stages = &self.stages[elided..][group.clone()];
+        for group in self.fusion_groups_from(elided) {
+            let stages = &self.stages[group];
             let last = stages.last().expect("fusion groups are non-empty");
             if stages.len() == 1 {
                 out.push_str(&format!(" ─{}→ {}", last.name(), last.output().as_str()));
@@ -579,31 +586,6 @@ impl Plan {
     /// dataset to cache.
     pub fn cacheable_prefixes(&self) -> Vec<usize> {
         (1..=self.stages.len()).rev().filter(|&len| self.stages[len - 1].is_durable()).collect()
-    }
-
-    /// The canonical serialization of this plan's first `len` stages —
-    /// the plan-prefix component of a result-cache key. Identical
-    /// prefixes of *different* plans serialize identically (the suffix
-    /// does not leak in), which is exactly what lets an overlapping
-    /// plan reuse another plan's work.
-    ///
-    /// # Panics
-    /// Panics if `len` is `0` or exceeds the stage count.
-    pub fn prefix_json(&self, len: usize) -> String {
-        assert!(len >= 1 && len <= self.stages.len(), "prefix length {len} out of range");
-        // The vendored `to_string` takes a `Serialize`, not a bare
-        // `Value`; a transparent wrapper bridges the gap.
-        struct Raw(Value);
-        impl Serialize for Raw {
-            fn serialize(&self) -> Value {
-                self.0.clone()
-            }
-        }
-        let v = Value::Object(vec![
-            ("input".into(), self.input.serialize()),
-            ("stages".into(), self.stages[..len].to_vec().serialize()),
-        ]);
-        serde_json::to_string(&Raw(v)).expect("plan prefix serialization is infallible")
     }
 
     /// Rebuilds the plan that remains after `skip` stages have been
@@ -636,254 +618,122 @@ impl Plan {
     /// priority, cancel token and counters, and a fired token unwinds
     /// the plan as [`Error::Cancelled`] mid-stage.
     ///
-    /// Adjacent `import → align`, `align → sort` and
-    /// `dupmark → export-sam` runs are fused (an
-    /// `import → align → sort` prefix fuses as a triple): the stages
-    /// overlap through bounded streaming chunk queues while sharing the
-    /// executor — alignment consumes chunks as import encodes them, and
-    /// the incremental sort loads and merges chunks as their results
-    /// land, instead of waiting for the last aligned chunk. Exported
-    /// SAM/BAM bytes are buffered and
+    /// The plan executes one [fusion group](Plan::fusion_groups) at a
+    /// time. The stages of a group overlap through bounded streaming
+    /// chunk queues while sharing the executor — alignment consumes
+    /// chunks as import encodes them, and the incremental sort loads
+    /// and merges chunks as their results land, instead of waiting for
+    /// the last aligned chunk. Exported SAM/BAM bytes are buffered and
     /// only surface in the report once the whole plan has succeeded, so
     /// a mid-plan failure can never leave a plausible-looking truncated
     /// export behind.
-    pub fn run(&self, rt: &PersonaRuntime, req: PlanRequest) -> Result<PlanReport> {
-        self.run_observed(rt, req, &mut |_, _| {})
-    }
-
-    /// [`Plan::run`] with a stage-completion observer: `on_stage` is
-    /// invoked after each stage that lands durable dataset state in the
-    /// runtime's store — `import`, `align`, `sort` and `dupmark` — with
-    /// the manifest that stage landed. A fused run notifies when all of
-    /// its stages have finished (a half-done fused run has landed
-    /// nothing resumable): `import → align` notifies once for `align`,
-    /// and a fused `align → sort` or `import → align → sort` notifies
-    /// for `align` and then `sort`, both datasets being durable by
-    /// then. Export stages buffer bytes in memory rather than landing
-    /// store state, so they never notify.
     ///
-    /// This is the serialization hook a durable job service journals
-    /// stage completion through: the `(stage, manifest)` pair is
-    /// exactly what a crash-recovery replay needs to rebuild the plan
-    /// suffix and resume from the last landed state (see
-    /// `persona-server`'s write-ahead journal).
-    pub fn run_observed(
-        &self,
-        rt: &PersonaRuntime,
-        req: PlanRequest,
-        on_stage: StageObserver<'_>,
-    ) -> Result<PlanReport> {
+    /// **Observer** ([`JobContext::with_observer`]): called after each
+    /// group with every stage of it that landed durable dataset state —
+    /// `import`, `align`, `sort`, `dupmark` — and the manifest it
+    /// landed, in plan order. A group announces only once all of its
+    /// stages have finished (a half-done group has landed nothing
+    /// resumable), and a landing the group's next stage re-landed under
+    /// the same dataset name is not announced: fused `import‖align`
+    /// announces `align` alone, fused `align‖sort` announces `align`
+    /// then `sort`. Export stages buffer bytes in memory rather than
+    /// landing store state, so they never announce.
+    ///
+    /// **Result cache** ([`JobContext::with_cache`]): the longest cached
+    /// prefix of the plan is elided, only the suffix executes (over the
+    /// cached manifest), and every announced landing is registered
+    /// under its prefix key; [`PlanReport::cache`] says what was reused.
+    /// Output is byte-identical to an uncached run.
+    ///
+    /// [`JobContext::with_observer`]: crate::runtime::JobContext::with_observer
+    /// [`JobContext::with_cache`]: crate::runtime::JobContext::with_cache
+    pub fn run(&self, rt: &PersonaRuntime, req: PlanRequest) -> Result<PlanReport> {
         let started = Instant::now();
         rt.check_cancelled()?;
-        let queue_cap = rt.config().capacity_for(rt.config().aligner_kernels).max(2);
 
         // Request/plan coherence, checked up front with precise errors
         // through the same helpers service admission uses.
-        let mut cur: Option<Manifest> = None;
         self.check_resources(req.aligner.is_some())?;
-        let mut source = match req.source {
-            PlanSource::Fastq(reader) => {
-                self.check_fastq_input(req.chunk_size)?;
-                Some(reader)
-            }
-            PlanSource::Dataset(manifest) => {
-                self.check_dataset_input(&manifest)?;
-                cur = Some(manifest);
-                None
-            }
-        };
+        match &req.source {
+            PlanSource::Fastq(_) => self.check_fastq_input(req.chunk_size)?,
+            PlanSource::Dataset(manifest) => self.check_dataset_input(manifest)?,
+        }
 
+        let session = CacheSession::open(self, rt, &req, started);
+        let hit = session.as_ref().and_then(CacheSession::hit);
+        let elided = hit.map_or(0, |(elided, _)| elided);
         let mut report = PlanReport {
             plan: self.clone(),
-            stages: Vec::with_capacity(self.stages.len()),
+            stages: Vec::with_capacity(self.stages.len() - elided),
             manifest: None,
             sorted: None,
             sam: None,
             bam: None,
+            cache: CacheUse {
+                elided,
+                saved_ns: hit.map_or(0, |(_, entry)| entry.cost_ns),
+                executed: if elided == 0 { Some(self.clone()) } else { self.suffix_plan(elided) },
+            },
             elapsed: Duration::ZERO,
         };
+        let mut input = Some(match (hit, req.source) {
+            (Some((_, entry)), _) => StageInput::Edge(Edge::Landed(entry.manifest.clone())),
+            (None, PlanSource::Fastq(reader)) => StageInput::Fastq(reader),
+            (None, PlanSource::Dataset(manifest)) => StageInput::Edge(Edge::Landed(manifest)),
+        });
+        let params = StageParams {
+            name: &req.name,
+            chunk_size: req.chunk_size,
+            aligner: req.aligner.as_ref(),
+            reference: &req.reference,
+        };
 
-        let mut i = 0usize;
-        while i < self.stages.len() {
+        for group in self.fusion_groups_from(elided) {
             rt.check_cancelled()?;
-            let stage = self.stages[i];
-            let fused_next = self.stages.get(i + 1).copied().filter(|&next| {
-                (stage == Stage::Import && next == Stage::Align)
-                    || (stage == Stage::Align && next == Stage::Sort)
-                    || (stage == Stage::Dupmark && next == Stage::ExportSam)
-            });
-            // The stages this step runs (1, or 2–3 when fused), for the
-            // job trace: a fused group's spans open together because the
-            // stages genuinely overlap. A step that errors out leaves
-            // its spans open — the dump shows where the run died.
-            let group_len = match (stage, fused_next) {
-                (Stage::Import, Some(Stage::Align))
-                    if self.stages.get(i + 2) == Some(&Stage::Sort) =>
-                {
-                    3
+            let stages = &self.stages[group.clone()];
+            // A fused group's spans open together because its stages
+            // genuinely overlap. A group that errors out leaves its
+            // spans open — the dump shows where the run died.
+            spans_begin(rt, stages);
+            count_stage_runs(rt, stages);
+            let head = input.take().expect("only a terminal export lands nothing to continue from");
+            let mut outputs =
+                run_group(rt, &params, stages, head)?.into_iter().zip(group).peekable();
+            while let Some((output, idx)) = outputs.next() {
+                report.stages.push(output.run);
+                match self.stages[idx] {
+                    Stage::Import | Stage::Align => report.manifest = output.landed.clone(),
+                    Stage::Sort => report.sorted = output.landed.clone(),
+                    Stage::Dupmark => {}
+                    Stage::ExportSam => report.sam = output.bytes,
+                    Stage::ExportBam => report.bam = output.bytes,
                 }
-                (_, Some(_)) => 2,
-                _ => 1,
-            };
-            let group = &self.stages[i..i + group_len];
-            spans_begin(rt, group);
-            count_stage_runs(rt, group);
-            match (stage, fused_next) {
-                (Stage::Import, Some(Stage::Align))
-                    if self.stages.get(i + 2) == Some(&Stage::Sort) =>
-                {
-                    // The front of the full chain fuses as a triple:
-                    // import feeds chunks to alignment, and alignment
-                    // feeds finished chunks to the incremental sort —
-                    // all three stages overlap on the shared executor.
-                    let input = source.take().expect("fastq source validated above");
-                    let aligner = req.aligner.clone().expect("aligner validated above");
-                    let sorted_name = format!("{}.sorted", req.name);
-                    let (manifest, sorted, import_rep, align_rep, sort_rep) =
-                        fused_import_align_sort(
-                            rt,
-                            input,
-                            &req.name,
-                            req.chunk_size,
-                            aligner,
-                            &req.reference,
-                            &sorted_name,
-                            queue_cap,
-                        )?;
-                    report.stages.push(StageRun::Import(import_rep));
-                    report.stages.push(StageRun::Align(align_rep));
-                    report.stages.push(StageRun::Sort(sort_rep));
-                    report.manifest = Some(manifest);
-                    on_stage(Stage::Align, report.manifest.as_ref().expect("just set"));
-                    report.sorted = Some(sorted.clone());
-                    on_stage(Stage::Sort, report.sorted.as_ref().expect("just set"));
-                    cur = Some(sorted);
-                    i += 3;
+                let Some(manifest) = output.landed else { continue };
+                // A landing the group's next stage re-landed under the
+                // same name (import's manifest, rewritten by a fused
+                // align) was never a resumable state of its own.
+                let superseded = outputs.peek().is_some_and(|(next, _)| {
+                    next.landed.as_ref().is_some_and(|m| m.name == manifest.name)
+                });
+                if !superseded {
+                    if let Some(job) = rt.job() {
+                        job.observe(self.stages[idx], &manifest);
+                    }
+                    if let Some(session) = &session {
+                        session.landed(idx, &manifest);
+                    }
                 }
-                (Stage::Import, Some(Stage::Align)) => {
-                    let input = source.take().expect("fastq source validated above");
-                    let aligner = req.aligner.clone().expect("aligner validated above");
-                    let (manifest, import_rep, align_rep) = fused_import_align(
-                        rt,
-                        input,
-                        &req.name,
-                        req.chunk_size,
-                        aligner,
-                        &req.reference,
-                        queue_cap,
-                    )?;
-                    report.stages.push(StageRun::Import(import_rep));
-                    report.stages.push(StageRun::Align(align_rep));
-                    report.manifest = Some(manifest.clone());
-                    on_stage(Stage::Align, report.manifest.as_ref().expect("just set"));
-                    cur = Some(manifest);
-                    i += 2;
-                }
-                (Stage::Align, Some(Stage::Sort)) => {
-                    let manifest = cur.take().expect("align has an encoded dataset");
-                    let aligner = req.aligner.clone().expect("aligner validated above");
-                    let sorted_name = format!("{}.sorted", req.name);
-                    let (aligned, sorted, align_rep, sort_rep) = fused_align_sort(
-                        rt,
-                        manifest,
-                        aligner,
-                        &req.reference,
-                        &sorted_name,
-                        queue_cap,
-                    )?;
-                    report.stages.push(StageRun::Align(align_rep));
-                    report.stages.push(StageRun::Sort(sort_rep));
-                    report.manifest = Some(aligned);
-                    on_stage(Stage::Align, report.manifest.as_ref().expect("just set"));
-                    report.sorted = Some(sorted.clone());
-                    on_stage(Stage::Sort, report.sorted.as_ref().expect("just set"));
-                    cur = Some(sorted);
-                    i += 2;
-                }
-                (Stage::Import, _) => {
-                    let input = source.take().expect("fastq source validated above");
-                    let (manifest, import_rep) =
-                        import::import_fastq_rt(rt, input, &req.name, req.chunk_size, None)?;
-                    report.stages.push(StageRun::Import(import_rep));
-                    report.manifest = Some(manifest.clone());
-                    on_stage(Stage::Import, report.manifest.as_ref().expect("just set"));
-                    cur = Some(manifest);
-                    i += 1;
-                }
-                (Stage::Align, _) => {
-                    let mut manifest = cur.take().expect("align has an encoded dataset");
-                    let aligner = req.aligner.clone().expect("aligner validated above");
-                    let server = ManifestServer::new_metered(&manifest, Some(rt.telemetry()));
-                    let align_rep = align::align_with_runtime(rt, &server, aligner)
-                        .map_err(|e| cancelled_or(rt, e))?;
-                    align::finalize_manifest(rt.store().as_ref(), &mut manifest, &req.reference)?;
-                    report.stages.push(StageRun::Align(align_rep));
-                    report.manifest = Some(manifest.clone());
-                    on_stage(Stage::Align, report.manifest.as_ref().expect("just set"));
-                    cur = Some(manifest);
-                    i += 1;
-                }
-                (Stage::Sort, _) => {
-                    let manifest = cur.take().expect("sort has an aligned dataset");
-                    let sorted_name = format!("{}.sorted", req.name);
-                    let (sorted, sort_rep) =
-                        sort::sort_dataset_rt(rt, &manifest, SortKey::Coordinate, &sorted_name)
-                            .map_err(|e| cancelled_or(rt, e))?;
-                    report.stages.push(StageRun::Sort(sort_rep));
-                    report.sorted = Some(sorted.clone());
-                    on_stage(Stage::Sort, report.sorted.as_ref().expect("just set"));
-                    cur = Some(sorted);
-                    i += 1;
-                }
-                (Stage::Dupmark, Some(Stage::ExportSam)) => {
-                    let manifest = cur.take().expect("dupmark has a sorted dataset");
-                    let (dupmark_rep, export_rep, sam) =
-                        fused_dupmark_export(rt, &manifest, queue_cap)?;
-                    report.stages.push(StageRun::Dupmark(dupmark_rep));
-                    report.stages.push(StageRun::ExportSam(export_rep));
-                    report.sam = Some(sam);
-                    // The fused pair's durable landing is the dup-marked
-                    // dataset; the SAM bytes live only in the report, so
-                    // a resume from here re-runs just the export.
-                    on_stage(Stage::Dupmark, &manifest);
-                    cur = Some(manifest);
-                    i += 2;
-                }
-                (Stage::Dupmark, _) => {
-                    let manifest = cur.take().expect("dupmark has a sorted dataset");
-                    let dupmark_rep = dupmark::mark_duplicates_rt(rt, &manifest, None)
-                        .map_err(|e| cancelled_or(rt, e))?;
-                    report.stages.push(StageRun::Dupmark(dupmark_rep));
-                    on_stage(Stage::Dupmark, &manifest);
-                    cur = Some(manifest);
-                    i += 1;
-                }
-                (Stage::ExportSam, _) => {
-                    let manifest = cur.take().expect("export has an aligned dataset");
-                    let server = ManifestServer::new_metered(&manifest, Some(rt.telemetry()));
-                    let mut sam = Vec::new();
-                    let export_rep = export::export_sam_rt(rt, &manifest, &server, &mut sam)
-                        .map_err(|e| cancelled_or(rt, e))?;
-                    report.stages.push(StageRun::ExportSam(export_rep));
-                    report.sam = Some(sam);
-                    cur = Some(manifest);
-                    i += 1;
-                }
-                (Stage::ExportBam, _) => {
-                    let manifest = cur.take().expect("export has an aligned dataset");
-                    let mut bam = Vec::new();
-                    let export_rep =
-                        export::export_bam_rt(rt, &manifest, &mut bam, CompressLevel::Fast)
-                            .map_err(|e| cancelled_or(rt, e))?;
-                    report.stages.push(StageRun::ExportBam(export_rep));
-                    report.bam = Some(bam);
-                    cur = Some(manifest);
-                    i += 1;
-                }
+                input = Some(StageInput::Edge(Edge::Landed(manifest)));
             }
-            spans_end(rt, group);
+            spans_end(rt, stages);
         }
         rt.check_cancelled()?;
+        if let (None, Some((_, entry))) = (report.final_manifest(), hit) {
+            // Nothing that ran landed a dataset (every stage cached, or
+            // an export-only suffix): the plan's final dataset is the
+            // cached one.
+            crate::caching::place_manifest(&mut report, entry);
+        }
         report.elapsed = started.elapsed();
         Ok(report)
     }
@@ -921,252 +771,141 @@ fn spans_end(rt: &PersonaRuntime, stages: &[Stage]) {
     }
 }
 
-/// Maps a stage error to [`Error::Cancelled`] once the job's token has
-/// fired: whichever derived stream-closed error the unwinding stages
-/// happened to surface, a cancelled job reports Cancelled.
-fn cancelled_or(rt: &PersonaRuntime, e: Error) -> Error {
-    if rt.is_cancelled() {
-        Error::Cancelled
-    } else {
-        e
+/// What the head stage of a group consumes.
+enum StageInput {
+    /// The request's FASTQ stream (import only).
+    Fastq(Box<dyn BufRead + Send>),
+    /// A dataset: landed by an earlier group, or streamed by the
+    /// upstream stage of this one.
+    Edge(Edge),
+}
+
+/// The per-run parameters stages read: a [`PlanRequest`] minus its
+/// source.
+struct StageParams<'a> {
+    name: &'a str,
+    chunk_size: usize,
+    aligner: Option<&'a Arc<dyn Aligner>>,
+    reference: &'a [(String, u64)],
+}
+
+/// What one stage hands back to the driver.
+struct StageOutput {
+    run: StageRun,
+    /// The dataset the stage landed in the store, if it lands one.
+    landed: Option<Manifest>,
+    /// The bytes an export stage produced.
+    bytes: Option<Vec<u8>>,
+}
+
+/// Runs one fusion group: N stages wired by N−1 live edges, the head on
+/// the calling thread and each later stage on a scoped thread of its
+/// own. A stage that fails closes the streams on both of its sides, so
+/// an upstream neighbour blocked on a full queue and a downstream
+/// neighbour blocked on an empty one both unwind (with
+/// [`Error::NeighbourClosed`]) and the group always joins.
+///
+/// One rule picks the error a failed group surfaces: cancellation wins;
+/// otherwise the first stage in plan order whose error is not the
+/// derived [`Error::NeighbourClosed`] — a root cause, never the symptom
+/// it caused next door.
+fn run_group(
+    rt: &PersonaRuntime,
+    params: &StageParams<'_>,
+    stages: &[Stage],
+    head: StageInput,
+) -> Result<Vec<StageOutput>> {
+    // Edge k joins stage k to stage k + 1.
+    let capacity = rt.config().capacity_for(rt.config().aligner_kernels).max(2);
+    let mut streams = Vec::with_capacity(stages.len() - 1);
+    let mut wiring = Vec::with_capacity(stages.len());
+    let mut input = head;
+    for _ in 1..stages.len() {
+        let (out, edge) = Edge::streaming(capacity, rt.telemetry());
+        streams.push(edge.chunks(None));
+        wiring.push((input, Some(out)));
+        input = StageInput::Edge(edge);
     }
-}
+    wiring.push((input, None));
 
-/// Stage 1+2 overlapped: import feeds chunk names to alignment through
-/// a bounded streaming queue while both stages' compute (FASTQ
-/// encoding, subchunk alignment) shares the executor.
-fn fused_import_align(
-    rt: &PersonaRuntime,
-    input: Box<dyn BufRead + Send>,
-    name: &str,
-    chunk_size: usize,
-    aligner: Arc<dyn Aligner>,
-    reference: &[(String, u64)],
-    queue_cap: usize,
-) -> Result<(Manifest, ImportReport, AlignReport)> {
-    let (chunk_server, chunk_feeder) =
-        ManifestServer::streaming_metered(queue_cap, Some(rt.telemetry()));
-    let (import_res, align_res) = std::thread::scope(|s| {
-        let align_handle = {
-            let server = chunk_server.clone();
-            let aligner = aligner.clone();
-            s.spawn(move || {
-                let res = align::align_with_runtime(rt, &server, aligner);
-                if res.is_err() {
-                    // Unblock the import writer if alignment died.
-                    server.close();
-                }
-                res
-            })
-        };
-        let import_res = import::import_fastq_rt(rt, input, name, chunk_size, Some(chunk_feeder));
-        if import_res.is_err() {
-            chunk_server.close();
-        }
-        (import_res, align_handle.join().expect("align stage panicked"))
-    });
-    // Surface the align error first: when alignment dies mid-stream it
-    // closes the chunk queue, which makes import fail with a derived
-    // "stream closed" error that would mask the root cause. (If import
-    // itself fails, alignment just drains the chunks it got and ends
-    // cleanly, so this order loses nothing.)
-    // A cancelled job reports Cancelled rather than whichever derived
-    // stream-closed error the unwinding stages happened to surface.
-    rt.check_cancelled()?;
-    let align_rep = align_res?;
-    let (mut manifest, import_rep) = import_res?;
-    align::finalize_manifest(rt.store().as_ref(), &mut manifest, reference)?;
-    Ok((manifest, import_rep, align_rep))
-}
-
-/// Whether `e` is the sort's derived "source manifest never arrived"
-/// error — a symptom of an upstream death, never a root cause.
-fn is_missing_src_manifest(e: &Error) -> bool {
-    matches!(e, Error::Pipeline(m) if m == sort::MISSING_SRC_MANIFEST)
-}
-
-/// Stage 2+3 overlapped: alignment announces each chunk whose results
-/// column has landed, and the incremental sort loads, sorts and merges
-/// those chunks into superchunks while later chunks are still aligning
-/// — the sort no longer starts after the last aligned chunk.
-fn fused_align_sort(
-    rt: &PersonaRuntime,
-    manifest: Manifest,
-    aligner: Arc<dyn Aligner>,
-    reference: &[(String, u64)],
-    sorted_name: &str,
-    queue_cap: usize,
-) -> Result<(Manifest, Manifest, AlignReport, SortReport)> {
-    let align_server = ManifestServer::new_metered(&manifest, Some(rt.telemetry()));
-    let (sort_server, sort_feeder) =
-        ManifestServer::streaming_metered(queue_cap, Some(rt.telemetry()));
-    let (align_res, sort_res) = std::thread::scope(|s| {
-        let sort_handle = {
-            let server = sort_server.clone();
-            let manifest = &manifest;
-            s.spawn(move || {
-                let res = sort::sort_streaming_rt(
-                    rt,
-                    &server,
-                    SortSource::Ready(manifest),
-                    SortKey::Coordinate,
-                    sorted_name,
-                    true,
-                    Some(reference),
-                );
-                if res.is_err() {
-                    // Unblock the align writer if the sort died.
-                    server.close();
-                }
-                res
-            })
-        };
-        let align_res = align::align_with_runtime_to(rt, &align_server, aligner, Some(sort_feeder));
-        if align_res.is_err() {
-            sort_server.close();
-        }
-        (align_res, sort_handle.join().expect("sort stage panicked"))
-    });
-    rt.check_cancelled()?;
-    // A sort failure closes the results stream, which makes the align
-    // writer fail with a derived push error that would mask the root
-    // cause — so the sort error surfaces first. (If align itself dies,
-    // its feeder drops and the sort just finishes early on the partial
-    // stream; its Ok result is discarded by the align `?` below.)
-    let (sorted, sort_rep) = sort_res?;
-    let align_rep = align_res?;
-    let mut aligned = manifest;
-    align::finalize_manifest(rt.store().as_ref(), &mut aligned, reference)?;
-    Ok((aligned, sorted, align_rep, sort_rep))
-}
-
-/// Stages 1+2+3 overlapped: import streams chunk names to alignment,
-/// alignment streams finished chunks to the incremental sort, and all
-/// three stages share the executor. The sort's output dataset needs the
-/// source manifest (codecs, chunk sizing) that import only finishes
-/// building at end-of-input, so it arrives on a channel resolved in the
-/// sort's write phase — by which point import has necessarily finished.
-#[allow(clippy::too_many_arguments)]
-fn fused_import_align_sort(
-    rt: &PersonaRuntime,
-    input: Box<dyn BufRead + Send>,
-    name: &str,
-    chunk_size: usize,
-    aligner: Arc<dyn Aligner>,
-    reference: &[(String, u64)],
-    sorted_name: &str,
-    queue_cap: usize,
-) -> Result<(Manifest, Manifest, ImportReport, AlignReport, SortReport)> {
-    let (chunk_server, chunk_feeder) =
-        ManifestServer::streaming_metered(queue_cap, Some(rt.telemetry()));
-    let (sort_server, sort_feeder) =
-        ManifestServer::streaming_metered(queue_cap, Some(rt.telemetry()));
-    let (manifest_tx, manifest_rx) = std::sync::mpsc::channel::<Manifest>();
-    let (import_res, align_res, sort_res) = std::thread::scope(|s| {
-        let sort_handle = {
-            let server = sort_server.clone();
-            s.spawn(move || {
-                let res = sort::sort_streaming_rt(
-                    rt,
-                    &server,
-                    SortSource::Pending(manifest_rx),
-                    SortKey::Coordinate,
-                    sorted_name,
-                    true,
-                    Some(reference),
-                );
-                if res.is_err() {
-                    // Unblock the align writer if the sort died.
-                    server.close();
-                }
-                res
-            })
-        };
-        let align_handle = {
-            let server = chunk_server.clone();
-            let aligner = aligner.clone();
-            s.spawn(move || {
-                let res = align::align_with_runtime_to(rt, &server, aligner, Some(sort_feeder));
-                if res.is_err() {
-                    // Unblock the import writer if alignment died.
-                    server.close();
-                }
-                res
-            })
-        };
-        let import_res = import::import_fastq_rt(rt, input, name, chunk_size, Some(chunk_feeder));
-        match &import_res {
-            // The sort's write phase needs the manifest import just
-            // built; a send to an already-dead sort is harmlessly lost.
-            Ok((m, _)) => {
-                let _ = manifest_tx.send(m.clone());
+    let run_at = |k: usize, (input, out): (StageInput, Option<EdgeOut>)| {
+        let result = run_stage(rt, params, stages[k], input, out);
+        if result.is_err() {
+            for stream in &streams[k.saturating_sub(1)..(k + 1).min(streams.len())] {
+                stream.close();
             }
-            Err(_) => chunk_server.close(),
         }
-        drop(manifest_tx);
-        (
-            import_res,
-            align_handle.join().expect("align stage panicked"),
-            sort_handle.join().expect("sort stage panicked"),
-        )
+        result
+    };
+    let results: Vec<Result<StageOutput>> = std::thread::scope(|s| {
+        let run_at = &run_at;
+        let mut wiring = wiring.into_iter().enumerate();
+        let head = wiring.next().expect("fusion groups are non-empty").1;
+        let tail: Vec<_> = wiring.map(|(k, edges)| s.spawn(move || run_at(k, edges))).collect();
+        let head = run_at(0, head);
+        let tail = tail.into_iter().map(|t| t.join().expect("stage thread panicked"));
+        std::iter::once(head).chain(tail).collect()
     });
     rt.check_cancelled()?;
-    // Error precedence: deepest *real* failure first. A sort death
-    // closes the results stream and cascades derived push errors up
-    // through align and import. Conversely an upstream death ends the
-    // sort's input streams early, leaving the sort either successful
-    // (result discarded below) or failed with the derived
-    // missing-manifest marker, which must not mask the root cause.
-    let sort_res = match sort_res {
-        Err(e) if !is_missing_src_manifest(&e) => return Err(e),
-        other => other,
-    };
-    let align_rep = align_res?;
-    let (mut manifest, import_rep) = import_res?;
-    let (sorted, sort_rep) = sort_res?;
-    align::finalize_manifest(rt.store().as_ref(), &mut manifest, reference)?;
-    Ok((manifest, sorted, import_rep, align_rep, sort_rep))
+    let mut outputs = Vec::with_capacity(stages.len());
+    let mut neighbour_closed = false;
+    for result in results {
+        match result {
+            Ok(output) => outputs.push(output),
+            Err(Error::NeighbourClosed) => neighbour_closed = true,
+            Err(root_cause) => return Err(root_cause),
+        }
+    }
+    if neighbour_closed {
+        return Err(Error::NeighbourClosed);
+    }
+    Ok(outputs)
 }
 
-/// Stage 4+5 overlapped: duplicate marking streams finished chunks to
-/// the SAM exporter while later chunks are still being rewritten.
-/// Export writes into a local buffer; callers only see bytes once the
-/// whole plan has succeeded, so a mid-stream failure can never leave a
-/// plausible-looking truncated SAM behind.
-fn fused_dupmark_export(
+/// Runs one stage under the stage contract ([`crate::pipeline`]).
+fn run_stage(
     rt: &PersonaRuntime,
-    sorted: &Manifest,
-    queue_cap: usize,
-) -> Result<(DupmarkReport, ExportReport, Vec<u8>)> {
-    let mut sam_buf: Vec<u8> = Vec::new();
-    let (export_server, export_feeder) =
-        ManifestServer::streaming_metered(queue_cap, Some(rt.telemetry()));
-    let (dupmark_res, export_res) = std::thread::scope(|s| {
-        let export_handle = {
-            let server = export_server.clone();
-            let sam_buf = &mut sam_buf;
-            s.spawn(move || {
-                let res = export::export_sam_rt(rt, sorted, &server, sam_buf);
-                if res.is_err() {
-                    server.close();
-                }
-                res
-            })
-        };
-        let dupmark_res = dupmark::mark_duplicates_rt(rt, sorted, Some(export_feeder));
-        if dupmark_res.is_err() {
-            export_server.close();
+    params: &StageParams<'_>,
+    stage: Stage,
+    input: StageInput,
+    out: Option<EdgeOut>,
+) -> Result<StageOutput> {
+    let dataset = |run, manifest| StageOutput { run, landed: Some(manifest), bytes: None };
+    Ok(match (stage, input) {
+        (Stage::Import, StageInput::Fastq(reader)) => {
+            let (manifest, report) =
+                import::import_fastq_rt(rt, reader, params.name, params.chunk_size, out)?;
+            dataset(StageRun::Import(report), manifest)
         }
-        (dupmark_res, export_handle.join().expect("export stage panicked"))
-    });
-    // The upstream error comes first: a dupmark failure closes the
-    // feeder mid-stream, after which export at best produces an
-    // incomplete prefix (discarded with sam_buf) and at worst a
-    // derived error of its own.
-    rt.check_cancelled()?;
-    let dupmark_rep = dupmark_res?;
-    let export_rep = export_res?;
-    Ok((dupmark_rep, export_rep, sam_buf))
+        (Stage::Align, StageInput::Edge(input)) => {
+            let aligner = params.aligner.expect("validated: aligning plans carry an aligner");
+            let (manifest, report) =
+                align::align_rt(rt, input, aligner.clone(), params.reference, out)?;
+            dataset(StageRun::Align(report), manifest)
+        }
+        (Stage::Sort, StageInput::Edge(input)) => {
+            let sorted_name = format!("{}.sorted", params.name);
+            let (manifest, report) = sort::sort_rt(rt, input, SortKey::Coordinate, &sorted_name)?;
+            dataset(StageRun::Sort(report), manifest)
+        }
+        (Stage::Dupmark, StageInput::Edge(input)) => {
+            let (manifest, report) = dupmark::mark_duplicates_rt(rt, input, out)?;
+            dataset(StageRun::Dupmark(report), manifest)
+        }
+        (Stage::ExportSam, StageInput::Edge(input)) => {
+            let mut sam = Vec::new();
+            let report = export::export_sam_rt(rt, input, &mut sam)?;
+            StageOutput { run: StageRun::ExportSam(report), landed: None, bytes: Some(sam) }
+        }
+        (Stage::ExportBam, StageInput::Edge(input)) => {
+            let mut bam = Vec::new();
+            let report = export::export_bam_rt(rt, input, &mut bam, CompressLevel::Fast)?;
+            StageOutput { run: StageRun::ExportBam(report), landed: None, bytes: Some(bam) }
+        }
+        (Stage::Import, StageInput::Edge(_)) | (_, StageInput::Fastq(_)) => {
+            unreachable!("validated: import, and only import, consumes the request's FASTQ")
+        }
+    })
 }
 
 /// What a plan consumes: raw FASTQ for [`DataState::Fastq`] plans, an
@@ -1185,11 +924,6 @@ impl PlanSource {
         PlanSource::Fastq(Box::new(std::io::Cursor::new(bytes)))
     }
 }
-
-/// A stage-completion callback for [`Plan::run_observed`]: called with
-/// each stage that landed durable dataset state and the manifest it
-/// landed, in plan order, as the run progresses.
-pub type StageObserver<'a> = &'a mut dyn FnMut(Stage, &Manifest);
 
 /// The per-run resources a plan needs: dataset naming, the input, and
 /// the shared kernel resources. (The plan itself stays pure data so it
@@ -1238,6 +972,17 @@ impl StageRun {
         }
     }
 
+    /// Reads (records) the stage processed.
+    pub fn records(&self) -> u64 {
+        match self {
+            StageRun::Import(r) => r.reads,
+            StageRun::Align(r) => r.reads,
+            StageRun::Sort(r) => r.records,
+            StageRun::Dupmark(r) => r.reads,
+            StageRun::ExportSam(r) | StageRun::ExportBam(r) => r.records,
+        }
+    }
+
     /// The stage's uniform utilization view.
     pub fn report(&self) -> &dyn StageReport {
         match self {
@@ -1252,7 +997,7 @@ impl StageRun {
 }
 
 /// Per-stage reports and outputs from one [`Plan::run`] — exactly the
-/// stages that ran, in plan order.
+/// stages that ran (cache-elided stages did not), in plan order.
 #[derive(Debug)]
 pub struct PlanReport {
     /// The plan that ran.
@@ -1270,6 +1015,9 @@ pub struct PlanReport {
     pub sam: Option<Vec<u8>>,
     /// Exported BGZF BAM, when [`Stage::ExportBam`] ran.
     pub bam: Option<Vec<u8>>,
+    /// How the run used the job's result cache (nothing elided when it
+    /// had none).
+    pub cache: CacheUse,
     /// End-to-end wall clock.
     pub elapsed: Duration,
 }
@@ -1298,16 +1046,7 @@ impl PlanReport {
     /// Reads (records) the plan processed, taken from the earliest
     /// stage that counts them.
     pub fn reads(&self) -> u64 {
-        for s in &self.stages {
-            match s {
-                StageRun::Import(r) => return r.reads,
-                StageRun::Align(r) => return r.reads,
-                StageRun::Sort(r) => return r.records,
-                StageRun::Dupmark(r) => return r.reads,
-                StageRun::ExportSam(r) | StageRun::ExportBam(r) => return r.records,
-            }
-        }
-        0
+        self.stages.first().map_or(0, StageRun::records)
     }
 }
 
@@ -1593,76 +1332,25 @@ mod tests {
         use persona_agd::chunk_io::{ChunkStore, MemStore};
         let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
         let rt = PersonaRuntime::new(store, crate::config::PersonaConfig::small()).unwrap();
-        // FASTQ plan fed a dataset.
-        let err = Plan::import_only()
-            .run(
-                &rt,
-                PlanRequest {
-                    name: "x".into(),
-                    source: PlanSource::Dataset(Manifest::new("d")),
-                    chunk_size: 10,
-                    aligner: None,
-                    reference: vec![],
-                },
-            )
-            .unwrap_err();
-        assert!(format!("{err}").contains("supplies a dataset"), "{err}");
-        // Dataset plan fed FASTQ.
-        let err = Plan::from_aligned()
-            .run(
-                &rt,
-                PlanRequest {
-                    name: "x".into(),
-                    source: PlanSource::fastq_bytes(Vec::new()),
-                    chunk_size: 10,
-                    aligner: None,
-                    reference: vec![],
-                },
-            )
-            .unwrap_err();
-        assert!(format!("{err}").contains("supplies FASTQ"), "{err}");
-        // Aligned-input plan fed an unaligned manifest.
-        let err = Plan::from_aligned()
-            .run(
-                &rt,
-                PlanRequest {
-                    name: "x".into(),
-                    source: PlanSource::Dataset(Manifest::new("d")),
-                    chunk_size: 10,
-                    aligner: None,
-                    reference: vec![],
-                },
-            )
-            .unwrap_err();
-        assert!(format!("{err}").contains("no results column"), "{err}");
-        // Aligning plan without an aligner.
-        let err = Plan::import_align()
-            .run(
-                &rt,
-                PlanRequest {
-                    name: "x".into(),
-                    source: PlanSource::fastq_bytes(Vec::new()),
-                    chunk_size: 10,
-                    aligner: None,
-                    reference: vec![],
-                },
-            )
-            .unwrap_err();
-        assert!(format!("{err}").contains("no aligner"), "{err}");
-        // Zero chunk size on a FASTQ plan.
-        let err = Plan::import_only()
-            .run(
-                &rt,
-                PlanRequest {
-                    name: "x".into(),
-                    source: PlanSource::fastq_bytes(Vec::new()),
-                    chunk_size: 0,
-                    aligner: None,
-                    reference: vec![],
-                },
-            )
-            .unwrap_err();
-        assert!(format!("{err}").contains("chunk_size"), "{err}");
+        let fastq = || PlanSource::fastq_bytes(Vec::new());
+        let dataset = || PlanSource::Dataset(Manifest::new("d"));
+        for (what, plan, source, chunk_size, expect) in [
+            ("FASTQ plan fed a dataset", Plan::import_only(), dataset(), 10, "supplies a dataset"),
+            ("dataset plan fed FASTQ", Plan::from_aligned(), fastq(), 10, "supplies FASTQ"),
+            ("unaligned manifest", Plan::from_aligned(), dataset(), 10, "no results column"),
+            ("aligning without an aligner", Plan::import_align(), fastq(), 10, "no aligner"),
+            ("zero chunk size", Plan::import_only(), fastq(), 0, "chunk_size"),
+        ] {
+            let req = PlanRequest {
+                name: "x".into(),
+                source,
+                chunk_size,
+                aligner: None,
+                reference: vec![],
+            };
+            let err = plan.run(&rt, req).unwrap_err();
+            assert!(format!("{err}").contains(expect), "{what}: {err}");
+        }
     }
 
     #[test]

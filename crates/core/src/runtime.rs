@@ -11,57 +11,76 @@
 //! `dupmark`, `export`) submits fine-grain task batches to it instead of
 //! spawning private workers.
 //!
-//! [`run_pipeline`] chains all five stages end to end. Stage pairs that
-//! can overlap are connected by bounded chunk queues (streaming
+//! [`Plan::run`](crate::plan::Plan::run) chains any valid composition
+//! of stages end to end. Stages that can overlap are connected by
+//! bounded chunk queues (streaming
 //! [`ManifestServer`](crate::manifest_server::ManifestServer)s):
 //! alignment consumes chunks while import is still
 //! encoding later ones, and SAM formatting consumes chunks as duplicate
 //! marking finishes them — the Fig. 4 scenario of multiple kernels
 //! feeding one executor at once.
 
-use std::io::{BufRead, Write};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use persona_agd::chunk_io::ChunkStore;
 use persona_agd::manifest::Manifest;
-use persona_align::Aligner;
 use persona_dataflow::executor::Batch;
 use persona_dataflow::metrics::NodeCounters;
 use persona_dataflow::{CancelToken, Executor, Priority, SubmitOpts};
 use persona_telemetry::{JobTrace, MetricsRegistry};
 
+use crate::caching::{Digest, ResultCache};
 use crate::config::PersonaConfig;
-use crate::pipeline::align::AlignReport;
-use crate::pipeline::dupmark::DupmarkReport;
-use crate::pipeline::export::ExportReport;
-use crate::pipeline::import::ImportReport;
-use crate::pipeline::sort::SortReport;
-use crate::pipeline::StageReport;
-use crate::plan::{Plan, PlanReport, PlanRequest, PlanSource, StageRun};
+use crate::plan::Stage;
 use crate::{Error, Result};
 
 /// Per-job execution context: the cancellation token, dispatch
-/// priority, and job-level counter attribution a multi-tenant service
-/// threads through every stage of one job's pipeline.
+/// priority, job-level counter attribution, span recorder and the two
+/// plan-run hooks (stage-landing observer, result cache) a multi-tenant
+/// service threads through every stage of one job's pipeline.
 #[derive(Clone, Default)]
 pub struct JobContext {
     cancel: CancelToken,
     priority: Priority,
     counters: Arc<NodeCounters>,
     trace: Option<Arc<JobTrace>>,
+    observer: Option<Arc<dyn Fn(Stage, &Manifest) + Send + Sync>>,
+    cache: Option<(Arc<ResultCache>, Digest)>,
 }
 
 impl JobContext {
     /// A context at the given priority with a fresh cancel token.
     pub fn new(priority: Priority) -> Self {
-        JobContext { cancel: CancelToken::new(), priority, counters: Arc::default(), trace: None }
+        JobContext::with_cancel(priority, CancelToken::new())
     }
 
     /// A context reusing an externally held cancel token (so the owner
     /// can cancel the job after handing the context to a runtime).
     pub fn with_cancel(priority: Priority, cancel: CancelToken) -> Self {
-        JobContext { cancel, priority, counters: Arc::default(), trace: None }
+        JobContext { cancel, priority, ..JobContext::default() }
+    }
+
+    /// Attaches a stage-landing observer: [`Plan::run`] calls it, in
+    /// plan order, with each stage that landed durable dataset state in
+    /// the runtime's store and the manifest it landed (see there for
+    /// which stages announce). A durable job service journals these as
+    /// its crash-recovery resume points.
+    ///
+    /// [`Plan::run`]: crate::plan::Plan::run
+    pub fn with_observer(mut self, observer: Arc<dyn Fn(Stage, &Manifest) + Send + Sync>) -> Self {
+        self.observer = Some(observer);
+        self
+    }
+
+    /// Runs the job's plan through a result cache:
+    /// [`Plan::run`](crate::plan::Plan::run) looks up the longest cached
+    /// prefix of the plan over `input_digest` (the content digest of
+    /// what the job consumes), executes only the uncached suffix, and
+    /// registers every stage output it lands (see [`crate::caching`]).
+    pub fn with_cache(mut self, cache: Arc<ResultCache>, input_digest: Digest) -> Self {
+        self.cache = Some((cache, input_digest));
+        self
     }
 
     /// Attaches a span recorder: the plan driver records stage spans
@@ -75,6 +94,18 @@ impl JobContext {
     /// The job's span recorder, when tracing is on.
     pub fn trace(&self) -> Option<&Arc<JobTrace>> {
         self.trace.as_ref()
+    }
+
+    /// Announces one landed stage to the observer, if any.
+    pub(crate) fn observe(&self, stage: Stage, manifest: &Manifest) {
+        if let Some(observer) = &self.observer {
+            observer(stage, manifest);
+        }
+    }
+
+    /// The job's result cache and input digest, when caching is on.
+    pub(crate) fn cache(&self) -> Option<&(Arc<ResultCache>, Digest)> {
+        self.cache.as_ref()
     }
 
     /// The job's cancellation token.
@@ -292,110 +323,6 @@ impl StageTimer {
         let busy = (denom > 0.0).then(|| (snap.busy_ns as f64 / denom).min(1.0));
         StageStats { elapsed, busy, tasks: snap.items }
     }
-}
-
-/// Per-stage reports and totals from one fused [`run_pipeline`] run.
-#[derive(Debug)]
-pub struct PipelineReport {
-    /// FASTQ import stage.
-    pub import: ImportReport,
-    /// Alignment stage (overlapped with import).
-    pub align: AlignReport,
-    /// Coordinate sort stage.
-    pub sort: SortReport,
-    /// Duplicate-marking stage (overlapped with export).
-    pub dupmark: DupmarkReport,
-    /// SAM export stage.
-    pub export: ExportReport,
-    /// The aligned (unsorted) dataset manifest.
-    pub manifest: Manifest,
-    /// The sorted, duplicate-marked dataset manifest.
-    pub sorted: Manifest,
-    /// End-to-end wall clock.
-    pub elapsed: Duration,
-}
-
-impl PipelineReport {
-    /// Destructures a [`Plan::full`] run into the classic five-field
-    /// report. Errors if the plan report is not a full-pipeline run.
-    pub fn from_plan_report(report: PlanReport) -> Result<PipelineReport> {
-        let elapsed = report.elapsed;
-        let (manifest, sorted) = match (report.manifest, report.sorted) {
-            (Some(m), Some(s)) => (m, s),
-            _ => return Err(Error::Pipeline("not a full-pipeline plan report".into())),
-        };
-        let (mut import, mut align, mut sort, mut dupmark, mut export) =
-            (None, None, None, None, None);
-        for stage in report.stages {
-            match stage {
-                StageRun::Import(r) => import = Some(r),
-                StageRun::Align(r) => align = Some(r),
-                StageRun::Sort(r) => sort = Some(r),
-                StageRun::Dupmark(r) => dupmark = Some(r),
-                StageRun::ExportSam(r) | StageRun::ExportBam(r) => export = Some(r),
-            }
-        }
-        match (import, align, sort, dupmark, export) {
-            (Some(import), Some(align), Some(sort), Some(dupmark), Some(export)) => {
-                Ok(PipelineReport {
-                    import,
-                    align,
-                    sort,
-                    dupmark,
-                    export,
-                    manifest,
-                    sorted,
-                    elapsed,
-                })
-            }
-            _ => Err(Error::Pipeline("not a full-pipeline plan report".into())),
-        }
-    }
-
-    /// `(stage name, elapsed, executor busy fraction)` rows, in
-    /// pipeline order — the uniform utilization view every stage now
-    /// reports.
-    pub fn stage_rows(&self) -> Vec<(&'static str, Duration, f64)> {
-        vec![
-            ("import", self.import.elapsed(), self.import.busy_fraction()),
-            ("align", self.align.elapsed(), self.align.busy_fraction()),
-            ("sort", self.sort.elapsed(), self.sort.busy_fraction()),
-            ("dupmark", self.dupmark.elapsed(), self.dupmark.busy_fraction()),
-            ("export", self.export.elapsed(), self.export.busy_fraction()),
-        ]
-    }
-}
-
-/// Runs the paper's whole processing chain — FASTQ import → align →
-/// coordinate sort → duplicate marking → SAM export — on one shared
-/// runtime, overlapping import with alignment and duplicate marking
-/// with export through bounded chunk queues.
-///
-/// This is the canned [`Plan::full`] preset: it builds the five-stage
-/// plan and executes it through [`Plan::run`], so its output is
-/// byte-identical to submitting the same plan anywhere else (and to
-/// running the five stages separately; only the scheduling differs).
-pub fn run_pipeline(
-    rt: &PersonaRuntime,
-    input: impl BufRead + Send + 'static,
-    name: &str,
-    chunk_size: usize,
-    aligner: Arc<dyn Aligner>,
-    reference: &[(String, u64)],
-    sam_out: &mut (impl Write + Send),
-) -> Result<PipelineReport> {
-    let report = Plan::full().run(
-        rt,
-        PlanRequest {
-            name: name.to_string(),
-            source: PlanSource::Fastq(Box::new(input)),
-            chunk_size,
-            aligner: Some(aligner),
-            reference: reference.to_vec(),
-        },
-    )?;
-    sam_out.write_all(report.sam.as_deref().expect("full plan exports SAM"))?;
-    PipelineReport::from_plan_report(report)
 }
 
 #[cfg(test)]

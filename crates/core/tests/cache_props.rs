@@ -14,10 +14,11 @@ use std::sync::{Arc, OnceLock};
 use persona::caching::{digest_reference, prefix_key, Digest, ResultCache, RunFingerprint};
 use persona::config::PersonaConfig;
 use persona::plan::{DataState, Plan, PlanRequest, PlanSource, Stage};
-use persona::runtime::PersonaRuntime;
+use persona::runtime::{JobContext, PersonaRuntime};
 use persona_agd::chunk_io::{ChunkStore, MemStore};
 use persona_align::snap::{SnapAligner, SnapParams};
 use persona_align::Aligner;
+use persona_dataflow::Priority;
 use persona_index::SeedIndex;
 use persona_seq::simulate::{ReadSimulator, SimParams};
 use persona_seq::Genome;
@@ -162,14 +163,13 @@ proptest! {
 
         // Warm path: both plans share one runtime, store and cache.
         let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
-        let rt = PersonaRuntime::new(store, PersonaConfig::small()).unwrap();
-        let cache = ResultCache::new(16);
-        let (_, _) = a
-            .run_cached(&rt, request("first", PlanSource::fastq_bytes(w.fastq.clone())), &cache, input_digest)
-            .unwrap();
-        let (warm, used) = b
-            .run_cached(&rt, request("second", PlanSource::fastq_bytes(w.fastq.clone())), &cache, input_digest)
-            .unwrap();
+        let cache = Arc::new(ResultCache::new(16));
+        let rt = PersonaRuntime::new(store, PersonaConfig::small())
+            .unwrap()
+            .for_job(JobContext::new(Priority::Normal).with_cache(cache, input_digest));
+        a.run(&rt, request("first", PlanSource::fastq_bytes(w.fastq.clone()))).unwrap();
+        let warm = b.run(&rt, request("second", PlanSource::fastq_bytes(w.fastq.clone()))).unwrap();
+        let used = &warm.cache;
 
         // Cold reference: plan B alone on a fresh world.
         let cold_store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());

@@ -9,48 +9,6 @@ use persona_agd::manifest::Manifest;
 use persona_align::Aligner;
 use persona_dataflow::{CancelToken, Priority};
 
-/// The two legacy canned shapes from the pre-plan API, kept briefly so
-/// existing callers can migrate one line at a time. New code builds a
-/// [`Plan`] directly — every `StagePlan` maps to a [`Plan`] preset:
-///
-/// | deprecated | use instead |
-/// |---|---|
-/// | `StagePlan::Full` | [`Plan::full()`](Plan::full) |
-/// | `StagePlan::ImportAlign` | [`Plan::import_align()`](Plan::import_align) |
-///
-/// The other presets ([`Plan::import_only`], [`Plan::no_dupmark`],
-/// [`Plan::from_aligned`]) and [`Plan::builder`] cover the shapes
-/// `StagePlan` never could.
-#[deprecated(
-    since = "0.1.0",
-    note = "compose a `persona::plan::Plan` instead (e.g. `Plan::full()` / `Plan::import_align()`)"
-)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StagePlan {
-    /// The whole paper pipeline — use the [`Plan::full`] preset.
-    Full,
-    /// Import and align only — use the [`Plan::import_align`] preset.
-    ImportAlign,
-}
-
-#[allow(deprecated)]
-impl StagePlan {
-    /// The equivalent composable plan preset.
-    pub fn to_plan(self) -> Plan {
-        match self {
-            StagePlan::Full => Plan::full(),
-            StagePlan::ImportAlign => Plan::import_align(),
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl From<StagePlan> for Plan {
-    fn from(plan: StagePlan) -> Plan {
-        plan.to_plan()
-    }
-}
-
 /// What a job consumes, matched against its plan's input state at
 /// submit time.
 pub enum JobInput {

@@ -73,8 +73,6 @@ pub mod scheduler;
 pub mod service;
 pub mod wire;
 
-#[allow(deprecated)]
-pub use job::StagePlan;
 pub use job::{JobHandle, JobInput, JobOutcome, JobOutput, JobSpec, JobStatus};
 pub use journal::{FsyncPolicy, Journal, JournalConfig, JournalRecord};
 // The plan vocabulary, re-exported so service clients need only this

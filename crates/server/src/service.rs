@@ -37,7 +37,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
-use persona::plan::{Plan, PlanBuilder, PlanReport, PlanRequest, PlanSource, Stage};
+use persona::caching::CacheUse;
+use persona::plan::{Plan, PlanReport, PlanRequest, PlanSource, Stage};
 use persona::runtime::{JobContext, PersonaRuntime};
 use persona::{Error, Result};
 use persona_agd::manifest::Manifest;
@@ -641,6 +642,7 @@ fn recovered_terminal_job(
                     sorted: None,
                     sam: None,
                     bam: None,
+                    cache: CacheUse { elided: 0, saved_ns: 0, executed: None },
                     elapsed: Duration::ZERO,
                 },
                 reads,
@@ -673,15 +675,7 @@ fn rematerialize_exports(
     let Some(last_durable) = stages.iter().rposition(|s| s.is_durable()) else {
         return (Vec::new(), Vec::new(), reads);
     };
-    let exports = &stages[last_durable + 1..];
-    if exports.is_empty() {
-        return (Vec::new(), Vec::new(), reads);
-    }
-    let mut suffix = PlanBuilder::new(stages[last_durable].output());
-    for stage in exports {
-        suffix = suffix.then(*stage);
-    }
-    let Ok(suffix) = suffix.build() else {
+    let Some(suffix) = plan.suffix_plan(last_durable + 1) else {
         return (Vec::new(), Vec::new(), reads);
     };
     let request = PlanRequest {
@@ -745,22 +739,10 @@ fn requeue_job(rec: &JobRecord, shared: &Arc<Shared>, opts: &RecoverOptions) -> 
     // final stage's export work remained — exports land no dataset
     // state to restart from) re-run the whole plan. Store writes are
     // create-or-replace, so overlap with the crashed run is safe.
-    let (plan, input) = match rec.resume_point() {
-        Some((at, manifest)) if at + 1 < spec.plan.stages().len() => {
-            let mut suffix = PlanBuilder::new(spec.plan.stages()[at].output());
-            for stage in &spec.plan.stages()[at + 1..] {
-                suffix = suffix.then(*stage);
-            }
-            match suffix.build() {
-                Ok(plan) => (plan, JobInput::Dataset(manifest.clone())),
-                // A valid plan's suffix is itself valid; fall back to
-                // a full re-run rather than failing the job if a
-                // journaled stage somehow contradicts that.
-                Err(_) => (spec.plan.clone(), original_input()),
-            }
-        }
-        _ => (spec.plan.clone(), original_input()),
-    };
+    let resumed = rec.resume_point().and_then(|(at, manifest)| {
+        Some((spec.plan.suffix_plan(at + 1)?, JobInput::Dataset(manifest.clone())))
+    });
+    let (plan, input) = resumed.unwrap_or_else(|| (spec.plan.clone(), original_input()));
     let aligner = plan.contains(Stage::Align).then(|| opts.aligner.clone()).flatten();
     let admitted = match &input {
         JobInput::Fastq(_) => plan.check_fastq_input(spec.chunk_size),
@@ -821,7 +803,20 @@ fn dispatch_loop(shared: Arc<Shared>) {
             shared.work_cv.notify_all();
             continue;
         }
-        *job.dispatched.lock() = Some(Instant::now());
+        let dispatched = Instant::now();
+        *job.dispatched.lock() = Some(dispatched);
+        // Everything a client may ask about a running job exists before
+        // `running` becomes observable: its span recorder (fetchable
+        // live via `trace_json` / the wire protocol) and its admission
+        // wait, observed at grant on the scheduler's behalf (the
+        // scheduler itself is clock-free).
+        let trace = JobTrace::real();
+        shared.retain_trace(job.id, trace.clone());
+        shared
+            .rt
+            .telemetry()
+            .histogram("scheduler.admission_wait_ns")
+            .observe(dispatched.duration_since(job.submitted).as_nanos() as u64);
         *job.state.lock() = crate::job::JobState::Running;
         shared.journal_note(&JournalRecord::Started { job_id: job.id });
         let spawned = {
@@ -829,7 +824,7 @@ fn dispatch_loop(shared: Arc<Shared>) {
             let job = job.clone();
             std::thread::Builder::new()
                 .name(format!("persona-job-{}", job.id))
-                .spawn(move || run_job(shared, job))
+                .spawn(move || run_job(shared, job, trace))
         };
         match spawned {
             Ok(runner) => {
@@ -855,26 +850,12 @@ fn dispatch_loop(shared: Arc<Shared>) {
 }
 
 /// Executes one dispatched job on the shared runtime and resolves its
-/// handle.
-fn run_job(shared: Arc<Shared>, job: Arc<Job>) {
+/// handle. Every dispatched job is traced: the plan driver records
+/// stage spans and the chunk loops record chunk spans into `trace`.
+fn run_job(shared: Arc<Shared>, job: Arc<Job>, trace: Arc<JobTrace>) {
     let payload = job.payload.lock().take().expect("dispatched job has its payload");
-    // Every dispatched job is traced: the plan driver records stage
-    // spans and the chunk loops record chunk spans, fetchable live
-    // (and after completion) via `trace_json` / the wire protocol.
-    let trace = JobTrace::real();
-    shared.retain_trace(job.id, trace.clone());
-    let ctx = JobContext::with_cancel(job.priority, job.cancel.clone()).with_trace(trace);
-    let job_counters = ctx.counters().clone();
-    let jrt = shared.rt.for_job(ctx);
     let dispatched = job.dispatched.lock().unwrap_or(job.submitted);
     let queue_wait = dispatched.duration_since(job.submitted);
-    // Admission wait, observed at grant on the scheduler's behalf (the
-    // scheduler itself is clock-free).
-    shared
-        .rt
-        .telemetry()
-        .histogram("scheduler.admission_wait_ns")
-        .observe(queue_wait.as_nanos() as u64);
     let started = Instant::now();
 
     // Content digest of the job's input — half of every cache key. The
@@ -898,23 +879,27 @@ fn run_job(shared: Arc<Shared>, job: Arc<Job>) {
     // Each stage that lands durable dataset state is journaled with
     // the manifest it landed — the resume point a recovered service
     // rebuilds the plan suffix from.
-    let mut on_stage = |stage: Stage, manifest: &Manifest| {
-        shared.journal_note(&JournalRecord::StageCompleted {
-            job_id: job.id,
-            stage,
-            manifest: manifest.clone(),
-        });
+    let journal_stage = {
+        let (shared, job_id) = (shared.clone(), job.id);
+        move |stage: Stage, manifest: &Manifest| {
+            shared.journal_note(&JournalRecord::StageCompleted {
+                job_id,
+                stage,
+                manifest: manifest.clone(),
+            });
+        }
     };
-    let result = match shared.cache_for(&job.tenant) {
-        // The cached driver consults the result cache, runs only the
-        // uncached plan suffix, and registers what this run lands; the
-        // observer still fires for exactly the stages that execute.
-        Some(cache) => payload
-            .plan
-            .run_cached_observed(&jrt, request, &cache, input_digest, &mut on_stage)
-            .map(|(report, _)| report),
-        None => payload.plan.run_observed(&jrt, request, &mut on_stage),
-    };
+    let mut ctx = JobContext::with_cancel(job.priority, job.cancel.clone())
+        .with_trace(trace)
+        .with_observer(Arc::new(journal_stage));
+    // With a cache the run consults it, executes only the uncached plan
+    // suffix, and registers what it lands; the observer still fires for
+    // exactly the stages that execute.
+    if let Some(cache) = shared.cache_for(&job.tenant) {
+        ctx = ctx.with_cache(cache, input_digest);
+    }
+    let job_counters = ctx.counters().clone();
+    let result = payload.plan.run(&shared.rt.for_job(ctx), request);
     let elapsed = started.elapsed();
 
     let (outcome, reads, stage_rows) = match result {

@@ -1,8 +1,10 @@
 //! Shared fixtures for cross-crate integration tests.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use persona_agd::chunk_io::ChunkStore;
+use persona_agd::results::AlignmentResult;
 use persona_align::snap::{SnapAligner, SnapParams};
 use persona_align::Aligner;
 use persona_index::SeedIndex;
@@ -39,6 +41,20 @@ impl Fixture {
         Fixture { genome, reads, aligner, reference }
     }
 
+    /// A plan request over the fixture's reads as FASTQ, with its
+    /// aligner and reference.
+    pub fn fastq_request(&self, name: &str, chunk_size: usize) -> persona::plan::PlanRequest {
+        persona::plan::PlanRequest {
+            name: name.to_string(),
+            source: persona::plan::PlanSource::fastq_bytes(persona_formats::fastq::to_bytes(
+                &self.reads,
+            )),
+            chunk_size,
+            aligner: Some(self.aligner.clone()),
+            reference: self.reference.clone(),
+        }
+    }
+
     /// Writes the reads to a store as an AGD dataset.
     pub fn write_dataset(
         &self,
@@ -51,5 +67,84 @@ impl Fixture {
             w.append(store, &r.meta, &r.bases, &r.quals).unwrap();
         }
         w.finish(store).unwrap()
+    }
+}
+
+/// An aligner that sleeps per read — makes job runtime controllable so
+/// scheduling/cancellation behavior is observable.
+pub struct SlowAligner {
+    /// The aligner that does the work.
+    pub inner: Arc<dyn Aligner>,
+    /// Sleep per read.
+    pub delay: Duration,
+}
+
+impl Aligner for SlowAligner {
+    fn align_read(&self, bases: &[u8], quals: &[u8]) -> AlignmentResult {
+        std::thread::sleep(self.delay);
+        self.inner.align_read(bases, quals)
+    }
+
+    fn name(&self) -> &'static str {
+        "slow"
+    }
+}
+
+/// A gate the test opens once it has issued a cancel: alignment blocks
+/// here, so the proof that cancellation cut the job short is the
+/// `Cancelled` outcome itself — most of the job's batches provably
+/// never ran — with no wall-clock assertion to flake on a loaded box.
+pub struct Gate {
+    open: std::sync::Mutex<bool>,
+    cv: std::sync::Condvar,
+}
+
+impl Gate {
+    /// A closed gate.
+    pub fn new() -> Arc<Gate> {
+        Arc::new(Gate { open: std::sync::Mutex::new(false), cv: std::sync::Condvar::new() })
+    }
+
+    /// Opens the gate for good.
+    pub fn open(&self) {
+        *self.open.lock().unwrap() = true;
+        self.cv.notify_all();
+    }
+
+    /// Blocks until the gate opens.
+    pub fn wait_open(&self) {
+        let guard = self.open.lock().unwrap();
+        // Bounded so a broken test fails instead of hanging the suite.
+        let (_guard, timeout) =
+            self.cv.wait_timeout_while(guard, Duration::from_secs(20), |open| !*open).unwrap();
+        assert!(!timeout.timed_out(), "gate never opened");
+    }
+}
+
+/// An aligner whose `align_read` blocks until the test opens the gate.
+pub struct GateAligner {
+    /// The aligner that does the work.
+    pub inner: Arc<dyn Aligner>,
+    /// The gate every read waits on.
+    pub gate: Arc<Gate>,
+}
+
+impl Aligner for GateAligner {
+    fn align_read(&self, bases: &[u8], quals: &[u8]) -> AlignmentResult {
+        self.gate.wait_open();
+        self.inner.align_read(bases, quals)
+    }
+
+    fn name(&self) -> &'static str {
+        "gated"
+    }
+}
+
+/// Polls `cond` until it holds, failing the test after 20 s.
+pub fn wait_for(mut cond: impl FnMut() -> bool, what: &str) {
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !cond() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(5));
     }
 }

@@ -1,5 +1,5 @@
-//! The fused end-to-end runtime: `run_pipeline` chains import → align →
-//! sort → dupmark → export on one shared executor, overlapping stages
+//! The fused end-to-end runtime: `Plan::full().run` chains import →
+//! align → sort → dupmark → export on one shared executor, overlapping stages
 //! through bounded chunk queues. Scheduling must never change results:
 //! the fused output is byte-identical to running the stages separately.
 
@@ -11,8 +11,8 @@ use persona::pipeline::dupmark::mark_duplicates;
 use persona::pipeline::export::export_sam;
 use persona::pipeline::import::import_fastq;
 use persona::pipeline::sort::{sort_dataset, SortKey};
-use persona::pipeline::StageReport;
-use persona::runtime::{run_pipeline, PersonaRuntime};
+use persona::plan::{Plan, PlanRequest, PlanSource, Stage};
+use persona::runtime::PersonaRuntime;
 use persona_agd::chunk_io::{ChunkStore, MemStore};
 use persona_formats::fastq;
 use persona_integration_tests::common::Fixture;
@@ -53,25 +53,11 @@ fn fused_pipeline_is_byte_identical_to_separate_stages() {
 
     let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
     let rt = PersonaRuntime::new(store.clone(), PersonaConfig::small()).unwrap();
-    let fastq_bytes = fastq::to_bytes(&fx.reads);
-    let mut fused_sam = Vec::new();
-    let report = run_pipeline(
-        &rt,
-        std::io::Cursor::new(fastq_bytes),
-        "fp",
-        150,
-        fx.aligner.clone(),
-        &fx.reference,
-        &mut fused_sam,
-    )
-    .unwrap();
+    let report = Plan::full().run(&rt, fx.fastq_request("fp", 150)).unwrap();
+    let fused_sam = report.sam.as_deref().expect("full plan exports SAM");
 
     // Same record counts through every stage.
-    assert_eq!(report.import.reads, 900);
-    assert_eq!(report.align.reads, 900);
-    assert_eq!(report.sort.records, 900);
-    assert_eq!(report.dupmark.reads, 900);
-    assert_eq!(report.export.records, 900);
+    assert_eq!(report.stages.iter().map(|s| s.records()).collect::<Vec<_>>(), [900; 5]);
 
     // Byte-identical outputs: the exported SAM and both persisted
     // manifests match the stage-by-stage run exactly.
@@ -85,8 +71,10 @@ fn fused_pipeline_is_byte_identical_to_separate_stages() {
         assert!(busy.is_finite() && (0.0..=1.0).contains(&busy), "{stage}: busy {busy}");
         assert!(elapsed <= report.elapsed, "{stage}: elapsed {elapsed:?}");
     }
-    assert!(report.align.busy_fraction() > 0.0, "alignment must run on the executor");
-    assert!(report.sort.busy_fraction > 0.0, "sort must run on the executor");
+    for stage in [Stage::Align, Stage::Sort] {
+        let busy = report.stage(stage).unwrap().report().busy_fraction();
+        assert!(busy > 0.0, "{stage} must run on the executor");
+    }
 }
 
 #[test]
@@ -100,24 +88,15 @@ fn two_pipelines_share_one_runtime() {
         let rt = rt.clone();
         let fx = fx.clone();
         handles.push(std::thread::spawn(move || {
-            let fastq_bytes = fastq::to_bytes(&fx.reads);
-            let mut sam = Vec::new();
-            let report = run_pipeline(
-                &rt,
-                std::io::Cursor::new(fastq_bytes),
-                &format!("twin{k}"),
-                100,
-                fx.aligner.clone(),
-                &fx.reference,
-                &mut sam,
-            )
-            .unwrap();
+            let mut report =
+                Plan::full().run(&rt, fx.fastq_request(&format!("twin{k}"), 100)).unwrap();
+            let sam = report.sam.take().expect("full plan exports SAM");
             (report, sam)
         }));
     }
     let outputs: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
     for (report, sam) in &outputs {
-        assert_eq!(report.export.records, 400);
+        assert_eq!(report.stage(Stage::ExportSam).unwrap().records(), 400);
         let body = sam.split(|&b| b == b'\n').filter(|l| !l.is_empty() && l[0] != b'@').count();
         assert_eq!(body, 400);
     }
@@ -139,15 +118,9 @@ fn fused_pipeline_surfaces_import_errors() {
     let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
     let rt = PersonaRuntime::new(store, PersonaConfig::small()).unwrap();
     let bad_fastq = b"@r1\nACGT\nBROKEN\nIIII\n".to_vec();
-    let mut sam = Vec::new();
-    let err = run_pipeline(
+    let err = Plan::full().run(
         &rt,
-        std::io::Cursor::new(bad_fastq),
-        "bad",
-        10,
-        fx.aligner.clone(),
-        &fx.reference,
-        &mut sam,
+        PlanRequest { source: PlanSource::fastq_bytes(bad_fastq), ..fx.fastq_request("bad", 10) },
     );
     assert!(err.is_err(), "malformed FASTQ must fail the fused pipeline");
 }

@@ -11,7 +11,7 @@ use persona::pipeline::export::{export_bam, export_sam};
 use persona::pipeline::import::import_fastq;
 use persona::pipeline::sort::{sort_dataset, SortKey};
 use persona::plan::{DataState, Plan, PlanRequest, PlanSource, Stage};
-use persona::runtime::{run_pipeline, PersonaRuntime};
+use persona::runtime::PersonaRuntime;
 use persona_agd::chunk_io::{ChunkStore, MemStore};
 use persona_compress::deflate::CompressLevel;
 use persona_formats::fastq;
@@ -31,40 +31,6 @@ fn request(fx: &Fixture, name: &str, source: PlanSource) -> PlanRequest {
         aligner: Some(fx.aligner.clone()),
         reference: fx.reference.clone(),
     }
-}
-
-#[test]
-fn full_plan_is_byte_identical_to_run_pipeline() {
-    let fx = Fixture::new(8001, 600);
-    let fastq_bytes = fastq::to_bytes(&fx.reads);
-
-    let store_a: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
-    let mut classic_sam = Vec::new();
-    run_pipeline(
-        &runtime(&store_a),
-        std::io::Cursor::new(fastq_bytes.clone()),
-        "eq",
-        CHUNK,
-        fx.aligner.clone(),
-        &fx.reference,
-        &mut classic_sam,
-    )
-    .unwrap();
-
-    let store_b: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
-    let report = Plan::full()
-        .run(&runtime(&store_b), request(&fx, "eq", PlanSource::fastq_bytes(fastq_bytes)))
-        .unwrap();
-    assert_eq!(report.sam.as_deref().unwrap(), &classic_sam[..]);
-    assert_eq!(report.reads(), 600);
-    // Both stores hold byte-identical persisted manifests.
-    for obj in ["eq.manifest.json", "eq.sorted.manifest.json"] {
-        assert_eq!(store_a.get(obj).unwrap(), store_b.get(obj).unwrap(), "{obj}");
-    }
-    assert_eq!(
-        report.stage_rows().iter().map(|(s, _, _)| *s).collect::<Vec<_>>(),
-        vec!["import", "align", "sort", "dupmark", "export-sam"]
-    );
 }
 
 #[test]

@@ -1,86 +1,22 @@
 //! The multi-tenant job service: many concurrent jobs on one shared
 //! `PersonaRuntime` must produce byte-identical output to sequential
-//! `run_pipeline` runs, cancellation must actually stop a job and free
+//! `Plan::full` runs, cancellation must actually stop a job and free
 //! its fair-share slot, and a light tenant must not starve behind a
 //! heavy tenant's backlog.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use persona::config::PersonaConfig;
-use persona::runtime::{run_pipeline, PersonaRuntime};
+use persona::runtime::PersonaRuntime;
 use persona_agd::chunk_io::{ChunkStore, MemStore};
-use persona_agd::results::AlignmentResult;
 use persona_align::Aligner;
 use persona_dataflow::Priority;
 use persona_formats::fastq;
-use persona_integration_tests::common::Fixture;
+use persona_integration_tests::common::{wait_for, Fixture, Gate, GateAligner, SlowAligner};
 use persona_server::{
     JobInput, JobOutcome, JobSpec, JobStatus, PersonaService, Plan, ServiceConfig, TenantConfig,
 };
-
-/// An aligner that sleeps per read — makes job runtime controllable so
-/// scheduling/cancellation behavior is observable.
-struct SlowAligner {
-    inner: Arc<dyn Aligner>,
-    delay: Duration,
-}
-
-impl Aligner for SlowAligner {
-    fn align_read(&self, bases: &[u8], quals: &[u8]) -> AlignmentResult {
-        std::thread::sleep(self.delay);
-        self.inner.align_read(bases, quals)
-    }
-
-    fn name(&self) -> &'static str {
-        "slow"
-    }
-}
-
-/// A gate the test opens once it has issued a cancel: alignment blocks
-/// here, so the proof that cancellation cut the job short is the
-/// `Cancelled` outcome itself — most of the job's batches provably
-/// never ran — with no wall-clock assertion to flake on a loaded box.
-struct Gate {
-    open: std::sync::Mutex<bool>,
-    cv: std::sync::Condvar,
-}
-
-impl Gate {
-    fn new() -> Arc<Gate> {
-        Arc::new(Gate { open: std::sync::Mutex::new(false), cv: std::sync::Condvar::new() })
-    }
-
-    fn open(&self) {
-        *self.open.lock().unwrap() = true;
-        self.cv.notify_all();
-    }
-
-    fn wait_open(&self) {
-        let guard = self.open.lock().unwrap();
-        // Bounded so a broken test fails instead of hanging the suite.
-        let (_guard, timeout) =
-            self.cv.wait_timeout_while(guard, Duration::from_secs(20), |open| !*open).unwrap();
-        assert!(!timeout.timed_out(), "gate never opened");
-    }
-}
-
-/// An aligner whose `align_read` blocks until the test opens the gate.
-struct GateAligner {
-    inner: Arc<dyn Aligner>,
-    gate: Arc<Gate>,
-}
-
-impl Aligner for GateAligner {
-    fn align_read(&self, bases: &[u8], quals: &[u8]) -> AlignmentResult {
-        self.gate.wait_open();
-        self.inner.align_read(bases, quals)
-    }
-
-    fn name(&self) -> &'static str {
-        "gated"
-    }
-}
 
 fn spec(fx: &Fixture, name: &str, tenant: &str, aligner: Arc<dyn Aligner>) -> JobSpec {
     JobSpec {
@@ -95,30 +31,11 @@ fn spec(fx: &Fixture, name: &str, tenant: &str, aligner: Arc<dyn Aligner>) -> Jo
     }
 }
 
-/// The sequential reference: one `run_pipeline` on a private runtime.
+/// The sequential reference: one full-plan run on a private runtime.
 fn sequential_sam(fx: &Fixture, name: &str) -> Vec<u8> {
     let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
     let rt = PersonaRuntime::new(store, PersonaConfig::small()).unwrap();
-    let mut sam = Vec::new();
-    run_pipeline(
-        &rt,
-        std::io::Cursor::new(fastq::to_bytes(&fx.reads)),
-        name,
-        100,
-        fx.aligner.clone(),
-        &fx.reference,
-        &mut sam,
-    )
-    .unwrap();
-    sam
-}
-
-fn wait_for(mut cond: impl FnMut() -> bool, what: &str) {
-    let deadline = Instant::now() + Duration::from_secs(20);
-    while !cond() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    Plan::full().run(&rt, fx.fastq_request(name, 100)).unwrap().sam.expect("full plan exports SAM")
 }
 
 #[test]
@@ -157,7 +74,7 @@ fn concurrent_jobs_across_tenants_match_sequential_runs() {
         };
         assert_eq!(
             out.sam, **reference_sam,
-            "{name} ({tenant}): concurrent SAM differs from sequential run_pipeline"
+            "{name} ({tenant}): concurrent SAM differs from the sequential run"
         );
         assert_eq!(out.report.stage_rows().len(), 5, "full plan reports all five stages");
         assert_eq!(handle.status(), JobStatus::Completed);

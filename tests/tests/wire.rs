@@ -17,79 +17,15 @@ use persona::wire::{
     PROTOCOL_VERSION,
 };
 use persona_agd::chunk_io::{ChunkStore, MemStore};
-use persona_agd::results::AlignmentResult;
 use persona_align::Aligner;
 use persona_dataflow::Priority;
 use persona_formats::fastq;
-use persona_integration_tests::common::Fixture;
+use persona_integration_tests::common::{wait_for, Fixture, Gate, GateAligner, SlowAligner};
 use persona_server::{
     JobInput, JobSpec, PersonaService, ServiceConfig, WireServer, WireServerConfig,
 };
 
 use persona::wire::RawFrame;
-
-/// An aligner that sleeps per read, to keep a job running long enough
-/// for cancellation behavior to be observable.
-struct SlowAligner {
-    inner: Arc<dyn Aligner>,
-    delay: Duration,
-}
-
-impl Aligner for SlowAligner {
-    fn align_read(&self, bases: &[u8], quals: &[u8]) -> AlignmentResult {
-        std::thread::sleep(self.delay);
-        self.inner.align_read(bases, quals)
-    }
-
-    fn name(&self) -> &'static str {
-        "slow"
-    }
-}
-
-/// A gate the test opens once it has issued a cancel: alignment blocks
-/// here, so the proof that cancellation cut the job short is the
-/// `Cancelled` outcome itself — most of the job's batches provably
-/// never ran — with no wall-clock assertion to flake on a loaded box.
-struct Gate {
-    open: std::sync::Mutex<bool>,
-    cv: std::sync::Condvar,
-}
-
-impl Gate {
-    fn new() -> Arc<Gate> {
-        Arc::new(Gate { open: std::sync::Mutex::new(false), cv: std::sync::Condvar::new() })
-    }
-
-    fn open(&self) {
-        *self.open.lock().unwrap() = true;
-        self.cv.notify_all();
-    }
-
-    fn wait_open(&self) {
-        let guard = self.open.lock().unwrap();
-        // Bounded so a broken test fails instead of hanging the suite.
-        let (_guard, timeout) =
-            self.cv.wait_timeout_while(guard, Duration::from_secs(20), |open| !*open).unwrap();
-        assert!(!timeout.timed_out(), "gate never opened");
-    }
-}
-
-/// An aligner whose `align_read` blocks until the test opens the gate.
-struct GateAligner {
-    inner: Arc<dyn Aligner>,
-    gate: Arc<Gate>,
-}
-
-impl Aligner for GateAligner {
-    fn align_read(&self, bases: &[u8], quals: &[u8]) -> AlignmentResult {
-        self.gate.wait_open();
-        self.inner.align_read(bases, quals)
-    }
-
-    fn name(&self) -> &'static str {
-        "gated"
-    }
-}
 
 fn serve(aligner: Arc<dyn Aligner>, max_jobs: usize) -> WireServer {
     let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
@@ -133,14 +69,6 @@ fn in_process_sam(fx: &Fixture, name: &str) -> Vec<u8> {
         .unwrap();
     let outcome = handle.wait();
     outcome.output().expect("reference job completes").sam.clone()
-}
-
-fn wait_for(mut cond: impl FnMut() -> bool, what: &str) {
-    let deadline = Instant::now() + Duration::from_secs(20);
-    while !cond() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(5));
-    }
 }
 
 /// The acceptance-criteria test: concurrent wire clients across two
@@ -473,6 +401,29 @@ fn introspection_over_the_wire_matches_in_process_state() {
     assert_eq!(Some(done.clone()), server.service().trace_json(job));
     assert!(done.contains("\"ph\":\"X\""), "{done}");
     assert!(!done.contains("\"ph\":\"B\""), "span left open after completion: {done}");
+}
+
+/// Regression: the dispatcher used to flip a job to `running` before
+/// its runner thread had registered the job's trace, so a client that
+/// saw `running` could be told `unknown-job`. Ask for the trace the
+/// instant the job leaves the queue — no sleep between the two requests
+/// — across enough submissions to land in that window.
+#[test]
+fn a_job_seen_dispatched_always_has_a_trace() {
+    let fx = Fixture::new(8011, 40);
+    let server = serve(fx.aligner.clone(), 2);
+    let mut client = WireClient::connect(server.local_addr()).unwrap();
+    for i in 0..250 {
+        let job =
+            client.submit(wire_submit(&fx, &format!("t{i}"), "lab", Plan::import_only())).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while client.status(job).unwrap() == WireJobStatus::Queued {
+            assert!(Instant::now() < deadline, "job {job} never dispatched");
+        }
+        if let Err(e) = client.trace(job) {
+            panic!("job {job} (submission {i}) left the queue but has no trace: {e:?}");
+        }
+    }
 }
 
 /// A version-mismatched hello is rejected with `unsupported-version`
