@@ -5,9 +5,11 @@
 //! The seeding phase walks the FM-index occurrence table — pointer-
 //! chasing over a structure much larger than cache, which is what makes
 //! this aligner *memory-bound* in the paper's Fig. 8 analysis, in
-//! contrast to SNAP's arithmetic-bound verification.
+//! contrast to SNAP's arithmetic-bound verification. The two phases
+//! are timed separately per strand ([`PhaseProfile::seed_time`]:
+//! seeding, locate and chaining; [`PhaseProfile::verify_time`]:
+//! extension), so that split is a measurement.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -112,35 +114,54 @@ impl BwaMemAligner {
         seeds
     }
 
-    /// Aligns one strand; returns scored candidate alignments.
+    /// Aligns one strand, appending scored candidate alignments to
+    /// `out`. `chains` is scratch (cleared here, reused across strands).
+    ///
+    /// The two phases are timed where they happen: seeding, locate and
+    /// chaining (the FM-index walks) into `seed_time`, Smith-Waterman
+    /// extension into `verify_time`.
     fn align_strand(
         &self,
         read: &[u8],
         reverse: bool,
         prof: &mut PhaseProfile,
-    ) -> Vec<(i32, AlignmentResult)> {
+        chains: &mut Vec<(u32, u32)>,
+        out: &mut Vec<(i32, AlignmentResult)>,
+    ) {
+        let seed_start = Instant::now();
         let seeds = self.find_seeds(read, prof);
-        // Chain seeds by approximate read-start diagonal.
-        let mut chains: HashMap<u32, u32> = HashMap::new(); // cand loc -> total seed bases
+        // Chain seeds by approximate read-start diagonal: one
+        // (candidate location, seed bases) entry per located
+        // occurrence, then entries of one location summed.
+        chains.clear();
         for seed in &seeds {
             if seed.interval.count() as usize > self.params.max_occ {
                 continue;
             }
             prof.index_ops += seed.interval.count() as u64;
-            for pos in self.fm.locate(seed.interval, self.params.max_occ) {
-                let cand = pos as i64 - seed.qbeg as i64;
+            for row in seed.interval.lo..seed.interval.hi {
+                let cand = self.fm.locate_row(row) as i64 - seed.qbeg as i64;
                 if cand >= 0 {
-                    *chains.entry(cand as u32).or_insert(0) += (seed.qend - seed.qbeg) as u32;
+                    chains.push((cand as u32, (seed.qend - seed.qbeg) as u32));
                 }
             }
         }
-        let mut ranked: Vec<(u32, u32)> = chains.into_iter().collect();
-        ranked.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        ranked.truncate(self.params.max_chains);
+        chains.sort_unstable();
+        chains.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 += next.1;
+            }
+            same
+        });
+        // Most seed bases first, then lowest location.
+        chains.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        chains.truncate(self.params.max_chains);
+        let verify_start = Instant::now();
+        prof.seed_time += verify_start - seed_start;
 
         // Extend each chain with local SW.
-        let mut out = Vec::new();
-        for (cand, _seed_bases) in ranked {
+        for &(cand, _seed_bases) in chains.iter() {
             prof.candidates += 1;
             let pad = self.params.extension_pad;
             let start = (cand as u64).saturating_sub(pad as u64);
@@ -176,7 +197,7 @@ impl BwaMemAligner {
                 },
             ));
         }
-        out
+        prof.verify_time += verify_start.elapsed();
     }
 
     /// Estimated edit count implied by an SW score on a read of `qlen`.
@@ -201,32 +222,11 @@ impl Aligner for BwaMemAligner {
         prof: &mut PhaseProfile,
     ) -> AlignmentResult {
         prof.reads += 1;
-
-        // Phase 1: seeding + locate (memory-bound random walks).
-        let seed_start = Instant::now();
         let rc = revcomp(bases);
-        prof.seed_time += seed_start.elapsed();
-
-        // align_strand mixes seeding and extension; time them inside.
-        let seed_t0 = Instant::now();
         let mut all: Vec<(i32, AlignmentResult)> = Vec::new();
-        // Seeding for both strands first (profiled as seed time), then
-        // extensions (verify time) — align_strand does both, so time the
-        // whole call and apportion by dp_cells afterwards. Simpler and
-        // sufficient for Fig. 8: measure seeding separately here.
-        let mut fwd = self.align_strand(bases, false, prof);
-        let mut rev = self.align_strand(&rc, true, prof);
-        all.append(&mut fwd);
-        all.append(&mut rev);
-        let total = seed_t0.elapsed();
-        // Apportion: FM walks dominate wall time relative to the small
-        // banded extensions; measured callgrind-style split is roughly
-        // proportional to index_ops vs dp_cells costs.
-        let ops = prof.index_ops as f64;
-        let cells = prof.dp_cells as f64 / 8.0; // DP cells are cheap ALU work.
-        let frac_seed = if ops + cells > 0.0 { ops / (ops + cells) } else { 0.5 };
-        prof.seed_time += total.mul_f64(frac_seed);
-        prof.verify_time += total.mul_f64(1.0 - frac_seed);
+        let mut chains = Vec::new();
+        self.align_strand(bases, false, prof, &mut chains, &mut all);
+        self.align_strand(&rc, true, prof, &mut chains, &mut all);
 
         all.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.location.cmp(&b.1.location)));
         let min_score = (bases.len() as f64

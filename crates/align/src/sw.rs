@@ -7,8 +7,9 @@
 //! Two implementations share the contract: the scalar dense-matrix
 //! kernel ([`smith_waterman_scalar`]) and a striped SSE2/AVX2 forward
 //! pass ([`smith_waterman_striped`], engine in `sw_simd`) whose `H`
-//! matrix is provably identical to the scalar one, so the traceback —
-//! and therefore score, aligned regions and CIGAR — match byte for
+//! matrix is provably identical to the scalar one; its traceback reads
+//! the scalar kernel's direction tags back off that matrix, one path
+//! step at a time, so score, aligned regions and CIGAR match byte for
 //! byte. [`smith_waterman`] routes between them via [`crate::Kernel`].
 
 use persona_agd::results::{CigarKind, CigarOp};
@@ -68,7 +69,7 @@ impl LocalAlignment {
     }
 }
 
-/// Direction tags for the traceback matrices.
+/// Direction tags of the scalar kernel's traceback matrix.
 #[derive(Clone, Copy, PartialEq)]
 enum Tb {
     Stop,
@@ -79,9 +80,10 @@ enum Tb {
 
 /// Full Smith-Waterman with affine gaps and traceback.
 ///
-/// O(n·m) time and O(n·m) traceback memory — used for short sequences
-/// (read-length extensions); the paper's aligners never run SW on more
-/// than a few hundred bases at a time.
+/// O(n·m) time and memory for the score matrix, traceback proportional
+/// to the alignment path — used for short sequences (read-length
+/// extensions); the paper's aligners never run SW on more than a few
+/// hundred bases at a time.
 ///
 /// Dispatches on [`crate::Kernel::active`]: the SIMD variant handles
 /// typical read-vs-window inputs and falls back to the scalar kernel
@@ -105,27 +107,79 @@ pub fn smith_waterman_striped(
     query: &[u8],
     sc: Scoring,
 ) -> Option<LocalAlignment> {
-    let hm = crate::sw_simd::forward_matrix(reference, query, &sc)?;
-    Some(traceback_from_matrix(&hm, reference, query, sc))
+    striped_at_width(reference, query, sc, None)
 }
 
-/// Rebuilds the traceback from a completed score matrix.
+/// [`smith_waterman_striped`] at a given vector width (`None`: the
+/// widest the CPU has), so tests can drive the SSE2 and AVX2 bodies on
+/// one machine.
+fn striped_at_width(
+    reference: &[u8],
+    query: &[u8],
+    sc: Scoring,
+    width: Option<crate::sw_simd::Width>,
+) -> Option<LocalAlignment> {
+    crate::sw_simd::with_matrix(reference, query, &sc, width, |hm| {
+        traceback_from_matrix(hm, reference, query, sc)
+    })
+}
+
+/// Bench hook: one striped forward pass, then `reps` tracebacks of its
+/// matrix (the last one returned), which is how the `kernels` bench
+/// isolates the traceback's cost from the forward pass's.
+#[doc(hidden)]
+pub fn striped_traceback_repeated(
+    reference: &[u8],
+    query: &[u8],
+    sc: Scoring,
+    reps: usize,
+) -> Option<LocalAlignment> {
+    crate::sw_simd::with_matrix(reference, query, &sc, None, |hm| {
+        let mut last = traceback_from_matrix(hm, reference, query, sc);
+        for _ in 1..reps {
+            last = std::hint::black_box(traceback_from_matrix(hm, reference, query, sc));
+        }
+        last
+    })
+}
+
+/// Rebuilds the traceback from a completed score matrix, in time
+/// proportional to the path (plus, per gap step, a scan bounded by the
+/// gap or by the row).
 ///
-/// The affine gap matrices `E`/`F` are recovered from `H` through
-/// their closed forms (`E[i][j] = max_g H[i][j-g] + open + (g-1)·ext`,
-/// with the `j-g = 0` boundary contributing through `H[i][0] = 0`),
-/// which equal the scalar kernel's unrolled recurrences exactly; the
-/// direction precedence (diagonal, then left, then up, stop at zero)
-/// mirrors the scalar tag assignment, so the emitted CIGAR is the
-/// same.
+/// The scalar kernel tags a cell `Diag` unless `E` or `F` strictly
+/// beats the diagonal, so a cell whose score equals `diag + sub` is a
+/// diagonal step without looking at `E`/`F` at all — every step of an
+/// ungapped stretch. Only a cell that is *not* explained by its
+/// diagonal is a gap step: `Left` if the horizontal gap
+/// `E[i][j] = max_g H[i][j-g] + open + (g-1)·ext` (the closed form of
+/// the scalar recurrence, the `j-g = 0` boundary contributing through
+/// `H[i][0] = 0`) attains the score, else `Up` — the scalar precedence
+/// (diagonal, then left, then up, stop at zero), so the emitted CIGAR
+/// is the same.
 fn traceback_from_matrix(
-    hm: &crate::sw_simd::HMatrix,
+    hm: &crate::sw_simd::HMatrix<'_>,
     reference: &[u8],
     query: &[u8],
     sc: Scoring,
 ) -> LocalAlignment {
-    let st = hm.stride;
-    let h = |i: usize, j: usize| -> i32 { hm.h[i * st + j] as i32 };
+    // Whether some `H[i][j-g] + open + (g-1)·ext` equals `h`. Inside a
+    // horizontal gap the witness is the gap's own start, `g` columns
+    // back; otherwise the scan ends once the score it would need
+    // exceeds the matrix's best (needs `ext < 0`), or at column 0.
+    let left_gap_scores = |i: usize, j: usize, h: i32| -> bool {
+        let mut need = h - sc.gap_open;
+        for g in 1..=j {
+            if need > hm.best {
+                return false;
+            }
+            if hm.at(i, j - g) == need {
+                return true;
+            }
+            need -= sc.gap_extend;
+        }
+        false
+    };
     let (mut i, mut j) = (hm.best_i, hm.best_j);
     let (ref_end, query_end) = (i, j);
     let mut ops_rev: Vec<CigarOp> = Vec::new();
@@ -139,48 +193,24 @@ fn traceback_from_matrix(
         ops.push(CigarOp { kind, len: 1 });
     };
     while i > 0 && j > 0 {
+        let h = hm.at(i, j);
         // A zero cell is exactly the scalar Tb::Stop tag.
-        if h(i, j) == 0 {
+        if h == 0 {
             break;
         }
         let sub = if reference[i - 1] == query[j - 1] { sc.match_score } else { sc.mismatch };
-        let diag = h(i - 1, j - 1) + sub;
-        let mut e = i32::MIN / 2;
-        let mut run = sc.gap_open;
-        for g in 1..=j {
-            e = e.max(h(i, j - g) + run);
-            run += sc.gap_extend;
-        }
-        let mut f = i32::MIN / 2;
-        let mut run = sc.gap_open;
-        for g in 1..=i {
-            f = f.max(h(i - g, j) + run);
-            run += sc.gap_extend;
-        }
-        let mut val = diag;
-        let mut dir = Tb::Diag;
-        if e > val {
-            val = e;
-            dir = Tb::Left;
-        }
-        if f > val {
-            dir = Tb::Up;
-        }
-        match dir {
-            Tb::Diag => {
-                push(CigarKind::Match, &mut ops_rev);
-                i -= 1;
-                j -= 1;
-            }
-            Tb::Left => {
-                push(CigarKind::Ins, &mut ops_rev);
-                j -= 1;
-            }
-            Tb::Up => {
-                push(CigarKind::Del, &mut ops_rev);
-                i -= 1;
-            }
-            Tb::Stop => unreachable!("zero cells break out above"),
+        if h == hm.at(i - 1, j - 1) + sub {
+            push(CigarKind::Match, &mut ops_rev);
+            i -= 1;
+            j -= 1;
+        } else if left_gap_scores(i, j, h) {
+            // Gap in reference direction: consumes query only (I).
+            push(CigarKind::Ins, &mut ops_rev);
+            j -= 1;
+        } else {
+            // Consumes reference only (D).
+            push(CigarKind::Del, &mut ops_rev);
+            i -= 1;
         }
     }
     ops_rev.reverse();
@@ -549,6 +579,117 @@ mod tests {
                 }
             } else {
                 assert!(dp > 6, "band missed a distance-{dp} alignment");
+            }
+        }
+    }
+
+    /// Differential inputs the random-DNA properties in
+    /// `tests/proptests.rs` rarely produce: gaps on the optimal path and
+    /// many equal-scoring paths, so the traceback's gap steps and its
+    /// diag/left/up precedence decide the CIGAR.
+    fn gappy_case(seed: u64, shape: usize, n: usize, m: usize) -> (Vec<u8>, Vec<u8>) {
+        let mut x = seed | 1;
+        let mut next = move |bound: usize| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((x >> 33) as usize) % bound.max(1)
+        };
+        let reference: Vec<u8> = match shape % 5 {
+            // Homopolymer with the odd interruption.
+            1 => (0..n).map(|_| if next(9) == 0 { b'C' } else { b'A' }).collect(),
+            // Tandem repeat of a 1-4 base unit.
+            2 => {
+                let unit: Vec<u8> = (0..1 + next(4)).map(|_| b"ACGT"[next(4)]).collect();
+                unit.iter().copied().cycle().take(n).collect()
+            }
+            _ => (0..n).map(|_| b"ACGT"[next(4)]).collect(),
+        };
+        // The query: a slice of the reference with substitutions,
+        // insertions and deletions every few bases, cut or padded to m.
+        let from = next(n);
+        let mut query = Vec::with_capacity(m);
+        let mut at = from;
+        while query.len() < m {
+            let base = reference.get(at).copied().unwrap_or(b"ACGT"[next(4)]);
+            match next(12) {
+                0 => query.push(b"ACGT"[next(4)]), // Substitution.
+                1 => {
+                    // Insertion of 1-3 bases before this one.
+                    query.extend((0..1 + next(3)).map(|_| b"ACGT"[next(4)]));
+                    query.push(base);
+                }
+                2 => at += next(3), // Deletion of 0-2 extra bases.
+                _ => query.push(base),
+            }
+            at += 1;
+        }
+        query.truncate(m);
+        // Shape 3: the query is the longer sequence.
+        if shape % 5 == 3 {
+            (query, reference)
+        } else {
+            (reference, query)
+        }
+    }
+
+    const SCORINGS: [Scoring; 6] = [
+        Scoring { match_score: 2, mismatch: -8, gap_open: -12, gap_extend: -2 },
+        Scoring { match_score: 1, mismatch: -4, gap_open: -6, gap_extend: -1 },
+        Scoring { match_score: 2, mismatch: -8, gap_open: -2, gap_extend: -2 },
+        Scoring { match_score: 1, mismatch: -1, gap_open: -1, gap_extend: -1 },
+        Scoring { match_score: 2, mismatch: -3, gap_open: -4, gap_extend: 0 },
+        Scoring { match_score: 3, mismatch: -2, gap_open: 0, gap_extend: 0 },
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Both vector widths reproduce the scalar kernel — score,
+        /// regions *and CIGAR* — on indel-rich and tie-heavy inputs,
+        /// with `gap_open == gap_extend`, a zero extension penalty, the
+        /// query longer than the window, and the best cell in the last
+        /// (padded) lane.
+        #[test]
+        fn striped_widths_match_scalar_on_gappy_inputs(
+            seed in proptest::prelude::any::<u64>(),
+            shape in 0usize..5,
+            n in 1usize..150,
+            m in 1usize..130,
+            scoring in 0usize..6,
+        ) {
+            use crate::sw_simd::Width;
+            let (reference, query) = gappy_case(seed, shape, n, m);
+            let sc = SCORINGS[scoring];
+            let scalar = smith_waterman_scalar(&reference, &query, sc);
+            for width in [Width::Sse2, Width::Avx2] {
+                match striped_at_width(&reference, &query, sc, Some(width)) {
+                    Some(striped) => proptest::prop_assert_eq!(&striped, &scalar, "{:?}", width),
+                    // Only a CPU without AVX2 may refuse: every scoring
+                    // above is inside the guards.
+                    None => proptest::prop_assert!(
+                        width == Width::Avx2 || !cfg!(target_arch = "x86_64"),
+                        "striped kernel refused valid input"
+                    ),
+                }
+            }
+        }
+    }
+
+    /// The scratch matrix is reused: a call after a larger one, and a
+    /// call at the other width, must not see its leftovers.
+    #[test]
+    fn striped_reuses_scratch_across_shapes() {
+        let sc = Scoring::default();
+        let mut seed = 7u64;
+        for (n, m) in [(140, 101), (30, 17), (9, 120), (140, 101), (1, 1), (64, 64)] {
+            for shape in 0..5 {
+                seed += 1;
+                let (reference, query) = gappy_case(seed, shape, n, m);
+                let scalar = smith_waterman_scalar(&reference, &query, sc);
+                for width in [crate::sw_simd::Width::Avx2, crate::sw_simd::Width::Sse2] {
+                    if let Some(striped) = striped_at_width(&reference, &query, sc, Some(width)) {
+                        assert_eq!(striped, scalar, "{width:?} n {n} m {m} shape {shape}");
+                    }
+                }
             }
         }
     }

@@ -9,7 +9,10 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use persona_agd::chunk::{ChunkData, RecordType};
 use persona_align::edit::{landau_vishkin, landau_vishkin_bitparallel, landau_vishkin_scalar};
-use persona_align::sw::{smith_waterman, smith_waterman_scalar, smith_waterman_striped, Scoring};
+use persona_align::sw::{
+    smith_waterman, smith_waterman_scalar, smith_waterman_striped, striped_traceback_repeated,
+    Scoring,
+};
 use persona_align::Kernel;
 use persona_bench::World;
 use persona_compress::codec::Codec;
@@ -85,6 +88,76 @@ fn bench_kernels(c: &mut Criterion) {
     let seed_idx = persona_index::SeedIndex::build(&world.genome, 16);
     g.bench_function("seed_index_lookup", |b| {
         b.iter(|| std::hint::black_box(seed_idx.lookup(&pattern[..16])))
+    });
+
+    // The three budgets of the BWA path (docs/PERFORMANCE.md §1), each
+    // with its unit of work as the throughput so the JSON carries
+    // ns/extend, ns/traceback and ns/read directly. The index is the
+    // regression benchmark's size (1 Mbp: larger than L1, as any real
+    // FM-index is), not the 50 kbp one above.
+    let big = World::build(1_000_000, 4096, 105);
+    let big_fm = Arc::new(persona_index::FmIndex::build(&big.genome));
+    // One seeding walk as `bwa.rs` does it, both strands: one `extend`
+    // per base, restarting from the full interval when a match ends
+    // (the reverse strand of a forward read ends every ~10 bases). The
+    // reads rotate so the walk meets the index in L2, as a stream of
+    // distinct reads does, not the same 200 lines in L1.
+    let strands: Vec<[Vec<u8>; 2]> =
+        big.reads.iter().map(|r| [r.bases.clone(), persona_seq::dna::revcomp(&r.bases)]).collect();
+    let walk = |strands: &[Vec<u8>; 2]| {
+        let mut acc = 0u32;
+        for read in strands {
+            let mut iv = big_fm.full_interval();
+            for &base in read.iter().rev() {
+                let next = big_fm.extend(persona_index::bwt::base_code(base), iv);
+                iv = if next.is_empty() { big_fm.full_interval() } else { next };
+                acc ^= iv.lo;
+            }
+        }
+        acc
+    };
+    // Steady state: the index (not the reads) is what stays cached.
+    for s in &strands {
+        std::hint::black_box(walk(s));
+    }
+    let mut turn = 0usize;
+    g.throughput(Throughput::Elements(2 * big.reads[0].bases.len() as u64));
+    g.bench_function("fm_extend_101bp", |b| {
+        b.iter(|| {
+            turn += 1;
+            std::hint::black_box(walk(&strands[turn % strands.len()]))
+        })
+    });
+    // Traceback alone: one forward pass, then many tracebacks of its
+    // matrix, on a read with a 3-base deletion and a 2-base insertion so
+    // gap steps are on the path.
+    let mut gapped = pattern.to_vec();
+    gapped.drain(30..33);
+    gapped.splice(70..70, *b"GT");
+    const TRACEBACKS: usize = 512;
+    g.throughput(Throughput::Elements(TRACEBACKS as u64));
+    g.bench_function("sw_traceback_101bp", |b| {
+        b.iter(|| {
+            std::hint::black_box(striped_traceback_repeated(
+                text,
+                &gapped,
+                Scoring::default(),
+                TRACEBACKS,
+            ))
+        })
+    });
+    let bwa = persona_align::bwa::BwaMemAligner::new(
+        big.genome.clone(),
+        big_fm.clone(),
+        persona_align::bwa::BwaParams::default(),
+    );
+    g.throughput(Throughput::Elements(1));
+    g.bench_function("bwa_align_read", |b| {
+        b.iter(|| {
+            turn += 1;
+            let r = &big.reads[turn % big.reads.len()];
+            std::hint::black_box(persona_align::Aligner::align_read(&bwa, &r.bases, &r.quals))
+        })
     });
     g.finish();
 }

@@ -35,13 +35,15 @@ pub fn code_base(c: u8) -> u8 {
 
 /// The BWT of `text` (codes `1..ALPHABET`), with the sentinel appended
 /// conceptually. Output length is `text.len() + 1`; exactly one entry is
-/// the sentinel code 0.
+/// the sentinel code 0. One byte per symbol: this is the form the
+/// transform is built and inverted in; [`crate::fm::FmIndex`] packs it
+/// to 2 bits per symbol (sentinel out of band) and does not keep it.
 #[derive(Debug, Clone)]
 pub struct Bwt {
     /// The transformed text, as codes.
     pub data: Vec<u8>,
-    /// Row containing the sentinel (i.e. the row whose suffix is `$`...
-    /// no: the row whose *preceding* character is the text start).
+    /// Row whose BWT symbol is the sentinel: the row of the suffix at
+    /// text position 0 (0 for the empty text).
     pub sentinel_row: usize,
     /// `c_array[c]` = number of symbols strictly smaller than `c` in
     /// `text + $`; `c_array[ALPHABET]` = total length.

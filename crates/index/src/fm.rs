@@ -1,34 +1,98 @@
 //! The FM-index: BWT + occurrence checkpoints + sampled positions.
 //!
 //! Supports backward search (`count`), interval extension (the primitive
-//! under BWA-MEM's SMEM seeding) and `locate`. The occurrence table is
-//! checkpointed every [`OCC_BLOCK`] rows with a linear scan inside a
-//! block — the cache-unfriendly random walks this produces are exactly
-//! the "memory bound … cache misses and DTLB misses" behaviour the paper
-//! measures for BWA-MEM in Fig. 8.
-
-use std::collections::HashMap;
+//! under BWA-MEM's SMEM seeding) and `locate`. Everything one rank query
+//! needs — the checkpointed counts, the [`OCC_BLOCK`] BWT symbols they
+//! cover (2 bits each, as two bit planes) and the block's sampled-row
+//! marks — shares one 64-byte cache line, so a backward-search step is
+//! one (random) line fetch plus two masked popcounts, and both ends of
+//! an interval are answered from the same line once the interval is
+//! narrower than a block. The walk is still a chain of dependent,
+//! data-addressed loads over a structure larger than L1: the "memory
+//! bound … cache misses and DTLB misses" behaviour the paper measures
+//! for BWA-MEM in Fig. 8, at the cost the hardware sets rather than the
+//! cost of a byte scan.
 
 use persona_seq::Genome;
 
 use crate::bwt::{base_code, Bwt, ALPHABET};
 use crate::sa::suffix_array;
 
-/// Rows between occurrence checkpoints.
-pub const OCC_BLOCK: usize = 64;
+/// Rows per occurrence checkpoint (one cache line).
+pub const OCC_BLOCK: usize = 128;
 /// Text-position sampling rate for locate.
 pub const SA_SAMPLE: usize = 32;
 
+/// One cache line of the index: everything about [`OCC_BLOCK`] rows.
+///
+/// Symbols are stored as `code - 1` split into a low and a high bit
+/// plane (row `r` of the block is bit `r % 64` of word `r / 64`). The
+/// sentinel row is stored as an `A` and counted as one in `occ`; it is
+/// handled out of band by [`FmIndex::rank_pair`] and [`FmIndex::lf`].
+#[repr(C, align(64))]
+#[derive(Clone, Copy, Default)]
+struct Line {
+    /// Occurrences of each symbol before this block.
+    occ: [u32; 4],
+    /// Low bit of each row's symbol.
+    lo: [u64; 2],
+    /// High bit of each row's symbol.
+    hi: [u64; 2],
+    /// Set for rows whose suffix position is a multiple of [`SA_SAMPLE`].
+    marks: [u64; 2],
+}
+
+/// The lowest `bits` (0..=64) bits set.
+#[inline(always)]
+fn low_mask(bits: usize) -> u64 {
+    if bits == 0 {
+        0
+    } else {
+        u64::MAX >> (64 - bits)
+    }
+}
+
+impl Line {
+    /// Per 64-row word, the rows holding symbol `p` (`code - 1`).
+    #[inline(always)]
+    fn matches(&self, p: usize) -> [u64; 2] {
+        let xl = if p & 1 != 0 { 0 } else { u64::MAX };
+        let xh = if p & 2 != 0 { 0 } else { u64::MAX };
+        [(self.lo[0] ^ xl) & (self.hi[0] ^ xh), (self.lo[1] ^ xl) & (self.hi[1] ^ xh)]
+    }
+
+    /// Occurrences of the symbol `m` was built for before row `off` of
+    /// this block, `off` in `0..OCC_BLOCK`.
+    #[inline(always)]
+    fn rank(&self, p: usize, m: [u64; 2], off: usize) -> u32 {
+        self.occ[p] + count_before(m, off)
+    }
+}
+
+/// Set bits among the first `off` (`0..OCC_BLOCK`) rows of a block's
+/// two 64-row words.
+#[inline(always)]
+fn count_before(words: [u64; 2], off: usize) -> u32 {
+    (words[0] & low_mask(off.min(64))).count_ones()
+        + (words[1] & low_mask(off.saturating_sub(64))).count_ones()
+}
+
 /// An FM-index over a genome's linear concatenation.
 pub struct FmIndex {
-    bwt: Bwt,
-    /// Checkpointed counts: `occ[block][c]` = occurrences of `c` in
-    /// `bwt[..block * OCC_BLOCK]`.
-    occ: Vec<[u32; ALPHABET]>,
-    /// row -> text position, for rows whose suffix position is a
-    /// multiple of [`SA_SAMPLE`].
-    sampled: HashMap<u32, u32>,
-    text_len: usize,
+    /// `rows / OCC_BLOCK + 1` lines, so row `rows` itself has a line.
+    lines: Vec<Line>,
+    /// Marked rows before each line.
+    sample_rank: Vec<u32>,
+    /// Text positions of the marked rows, in row order.
+    samples: Vec<u32>,
+    /// `c_array[c]` = rows whose suffix starts with a symbol below `c`.
+    c_array: [u32; ALPHABET],
+    /// The row whose BWT symbol is the sentinel (suffix position 0).
+    sentinel_row: u32,
+    /// BWT length, `text_len + 1`.
+    rows: u32,
+    /// Whether the CPU has the `popcnt` instruction.
+    popcnt: bool,
 }
 
 /// A half-open BWT row interval `[lo, hi)` representing all suffixes
@@ -68,63 +132,111 @@ impl FmIndex {
     pub fn build_from_codes(text: Vec<u8>) -> Self {
         let sa = suffix_array(&text);
         let bwt = Bwt::from_sa(&text, &sa);
+        let rows = bwt.len();
 
-        // Occurrence checkpoints.
-        let n = bwt.len();
-        let blocks = n / OCC_BLOCK + 1;
-        let mut occ = Vec::with_capacity(blocks);
-        let mut counts = [0u32; ALPHABET];
-        for (i, &c) in bwt.data.iter().enumerate() {
-            if i % OCC_BLOCK == 0 {
-                occ.push(counts);
+        let mut lines = vec![Line::default(); rows / OCC_BLOCK + 1];
+        let mut sample_rank = Vec::with_capacity(lines.len());
+        let mut samples = Vec::with_capacity(text.len() / SA_SAMPLE + 1);
+        let mut counts = [0u32; 4];
+        // `chunks` is one block short when the last row opens a block.
+        let blocks = bwt.data.chunks(OCC_BLOCK).chain([&[][..]]);
+        for (b, (line, block)) in lines.iter_mut().zip(blocks).enumerate() {
+            line.occ = counts;
+            sample_rank.push(samples.len() as u32);
+            for (off, &c) in block.iter().enumerate() {
+                let p = c.saturating_sub(1) as usize; // Sentinel packs as A.
+                line.lo[off / 64] |= ((p & 1) as u64) << (off % 64);
+                line.hi[off / 64] |= ((p >> 1) as u64) << (off % 64);
+                counts[p] += 1;
+                // Conceptual row r > 0 is suffix sa[r - 1]; row 0 is the
+                // empty suffix at `text_len`, never sampled.
+                let row = b * OCC_BLOCK + off;
+                if row > 0 && (sa[row - 1] as usize).is_multiple_of(SA_SAMPLE) {
+                    line.marks[off / 64] |= 1 << (off % 64);
+                    samples.push(sa[row - 1]);
+                }
             }
-            counts[c as usize] += 1;
         }
-        if n % OCC_BLOCK == 0 {
-            occ.push(counts);
+        FmIndex {
+            lines,
+            sample_rank,
+            samples,
+            c_array: std::array::from_fn(|c| bwt.c_array[c] as u32),
+            sentinel_row: bwt.sentinel_row as u32,
+            rows: rows as u32,
+            popcnt: has_popcnt(),
         }
-
-        // Position-sampled SA. Conceptual row r corresponds to suffix
-        // sa'[r] where sa' = [n-1 sentinel suffix] ++ sa.
-        let mut sampled = HashMap::new();
-        // Row 0 is the empty (sentinel) suffix at position text_len.
-        for (k, &pos) in sa.iter().enumerate() {
-            if pos as usize % SA_SAMPLE == 0 {
-                sampled.insert((k + 1) as u32, pos);
-            }
-        }
-        FmIndex { bwt, occ, sampled, text_len: text.len() }
     }
 
     /// Length of the indexed text.
     pub fn text_len(&self) -> usize {
-        self.text_len
+        self.rows as usize - 1
+    }
+
+    /// Occurrences of code `c` in `bwt[..lo]` and in `bwt[..hi]`, for
+    /// rows `lo <= hi <= rows`. One line fetch when both rows fall in
+    /// the same block.
+    #[inline(always)]
+    fn rank_pair_body(&self, c: u8, lo: u32, hi: u32) -> (u32, u32) {
+        debug_assert!(c >= 1 && (c as usize) < ALPHABET && lo <= hi && hi <= self.rows);
+        let p = c as usize - 1;
+        let (lo_line, hi_line) = (lo as usize / OCC_BLOCK, hi as usize / OCC_BLOCK);
+        let line = &self.lines[lo_line];
+        let m = line.matches(p);
+        let at_lo = line.rank(p, m, lo as usize % OCC_BLOCK);
+        let at_hi = if hi_line == lo_line {
+            line.rank(p, m, hi as usize % OCC_BLOCK)
+        } else {
+            let line = &self.lines[hi_line];
+            line.rank(p, line.matches(p), hi as usize % OCC_BLOCK)
+        };
+        // The sentinel was packed and counted as an A.
+        let is_a = (p == 0) as u32;
+        (
+            at_lo - (is_a & (lo > self.sentinel_row) as u32),
+            at_hi - (is_a & (hi > self.sentinel_row) as u32),
+        )
+    }
+
+    /// [`Self::rank_pair_body`] compiled with the `popcnt` instruction.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "popcnt")]
+    fn rank_pair_popcnt(&self, c: u8, lo: u32, hi: u32) -> (u32, u32) {
+        self.rank_pair_body(c, lo, hi)
+    }
+
+    /// Rank of `c` at both ends of an interval.
+    #[inline]
+    fn rank_pair(&self, c: u8, lo: u32, hi: u32) -> (u32, u32) {
+        #[cfg(target_arch = "x86_64")]
+        if self.popcnt {
+            // SAFETY: `popcnt` is only set by `has_popcnt`, i.e. after
+            // `is_x86_feature_detected!("popcnt")` returned true on this
+            // CPU; the function has no other precondition (all indexing
+            // inside is bounds-checked).
+            return unsafe { self.rank_pair_popcnt(c, lo, hi) };
+        }
+        self.rank_pair_body(c, lo, hi)
     }
 
     /// Occurrences of code `c` in `bwt[..row]`.
     #[inline]
     fn occ_rank(&self, c: u8, row: u32) -> u32 {
-        let block = row as usize / OCC_BLOCK;
-        let mut count = self.occ[block][c as usize];
-        let start = block * OCC_BLOCK;
-        for &b in &self.bwt.data[start..row as usize] {
-            count += (b == c) as u32;
-        }
-        count
+        self.rank_pair(c, row, row).0
     }
 
     /// The all-suffixes interval.
     pub fn full_interval(&self) -> Interval {
-        Interval { lo: 0, hi: self.bwt.len() as u32 }
+        Interval { lo: 0, hi: self.rows }
     }
 
     /// Extends a pattern interval by prepending code `c` (backward
     /// search step).
     #[inline]
     pub fn extend(&self, c: u8, iv: Interval) -> Interval {
-        debug_assert!(c >= 1 && (c as usize) < ALPHABET);
-        let base = self.bwt.c_array[c as usize] as u32;
-        Interval { lo: base + self.occ_rank(c, iv.lo), hi: base + self.occ_rank(c, iv.hi) }
+        let base = self.c_array[c as usize];
+        let (lo, hi) = self.rank_pair(c, iv.lo, iv.hi);
+        Interval { lo: base + lo, hi: base + hi }
     }
 
     /// Backward-searches an ASCII pattern; returns the matching interval.
@@ -150,21 +262,44 @@ impl FmIndex {
         self.search(pattern).count()
     }
 
+    /// The BWT code at `row` (0 for the sentinel).
+    #[inline]
+    fn symbol(&self, row: u32) -> u8 {
+        if row == self.sentinel_row {
+            return 0;
+        }
+        let line = &self.lines[row as usize / OCC_BLOCK];
+        let (w, bit) = (row as usize % OCC_BLOCK / 64, row % 64);
+        1 + ((line.lo[w] >> bit) & 1) as u8 + 2 * ((line.hi[w] >> bit) & 1) as u8
+    }
+
     /// One LF-mapping step: the row of the suffix one position earlier.
     #[inline]
     fn lf(&self, row: u32) -> Option<u32> {
-        let c = self.bwt.data[row as usize];
+        let c = self.symbol(row);
         if c == 0 {
             return None; // Reached the text start.
         }
-        Some(self.bwt.c_array[c as usize] as u32 + self.occ_rank(c, row))
+        Some(self.c_array[c as usize] + self.occ_rank(c, row))
+    }
+
+    /// The text position of `row`'s suffix if the row is sampled.
+    #[inline]
+    fn sample(&self, row: u32) -> Option<u32> {
+        let block = row as usize / OCC_BLOCK;
+        let marks = &self.lines[block].marks;
+        let off = row as usize % OCC_BLOCK;
+        if (marks[off / 64] >> (off % 64)) & 1 == 0 {
+            return None;
+        }
+        Some(self.samples[(self.sample_rank[block] + count_before(*marks, off)) as usize])
     }
 
     /// Resolves one BWT row to its text position.
     pub fn locate_row(&self, mut row: u32) -> u32 {
         let mut steps = 0u32;
         loop {
-            if let Some(&pos) = self.sampled.get(&row) {
+            if let Some(pos) = self.sample(row) {
                 return pos + steps;
             }
             match self.lf(row) {
@@ -184,15 +319,32 @@ impl FmIndex {
         (iv.lo..iv.hi).take(limit).map(|row| self.locate_row(row)).collect()
     }
 
-    /// Approximate index memory footprint in bytes.
+    /// Index memory footprint in bytes: one 64-byte line per
+    /// [`OCC_BLOCK`] rows, plus the sampled positions and their
+    /// per-line rank.
     pub fn memory_bytes(&self) -> usize {
-        self.bwt.data.len() + self.occ.len() * ALPHABET * 4 + self.sampled.len() * 12
+        self.lines.len() * std::mem::size_of::<Line>()
+            + (self.sample_rank.len() + self.samples.len()) * 4
+    }
+}
+
+/// Whether `count_ones` can be compiled to the `popcnt` instruction on
+/// this CPU.
+fn has_popcnt() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("popcnt")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bwt::code_base;
 
     fn naive_count(text: &[u8], pattern: &[u8]) -> u32 {
         if pattern.is_empty() || pattern.len() > text.len() {
@@ -304,5 +456,85 @@ mod tests {
         let mut got = fm.locate(iv, usize::MAX);
         got.sort();
         assert_eq!(got, naive_positions(&text, b"GTAC"));
+    }
+
+    fn lcg_codes(seed: u64, len: usize) -> Vec<u8> {
+        let mut x = seed;
+        (0..len)
+            .map(|_| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                ((x >> 62) + 1) as u8
+            })
+            .collect()
+    }
+
+    /// `occ_rank` against a prefix count over the byte BWT, for every
+    /// symbol and every row, on texts whose last row / sentinel row sit
+    /// on, before and after the 64-row word and 128-row block edges.
+    #[test]
+    fn occ_rank_matches_naive_prefix_count() {
+        let mut texts: Vec<Vec<u8>> = [0, 1, 63, 64, 65, 127, 128, 129, 191, 192, 193, 1000]
+            .iter()
+            .map(|&len| lcg_codes(len as u64 + 5, len))
+            .collect();
+        // "C" + "A"·k: every A-run suffix sorts before the whole text,
+        // which puts the sentinel on row k + 1.
+        for k in [62usize, 63, 64, 126, 127, 128, 255] {
+            let mut t = vec![2u8];
+            t.extend(std::iter::repeat_n(1u8, k));
+            texts.push(t);
+        }
+        let mut sentinel_rows = Vec::new();
+        for text in texts {
+            let bwt = Bwt::build(&text);
+            let fm = FmIndex::build_from_codes(text.clone());
+            assert_eq!(fm.text_len(), text.len());
+            assert_eq!(fm.sentinel_row as usize, bwt.sentinel_row);
+            sentinel_rows.push(bwt.sentinel_row);
+            for c in 1..ALPHABET as u8 {
+                for row in 0..=bwt.len() {
+                    let naive = bwt.data[..row].iter().filter(|&&b| b == c).count() as u32;
+                    assert_eq!(
+                        fm.occ_rank(c, row as u32),
+                        naive,
+                        "len {} c {c} row {row}",
+                        text.len()
+                    );
+                }
+            }
+            for row in 0..bwt.len() {
+                assert_eq!(fm.symbol(row as u32), bwt.data[row], "len {} row {row}", text.len());
+            }
+        }
+        for edge in [63, 64, 65, 127, 128, 129, 256] {
+            assert!(sentinel_rows.contains(&edge), "no text put the sentinel on row {edge}");
+        }
+    }
+
+    /// `extend`, `search` and `locate` against the naive oracles on
+    /// texts spanning several blocks, including both ends of an interval
+    /// in one block and in two.
+    #[test]
+    fn extend_search_locate_match_naive() {
+        for len in [129usize, 193, 1000] {
+            let text: Vec<u8> = lcg_codes(len as u64, len).iter().map(|&c| code_base(c)).collect();
+            let fm = build_from_ascii(&text);
+            for start in (0..len - 6).step_by(7) {
+                for plen in 1..=6 {
+                    let pat = &text[start..start + plen];
+                    let iv = fm.search(pat);
+                    assert_eq!(iv.count(), naive_count(&text, pat));
+                    let mut got = fm.locate(iv, usize::MAX);
+                    got.sort_unstable();
+                    assert_eq!(got, naive_positions(&text, pat));
+                    for b in *b"ACGT" {
+                        let longer = [&[b][..], pat].concat();
+                        let ext = fm.extend(base_code(b), iv);
+                        assert_eq!(ext.count(), naive_count(&text, &longer), "{longer:?}");
+                        assert_eq!(ext, fm.search(&longer));
+                    }
+                }
+            }
+        }
     }
 }
