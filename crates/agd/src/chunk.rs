@@ -24,6 +24,8 @@
 //! applications can build an absolute index "on the fly" without
 //! touching the data block.
 
+use std::borrow::Cow;
+
 use persona_compress::codec::Codec;
 use persona_compress::crc32::crc32;
 use persona_compress::deflate::CompressLevel;
@@ -189,15 +191,15 @@ impl ChunkData {
     /// Serializes and compresses this chunk into its on-disk form.
     pub fn encode(&self, codec: Codec, level: CompressLevel) -> Result<Vec<u8>> {
         // Re-encode the data block according to the record type.
-        let raw: Vec<u8> = match self.record_type {
+        let raw: Cow<'_, [u8]> = match self.record_type {
             RecordType::CompactBases => {
                 let mut packed = Vec::with_capacity(self.data.len() / 2 + 16);
                 for rec in self.iter() {
                     compaction::pack_record(rec, &mut packed)?;
                 }
-                packed
+                Cow::Owned(packed)
             }
-            RecordType::Text | RecordType::Results => self.data.clone(),
+            RecordType::Text | RecordType::Results => Cow::Borrowed(&self.data),
         };
         let compressed = codec.compress_level(&raw, level);
         let header = ChunkHeader {
@@ -241,7 +243,10 @@ impl ChunkData {
                 actual: actual_crc,
             }));
         }
-        let raw = header.codec.decompress(payload).map_err(Error::Compress)?;
+        // The header's length sizes the output buffer; a forged one is
+        // capped by the codec and caught by the comparison below.
+        let size_hint = usize::try_from(header.uncompressed_len).unwrap_or(usize::MAX);
+        let raw = header.codec.decompress_sized(payload, size_hint).map_err(Error::Compress)?;
         if raw.len() as u64 != header.uncompressed_len {
             return Err(Error::Format(format!(
                 "data block length {} != header {}",

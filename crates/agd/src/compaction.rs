@@ -13,20 +13,34 @@ use crate::{Error, Result};
 /// Bases per 64-bit word (21 × 3 bits = 63 bits used).
 pub const BASES_PER_WORD: usize = 21;
 
-/// 3-bit code for one base character.
-#[inline]
-fn encode_base(b: u8) -> Result<u64> {
-    Ok(match b {
-        b'A' => 0,
-        b'C' => 1,
-        b'G' => 2,
-        b'T' => 3,
-        b'N' => 4,
-        _ => return Err(Error::Format(format!("cannot compact byte {b:#04x}"))),
-    })
+/// Marks a byte that is not a base in [`BASE_CODE`].
+const NOT_A_BASE: u8 = 0x80;
+
+/// 3-bit code for each base character, [`NOT_A_BASE`] for anything else.
+const BASE_CODE: [u8; 256] = {
+    let mut table = [NOT_A_BASE; 256];
+    table[b'A' as usize] = 0;
+    table[b'C' as usize] = 1;
+    table[b'G' as usize] = 2;
+    table[b'T' as usize] = 3;
+    table[b'N' as usize] = 4;
+    table
+};
+
+/// Packs up to [`BASES_PER_WORD`] bases into a word. The second value
+/// has [`NOT_A_BASE`] set if any byte was not a base.
+#[inline(always)]
+fn pack_word(group: &[u8]) -> (u64, u8) {
+    let (mut word, mut seen) = (0u64, 0u8);
+    for (i, &b) in group.iter().enumerate() {
+        let code = BASE_CODE[b as usize];
+        seen |= code;
+        word |= ((code & 7) as u64) << (3 * i);
+    }
+    (word, seen)
 }
 
-/// Inverse of [`encode_base`].
+/// Inverse of [`BASE_CODE`].
 #[inline]
 fn decode_base(code: u64) -> Result<u8> {
     Ok(match code {
@@ -47,14 +61,32 @@ pub fn packed_size(n_bases: usize) -> usize {
 
 /// Packs one record of bases, appending little-endian words to `out`.
 ///
-/// Returns an error on characters outside `A,C,G,T,N`.
+/// Returns an error on characters outside `A,C,G,T,N`, naming the first
+/// one, and leaves `out` as it was.
 pub fn pack_record(bases: &[u8], out: &mut Vec<u8>) -> Result<()> {
-    for group in bases.chunks(BASES_PER_WORD) {
-        let mut word = 0u64;
-        for (i, &b) in group.iter().enumerate() {
-            word |= encode_base(b)? << (3 * i);
-        }
+    let start = out.len();
+    out.reserve(packed_size(bases.len()));
+    // Checked once for the whole record: the words of a bad record are
+    // never used, so there is nothing to stop early for.
+    let mut seen = 0u8;
+    let mut groups = bases.chunks_exact(BASES_PER_WORD);
+    for group in &mut groups {
+        // A fixed-size group lets the 21 steps be unrolled.
+        let group: &[u8; BASES_PER_WORD] = group.try_into().expect("chunks_exact");
+        let (word, s) = pack_word(group);
+        seen |= s;
         out.extend_from_slice(&word.to_le_bytes());
+    }
+    if !groups.remainder().is_empty() {
+        let (word, s) = pack_word(groups.remainder());
+        seen |= s;
+        out.extend_from_slice(&word.to_le_bytes());
+    }
+    if seen & NOT_A_BASE != 0 {
+        out.truncate(start);
+        let bad = bases.iter().find(|&&b| BASE_CODE[b as usize] == NOT_A_BASE);
+        let b = bad.expect("a byte set the marker");
+        return Err(Error::Format(format!("cannot compact byte {b:#04x}")));
     }
     Ok(())
 }
@@ -101,6 +133,69 @@ pub fn unpack(packed: &[u8], n_bases: usize) -> Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The per-base `match` packer this module shipped before the
+    /// table-driven one, kept as the oracle for its output and errors.
+    fn pack_record_reference(bases: &[u8], out: &mut Vec<u8>) -> Result<()> {
+        for group in bases.chunks(BASES_PER_WORD) {
+            let mut word = 0u64;
+            for (i, &b) in group.iter().enumerate() {
+                let code = match b {
+                    b'A' => 0,
+                    b'C' => 1,
+                    b'G' => 2,
+                    b'T' => 3,
+                    b'N' => 4,
+                    _ => return Err(Error::Format(format!("cannot compact byte {b:#04x}"))),
+                };
+                word |= code << (3 * i);
+            }
+            out.extend_from_slice(&word.to_le_bytes());
+        }
+        Ok(())
+    }
+
+    fn base_vec(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
+        proptest::collection::vec(
+            prop_oneof![Just(b'A'), Just(b'C'), Just(b'G'), Just(b'T'), Just(b'N')],
+            0..max_len,
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn packs_bytes_identical_to_the_reference(bases in base_vec(300)) {
+            let (mut got, mut want) = (vec![0xEE], vec![0xEE]);
+            pack_record(&bases, &mut got).unwrap();
+            pack_record_reference(&bases, &mut want).unwrap();
+            prop_assert_eq!(got, want);
+        }
+
+        #[test]
+        fn rejects_like_the_reference(
+            bases in base_vec(300),
+            spoil in proptest::collection::vec((any::<usize>(), any::<u8>()), 1..4),
+        ) {
+            let mut bases = bases;
+            bases.push(b'A');
+            for (at, byte) in spoil {
+                let at = at % bases.len();
+                bases[at] = byte;
+            }
+            let mut got = vec![0xEE];
+            let want = pack_record_reference(&bases, &mut Vec::new());
+            match (pack_record(&bases, &mut got), want) {
+                (Ok(()), Ok(())) => {}
+                (Err(got_err), Err(want_err)) => {
+                    // Same first bad byte, and nothing left behind.
+                    prop_assert_eq!(got_err.to_string(), want_err.to_string());
+                    prop_assert_eq!(got, vec![0xEE]);
+                }
+                (got, want) => prop_assert!(false, "{:?} vs {:?}", got, want),
+            }
+        }
+    }
 
     #[test]
     fn sizes() {

@@ -8,6 +8,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use persona_agd::chunk::{ChunkData, RecordType};
+use persona_agd::compaction;
 use persona_align::edit::{landau_vishkin, landau_vishkin_bitparallel, landau_vishkin_scalar};
 use persona_align::sw::{
     smith_waterman, smith_waterman_scalar, smith_waterman_striped, striped_traceback_repeated,
@@ -16,7 +17,11 @@ use persona_align::sw::{
 use persona_align::Kernel;
 use persona_bench::World;
 use persona_compress::codec::Codec;
+use persona_compress::deflate::huffman::limited_code_lengths;
+use persona_compress::deflate::{deflate_level, inflate_with_capacity, CompressLevel};
 use persona_dataflow::{Executor, ObjectPool, QueueHandle};
+use persona_formats::bam;
+use persona_formats::sam::{RefMap, SamRecord};
 
 fn bench_aligners(c: &mut Criterion) {
     let world = World::build(200_000, 400, 101);
@@ -162,24 +167,98 @@ fn bench_kernels(c: &mut Criterion) {
     g.finish();
 }
 
+/// The codec paths as the pipeline drives them: the three column
+/// payloads of one 5,000-read chunk and one full BGZF block of BAM
+/// records, all at `CompressLevel::Fast` (the only level the pipeline
+/// uses), plus the two per-block / per-read kernels underneath.
 fn bench_codecs(c: &mut Criterion) {
-    let world = World::build(50_000, 500, 107);
-    let bases: Vec<u8> = world.reads.iter().flat_map(|r| r.bases.clone()).collect();
+    let world = World::build(1_000_000, 5_000, 107);
+    let mut packed_bases = Vec::new();
+    for r in &world.reads {
+        compaction::pack_record(&r.bases, &mut packed_bases).unwrap();
+    }
+    let qualities: Vec<u8> = world.reads.iter().flat_map(|r| r.quals.iter().copied()).collect();
+    let metadata: Vec<u8> = world.reads.iter().flat_map(|r| r.meta.iter().copied()).collect();
+
     let mut g = c.benchmark_group("codecs");
     g.measurement_time(Duration::from_secs(3));
     g.sample_size(10);
-    g.throughput(Throughput::Bytes(bases.len() as u64));
-    for codec in [Codec::Gzip, Codec::Range] {
-        let packed = codec.compress(&bases);
-        g.bench_function(BenchmarkId::new("compress", codec.name()), |b| {
-            b.iter(|| std::hint::black_box(codec.compress(&bases)))
+    for (name, payload) in
+        [("packed_bases", &packed_bases), ("qualities", &qualities), ("metadata", &metadata)]
+    {
+        g.throughput(Throughput::Bytes(payload.len() as u64));
+        let packed = Codec::Gzip.compress_level(payload, CompressLevel::Fast);
+        g.bench_function(BenchmarkId::new("gzip_fast", name), |b| {
+            b.iter(|| {
+                std::hint::black_box(Codec::Gzip.compress_level(payload, CompressLevel::Fast))
+            })
         });
-        g.bench_function(BenchmarkId::new("decompress", codec.name()), |b| {
-            b.iter(|| std::hint::black_box(codec.decompress(&packed).unwrap()))
+        g.bench_function(BenchmarkId::new("gunzip", name), |b| {
+            b.iter(|| std::hint::black_box(Codec::Gzip.decompress(&packed).unwrap()))
+        });
+        let deflated = deflate_level(payload, CompressLevel::Fast);
+        g.bench_function(BenchmarkId::new("inflate", name), |b| {
+            b.iter(|| {
+                std::hint::black_box(inflate_with_capacity(&deflated, payload.len()).unwrap())
+            })
         });
     }
+
+    // The records as `write_bam` lays them out (unaligned: names, 4-bit
+    // bases and qualities are what fills a block), cut to one block.
+    let mut bam_payload = Vec::new();
+    let records = world.reads.iter().map(|r| SamRecord {
+        qname: r.meta.clone(),
+        flag: persona_agd::results::flags::UNMAPPED,
+        rname: None,
+        pos: -1,
+        mapq: 0,
+        cigar: Vec::new(),
+        rnext: None,
+        pnext: -1,
+        tlen: 0,
+        seq: r.bases.clone(),
+        qual: r.quals.clone(),
+    });
+    bam::write_bam_with(
+        &mut std::io::sink(),
+        &RefMap::new(&[]),
+        records,
+        CompressLevel::Fast,
+        |payload, _| {
+            bam_payload = payload;
+            Vec::new()
+        },
+    )
+    .unwrap();
+    bam_payload.truncate(bam::BGZF_BLOCK_SIZE);
+    assert_eq!(bam_payload.len(), bam::BGZF_BLOCK_SIZE);
+    g.throughput(Throughput::Bytes(bam_payload.len() as u64));
+    g.bench_function("bgzf_block", |b| {
+        b.iter(|| std::hint::black_box(bam::bgzf_block(&bam_payload, CompressLevel::Fast)))
+    });
+
+    // One Huffman code over the full literal/length alphabet: built
+    // once per DEFLATE block, so once per 64 KiB BGZF block at least.
+    let freqs: Vec<u32> = (0..286u32).map(|s| s.wrapping_mul(2_654_435_761) % 997 + 1).collect();
+    g.throughput(Throughput::Elements(1));
+    g.bench_function("huffman_lengths_286", |b| {
+        let mut lens = [0u8; 286];
+        b.iter(|| {
+            limited_code_lengths(std::hint::black_box(&freqs), 15, &mut lens);
+            std::hint::black_box(lens[0])
+        })
+    });
+
+    let read = &world.reads[0].bases;
+    g.throughput(Throughput::Elements(read.len() as u64));
     g.bench_function("base_compaction_pack", |b| {
-        b.iter(|| std::hint::black_box(persona_agd::compaction::pack(&bases).unwrap()))
+        let mut out = Vec::with_capacity(compaction::packed_size(read.len()));
+        b.iter(|| {
+            out.clear();
+            compaction::pack_record(std::hint::black_box(read), &mut out).unwrap();
+            std::hint::black_box(out.len())
+        })
     });
     g.finish();
 }
@@ -191,18 +270,13 @@ fn bench_chunks(c: &mut Criterion) {
         world.reads.iter().map(|r| r.bases.as_slice()),
     )
     .unwrap();
-    let encoded =
-        chunk.encode(Codec::Gzip, persona_compress::deflate::CompressLevel::Fast).unwrap();
+    let encoded = chunk.encode(Codec::Gzip, CompressLevel::Fast).unwrap();
     let mut g = c.benchmark_group("agd_chunks");
     g.measurement_time(Duration::from_secs(3));
     g.sample_size(10);
     g.throughput(Throughput::Bytes(chunk.data.len() as u64));
     g.bench_function("encode_2k_reads", |b| {
-        b.iter(|| {
-            std::hint::black_box(
-                chunk.encode(Codec::Gzip, persona_compress::deflate::CompressLevel::Fast).unwrap(),
-            )
-        })
+        b.iter(|| std::hint::black_box(chunk.encode(Codec::Gzip, CompressLevel::Fast).unwrap()))
     });
     g.bench_function("decode_2k_reads", |b| {
         b.iter(|| std::hint::black_box(ChunkData::decode(&encoded).unwrap()))

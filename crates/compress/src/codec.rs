@@ -68,6 +68,18 @@ impl Codec {
         }
     }
 
+    /// [`decompress`](Self::decompress) for a caller that has the
+    /// expected output length on record, so the output can be allocated
+    /// once (only [`Codec::Gzip`] needs telling). The hint is not
+    /// trusted: a wrong one costs time, and the caller still checks the
+    /// length it gets.
+    pub fn decompress_sized(self, data: &[u8], size_hint: usize) -> Result<Vec<u8>> {
+        match self {
+            Codec::Gzip => gzip::decompress_sized(data, size_hint),
+            Codec::None | Codec::Range => self.decompress(data),
+        }
+    }
+
     /// The canonical lowercase name used in AGD manifests.
     pub fn name(self) -> &'static str {
         match self {

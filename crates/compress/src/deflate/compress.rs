@@ -1,12 +1,18 @@
 //! The DEFLATE compressor: tokenize with LZ77, then emit each block as
 //! whichever of stored / fixed-Huffman / dynamic-Huffman is smallest.
+//!
+//! All working memory — the matcher's tables, one block of tokens, the
+//! code tables — lives in one per-thread `Encoder` that every call on
+//! the thread reuses, and the output is appended to the caller's vector.
 
-use super::huffman::{limited_code_lengths, Encoder};
+use std::cell::RefCell;
+
+use super::huffman::{assign_codes, limited_code_lengths};
 use super::inflate::fixed_litlen_lengths;
-use super::lz77::{tokenize, MatcherParams, Token};
+use super::lz77::{Matcher, MatcherParams, Token, TokenBlock};
 use super::{
-    dist_code, length_code, CLEN_ORDER, DIST_EXTRA, LENGTH_EXTRA, MAX_CLEN_LEN, MAX_CODE_LEN,
-    NUM_DIST, NUM_LITLEN,
+    CLEN_ORDER, DIST_EXTRA, LENGTH_BASE, LENGTH_CODE, LENGTH_EXTRA, MAX_CLEN_LEN, MAX_CODE_LEN,
+    MAX_MATCH, MIN_MATCH, NUM_DIST, NUM_LITLEN,
 };
 use crate::bits::BitWriter;
 
@@ -26,16 +32,28 @@ pub enum CompressLevel {
 impl CompressLevel {
     fn matcher(self) -> MatcherParams {
         match self {
-            CompressLevel::Store => MatcherParams::for_level(0),
-            CompressLevel::Fast => MatcherParams::for_level(1),
-            CompressLevel::Default => MatcherParams::for_level(6),
-            CompressLevel::Best => MatcherParams::for_level(9),
+            CompressLevel::Store | CompressLevel::Fast => {
+                MatcherParams { max_chain: 4, nice_len: 32, lazy: false, max_insert: 8 }
+            }
+            CompressLevel::Default => {
+                MatcherParams { max_chain: 128, nice_len: 128, lazy: true, max_insert: usize::MAX }
+            }
+            CompressLevel::Best => MatcherParams {
+                max_chain: 1024,
+                nice_len: MAX_MATCH,
+                lazy: true,
+                max_insert: usize::MAX,
+            },
         }
     }
 }
 
-/// Maximum number of tokens accumulated before a block is flushed.
-const BLOCK_TOKENS: usize = 65_536;
+/// Longest input run the matcher's 32-bit positions are trusted with;
+/// longer inputs are compressed as independent runs.
+const MAX_RUN: usize = 1 << 30;
+
+/// Most symbols the code-length sequence of a dynamic header can have.
+const MAX_CLEN_SYMBOLS: usize = NUM_LITLEN + NUM_DIST;
 
 /// Compresses `data` into a complete DEFLATE stream at default effort.
 pub fn deflate(data: &[u8]) -> Vec<u8> {
@@ -55,247 +73,307 @@ pub fn deflate(data: &[u8]) -> Vec<u8> {
 /// assert_eq!(inflate(&packed).unwrap(), data);
 /// ```
 pub fn deflate_level(data: &[u8], level: CompressLevel) -> Vec<u8> {
-    let mut w = BitWriter::new();
-    if data.is_empty() {
-        emit_stored(&mut w, data, true);
-        return w.finish();
-    }
+    let mut out = Vec::with_capacity(data.len() / 2 + 64);
+    deflate_into(&mut out, data, level);
+    out
+}
+
+/// Compresses `data` into a complete DEFLATE stream appended to `out`.
+pub(crate) fn deflate_into(out: &mut Vec<u8>, data: &[u8], level: CompressLevel) {
+    let mut w = BitWriter::new(out);
     if level == CompressLevel::Store {
         emit_stored(&mut w, data, true);
-        return w.finish();
-    }
-
-    // Tokenize the whole input, flushing a block every BLOCK_TOKENS
-    // tokens. Tokens never straddle blocks, so each block covers a
-    // contiguous input range usable for stored fallback.
-    let mut tokens: Vec<Token> = Vec::with_capacity(BLOCK_TOKENS);
-    let mut block_start = 0usize; // Input offset covered by `tokens`.
-    let mut covered = 0usize; // Input bytes covered so far by `tokens`.
-
-    tokenize(data, level.matcher(), |t| {
-        covered += if t.is_match() { t.len() } else { 1 };
-        tokens.push(t);
-        if tokens.len() >= BLOCK_TOKENS {
-            let end = block_start + block_len(&tokens);
-            emit_block(&mut w, &tokens, &data[block_start..end], false);
-            block_start = end;
-            tokens.clear();
-        }
-    });
-    debug_assert_eq!(covered, data.len());
-    let end = block_start + block_len(&tokens);
-    debug_assert_eq!(end, data.len());
-    emit_block(&mut w, &tokens, &data[block_start..end], true);
-    w.finish()
-}
-
-/// Total input bytes covered by a token slice.
-fn block_len(tokens: &[Token]) -> usize {
-    tokens.iter().map(|t| if t.is_match() { t.len() } else { 1 }).sum()
-}
-
-/// Emits one block choosing the cheapest encoding.
-fn emit_block(w: &mut BitWriter, tokens: &[Token], raw: &[u8], final_block: bool) {
-    // Histogram over literal/length and distance alphabets.
-    let mut lit_freq = [0u64; NUM_LITLEN];
-    let mut dist_freq = [0u64; NUM_DIST];
-    for &t in tokens {
-        if t.is_match() {
-            lit_freq[257 + length_code(t.len())] += 1;
-            dist_freq[dist_code(t.dist())] += 1;
-        } else {
-            lit_freq[t.byte() as usize] += 1;
-        }
-    }
-    lit_freq[256] += 1; // End-of-block symbol.
-
-    let dyn_lit_lens = limited_code_lengths(&lit_freq, MAX_CODE_LEN);
-    let dyn_dist_lens = limited_code_lengths(&dist_freq, MAX_CODE_LEN);
-    let (clen_tokens, clen_lens, hclen) = code_length_encoding(&dyn_lit_lens, &dyn_dist_lens);
-
-    let fixed_lens = fixed_litlen_lengths();
-    let fixed_dist = [5u8; 30];
-
-    let body_bits = |lits: &[u8], dists: &[u8]| -> u64 {
-        let mut bits = 0u64;
-        for (sym, &f) in lit_freq.iter().enumerate() {
-            if f > 0 {
-                let extra = if sym >= 257 { LENGTH_EXTRA[sym - 257] as u64 } else { 0 };
-                bits += f * (lits[sym] as u64 + extra);
-            }
-        }
-        for (sym, &f) in dist_freq.iter().enumerate() {
-            if f > 0 {
-                bits += f * (dists[sym] as u64 + DIST_EXTRA[sym] as u64);
-            }
-        }
-        bits
-    };
-
-    let dynamic_header_bits = {
-        let mut bits = 5 + 5 + 4 + 3 * hclen as u64;
-        for &(sym, _extra_val, extra_bits) in &clen_tokens {
-            bits += clen_lens[sym as usize] as u64 + extra_bits as u64;
-        }
-        bits
-    };
-    let dynamic_bits = dynamic_header_bits + body_bits(&dyn_lit_lens, &dyn_dist_lens);
-    let fixed_bits = body_bits(&fixed_lens, &fixed_dist);
-    // Stored cost: align + 4-byte header per 65535-byte piece.
-    let stored_bits = {
-        let pieces = raw.len() / 65_535 + 1;
-        (pieces * 5 * 8) as u64 + (raw.len() as u64) * 8 + 7
-    };
-
-    if stored_bits <= dynamic_bits && stored_bits <= fixed_bits {
-        emit_stored(w, raw, final_block);
-    } else if fixed_bits <= dynamic_bits {
-        w.write_bits(final_block as u32, 1);
-        w.write_bits(1, 2);
-        let lit_enc = Encoder::from_lengths(&fixed_lens);
-        let dist_enc = Encoder::from_lengths(&fixed_dist);
-        emit_tokens(w, tokens, &lit_enc, &dist_enc);
     } else {
-        w.write_bits(final_block as u32, 1);
-        w.write_bits(2, 2);
-        emit_dynamic_header(w, &dyn_lit_lens, &dyn_dist_lens, &clen_tokens, &clen_lens, hclen);
-        let lit_enc = Encoder::from_lengths(&dyn_lit_lens);
-        let dist_enc = Encoder::from_lengths(&dyn_dist_lens);
-        emit_tokens(w, tokens, &lit_enc, &dist_enc);
+        ENCODER.with(|enc| {
+            let enc = &mut *enc.borrow_mut();
+            let params = level.matcher();
+            let mut rest = data;
+            loop {
+                let (run, tail) = rest.split_at(rest.len().min(MAX_RUN));
+                enc.compress_run(&mut w, run, &params, tail.is_empty());
+                rest = tail;
+                if rest.is_empty() {
+                    break;
+                }
+            }
+        });
     }
+    w.finish();
+}
+
+thread_local! {
+    /// Built on a thread's first compression, freed when it exits.
+    static ENCODER: RefCell<Encoder> = RefCell::new(Encoder::default());
+}
+
+/// Everything a compression needs besides its input and output.
+#[derive(Default)]
+struct Encoder {
+    matcher: Matcher,
+    codes: Codes,
+}
+
+impl Encoder {
+    /// Compresses one run of input into a sequence of blocks.
+    fn compress_run(
+        &mut self,
+        w: &mut BitWriter<'_>,
+        run: &[u8],
+        params: &MatcherParams,
+        last_run: bool,
+    ) {
+        self.matcher.reset();
+        let mut pos = 0usize;
+        loop {
+            let next = self.matcher.tokenize(run, pos, params);
+            let last = next == run.len();
+            self.codes.emit_block(w, &self.matcher.block, &run[pos..next], last && last_run);
+            self.matcher.block.clear();
+            pos = next;
+            if last {
+                return;
+            }
+        }
+    }
+}
+
+/// One Huffman code: per-symbol lengths and LSB-first code values.
+struct Code<const N: usize> {
+    lens: [u8; N],
+    codes: [u16; N],
+}
+
+impl<const N: usize> Default for Code<N> {
+    fn default() -> Self {
+        Code { lens: [0; N], codes: [0; N] }
+    }
+}
+
+impl<const N: usize> Code<N> {
+    /// Builds the length-limited code of `freqs` over the first
+    /// `freqs.len()` symbols.
+    fn build(&mut self, freqs: &[u32], max_len: usize) {
+        self.lens.fill(0);
+        limited_code_lengths(freqs, max_len, &mut self.lens[..freqs.len()]);
+        assign_codes(&self.lens, &mut self.codes);
+    }
+
+    fn set_lengths(&mut self, lens: &[u8]) {
+        self.lens.fill(0);
+        self.lens[..lens.len()].copy_from_slice(lens);
+        assign_codes(&self.lens, &mut self.codes);
+    }
+
+    /// Number of leading symbols that must be transmitted, at least `min`.
+    fn used(&self, min: usize) -> usize {
+        self.lens.iter().rposition(|&l| l != 0).map_or(min, |last| (last + 1).max(min))
+    }
+
+    #[inline(always)]
+    fn bits(&self, sym: usize) -> (u64, u32) {
+        (self.codes[sym] as u64, self.lens[sym] as u32)
+    }
+}
+
+/// The code tables of the block being emitted.
+#[derive(Default)]
+struct Codes {
+    litlen: Code<288>,
+    dist: Code<NUM_DIST>,
+    precode: Code<19>,
+    /// The dynamic header's code-length sequence, run-length coded:
+    /// `(precode symbol, extra-bits value)`.
+    clen_syms: Vec<(u8, u8)>,
+}
+
+impl Codes {
+    /// Emits one block in the cheapest of the three encodings.
+    fn emit_block(&mut self, w: &mut BitWriter<'_>, block: &TokenBlock, raw: &[u8], last: bool) {
+        let mut litlen_freq = block.litlen_freq;
+        litlen_freq[256] += 1; // End-of-block symbol.
+        self.litlen.build(&litlen_freq, MAX_CODE_LEN);
+        self.dist.build(&block.dist_freq, MAX_CODE_LEN);
+        let header_bits = self.plan_dynamic_header();
+        let dynamic_bits = header_bits
+            + body_bits(&litlen_freq, &block.dist_freq, &self.litlen.lens, &self.dist.lens);
+        // Stored cost: align + 4-byte header per 65535-byte piece.
+        let stored_bits = ((raw.len() / 65_535 + 1) * 5 * 8 + raw.len() * 8 + 7) as u64;
+
+        // The block's own code is the optimal one for its body, so the
+        // fixed code can only win by less than the dynamic header: cost
+        // it only where that header is a noticeable part of the block.
+        let mut fixed_bits = u64::MAX;
+        if header_bits * 32 > dynamic_bits {
+            fixed_bits =
+                body_bits(&litlen_freq, &block.dist_freq, &fixed_litlen_lengths(), &FIXED_DIST);
+        }
+
+        if stored_bits <= dynamic_bits && stored_bits <= fixed_bits {
+            emit_stored(w, raw, last);
+            return;
+        }
+        w.reserve((3 + dynamic_bits.min(fixed_bits)).div_ceil(8) as usize);
+        w.write_bits(last as u64, 1);
+        if fixed_bits <= dynamic_bits {
+            w.write_bits(1, 2);
+            self.set_fixed();
+        } else {
+            w.write_bits(2, 2);
+            self.emit_dynamic_header(w);
+        }
+        self.emit_tokens(w, block.tokens());
+    }
+
+    fn set_fixed(&mut self) {
+        self.litlen.set_lengths(&fixed_litlen_lengths());
+        self.dist.set_lengths(&FIXED_DIST);
+    }
+
+    /// Run-length codes the litlen + dist code lengths per RFC 1951
+    /// §3.2.7 into `clen_syms`, builds the precode for them, and
+    /// returns the size of the dynamic header in bits.
+    fn plan_dynamic_header(&mut self) -> u64 {
+        let (hlit, hdist) = (self.litlen.used(257), self.dist.used(1));
+        let mut all = [0u8; MAX_CLEN_SYMBOLS];
+        all[..hlit].copy_from_slice(&self.litlen.lens[..hlit]);
+        all[hlit..hlit + hdist].copy_from_slice(&self.dist.lens[..hdist]);
+        let all = &all[..hlit + hdist];
+
+        self.clen_syms.clear();
+        let mut freq = [0u32; 19];
+        let mut push = |syms: &mut Vec<(u8, u8)>, sym: u8, extra: usize| {
+            syms.push((sym, extra as u8));
+            freq[sym as usize] += 1;
+        };
+        let mut i = 0usize;
+        while i < all.len() {
+            let v = all[i];
+            let run = all[i..].iter().take_while(|&&l| l == v).count();
+            let mut left = run;
+            if v == 0 {
+                while left >= 11 {
+                    let take = left.min(138);
+                    push(&mut self.clen_syms, 18, take - 11);
+                    left -= take;
+                }
+                if left >= 3 {
+                    push(&mut self.clen_syms, 17, left - 3);
+                    left = 0;
+                }
+            } else {
+                push(&mut self.clen_syms, v, 0);
+                left -= 1;
+                while left >= 3 {
+                    let take = left.min(6);
+                    push(&mut self.clen_syms, 16, take - 3);
+                    left -= take;
+                }
+            }
+            for _ in 0..left {
+                push(&mut self.clen_syms, v, 0);
+            }
+            i += run;
+        }
+
+        self.precode.build(&freq, MAX_CLEN_LEN);
+        let hclen = self.hclen();
+        let coded: u64 =
+            (0..19).map(|s| freq[s] as u64 * (self.precode.lens[s] + CLEN_EXTRA[s]) as u64).sum();
+        5 + 5 + 4 + 3 * hclen as u64 + coded
+    }
+
+    /// Number of precode lengths transmitted, in the peculiar
+    /// [`CLEN_ORDER`], at least 4.
+    fn hclen(&self) -> usize {
+        let last = CLEN_ORDER.iter().rposition(|&s| self.precode.lens[s] != 0);
+        last.map_or(4, |last| (last + 1).max(4))
+    }
+
+    /// Writes the dynamic block header planned by
+    /// [`plan_dynamic_header`](Self::plan_dynamic_header).
+    fn emit_dynamic_header(&self, w: &mut BitWriter<'_>) {
+        let hclen = self.hclen();
+        w.write_bits((self.litlen.used(257) - 257) as u64, 5);
+        w.write_bits((self.dist.used(1) - 1) as u64, 5);
+        w.write_bits((hclen - 4) as u64, 4);
+        for &sym in &CLEN_ORDER[..hclen] {
+            w.write_bits(self.precode.lens[sym] as u64, 3);
+        }
+        for &(sym, extra) in &self.clen_syms {
+            let (code, len) = self.precode.bits(sym as usize);
+            w.write_bits(code | (extra as u64) << len, len + CLEN_EXTRA[sym as usize] as u32);
+        }
+    }
+
+    /// Emits the token stream plus end-of-block under the current codes.
+    fn emit_tokens(&self, w: &mut BitWriter<'_>, tokens: &[Token]) {
+        // Per match length: the length symbol's code with its extra
+        // bits appended, `bits << 5 | bit count`.
+        let mut length_bits = [0u32; MAX_MATCH - MIN_MATCH + 1];
+        for (k, packed) in length_bits.iter_mut().enumerate() {
+            let lc = LENGTH_CODE[k] as usize;
+            let (code, len) = self.litlen.bits(257 + lc);
+            let extra = (k + MIN_MATCH - LENGTH_BASE[lc] as usize) as u32;
+            *packed = (code as u32 | extra << len) << 5 | (len + LENGTH_EXTRA[lc] as u32);
+        }
+        for &t in tokens {
+            if t.is_match() {
+                let packed = length_bits[t.len_minus_min()];
+                let (lbits, ln) = ((packed >> 5) as u64, packed & 31);
+                let dc = t.dist_code();
+                let (dcode, dlen) = self.dist.bits(dc);
+                let extra = DIST_EXTRA[dc] as u32;
+                let dbits = dcode | (((t.dist() - 1) as u64) & ((1 << extra) - 1)) << dlen;
+                // At most (15 + 5) + (15 + 13) bits.
+                w.write_bits(lbits | dbits << ln, ln + dlen + extra);
+            } else {
+                let (code, len) = self.litlen.bits(t.byte() as usize);
+                w.write_bits(code, len);
+            }
+        }
+        let (code, len) = self.litlen.bits(256);
+        w.write_bits(code, len);
+    }
+}
+
+/// Code lengths of the fixed distance code.
+const FIXED_DIST: [u8; NUM_DIST] = [5; NUM_DIST];
+
+/// Extra bits that follow each precode symbol.
+const CLEN_EXTRA: [u8; 19] = [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 3, 7];
+
+/// Size in bits of a block's tokens and end-of-block under a code pair.
+fn body_bits(
+    litlen_freq: &[u32; NUM_LITLEN],
+    dist_freq: &[u32; NUM_DIST],
+    litlen_lens: &[u8; 288],
+    dist_lens: &[u8; NUM_DIST],
+) -> u64 {
+    let mut bits = 0u64;
+    for (sym, &f) in litlen_freq.iter().enumerate() {
+        let extra = if sym >= 257 { LENGTH_EXTRA[sym - 257] } else { 0 };
+        bits += f as u64 * (litlen_lens[sym] + extra) as u64;
+    }
+    for (sym, &f) in dist_freq.iter().enumerate() {
+        bits += f as u64 * (dist_lens[sym] + DIST_EXTRA[sym]) as u64;
+    }
+    bits
 }
 
 /// Emits stored (type 0) blocks covering `raw`, splitting at 65535 bytes.
-fn emit_stored(w: &mut BitWriter, raw: &[u8], final_block: bool) {
-    let mut pieces: Vec<&[u8]> = raw.chunks(65_535).collect();
-    if pieces.is_empty() {
-        pieces.push(&[]);
-    }
-    let last = pieces.len() - 1;
-    for (k, piece) in pieces.iter().enumerate() {
-        let f = final_block && k == last;
-        w.write_bits(f as u32, 1);
+fn emit_stored(w: &mut BitWriter<'_>, raw: &[u8], last: bool) {
+    let mut rest = raw;
+    loop {
+        let (piece, tail) = rest.split_at(rest.len().min(65_535));
+        w.write_bits((last && tail.is_empty()) as u64, 1);
         w.write_bits(0, 2);
         w.align_to_byte();
         w.write_bytes(&(piece.len() as u16).to_le_bytes());
         w.write_bytes(&(!(piece.len() as u16)).to_le_bytes());
         w.write_bytes(piece);
-    }
-}
-
-/// Emits the token stream plus end-of-block under the given encoders.
-fn emit_tokens(w: &mut BitWriter, tokens: &[Token], lit: &Encoder, dist: &Encoder) {
-    for &t in tokens {
-        if t.is_match() {
-            let (len, d) = (t.len(), t.dist());
-            let lc = length_code(len);
-            let sym = 257 + lc;
-            w.write_bits(lit.codes[sym], lit.lens[sym] as u32);
-            let extra = LENGTH_EXTRA[lc] as u32;
-            if extra > 0 {
-                w.write_bits((len - super::LENGTH_BASE[lc] as usize) as u32, extra);
-            }
-            let dc = dist_code(d);
-            w.write_bits(dist.codes[dc], dist.lens[dc] as u32);
-            let dextra = DIST_EXTRA[dc] as u32;
-            if dextra > 0 {
-                w.write_bits((d - super::DIST_BASE[dc] as usize) as u32, dextra);
-            }
-        } else {
-            let sym = t.byte() as usize;
-            w.write_bits(lit.codes[sym], lit.lens[sym] as u32);
-        }
-    }
-    w.write_bits(lit.codes[256], lit.lens[256] as u32);
-}
-
-/// RLE-encodes the concatenated litlen+dist code lengths per RFC 1951
-/// §3.2.7. Returns (tokens of (symbol, extra_value, extra_bits), code
-/// lengths for the code-length alphabet, HCLEN count).
-#[allow(clippy::type_complexity)]
-fn code_length_encoding(lit_lens: &[u8], dist_lens: &[u8]) -> (Vec<(u8, u8, u8)>, Vec<u8>, usize) {
-    // HLIT/HDIST are fixed at the full alphabet sizes; trailing zeros
-    // compress to almost nothing through symbol 18 anyway.
-    let mut all: Vec<u8> = Vec::with_capacity(NUM_LITLEN + NUM_DIST);
-    all.extend_from_slice(lit_lens);
-    all.resize(NUM_LITLEN, 0);
-    all.extend_from_slice(dist_lens);
-    all.resize(NUM_LITLEN + NUM_DIST, 0);
-
-    let mut tokens: Vec<(u8, u8, u8)> = Vec::new();
-    let mut i = 0usize;
-    while i < all.len() {
-        let v = all[i];
-        let mut run = 1usize;
-        while i + run < all.len() && all[i + run] == v {
-            run += 1;
-        }
-        if v == 0 {
-            let mut left = run;
-            while left >= 11 {
-                let take = left.min(138);
-                tokens.push((18, (take - 11) as u8, 7));
-                left -= take;
-            }
-            if left >= 3 {
-                tokens.push((17, (left - 3) as u8, 3));
-                left = 0;
-            }
-            for _ in 0..left {
-                tokens.push((0, 0, 0));
-            }
-        } else {
-            tokens.push((v, 0, 0));
-            let mut left = run - 1;
-            while left >= 3 {
-                let take = left.min(6);
-                tokens.push((16, (take - 3) as u8, 2));
-                left -= take;
-            }
-            for _ in 0..left {
-                tokens.push((v, 0, 0));
-            }
-        }
-        i += run;
-    }
-
-    // Huffman code over the code-length alphabet.
-    let mut freq = [0u64; 19];
-    for &(sym, _, _) in &tokens {
-        freq[sym as usize] += 1;
-    }
-    let clen_lens = limited_code_lengths(&freq, MAX_CLEN_LEN);
-
-    // HCLEN: number of code-length code lengths transmitted, in the
-    // peculiar CLEN_ORDER, minimum 4.
-    let mut hclen = 19;
-    while hclen > 4 && clen_lens[CLEN_ORDER[hclen - 1]] == 0 {
-        hclen -= 1;
-    }
-    (tokens, clen_lens, hclen)
-}
-
-/// Writes the dynamic block header (HLIT, HDIST, HCLEN, the code-length
-/// code, and the RLE-coded lengths).
-fn emit_dynamic_header(
-    w: &mut BitWriter,
-    _lit_lens: &[u8],
-    _dist_lens: &[u8],
-    clen_tokens: &[(u8, u8, u8)],
-    clen_lens: &[u8],
-    hclen: usize,
-) {
-    w.write_bits((NUM_LITLEN - 257) as u32, 5);
-    w.write_bits((NUM_DIST - 1) as u32, 5);
-    w.write_bits((hclen - 4) as u32, 4);
-    for &pos in CLEN_ORDER.iter().take(hclen) {
-        w.write_bits(clen_lens[pos] as u32, 3);
-    }
-    let clen_enc = Encoder::from_lengths(clen_lens);
-    for &(sym, extra_val, extra_bits) in clen_tokens {
-        w.write_bits(clen_enc.codes[sym as usize], clen_enc.lens[sym as usize] as u32);
-        if extra_bits > 0 {
-            w.write_bits(extra_val as u32, extra_bits as u32);
+        rest = tail;
+        if rest.is_empty() {
+            return;
         }
     }
 }
@@ -311,13 +389,17 @@ mod tests {
         packed.len()
     }
 
+    const LEVELS: [CompressLevel; 4] =
+        [CompressLevel::Store, CompressLevel::Fast, CompressLevel::Default, CompressLevel::Best];
+
     #[test]
     fn empty_and_tiny() {
-        for level in [CompressLevel::Store, CompressLevel::Fast, CompressLevel::Default] {
+        for level in LEVELS {
             roundtrip(b"", level);
             roundtrip(b"x", level);
             roundtrip(b"ab", level);
             roundtrip(b"abc", level);
+            roundtrip(b"abcd", level);
         }
     }
 
@@ -338,8 +420,10 @@ mod tests {
                 (x >> 33) as u8
             })
             .collect();
-        let n = roundtrip(&data, CompressLevel::Default);
-        assert!(n <= data.len() + data.len() / 100 + 64);
+        for level in LEVELS {
+            let n = roundtrip(&data, level);
+            assert!(n <= data.len() + data.len() / 100 + 64, "{level:?}: {n}");
+        }
     }
 
     #[test]
@@ -349,6 +433,9 @@ mod tests {
         // 1 stored block: 5 bytes overhead.
         assert_eq!(packed.len(), data.len() + 5);
         assert_eq!(inflate(&packed).unwrap(), data);
+        // Pieces of at most 65535 bytes, 5 bytes of header each.
+        let big = vec![9u8; 65_535 * 2 + 1];
+        assert_eq!(roundtrip(&big, CompressLevel::Store), big.len() + 15);
     }
 
     #[test]
@@ -391,5 +478,24 @@ mod tests {
     fn all_byte_values() {
         let data: Vec<u8> = (0..=255u8).cycle().take(4096).collect();
         roundtrip(&data, CompressLevel::Default);
+    }
+
+    #[test]
+    fn appends_after_existing_output() {
+        let data = b"appended appended appended";
+        let mut out = b"prefix".to_vec();
+        deflate_into(&mut out, data, CompressLevel::Fast);
+        assert_eq!(&out[..6], b"prefix");
+        assert_eq!(inflate(&out[6..]).unwrap(), data);
+    }
+
+    #[test]
+    fn small_blocks_may_use_the_fixed_code() {
+        // Two literals and an end-of-block: a dynamic header would cost
+        // more than the whole fixed-coded block.
+        let packed = deflate_level(b"hi", CompressLevel::Fast);
+        assert_eq!(packed[0] & 0b111, 0b011, "final block, fixed code");
+        assert_eq!(packed.len(), 4);
+        assert_eq!(inflate(&packed).unwrap(), b"hi");
     }
 }

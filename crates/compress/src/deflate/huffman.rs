@@ -1,137 +1,150 @@
-//! Canonical Huffman coding: decoder tables, code assignment and
-//! length-limited code construction (package-merge).
+//! Canonical Huffman codes for the encoder: length-limited code lengths
+//! from symbol frequencies, and code values from lengths.
+//!
+//! Lengths come from a sort, the in-place Moffat–Katajainen tree
+//! construction, and — only when the tree is deeper than the limit — a
+//! rebalancing of the per-length code counts until the Kraft sum is
+//! exactly one again. Nothing is allocated; all scratch is on the stack.
+//! The decoder's lookup tables live in [`mod@super::inflate`].
 
-use crate::bits::BitReader;
-use crate::{Error, Result};
+use super::MAX_CODE_LEN;
 
-/// Width of the one-level fast lookup table, in bits.
-const FAST_BITS: u32 = 10;
+/// Largest alphabet the builder accepts (the literal/length alphabet,
+/// including the two symbols only the fixed code uses).
+pub const MAX_SYMBOLS: usize = 288;
 
-/// A canonical Huffman decoder built from code lengths.
+/// Computes length-limited Huffman code lengths for the given symbol
+/// frequencies, writing one length per symbol into `lens`.
 ///
-/// Decoding uses a `2^10`-entry fast table for codes of length <= 10 and
-/// a counts/offsets scan (as in zlib's `puff`) for longer codes.
-pub struct Decoder {
-    /// Fast table entry: `(symbol << 4) | code_len`, or 0 when the prefix
-    /// belongs to a code longer than [`FAST_BITS`] (or is unused).
-    fast: Vec<u16>,
-    /// `counts[len]` = number of codes of each length 0..=15.
-    counts: [u16; 16],
-    /// Symbols sorted by (code length, symbol value).
-    symbols: Vec<u16>,
-    /// Whether the table contains at least one symbol.
-    nonempty: bool,
+/// Symbols with zero frequency get length 0. If only one symbol has a
+/// nonzero frequency it is assigned length 1 (DEFLATE requires at least
+/// one bit per coded symbol); that is the only incomplete code this
+/// function produces. Ties are broken by symbol value, so the result
+/// depends on `freqs` alone.
+///
+/// # Panics
+///
+/// Panics if `freqs.len() != lens.len()`, the alphabet has more than
+/// [`MAX_SYMBOLS`] symbols, or its used symbols cannot fit in
+/// `max_len`-bit codes.
+pub fn limited_code_lengths(freqs: &[u32], max_len: usize, lens: &mut [u8]) {
+    assert_eq!(freqs.len(), lens.len());
+    assert!(freqs.len() <= MAX_SYMBOLS && max_len <= MAX_CODE_LEN);
+    lens.fill(0);
+
+    // Used symbols as `freq << 16 | symbol`, ascending: one key orders
+    // by frequency, then by symbol.
+    let mut nodes = [0u64; MAX_SYMBOLS];
+    let mut n = 0usize;
+    for (sym, &f) in freqs.iter().enumerate() {
+        if f > 0 {
+            nodes[n] = (f as u64) << 16 | sym as u64;
+            n += 1;
+        }
+    }
+    let nodes = &mut nodes[..n];
+    if n <= 2 {
+        for node in nodes.iter() {
+            lens[(node & 0xFFFF) as usize] = 1;
+        }
+        return;
+    }
+    assert!((1usize << max_len) >= n, "alphabet of {n} does not fit in {max_len}-bit codes");
+    nodes.sort_unstable();
+    let mut syms = [0u16; MAX_SYMBOLS];
+    for (s, node) in syms.iter_mut().zip(nodes.iter_mut()) {
+        *s = (*node & 0xFFFF) as u16;
+        *node >>= 16;
+    }
+
+    // Per-length code counts of the unlimited optimal code.
+    moffat_katajainen(nodes);
+    let mut counts = [0u32; 64];
+    for &depth in nodes.iter() {
+        // A leaf at depth d needs a total weight of at least Fib(d + 1);
+        // 288 `u32` weights sum below 2^41 < Fib(61).
+        counts[depth as usize] += 1;
+    }
+
+    // Fold everything deeper than the limit onto it, then repair the
+    // Kraft sum (in units of 2^-max_len): each round shortens nothing,
+    // it moves one code from the deepest shorter length down a level
+    // and pairs it with one over-long code, which removes exactly one
+    // unit of over-subscription.
+    for depth in max_len + 1..64 {
+        counts[max_len] += counts[depth];
+        counts[depth] = 0;
+    }
+    let mut total: u64 = (1..=max_len).map(|l| (counts[l] as u64) << (max_len - l)).sum();
+    while total > 1u64 << max_len {
+        counts[max_len] -= 1;
+        let l = (1..max_len).rev().find(|&l| counts[l] > 0).expect("a code shorter than the limit");
+        counts[l] -= 1;
+        counts[l + 1] += 2;
+        total -= 1;
+    }
+
+    // `syms` is ascending by frequency: hand out the longest codes first.
+    let mut next = 0usize;
+    for len in (1..=max_len).rev() {
+        for &sym in &syms[next..next + counts[len] as usize] {
+            lens[sym as usize] = len as u8;
+        }
+        next += counts[len] as usize;
+    }
+    debug_assert_eq!(next, n);
 }
 
-impl Decoder {
-    /// Builds a decoder from per-symbol code lengths (0 = unused).
-    ///
-    /// Returns an error if the lengths oversubscribe the code space. An
-    /// *incomplete* code (undersubscribed) is accepted, matching zlib's
-    /// handling of degenerate distance trees; decoding a gap then fails.
-    pub fn from_lengths(lengths: &[u8]) -> Result<Self> {
-        let mut counts = [0u16; 16];
-        for &l in lengths {
-            if l as usize > super::MAX_CODE_LEN {
-                return Err(Error::Corrupt("code length exceeds 15"));
-            }
-            counts[l as usize] += 1;
+/// Moffat & Katajainen's in-place minimum-redundancy code: on entry
+/// `a` holds at least two weights in ascending order, on exit the code
+/// length of each (so descending).
+fn moffat_katajainen(a: &mut [u64]) {
+    let n = a.len();
+    debug_assert!(n >= 2);
+    // Phase 1: pair the two lightest of {unmerged leaves, roots of
+    // built subtrees}; a[next] becomes the new internal node's weight,
+    // the consumed internal nodes are overwritten by their parent index.
+    a[0] += a[1];
+    let (mut root, mut leaf) = (0usize, 2usize);
+    for next in 1..n - 1 {
+        if leaf >= n || a[root] < a[leaf] {
+            a[next] = a[root];
+            a[root] = next as u64;
+            root += 1;
+        } else {
+            a[next] = a[leaf];
+            leaf += 1;
         }
-        let nonempty = (counts[0] as usize) < lengths.len();
-        if !nonempty {
-            return Ok(Decoder {
-                fast: vec![0; 1 << FAST_BITS],
-                counts,
-                symbols: Vec::new(),
-                nonempty,
-            });
+        if leaf >= n || (root < next && a[root] < a[leaf]) {
+            a[next] += a[root];
+            a[root] = next as u64;
+            root += 1;
+        } else {
+            a[next] += a[leaf];
+            leaf += 1;
         }
-
-        // Check for an over-subscribed code.
-        let mut left: i32 = 1;
-        for len in 1..=super::MAX_CODE_LEN {
-            left <<= 1;
-            left -= counts[len] as i32;
-            if left < 0 {
-                return Err(Error::Corrupt("over-subscribed Huffman code"));
-            }
-        }
-
-        // Offsets of the first symbol of each length in `symbols`.
-        let mut offsets = [0usize; 16];
-        for len in 1..super::MAX_CODE_LEN {
-            offsets[len + 1] = offsets[len] + counts[len] as usize;
-        }
-        let mut symbols = vec![0u16; lengths.len() - counts[0] as usize];
-        for (sym, &l) in lengths.iter().enumerate() {
-            if l != 0 {
-                symbols[offsets[l as usize]] = sym as u16;
-                offsets[l as usize] += 1;
-            }
-        }
-
-        // Canonical code values, MSB-first, then bit-reversed into the
-        // LSB-first fast table.
-        let mut fast = vec![0u16; 1 << FAST_BITS];
-        let mut code = 0u32;
-        let mut idx = 0usize;
-        for len in 1..=super::MAX_CODE_LEN as u32 {
-            for _ in 0..counts[len as usize] {
-                let sym = symbols[idx];
-                idx += 1;
-                if len <= FAST_BITS {
-                    let rev = reverse_bits(code, len);
-                    let entry = (sym << 4) | len as u16;
-                    let step = 1usize << len;
-                    let mut i = rev as usize;
-                    while i < (1 << FAST_BITS) {
-                        fast[i] = entry;
-                        i += step;
-                    }
-                }
-                code += 1;
-            }
-            code <<= 1;
-        }
-
-        Ok(Decoder { fast, counts, symbols, nonempty })
     }
-
-    /// Decodes one symbol from the bit reader.
-    pub fn decode(&self, r: &mut BitReader<'_>) -> Result<u16> {
-        if !self.nonempty {
-            return Err(Error::Corrupt("decode with empty Huffman table"));
-        }
-        let look = r.peek(FAST_BITS);
-        let entry = self.fast[look as usize];
-        if entry != 0 {
-            let len = (entry & 0xF) as u32;
-            // `peek` zero-pads past end of input; `bits` re-checks that
-            // the matched code is backed by real input and errors if the
-            // match only existed because of the padding.
-            r.bits(len)?;
-            return Ok(entry >> 4);
-        }
-        // Slow path: walk lengths beyond the fast table incrementally.
-        let mut code = 0usize;
-        let mut first = 0usize;
-        let mut index = 0usize;
-        for len in 1..=super::MAX_CODE_LEN {
-            code |= r.bits(1)? as usize;
-            let count = self.counts[len] as usize;
-            if code < first + count {
-                return Ok(self.symbols[index + (code - first)]);
-            }
-            index += count;
-            first = (first + count) << 1;
-            code <<= 1;
-        }
-        Err(Error::Corrupt("invalid Huffman code"))
+    // Phase 2: parent indices to internal-node depths.
+    a[n - 2] = 0;
+    for next in (0..n - 2).rev() {
+        a[next] = a[a[next] as usize] + 1;
     }
-
-    /// Whether this decoder has any symbols at all.
-    pub fn is_empty(&self) -> bool {
-        !self.nonempty
+    // Phase 3: internal-node depths to leaf depths, deepest last.
+    let (mut avail, mut used, mut depth) = (1usize, 0usize, 0u64);
+    let (mut root, mut next) = (n as isize - 2, n as isize - 1);
+    while avail > 0 {
+        while root >= 0 && a[root as usize] == depth {
+            used += 1;
+            root -= 1;
+        }
+        while avail > used {
+            a[next as usize] = depth;
+            next -= 1;
+            avail -= 1;
+        }
+        avail = 2 * used;
+        depth += 1;
+        used = 0;
     }
 }
 
@@ -141,247 +154,143 @@ pub fn reverse_bits(v: u32, n: u32) -> u32 {
     v.reverse_bits() >> (32 - n)
 }
 
-/// A canonical Huffman encoder: code value and length per symbol.
-#[derive(Debug, Clone)]
-pub struct Encoder {
-    /// `codes[sym]` = bit-reversed (LSB-first ready) code value.
-    pub codes: Vec<u32>,
-    /// `lens[sym]` = code length in bits (0 = unused).
-    pub lens: Vec<u8>,
-}
-
-impl Encoder {
-    /// Builds LSB-first-ready canonical codes from code lengths.
-    pub fn from_lengths(lengths: &[u8]) -> Self {
-        let mut counts = [0u32; 16];
-        for &l in lengths {
-            counts[l as usize] += 1;
-        }
-        counts[0] = 0;
-        let mut next_code = [0u32; 16];
-        let mut code = 0u32;
-        for len in 1..=super::MAX_CODE_LEN {
-            code = (code + counts[len - 1]) << 1;
-            next_code[len] = code;
-        }
-        let mut codes = vec![0u32; lengths.len()];
-        for (sym, &l) in lengths.iter().enumerate() {
-            if l != 0 {
-                codes[sym] = reverse_bits(next_code[l as usize], l as u32);
-                next_code[l as usize] += 1;
-            }
-        }
-        Encoder { codes, lens: lengths.to_vec() }
+/// Assigns canonical code values to `lens`, bit-reversed so they can be
+/// written LSB-first, into `codes`.
+pub fn assign_codes(lens: &[u8], codes: &mut [u16]) {
+    debug_assert_eq!(lens.len(), codes.len());
+    let mut counts = [0u32; MAX_CODE_LEN + 1];
+    for &l in lens {
+        counts[l as usize] += 1;
     }
-}
-
-/// Computes length-limited Huffman code lengths for the given symbol
-/// frequencies using the package-merge algorithm.
-///
-/// Symbols with zero frequency get length 0. If only one symbol has a
-/// nonzero frequency it is assigned length 1 (DEFLATE requires at least
-/// one bit per coded symbol).
-pub fn limited_code_lengths(freqs: &[u64], max_len: usize) -> Vec<u8> {
-    let n = freqs.len();
-    let active: Vec<usize> = (0..n).filter(|&i| freqs[i] > 0).collect();
-    let mut lens = vec![0u8; n];
-    match active.len() {
-        0 => return lens,
-        1 => {
-            lens[active[0]] = 1;
-            return lens;
-        }
-        _ => {}
+    counts[0] = 0;
+    let mut next_code = [0u32; MAX_CODE_LEN + 1];
+    let mut code = 0u32;
+    for len in 1..=MAX_CODE_LEN {
+        code = (code + counts[len - 1]) << 1;
+        next_code[len] = code;
     }
-    assert!(
-        (1usize << max_len) >= active.len(),
-        "alphabet of {} does not fit in {}-bit codes",
-        active.len(),
-        max_len
-    );
-
-    // Package-merge. Items are (weight, set-of-leaf-symbols) where the
-    // leaf sets are tracked as per-symbol counts of how many times each
-    // leaf appears in chosen packages; that count is the code length.
-    #[derive(Clone)]
-    struct Item {
-        weight: u64,
-        /// Indices into `active` of the leaves merged into this item.
-        leaves: Vec<u32>,
-    }
-
-    let mut sorted = active.clone();
-    sorted.sort_by_key(|&i| freqs[i]);
-    let leaves: Vec<Item> = sorted
-        .iter()
-        .enumerate()
-        .map(|(k, &sym)| Item { weight: freqs[sym], leaves: vec![k as u32] })
-        .collect();
-
-    // Repeatedly package pairs and merge with the leaf list, max_len times.
-    let mut prev: Vec<Item> = leaves.clone();
-    for _ in 1..max_len {
-        let mut packages: Vec<Item> = Vec::with_capacity(prev.len() / 2);
-        let mut it = prev.chunks_exact(2);
-        for pair in &mut it {
-            let mut merged_leaves = pair[0].leaves.clone();
-            merged_leaves.extend_from_slice(&pair[1].leaves);
-            packages.push(Item { weight: pair[0].weight + pair[1].weight, leaves: merged_leaves });
-        }
-        // Merge packages with the original leaves, keeping sorted order.
-        let mut merged = Vec::with_capacity(leaves.len() + packages.len());
-        let (mut a, mut b) = (0usize, 0usize);
-        while a < leaves.len() || b < packages.len() {
-            let take_leaf =
-                b >= packages.len() || (a < leaves.len() && leaves[a].weight <= packages[b].weight);
-            if take_leaf {
-                merged.push(leaves[a].clone());
-                a += 1;
-            } else {
-                merged.push(packages[b].clone());
-                b += 1;
-            }
-        }
-        prev = merged;
-    }
-
-    // Select the first 2n-2 items; each appearance of a leaf adds 1 to
-    // its code length.
-    let mut depth = vec![0u32; active.len()];
-    for item in prev.iter().take(2 * active.len() - 2) {
-        for &leaf in &item.leaves {
-            depth[leaf as usize] += 1;
+    for (c, &l) in codes.iter_mut().zip(lens) {
+        if l != 0 {
+            *c = reverse_bits(next_code[l as usize], l as u32) as u16;
+            next_code[l as usize] += 1;
         }
     }
-    for (k, &sym) in sorted.iter().enumerate() {
-        debug_assert!(depth[k] >= 1 && depth[k] as usize <= max_len);
-        lens[sym] = depth[k] as u8;
-    }
-    lens
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bits::BitWriter;
 
-    fn roundtrip_symbols(lengths: &[u8], syms: &[u16]) {
-        let enc = Encoder::from_lengths(lengths);
-        let mut w = BitWriter::new();
-        for &s in syms {
-            let l = enc.lens[s as usize];
-            assert!(l > 0, "symbol {s} has no code");
-            w.write_bits(enc.codes[s as usize], l as u32);
+    fn lengths(freqs: &[u32], max_len: usize) -> Vec<u8> {
+        let mut lens = vec![0u8; freqs.len()];
+        limited_code_lengths(freqs, max_len, &mut lens);
+        lens
+    }
+
+    /// Kraft sum in units of 2^-15.
+    fn kraft(lens: &[u8]) -> u32 {
+        lens.iter().filter(|&&l| l > 0).map(|&l| 1u32 << (15 - l)).sum()
+    }
+
+    fn cost(freqs: &[u32], lens: &[u8]) -> u64 {
+        freqs.iter().zip(lens).map(|(&f, &l)| f as u64 * l as u64).sum()
+    }
+
+    /// Optimal unlimited cost by the textbook two-queue merge.
+    fn huffman_cost(freqs: &[u32]) -> u64 {
+        let mut w: Vec<u64> = freqs.iter().filter(|&&f| f > 0).map(|&f| f as u64).collect();
+        let mut total = 0;
+        while w.len() > 1 {
+            w.sort_unstable_by(|a, b| b.cmp(a));
+            let merged = w.pop().unwrap() + w.pop().unwrap();
+            total += merged;
+            w.push(merged);
         }
-        let bytes = w.finish();
-        let dec = Decoder::from_lengths(lengths).unwrap();
-        let mut r = BitReader::new(&bytes);
-        for &s in syms {
-            assert_eq!(dec.decode(&mut r).unwrap(), s);
-        }
+        total
     }
 
     #[test]
-    fn simple_code_roundtrip() {
-        // Lengths: a=1, b=2, c=3, d=3 — a complete code.
-        let lengths = [1u8, 2, 3, 3];
-        roundtrip_symbols(&lengths, &[0, 1, 2, 3, 3, 2, 1, 0, 0, 0, 1]);
+    fn classic_example_is_optimal() {
+        let freqs = [5u32, 9, 12, 13, 16, 45];
+        let lens = lengths(&freqs, 15);
+        assert_eq!(kraft(&lens), 1 << 15);
+        assert_eq!(cost(&freqs, &lens), 224);
     }
 
     #[test]
-    fn long_codes_use_slow_path() {
-        // A skewed tree with codes longer than the 10-bit fast table.
-        let mut lengths = vec![0u8; 16];
-        for (i, len) in (1..=15).enumerate() {
-            lengths[i] = len as u8;
-        }
-        lengths[15] = 15; // Complete the code: two 15-bit codes.
-        let syms: Vec<u16> = (0..16).collect();
-        roundtrip_symbols(&lengths, &syms);
-    }
-
-    #[test]
-    fn oversubscribed_rejected() {
-        assert!(Decoder::from_lengths(&[1, 1, 1]).is_err());
-        assert!(Decoder::from_lengths(&[1, 2, 2, 2]).is_err());
-    }
-
-    #[test]
-    fn incomplete_accepted_but_gap_fails() {
-        // Single symbol of length 2: incomplete but legal for DEFLATE
-        // distance trees.
-        let dec = Decoder::from_lengths(&[2]).unwrap();
-        let mut w = BitWriter::new();
-        w.write_bits(0b00, 2);
-        let bytes = w.finish();
-        let mut r = BitReader::new(&bytes);
-        assert_eq!(dec.decode(&mut r).unwrap(), 0);
-
-        // A code value outside the assigned space must fail.
-        let mut w = BitWriter::new();
-        w.write_bits(0b11, 2);
-        w.write_bits(0, 14);
-        let bytes = w.finish();
-        let mut r = BitReader::new(&bytes);
-        assert!(dec.decode(&mut r).is_err());
-    }
-
-    #[test]
-    fn empty_decoder() {
-        let dec = Decoder::from_lengths(&[0, 0, 0]).unwrap();
-        assert!(dec.is_empty());
-        let mut r = BitReader::new(&[0xFF]);
-        assert!(dec.decode(&mut r).is_err());
-    }
-
-    #[test]
-    fn package_merge_kraft_and_optimality_smoke() {
-        let freqs = [5u64, 9, 12, 13, 16, 45];
-        let lens = limited_code_lengths(&freqs, 15);
-        // Kraft equality for a complete code.
-        let kraft: f64 = lens.iter().filter(|&&l| l > 0).map(|&l| 2f64.powi(-(l as i32))).sum();
-        assert!((kraft - 1.0).abs() < 1e-9);
-        // The classic example's optimal cost is 224.
-        let cost: u64 = freqs.iter().zip(&lens).map(|(&f, &l)| f * l as u64).sum();
-        assert_eq!(cost, 224);
-    }
-
-    #[test]
-    fn package_merge_respects_limit() {
-        // Fibonacci-like frequencies force deep unlimited trees.
-        let mut freqs = vec![0u64; 32];
-        let (mut a, mut b) = (1u64, 1u64);
-        for f in freqs.iter_mut() {
-            *f = a;
-            let c = a + b;
-            a = b;
-            b = c;
-        }
-        for limit in [5usize, 7, 15] {
-            let lens = limited_code_lengths(&freqs, limit);
-            assert!(lens.iter().all(|&l| (l as usize) <= limit));
-            let kraft: f64 = lens.iter().filter(|&&l| l > 0).map(|&l| 2f64.powi(-(l as i32))).sum();
-            assert!(kraft <= 1.0 + 1e-9, "limit {limit}: kraft {kraft}");
+    fn unlimited_lengths_are_optimal() {
+        let mut x = 0x9E37_79B9u32;
+        for n in [3usize, 7, 19, 30, 100, 286] {
+            let freqs: Vec<u32> = (0..n)
+                .map(|_| {
+                    x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                    (x >> 20) % 1000
+                })
+                .collect();
+            let lens = lengths(&freqs, 15);
+            if lens.iter().all(|&l| l < 15) {
+                assert_eq!(cost(&freqs, &lens), huffman_cost(&freqs), "n {n}");
+            }
+            assert_eq!(kraft(&lens), 1 << 15, "n {n}");
+            assert!(freqs.iter().zip(&lens).all(|(&f, &l)| (f == 0) == (l == 0)));
         }
     }
 
     #[test]
-    fn package_merge_degenerate_cases() {
-        assert_eq!(limited_code_lengths(&[], 15), Vec::<u8>::new());
-        assert_eq!(limited_code_lengths(&[0, 0], 15), vec![0, 0]);
-        assert_eq!(limited_code_lengths(&[0, 7], 15), vec![0, 1]);
-        let lens = limited_code_lengths(&[3, 0, 5], 15);
-        assert_eq!(lens[1], 0);
-        assert!(lens[0] >= 1 && lens[2] >= 1);
+    fn degenerate_histograms() {
+        assert_eq!(lengths(&[], 15), Vec::<u8>::new());
+        assert_eq!(lengths(&[0, 0], 15), [0, 0]);
+        // One symbol: the only incomplete code.
+        assert_eq!(lengths(&[0, 7], 15), [0, 1]);
+        assert_eq!(lengths(&[3, 0, 5], 15), [1, 0, 1]);
+        assert_eq!(lengths(&[3, 0, 5], 7), [1, 0, 1]);
     }
 
     #[test]
-    fn encoder_decoder_agree_under_random_lengths() {
-        // Build a few valid length vectors from frequencies and check
-        // encode/decode agreement over all symbols.
-        let freqs: Vec<u64> = (1..=60u64).map(|i| i * i % 47 + 1).collect();
-        let lens = limited_code_lengths(&freqs, 15);
-        let syms: Vec<u16> = (0..freqs.len() as u16).collect();
-        roundtrip_symbols(&lens, &syms);
+    fn fibonacci_weights_respect_the_limit() {
+        let mut fib = vec![1u32, 1];
+        while fib.len() < 40 {
+            fib.push(fib[fib.len() - 1] + fib[fib.len() - 2]);
+        }
+        for (n, limit) in [(40usize, 15usize), (32, 15), (19, 7), (19, 5), (16, 4)] {
+            let lens = lengths(&fib[..n], limit);
+            assert!(lens.iter().all(|&l| l >= 1 && l as usize <= limit), "n {n} limit {limit}");
+            assert_eq!(kraft(&lens), 1 << 15, "n {n} limit {limit}");
+            // Heavier symbols never get longer codes.
+            assert!(lens.windows(2).all(|w| w[0] >= w[1]), "n {n} limit {limit}: {lens:?}");
+        }
+    }
+
+    #[test]
+    fn equal_weights_fill_the_alphabet() {
+        let lens = lengths(&[7u32; 286], 15);
+        assert_eq!(kraft(&lens), 1 << 15);
+        assert!(lens.iter().all(|&l| l == 8 || l == 9));
+        let lens = lengths(&[1u32; 19], 7);
+        assert_eq!(kraft(&lens), 1 << 15);
+        assert!(lens.iter().all(|&l| l == 4 || l == 5));
+        // Exactly as many symbols as the limit can address.
+        let lens = lengths(&[1u32; 16], 4);
+        assert!(lens.iter().all(|&l| l == 4));
+    }
+
+    #[test]
+    fn canonical_codes_are_prefix_free_and_ordered() {
+        let freqs: Vec<u32> = (1..=60u32).map(|i| i * i % 47 + 1).collect();
+        let lens = lengths(&freqs, 15);
+        let mut codes = vec![0u16; lens.len()];
+        assign_codes(&lens, &mut codes);
+        // MSB-first values, left-aligned to 15 bits, must be strictly
+        // increasing in (length, symbol) order and each code's range
+        // must end where the next begins.
+        let mut order: Vec<usize> = (0..lens.len()).collect();
+        order.sort_by_key(|&s| (lens[s], s));
+        let mut expect = 0u32;
+        for s in order {
+            let msb = reverse_bits(codes[s] as u32, lens[s] as u32);
+            assert_eq!(msb << (15 - lens[s]), expect, "symbol {s}");
+            expect += 1 << (15 - lens[s]);
+        }
+        assert_eq!(expect, 1 << 15);
     }
 }

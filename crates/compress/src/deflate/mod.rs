@@ -1,9 +1,10 @@
 //! RFC 1951 DEFLATE, implemented from scratch.
 //!
 //! The inflater handles all three block types (stored, fixed Huffman,
-//! dynamic Huffman). The compressor uses a hash-chain LZ77 matcher with
-//! optional lazy matching and picks the cheapest of stored / fixed /
-//! dynamic encoding per block, like zlib does.
+//! dynamic Huffman) with table-driven decoding. The compressor uses a
+//! hash-chain LZ77 matcher with optional lazy matching and picks the
+//! cheapest of stored / fixed / dynamic encoding per block, like zlib
+//! does.
 
 pub mod compress;
 pub mod huffman;
@@ -54,26 +55,42 @@ pub const DIST_EXTRA: [u8; 30] = [
 pub const CLEN_ORDER: [usize; 19] =
     [16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15];
 
+/// Length code index (0..=28) for each match length minus [`MIN_MATCH`].
+pub const LENGTH_CODE: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut code = 0;
+    while code < 29 {
+        let mut len = LENGTH_BASE[code] as usize;
+        // Code 27 nominally reaches 258, which has its own code.
+        while len < LENGTH_BASE[code] as usize + (1 << LENGTH_EXTRA[code]) && len <= MAX_MATCH {
+            table[len - MIN_MATCH] = code as u8;
+            len += 1;
+        }
+        code += 1;
+    }
+    table
+};
+
 /// Maps a match length (3..=258) to its length code index (0..=28).
 #[inline]
 pub fn length_code(len: usize) -> usize {
     debug_assert!((MIN_MATCH..=MAX_MATCH).contains(&len));
-    // Binary search over the 29 bases is fast enough and branch-simple;
-    // a 256-entry table would also work.
-    match LENGTH_BASE.binary_search(&(len as u16)) {
-        Ok(i) => i,
-        Err(i) => i - 1,
-    }
+    LENGTH_CODE[len - MIN_MATCH] as usize
 }
 
 /// Maps a distance (1..=32768) to its distance code index (0..=29).
+///
+/// From code 2 on, a code is the position of `dist - 1`'s top bit,
+/// doubled, plus the bit below it.
 #[inline]
 pub fn dist_code(dist: usize) -> usize {
     debug_assert!((1..=WINDOW_SIZE).contains(&dist));
-    match DIST_BASE.binary_search(&(dist as u16)) {
-        Ok(i) => i,
-        Err(i) => i - 1,
+    let d = (dist - 1) as u32;
+    if d < 2 {
+        return d as usize;
     }
+    let top = 31 - d.leading_zeros();
+    (2 * top + ((d >> (top - 1)) & 1)) as usize
 }
 
 #[cfg(test)]

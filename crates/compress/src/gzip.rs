@@ -1,7 +1,8 @@
 //! RFC 1952 gzip member framing around the DEFLATE codec.
 
 use crate::crc32::crc32;
-use crate::deflate::{deflate_level, inflate_from, CompressLevel};
+use crate::deflate::compress::deflate_into;
+use crate::deflate::{inflate_from, CompressLevel};
 use crate::{Error, Result};
 
 /// gzip FLG bits.
@@ -10,6 +11,10 @@ const FHCRC: u8 = 1 << 1;
 const FEXTRA: u8 = 1 << 2;
 const FNAME: u8 = 1 << 3;
 const FCOMMENT: u8 = 1 << 4;
+
+/// Size of the fixed member header, and of the CRC-32 + ISIZE trailer.
+const HEADER_LEN: usize = 10;
+const TRAILER_LEN: usize = 8;
 
 /// Compresses `data` into a single-member gzip stream at default effort.
 ///
@@ -35,6 +40,14 @@ pub fn compress_level(data: &[u8], level: CompressLevel) -> Vec<u8> {
 /// (used by BGZF, which stores the block size in an extra subfield).
 pub fn compress_with_extra(data: &[u8], level: CompressLevel, extra: Option<&[u8]>) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len() / 2 + 64);
+    compress_into(&mut out, data, level, extra);
+    out
+}
+
+/// Appends `data` to `out` as one gzip member, compressing straight
+/// into `out`; [`compress_with_extra`] for callers that are assembling a
+/// multi-member stream.
+pub fn compress_into(out: &mut Vec<u8>, data: &[u8], level: CompressLevel, extra: Option<&[u8]>) {
     let flg = if extra.is_some() { FEXTRA } else { 0 };
     let xfl: u8 = match level {
         CompressLevel::Best => 2,
@@ -47,10 +60,9 @@ pub fn compress_with_extra(data: &[u8], level: CompressLevel, extra: Option<&[u8
         out.extend_from_slice(&(x.len() as u16).to_le_bytes());
         out.extend_from_slice(x);
     }
-    out.extend_from_slice(&deflate_level(data, level));
+    deflate_into(out, data, level);
     out.extend_from_slice(&crc32(data).to_le_bytes());
     out.extend_from_slice(&(data.len() as u32).to_le_bytes());
-    out
 }
 
 /// A parsed gzip member.
@@ -65,8 +77,29 @@ pub struct Member {
 }
 
 /// Decompresses one gzip member from the start of `data`.
+///
+/// The output is allocated from the ISIZE field in the last four bytes
+/// of `data` — the member's own when `data` ends with it, as a BGZF
+/// block or a single-member file does — and never for more than
+/// [`MAX_EXPANSION`](crate::deflate::inflate::MAX_EXPANSION) times
+/// `data`'s length.
 pub fn decompress_member(data: &[u8]) -> Result<Member> {
-    if data.len() < 10 {
+    decompress_member_sized(data, trailing_isize(data)?)
+}
+
+/// The ISIZE field `data` ends with, if `data` is long enough to hold a
+/// member at all.
+fn trailing_isize(data: &[u8]) -> Result<usize> {
+    match data.last_chunk::<4>() {
+        Some(isize) if data.len() >= HEADER_LEN + TRAILER_LEN => {
+            Ok(u32::from_le_bytes(*isize) as usize)
+        }
+        _ => Err(Error::UnexpectedEof),
+    }
+}
+
+fn decompress_member_sized(data: &[u8], size_hint: usize) -> Result<Member> {
+    if data.len() < HEADER_LEN {
         return Err(Error::UnexpectedEof);
     }
     if data[0] != 0x1f || data[1] != 0x8b {
@@ -76,7 +109,7 @@ pub fn decompress_member(data: &[u8]) -> Result<Member> {
         return Err(Error::BadHeader("compression method (must be deflate)"));
     }
     let flg = data[3];
-    let mut pos = 10usize;
+    let mut pos = HEADER_LEN;
 
     let mut extra = None;
     if flg & FEXTRA != 0 {
@@ -105,14 +138,14 @@ pub fn decompress_member(data: &[u8]) -> Result<Member> {
     }
     let _ = FTEXT; // Informational only.
 
-    let (payload, consumed) = inflate_from(&data[pos..], data.len().saturating_mul(4))?;
+    let (payload, consumed) = inflate_from(&data[pos..], size_hint)?;
     pos += consumed;
-    if data.len() < pos + 8 {
+    if data.len() < pos + TRAILER_LEN {
         return Err(Error::UnexpectedEof);
     }
     let expect_crc = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap());
     let expect_isize = u32::from_le_bytes(data[pos + 4..pos + 8].try_into().unwrap());
-    pos += 8;
+    pos += TRAILER_LEN;
 
     let actual_crc = crc32(&payload);
     if actual_crc != expect_crc {
@@ -132,13 +165,21 @@ pub fn decompress_member(data: &[u8]) -> Result<Member> {
 /// defines multi-member streams as concatenation, which is also how
 /// sequencing centers ship multi-part FASTQ.gz files).
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>> {
-    if data.is_empty() {
-        return Err(Error::UnexpectedEof);
-    }
-    let mut out = Vec::new();
-    let mut pos = 0usize;
+    decompress_sized(data, trailing_isize(data)?)
+}
+
+/// [`decompress`] for a caller that knows how long the output should be
+/// (AGD chunk headers record it): the first member's buffer is
+/// allocated for `size_hint` bytes — capped like every inflate
+/// allocation — and, when the stream has a single member, returned as
+/// is. A wrong hint costs time, not correctness.
+pub fn decompress_sized(data: &[u8], size_hint: usize) -> Result<Vec<u8>> {
+    let first = decompress_member_sized(data, size_hint)?;
+    let mut out = first.data;
+    let mut pos = first.compressed_size;
     while pos < data.len() {
-        let member = decompress_member(&data[pos..])?;
+        // Nothing says how long a later member is before it is decoded.
+        let member = decompress_member_sized(&data[pos..], 0)?;
         out.extend_from_slice(&member.data);
         pos += member.compressed_size;
     }

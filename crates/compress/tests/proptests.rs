@@ -1,17 +1,40 @@
-//! Property-based tests for the compression substrate.
+//! Property-based tests for the compression substrate. Every DEFLATE
+//! stream they produce or invent is also decoded by the bit-at-a-time
+//! reference inflater, which must agree with the production one.
+
+mod reference;
 
 use persona_compress::codec::Codec;
 use persona_compress::crc32::{crc32, Crc32};
-use persona_compress::deflate::{deflate_level, inflate, CompressLevel};
-use persona_compress::{gzip, range};
+use persona_compress::deflate::{deflate_level, inflate_from, CompressLevel};
+use persona_compress::{gzip, range, Error};
 use proptest::prelude::*;
+
+/// Inflates with both decoders, which must agree on the bytes and the
+/// consumed count, or on the kind of error.
+fn inflate(data: &[u8]) -> Result<Vec<u8>, Error> {
+    let got = inflate_from(data, data.len() * 3);
+    match (&got, &reference::inflate_from(data, 0)) {
+        (Ok(got), Ok(want)) => assert!(got == want, "decoders disagree on the output"),
+        (Err(got), Err(want)) => {
+            assert_eq!(std::mem::discriminant(got), std::mem::discriminant(want), "{got} / {want}")
+        }
+        (got, want) => panic!("{:?} where the reference says {:?}", got.is_ok(), want.is_ok()),
+    }
+    got.map(|(bytes, _consumed)| bytes)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn deflate_roundtrip_arbitrary(data in proptest::collection::vec(any::<u8>(), 0..20_000)) {
-        for level in [CompressLevel::Store, CompressLevel::Fast, CompressLevel::Default] {
+        for level in [
+            CompressLevel::Store,
+            CompressLevel::Fast,
+            CompressLevel::Default,
+            CompressLevel::Best,
+        ] {
             let packed = deflate_level(&data, level);
             prop_assert_eq!(&inflate(&packed).unwrap(), &data);
         }

@@ -43,7 +43,7 @@ pub fn bgzf_block_ranges(len: usize) -> Vec<(usize, usize)> {
 pub fn bgzf_compress(data: &[u8], level: CompressLevel) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len() / 2 + 64);
     for (lo, hi) in bgzf_block_ranges(data.len()) {
-        out.extend_from_slice(&bgzf_block(&data[lo..hi], level));
+        append_bgzf_block(&mut out, &data[lo..hi], level);
     }
     out
 }
@@ -53,16 +53,25 @@ pub fn bgzf_compress(data: &[u8], level: CompressLevel) -> Vec<u8> {
 /// Public so callers with their own scheduler (e.g. Persona's shared
 /// executor) can compress independent blocks as parallel tasks.
 pub fn bgzf_block(payload: &[u8], level: CompressLevel) -> Vec<u8> {
+    let mut out = Vec::with_capacity(payload.len() / 2 + 64);
+    append_bgzf_block(&mut out, payload, level);
+    out
+}
+
+/// Offset of the BSIZE field in a block written by [`append_bgzf_block`]:
+/// 10 header bytes + XLEN(2) + "BC" + subfield length(2).
+const BSIZE_OFFSET: usize = 16;
+
+fn append_bgzf_block(out: &mut Vec<u8>, payload: &[u8], level: CompressLevel) {
     debug_assert!(payload.len() <= BGZF_BLOCK_SIZE);
-    // First pass with a placeholder BSIZE, then patch. The extra field
-    // is "BC" + subfield length 2 + BSIZE(u16) = total block size - 1.
-    let extra = [b'B', b'C', 2, 0, 0, 0];
-    let mut member = gzip::compress_with_extra(payload, level, Some(&extra));
-    let bsize = member.len() - 1;
+    // Compress with a placeholder BSIZE (total block size - 1), then
+    // patch it in.
+    let start = out.len();
+    gzip::compress_into(out, payload, level, Some(&[b'B', b'C', 2, 0, 0, 0]));
+    let bsize = out.len() - start - 1;
     assert!(bsize <= u16::MAX as usize, "BGZF block too large");
-    // Patch BSIZE: it sits at offset 16..18 (10 header + XLEN(2) + "BC" + len(2)).
-    member[16..18].copy_from_slice(&(bsize as u16).to_le_bytes());
-    member
+    out[start + BSIZE_OFFSET..start + BSIZE_OFFSET + 2]
+        .copy_from_slice(&(bsize as u16).to_le_bytes());
 }
 
 /// Compresses `data` into a BGZF stream using `threads` worker threads
@@ -117,20 +126,97 @@ fn parking_lot_free_slots(blocks: &mut [Vec<u8>]) -> Vec<BlockSlot> {
     (0..blocks.len()).map(|_| BlockSlot { cell: std::sync::Mutex::new(Vec::new()) }).collect()
 }
 
+/// How a BGZF block can violate the container format.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BgzfError {
+    /// Not a gzip member with a `BC` extra subfield.
+    MissingBsize,
+    /// The block's BSIZE reaches past the end of the stream.
+    Truncated {
+        /// Block size BSIZE declares.
+        declared: usize,
+        /// Bytes the stream has left.
+        available: usize,
+    },
+    /// BSIZE disagrees with where the block's gzip member really ends.
+    SizeMismatch {
+        /// Block size BSIZE declares.
+        declared: usize,
+        /// Size of the member found there.
+        actual: usize,
+    },
+    /// ISIZE claims more than the 64 KiB a BGZF block may hold.
+    Oversized {
+        /// The block's ISIZE field.
+        isize: u32,
+    },
+}
+
+impl std::fmt::Display for BgzfError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            BgzfError::MissingBsize => write!(f, "gzip member without BGZF BC subfield"),
+            BgzfError::Truncated { declared, available } => {
+                write!(f, "BSIZE declares {declared} bytes, {available} left")
+            }
+            BgzfError::SizeMismatch { declared, actual } => {
+                write!(f, "BSIZE declares {declared} bytes, member is {actual}")
+            }
+            BgzfError::Oversized { isize } => write!(f, "ISIZE {isize} exceeds 65536"),
+        }
+    }
+}
+
+/// Largest ISIZE a BGZF block may declare.
+const BGZF_MAX_ISIZE: u32 = 1 << 16;
+
+/// Total size of the BGZF block at the start of `data`, from the `BC`
+/// subfield of its gzip extra field.
+fn bgzf_block_len(data: &[u8]) -> Option<usize> {
+    let fixed = data.first_chunk::<12>()?;
+    if fixed[..3] != [0x1f, 0x8b, 8] || fixed[3] & 4 == 0 {
+        return None;
+    }
+    let xlen = u16::from_le_bytes([fixed[10], fixed[11]]) as usize;
+    let mut subfields = data.get(12..12 + xlen)?;
+    while let Some((head, rest)) = subfields.split_first_chunk::<4>() {
+        let slen = u16::from_le_bytes([head[2], head[3]]) as usize;
+        let value = rest.get(..slen)?;
+        if head[..2] == *b"BC" && slen == 2 {
+            return Some(u16::from_le_bytes([value[0], value[1]]) as usize + 1);
+        }
+        subfields = &rest[slen..];
+    }
+    None
+}
+
 /// Decompresses a BGZF stream (EOF marker tolerated, not required).
+///
+/// Each block is cut out by its BSIZE and decoded on its own, its
+/// output allocated from its ISIZE.
 pub fn bgzf_decompress(data: &[u8]) -> Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(data.len() * 3);
+    let mut out = Vec::with_capacity(data.len().saturating_mul(3));
     let mut pos = 0usize;
     while pos < data.len() {
-        let member = gzip::decompress_member(&data[pos..])?;
-        if member.extra.as_deref().map(|x| x.len() >= 4 && &x[..2] == b"BC") != Some(true) {
-            return Err(Error::Parse {
-                record: 0,
-                what: "gzip member without BGZF BC subfield".into(),
-            });
+        let bad = |kind| Error::Bgzf { offset: pos, kind };
+        let rest = &data[pos..];
+        let declared = bgzf_block_len(rest).ok_or(bad(BgzfError::MissingBsize))?;
+        let available = rest.len();
+        let block =
+            rest.get(..declared).ok_or(bad(BgzfError::Truncated { declared, available }))?;
+        if let Some(&isize) = block.last_chunk::<4>() {
+            let isize = u32::from_le_bytes(isize);
+            if isize > BGZF_MAX_ISIZE {
+                return Err(bad(BgzfError::Oversized { isize }));
+            }
+        }
+        let member = gzip::decompress_member(block)?;
+        if member.compressed_size != declared {
+            let actual = member.compressed_size;
+            return Err(bad(BgzfError::SizeMismatch { declared, actual }));
         }
         out.extend_from_slice(&member.data);
-        pos += member.compressed_size;
+        pos += declared;
     }
     Ok(out)
 }
@@ -397,7 +483,116 @@ mod tests {
     #[test]
     fn bgzf_rejects_plain_gzip() {
         let plain = persona_compress::gzip::compress(b"not bgzf");
-        assert!(bgzf_decompress(&plain).is_err());
+        let err = bgzf_decompress(&plain).unwrap_err();
+        assert!(matches!(err, Error::Bgzf { offset: 0, kind: BgzfError::MissingBsize }), "{err}");
+    }
+
+    fn hex(s: &str) -> Vec<u8> {
+        let digits: Vec<u8> = s.bytes().filter(u8::is_ascii_hexdigit).collect();
+        digits
+            .chunks(2)
+            .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+            .collect()
+    }
+
+    /// A BGZF block assembled per the SAM specification around zlib
+    /// 1.2.13's raw deflate (level 6), not by this repository's encoder.
+    const FOREIGN_BLOCK: &str = "
+        1f8b08040000000000ff0600424302003c007372f4654ccb2f4acd4ccf53484a
+        af4a5348cac94fce562848acccc94f4c5118d25200ede8531adc000000";
+
+    #[test]
+    fn bgzf_reads_a_foreign_block_and_the_eof_marker() {
+        let mut stream = hex(FOREIGN_BLOCK);
+        let payload = [&b"BAM\x01"[..], &b"foreign bgzf block payload ".repeat(8)].concat();
+        assert_eq!(bgzf_decompress(&stream).unwrap(), payload);
+        stream.extend_from_slice(&BGZF_EOF);
+        stream.extend_from_slice(&hex(FOREIGN_BLOCK));
+        assert_eq!(bgzf_decompress(&stream).unwrap(), payload.repeat(2));
+    }
+
+    #[test]
+    fn bgzf_finds_the_bc_subfield_among_others() {
+        let block = bgzf_block(b"payload", CompressLevel::Fast);
+        // Splice an unrelated 3-byte subfield in front of BC.
+        let mut spliced = block[..10].to_vec();
+        spliced.extend_from_slice(&13u16.to_le_bytes());
+        spliced.extend_from_slice(b"XY\x03\x00abc");
+        spliced.extend_from_slice(&block[12..16]);
+        spliced.extend_from_slice(&(block.len() as u16 + 7 - 1).to_le_bytes());
+        spliced.extend_from_slice(&block[18..]);
+        assert_eq!(bgzf_decompress(&spliced).unwrap(), b"payload");
+    }
+
+    #[test]
+    fn bgzf_checks_bsize_and_isize() {
+        let block = bgzf_block(&b"some payload ".repeat(20), CompressLevel::Fast);
+        let with_bsize = |bsize: u16| {
+            let mut b = block.clone();
+            b[BSIZE_OFFSET..BSIZE_OFFSET + 2].copy_from_slice(&bsize.to_le_bytes());
+            b
+        };
+        let real = block.len() as u16 - 1;
+
+        // BSIZE reaching past the end of the stream.
+        match bgzf_decompress(&with_bsize(real + 1)) {
+            Err(Error::Bgzf { offset: 0, kind: BgzfError::Truncated { declared, available } }) => {
+                assert_eq!((declared, available), (block.len() + 1, block.len()));
+            }
+            other => panic!("{other:?}"),
+        }
+        // BSIZE covering more than the member (junk between blocks).
+        let mut padded = with_bsize(real + 3);
+        padded.extend_from_slice(&[0, 0, 0]);
+        padded.extend_from_slice(&BGZF_EOF);
+        match bgzf_decompress(&padded) {
+            Err(Error::Bgzf { offset: 0, kind: BgzfError::SizeMismatch { declared, actual } }) => {
+                assert_eq!((declared, actual), (block.len() + 3, block.len()));
+            }
+            other => panic!("{other:?}"),
+        }
+        // BSIZE cutting the member short: whatever the cut leaves is
+        // not a valid member.
+        let mut two = with_bsize(real - 9);
+        two.extend_from_slice(&block);
+        assert!(bgzf_decompress(&two).is_err());
+        // The second block is the bad one.
+        let mut two = block.clone();
+        two.extend_from_slice(&with_bsize(real + 1));
+        let err = bgzf_decompress(&two).unwrap_err();
+        assert!(
+            matches!(err, Error::Bgzf { offset, kind: BgzfError::Truncated { .. } } if offset == block.len()),
+            "{err}"
+        );
+
+        // ISIZE beyond what a BGZF block may hold is refused before any
+        // output is allocated for it.
+        let mut forged = block.clone();
+        let n = forged.len();
+        forged[n - 4..].copy_from_slice(&65_537u32.to_le_bytes());
+        let err = bgzf_decompress(&forged).unwrap_err();
+        assert!(
+            matches!(err, Error::Bgzf { offset: 0, kind: BgzfError::Oversized { isize: 65_537 } }),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn incompressible_full_block_fits_bsize() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let payload: Vec<u8> = (0..BGZF_BLOCK_SIZE)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            })
+            .collect();
+        for level in [CompressLevel::Store, CompressLevel::Fast, CompressLevel::Best] {
+            let block = bgzf_block(&payload, level);
+            assert!(block.len() - 1 <= u16::MAX as usize, "{level:?}: {} bytes", block.len());
+            assert_eq!(bgzf_decompress(&block).unwrap(), payload);
+        }
     }
 
     #[test]

@@ -31,6 +31,13 @@ pub enum Error {
     },
     /// Compression-layer failure (BGZF).
     Compress(persona_compress::Error),
+    /// A BGZF block that violates the container format.
+    Bgzf {
+        /// Byte offset of the block in the stream.
+        offset: usize,
+        /// What is wrong with it.
+        kind: bam::BgzfError,
+    },
     /// AGD-layer failure during conversion.
     Agd(persona_agd::Error),
 }
@@ -41,6 +48,7 @@ impl std::fmt::Display for Error {
             Error::Io(e) => write!(f, "io error: {e}"),
             Error::Parse { record, what } => write!(f, "parse error at record {record}: {what}"),
             Error::Compress(e) => write!(f, "compression error: {e}"),
+            Error::Bgzf { offset, kind } => write!(f, "bad BGZF block at byte {offset}: {kind}"),
             Error::Agd(e) => write!(f, "agd error: {e}"),
         }
     }
