@@ -2,22 +2,31 @@
 //! Vishkin verification (Zaharia et al. 2011, integrated by Persona in
 //! §4.3).
 //!
-//! Pipeline per read (each strand):
-//! 1. sample fixed-length seeds at a stride across the read;
-//! 2. look seeds up in the [`SeedIndex`]; each hit votes for a candidate
-//!    alignment location (`hit - seed_offset`);
-//! 3. visit candidates in decreasing vote order, verifying with the
-//!    banded Landau-Vishkin kernel under a shrinking edit budget;
+//! Pipeline per read:
+//! 1. sample fixed-length seeds at a stride across both strands and
+//!    pack them; every seed's table line is prefetched before any is
+//!    read, so a read's ~22 lookups overlap their cache misses instead of
+//!    paying one after another (SNAP's own batching trick);
+//! 2. look the seeds up in the [`SeedIndex`]; each hit votes for a
+//!    candidate alignment location (`hit - seed_offset`). Votes are
+//!    sorted and run-length counted on per-thread scratch, and the
+//!    `max_candidates` with the most votes (ties: forward strand, then
+//!    lower location) are kept by partial selection;
+//! 3. visit candidates in that order, verifying with the banded
+//!    Landau-Vishkin kernel under a shrinking edit budget;
 //! 4. derive MAPQ from the best/second-best margin and tie count, and a
 //!    CIGAR from a banded global traceback at the winning location.
+//!
+//! Steps 1–2 are timed as [`PhaseProfile::seed_time`], step 3 as
+//! [`PhaseProfile::verify_time`]; the CIGAR of step 4 is in neither.
 
-use std::collections::HashMap;
+use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Instant;
 
 use persona_agd::results::{flags, AlignmentResult};
 use persona_index::SeedIndex;
-use persona_seq::dna::revcomp;
+use persona_seq::dna::revcomp_into;
 use persona_seq::Genome;
 
 use crate::edit::landau_vishkin;
@@ -55,6 +64,27 @@ impl Default for SnapParams {
     }
 }
 
+/// A candidate location with its strand: `reverse << 32 | location`, so
+/// ordering the integers orders by `(reverse, location)`.
+type Candidate = u64;
+
+/// Per-thread buffers reused across reads.
+#[derive(Default)]
+struct Scratch {
+    /// The read's reverse complement.
+    rc: Vec<u8>,
+    /// Packed key, read offset and strand of every clean seed.
+    seeds: Vec<(u64, u32, bool)>,
+    /// One entry per usable index hit.
+    votes: Vec<Candidate>,
+    /// `(votes, candidate)`, best first after [`SnapAligner::seed`].
+    candidates: Vec<(u32, Candidate)>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
 /// The SNAP-style aligner. Shares the genome and index by `Arc`, exactly
 /// like Persona's shared-resource design (Fig. 3).
 pub struct SnapAligner {
@@ -74,37 +104,64 @@ impl SnapAligner {
         &self.params
     }
 
-    /// Collects weighted candidate locations for one strand of a read.
-    fn gather_candidates(
-        &self,
-        bases: &[u8],
-        reverse: bool,
-        out: &mut HashMap<(bool, u32), u32>,
-        prof: &mut PhaseProfile,
-    ) {
+    /// Seeding: fills `s.rc` and leaves the candidates to verify, best
+    /// first, in `s.candidates`.
+    fn seed(&self, bases: &[u8], s: &mut Scratch, prof: &mut PhaseProfile) {
+        let Scratch { rc, seeds, votes, candidates } = s;
+        revcomp_into(bases, rc);
         let seed_len = self.index.seed_len();
-        if bases.len() < seed_len {
-            return;
-        }
-        let span = bases.len() - seed_len;
-        let steps = self.params.max_seeds.max(1);
-        let stride = (span / steps).max(1);
-        let mut offset = 0usize;
-        while offset <= span {
-            let seed = &bases[offset..offset + seed_len];
-            prof.index_ops += 1;
-            if let Some(hits) = self.index.lookup(seed) {
-                if hits.len() as u32 <= self.params.max_hits_per_seed {
-                    for &hit in hits {
-                        let candidate = hit as i64 - offset as i64;
-                        if candidate >= 0 {
-                            *out.entry((reverse, candidate as u32)).or_insert(0) += 1;
-                        }
+        // Pack every seed of both strands and prefetch its line ...
+        seeds.clear();
+        if bases.len() >= seed_len {
+            let span = bases.len() - seed_len;
+            let stride = (span / self.params.max_seeds.max(1)).max(1);
+            for (reverse, strand) in [(false, bases), (true, &rc[..])] {
+                for offset in (0..=span).step_by(stride) {
+                    prof.index_ops += 1;
+                    if let Some(key) = self.index.pack(&strand[offset..offset + seed_len]) {
+                        self.index.prefetch(key);
+                        seeds.push((key, offset as u32, reverse));
                     }
                 }
             }
-            offset += stride;
         }
+        // ... then look them up: each hit of a not-too-repetitive seed
+        // votes for the location the read would start at.
+        votes.clear();
+        for &(key, offset, reverse) in seeds.iter() {
+            let Some(hits) = self.index.lookup_key(key) else { continue };
+            if hits.len() as u32 <= self.params.max_hits_per_seed {
+                let strand = (reverse as u64) << 32;
+                votes.extend(
+                    hits.iter()
+                        .filter(|&&hit| hit >= offset)
+                        .map(|&hit| strand | (hit - offset) as u64),
+                );
+            }
+        }
+        // Run-length count, then the most-voted first; ties by strand and
+        // location for determinism.
+        votes.sort_unstable();
+        candidates.clear();
+        candidates.extend(votes.chunk_by(|a, b| a == b).map(|run| (run.len() as u32, run[0])));
+        let order = |a: &(u32, Candidate), b: &(u32, Candidate)| b.0.cmp(&a.0).then(a.1.cmp(&b.1));
+        let keep = self.params.max_candidates;
+        if candidates.len() > keep {
+            candidates.select_nth_unstable_by(keep, order);
+            candidates.truncate(keep);
+        }
+        candidates.sort_unstable_by(order);
+    }
+
+    /// Bench hook: the seeding phase alone, returning how many
+    /// candidates it left for verification.
+    #[doc(hidden)]
+    pub fn seed_candidates(&self, bases: &[u8]) -> usize {
+        SCRATCH.with(|s| {
+            let s = &mut *s.borrow_mut();
+            self.seed(bases, s, &mut PhaseProfile::default());
+            s.candidates.len()
+        })
     }
 
     /// Extracts the reference window for verification at `candidate`,
@@ -139,77 +196,74 @@ impl Aligner for SnapAligner {
     ) -> AlignmentResult {
         prof.reads += 1;
         let p = self.params;
+        SCRATCH.with(|s| {
+            let s = &mut *s.borrow_mut();
 
-        // Phase 1: seeding.
-        let seed_start = Instant::now();
-        let rc = revcomp(bases);
-        let mut votes: HashMap<(bool, u32), u32> = HashMap::new();
-        self.gather_candidates(bases, false, &mut votes, prof);
-        self.gather_candidates(&rc, true, &mut votes, prof);
-        // Sort candidates by vote count, descending; break ties by
-        // location for determinism.
-        let mut candidates: Vec<((bool, u32), u32)> = votes.into_iter().collect();
-        candidates.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        candidates.truncate(p.max_candidates);
-        prof.seed_time += seed_start.elapsed();
+            // Phase 1: seeding.
+            let seed_start = Instant::now();
+            self.seed(bases, s, prof);
+            prof.seed_time += seed_start.elapsed();
 
-        // Phase 2: verification.
-        let verify_start = Instant::now();
-        let mut best: Option<(u32, bool, u32)> = None; // (dist, reverse, loc)
-        let mut second: Option<u32> = None;
-        let mut ties = 1u32;
-        let mut budget = p.max_k;
-        for &((reverse, loc), _w) in &candidates {
-            prof.candidates += 1;
-            let window_len = bases.len() + p.max_k as usize;
-            let Some(text) = self.ref_window(loc, window_len) else { continue };
-            let pattern: &[u8] = if reverse { &rc } else { bases };
-            prof.dp_cells += (budget as u64 + 1) * (budget as u64 + 1);
-            match landau_vishkin(text, pattern, budget) {
-                Some(dist) => match best {
-                    None => {
-                        best = Some((dist, reverse, loc));
-                        budget = (dist + p.margin).min(p.max_k);
-                    }
-                    Some((bdist, brev, bloc)) => {
-                        if dist < bdist {
-                            second = Some(bdist);
-                            ties = 1;
+            // Phase 2: verification.
+            let verify_start = Instant::now();
+            let mut best: Option<(u32, bool, u32)> = None; // (dist, reverse, loc)
+            let mut second: Option<u32> = None;
+            let mut ties = 1u32;
+            let mut budget = p.max_k;
+            for &(_votes, candidate) in &s.candidates {
+                let (reverse, loc) = (candidate >> 32 != 0, candidate as u32);
+                prof.candidates += 1;
+                let window_len = bases.len() + p.max_k as usize;
+                let Some(text) = self.ref_window(loc, window_len) else { continue };
+                let pattern: &[u8] = if reverse { &s.rc } else { bases };
+                prof.dp_cells += (budget as u64 + 1) * (budget as u64 + 1);
+                match landau_vishkin(text, pattern, budget) {
+                    Some(dist) => match best {
+                        None => {
                             best = Some((dist, reverse, loc));
                             budget = (dist + p.margin).min(p.max_k);
-                        } else if dist == bdist && (reverse, loc) != (brev, bloc) {
-                            ties += 1;
-                            second = Some(second.map_or(dist, |s| s.min(dist)));
-                        } else if dist > bdist {
-                            second = Some(second.map_or(dist, |s| s.min(dist)));
                         }
-                    }
-                },
-                None => {}
+                        Some((bdist, brev, bloc)) => {
+                            if dist < bdist {
+                                second = Some(bdist);
+                                ties = 1;
+                                best = Some((dist, reverse, loc));
+                                budget = (dist + p.margin).min(p.max_k);
+                            } else if dist == bdist && (reverse, loc) != (brev, bloc) {
+                                ties += 1;
+                                second = Some(second.map_or(dist, |s| s.min(dist)));
+                            } else if dist > bdist {
+                                second = Some(second.map_or(dist, |s| s.min(dist)));
+                            }
+                        }
+                    },
+                    None => {}
+                }
             }
-        }
-        prof.verify_time += verify_start.elapsed();
+            prof.verify_time += verify_start.elapsed();
 
-        let Some((dist, reverse, loc)) = best else {
-            return AlignmentResult::unmapped();
-        };
+            let Some((dist, reverse, loc)) = best else {
+                return AlignmentResult::unmapped();
+            };
 
-        // CIGAR via banded traceback at the winning window.
-        let window_len = bases.len() + p.max_k as usize;
-        let text = self.ref_window(loc, window_len).expect("winning window vanished");
-        let pattern: &[u8] = if reverse { &rc } else { bases };
-        let band = (dist.max(1) as usize) + 1;
-        let cigar = banded_global_cigar(text, pattern, band).map(|(_, c)| c).unwrap_or_default();
+            // CIGAR via banded traceback at the winning window.
+            let window_len = bases.len() + p.max_k as usize;
+            let text = self.ref_window(loc, window_len).expect("winning window vanished");
+            let pattern: &[u8] = if reverse { &s.rc } else { bases };
+            let band = (dist.max(1) as usize) + 1;
+            let cigar =
+                banded_global_cigar(text, pattern, band).map(|(_, c)| c).unwrap_or_default();
 
-        let q = mapq(MapqInput { best: dist, second_best: second, ties, max_k: p.max_k });
-        AlignmentResult {
-            location: loc as i64,
-            mate_location: -1,
-            template_len: 0,
-            flags: if reverse { flags::REVERSE } else { 0 },
-            mapq: q,
-            cigar,
-        }
+            let q = mapq(MapqInput { best: dist, second_best: second, ties, max_k: p.max_k });
+            AlignmentResult {
+                location: loc as i64,
+                mate_location: -1,
+                template_len: 0,
+                flags: if reverse { flags::REVERSE } else { 0 },
+                mapq: q,
+                cigar,
+            }
+        })
     }
 
     fn name(&self) -> &'static str {

@@ -12,6 +12,8 @@
 //! step at a time, so score, aligned regions and CIGAR match byte for
 //! byte. [`smith_waterman`] routes between them via [`crate::Kernel`].
 
+use std::cell::RefCell;
+
 use persona_agd::results::{CigarKind, CigarOp};
 
 /// Alignment scoring parameters.
@@ -322,6 +324,14 @@ pub fn smith_waterman_scalar(reference: &[u8], query: &[u8], sc: Scoring) -> Loc
 /// SNAP-style aligner to emit a CIGAR once a candidate location has been
 /// verified (band width = max edits).
 ///
+/// The unit-cost DP runs over diagonals `j - i` in `-band..=band`, two
+/// rows at a time, with traceback tags on per-thread scratch: no
+/// allocation but the returned CIGAR, and no branch per cell beyond the
+/// min. Ties go diagonal, then up (insertion), then left (deletion), and
+/// the alignment ends in the first cheapest column of the last row (the
+/// text tail is free). A query that is an exact prefix of the window
+/// returns `[n M]` at once: that is the all-diagonal path the DP takes.
+///
 /// Returns `None` if no alignment fits in the band.
 pub fn banded_global_cigar(
     reference: &[u8],
@@ -332,126 +342,257 @@ pub fn banded_global_cigar(
     if n == 0 {
         return Some((0, Vec::new()));
     }
+    if reference.get(..n) == Some(query) {
+        return Some((0, vec![CigarOp { kind: CigarKind::Match, len: n as u32 }]));
+    }
     let b = band;
     let m = reference.len().min(n + b);
-    // dp[i][j] = edit distance pattern[0..i] vs text[0..j], |j - i| <= b.
-    // Stored densely with traceback for the banded region.
-    let w = 2 * b + 1;
-    let big = u32::MAX / 2;
-    let mut dp = vec![big; (n + 1) * w];
-    let mut tb: Vec<u8> = vec![0; (n + 1) * w]; // 1=diag,2=up(del query? ),3=left
-    let col = |i: usize, j: usize| -> Option<usize> {
-        // j in [i-b, i+b].
-        let lo = i as isize - b as isize;
-        let off = j as isize - lo;
-        if off < 0 || off >= w as isize {
-            None
-        } else {
-            Some(i * w + off as usize)
-        }
-    };
-    // Row 0: aligning empty query to text prefix j costs j (deletions).
-    for j in 0..=b.min(m) {
-        if let Some(c) = col(0, j) {
-            dp[c] = j as u32;
-            tb[c] = 3;
-        }
-    }
-    for i in 1..=n {
-        let jlo = i.saturating_sub(b);
-        let jhi = (i + b).min(m);
-        for j in jlo..=jhi {
-            let c = col(i, j).unwrap();
-            let mut best = big;
-            let mut dir = 0u8;
-            if j > 0 {
-                if let Some(cd) = col(i - 1, j - 1) {
-                    let cost = if query[i - 1] == reference[j - 1] { 0 } else { 1 };
-                    if dp[cd] + cost < best {
-                        best = dp[cd] + cost;
-                        dir = 1;
-                    }
-                }
-            }
-            if let Some(cu) = col(i - 1, j) {
-                if dp[cu] + 1 < best {
-                    best = dp[cu] + 1;
-                    dir = 2; // Insertion (query consumed, ref not).
-                }
-            }
-            if j > 0 {
-                if let Some(cl) = col(i, j - 1) {
-                    if dp[cl] + 1 < best {
-                        best = dp[cl] + 1;
-                        dir = 3; // Deletion (ref consumed).
-                    }
-                }
-            }
-            dp[c] = best;
-            tb[c] = dir;
-        }
-    }
-    // Pick the best end column in the last row (free text tail).
-    let jlo = n.saturating_sub(b);
-    let jhi = (n + b).min(m);
-    let (mut bj, mut bcost) = (jlo, big);
-    for j in jlo..=jhi {
-        if let Some(c) = col(n, j) {
-            if dp[c] < bcost {
-                bcost = dp[c];
-                bj = j;
-            }
-        }
-    }
-    if bcost >= big {
+    // The last row's band `n-b..=n+b` starts past the window's end.
+    if n > m + b {
         return None;
     }
-    // Traceback.
-    let mut ops_rev: Vec<CigarOp> = Vec::new();
-    let push = |kind: CigarKind, ops: &mut Vec<CigarOp>| {
-        if let Some(last) = ops.last_mut() {
-            if last.kind == kind {
-                last.len += 1;
-                return;
+    // Row `i`, text column `j` lives at index `k = j - i + b + 1` of a
+    // row buffer: the band is `1..=w`, indices 0 and `w + 1` are pads.
+    let w = 2 * b + 1;
+    let stride = w + 2;
+    BAND.with(|s| {
+        let s = &mut *s.borrow_mut();
+        s.rows.clear();
+        s.rows.resize(2 * stride, BIG);
+        if s.tb.len() < (n + 1) * stride {
+            s.tb.resize((n + 1) * stride, 0);
+        }
+        let (mut prev, mut cur) = s.rows.split_at_mut(stride);
+        // Row 0: the empty query against text prefix `j` costs `j`.
+        for j in 0..=b.min(m) {
+            prev[j + b + 1] = j as u32;
+        }
+        for i in 1..=n {
+            let tb = &mut s.tb[i * stride..(i + 1) * stride];
+            let jhi = (i + b).min(m);
+            let mut jlo = i.saturating_sub(b);
+            if jlo == 0 {
+                // Column 0 is reachable only from above; the cell left
+                // of it (text column -1) must read as unreachable for
+                // this row's neighbour and the next row's diagonal.
+                let k = b + 1 - i;
+                cur[k - 1] = BIG;
+                cur[k] = prev[k + 1] + 1;
+                tb[k] = UP;
+                jlo = 1;
+            }
+            // Columns `jlo..=jhi`: diagonal and up come from the row
+            // above, left is the cell just computed, carried in a
+            // register so the row's only serial chain is add-compare-
+            // select.
+            let (k0, cells) = (jlo + b + 1 - i, (jhi + 1).saturating_sub(jlo));
+            let text = &reference[jlo - 1..jlo - 1 + cells];
+            let above = &prev[k0..=k0 + cells];
+            let mut left = cur[k0 - 1];
+            let (out, tags) = (&mut cur[k0..k0 + cells], &mut tb[k0..k0 + cells]);
+            let q = query[i - 1];
+            for t in 0..cells {
+                let diag = above[t] + (q != text[t]) as u32;
+                let up = above[t + 1] + 1;
+                let near = diag.min(up);
+                // DIAG | UP == UP and (DIAG or UP) | LEFT == LEFT: the
+                // tag is the precedence winner without a branch.
+                tags[t] = (DIAG + (up < diag) as u8) | (LEFT * (left + 1 < near) as u8);
+                left = near.min(left + 1);
+                out[t] = left;
+            }
+            std::mem::swap(&mut prev, &mut cur);
+        }
+        // `prev` is row `n`: the first cheapest end column.
+        let (klo, khi) = (n.saturating_sub(b) + b + 1 - n, m + b + 1 - n);
+        let mut end = klo;
+        for k in klo..=khi {
+            if prev[k] < prev[end] {
+                end = k;
             }
         }
-        ops.push(CigarOp { kind, len: 1 });
-    };
-    let (mut i, mut j) = (n, bj);
-    while i > 0 || j > 0 {
-        let c = match col(i, j) {
-            Some(c) => c,
-            None => break,
-        };
-        match tb[c] {
-            1 => {
-                push(CigarKind::Match, &mut ops_rev);
-                i -= 1;
-                j -= 1;
-            }
-            2 => {
-                push(CigarKind::Ins, &mut ops_rev);
-                i -= 1;
-            }
-            3 => {
-                if i == 0 {
-                    // Leading reference consumption before the query
-                    // starts is not part of the read's CIGAR.
-                    break;
+        let cost = prev[end];
+        debug_assert!(cost < BIG, "every in-band cell is reachable");
+        let mut ops: Vec<CigarOp> = Vec::new();
+        let (mut i, mut k) = (n, end);
+        while i > 0 {
+            let kind = match s.tb[i * stride + k] {
+                DIAG => {
+                    i -= 1;
+                    CigarKind::Match
                 }
-                push(CigarKind::Del, &mut ops_rev);
-                j -= 1;
+                UP => {
+                    i -= 1;
+                    k += 1;
+                    CigarKind::Ins
+                }
+                _ => {
+                    k -= 1;
+                    CigarKind::Del
+                }
+            };
+            match ops.last_mut() {
+                Some(last) if last.kind == kind => last.len += 1,
+                _ => ops.push(CigarOp { kind, len: 1 }),
             }
-            _ => break,
         }
-    }
-    ops_rev.reverse();
-    Some((bcost, ops_rev))
+        ops.reverse();
+        Some((cost, ops))
+    })
+}
+
+/// An unreachable DP cell; `BIG + 1` still compares above every real cost.
+const BIG: u32 = u32::MAX / 2;
+/// Traceback tags of [`banded_global_cigar`].
+const DIAG: u8 = 1;
+const UP: u8 = 2; // Insertion: query consumed, reference not.
+const LEFT: u8 = 3; // Deletion: reference consumed.
+
+/// Per-thread buffers of [`banded_global_cigar`].
+#[derive(Default)]
+struct BandScratch {
+    /// Two DP rows.
+    rows: Vec<u32>,
+    /// Traceback tags, one row buffer per query row.
+    tb: Vec<u8>,
+}
+
+thread_local! {
+    static BAND: RefCell<BandScratch> = RefCell::default();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The banded global CIGAR [`banded_global_cigar`] replaced (an
+    /// `Option` column closure per cell, two fresh matrices per call),
+    /// kept as its oracle.
+    fn banded_global_cigar_oracle(
+        reference: &[u8],
+        query: &[u8],
+        band: usize,
+    ) -> Option<(u32, Vec<CigarOp>)> {
+        let n = query.len();
+        if n == 0 {
+            return Some((0, Vec::new()));
+        }
+        let b = band;
+        let m = reference.len().min(n + b);
+        // dp[i][j] = edit distance pattern[0..i] vs text[0..j], |j - i| <= b.
+        // Stored densely with traceback for the banded region.
+        let w = 2 * b + 1;
+        let big = u32::MAX / 2;
+        let mut dp = vec![big; (n + 1) * w];
+        let mut tb: Vec<u8> = vec![0; (n + 1) * w]; // 1=diag,2=up(del query? ),3=left
+        let col = |i: usize, j: usize| -> Option<usize> {
+            // j in [i-b, i+b].
+            let lo = i as isize - b as isize;
+            let off = j as isize - lo;
+            if off < 0 || off >= w as isize {
+                None
+            } else {
+                Some(i * w + off as usize)
+            }
+        };
+        // Row 0: aligning empty query to text prefix j costs j (deletions).
+        for j in 0..=b.min(m) {
+            if let Some(c) = col(0, j) {
+                dp[c] = j as u32;
+                tb[c] = 3;
+            }
+        }
+        for i in 1..=n {
+            let jlo = i.saturating_sub(b);
+            let jhi = (i + b).min(m);
+            for j in jlo..=jhi {
+                let c = col(i, j).unwrap();
+                let mut best = big;
+                let mut dir = 0u8;
+                if j > 0 {
+                    if let Some(cd) = col(i - 1, j - 1) {
+                        let cost = if query[i - 1] == reference[j - 1] { 0 } else { 1 };
+                        if dp[cd] + cost < best {
+                            best = dp[cd] + cost;
+                            dir = 1;
+                        }
+                    }
+                }
+                if let Some(cu) = col(i - 1, j) {
+                    if dp[cu] + 1 < best {
+                        best = dp[cu] + 1;
+                        dir = 2; // Insertion (query consumed, ref not).
+                    }
+                }
+                if j > 0 {
+                    if let Some(cl) = col(i, j - 1) {
+                        if dp[cl] + 1 < best {
+                            best = dp[cl] + 1;
+                            dir = 3; // Deletion (ref consumed).
+                        }
+                    }
+                }
+                dp[c] = best;
+                tb[c] = dir;
+            }
+        }
+        // Pick the best end column in the last row (free text tail).
+        let jlo = n.saturating_sub(b);
+        let jhi = (n + b).min(m);
+        let (mut bj, mut bcost) = (jlo, big);
+        for j in jlo..=jhi {
+            if let Some(c) = col(n, j) {
+                if dp[c] < bcost {
+                    bcost = dp[c];
+                    bj = j;
+                }
+            }
+        }
+        if bcost >= big {
+            return None;
+        }
+        // Traceback.
+        let mut ops_rev: Vec<CigarOp> = Vec::new();
+        let push = |kind: CigarKind, ops: &mut Vec<CigarOp>| {
+            if let Some(last) = ops.last_mut() {
+                if last.kind == kind {
+                    last.len += 1;
+                    return;
+                }
+            }
+            ops.push(CigarOp { kind, len: 1 });
+        };
+        let (mut i, mut j) = (n, bj);
+        while i > 0 || j > 0 {
+            let c = match col(i, j) {
+                Some(c) => c,
+                None => break,
+            };
+            match tb[c] {
+                1 => {
+                    push(CigarKind::Match, &mut ops_rev);
+                    i -= 1;
+                    j -= 1;
+                }
+                2 => {
+                    push(CigarKind::Ins, &mut ops_rev);
+                    i -= 1;
+                }
+                3 => {
+                    if i == 0 {
+                        // Leading reference consumption before the query
+                        // starts is not part of the read's CIGAR.
+                        break;
+                    }
+                    push(CigarKind::Del, &mut ops_rev);
+                    j -= 1;
+                }
+                _ => break,
+            }
+        }
+        ops_rev.reverse();
+        Some((bcost, ops_rev))
+    }
 
     fn cigar_str(ops: &[CigarOp]) -> String {
         ops.iter().map(|op| format!("{}{}", op.len, op.kind.to_char())).collect()
@@ -579,6 +720,79 @@ mod tests {
                 }
             } else {
                 assert!(dp > 6, "band missed a distance-{dp} alignment");
+            }
+        }
+    }
+
+    /// `reference` read from its start with a substitution, a 1–3 base
+    /// insertion or a 1–3 base deletion at each of `edits` random places,
+    /// cut to `len` — what a verified SNAP window looks like.
+    fn anchored_query(reference: &[u8], len: usize, edits: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed | 1;
+        let mut next = move |bound: usize| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((x >> 33) as usize) % bound.max(1)
+        };
+        let mut query = reference[..len.min(reference.len())].to_vec();
+        for _ in 0..edits {
+            let at = next(query.len() + 1);
+            match next(3) {
+                0 if at < query.len() => query[at] = b"ACGT"[next(4)],
+                1 => {
+                    let ins: Vec<u8> = (0..1 + next(3)).map(|_| b"ACGT"[next(4)]).collect();
+                    query.splice(at..at, ins);
+                }
+                _ => {
+                    query.drain(at..(at + 1 + next(3)).min(query.len()));
+                }
+            }
+        }
+        query.truncate(len);
+        query
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        /// The scratch-row DP returns the oracle's `(cost, CIGAR)`, or
+        /// `None` where it does, at every band the aligner can ask for:
+        /// anchored windows with substitutions and indels, exact
+        /// prefixes (the shortcut), windows shorter than the query, and
+        /// unrelated or tie-heavy pairs from `gappy_case`.
+        #[test]
+        fn banded_cigar_matches_oracle(
+            seed in proptest::prelude::any::<u64>(),
+            shape in 0usize..5,
+            n in 0usize..150,
+            m in 0usize..130,
+            band in 1usize..=13,
+            edits in 0usize..6,
+        ) {
+            let (reference, gappy) = gappy_case(seed, shape, n, m);
+            let query = if edits == 5 { gappy } else { anchored_query(&reference, m, edits, seed) };
+            proptest::prop_assert_eq!(
+                banded_global_cigar(&reference, &query, band),
+                banded_global_cigar_oracle(&reference, &query, band),
+                "band {}", band
+            );
+        }
+    }
+
+    /// The scratch rows are reused: a call after a wider band or a
+    /// longer query must not see their leftovers.
+    #[test]
+    fn banded_cigar_reuses_scratch() {
+        let mut seed = 11u64;
+        for (n, m, band) in [(140, 101, 13), (30, 17, 2), (9, 20, 5), (140, 101, 1), (64, 64, 7)] {
+            for edits in 0..5 {
+                seed += 1;
+                let (reference, _) = gappy_case(seed, 0, n, m);
+                let query = anchored_query(&reference, m, edits, seed);
+                assert_eq!(
+                    banded_global_cigar(&reference, &query, band),
+                    banded_global_cigar_oracle(&reference, &query, band),
+                    "n {n} m {m} band {band} edits {edits}"
+                );
             }
         }
     }

@@ -90,11 +90,6 @@ fn bench_kernels(c: &mut Criterion) {
     g.bench_function("fm_index_count_25bp", |b| {
         b.iter(|| std::hint::black_box(fm.count(&pattern[..25])))
     });
-    let seed_idx = persona_index::SeedIndex::build(&world.genome, 16);
-    g.bench_function("seed_index_lookup", |b| {
-        b.iter(|| std::hint::black_box(seed_idx.lookup(&pattern[..16])))
-    });
-
     // The three budgets of the BWA path (docs/PERFORMANCE.md §1), each
     // with its unit of work as the throughput so the JSON carries
     // ns/extend, ns/traceback and ns/read directly. The index is the
@@ -162,6 +157,105 @@ fn bench_kernels(c: &mut Criterion) {
             turn += 1;
             let r = &big.reads[turn % big.reads.len()];
             std::hint::black_box(persona_align::Aligner::align_read(&bwa, &r.bases, &r.quals))
+        })
+    });
+    g.finish();
+}
+
+/// The SNAP path's budgets (docs/PERFORMANCE.md §5), on the regression
+/// benchmark's reference size (1 Mbp: a 20 MiB seed table, far past L2)
+/// and on a 16 Mbp one (337 MiB, past the LLC of most machines: the
+/// regime of the paper's human-genome runs). One iteration is `BATCH` reads (throughput in
+/// reads/s), taken in turn from 4,096, so the table is met as a stream
+/// of distinct reads meets it rather than with the same lines in L1.
+fn bench_snap(c: &mut Criterion) {
+    use persona_align::snap::{SnapAligner, SnapParams};
+    use persona_align::sw::banded_global_cigar;
+    use persona_align::Aligner;
+    use persona_index::SeedIndex;
+
+    const BATCH: usize = 256;
+    let mut g = c.benchmark_group("kernels");
+    g.measurement_time(Duration::from_secs(3));
+    g.sample_size(10);
+    let big = World::build(1_000_000, 4096, 105);
+    g.throughput(Throughput::Elements(1));
+    g.bench_function("seed_index_build", |b| {
+        b.iter(|| std::hint::black_box(SeedIndex::build(&big.genome, 16).distinct_seeds()))
+    });
+    g.sample_size(40);
+    g.throughput(Throughput::Elements(BATCH as u64));
+    // The next `BATCH` items of `items`, round-robin across iterations.
+    let mut turn = 0usize;
+    let mut batch = move |len: usize| {
+        turn += BATCH;
+        (turn..turn + BATCH).map(move |i| i % len)
+    };
+    let index = Arc::new(SeedIndex::build(&big.genome, 16));
+    g.bench_function("seed_index_lookup", |b| {
+        b.iter(|| {
+            batch(big.reads.len())
+                .map(|i| index.lookup(&big.reads[i].bases[i % 80..][..16]).map_or(0, |h| h.len()))
+                .sum::<usize>()
+        })
+    });
+    let snap = SnapAligner::new(big.genome.clone(), index.clone(), SnapParams::default());
+    g.bench_function("snap_seed_101bp", |b| {
+        b.iter(|| {
+            batch(big.reads.len()).map(|i| snap.seed_candidates(&big.reads[i].bases)).sum::<usize>()
+        })
+    });
+    g.bench_function("snap_align_read", |b| {
+        b.iter(|| {
+            batch(big.reads.len())
+                .map(|i| snap.align_read(&big.reads[i].bases, &big.reads[i].quals).mapq as usize)
+                .sum::<usize>()
+        })
+    });
+    // The CIGAR step exactly as the aligner runs it, once per mapped
+    // read: the winning window, the read on the winning strand, and a
+    // band of the verified distance + 1.
+    let max_k = SnapParams::default().max_k;
+    let seq = &big.genome.contig(0).seq;
+    let winners: Vec<(&[u8], Vec<u8>, usize)> = big
+        .reads
+        .iter()
+        .filter_map(|r| {
+            let hit = snap.align_read(&r.bases, &r.quals);
+            if hit.is_unmapped() {
+                return None;
+            }
+            let at = hit.location as usize;
+            let window = &seq[at..(at + r.bases.len() + max_k as usize).min(seq.len())];
+            let read = if hit.is_reverse() {
+                persona_seq::dna::revcomp(&r.bases)
+            } else {
+                r.bases.clone()
+            };
+            let dist = landau_vishkin(window, &read, max_k)?;
+            Some((window, read, dist.max(1) as usize + 1))
+        })
+        .collect();
+    g.bench_function("snap_cigar_101bp", |b| {
+        b.iter(|| {
+            batch(winners.len())
+                .map(|i| {
+                    let (window, read, band) = &winners[i];
+                    banded_global_cigar(window, read, *band).map_or(0, |(cost, _)| cost)
+                })
+                .sum::<u32>()
+        })
+    });
+    drop((snap, index));
+
+    let huge = World::build(16_000_000, 4096, 106);
+    let index = Arc::new(SeedIndex::build(&huge.genome, 16));
+    let snap = SnapAligner::new(huge.genome.clone(), index, SnapParams::default());
+    g.bench_function(BenchmarkId::new("snap_seed_101bp", "16Mbp"), |b| {
+        b.iter(|| {
+            batch(huge.reads.len())
+                .map(|i| snap.seed_candidates(&huge.reads[i].bases))
+                .sum::<usize>()
         })
     });
     g.finish();
@@ -327,6 +421,7 @@ criterion_group!(
     benches,
     bench_aligners,
     bench_kernels,
+    bench_snap,
     bench_codecs,
     bench_chunks,
     bench_framework

@@ -12,6 +12,29 @@ pub fn is_valid_base(b: u8) -> bool {
     matches!(b, b'A' | b'C' | b'G' | b'T' | b'N')
 }
 
+/// [`base_to_code`] as a table: `A,C,G,T` → `0..4`, every other byte → 4.
+///
+/// Bases of a read are random, so a `match` on them mispredicts about
+/// once per base; a load does not.
+const BASE_CODE: [u8; 256] = {
+    let mut t = [4u8; 256];
+    t[b'A' as usize] = 0;
+    t[b'C' as usize] = 1;
+    t[b'G' as usize] = 2;
+    t[b'T' as usize] = 3;
+    t
+};
+
+/// [`complement`] as a table; every byte but `A,C,G,T` maps to `N`.
+const COMPLEMENT: [u8; 256] = {
+    let mut t = [b'N'; 256];
+    t[b'A' as usize] = b'T';
+    t[b'C' as usize] = b'G';
+    t[b'G' as usize] = b'C';
+    t[b'T' as usize] = b'A';
+    t
+};
+
 /// Returns the Watson-Crick complement, preserving `N`.
 ///
 /// # Panics
@@ -19,17 +42,8 @@ pub fn is_valid_base(b: u8) -> bool {
 /// Panics in debug builds if `b` is not a valid base.
 #[inline]
 pub fn complement(b: u8) -> u8 {
-    match b {
-        b'A' => b'T',
-        b'C' => b'G',
-        b'G' => b'C',
-        b'T' => b'A',
-        b'N' => b'N',
-        _ => {
-            debug_assert!(false, "invalid base {b}");
-            b'N'
-        }
-    }
+    debug_assert!(is_valid_base(b), "invalid base {b}");
+    COMPLEMENT[b as usize]
 }
 
 /// Returns the reverse complement of a sequence.
@@ -40,7 +54,16 @@ pub fn complement(b: u8) -> u8 {
 /// assert_eq!(persona_seq::dna::revcomp(b"ACCGT"), b"ACGGT");
 /// ```
 pub fn revcomp(seq: &[u8]) -> Vec<u8> {
-    seq.iter().rev().map(|&b| complement(b)).collect()
+    let mut out = Vec::with_capacity(seq.len());
+    revcomp_into(seq, &mut out);
+    out
+}
+
+/// Writes the reverse complement of `seq` into `out` (cleared first), so
+/// a caller can keep one buffer across reads.
+pub fn revcomp_into(seq: &[u8], out: &mut Vec<u8>) {
+    out.clear();
+    out.extend(seq.iter().rev().map(|&b| complement(b)));
 }
 
 /// Reverse-complements a sequence in place.
@@ -54,13 +77,7 @@ pub fn revcomp_in_place(seq: &mut [u8]) {
 /// Maps `A,C,G,T` to `0..4`; `N` and anything else map to 4.
 #[inline]
 pub fn base_to_code(b: u8) -> u8 {
-    match b {
-        b'A' => 0,
-        b'C' => 1,
-        b'G' => 2,
-        b'T' => 3,
-        _ => 4,
-    }
+    BASE_CODE[b as usize]
 }
 
 /// Maps codes `0..4` back to `A,C,G,T`; 4 maps to `N`.
@@ -125,6 +142,36 @@ mod tests {
         let mut s = b"GATTACA".to_vec();
         revcomp_in_place(&mut s);
         assert_eq!(s, revcomp(b"GATTACA"));
+    }
+
+    /// The tables reproduce the `match`es they replaced on every byte.
+    #[test]
+    fn tables_match_the_old_matches() {
+        for b in 0..=255u8 {
+            let code = match b {
+                b'A' => 0,
+                b'C' => 1,
+                b'G' => 2,
+                b'T' => 3,
+                _ => 4,
+            };
+            assert_eq!(base_to_code(b), code, "byte {b}");
+            let comp = match b {
+                b'A' => b'T',
+                b'C' => b'G',
+                b'G' => b'C',
+                b'T' => b'A',
+                _ => b'N',
+            };
+            assert_eq!(COMPLEMENT[b as usize], comp, "byte {b}");
+        }
+    }
+
+    #[test]
+    fn revcomp_into_reuses_buffer() {
+        let mut out = b"leftover bytes".to_vec();
+        revcomp_into(b"AACGTN", &mut out);
+        assert_eq!(out, b"NACGTT");
     }
 
     #[test]

@@ -76,6 +76,8 @@ mod sys {
         pub revents: i16,
     }
 
+    // Every function below is a raw syscall wrapper: callers pass only
+    // live, correctly sized buffers (each call site says which).
     extern "C" {
         #[cfg(target_os = "linux")]
         pub fn epoll_create1(flags: i32) -> Fd;
@@ -109,19 +111,19 @@ pub struct Waker {
     flag: std::sync::Arc<std::sync::atomic::AtomicBool>,
 }
 
-// The write fd is used only for single-byte writes, which are atomic.
-unsafe impl Send for Waker {}
-unsafe impl Sync for Waker {}
-
 impl Waker {
     /// Interrupts the poller's current (or next) [`Poller::wait`].
     pub fn wake(&self) {
         #[cfg(unix)]
-        unsafe {
+        {
             let byte = 1u8;
-            // EAGAIN means the pipe already holds unread wake bytes —
-            // the wake is pending, nothing to do.
-            let _ = sys::write(self.write_fd, &byte, 1);
+            debug_assert!(self.write_fd >= 0, "waker without a pipe");
+            // SAFETY: `write(2)` reads exactly one byte from `&byte`, a
+            // live local; the fd is a plain integer, so a closed one (the
+            // poller dropped first) is an `EBADF`, not memory unsafety.
+            // EAGAIN means the pipe already holds unread wake bytes — the
+            // wake is pending, nothing to do.
+            let _ = unsafe { sys::write(self.write_fd, &byte, 1) };
         }
         #[cfg(not(unix))]
         self.flag.store(true, std::sync::atomic::Ordering::SeqCst);
@@ -153,22 +155,23 @@ pub struct Poller {
     registered: Vec<(i32, u64, bool, bool)>,
 }
 
-// The poller itself stays on its loop thread, but moving it there
-// after construction requires Send.
-unsafe impl Send for Poller {}
-
 #[cfg(unix)]
 impl Poller {
     /// Creates a poller: epoll on Linux, `poll(2)` elsewhere or when
     /// `PERSONA_POLLER=poll` forces the portable backend.
     pub fn new() -> io::Result<Poller> {
         let mut fds = [0i32; 2];
+        // SAFETY: `pipe(2)` writes exactly two fds into the pointed-to
+        // array, which is a live `[i32; 2]`.
         if unsafe { sys::pipe(fds.as_mut_ptr()) } < 0 {
             return Err(sys::last_error());
         }
         for fd in fds {
+            // SAFETY: integer arguments only; `fd` came from `pipe` above.
             if unsafe { sys::fcntl(fd, sys::F_SETFL, sys::O_NONBLOCK) } < 0 {
                 let err = sys::last_error();
+                // SAFETY: both fds were just created and are owned here
+                // alone; they are closed once, and not stored anywhere.
                 unsafe {
                     sys::close(fds[0]);
                     sys::close(fds[1]);
@@ -186,13 +189,18 @@ impl Poller {
         if force_poll {
             return Ok(Backend::Poll { registered: vec![(pipe_read, WAKER_TOKEN, true, false)] });
         }
+        // SAFETY: integer arguments only.
         let epfd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
         if epfd < 0 {
             return Err(sys::last_error());
         }
         let mut ev = sys::EpollEvent { events: sys::EPOLLIN, data: WAKER_TOKEN };
+        // SAFETY: `epoll_ctl` reads one `epoll_event` through the pointer,
+        // and `ev` is a live local of the kernel's layout.
         if unsafe { sys::epoll_ctl(epfd, sys::EPOLL_CTL_ADD, pipe_read, &mut ev) } < 0 {
             let err = sys::last_error();
+            // SAFETY: `epfd` was created above, is owned here alone and is
+            // closed once, before it could be stored.
             unsafe { sys::close(epfd) };
             return Err(err);
         }
@@ -234,6 +242,9 @@ impl Poller {
             Backend::Epoll { epfd } => {
                 let mut ev =
                     sys::EpollEvent { events: interest_bits(readable, writable), data: token };
+                // SAFETY: the kernel reads one `epoll_event` from `ev`, a
+                // live local; `fd` is only a number to it (a stale one is
+                // an error return).
                 if unsafe { sys::epoll_ctl(*epfd, sys::EPOLL_CTL_ADD, fd, &mut ev) } < 0 {
                     return Err(sys::last_error());
                 }
@@ -260,6 +271,8 @@ impl Poller {
             Backend::Epoll { epfd } => {
                 let mut ev =
                     sys::EpollEvent { events: interest_bits(readable, writable), data: token };
+                // SAFETY: as in `register`: one `epoll_event` read from a
+                // live local.
                 if unsafe { sys::epoll_ctl(*epfd, sys::EPOLL_CTL_MOD, fd, &mut ev) } < 0 {
                     return Err(sys::last_error());
                 }
@@ -280,6 +293,8 @@ impl Poller {
             #[cfg(target_os = "linux")]
             Backend::Epoll { epfd } => {
                 let mut ev = sys::EpollEvent { events: 0, data: 0 };
+                // SAFETY: as in `register` (`DEL` ignores the event, but
+                // kernels before 2.6.9 required a valid pointer: it is).
                 if unsafe { sys::epoll_ctl(*epfd, sys::EPOLL_CTL_DEL, fd, &mut ev) } < 0 {
                     return Err(sys::last_error());
                 }
@@ -304,10 +319,14 @@ impl Poller {
             Backend::Epoll { epfd } => {
                 let mut events = [sys::EpollEvent { events: 0, data: 0 }; 256];
                 let n = loop {
+                    // SAFETY: the kernel writes at most `maxevents` =
+                    // `events.len()` entries into `events`, a live array
+                    // of the kernel's `epoll_event` layout.
                     let n = unsafe {
                         sys::epoll_wait(*epfd, events.as_mut_ptr(), events.len() as i32, timeout_ms)
                     };
                     if n >= 0 {
+                        debug_assert!(n as usize <= events.len(), "epoll_wait overran");
                         break n as usize;
                     }
                     let err = sys::last_error();
@@ -349,8 +368,12 @@ impl Poller {
                     })
                     .collect();
                 let n = loop {
+                    // SAFETY: `poll(2)` reads and updates exactly `nfds` =
+                    // `fds.len()` `pollfd`s in `fds`, a live `Vec` of the C
+                    // layout that is not resized during the call.
                     let n = unsafe { sys::poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
                     if n >= 0 {
+                        debug_assert!(n as usize <= fds.len(), "poll reported too many fds");
                         break n;
                     }
                     let err = sys::last_error();
@@ -396,7 +419,10 @@ impl Poller {
     fn drain_waker(&self) {
         let mut buf = [0u8; 64];
         loop {
+            // SAFETY: `read(2)` writes at most `buf.len()` bytes into
+            // `buf`, a live local array.
             let n = unsafe { sys::read(self.pipe_read, buf.as_mut_ptr(), buf.len()) };
+            debug_assert!(n <= buf.len() as isize, "read overran its buffer");
             if n <= 0 {
                 break;
             }
@@ -419,6 +445,8 @@ fn interest_bits(readable: bool, writable: bool) -> u32 {
 #[cfg(unix)]
 impl Drop for Poller {
     fn drop(&mut self) {
+        // SAFETY: the poller owns these fds (created in `new`, never
+        // handed out except as the `Waker`'s number) and closes each once.
         unsafe {
             #[cfg(target_os = "linux")]
             if let Backend::Epoll { epfd } = self.backend {
@@ -502,6 +530,17 @@ mod tests {
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
     use std::os::unix::io::AsRawFd;
+
+    /// Plain fd numbers make both types thread-movable without an
+    /// `unsafe impl`: a waker is shared across threads, a poller moves to
+    /// its loop thread.
+    #[test]
+    fn thread_bounds_hold_without_unsafe_impls() {
+        fn send_sync<T: Send + Sync>() {}
+        fn send<T: Send>() {}
+        send_sync::<Waker>();
+        send::<Poller>();
+    }
 
     fn pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
