@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks of the compute kernels: aligners,
 //! edit-distance/SW, FM-index, codecs, base compaction, chunk codec,
-//! and the dataflow framework primitives (queue/pool/executor), whose
+//! and the dataflow framework primitives (queue/executor), whose
 //! overhead underpins the paper's "≤1% framework overhead" claim.
 
 use std::sync::Arc;
@@ -19,7 +19,7 @@ use persona_bench::World;
 use persona_compress::codec::Codec;
 use persona_compress::deflate::huffman::limited_code_lengths;
 use persona_compress::deflate::{deflate_level, inflate_with_capacity, CompressLevel};
-use persona_dataflow::{Executor, ObjectPool, QueueHandle};
+use persona_dataflow::{Executor, QueueHandle};
 use persona_formats::bam;
 use persona_formats::sam::{RefMap, SamRecord};
 
@@ -389,15 +389,6 @@ fn bench_framework(c: &mut Criterion) {
         b.iter(|| {
             q.push(42).unwrap();
             std::hint::black_box(q.pop().unwrap());
-        })
-    });
-    // Pool acquire/release per buffer.
-    g.bench_function("pool_acquire_release", |b| {
-        let pool = ObjectPool::with_reset(8, || Vec::<u8>::with_capacity(4096), |v| v.clear());
-        b.iter(|| {
-            let mut buf = pool.acquire();
-            buf.push(1);
-            std::hint::black_box(buf.len());
         })
     });
     // Executor batch dispatch (fine-grain task cost, Fig. 4).

@@ -4,13 +4,15 @@
 //! Run: `cargo run -p persona-bench --release --bin fig5`
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use persona::config::PersonaConfig;
-use persona::pipeline::align::{align_dataset, AlignInputs};
+use persona::plan::{DataState, Plan, PlanRequest, PlanSource, Stage};
+use persona::runtime::PersonaRuntime;
 use persona_agd::chunk_io::{ChunkStore, MemStore};
 use persona_baseline::standalone::{run_standalone, write_gzipped_fastq};
 use persona_bench::{print_header, scale, World};
+use persona_dataflow::metrics::Sampler;
 use persona_store::local::{DiskConfig, WritebackDisk};
 
 fn main() {
@@ -23,34 +25,40 @@ fn main() {
         ("(a) Single Disk", DiskConfig::single_disk(bw_scale)),
         ("(b) RAID0", DiskConfig::raid0(bw_scale)),
     ] {
-        // Persona run with utilization sampling.
+        // Persona run: the align-only plan on a runtime of its own, its
+        // executor's busy time sampled into a utilization timeline.
         let disk_store = Arc::new(WritebackDisk::new(MemStore::new(), disk, 48 << 20));
-        world.write_agd(disk_store.as_ref(), "ds", 2_000);
-        let manifest = persona_agd::dataset::Dataset::open(disk_store.as_ref(), "ds")
-            .unwrap()
-            .manifest()
-            .clone();
+        let manifest = world.write_agd(disk_store.as_ref(), "ds", 2_000);
         let dyn_store: Arc<dyn ChunkStore> = disk_store.clone();
-        let config = PersonaConfig { sample_ms: 100, ..PersonaConfig::default() };
-        let report = align_dataset(AlignInputs {
-            store: dyn_store,
-            manifest: &manifest,
-            aligner: aligner.clone(),
-            config,
-        })
-        .unwrap();
+        let rt = PersonaRuntime::new(dyn_store, PersonaConfig::default()).unwrap();
+        let executor = rt.executor();
+        let sampler = Sampler::start(
+            vec![executor.counters()],
+            executor.threads(),
+            Duration::from_millis(100),
+        );
+        let plan = Plan::builder(DataState::EncodedAgd).then(Stage::Align).build().unwrap();
+        let request = PlanRequest {
+            name: "ds".into(),
+            source: PlanSource::Dataset(manifest),
+            chunk_size: 2_000,
+            aligner: Some(aligner.clone()),
+            reference: world.reference.clone(),
+        };
+        plan.run(&rt, request).unwrap();
+        let timeline = sampler.finish();
         disk_store.sync();
 
         print_header(
             &format!("Fig. 5 {label} — Persona (AGD) CPU utilization"),
             &["t (s)", "utilization"],
         );
-        for (t, u) in report.run.timeline.normalized() {
+        for (t, u) in timeline.normalized() {
             println!("{t:.1}\t{:.0}%", u * 100.0);
         }
         println!(
             "mean {:.0}%  (paper: Persona CPU-bound & steady in both configs)",
-            report.run.timeline.mean() * 100.0
+            timeline.mean() * 100.0
         );
 
         // Standalone run: sample utilization by polling a side-channel —

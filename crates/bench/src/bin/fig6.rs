@@ -39,11 +39,7 @@ fn measure_standalone(world: &World, aligner: &Arc<dyn Aligner>, threads: usize)
 fn measure_persona(world: &World, aligner: &Arc<dyn Aligner>, threads: usize) -> f64 {
     let store = mem_store();
     let manifest = world.write_agd(store.as_ref(), "f6", 2_000);
-    let config = PersonaConfig {
-        compute_threads: threads,
-        aligner_kernels: threads.min(4).max(1),
-        ..PersonaConfig::default()
-    };
+    let config = PersonaConfig { compute_threads: threads, ..PersonaConfig::default() };
     let report =
         align_dataset(AlignInputs { store, manifest: &manifest, aligner: aligner.clone(), config })
             .unwrap();

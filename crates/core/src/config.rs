@@ -1,10 +1,10 @@
 //! Pipeline configuration.
 //!
-//! Defaults follow the paper: queue capacities default to the
-//! parallelism of the consuming stage (§4.5: "default queue lengths are
-//! set to the number of parallel downstream nodes they feed"), AGD
-//! chunks hold 100,000 records (§5.2), and the executor owns all
-//! remaining hardware threads.
+//! Defaults follow the paper: the executor owns all remaining hardware
+//! threads (§4.3), and work reaches it in fine-grain subchunks (Fig. 4).
+//! Everything else — how many chunks a stage keeps in flight, how far a
+//! fused producer may run ahead — is derived from the executor's thread
+//! count ([`PersonaRuntime`](crate::runtime::PersonaRuntime)).
 
 /// Tuning knobs for Persona pipelines on one server.
 #[derive(Debug, Clone, Copy)]
@@ -13,63 +13,28 @@ pub struct PersonaConfig {
     /// node configuration uses 47 aligner threads on a 48-thread box,
     /// leaving one for I/O).
     pub compute_threads: usize,
-    /// Parallel aligner kernels feeding the executor.
-    pub aligner_kernels: usize,
-    /// Parallel reader node workers.
-    pub reader_parallelism: usize,
-    /// Parallel parser node workers.
-    pub parser_parallelism: usize,
-    /// Parallel writer node workers.
-    pub writer_parallelism: usize,
     /// Reads per executor subchunk task (Fig. 4: the fine-grain unit).
     pub subchunk_size: usize,
-    /// Override for queue capacity; `None` = downstream parallelism.
-    pub queue_capacity: Option<usize>,
-    /// Utilization sampling interval in milliseconds (0 = off).
-    pub sample_ms: u64,
 }
 
 impl Default for PersonaConfig {
     fn default() -> Self {
         let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(8);
-        PersonaConfig {
-            compute_threads: (hw - 1).max(1),
-            aligner_kernels: 4,
-            reader_parallelism: 2,
-            parser_parallelism: 2,
-            writer_parallelism: 2,
-            subchunk_size: 512,
-            queue_capacity: None,
-            sample_ms: 0,
-        }
+        PersonaConfig { compute_threads: (hw - 1).max(1), subchunk_size: 512 }
     }
 }
 
 impl PersonaConfig {
     /// A configuration sized for tests: few threads, tiny subchunks.
     pub fn small() -> Self {
-        PersonaConfig {
-            compute_threads: 2,
-            aligner_kernels: 2,
-            reader_parallelism: 1,
-            parser_parallelism: 1,
-            writer_parallelism: 1,
-            subchunk_size: 64,
-            queue_capacity: None,
-            sample_ms: 0,
-        }
-    }
-
-    /// Queue capacity ahead of a stage with `downstream` workers.
-    pub fn capacity_for(&self, downstream: usize) -> usize {
-        self.queue_capacity.unwrap_or_else(|| downstream.max(1))
+        PersonaConfig { compute_threads: 2, subchunk_size: 64 }
     }
 
     /// Checks that the configuration can actually run a pipeline.
     ///
-    /// A zero `compute_threads` (or zero kernel/worker parallelism)
-    /// would deadlock or panic deep inside the dataflow layer, so the
-    /// runtime rejects it up front with a clear message.
+    /// A zero `compute_threads` (or zero subchunk size) would deadlock
+    /// or panic deep inside a stage, so the runtime rejects it up front
+    /// with a clear message.
     pub fn validate(&self) -> std::result::Result<(), String> {
         let check = |n: usize, what: &str| {
             if n == 0 {
@@ -79,10 +44,6 @@ impl PersonaConfig {
             }
         };
         check(self.compute_threads, "compute_threads")?;
-        check(self.aligner_kernels, "aligner_kernels")?;
-        check(self.reader_parallelism, "reader_parallelism")?;
-        check(self.parser_parallelism, "parser_parallelism")?;
-        check(self.writer_parallelism, "writer_parallelism")?;
         check(self.subchunk_size, "subchunk_size")?;
         Ok(())
     }
@@ -106,14 +67,5 @@ mod tests {
         assert!(err.contains("compute_threads"), "{err}");
         assert!(PersonaConfig::default().validate().is_ok());
         assert!(PersonaConfig::small().validate().is_ok());
-    }
-
-    #[test]
-    fn queue_capacity_defaults_to_downstream_parallelism() {
-        let c = PersonaConfig::default();
-        assert_eq!(c.capacity_for(4), 4);
-        assert_eq!(c.capacity_for(0), 1);
-        let c = PersonaConfig { queue_capacity: Some(7), ..PersonaConfig::default() };
-        assert_eq!(c.capacity_for(4), 7);
     }
 }

@@ -10,9 +10,9 @@
 //!
 //! Pipelines:
 //!
-//! * [`pipeline::align`] — the I/O input subgraph (reader → parser), the
-//!   process subgraph (aligner kernels over a shared executor, Fig. 4)
-//!   and the output subgraph (writer), connected by bounded queues.
+//! * [`pipeline::align`] — the input steps (read + decode), the process
+//!   step (aligner subchunks over the shared executor, Fig. 4) and the
+//!   output step (encode + write) of a bounded window of chunks.
 //! * [`pipeline::sort`] — external merge sort over AGD chunks with
 //!   temporary "superchunks" (§4.3).
 //! * [`pipeline::dupmark`] — Samblaster-style duplicate marking over the
@@ -53,8 +53,10 @@ pub mod wire;
 pub enum Error {
     /// AGD format or I/O failure.
     Agd(persona_agd::Error),
-    /// Dataflow execution failure.
-    Dataflow(persona_dataflow::DataflowError),
+    /// A stage's task panicked on the shared executor (a kernel bug,
+    /// such as an aligner that panics); carries the panic payload's
+    /// text. The stage settled its other tasks before reporting it.
+    TaskPanicked(String),
     /// Interchange format failure.
     Format(persona_formats::Error),
     /// Pipeline-level invariant violation.
@@ -80,7 +82,7 @@ impl std::fmt::Display for Error {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Error::Agd(e) => write!(f, "agd: {e}"),
-            Error::Dataflow(e) => write!(f, "dataflow: {e}"),
+            Error::TaskPanicked(what) => write!(f, "executor task panicked: {what}"),
             Error::Format(e) => write!(f, "format: {e}"),
             Error::Pipeline(what) => write!(f, "pipeline: {what}"),
             Error::Cancelled => write!(f, "job cancelled"),
@@ -94,12 +96,6 @@ impl std::error::Error for Error {}
 impl From<persona_agd::Error> for Error {
     fn from(e: persona_agd::Error) -> Self {
         Error::Agd(e)
-    }
-}
-
-impl From<persona_dataflow::DataflowError> for Error {
-    fn from(e: persona_dataflow::DataflowError) -> Self {
-        Error::Dataflow(e)
     }
 }
 

@@ -1,20 +1,21 @@
 //! The alignment pipeline: Persona's flagship subgraph (paper Fig. 3).
 //!
 //! ```text
-//! manifest server ─► reader(s) ─► parser(s) ─► aligner kernel(s) ─► writer(s)
-//!      (names)        (I/O)      (decompress)   (executor, Fig.4)    (results)
+//! manifest server ─► load ───────────► align ──────────► store ───────────► (chunk feeder)
+//!     (names)        (get + decode)    (subchunk tasks)   (encode, gzip, put)
 //! ```
 //!
+//! The stage thread fetches chunk names and keeps a bounded window of
+//! chunks in flight, each moving through three executor steps: one load
+//! task, one batch of subchunk align tasks (Fig. 4), one store task.
 //! Only the `bases` and `qual` columns are fetched (§5.2: "we read only
 //! these two columns of each chunk"); results are written as a new AGD
-//! column. Aligner kernels split each chunk into subchunks and feed the
-//! shared executor so chunk granularity never causes thread stragglers.
+//! column. Splitting every chunk into subchunks on the shared executor
+//! means chunk granularity never causes thread stragglers.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use persona_agd::chunk::{ChunkData, RecordType};
 use persona_agd::chunk_io::ChunkStore;
 use persona_agd::columns;
@@ -24,14 +25,15 @@ use persona_align::profile::PhaseProfile;
 use persona_align::Aligner;
 use persona_compress::codec::Codec;
 use persona_compress::deflate::CompressLevel;
-use persona_dataflow::graph::{GraphBuilder, RunReport};
-use persona_dataflow::DataflowError;
 
 use crate::config::PersonaConfig;
-use crate::manifest_server::{ChunkFeeder, ChunkTask, ManifestServer};
-use crate::pipeline::{deliver, graph_error, split_out, Edge, EdgeOut, StageReport};
-use crate::runtime::PersonaRuntime;
-use crate::Result;
+use crate::manifest_server::{ChunkFeeder, ManifestServer};
+use crate::pipeline::{
+    deliver, drive, load_column, push, split_out, subchunk_ranges, Edge, EdgeOut, Progress,
+    StageReport, Step,
+};
+use crate::runtime::{Pending, PersonaRuntime};
+use crate::{Error, Result};
 
 /// Inputs to [`align_dataset`].
 pub struct AlignInputs<'a> {
@@ -58,8 +60,6 @@ pub struct AlignReport {
     pub mapped: u64,
     /// Chunks processed.
     pub chunks: u64,
-    /// Dataflow node statistics and utilization timeline.
-    pub run: RunReport,
     /// Merged aligner phase profile (Fig. 8 inputs).
     pub profile: PhaseProfile,
     /// The stage's share of shared-executor worker time.
@@ -87,25 +87,36 @@ impl StageReport for AlignReport {
     }
 }
 
-/// Message carrying one chunk's raw column objects.
-struct RawChunk {
-    task: ChunkTask,
-    bases_obj: Vec<u8>,
-    qual_obj: Vec<u8>,
+/// One chunk's decoded input columns. Qualities flow with the chunk as
+/// in the paper.
+struct Loaded {
+    bases: ChunkData,
+    quals: ChunkData,
 }
 
-/// Message carrying one chunk's decoded columns.
-struct ParsedChunk {
-    task: ChunkTask,
-    bases: Arc<ChunkData>,
-    #[allow(dead_code)] // Qualities flow with the chunk as in the paper.
-    quals: Arc<ChunkData>,
+/// The executor step one chunk of the align stage is waiting on.
+enum AlignStep {
+    Load(Pending<Result<Loaded>>),
+    Align(Pending<(Vec<AlignmentResult>, PhaseProfile)>),
+    Store(Pending<Result<()>>),
 }
 
-/// Message carrying one chunk's alignment results.
-struct ResultChunk {
-    task: ChunkTask,
-    results: Vec<AlignmentResult>,
+impl Step for AlignStep {
+    fn is_done(&self) -> bool {
+        match self {
+            AlignStep::Load(p) => p.is_done(),
+            AlignStep::Align(p) => p.is_done(),
+            AlignStep::Store(p) => p.is_done(),
+        }
+    }
+
+    fn settle(self) {
+        match self {
+            AlignStep::Load(p) => p.settle(),
+            AlignStep::Align(p) => p.settle(),
+            AlignStep::Store(p) => p.settle(),
+        }
+    }
 }
 
 /// Aligns every read of a dataset, writing a `results` column, using a
@@ -148,212 +159,115 @@ pub(crate) fn align_rt(
     Ok((manifest, report))
 }
 
-/// Aligns chunks from `server`: kernels split each chunk into subchunks
-/// and submit them as tagged task batches on the runtime's executor
+/// Aligns chunks from `server`, each through a load task, a batch of
+/// subchunk align tasks and a store task on the runtime's executor
 /// (Fig. 4). Each chunk's task is pushed into `results_out` after its
 /// results column lands in the store; the feeder is dropped — closing
-/// the downstream queue — when the stage completes (the graph run
-/// consumes every node closure before returning).
+/// the downstream queue — when the stage returns.
 fn align_chunks(
     rt: &PersonaRuntime,
     server: &ManifestServer,
     aligner: Arc<dyn Aligner>,
     results_out: Option<ChunkFeeder>,
 ) -> Result<AlignReport> {
-    let cfg = *rt.config();
-    let store = rt.store().clone();
-    let executor = rt.executor().clone();
     let timer = rt.stage_timer();
-    let reads_ctr = Arc::new(AtomicU64::new(0));
-    let bases_ctr = Arc::new(AtomicU64::new(0));
-    let mapped_ctr = Arc::new(AtomicU64::new(0));
-    let chunks_ctr = Arc::new(AtomicU64::new(0));
-    let profile = Arc::new(Mutex::new(PhaseProfile::default()));
-
-    let mut g = GraphBuilder::new("align");
-    if cfg.sample_ms > 0 {
-        g.sample_every(Duration::from_millis(cfg.sample_ms));
-    }
-    g.track_external("executor", executor.counters(), executor.threads());
-
-    let q_raw = g.queue::<RawChunk>("raw-chunks", cfg.capacity_for(cfg.parser_parallelism));
-    let q_parsed = g.queue::<ParsedChunk>("parsed-chunks", cfg.capacity_for(cfg.aligner_kernels));
-    let q_results =
-        g.queue::<ResultChunk>("result-chunks", cfg.capacity_for(cfg.writer_parallelism));
-
-    // Input subgraph: readers fetch chunk names from the manifest server
-    // and pull the two needed column objects from storage.
-    {
-        let server = server.clone();
-        let store = store.clone();
-        let qr = q_raw.clone();
-        let cancel = rt.job().map(|j| j.cancel_token().clone());
-        let trace = rt.trace().cloned();
-        g.node("reader", cfg.reader_parallelism, [q_raw.produces()], move |ctx| {
-            while let Some(task) = server.fetch() {
-                // Stop pulling new chunks once the job is cancelled.
-                if cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-                    return Err("job cancelled".into());
-                }
-                // The chunk span opens when the chunk is dispatched off
-                // the manifest server and closes when its results land
-                // (writer node below).
-                if let Some(t) = &trace {
-                    t.chunk_begin("align", task.chunk_idx as u64);
-                }
-                let bases_name = format!("{}.{}", task.stem, columns::BASES);
-                let qual_name = format!("{}.{}", task.stem, columns::QUAL);
-                let bases_obj = ctx
-                    .wait_external(|| store.get(&bases_name))
-                    .map_err(|e| format!("read {bases_name}: {e}"))?;
-                let qual_obj = ctx
-                    .wait_external(|| store.get(&qual_name))
-                    .map_err(|e| format!("read {qual_name}: {e}"))?;
-                ctx.add_items(1);
-                ctx.push(&qr, RawChunk { task, bases_obj, qual_obj })?;
+    let exec = rt.stage_exec(&timer);
+    let subchunk = rt.config().subchunk_size.max(1);
+    let trace = rt.trace();
+    let mut profile = PhaseProfile::default();
+    let (mut reads, mut bases, mut mapped, mut chunks) = (0u64, 0u64, 0u64, 0u64);
+    drive(
+        rt.chunk_window(),
+        |block| {
+            let Some(task) = (if block { server.fetch() } else { server.try_fetch() }) else {
+                return Ok(None);
+            };
+            // Stop pulling new chunks once the job is cancelled.
+            rt.check_cancelled()?;
+            // The chunk span opens when the chunk is dispatched off the
+            // manifest server and closes once its results are durable.
+            if let Some(t) = trace {
+                t.chunk_begin("align", task.chunk_idx as u64);
             }
-            Ok(())
-        });
-    }
-
-    // Parser: decompress + unpack into chunk objects.
-    {
-        let (qi, qo) = (q_raw.clone(), q_parsed.clone());
-        g.node("parser", cfg.parser_parallelism, [q_parsed.produces()], move |ctx| {
-            while let Some(raw) = ctx.pop(&qi) {
-                let bases = ChunkData::decode(&raw.bases_obj).map_err(|e| e.to_string())?;
-                let quals = ChunkData::decode(&raw.qual_obj).map_err(|e| e.to_string())?;
-                if bases.len() != raw.task.num_records as usize {
-                    return Err(format!(
-                        "chunk {}: {} records on disk, {} in manifest",
-                        raw.task.stem,
-                        bases.len(),
-                        raw.task.num_records
-                    )
-                    .into());
+            let (store, stem, n) = (rt.store().clone(), task.stem.clone(), task.num_records);
+            let load = exec.spawn_one(move || {
+                let bases = load_column(store.as_ref(), &stem, columns::BASES)?;
+                let quals = load_column(store.as_ref(), &stem, columns::QUAL)?;
+                if bases.len() != n as usize {
+                    return Err(Error::Pipeline(format!(
+                        "chunk {stem}: {} records on disk, {n} in manifest",
+                        bases.len()
+                    )));
                 }
-                ctx.add_items(1);
-                ctx.push(
-                    &qo,
-                    ParsedChunk { task: raw.task, bases: Arc::new(bases), quals: Arc::new(quals) },
-                )?;
+                Ok(Loaded { bases, quals })
+            });
+            Ok(Some((task, AlignStep::Load(load))))
+        },
+        |(task, step)| match step {
+            AlignStep::Load(load) => {
+                let chunk = Arc::new(load.wait_one()?);
+                let n = chunk.bases.len();
+                bases += (0..n).map(|i| chunk.bases.record(i).len() as u64).sum::<u64>();
+                let aligner = aligner.clone();
+                let align = exec.spawn(subchunk_ranges(n, subchunk), move |_, (lo, hi)| {
+                    let mut prof = PhaseProfile::default();
+                    let results = (lo..hi)
+                        .map(|i| {
+                            let (b, q) = (chunk.bases.record(i), chunk.quals.record(i));
+                            aligner.align_read_profiled(b, q, &mut prof)
+                        })
+                        .collect();
+                    (results, prof)
+                });
+                Ok(Progress::Next((task, AlignStep::Align(align))))
             }
-            Ok(())
-        });
-    }
-
-    // Process subgraph: aligner kernels split chunks into subchunks and
-    // feed the shared executor (Fig. 4).
-    {
-        let (qi, qo) = (q_parsed.clone(), q_results.clone());
-        let exec = rt.stage_exec(&timer);
-        let aligner = aligner.clone();
-        let (reads_ctr, bases_ctr, mapped_ctr, profile) =
-            (reads_ctr.clone(), bases_ctr.clone(), mapped_ctr.clone(), profile.clone());
-        let subchunk = cfg.subchunk_size.max(1);
-        g.node("aligner", cfg.aligner_kernels, [q_results.produces()], move |ctx| {
-            while let Some(parsed) = ctx.pop(&qi) {
-                let n = parsed.bases.len();
-                let slots: Arc<Mutex<Vec<(usize, Vec<AlignmentResult>)>>> =
-                    Arc::new(Mutex::new(Vec::with_capacity(n / subchunk + 1)));
-                let mut tasks: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
-                for (lo, hi) in crate::pipeline::subchunk_ranges(n, subchunk) {
-                    let bases = parsed.bases.clone();
-                    let quals = parsed.quals.clone();
-                    let aligner = aligner.clone();
-                    let slots = slots.clone();
-                    let profile = profile.clone();
-                    tasks.push(Box::new(move || {
-                        let mut out = Vec::with_capacity(hi - lo);
-                        let mut prof = PhaseProfile::default();
-                        for i in lo..hi {
-                            out.push(aligner.align_read_profiled(
-                                bases.record(i),
-                                quals.record(i),
-                                &mut prof,
-                            ));
-                        }
-                        profile.lock().merge(&prof);
-                        slots.lock().push((lo, out));
-                    }));
-                }
-                let batch = exec.submit_batch(tasks);
-                if ctx.wait_external(|| batch.wait_cancelled()) {
-                    return Err("job cancelled".into());
-                }
-
-                let mut parts = match Arc::try_unwrap(slots) {
-                    Ok(m) => m.into_inner(),
-                    Err(_) => return Err("subchunk tasks still hold result slots".into()),
-                };
-                parts.sort_unstable_by_key(|(lo, _)| *lo);
-                let mut results = Vec::with_capacity(n);
-                for (_, part) in parts {
+            AlignStep::Align(align) => {
+                let mut results = Vec::with_capacity(task.num_records as usize);
+                for (part, prof) in align.wait()? {
                     results.extend(part);
+                    profile.merge(&prof);
                 }
-                let total_bases: u64 = (0..n).map(|i| parsed.bases.record(i).len() as u64).sum();
-                reads_ctr.fetch_add(n as u64, Ordering::Relaxed);
-                bases_ctr.fetch_add(total_bases, Ordering::Relaxed);
-                mapped_ctr.fetch_add(
-                    results.iter().filter(|r| !r.is_unmapped()).count() as u64,
-                    Ordering::Relaxed,
-                );
-                ctx.add_items(n as u64);
-                ctx.push(&qo, ResultChunk { task: parsed.task, results })?;
+                reads += results.len() as u64;
+                mapped += results.iter().filter(|r| !r.is_unmapped()).count() as u64;
+                let store = rt.store().clone();
+                let name = Manifest::chunk_object_name(&task.stem, columns::RESULTS);
+                let write = exec.spawn_one(move || {
+                    let encoded: Vec<Vec<u8>> = results.iter().map(|r| r.encode()).collect();
+                    let data = ChunkData::from_records(
+                        RecordType::Results,
+                        encoded.iter().map(|r| r.as_slice()),
+                    )?;
+                    store.put(&name, &data.encode(Codec::Gzip, CompressLevel::Fast)?)?;
+                    Ok(())
+                });
+                Ok(Progress::Next((task, AlignStep::Store(write))))
+            }
+            AlignStep::Store(write) => {
+                write.wait_one()?;
+                Ok(Progress::Done(task))
+            }
+        },
+        |task| {
+            // Pushed only once the results object is durable: the sort
+            // reads it straight back.
+            let idx = task.chunk_idx as u64;
+            push(results_out.as_ref(), task)?;
+            chunks += 1;
+            if let Some(t) = trace {
+                t.chunk_end("align", idx);
             }
             Ok(())
-        });
-    }
-
-    // Output subgraph: encode the results column, store it, then (when
-    // fused with a downstream sort) announce the finished chunk.
-    {
-        let qi = q_results.clone();
-        let store = store.clone();
-        let chunks_ctr = chunks_ctr.clone();
-        let trace = rt.trace().cloned();
-        g.node("writer", cfg.writer_parallelism, [], move |ctx| {
-            while let Some(chunk) = ctx.pop(&qi) {
-                let encoded: Vec<Vec<u8>> = chunk.results.iter().map(|r| r.encode()).collect();
-                let data = ChunkData::from_records(
-                    RecordType::Results,
-                    encoded.iter().map(|r| r.as_slice()),
-                )
-                .map_err(|e| e.to_string())?;
-                let obj =
-                    data.encode(Codec::Gzip, CompressLevel::Fast).map_err(|e| e.to_string())?;
-                let name = format!("{}.{}", chunk.task.stem, columns::RESULTS);
-                ctx.wait_external(|| store.put(&name, &obj))
-                    .map_err(|e| format!("write {name}: {e}"))?;
-                // Push only after the results object is durable: the
-                // sort will read it straight back.
-                if let Some(out) = &results_out {
-                    if !ctx.wait_external(|| out.push(chunk.task.clone())) {
-                        return Err(DataflowError::Canceled);
-                    }
-                }
-                chunks_ctr.fetch_add(1, Ordering::Relaxed);
-                if let Some(t) = &trace {
-                    t.chunk_end("align", chunk.task.chunk_idx as u64);
-                }
-                ctx.add_items(1);
-            }
-            Ok(())
-        });
-    }
-
-    let run = g.run().map_err(|(e, _)| graph_error(rt, e))?;
-    let busy_fraction = timer.finish().busy_fraction();
-    let merged_profile = *profile.lock();
+        },
+    )?;
+    let stage = timer.finish();
     Ok(AlignReport {
-        elapsed: run.elapsed,
-        reads: reads_ctr.load(Ordering::Relaxed),
-        bases: bases_ctr.load(Ordering::Relaxed),
-        mapped: mapped_ctr.load(Ordering::Relaxed),
-        chunks: chunks_ctr.load(Ordering::Relaxed),
-        run,
-        profile: merged_profile,
-        busy_fraction,
+        elapsed: stage.elapsed,
+        reads,
+        bases,
+        mapped,
+        chunks,
+        profile,
+        busy_fraction: stage.busy_fraction(),
         finished_at: Instant::now(),
     })
 }
@@ -374,6 +288,7 @@ pub fn finalize_manifest(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{DataState, Plan, PlanRequest, PlanSource, Stage};
     use persona_agd::builder::DatasetWriter;
     use persona_agd::chunk_io::MemStore;
     use persona_agd::dataset::Dataset;
@@ -382,6 +297,7 @@ mod tests {
     use persona_seq::read::Origin;
     use persona_seq::simulate::{ReadSimulator, SimParams};
     use persona_seq::Genome;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn build_world(
         n_reads: usize,
@@ -419,7 +335,6 @@ mod tests {
         assert_eq!(report.chunks, 6);
         assert_eq!(report.bases, 600 * 101);
         assert!(report.mapped >= 590, "only {} mapped", report.mapped);
-        assert!(report.run.is_ok());
 
         finalize_manifest(
             store.as_ref(),
@@ -527,5 +442,55 @@ mod tests {
         })
         .unwrap();
         assert_eq!(report.reads, 0);
+    }
+
+    /// Counts every read it is handed and panics on the 51st.
+    struct BoomAligner {
+        inner: Arc<dyn Aligner>,
+        calls: AtomicUsize,
+    }
+
+    impl Aligner for BoomAligner {
+        fn align_read(&self, bases: &[u8], quals: &[u8]) -> AlignmentResult {
+            if self.calls.fetch_add(1, Ordering::SeqCst) == 50 {
+                panic!("aligner boom");
+            }
+            self.inner.align_read(bases, quals)
+        }
+
+        fn name(&self) -> &'static str {
+            "snap"
+        }
+    }
+
+    /// A panicking aligner with align at the head of its group, where
+    /// the stage runs on the caller's own thread: the plan fails with
+    /// the panic's text, the caller does not unwind, and no align task
+    /// of the failed stage runs after `run` has returned.
+    #[test]
+    fn aligner_panic_at_the_head_of_a_plan_is_an_error() {
+        let (_genome, store, manifest, inner) = build_world(600, 50);
+        let boom = Arc::new(BoomAligner { inner, calls: AtomicUsize::new(0) });
+        let rt = PersonaRuntime::new(store, PersonaConfig::small()).unwrap();
+        let plan = Plan::builder(DataState::EncodedAgd).then(Stage::Align).build().unwrap();
+        let req = PlanRequest {
+            name: "t".into(),
+            source: PlanSource::Dataset(manifest),
+            chunk_size: 50,
+            aligner: Some(boom.clone()),
+            reference: vec![],
+        };
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| plan.run(&rt, req)));
+        let err = run.expect("the caller must not unwind").expect_err("the aligner panicked");
+        assert!(err.to_string().contains("aligner boom"), "{err}");
+        let calls = boom.calls.load(Ordering::SeqCst);
+        // Once every worker has reached this barrier, every task queued
+        // before it has finished.
+        let threads = rt.executor().threads();
+        let barrier = Arc::new(std::sync::Barrier::new(threads));
+        rt.executor().map_batch(vec![(); threads], None, move |_, ()| {
+            barrier.wait();
+        });
+        assert_eq!(boom.calls.load(Ordering::SeqCst), calls, "align tasks outlived the stage");
     }
 }

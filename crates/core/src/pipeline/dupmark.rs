@@ -13,11 +13,10 @@
 //! finished chunk can be streamed to a downstream stage (SAM export in
 //! the fused pipeline) while later chunks are still being rewritten.
 
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use persona_agd::chunk::{ChunkData, RecordType};
 use persona_agd::chunk_io::ChunkStore;
 use persona_agd::columns;
@@ -25,12 +24,11 @@ use persona_agd::manifest::Manifest;
 use persona_agd::results::{flags, AlignmentResult, CigarKind};
 use persona_compress::codec::Codec;
 use persona_compress::deflate::CompressLevel;
-use persona_dataflow::executor::Batch;
 
 use crate::config::PersonaConfig;
 use crate::manifest_server::ChunkTask;
-use crate::pipeline::{deliver, split_out, Edge, EdgeOut, StageReport};
-use crate::runtime::PersonaRuntime;
+use crate::pipeline::{deliver, split_out, Edge, EdgeOut, StageReport, Step};
+use crate::runtime::{Pending, PersonaRuntime};
 use crate::{Error, Result};
 
 /// Outcome of a duplicate-marking run.
@@ -136,30 +134,26 @@ pub(crate) fn mark_duplicates_rt(
     // Bounded lookahead: only this many chunks are decoded (or being
     // rewritten) at once, so memory stays O(window), not O(dataset),
     // while the executor still sees parallel work.
-    let window = rt.executor().threads() * 2 + 2;
-    let write_err: Arc<Mutex<Option<Error>>> = Arc::new(Mutex::new(None));
+    let window = rt.chunk_window();
+    let mut write_err: Option<Error> = None;
 
-    // Per-chunk decode output, filled by an executor task.
-    type DecodeSlot = Arc<Mutex<Option<Result<Vec<AlignmentResult>>>>>;
-    let mut decodes: std::collections::VecDeque<(Batch, DecodeSlot)> =
-        std::collections::VecDeque::new();
+    let mut decodes: VecDeque<Pending<Result<Vec<AlignmentResult>>>> = VecDeque::new();
     let mut next_decode = 0usize;
     // Chunks scanned but whose rewrite (if any) may still be in flight,
     // in chunk order; drained to the feeder as their writes land.
-    let mut inflight: std::collections::VecDeque<(usize, Option<Batch>)> =
-        std::collections::VecDeque::new();
+    let mut inflight: VecDeque<(usize, Option<Pending<Result<()>>>)> = VecDeque::new();
     // Executor tasks never touch the feeder themselves — a blocked
     // chunk-queue push on an executor thread could starve the very
     // downstream tasks that would drain it.
-    let drain_one = |inflight: &mut std::collections::VecDeque<(usize, Option<Batch>)>| {
-        if let Some((idx, batch)) = inflight.pop_front() {
-            if let Some(batch) = batch {
-                batch.wait();
+    let mut drain_one = |inflight: &mut VecDeque<(usize, Option<Pending<Result<()>>>)>| {
+        if let Some((idx, write)) = inflight.pop_front() {
+            if let Some(Err(e)) = write.map(Pending::wait_one) {
+                write_err.get_or_insert(e);
             }
             // Once any rewrite has failed, stop handing chunks
             // downstream: the contract is that a pushed chunk's final
             // results are durable, and the run is about to error out.
-            if write_err.lock().is_some() {
+            if write_err.is_some() {
                 return;
             }
             if let Some(feeder) = &feeder {
@@ -180,45 +174,27 @@ pub(crate) fn mark_duplicates_rt(
         while next_decode < n && next_decode < idx + window {
             let name = chunk_names[next_decode].clone();
             let store = store.clone();
-            let slot: DecodeSlot = Arc::new(Mutex::new(None));
-            let out = slot.clone();
-            let batch = exec.submit(move || {
-                let decode = || -> Result<Vec<AlignmentResult>> {
-                    let chunk = ChunkData::decode(&store.get(&name)?)?;
-                    let mut results = Vec::with_capacity(chunk.len());
-                    for rec in chunk.iter() {
-                        results.push(AlignmentResult::decode(rec)?);
-                    }
-                    Ok(results)
-                };
-                *out.lock() = Some(decode());
-            });
-            decodes.push_back((batch, slot));
+            decodes.push_back(exec.spawn_one(move || {
+                let chunk = ChunkData::decode(&store.get(&name)?)?;
+                let mut results = Vec::with_capacity(chunk.len());
+                for rec in chunk.iter() {
+                    results.push(AlignmentResult::decode(rec)?);
+                }
+                Ok(results)
+            }));
             next_decode += 1;
         }
-        let (batch, slot) = decodes.pop_front().expect("decode scheduled ahead of scan");
-        // A decode skipped by the job's cancel token leaves its slot
-        // empty; treat it like a decode failure and unwind as
-        // Cancelled (after settling every in-flight batch below).
-        let decoded = if batch.wait_cancelled() {
-            Err(Error::Cancelled)
-        } else {
-            slot.lock().take().expect("decode slot filled")
-        };
+        // A decode skipped by the job's cancel token unwinds as
+        // Cancelled, like a failed one.
+        let decoded = decodes.pop_front().expect("decode scheduled ahead of scan").wait_one();
         let mut results = match decoded {
             Ok(r) => r,
             Err(e) => {
                 // Settle in-flight rewrites AND lookahead decodes before
                 // reporting failure, so no stray executor task touches
                 // the store after this function has returned an error.
-                while let Some((_, write)) = inflight.pop_front() {
-                    if let Some(write) = write {
-                        write.wait();
-                    }
-                }
-                while let Some((decode, _)) = decodes.pop_front() {
-                    decode.wait();
-                }
+                inflight.into_iter().filter_map(|(_, write)| write).for_each(Step::settle);
+                decodes.into_iter().for_each(Step::settle);
                 return Err(e);
             }
         };
@@ -234,31 +210,20 @@ pub(crate) fn mark_duplicates_rt(
                 }
             }
         }
-        let write_batch = if changed {
+        let write = changed.then(|| {
             let name = chunk_names[idx].clone();
             let store = store.clone();
-            let write_err = write_err.clone();
-            Some(exec.submit(move || {
-                let write = || -> Result<()> {
-                    let encoded: Vec<Vec<u8>> = results.iter().map(|r| r.encode()).collect();
-                    let data = ChunkData::from_records(
-                        RecordType::Results,
-                        encoded.iter().map(|r| r.as_slice()),
-                    )?;
-                    store.put(&name, &data.encode(Codec::Gzip, CompressLevel::Fast)?)?;
-                    Ok(())
-                };
-                if let Err(e) = write() {
-                    let mut slot = write_err.lock();
-                    if slot.is_none() {
-                        *slot = Some(e);
-                    }
-                }
-            }))
-        } else {
-            None
-        };
-        inflight.push_back((idx, write_batch));
+            exec.spawn_one(move || {
+                let encoded: Vec<Vec<u8>> = results.iter().map(|r| r.encode()).collect();
+                let data = ChunkData::from_records(
+                    RecordType::Results,
+                    encoded.iter().map(|r| r.as_slice()),
+                )?;
+                store.put(&name, &data.encode(Codec::Gzip, CompressLevel::Fast)?)?;
+                Ok(())
+            })
+        });
+        inflight.push_back((idx, write));
         // Stream finished chunks downstream in order, each once its
         // final results are durable, keeping at most `window` rewrites
         // (and their record buffers) alive.
@@ -270,7 +235,7 @@ pub(crate) fn mark_duplicates_rt(
         drain_one(&mut inflight);
     }
     drop(feeder); // Closes the downstream chunk stream.
-    if let Some(e) = write_err.lock().take() {
+    if let Some(e) = write_err {
         return Err(e);
     }
     // A rewrite skipped by cancellation leaves stale results in the

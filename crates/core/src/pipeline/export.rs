@@ -2,27 +2,33 @@
 //!
 //! "Persona also implements an output subgraph for the common SAM/BAM
 //! format for compatibility with tools that have not been integrated or
-//! do not yet support AGD." SAM formatting runs as subchunk task
-//! batches on the shared executor with an ordered single writer; BAM
-//! compresses its BGZF blocks the same way.
+//! do not yet support AGD." The SAM stage keeps a bounded window of
+//! chunks in flight and writes them in dataset order; BAM compresses its
+//! BGZF blocks as executor batches the same way:
+//!
+//! ```text
+//! manifest server ─► load ───────────────────► format ─────────► stage thread: reorder ─► out
+//!     (names)        (get + decode 4 columns)  (subchunk tasks)    (by chunk index)
+//! ```
 
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::Arc;
 use std::time::Duration;
 
+use persona_agd::chunk::ChunkData;
 use persona_agd::chunk_io::ChunkStore;
 use persona_agd::columns;
 use persona_agd::manifest::Manifest;
 use persona_agd::results::AlignmentResult;
 use persona_compress::deflate::CompressLevel;
-use persona_dataflow::graph::GraphBuilder;
 use persona_formats::bam::{bgzf_block, bgzf_block_ranges};
 use persona_formats::sam::{RefMap, SamRecord};
 
 use crate::config::PersonaConfig;
-use crate::pipeline::{graph_error, Edge, StageReport};
-use crate::runtime::PersonaRuntime;
-use crate::Result;
+use crate::pipeline::{drive, load_column, subchunk_ranges, Edge, Progress, StageReport, Step};
+use crate::runtime::{Pending, PersonaRuntime};
+use crate::{Error, Result};
 
 /// Outcome of an export run.
 #[derive(Debug)]
@@ -55,10 +61,34 @@ impl StageReport for ExportReport {
     }
 }
 
-struct FormattedChunk {
-    idx: usize,
-    text: Vec<u8>,
-    records: u64,
+/// The four decoded columns a SAM line is formatted from.
+struct SamColumns {
+    meta: ChunkData,
+    bases: ChunkData,
+    quals: ChunkData,
+    results: ChunkData,
+}
+
+/// The executor step one chunk of the SAM export is waiting on.
+enum SamStep {
+    Load(Pending<Result<SamColumns>>),
+    Format(Pending<Result<Vec<u8>>>),
+}
+
+impl Step for SamStep {
+    fn is_done(&self) -> bool {
+        match self {
+            SamStep::Load(p) => p.is_done(),
+            SamStep::Format(p) => p.is_done(),
+        }
+    }
+
+    fn settle(self) {
+        match self {
+            SamStep::Load(p) => p.settle(),
+            SamStep::Format(p) => p.settle(),
+        }
+    }
 }
 
 /// Exports an aligned dataset as SAM text on a transient private
@@ -74,11 +104,12 @@ pub fn export_sam(
 }
 
 /// The export-sam stage on a shared runtime: formats the chunks of
-/// `input` as SAM text. Formatting runs as subchunk task batches on the
-/// executor; the writer reassembles chunks in dataset order. With a
-/// live input this overlaps whatever stage is feeding it (duplicate
-/// marking in the fused pipeline); the header needs the manifest up
-/// front, which such a producer delivers before its first chunk.
+/// `input` as SAM text. Each chunk is loaded by one executor task and
+/// formatted by a batch of subchunk tasks; the stage thread writes the
+/// chunks in dataset order. With a live input this overlaps whatever
+/// stage is feeding it (duplicate marking in the fused pipeline); the
+/// header needs the manifest up front, which such a producer delivers
+/// before its first chunk.
 pub(crate) fn export_sam_rt(
     rt: &PersonaRuntime,
     input: Edge,
@@ -86,8 +117,8 @@ pub(crate) fn export_sam_rt(
 ) -> Result<ExportReport> {
     let server = input.chunks(Some(rt.telemetry()));
     let manifest = input.manifest()?;
-    let config = *rt.config();
     let timer = rt.stage_timer();
+    let exec = rt.stage_exec(&timer);
     let refs = Arc::new(RefMap::new(&manifest.reference));
     let mut header = Vec::new();
     persona_formats::sam::write_header(
@@ -97,109 +128,79 @@ pub(crate) fn export_sam_rt(
     )?;
     out.write_all(&header)?;
 
-    let formatters = config.parser_parallelism.max(2);
-    let records_total = Arc::new(std::sync::atomic::AtomicU64::new(0));
-    let bytes_total = Arc::new(std::sync::atomic::AtomicU64::new(header.len() as u64));
-
-    let mut g = GraphBuilder::new("export-sam");
-    g.track_external("executor", rt.executor().counters(), rt.executor().threads());
-    let q_formatted = g.queue::<FormattedChunk>("formatted", config.capacity_for(1));
-
-    {
-        let store = rt.store().clone();
-        let exec = rt.stage_exec(&timer);
-        let refs = refs.clone();
-        let qf = q_formatted.clone();
-        let subchunk = config.subchunk_size.max(1);
-        g.node("formatter", formatters, [q_formatted.produces()], move |ctx| {
-            while let Some(task) = server.fetch() {
-                // Stop pulling new chunks once the job is cancelled.
-                if exec.is_cancelled() {
-                    return Err("job cancelled".into());
-                }
-                let mut load =
-                    |col: &str| -> std::result::Result<persona_agd::chunk::ChunkData, String> {
-                        let raw = ctx.wait_external(|| ctx_get(&*store, &task.stem, col))?;
-                        persona_agd::chunk::ChunkData::decode(&raw).map_err(|e| e.to_string())
-                    };
-                let meta = Arc::new(load(columns::METADATA)?);
-                let bases = Arc::new(load(columns::BASES)?);
-                let quals = Arc::new(load(columns::QUAL)?);
-                let results = Arc::new(load(columns::RESULTS)?);
-                let n = meta.len();
-                // Format subchunks as parallel executor tasks, in order.
-                let ranges = crate::pipeline::subchunk_ranges(n, subchunk);
-                let (m, b, q, r, rf) =
-                    (meta.clone(), bases.clone(), quals.clone(), results.clone(), refs.clone());
-                let pieces = ctx
-                    .wait_external(|| {
-                        exec.map(ranges, move |_, (lo, hi)| {
-                            let mut text = Vec::with_capacity((hi - lo) * 96);
-                            for i in lo..hi {
-                                let res = AlignmentResult::decode(r.record(i))
-                                    .map_err(|e| e.to_string())?;
-                                let rec = SamRecord::from_result(
-                                    &rf,
-                                    m.record(i),
-                                    b.record(i),
-                                    q.record(i),
-                                    &res,
-                                );
-                                text.extend_from_slice(&rec.to_line(&rf));
-                                text.push(b'\n');
-                            }
-                            Ok::<Vec<u8>, String>(text)
-                        })
-                    })
-                    .map_err(|e| e.to_string())?;
-                let mut text = Vec::new();
-                for piece in pieces {
-                    text.extend_from_slice(&piece?);
-                }
-                ctx.add_items(n as u64);
-                ctx.push(&qf, FormattedChunk { idx: task.chunk_idx, text, records: n as u64 })?;
+    let subchunk = rt.config().subchunk_size.max(1);
+    let (mut records, mut output_bytes) = (0u64, header.len() as u64);
+    // Formatted chunks that arrived ahead of an earlier one, by index.
+    let mut parked: BTreeMap<usize, Vec<u8>> = BTreeMap::new();
+    let mut next = 0usize;
+    drive(
+        rt.chunk_window(),
+        |block| {
+            let Some(task) = (if block { server.fetch() } else { server.try_fetch() }) else {
+                return Ok(None);
+            };
+            // Stop pulling new chunks once the job is cancelled.
+            rt.check_cancelled()?;
+            let (store, stem) = (rt.store().clone(), task.stem);
+            let load = exec.spawn_one(move || {
+                let load = |column| load_column(store.as_ref(), &stem, column);
+                Ok(SamColumns {
+                    meta: load(columns::METADATA)?,
+                    bases: load(columns::BASES)?,
+                    quals: load(columns::QUAL)?,
+                    results: load(columns::RESULTS)?,
+                })
+            });
+            Ok(Some((task.chunk_idx, SamStep::Load(load))))
+        },
+        |(idx, step)| match step {
+            SamStep::Load(load) => {
+                let chunk = Arc::new(load.wait_one()?);
+                records += chunk.meta.len() as u64;
+                let refs = refs.clone();
+                let format = exec.spawn(
+                    subchunk_ranges(chunk.meta.len(), subchunk),
+                    move |_, (lo, hi)| -> Result<Vec<u8>> {
+                        let mut text = Vec::with_capacity((hi - lo) * 96);
+                        for i in lo..hi {
+                            let rec = SamRecord::from_result(
+                                &refs,
+                                chunk.meta.record(i),
+                                chunk.bases.record(i),
+                                chunk.quals.record(i),
+                                &AlignmentResult::decode(chunk.results.record(i))?,
+                            );
+                            text.extend_from_slice(&rec.to_line(&refs));
+                            text.push(b'\n');
+                        }
+                        Ok(text)
+                    },
+                );
+                Ok(Progress::Next((idx, SamStep::Format(format))))
+            }
+            SamStep::Format(format) => {
+                let text = format.wait()?.into_iter().collect::<Result<Vec<_>>>()?.concat();
+                Ok(Progress::Done((idx, text)))
+            }
+        },
+        |(idx, text)| {
+            parked.insert(idx, text);
+            while let Some(text) = parked.remove(&next) {
+                output_bytes += text.len() as u64;
+                out.write_all(&text)?;
+                next += 1;
             }
             Ok(())
-        });
+        },
+    )?;
+    if !parked.is_empty() {
+        return Err(Error::Pipeline("export finished with gaps in chunk order".into()));
     }
-
-    // Ordered writer: reorders chunks by index before writing.
-    let writer_out = Arc::new(parking_lot::Mutex::new(OutSink { buf: Vec::new() }));
-    {
-        let qf = q_formatted.clone();
-        let writer_out = writer_out.clone();
-        let records_total = records_total.clone();
-        let bytes_total = bytes_total.clone();
-        g.node("writer", 1, [], move |ctx| {
-            let mut pending: std::collections::BTreeMap<usize, FormattedChunk> =
-                std::collections::BTreeMap::new();
-            let mut next = 0usize;
-            while let Some(chunk) = ctx.pop(&qf) {
-                pending.insert(chunk.idx, chunk);
-                while let Some(c) = pending.remove(&next) {
-                    bytes_total
-                        .fetch_add(c.text.len() as u64, std::sync::atomic::Ordering::Relaxed);
-                    records_total.fetch_add(c.records, std::sync::atomic::Ordering::Relaxed);
-                    writer_out.lock().buf.extend_from_slice(&c.text);
-                    ctx.add_items(1);
-                    next += 1;
-                }
-            }
-            if !pending.is_empty() {
-                return Err("export writer finished with gaps in chunk order".into());
-            }
-            Ok(())
-        });
-    }
-
-    let run = g.run().map_err(|(e, _)| graph_error(rt, e))?;
     let stage = timer.finish();
-    let sink = writer_out.lock();
-    out.write_all(&sink.buf)?;
     Ok(ExportReport {
-        elapsed: run.elapsed,
-        records: records_total.load(std::sync::atomic::Ordering::Relaxed),
-        output_bytes: bytes_total.load(std::sync::atomic::Ordering::Relaxed),
+        elapsed: stage.elapsed,
+        records,
+        output_bytes,
         busy_fraction: stage.busy_fraction(),
     })
 }
@@ -238,12 +239,13 @@ pub(crate) fn export_bam_rt(
     let ds = persona_agd::dataset::Dataset::new(input.manifest()?);
     let mut counting = CountingWriter { inner: out, written: 0 };
     let exec = rt.stage_exec(&timer);
+    let mut failed = None;
     let n = persona_formats::convert::agd_to_bam_with(
         &ds,
         rt.store().as_ref(),
         &mut counting,
         level,
-        move |payload, level| {
+        |payload, level| {
             // Share the payload; each task compresses one block range,
             // so nothing is copied before dispatch. Block boundaries
             // come from the format crate's single source of truth.
@@ -251,14 +253,19 @@ pub(crate) fn export_bam_rt(
             let payload = Arc::new(payload);
             match exec.map(ranges, move |_, (lo, hi)| bgzf_block(&payload[lo..hi], level)) {
                 Ok(blocks) => blocks.concat(),
-                // Cancelled mid-compress: emit nothing further; the
-                // check below fails the export so the truncated BAM is
-                // never reported as success.
-                Err(_) => Vec::new(),
+                // Cancelled or panicked mid-compress: emit nothing
+                // further; the error fails the export below, so the
+                // truncated BAM is never reported as success.
+                Err(e) => {
+                    failed = Some(e);
+                    Vec::new()
+                }
             }
         },
     )?;
-    rt.check_cancelled()?;
+    if let Some(e) = failed {
+        return Err(e);
+    }
     let stage = timer.finish();
     Ok(ExportReport {
         elapsed: stage.elapsed,
@@ -266,10 +273,6 @@ pub(crate) fn export_bam_rt(
         output_bytes: counting.written,
         busy_fraction: stage.busy_fraction(),
     })
-}
-
-struct OutSink {
-    buf: Vec<u8>,
 }
 
 struct CountingWriter<'a, W: Write> {
@@ -287,13 +290,6 @@ impl<W: Write> Write for CountingWriter<'_, W> {
     fn flush(&mut self) -> std::io::Result<()> {
         self.inner.flush()
     }
-}
-
-/// Fetches one column object, mapping errors to node error strings.
-fn ctx_get(store: &dyn ChunkStore, stem: &str, col: &str) -> std::result::Result<Vec<u8>, String> {
-    store
-        .get(&Manifest::chunk_object_name(stem, col))
-        .map_err(|e| format!("read {stem}.{col}: {e}"))
 }
 
 #[cfg(test)]

@@ -1,33 +1,32 @@
 //! FASTQ import (paper §5.7: "FASTQ is imported to AGD at 360 MB/s").
 //!
-//! The import pipeline parses FASTQ serially (framing is inherently
-//! sequential) but encodes and compresses column chunks on the shared
-//! executor, with a single writer landing objects in storage:
+//! The stage thread parses FASTQ serially (framing is inherently
+//! sequential) and cuts it into chunks; each chunk becomes one executor
+//! batch of three column tasks, each of which encodes, compresses and
+//! stores its own column object:
 //!
 //! ```text
-//! parser ─► [read batches] ─► encoder(s) ─► writer ─► (chunk feeder)
-//!                               │ executor: per-column encode tasks
+//! stage thread: parse ─► chunk ─┬─► bases: encode ─► gzip ─► put ─┐
+//!                               ├─► qual:  encode ─► gzip ─► put ─┼─► (chunk feeder)
+//!                               └─► meta:  encode ─► gzip ─► put ─┘
+//!                                   (executor tasks)
 //! ```
 
 use std::io::BufRead;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use persona_agd::chunk::{ChunkData, RecordType};
 use persona_agd::chunk_io::ChunkStore;
 use persona_agd::columns;
 use persona_agd::manifest::{ChunkEntry, Manifest};
 use persona_compress::codec::Codec;
 use persona_compress::deflate::CompressLevel;
-use persona_dataflow::graph::GraphBuilder;
-use persona_dataflow::DataflowError;
 use persona_seq::Read;
 
 use crate::config::PersonaConfig;
 use crate::manifest_server::ChunkTask;
-use crate::pipeline::{deliver, graph_error, split_out, EdgeOut, StageReport};
+use crate::pipeline::{deliver, drive, push, split_out, EdgeOut, Progress, StageReport};
 use crate::runtime::PersonaRuntime;
 use crate::{Error, Result};
 
@@ -64,26 +63,9 @@ impl StageReport for ImportReport {
     }
 }
 
-struct Batch {
-    idx: u64,
-    reads: Vec<Read>,
-}
-
-struct EncodedChunk {
-    idx: u64,
-    num_records: u32,
-    bases_obj: Vec<u8>,
-    qual_obj: Vec<u8>,
-    meta_obj: Vec<u8>,
-}
-
-/// Which read column an encode task produces.
-#[derive(Clone, Copy)]
-enum Column {
-    Bases,
-    Qual,
-    Meta,
-}
+/// One column of an imported chunk: its name, record type and codec,
+/// and the read field it stores.
+type Column = (&'static str, RecordType, Codec, fn(&Read) -> &[u8]);
 
 /// Imports FASTQ into a new AGD dataset named `name` on a transient
 /// private runtime. Returns the manifest and throughput report.
@@ -100,8 +82,8 @@ pub fn import_fastq(
 
 /// Imports FASTQ on a shared runtime, encoding columns as executor task
 /// batches. When `out` is given, every written chunk is also announced
-/// on it (the stream ends when the import graph finishes) and the
-/// manifest is delivered once it has landed.
+/// on it (the stream ends when the stage returns) and the manifest is
+/// delivered once it has landed.
 pub(crate) fn import_fastq_rt(
     rt: &PersonaRuntime,
     input: impl BufRead + Send + 'static,
@@ -113,7 +95,6 @@ pub(crate) fn import_fastq_rt(
     if chunk_size == 0 {
         return Err(Error::Pipeline("chunk_size must be positive".into()));
     }
-    let config = *rt.config();
     let mut manifest = Manifest::new(name);
     manifest.add_column(columns::BASES, Default::default())?;
     manifest.add_column(columns::QUAL, Default::default())?;
@@ -123,176 +104,89 @@ pub(crate) fn import_fastq_rt(
         columns::QUAL.to_string(),
         columns::METADATA.to_string(),
     ]];
-    let bases_codec = manifest.column_codec(columns::BASES)?;
-    let qual_codec = manifest.column_codec(columns::QUAL)?;
-    let meta_codec = manifest.column_codec(columns::METADATA)?;
+    let columns: [Column; 3] = [
+        (columns::BASES, RecordType::CompactBases, manifest.column_codec(columns::BASES)?, |r| {
+            r.bases.as_slice()
+        }),
+        (columns::QUAL, RecordType::Text, manifest.column_codec(columns::QUAL)?, |r| {
+            r.quals.as_slice()
+        }),
+        (columns::METADATA, RecordType::Text, manifest.column_codec(columns::METADATA)?, |r| {
+            r.meta.as_slice()
+        }),
+    ];
 
     let timer = rt.stage_timer();
-    let input_bytes = Arc::new(AtomicU64::new(0));
-    let reads_ctr = Arc::new(AtomicU64::new(0));
-    let entries: Arc<Mutex<Vec<(u64, u32)>>> = Arc::new(Mutex::new(Vec::new()));
-
-    // The FASTQ reader is consumed by one source node; wrap it so the
-    // closure (Fn) can take it despite being called once per worker.
-    let reader_cell = Arc::new(Mutex::new(Some(input)));
-
-    let encoders = config.parser_parallelism.max(2);
-    let mut g = GraphBuilder::new("import");
-    g.track_external("executor", rt.executor().counters(), rt.executor().threads());
-    let q_batches = g.queue::<Batch>("batches", config.capacity_for(encoders));
-    let q_encoded = g.queue::<EncodedChunk>("encoded", config.capacity_for(1));
-
-    {
-        let qb = q_batches.clone();
-        let reader_cell = reader_cell.clone();
-        let input_bytes = input_bytes.clone();
-        let reads_ctr = reads_ctr.clone();
-        let cancel = rt.job().map(|j| j.cancel_token().clone());
-        g.source("fastq-parser", [q_batches.produces()], move |ctx| {
-            let mut input = reader_cell.lock().take().ok_or("parser ran twice")?;
-            let mut reader = persona_formats::fastq::FastqReader::new(&mut input);
-            let mut idx = 0u64;
+    let exec = rt.stage_exec(&timer);
+    let mut reader = persona_formats::fastq::FastqReader::new(input);
+    let (mut input_bytes, mut at_end, mut next_idx) = (0u64, false, 0usize);
+    drive(
+        rt.chunk_window(),
+        |_| {
+            rt.check_cancelled()?;
             let mut batch = Vec::with_capacity(chunk_size);
-            loop {
-                // A cancelled job stops consuming input: downstream
-                // batches drain (skipped by the executor) and the run
-                // unwinds as Cancelled.
-                if batch.is_empty() && cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-                    return Err("job cancelled".into());
-                }
-                match reader.next() {
-                    Ok(Some(read)) => {
+            while !at_end && batch.len() < chunk_size {
+                match reader.next().map_err(|e| Error::Pipeline(format!("fastq: {e}")))? {
+                    Some(read) => {
                         // FASTQ framing: 4 lines ≈ meta + bases + quals + 3
                         // separators and newlines.
-                        input_bytes.fetch_add(
-                            (read.meta.len() + read.bases.len() + read.quals.len() + 7) as u64,
-                            Ordering::Relaxed,
-                        );
-                        reads_ctr.fetch_add(1, Ordering::Relaxed);
+                        input_bytes +=
+                            (read.meta.len() + read.bases.len() + read.quals.len() + 7) as u64;
                         batch.push(read);
-                        if batch.len() >= chunk_size {
-                            ctx.add_items(batch.len() as u64);
-                            ctx.push(&qb, Batch { idx, reads: std::mem::take(&mut batch) })?;
-                            idx += 1;
-                            batch = Vec::with_capacity(chunk_size);
-                        }
                     }
-                    Ok(None) => break,
-                    Err(e) => return Err(format!("fastq: {e}").into()),
+                    None => at_end = true,
                 }
             }
-            if !batch.is_empty() {
-                ctx.add_items(batch.len() as u64);
-                ctx.push(&qb, Batch { idx, reads: batch })?;
+            if batch.is_empty() {
+                return Ok(None);
             }
-            Ok(())
-        });
-    }
-
-    // Encoder node: per-column encode+compress runs as a task batch on
-    // the shared executor; the node itself only marshals the results.
-    {
-        let (qi, qo) = (q_batches.clone(), q_encoded.clone());
-        let exec = rt.stage_exec(&timer);
-        g.node("encoder", encoders, [q_encoded.produces()], move |ctx| {
-            while let Some(batch) = ctx.pop(&qi) {
-                let n = batch.reads.len() as u32;
-                let reads = Arc::new(batch.reads);
-                let jobs: Vec<(Column, RecordType, Codec)> = vec![
-                    (Column::Bases, RecordType::CompactBases, bases_codec),
-                    (Column::Qual, RecordType::Text, qual_codec),
-                    (Column::Meta, RecordType::Text, meta_codec),
-                ];
-                let r = reads.clone();
-                let mut objs = ctx
-                    .wait_external(|| {
-                        exec.map(jobs, move |_, (col, rtype, codec)| {
-                            let records = r.iter().map(|read| match col {
-                                Column::Bases => read.bases.as_slice(),
-                                Column::Qual => read.quals.as_slice(),
-                                Column::Meta => read.meta.as_slice(),
-                            });
-                            ChunkData::from_records(rtype, records)
-                                .and_then(|chunk| chunk.encode(codec, CompressLevel::Fast))
-                                .map_err(|e| e.to_string())
-                        })
-                    })
-                    .map_err(|e| e.to_string())?;
-                let meta_obj = objs.pop().expect("meta encode result")?;
-                let qual_obj = objs.pop().expect("qual encode result")?;
-                let bases_obj = objs.pop().expect("bases encode result")?;
-                ctx.add_items(n as u64);
-                ctx.push(
-                    &qo,
-                    EncodedChunk { idx: batch.idx, num_records: n, bases_obj, qual_obj, meta_obj },
-                )?;
-            }
-            Ok(())
-        });
-    }
-
-    {
-        let qi = q_encoded.clone();
-        let store = rt.store().clone();
-        let name = name.to_string();
-        let entries = entries.clone();
-        g.node("writer", 1, [], move |ctx| {
-            while let Some(chunk) = ctx.pop(&qi) {
-                let stem = format!("{}-{}", name, chunk.idx);
-                ctx.wait_external(|| -> std::io::Result<()> {
-                    store.put(&format!("{stem}.{}", columns::BASES), &chunk.bases_obj)?;
-                    store.put(&format!("{stem}.{}", columns::QUAL), &chunk.qual_obj)?;
-                    store.put(&format!("{stem}.{}", columns::METADATA), &chunk.meta_obj)?;
+            let task = ChunkTask {
+                chunk_idx: next_idx,
+                stem: format!("{name}-{next_idx}"),
+                num_records: batch.len() as u32,
+            };
+            next_idx += 1;
+            let (store, stem, batch) = (rt.store().clone(), task.stem.clone(), Arc::new(batch));
+            let put = exec.spawn(
+                columns.to_vec(),
+                move |_, (column, rtype, codec, field)| -> Result<()> {
+                    let data = ChunkData::from_records(rtype, batch.iter().map(field))?;
+                    let object = data.encode(codec, CompressLevel::Fast)?;
+                    store.put(&Manifest::chunk_object_name(&stem, column), &object)?;
                     Ok(())
-                })
-                .map_err(|e| format!("write chunk {}: {e}", chunk.idx))?;
-                entries.lock().push((chunk.idx, chunk.num_records));
-                if let Some(feeder) = &feeder {
-                    let task = ChunkTask {
-                        chunk_idx: chunk.idx as usize,
-                        stem,
-                        num_records: chunk.num_records,
-                    };
-                    if !ctx.wait_external(|| feeder.push(task)) {
-                        return Err(DataflowError::Canceled);
-                    }
-                }
-                ctx.add_items(1);
-            }
-            Ok(())
-        });
-    }
-
-    let run = g.run().map_err(|(e, _)| graph_error(rt, e))?;
+                },
+            );
+            Ok(Some((task, put)))
+        },
+        |(task, put)| {
+            put.wait()?.into_iter().collect::<Result<()>>()?;
+            Ok(Progress::Done(task))
+        },
+        // Chunks finish in the order they were cut, so the manifest's
+        // records grow in chunk order.
+        |task| {
+            manifest.records.push(ChunkEntry {
+                path: task.stem.clone(),
+                first_record: manifest.total_records,
+                num_records: task.num_records,
+            });
+            manifest.total_records += task.num_records as u64;
+            push(feeder.as_ref(), task)
+        },
+    )?;
     let stage = timer.finish();
-
-    // Assemble the manifest in chunk order.
-    let mut entry_list = entries.lock().clone();
-    entry_list.sort_unstable_by_key(|&(idx, _)| idx);
-    let mut first = 0u64;
-    for (idx, n) in &entry_list {
-        manifest.records.push(ChunkEntry {
-            path: format!("{name}-{idx}"),
-            first_record: first,
-            num_records: *n,
-        });
-        first += *n as u64;
-    }
-    manifest.total_records = first;
     manifest.validate()?;
     rt.store().put(&format!("{name}.manifest.json"), manifest.to_json()?.as_bytes())?;
     deliver(promise, &manifest);
 
-    Ok((
-        manifest,
-        ImportReport {
-            elapsed: run.elapsed,
-            input_bytes: input_bytes.load(Ordering::Relaxed),
-            reads: reads_ctr.load(Ordering::Relaxed),
-            chunks: entry_list.len() as u64,
-            busy_fraction: stage.busy_fraction(),
-        },
-    ))
+    let report = ImportReport {
+        elapsed: stage.elapsed,
+        input_bytes,
+        reads: manifest.total_records,
+        chunks: manifest.records.len() as u64,
+        busy_fraction: stage.busy_fraction(),
+    };
+    Ok((manifest, report))
 }
 
 #[cfg(test)]

@@ -1,10 +1,23 @@
 //! Persona's optimized subgraphs and pipelines (paper §4.1-§4.4).
 //!
-//! Every stage schedules its compute — FASTQ encoding, subchunk
-//! alignment, chunk sort/merge, duplicate re-encoding, SAM formatting,
-//! BGZF compression — as fine-grain task batches on the runtime's
-//! shared executor ([`crate::runtime::PersonaRuntime`]), and every
-//! stage's report exposes the same [`StageReport`] utilization view.
+//! Every stage schedules its compute — FASTQ encoding, chunk decode,
+//! subchunk alignment, chunk sort/merge, duplicate re-encoding, SAM
+//! formatting, gzip and BGZF compression — as fine-grain task batches on
+//! the runtime's shared executor ([`crate::runtime::PersonaRuntime`]),
+//! and every stage's report exposes the same [`StageReport`]
+//! utilization view.
+//!
+//! A stage owns no threads. Its *stage thread* (the plan driver's
+//! caller, or one scoped thread per later stage of a fused group) is
+//! the only thread of the stage that blocks: it fetches chunks, keeps a
+//! bounded window of them in flight on the executor (sized from the
+//! executor's thread count, in one place), moves each from one executor
+//! step to the next, and does every push downstream once a chunk is
+//! durable. Executor tasks never wait on a queue, channel or batch, and
+//! never touch a [`ChunkFeeder`]: a task blocked on a full chunk queue
+//! could hold the very worker that would drain it. A task that panics
+//! fails its stage with [`Error::TaskPanicked`], after the stage has
+//! settled every batch it still had in flight.
 //!
 //! # The stage contract
 //!
@@ -22,15 +35,17 @@
 //! ([`crate::plan::Plan::run`]) wires any chain of stages through these
 //! two types alone.
 
+use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, Sender};
 use std::time::Duration;
 
+use persona_agd::chunk::ChunkData;
+use persona_agd::chunk_io::ChunkStore;
 use persona_agd::manifest::Manifest;
-use persona_dataflow::DataflowError;
 use persona_telemetry::MetricsRegistry;
 
-use crate::manifest_server::{ChunkFeeder, ManifestServer};
-use crate::runtime::PersonaRuntime;
+use crate::manifest_server::{ChunkFeeder, ChunkTask, ManifestServer};
+use crate::runtime::Pending;
 use crate::{Error, Result};
 
 pub mod align;
@@ -86,8 +101,8 @@ pub(crate) struct EdgeOut {
     pub(crate) manifest: Sender<Manifest>,
 }
 
-/// Splits an optional [`EdgeOut`] into its two halves: stage bodies
-/// move the feeder into their writer and keep the promise for the end.
+/// Splits an optional [`EdgeOut`] into its two halves: the feeder for
+/// the stage thread's chunk pushes, and the promise for the end.
 pub(crate) fn split_out(out: Option<EdgeOut>) -> (Option<ChunkFeeder>, Option<Sender<Manifest>>) {
     out.map(|o| (o.chunks, o.manifest)).unzip()
 }
@@ -100,17 +115,108 @@ pub(crate) fn deliver(promise: Option<Sender<Manifest>>, manifest: &Manifest) {
     }
 }
 
-/// The error a stage reports when its dataflow graph failed with `e`:
-/// cancellation wins, and a writer that found its output stream closed
-/// (it returns [`DataflowError::Canceled`]) is a derived failure.
-pub(crate) fn graph_error(rt: &PersonaRuntime, e: DataflowError) -> Error {
-    if rt.is_cancelled() {
-        Error::Cancelled
-    } else if e == DataflowError::Canceled {
-        Error::NeighbourClosed
-    } else {
-        Error::Dataflow(e)
+/// Pushes a durable chunk downstream from the stage thread; a consumer
+/// that closed the stream makes this stage fail with the derived
+/// [`Error::NeighbourClosed`].
+pub(crate) fn push(feeder: Option<&ChunkFeeder>, task: ChunkTask) -> Result<()> {
+    match feeder {
+        Some(feeder) if !feeder.push(task) => Err(Error::NeighbourClosed),
+        _ => Ok(()),
     }
+}
+
+/// Reads and decodes one column object of a chunk.
+pub(crate) fn load_column(store: &dyn ChunkStore, stem: &str, column: &str) -> Result<ChunkData> {
+    let name = Manifest::chunk_object_name(stem, column);
+    let raw =
+        store.get(&name).map_err(|e| std::io::Error::new(e.kind(), format!("read {name}: {e}")))?;
+    Ok(ChunkData::decode(&raw)?)
+}
+
+/// The executor step one chunk of a stage is waiting on.
+pub(crate) trait Step {
+    /// Whether every task of the step has finished, without blocking.
+    fn is_done(&self) -> bool;
+    /// Waits for the step and drops its outputs (failure clean-up).
+    fn settle(self);
+}
+
+impl<T> Step for Pending<T> {
+    fn is_done(&self) -> bool {
+        Pending::is_done(self)
+    }
+
+    fn settle(self) {
+        let _ = self.wait();
+    }
+}
+
+impl<M, S: Step> Step for (M, S) {
+    fn is_done(&self) -> bool {
+        self.1.is_done()
+    }
+
+    fn settle(self) {
+        self.1.settle()
+    }
+}
+
+/// Where one chunk stands after its stage moved it on.
+pub(crate) enum Progress<S, D> {
+    /// Waiting on its next executor step.
+    Next(S),
+    /// Finished: what the chunk handed back.
+    Done(D),
+}
+
+/// The stage-thread loop of a chunk stage. `start` begins the next
+/// chunk's first executor step — it may block for input only when
+/// called with `true`, which happens when nothing is in flight, and
+/// returns `None` at the end of the input (or, unblocked, when no chunk
+/// is ready yet). At most `window` chunks are in flight. Each round
+/// waits for the oldest chunk's step and hands every finished step to
+/// `advance`, which collects its outputs and submits the chunk's next
+/// step; `finish` receives the finished chunks in the order they
+/// started. On any error, every chunk still in flight is settled before
+/// the error returns, so no task of the stage outlives the call.
+pub(crate) fn drive<S: Step, D>(
+    window: usize,
+    mut start: impl FnMut(bool) -> Result<Option<S>>,
+    mut advance: impl FnMut(S) -> Result<Progress<S, D>>,
+    mut finish: impl FnMut(D) -> Result<()>,
+) -> Result<()> {
+    let mut inflight: VecDeque<Option<Progress<S, D>>> = VecDeque::new();
+    let result = (|| -> Result<()> {
+        loop {
+            while inflight.len() < window {
+                match start(inflight.is_empty())? {
+                    Some(step) => inflight.push_back(Some(Progress::Next(step))),
+                    None if inflight.is_empty() => return Ok(()),
+                    None => break,
+                }
+            }
+            for (k, slot) in inflight.iter_mut().enumerate() {
+                if matches!(slot, Some(Progress::Next(step)) if k == 0 || step.is_done()) {
+                    if let Some(Progress::Next(step)) = slot.take() {
+                        *slot = Some(advance(step)?);
+                    }
+                }
+            }
+            while let Some(Some(Progress::Done(_))) = inflight.front() {
+                if let Some(Some(Progress::Done(done))) = inflight.pop_front() {
+                    finish(done)?;
+                }
+            }
+        }
+    })();
+    if result.is_err() {
+        for slot in inflight.into_iter().flatten() {
+            if let Progress::Next(step) = slot {
+                step.settle();
+            }
+        }
+    }
+    result
 }
 
 /// The uniform per-stage utilization surface: wall clock plus the

@@ -38,7 +38,7 @@ use persona_compress::deflate::CompressLevel;
 
 use crate::config::PersonaConfig;
 use crate::manifest_server::ChunkTask;
-use crate::pipeline::{Edge, StageReport};
+use crate::pipeline::{load_column, Edge, StageReport};
 use crate::runtime::PersonaRuntime;
 use crate::{Error, Result};
 
@@ -259,10 +259,7 @@ fn load_sorted_run(
     key: SortKey,
     has_results: bool,
 ) -> Result<Run> {
-    let load = |col: &str| -> Result<ChunkData> {
-        let raw = store.get(&Manifest::chunk_object_name(&task.stem, col))?;
-        Ok(ChunkData::decode(&raw)?)
-    };
+    let load = |column| load_column(store, &task.stem, column);
     let meta = load(columns::METADATA)?;
     let bases = load(columns::BASES)?;
     let quals = load(columns::QUAL)?;

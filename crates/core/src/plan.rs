@@ -816,7 +816,7 @@ fn run_group(
     head: StageInput,
 ) -> Result<Vec<StageOutput>> {
     // Edge k joins stage k to stage k + 1.
-    let capacity = rt.config().capacity_for(rt.config().aligner_kernels).max(2);
+    let capacity = rt.chunk_window();
     let mut streams = Vec::with_capacity(stages.len() - 1);
     let mut wiring = Vec::with_capacity(stages.len());
     let mut input = head;

@@ -25,9 +25,8 @@ use std::time::{Duration, Instant};
 
 use persona_agd::chunk_io::ChunkStore;
 use persona_agd::manifest::Manifest;
-use persona_dataflow::executor::Batch;
 use persona_dataflow::metrics::NodeCounters;
-use persona_dataflow::{CancelToken, Executor, Priority, SubmitOpts};
+use persona_dataflow::{CancelToken, Executor, MapBatch, Priority, SubmitOpts};
 use persona_telemetry::{JobTrace, MetricsRegistry};
 
 use crate::caching::{Digest, ResultCache};
@@ -204,6 +203,15 @@ impl PersonaRuntime {
         &self.config
     }
 
+    /// How many chunks a stage keeps in flight on the executor, and how
+    /// many finished chunks a fused producer may queue ahead of its
+    /// consumer: enough that every worker has work while the stage
+    /// thread waits on its oldest chunk, and the bound on a stage's
+    /// memory (§4.5).
+    pub(crate) fn chunk_window(&self) -> usize {
+        self.executor.threads() * 2 + 2
+    }
+
     /// Starts a per-stage measurement window. Tasks submitted with the
     /// timer's tag are attributed to this stage, so its busy fraction is
     /// meaningful even while other stages share the executor.
@@ -217,8 +225,8 @@ impl PersonaRuntime {
 
     /// A cloneable submission handle for one stage of this runtime's
     /// current job: batches submitted through it carry the stage tag
-    /// (from `timer`) *and* the job's priority/cancel/counters. Stage
-    /// node closures capture this instead of a bare executor handle.
+    /// (from `timer`) *and* the job's priority/cancel/counters. Stages
+    /// submit through this instead of a bare executor handle.
     pub fn stage_exec(&self, timer: &StageTimer) -> StageExec {
         StageExec { executor: self.executor.clone(), tag: timer.tag(), job: self.job.clone() }
     }
@@ -248,26 +256,71 @@ impl StageExec {
         self.job.as_ref().is_some_and(|j| j.cancel.is_cancelled())
     }
 
-    /// Fans `items` out on the executor and returns outputs in item
-    /// order; [`Error::Cancelled`] if the job was cancelled before the
-    /// whole batch ran.
+    /// Fans `items` out on the executor as one batch and returns at
+    /// once; the stage collects the outputs with [`Pending::wait`].
+    pub fn spawn<In, Out, F>(&self, items: Vec<In>, f: F) -> Pending<Out>
+    where
+        In: Send + 'static,
+        Out: Send + 'static,
+        F: Fn(usize, In) -> Out + Send + Sync + 'static,
+    {
+        Pending(self.executor.spawn_map(items, self.opts(), f))
+    }
+
+    /// Submits a single fallible task; the stage collects its output
+    /// with [`Pending::wait_one`].
+    pub fn spawn_one<T: Send + 'static>(
+        &self,
+        task: impl FnOnce() -> Result<T> + Send + 'static,
+    ) -> Pending<Result<T>> {
+        self.spawn(vec![task], |_, task| task())
+    }
+
+    /// [`StageExec::spawn`], then [`Pending::wait`].
     pub fn map<In, Out, F>(&self, items: Vec<In>, f: F) -> Result<Vec<Out>>
     where
         In: Send + 'static,
         Out: Send + 'static,
         F: Fn(usize, In) -> Out + Send + Sync + 'static,
     {
-        self.executor.map_batch_opts(items, self.opts(), f).map_err(|_| Error::Cancelled)
+        self.spawn(items, f).wait()
+    }
+}
+
+/// A batch a stage submitted through [`StageExec::spawn`] and has not
+/// collected yet.
+pub struct Pending<T>(MapBatch<T>);
+
+impl<T> Pending<T> {
+    /// Whether every task has finished, without blocking.
+    pub fn is_done(&self) -> bool {
+        self.0.is_done()
     }
 
-    /// Submits one closure; returns the batch handle.
-    pub fn submit(&self, task: impl FnOnce() + Send + 'static) -> Batch {
-        self.submit_batch(vec![Box::new(task)])
+    /// Blocks until every task has finished and returns the outputs in
+    /// item order. A task the job's cancellation skipped makes this
+    /// [`Error::Cancelled`]; a task that panicked makes it
+    /// [`Error::TaskPanicked`] with the payload's text — the panic never
+    /// unwinds the waiting stage thread.
+    pub fn wait(self) -> Result<Vec<T>> {
+        match self.0.join() {
+            Ok(Some(outputs)) => Ok(outputs),
+            Ok(None) => Err(Error::Cancelled),
+            Err(payload) => Err(Error::TaskPanicked(
+                payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".into()),
+            )),
+        }
     }
+}
 
-    /// Submits a batch of boxed closures; returns the batch handle.
-    pub fn submit_batch(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'static>>) -> Batch {
-        self.executor.submit_batch_opts(tasks, self.opts())
+impl<T> Pending<Result<T>> {
+    /// [`Pending::wait`] for a [`StageExec::spawn_one`] task: its output.
+    pub fn wait_one(self) -> Result<T> {
+        self.wait()?.pop().expect("spawn_one submits one task")
     }
 }
 
@@ -392,6 +445,22 @@ mod tests {
         assert_eq!(out.unwrap(), (1..=50).collect::<Vec<u64>>());
         assert_eq!(timer.tag().snapshot().items, 50);
         assert_eq!(counters.snapshot().items, 50);
+    }
+
+    #[test]
+    fn stage_exec_turns_a_task_panic_into_an_error() {
+        let rt = runtime();
+        let timer = rt.stage_timer();
+        let exec = rt.stage_exec(&timer);
+        let res = exec.map((0..8u64).collect(), |_, v| {
+            if v == 5 {
+                panic!("task {v} boom");
+            }
+            v
+        });
+        assert!(matches!(&res, Err(Error::TaskPanicked(what)) if what == "task 5 boom"), "{res:?}");
+        // The stage thread is intact and the executor keeps serving it.
+        assert_eq!(exec.map(vec![1u64, 2], |_, v| v * 2).unwrap(), vec![2, 4]);
     }
 
     #[test]

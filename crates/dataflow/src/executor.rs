@@ -154,6 +154,10 @@ impl Latch {
             self.done.wait(&mut rem);
         }
     }
+
+    fn is_done(&self) -> bool {
+        *self.remaining.lock() == 0
+    }
 }
 
 /// A handle to a submitted batch of tasks.
@@ -172,20 +176,57 @@ impl Batch {
     /// this, a panicking task would hang its waiter forever (the latch
     /// would never fire).
     pub fn wait(self) {
-        self.latch.wait();
-        if let Some(payload) = self.latch.panic.lock().take() {
-            std::panic::resume_unwind(payload);
-        }
+        self.wait_cancelled();
     }
 
     /// Like [`Batch::wait`], but reports whether any task of the batch
     /// was skipped because its cancellation token fired.
     pub fn wait_cancelled(self) -> bool {
+        self.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+    }
+
+    /// Blocks until every task in the batch has finished, without
+    /// unwinding: `Ok(skipped)` reports whether the cancellation token
+    /// skipped any task, and `Err` carries the first task panic's
+    /// payload, like [`std::thread::JoinHandle::join`].
+    pub fn join(self) -> std::thread::Result<bool> {
         self.latch.wait();
-        if let Some(payload) = self.latch.panic.lock().take() {
-            std::panic::resume_unwind(payload);
+        match self.latch.panic.lock().take() {
+            Some(payload) => Err(payload),
+            None => Ok(self.latch.skipped.load(Ordering::SeqCst)),
         }
-        self.latch.skipped.load(Ordering::SeqCst)
+    }
+
+    /// Whether every task of the batch has finished (run, skipped or
+    /// panicked), without blocking.
+    pub fn is_done(&self) -> bool {
+        self.latch.is_done()
+    }
+}
+
+/// A submitted [`Executor::spawn_map`]: one batch whose tasks each fill
+/// one output slot.
+pub struct MapBatch<Out> {
+    batch: Batch,
+    slots: Arc<Mutex<Vec<Option<Out>>>>,
+}
+
+impl<Out> MapBatch<Out> {
+    /// Whether every task has finished, without blocking.
+    pub fn is_done(&self) -> bool {
+        self.batch.is_done()
+    }
+
+    /// Blocks until every task has finished, without unwinding: the
+    /// outputs in item order, `Ok(None)` when the cancellation token
+    /// skipped a task (the output would have holes), or the first task
+    /// panic's payload.
+    pub fn join(self) -> std::thread::Result<Option<Vec<Out>>> {
+        if self.batch.join()? {
+            return Ok(None);
+        }
+        let mut slots = self.slots.lock();
+        Ok(Some(slots.iter_mut().map(|s| s.take().expect("map_batch slot unfilled")).collect()))
     }
 }
 
@@ -407,6 +448,22 @@ impl Executor {
         Out: Send + 'static,
         F: Fn(usize, In) -> Out + Send + Sync + 'static,
     {
+        match self.spawn_map(items, opts, f).join() {
+            Ok(outputs) => outputs.ok_or(Cancelled),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    }
+
+    /// Submits `f` over every item of `items` as one batch and returns
+    /// without waiting: the non-blocking half of
+    /// [`Executor::map_batch_opts`], for a caller that keeps several
+    /// batches in flight.
+    pub fn spawn_map<In, Out, F>(&self, items: Vec<In>, opts: SubmitOpts, f: F) -> MapBatch<Out>
+    where
+        In: Send + 'static,
+        Out: Send + 'static,
+        F: Fn(usize, In) -> Out + Send + Sync + 'static,
+    {
         let n = items.len();
         let f = Arc::new(f);
         let slots: Arc<Mutex<Vec<Option<Out>>>> =
@@ -423,11 +480,7 @@ impl Executor {
                 }) as Task
             })
             .collect();
-        if self.submit_batch_opts(tasks, opts).wait_cancelled() {
-            return Err(Cancelled);
-        }
-        let mut slots = slots.lock();
-        Ok(slots.iter_mut().map(|s| s.take().expect("map_batch slot unfilled")).collect())
+        MapBatch { batch: self.submit_batch_opts(tasks, opts), slots }
     }
 
     /// Removes every queued task whose cancel token has fired,
@@ -474,8 +527,8 @@ impl Executor {
         ExecutorStats { tasks_done: snap.items, busy_ns: snap.busy_ns, workers: self.workers.len() }
     }
 
-    /// The executor's shared counters, for inclusion in a graph's
-    /// utilization sampling (`GraphBuilder::track_external`).
+    /// The executor's shared counters, e.g. for a utilization timeline
+    /// ([`crate::metrics::Sampler`]).
     pub fn counters(&self) -> Arc<NodeCounters> {
         self.shared.counters.clone()
     }
@@ -493,7 +546,13 @@ impl Executor {
 
 impl Drop for Executor {
     fn drop(&mut self) {
+        // Set under the queue lock: an idle worker checks the flag and
+        // parks while holding it, so the flag cannot land between its
+        // check and its wait, where the wake-up below would be lost and
+        // the join would hang.
+        let queue = self.shared.queue.lock();
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        drop(queue);
         self.shared.available.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -637,6 +696,29 @@ mod tests {
     }
 
     #[test]
+    fn drop_right_after_spawn_never_misses_a_parking_worker() {
+        // Workers that have just started are often between checking the
+        // shutdown flag and parking: a drop racing them must still wake
+        // every one, or its join hangs.
+        let (done, progress) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for i in 0..2_000 {
+                drop(Executor::new(2));
+                let _ = done.send(i);
+            }
+        });
+        let mut dropped = 0;
+        loop {
+            match progress.recv_timeout(std::time::Duration::from_secs(10)) {
+                Ok(i) => dropped = i + 1,
+                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
+                Err(_) => panic!("Executor::drop hung after {dropped} drops"),
+            }
+        }
+        assert_eq!(dropped, 2_000);
+    }
+
+    #[test]
     fn zero_threads_clamps_to_one() {
         let ex = Executor::new(0);
         assert_eq!(ex.threads(), 1);
@@ -664,6 +746,9 @@ mod tests {
         let ex = Executor::new(1);
         let bad = ex.submit(|| panic!("task boom"));
         assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| bad.wait())).is_err());
+        // `join` hands the payload back instead of unwinding.
+        let payload = ex.submit(|| panic!("task boom")).join().unwrap_err();
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"task boom"));
         // The (single) worker survived and keeps running new tasks.
         let counter = Arc::new(AtomicUsize::new(0));
         let c = counter.clone();

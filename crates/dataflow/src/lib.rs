@@ -1,124 +1,44 @@
-//! A coarse-grain dataflow execution engine — the from-scratch
+//! The execution substrate of Persona's pipelines — the from-scratch
 //! replacement for the TensorFlow core that the Persona paper builds on
 //! (§4).
 //!
 //! The engine reproduces the execution semantics Persona actually uses:
 //!
-//! * **Kernels and queues** ([`graph`], [`queue`]) — dataflow operators
-//!   run as long-lived workers connected by *bounded* MPMC queues.
-//!   Bounding the queues is Persona's flow-control and anti-straggler
-//!   mechanism (§4.5): "Queue capacity is kept at a level that ensures
-//!   there is always data to feed the process subgraph, but the
-//!   individual servers do not have too many AGD chunks in their
-//!   pipelines".
-//! * **Object pools** ([`pool`]) — recyclable buffers passed by handle,
-//!   giving the zero-copy architecture of §4.5 ("pools of reusable
-//!   objects to buffer data"); pool capacity bounds memory.
-//! * **A shared executor resource** ([`executor`]) — compute-intense
-//!   kernels delegate fine-grain subchunk tasks to one thread-owning
-//!   executor (§4.3, Fig. 4), decoupling I/O granularity from task
-//!   granularity so "all cores in the system are kept running
-//!   continuously doing meaningful work".
-//! * **Metrics** ([`metrics`]) — per-node busy/wait accounting and a
+//! * **A shared executor resource** ([`executor`]) — one executor *owns
+//!   all compute threads* and exposes a fine-grain task queue (§4.3,
+//!   Fig. 4). Pipeline stages split each chunk into subchunk tasks,
+//!   submit them as batches and keep a bounded number of chunks in
+//!   flight, decoupling I/O granularity from task granularity so "all
+//!   cores in the system are kept running continuously doing meaningful
+//!   work". The bound is Persona's flow control (§4.5): "the individual
+//!   servers do not have too many AGD chunks in their pipelines".
+//! * **Bounded queues** ([`queue`]) — a blocking MPMC queue with
+//!   producer-tracked close. No pipeline stage uses it; it is kept as the
+//!   primitive whose hop cost the benchmark reports.
+//! * **Metrics** ([`metrics`]) — busy/wait counters and a sampled
 //!   utilization timeline, which regenerate the paper's CPU-utilization
-//!   and overhead analyses (Fig. 5, Fig. 6).
-//! * **Shared resources** ([`resources`]) — a typed registry standing in
-//!   for TensorFlow's session resources (multi-gigabyte reference
-//!   indexes, pools, executors are shared by handle, never copied).
+//!   analysis (Fig. 5).
 //!
 //! # Examples
 //!
-//! A three-stage pipeline (produce → transform → collect):
+//! A chunk fanned out as subchunk tasks, once blocking and once kept in
+//! flight while the caller does other work:
 //!
 //! ```
-//! use persona_dataflow::graph::GraphBuilder;
-//! use std::sync::{Arc, Mutex};
+//! use persona_dataflow::{Executor, SubmitOpts};
 //!
-//! let mut g = GraphBuilder::new("demo");
-//! let q_in = g.queue::<u64>("input", 4);
-//! let q_out = g.queue::<u64>("output", 4);
+//! let executor = Executor::new(2);
+//! let squares = executor.map_batch((0..100u64).collect(), None, |_, v| v * v);
+//! assert_eq!(squares[9], 81);
 //!
-//! let qi = q_in.clone();
-//! g.source("producer", [q_in.produces()], move |ctx| {
-//!     for i in 0..100 {
-//!         ctx.push(&qi, i)?;
-//!     }
-//!     Ok(())
-//! });
-//!
-//! let (qi, qo) = (q_in.clone(), q_out.clone());
-//! g.node("square", 2, [q_out.produces()], move |ctx| {
-//!     while let Some(v) = ctx.pop(&qi) {
-//!         ctx.push(&qo, v * v)?;
-//!         ctx.add_items(1);
-//!     }
-//!     Ok(())
-//! });
-//!
-//! let sink = Arc::new(Mutex::new(Vec::new()));
-//! let s = sink.clone();
-//! let qo = q_out.clone();
-//! g.node("collect", 1, [], move |ctx| {
-//!     while let Some(v) = ctx.pop(&qo) {
-//!         s.lock().unwrap().push(v);
-//!     }
-//!     Ok(())
-//! });
-//!
-//! let report = g.run().unwrap();
-//! assert_eq!(sink.lock().unwrap().len(), 100);
-//! assert_eq!(report.node("square").unwrap().items, 100);
+//! let pending = executor.spawn_map(vec![1u64, 2, 3], SubmitOpts::default(), |_, v| v + 1);
+//! // ... submit more batches, wait on older ones ...
+//! assert_eq!(pending.join().unwrap(), Some(vec![2, 3, 4]));
 //! ```
 
 pub mod executor;
-pub mod graph;
 pub mod metrics;
-pub mod pool;
 pub mod queue;
-pub mod resources;
 
-pub use executor::{CancelToken, Cancelled, Executor, Priority, SubmitOpts};
-pub use graph::{GraphBuilder, NodeCtx, RunReport};
-pub use pool::ObjectPool;
+pub use executor::{CancelToken, Cancelled, Executor, MapBatch, Priority, SubmitOpts};
 pub use queue::QueueHandle;
-
-/// Errors surfaced by dataflow nodes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DataflowError {
-    /// The graph was cancelled (another node failed or shut down early).
-    Canceled,
-    /// A node-specific failure, carried as a message.
-    Node(String),
-}
-
-impl std::fmt::Display for DataflowError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DataflowError::Canceled => write!(f, "dataflow canceled"),
-            DataflowError::Node(msg) => write!(f, "node error: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for DataflowError {}
-
-impl From<String> for DataflowError {
-    fn from(s: String) -> Self {
-        DataflowError::Node(s)
-    }
-}
-
-impl From<&str> for DataflowError {
-    fn from(s: &str) -> Self {
-        DataflowError::Node(s.to_string())
-    }
-}
-
-impl From<std::io::Error> for DataflowError {
-    fn from(e: std::io::Error) -> Self {
-        DataflowError::Node(format!("io: {e}"))
-    }
-}
-
-/// Result alias for node bodies.
-pub type Result<T> = std::result::Result<T, DataflowError>;

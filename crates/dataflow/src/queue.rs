@@ -1,10 +1,10 @@
 //! Bounded MPMC queues with producer-tracked close semantics.
 //!
-//! These are the dataflow edges. Capacity bounds are Persona's flow
-//! control (§4.5): the input subgraph "quickly fill\[s\] the process
-//! subgraph input queue" and then blocks, capping in-flight chunks.
 //! A queue closes automatically when its last registered producer
-//! releases, which propagates end-of-stream down the graph.
+//! releases, which propagates end-of-stream to every consumer. Pipeline
+//! stages do not use these queues: they bound their chunks in flight on
+//! the executor, and fused stages stream chunk names through a
+//! `ManifestServer`.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

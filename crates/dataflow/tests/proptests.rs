@@ -1,11 +1,10 @@
-//! Property-based tests for the dataflow engine: delivery guarantees,
-//! pool bounds, and graph-shape invariants under randomized structure.
+//! Property-based tests for the dataflow primitives: delivery
+//! guarantees of the bounded queue under randomized structure.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use persona_dataflow::graph::GraphBuilder;
-use persona_dataflow::{ObjectPool, QueueHandle};
+use persona_dataflow::QueueHandle;
 use proptest::prelude::*;
 
 proptest! {
@@ -52,83 +51,5 @@ proptest! {
             .sum();
         prop_assert_eq!(count.load(Ordering::Relaxed), expected_count);
         prop_assert_eq!(sum.load(Ordering::Relaxed), expected_sum);
-    }
-
-    /// Pools never construct more than `capacity` objects regardless of
-    /// contention pattern.
-    #[test]
-    fn pool_never_exceeds_capacity(
-        capacity in 1usize..8,
-        threads in 1usize..6,
-        iters in 1usize..300,
-    ) {
-        let pool = ObjectPool::with_reset(capacity, Vec::<u8>::new, |v| v.clear());
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                let pool = pool.clone();
-                s.spawn(move || {
-                    for i in 0..iters {
-                        let mut g = pool.acquire();
-                        g.push(i as u8);
-                    }
-                });
-            }
-        });
-        prop_assert!(pool.stats().created <= capacity);
-        prop_assert_eq!(pool.stats().acquires, (threads * iters) as u64);
-    }
-
-    /// A randomized linear pipeline of 1-4 stages with arbitrary
-    /// parallelism per stage delivers all items and counts them
-    /// consistently at every stage.
-    #[test]
-    fn linear_graph_conserves_items(
-        stages in 1usize..4,
-        parallelism in proptest::collection::vec(1usize..4, 4),
-        items in 0u64..300,
-        capacity in 1usize..8,
-    ) {
-        let mut g = GraphBuilder::new("pt");
-        let mut queues: Vec<QueueHandle<u64>> = Vec::new();
-        for k in 0..=stages {
-            queues.push(g.queue(&format!("q{k}"), capacity));
-        }
-        let q0 = queues[0].clone();
-        g.source("src", [queues[0].produces()], move |ctx| {
-            for i in 0..items {
-                ctx.push(&q0, i)?;
-            }
-            Ok(())
-        });
-        for k in 0..stages {
-            let qi = queues[k].clone();
-            let qo = queues[k + 1].clone();
-            g.node(&format!("stage{k}"), parallelism[k], [queues[k + 1].produces()], move |ctx| {
-                while let Some(v) = ctx.pop(&qi) {
-                    ctx.add_items(1);
-                    ctx.push(&qo, v + 1)?;
-                }
-                Ok(())
-            });
-        }
-        let sink_count = Arc::new(AtomicU64::new(0));
-        let sink_sum = Arc::new(AtomicU64::new(0));
-        let (sc, ss) = (sink_count.clone(), sink_sum.clone());
-        let qlast = queues[stages].clone();
-        g.node("sink", 1, [], move |ctx| {
-            while let Some(v) = ctx.pop(&qlast) {
-                sc.fetch_add(1, Ordering::Relaxed);
-                ss.fetch_add(v, Ordering::Relaxed);
-            }
-            Ok(())
-        });
-        let report = g.run().map_err(|(e, _)| TestCaseError::fail(e.to_string()))?;
-        prop_assert_eq!(sink_count.load(Ordering::Relaxed), items);
-        // Each stage added +1 to every item.
-        let base: u64 = (0..items).sum();
-        prop_assert_eq!(sink_sum.load(Ordering::Relaxed), base + items * stages as u64);
-        for k in 0..stages {
-            prop_assert_eq!(report.node(&format!("stage{k}")).unwrap().items, items);
-        }
     }
 }
