@@ -40,18 +40,11 @@ fn pack_word(group: &[u8]) -> (u64, u8) {
     (word, seen)
 }
 
-/// Inverse of [`BASE_CODE`].
-#[inline]
-fn decode_base(code: u64) -> Result<u8> {
-    Ok(match code {
-        0 => b'A',
-        1 => b'C',
-        2 => b'G',
-        3 => b'T',
-        4 => b'N',
-        _ => return Err(Error::Format(format!("invalid 3-bit base code {code}"))),
-    })
-}
+/// Inverse of [`BASE_CODE`] for the valid codes `0..=4`.
+const CODE_BASE: [u8; 8] = *b"ACGTN???";
+
+/// Bit 0 of each of a word's [`BASES_PER_WORD`] 3-bit codes.
+const CODE_LOW_BITS: u64 = 0o111_111_111_111_111_111_111;
 
 /// Number of bytes the packed form of `n_bases` occupies.
 #[inline]
@@ -94,7 +87,9 @@ pub fn pack_record(bases: &[u8], out: &mut Vec<u8>) -> Result<()> {
 /// Unpacks one record of `n_bases` bases from `packed`, appending the
 /// ASCII characters to `out`.
 ///
-/// `packed` must be exactly [`packed_size`]`(n_bases)` bytes.
+/// `packed` must be exactly [`packed_size`]`(n_bases)` bytes. Returns
+/// an error naming the first code above 4 among the record's bases, and
+/// leaves `out` as it was.
 pub fn unpack_record(packed: &[u8], n_bases: usize, out: &mut Vec<u8>) -> Result<()> {
     if packed.len() != packed_size(n_bases) {
         return Err(Error::Format(format!(
@@ -103,13 +98,25 @@ pub fn unpack_record(packed: &[u8], n_bases: usize, out: &mut Vec<u8>) -> Result
             n_bases
         )));
     }
+    let start = out.len();
+    out.reserve(n_bases);
     let mut remaining = n_bases;
     for wbytes in packed.chunks_exact(8) {
-        let word = u64::from_le_bytes(wbytes.try_into().unwrap());
+        let word = u64::from_le_bytes(wbytes.try_into().expect("chunks_exact(8)"));
         let take = remaining.min(BASES_PER_WORD);
-        for i in 0..take {
-            out.push(decode_base((word >> (3 * i)) & 0x7)?);
+        // A code above 4 has bit 2 and one of bits 0, 1 set; only the
+        // record's own codes count, not the word's unused tail.
+        let bad = (word >> 2) & (word | word >> 1) & CODE_LOW_BITS & ((1u64 << (3 * take)) - 1);
+        if bad != 0 {
+            out.truncate(start);
+            let code = (word >> (bad.trailing_zeros() / 3 * 3)) & 7;
+            return Err(Error::Format(format!("invalid 3-bit base code {code}")));
         }
+        let mut bases = [0u8; BASES_PER_WORD];
+        for (i, b) in bases.iter_mut().enumerate() {
+            *b = CODE_BASE[(word >> (3 * i)) as usize & 7];
+        }
+        out.extend_from_slice(&bases[..take]);
         remaining -= take;
     }
     debug_assert_eq!(remaining, 0);
@@ -156,6 +163,29 @@ mod tests {
         Ok(())
     }
 
+    /// The per-base `match` unpacker this module shipped before the
+    /// table-driven one, kept as the oracle for its output and errors
+    /// (it leaves the bases before a bad code in `out`).
+    fn unpack_record_reference(packed: &[u8], n_bases: usize, out: &mut Vec<u8>) -> Result<()> {
+        let mut remaining = n_bases;
+        for wbytes in packed.chunks_exact(8) {
+            let word = u64::from_le_bytes(wbytes.try_into().unwrap());
+            let take = remaining.min(BASES_PER_WORD);
+            for i in 0..take {
+                out.push(match (word >> (3 * i)) & 0x7 {
+                    0 => b'A',
+                    1 => b'C',
+                    2 => b'G',
+                    3 => b'T',
+                    4 => b'N',
+                    code => return Err(Error::Format(format!("invalid 3-bit base code {code}"))),
+                });
+            }
+            remaining -= take;
+        }
+        Ok(())
+    }
+
     fn base_vec(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
         proptest::collection::vec(
             prop_oneof![Just(b'A'), Just(b'C'), Just(b'G'), Just(b'T'), Just(b'N')],
@@ -189,6 +219,52 @@ mod tests {
                 (Ok(()), Ok(())) => {}
                 (Err(got_err), Err(want_err)) => {
                     // Same first bad byte, and nothing left behind.
+                    prop_assert_eq!(got_err.to_string(), want_err.to_string());
+                    prop_assert_eq!(got, vec![0xEE]);
+                }
+                (got, want) => prop_assert!(false, "{:?} vs {:?}", got, want),
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn unpacks_bytes_identical_to_the_reference(bases in base_vec(301)) {
+            let packed = pack(&bases).unwrap();
+            let (mut got, mut want) = (vec![0xEE], vec![0xEE]);
+            unpack_record(&packed, bases.len(), &mut got).unwrap();
+            unpack_record_reference(&packed, bases.len(), &mut want).unwrap();
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(&got[1..], &bases[..]);
+        }
+
+        /// Codes 5–7 written at any of a word's 21 slots (or its unused
+        /// top bit): the same error as the reference when the slot holds
+        /// one of the record's bases, the same bases when it is past the
+        /// record's end, and `out` untouched on error.
+        #[test]
+        fn rejects_bad_codes_like_the_reference(
+            bases in base_vec(301),
+            spoil in proptest::collection::vec((any::<usize>(), 0usize..22, 5u64..8), 1..4),
+        ) {
+            let mut packed = pack(&bases).unwrap();
+            for (word, slot, code) in spoil {
+                if packed.is_empty() {
+                    break;
+                }
+                let at = word % (packed.len() / 8) * 8;
+                let mut w = u64::from_le_bytes(packed[at..at + 8].try_into().unwrap());
+                w = (w & !(7 << (3 * slot))) | code << (3 * slot);
+                packed[at..at + 8].copy_from_slice(&w.to_le_bytes());
+            }
+            let mut got = vec![0xEE];
+            let mut want = vec![0xEE];
+            match (
+                unpack_record(&packed, bases.len(), &mut got),
+                unpack_record_reference(&packed, bases.len(), &mut want),
+            ) {
+                (Ok(()), Ok(())) => prop_assert_eq!(got, want),
+                (Err(got_err), Err(want_err)) => {
                     prop_assert_eq!(got_err.to_string(), want_err.to_string());
                     prop_assert_eq!(got, vec![0xEE]);
                 }

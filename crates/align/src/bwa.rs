@@ -9,19 +9,26 @@
 //! are timed separately per strand ([`PhaseProfile::seed_time`]:
 //! seeding, locate and chaining; [`PhaseProfile::verify_time`]:
 //! extension), so that split is a measurement.
+//!
+//! Seeding restarts a backward search ([`FmIndex::backward_match`],
+//! which answers the first 8 bases of each restart from the index's
+//! k-mer table) left of every match. A read allocates nothing but its
+//! Smith-Waterman tracebacks and the result it returns: the reverse
+//! complement, the seeds, the chains and the candidate list live in a
+//! per-thread scratch reused across reads.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Instant;
 
 use persona_agd::results::{flags, AlignmentResult};
-use persona_index::bwt::base_code;
 use persona_index::fm::{FmIndex, Interval};
-use persona_seq::dna::revcomp;
+use persona_seq::dna::revcomp_into;
 use persona_seq::Genome;
 
 use crate::mapq::{mapq, MapqInput};
 use crate::profile::PhaseProfile;
-use crate::sw::{smith_waterman, Scoring};
+use crate::sw::{smith_waterman, LocalAlignment, Scoring};
 use crate::Aligner;
 
 /// BWA-MEM-style tuning parameters.
@@ -65,6 +72,29 @@ struct Seed {
     interval: Interval,
 }
 
+/// A scored local alignment of one strand of the read.
+struct Candidate {
+    score: i32,
+    location: i64,
+    reverse: bool,
+    local: LocalAlignment,
+}
+
+/// Per-thread buffers of [`BwaMemAligner::align_read_profiled`].
+#[derive(Default)]
+struct Scratch {
+    /// The read's reverse complement.
+    rc: Vec<u8>,
+    seeds: Vec<Seed>,
+    /// `(candidate location, seed bases)`.
+    chains: Vec<(u32, u32)>,
+    candidates: Vec<Candidate>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
 /// The BWA-MEM-style aligner.
 pub struct BwaMemAligner {
     genome: Arc<Genome>,
@@ -84,26 +114,14 @@ impl BwaMemAligner {
     }
 
     /// Finds SMEM-style seeds by repeated maximal backward extension
-    /// from the right end of unexplored read suffixes.
-    fn find_seeds(&self, read: &[u8], prof: &mut PhaseProfile) -> Vec<Seed> {
-        let mut seeds = Vec::new();
+    /// from the right end of unexplored read suffixes, into `seeds`
+    /// (cleared first).
+    fn find_seeds(&self, read: &[u8], prof: &mut PhaseProfile, seeds: &mut Vec<Seed>) {
+        seeds.clear();
         let mut end = read.len();
         while end >= self.params.min_seed_len {
-            let mut iv = self.fm.full_interval();
-            let mut j = end;
-            while j > 0 {
-                let b = read[j - 1];
-                if b == b'N' {
-                    break;
-                }
-                prof.index_ops += 1;
-                let next = self.fm.extend(base_code(b), iv);
-                if next.is_empty() {
-                    break;
-                }
-                iv = next;
-                j -= 1;
-            }
+            let (iv, j, ops) = self.fm.backward_match(read, end);
+            prof.index_ops += ops;
             let len = end - j;
             if len >= self.params.min_seed_len {
                 seeds.push(Seed { qbeg: j, qend: end, interval: iv });
@@ -111,30 +129,31 @@ impl BwaMemAligner {
             // Restart left of this match (skip at least one position).
             end = if j < end { j } else { end - 1 };
         }
-        seeds
+    }
+
+    /// Bench hook: the seeds of one strand, as `align_read` finds them.
+    #[doc(hidden)]
+    pub fn seed_count(&self, strand: &[u8]) -> usize {
+        let mut seeds = Vec::new();
+        self.find_seeds(strand, &mut PhaseProfile::default(), &mut seeds);
+        seeds.len()
     }
 
     /// Aligns one strand, appending scored candidate alignments to
-    /// `out`. `chains` is scratch (cleared here, reused across strands).
+    /// `s.candidates`; `s.seeds` and `s.chains` are scratch.
     ///
     /// The two phases are timed where they happen: seeding, locate and
     /// chaining (the FM-index walks) into `seed_time`, Smith-Waterman
     /// extension into `verify_time`.
-    fn align_strand(
-        &self,
-        read: &[u8],
-        reverse: bool,
-        prof: &mut PhaseProfile,
-        chains: &mut Vec<(u32, u32)>,
-        out: &mut Vec<(i32, AlignmentResult)>,
-    ) {
+    fn align_strand(&self, read: &[u8], reverse: bool, prof: &mut PhaseProfile, s: &mut Scratch) {
         let seed_start = Instant::now();
-        let seeds = self.find_seeds(read, prof);
+        self.find_seeds(read, prof, &mut s.seeds);
         // Chain seeds by approximate read-start diagonal: one
         // (candidate location, seed bases) entry per located
         // occurrence, then entries of one location summed.
+        let chains = &mut s.chains;
         chains.clear();
-        for seed in &seeds {
+        for seed in &s.seeds {
             if seed.interval.count() as usize > self.params.max_occ {
                 continue;
             }
@@ -183,19 +202,8 @@ impl BwaMemAligner {
             if local.score <= 0 {
                 continue;
             }
-            let cigar = local.cigar_with_clips(read.len());
             let location = self.genome.to_linear(c, (off + local.ref_start) as u64) as i64;
-            out.push((
-                local.score,
-                AlignmentResult {
-                    location,
-                    mate_location: -1,
-                    template_len: 0,
-                    flags: if reverse { flags::REVERSE } else { 0 },
-                    mapq: 0,
-                    cigar,
-                },
-            ));
+            s.candidates.push(Candidate { score: local.score, location, reverse, local });
         }
         prof.verify_time += verify_start.elapsed();
     }
@@ -222,39 +230,49 @@ impl Aligner for BwaMemAligner {
         prof: &mut PhaseProfile,
     ) -> AlignmentResult {
         prof.reads += 1;
-        let rc = revcomp(bases);
-        let mut all: Vec<(i32, AlignmentResult)> = Vec::new();
-        let mut chains = Vec::new();
-        self.align_strand(bases, false, prof, &mut chains, &mut all);
-        self.align_strand(&rc, true, prof, &mut chains, &mut all);
+        SCRATCH.with(|s| {
+            let s = &mut *s.borrow_mut();
+            s.candidates.clear();
+            self.align_strand(bases, false, prof, s);
+            let mut rc = std::mem::take(&mut s.rc);
+            revcomp_into(bases, &mut rc);
+            self.align_strand(&rc, true, prof, s);
+            s.rc = rc;
 
-        all.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.location.cmp(&b.1.location)));
-        let min_score = (bases.len() as f64
-            * self.params.scoring.match_score as f64
-            * self.params.min_score_frac) as i32;
-        let Some(&(best_score, ref best)) = all.first() else {
-            return AlignmentResult::unmapped();
-        };
-        if best_score < min_score {
-            return AlignmentResult::unmapped();
-        }
-        let ties =
-            all.iter().filter(|(s, r)| *s == best_score && r.location != best.location).count()
-                as u32
-                + 1;
-        let second = all
-            .iter()
-            .find(|(s, r)| *s < best_score || r.location != best.location)
-            .map(|(s, _)| self.est_edits(*s, bases.len()));
-        let q = mapq(MapqInput {
-            best: self.est_edits(best_score, bases.len()),
-            second_best: second,
-            ties,
-            max_k: (bases.len() / 8) as u32,
-        });
-        let mut result = best.clone();
-        result.mapq = q;
-        result
+            let all = &mut s.candidates;
+            all.sort_unstable_by(|a, b| b.score.cmp(&a.score).then(a.location.cmp(&b.location)));
+            let min_score = (bases.len() as f64
+                * self.params.scoring.match_score as f64
+                * self.params.min_score_frac) as i32;
+            let Some(best) = all.first() else {
+                return AlignmentResult::unmapped();
+            };
+            if best.score < min_score {
+                return AlignmentResult::unmapped();
+            }
+            let ties =
+                all.iter().filter(|c| c.score == best.score && c.location != best.location).count()
+                    as u32
+                    + 1;
+            let second = all
+                .iter()
+                .find(|c| c.score < best.score || c.location != best.location)
+                .map(|c| self.est_edits(c.score, bases.len()));
+            let q = mapq(MapqInput {
+                best: self.est_edits(best.score, bases.len()),
+                second_best: second,
+                ties,
+                max_k: (bases.len() / 8) as u32,
+            });
+            AlignmentResult {
+                location: best.location,
+                mate_location: -1,
+                template_len: 0,
+                flags: if best.reverse { flags::REVERSE } else { 0 },
+                mapq: q,
+                cigar: best.local.cigar_with_clips(bases.len()),
+            }
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -371,7 +389,8 @@ mod tests {
         let (genome, aligner) = setup(36, 30_000);
         let read: Vec<u8> = genome.contig(0).seq[1000..1101].to_vec();
         let mut prof = PhaseProfile::default();
-        let seeds = aligner.find_seeds(&read, &mut prof);
+        let mut seeds = Vec::new();
+        aligner.find_seeds(&read, &mut prof, &mut seeds);
         assert!(!seeds.is_empty());
         // A clean read should produce one long SMEM covering it.
         assert!(seeds.iter().any(|s| s.qend - s.qbeg >= 50), "no long seed");

@@ -109,19 +109,7 @@ pub fn smith_waterman_striped(
     query: &[u8],
     sc: Scoring,
 ) -> Option<LocalAlignment> {
-    striped_at_width(reference, query, sc, None)
-}
-
-/// [`smith_waterman_striped`] at a given vector width (`None`: the
-/// widest the CPU has), so tests can drive the SSE2 and AVX2 bodies on
-/// one machine.
-fn striped_at_width(
-    reference: &[u8],
-    query: &[u8],
-    sc: Scoring,
-    width: Option<crate::sw_simd::Width>,
-) -> Option<LocalAlignment> {
-    crate::sw_simd::with_matrix(reference, query, &sc, width, |hm| {
+    crate::sw_simd::with_matrix(reference, query, &sc, None, false, |hm| {
         traceback_from_matrix(hm, reference, query, sc)
     })
 }
@@ -136,7 +124,7 @@ pub fn striped_traceback_repeated(
     sc: Scoring,
     reps: usize,
 ) -> Option<LocalAlignment> {
-    crate::sw_simd::with_matrix(reference, query, &sc, None, |hm| {
+    crate::sw_simd::with_matrix(reference, query, &sc, None, false, |hm| {
         let mut last = traceback_from_matrix(hm, reference, query, sc);
         for _ in 1..reps {
             last = std::hint::black_box(traceback_from_matrix(hm, reference, query, sc));
@@ -165,6 +153,25 @@ fn traceback_from_matrix(
     query: &[u8],
     sc: Scoring,
 ) -> LocalAlignment {
+    // One traceback body per cell type, so no step branches on it.
+    match hm.cells() {
+        crate::sw_simd::Cells::U8(h) => {
+            traceback_with(hm, |i, j| hm.cell(h, i, j), reference, query, sc)
+        }
+        crate::sw_simd::Cells::I16(h) => {
+            traceback_with(hm, |i, j| hm.cell(h, i, j), reference, query, sc)
+        }
+    }
+}
+
+/// [`traceback_from_matrix`] with `at(i, j)` = `H[i][j]`.
+fn traceback_with(
+    hm: &crate::sw_simd::HMatrix<'_>,
+    at: impl Fn(usize, usize) -> i32,
+    reference: &[u8],
+    query: &[u8],
+    sc: Scoring,
+) -> LocalAlignment {
     // Whether some `H[i][j-g] + open + (g-1)·ext` equals `h`. Inside a
     // horizontal gap the witness is the gap's own start, `g` columns
     // back; otherwise the scan ends once the score it would need
@@ -175,7 +182,7 @@ fn traceback_from_matrix(
             if need > hm.best {
                 return false;
             }
-            if hm.at(i, j - g) == need {
+            if at(i, j - g) == need {
                 return true;
             }
             need -= sc.gap_extend;
@@ -195,13 +202,13 @@ fn traceback_from_matrix(
         ops.push(CigarOp { kind, len: 1 });
     };
     while i > 0 && j > 0 {
-        let h = hm.at(i, j);
+        let h = at(i, j);
         // A zero cell is exactly the scalar Tb::Stop tag.
         if h == 0 {
             break;
         }
         let sub = if reference[i - 1] == query[j - 1] { sc.match_score } else { sc.mismatch };
-        if h == hm.at(i - 1, j - 1) + sub {
+        if h == at(i - 1, j - 1) + sub {
             push(CigarKind::Match, &mut ops_rev);
             i -= 1;
             j -= 1;
@@ -854,14 +861,58 @@ mod tests {
         Scoring { match_score: 3, mismatch: -2, gap_open: 0, gap_extend: 0 },
     ];
 
+    /// [`smith_waterman_striped`] at a given vector width, optionally
+    /// forcing 16-bit cells, so tests can drive all four bodies on one
+    /// machine; with the bits per cell of the body that ran.
+    fn striped_at(
+        reference: &[u8],
+        query: &[u8],
+        sc: Scoring,
+        width: crate::sw_simd::Width,
+        force_i16: bool,
+    ) -> Option<(LocalAlignment, u32)> {
+        crate::sw_simd::with_matrix(reference, query, &sc, Some(width), force_i16, |hm| {
+            (traceback_from_matrix(hm, reference, query, sc), hm.cell_bits())
+        })
+    }
+
+    /// All four bodies (both widths, 8- and 16-bit cells) against the
+    /// scalar kernel; returns the cell bits the unforced body ran with.
+    fn assert_bodies_match_scalar(reference: &[u8], query: &[u8], sc: Scoring) -> Option<u32> {
+        use crate::sw_simd::Width;
+        let scalar = smith_waterman_scalar(reference, query, sc);
+        let mut bits = None;
+        for width in [Width::Sse2, Width::Avx2] {
+            for force_i16 in [false, true] {
+                match striped_at(reference, query, sc, width, force_i16) {
+                    Some((striped, b)) => {
+                        assert_eq!(striped, scalar, "{width:?} force_i16 {force_i16} {sc:?}");
+                        if force_i16 {
+                            assert_eq!(b, 16);
+                        } else {
+                            bits = Some(b);
+                        }
+                    }
+                    // Only a CPU without AVX2 may refuse: every scoring
+                    // the tests use is inside the guards.
+                    None => assert!(
+                        width == Width::Avx2 || !cfg!(target_arch = "x86_64"),
+                        "striped kernel refused valid input"
+                    ),
+                }
+            }
+        }
+        bits
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
 
-        /// Both vector widths reproduce the scalar kernel — score,
-        /// regions *and CIGAR* — on indel-rich and tie-heavy inputs,
-        /// with `gap_open == gap_extend`, a zero extension penalty, the
-        /// query longer than the window, and the best cell in the last
-        /// (padded) lane.
+        /// Both vector widths and both cell types reproduce the scalar
+        /// kernel — score, regions *and CIGAR* — on indel-rich and
+        /// tie-heavy inputs, with `gap_open == gap_extend`, a zero
+        /// extension penalty, the query longer than the window, and the
+        /// best cell in the last (padded) lane.
         #[test]
         fn striped_widths_match_scalar_on_gappy_inputs(
             seed in proptest::prelude::any::<u64>(),
@@ -870,19 +921,52 @@ mod tests {
             m in 1usize..130,
             scoring in 0usize..6,
         ) {
-            use crate::sw_simd::Width;
             let (reference, query) = gappy_case(seed, shape, n, m);
-            let sc = SCORINGS[scoring];
-            let scalar = smith_waterman_scalar(&reference, &query, sc);
-            for width in [Width::Sse2, Width::Avx2] {
-                match striped_at_width(&reference, &query, sc, Some(width)) {
-                    Some(striped) => proptest::prop_assert_eq!(&striped, &scalar, "{:?}", width),
-                    // Only a CPU without AVX2 may refuse: every scoring
-                    // above is inside the guards.
-                    None => proptest::prop_assert!(
-                        width == Width::Avx2 || !cfg!(target_arch = "x86_64"),
-                        "striped kernel refused valid input"
-                    ),
+            assert_bodies_match_scalar(&reference, &query, SCORINGS[scoring]);
+        }
+    }
+
+    /// The `min(n, m)` values around the 8-bit guard of scoring `sc`:
+    /// every one whose `min(n, m)·match + match − mismatch` is 254, 255
+    /// or 256, plus the last inside and the first outside the guard.
+    fn guard_edges(sc: Scoring) -> Vec<usize> {
+        let g = |len: i32| len * sc.match_score + sc.match_score - sc.mismatch;
+        let last_in = (1..).take_while(|&len| g(len) <= 255).last().expect("guard admits len 1");
+        let mut out: Vec<usize> = (1..300)
+            .filter(|&len| (254..=256).contains(&g(len)) || len == last_in || len == last_in + 1)
+            .map(|len| len as usize)
+            .collect();
+        out.dedup();
+        out
+    }
+
+    /// At the edges of the 8-bit guard, under all six scorings: windows
+    /// the query matches exactly (the highest scores the guard admits),
+    /// the query longer than the window, and gappy pairs. Below the
+    /// guard the unforced body runs 8-bit cells, above it 16-bit ones.
+    #[test]
+    fn striped_bodies_match_scalar_at_the_u8_guard() {
+        for (k, sc) in SCORINGS.into_iter().enumerate() {
+            let g = |len: usize| len as i32 * sc.match_score + sc.match_score - sc.mismatch;
+            for len in guard_edges(sc) {
+                let want = if g(len) <= 255 { 8 } else { 16 };
+                let (reference, _) = gappy_case(k as u64 * 1000 + len as u64, 0, len + 30, 0);
+                let cases = [
+                    // All-match: the query is the whole window, or a
+                    // slice of a longer one.
+                    (reference[..len].to_vec(), reference[..len].to_vec()),
+                    (reference.clone(), reference[10..10 + len].to_vec()),
+                    // The query is the longer sequence.
+                    (reference[..len].to_vec(), reference.clone()),
+                    gappy_case(len as u64, 0, len + 24, len),
+                    gappy_case(len as u64, 2, len + 24, len),
+                ];
+                for (r, q) in cases {
+                    assert_eq!(r.len().min(q.len()), len);
+                    let bits = assert_bodies_match_scalar(&r, &q, sc);
+                    if cfg!(target_arch = "x86_64") {
+                        assert_eq!(bits, Some(want), "scoring {k} len {len}");
+                    }
                 }
             }
         }
@@ -900,8 +984,12 @@ mod tests {
                 let (reference, query) = gappy_case(seed, shape, n, m);
                 let scalar = smith_waterman_scalar(&reference, &query, sc);
                 for width in [crate::sw_simd::Width::Avx2, crate::sw_simd::Width::Sse2] {
-                    if let Some(striped) = striped_at_width(&reference, &query, sc, Some(width)) {
-                        assert_eq!(striped, scalar, "{width:?} n {n} m {m} shape {shape}");
+                    for force_i16 in [false, true] {
+                        if let Some((striped, _)) =
+                            striped_at(&reference, &query, sc, width, force_i16)
+                        {
+                            assert_eq!(striped, scalar, "{width:?} n {n} m {m} shape {shape}");
+                        }
                     }
                 }
             }

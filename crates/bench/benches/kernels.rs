@@ -76,6 +76,15 @@ fn bench_kernels(c: &mut Criterion) {
     g.bench_function(BenchmarkId::new("smith_waterman_101bp", "striped"), |b| {
         b.iter(|| std::hint::black_box(smith_waterman_striped(text, pattern, Scoring::default())))
     });
+    // A 130 bp read against a 170-base window scores past the 8-bit
+    // cells' guard at the default scoring: the 16-bit body.
+    let text130 = &world.genome.contig(0).seq[1000..1170];
+    let pattern130 = &world.genome.contig(0).seq[1000..1130];
+    g.bench_function(BenchmarkId::new("smith_waterman_130bp", "striped"), |b| {
+        b.iter(|| {
+            std::hint::black_box(smith_waterman_striped(text130, pattern130, Scoring::default()))
+        })
+    });
     // Large-k verification of a dissimilar sequence — the regime where
     // the bit-parallel kernel's flat cost beats the scalar diagonal
     // DP's O(k²) worst case and the dispatcher picks it.
@@ -151,6 +160,21 @@ fn bench_kernels(c: &mut Criterion) {
         big_fm.clone(),
         persona_align::bwa::BwaParams::default(),
     );
+    // Seeding alone, both strands of a read as `align_read` runs it,
+    // 64 reads per iteration (throughput in reads/s).
+    const SEED_BATCH: usize = 64;
+    g.throughput(Throughput::Elements(SEED_BATCH as u64));
+    g.bench_function("bwa_seed_101bp", |b| {
+        b.iter(|| {
+            turn += SEED_BATCH;
+            (turn..turn + SEED_BATCH)
+                .map(|i| {
+                    let [fwd, rc] = &strands[i % strands.len()];
+                    bwa.seed_count(fwd) + bwa.seed_count(rc)
+                })
+                .sum::<usize>()
+        })
+    });
     g.throughput(Throughput::Elements(1));
     g.bench_function("bwa_align_read", |b| {
         b.iter(|| {

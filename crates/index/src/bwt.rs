@@ -8,17 +8,26 @@ use crate::sa::suffix_array;
 /// Alphabet size including the sentinel code 0.
 pub const ALPHABET: usize = 5;
 
+/// Set in [`CODES`] for every byte other than `A`, `C`, `G`, `T`.
+pub(crate) const NOT_ACGT: u8 = 0x80;
+
+/// Per ASCII byte: its BWT code in the low three bits (`N` and any
+/// other byte degrade to `A`), plus [`NOT_ACGT`] unless it is one of
+/// `A`, `C`, `G`, `T`.
+pub(crate) const CODES: [u8; 256] = {
+    let mut table = [1 | NOT_ACGT; 256];
+    table[b'A' as usize] = 1;
+    table[b'C' as usize] = 2;
+    table[b'G' as usize] = 3;
+    table[b'T' as usize] = 4;
+    table
+};
+
 /// Maps an ASCII base to its BWT code (`N` degrades to `A`, mirroring
 /// BWA's handling of ambiguous reference bases).
 #[inline]
 pub fn base_code(b: u8) -> u8 {
-    match b {
-        b'A' | b'N' => 1,
-        b'C' => 2,
-        b'G' => 3,
-        b'T' => 4,
-        _ => 1,
-    }
+    CODES[b as usize] & 7
 }
 
 /// Maps a BWT code back to an ASCII base (0 maps to `$`).
@@ -190,6 +199,22 @@ mod tests {
     fn n_degrades_to_a() {
         assert_eq!(base_code(b'N'), base_code(b'A'));
         assert_eq!(code_base(base_code(b'C')), b'C');
+    }
+
+    /// The table maps every byte as the `match` it replaced did.
+    #[test]
+    fn code_table_matches_the_match() {
+        for b in 0..=255u8 {
+            let (code, acgt) = match b {
+                b'A' => (1, true),
+                b'C' => (2, true),
+                b'G' => (3, true),
+                b'T' => (4, true),
+                _ => (1, false),
+            };
+            assert_eq!(base_code(b), code, "byte {b:#04x}");
+            assert_eq!(CODES[b as usize] & NOT_ACGT == 0, acgt, "byte {b:#04x}");
+        }
     }
 
     #[test]

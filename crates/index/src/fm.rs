@@ -12,16 +12,30 @@
 //! bound … cache misses and DTLB misses" behaviour the paper measures
 //! for BWA-MEM in Fig. 8, at the cost the hardware sets rather than the
 //! cost of a byte scan.
+//!
+//! **The k-mer table.** The first steps of a backward search are the
+//! dearest: the interval is wide, so its two ends sit in two different
+//! lines. A table of the interval of every [`KMER`]-mer (`4^8` entries,
+//! 512 KiB, built at load time by a depth-first walk of the 8-mer trie,
+//! one `extend` per node) answers those steps with one load:
+//! [`FmIndex::backward_match`] starts every walk with a lookup of the
+//! last [`KMER`] bases when they are all `A`/`C`/`G`/`T` and the k-mer
+//! occurs, and steps one base at a time from there (or from the start,
+//! otherwise). An entry is the stepwise result by construction, and a
+//! k-mer that occurs has every suffix occurring too, so the walk ends
+//! where the stepwise one does and reports the same step count.
 
 use persona_seq::Genome;
 
-use crate::bwt::{base_code, Bwt, ALPHABET};
+use crate::bwt::{base_code, Bwt, ALPHABET, CODES, NOT_ACGT};
 use crate::sa::suffix_array;
 
 /// Rows per occurrence checkpoint (one cache line).
 pub const OCC_BLOCK: usize = 128;
 /// Text-position sampling rate for locate.
 pub const SA_SAMPLE: usize = 32;
+/// Bases resolved by one k-mer table lookup (module docs).
+pub const KMER: usize = 8;
 
 /// One cache line of the index: everything about [`OCC_BLOCK`] rows.
 ///
@@ -93,6 +107,10 @@ pub struct FmIndex {
     rows: u32,
     /// Whether the CPU has the `popcnt` instruction.
     popcnt: bool,
+    /// The interval of every [`KMER`]-mer, indexed by its 2-bit codes
+    /// (`A` = 0 … `T` = 3) with the first base most significant; empty
+    /// for a k-mer that does not occur.
+    kmers: Vec<Interval>,
 }
 
 /// A half-open BWT row interval `[lo, hi)` representing all suffixes
@@ -157,7 +175,7 @@ impl FmIndex {
                 }
             }
         }
-        FmIndex {
+        let mut fm = FmIndex {
             lines,
             sample_rank,
             samples,
@@ -165,6 +183,27 @@ impl FmIndex {
             sentinel_row: bwt.sentinel_row as u32,
             rows: rows as u32,
             popcnt: has_popcnt(),
+            kmers: Vec::new(),
+        };
+        let mut kmers = vec![Interval { lo: 0, hi: 0 }; 1 << (2 * KMER)];
+        fm.fill_kmers(fm.full_interval(), 0, 0, &mut kmers);
+        fm.kmers = kmers;
+        fm
+    }
+
+    /// Fills the table entries below the trie node of the `depth`-base
+    /// suffix `code` (2-bit codes, last base least significant) whose
+    /// interval is `iv`. Absent k-mers keep their empty entry.
+    fn fill_kmers(&self, iv: Interval, depth: usize, code: usize, table: &mut [Interval]) {
+        if depth == KMER {
+            table[code] = iv;
+            return;
+        }
+        for c in 0..4u8 {
+            let next = self.extend(c + 1, iv);
+            if !next.is_empty() {
+                self.fill_kmers(next, depth + 1, code | (c as usize) << (2 * depth), table);
+            }
         }
     }
 
@@ -237,6 +276,80 @@ impl FmIndex {
         let base = self.c_array[c as usize];
         let (lo, hi) = self.rank_pair(c, iv.lo, iv.hi);
         Interval { lo: base + lo, hi: base + hi }
+    }
+
+    /// [`Self::extend`] with the rank inlined into the caller (which
+    /// picks the `popcnt` codegen).
+    #[inline(always)]
+    fn extend_body(&self, c: u8, iv: Interval) -> Interval {
+        let base = self.c_array[c as usize];
+        let (lo, hi) = self.rank_pair_body(c, iv.lo, iv.hi);
+        Interval { lo: base + lo, hi: base + hi }
+    }
+
+    /// Backward search from the end of `read[..end]` for as long as the
+    /// suffix occurs: returns the interval of the longest occurring
+    /// suffix `read[j..end]`, its start `j`, and the `extend` steps the
+    /// walk stands for — one per base consumed, plus the failing one
+    /// when a step comes up empty. An `N` ends the walk without a step;
+    /// any other byte counts as an `A` (see [`base_code`]).
+    ///
+    /// The first [`KMER`] bases come from the k-mer table when they are
+    /// all `A`/`C`/`G`/`T` and the k-mer occurs (module docs); the
+    /// result is the same either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `end > read.len()`.
+    pub fn backward_match(&self, read: &[u8], end: usize) -> (Interval, usize, u64) {
+        #[cfg(target_arch = "x86_64")]
+        if self.popcnt {
+            // SAFETY: `popcnt` is only set by `has_popcnt`, i.e. after
+            // `is_x86_feature_detected!("popcnt")` returned true on this
+            // CPU; the function has no other precondition (all indexing
+            // inside is bounds-checked).
+            return unsafe { self.backward_match_popcnt(read, end) };
+        }
+        self.backward_match_body(read, end)
+    }
+
+    /// [`Self::backward_match_body`] compiled with the `popcnt`
+    /// instruction: the whole walk is one unit, so every rank inlines.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "popcnt")]
+    fn backward_match_popcnt(&self, read: &[u8], end: usize) -> (Interval, usize, u64) {
+        self.backward_match_body(read, end)
+    }
+
+    #[inline(always)]
+    fn backward_match_body(&self, read: &[u8], end: usize) -> (Interval, usize, u64) {
+        let mut iv = self.full_interval();
+        let (mut j, mut ops) = (end, 0u64);
+        if let Some(kmer) = end.checked_sub(KMER).map(|at| &read[at..end]) {
+            let (mut code, mut seen) = (0usize, 0u8);
+            for &b in kmer {
+                let c = CODES[b as usize];
+                seen |= c;
+                code = (code << 2) | ((c as usize - 1) & 3);
+            }
+            if seen & NOT_ACGT == 0 && !self.kmers[code].is_empty() {
+                (iv, j, ops) = (self.kmers[code], end - KMER, KMER as u64);
+            }
+        }
+        while j > 0 {
+            let b = read[j - 1];
+            if b == b'N' {
+                break;
+            }
+            ops += 1;
+            let next = self.extend_body(base_code(b), iv);
+            if next.is_empty() {
+                break;
+            }
+            iv = next;
+            j -= 1;
+        }
+        (iv, j, ops)
     }
 
     /// Backward-searches an ASCII pattern; returns the matching interval.
@@ -320,11 +433,12 @@ impl FmIndex {
     }
 
     /// Index memory footprint in bytes: one 64-byte line per
-    /// [`OCC_BLOCK`] rows, plus the sampled positions and their
-    /// per-line rank.
+    /// [`OCC_BLOCK`] rows, the sampled positions and their per-line
+    /// rank, and the k-mer table.
     pub fn memory_bytes(&self) -> usize {
         self.lines.len() * std::mem::size_of::<Line>()
             + (self.sample_rank.len() + self.samples.len()) * 4
+            + self.kmers.len() * std::mem::size_of::<Interval>()
     }
 }
 
@@ -508,6 +622,111 @@ mod tests {
         }
         for edge in [63, 64, 65, 127, 128, 129, 256] {
             assert!(sentinel_rows.contains(&edge), "no text put the sentinel on row {edge}");
+        }
+    }
+
+    /// The walk `backward_match` replaced: one `extend` per base from
+    /// the full interval, kept as its oracle.
+    fn backward_match_stepwise(fm: &FmIndex, read: &[u8], end: usize) -> (Interval, usize, u64) {
+        let mut iv = fm.full_interval();
+        let (mut j, mut ops) = (end, 0u64);
+        while j > 0 {
+            let b = read[j - 1];
+            if b == b'N' {
+                break;
+            }
+            ops += 1;
+            let next = fm.extend(base_code(b), iv);
+            if next.is_empty() {
+                break;
+            }
+            iv = next;
+            j -= 1;
+        }
+        (iv, j, ops)
+    }
+
+    /// Every prefix end of `read` gives the stepwise walk's interval,
+    /// start and step count.
+    fn assert_walks_match(fm: &FmIndex, read: &[u8]) {
+        for end in 0..=read.len() {
+            assert_eq!(
+                fm.backward_match(read, end),
+                backward_match_stepwise(fm, read, end),
+                "end {end} of {:?}",
+                String::from_utf8_lossy(read)
+            );
+        }
+    }
+
+    /// Each table entry is the interval of its k-mer, empty exactly
+    /// when the k-mer does not occur: exhaustively on a text too short
+    /// to hold most 8-mers, on a sample of a larger one.
+    #[test]
+    fn kmer_table_holds_every_kmer_interval() {
+        for (len, step) in [(40usize, 1usize), (3_000, 1), (20_000, 97)] {
+            let text: Vec<u8> =
+                lcg_codes(len as u64 + 3, len).iter().map(|&c| code_base(c)).collect();
+            let fm = build_from_ascii(&text);
+            assert_eq!(fm.kmers.len(), 1 << (2 * KMER));
+            let mut present = 0;
+            for code in (0..fm.kmers.len()).step_by(step) {
+                let kmer: Vec<u8> =
+                    (0..KMER).map(|i| b"ACGT"[code >> (2 * (KMER - 1 - i)) & 3]).collect();
+                assert_eq!(fm.kmers[code].count(), naive_count(&text, &kmer), "{kmer:?}");
+                if !fm.kmers[code].is_empty() {
+                    assert_eq!(fm.kmers[code], fm.search(&kmer));
+                    present += 1;
+                }
+            }
+            assert!(present > 0 && present < fm.kmers.len().div_ceil(step), "len {len}");
+        }
+    }
+
+    /// Table-driven walks against the stepwise oracle: reads shorter
+    /// than a k-mer, an `N` (or a lowercase base, which counts as `A`)
+    /// at each of the last k-mer's offsets, k-mers absent from a tiny
+    /// text, and reads sampled from the text with substitutions.
+    #[test]
+    fn backward_match_equals_stepwise_walk() {
+        for len in [30usize, 2_000, 50_000] {
+            let text: Vec<u8> =
+                lcg_codes(len as u64 + 11, len).iter().map(|&c| code_base(c)).collect();
+            let fm = build_from_ascii(&text);
+            let mut x = len as u64;
+            let mut next = |bound: usize| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                ((x >> 33) as usize) % bound
+            };
+            for short in 0..KMER {
+                let at = next(len - short);
+                assert_walks_match(&fm, &text[at..at + short]);
+            }
+            for _ in 0..40 {
+                let rlen = 8 + next(len.min(60) - 8);
+                let at = next(len - rlen + 1);
+                let mut read = text[at..at + rlen].to_vec();
+                assert_walks_match(&fm, &read);
+                for _ in 0..next(4) {
+                    let i = next(rlen);
+                    read[i] = b"ACGT"[next(4)];
+                }
+                assert_walks_match(&fm, &read);
+                for off in 0..KMER {
+                    for odd in [b'N', b'a', b'X'] {
+                        let mut spoiled = read.clone();
+                        let last = spoiled.len() - 1 - off;
+                        spoiled[last] = odd;
+                        assert_walks_match(&fm, &spoiled);
+                    }
+                }
+            }
+            // Random reads: on the tiny text most of their 8-mers are
+            // absent, so the walk falls back to stepping.
+            for _ in 0..20 {
+                let read: Vec<u8> = (0..next(40)).map(|_| b"ACGT"[next(4)]).collect();
+                assert_walks_match(&fm, &read);
+            }
         }
     }
 
