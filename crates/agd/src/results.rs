@@ -210,14 +210,19 @@ impl AlignmentResult {
 
     /// Decodes one record occupying the whole of `buf`.
     pub fn decode(buf: &[u8]) -> Result<Self> {
+        let mut result = AlignmentResult::unmapped();
+        result.decode_into(buf)?;
+        Ok(result)
+    }
+
+    /// [`AlignmentResult::decode`] into `self`, reusing its CIGAR
+    /// allocation, so a loop over a results column allocates nothing per
+    /// record. On error `self` holds an unspecified mix of old and new
+    /// fields.
+    pub fn decode_into(&mut self, buf: &[u8]) -> Result<()> {
         if buf.len() < Self::FIXED_SIZE {
             return Err(Error::Format("result record shorter than fixed part".into()));
         }
-        let location = i64::from_le_bytes(buf[0..8].try_into().unwrap());
-        let mate_location = i64::from_le_bytes(buf[8..16].try_into().unwrap());
-        let template_len = i32::from_le_bytes(buf[16..20].try_into().unwrap());
-        let flags = u16::from_le_bytes(buf[20..22].try_into().unwrap());
-        let mapq = buf[22];
         let n_ops = buf[23] as usize;
         let expected = Self::FIXED_SIZE + 4 * n_ops;
         if buf.len() != expected {
@@ -226,12 +231,18 @@ impl AlignmentResult {
                 buf.len()
             )));
         }
-        let mut cigar = Vec::with_capacity(n_ops);
+        self.location = i64::from_le_bytes(buf[0..8].try_into().unwrap());
+        self.mate_location = i64::from_le_bytes(buf[8..16].try_into().unwrap());
+        self.template_len = i32::from_le_bytes(buf[16..20].try_into().unwrap());
+        self.flags = u16::from_le_bytes(buf[20..22].try_into().unwrap());
+        self.mapq = buf[22];
+        self.cigar.clear();
         for chunk in buf[Self::FIXED_SIZE..].chunks_exact(4) {
             let word = u32::from_le_bytes(chunk.try_into().unwrap());
-            cigar.push(CigarOp { kind: CigarKind::from_code((word & 0xF) as u8)?, len: word >> 4 });
+            self.cigar
+                .push(CigarOp { kind: CigarKind::from_code((word & 0xF) as u8)?, len: word >> 4 });
         }
-        Ok(AlignmentResult { location, mate_location, template_len, flags, mapq, cigar })
+        Ok(())
     }
 
     /// Renders the CIGAR as a SAM string (`*` when empty).

@@ -381,6 +381,196 @@ fn bench_codecs(c: &mut Criterion) {
     g.finish();
 }
 
+/// The output path's kernels (docs/PERFORMANCE.md §6): CRC-32 by table
+/// and by carry-less multiply at three sizes (throughput in bytes), and
+/// one 101 bp read written as a SAM line and as a BAM record straight
+/// from its columns, next to the record-and-`format!` path the writers
+/// replaced (throughput in reads).
+fn bench_output(c: &mut Criterion) {
+    use persona_agd::results::{flags, AlignmentResult, CigarKind, CigarOp};
+    use persona_compress::crc32::{update_clmul, update_table};
+    use persona_formats::sam::{self, SamRow};
+
+    let mut g = c.benchmark_group("kernels");
+    g.measurement_time(Duration::from_secs(3));
+    g.sample_size(20);
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let noise: Vec<u8> = (0..1 << 20)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 24) as u8
+        })
+        .collect();
+    for (size, label) in [(64usize, "64B"), (4096, "4KiB"), (1 << 20, "1MiB")] {
+        let data = &noise[..size];
+        g.throughput(Throughput::Bytes(size as u64));
+        g.bench_function(BenchmarkId::new("crc32/table", label), |b| {
+            b.iter(|| std::hint::black_box(update_table(!0, std::hint::black_box(data))))
+        });
+        if update_clmul(!0, b"").is_some() {
+            g.bench_function(BenchmarkId::new("crc32/clmul", label), |b| {
+                b.iter(|| std::hint::black_box(update_clmul(!0, std::hint::black_box(data))))
+            });
+        }
+    }
+
+    let world = World::build(1_000_000, 1024, 111);
+    let refs = RefMap::new(&[persona_agd::manifest::RefContig {
+        name: "chr1".into(),
+        length: world.genome.total_len(),
+    }]);
+    let results: Vec<AlignmentResult> = (0..world.reads.len())
+        .map(|i| AlignmentResult {
+            location: (i as i64 * 977) % 990_000,
+            mate_location: -1,
+            template_len: 0,
+            flags: if i % 2 == 0 { flags::REVERSE } else { 0 },
+            mapq: 60,
+            cigar: vec![CigarOp { kind: CigarKind::Match, len: 101 }],
+        })
+        .collect();
+    let rows: Vec<SamRow> = world
+        .reads
+        .iter()
+        .zip(&results)
+        .map(|(r, res)| SamRow::from_result(&refs, &r.meta, &r.bases, &r.quals, res))
+        .collect();
+    g.throughput(Throughput::Elements(rows.len() as u64));
+    let mut out = Vec::with_capacity(1 << 20);
+    g.bench_function(BenchmarkId::new("sam_record_101bp", "writer"), |b| {
+        b.iter(|| {
+            out.clear();
+            for row in &rows {
+                sam::write_line(&mut out, &refs, row);
+                out.push(b'\n');
+            }
+            std::hint::black_box(out.len())
+        })
+    });
+    g.bench_function(BenchmarkId::new("sam_record_101bp", "oracle"), |b| {
+        b.iter(|| {
+            out.clear();
+            for row in &rows {
+                out.extend_from_slice(&oracle::sam_line(&SamRecord::from_row(row), &refs));
+                out.push(b'\n');
+            }
+            std::hint::black_box(out.len())
+        })
+    });
+    g.bench_function(BenchmarkId::new("bam_record_101bp", "writer"), |b| {
+        b.iter(|| {
+            out.clear();
+            for row in &rows {
+                bam::write_record(&mut out, row);
+            }
+            std::hint::black_box(out.len())
+        })
+    });
+    g.bench_function(BenchmarkId::new("bam_record_101bp", "oracle"), |b| {
+        b.iter(|| {
+            out.clear();
+            for row in &rows {
+                let body = oracle::bam_body(&SamRecord::from_row(row));
+                out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+                out.extend_from_slice(&body);
+            }
+            std::hint::black_box(out.len())
+        })
+    });
+    g.finish();
+}
+
+/// The SAM and BAM record formatting the row writers replaced, kept
+/// here as the baseline of the `*_record_101bp` rows (the format crate
+/// keeps the same code as its test oracle).
+mod oracle {
+    use persona_formats::sam::{RefMap, SamRecord};
+
+    pub fn sam_line(rec: &SamRecord, refs: &RefMap) -> Vec<u8> {
+        let mut out = Vec::with_capacity(rec.seq.len() * 2 + 64);
+        out.extend_from_slice(&rec.qname);
+        let name = |c: Option<u32>| match c {
+            Some(c) => refs.contigs()[c as usize].name.clone(),
+            None => "*".to_string(),
+        };
+        let rnext = if rec.rnext.is_some() && rec.rnext == rec.rname {
+            "=".to_string()
+        } else {
+            name(rec.rnext)
+        };
+        let cigar: String = if rec.cigar.is_empty() {
+            "*".to_string()
+        } else {
+            rec.cigar.iter().map(|op| format!("{}{}", op.len, op.kind.to_char())).collect()
+        };
+        let fields = format!(
+            "\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t",
+            rec.flag,
+            name(rec.rname),
+            rec.pos + 1,
+            rec.mapq,
+            cigar,
+            rnext,
+            rec.pnext + 1,
+            rec.tlen,
+        );
+        out.extend_from_slice(fields.as_bytes());
+        out.extend_from_slice(if rec.seq.is_empty() { b"*" } else { &rec.seq });
+        out.push(b'\t');
+        out.extend_from_slice(if rec.qual.is_empty() { b"*" } else { &rec.qual });
+        out
+    }
+
+    pub fn bam_body(rec: &SamRecord) -> Vec<u8> {
+        let name_len = rec.qname.len() + 1;
+        let l_seq = rec.seq.len();
+        let mut out = Vec::with_capacity(32 + name_len + 4 * rec.cigar.len() + l_seq);
+        out.extend_from_slice(&rec.rname.map_or(-1, |c| c as i32).to_le_bytes());
+        out.extend_from_slice(&(rec.pos as i32).to_le_bytes());
+        out.push(name_len as u8);
+        out.push(rec.mapq);
+        out.extend_from_slice(&0u16.to_le_bytes());
+        out.extend_from_slice(&(rec.cigar.len() as u16).to_le_bytes());
+        out.extend_from_slice(&rec.flag.to_le_bytes());
+        out.extend_from_slice(&(l_seq as u32).to_le_bytes());
+        out.extend_from_slice(&rec.rnext.map_or(-1, |c| c as i32).to_le_bytes());
+        out.extend_from_slice(&(rec.pnext as i32).to_le_bytes());
+        out.extend_from_slice(&rec.tlen.to_le_bytes());
+        out.extend_from_slice(&rec.qname);
+        out.push(0);
+        for op in &rec.cigar {
+            out.extend_from_slice(&((op.len << 4) | op.kind as u32).to_le_bytes());
+        }
+        let nibble = |b: u8| match b {
+            b'=' => 0,
+            b'A' => 1,
+            b'C' => 2,
+            b'M' => 3,
+            b'G' => 4,
+            b'R' => 5,
+            b'S' => 6,
+            b'V' => 7,
+            b'T' => 8,
+            b'W' => 9,
+            b'Y' => 10,
+            b'H' => 11,
+            b'K' => 12,
+            b'D' => 13,
+            b'B' => 14,
+            _ => 15,
+        };
+        let mut nib = Vec::with_capacity(l_seq.div_ceil(2));
+        for pair in rec.seq.chunks(2) {
+            nib.push((nibble(pair[0]) << 4) | pair.get(1).map_or(0, |&b| nibble(b)));
+        }
+        out.extend_from_slice(&nib);
+        out.extend(rec.qual.iter().map(|&q| q.saturating_sub(b'!')));
+        out
+    }
+}
+
 fn bench_chunks(c: &mut Criterion) {
     let world = World::build(50_000, 2_000, 109);
     let chunk = ChunkData::from_records(
@@ -438,6 +628,7 @@ criterion_group!(
     bench_kernels,
     bench_snap,
     bench_codecs,
+    bench_output,
     bench_chunks,
     bench_framework
 );

@@ -4,8 +4,10 @@
 //! mentions LZMA as an alternative per-column codec. This crate provides
 //! the equivalent building blocks without external compression libraries:
 //!
-//! * [`crc32`] — IEEE CRC-32 (used by the gzip container and AGD chunk
-//!   integrity checks).
+//! * [`crc32`] — IEEE CRC-32 (used by the gzip container, BGZF blocks,
+//!   AGD chunk integrity checks and the job journal): carry-less-multiply
+//!   folding on x86-64 CPUs that have it, slicing-by-8 elsewhere. Its
+//!   folding kernel is the crate's only `unsafe` code.
 //! * [`deflate`] — RFC 1951 DEFLATE: a full inflater and a compressor
 //!   supporting stored, fixed-Huffman and dynamic-Huffman blocks with a
 //!   hash-chain LZ77 matcher.

@@ -2,16 +2,25 @@
 //!
 //! "Persona also implements an output subgraph for the common SAM/BAM
 //! format for compatibility with tools that have not been integrated or
-//! do not yet support AGD." The SAM stage keeps a bounded window of
-//! chunks in flight and writes them in dataset order; BAM compresses its
-//! BGZF blocks as executor batches the same way:
+//! do not yet support AGD." Both stages keep a bounded window of chunks
+//! in flight and write straight from the AGD columns into each chunk's
+//! output buffer (`sam::write_line`, `bam::write_record`); the stage
+//! thread puts the chunks back in dataset order. SAM formats a chunk as
+//! subchunk tasks and writes the text out; BAM writes a chunk's records
+//! in one task, cuts the ordered payload into BGZF blocks and compresses
+//! each block as a task of its own, writing the blocks in order:
 //!
 //! ```text
-//! manifest server ─► load ───────────────────► format ─────────► stage thread: reorder ─► out
-//!     (names)        (get + decode 4 columns)  (subchunk tasks)    (by chunk index)
+//! manifest server ─► load + format ──────────► stage thread: reorder ─► out (SAM)
+//!     (names)        (4 columns; subchunk       (by chunk index)
+//!                     tasks for SAM, one        │
+//!                     chunk task for BAM)       └─► cut 64 KiB blocks ─► bgzf tasks ─► out (BAM)
 //! ```
+//!
+//! Memory is bounded by the window: at most `chunk_window` chunks in
+//! flight or parked, and as many BGZF blocks in flight.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::Write;
 use std::sync::Arc;
 use std::time::Duration;
@@ -20,14 +29,14 @@ use persona_agd::chunk::ChunkData;
 use persona_agd::chunk_io::ChunkStore;
 use persona_agd::columns;
 use persona_agd::manifest::Manifest;
-use persona_agd::results::AlignmentResult;
 use persona_compress::deflate::CompressLevel;
-use persona_formats::bam::{bgzf_block, bgzf_block_ranges};
-use persona_formats::sam::{RefMap, SamRecord};
+use persona_formats::bam::{self, bgzf_block, BGZF_BLOCK_SIZE, BGZF_EOF};
+use persona_formats::convert::for_each_chunk_row;
+use persona_formats::sam::{self, RefMap};
 
 use crate::config::PersonaConfig;
 use crate::pipeline::{drive, load_column, subchunk_ranges, Edge, Progress, StageReport, Step};
-use crate::runtime::{Pending, PersonaRuntime};
+use crate::runtime::{Pending, PersonaRuntime, StageExec};
 use crate::{Error, Result};
 
 /// Outcome of an export run.
@@ -61,17 +70,54 @@ impl StageReport for ExportReport {
     }
 }
 
-/// The four decoded columns a SAM line is formatted from.
-struct SamColumns {
+/// The four decoded columns a chunk's records are written from.
+struct Columns {
     meta: ChunkData,
     bases: ChunkData,
     quals: ChunkData,
     results: ChunkData,
 }
 
+impl Columns {
+    /// Gets and decodes the four columns of the chunk at `stem`.
+    fn load(store: &dyn ChunkStore, stem: &str) -> Result<Columns> {
+        let load = |column| load_column(store, stem, column);
+        let cols = Columns {
+            meta: load(columns::METADATA)?,
+            bases: load(columns::BASES)?,
+            quals: load(columns::QUAL)?,
+            results: load(columns::RESULTS)?,
+        };
+        let n = cols.meta.len();
+        if [cols.bases.len(), cols.quals.len(), cols.results.len()] != [n; 3] {
+            return Err(Error::Pipeline(format!("chunk {stem}: columns disagree on record count")));
+        }
+        Ok(cols)
+    }
+
+    fn len(&self) -> usize {
+        self.meta.len()
+    }
+
+    /// The columns in the order [`for_each_chunk_row`] takes them.
+    fn columns(&self) -> [&ChunkData; 4] {
+        [&self.meta, &self.bases, &self.quals, &self.results]
+    }
+
+    /// Bytes of raw name, bases and qualities in records `lo..hi`: the
+    /// variable part of their SAM or BAM form, to size a buffer once.
+    fn raw_bytes(&self, lo: usize, hi: usize) -> usize {
+        (lo..hi)
+            .map(|i| {
+                self.meta.record(i).len() + self.bases.record(i).len() + self.quals.record(i).len()
+            })
+            .sum()
+    }
+}
+
 /// The executor step one chunk of the SAM export is waiting on.
 enum SamStep {
-    Load(Pending<Result<SamColumns>>),
+    Load(Pending<Result<Columns>>),
     Format(Pending<Result<Vec<u8>>>),
 }
 
@@ -121,7 +167,7 @@ pub(crate) fn export_sam_rt(
     let exec = rt.stage_exec(&timer);
     let refs = Arc::new(RefMap::new(&manifest.reference));
     let mut header = Vec::new();
-    persona_formats::sam::write_header(
+    sam::write_header(
         &mut header,
         &refs,
         manifest.sort_order == persona_agd::manifest::SortOrder::Coordinate,
@@ -131,7 +177,7 @@ pub(crate) fn export_sam_rt(
     let subchunk = rt.config().subchunk_size.max(1);
     let (mut records, mut output_bytes) = (0u64, header.len() as u64);
     // Formatted chunks that arrived ahead of an earlier one, by index.
-    let mut parked: BTreeMap<usize, Vec<u8>> = BTreeMap::new();
+    let mut parked: BTreeMap<usize, Vec<Vec<u8>>> = BTreeMap::new();
     let mut next = 0usize;
     drive(
         rt.chunk_window(),
@@ -142,52 +188,40 @@ pub(crate) fn export_sam_rt(
             // Stop pulling new chunks once the job is cancelled.
             rt.check_cancelled()?;
             let (store, stem) = (rt.store().clone(), task.stem);
-            let load = exec.spawn_one(move || {
-                let load = |column| load_column(store.as_ref(), &stem, column);
-                Ok(SamColumns {
-                    meta: load(columns::METADATA)?,
-                    bases: load(columns::BASES)?,
-                    quals: load(columns::QUAL)?,
-                    results: load(columns::RESULTS)?,
-                })
-            });
+            let load = exec.spawn_one(move || Columns::load(store.as_ref(), &stem));
             Ok(Some((task.chunk_idx, SamStep::Load(load))))
         },
         |(idx, step)| match step {
             SamStep::Load(load) => {
                 let chunk = Arc::new(load.wait_one()?);
-                records += chunk.meta.len() as u64;
+                records += chunk.len() as u64;
                 let refs = refs.clone();
                 let format = exec.spawn(
-                    subchunk_ranges(chunk.meta.len(), subchunk),
+                    subchunk_ranges(chunk.len(), subchunk),
                     move |_, (lo, hi)| -> Result<Vec<u8>> {
-                        let mut text = Vec::with_capacity((hi - lo) * 96);
-                        for i in lo..hi {
-                            let rec = SamRecord::from_result(
-                                &refs,
-                                chunk.meta.record(i),
-                                chunk.bases.record(i),
-                                chunk.quals.record(i),
-                                &AlignmentResult::decode(chunk.results.record(i))?,
-                            );
-                            text.extend_from_slice(&rec.to_line(&refs));
+                        let mut text = Vec::with_capacity(chunk.raw_bytes(lo, hi) + (hi - lo) * 64);
+                        for_each_chunk_row(&refs, chunk.columns(), lo..hi, |row| {
+                            sam::write_line(&mut text, &refs, row);
                             text.push(b'\n');
-                        }
+                            Ok(())
+                        })?;
                         Ok(text)
                     },
                 );
                 Ok(Progress::Next((idx, SamStep::Format(format))))
             }
             SamStep::Format(format) => {
-                let text = format.wait()?.into_iter().collect::<Result<Vec<_>>>()?.concat();
-                Ok(Progress::Done((idx, text)))
+                let pieces = format.wait()?.into_iter().collect::<Result<Vec<_>>>()?;
+                Ok(Progress::Done((idx, pieces)))
             }
         },
-        |(idx, text)| {
-            parked.insert(idx, text);
-            while let Some(text) = parked.remove(&next) {
-                output_bytes += text.len() as u64;
-                out.write_all(&text)?;
+        |(idx, pieces)| {
+            parked.insert(idx, pieces);
+            while let Some(pieces) = parked.remove(&next) {
+                for text in pieces {
+                    output_bytes += text.len() as u64;
+                    out.write_all(&text)?;
+                }
                 next += 1;
             }
             Ok(())
@@ -205,90 +239,176 @@ pub(crate) fn export_sam_rt(
     })
 }
 
-/// Exports an aligned dataset as BAM with single-threaded BGZF (the
-/// compatibility path of §4.4).
+/// Exports an aligned dataset as BAM on a transient private runtime
+/// (the compatibility path of §4.4).
 pub fn export_bam(
     store: &Arc<dyn ChunkStore>,
     manifest: &Manifest,
     out: &mut impl Write,
     level: CompressLevel,
 ) -> Result<ExportReport> {
-    let started = std::time::Instant::now();
-    let ds = persona_agd::dataset::Dataset::new(manifest.clone());
-    let mut counting = CountingWriter { inner: out, written: 0 };
-    let n = persona_formats::convert::agd_to_bam(&ds, store.as_ref(), &mut counting, level)?;
-    Ok(ExportReport {
-        elapsed: started.elapsed(),
-        records: n,
-        output_bytes: counting.written,
-        busy_fraction: 0.0,
-    })
+    let rt = PersonaRuntime::new(store.clone(), PersonaConfig::default())?;
+    export_bam_rt(&rt, Edge::Landed(manifest.clone()), out, level)
 }
 
-/// The export-bam stage on a shared runtime: writes the landed dataset
-/// of `input` as BAM, independent BGZF blocks compressing as one
-/// executor task batch (how `samtools -@` parallelizes BAM writing, on
-/// Persona's scheduler).
+/// The export-bam stage on a shared runtime: writes the chunks of
+/// `input` as BAM. One executor task per chunk loads its four columns
+/// and writes its BAM records; the stage thread appends the chunks in
+/// dataset order to a payload that starts with the BAM header, cuts it
+/// into BGZF blocks as they fill, and compresses each block as an
+/// executor task (how `samtools -@` parallelizes BAM writing, on
+/// Persona's scheduler). The blocks are exactly those of the whole
+/// payload, so the file is byte-identical to a single-threaded write.
 pub(crate) fn export_bam_rt(
     rt: &PersonaRuntime,
     input: Edge,
     out: &mut impl Write,
     level: CompressLevel,
 ) -> Result<ExportReport> {
+    // Unmetered: export-bam never streams from a live producer, so
+    // there is no queue whose occupancy says anything.
+    let server = input.chunks(None);
+    let manifest = input.manifest()?;
     let timer = rt.stage_timer();
-    let ds = persona_agd::dataset::Dataset::new(input.manifest()?);
-    let mut counting = CountingWriter { inner: out, written: 0 };
     let exec = rt.stage_exec(&timer);
-    let mut failed = None;
-    let n = persona_formats::convert::agd_to_bam_with(
-        &ds,
-        rt.store().as_ref(),
-        &mut counting,
-        level,
-        |payload, level| {
-            // Share the payload; each task compresses one block range,
-            // so nothing is copied before dispatch. Block boundaries
-            // come from the format crate's single source of truth.
-            let ranges = bgzf_block_ranges(payload.len());
-            let payload = Arc::new(payload);
-            match exec.map(ranges, move |_, (lo, hi)| bgzf_block(&payload[lo..hi], level)) {
-                Ok(blocks) => blocks.concat(),
-                // Cancelled or panicked mid-compress: emit nothing
-                // further; the error fails the export below, so the
-                // truncated BAM is never reported as success.
-                Err(e) => {
-                    failed = Some(e);
-                    Vec::new()
-                }
+    let refs = Arc::new(RefMap::new(&manifest.reference));
+    let mut blocks = BgzfBlocks::new(exec.clone(), level, rt.chunk_window(), out);
+    let mut header = Vec::new();
+    bam::write_header(&mut header, &refs)?;
+    blocks.append(&header)?;
+
+    let mut records = 0u64;
+    // Written chunks that arrived ahead of an earlier one, by index.
+    let mut parked: BTreeMap<usize, (u64, Vec<u8>)> = BTreeMap::new();
+    let mut next = 0usize;
+    drive(
+        rt.chunk_window(),
+        |block| {
+            let Some(task) = (if block { server.fetch() } else { server.try_fetch() }) else {
+                return Ok(None);
+            };
+            rt.check_cancelled()?;
+            let (store, stem, refs) = (rt.store().clone(), task.stem, refs.clone());
+            let write = exec.spawn_one(move || {
+                let chunk = Columns::load(store.as_ref(), &stem)?;
+                let n = chunk.len();
+                let mut bam = Vec::with_capacity(chunk.raw_bytes(0, n) + n * 48);
+                for_each_chunk_row(&refs, chunk.columns(), 0..n, |row| {
+                    bam::write_record(&mut bam, row);
+                    Ok(())
+                })?;
+                Ok((n as u64, bam))
+            });
+            Ok(Some((task.chunk_idx, write)))
+        },
+        |(idx, write)| Ok(Progress::Done((idx, write.wait_one()?))),
+        |(idx, chunk)| {
+            parked.insert(idx, chunk);
+            while let Some((n, bam)) = parked.remove(&next) {
+                records += n;
+                blocks.append(&bam)?;
+                next += 1;
             }
+            Ok(())
         },
     )?;
-    if let Some(e) = failed {
-        return Err(e);
+    if !parked.is_empty() {
+        return Err(Error::Pipeline("export finished with gaps in chunk order".into()));
     }
+    let output_bytes = blocks.finish()?;
     let stage = timer.finish();
     Ok(ExportReport {
         elapsed: stage.elapsed,
-        records: n,
-        output_bytes: counting.written,
+        records,
+        output_bytes,
         busy_fraction: stage.busy_fraction(),
     })
 }
 
-struct CountingWriter<'a, W: Write> {
-    inner: &'a mut W,
+/// The BGZF side of export-bam, on the stage thread: fills one
+/// [`BGZF_BLOCK_SIZE`] buffer at a time from the ordered payload (each
+/// payload byte is copied once), compresses every full block as an
+/// executor task, and writes finished blocks in order, waiting only
+/// when more than `window` are in flight. Dropping it settles every
+/// block still in flight, so no task of the stage outlives a failure.
+struct BgzfBlocks<'w, W: Write> {
+    exec: StageExec,
+    level: CompressLevel,
+    window: usize,
+    filling: Vec<u8>,
+    inflight: VecDeque<Pending<Result<Vec<u8>>>>,
+    out: &'w mut W,
     written: u64,
 }
 
-impl<W: Write> Write for CountingWriter<'_, W> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.written += n as u64;
-        Ok(n)
+impl<'w, W: Write> BgzfBlocks<'w, W> {
+    fn new(exec: StageExec, level: CompressLevel, window: usize, out: &'w mut W) -> Self {
+        BgzfBlocks {
+            exec,
+            level,
+            window,
+            filling: Vec::with_capacity(BGZF_BLOCK_SIZE),
+            inflight: VecDeque::new(),
+            out,
+            written: 0,
+        }
     }
 
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.inner.flush()
+    /// Appends the next payload bytes, submitting every block they fill.
+    fn append(&mut self, mut bytes: &[u8]) -> Result<()> {
+        while !bytes.is_empty() {
+            let room = BGZF_BLOCK_SIZE - self.filling.len();
+            let (now, later) = bytes.split_at(room.min(bytes.len()));
+            self.filling.extend_from_slice(now);
+            bytes = later;
+            if self.filling.len() == BGZF_BLOCK_SIZE {
+                let full =
+                    std::mem::replace(&mut self.filling, Vec::with_capacity(BGZF_BLOCK_SIZE));
+                self.submit(full)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn submit(&mut self, payload: Vec<u8>) -> Result<()> {
+        let level = self.level;
+        self.inflight.push_back(self.exec.spawn_one(move || Ok(bgzf_block(&payload, level))));
+        self.drain(self.window)
+    }
+
+    /// Writes finished blocks from the front, waiting for the oldest
+    /// while more than `keep` are in flight.
+    fn drain(&mut self, keep: usize) -> Result<()> {
+        while let Some(oldest) = self.inflight.front() {
+            if self.inflight.len() <= keep && !oldest.is_done() {
+                break;
+            }
+            let block = self.inflight.pop_front().expect("front exists").wait_one()?;
+            self.out.write_all(&block)?;
+            self.written += block.len() as u64;
+        }
+        Ok(())
+    }
+
+    /// Submits the last, partial block (the blocks are then exactly
+    /// `bgzf_block_ranges` of the whole payload), writes every block and
+    /// the EOF marker; returns the bytes written.
+    fn finish(mut self) -> Result<u64> {
+        if !self.filling.is_empty() {
+            let last = std::mem::take(&mut self.filling);
+            self.submit(last)?;
+        }
+        self.drain(0)?;
+        self.out.write_all(&BGZF_EOF)?;
+        Ok(self.written + BGZF_EOF.len() as u64)
+    }
+}
+
+impl<W: Write> Drop for BgzfBlocks<'_, W> {
+    fn drop(&mut self) {
+        for block in self.inflight.drain(..) {
+            block.settle();
+        }
     }
 }
 
@@ -298,16 +418,22 @@ mod tests {
     use persona_agd::builder::{ColumnAppender, ColumnConfig, DatasetWriter};
     use persona_agd::chunk::RecordType;
     use persona_agd::chunk_io::MemStore;
-    use persona_agd::results::{CigarKind, CigarOp};
+    use persona_agd::results::{flags, AlignmentResult, CigarKind, CigarOp};
     use persona_compress::codec::Codec;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn world(n: usize, chunk: usize) -> (Arc<dyn ChunkStore>, Manifest) {
+        world_of((0..n).map(|i| format!("r{i:04}").into_bytes()).collect(), chunk)
+    }
+
+    /// An aligned dataset of 40 bp reads named `names`, in chunks of
+    /// `chunk`, on one 100 kbp contig; every third read is reverse.
+    fn world_of(names: Vec<Vec<u8>>, chunk: usize) -> (Arc<dyn ChunkStore>, Manifest) {
         let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
         let mut w = DatasetWriter::new("x", chunk).unwrap();
-        for i in 0..n {
-            let meta = format!("r{i:04}");
+        for (i, meta) in names.iter().enumerate() {
             let bases: Vec<u8> = (0..40).map(|j| b"ACGT"[(i + j) % 4]).collect();
-            w.append(store.as_ref(), meta.as_bytes(), &bases, &vec![b'E'; 40]).unwrap();
+            w.append(store.as_ref(), meta, &bases, &[b'E'; 40]).unwrap();
         }
         let mut manifest = w.finish(store.as_ref()).unwrap();
         persona_formats::convert::set_reference(&mut manifest, &[("chr1".to_string(), 100_000)]);
@@ -323,7 +449,7 @@ mod tests {
                         location: (k * 13) % 90_000,
                         mate_location: -1,
                         template_len: 0,
-                        flags: 0,
+                        flags: if k % 3 == 0 { flags::REVERSE } else { 0 },
                         mapq: 42,
                         cigar: vec![CigarOp { kind: CigarKind::Match, len: 40 }],
                     };
@@ -335,6 +461,45 @@ mod tests {
         }
         app.finish(store.as_ref()).unwrap();
         (store, manifest)
+    }
+
+    /// The single-threaded reference export of the format crate.
+    fn reference_bam(store: &Arc<dyn ChunkStore>, manifest: &Manifest) -> Vec<u8> {
+        let ds = persona_agd::dataset::Dataset::new(manifest.clone());
+        let mut out = Vec::new();
+        persona_formats::convert::agd_to_bam(&ds, store.as_ref(), &mut out, CompressLevel::Fast)
+            .unwrap();
+        out
+    }
+
+    /// Runs the stage with `threads` executor threads and checks it
+    /// against the reference export.
+    fn assert_streams_like_the_reference(
+        store: &Arc<dyn ChunkStore>,
+        manifest: &Manifest,
+        threads: usize,
+    ) {
+        let config = PersonaConfig { compute_threads: threads, subchunk_size: 64 };
+        let rt = PersonaRuntime::new(store.clone(), config).unwrap();
+        let mut out = Vec::new();
+        let report =
+            export_bam_rt(&rt, Edge::Landed(manifest.clone()), &mut out, CompressLevel::Fast)
+                .unwrap();
+        assert_eq!(report.records, manifest.total_records);
+        assert_eq!(report.output_bytes as usize, out.len());
+        assert!(out == reference_bam(store, manifest), "{threads} threads");
+    }
+
+    /// Payload bytes (header + records) of a `world_of(names, _)` BAM.
+    fn payload_len(names: &[Vec<u8>]) -> usize {
+        let refs = RefMap::new(&[persona_agd::manifest::RefContig {
+            name: "chr1".into(),
+            length: 100_000,
+        }]);
+        let mut header = Vec::new();
+        bam::write_header(&mut header, &refs).unwrap();
+        // Fixed part, name + NUL, one CIGAR op, 20 packed bases, 40 quals.
+        header.len() + names.iter().map(|n| 4 + 32 + n.len() + 1 + 4 + 20 + 40).sum::<usize>()
     }
 
     #[test]
@@ -368,15 +533,106 @@ mod tests {
     #[test]
     fn bam_export_on_runtime_matches_single_threaded() {
         let (store, manifest) = world(300, 64);
-        let mut serial = Vec::new();
-        export_bam(&store, &manifest, &mut serial, CompressLevel::Fast).unwrap();
-        let rt = PersonaRuntime::new(store.clone(), PersonaConfig::small()).unwrap();
-        let mut parallel = Vec::new();
-        let report =
-            export_bam_rt(&rt, Edge::Landed(manifest.clone()), &mut parallel, CompressLevel::Fast)
-                .unwrap();
-        assert_eq!(report.records, 300);
-        assert_eq!(serial, parallel, "executor BGZF must be byte-identical");
+        for threads in [1, 2] {
+            assert_streams_like_the_reference(&store, &manifest, threads);
+        }
+    }
+
+    #[test]
+    fn bam_export_of_tiny_datasets_matches_the_reference() {
+        let empty = world(0, 10);
+        let single = world(1, 10);
+        let one_per_chunk = world(37, 1);
+        for (store, manifest) in [empty, single, one_per_chunk] {
+            for threads in [1, 2] {
+                assert_streams_like_the_reference(&store, &manifest, threads);
+            }
+        }
+    }
+
+    /// Payloads ending exactly on a block boundary, one byte before and
+    /// one after it; records straddle every boundary on the way.
+    #[test]
+    fn bam_export_at_block_boundaries_matches_the_reference() {
+        for k in [1usize, 2] {
+            for delta in [-1i64, 0, 1] {
+                let target = (k * BGZF_BLOCK_SIZE) as i64 + delta;
+                let mut names: Vec<Vec<u8>> = Vec::new();
+                while payload_len(&names) as i64 + 106 <= target - 106 {
+                    names.push(format!("r{:04}", names.len()).into_bytes());
+                }
+                // Pad the last name so the payload ends at `target`.
+                let pad = (target - payload_len(&names) as i64 - 101) as usize;
+                names.push(vec![b'p'; pad]);
+                assert_eq!(payload_len(&names) as i64, target);
+                // Every boundary inside the payload cuts a record.
+                for edge in (1..=k).map(|b| b * BGZF_BLOCK_SIZE).filter(|&e| (e as i64) < target) {
+                    let straddled = (1..=names.len()).any(|n| {
+                        let (lo, hi) = (payload_len(&names[..n - 1]), payload_len(&names[..n]));
+                        lo < edge && edge < hi
+                    });
+                    assert!(straddled, "k {k} delta {delta}: no record straddles {edge}");
+                }
+                let (store, manifest) = world_of(names, 97);
+                for threads in [1, 2] {
+                    assert_streams_like_the_reference(&store, &manifest, threads);
+                }
+            }
+        }
+    }
+
+    /// A chunk whose `.qual` object is gone fails the stage with an
+    /// error: the caller does not unwind, and no task of the stage runs
+    /// after it has returned.
+    #[test]
+    fn bam_export_with_a_missing_column_fails_and_settles() {
+        struct CountingStore {
+            inner: MemStore,
+            gets: AtomicUsize,
+        }
+        impl ChunkStore for CountingStore {
+            fn get(&self, name: &str) -> std::io::Result<Vec<u8>> {
+                // Slow enough that a task left running outlives the
+                // stage by far more than the test takes to look.
+                std::thread::sleep(Duration::from_millis(2));
+                self.gets.fetch_add(1, Ordering::SeqCst);
+                self.inner.get(name)
+            }
+            fn put(&self, name: &str, data: &[u8]) -> std::io::Result<()> {
+                self.inner.put(name, data)
+            }
+            fn delete(&self, name: &str) -> std::io::Result<()> {
+                self.inner.delete(name)
+            }
+            fn list(&self) -> std::io::Result<Vec<String>> {
+                self.inner.list()
+            }
+        }
+        let (source, manifest) = world(2000, 20);
+        let store = Arc::new(CountingStore { inner: MemStore::new(), gets: AtomicUsize::new(0) });
+        for name in source.list().unwrap() {
+            store.put(&name, &source.get(&name).unwrap()).unwrap();
+        }
+        store
+            .delete(&Manifest::chunk_object_name(&manifest.records[3].path, columns::QUAL))
+            .unwrap();
+        let dyn_store: Arc<dyn ChunkStore> = store.clone();
+        let rt = PersonaRuntime::new(dyn_store, PersonaConfig::small()).unwrap();
+        let mut out = Vec::new();
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            export_bam_rt(&rt, Edge::Landed(manifest.clone()), &mut out, CompressLevel::Fast)
+        }));
+        let err = run.expect("the caller must not unwind").expect_err("a column is missing");
+        assert!(err.to_string().contains(".qual"), "{err}");
+        let gets = store.gets.load(Ordering::SeqCst);
+        // Once every worker has reached this barrier, every task queued
+        // before it has finished.
+        let threads = rt.executor().threads();
+        let barrier = Arc::new(std::sync::Barrier::new(threads));
+        rt.executor().map_batch(vec![(); threads], None, move |_, ()| {
+            barrier.wait();
+        });
+        assert_eq!(store.gets.load(Ordering::SeqCst), gets, "export tasks outlived the stage");
     }
 
     #[test]

@@ -4,13 +4,22 @@
 //! carrying the compressed block size, capped at 64 KiB of payload, and
 //! terminated by a fixed 28-byte empty block. Built entirely on this
 //! repository's own DEFLATE/gzip implementation.
+//!
+//! A payload is [`write_header`] followed by one [`write_record`] per
+//! [`SamRow`]: each record is laid out in place at the end of the
+//! caller's buffer — bases packed to 4-bit codes and qualities shifted
+//! to phred in the same pass, a reverse-strand read turned around on the
+//! way — and [`bgzf_block_ranges`] says where the payload's blocks are
+//! cut. [`write_bam`] / [`write_bam_with`] build a whole file from owned
+//! records through the same writer; the pipeline's export-bam stage cuts
+//! and compresses the blocks while records are still being written.
 
 use std::io::Write;
 
 use persona_compress::deflate::CompressLevel;
 use persona_compress::gzip;
 
-use crate::sam::{RefMap, SamRecord};
+use crate::sam::{RefMap, SamRecord, SamRow};
 use crate::{Error, Result};
 
 /// Maximum BGZF payload per block.
@@ -221,66 +230,94 @@ pub fn bgzf_decompress(data: &[u8]) -> Result<Vec<u8>> {
     Ok(out)
 }
 
-/// Encodes one BAM record body (without the leading block_size u32).
-fn encode_bam_record(rec: &SamRecord) -> Vec<u8> {
-    let name_len = rec.qname.len() + 1;
-    let n_cigar = rec.cigar.len();
-    let l_seq = rec.seq.len();
-    let mut out = Vec::with_capacity(32 + name_len + 4 * n_cigar + l_seq);
-    let ref_id: i32 = rec.rname.map_or(-1, |c| c as i32);
-    let next_ref: i32 = rec.rnext.map_or(-1, |c| c as i32);
-    out.extend_from_slice(&ref_id.to_le_bytes());
-    out.extend_from_slice(&(rec.pos as i32).to_le_bytes());
-    out.push(name_len as u8);
-    out.push(rec.mapq);
-    out.extend_from_slice(&0u16.to_le_bytes()); // bin: unused here.
-    out.extend_from_slice(&(n_cigar as u16).to_le_bytes());
-    out.extend_from_slice(&rec.flag.to_le_bytes());
-    out.extend_from_slice(&(l_seq as u32).to_le_bytes());
-    out.extend_from_slice(&next_ref.to_le_bytes());
-    out.extend_from_slice(&(rec.pnext as i32).to_le_bytes());
-    out.extend_from_slice(&rec.tlen.to_le_bytes());
-    out.extend_from_slice(&rec.qname);
-    out.push(0);
-    for op in &rec.cigar {
-        out.extend_from_slice(&((op.len << 4) | op.kind as u32).to_le_bytes());
+/// BAM's 4-bit base code: `=ACMGRSVTWYHKDBN` → 0..16, any other byte
+/// → 15 (`N`).
+const NIBBLE: [u8; 256] = {
+    let mut t = [15u8; 256];
+    let codes = b"=ACMGRSVTWYHKDBN";
+    let mut i = 0;
+    while i < codes.len() {
+        t[codes[i] as usize] = i as u8;
+        i += 1;
     }
-    // 4-bit packed sequence: =ACMGRSVTWYHKDBN -> indexes 0..16.
-    let mut nib = Vec::with_capacity(l_seq.div_ceil(2));
-    for pair in rec.seq.chunks(2) {
-        let hi = base_nibble(pair[0]);
-        let lo = if pair.len() > 1 { base_nibble(pair[1]) } else { 0 };
-        nib.push((hi << 4) | lo);
-    }
-    out.extend_from_slice(&nib);
-    // Qualities: phred (no +33) in BAM.
-    out.extend(rec.qual.iter().map(|&q| q.saturating_sub(b'!')));
-    out
-}
-
-fn base_nibble(b: u8) -> u8 {
-    match b {
-        b'=' => 0,
-        b'A' => 1,
-        b'C' => 2,
-        b'M' => 3,
-        b'G' => 4,
-        b'R' => 5,
-        b'S' => 6,
-        b'V' => 7,
-        b'T' => 8,
-        b'W' => 9,
-        b'Y' => 10,
-        b'H' => 11,
-        b'K' => 12,
-        b'D' => 13,
-        b'B' => 14,
-        _ => 15, // N.
-    }
-}
+    t
+};
 
 fn nibble_base(n: u8) -> u8 {
     b"=ACMGRSVTWYHKDBN"[n as usize & 0xF]
+}
+
+/// Appends one BAM record for `row` — its `block_size` and body — to
+/// `out`: the fixed fields, the name, the CIGAR words, the bases as
+/// 4-bit codes and the qualities as phred (no +33). A reverse row is
+/// reverse-complemented and its qualities reversed on the way.
+pub fn write_record(out: &mut Vec<u8>, row: &SamRow<'_>) {
+    let name_len = row.qname.len() + 1;
+    let l_seq = row.seq.len();
+    let packed_len = l_seq.div_ceil(2);
+    let body = 32 + name_len + 4 * row.cigar.len() + packed_len + row.qual.len();
+    let start = out.len();
+    out.resize(start + 4 + body, 0);
+    let (fixed, rest) = out[start..].split_at_mut(36);
+    let ref_id: i32 = row.rname.map_or(-1, |c| c as i32);
+    let next_ref: i32 = row.rnext.map_or(-1, |c| c as i32);
+    fixed[0..4].copy_from_slice(&(body as u32).to_le_bytes());
+    fixed[4..8].copy_from_slice(&ref_id.to_le_bytes());
+    fixed[8..12].copy_from_slice(&(row.pos as i32).to_le_bytes());
+    fixed[12] = name_len as u8;
+    fixed[13] = row.mapq;
+    // fixed[14..16]: bin, unused here.
+    fixed[16..18].copy_from_slice(&(row.cigar.len() as u16).to_le_bytes());
+    fixed[18..20].copy_from_slice(&row.flag.to_le_bytes());
+    fixed[20..24].copy_from_slice(&(l_seq as u32).to_le_bytes());
+    fixed[24..28].copy_from_slice(&next_ref.to_le_bytes());
+    fixed[28..32].copy_from_slice(&(row.pnext as i32).to_le_bytes());
+    fixed[32..36].copy_from_slice(&row.tlen.to_le_bytes());
+    let (name, rest) = rest.split_at_mut(name_len);
+    name[..row.qname.len()].copy_from_slice(row.qname);
+    let (cigar, rest) = rest.split_at_mut(4 * row.cigar.len());
+    for (word, op) in cigar.chunks_exact_mut(4).zip(row.cigar) {
+        word.copy_from_slice(&((op.len << 4) | op.kind as u32).to_le_bytes());
+    }
+    let (packed, quals) = rest.split_at_mut(packed_len);
+    if row.reverse {
+        // Pairs from the end of the read; the odd base, if any, is the
+        // read's first and lands alone in the last byte.
+        let code = |b: u8| NIBBLE[persona_seq::dna::complement(b) as usize];
+        for (byte, pair) in packed.iter_mut().zip(row.seq.rchunks(2)) {
+            let lo = if pair.len() == 2 { code(pair[0]) } else { 0 };
+            *byte = (code(pair[pair.len() - 1]) << 4) | lo;
+        }
+        for (q, &ascii) in quals.iter_mut().zip(row.qual.iter().rev()) {
+            *q = ascii.saturating_sub(b'!');
+        }
+    } else {
+        for (byte, pair) in packed.iter_mut().zip(row.seq.chunks(2)) {
+            let lo = pair.get(1).map_or(0, |&b| NIBBLE[b as usize]);
+            *byte = (NIBBLE[pair[0] as usize] << 4) | lo;
+        }
+        for (q, &ascii) in quals.iter_mut().zip(row.qual) {
+            *q = ascii.saturating_sub(b'!');
+        }
+    }
+}
+
+/// Appends the BAM header — magic, SAM header text and reference list —
+/// that starts every BAM payload.
+pub fn write_header(payload: &mut Vec<u8>, refs: &RefMap) -> Result<()> {
+    payload.extend_from_slice(b"BAM\x01");
+    let mut text = Vec::new();
+    crate::sam::write_header(&mut text, refs, false)?;
+    payload.extend_from_slice(&(text.len() as u32).to_le_bytes());
+    payload.extend_from_slice(&text);
+    payload.extend_from_slice(&(refs.contigs().len() as u32).to_le_bytes());
+    for c in refs.contigs() {
+        payload.extend_from_slice(&((c.name.len() + 1) as u32).to_le_bytes());
+        payload.extend_from_slice(c.name.as_bytes());
+        payload.push(0);
+        payload.extend_from_slice(&(c.length as u32).to_le_bytes());
+    }
+    Ok(())
 }
 
 /// Serializes a full BAM file (header + records + EOF marker).
@@ -306,23 +343,10 @@ pub fn write_bam_with(
 ) -> Result<u64> {
     // Uncompressed BAM payload, then BGZF it.
     let mut payload = Vec::new();
-    payload.extend_from_slice(b"BAM\x01");
-    let mut text = Vec::new();
-    crate::sam::write_header(&mut text, refs, false)?;
-    payload.extend_from_slice(&(text.len() as u32).to_le_bytes());
-    payload.extend_from_slice(&text);
-    payload.extend_from_slice(&(refs.contigs().len() as u32).to_le_bytes());
-    for c in refs.contigs() {
-        payload.extend_from_slice(&((c.name.len() + 1) as u32).to_le_bytes());
-        payload.extend_from_slice(c.name.as_bytes());
-        payload.push(0);
-        payload.extend_from_slice(&(c.length as u32).to_le_bytes());
-    }
+    write_header(&mut payload, refs)?;
     let mut n = 0u64;
     for rec in records {
-        let body = encode_bam_record(&rec);
-        payload.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        payload.extend_from_slice(&body);
+        write_record(&mut payload, &SamRow::from_record(&rec));
         n += 1;
     }
     let bgzf = compress(payload, level);
@@ -464,6 +488,81 @@ mod tests {
                 qual: vec![b'I'; 100],
             })
             .collect()
+    }
+
+    /// `encode_bam_record` before rows: one `Vec` per record and one
+    /// more for the packed bases.
+    fn oracle_body(rec: &SamRecord) -> Vec<u8> {
+        let name_len = rec.qname.len() + 1;
+        let n_cigar = rec.cigar.len();
+        let l_seq = rec.seq.len();
+        let mut out = Vec::with_capacity(32 + name_len + 4 * n_cigar + l_seq);
+        let ref_id: i32 = rec.rname.map_or(-1, |c| c as i32);
+        let next_ref: i32 = rec.rnext.map_or(-1, |c| c as i32);
+        out.extend_from_slice(&ref_id.to_le_bytes());
+        out.extend_from_slice(&(rec.pos as i32).to_le_bytes());
+        out.push(name_len as u8);
+        out.push(rec.mapq);
+        out.extend_from_slice(&0u16.to_le_bytes());
+        out.extend_from_slice(&(n_cigar as u16).to_le_bytes());
+        out.extend_from_slice(&rec.flag.to_le_bytes());
+        out.extend_from_slice(&(l_seq as u32).to_le_bytes());
+        out.extend_from_slice(&next_ref.to_le_bytes());
+        out.extend_from_slice(&(rec.pnext as i32).to_le_bytes());
+        out.extend_from_slice(&rec.tlen.to_le_bytes());
+        out.extend_from_slice(&rec.qname);
+        out.push(0);
+        for op in &rec.cigar {
+            out.extend_from_slice(&((op.len << 4) | op.kind as u32).to_le_bytes());
+        }
+        let base_nibble = |b: u8| match b {
+            b'=' => 0,
+            b'A' => 1,
+            b'C' => 2,
+            b'M' => 3,
+            b'G' => 4,
+            b'R' => 5,
+            b'S' => 6,
+            b'V' => 7,
+            b'T' => 8,
+            b'W' => 9,
+            b'Y' => 10,
+            b'H' => 11,
+            b'K' => 12,
+            b'D' => 13,
+            b'B' => 14,
+            _ => 15,
+        };
+        let mut nib = Vec::with_capacity(l_seq.div_ceil(2));
+        for pair in rec.seq.chunks(2) {
+            let hi = base_nibble(pair[0]);
+            let lo = if pair.len() > 1 { base_nibble(pair[1]) } else { 0 };
+            nib.push((hi << 4) | lo);
+        }
+        out.extend_from_slice(&nib);
+        out.extend(rec.qual.iter().map(|&q| q.saturating_sub(b'!')));
+        out
+    }
+
+    #[test]
+    fn record_writer_matches_the_oracle() {
+        let refs = crate::sam::oracle::refs();
+        let mut out = Vec::new();
+        for (i, c) in crate::sam::oracle::cases(4000, 0xB4A).iter().enumerate() {
+            let row = SamRow::from_result(&refs, &c.meta, &c.bases, &c.quals, &c.result);
+            let old = crate::sam::oracle::record(&refs, &c.meta, &c.bases, &c.quals, &c.result);
+            let body = oracle_body(&old);
+            out.clear();
+            out.extend_from_slice(b"prefix");
+            write_record(&mut out, &row);
+            assert_eq!(&out[..6], b"prefix");
+            assert_eq!(out[6..10], (body.len() as u32).to_le_bytes(), "case {i}");
+            assert_eq!(out[10..], body, "case {i}");
+            // The owned record through the same writer.
+            out.truncate(6);
+            write_record(&mut out, &SamRow::from_record(&old));
+            assert_eq!(out[10..], body, "case {i}");
+        }
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use std::io::{BufRead, Write};
 
 use persona_agd::builder::{DatasetWriter, WriterOptions};
+use persona_agd::chunk::ChunkData;
 use persona_agd::chunk_io::ChunkStore;
 use persona_agd::columns;
 use persona_agd::dataset::Dataset;
@@ -13,8 +14,8 @@ use persona_compress::deflate::CompressLevel;
 use persona_seq::Read;
 
 use crate::fastq::FastqReader;
-use crate::sam::{write_header, RefMap, SamRecord};
-use crate::{bam, Result};
+use crate::sam::{write_header, RefMap, SamRow};
+use crate::{bam, sam, Result};
 
 /// Imports FASTQ into a new AGD dataset, returning the manifest.
 pub fn fastq_to_agd(
@@ -58,31 +59,41 @@ pub fn refmap_of(ds: &Dataset) -> RefMap {
     RefMap::new(&ds.manifest().reference)
 }
 
-/// Iterates an aligned dataset's records as SAM records.
-fn for_each_sam_record(
+/// Calls `f` with every record of an aligned dataset as a row, in
+/// dataset order; returns how many there were.
+fn for_each_row(
     ds: &Dataset,
     store: &dyn ChunkStore,
     refs: &RefMap,
-    mut f: impl FnMut(SamRecord) -> Result<()>,
+    mut f: impl FnMut(&SamRow<'_>) -> std::io::Result<()>,
 ) -> Result<u64> {
     let mut n = 0u64;
     let cols = [columns::METADATA, columns::BASES, columns::QUAL, columns::RESULTS];
     ds.for_each_chunk(store, &cols, |_, chunks| {
-        for i in 0..chunks[0].len() {
-            let result = AlignmentResult::decode(chunks[3].record(i))?;
-            let rec = SamRecord::from_result(
-                refs,
-                chunks[0].record(i),
-                chunks[1].record(i),
-                chunks[2].record(i),
-                &result,
-            );
-            f(rec).map_err(|e| persona_agd::Error::Format(e.to_string()))?;
-            n += 1;
-        }
+        let records = chunks[0].len();
+        let four = [&chunks[0], &chunks[1], &chunks[2], &chunks[3]];
+        for_each_chunk_row(refs, four, 0..records, &mut f)?;
+        n += records as u64;
         Ok(())
     })?;
     Ok(n)
+}
+
+/// Calls `f` with the rows `rows` of one chunk's metadata, bases,
+/// qualities and results columns, in order, decoding every alignment
+/// result into one reused scratch result.
+pub fn for_each_chunk_row(
+    refs: &RefMap,
+    [meta, bases, quals, results]: [&ChunkData; 4],
+    rows: std::ops::Range<usize>,
+    mut f: impl FnMut(&SamRow<'_>) -> std::io::Result<()>,
+) -> persona_agd::Result<()> {
+    let mut result = AlignmentResult::unmapped();
+    for i in rows {
+        result.decode_into(results.record(i))?;
+        f(&SamRow::from_result(refs, meta.record(i), bases.record(i), quals.record(i), &result))?;
+    }
+    Ok(())
 }
 
 /// Exports an aligned AGD dataset as SAM text.
@@ -93,39 +104,34 @@ pub fn agd_to_sam(ds: &Dataset, store: &dyn ChunkStore, out: &mut impl Write) ->
         &refs,
         ds.manifest().sort_order == persona_agd::manifest::SortOrder::Coordinate,
     )?;
-    for_each_sam_record(ds, store, &refs, |rec| {
-        out.write_all(&rec.to_line(&refs))?;
-        out.write_all(b"\n")?;
-        Ok(())
+    let mut line = Vec::new();
+    for_each_row(ds, store, &refs, |row| {
+        line.clear();
+        sam::write_line(&mut line, &refs, row);
+        line.push(b'\n');
+        out.write_all(&line)
     })
 }
 
-/// Exports an aligned AGD dataset as BAM.
+/// Exports an aligned AGD dataset as BAM, single-threaded: the whole
+/// payload, then its BGZF blocks (the reference the pipeline's
+/// streaming export-bam stage is checked against).
 pub fn agd_to_bam(
     ds: &Dataset,
     store: &dyn ChunkStore,
     out: &mut impl Write,
     level: CompressLevel,
 ) -> Result<u64> {
-    agd_to_bam_with(ds, store, out, level, |payload, level| bam::bgzf_compress(&payload, level))
-}
-
-/// Exports an aligned AGD dataset as BAM through a caller-supplied
-/// BGZF compressor (see [`bam::write_bam_with`]).
-pub fn agd_to_bam_with(
-    ds: &Dataset,
-    store: &dyn ChunkStore,
-    out: &mut impl Write,
-    level: CompressLevel,
-    compress: impl FnOnce(Vec<u8>, CompressLevel) -> Vec<u8>,
-) -> Result<u64> {
     let refs = refmap_of(ds);
-    let mut records = Vec::new();
-    for_each_sam_record(ds, store, &refs, |rec| {
-        records.push(rec);
+    let mut payload = Vec::new();
+    bam::write_header(&mut payload, &refs)?;
+    let n = for_each_row(ds, store, &refs, |row| {
+        bam::write_record(&mut payload, row);
         Ok(())
     })?;
-    bam::write_bam_with(out, &refs, records, level, compress)
+    out.write_all(&bam::bgzf_compress(&payload, level))?;
+    out.write_all(&bam::BGZF_EOF)?;
+    Ok(n)
 }
 
 /// Records the reference contigs in a dataset manifest (done when an
