@@ -62,8 +62,8 @@ fn bench_kernels(c: &mut Criterion) {
     g.bench_function("smith_waterman_101bp", |b| {
         b.iter(|| std::hint::black_box(smith_waterman(text, pattern, Scoring::default())))
     });
-    // ... and both variants side by side, so `BENCH_kernels.json`
-    // always carries the scalar-vs-SIMD comparison.
+    // ... and both variants side by side, so every run carries the
+    // scalar-vs-SIMD comparison.
     g.bench_function(BenchmarkId::new("landau_vishkin_101bp", "scalar"), |b| {
         b.iter(|| std::hint::black_box(landau_vishkin_scalar(text, pattern, 12)))
     });

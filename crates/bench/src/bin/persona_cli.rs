@@ -1,43 +1,25 @@
-//! `persona-cli` — the wire-protocol client harness: drive a
-//! `WireServer` over TCP and measure what the network front end costs
-//! relative to in-process submission.
+//! `persona-cli` — the wire-protocol client: host a `WireServer` over
+//! a synthetic world, drive jobs at one over TCP, and read its live
+//! introspection surface.
 //!
-//! Default mode is a self-contained loopback benchmark: it starts a
-//! `WireServer` on an ephemeral loopback port, runs the same job mix
-//! through the in-process `PersonaService` and through N concurrent
-//! `WireClient`s across two tenants, verifies every wire job completed
-//! with the expected read count, and writes a machine-readable
-//! `BENCH_wire.json` (CI uploads it alongside `BENCH_fused.json`).
-//! The paper's overhead claim (§5.2: ≤1 % framework overhead) is the
-//! target this trajectory tracks for the service path.
-//!
-//! Run: `cargo run -p persona-bench --release --bin persona-cli -- \
-//!           [--plan <full|import-only|import-align|no-dupmark|from-aligned>] \
-//!           [--clients N] [--jobs-per-client M]`
-//! Other modes:
-//!   `--serve ADDR`  host a wire server over a synthetic world (for
-//!                   driving from another process/machine)
-//!   `--addr ADDR`   benchmark against an already-running server
-//!                   (skips the in-process baseline)
-//!   `--wal-bench`   measure the durable service's write-ahead journal
-//!                   under each fsync policy (always / batch / never)
-//!                   and write `BENCH_wal.json` — the cost of the
-//!                   durability guarantee, record by record
-//!   `--cache-bench` measure the plan-aware result cache: a cold full
-//!                   run versus a full run whose import+align prefix
-//!                   is already cached, byte-identity checked, and
-//!                   write `BENCH_cache.json`
-//!   `--cache N`     enable the result cache (capacity N entries) on
-//!                   the service this process hosts (`--serve` or the
-//!                   loopback benchmark server)
-//!   `soak`          drive ≥1024 concurrent *pipelined* v2 connections
-//!                   (`--connections N` to change the count) of mixed
-//!                   submit/status/cancel/attach traffic across two
-//!                   tenants against a loopback server from a bounded
-//!                   worker pool; verifies v1-vs-v2 byte identity,
-//!                   records p50/p95/p99 op latency plus peak-RSS and
-//!                   thread-count proxies from `/proc/self/status`,
-//!                   and writes the point into `BENCH_wire.json`
+//! Modes:
+//!   `--serve ADDR [--cache N]`  host a wire server over a synthetic
+//!                   world (for driving from another process/machine);
+//!                   `--cache N` enables the result cache with N entries
+//!   `--addr ADDR [--plan P] [--clients N] [--jobs-per-client M]`
+//!                   drive N concurrent clients × M jobs of plan P
+//!                   (one of the presets, default `full`) across two
+//!                   tenants against a running server, check every job
+//!                   completed with the expected read count, and print
+//!                   the server's tenant report
+//!   `soak [--connections N] [--addr ADDR]`
+//!                   drive N (default 1024) concurrent *pipelined*
+//!                   connections of mixed submit/status/cancel/attach
+//!                   traffic across two tenants from a bounded worker
+//!                   pool, against `--addr` or a loopback server of its
+//!                   own; checks the thread count stays bounded and
+//!                   prints p50/p95/p99 op latency plus peak-RSS and
+//!                   thread-count proxies from `/proc/self/status`
 //!
 //! Introspection subcommands (all need `--addr ADDR`):
 //!   `stats [--watch]`   fetch and render the server's live metrics
@@ -49,26 +31,22 @@
 //!   `cache`             fetch the server's result-cache counters
 //!                       (hits, misses, evictions, entries, saved ns)
 //!                       as greppable `cache <name> = <value>` lines
+//!
+//! A malformed command line prints the usage to stderr and exits 2.
 //! Knobs: `PERSONA_BENCH_SCALE` (dataset size).
+//! Performance is measured by the regression benchmark under `bench/`.
 
 use std::net::SocketAddr;
-use std::sync::Arc;
 use std::time::Instant;
 
 use persona::config::PersonaConfig;
-use persona::plan::{DataState, Plan, PlanRequest, PlanSource, Stage, PRESET_NAMES};
+use persona::plan::{DataState, Plan, PRESET_NAMES};
 use persona::runtime::PersonaRuntime;
 use persona::wire::{SubmitInput, WireClient, WireJobStatus, WireSubmit};
-use persona_agd::manifest::Manifest;
-use persona_bench::{mem_store, print_header, scale, write_bench_json, World};
+use persona_bench::{mem_store, print_header, scale, World};
 use persona_dataflow::Priority;
 use persona_formats::fastq;
-use persona_server::journal::{
-    FsyncPolicy, Journal, JournalConfig, JournalRecord, RecordedInput, TerminalStatus,
-};
-use persona_server::{
-    JobInput, JobSpec, PersonaService, ServiceConfig, TenantConfig, WireServer, WireServerConfig,
-};
+use persona_server::{PersonaService, ServiceConfig, TenantConfig, WireServer, WireServerConfig};
 
 /// A live-introspection subcommand (`stats` / `trace <job-id>`).
 enum Introspect {
@@ -87,28 +65,49 @@ enum Introspect {
 }
 
 struct Args {
-    plan_name: String,
+    plan: Plan,
     clients: usize,
     jobs_per_client: usize,
     serve: Option<String>,
     addr: Option<String>,
-    wal_bench: bool,
-    cache_bench: bool,
     cache_capacity: usize,
     soak: bool,
     connections: usize,
     introspect: Option<Introspect>,
 }
 
+/// Prints `problem` and the usage line to stderr and exits with status
+/// 2, the same status an unreachable server gets.
+fn usage_error(problem: &str) -> ! {
+    eprintln!("persona-cli: {problem}");
+    eprintln!(
+        "usage: persona-cli --serve ADDR [--cache N] \
+         | --addr ADDR [--plan <{}>] [--clients N] [--jobs-per-client M] \
+         | soak [--connections N] [--addr ADDR] \
+         | stats [--watch] --addr ADDR | trace JOB_ID --addr ADDR | cache --addr ADDR",
+        PRESET_NAMES.join("|")
+    );
+    std::process::exit(2);
+}
+
+/// The value after option `what`, or the usage.
+fn value(args: &mut impl Iterator<Item = String>, what: &str) -> String {
+    args.next().unwrap_or_else(|| usage_error(&format!("`{what}` needs a value")))
+}
+
+/// The numeric value after option `what`, or the usage.
+fn number<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, what: &str) -> T {
+    let text = value(args, what);
+    text.parse().unwrap_or_else(|_| usage_error(&format!("`{what}` needs a number, got `{text}`")))
+}
+
 fn parse_args() -> Args {
     let mut parsed = Args {
-        plan_name: "full".to_string(),
+        plan: Plan::full(),
         clients: 4,
         jobs_per_client: 2,
         serve: None,
         addr: None,
-        wal_bench: false,
-        cache_bench: false,
         cache_capacity: 0,
         soak: false,
         connections: 1024,
@@ -116,38 +115,30 @@ fn parse_args() -> Args {
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |what: &str| args.next().unwrap_or_else(|| panic!("{what} needs a value"));
+        let args = &mut args;
         match arg.as_str() {
             "stats" => parsed.introspect = Some(Introspect::Stats { watch: false }),
             "trace" => {
-                let id = value("trace").parse().expect("trace needs a numeric job id");
-                parsed.introspect = Some(Introspect::Trace { job_id: id });
+                parsed.introspect = Some(Introspect::Trace { job_id: number(args, "trace") })
             }
             "--watch" => match &mut parsed.introspect {
                 Some(Introspect::Stats { watch }) => *watch = true,
-                _ => panic!("--watch only applies to the `stats` subcommand"),
+                _ => usage_error("`--watch` only applies to the `stats` subcommand"),
             },
-            "--plan" => parsed.plan_name = value("--plan"),
-            "--clients" => parsed.clients = value("--clients").parse().expect("--clients"),
-            "--jobs-per-client" => {
-                parsed.jobs_per_client = value("--jobs-per-client").parse().expect("--jobs")
+            "--plan" => {
+                let name = value(args, "--plan");
+                parsed.plan = Plan::preset(&name)
+                    .unwrap_or_else(|| usage_error(&format!("unknown plan `{name}`")));
             }
-            "--serve" => parsed.serve = Some(value("--serve")),
-            "--addr" => parsed.addr = Some(value("--addr")),
-            "--wal-bench" => parsed.wal_bench = true,
-            "--cache-bench" => parsed.cache_bench = true,
+            "--clients" => parsed.clients = number(args, "--clients"),
+            "--jobs-per-client" => parsed.jobs_per_client = number(args, "--jobs-per-client"),
+            "--serve" => parsed.serve = Some(value(args, "--serve")),
+            "--addr" => parsed.addr = Some(value(args, "--addr")),
             "cache" => parsed.introspect = Some(Introspect::Cache),
-            "--cache" => {
-                parsed.cache_capacity = value("--cache").parse().expect("--cache")
-            }
+            "--cache" => parsed.cache_capacity = number(args, "--cache"),
             "soak" => parsed.soak = true,
-            "--connections" => {
-                parsed.connections = value("--connections").parse().expect("--connections")
-            }
-            other => panic!(
-                "unknown argument `{other}` (try stats [--watch] | trace JOB_ID | cache | soak [--connections N] | --plan <{}> | --clients N | --jobs-per-client M | --serve ADDR | --addr ADDR | --wal-bench | --cache-bench | --cache N)",
-                PRESET_NAMES.join("|")
-            ),
+            "--connections" => parsed.connections = number(args, "--connections"),
+            other => usage_error(&format!("unknown argument `{other}`")),
         }
     }
     parsed
@@ -240,191 +231,6 @@ fn cache_command(addr: &str) {
     println!("cache reuse_saved_ns = {}", stats.reuse_saved_ns);
 }
 
-/// The result-cache trajectory: a cold `full` run versus a `full` run
-/// whose import+align prefix is already cached (the ISSUE scenario:
-/// `import-align` first, then the overlapping `full`), byte-identity
-/// checked, written to `BENCH_cache.json`.
-fn cache_bench() {
-    use persona::caching::{Digest, ResultCache};
-    use persona::runtime::JobContext;
-
-    let sc = scale();
-    let reads = ((4_000.0 * sc) as usize).max(200);
-    let world = World::build((120_000.0 * sc as f64).max(40_000.0) as usize, reads, 71);
-    let fastq_bytes = fastq::to_bytes(&world.reads);
-    let digest = Digest::of_bytes(&fastq_bytes);
-    let request = |name: &str| PlanRequest {
-        name: name.into(),
-        source: PlanSource::fastq_bytes(fastq_bytes.clone()),
-        chunk_size: 2_000,
-        aligner: Some(world.snap_aligner()),
-        reference: world.reference.clone(),
-    };
-
-    // Cold reference: the full plan on a fresh world, no cache.
-    let rt_cold = PersonaRuntime::new(mem_store(), PersonaConfig::default()).unwrap();
-    let t0 = Instant::now();
-    let cold = Plan::full().run(&rt_cold, request("cold")).expect("cold run");
-    let cold_s = t0.elapsed().as_secs_f64();
-
-    // Warm path: land the import+align prefix, then run the
-    // overlapping full plan against the populated cache.
-    let cache = Arc::new(ResultCache::new(32));
-    let rt = PersonaRuntime::new(mem_store(), PersonaConfig::default())
-        .unwrap()
-        .for_job(JobContext::new(Priority::Normal).with_cache(cache.clone(), digest));
-    let t0 = Instant::now();
-    let prep = Plan::import_align().run(&rt, request("prefix")).expect("prefix run");
-    let prefix_s = t0.elapsed().as_secs_f64();
-    assert!(!prep.cache.hit(), "first run must be cold");
-    let t0 = Instant::now();
-    let warm = Plan::full().run(&rt, request("warm")).expect("warm run");
-    let warm_s = t0.elapsed().as_secs_f64();
-    let warm_use = &warm.cache;
-
-    assert!(warm_use.hit(), "overlapping plan must reuse the cached prefix");
-    assert_eq!(warm.sam, cold.sam, "cache reuse must be byte-invisible");
-    let stats = cache.stats();
-    let speedup = if warm_s > 0.0 { cold_s / warm_s } else { 0.0 };
-
-    print_header(
-        "Plan-aware result cache (full plan, import+align prefix cached)",
-        &["run", "elapsed", "stages run", "shape"],
-    );
-    println!("cold\t{cold_s:.3} s\t{}\t{}", Plan::full().stages().len(), Plan::full().describe());
-    println!(
-        "warm\t{warm_s:.3} s\t{}\t{}",
-        Plan::full().stages().len() - warm_use.elided,
-        Plan::full().describe_cached(warm_use.elided)
-    );
-    println!(
-        "\nwarm run elides {} stages and is {speedup:.1}x the cold run \
-         ({} cache entries, {} ns of recompute saved)",
-        warm_use.elided, stats.entries, stats.reuse_saved_ns
-    );
-
-    let fields = format!(
-        "\"reads\":{reads},\"cold_s\":{cold_s:.6},\"prefix_s\":{prefix_s:.6},\
-         \"warm_s\":{warm_s:.6},\"warm_speedup\":{speedup:.3},\
-         \"elided_stages\":{},\"hits\":{},\"misses\":{},\"insertions\":{},\
-         \"reuse_saved_ns\":{}",
-        warm_use.elided, stats.hits, stats.misses, stats.insertions, stats.reuse_saved_ns
-    );
-    let path =
-        write_bench_json("BENCH_cache.json", "cache", &fields).expect("write BENCH_cache.json");
-    println!("wrote {}", path.display());
-}
-
-/// One synthetic job lifecycle's worth of journal records: what the
-/// durable service writes for a FASTQ-input full-plan job.
-fn job_lifecycle(id: u64, fastq: &[u8], manifest: &Manifest) -> Vec<JournalRecord> {
-    let mut records = vec![
-        JournalRecord::Submitted {
-            job_id: id,
-            name: format!("job-{id}"),
-            tenant: if id % 3 == 0 { "batch" } else { "prod" }.to_string(),
-            priority: Priority::Normal,
-            plan: Plan::full(),
-            input: RecordedInput::Fastq(fastq.to_vec()),
-            chunk_size: 2_000,
-            reference: vec![("chr1".into(), 120_000)],
-        },
-        JournalRecord::Started { job_id: id },
-    ];
-    for stage in [Stage::Align, Stage::Sort, Stage::Dupmark] {
-        records.push(JournalRecord::StageCompleted {
-            job_id: id,
-            stage,
-            manifest: manifest.clone(),
-        });
-    }
-    records.push(JournalRecord::Finished {
-        job_id: id,
-        name: format!("job-{id}"),
-        tenant: if id % 3 == 0 { "batch" } else { "prod" }.to_string(),
-        status: TerminalStatus::Completed,
-        error: None,
-    });
-    records
-}
-
-/// Journal throughput under each fsync policy: the price of "every
-/// acknowledged transition survives any crash" versus group commit
-/// versus OS-paced flushing, over identical record streams.
-fn wal_bench() {
-    let sc = scale();
-    let jobs = ((600.0 * sc) as u64).max(50);
-    let fastq = vec![b'A'; 4 * 1024];
-    let manifest = Manifest::new("bench");
-    let dir = std::env::temp_dir().join(format!("persona-wal-bench-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create bench dir");
-
-    let policies: [(&str, FsyncPolicy); 3] = [
-        ("always", FsyncPolicy::Always),
-        ("batch16", FsyncPolicy::Batch(16)),
-        ("never", FsyncPolicy::Never),
-    ];
-    print_header(
-        "Write-ahead journal (6 records per job lifecycle)",
-        &["fsync", "jobs", "records/s", "MB/s", "elapsed"],
-    );
-    let mut measured: Vec<(&str, f64, u64)> = Vec::new();
-    for (name, policy) in policies {
-        let path = dir.join(format!("{name}.wal"));
-        let _ = std::fs::remove_file(&path);
-        let mut journal =
-            Journal::open(&path, JournalConfig { fsync: policy, compact_threshold: 0 })
-                .expect("open journal");
-        let t0 = Instant::now();
-        for id in 1..=jobs {
-            for record in job_lifecycle(id, &fastq, &manifest) {
-                journal.append(&record).expect("append");
-            }
-        }
-        journal.sync().expect("sync");
-        let elapsed = t0.elapsed().as_secs_f64();
-        let bytes = journal.len();
-        drop(journal);
-        // The log must replay to exactly what was written.
-        let replayed = Journal::read(&path).expect("replay");
-        assert_eq!(replayed.records.len() as u64, jobs * 6, "{name}: torn log");
-        assert_eq!(replayed.good_len, bytes, "{name}: replay length");
-        let records_per_sec = if elapsed > 0.0 { (jobs * 6) as f64 / elapsed } else { 0.0 };
-        let mb_per_sec =
-            if elapsed > 0.0 { bytes as f64 / elapsed / (1024.0 * 1024.0) } else { 0.0 };
-        println!("{name}\t{jobs}\t{records_per_sec:.0}\t{mb_per_sec:.1}\t{elapsed:.3} s");
-        measured.push((name, elapsed, bytes));
-        let _ = std::fs::remove_file(&path);
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let field = |name: &str| {
-        let &(_, elapsed, bytes) =
-            measured.iter().find(|(n, _, _)| *n == name).expect("policy measured");
-        format!("\"{name}_s\":{elapsed:.6},\"{name}_bytes\":{bytes}")
-    };
-    let batching_speedup = {
-        let always = measured[0].1;
-        let batch = measured[1].1;
-        if batch > 0.0 {
-            always / batch
-        } else {
-            0.0
-        }
-    };
-    let fields = format!(
-        "\"jobs\":{jobs},\"records\":{},{},{},{},\
-         \"batching_speedup\":{batching_speedup:.3}",
-        jobs * 6,
-        field("always"),
-        field("batch16"),
-        field("never"),
-    );
-    let path = write_bench_json("BENCH_wal.json", "wal", &fields).expect("write BENCH_wal.json");
-    println!("\nfsync batching (16) is {batching_speedup:.1}x the per-record fsync throughput");
-    println!("wrote {}", path.display());
-}
-
 /// Raises the open-file soft limit so thousands of loopback sockets
 /// (client + server end in one process) fit under it. Best effort: a
 /// refusal leaves the limit alone and the soak fails loudly later.
@@ -440,6 +246,11 @@ fn raise_nofile_limit(min_fds: u64) {
         fn setrlimit(resource: i32, rlim: *const Rlimit) -> i32;
     }
     const RLIMIT_NOFILE: i32 = 7;
+    // SAFETY: `getrlimit` / `setrlimit` are the libc calls of the same
+    // name, and `Rlimit` matches `struct rlimit` on Linux (two `rlim_t`
+    // = `u64` fields, `repr(C)`). Each call gets a pointer to a live,
+    // initialized local that outlives it; `getrlimit` writes only
+    // through it and `setrlimit` only reads it.
     unsafe {
         let mut lim = Rlimit { cur: 0, max: 0 };
         if getrlimit(RLIMIT_NOFILE, &mut lim) != 0 {
@@ -467,22 +278,21 @@ fn proc_self_status(key: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-/// The soak trajectory: N concurrent pipelined v2 connections of mixed
+/// The soak: N concurrent pipelined connections of mixed
 /// submit/status/cancel/attach traffic across two tenants, driven from
 /// a bounded worker pool so the client side cannot hide a
 /// thread-per-connection server. Proves the event loop holds ≥1024
-/// live connections with bounded threads and bounded memory, and that
-/// the pipelined v2 path is byte-identical to the v1 blocking client.
-fn soak_bench(args: &Args) {
+/// live connections with bounded threads and bounded memory.
+fn soak(args: &Args) {
     let n = args.connections;
     raise_nofile_limit(n as u64);
     // A small world: the soak stresses the front end, not the aligner.
     let world = World::build(40_000, 64, 97);
     let fastq_bytes = fastq::to_bytes(&world.reads);
     let (server, addr) = match &args.addr {
-        Some(addr) => (None, addr.parse::<SocketAddr>().expect("--addr host:port")),
+        Some(addr) => (None, socket_addr(addr)),
         None => {
-            let server = start_server(&world, 8);
+            let server = start_server(&world);
             let addr = server.local_addr();
             (Some(server), addr)
         }
@@ -496,26 +306,6 @@ fn soak_bench(args: &Args) {
         chunk_size: 2_000,
         reference: world.reference.clone(),
     };
-
-    // Byte identity first: the same spec through the v1 blocking
-    // dialect and the v2 pipelined one must produce the same bytes.
-    let mut v1 = match WireClient::connect_v1(addr) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("persona-cli: cannot connect v1 to {addr}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let job = v1.submit(submit("probe-v1".into(), "prod")).expect("v1 submit");
-    let v1_outcome = v1.wait(job).expect("v1 wait");
-    assert_eq!(v1_outcome.status, WireJobStatus::Completed, "v1 probe failed");
-    let mut v2 = connect_checked(addr);
-    let job = v2.submit(submit("probe-v2".into(), "prod")).expect("v2 submit");
-    let v2_outcome = v2.wait(job).expect("v2 wait");
-    assert_eq!(v2_outcome.status, WireJobStatus::Completed, "v2 probe failed");
-    assert_eq!(v1_outcome.sam, v2_outcome.sam, "v1 and v2 clients must see identical bytes");
-    drop(v1);
-    drop(v2);
 
     println!("soak: opening {n} concurrent pipelined connections to {addr} ...");
     let t0 = Instant::now();
@@ -634,26 +424,20 @@ fn soak_bench(args: &Args) {
     if let (Some(kb), Some(t)) = (peak_rss_kb, threads) {
         println!("peak RSS (VmHWM): {:.1} MiB | process threads: {t}", kb as f64 / 1024.0);
     }
-
-    let fields = format!(
-        "\"mode\":\"soak\",\"connections\":{n},\"workers\":{workers},\"ops\":{ops},\
-         \"open_s\":{open_s:.6},\"soak_s\":{soak_s:.6},\"ops_per_sec\":{ops_per_sec:.1},\
-         \"p50_us\":{p50_us:.1},\"p95_us\":{p95_us:.1},\"p99_us\":{p99_us:.1},\
-         \"backpressure_stalls\":{stalls},\"pending_writes_after\":{pending_writes},\
-         \"peak_rss_kb\":{},\"threads\":{},\"v1_v2_byte_identical\":true",
-        peak_rss_kb.map_or("null".into(), |v| v.to_string()),
-        threads.map_or("null".into(), |v| v.to_string()),
-    );
-    let path = write_bench_json("BENCH_wire.json", "wire", &fields).expect("write BENCH_wire.json");
-    println!("wrote {}", path.display());
 }
 
-/// Builds the service + wire server pair over a fresh runtime.
-fn start_server(world: &World, max_jobs: usize) -> WireServer {
+/// Parses `--addr`'s `host:port`, or exits with the usage.
+fn socket_addr(addr: &str) -> SocketAddr {
+    addr.parse().unwrap_or_else(|_| usage_error(&format!("`--addr` needs host:port, got `{addr}`")))
+}
+
+/// Builds the soak's service + loopback wire server pair over a fresh
+/// runtime.
+fn start_server(world: &World) -> WireServer {
     let rt = PersonaRuntime::new(mem_store(), PersonaConfig::default()).unwrap();
     let service = PersonaService::new(
         rt,
-        ServiceConfig { max_concurrent_jobs: max_jobs, ..ServiceConfig::default() },
+        ServiceConfig { max_concurrent_jobs: 8, ..ServiceConfig::default() },
     );
     service.set_tenant(
         "prod",
@@ -671,147 +455,47 @@ fn start_server(world: &World, max_jobs: usize) -> WireServer {
     .expect("bind loopback wire server")
 }
 
-/// Lands an aligned dataset for dataset-input plans (not timed).
-fn landed_dataset(rt: &Arc<PersonaRuntime>, world: &World, fastq_bytes: &[u8]) -> Manifest {
-    Plan::import_align()
-        .run(
-            rt,
-            PlanRequest {
-                name: "landed".into(),
-                source: PlanSource::fastq_bytes(fastq_bytes.to_vec()),
-                chunk_size: 2_000,
-                aligner: Some(world.snap_aligner()),
-                reference: world.reference.clone(),
-            },
-        )
-        .expect("prepare aligned dataset")
-        .manifest
-        .expect("import-align lands a dataset")
+/// The synthetic world `--serve` aligns against and `--addr` submits
+/// reads from, sized by `PERSONA_BENCH_SCALE`.
+fn job_world() -> World {
+    let sc = scale();
+    let reads_per_job = ((4_000.0 * sc) as usize).max(200);
+    World::build((120_000.0 * sc).max(40_000.0) as usize, reads_per_job, 53)
 }
 
-fn main() {
-    let args = parse_args();
-    if let Some(introspect) = &args.introspect {
-        let addr = args.addr.as_deref().unwrap_or_else(|| {
-            eprintln!("persona-cli: stats/trace need --addr ADDR (a running server)");
-            std::process::exit(2);
-        });
-        match introspect {
-            Introspect::Stats { watch } => stats_command(addr, *watch),
-            Introspect::Trace { job_id } => trace_command(addr, *job_id),
-            Introspect::Cache => cache_command(addr),
-        }
-        return;
+/// `persona-cli --serve ADDR [--cache N]`: hosts a wire server over a
+/// synthetic world until killed.
+fn serve(addr: &str, world: &World, cache_capacity: usize) -> ! {
+    let rt = PersonaRuntime::new(mem_store(), PersonaConfig::default()).unwrap();
+    let service =
+        PersonaService::new(rt, ServiceConfig { cache_capacity, ..ServiceConfig::default() });
+    if cache_capacity > 0 {
+        println!("result cache enabled: {cache_capacity} entries");
     }
-    if args.wal_bench {
-        wal_bench();
-        return;
-    }
-    if args.cache_bench {
-        cache_bench();
-        return;
-    }
-    if args.soak {
-        soak_bench(&args);
-        return;
-    }
-    let sc = scale();
-    let plan = Plan::preset(&args.plan_name).unwrap_or_else(|| {
-        panic!("unknown plan `{}` (one of {})", args.plan_name, PRESET_NAMES.join(", "))
+    let config = WireServerConfig { aligner: Some(world.snap_aligner()) };
+    let server = WireServer::bind(addr, service, config).unwrap_or_else(|e| {
+        eprintln!("persona-cli: cannot serve on {addr}: {e}");
+        std::process::exit(2);
     });
-    let reads_per_job = ((4_000.0 * sc) as usize).max(200);
-    let world = World::build((120_000.0 * sc as f64).max(40_000.0) as usize, reads_per_job, 53);
-    let fastq_bytes = fastq::to_bytes(&world.reads);
-
-    if let Some(addr) = args.serve {
-        let rt = PersonaRuntime::new(mem_store(), PersonaConfig::default()).unwrap();
-        let service = PersonaService::new(
-            rt,
-            ServiceConfig { cache_capacity: args.cache_capacity, ..ServiceConfig::default() },
-        );
-        if args.cache_capacity > 0 {
-            println!("result cache enabled: {} entries", args.cache_capacity);
-        }
-        let server = WireServer::bind(
-            addr.as_str(),
-            service,
-            WireServerConfig { aligner: Some(world.snap_aligner()) },
-        )
-        .expect("bind requested address");
-        println!("persona wire server listening on {}", server.local_addr());
-        println!("aligner genome: {} bases synthetic; Ctrl-C to stop", world.genome.total_len());
-        loop {
-            std::thread::sleep(std::time::Duration::from_secs(3600));
-        }
+    println!("persona wire server listening on {}", server.local_addr());
+    println!("aligner genome: {} bases synthetic; Ctrl-C to stop", world.genome.total_len());
+    loop {
+        std::thread::sleep(std::time::Duration::from_secs(3600));
     }
+}
 
-    let total_jobs = args.clients * args.jobs_per_client;
+/// `persona-cli --addr ADDR [--plan P] [--clients N] [--jobs-per-client
+/// M]`: N concurrent clients each submit M jobs of plan P, then wait on
+/// them; every job must complete with the world's read count.
+fn drive(addr: SocketAddr, args: &Args, world: &World, fastq_bytes: &[u8]) {
+    let plan = &args.plan;
+    let reads_per_job = world.reads.len() as u64;
     println!(
         "workload: {} clients × {} jobs × {reads_per_job} reads | plan: {}",
         args.clients,
         args.jobs_per_client,
         plan.describe()
     );
-
-    // In-process baseline: the same job mix submitted directly to a
-    // PersonaService (no wire). The aligner is built once and shared,
-    // exactly like the wire server's configured aligner, so the
-    // comparison isolates the wire itself. Skipped when targeting a
-    // remote server.
-    let in_process_s = if args.addr.is_none() {
-        let rt = PersonaRuntime::new(mem_store(), PersonaConfig::default()).unwrap();
-        let service = PersonaService::new(
-            rt.clone(),
-            ServiceConfig { max_concurrent_jobs: 4, ..ServiceConfig::default() },
-        );
-        service.set_tenant(
-            "prod",
-            TenantConfig { weight: 2, max_in_flight: 3, ..TenantConfig::default() },
-        );
-        service.set_tenant(
-            "batch",
-            TenantConfig { weight: 1, max_in_flight: 3, ..TenantConfig::default() },
-        );
-        let aligner = world.snap_aligner();
-        let aligned =
-            (plan.input() != DataState::Fastq).then(|| landed_dataset(&rt, &world, &fastq_bytes));
-        let t0 = Instant::now();
-        let handles: Vec<_> = (0..total_jobs)
-            .map(|k| {
-                service
-                    .submit(JobSpec {
-                        name: format!("inproc-{k}"),
-                        tenant: if k % 3 == 0 { "batch" } else { "prod" }.to_string(),
-                        priority: Priority::Normal,
-                        plan: plan.clone(),
-                        input: match &aligned {
-                            Some(m) => JobInput::Dataset(m.clone()),
-                            None => JobInput::Fastq(fastq_bytes.clone()),
-                        },
-                        chunk_size: 2_000,
-                        aligner: plan.contains(Stage::Align).then(|| aligner.clone()),
-                        reference: world.reference.clone(),
-                    })
-                    .expect("in-process submit")
-            })
-            .collect();
-        for h in &handles {
-            assert!(h.wait().output().is_some(), "in-process job {} failed", h.name());
-        }
-        Some(t0.elapsed().as_secs_f64())
-    } else {
-        None
-    };
-
-    // Wire path: the same mix through N concurrent TCP clients.
-    let (server, addr) = match &args.addr {
-        Some(addr) => (None, addr.parse::<SocketAddr>().expect("--addr host:port")),
-        None => {
-            let server = start_server(&world, 4);
-            let addr = server.local_addr();
-            (Some(server), addr)
-        }
-    };
     // A dataset-input plan needs the dataset landed on the *server's*
     // store; do it over the wire with an untimed import-align job.
     let server_dataset = (plan.input() != DataState::Fastq).then(|| {
@@ -822,7 +506,7 @@ fn main() {
                 tenant: "prod".into(),
                 priority: Priority::Normal,
                 plan: Plan::import_align(),
-                input: SubmitInput::Fastq(fastq_bytes.clone()),
+                input: SubmitInput::Fastq(fastq_bytes.to_vec()),
                 chunk_size: 2_000,
                 reference: world.reference.clone(),
             })
@@ -833,21 +517,16 @@ fn main() {
     });
 
     let t0 = Instant::now();
-    let per_client_reads: Vec<u64> = std::thread::scope(|s| {
+    let total_reads: u64 = std::thread::scope(|s| {
         let handles: Vec<_> = (0..args.clients)
             .map(|c| {
-                let plan = plan.clone();
-                let fastq_bytes = &fastq_bytes;
-                let world = &world;
                 let server_dataset = &server_dataset;
-                let jobs = args.jobs_per_client;
                 s.spawn(move || {
                     let mut client = connect_checked(addr);
-                    let mut reads = 0u64;
                     // Submit the client's whole batch first, then wait:
                     // submissions race across clients and the service's
                     // fair-share admission does the interleaving.
-                    let ids: Vec<u64> = (0..jobs)
+                    let ids: Vec<u64> = (0..args.jobs_per_client)
                         .map(|j| {
                             client
                                 .submit(WireSubmit {
@@ -857,7 +536,7 @@ fn main() {
                                     plan: plan.clone(),
                                     input: match server_dataset {
                                         Some(m) => SubmitInput::Dataset(m.clone()),
-                                        None => SubmitInput::Fastq(fastq_bytes.clone()),
+                                        None => SubmitInput::Fastq(fastq_bytes.to_vec()),
                                     },
                                     chunk_size: 2_000,
                                     reference: world.reference.clone(),
@@ -865,6 +544,7 @@ fn main() {
                                 .expect("wire submit")
                         })
                         .collect();
+                    let mut reads = 0;
                     for id in ids {
                         let outcome = client.wait(id).expect("wire wait");
                         assert_eq!(
@@ -873,73 +553,51 @@ fn main() {
                             "wire job {id}: {:?}",
                             outcome.error
                         );
-                        assert_eq!(outcome.reads, reads_per_job as u64, "wire job {id}");
+                        assert_eq!(outcome.reads, reads_per_job, "wire job {id}");
                         reads += outcome.reads;
                     }
                     reads
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("client thread")).collect()
+        handles.into_iter().map(|h| h.join().expect("client thread")).sum()
     });
     let wire_s = t0.elapsed().as_secs_f64();
-    let total_reads: u64 = per_client_reads.iter().sum();
-    assert_eq!(total_reads, (total_jobs * reads_per_job) as u64);
+    assert_eq!(total_reads, (args.clients * args.jobs_per_client) as u64 * reads_per_job);
 
     // Tenant accounting over the wire.
-    let mut client = connect_checked(addr);
-    let report = client.report().expect("report");
-    print_header(
-        "Wire front end (loopback TCP, fair-share service)",
-        &["tenant", "jobs", "reads", "reads/s"],
-    );
+    let report = connect_checked(addr).report().expect("report");
+    print_header("Wire front end (fair-share service)", &["tenant", "jobs", "reads", "reads/s"]);
     for t in &report.tenants {
         println!("{}\t{}\t{}\t{:.0}", t.tenant, t.completed, t.reads, t.reads_per_sec);
     }
-    drop(client);
-    drop(server);
-
     let reads_per_sec = if wire_s > 0.0 { total_reads as f64 / wire_s } else { 0.0 };
-    match in_process_s {
-        Some(base_s) => {
-            let overhead = if base_s > 0.0 { wire_s / base_s - 1.0 } else { 0.0 };
-            println!(
-                "\nin-process: {base_s:.2} s | over the wire: {wire_s:.2} s \
-                 ({:+.1}% wire overhead) | {reads_per_sec:.0} reads/s aggregate",
-                overhead * 100.0
-            );
-            write_wire_json(&args, reads_per_job, total_reads, wire_s, Some(base_s));
-        }
-        None => {
-            println!("\nover the wire: {wire_s:.2} s | {reads_per_sec:.0} reads/s aggregate");
-            write_wire_json(&args, reads_per_job, total_reads, wire_s, None);
-        }
-    }
+    println!("\nover the wire: {wire_s:.2} s | {reads_per_sec:.0} reads/s aggregate");
 }
 
-/// The machine-readable trajectory point CI uploads.
-fn write_wire_json(
-    args: &Args,
-    reads_per_job: usize,
-    total_reads: u64,
-    wire_s: f64,
-    in_process_s: Option<f64>,
-) {
-    let reads_per_sec = if wire_s > 0.0 { total_reads as f64 / wire_s } else { 0.0 };
-    let (base, overhead) = match in_process_s {
-        Some(base_s) => (
-            format!("{base_s:.6}"),
-            format!("{:.6}", if base_s > 0.0 { wire_s / base_s - 1.0 } else { 0.0 }),
-        ),
-        None => ("null".to_string(), "null".to_string()),
-    };
-    let fields = format!(
-        "\"plan\":\"{}\",\"clients\":{},\"jobs_per_client\":{},\
-         \"reads_per_job\":{reads_per_job},\"total_reads\":{total_reads},\
-         \"wire_s\":{wire_s:.6},\"in_process_s\":{base},\"wire_overhead\":{overhead},\
-         \"reads_per_sec\":{reads_per_sec:.1}",
-        args.plan_name, args.clients, args.jobs_per_client
-    );
-    let path = write_bench_json("BENCH_wire.json", "wire", &fields).expect("write BENCH_wire.json");
-    println!("wrote {}", path.display());
+fn main() {
+    let args = parse_args();
+    if let Some(introspect) = &args.introspect {
+        let addr = args.addr.as_deref().unwrap_or_else(|| {
+            usage_error("stats, trace and cache need --addr ADDR (a running server)")
+        });
+        match introspect {
+            Introspect::Stats { watch } => stats_command(addr, *watch),
+            Introspect::Trace { job_id } => trace_command(addr, *job_id),
+            Introspect::Cache => cache_command(addr),
+        }
+        return;
+    }
+    if args.soak {
+        soak(&args);
+        return;
+    }
+    match (&args.serve, &args.addr) {
+        (Some(addr), _) => serve(addr, &job_world(), args.cache_capacity),
+        (None, Some(addr)) => {
+            let world = job_world();
+            drive(socket_addr(addr), &args, &world, &fastq::to_bytes(&world.reads))
+        }
+        (None, None) => usage_error("nothing to do: give --serve, --addr, soak or a subcommand"),
+    }
 }

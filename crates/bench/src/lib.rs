@@ -6,7 +6,6 @@
 //! keep each harness run in the seconds-to-a-minute range on a laptop
 //! while preserving the paper's *relative* results.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use persona_agd::builder::DatasetWriter;
@@ -22,103 +21,6 @@ use persona_seq::{Genome, Read};
 /// Workload scale factor from the environment.
 pub fn scale() -> f64 {
     std::env::var("PERSONA_BENCH_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(1.0)
-}
-
-/// Errors from a bench harness run.
-///
-/// The bench binaries report failures through this type instead of
-/// panicking, so a full run that only fails while writing its
-/// `BENCH_*.json` result exits with a diagnosable message (and a
-/// non-zero status) rather than an `expect` backtrace.
-#[derive(Debug)]
-pub enum BenchError {
-    /// A pipeline stage failed while producing the workload result.
-    Pipeline(persona::Error),
-    /// A machine-readable result file could not be written.
-    WriteResult {
-        /// Destination the harness tried to write.
-        path: PathBuf,
-        /// Underlying I/O failure.
-        source: std::io::Error,
-    },
-}
-
-impl std::fmt::Display for BenchError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BenchError::Pipeline(e) => write!(f, "pipeline failed: {e}"),
-            BenchError::WriteResult { path, source } => {
-                write!(f, "could not write bench result {}: {source}", path.display())
-            }
-        }
-    }
-}
-
-impl std::error::Error for BenchError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            BenchError::Pipeline(e) => Some(e),
-            BenchError::WriteResult { source, .. } => Some(source),
-        }
-    }
-}
-
-impl From<persona::Error> for BenchError {
-    fn from(e: persona::Error) -> Self {
-        BenchError::Pipeline(e)
-    }
-}
-
-/// Resolves the directory machine-readable `BENCH_*.json` results go
-/// to: a `--out-dir <dir>` (or `--out-dir=<dir>`) argument wins, then
-/// the `PERSONA_BENCH_OUT_DIR` environment variable, then the current
-/// directory.
-pub fn out_dir() -> PathBuf {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--out-dir" {
-            if let Some(dir) = args.next() {
-                return PathBuf::from(dir);
-            }
-        } else if let Some(dir) = a.strip_prefix("--out-dir=") {
-            return PathBuf::from(dir);
-        }
-    }
-    match std::env::var_os("PERSONA_BENCH_OUT_DIR") {
-        Some(dir) => PathBuf::from(dir),
-        None => PathBuf::from("."),
-    }
-}
-
-/// Schema version stamped into every machine-readable `BENCH_*.json`
-/// result this harness writes. Bump when a result file's shape changes
-/// incompatibly, so trajectory tooling can tell apart old points.
-pub const BENCH_SCHEMA_VERSION: u32 = 1;
-
-/// Writes one machine-readable `BENCH_*.json` trajectory point. Every
-/// result shares the same envelope — a `bench` tag naming the harness
-/// and a [`BENCH_SCHEMA_VERSION`] stamp — wrapped around the
-/// harness-specific `fields` (pre-rendered JSON key/value pairs,
-/// without the outer braces). Returns the path written, honoring
-/// [`out_dir`].
-pub fn write_bench_json(file_name: &str, bench: &str, fields: &str) -> Result<PathBuf, BenchError> {
-    let json =
-        format!("{{\"bench\":\"{bench}\",\"schema_version\":{BENCH_SCHEMA_VERSION},{fields}}}\n");
-    write_result(file_name, &json)
-}
-
-/// Writes a machine-readable result file into [`out_dir`], creating
-/// the directory if needed, and returns the path written.
-pub fn write_result(file_name: &str, contents: &str) -> Result<PathBuf, BenchError> {
-    let dir = out_dir();
-    if dir != PathBuf::from(".") {
-        std::fs::create_dir_all(&dir)
-            .map_err(|source| BenchError::WriteResult { path: dir.clone(), source })?;
-    }
-    let path = dir.join(file_name);
-    std::fs::write(&path, contents)
-        .map_err(|source| BenchError::WriteResult { path: path.clone(), source })?;
-    Ok(path)
 }
 
 /// A ready-to-run benchmark world.
@@ -209,58 +111,6 @@ pub fn print_header(title: &str, cols: &[&str]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // `PERSONA_BENCH_OUT_DIR` is process-global; tests that set it
-    // must not overlap.
-    static OUT_DIR_ENV: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    #[test]
-    fn write_result_honors_out_dir_env() {
-        let _guard = OUT_DIR_ENV.lock().unwrap();
-        let dir = std::env::temp_dir().join(format!("persona-bench-{}", std::process::id()));
-        std::env::set_var("PERSONA_BENCH_OUT_DIR", &dir);
-        let path = write_result("BENCH_test.json", "{\"ok\":true}\n").expect("write");
-        std::env::remove_var("PERSONA_BENCH_OUT_DIR");
-        assert_eq!(path, dir.join("BENCH_test.json"));
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"ok\":true}\n");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn bench_json_envelope_stamps_schema_version() {
-        let _guard = OUT_DIR_ENV.lock().unwrap();
-        let dir = std::env::temp_dir().join(format!("persona-bench-env-{}", std::process::id()));
-        std::env::set_var("PERSONA_BENCH_OUT_DIR", &dir);
-        let path = write_bench_json("BENCH_env.json", "env", "\"x\":1").expect("write");
-        std::env::remove_var("PERSONA_BENCH_OUT_DIR");
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(
-            text,
-            format!("{{\"bench\":\"env\",\"schema_version\":{BENCH_SCHEMA_VERSION},\"x\":1}}\n")
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn write_result_reports_typed_error() {
-        let _guard = OUT_DIR_ENV.lock().unwrap();
-        let dir = std::env::temp_dir().join(format!("persona-bench-ro-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        // A directory where the file should go makes the write fail.
-        std::fs::create_dir_all(dir.join("BENCH_clash.json")).unwrap();
-        std::env::set_var("PERSONA_BENCH_OUT_DIR", &dir);
-        let err = write_result("BENCH_clash.json", "{}").unwrap_err();
-        std::env::remove_var("PERSONA_BENCH_OUT_DIR");
-        match &err {
-            BenchError::WriteResult { path, .. } => {
-                assert_eq!(path, &dir.join("BENCH_clash.json"));
-            }
-            other => panic!("expected WriteResult, got {other:?}"),
-        }
-        assert!(err.to_string().contains("BENCH_clash.json"));
-        assert!(std::error::Error::source(&err).is_some());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
 
     #[test]
     fn world_builds_and_aligns() {

@@ -27,3 +27,21 @@ fn trace_without_addr_is_a_usage_error() {
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
     assert!(stderr.contains("--addr"), "stderr: {stderr}");
 }
+
+#[test]
+fn unknown_or_malformed_arguments_print_usage_and_exit_2() {
+    for args in [
+        &["--bogus"][..],
+        &["--clients", "many", "--addr", "127.0.0.1:9"],
+        &["trace", "seven", "--addr", "127.0.0.1:9"],
+        &["--plan", "no-such-plan", "--addr", "127.0.0.1:9"],
+        &["--addr"],
+        &[],
+    ] {
+        let out = cli().args(args).output().expect("run persona-cli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: persona-cli"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}

@@ -31,21 +31,21 @@
 //! # Conversation
 //!
 //! The client opens with [`Message::Hello`] and the server answers with
-//! [`Message::ServerHello`]. The server speaks protocol versions 1 and
-//! 2 ([`PROTOCOL_V1`] / [`PROTOCOL_VERSION`]) and echoes whichever the
-//! client sent; any other version is rejected with
-//! [`ErrorCode::UnsupportedVersion`]. Every request carries a
-//! client-chosen `seq`, echoed on every reply it produces, so replies
-//! (including [`Message::Wait`]'s streamed [`Message::JobEvent`] /
-//! [`Message::OutputChunk`] / [`Message::JobDone`] sequence) can be
-//! demultiplexed even when a client pipelines requests. Plans travel
+//! [`Message::ServerHello`]. The server speaks protocol version 2
+//! ([`PROTOCOL_VERSION`]); any other version, 1 included, is rejected
+//! with [`ErrorCode::UnsupportedVersion`] and the connection closes.
+//! Every request carries a client-chosen `seq`, echoed on every reply
+//! it produces, so replies (including [`Message::Wait`]'s streamed
+//! [`Message::JobEvent`] / [`Message::OutputChunk`] /
+//! [`Message::JobDone`] sequence) can be demultiplexed even when a
+//! client pipelines requests. Plans travel
 //! as their [`Plan`] JSON form and are re-validated through
 //! [`crate::plan::PlanBuilder`] during decoding, so an invalid plan
 //! can never be admitted over the wire.
 //!
 //! # Protocol v2
 //!
-//! Version 2 keeps every v1 frame byte-identical and adds:
+//! On top of that request/reply conversation, version 2 has:
 //!
 //! * **Pipelining** — many requests in flight per connection;
 //!   [`WireClient`] exposes `*_pipelined` send halves and `take_*`
@@ -56,8 +56,7 @@
 //!   with [`Message::Credit`] grants (the pipelined client sends one
 //!   right after its hello and replenishes as it consumes chunks). The
 //!   server *pauses* a job's export stream when the window is
-//!   exhausted instead of buffering unboundedly. v1 connections have
-//!   an unlimited window, preserving blocking-client behavior.
+//!   exhausted instead of buffering unboundedly.
 //! * **Attach-by-name** — [`Message::ListJobs`] / [`Message::Attach`]
 //!   let a reconnecting client rediscover running work and resume
 //!   waiting on it without holding the original job id.
@@ -77,17 +76,9 @@ use serde::{field, DeError, Deserialize, Serialize, Value};
 
 use crate::plan::Plan;
 
-/// Newest protocol version, carried by [`Message::Hello`] /
+/// The protocol version, carried by [`Message::Hello`] /
 /// [`Message::ServerHello`] (the pipelined, credit-windowed protocol).
 pub const PROTOCOL_VERSION: u32 = 2;
-
-/// The original blocking protocol version. Servers still speak it:
-/// a v1 hello is echoed back and the connection runs with an
-/// unlimited output-chunk window and no v2 messages.
-pub const PROTOCOL_V1: u32 = 1;
-
-/// Every protocol version the server negotiates.
-pub const SUPPORTED_VERSIONS: [u32; 2] = [PROTOCOL_V1, PROTOCOL_VERSION];
 
 /// The output-chunk window (in chunks) the pipelined [`WireClient`]
 /// advertises right after its hello. Each output chunk is at most
@@ -1501,7 +1492,7 @@ pub struct WireOutcome {
 /// both a blocking request/reply surface and a pipelined one.
 /// [`WireClient::connect`] performs the hello handshake at protocol
 /// v2 and advertises a [`DEFAULT_CREDIT_WINDOW`]-chunk flow-control
-/// window; [`WireClient::connect_v1`] speaks the v1 lockstep dialect.
+/// window.
 ///
 /// Every blocking method (`submit`, `status`, `wait`, …) is sugar for
 /// its pipelined send half (`submit_pipelined`, …) followed by its
@@ -1534,7 +1525,6 @@ pub struct WireClient {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
     next_seq: u64,
-    version: u32,
     /// Reply frames read off the socket for a `seq` other than the one
     /// currently being taken — the demultiplexing side of pipelining.
     parked: HashMap<u64, VecDeque<(Message, Vec<u8>)>>,
@@ -1545,40 +1535,25 @@ impl WireClient {
     /// protocol v2, then advertises a [`DEFAULT_CREDIT_WINDOW`]-chunk
     /// flow-control window with a [`Message::Credit`] grant.
     pub fn connect(addr: impl ToSocketAddrs) -> WireResult<WireClient> {
-        let mut client = Self::handshake(addr, PROTOCOL_VERSION)?;
-        write_frame(&mut client.writer, &Message::Credit { chunks: DEFAULT_CREDIT_WINDOW }, &[])?;
-        Ok(client)
-    }
-
-    /// Connects speaking protocol v1: lockstep request/reply, no flow
-    /// control, unlimited server-side output window — the dialect every
-    /// pre-v2 client uses.
-    pub fn connect_v1(addr: impl ToSocketAddrs) -> WireResult<WireClient> {
-        Self::handshake(addr, PROTOCOL_V1)
-    }
-
-    fn handshake(addr: impl ToSocketAddrs, version: u32) -> WireResult<WireClient> {
         let writer = TcpStream::connect(addr)?;
         writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
-        let mut client =
-            WireClient { reader, writer, next_seq: 1, version, parked: HashMap::new() };
-        write_frame(&mut client.writer, &Message::Hello { version }, &[])?;
+        let mut client = WireClient { reader, writer, next_seq: 1, parked: HashMap::new() };
+        write_frame(&mut client.writer, &Message::Hello { version: PROTOCOL_VERSION }, &[])?;
         match client.reply_for(0)? {
-            (Message::ServerHello { version: v }, _) if v == version => Ok(client),
-            (Message::ServerHello { version: v }, _) => Err(WireClientError::Protocol(format!(
-                "server speaks protocol version {v}, client speaks {version}"
+            (Message::ServerHello { version }, _) if version == PROTOCOL_VERSION => {
+                let credit = Message::Credit { chunks: DEFAULT_CREDIT_WINDOW };
+                write_frame(&mut client.writer, &credit, &[])?;
+                Ok(client)
+            }
+            (Message::ServerHello { version }, _) => Err(WireClientError::Protocol(format!(
+                "server speaks protocol version {version}, client speaks {PROTOCOL_VERSION}"
             ))),
             (other, _) => Err(WireClientError::Protocol(format!(
                 "expected server-hello, got `{}`",
                 other.type_name()
             ))),
         }
-    }
-
-    /// The protocol version this connection negotiated.
-    pub fn version(&self) -> u32 {
-        self.version
     }
 
     /// Submits a job; returns the server-assigned job id.
@@ -1842,9 +1817,7 @@ impl WireClient {
                     return Err(WireClientError::Protocol("server closed the connection".into()))
                 }
                 Some((msg, body)) => {
-                    if self.version >= PROTOCOL_VERSION
-                        && matches!(msg, Message::OutputChunk { .. })
-                    {
+                    if matches!(msg, Message::OutputChunk { .. }) {
                         write_frame(&mut self.writer, &Message::Credit { chunks: 1 }, &[])?;
                     }
                     let got = msg.seq();

@@ -1,6 +1,6 @@
 //! Per-connection protocol state machine for the event-driven wire
 //! front end: an incremental frame decoder on the read side, a queued
-//! writer with a byte cursor on the write side, and the v1/v2
+//! writer with a byte cursor on the write side, and the protocol v2
 //! handshake, request dispatch, and credit-windowed output streaming
 //! in between. Everything here runs on the connection's event-loop
 //! thread; the only cross-thread entry point is the job-completion
@@ -16,7 +16,7 @@ use std::time::Instant;
 use persona::plan::Stage;
 use persona::wire::{
     encode_frame, ErrorCode, FrameDecoder, Message, OutputStream, RawFrame, WireInput,
-    WireJobSummary, OUTPUT_CHUNK_LEN, PROTOCOL_V1, SUPPORTED_VERSIONS,
+    WireJobSummary, OUTPUT_CHUNK_LEN, PROTOCOL_VERSION,
 };
 
 use crate::event_loop::{LoopCmd, LoopCtx};
@@ -25,23 +25,20 @@ use crate::wire::{to_wire_status, MAX_WAITERS_PER_CONN};
 
 /// Stop pumping output chunks into the write queue once it holds this
 /// many bytes; resume as the socket drains. Bounds per-connection
-/// egress buffering even on v1 connections (whose credit window is
-/// unlimited) to roughly two chunks beyond what flow control allows.
+/// egress buffering to roughly two chunks even when the client's
+/// credit window is larger.
 const WRITE_HIGH_WATER: usize = 2 * OUTPUT_CHUNK_LEN;
 
 /// Per readable event, read at most this much before yielding to other
 /// connections; level-triggered polling re-delivers the readiness.
 const MAX_READ_PER_TICK: usize = 4 << 20;
 
-/// A v1 connection's "unlimited" credit window.
-const UNLIMITED_CREDIT: u64 = u64::MAX;
-
 enum Phase {
     /// Nothing decodable has arrived yet; the first message must be a
-    /// version-compatible hello.
+    /// protocol v2 hello.
     AwaitingHello,
-    /// Handshake done at the echoed version; serving requests.
-    Ready { version: u32 },
+    /// Handshake done; serving requests.
+    Ready,
 }
 
 /// One `wait` reply stream being emitted: terminal event already
@@ -66,7 +63,7 @@ pub(crate) struct Conn {
     write_cursor: usize,
     queued_bytes: usize,
     phase: Phase,
-    /// Output-chunk credits remaining ([`UNLIMITED_CREDIT`] on v1).
+    /// Output-chunk credits remaining; opens at zero.
     credit: u64,
     /// Whether chunk pumping is currently paused on an empty window
     /// (`wire.backpressure_stalls` counts the pause *transitions*).
@@ -177,10 +174,9 @@ impl Conn {
     fn process_frame(&mut self, cx: &LoopCtx<'_>, raw: RawFrame) {
         match self.phase {
             Phase::AwaitingHello => match raw.message() {
-                Ok(Message::Hello { version }) if SUPPORTED_VERSIONS.contains(&version) => {
+                Ok(Message::Hello { version }) if version == PROTOCOL_VERSION => {
                     self.enqueue(cx, &Message::ServerHello { version }, &[]);
-                    self.credit = if version == PROTOCOL_V1 { UNLIMITED_CREDIT } else { 0 };
-                    self.phase = Phase::Ready { version };
+                    self.phase = Phase::Ready;
                 }
                 Ok(Message::Hello { version }) => {
                     self.enqueue_error(
@@ -188,7 +184,7 @@ impl Conn {
                         raw.seq(),
                         ErrorCode::UnsupportedVersion,
                         format!(
-                            "server speaks protocol versions {SUPPORTED_VERSIONS:?}, client sent {version}"
+                            "server speaks protocol version {PROTOCOL_VERSION}, client sent {version}"
                         ),
                     );
                     self.closing = true;
@@ -206,29 +202,11 @@ impl Conn {
                     self.enqueue_error(cx, raw.seq(), ErrorCode::BadMessage, e.to_string());
                 }
             },
-            Phase::Ready { version } => {
+            Phase::Ready => {
                 let decode_started = Instant::now();
                 let decoded = raw.message();
                 cx.shared.metrics.decode_ns.observe_duration(decode_started.elapsed());
                 match decoded {
-                    // v2-only request types are refused (not served) on
-                    // a connection that negotiated v1.
-                    Ok(message)
-                        if version == PROTOCOL_V1
-                            && matches!(
-                                message,
-                                Message::Credit { .. }
-                                    | Message::ListJobs { .. }
-                                    | Message::Attach { .. }
-                            ) =>
-                    {
-                        self.enqueue_error(
-                            cx,
-                            message.seq(),
-                            ErrorCode::InvalidRequest,
-                            format!("`{}` requires protocol v2", message.type_name()),
-                        );
-                    }
                     Ok(message) => self.handle_message(cx, message, raw.body),
                     Err(e) => {
                         // A submit whose plan failed re-validation is
@@ -555,9 +533,7 @@ impl Conn {
                 last: end == bytes.len(),
             };
             let chunk = bytes[offset..end].to_vec();
-            if self.credit != UNLIMITED_CREDIT {
-                self.credit -= 1;
-            }
+            self.credit -= 1;
             offset = end;
             if offset == streams[stream_idx].1.len() {
                 stream_idx += 1;

@@ -993,24 +993,30 @@ mod tests {
 
     #[test]
     fn records_roundtrip_through_the_log() {
-        let path = tmp_path("roundtrip");
-        let _ = std::fs::remove_file(&path);
         let records = mixed_records();
-        {
-            let mut j = Journal::open(&path, JournalConfig::default()).unwrap();
-            for r in &records {
-                j.append(r).unwrap();
-            }
-            j.sync().unwrap();
+        for fsync in [FsyncPolicy::Always, FsyncPolicy::Batch(16), FsyncPolicy::Never] {
+            let path = tmp_path(&format!("roundtrip-{}", fsync.metric_name()));
+            let _ = std::fs::remove_file(&path);
+            let written = {
+                let mut j =
+                    Journal::open(&path, JournalConfig { fsync, ..JournalConfig::default() })
+                        .unwrap();
+                for r in &records {
+                    j.append(r).unwrap();
+                }
+                j.sync().unwrap();
+                j.len()
+            };
+            let replayed = Journal::read(&path).unwrap();
+            assert_eq!(replayed.records, records, "{fsync:?}");
+            assert_eq!(replayed.offsets.len(), records.len(), "{fsync:?}");
+            assert_eq!(replayed.good_len, written, "{fsync:?}: replay length");
+            let state = replayed.state();
+            assert_eq!(state.next_id(), 7);
+            assert_eq!(state.job(1).unwrap().terminal, Some((TerminalStatus::Completed, None)));
+            assert!(state.job(2).unwrap().terminal.is_none());
+            assert!(state.dataset("landed").is_some());
         }
-        let replayed = Journal::read(&path).unwrap();
-        assert_eq!(replayed.records, records);
-        assert_eq!(replayed.offsets.len(), records.len());
-        let state = replayed.state();
-        assert_eq!(state.next_id(), 7);
-        assert_eq!(state.job(1).unwrap().terminal, Some((TerminalStatus::Completed, None)));
-        assert!(state.job(2).unwrap().terminal.is_none());
-        assert!(state.dataset("landed").is_some());
     }
 
     #[test]

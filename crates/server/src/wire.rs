@@ -19,13 +19,12 @@
 //! [`persona::runtime::PersonaRuntime`] behind the service's
 //! fair-share scheduler; the front end only moves frames.
 //!
-//! Protocol v2 connections (see `docs/PROTOCOL.md`) may pipeline many
-//! requests and carry a credit-based flow-control window: the server
-//! pauses a job's output-chunk stream when the window is exhausted
-//! (`wire.backpressure_stalls`) and resumes on the next `credit`
-//! grant. v1 connections get the exact blocking request/reply behavior
-//! of the previous front end — same replies, same error taxonomy, same
-//! close semantics — negotiated per connection at the handshake.
+//! Connections speak protocol v2 (see `docs/PROTOCOL.md`): they may
+//! pipeline many requests and carry a credit-based flow-control
+//! window. The server pauses a job's output-chunk stream when the
+//! window is exhausted (`wire.backpressure_stalls`) and resumes on the
+//! next `credit` grant. Any other hello version gets an
+//! `unsupported-version` reply and the connection closes.
 //!
 //! Error handling follows the spec (`docs/PROTOCOL.md`): a frame whose
 //! lengths are intact but whose header does not decode gets a typed

@@ -46,34 +46,48 @@ fn run_stages_separately(fx: &Fixture, name: &str, chunk: usize) -> (Vec<u8>, Ve
     )
 }
 
+/// The fused run matches the stage-by-stage run at every executor
+/// width. The alignment kernel is whichever `PERSONA_KERNEL` selects
+/// (CI runs this file once per dispatch arm); it is process-global, so
+/// this test never switches it.
 #[test]
 fn fused_pipeline_is_byte_identical_to_separate_stages() {
     let fx = Fixture::new(3001, 900);
     let (sep_sorted_manifest, sep_manifest, sep_sam) = run_stages_separately(&fx, "fp", 150);
 
-    let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
-    let rt = PersonaRuntime::new(store.clone(), PersonaConfig::small()).unwrap();
-    let report = Plan::full().run(&rt, fx.fastq_request("fp", 150)).unwrap();
-    let fused_sam = report.sam.as_deref().expect("full plan exports SAM");
+    for threads in [1, 2, 4, 8] {
+        let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
+        let config = PersonaConfig { compute_threads: threads, ..PersonaConfig::small() };
+        let rt = PersonaRuntime::new(store.clone(), config).unwrap();
+        let report = Plan::full().run(&rt, fx.fastq_request("fp", 150)).unwrap();
+        let fused_sam = report.sam.as_deref().expect("full plan exports SAM");
 
-    // Same record counts through every stage.
-    assert_eq!(report.stages.iter().map(|s| s.records()).collect::<Vec<_>>(), [900; 5]);
+        // Same record counts through every stage.
+        assert_eq!(report.stages.iter().map(|s| s.records()).collect::<Vec<_>>(), [900; 5]);
 
-    // Byte-identical outputs: the exported SAM and both persisted
-    // manifests match the stage-by-stage run exactly.
-    assert_eq!(fused_sam, sep_sam, "fused SAM differs from separate-stage SAM");
-    assert_eq!(store.get("fp.manifest.json").unwrap(), sep_manifest);
-    assert_eq!(store.get("fp.sorted.manifest.json").unwrap(), sep_sorted_manifest);
+        // Byte-identical outputs: the exported SAM and both persisted
+        // manifests match the stage-by-stage run exactly.
+        assert_eq!(
+            fused_sam, sep_sam,
+            "fused SAM differs from separate stages at {threads} threads"
+        );
+        assert_eq!(store.get("fp.manifest.json").unwrap(), sep_manifest, "{threads} threads");
+        assert_eq!(
+            store.get("fp.sorted.manifest.json").unwrap(),
+            sep_sorted_manifest,
+            "{threads} threads"
+        );
 
-    // Every stage reports a sane executor share, and the compute-heavy
-    // stages actually used the shared executor.
-    for (stage, elapsed, busy) in report.stage_rows() {
-        assert!(busy.is_finite() && (0.0..=1.0).contains(&busy), "{stage}: busy {busy}");
-        assert!(elapsed <= report.elapsed, "{stage}: elapsed {elapsed:?}");
-    }
-    for stage in [Stage::Align, Stage::Sort] {
-        let busy = report.stage(stage).unwrap().report().busy_fraction();
-        assert!(busy > 0.0, "{stage} must run on the executor");
+        // Every stage reports a sane executor share, and the
+        // compute-heavy stages actually used the shared executor.
+        for (stage, elapsed, busy) in report.stage_rows() {
+            assert!(busy.is_finite() && (0.0..=1.0).contains(&busy), "{stage}: busy {busy}");
+            assert!(elapsed <= report.elapsed, "{stage}: elapsed {elapsed:?}");
+        }
+        for stage in [Stage::Align, Stage::Sort] {
+            let busy = report.stage(stage).unwrap().report().busy_fraction();
+            assert!(busy > 0.0, "{stage} must run on the executor at {threads} threads");
+        }
     }
 }
 

@@ -432,14 +432,20 @@ fn a_job_seen_dispatched_always_has_a_trace() {
 fn version_mismatch_is_rejected_at_handshake() {
     let fx = Fixture::new(8008, 50);
     let server = serve(fx.aligner.clone(), 1);
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    write_frame(&mut stream, &Message::Hello { version: 999 }, &[]).unwrap();
-    match persona::wire::read_message(&mut reader).unwrap().unwrap() {
-        (Message::Error { code, .. }, _) => assert_eq!(code, ErrorCode::UnsupportedVersion),
-        other => panic!("expected unsupported-version, got {other:?}"),
+    // An unknown version and the retired protocol v1 alike: a typed
+    // refusal, then EOF.
+    for version in [999, 1] {
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        write_frame(&mut stream, &Message::Hello { version }, &[]).unwrap();
+        match persona::wire::read_message(&mut reader).unwrap().unwrap() {
+            (Message::Error { code, .. }, _) => {
+                assert_eq!(code, ErrorCode::UnsupportedVersion, "version {version}")
+            }
+            other => panic!("version {version}: expected unsupported-version, got {other:?}"),
+        }
+        assert!(persona::wire::read_message(&mut reader).unwrap().is_none(), "version {version}");
     }
-    assert!(persona::wire::read_message(&mut reader).unwrap().is_none());
 
     // A request before hello is rejected too.
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();

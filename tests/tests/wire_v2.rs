@@ -1,7 +1,6 @@
 //! Protocol v2 end to end: pipelined requests multiplexed on one
 //! connection, credit-based flow control pausing and resuming output
-//! streams, attach-by-name and job listing, and v1 clients speaking to
-//! the v2 server with byte-identical results.
+//! streams, and attach-by-name and job listing.
 
 use std::io::BufReader;
 use std::net::TcpStream;
@@ -13,7 +12,7 @@ use persona::plan::Plan;
 use persona::runtime::PersonaRuntime;
 use persona::wire::{
     read_message, write_frame, Message, SubmitInput, WireClient, WireInput, WireJobStatus,
-    WireSubmit, PROTOCOL_V1, PROTOCOL_VERSION,
+    WireSubmit, PROTOCOL_VERSION,
 };
 use persona_agd::chunk_io::{ChunkStore, MemStore};
 use persona_align::Aligner;
@@ -85,7 +84,6 @@ fn pipelined_submits_and_waits_demultiplex_on_one_connection() {
     let server = serve(fx.aligner.clone(), 4);
 
     let mut client = WireClient::connect(server.local_addr()).unwrap();
-    assert_eq!(client.version(), PROTOCOL_VERSION);
 
     // Send every submit before taking any reply.
     let submit_seqs: Vec<u64> = (0..4)
@@ -243,34 +241,4 @@ fn attach_by_name_and_list_jobs_resolve_other_connections_jobs() {
     // A name nobody submitted is a typed unknown-job error.
     let err = other.attach("no-such-sample").unwrap_err();
     assert!(err.to_string().contains("no job named"), "got: {err}");
-}
-
-/// The v1 dialect against the v2 server: lockstep request/reply, no
-/// credit anywhere, byte-identical output — and v2-only requests are
-/// refused with a typed error on a v1 connection.
-#[test]
-fn v1_client_against_v2_server_is_byte_identical() {
-    let fx = Fixture::new(8106, 300);
-    let reference = in_process_sam(&fx, "ref");
-    let server = serve(fx.aligner.clone(), 2);
-    let addr = server.local_addr();
-
-    let mut v1 = WireClient::connect_v1(addr).unwrap();
-    assert_eq!(v1.version(), PROTOCOL_V1);
-    let job = v1.submit(wire_submit(&fx, "v1-job", "lab")).unwrap();
-    let outcome = v1.wait(job).unwrap();
-    assert_eq!(outcome.status, WireJobStatus::Completed);
-    assert_eq!(outcome.sam, reference, "v1 SAM diverges from the in-process service");
-
-    let mut v2 = WireClient::connect(addr).unwrap();
-    let job2 = v2.submit(wire_submit(&fx, "v2-job", "lab")).unwrap();
-    let outcome2 = v2.wait(job2).unwrap();
-    assert_eq!(outcome2.sam, outcome.sam, "v1 and v2 clients must see identical bytes");
-
-    // list-jobs is a v2 request; a v1 connection gets a typed refusal,
-    // not silence or a close.
-    let err = v1.list_jobs().unwrap_err();
-    assert!(err.to_string().contains("requires protocol v2"), "got: {err}");
-    // The connection survives the refusal.
-    assert_eq!(v1.status(job).unwrap(), WireJobStatus::Completed);
 }
