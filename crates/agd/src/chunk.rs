@@ -190,8 +190,30 @@ impl ChunkData {
 
     /// Serializes and compresses this chunk into its on-disk form.
     pub fn encode(&self, codec: Codec, level: CompressLevel) -> Result<Vec<u8>> {
-        // Re-encode the data block according to the record type.
-        let raw: Cow<'_, [u8]> = match self.record_type {
+        Ok(encode_block(self.record_type, &self.index, &self.stored_block()?, codec, level))
+    }
+
+    /// Parses and decompresses an on-disk chunk: the checks of
+    /// [`RawChunk::decode`], then [`RawChunk::unpack`], which checks
+    /// each base code as it unpacks it.
+    pub fn decode(buf: &[u8]) -> Result<Self> {
+        RawChunk::decode_block(buf)?.unpack()
+    }
+
+    /// The chunk as stored: bases packed into 3-bit words, every other
+    /// record type as is. Fails on a base outside `A,C,G,T,N`.
+    pub fn pack(&self) -> Result<RawChunk> {
+        Ok(RawChunk {
+            record_type: self.record_type,
+            index: self.index.clone(),
+            data: self.stored_block()?.into_owned(),
+            offsets: stored_offsets(self.record_type, &self.index),
+        })
+    }
+
+    /// The data block as stored, before compression.
+    fn stored_block(&self) -> Result<Cow<'_, [u8]>> {
+        Ok(match self.record_type {
             RecordType::CompactBases => {
                 let mut packed = Vec::with_capacity(self.data.len() / 2 + 16);
                 for rec in self.iter() {
@@ -200,27 +222,151 @@ impl ChunkData {
                 Cow::Owned(packed)
             }
             RecordType::Text | RecordType::Results => Cow::Borrowed(&self.data),
+        })
+    }
+}
+
+/// Absolute offsets of the stored records an index describes, with the
+/// total as the last entry.
+fn stored_offsets(record_type: RecordType, index: &[u32]) -> Vec<u64> {
+    let mut offsets = Vec::with_capacity(index.len() + 1);
+    let mut pos = 0u64;
+    offsets.push(pos);
+    for &len in index {
+        pos += match record_type {
+            RecordType::CompactBases => compaction::packed_size(len as usize) as u64,
+            RecordType::Text | RecordType::Results => len as u64,
         };
-        let compressed = codec.compress_level(&raw, level);
-        let header = ChunkHeader {
-            record_type: self.record_type,
-            codec,
-            record_count: self.index.len() as u32,
-            uncompressed_len: raw.len() as u64,
-            compressed_len: compressed.len() as u64,
-            payload_crc: crc32(&compressed),
-        };
-        let mut out = Vec::with_capacity(HEADER_SIZE + 4 * self.index.len() + compressed.len());
-        out.extend_from_slice(&header.encode());
-        for &sz in &self.index {
-            out.extend_from_slice(&sz.to_le_bytes());
+        offsets.push(pos);
+    }
+    offsets
+}
+
+/// Header, relative index and compressed data block: the one place a
+/// chunk object is written.
+fn encode_block(
+    record_type: RecordType,
+    index: &[u32],
+    raw: &[u8],
+    codec: Codec,
+    level: CompressLevel,
+) -> Vec<u8> {
+    let compressed = codec.compress_level(raw, level);
+    let header = ChunkHeader {
+        record_type,
+        codec,
+        record_count: index.len() as u32,
+        uncompressed_len: raw.len() as u64,
+        compressed_len: compressed.len() as u64,
+        payload_crc: crc32(&compressed),
+    };
+    let mut out = Vec::with_capacity(HEADER_SIZE + 4 * index.len() + compressed.len());
+    out.extend_from_slice(&header.encode());
+    for &sz in index {
+        out.extend_from_slice(&sz.to_le_bytes());
+    }
+    out.extend_from_slice(&compressed);
+    out
+}
+
+/// An AGD chunk as stored: the relative index and the decompressed data
+/// block, each record's bytes as the block holds them — bases stay
+/// packed 3-bit words. This is what a step that only moves records
+/// works on (the sort): it copies stored bytes from chunk to chunk and
+/// never unpacks or repacks a base.
+///
+/// [`RawChunk::decode`] makes every check [`ChunkData::decode`] makes,
+/// and leaves each packed record canonical, as
+/// [`compaction::canonicalize_record`] describes: a raw chunk encodes to
+/// the bytes that unpacking it and encoding the [`ChunkData`] would.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RawChunk {
+    record_type: RecordType,
+    /// Per-record index entries (bases for compacted bases, bytes
+    /// otherwise), as in the stored relative index.
+    index: Vec<u32>,
+    /// The decompressed data block.
+    data: Vec<u8>,
+    /// Byte offset of each record in `data`, with the total last.
+    offsets: Vec<u64>,
+}
+
+impl RawChunk {
+    /// An empty chunk with room for `records` records of `bytes` stored
+    /// bytes in total.
+    pub fn with_capacity(record_type: RecordType, records: usize, bytes: usize) -> Self {
+        let mut offsets = Vec::with_capacity(records + 1);
+        offsets.push(0);
+        RawChunk {
+            record_type,
+            index: Vec::with_capacity(records),
+            data: Vec::with_capacity(bytes),
+            offsets,
         }
-        out.extend_from_slice(&compressed);
-        Ok(out)
     }
 
-    /// Parses and decompresses an on-disk chunk.
+    /// Record encoding.
+    pub fn record_type(&self) -> RecordType {
+        self.record_type
+    }
+
+    /// Number of records in the chunk.
+    pub fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// Whether the chunk holds no records.
+    pub fn is_empty(&self) -> bool {
+        self.index.is_empty()
+    }
+
+    /// Record `i` as stored: packed words for a bases chunk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    #[inline]
+    pub fn record(&self, i: usize) -> &[u8] {
+        &self.data[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// Appends record `i` of `src`, copying its stored bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two chunks' record types differ or `i` is out of
+    /// range.
+    #[inline]
+    pub fn push_from(&mut self, src: &RawChunk, i: usize) {
+        assert_eq!(self.record_type, src.record_type, "records move between chunks of one type");
+        self.index.push(src.index[i]);
+        self.data.extend_from_slice(src.record(i));
+        self.offsets.push(self.data.len() as u64);
+    }
+
+    /// Serializes and compresses this chunk into its on-disk form.
+    pub fn encode(&self, codec: Codec, level: CompressLevel) -> Vec<u8> {
+        encode_block(self.record_type, &self.index, &self.data, codec, level)
+    }
+
+    /// Parses and decompresses an on-disk chunk, checking the header,
+    /// the data block's checksum and length, and that the relative index
+    /// covers the block exactly; for a bases chunk also every base code
+    /// (see [`compaction::canonicalize_record`]).
     pub fn decode(buf: &[u8]) -> Result<Self> {
+        let mut chunk = RawChunk::decode_block(buf)?;
+        if chunk.record_type == RecordType::CompactBases {
+            for (w, &n_bases) in chunk.offsets.windows(2).zip(&chunk.index) {
+                let packed = &mut chunk.data[w[0] as usize..w[1] as usize];
+                compaction::canonicalize_record(packed, n_bases as usize)?;
+            }
+        }
+        Ok(chunk)
+    }
+
+    /// [`RawChunk::decode`] short of the base codes: the header, the
+    /// index and the data block, as stored.
+    fn decode_block(buf: &[u8]) -> Result<Self> {
         let header = ChunkHeader::decode(buf)?;
         let n = header.record_count as usize;
         let index_end = HEADER_SIZE + 4 * n;
@@ -231,7 +377,7 @@ impl ChunkData {
             .chunks_exact(4)
             .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
             .collect();
-        let payload_end = index_end + header.compressed_len as usize;
+        let payload_end = index_end.saturating_add(header.compressed_len as usize);
         if buf.len() < payload_end {
             return Err(Error::Format("chunk truncated in data block".into()));
         }
@@ -246,59 +392,67 @@ impl ChunkData {
         // The header's length sizes the output buffer; a forged one is
         // capped by the codec and caught by the comparison below.
         let size_hint = usize::try_from(header.uncompressed_len).unwrap_or(usize::MAX);
-        let raw = header.codec.decompress_sized(payload, size_hint).map_err(Error::Compress)?;
-        if raw.len() as u64 != header.uncompressed_len {
+        let data = header.codec.decompress_sized(payload, size_hint).map_err(Error::Compress)?;
+        if data.len() as u64 != header.uncompressed_len {
             return Err(Error::Format(format!(
                 "data block length {} != header {}",
-                raw.len(),
+                data.len(),
                 header.uncompressed_len
             )));
         }
 
-        // Unpack records and build the absolute index ("generated on the
-        // fly" per the paper).
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u64);
-        let data = match header.record_type {
+        // The absolute index, "generated on the fly" per the paper.
+        let offsets = stored_offsets(header.record_type, &index);
+        let total = *offsets.last().expect("offsets hold the total");
+        match header.record_type {
             RecordType::CompactBases => {
-                let mut data = Vec::with_capacity(raw.len() * 2);
-                let mut pos = 0usize;
-                for &n_bases in &index {
-                    let sz = compaction::packed_size(n_bases as usize);
-                    if pos + sz > raw.len() {
-                        return Err(Error::Format("compacted data shorter than index".into()));
-                    }
-                    compaction::unpack_record(&raw[pos..pos + sz], n_bases as usize, &mut data)?;
-                    pos += sz;
-                    offsets.push(data.len() as u64);
+                if total > data.len() as u64 {
+                    return Err(Error::Format("compacted data shorter than index".into()));
                 }
-                if pos != raw.len() {
+                if total != data.len() as u64 {
                     return Err(Error::Format("trailing bytes after compacted records".into()));
                 }
-                data
             }
             RecordType::Text | RecordType::Results => {
-                let mut pos = 0u64;
-                for &sz in &index {
-                    pos += sz as u64;
-                    offsets.push(pos);
-                }
-                if pos != raw.len() as u64 {
+                if total != data.len() as u64 {
                     return Err(Error::Format(format!(
-                        "index total {pos} != data block length {}",
-                        raw.len()
+                        "index total {total} != data block length {}",
+                        data.len()
                     )));
                 }
-                raw
             }
-        };
-        Ok(ChunkData { record_type: header.record_type, index, data, offsets })
+        }
+        Ok(RawChunk { record_type: header.record_type, index, data, offsets })
+    }
+
+    /// The decoded chunk: bases unpacked to ASCII, every other record
+    /// type moved as is.
+    pub fn unpack(self) -> Result<ChunkData> {
+        let RawChunk { record_type, index, data, offsets } = self;
+        match record_type {
+            RecordType::CompactBases => {
+                let total: u64 = index.iter().map(|&n| n as u64).sum();
+                let mut bases = Vec::with_capacity(total as usize);
+                let mut unpacked = Vec::with_capacity(index.len() + 1);
+                unpacked.push(0u64);
+                for (w, &n_bases) in offsets.windows(2).zip(&index) {
+                    let packed = &data[w[0] as usize..w[1] as usize];
+                    compaction::unpack_record(packed, n_bases as usize, &mut bases)?;
+                    unpacked.push(bases.len() as u64);
+                }
+                Ok(ChunkData { record_type, index, data: bases, offsets: unpacked })
+            }
+            RecordType::Text | RecordType::Results => {
+                Ok(ChunkData { record_type, index, data, offsets })
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_chunk(rt: RecordType) -> ChunkData {
         let records: Vec<&[u8]> = match rt {
@@ -406,5 +560,171 @@ mod tests {
         let mut enc = chunk.encode(Codec::None, CompressLevel::Default).unwrap();
         enc[HEADER_SIZE] = 99; // First record length.
         assert!(ChunkData::decode(&enc).is_err());
+    }
+
+    /// `records` as a bases chunk encoded with `codec`.
+    fn bases_chunk(records: &[&[u8]], codec: Codec) -> Vec<u8> {
+        ChunkData::from_records(RecordType::CompactBases, records.iter().copied())
+            .unwrap()
+            .encode(codec, CompressLevel::Fast)
+            .unwrap()
+    }
+
+    /// Rewrites the data block of an uncompressed chunk with `edit`,
+    /// fixing up the header's length and checksum.
+    fn edit_block(enc: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let header = ChunkHeader::decode(enc).unwrap();
+        assert_eq!(header.codec, Codec::None);
+        let block_at = enc.len() - header.compressed_len as usize;
+        let mut block = enc[block_at..].to_vec();
+        edit(&mut block);
+        let header = ChunkHeader {
+            uncompressed_len: block.len() as u64,
+            compressed_len: block.len() as u64,
+            payload_crc: crc32(&block),
+            ..header
+        };
+        let mut out = header.encode().to_vec();
+        out.extend_from_slice(&enc[HEADER_SIZE..block_at]);
+        out.extend_from_slice(&block);
+        out
+    }
+
+    fn err_text<T: std::fmt::Debug>(r: Result<T>) -> String {
+        r.expect_err("decode must fail").to_string()
+    }
+
+    #[test]
+    fn raw_chunk_keeps_bases_packed() {
+        let records: [&[u8]; 3] = [b"ACGTN", b"", b"ACGTACGTACGTACGTACGTAC"];
+        let enc = bases_chunk(&records, Codec::Gzip);
+        let raw = RawChunk::decode(&enc).unwrap();
+        assert_eq!(raw.len(), 3);
+        assert_eq!(raw.record_type(), RecordType::CompactBases);
+        for (i, rec) in records.iter().enumerate() {
+            assert_eq!(raw.record(i), compaction::pack(rec).unwrap());
+        }
+        assert_eq!(raw.encode(Codec::Gzip, CompressLevel::Fast), enc);
+        assert_eq!(raw.unpack().unwrap(), ChunkData::decode(&enc).unwrap());
+    }
+
+    #[test]
+    fn raw_chunk_gathers_records_by_copy() {
+        let src = RawChunk::decode(&bases_chunk(&[b"AC", b"GGT", b"N"], Codec::None)).unwrap();
+        let mut out = RawChunk::with_capacity(RecordType::CompactBases, 3, 24);
+        for i in [2, 0, 1] {
+            out.push_from(&src, i);
+        }
+        let want = bases_chunk(&[b"N", b"AC", b"GGT"], Codec::None);
+        assert_eq!(out.encode(Codec::None, CompressLevel::Fast), want);
+    }
+
+    #[test]
+    fn raw_chunk_rejects_a_bad_base_code_like_chunk_data() {
+        let enc = bases_chunk(&[b"ACGT", b"TTTTTTTTTTTTTTTTTTTTTTTTT"], Codec::None);
+        // Code 7 in the second record's second base.
+        let bad = edit_block(&enc, |block| block[8] |= 7 << 3);
+        let want = err_text(ChunkData::decode(&bad));
+        assert!(want.contains("invalid 3-bit base code 7"), "{want}");
+        assert_eq!(err_text(RawChunk::decode(&bad)), want);
+    }
+
+    #[test]
+    fn raw_chunk_rejects_what_chunk_data_rejects() {
+        let enc = bases_chunk(&[b"ACGT", b"GATTACA"], Codec::None);
+        let mut crc = enc.clone();
+        *crc.last_mut().unwrap() ^= 1;
+        let short = edit_block(&enc, |block| block.truncate(block.len() - 8));
+        let trailing = edit_block(&enc, |block| block.extend_from_slice(&[0; 8]));
+        let text = ChunkData::from_records(RecordType::Text, [b"ab".as_slice(), b"c"])
+            .unwrap()
+            .encode(Codec::None, CompressLevel::Fast)
+            .unwrap();
+        let text_short = edit_block(&text, |block| block.truncate(2));
+        assert!(matches!(
+            RawChunk::decode(&crc),
+            Err(Error::Compress(persona_compress::Error::ChecksumMismatch { .. }))
+        ));
+        assert_eq!(
+            err_text(RawChunk::decode(&short)),
+            "format error: compacted data shorter than index"
+        );
+        assert_eq!(
+            err_text(RawChunk::decode(&trailing)),
+            "format error: trailing bytes after compacted records"
+        );
+        assert!(err_text(RawChunk::decode(&text_short)).contains("!= data block length"));
+        for bad in [&crc, &short, &trailing, &text_short] {
+            assert_eq!(err_text(RawChunk::decode(bad)), err_text(ChunkData::decode(bad)));
+        }
+        for cut in [3, HEADER_SIZE - 1, HEADER_SIZE + 3, enc.len() - 1] {
+            assert!(RawChunk::decode(&enc[..cut]).is_err(), "cut {cut}");
+        }
+    }
+
+    /// Bits no base uses are zeroed on decode, so the chunk re-encodes
+    /// to what packing the same bases writes.
+    #[test]
+    fn raw_chunk_zeroes_unused_bits() {
+        let records: [&[u8]; 3] = [b"A", b"ACGTACGTACGTACGTACGTA", b"CCCCCCCCCCCCCCCCCCCCCCC"];
+        let enc = bases_chunk(&records, Codec::None);
+        let dirty = edit_block(&enc, |block| {
+            // Top bit of every word, and the tails of the partial ones.
+            for (at, used) in [(0, 1), (8, 21), (16, 21), (24, 2)] {
+                let word = u64::from_le_bytes(block[at..at + 8].try_into().unwrap());
+                let word = word | !0u64 << (3 * used);
+                block[at..at + 8].copy_from_slice(&word.to_le_bytes());
+            }
+        });
+        assert_ne!(dirty, enc);
+        let raw = RawChunk::decode(&dirty).unwrap();
+        assert_eq!(raw.encode(Codec::None, CompressLevel::Fast), enc);
+        assert_eq!(raw.unpack().unwrap(), ChunkData::decode(&dirty).unwrap());
+    }
+
+    /// Every single-bit flip of an encoded bases chunk decodes or fails
+    /// with an error, both ways alike; nothing panics.
+    #[test]
+    fn raw_chunk_survives_every_single_bit_flip() {
+        let records: [&[u8]; 4] = [b"ACGTN", b"", b"GATTACAGATTACAGATTACAGA", b"T"];
+        for codec in [Codec::None, Codec::Gzip] {
+            let enc = bases_chunk(&records, codec);
+            for bit in 0..enc.len() * 8 {
+                let mut flipped = enc.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                match (RawChunk::decode(&flipped), ChunkData::decode(&flipped)) {
+                    (Ok(raw), Ok(data)) => assert_eq!(raw.unpack().unwrap(), data, "bit {bit}"),
+                    (Err(raw), Err(data)) => {
+                        assert_eq!(raw.to_string(), data.to_string(), "bit {bit}")
+                    }
+                    (raw, data) => panic!("bit {bit}: {raw:?} vs {data:?}"),
+                }
+            }
+        }
+    }
+
+    fn any_records() -> impl Strategy<Value = Vec<Vec<u8>>> {
+        proptest::collection::vec(
+            proptest::collection::vec(
+                prop_oneof![Just(b'A'), Just(b'C'), Just(b'G'), Just(b'T'), Just(b'N')],
+                0..90,
+            ),
+            0..30,
+        )
+    }
+
+    proptest! {
+        /// `ChunkData` is `RawChunk` plus unpacking and packing.
+        #[test]
+        fn chunk_data_is_raw_chunk_plus_unpack(records in any_records(), text in any::<bool>()) {
+            let rt = if text { RecordType::Text } else { RecordType::CompactBases };
+            let data = ChunkData::from_records(rt, records.iter().map(|r| r.as_slice())).unwrap();
+            let raw = data.pack().unwrap();
+            let enc = data.encode(Codec::Gzip, CompressLevel::Fast).unwrap();
+            prop_assert_eq!(raw.encode(Codec::Gzip, CompressLevel::Fast), enc.clone());
+            let decoded = RawChunk::decode(&enc).unwrap();
+            prop_assert_eq!(&decoded, &raw);
+            prop_assert_eq!(decoded.unpack().unwrap(), ChunkData::decode(&enc).unwrap());
+        }
     }
 }

@@ -104,13 +104,9 @@ pub fn unpack_record(packed: &[u8], n_bases: usize, out: &mut Vec<u8>) -> Result
     for wbytes in packed.chunks_exact(8) {
         let word = u64::from_le_bytes(wbytes.try_into().expect("chunks_exact(8)"));
         let take = remaining.min(BASES_PER_WORD);
-        // A code above 4 has bit 2 and one of bits 0, 1 set; only the
-        // record's own codes count, not the word's unused tail.
-        let bad = (word >> 2) & (word | word >> 1) & CODE_LOW_BITS & ((1u64 << (3 * take)) - 1);
-        if bad != 0 {
+        if let Err(e) = check_word(word, take) {
             out.truncate(start);
-            let code = (word >> (bad.trailing_zeros() / 3 * 3)) & 7;
-            return Err(Error::Format(format!("invalid 3-bit base code {code}")));
+            return Err(e);
         }
         let mut bases = [0u8; BASES_PER_WORD];
         for (i, b) in bases.iter_mut().enumerate() {
@@ -120,6 +116,43 @@ pub fn unpack_record(packed: &[u8], n_bases: usize, out: &mut Vec<u8>) -> Result
         remaining -= take;
     }
     debug_assert_eq!(remaining, 0);
+    Ok(())
+}
+
+/// Checks the first `take` codes of a packed word: a code above 4 has
+/// bit 2 and one of bits 0, 1 set. Only the record's own codes count,
+/// not the word's unused tail.
+#[inline(always)]
+fn check_word(word: u64, take: usize) -> Result<()> {
+    let bad = (word >> 2) & (word | word >> 1) & CODE_LOW_BITS & ((1u64 << (3 * take)) - 1);
+    if bad != 0 {
+        let code = (word >> (bad.trailing_zeros() / 3 * 3)) & 7;
+        return Err(Error::Format(format!("invalid 3-bit base code {code}")));
+    }
+    Ok(())
+}
+
+/// Brings a packed record of `n_bases` bases, in place, to the form
+/// [`pack_record`] writes: checks every base code as [`unpack_record`]
+/// does (with the same errors) and zeroes the bits no base uses — the
+/// top bit of every word and the tail of the last. A canonical record
+/// can be copied between chunks as stored bytes.
+pub fn canonicalize_record(packed: &mut [u8], n_bases: usize) -> Result<()> {
+    if packed.len() != packed_size(n_bases) {
+        return Err(Error::Format(format!(
+            "packed record size {} does not match {} bases",
+            packed.len(),
+            n_bases
+        )));
+    }
+    let mut remaining = n_bases;
+    for wbytes in packed.chunks_exact_mut(8) {
+        let word = u64::from_le_bytes((&*wbytes).try_into().expect("chunks_exact_mut(8)"));
+        let take = remaining.min(BASES_PER_WORD);
+        check_word(word, take)?;
+        wbytes.copy_from_slice(&(word & ((1u64 << (3 * take)) - 1)).to_le_bytes());
+        remaining -= take;
+    }
     Ok(())
 }
 
@@ -271,6 +304,58 @@ mod tests {
                 (got, want) => prop_assert!(false, "{:?} vs {:?}", got, want),
             }
         }
+    }
+
+    proptest! {
+        /// Garbage in the bits no base uses is cleared to what packing
+        /// writes; a bad code anywhere in the record fails as unpacking
+        /// fails.
+        #[test]
+        fn canonicalizes_to_the_packed_form(
+            bases in base_vec(301),
+            spoil in proptest::collection::vec((any::<usize>(), 0usize..22, 0u64..8), 0..4),
+        ) {
+            let clean = pack(&bases).unwrap();
+            let mut packed = clean.clone();
+            for (word, slot, code) in spoil {
+                if packed.is_empty() {
+                    break;
+                }
+                let at = word % (packed.len() / 8) * 8;
+                let mut w = u64::from_le_bytes(packed[at..at + 8].try_into().unwrap());
+                w = (w & !(7 << (3 * slot))) | code << (3 * slot);
+                packed[at..at + 8].copy_from_slice(&w.to_le_bytes());
+            }
+            let unpacked = unpack(&packed, bases.len());
+            let mut got = packed.clone();
+            match (canonicalize_record(&mut got, bases.len()), unpacked) {
+                (Ok(()), Ok(unpacked)) => prop_assert_eq!(pack(&unpacked).unwrap(), got),
+                (Err(got_err), Err(want_err)) => {
+                    prop_assert_eq!(got_err.to_string(), want_err.to_string())
+                }
+                (got, want) => prop_assert!(false, "{:?} vs {:?}", got, want),
+            }
+        }
+    }
+
+    #[test]
+    fn canonicalize_zeroes_every_unused_bit() {
+        for len in [1usize, 20, 21, 22, 42, 101] {
+            let bases: Vec<u8> = (0..len).map(|i| b"ACGTN"[i % 5]).collect();
+            let clean = pack(&bases).unwrap();
+            let mut dirty = clean.clone();
+            let mut remaining = len;
+            for w in dirty.chunks_exact_mut(8) {
+                let take = remaining.min(BASES_PER_WORD);
+                let word = u64::from_le_bytes((&*w).try_into().unwrap()) | !0u64 << (3 * take);
+                w.copy_from_slice(&word.to_le_bytes());
+                remaining -= take;
+            }
+            assert_ne!(dirty, clean);
+            canonicalize_record(&mut dirty, len).unwrap();
+            assert_eq!(dirty, clean, "{len} bases");
+        }
+        assert!(canonicalize_record(&mut [0u8; 8], 22).is_err());
     }
 
     #[test]

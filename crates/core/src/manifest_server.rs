@@ -163,9 +163,9 @@ impl Sharded {
     }
 
     /// One work-stealing sweep: preferred shard first, then the rest.
-    /// Decrements `len` on success; the *caller* must then notify
-    /// `not_full` under the gate (this function must stay gate-free —
-    /// `fetch` calls it while already holding the gate).
+    /// Decrements `len` on success; the *caller* must then call
+    /// [`Sharded::notify_taken`] under the gate (this function must stay
+    /// gate-free — `fetch` calls it while already holding the gate).
     fn try_steal(&self, ticket: usize) -> Option<ChunkTask> {
         let n = self.shards.len();
         for k in 0..n {
@@ -184,13 +184,25 @@ impl Sharded {
         None
     }
 
+    /// Wakes whoever a successful take may unblock; the caller holds the
+    /// gate. A producer may be waiting for room. And a task is popped
+    /// before `len` drops, so on a closed queue a fetcher can see the
+    /// shards empty but `len` not yet 0 and go to sleep; no push will
+    /// ever wake it, so every fetcher re-checks for the end.
+    fn notify_taken(&self) {
+        self.not_full.notify_one();
+        if self.closed.load(Ordering::SeqCst) {
+            self.not_empty.notify_all();
+        }
+    }
+
     /// Blocking fetch; `None` once closed and drained.
     fn fetch(&self) -> Option<ChunkTask> {
         let ticket = self.fetch_ticket.fetch_add(1, Ordering::Relaxed);
         loop {
             if let Some(task) = self.try_steal(ticket) {
                 let _gate = self.gate.lock();
-                self.not_full.notify_one();
+                self.notify_taken();
                 return Some(task);
             }
             let mut gate = self.gate.lock();
@@ -198,7 +210,7 @@ impl Sharded {
             // the lock-free sweep must still acquire the gate to
             // notify, so it cannot slip between this scan and the wait.
             if let Some(task) = self.try_steal(ticket) {
-                self.not_full.notify_one();
+                self.notify_taken();
                 return Some(task);
             }
             if self.closed.load(Ordering::SeqCst) && self.len.load(Ordering::SeqCst) == 0 {
@@ -303,10 +315,10 @@ impl ManifestServer {
     pub fn try_fetch(&self) -> Option<ChunkTask> {
         let ticket = self.inner.fetch_ticket.fetch_add(1, Ordering::Relaxed);
         let task = self.inner.try_steal(ticket)?;
-        // `try_steal` is gate-free; the caller owes the not_full notify
-        // (same contract as the sweep inside `fetch`).
+        // `try_steal` is gate-free; the caller owes the notify (same
+        // contract as the sweep inside `fetch`).
         let _gate = self.inner.gate.lock();
-        self.inner.not_full.notify_one();
+        self.inner.notify_taken();
         Some(task)
     }
 

@@ -193,11 +193,13 @@ fn align_chunks(
             let load = exec.spawn_one(move || {
                 let bases = load_column(store.as_ref(), &stem, columns::BASES)?;
                 let quals = load_column(store.as_ref(), &stem, columns::QUAL)?;
-                if bases.len() != n as usize {
-                    return Err(Error::Pipeline(format!(
-                        "chunk {stem}: {} records on disk, {n} in manifest",
-                        bases.len()
-                    )));
+                for (column, chunk) in [(columns::BASES, &bases), (columns::QUAL, &quals)] {
+                    if chunk.len() != n as usize {
+                        return Err(Error::Pipeline(format!(
+                            "chunk {stem}: {} {column} records on disk, {n} in manifest",
+                            chunk.len()
+                        )));
+                    }
                 }
                 Ok(Loaded { bases, quals })
             });
@@ -424,6 +426,30 @@ mod tests {
             config: PersonaConfig::small(),
         });
         assert!(err.is_err());
+    }
+
+    /// A column shorter than the manifest says fails the stage with a
+    /// typed error naming the chunk, not a panic in an align task, and
+    /// the dataset's manifest stays as it was.
+    #[test]
+    fn short_column_is_a_typed_error() {
+        for column in [columns::BASES, columns::QUAL] {
+            let (_genome, store, manifest, aligner) = build_world(100, 25);
+            let name = Manifest::chunk_object_name("t-1", column);
+            let chunk = ChunkData::decode(&store.get(&name).unwrap()).unwrap();
+            let short = ChunkData::from_records(chunk.record_type, chunk.iter().skip(1)).unwrap();
+            store.put(&name, &short.encode(Codec::Gzip, CompressLevel::Fast).unwrap()).unwrap();
+            let before = store.get("t.manifest.json").unwrap();
+            let rt = PersonaRuntime::new(store.clone(), PersonaConfig::small()).unwrap();
+            let err = align_rt(&rt, Edge::Landed(manifest), aligner, &[], None).unwrap_err();
+            match err {
+                Error::Pipeline(msg) => {
+                    assert!(msg.contains("chunk t-1") && msg.contains(column), "{msg}")
+                }
+                other => panic!("{column}: expected a pipeline error, got {other:?}"),
+            }
+            assert_eq!(store.get("t.manifest.json").unwrap(), before, "{column}");
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, Sender};
 use std::time::Duration;
 
-use persona_agd::chunk::ChunkData;
+use persona_agd::chunk::{ChunkData, RawChunk};
 use persona_agd::chunk_io::ChunkStore;
 use persona_agd::manifest::Manifest;
 use persona_telemetry::MetricsRegistry;
@@ -125,12 +125,24 @@ pub(crate) fn push(feeder: Option<&ChunkFeeder>, task: ChunkTask) -> Result<()> 
     }
 }
 
+/// Reads one column object of a chunk.
+fn get_column(store: &dyn ChunkStore, stem: &str, column: &str) -> Result<Vec<u8>> {
+    let name = Manifest::chunk_object_name(stem, column);
+    Ok(store.get(&name).map_err(|e| std::io::Error::new(e.kind(), format!("read {name}: {e}")))?)
+}
+
 /// Reads and decodes one column object of a chunk.
 pub(crate) fn load_column(store: &dyn ChunkStore, stem: &str, column: &str) -> Result<ChunkData> {
-    let name = Manifest::chunk_object_name(stem, column);
-    let raw =
-        store.get(&name).map_err(|e| std::io::Error::new(e.kind(), format!("read {name}: {e}")))?;
-    Ok(ChunkData::decode(&raw)?)
+    Ok(ChunkData::decode(&get_column(store, stem, column)?)?)
+}
+
+/// Reads one column object of a chunk, decoded to its stored records.
+pub(crate) fn load_raw_column(
+    store: &dyn ChunkStore,
+    stem: &str,
+    column: &str,
+) -> Result<RawChunk> {
+    Ok(RawChunk::decode(&get_column(store, stem, column)?)?)
 }
 
 /// The executor step one chunk of a stage is waiting on.

@@ -8,7 +8,12 @@
 //! Sorting an AGD dataset reorders *all* row-grouped columns by the key
 //! (aligned location or read metadata). Unlike row-oriented SAM/BAM
 //! sorting, records never need re-parsing: columns are permuted as
-//! opaque byte slices, with only the key column decoded.
+//! opaque byte slices, with only the key column decoded. A sorted run
+//! is its keys plus one [`RawChunk`] arena per column, holding the
+//! records as the data block stores them — bases stay packed 3-bit
+//! words, never unpacked to ASCII and packed again. Loading a chunk
+//! copies each column once, in sorted order; a fold copies the slices
+//! it merges into new arenas. No step allocates per record.
 //!
 //! The sort is **incremental**: it pulls chunk tasks from its input
 //! edge's [`ManifestServer`](crate::manifest_server::ManifestServer)
@@ -21,14 +26,24 @@
 //! interleaving — byte identical to sorting the finished dataset in one
 //! shot ([`sort_dataset`], the same code over a landed dataset).
 //!
-//! Every compute phase — per-chunk load+sort, superchunk merges, output
-//! chunk encode+write — runs as tagged task batches on the runtime's
-//! shared executor; the sort stage owns no threads of its own.
+//! **The final merge is the write.** Because the composite keys are
+//! unique, the record at global rank *r* is well defined, and a binary
+//! search over the keys finds where every run must be cut so that the
+//! cuts hold exactly the first *r* records (co-ranking: Merge Path,
+//! Odeh et al., IPDPS 2012, generalised from two runs to k). Output
+//! chunk *k* holds ranks `k·chunk_size ..`, so it is one independent
+//! task: co-rank its two ends, merge the slices between, gather each
+//! column, encode, put. Chunk boundaries are the serial merge's, so the
+//! bytes are too.
+//!
+//! Every compute phase — per-chunk load+sort, superchunk folds, output
+//! chunk merge+encode+write — runs as tagged task batches on the
+//! runtime's shared executor; the sort stage owns no threads of its own.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use persona_agd::chunk::{ChunkData, RecordType};
+use persona_agd::chunk::{ChunkData, RawChunk, RecordType};
 use persona_agd::chunk_io::ChunkStore;
 use persona_agd::columns;
 use persona_agd::manifest::{ChunkEntry, Manifest, SortOrder};
@@ -38,7 +53,7 @@ use persona_compress::deflate::CompressLevel;
 
 use crate::config::PersonaConfig;
 use crate::manifest_server::ChunkTask;
-use crate::pipeline::{load_column, Edge, StageReport};
+use crate::pipeline::{drive, load_raw_column, Edge, Progress, StageReport};
 use crate::runtime::PersonaRuntime;
 use crate::{Error, Result};
 
@@ -81,32 +96,87 @@ impl StageReport for SortReport {
     }
 }
 
-/// All columns of one loaded (or merged) run, as parallel record arrays.
-struct Run {
-    /// `(key, tie)` per record. The tie embeds the record's global
-    /// origin — `(chunk index << 32) | position in chunk` — which makes
-    /// the composite unique across the dataset, so every merge order
-    /// and every arrival order produce the same output: records of
-    /// equal key come out in (chunk, position) order. Both components
-    /// are u32-bounded (chunk counts and `ChunkEntry::num_records` are
-    /// `u32`), so the packing cannot collide.
-    keys: Vec<(Key, u64)>,
-    meta: Vec<Vec<u8>>,
-    bases: Vec<Vec<u8>>,
-    quals: Vec<Vec<u8>>,
-    results: Vec<Vec<u8>>,
+/// The columns a run carries, in arena order: metadata, bases and
+/// qualities, then results when the dataset has them.
+const COLUMNS: [(&str, RecordType); 4] = [
+    (columns::METADATA, RecordType::Text),
+    (columns::BASES, RecordType::CompactBases),
+    (columns::QUAL, RecordType::Text),
+    (columns::RESULTS, RecordType::Results),
+];
+/// The columns of a dataset's runs.
+fn run_columns(has_results: bool) -> &'static [(&'static str, RecordType)] {
+    &COLUMNS[..if has_results { 4 } else { 3 }]
 }
 
-/// A sort key: either a location or a name.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-enum Key {
+/// Arena of the metadata column, a query-name sort's key.
+const META: usize = 0;
+/// Arena of the results column, a coordinate sort's key.
+const RESULTS: usize = 3;
+
+/// One sorted run: its records' sort keys, and every column's records
+/// in sorted order as stored bytes, one arena per column. A run costs
+/// O(columns) allocations whatever its length.
+#[cfg_attr(test, derive(Debug, PartialEq))]
+struct Run {
+    /// The tie per record. It embeds the record's global origin —
+    /// `(chunk index << 32) | position in chunk` — which makes the
+    /// composite `(key, tie)` unique across the dataset, so every merge
+    /// order and every arrival order produce the same output: records
+    /// of equal key come out in (chunk, position) order. Both
+    /// components are u32-bounded (chunk counts and
+    /// `ChunkEntry::num_records` are `u32`), so the packing cannot
+    /// collide.
+    ties: Vec<u64>,
+    /// The aligned location per record in a coordinate sort; empty in a
+    /// query-name sort, whose key is the record's metadata.
+    locations: Vec<i64>,
+    /// One arena per column, in [`COLUMNS`] order.
+    columns: Vec<RawChunk>,
+}
+
+/// One executor task of the run phase.
+enum Work {
+    /// Merge a group of runs into a superchunk.
+    Fold(Vec<Run>),
+    /// Load a chunk and sort it into a run.
+    Load(ChunkTask),
+}
+
+/// A sort key, borrowed from its run: either a location or a name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Key<'a> {
     Location(i64),
-    Name(Vec<u8>),
+    Name(&'a [u8]),
 }
 
 impl Run {
     fn len(&self) -> usize {
-        self.keys.len()
+        self.ties.len()
+    }
+
+    /// The composite key of record `i`.
+    #[inline]
+    fn key(&self, i: usize) -> (Key<'_>, u64) {
+        let key = match self.locations.get(i) {
+            Some(&location) => Key::Location(location),
+            None => Key::Name(self.columns[META].record(i)),
+        };
+        (key, self.ties[i])
+    }
+
+    /// How many records sort below `key`.
+    fn count_below(&self, key: (Key<'_>, u64)) -> usize {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.key(mid) < key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
     }
 }
 
@@ -159,52 +229,63 @@ pub(crate) fn sort_rt(
     let fanin = 8usize;
     let store = rt.store().clone();
 
-    // Chunk-level runs awaiting a superchunk merge, and the superchunk
-    // tier itself (also folded when it grows past the fan-in).
+    // Chunk-level runs awaiting a superchunk merge, the superchunk tier
+    // itself (also folded when it grows past the fan-in), and the groups
+    // due for a fold. A fold is one executor task; it runs in the same
+    // batch as the next chunks' loads, so it keeps a worker busy
+    // instead of holding the others idle.
     let mut pending: Vec<Run> = Vec::new();
     let mut merged: Vec<Run> = Vec::new();
+    let mut due: Vec<Vec<Run>> = Vec::new();
     let mut n_runs = 0usize;
     let mut superchunks = 0usize;
     let mut first_run_at: Option<Instant> = None;
 
-    let fold = |exec: &crate::runtime::StageExec, group: Vec<Run>| -> Result<Run> {
-        Ok(exec.map(vec![group], |_, g| merge_runs(g))?.pop().expect("merge result"))
+    let run_batch = |folds: Vec<Vec<Run>>, loads: Vec<ChunkTask>| -> Result<Vec<Run>> {
+        let store = store.clone();
+        let work = folds.into_iter().map(Work::Fold).chain(loads.into_iter().map(Work::Load));
+        exec.map(work.collect(), move |_, work| match work {
+            Work::Fold(group) => Ok(fold(group)),
+            Work::Load(task) => load_sorted_run(store.as_ref(), &task, key, has_results),
+        })?
+        .into_iter()
+        .collect()
     };
 
     loop {
         rt.check_cancelled()?;
-        // Block for one task, then drain whatever else upstream has
-        // already finished (up to one merge group) without waiting.
-        let Some(first) = server.fetch() else { break };
-        let mut batch = vec![first];
-        while batch.len() < fanin {
+        // Block for one task unless a fold is due, then drain whatever
+        // else upstream has already finished (up to one merge group)
+        // without waiting.
+        let first = if due.is_empty() { server.fetch() } else { server.try_fetch() };
+        if first.is_none() && due.is_empty() {
+            break;
+        }
+        let mut batch: Vec<ChunkTask> = first.into_iter().collect();
+        while !batch.is_empty() && batch.len() < fanin {
             match server.try_fetch() {
                 Some(task) => batch.push(task),
                 None => break,
             }
         }
         n_runs += batch.len();
-        let loaded: Vec<Run> = {
-            let store = store.clone();
-            exec.map(batch, move |_, task| {
-                load_sorted_run(store.as_ref(), &task, key, has_results)
-            })?
-            .into_iter()
-            .collect::<Result<_>>()?
-        };
-        first_run_at.get_or_insert_with(Instant::now);
-        pending.extend(loaded);
+        let folds = std::mem::take(&mut due);
+        let n_folds = folds.len();
+        let mut runs = run_batch(folds, batch)?;
+        pending.extend(runs.split_off(n_folds));
+        merged.append(&mut runs);
+        if n_runs > 0 {
+            first_run_at.get_or_insert_with(Instant::now);
+        }
         // Eagerly fold full groups into superchunks while upstream is
         // still producing — the overlap this stage exists for.
-        while pending.len() >= fanin {
-            let group: Vec<Run> = pending.drain(..fanin).collect();
+        if merged.len() >= fanin {
             superchunks += 1;
-            merged.push(fold(&exec, group)?);
-            if merged.len() >= fanin {
-                let group: Vec<Run> = merged.drain(..).collect();
-                superchunks += 1;
-                merged.push(fold(&exec, group)?);
-            }
+            due.push(std::mem::take(&mut merged));
+        }
+        while pending.len() >= fanin {
+            superchunks += 1;
+            due.push(pending.drain(..fanin).collect());
         }
     }
     rt.check_cancelled()?;
@@ -214,17 +295,14 @@ pub(crate) fn sort_rt(
     // peers; on a small dataset they go straight to the final merge.
     if !pending.is_empty() && !merged.is_empty() {
         superchunks += 1;
-        let group = std::mem::take(&mut pending);
-        merged.push(fold(&exec, group)?);
+        merged.extend(run_batch(vec![std::mem::take(&mut pending)], Vec::new())?);
     } else {
         merged.append(&mut pending);
     }
-    let final_run = fold(&exec, merged)?;
-    let records = final_run.len() as u64;
+    let records = merged.iter().map(|r| r.len() as u64).sum();
 
     let src = input.manifest()?;
-    let out_manifest =
-        write_sorted_dataset(rt, &timer, out_name, &src, final_run, key, has_results)?;
+    let out_manifest = write_sorted_dataset(rt, &timer, out_name, &src, merged, key, has_results)?;
 
     let stage = timer.finish();
     Ok((
@@ -240,125 +318,181 @@ pub(crate) fn sort_rt(
     ))
 }
 
-impl Default for Run {
-    fn default() -> Self {
-        Run {
-            keys: Vec::new(),
-            meta: Vec::new(),
-            bases: Vec::new(),
-            quals: Vec::new(),
-            results: Vec::new(),
-        }
-    }
-}
-
-/// Loads one chunk's columns and sorts them by `(key, origin)`.
+/// Loads one chunk's columns and sorts them by `(key, origin)`: the
+/// columns are copied once, in sorted order, into the run's arenas.
 fn load_sorted_run(
     store: &dyn ChunkStore,
     task: &ChunkTask,
     key: SortKey,
     has_results: bool,
 ) -> Result<Run> {
-    let load = |column| load_column(store, &task.stem, column);
-    let meta = load(columns::METADATA)?;
-    let bases = load(columns::BASES)?;
-    let quals = load(columns::QUAL)?;
-    let results = if has_results { Some(load(columns::RESULTS)?) } else { None };
-
-    let n = meta.len();
-    if n != task.num_records as usize {
-        return Err(Error::Pipeline(format!(
-            "chunk {}: {} records on disk, {} in manifest",
-            task.stem, n, task.num_records
-        )));
+    let n = task.num_records as usize;
+    let mut loaded = Vec::with_capacity(COLUMNS.len());
+    for &(column, record_type) in run_columns(has_results) {
+        let chunk = load_raw_column(store, &task.stem, column)?;
+        if chunk.len() != n {
+            return Err(Error::Pipeline(format!(
+                "chunk {}: {} {column} records on disk, {n} in manifest",
+                task.stem,
+                chunk.len()
+            )));
+        }
+        loaded.push(stored_as(chunk, record_type)?);
     }
+    let locations = match key {
+        SortKey::Coordinate => {
+            let mut result = AlignmentResult::unmapped();
+            let results = &loaded[RESULTS];
+            (0..n)
+                .map(|i| {
+                    result.decode_into(results.record(i))?;
+                    Ok(result.location)
+                })
+                .collect::<Result<Vec<i64>>>()?
+        }
+        SortKey::QueryName => Vec::new(),
+    };
     let origin = (task.chunk_idx as u64) << 32;
-    let mut keys: Vec<(Key, u64)> = Vec::with_capacity(n);
-    for i in 0..n {
-        let k = match key {
-            SortKey::Coordinate => {
-                let r = AlignmentResult::decode(
-                    results.as_ref().expect("results checked above").record(i),
-                )?;
-                Key::Location(r.location)
-            }
-            SortKey::QueryName => Key::Name(meta.record(i).to_vec()),
-        };
-        keys.push((k, origin | i as u64));
-    }
-    let mut order: Vec<usize> = (0..n).collect();
-    // The tie component is unique, so this is a total order (and equal
-    // keys stay in chunk position order, as the old stable sort did).
-    order.sort_by(|&a, &b| keys[a].cmp(&keys[b]));
-
-    Ok(Run {
-        keys: order.iter().map(|&i| keys[i].clone()).collect(),
-        meta: order.iter().map(|&i| meta.record(i).to_vec()).collect(),
-        bases: order.iter().map(|&i| bases.record(i).to_vec()).collect(),
-        quals: order.iter().map(|&i| quals.record(i).to_vec()).collect(),
-        results: match results {
-            Some(r) => order.iter().map(|&i| r.record(i).to_vec()).collect(),
-            None => Vec::new(),
-        },
-    })
+    let chunk =
+        Run { ties: (0..n).map(|i| origin | i as u64).collect(), locations, columns: loaded };
+    // Within a chunk the tie grows with the position, so `(key,
+    // position)` is the composite order: a total order, in which equal
+    // keys stay in chunk position order, as the old stable sort did.
+    let order: Vec<(usize, usize)> = match key {
+        SortKey::Coordinate => {
+            let mut keyed: Vec<(i64, usize)> = chunk.locations.iter().copied().zip(0..).collect();
+            keyed.sort_unstable();
+            keyed.into_iter().map(|(_, i)| (0, i)).collect()
+        }
+        SortKey::QueryName => {
+            let meta = &chunk.columns[META];
+            let mut order: Vec<(usize, usize)> = (0..n).map(|i| (0, i)).collect();
+            order.sort_unstable_by(|&(_, a), &(_, b)| {
+                meta.record(a).cmp(meta.record(b)).then(a.cmp(&b))
+            });
+            order
+        }
+    };
+    Ok(gather(std::slice::from_ref(&chunk), &order))
 }
 
-/// K-way merges sorted runs into one. Because keys carry a globally
+/// `chunk` with the record type the sort writes for its column. A
+/// dataset may store a column as another type (bases as text, say);
+/// such a chunk is converted through its decoded records.
+fn stored_as(chunk: RawChunk, record_type: RecordType) -> Result<RawChunk> {
+    if chunk.record_type() == record_type {
+        return Ok(chunk);
+    }
+    Ok(ChunkData { record_type, ..chunk.unpack()? }.pack()?)
+}
+
+/// Co-ranking (Merge Path, Odeh et al., generalised from two runs to
+/// k): the cut in every run such that the cuts sum to `rank` and every
+/// record left of a cut sorts below every record right of any cut —
+/// the first `rank` records of the merged order. Composite keys are
+/// unique, so the cuts are too. Each round takes the middle record of
+/// the widest undecided range as a pivot and counts the records below
+/// it in every run; that count says which side of the cut the pivot is
+/// on, and halves the range.
+fn co_rank(runs: &[Run], rank: usize) -> Vec<usize> {
+    let mut lo = vec![0usize; runs.len()];
+    let mut hi: Vec<usize> = runs.iter().map(Run::len).collect();
+    debug_assert!(rank <= hi.iter().sum::<usize>());
+    let mut below = vec![0usize; runs.len()];
+    while let Some(p) = (0..runs.len()).filter(|&r| lo[r] < hi[r]).max_by_key(|&r| hi[r] - lo[r]) {
+        let mid = lo[p] + (hi[p] - lo[p]) / 2;
+        let pivot = runs[p].key(mid);
+        for (r, run) in runs.iter().enumerate() {
+            below[r] = if r == p { mid } else { run.count_below(pivot) };
+        }
+        if below.iter().sum::<usize>() < rank {
+            // The pivot is among the first `rank`, with all below it.
+            below[p] += 1;
+            lo.iter_mut().zip(&below).for_each(|(lo, &b)| *lo = (*lo).max(b));
+        } else {
+            hi.iter_mut().zip(&below).for_each(|(hi, &b)| *hi = (*hi).min(b));
+        }
+    }
+    lo
+}
+
+/// K-way merges records `from[r]..to[r]` of every run `r`, returning
+/// `(run, record)` pairs in sorted order. Because keys carry a globally
 /// unique `(chunk, position)` tie, the result is the same whatever
 /// grouping or arrival order produced `runs` — records of equal sort
 /// key always come out in chunk order, then position order.
-fn merge_runs(mut runs: Vec<Run>) -> Run {
-    runs.retain(|r| r.len() > 0);
-    if runs.len() == 1 {
-        return runs.pop().unwrap();
-    }
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    let mut out = Run {
-        keys: Vec::with_capacity(total),
-        meta: Vec::with_capacity(total),
-        bases: Vec::with_capacity(total),
-        quals: Vec::with_capacity(total),
-        results: Vec::with_capacity(total),
-    };
-    let has_results = runs.iter().any(|r| !r.results.is_empty());
-    let mut cursors = vec![0usize; runs.len()];
-    // Binary heap of ((key, tie), run) — invert ordering for a min-heap.
-    // The run index is a deterministic fallback for synthetic runs with
-    // duplicated ties; real ties are unique.
+fn merge_order(runs: &[Run], from: &[usize], to: &[usize]) -> Vec<(usize, usize)> {
     use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let mut heap: BinaryHeap<Reverse<((Key, u64), usize)>> = BinaryHeap::new();
-    for (r, run) in runs.iter().enumerate() {
-        if run.len() > 0 {
-            heap.push(Reverse((run.keys[0].clone(), r)));
+    use std::collections::binary_heap::{BinaryHeap, PeekMut};
+    let total = from.iter().zip(to).map(|(f, t)| t - f).sum();
+    let mut order = Vec::with_capacity(total);
+    let mut heads = from.to_vec();
+    // A min-heap of each run's next record. The run index is a
+    // deterministic fallback for synthetic runs with duplicated ties;
+    // real ties are unique.
+    let mut heap: BinaryHeap<_> = (0..runs.len())
+        .filter(|&r| heads[r] < to[r])
+        .map(|r| Reverse((runs[r].key(heads[r]), r)))
+        .collect();
+    while let Some(mut top) = heap.peek_mut() {
+        let r = top.0 .1;
+        order.push((r, heads[r]));
+        heads[r] += 1;
+        if heads[r] < to[r] {
+            top.0 = (runs[r].key(heads[r]), r);
+        } else {
+            PeekMut::pop(top);
         }
     }
-    while let Some(Reverse((_, r))) = heap.pop() {
-        let i = cursors[r];
-        let run = &mut runs[r];
-        out.keys.push(run.keys[i].clone());
-        out.meta.push(std::mem::take(&mut run.meta[i]));
-        out.bases.push(std::mem::take(&mut run.bases[i]));
-        out.quals.push(std::mem::take(&mut run.quals[i]));
-        if has_results && !run.results.is_empty() {
-            out.results.push(std::mem::take(&mut run.results[i]));
-        }
-        cursors[r] += 1;
-        if cursors[r] < run.len() {
-            heap.push(Reverse((run.keys[cursors[r]].clone(), r)));
-        }
+    order
+}
+
+/// Copies the records `order` names into a new arena of column
+/// `column`: one copy of their stored bytes.
+fn gather_column(runs: &[Run], column: usize, order: &[(usize, usize)]) -> RawChunk {
+    let arena = |r: usize| &runs[r].columns[column];
+    let bytes = order.iter().map(|&(r, i)| arena(r).record(i).len()).sum();
+    let mut out = RawChunk::with_capacity(COLUMNS[column].1, order.len(), bytes);
+    for &(r, i) in order {
+        out.push_from(arena(r), i);
     }
     out
 }
 
-/// Writes the merged run as a fresh AGD dataset, one executor task per
-/// output chunk.
+/// The run of the records `order` names, in that order.
+fn gather(runs: &[Run], order: &[(usize, usize)]) -> Run {
+    let located = runs.iter().any(|r| !r.locations.is_empty());
+    Run {
+        ties: order.iter().map(|&(r, i)| runs[r].ties[i]).collect(),
+        locations: match located {
+            true => order.iter().map(|&(r, i)| runs[r].locations[i]).collect(),
+            false => Vec::new(),
+        },
+        columns: (0..runs[0].columns.len()).map(|c| gather_column(runs, c, order)).collect(),
+    }
+}
+
+/// Merges whole runs into one: a superchunk.
+fn fold(mut runs: Vec<Run>) -> Run {
+    if runs.iter().filter(|r| r.len() > 0).count() <= 1 {
+        let keep = runs.iter().position(|r| r.len() > 0).unwrap_or(0);
+        return runs.swap_remove(keep);
+    }
+    let to: Vec<usize> = runs.iter().map(Run::len).collect();
+    gather(&runs, &merge_order(&runs, &vec![0; runs.len()], &to))
+}
+
+/// Writes the merged runs as a fresh AGD dataset. Each output chunk is
+/// one executor task: it co-ranks its first and last record in every
+/// run, merges the slices between, then gathers, encodes and puts each
+/// column. Chunk boundaries are the serial merge's, so the bytes are
+/// too.
 fn write_sorted_dataset(
     rt: &PersonaRuntime,
     timer: &crate::runtime::StageTimer,
     out_name: &str,
     src: &Manifest,
-    run: Run,
+    runs: Vec<Run>,
     key: SortKey,
     has_results: bool,
 ) -> Result<Manifest> {
@@ -383,49 +517,35 @@ fn write_sorted_dataset(
     };
     manifest.row_groups = src.row_groups.clone();
 
-    let n = run.len();
+    let n = runs.iter().map(Run::len).sum();
     let ranges = crate::pipeline::subchunk_ranges(n, chunk_size);
-    {
-        let columns_spec: Vec<(&'static str, RecordType, Codec)> = {
-            let mut v = vec![
-                (columns::METADATA, RecordType::Text, manifest.column_codec(columns::METADATA)?),
-                (columns::BASES, RecordType::CompactBases, manifest.column_codec(columns::BASES)?),
-                (columns::QUAL, RecordType::Text, manifest.column_codec(columns::QUAL)?),
-            ];
-            if has_results {
-                v.push((
-                    columns::RESULTS,
-                    RecordType::Results,
-                    manifest.column_codec(columns::RESULTS)?,
-                ));
-            }
-            v
-        };
-        let run = Arc::new(run);
-        let store = rt.store().clone();
-        let out_name = out_name.to_string();
-        rt.stage_exec(timer)
-            .map(ranges.clone(), move |k, (lo, hi)| -> Result<()> {
-                let stem = format!("{out_name}-{k}");
-                for &(col, rtype, codec) in &columns_spec {
-                    let records: &[Vec<u8>] = match col {
-                        columns::METADATA => &run.meta,
-                        columns::BASES => &run.bases,
-                        columns::QUAL => &run.quals,
-                        _ => &run.results,
-                    };
-                    let data = ChunkData::from_records(
-                        rtype,
-                        records[lo..hi].iter().map(|r| r.as_slice()),
-                    )?;
-                    let obj = data.encode(codec, CompressLevel::Fast)?;
-                    store.put(&Manifest::chunk_object_name(&stem, col), &obj)?;
+    let codecs: Arc<[Codec]> = run_columns(has_results)
+        .iter()
+        .map(|&(column, _)| manifest.column_codec(column))
+        .collect::<std::result::Result<_, _>>()?;
+    let runs = Arc::new(runs);
+    let exec = rt.stage_exec(timer);
+    let mut next = ranges.iter().copied().enumerate();
+    drive(
+        rt.chunk_window(),
+        |_| {
+            let Some((k, (lo, hi))) = next.next() else { return Ok(None) };
+            rt.check_cancelled()?;
+            let (runs, codecs, store) = (runs.clone(), codecs.clone(), rt.store().clone());
+            let stem = format!("{out_name}-{k}");
+            Ok(Some(exec.spawn_one(move || {
+                let order = merge_order(&runs, &co_rank(&runs, lo), &co_rank(&runs, hi));
+                for (c, &codec) in codecs.iter().enumerate() {
+                    let chunk = gather_column(&runs, c, &order);
+                    let name = Manifest::chunk_object_name(&stem, COLUMNS[c].0);
+                    store.put(&name, &chunk.encode(codec, CompressLevel::Fast))?;
                 }
                 Ok(())
-            })?
-            .into_iter()
-            .collect::<Result<Vec<()>>>()?;
-    }
+            })))
+        },
+        |write| write.wait_one().map(Progress::Done),
+        |()| Ok(()),
+    )?;
     let mut first = 0u64;
     for (k, &(lo, hi)) in ranges.iter().enumerate() {
         manifest.records.push(ChunkEntry {
@@ -627,16 +747,118 @@ mod tests {
         assert_eq!(metas_of(&store, &streamed), metas_of(&store, &oneshot));
     }
 
+    /// The record-at-a-time runs and heap merge the sort used before
+    /// its runs became columnar, kept as the oracle for [`co_rank`],
+    /// [`merge_order`] and [`fold`].
+    mod oracle {
+        /// A sort key: either a location or a name.
+        #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+        pub enum Key {
+            Location(i64),
+            Name(Vec<u8>),
+        }
+
+        /// All columns of one run, as parallel record arrays.
+        #[derive(Debug, Clone, Default)]
+        pub struct Run {
+            pub keys: Vec<(Key, u64)>,
+            pub meta: Vec<Vec<u8>>,
+            pub bases: Vec<Vec<u8>>,
+            pub quals: Vec<Vec<u8>>,
+            pub results: Vec<Vec<u8>>,
+        }
+
+        impl Run {
+            fn len(&self) -> usize {
+                self.keys.len()
+            }
+        }
+
+        /// K-way merges sorted runs into one.
+        pub fn merge_runs(mut runs: Vec<Run>) -> Run {
+            runs.retain(|r| r.len() > 0);
+            if runs.len() == 1 {
+                return runs.pop().unwrap();
+            }
+            let total: usize = runs.iter().map(|r| r.len()).sum();
+            let mut out = Run {
+                keys: Vec::with_capacity(total),
+                meta: Vec::with_capacity(total),
+                bases: Vec::with_capacity(total),
+                quals: Vec::with_capacity(total),
+                results: Vec::with_capacity(total),
+            };
+            let has_results = runs.iter().any(|r| !r.results.is_empty());
+            let mut cursors = vec![0usize; runs.len()];
+            // Binary heap of ((key, tie), run) — invert ordering for a
+            // min-heap. The run index is a deterministic fallback for
+            // synthetic runs with duplicated ties; real ties are unique.
+            use std::cmp::Reverse;
+            use std::collections::BinaryHeap;
+            let mut heap: BinaryHeap<Reverse<((Key, u64), usize)>> = BinaryHeap::new();
+            for (r, run) in runs.iter().enumerate() {
+                if run.len() > 0 {
+                    heap.push(Reverse((run.keys[0].clone(), r)));
+                }
+            }
+            while let Some(Reverse((_, r))) = heap.pop() {
+                let i = cursors[r];
+                let run = &mut runs[r];
+                out.keys.push(run.keys[i].clone());
+                out.meta.push(std::mem::take(&mut run.meta[i]));
+                out.bases.push(std::mem::take(&mut run.bases[i]));
+                out.quals.push(std::mem::take(&mut run.quals[i]));
+                if has_results && !run.results.is_empty() {
+                    out.results.push(std::mem::take(&mut run.results[i]));
+                }
+                cursors[r] += 1;
+                if cursors[r] < run.len() {
+                    heap.push(Reverse((run.keys[cursors[r]].clone(), r)));
+                }
+            }
+            out
+        }
+    }
+
+    /// The columnar form of an oracle run. A name-keyed run's metadata
+    /// must be its names.
+    fn columnar(run: &oracle::Run) -> Run {
+        let column = |c: usize, records: &[Vec<u8>]| {
+            ChunkData::from_records(COLUMNS[c].1, records.iter().map(|r| r.as_slice()))
+                .unwrap()
+                .pack()
+                .unwrap()
+        };
+        Run {
+            ties: run.keys.iter().map(|k| k.1).collect(),
+            locations: run
+                .keys
+                .iter()
+                .filter_map(|k| match k.0 {
+                    oracle::Key::Location(location) => Some(location),
+                    oracle::Key::Name(_) => None,
+                })
+                .collect(),
+            columns: vec![
+                column(0, &run.meta),
+                column(1, &run.bases),
+                column(2, &run.quals),
+                column(3, &run.results),
+            ],
+        }
+    }
+
     /// A run of `n` records sharing one location key, with metadata
     /// identifying `(run, record)` so merge order is observable. Ties
     /// embed the run index, as real chunk loads embed the chunk index.
-    fn tagged_run(run_idx: usize, n: usize, loc: i64) -> Run {
-        let mut r = Run::default();
+    fn tagged_run(run_idx: usize, n: usize, loc: i64) -> oracle::Run {
+        let mut r = oracle::Run::default();
         for i in 0..n {
-            r.keys.push((Key::Location(loc), ((run_idx as u64) << 32) | i as u64));
+            r.keys.push((oracle::Key::Location(loc), ((run_idx as u64) << 32) | i as u64));
             r.meta.push(format!("run{run_idx}-rec{i}").into_bytes());
             r.bases.push(vec![b'A'; 4]);
             r.quals.push(vec![b'F'; 4]);
+            r.results.push(vec![run_idx as u8]);
         }
         r
     }
@@ -652,10 +874,11 @@ mod tests {
         // smaller key in the last run that must still come out first.
         let make_late = || {
             let mut late = tagged_run(2, 3, 7);
-            late.keys.insert(0, (Key::Location(3), (2u64 << 32) | 10));
+            late.keys.insert(0, (oracle::Key::Location(3), (2u64 << 32) | 10));
             late.meta.insert(0, b"run2-early".to_vec());
             late.bases.insert(0, vec![b'A'; 4]);
             late.quals.insert(0, vec![b'F'; 4]);
+            late.results.insert(0, vec![2]);
             late
         };
         let expected = vec![
@@ -669,16 +892,140 @@ mod tests {
             "run2-rec1",
             "run2-rec2",
         ];
-        let merged = merge_runs(vec![tagged_run(0, 2, 7), tagged_run(1, 3, 7), make_late()]);
-        let order: Vec<String> =
-            merged.meta.iter().map(|m| String::from_utf8(m.clone()).unwrap()).collect();
+        let merged_order = |runs: Vec<oracle::Run>| -> Vec<String> {
+            let merged = fold(runs.iter().map(columnar).collect());
+            assert_eq!(merged, columnar(&oracle::merge_runs(runs)));
+            let meta = &merged.columns[META];
+            (0..merged.len()).map(|i| String::from_utf8(meta.record(i).to_vec()).unwrap()).collect()
+        };
+        let order = merged_order(vec![tagged_run(0, 2, 7), tagged_run(1, 3, 7), make_late()]);
         assert_eq!(order, expected);
         // Scrambled arrival (the incremental sort's reality): same
         // output, because the ties carry the origin.
-        let merged = merge_runs(vec![make_late(), tagged_run(1, 3, 7), tagged_run(0, 2, 7)]);
-        let order: Vec<String> =
-            merged.meta.iter().map(|m| String::from_utf8(m.clone()).unwrap()).collect();
+        let order = merged_order(vec![make_late(), tagged_run(1, 3, 7), tagged_run(0, 2, 7)]);
         assert_eq!(order, expected);
+    }
+
+    /// Sorted oracle runs from generated `(key, size)` draws, keyed by
+    /// location (unmapped included) or by name. Keys take four values,
+    /// so most are equal and only the ties tell them apart; run `r`
+    /// holds chunk `9 - r`, as if chunks arrived in reverse.
+    fn oracle_runs(draws: &[Vec<(u8, u8)>], by_name: bool) -> Vec<oracle::Run> {
+        let mut runs = Vec::new();
+        for (r, records) in draws.iter().enumerate() {
+            let origin = ((9 - r) as u64) << 32;
+            let mut keyed: Vec<((oracle::Key, u64), u8)> = records
+                .iter()
+                .enumerate()
+                .map(|(i, &(k, size))| {
+                    let key = match by_name {
+                        true => oracle::Key::Name(vec![b'n', b'0' + k]),
+                        false => oracle::Key::Location(k as i64 - 1),
+                    };
+                    ((key, origin | i as u64), size)
+                })
+                .collect();
+            keyed.sort();
+            let mut run = oracle::Run::default();
+            for ((key, tie), size) in keyed {
+                run.meta.push(match &key {
+                    oracle::Key::Name(name) => name.clone(),
+                    oracle::Key::Location(_) => format!("m{tie:x}").into_bytes(),
+                });
+                let n = size as usize * 9;
+                run.bases.push((0..n).map(|j| b"ACGTN"[(j + tie as usize) % 5]).collect());
+                run.quals.push(vec![b'!' + size; size as usize]);
+                run.results.push(tie.to_le_bytes()[..size as usize].to_vec());
+                run.keys.push((key, tie));
+            }
+            runs.push(run);
+        }
+        runs
+    }
+
+    proptest::proptest! {
+        /// Co-ranking cuts every run at every global rank so that the
+        /// cuts sum to the rank and split the records cleanly, and the
+        /// chunk-wise merge between cuts is the oracle's merge.
+        #[test]
+        fn co_ranked_chunks_merge_like_the_oracle(
+            draws in proptest::collection::vec(
+                proptest::collection::vec((0u8..4, 0u8..5), 0..25),
+                0..10,
+            ),
+            by_name in proptest::prelude::any::<bool>(),
+            chunk in 1usize..40,
+        ) {
+            let oracles = oracle_runs(&draws, by_name);
+            let runs: Vec<Run> = oracles.iter().map(columnar).collect();
+            let total: usize = runs.iter().map(Run::len).sum();
+            for rank in 0..=total {
+                let cuts = co_rank(&runs, rank);
+                proptest::prop_assert_eq!(cuts.iter().sum::<usize>(), rank);
+                let cut = runs.iter().zip(&cuts);
+                let left = cut.clone().filter(|&(_, &c)| c > 0).map(|(run, &c)| run.key(c - 1));
+                let right = cut.filter(|&(run, &c)| c < run.len()).map(|(run, &c)| run.key(c));
+                if let (Some(l), Some(r)) = (left.max(), right.min()) {
+                    proptest::prop_assert!(l < r, "rank {}: {:?} !< {:?}", rank, l, r);
+                }
+            }
+            if !runs.is_empty() {
+                let want = columnar(&oracle::merge_runs(oracles));
+                let mut order = Vec::new();
+                for (lo, hi) in crate::pipeline::subchunk_ranges(total, chunk) {
+                    order.extend(merge_order(&runs, &co_rank(&runs, lo), &co_rank(&runs, hi)));
+                }
+                proptest::prop_assert_eq!(&gather(&runs, &order), &want);
+                proptest::prop_assert_eq!(&fold(runs), &want);
+            }
+        }
+    }
+
+    /// A column stored with another record type than the sort writes
+    /// (here bases as text) sorts to the same bytes: the sort writes
+    /// each column with its own type, whatever the input used.
+    #[test]
+    fn column_stored_as_another_type_sorts_alike() {
+        let (store, manifest) = world(120, 16);
+        let config = PersonaConfig::small();
+        sort_dataset(&store, &manifest, SortKey::Coordinate, "want", &config).unwrap();
+        for e in &manifest.records {
+            let name = Manifest::chunk_object_name(&e.path, columns::BASES);
+            let bases = ChunkData::decode(&store.get(&name).unwrap()).unwrap();
+            let text = ChunkData { record_type: RecordType::Text, ..bases };
+            store.put(&name, &text.encode(Codec::Gzip, CompressLevel::Fast).unwrap()).unwrap();
+        }
+        let (sorted, _) =
+            sort_dataset(&store, &manifest, SortKey::Coordinate, "got", &config).unwrap();
+        for (k, e) in sorted.records.iter().enumerate() {
+            for (column, _) in COLUMNS {
+                let got = store.get(&Manifest::chunk_object_name(&e.path, column)).unwrap();
+                let want = store.get(&format!("want-{k}.{column}")).unwrap();
+                assert_eq!(got, want, "chunk {k} {column}");
+            }
+        }
+    }
+
+    /// A column shorter than the manifest says fails the sort with a
+    /// typed error naming the chunk, not a panic in a load task, and no
+    /// sorted manifest is written.
+    #[test]
+    fn short_column_is_a_typed_error() {
+        for column in [columns::METADATA, columns::BASES, columns::QUAL, columns::RESULTS] {
+            let (store, manifest) = world(100, 10);
+            let name = Manifest::chunk_object_name("u-3", column);
+            let chunk = ChunkData::decode(&store.get(&name).unwrap()).unwrap();
+            let short = ChunkData::from_records(chunk.record_type, chunk.iter().skip(1)).unwrap();
+            store.put(&name, &short.encode(Codec::Gzip, CompressLevel::Fast).unwrap()).unwrap();
+            let config = PersonaConfig::small();
+            match sort_dataset(&store, &manifest, SortKey::Coordinate, "s", &config) {
+                Err(Error::Pipeline(msg)) => {
+                    assert!(msg.contains("chunk u-3") && msg.contains(column), "{msg}")
+                }
+                other => panic!("{column}: expected a pipeline error, got {other:?}"),
+            }
+            assert!(!store.exists("s.manifest.json"), "{column}");
+        }
     }
 
     #[test]
