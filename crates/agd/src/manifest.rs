@@ -4,72 +4,81 @@
 //! sizes of contiguous reference sequences … implemented as a simple
 //! JSON file" (paper §3).
 
-use serde::{field, Deserialize, Serialize, Value};
-
 use crate::{Error, Result};
 
-/// One column's schema entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ColumnSpec {
-    /// Column name (e.g. `bases`).
-    pub name: String,
-    /// Codec name (`none`, `gzip`, `range`).
-    pub codec: String,
+serde::serde_struct! {
+    /// One column's schema entry.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ColumnSpec {
+        /// Column name (e.g. `bases`).
+        pub name: String,
+        /// Codec name (`none`, `gzip`, `range`).
+        pub codec: String,
+    }
 }
 
-/// One chunk's entry in the record index.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChunkEntry {
-    /// Object-name stem; column objects are `{path}.{column}`.
-    pub path: String,
-    /// Global index of the first record in this chunk.
-    pub first_record: u64,
-    /// Number of records in this chunk.
-    pub num_records: u32,
+serde::serde_struct! {
+    /// One chunk's entry in the record index.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ChunkEntry {
+        /// Object-name stem; column objects are `{path}.{column}`.
+        pub path: String,
+        /// Global index of the first record in this chunk.
+        pub first_record: u64,
+        /// Number of records in this chunk.
+        pub num_records: u32,
+    }
 }
 
-/// A reference contig the dataset was (or will be) aligned against.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RefContig {
-    /// Contig name (e.g. `chr1`).
-    pub name: String,
-    /// Contig length in bases.
-    pub length: u64,
+serde::serde_struct! {
+    /// A reference contig the dataset was (or will be) aligned against.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct RefContig {
+        /// Contig name (e.g. `chr1`).
+        pub name: String,
+        /// Contig length in bases.
+        pub length: u64,
+    }
 }
 
-/// Dataset-level sort order, mirroring SAM's `@HD SO:` values.
-/// Serialized snake_case (`unsorted` / `coordinate` / `query_name`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SortOrder {
-    /// No ordering guarantee (as produced by the sequencer).
-    #[default]
-    Unsorted,
-    /// Sorted by aligned reference location.
-    Coordinate,
-    /// Sorted by read metadata (query name).
-    QueryName,
+serde::serde_enum! {
+    /// Dataset-level sort order, mirroring SAM's `@HD SO:` values.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub enum SortOrder as "sort_order" {
+        /// No ordering guarantee (as produced by the sequencer).
+        #[default]
+        Unsorted = "unsorted",
+        /// Sorted by aligned reference location.
+        Coordinate = "coordinate",
+        /// Sorted by read metadata (query name).
+        QueryName = "query_name",
+    }
 }
 
-/// The dataset manifest (`manifest.json`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Manifest {
-    /// Dataset name; chunk stems derive from it.
-    pub name: String,
-    /// Manifest format version.
-    pub version: u32,
-    /// Columns present in the dataset.
-    pub columns: Vec<ColumnSpec>,
-    /// Chunk index in record order.
-    pub records: Vec<ChunkEntry>,
-    /// Total records across chunks.
-    pub total_records: u64,
-    /// Sort order of the dataset.
-    pub sort_order: SortOrder,
-    /// Reference contigs (empty until alignment).
-    pub reference: Vec<RefContig>,
-    /// Columns whose record indices align (row groups). Every column in
-    /// a group has identical record boundaries per chunk.
-    pub row_groups: Vec<Vec<String>>,
+serde::serde_struct! {
+    /// The dataset manifest (`manifest.json`). The three trailing
+    /// fields are defaulted, so manifests written before they existed
+    /// still load.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Manifest {
+        /// Dataset name; chunk stems derive from it.
+        pub name: String,
+        /// Manifest format version.
+        pub version: u32,
+        /// Columns present in the dataset.
+        pub columns: Vec<ColumnSpec>,
+        /// Chunk index in record order.
+        pub records: Vec<ChunkEntry>,
+        /// Total records across chunks.
+        pub total_records: u64,
+        /// Sort order of the dataset.
+        pub sort_order: SortOrder = default,
+        /// Reference contigs (empty until alignment).
+        pub reference: Vec<RefContig> = default,
+        /// Columns whose record indices align (row groups). Every column in
+        /// a group has identical record boundaries per chunk.
+        pub row_groups: Vec<Vec<String>> = default,
+    }
 }
 
 impl Manifest {
@@ -182,123 +191,6 @@ impl Manifest {
         let chunk = self.records.partition_point(|e| e.first_record + e.num_records as u64 <= idx);
         let entry = &self.records[chunk];
         Some((chunk, (idx - entry.first_record) as u32))
-    }
-}
-
-// Hand-written (de)serialization over the vendored serde data model
-// (the offline build has no derive macros). Field names and the
-// snake_case enum encoding match what `#[derive]` + `#[serde(...)]`
-// would have produced, so on-disk manifests are stable.
-
-impl Serialize for ColumnSpec {
-    fn serialize(&self) -> Value {
-        Value::Object(vec![
-            ("name".into(), self.name.serialize()),
-            ("codec".into(), self.codec.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for ColumnSpec {
-    fn deserialize(v: &Value) -> std::result::Result<Self, serde::DeError> {
-        Ok(ColumnSpec { name: field::required(v, "name")?, codec: field::required(v, "codec")? })
-    }
-}
-
-impl Serialize for ChunkEntry {
-    fn serialize(&self) -> Value {
-        Value::Object(vec![
-            ("path".into(), self.path.serialize()),
-            ("first_record".into(), self.first_record.serialize()),
-            ("num_records".into(), self.num_records.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for ChunkEntry {
-    fn deserialize(v: &Value) -> std::result::Result<Self, serde::DeError> {
-        Ok(ChunkEntry {
-            path: field::required(v, "path")?,
-            first_record: field::required(v, "first_record")?,
-            num_records: field::required(v, "num_records")?,
-        })
-    }
-}
-
-impl Serialize for RefContig {
-    fn serialize(&self) -> Value {
-        Value::Object(vec![
-            ("name".into(), self.name.serialize()),
-            ("length".into(), self.length.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for RefContig {
-    fn deserialize(v: &Value) -> std::result::Result<Self, serde::DeError> {
-        Ok(RefContig { name: field::required(v, "name")?, length: field::required(v, "length")? })
-    }
-}
-
-impl SortOrder {
-    /// The snake_case wire name.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            SortOrder::Unsorted => "unsorted",
-            SortOrder::Coordinate => "coordinate",
-            SortOrder::QueryName => "query_name",
-        }
-    }
-}
-
-impl Serialize for SortOrder {
-    fn serialize(&self) -> Value {
-        Value::String(self.as_str().to_string())
-    }
-}
-
-impl Deserialize for SortOrder {
-    fn deserialize(v: &Value) -> std::result::Result<Self, serde::DeError> {
-        match v {
-            Value::String(s) => match s.as_str() {
-                "unsorted" => Ok(SortOrder::Unsorted),
-                "coordinate" => Ok(SortOrder::Coordinate),
-                "query_name" => Ok(SortOrder::QueryName),
-                other => Err(serde::DeError::new(format!("unknown sort_order `{other}`"))),
-            },
-            other => Err(serde::DeError::new(format!("expected string, found {other:?}"))),
-        }
-    }
-}
-
-impl Serialize for Manifest {
-    fn serialize(&self) -> Value {
-        Value::Object(vec![
-            ("name".into(), self.name.serialize()),
-            ("version".into(), self.version.serialize()),
-            ("columns".into(), self.columns.serialize()),
-            ("records".into(), self.records.serialize()),
-            ("total_records".into(), self.total_records.serialize()),
-            ("sort_order".into(), self.sort_order.serialize()),
-            ("reference".into(), self.reference.serialize()),
-            ("row_groups".into(), self.row_groups.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for Manifest {
-    fn deserialize(v: &Value) -> std::result::Result<Self, serde::DeError> {
-        Ok(Manifest {
-            name: field::required(v, "name")?,
-            version: field::required(v, "version")?,
-            columns: field::required(v, "columns")?,
-            records: field::required(v, "records")?,
-            total_records: field::required(v, "total_records")?,
-            // `#[serde(default)]` fields: absent means default.
-            sort_order: field::defaulted(v, "sort_order")?,
-            reference: field::defaulted(v, "reference")?,
-            row_groups: field::defaulted(v, "row_groups")?,
-        })
     }
 }
 

@@ -72,6 +72,7 @@ impl fmt::Display for Digest {
     }
 }
 
+// Hand-written because a digest travels as its hex string.
 impl Serialize for Digest {
     fn serialize(&self) -> Value {
         Value::String(self.to_hex())

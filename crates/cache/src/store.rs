@@ -14,24 +14,25 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use persona_agd::Manifest;
-use serde::{field, DeError, Deserialize, Serialize, Value};
 
 use crate::digest::Digest;
 
-/// A cache key: the content digest of a job's input plus the canonical
-/// (compact JSON) serialization of the plan prefix that was executed
-/// over it.
-///
-/// Keys are compared structurally — the full prefix string is part of
-/// the key, so two distinct prefixes can never collide regardless of
-/// hash behavior.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct CacheKey {
-    /// Digest of the input (FASTQ bytes or dataset manifest).
-    pub input: Digest,
-    /// Canonical plan-prefix serialization, e.g.
-    /// `{"input":"fastq","stages":["import","align"]}`.
-    pub prefix: String,
+serde::serde_struct! {
+    /// A cache key: the content digest of a job's input plus the canonical
+    /// (compact JSON) serialization of the plan prefix that was executed
+    /// over it.
+    ///
+    /// Keys are compared structurally — the full prefix string is part of
+    /// the key, so two distinct prefixes can never collide regardless of
+    /// hash behavior.
+    #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    pub struct CacheKey {
+        /// Digest of the input (FASTQ bytes or dataset manifest).
+        pub input: Digest,
+        /// Canonical plan-prefix serialization, e.g.
+        /// `{"input":"fastq","stages":["import","align"]}`.
+        pub prefix: String,
+    }
 }
 
 impl CacheKey {
@@ -49,56 +50,20 @@ impl CacheKey {
     }
 }
 
-impl Serialize for CacheKey {
-    fn serialize(&self) -> Value {
-        Value::Object(vec![
-            ("input".into(), self.input.serialize()),
-            ("prefix".into(), self.prefix.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for CacheKey {
-    fn deserialize(v: &Value) -> Result<Self, DeError> {
-        Ok(CacheKey { input: field::required(v, "input")?, prefix: field::required(v, "prefix")? })
-    }
-}
-
-/// A cached result: the durable dataset a plan prefix produced.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CacheEntry {
-    /// Manifest of the landed dataset.
-    pub manifest: Manifest,
-    /// Wire name of the `DataState` the prefix ends in (e.g.
-    /// `"aligned"`); the consumer resumes planning from this state.
-    pub state: String,
-    /// Number of plan stages the prefix covers.
-    pub stages: usize,
-    /// Wall-clock nanoseconds the prefix cost when it was computed —
-    /// the amount a hit saves (feeds `cache.reuse_saved_ns`).
-    pub cost_ns: u64,
-}
-
-impl Serialize for CacheEntry {
-    fn serialize(&self) -> Value {
-        Value::Object(vec![
-            ("manifest".into(), self.manifest.serialize()),
-            ("state".into(), self.state.serialize()),
-            ("stages".into(), (self.stages as u64).serialize()),
-            ("cost_ns".into(), self.cost_ns.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for CacheEntry {
-    fn deserialize(v: &Value) -> Result<Self, DeError> {
-        let stages: u64 = field::required(v, "stages")?;
-        Ok(CacheEntry {
-            manifest: field::required(v, "manifest")?,
-            state: field::required(v, "state")?,
-            stages: stages as usize,
-            cost_ns: field::required(v, "cost_ns")?,
-        })
+serde::serde_struct! {
+    /// A cached result: the durable dataset a plan prefix produced.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct CacheEntry {
+        /// Manifest of the landed dataset.
+        pub manifest: Manifest,
+        /// Wire name of the `DataState` the prefix ends in (e.g.
+        /// `"aligned"`); the consumer resumes planning from this state.
+        pub state: String,
+        /// Number of plan stages the prefix covers.
+        pub stages: usize,
+        /// Wall-clock nanoseconds the prefix cost when it was computed —
+        /// the amount a hit saves (feeds `cache.reuse_saved_ns`).
+        pub cost_ns: u64,
     }
 }
 
@@ -153,66 +118,36 @@ pub enum CacheEvent {
     },
 }
 
-/// Counters and occupancy of a [`ResultCache`], serializable for the
-/// `cache-stats` wire message.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct CacheStats {
-    /// False when the replying service runs without a cache.
-    pub enabled: bool,
-    /// Lookups that matched a prefix.
-    pub hits: u64,
-    /// Lookups that matched nothing.
-    pub misses: u64,
-    /// Entries dropped by the LRU bound.
-    pub evictions: u64,
-    /// Inserts (including refreshes of an existing key).
-    pub insertions: u64,
-    /// Resident entries.
-    pub entries: u64,
-    /// Resident entries currently pinned by running jobs.
-    pub pinned: u64,
-    /// Configured capacity bound.
-    pub capacity: u64,
-    /// Total nanoseconds of recomputation avoided by hits.
-    pub reuse_saved_ns: u64,
+serde::serde_struct! {
+    /// Counters and occupancy of a [`ResultCache`], serializable for the
+    /// `cache-stats` wire message.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct CacheStats {
+        /// False when the replying service runs without a cache.
+        pub enabled: bool,
+        /// Lookups that matched a prefix.
+        pub hits: u64,
+        /// Lookups that matched nothing.
+        pub misses: u64,
+        /// Entries dropped by the LRU bound.
+        pub evictions: u64,
+        /// Inserts (including refreshes of an existing key).
+        pub insertions: u64,
+        /// Resident entries.
+        pub entries: u64,
+        /// Resident entries currently pinned by running jobs.
+        pub pinned: u64,
+        /// Configured capacity bound.
+        pub capacity: u64,
+        /// Total nanoseconds of recomputation avoided by hits.
+        pub reuse_saved_ns: u64,
+    }
 }
 
 impl CacheStats {
     /// The all-zero stats a cache-less service reports.
     pub fn disabled() -> CacheStats {
         CacheStats::default()
-    }
-}
-
-impl Serialize for CacheStats {
-    fn serialize(&self) -> Value {
-        Value::Object(vec![
-            ("enabled".into(), self.enabled.serialize()),
-            ("hits".into(), self.hits.serialize()),
-            ("misses".into(), self.misses.serialize()),
-            ("evictions".into(), self.evictions.serialize()),
-            ("insertions".into(), self.insertions.serialize()),
-            ("entries".into(), self.entries.serialize()),
-            ("pinned".into(), self.pinned.serialize()),
-            ("capacity".into(), self.capacity.serialize()),
-            ("reuse_saved_ns".into(), self.reuse_saved_ns.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for CacheStats {
-    fn deserialize(v: &Value) -> Result<Self, DeError> {
-        Ok(CacheStats {
-            enabled: field::required(v, "enabled")?,
-            hits: field::required(v, "hits")?,
-            misses: field::required(v, "misses")?,
-            evictions: field::required(v, "evictions")?,
-            insertions: field::required(v, "insertions")?,
-            entries: field::required(v, "entries")?,
-            pinned: field::required(v, "pinned")?,
-            capacity: field::required(v, "capacity")?,
-            reuse_saved_ns: field::required(v, "reuse_saved_ns")?,
-        })
     }
 }
 

@@ -83,12 +83,6 @@ pub fn digest_reference(reference: &[(String, u64)]) -> Digest {
 /// out of its key, so e.g. changing the aligner still reuses a cached
 /// import.
 pub fn prefix_key(plan: &Plan, len: usize, fp: &RunFingerprint) -> String {
-    struct Raw(Value);
-    impl Serialize for Raw {
-        fn serialize(&self) -> Value {
-            self.0.clone()
-        }
-    }
     let stages = &plan.stages()[..len];
     let mut fields = vec![
         ("input".to_string(), plan.input().serialize()),
@@ -102,8 +96,7 @@ pub fn prefix_key(plan: &Plan, len: usize, fp: &RunFingerprint) -> String {
         fields.push(("aligner".to_string(), aligner.serialize()));
         fields.push(("reference".to_string(), fp.reference.serialize()));
     }
-    serde_json::to_string(&Raw(Value::Object(fields)))
-        .expect("prefix key serialization is infallible")
+    serde_json::to_string(&Value::Object(fields)).expect("prefix key serialization is infallible")
 }
 
 /// How a run used the result cache ([`PlanReport::cache`]).

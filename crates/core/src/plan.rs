@@ -55,109 +55,49 @@ use crate::pipeline::{Edge, EdgeOut, StageReport};
 use crate::runtime::PersonaRuntime;
 use crate::{Error, Result};
 
-/// The state of a dataset as it moves through a plan. Each [`Stage`]
-/// consumes one (or a set of) state(s) and produces the next; the
-/// builder tracks the chain so only coherent plans build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DataState {
-    /// Raw FASTQ bytes from the sequencer.
-    Fastq,
-    /// An encoded AGD dataset (bases/qual/metadata columns, no results).
-    EncodedAgd,
-    /// An AGD dataset with a `results` column (aligned).
-    Aligned,
-    /// A coordinate-sorted aligned dataset.
-    Sorted,
-    /// A sorted dataset whose duplicate flags have been set.
-    DupMarked,
-    /// SAM text (terminal).
-    Sam,
-    /// BGZF-compressed BAM (terminal).
-    Bgzf,
-}
-
-impl DataState {
-    /// Every state, in pipeline order.
-    pub const ALL: [DataState; 7] = [
-        DataState::Fastq,
-        DataState::EncodedAgd,
-        DataState::Aligned,
-        DataState::Sorted,
-        DataState::DupMarked,
-        DataState::Sam,
-        DataState::Bgzf,
-    ];
-
-    /// The kebab-case wire name.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            DataState::Fastq => "fastq",
-            DataState::EncodedAgd => "encoded-agd",
-            DataState::Aligned => "aligned",
-            DataState::Sorted => "sorted",
-            DataState::DupMarked => "dup-marked",
-            DataState::Sam => "sam",
-            DataState::Bgzf => "bgzf",
-        }
-    }
-
-    /// Parses a wire name.
-    pub fn parse(s: &str) -> Option<DataState> {
-        DataState::ALL.iter().copied().find(|d| d.as_str() == s)
+serde::serde_enum! {
+    /// The state of a dataset as it moves through a plan. Each [`Stage`]
+    /// consumes one (or a set of) state(s) and produces the next; the
+    /// builder tracks the chain so only coherent plans build.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum DataState as "dataset state" {
+        /// Raw FASTQ bytes from the sequencer.
+        Fastq = "fastq",
+        /// An encoded AGD dataset (bases/qual/metadata columns, no results).
+        EncodedAgd = "encoded-agd",
+        /// An AGD dataset with a `results` column (aligned).
+        Aligned = "aligned",
+        /// A coordinate-sorted aligned dataset.
+        Sorted = "sorted",
+        /// A sorted dataset whose duplicate flags have been set.
+        DupMarked = "dup-marked",
+        /// SAM text (terminal).
+        Sam = "sam",
+        /// BGZF-compressed BAM (terminal).
+        Bgzf = "bgzf",
     }
 }
 
-impl std::fmt::Display for DataState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
+serde::serde_enum! {
+    /// One pipeline stage — the unit a plan composes.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum Stage as "stage", fn name {
+        /// FASTQ → encoded AGD dataset.
+        Import = "import",
+        /// Encoded AGD → aligned (adds the `results` column).
+        Align = "align",
+        /// Aligned → coordinate-sorted dataset (`{name}.sorted`).
+        Sort = "sort",
+        /// Sorted → duplicate-marked (rewrites only `results` chunks).
+        Dupmark = "dupmark",
+        /// Aligned/sorted/dup-marked dataset → SAM text.
+        ExportSam = "export-sam",
+        /// Aligned/sorted/dup-marked dataset → BGZF BAM.
+        ExportBam = "export-bam",
     }
-}
-
-/// One pipeline stage — the unit a plan composes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Stage {
-    /// FASTQ → encoded AGD dataset.
-    Import,
-    /// Encoded AGD → aligned (adds the `results` column).
-    Align,
-    /// Aligned → coordinate-sorted dataset (`{name}.sorted`).
-    Sort,
-    /// Sorted → duplicate-marked (rewrites only `results` chunks).
-    Dupmark,
-    /// Aligned/sorted/dup-marked dataset → SAM text.
-    ExportSam,
-    /// Aligned/sorted/dup-marked dataset → BGZF BAM.
-    ExportBam,
 }
 
 impl Stage {
-    /// Every stage, in canonical pipeline order.
-    pub const ALL: [Stage; 6] = [
-        Stage::Import,
-        Stage::Align,
-        Stage::Sort,
-        Stage::Dupmark,
-        Stage::ExportSam,
-        Stage::ExportBam,
-    ];
-
-    /// The kebab-case wire name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Stage::Import => "import",
-            Stage::Align => "align",
-            Stage::Sort => "sort",
-            Stage::Dupmark => "dupmark",
-            Stage::ExportSam => "export-sam",
-            Stage::ExportBam => "export-bam",
-        }
-    }
-
-    /// Parses a wire name.
-    pub fn parse(s: &str) -> Option<Stage> {
-        Stage::ALL.iter().copied().find(|st| st.name() == s)
-    }
-
     /// Whether this stage can consume a dataset in `state`.
     pub fn accepts(&self, state: DataState) -> bool {
         match self {
@@ -201,12 +141,6 @@ impl Stage {
     /// and land nothing.
     pub fn is_durable(&self) -> bool {
         matches!(self, Stage::Import | Stage::Align | Stage::Sort | Stage::Dupmark)
-    }
-}
-
-impl std::fmt::Display for Stage {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
     }
 }
 
@@ -1050,42 +984,9 @@ impl PlanReport {
     }
 }
 
-// Wire format: `{"input":"fastq","stages":["import","align",...]}`.
-// Deserialization re-validates through the builder so an invalid plan
-// can never arrive over the wire.
-
-impl Serialize for DataState {
-    fn serialize(&self) -> Value {
-        Value::String(self.as_str().to_string())
-    }
-}
-
-impl Deserialize for DataState {
-    fn deserialize(v: &Value) -> std::result::Result<Self, DeError> {
-        match v {
-            Value::String(s) => DataState::parse(s)
-                .ok_or_else(|| DeError::new(format!("unknown dataset state `{s}`"))),
-            other => Err(DeError::new(format!("expected string, found {other:?}"))),
-        }
-    }
-}
-
-impl Serialize for Stage {
-    fn serialize(&self) -> Value {
-        Value::String(self.name().to_string())
-    }
-}
-
-impl Deserialize for Stage {
-    fn deserialize(v: &Value) -> std::result::Result<Self, DeError> {
-        match v {
-            Value::String(s) => {
-                Stage::parse(s).ok_or_else(|| DeError::new(format!("unknown stage `{s}`")))
-            }
-            other => Err(DeError::new(format!("expected string, found {other:?}"))),
-        }
-    }
-}
+// Hand-written because deserialization re-validates through the
+// builder, so an invalid plan can never arrive over the wire. Wire
+// format: `{"input":"fastq","stages":["import","align",...]}`.
 
 impl Serialize for Plan {
     fn serialize(&self) -> Value {

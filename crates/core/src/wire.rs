@@ -68,7 +68,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
-use persona_agd::manifest::Manifest;
+use persona_agd::manifest::{Manifest, RefContig};
 use persona_cache::CacheStats;
 use persona_dataflow::Priority;
 use persona_telemetry::MetricsSnapshot;
@@ -100,201 +100,69 @@ pub const OUTPUT_CHUNK_LEN: usize = 1 << 20;
 // Wire enums
 // ---------------------------------------------------------------------------
 
-/// Typed error codes carried by [`Message::Error`]. The spec promises a
-/// malformed request a *typed reply*, never a silently dropped
-/// connection, so clients can distinguish "fix your frame" from "fix
-/// your plan".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ErrorCode {
-    /// Hello carried a protocol version the server does not speak.
-    UnsupportedVersion,
-    /// Frame lengths out of bounds or truncated mid-frame; byte
-    /// alignment is lost, so the connection closes after this reply.
-    BadFrame,
-    /// The frame was well-formed but its header was not valid JSON or
-    /// not a known message; the connection continues.
-    BadMessage,
-    /// A submitted plan failed re-validation through the plan builder.
-    InvalidPlan,
-    /// The request was understood but rejected (spec/plan mismatch,
-    /// missing server resource, empty name or tenant, ...).
-    InvalidRequest,
-    /// The referenced job id is not known to this server.
-    UnknownJob,
-    /// The service is shutting down and admits no new jobs.
-    Shutdown,
-    /// An unexpected server-side failure.
-    Internal,
-}
-
-impl ErrorCode {
-    /// Every code, in spec order.
-    pub const ALL: [ErrorCode; 8] = [
-        ErrorCode::UnsupportedVersion,
-        ErrorCode::BadFrame,
-        ErrorCode::BadMessage,
-        ErrorCode::InvalidPlan,
-        ErrorCode::InvalidRequest,
-        ErrorCode::UnknownJob,
-        ErrorCode::Shutdown,
-        ErrorCode::Internal,
-    ];
-
-    /// The kebab-case wire name.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            ErrorCode::UnsupportedVersion => "unsupported-version",
-            ErrorCode::BadFrame => "bad-frame",
-            ErrorCode::BadMessage => "bad-message",
-            ErrorCode::InvalidPlan => "invalid-plan",
-            ErrorCode::InvalidRequest => "invalid-request",
-            ErrorCode::UnknownJob => "unknown-job",
-            ErrorCode::Shutdown => "shutdown",
-            ErrorCode::Internal => "internal",
-        }
-    }
-
-    /// Parses a wire name.
-    pub fn parse(s: &str) -> Option<ErrorCode> {
-        ErrorCode::ALL.iter().copied().find(|c| c.as_str() == s)
+serde::serde_enum! {
+    /// Typed error codes carried by [`Message::Error`]. The spec promises a
+    /// malformed request a *typed reply*, never a silently dropped
+    /// connection, so clients can distinguish "fix your frame" from "fix
+    /// your plan".
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum ErrorCode as "error code" {
+        /// Hello carried a protocol version the server does not speak.
+        UnsupportedVersion = "unsupported-version",
+        /// Frame lengths out of bounds or truncated mid-frame; byte
+        /// alignment is lost, so the connection closes after this reply.
+        BadFrame = "bad-frame",
+        /// The frame was well-formed but its header was not valid JSON or
+        /// not a known message; the connection continues.
+        BadMessage = "bad-message",
+        /// A submitted plan failed re-validation through the plan builder.
+        InvalidPlan = "invalid-plan",
+        /// The request was understood but rejected (spec/plan mismatch,
+        /// missing server resource, empty name or tenant, ...).
+        InvalidRequest = "invalid-request",
+        /// The referenced job id is not known to this server.
+        UnknownJob = "unknown-job",
+        /// The service is shutting down and admits no new jobs.
+        Shutdown = "shutdown",
+        /// An unexpected server-side failure.
+        Internal = "internal",
     }
 }
 
-impl std::fmt::Display for ErrorCode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
+serde::serde_enum! {
+    /// A job's lifecycle state as it appears on the wire. Mirrors the
+    /// service's `JobStatus`; kept separate so the protocol crate does not
+    /// depend on the service crate.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum WireJobStatus as "job status" {
+        /// Admitted, waiting for a fair-share dispatch slot.
+        Queued = "queued",
+        /// Running on the shared runtime.
+        Running = "running",
+        /// Finished successfully.
+        Completed = "completed",
+        /// Finished with an error.
+        Failed = "failed",
+        /// Cancelled before or during execution.
+        Cancelled = "cancelled",
     }
-}
-
-impl Serialize for ErrorCode {
-    fn serialize(&self) -> Value {
-        Value::String(self.as_str().to_string())
-    }
-}
-
-impl Deserialize for ErrorCode {
-    fn deserialize(v: &Value) -> std::result::Result<Self, DeError> {
-        match v {
-            Value::String(s) => {
-                ErrorCode::parse(s).ok_or_else(|| DeError::new(format!("unknown error code `{s}`")))
-            }
-            other => Err(DeError::new(format!("expected string, found {other:?}"))),
-        }
-    }
-}
-
-/// A job's lifecycle state as it appears on the wire. Mirrors the
-/// service's `JobStatus`; kept separate so the protocol crate does not
-/// depend on the service crate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireJobStatus {
-    /// Admitted, waiting for a fair-share dispatch slot.
-    Queued,
-    /// Running on the shared runtime.
-    Running,
-    /// Finished successfully.
-    Completed,
-    /// Finished with an error.
-    Failed,
-    /// Cancelled before or during execution.
-    Cancelled,
 }
 
 impl WireJobStatus {
-    /// Every status, in lifecycle order.
-    pub const ALL: [WireJobStatus; 5] = [
-        WireJobStatus::Queued,
-        WireJobStatus::Running,
-        WireJobStatus::Completed,
-        WireJobStatus::Failed,
-        WireJobStatus::Cancelled,
-    ];
-
-    /// The kebab-case wire name.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            WireJobStatus::Queued => "queued",
-            WireJobStatus::Running => "running",
-            WireJobStatus::Completed => "completed",
-            WireJobStatus::Failed => "failed",
-            WireJobStatus::Cancelled => "cancelled",
-        }
-    }
-
-    /// Parses a wire name.
-    pub fn parse(s: &str) -> Option<WireJobStatus> {
-        WireJobStatus::ALL.iter().copied().find(|st| st.as_str() == s)
-    }
-
     /// Whether the status is terminal (completed / failed / cancelled).
     pub fn is_terminal(&self) -> bool {
         !matches!(self, WireJobStatus::Queued | WireJobStatus::Running)
     }
 }
 
-impl std::fmt::Display for WireJobStatus {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl Serialize for WireJobStatus {
-    fn serialize(&self) -> Value {
-        Value::String(self.as_str().to_string())
-    }
-}
-
-impl Deserialize for WireJobStatus {
-    fn deserialize(v: &Value) -> std::result::Result<Self, DeError> {
-        match v {
-            Value::String(s) => WireJobStatus::parse(s)
-                .ok_or_else(|| DeError::new(format!("unknown job status `{s}`"))),
-            other => Err(DeError::new(format!("expected string, found {other:?}"))),
-        }
-    }
-}
-
-/// Which exported byte stream an [`Message::OutputChunk`] belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OutputStream {
-    /// SAM text (`export-sam`).
-    Sam,
-    /// BGZF BAM (`export-bam`).
-    Bam,
-}
-
-impl OutputStream {
-    /// The kebab-case wire name.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            OutputStream::Sam => "sam",
-            OutputStream::Bam => "bam",
-        }
-    }
-
-    /// Parses a wire name.
-    pub fn parse(s: &str) -> Option<OutputStream> {
-        match s {
-            "sam" => Some(OutputStream::Sam),
-            "bam" => Some(OutputStream::Bam),
-            _ => None,
-        }
-    }
-}
-
-impl Serialize for OutputStream {
-    fn serialize(&self) -> Value {
-        Value::String(self.as_str().to_string())
-    }
-}
-
-impl Deserialize for OutputStream {
-    fn deserialize(v: &Value) -> std::result::Result<Self, DeError> {
-        match v {
-            Value::String(s) => OutputStream::parse(s)
-                .ok_or_else(|| DeError::new(format!("unknown output stream `{s}`"))),
-            other => Err(DeError::new(format!("expected string, found {other:?}"))),
-        }
+serde::serde_enum! {
+    /// Which exported byte stream an [`Message::OutputChunk`] belongs to.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum OutputStream as "output stream" {
+        /// SAM text (`export-sam`).
+        Sam = "sam",
+        /// BGZF BAM (`export-bam`).
+        Bam = "bam",
     }
 }
 
@@ -317,223 +185,130 @@ pub fn parse_priority(s: &str) -> Option<Priority> {
     }
 }
 
+/// The field codec of an executor [`Priority`] (its wire name), for
+/// `submit-job` and the journal's `submitted` record. Hand-written
+/// because `Priority` belongs to `persona_dataflow`, which has no serde.
+pub mod priority_field {
+    use super::{field, parse_priority, priority_name, DeError, Priority, Value};
+
+    /// Writes the priority's wire name under `key`.
+    pub fn serialize(p: &Priority, key: &str, out: &mut Vec<(String, Value)>) {
+        out.push((key.into(), Value::String(priority_name(*p).into())));
+    }
+
+    /// Reads a priority wire name from `key`.
+    pub fn deserialize(v: &Value, key: &str) -> Result<Priority, DeError> {
+        let name = field::tag(v, key)?;
+        parse_priority(name).ok_or_else(|| DeError::new(format!("unknown priority `{name}`")))
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Wire records
 // ---------------------------------------------------------------------------
 
-/// What a submitted job consumes. FASTQ *bytes* travel in the frame
-/// body (never inside the JSON header), so the header stays small and
-/// the payload pays no text encoding; dataset inputs name an existing
-/// dataset by shipping its manifest inline.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WireInput {
-    /// Raw FASTQ; the submit frame's body holds the bytes.
-    Fastq,
-    /// An existing AGD dataset in the server's shared store.
-    Dataset(Manifest),
-}
-
-impl Serialize for WireInput {
-    fn serialize(&self) -> Value {
-        match self {
-            WireInput::Fastq => Value::Object(vec![("kind".into(), Value::String("fastq".into()))]),
-            WireInput::Dataset(m) => Value::Object(vec![
-                ("kind".into(), Value::String("dataset".into())),
-                ("manifest".into(), m.serialize()),
-            ]),
-        }
+serde::serde_enum! {
+    /// What a submitted job consumes. FASTQ *bytes* travel in the frame
+    /// body (never inside the JSON header), so the header stays small and
+    /// the payload pays no text encoding; dataset inputs name an existing
+    /// dataset by shipping its manifest inline.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum WireInput as "input kind", tag "kind" {
+        /// Raw FASTQ; the submit frame's body holds the bytes.
+        Fastq = "fastq",
+        /// An existing AGD dataset in the server's shared store.
+        Dataset = "dataset" (manifest: Manifest),
     }
 }
 
-impl Deserialize for WireInput {
-    fn deserialize(v: &Value) -> std::result::Result<Self, DeError> {
-        let kind: String = field::required(v, "kind")?;
-        match kind.as_str() {
-            "fastq" => Ok(WireInput::Fastq),
-            "dataset" => Ok(WireInput::Dataset(field::required(v, "manifest")?)),
-            other => Err(DeError::new(format!("unknown input kind `{other}`"))),
-        }
+serde::serde_struct! {
+    /// One executed stage's timing, as reported in [`Message::JobDone`].
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct WireStageRow {
+        /// Stage wire name (`import`, `align`, ...).
+        pub stage: String,
+        /// Stage wall clock, seconds.
+        pub elapsed_s: f64,
+        /// The stage's share of executor worker time while it ran.
+        pub busy_fraction: f64,
     }
 }
 
-/// One executed stage's timing, as reported in [`Message::JobDone`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireStageRow {
-    /// Stage wire name (`import`, `align`, ...).
-    pub stage: String,
-    /// Stage wall clock, seconds.
-    pub elapsed_s: f64,
-    /// The stage's share of executor worker time while it ran.
-    pub busy_fraction: f64,
-}
-
-impl Serialize for WireStageRow {
-    fn serialize(&self) -> Value {
-        Value::Object(vec![
-            ("stage".into(), self.stage.serialize()),
-            ("elapsed_s".into(), self.elapsed_s.serialize()),
-            ("busy_fraction".into(), self.busy_fraction.serialize()),
-        ])
+serde::serde_struct! {
+    /// One tenant's accounting snapshot inside [`Message::ReportReply`].
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct WireTenant {
+        /// Tenant name.
+        pub tenant: String,
+        /// Fair-share weight in force.
+        pub weight: u32,
+        /// Jobs ever submitted.
+        pub submitted: u64,
+        /// Jobs finished successfully.
+        pub completed: u64,
+        /// Jobs finished with an error.
+        pub failed: u64,
+        /// Jobs cancelled.
+        pub cancelled: u64,
+        /// Jobs queued at snapshot time.
+        pub queued: u64,
+        /// Jobs running at snapshot time.
+        pub running: u64,
+        /// Reads processed by finished jobs.
+        pub reads: u64,
+        /// Throughput over finished jobs (0.0 when none ran).
+        pub reads_per_sec: f64,
     }
 }
 
-impl Deserialize for WireStageRow {
-    fn deserialize(v: &Value) -> std::result::Result<Self, DeError> {
-        Ok(WireStageRow {
-            stage: field::required(v, "stage")?,
-            elapsed_s: field::required(v, "elapsed_s")?,
-            busy_fraction: field::required(v, "busy_fraction")?,
-        })
+serde::serde_struct! {
+    /// The service snapshot carried by [`Message::ReportReply`].
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct WireReport {
+        /// Service uptime, seconds.
+        pub elapsed_s: f64,
+        /// Executor worker threads.
+        pub workers: u64,
+        /// Per-tenant accounting, in tenant registration order.
+        pub tenants: Vec<WireTenant>,
     }
 }
 
-/// One tenant's accounting snapshot inside [`Message::ReportReply`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireTenant {
-    /// Tenant name.
-    pub tenant: String,
-    /// Fair-share weight in force.
-    pub weight: u32,
-    /// Jobs ever submitted.
-    pub submitted: u64,
-    /// Jobs finished successfully.
-    pub completed: u64,
-    /// Jobs finished with an error.
-    pub failed: u64,
-    /// Jobs cancelled.
-    pub cancelled: u64,
-    /// Jobs queued at snapshot time.
-    pub queued: u64,
-    /// Jobs running at snapshot time.
-    pub running: u64,
-    /// Reads processed by finished jobs.
-    pub reads: u64,
-    /// Throughput over finished jobs (0.0 when none ran).
-    pub reads_per_sec: f64,
-}
-
-impl Serialize for WireTenant {
-    fn serialize(&self) -> Value {
-        Value::Object(vec![
-            ("tenant".into(), self.tenant.serialize()),
-            ("weight".into(), self.weight.serialize()),
-            ("submitted".into(), self.submitted.serialize()),
-            ("completed".into(), self.completed.serialize()),
-            ("failed".into(), self.failed.serialize()),
-            ("cancelled".into(), self.cancelled.serialize()),
-            ("queued".into(), self.queued.serialize()),
-            ("running".into(), self.running.serialize()),
-            ("reads".into(), self.reads.serialize()),
-            ("reads_per_sec".into(), self.reads_per_sec.serialize()),
-        ])
+serde::serde_struct! {
+    /// One job's identity row inside [`Message::JobList`] — enough for a
+    /// reconnecting client to find its work by name and attach.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct WireJobSummary {
+        /// Service-assigned job id (global across connections).
+        pub job_id: u64,
+        /// The job's dataset name.
+        pub name: String,
+        /// The submitting tenant.
+        pub tenant: String,
+        /// Lifecycle state at snapshot time.
+        pub status: WireJobStatus,
     }
 }
 
-impl Deserialize for WireTenant {
-    fn deserialize(v: &Value) -> std::result::Result<Self, DeError> {
-        Ok(WireTenant {
-            tenant: field::required(v, "tenant")?,
-            weight: field::required(v, "weight")?,
-            submitted: field::required(v, "submitted")?,
-            completed: field::required(v, "completed")?,
-            failed: field::required(v, "failed")?,
-            cancelled: field::required(v, "cancelled")?,
-            queued: field::required(v, "queued")?,
-            running: field::required(v, "running")?,
-            reads: field::required(v, "reads")?,
-            reads_per_sec: field::required(v, "reads_per_sec")?,
-        })
-    }
-}
+/// The field codec of `submit-job`'s reference list. Hand-written
+/// because the wire spells the `(contig, length)` pairs as
+/// `[{"name":…,"length":…}]` and an absent list (but not `null`) reads
+/// as empty.
+mod reference_field {
+    use super::{field, DeError, RefContig, Serialize, Value};
 
-/// The service snapshot carried by [`Message::ReportReply`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireReport {
-    /// Service uptime, seconds.
-    pub elapsed_s: f64,
-    /// Executor worker threads.
-    pub workers: u64,
-    /// Per-tenant accounting, in tenant registration order.
-    pub tenants: Vec<WireTenant>,
-}
-
-impl Serialize for WireReport {
-    fn serialize(&self) -> Value {
-        Value::Object(vec![
-            ("elapsed_s".into(), self.elapsed_s.serialize()),
-            ("workers".into(), self.workers.serialize()),
-            ("tenants".into(), self.tenants.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for WireReport {
-    fn deserialize(v: &Value) -> std::result::Result<Self, DeError> {
-        Ok(WireReport {
-            elapsed_s: field::required(v, "elapsed_s")?,
-            workers: field::required(v, "workers")?,
-            tenants: field::required(v, "tenants")?,
-        })
-    }
-}
-
-/// One job's identity row inside [`Message::JobList`] — enough for a
-/// reconnecting client to find its work by name and attach.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireJobSummary {
-    /// Service-assigned job id (global across connections).
-    pub job_id: u64,
-    /// The job's dataset name.
-    pub name: String,
-    /// The submitting tenant.
-    pub tenant: String,
-    /// Lifecycle state at snapshot time.
-    pub status: WireJobStatus,
-}
-
-impl Serialize for WireJobSummary {
-    fn serialize(&self) -> Value {
-        Value::Object(vec![
-            ("job_id".into(), self.job_id.serialize()),
-            ("name".into(), self.name.serialize()),
-            ("tenant".into(), self.tenant.serialize()),
-            ("status".into(), self.status.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for WireJobSummary {
-    fn deserialize(v: &Value) -> std::result::Result<Self, DeError> {
-        Ok(WireJobSummary {
-            job_id: field::required(v, "job_id")?,
-            name: field::required(v, "name")?,
-            tenant: field::required(v, "tenant")?,
-            status: field::required(v, "status")?,
-        })
-    }
-}
-
-fn reference_to_value(reference: &[(String, u64)]) -> Value {
-    Value::Array(
-        reference
+    pub fn serialize(reference: &[(String, u64)], key: &str, out: &mut Vec<(String, Value)>) {
+        let contigs: Vec<RefContig> = reference
             .iter()
-            .map(|(name, length)| {
-                Value::Object(vec![
-                    ("name".into(), name.serialize()),
-                    ("length".into(), length.serialize()),
-                ])
-            })
-            .collect(),
-    )
-}
+            .map(|(name, length)| RefContig { name: name.clone(), length: *length })
+            .collect();
+        out.push((key.into(), contigs.serialize()));
+    }
 
-fn reference_from_value(v: &Value) -> std::result::Result<Vec<(String, u64)>, DeError> {
-    match v {
-        Value::Array(items) => items
-            .iter()
-            .map(|item| Ok((field::required(item, "name")?, field::required(item, "length")?)))
-            .collect(),
-        other => Err(DeError::new(format!("expected array, found {other:?}"))),
+    pub fn deserialize(v: &Value, key: &str) -> Result<Vec<(String, u64)>, DeError> {
+        let contigs: Vec<RefContig> =
+            if v.get(key).is_some() { field::required(v, key)? } else { Vec::new() };
+        Ok(contigs.into_iter().map(|c| (c.name, c.length)).collect())
     }
 }
 
@@ -541,284 +316,254 @@ fn reference_from_value(v: &Value) -> std::result::Result<Vec<(String, u64)>, De
 // Messages
 // ---------------------------------------------------------------------------
 
-/// Every message that can appear in a frame header, tagged on the wire
-/// by its `"type"` field. `seq` is the client-chosen correlation id,
-/// echoed on every reply the request produces.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Message {
-    /// Client → server, first frame of a connection.
-    Hello {
-        /// The client's [`PROTOCOL_VERSION`].
-        version: u32,
-    },
-    /// Server → client, reply to a version-compatible [`Message::Hello`].
-    ServerHello {
-        /// The server's [`PROTOCOL_VERSION`].
-        version: u32,
-    },
-    /// Client → server: admit a job. FASTQ inputs put the bytes in the
-    /// frame body; dataset inputs ship the manifest inline and an empty
-    /// body.
-    SubmitJob {
-        /// Correlation id.
-        seq: u64,
-        /// Dataset name (unique among live jobs).
-        name: String,
-        /// The submitting tenant.
-        tenant: String,
-        /// Executor dispatch priority.
-        priority: Priority,
-        /// The composed plan; re-validated during decoding.
-        plan: Plan,
-        /// The input kind.
-        input: WireInput,
-        /// Records per AGD chunk (FASTQ inputs only).
-        chunk_size: u64,
-        /// `(contig, length)` reference metadata recorded at alignment.
-        reference: Vec<(String, u64)>,
-    },
-    /// Server → client: the job was admitted.
-    JobAccepted {
-        /// Correlation id of the submit.
-        seq: u64,
-        /// Service-assigned job id (global across connections).
-        job_id: u64,
-    },
-    /// Client → server: poll one job's lifecycle state.
-    Status {
-        /// Correlation id.
-        seq: u64,
-        /// The job to poll.
-        job_id: u64,
-    },
-    /// Server → client: reply to [`Message::Status`].
-    JobStatus {
-        /// Correlation id of the request.
-        seq: u64,
-        /// The polled job.
-        job_id: u64,
-        /// Its current state.
-        status: WireJobStatus,
-    },
-    /// Client → server: stream the job's progress and, once terminal,
-    /// its outputs. Replies: one or more [`Message::JobEvent`]s, then
-    /// [`Message::OutputChunk`]s for each non-empty output stream, then
-    /// exactly one [`Message::JobDone`].
-    Wait {
-        /// Correlation id.
-        seq: u64,
-        /// The job to wait on.
-        job_id: u64,
-    },
-    /// Server → client: a lifecycle transition observed during
-    /// [`Message::Wait`].
-    JobEvent {
-        /// Correlation id of the wait.
-        seq: u64,
-        /// The watched job.
-        job_id: u64,
-        /// The state it reached.
-        status: WireJobStatus,
-    },
-    /// Server → client: one chunk of an output stream; the bytes are
-    /// the frame body. Chunks of one stream arrive in `index` order;
-    /// the final chunk has `last == true`.
-    OutputChunk {
-        /// Correlation id of the wait.
-        seq: u64,
-        /// The producing job.
-        job_id: u64,
-        /// Which output stream this chunk extends.
-        stream: OutputStream,
-        /// Zero-based chunk index within the stream.
-        index: u64,
-        /// Whether this is the stream's final chunk.
-        last: bool,
-    },
-    /// Server → client: terminal reply to [`Message::Wait`].
-    JobDone {
-        /// Correlation id of the wait.
-        seq: u64,
-        /// The finished job.
-        job_id: u64,
-        /// Terminal state (`completed` / `failed` / `cancelled`).
-        status: WireJobStatus,
-        /// The failure message when `status == failed`.
-        error: Option<String>,
-        /// Reads processed.
-        reads: u64,
-        /// Time queued before dispatch, seconds.
-        queue_wait_s: f64,
-        /// Wall-clock run time, seconds.
-        elapsed_s: f64,
-        /// Per-stage timings for exactly the stages that ran.
-        stages: Vec<WireStageRow>,
-        /// Manifest of the plan's final dataset state, when one exists.
-        manifest: Option<Manifest>,
-    },
-    /// Client → server: request cooperative cancellation of a job.
-    Cancel {
-        /// Correlation id.
-        seq: u64,
-        /// The job to cancel.
-        job_id: u64,
-    },
-    /// Server → client: the cancellation request was delivered (the
-    /// job's terminal state still arrives through `wait`/`status`).
-    CancelOk {
-        /// Correlation id of the cancel.
-        seq: u64,
-        /// The cancelled job.
-        job_id: u64,
-    },
-    /// Client → server: request a service accounting snapshot.
-    Report {
-        /// Correlation id.
-        seq: u64,
-    },
-    /// Server → client: reply to [`Message::Report`].
-    ReportReply {
-        /// Correlation id of the request.
-        seq: u64,
-        /// The snapshot.
-        report: WireReport,
-    },
-    /// Client → server: request a point-in-time snapshot of the
-    /// server's metrics registry (counters, gauges, latency
-    /// histograms from every subsystem).
-    MetricsRequest {
-        /// Correlation id.
-        seq: u64,
-    },
-    /// Server → client: reply to [`Message::MetricsRequest`].
-    MetricsReply {
-        /// Correlation id of the request.
-        seq: u64,
-        /// The registry snapshot.
-        metrics: MetricsSnapshot,
-    },
-    /// Client → server: request the service's result-cache counters
-    /// and occupancy (hits, misses, evictions, reuse savings).
-    CacheStatsRequest {
-        /// Correlation id.
-        seq: u64,
-    },
-    /// Server → client: reply to [`Message::CacheStatsRequest`]. A
-    /// service running without a cache replies with
-    /// `enabled: false` and zeroed counters.
-    CacheStatsReply {
-        /// Correlation id of the request.
-        seq: u64,
-        /// The cache counters snapshot.
-        stats: CacheStats,
-    },
-    /// Client → server: fetch one job's trace spans as
-    /// Chrome-`trace_event` JSON. Valid (and partial) while the job
-    /// still runs; `unknown-job` for ids never dispatched or whose
-    /// trace has been evicted.
-    TraceRequest {
-        /// Correlation id.
-        seq: u64,
-        /// The job whose trace to fetch.
-        job_id: u64,
-    },
-    /// Server → client: reply to [`Message::TraceRequest`]. The frame
-    /// *body* carries the Chrome-`trace_event` JSON bytes, so a large
-    /// trace never inflates the header.
-    TraceReply {
-        /// Correlation id of the request.
-        seq: u64,
-        /// The traced job.
-        job_id: u64,
-    },
-    /// Client → server (v2): grant the server permission to send
-    /// `chunks` more [`Message::OutputChunk`] frames on this
-    /// connection. Connection-scoped (no `seq`): the window is shared
-    /// by every `wait` stream the connection has open. A v2
-    /// connection's window opens at zero, so the first grant — sent by
-    /// the pipelined client right after its hello — *advertises* the
-    /// client's receive window.
-    Credit {
-        /// How many more output chunks the server may send.
-        chunks: u64,
-    },
-    /// Client → server (v2): list the jobs the server currently knows
-    /// (its live registry, newest first).
-    ListJobs {
-        /// Correlation id.
-        seq: u64,
-    },
-    /// Server → client: reply to [`Message::ListJobs`].
-    JobList {
-        /// Correlation id of the request.
-        seq: u64,
-        /// One row per registered job, newest first.
-        jobs: Vec<WireJobSummary>,
-    },
-    /// Client → server (v2): resolve a job by its dataset name, so a
-    /// reconnecting client can resume waiting on running work without
-    /// holding the original job id. The returned id feeds an ordinary
-    /// [`Message::Wait`].
-    Attach {
-        /// Correlation id.
-        seq: u64,
-        /// The dataset name the job was submitted under.
-        name: String,
-    },
-    /// Server → client: reply to [`Message::Attach`].
-    Attached {
-        /// Correlation id of the request.
-        seq: u64,
-        /// The resolved job id.
-        job_id: u64,
-        /// The job's lifecycle state at attach time.
-        status: WireJobStatus,
-    },
-    /// Server → client: a typed error. `seq` echoes the offending
-    /// request when attributable, else 0.
-    Error {
-        /// Correlation id of the offending request, or 0.
-        seq: u64,
-        /// What went wrong, as a machine-readable code.
-        code: ErrorCode,
-        /// Human-readable detail.
-        message: String,
-    },
+serde::serde_enum! {
+    /// Every message that can appear in a frame header, tagged on the wire
+    /// by its `"type"` field. `seq` is the client-chosen correlation id,
+    /// echoed on every reply the request produces.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Message as "message type", tag "type" {
+        /// Client → server, first frame of a connection.
+        Hello = "hello" {
+            /// The client's [`PROTOCOL_VERSION`].
+            version: u32,
+        },
+        /// Server → client, reply to a version-compatible [`Message::Hello`].
+        ServerHello = "server-hello" {
+            /// The server's [`PROTOCOL_VERSION`].
+            version: u32,
+        },
+        /// Client → server: admit a job. FASTQ inputs put the bytes in the
+        /// frame body; dataset inputs ship the manifest inline and an empty
+        /// body.
+        SubmitJob = "submit-job" {
+            /// Correlation id.
+            seq: u64,
+            /// Dataset name (unique among live jobs).
+            name: String,
+            /// The submitting tenant.
+            tenant: String,
+            /// Executor dispatch priority.
+            priority: Priority = with(priority_field),
+            /// The composed plan; re-validated during decoding.
+            plan: Plan,
+            /// The input kind.
+            input: WireInput,
+            /// Records per AGD chunk (FASTQ inputs only).
+            chunk_size: u64,
+            /// `(contig, length)` reference metadata recorded at alignment.
+            reference: Vec<(String, u64)> = with(reference_field),
+        },
+        /// Server → client: the job was admitted.
+        JobAccepted = "job-accepted" {
+            /// Correlation id of the submit.
+            seq: u64,
+            /// Service-assigned job id (global across connections).
+            job_id: u64,
+        },
+        /// Client → server: poll one job's lifecycle state.
+        Status = "status" {
+            /// Correlation id.
+            seq: u64,
+            /// The job to poll.
+            job_id: u64,
+        },
+        /// Server → client: reply to [`Message::Status`].
+        JobStatus = "job-status" {
+            /// Correlation id of the request.
+            seq: u64,
+            /// The polled job.
+            job_id: u64,
+            /// Its current state.
+            status: WireJobStatus,
+        },
+        /// Client → server: stream the job's progress and, once terminal,
+        /// its outputs. Replies: one or more [`Message::JobEvent`]s, then
+        /// [`Message::OutputChunk`]s for each non-empty output stream, then
+        /// exactly one [`Message::JobDone`].
+        Wait = "wait" {
+            /// Correlation id.
+            seq: u64,
+            /// The job to wait on.
+            job_id: u64,
+        },
+        /// Server → client: a lifecycle transition observed during
+        /// [`Message::Wait`].
+        JobEvent = "job-event" {
+            /// Correlation id of the wait.
+            seq: u64,
+            /// The watched job.
+            job_id: u64,
+            /// The state it reached.
+            status: WireJobStatus,
+        },
+        /// Server → client: one chunk of an output stream; the bytes are
+        /// the frame body. Chunks of one stream arrive in `index` order;
+        /// the final chunk has `last == true`.
+        OutputChunk = "output-chunk" {
+            /// Correlation id of the wait.
+            seq: u64,
+            /// The producing job.
+            job_id: u64,
+            /// Which output stream this chunk extends.
+            stream: OutputStream,
+            /// Zero-based chunk index within the stream.
+            index: u64,
+            /// Whether this is the stream's final chunk.
+            last: bool,
+        },
+        /// Server → client: terminal reply to [`Message::Wait`].
+        JobDone = "job-done" {
+            /// Correlation id of the wait.
+            seq: u64,
+            /// The finished job.
+            job_id: u64,
+            /// Terminal state (`completed` / `failed` / `cancelled`).
+            status: WireJobStatus,
+            /// The failure message when `status == failed`.
+            error: Option<String> = default,
+            /// Reads processed.
+            reads: u64,
+            /// Time queued before dispatch, seconds.
+            queue_wait_s: f64,
+            /// Wall-clock run time, seconds.
+            elapsed_s: f64,
+            /// Per-stage timings for exactly the stages that ran.
+            stages: Vec<WireStageRow>,
+            /// Manifest of the plan's final dataset state, when one exists.
+            manifest: Option<Manifest> = default,
+        },
+        /// Client → server: request cooperative cancellation of a job.
+        Cancel = "cancel" {
+            /// Correlation id.
+            seq: u64,
+            /// The job to cancel.
+            job_id: u64,
+        },
+        /// Server → client: the cancellation request was delivered (the
+        /// job's terminal state still arrives through `wait`/`status`).
+        CancelOk = "cancel-ok" {
+            /// Correlation id of the cancel.
+            seq: u64,
+            /// The cancelled job.
+            job_id: u64,
+        },
+        /// Client → server: request a service accounting snapshot.
+        Report = "report" {
+            /// Correlation id.
+            seq: u64,
+        },
+        /// Server → client: reply to [`Message::Report`].
+        ReportReply = "report-reply" {
+            /// Correlation id of the request.
+            seq: u64,
+            /// The snapshot.
+            report: WireReport,
+        },
+        /// Client → server: request a point-in-time snapshot of the
+        /// server's metrics registry (counters, gauges, latency
+        /// histograms from every subsystem).
+        MetricsRequest = "metrics-request" {
+            /// Correlation id.
+            seq: u64,
+        },
+        /// Server → client: reply to [`Message::MetricsRequest`].
+        MetricsReply = "metrics-reply" {
+            /// Correlation id of the request.
+            seq: u64,
+            /// The registry snapshot.
+            metrics: MetricsSnapshot,
+        },
+        /// Client → server: request the service's result-cache counters
+        /// and occupancy (hits, misses, evictions, reuse savings).
+        CacheStatsRequest = "cache-stats-request" {
+            /// Correlation id.
+            seq: u64,
+        },
+        /// Server → client: reply to [`Message::CacheStatsRequest`]. A
+        /// service running without a cache replies with
+        /// `enabled: false` and zeroed counters.
+        CacheStatsReply = "cache-stats-reply" {
+            /// Correlation id of the request.
+            seq: u64,
+            /// The cache counters snapshot.
+            stats: CacheStats,
+        },
+        /// Client → server: fetch one job's trace spans as
+        /// Chrome-`trace_event` JSON. Valid (and partial) while the job
+        /// still runs; `unknown-job` for ids never dispatched or whose
+        /// trace has been evicted.
+        TraceRequest = "trace-request" {
+            /// Correlation id.
+            seq: u64,
+            /// The job whose trace to fetch.
+            job_id: u64,
+        },
+        /// Server → client: reply to [`Message::TraceRequest`]. The frame
+        /// *body* carries the Chrome-`trace_event` JSON bytes, so a large
+        /// trace never inflates the header.
+        TraceReply = "trace-reply" {
+            /// Correlation id of the request.
+            seq: u64,
+            /// The traced job.
+            job_id: u64,
+        },
+        /// Client → server (v2): grant the server permission to send
+        /// `chunks` more [`Message::OutputChunk`] frames on this
+        /// connection. Connection-scoped (no `seq`): the window is shared
+        /// by every `wait` stream the connection has open. A v2
+        /// connection's window opens at zero, so the first grant — sent by
+        /// the pipelined client right after its hello — *advertises* the
+        /// client's receive window.
+        Credit = "credit" {
+            /// How many more output chunks the server may send.
+            chunks: u64,
+        },
+        /// Client → server (v2): list the jobs the server currently knows
+        /// (its live registry, newest first).
+        ListJobs = "list-jobs" {
+            /// Correlation id.
+            seq: u64,
+        },
+        /// Server → client: reply to [`Message::ListJobs`].
+        JobList = "job-list" {
+            /// Correlation id of the request.
+            seq: u64,
+            /// One row per registered job, newest first.
+            jobs: Vec<WireJobSummary>,
+        },
+        /// Client → server (v2): resolve a job by its dataset name, so a
+        /// reconnecting client can resume waiting on running work without
+        /// holding the original job id. The returned id feeds an ordinary
+        /// [`Message::Wait`].
+        Attach = "attach" {
+            /// Correlation id.
+            seq: u64,
+            /// The dataset name the job was submitted under.
+            name: String,
+        },
+        /// Server → client: reply to [`Message::Attach`].
+        Attached = "attached" {
+            /// Correlation id of the request.
+            seq: u64,
+            /// The resolved job id.
+            job_id: u64,
+            /// The job's lifecycle state at attach time.
+            status: WireJobStatus,
+        },
+        /// Server → client: a typed error. `seq` echoes the offending
+        /// request when attributable, else 0.
+        Error = "error" {
+            /// Correlation id of the offending request, or 0.
+            seq: u64,
+            /// What went wrong, as a machine-readable code.
+            code: ErrorCode,
+            /// Human-readable detail.
+            message: String,
+        },
+    }
 }
 
 impl Message {
-    /// The message's `"type"` tag.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Message::Hello { .. } => "hello",
-            Message::ServerHello { .. } => "server-hello",
-            Message::SubmitJob { .. } => "submit-job",
-            Message::JobAccepted { .. } => "job-accepted",
-            Message::Status { .. } => "status",
-            Message::JobStatus { .. } => "job-status",
-            Message::Wait { .. } => "wait",
-            Message::JobEvent { .. } => "job-event",
-            Message::OutputChunk { .. } => "output-chunk",
-            Message::JobDone { .. } => "job-done",
-            Message::Cancel { .. } => "cancel",
-            Message::CancelOk { .. } => "cancel-ok",
-            Message::Report { .. } => "report",
-            Message::ReportReply { .. } => "report-reply",
-            Message::MetricsRequest { .. } => "metrics-request",
-            Message::MetricsReply { .. } => "metrics-reply",
-            Message::CacheStatsRequest { .. } => "cache-stats-request",
-            Message::CacheStatsReply { .. } => "cache-stats-reply",
-            Message::TraceRequest { .. } => "trace-request",
-            Message::TraceReply { .. } => "trace-reply",
-            Message::Credit { .. } => "credit",
-            Message::ListJobs { .. } => "list-jobs",
-            Message::JobList { .. } => "job-list",
-            Message::Attach { .. } => "attach",
-            Message::Attached { .. } => "attached",
-            Message::Error { .. } => "error",
-        }
-    }
-
     /// The message's correlation id (0 for the hello pair and the
     /// connection-scoped `credit` grant, which have none).
     pub fn seq(&self) -> u64 {
@@ -847,217 +592,6 @@ impl Message {
             | Message::Attach { seq, .. }
             | Message::Attached { seq, .. }
             | Message::Error { seq, .. } => *seq,
-        }
-    }
-}
-
-impl Serialize for Message {
-    fn serialize(&self) -> Value {
-        let mut fields: Vec<(String, Value)> =
-            vec![("type".into(), Value::String(self.type_name().into()))];
-        match self {
-            Message::Hello { version } | Message::ServerHello { version } => {
-                fields.push(("version".into(), version.serialize()));
-            }
-            Message::SubmitJob {
-                seq,
-                name,
-                tenant,
-                priority,
-                plan,
-                input,
-                chunk_size,
-                reference,
-            } => {
-                fields.push(("seq".into(), seq.serialize()));
-                fields.push(("name".into(), name.serialize()));
-                fields.push(("tenant".into(), tenant.serialize()));
-                fields.push(("priority".into(), Value::String(priority_name(*priority).into())));
-                fields.push(("plan".into(), plan.serialize()));
-                fields.push(("input".into(), input.serialize()));
-                fields.push(("chunk_size".into(), chunk_size.serialize()));
-                fields.push(("reference".into(), reference_to_value(reference)));
-            }
-            Message::JobAccepted { seq, job_id }
-            | Message::CancelOk { seq, job_id }
-            | Message::Status { seq, job_id }
-            | Message::Wait { seq, job_id }
-            | Message::Cancel { seq, job_id } => {
-                fields.push(("seq".into(), seq.serialize()));
-                fields.push(("job_id".into(), job_id.serialize()));
-            }
-            Message::JobStatus { seq, job_id, status }
-            | Message::JobEvent { seq, job_id, status } => {
-                fields.push(("seq".into(), seq.serialize()));
-                fields.push(("job_id".into(), job_id.serialize()));
-                fields.push(("status".into(), status.serialize()));
-            }
-            Message::OutputChunk { seq, job_id, stream, index, last } => {
-                fields.push(("seq".into(), seq.serialize()));
-                fields.push(("job_id".into(), job_id.serialize()));
-                fields.push(("stream".into(), stream.serialize()));
-                fields.push(("index".into(), index.serialize()));
-                fields.push(("last".into(), last.serialize()));
-            }
-            Message::JobDone {
-                seq,
-                job_id,
-                status,
-                error,
-                reads,
-                queue_wait_s,
-                elapsed_s,
-                stages,
-                manifest,
-            } => {
-                fields.push(("seq".into(), seq.serialize()));
-                fields.push(("job_id".into(), job_id.serialize()));
-                fields.push(("status".into(), status.serialize()));
-                fields.push(("error".into(), error.serialize()));
-                fields.push(("reads".into(), reads.serialize()));
-                fields.push(("queue_wait_s".into(), queue_wait_s.serialize()));
-                fields.push(("elapsed_s".into(), elapsed_s.serialize()));
-                fields.push(("stages".into(), stages.serialize()));
-                fields.push(("manifest".into(), manifest.serialize()));
-            }
-            Message::Report { seq }
-            | Message::MetricsRequest { seq }
-            | Message::CacheStatsRequest { seq } => {
-                fields.push(("seq".into(), seq.serialize()));
-            }
-            Message::ReportReply { seq, report } => {
-                fields.push(("seq".into(), seq.serialize()));
-                fields.push(("report".into(), report.serialize()));
-            }
-            Message::MetricsReply { seq, metrics } => {
-                fields.push(("seq".into(), seq.serialize()));
-                fields.push(("metrics".into(), metrics.serialize()));
-            }
-            Message::CacheStatsReply { seq, stats } => {
-                fields.push(("seq".into(), seq.serialize()));
-                fields.push(("stats".into(), stats.serialize()));
-            }
-            Message::TraceRequest { seq, job_id } | Message::TraceReply { seq, job_id } => {
-                fields.push(("seq".into(), seq.serialize()));
-                fields.push(("job_id".into(), job_id.serialize()));
-            }
-            Message::Credit { chunks } => {
-                fields.push(("chunks".into(), chunks.serialize()));
-            }
-            Message::ListJobs { seq } => {
-                fields.push(("seq".into(), seq.serialize()));
-            }
-            Message::JobList { seq, jobs } => {
-                fields.push(("seq".into(), seq.serialize()));
-                fields.push(("jobs".into(), jobs.serialize()));
-            }
-            Message::Attach { seq, name } => {
-                fields.push(("seq".into(), seq.serialize()));
-                fields.push(("name".into(), name.serialize()));
-            }
-            Message::Attached { seq, job_id, status } => {
-                fields.push(("seq".into(), seq.serialize()));
-                fields.push(("job_id".into(), job_id.serialize()));
-                fields.push(("status".into(), status.serialize()));
-            }
-            Message::Error { seq, code, message } => {
-                fields.push(("seq".into(), seq.serialize()));
-                fields.push(("code".into(), code.serialize()));
-                fields.push(("message".into(), message.serialize()));
-            }
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for Message {
-    fn deserialize(v: &Value) -> std::result::Result<Self, DeError> {
-        let ty: String = field::required(v, "type")?;
-        let seq = || field::required::<u64>(v, "seq");
-        let job_id = || field::required::<u64>(v, "job_id");
-        match ty.as_str() {
-            "hello" => Ok(Message::Hello { version: field::required(v, "version")? }),
-            "server-hello" => Ok(Message::ServerHello { version: field::required(v, "version")? }),
-            "submit-job" => {
-                let priority_s: String = field::required(v, "priority")?;
-                let priority = parse_priority(&priority_s)
-                    .ok_or_else(|| DeError::new(format!("unknown priority `{priority_s}`")))?;
-                Ok(Message::SubmitJob {
-                    seq: seq()?,
-                    name: field::required(v, "name")?,
-                    tenant: field::required(v, "tenant")?,
-                    priority,
-                    plan: field::required(v, "plan")?,
-                    input: field::required(v, "input")?,
-                    chunk_size: field::required(v, "chunk_size")?,
-                    reference: reference_from_value(
-                        v.get("reference").unwrap_or(&Value::Array(Vec::new())),
-                    )
-                    .map_err(|e| DeError::new(format!("field `reference`: {e}")))?,
-                })
-            }
-            "job-accepted" => Ok(Message::JobAccepted { seq: seq()?, job_id: job_id()? }),
-            "status" => Ok(Message::Status { seq: seq()?, job_id: job_id()? }),
-            "job-status" => Ok(Message::JobStatus {
-                seq: seq()?,
-                job_id: job_id()?,
-                status: field::required(v, "status")?,
-            }),
-            "wait" => Ok(Message::Wait { seq: seq()?, job_id: job_id()? }),
-            "job-event" => Ok(Message::JobEvent {
-                seq: seq()?,
-                job_id: job_id()?,
-                status: field::required(v, "status")?,
-            }),
-            "output-chunk" => Ok(Message::OutputChunk {
-                seq: seq()?,
-                job_id: job_id()?,
-                stream: field::required(v, "stream")?,
-                index: field::required(v, "index")?,
-                last: field::required(v, "last")?,
-            }),
-            "job-done" => Ok(Message::JobDone {
-                seq: seq()?,
-                job_id: job_id()?,
-                status: field::required(v, "status")?,
-                error: field::defaulted(v, "error")?,
-                reads: field::required(v, "reads")?,
-                queue_wait_s: field::required(v, "queue_wait_s")?,
-                elapsed_s: field::required(v, "elapsed_s")?,
-                stages: field::required(v, "stages")?,
-                manifest: field::defaulted(v, "manifest")?,
-            }),
-            "cancel" => Ok(Message::Cancel { seq: seq()?, job_id: job_id()? }),
-            "cancel-ok" => Ok(Message::CancelOk { seq: seq()?, job_id: job_id()? }),
-            "report" => Ok(Message::Report { seq: seq()? }),
-            "report-reply" => {
-                Ok(Message::ReportReply { seq: seq()?, report: field::required(v, "report")? })
-            }
-            "metrics-request" => Ok(Message::MetricsRequest { seq: seq()? }),
-            "metrics-reply" => {
-                Ok(Message::MetricsReply { seq: seq()?, metrics: field::required(v, "metrics")? })
-            }
-            "cache-stats-request" => Ok(Message::CacheStatsRequest { seq: seq()? }),
-            "cache-stats-reply" => {
-                Ok(Message::CacheStatsReply { seq: seq()?, stats: field::required(v, "stats")? })
-            }
-            "trace-request" => Ok(Message::TraceRequest { seq: seq()?, job_id: job_id()? }),
-            "trace-reply" => Ok(Message::TraceReply { seq: seq()?, job_id: job_id()? }),
-            "credit" => Ok(Message::Credit { chunks: field::required(v, "chunks")? }),
-            "list-jobs" => Ok(Message::ListJobs { seq: seq()? }),
-            "job-list" => Ok(Message::JobList { seq: seq()?, jobs: field::required(v, "jobs")? }),
-            "attach" => Ok(Message::Attach { seq: seq()?, name: field::required(v, "name")? }),
-            "attached" => Ok(Message::Attached {
-                seq: seq()?,
-                job_id: job_id()?,
-                status: field::required(v, "status")?,
-            }),
-            "error" => Ok(Message::Error {
-                seq: seq()?,
-                code: field::required(v, "code")?,
-                message: field::required(v, "message")?,
-            }),
-            other => Err(DeError::new(format!("unknown message type `{other}`"))),
         }
     }
 }

@@ -13,11 +13,13 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Instant;
 
-use persona::plan::Stage;
+use persona::plan::{Plan, Stage};
 use persona::wire::{
     encode_frame, ErrorCode, FrameDecoder, Message, OutputStream, RawFrame, WireInput,
     WireJobSummary, OUTPUT_CHUNK_LEN, PROTOCOL_VERSION,
 };
+
+use serde::field;
 
 use crate::event_loop::{LoopCmd, LoopCtx};
 use crate::job::{JobInput, JobOutcome, JobSpec};
@@ -209,19 +211,15 @@ impl Conn {
                 match decoded {
                     Ok(message) => self.handle_message(cx, message, raw.body),
                     Err(e) => {
-                        // A submit whose plan failed re-validation is
-                        // an `invalid-plan`, not a generic decode
-                        // failure; the plan's errors surface as
-                        // `field `plan`: ...`.
-                        let detail = e.to_string();
-                        let code = if raw.msg_type() == Some("submit-job")
-                            && detail.contains("field `plan`")
-                        {
-                            ErrorCode::InvalidPlan
-                        } else {
-                            ErrorCode::BadMessage
-                        };
-                        self.enqueue_error(cx, raw.seq(), code, detail);
+                        // A submit whose decode failed at its plan (a bad
+                        // shape, or failed re-validation) is an
+                        // `invalid-plan`, not a generic decode failure.
+                        let at_plan = raw.msg_type() == Some("submit-job")
+                            && field::required::<Plan>(&raw.header, "plan").err().as_ref()
+                                == Some(&e);
+                        let code =
+                            if at_plan { ErrorCode::InvalidPlan } else { ErrorCode::BadMessage };
+                        self.enqueue_error(cx, raw.seq(), code, e.to_string());
                     }
                 }
             }

@@ -50,7 +50,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use persona::plan::{Plan, Stage};
-use persona::wire::{parse_priority, priority_name};
+use persona::wire::priority_field;
 use persona::{Error, Result};
 use persona_agd::manifest::Manifest;
 use persona_cache::{CacheEntry, CacheKey};
@@ -124,311 +124,177 @@ pub enum RecordedInput {
     Dataset(Manifest),
 }
 
-/// A terminal job status as journaled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TerminalStatus {
-    /// The job completed.
-    Completed,
-    /// The job failed (the record carries the error).
-    Failed,
-    /// The job was cancelled.
-    Cancelled,
-}
-
-impl TerminalStatus {
-    /// The kebab-case record name.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            TerminalStatus::Completed => "completed",
-            TerminalStatus::Failed => "failed",
-            TerminalStatus::Cancelled => "cancelled",
-        }
-    }
-
-    /// Parses a record name.
-    pub fn parse(s: &str) -> Option<TerminalStatus> {
-        match s {
-            "completed" => Some(TerminalStatus::Completed),
-            "failed" => Some(TerminalStatus::Failed),
-            "cancelled" => Some(TerminalStatus::Cancelled),
-            _ => None,
-        }
+serde::serde_enum! {
+    /// A terminal job status as journaled.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum TerminalStatus as "status" {
+        /// The job completed.
+        Completed = "completed",
+        /// The job failed (the record carries the error).
+        Failed = "failed",
+        /// The job was cancelled.
+        Cancelled = "cancelled",
     }
 }
 
-/// One journaled transition. Every record is self-delimiting on disk
-/// (see the module docs for the framing) and self-contained enough for
-/// replay to fold the sequence into a [`JournalState`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum JournalRecord {
-    /// A job was admitted, with its full spec. FASTQ input bytes ride
-    /// in the record body; everything else is header JSON.
-    Submitted {
-        /// Service-assigned job id.
-        job_id: u64,
-        /// Dataset name.
-        name: String,
-        /// Submitting tenant.
-        tenant: String,
-        /// Dispatch priority.
-        priority: Priority,
-        /// The composed plan.
-        plan: Plan,
-        /// The input.
-        input: RecordedInput,
-        /// Records per AGD chunk (FASTQ inputs).
-        chunk_size: usize,
-        /// `(contig, length)` reference metadata.
-        reference: Vec<(String, u64)>,
-    },
-    /// The job was granted a fair-share slot and began running.
-    Started {
-        /// The job.
-        job_id: u64,
-    },
-    /// A plan stage landed durable dataset state; `manifest` is what it
-    /// landed. This is the resume point replay rebuilds from.
-    StageCompleted {
-        /// The job.
-        job_id: u64,
-        /// The completed stage.
-        stage: Stage,
-        /// The manifest that stage landed in the shared store.
-        manifest: Manifest,
-    },
-    /// The job reached a terminal state. Carries name and tenant so a
-    /// compacted log can drop the job's `Submitted` record while
-    /// recovery still answers `status` for the id.
-    Finished {
-        /// The job.
-        job_id: u64,
-        /// Dataset name (for compacted logs).
-        name: String,
-        /// Tenant (for compacted logs).
-        tenant: String,
-        /// How it ended.
-        status: TerminalStatus,
-        /// The failure message, for failed jobs.
-        error: Option<String>,
-    },
-    /// A catalog entry: `name` resolves to `manifest` for dataset-input
-    /// submissions after a restart. Last write per name wins.
-    Dataset {
-        /// Catalog name.
-        name: String,
-        /// The dataset's manifest.
-        manifest: Manifest,
-    },
-    /// A result-cache entry landed (or was refreshed): the dataset
-    /// under `key`'s plan prefix is durable in the shared store, so a
-    /// recovered service comes back with a warm cache. Last write per
-    /// key wins.
-    CacheInsert {
-        /// The content-addressed `(input digest, plan prefix)` key.
-        key: CacheKey,
-        /// The cached dataset and its cost accounting.
-        entry: CacheEntry,
-    },
-    /// A result-cache entry was dropped (LRU eviction, or supersession
-    /// by an in-place rewrite); replay removes it.
-    CacheEvict {
-        /// The dropped key.
-        key: CacheKey,
-    },
-    /// A compaction checkpoint: preserves the id watermark so job ids
-    /// stay unique (and wire-visible ids stable) across restarts even
-    /// after terminal jobs are compacted away.
-    Checkpoint {
-        /// The next id the service may assign.
-        next_id: u64,
-    },
+serde::serde_enum! {
+    /// One journaled transition. Every record is self-delimiting on disk
+    /// (see the module docs for the framing) and self-contained enough for
+    /// replay to fold the sequence into a [`JournalState`]. Its serde form
+    /// is the record header; a `submitted` record's FASTQ bytes are the
+    /// record body, so they decode from the header alone as empty.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum JournalRecord as "record type", tag "type" {
+        /// A job was admitted, with its full spec. FASTQ input bytes ride
+        /// in the record body; everything else is header JSON.
+        Submitted = "submitted" {
+            /// Service-assigned job id.
+            job_id: u64,
+            /// Dataset name.
+            name: String,
+            /// Submitting tenant.
+            tenant: String,
+            /// Dispatch priority.
+            priority: Priority = with(priority_field),
+            /// The composed plan.
+            plan: Plan,
+            /// The input.
+            input: RecordedInput = with(recorded_input),
+            /// Records per AGD chunk (FASTQ inputs).
+            chunk_size: usize,
+            /// `(contig, length)` reference metadata.
+            reference: Vec<(String, u64)> = with(reference_pairs),
+        },
+        /// The job was granted a fair-share slot and began running.
+        Started = "started" {
+            /// The job.
+            job_id: u64,
+        },
+        /// A plan stage landed durable dataset state; `manifest` is what it
+        /// landed. This is the resume point replay rebuilds from.
+        StageCompleted = "stage-completed" {
+            /// The job.
+            job_id: u64,
+            /// The completed stage.
+            stage: Stage,
+            /// The manifest that stage landed in the shared store.
+            manifest: Manifest,
+        },
+        /// The job reached a terminal state. Carries name and tenant so a
+        /// compacted log can drop the job's `Submitted` record while
+        /// recovery still answers `status` for the id.
+        Finished = "finished" {
+            /// The job.
+            job_id: u64,
+            /// Dataset name (for compacted logs).
+            name: String,
+            /// Tenant (for compacted logs).
+            tenant: String,
+            /// How it ended.
+            status: TerminalStatus,
+            /// The failure message, for failed jobs.
+            error: Option<String> = default,
+        },
+        /// A catalog entry: `name` resolves to `manifest` for dataset-input
+        /// submissions after a restart. Last write per name wins.
+        Dataset = "dataset" {
+            /// Catalog name.
+            name: String,
+            /// The dataset's manifest.
+            manifest: Manifest,
+        },
+        /// A result-cache entry landed (or was refreshed): the dataset
+        /// under `key`'s plan prefix is durable in the shared store, so a
+        /// recovered service comes back with a warm cache. Last write per
+        /// key wins.
+        CacheInsert = "cache-insert" {
+            /// The content-addressed `(input digest, plan prefix)` key.
+            key: CacheKey,
+            /// The cached dataset and its cost accounting.
+            entry: CacheEntry,
+        },
+        /// A result-cache entry was dropped (LRU eviction, or supersession
+        /// by an in-place rewrite); replay removes it.
+        CacheEvict = "cache-evict" {
+            /// The dropped key.
+            key: CacheKey,
+        },
+        /// A compaction checkpoint: preserves the id watermark so job ids
+        /// stay unique (and wire-visible ids stable) across restarts even
+        /// after terminal jobs are compacted away.
+        Checkpoint = "checkpoint" {
+            /// The next id the service may assign.
+            next_id: u64,
+        },
+    }
+}
+
+/// The `submitted` record's input, flattened into the header as
+/// `"input":"fastq"` (the bytes are the record body) or
+/// `"input":"dataset"` plus a `"manifest"` key. Hand-written because it
+/// spans two keys and the body.
+mod recorded_input {
+    use super::{field, DeError, RecordedInput, Serialize, Value};
+
+    pub fn serialize(input: &RecordedInput, key: &str, out: &mut Vec<(String, Value)>) {
+        match input {
+            RecordedInput::Fastq(_) => out.push((key.into(), Value::String("fastq".into()))),
+            RecordedInput::Dataset(manifest) => {
+                out.push((key.into(), Value::String("dataset".into())));
+                out.push(("manifest".into(), manifest.serialize()));
+            }
+        }
+    }
+
+    pub fn deserialize(v: &Value, key: &str) -> Result<RecordedInput, DeError> {
+        match field::tag(v, key)? {
+            "fastq" => Ok(RecordedInput::Fastq(Vec::new())),
+            "dataset" => Ok(RecordedInput::Dataset(field::required(v, "manifest")?)),
+            other => Err(DeError::new(format!("unknown input kind `{other}`"))),
+        }
+    }
+}
+
+/// The `submitted` record's reference list, `[["chr1",1000],…]`; an
+/// absent list (but not `null`) reads as empty. Hand-written because
+/// the pairs are arrays, not objects.
+mod reference_pairs {
+    use super::{DeError, Deserialize, Serialize, Value};
+
+    pub fn serialize(reference: &[(String, u64)], key: &str, out: &mut Vec<(String, Value)>) {
+        let pairs = reference
+            .iter()
+            .map(|(contig, len)| Value::Array(vec![contig.serialize(), len.serialize()]))
+            .collect();
+        out.push((key.into(), Value::Array(pairs)));
+    }
+
+    pub fn deserialize(v: &Value, key: &str) -> Result<Vec<(String, u64)>, DeError> {
+        let items = match v.get(key) {
+            None => return Ok(Vec::new()),
+            Some(Value::Array(items)) => items,
+            Some(other) => return Err(DeError::new(format!("bad reference field {other:?}"))),
+        };
+        items
+            .iter()
+            .map(|pair| match pair {
+                Value::Array(kv) if kv.len() == 2 => {
+                    Ok((String::deserialize(&kv[0])?, u64::deserialize(&kv[1])?))
+                }
+                other => Err(DeError::new(format!("bad reference entry {other:?}"))),
+            })
+            .collect()
+    }
 }
 
 impl JournalRecord {
-    fn type_name(&self) -> &'static str {
-        match self {
-            JournalRecord::Submitted { .. } => "submitted",
-            JournalRecord::Started { .. } => "started",
-            JournalRecord::StageCompleted { .. } => "stage-completed",
-            JournalRecord::Finished { .. } => "finished",
-            JournalRecord::Dataset { .. } => "dataset",
-            JournalRecord::CacheInsert { .. } => "cache-insert",
-            JournalRecord::CacheEvict { .. } => "cache-evict",
-            JournalRecord::Checkpoint { .. } => "checkpoint",
-        }
-    }
-
-    /// Splits into (header value, body bytes). The body is only ever
-    /// the FASTQ input of a `submitted` record.
-    fn to_header_body(&self) -> (Value, &[u8]) {
-        let mut fields: Vec<(String, Value)> =
-            vec![("type".into(), Value::String(self.type_name().into()))];
-        let mut body: &[u8] = &[];
-        match self {
-            JournalRecord::Submitted {
-                job_id,
-                name,
-                tenant,
-                priority,
-                plan,
-                input,
-                chunk_size,
-                reference,
-            } => {
-                fields.push(("job_id".into(), job_id.serialize()));
-                fields.push(("name".into(), name.serialize()));
-                fields.push(("tenant".into(), tenant.serialize()));
-                fields.push(("priority".into(), Value::String(priority_name(*priority).into())));
-                fields.push(("plan".into(), plan.serialize()));
-                match input {
-                    RecordedInput::Fastq(bytes) => {
-                        fields.push(("input".into(), Value::String("fastq".into())));
-                        body = bytes;
-                    }
-                    RecordedInput::Dataset(manifest) => {
-                        fields.push(("input".into(), Value::String("dataset".into())));
-                        fields.push(("manifest".into(), manifest.serialize()));
-                    }
-                }
-                fields.push(("chunk_size".into(), chunk_size.serialize()));
-                fields.push((
-                    "reference".into(),
-                    Value::Array(
-                        reference
-                            .iter()
-                            .map(|(contig, len)| {
-                                Value::Array(vec![Value::String(contig.clone()), len.serialize()])
-                            })
-                            .collect(),
-                    ),
-                ));
-            }
-            JournalRecord::Started { job_id } => {
-                fields.push(("job_id".into(), job_id.serialize()));
-            }
-            JournalRecord::StageCompleted { job_id, stage, manifest } => {
-                fields.push(("job_id".into(), job_id.serialize()));
-                fields.push(("stage".into(), Value::String(stage.name().into())));
-                fields.push(("manifest".into(), manifest.serialize()));
-            }
-            JournalRecord::Finished { job_id, name, tenant, status, error } => {
-                fields.push(("job_id".into(), job_id.serialize()));
-                fields.push(("name".into(), name.serialize()));
-                fields.push(("tenant".into(), tenant.serialize()));
-                fields.push(("status".into(), Value::String(status.as_str().into())));
-                fields.push(("error".into(), error.serialize()));
-            }
-            JournalRecord::Dataset { name, manifest } => {
-                fields.push(("name".into(), name.serialize()));
-                fields.push(("manifest".into(), manifest.serialize()));
-            }
-            JournalRecord::CacheInsert { key, entry } => {
-                fields.push(("key".into(), key.serialize()));
-                fields.push(("entry".into(), entry.serialize()));
-            }
-            JournalRecord::CacheEvict { key } => {
-                fields.push(("key".into(), key.serialize()));
-            }
-            JournalRecord::Checkpoint { next_id } => {
-                fields.push(("next_id".into(), next_id.serialize()));
-            }
-        }
-        (Value::Object(fields), body)
-    }
-
-    fn from_header_body(v: &Value, body: Vec<u8>) -> std::result::Result<Self, DeError> {
-        let ty: String = field::required(v, "type")?;
-        let job_id = || field::required::<u64>(v, "job_id");
-        match ty.as_str() {
-            "submitted" => {
-                let priority_s: String = field::required(v, "priority")?;
-                let priority = parse_priority(&priority_s)
-                    .ok_or_else(|| DeError::new(format!("unknown priority `{priority_s}`")))?;
-                let input_s: String = field::required(v, "input")?;
-                let input = match input_s.as_str() {
-                    "fastq" => RecordedInput::Fastq(body),
-                    "dataset" => RecordedInput::Dataset(field::required(v, "manifest")?),
-                    other => return Err(DeError::new(format!("unknown input kind `{other}`"))),
-                };
-                let reference = match v.get("reference") {
-                    Some(Value::Array(items)) => items
-                        .iter()
-                        .map(|pair| match pair {
-                            Value::Array(kv) if kv.len() == 2 => {
-                                let contig = String::deserialize(&kv[0])?;
-                                let len = u64::deserialize(&kv[1])?;
-                                Ok((contig, len))
-                            }
-                            other => Err(DeError::new(format!("bad reference entry {other:?}"))),
-                        })
-                        .collect::<std::result::Result<Vec<_>, DeError>>()?,
-                    None => Vec::new(),
-                    Some(other) => {
-                        return Err(DeError::new(format!("bad reference field {other:?}")))
-                    }
-                };
-                Ok(JournalRecord::Submitted {
-                    job_id: job_id()?,
-                    name: field::required(v, "name")?,
-                    tenant: field::required(v, "tenant")?,
-                    priority,
-                    plan: field::required(v, "plan")?,
-                    input,
-                    chunk_size: field::required(v, "chunk_size")?,
-                    reference,
-                })
-            }
-            "started" => Ok(JournalRecord::Started { job_id: job_id()? }),
-            "stage-completed" => {
-                let stage_s: String = field::required(v, "stage")?;
-                let stage = Stage::parse(&stage_s)
-                    .ok_or_else(|| DeError::new(format!("unknown stage `{stage_s}`")))?;
-                Ok(JournalRecord::StageCompleted {
-                    job_id: job_id()?,
-                    stage,
-                    manifest: field::required(v, "manifest")?,
-                })
-            }
-            "finished" => {
-                let status_s: String = field::required(v, "status")?;
-                let status = TerminalStatus::parse(&status_s)
-                    .ok_or_else(|| DeError::new(format!("unknown status `{status_s}`")))?;
-                Ok(JournalRecord::Finished {
-                    job_id: job_id()?,
-                    name: field::required(v, "name")?,
-                    tenant: field::required(v, "tenant")?,
-                    status,
-                    error: field::defaulted(v, "error")?,
-                })
-            }
-            "dataset" => Ok(JournalRecord::Dataset {
-                name: field::required(v, "name")?,
-                manifest: field::required(v, "manifest")?,
-            }),
-            "cache-insert" => Ok(JournalRecord::CacheInsert {
-                key: field::required(v, "key")?,
-                entry: field::required(v, "entry")?,
-            }),
-            "cache-evict" => Ok(JournalRecord::CacheEvict { key: field::required(v, "key")? }),
-            "checkpoint" => {
-                Ok(JournalRecord::Checkpoint { next_id: field::required(v, "next_id")? })
-            }
-            other => Err(DeError::new(format!("unknown record type `{other}`"))),
-        }
-    }
-
     /// Encodes the record as one framed log entry.
     fn encode(&self) -> Result<Vec<u8>> {
-        let (header, body) = self.to_header_body();
-        // The vendored `to_string` takes a `Serialize`, not a bare
-        // `Value`; a transparent wrapper bridges the gap.
-        struct Raw(Value);
-        impl Serialize for Raw {
-            fn serialize(&self) -> Value {
-                self.0.clone()
-            }
-        }
-        let header_json = serde_json::to_string(&Raw(header))
+        let body: &[u8] = match self {
+            JournalRecord::Submitted { input: RecordedInput::Fastq(bytes), .. } => bytes,
+            _ => &[],
+        };
+        let header_json = serde_json::to_string(self)
             .map_err(|e| Error::Pipeline(format!("encode journal record: {e}")))?;
         let header_bytes = header_json.as_bytes();
         if header_bytes.len() > MAX_HEADER_LEN {
@@ -924,7 +790,10 @@ fn decode_record_at(bytes: &[u8], at: usize) -> Option<(JournalRecord, usize)> {
     }
     let header_str = std::str::from_utf8(header).ok()?;
     let value = serde_json::parse_value(header_str).ok()?;
-    let record = JournalRecord::from_header_body(&value, body.to_vec()).ok()?;
+    let mut record = JournalRecord::deserialize(&value).ok()?;
+    if let JournalRecord::Submitted { input: RecordedInput::Fastq(bytes), .. } = &mut record {
+        *bytes = body.to_vec();
+    }
     Some((record, next))
 }
 

@@ -468,6 +468,7 @@ impl MetricsSnapshot {
     }
 }
 
+// Hand-written because buckets travel as `[index, count]` pairs.
 impl Serialize for HistogramSnapshot {
     fn serialize(&self) -> Value {
         Value::Object(vec![
@@ -525,6 +526,7 @@ fn named_rows<T: Deserialize>(v: &Value, key: &str) -> Result<Vec<(String, T)>, 
     }
 }
 
+// Hand-written because each section is an object of `name: value` rows.
 impl Serialize for MetricsSnapshot {
     fn serialize(&self) -> Value {
         Value::Object(vec![
