@@ -19,7 +19,7 @@ use persona_bench::World;
 use persona_compress::codec::Codec;
 use persona_compress::deflate::huffman::limited_code_lengths;
 use persona_compress::deflate::{deflate_level, inflate_with_capacity, CompressLevel};
-use persona_dataflow::{Executor, QueueHandle};
+use persona_dataflow::{Executor, QueueHandle, SubmitOpts};
 use persona_formats::bam;
 use persona_formats::sam::{RefMap, SamRecord};
 
@@ -609,14 +609,11 @@ fn bench_framework(c: &mut Criterion) {
     let ex = Arc::new(Executor::new(2));
     g.bench_function("executor_batch_of_16", |b| {
         b.iter(|| {
-            let tasks: Vec<Box<dyn FnOnce() + Send>> = (0..16)
-                .map(|i| {
-                    Box::new(move || {
-                        std::hint::black_box(i * 2);
-                    }) as Box<dyn FnOnce() + Send>
-                })
-                .collect();
-            ex.submit_batch(tasks).wait();
+            ex.spawn_map((0..16).collect(), SubmitOpts::default(), |_, i: usize| {
+                std::hint::black_box(i * 2);
+            })
+            .join()
+            .unwrap();
         })
     });
     g.finish();

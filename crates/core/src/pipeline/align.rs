@@ -124,7 +124,7 @@ impl Step for AlignStep {
 /// report; the manifest gains the results column (callers persist it
 /// via [`finalize_manifest`]).
 pub fn align_dataset(inputs: AlignInputs<'_>) -> Result<AlignReport> {
-    let server = ManifestServer::new(inputs.manifest);
+    let server = ManifestServer::new(inputs.manifest, None);
     align_with_server(inputs, &server)
 }
 
@@ -392,7 +392,7 @@ mod tests {
     #[test]
     fn shared_manifest_server_splits_work() {
         let (_genome, store, manifest, aligner) = build_world(400, 50);
-        let server = ManifestServer::new(&manifest);
+        let server = ManifestServer::new(&manifest, None);
         let store_dyn: Arc<dyn persona_agd::chunk_io::ChunkStore> = store.clone();
         let rt = PersonaRuntime::new(store_dyn, PersonaConfig::small()).unwrap();
         // Two "servers" race on the same manifest queue, sharing one

@@ -68,7 +68,7 @@ impl Edge {
     /// Creates a live edge of at most `capacity` undispatched chunks,
     /// returning the producing and the consuming end.
     pub(crate) fn streaming(capacity: usize, telemetry: &MetricsRegistry) -> (EdgeOut, Edge) {
-        let (server, chunks) = ManifestServer::streaming_metered(capacity, Some(telemetry));
+        let (server, chunks) = ManifestServer::streaming(capacity, Some(telemetry));
         let (manifest, promised) = std::sync::mpsc::channel();
         (EdgeOut { chunks, manifest }, Edge::Live(server, promised))
     }
@@ -77,7 +77,7 @@ impl Edge {
     /// dataset (metered into `telemetry` when given).
     pub(crate) fn chunks(&self, telemetry: Option<&MetricsRegistry>) -> ManifestServer {
         match self {
-            Edge::Landed(manifest) => ManifestServer::new_metered(manifest, telemetry),
+            Edge::Landed(manifest) => ManifestServer::new(manifest, telemetry),
             Edge::Live(server, _) => server.clone(),
         }
     }

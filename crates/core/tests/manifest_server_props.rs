@@ -1,8 +1,7 @@
-//! Property tests for the sharded `ManifestServer`: streaming
-//! semantics must hold for every shard count, capacity and
-//! producer/consumer mix — exactly-once delivery, `total()` /
-//! `remaining()` consistency, push-after-close failure, and
-//! single-stream FIFO.
+//! Property tests for the `ManifestServer`: streaming semantics must
+//! hold for every capacity and producer/consumer mix — exactly-once
+//! delivery, `total()` / `remaining()` consistency, push-after-close
+//! failure, and strict FIFO.
 
 use std::sync::Arc;
 
@@ -16,17 +15,16 @@ fn task(idx: usize) -> ChunkTask {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Concurrent feeders and work-stealing fetchers deliver every
-    /// task exactly once, and the counters agree with what happened.
+    /// Concurrent feeders and fetchers deliver every task exactly once,
+    /// and the counters agree with what happened.
     #[test]
     fn streaming_delivers_exactly_once(
-        shards in 1usize..9,
         capacity in 1usize..32,
         producers in 1usize..4,
         consumers in 1usize..4,
         per_producer in 0usize..120,
     ) {
-        let (server, feeder) = ManifestServer::streaming_with_shards(capacity, shards);
+        let (server, feeder) = ManifestServer::streaming(capacity, None);
         let collected = std::thread::scope(|s| {
             for p in 0..producers {
                 let feeder = feeder.clone();
@@ -68,17 +66,15 @@ proptest! {
     }
 
     /// One producer racing one consumer: every task arrives exactly
-    /// once for any shard count, `remaining() <= capacity` (the
-    /// backpressure bound) holds throughout, and `total()` is exact.
-    /// (Strict global FIFO under a live race is only promised for one
-    /// shard — covered by the next property.)
+    /// once, `remaining() <= capacity` (the backpressure bound) holds
+    /// throughout, and `total()` is exact. (Strict FIFO under the same
+    /// race is the next property.)
     #[test]
     fn single_stream_delivers_all_and_respects_capacity(
-        shards in 1usize..9,
         capacity in 1usize..16,
         n in 0usize..200,
     ) {
-        let (server, feeder) = ManifestServer::streaming_with_shards(capacity, shards);
+        let (server, feeder) = ManifestServer::streaming(capacity, None);
         let consumer = {
             let server = server.clone();
             std::thread::spawn(move || {
@@ -100,17 +96,16 @@ proptest! {
         prop_assert_eq!(got, (0..n).collect::<Vec<_>>());
     }
 
-    /// The FIFO contract, both ways it is promised: a single-shard
-    /// stream is strictly FIFO even while producer and consumer race,
-    /// and *any* shard count is strictly FIFO once pushes are done
+    /// The FIFO contract: a stream is strictly FIFO at every capacity
+    /// while producer and consumer race, and once pushes are done
     /// before fetching starts (the quiescent/prefilled shape).
     #[test]
     fn fifo_holds_where_promised(
-        shards in 1usize..9,
+        capacity in 1usize..16,
         n in 0usize..150,
     ) {
-        // Live race, one shard.
-        let (server, feeder) = ManifestServer::streaming_with_shards(8, 1);
+        // Live race.
+        let (server, feeder) = ManifestServer::streaming(capacity, None);
         let consumer = {
             let server = server.clone();
             std::thread::spawn(move || {
@@ -127,8 +122,8 @@ proptest! {
         drop(feeder);
         prop_assert_eq!(consumer.join().unwrap(), (0..n).collect::<Vec<_>>());
 
-        // Quiescent drain, any shard count.
-        let (server, feeder) = ManifestServer::streaming_with_shards(n.max(1), shards);
+        // Quiescent drain.
+        let (server, feeder) = ManifestServer::streaming(n.max(1), None);
         for i in 0..n {
             assert!(feeder.push(task(i)));
         }
@@ -144,11 +139,10 @@ proptest! {
     /// tasks that were accepted before the close.
     #[test]
     fn close_rejects_pushes_and_drains_accepted(
-        shards in 1usize..9,
         accepted in 0usize..20,
         rejected in 1usize..8,
     ) {
-        let (server, feeder) = ManifestServer::streaming_with_shards(64, shards);
+        let (server, feeder) = ManifestServer::streaming(64, None);
         for i in 0..accepted {
             prop_assert!(feeder.push(task(i)));
         }
@@ -161,7 +155,6 @@ proptest! {
         while let Some(t) = server.fetch() {
             got.push(t.chunk_idx);
         }
-        got.sort();
         prop_assert_eq!(got, (0..accepted).collect::<Vec<_>>());
         prop_assert_eq!(server.remaining(), 0);
     }
@@ -170,7 +163,6 @@ proptest! {
     /// chunk exactly once (the multi-pipeline load-balancing path).
     #[test]
     fn prefilled_race_dispenses_exactly_once(
-        shards in 1usize..9,
         chunks in 0usize..150,
         workers in 1usize..6,
     ) {
@@ -185,7 +177,7 @@ proptest! {
             first += 3;
         }
         m.total_records = first;
-        let server = ManifestServer::with_shards(&m, shards);
+        let server = ManifestServer::new(&m, None);
         prop_assert_eq!(server.total(), chunks);
         let server = Arc::new(server);
         let mut all: Vec<usize> = std::thread::scope(|s| {

@@ -97,33 +97,12 @@ pub struct SubmitOpts {
     pub cancel: Option<CancelToken>,
 }
 
-impl SubmitOpts {
-    /// Options attributing to `tag` at normal priority.
-    pub fn tagged(tag: Arc<NodeCounters>) -> Self {
-        SubmitOpts { tag: Some(tag), ..SubmitOpts::default() }
-    }
-}
-
-/// Error returned by [`Executor::map_batch_opts`] when the batch was
-/// cut short by its cancellation token: some tasks never ran, so there
-/// is no complete output to return.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Cancelled;
-
-impl std::fmt::Display for Cancelled {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "batch cancelled before all tasks ran")
-    }
-}
-
-impl std::error::Error for Cancelled {}
-
 /// Completion latch for one submitted batch.
 struct Latch {
     remaining: Mutex<usize>,
     done: Condvar,
-    /// First panic payload from any task of the batch, re-raised in
-    /// [`Batch::wait`].
+    /// First panic payload from any task of the batch, handed to the
+    /// waiter by [`MapBatch::join`].
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
     /// Set when any task of the batch was skipped due to cancellation.
     skipped: AtomicBool,
@@ -160,69 +139,30 @@ impl Latch {
     }
 }
 
-/// A handle to a submitted batch of tasks.
-pub struct Batch {
-    latch: Arc<Latch>,
-}
-
-impl Batch {
-    /// Blocks until every task in the batch has run.
-    ///
-    /// # Panics
-    ///
-    /// Re-panics on the *waiting* thread if any task in the batch
-    /// panicked, resuming the original payload — mirroring how a panic
-    /// inside `std::thread::scope` propagates to the spawner. Without
-    /// this, a panicking task would hang its waiter forever (the latch
-    /// would never fire).
-    pub fn wait(self) {
-        self.wait_cancelled();
-    }
-
-    /// Like [`Batch::wait`], but reports whether any task of the batch
-    /// was skipped because its cancellation token fired.
-    pub fn wait_cancelled(self) -> bool {
-        self.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-    }
-
-    /// Blocks until every task in the batch has finished, without
-    /// unwinding: `Ok(skipped)` reports whether the cancellation token
-    /// skipped any task, and `Err` carries the first task panic's
-    /// payload, like [`std::thread::JoinHandle::join`].
-    pub fn join(self) -> std::thread::Result<bool> {
-        self.latch.wait();
-        match self.latch.panic.lock().take() {
-            Some(payload) => Err(payload),
-            None => Ok(self.latch.skipped.load(Ordering::SeqCst)),
-        }
-    }
-
-    /// Whether every task of the batch has finished (run, skipped or
-    /// panicked), without blocking.
-    pub fn is_done(&self) -> bool {
-        self.latch.is_done()
-    }
-}
-
 /// A submitted [`Executor::spawn_map`]: one batch whose tasks each fill
 /// one output slot.
 pub struct MapBatch<Out> {
-    batch: Batch,
+    latch: Arc<Latch>,
     slots: Arc<Mutex<Vec<Option<Out>>>>,
 }
 
 impl<Out> MapBatch<Out> {
-    /// Whether every task has finished, without blocking.
+    /// Whether every task has finished (run, skipped or panicked),
+    /// without blocking.
     pub fn is_done(&self) -> bool {
-        self.batch.is_done()
+        self.latch.is_done()
     }
 
     /// Blocks until every task has finished, without unwinding: the
     /// outputs in item order, `Ok(None)` when the cancellation token
     /// skipped a task (the output would have holes), or the first task
-    /// panic's payload.
+    /// panic's payload, like [`std::thread::JoinHandle::join`].
     pub fn join(self) -> std::thread::Result<Option<Vec<Out>>> {
-        if self.batch.join()? {
+        self.latch.wait();
+        if let Some(payload) = self.latch.panic.lock().take() {
+            return Err(payload);
+        }
+        if self.latch.skipped.load(Ordering::SeqCst) {
             return Ok(None);
         }
         let mut slots = self.slots.lock();
@@ -288,7 +228,6 @@ pub struct ExecutorStats {
 pub struct Executor {
     shared: Arc<ExecShared>,
     workers: Vec<JoinHandle<()>>,
-    started: Instant,
     telemetry: Arc<MetricsRegistry>,
 }
 
@@ -331,7 +270,7 @@ impl Executor {
                     .expect("spawn executor worker")
             })
             .collect();
-        Executor { shared, workers, started: Instant::now(), telemetry }
+        Executor { shared, workers, telemetry }
     }
 
     /// The metrics registry this executor publishes into. The runtime
@@ -341,84 +280,10 @@ impl Executor {
         &self.telemetry
     }
 
-    /// Submits a batch of tasks; returns a handle to await completion.
-    ///
-    /// An empty batch completes immediately.
-    pub fn submit_batch(&self, tasks: Vec<Task>) -> Batch {
-        self.submit_batch_tagged(tasks, None)
-    }
-
-    /// Submits a batch attributed to `tag`: busy time and task counts
-    /// are added to the tagged counters *in addition to* the executor's
-    /// own, so a pipeline stage sharing the executor with other stages
-    /// can report its own busy fraction.
-    pub fn submit_batch_tagged(&self, tasks: Vec<Task>, tag: Option<Arc<NodeCounters>>) -> Batch {
-        self.submit_batch_opts(tasks, SubmitOpts { tag, ..SubmitOpts::default() })
-    }
-
-    /// Submits a batch with full dispatch options: counter attribution
-    /// (stage and job), priority, and cooperative cancellation. If the
-    /// cancel token fires while tasks are still queued, those tasks are
-    /// dropped without running (the latch still completes, and
-    /// [`Batch::wait_cancelled`] reports the skip).
-    pub fn submit_batch_opts(&self, tasks: Vec<Task>, opts: SubmitOpts) -> Batch {
-        let latch = Arc::new(Latch::new(tasks.len()));
-        // An already-cancelled batch never enters the queue: it
-        // completes (as skipped) immediately, so post-cancel
-        // submissions can't pile up in a lane that sustained
-        // higher-priority load would never drain.
-        if opts.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-            let n = tasks.len();
-            drop(tasks);
-            if n > 0 {
-                latch.skipped.store(true, Ordering::SeqCst);
-                for _ in 0..n {
-                    latch.count_down();
-                }
-            }
-            return Batch { latch };
-        }
-        if !tasks.is_empty() {
-            let n = tasks.len();
-            let mut q = self.shared.queue.lock();
-            for t in tasks {
-                q.push(
-                    opts.priority,
-                    QueuedTask {
-                        task: t,
-                        latch: latch.clone(),
-                        tag: opts.tag.clone(),
-                        job_tag: opts.job_tag.clone(),
-                        cancel: opts.cancel.clone(),
-                    },
-                );
-            }
-            drop(q);
-            self.shared.lane_depth[opts.priority.level()].add(n as i64);
-            self.shared.available.notify_all();
-        }
-        Batch { latch }
-    }
-
-    /// Submits one closure and returns its batch handle.
-    pub fn submit(&self, task: impl FnOnce() + Send + 'static) -> Batch {
-        self.submit_batch(vec![Box::new(task)])
-    }
-
-    /// Submits one closure attributed to `tag`.
-    pub fn submit_tagged(
-        &self,
-        task: impl FnOnce() + Send + 'static,
-        tag: Arc<NodeCounters>,
-    ) -> Batch {
-        self.submit_batch_tagged(vec![Box::new(task)], Some(tag))
-    }
-
     /// Runs `f` over every item of `items` on the executor and returns
     /// the outputs in item order, blocking the calling thread until the
-    /// whole batch is done. This is the fine-grain fan-out primitive
-    /// pipeline stages use for chunk-level compute (encode, sort,
-    /// format, compress) without owning threads of their own.
+    /// whole batch is done: [`Executor::spawn_map`] joined at once,
+    /// with a task panic resumed on the caller.
     pub fn map_batch<In, Out, F>(
         &self,
         items: Vec<In>,
@@ -430,34 +295,19 @@ impl Executor {
         Out: Send + 'static,
         F: Fn(usize, In) -> Out + Send + Sync + 'static,
     {
-        self.map_batch_opts(items, SubmitOpts { tag, ..SubmitOpts::default() }, f)
-            .expect("map_batch without a cancel token cannot be cancelled")
-    }
-
-    /// [`Executor::map_batch`] with full submission options. Returns
-    /// `Err(Cancelled)` if the batch's cancel token fired before every
-    /// task ran — the output would have holes, so none is returned.
-    pub fn map_batch_opts<In, Out, F>(
-        &self,
-        items: Vec<In>,
-        opts: SubmitOpts,
-        f: F,
-    ) -> std::result::Result<Vec<Out>, Cancelled>
-    where
-        In: Send + 'static,
-        Out: Send + 'static,
-        F: Fn(usize, In) -> Out + Send + Sync + 'static,
-    {
-        match self.spawn_map(items, opts, f).join() {
-            Ok(outputs) => outputs.ok_or(Cancelled),
+        match self.spawn_map(items, SubmitOpts { tag, ..SubmitOpts::default() }, f).join() {
+            Ok(outputs) => outputs.expect("map_batch without a cancel token cannot be cancelled"),
             Err(payload) => std::panic::resume_unwind(payload),
         }
     }
 
     /// Submits `f` over every item of `items` as one batch and returns
-    /// without waiting: the non-blocking half of
-    /// [`Executor::map_batch_opts`], for a caller that keeps several
-    /// batches in flight.
+    /// without waiting, for a caller that keeps several batches in
+    /// flight. Every submission to the executor goes through here. The options carry counter attribution (stage and job),
+    /// priority, and cooperative cancellation: if the cancel token
+    /// fires while tasks are still queued, those tasks are dropped
+    /// without running (the batch still completes, and
+    /// [`MapBatch::join`] reports the skip).
     pub fn spawn_map<In, Out, F>(&self, items: Vec<In>, opts: SubmitOpts, f: F) -> MapBatch<Out>
     where
         In: Send + 'static,
@@ -480,7 +330,48 @@ impl Executor {
                 }) as Task
             })
             .collect();
-        MapBatch { batch: self.submit_batch_opts(tasks, opts), slots }
+        MapBatch { latch: self.submit(tasks, opts), slots }
+    }
+
+    /// Queues `tasks` under `opts` and returns the batch's latch. An
+    /// empty batch completes immediately.
+    fn submit(&self, tasks: Vec<Task>, opts: SubmitOpts) -> Arc<Latch> {
+        let latch = Arc::new(Latch::new(tasks.len()));
+        // An already-cancelled batch never enters the queue: it
+        // completes (as skipped) immediately, so post-cancel
+        // submissions can't pile up in a lane that sustained
+        // higher-priority load would never drain.
+        if opts.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
+            let n = tasks.len();
+            drop(tasks);
+            if n > 0 {
+                latch.skipped.store(true, Ordering::SeqCst);
+                for _ in 0..n {
+                    latch.count_down();
+                }
+            }
+            return latch;
+        }
+        if !tasks.is_empty() {
+            let n = tasks.len();
+            let mut q = self.shared.queue.lock();
+            for t in tasks {
+                q.push(
+                    opts.priority,
+                    QueuedTask {
+                        task: t,
+                        latch: latch.clone(),
+                        tag: opts.tag.clone(),
+                        job_tag: opts.job_tag.clone(),
+                        cancel: opts.cancel.clone(),
+                    },
+                );
+            }
+            drop(q);
+            self.shared.lane_depth[opts.priority.level()].add(n as i64);
+            self.shared.available.notify_all();
+        }
+        latch
     }
 
     /// Removes every queued task whose cancel token has fired,
@@ -532,16 +423,6 @@ impl Executor {
     pub fn counters(&self) -> Arc<NodeCounters> {
         self.shared.counters.clone()
     }
-
-    /// Fraction of worker time spent running tasks since creation.
-    pub fn utilization(&self) -> f64 {
-        let wall = self.started.elapsed().as_nanos() as f64;
-        if wall == 0.0 {
-            return 0.0;
-        }
-        let busy = self.shared.counters.snapshot().busy_ns as f64;
-        busy / (wall * self.workers.len() as f64)
-    }
 }
 
 impl Drop for Executor {
@@ -588,7 +469,7 @@ fn worker_loop(shared: Arc<ExecShared>) {
         let start = Instant::now();
         // Contain panics: the latch must always count down (or waiters
         // hang forever) and the worker thread must survive for the
-        // executor's lifetime. The payload is re-raised in Batch::wait.
+        // executor's lifetime. The payload is handed to MapBatch::join.
         if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)) {
             let mut slot = latch.panic.lock();
             if slot.is_none() {
@@ -612,19 +493,21 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
+    /// `n` copies of one task, each mapped over a unit item.
+    fn units(n: usize) -> Vec<()> {
+        vec![(); n]
+    }
+
     #[test]
     fn runs_all_tasks() {
         let ex = Executor::new(4);
         let counter = Arc::new(AtomicUsize::new(0));
-        let tasks: Vec<Task> = (0..100)
-            .map(|_| {
-                let c = counter.clone();
-                Box::new(move || {
-                    c.fetch_add(1, Ordering::SeqCst);
-                }) as Task
-            })
-            .collect();
-        ex.submit_batch(tasks).wait();
+        let c = counter.clone();
+        ex.spawn_map(units(100), SubmitOpts::default(), move |_, ()| {
+            c.fetch_add(1, Ordering::SeqCst);
+        })
+        .join()
+        .unwrap();
         assert_eq!(counter.load(Ordering::SeqCst), 100);
         assert_eq!(ex.stats().tasks_done, 100);
     }
@@ -632,7 +515,8 @@ mod tests {
     #[test]
     fn empty_batch_completes() {
         let ex = Executor::new(1);
-        ex.submit_batch(Vec::new()).wait();
+        let out = ex.spawn_map(units(0), SubmitOpts::default(), |_, ()| ()).join().unwrap();
+        assert_eq!(out, Some(Vec::new()));
     }
 
     #[test]
@@ -645,15 +529,12 @@ mod tests {
             let ex = ex.clone();
             handles.push(std::thread::spawn(move || {
                 let sum = Arc::new(AtomicUsize::new(0));
-                let tasks: Vec<Task> = (0..50)
-                    .map(|i| {
-                        let s = sum.clone();
-                        Box::new(move || {
-                            s.fetch_add(k * 100 + i, Ordering::SeqCst);
-                        }) as Task
-                    })
-                    .collect();
-                ex.submit_batch(tasks).wait();
+                let s = sum.clone();
+                ex.spawn_map((0..50).collect(), SubmitOpts::default(), move |_, i: usize| {
+                    s.fetch_add(k * 100 + i, Ordering::SeqCst);
+                })
+                .join()
+                .unwrap();
                 sum.load(Ordering::SeqCst)
             }));
         }
@@ -667,14 +548,11 @@ mod tests {
     fn tasks_actually_parallelize() {
         let ex = Executor::new(4);
         let start = Instant::now();
-        let tasks: Vec<Task> = (0..8)
-            .map(|_| {
-                Box::new(move || {
-                    std::thread::sleep(std::time::Duration::from_millis(50));
-                }) as Task
-            })
-            .collect();
-        ex.submit_batch(tasks).wait();
+        ex.spawn_map(units(8), SubmitOpts::default(), |_, ()| {
+            std::thread::sleep(std::time::Duration::from_millis(50));
+        })
+        .join()
+        .unwrap();
         let elapsed = start.elapsed();
         // 8 × 50 ms on 4 threads ≈ 100 ms; serial would be 400 ms.
         assert!(elapsed < std::time::Duration::from_millis(300), "elapsed {elapsed:?}");
@@ -687,10 +565,11 @@ mod tests {
         {
             let ex = Executor::new(2);
             let c = counter.clone();
-            ex.submit(move || {
+            ex.spawn_map(units(1), SubmitOpts::default(), move |_, ()| {
                 c.fetch_add(1, Ordering::SeqCst);
             })
-            .wait();
+            .join()
+            .unwrap();
         } // Drop here must not hang.
         assert_eq!(counter.load(Ordering::SeqCst), 1);
     }
@@ -724,10 +603,11 @@ mod tests {
         assert_eq!(ex.threads(), 1);
         let counter = Arc::new(AtomicUsize::new(0));
         let c = counter.clone();
-        ex.submit(move || {
+        ex.spawn_map(units(1), SubmitOpts::default(), move |_, ()| {
             c.fetch_add(1, Ordering::SeqCst);
         })
-        .wait();
+        .join()
+        .unwrap();
         assert_eq!(counter.load(Ordering::SeqCst), 1);
     }
 
@@ -744,18 +624,24 @@ mod tests {
     #[test]
     fn panicking_task_propagates_to_waiter_and_spares_the_worker() {
         let ex = Executor::new(1);
-        let bad = ex.submit(|| panic!("task boom"));
-        assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| bad.wait())).is_err());
+        fn boom(_: usize, _: ()) {
+            panic!("task boom")
+        }
+        let bad = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ex.map_batch(units(1), None, boom);
+        }));
+        assert!(bad.is_err());
         // `join` hands the payload back instead of unwinding.
-        let payload = ex.submit(|| panic!("task boom")).join().unwrap_err();
+        let payload = ex.spawn_map(units(1), SubmitOpts::default(), boom).join().unwrap_err();
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"task boom"));
         // The (single) worker survived and keeps running new tasks.
         let counter = Arc::new(AtomicUsize::new(0));
         let c = counter.clone();
-        ex.submit(move || {
+        ex.spawn_map(units(1), SubmitOpts::default(), move |_, ()| {
             c.fetch_add(1, Ordering::SeqCst);
         })
-        .wait();
+        .join()
+        .unwrap();
         assert_eq!(counter.load(Ordering::SeqCst), 1);
     }
 
@@ -767,7 +653,7 @@ mod tests {
         let gate = Arc::new(Mutex::new(()));
         let held = gate.lock();
         let g = gate.clone();
-        let blocker = ex.submit(move || {
+        let blocker = ex.spawn_map(units(1), SubmitOpts::default(), move |_, ()| {
             drop(g.lock());
         });
         let order: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
@@ -776,15 +662,16 @@ mod tests {
             [("low", Priority::Low), ("normal", Priority::Normal), ("high", Priority::High)]
         {
             let order = order.clone();
-            batches.push(ex.submit_batch_opts(
-                vec![Box::new(move || order.lock().push(name)) as Task],
+            batches.push(ex.spawn_map(
+                units(1),
                 SubmitOpts { priority: prio, ..SubmitOpts::default() },
+                move |_, ()| order.lock().push(name),
             ));
         }
         drop(held); // Open the gate: the worker drains by priority.
-        blocker.wait();
+        blocker.join().unwrap();
         for b in batches {
-            b.wait();
+            b.join().unwrap();
         }
         assert_eq!(*order.lock(), vec!["high", "normal", "low"]);
     }
@@ -795,27 +682,23 @@ mod tests {
         let gate = Arc::new(Mutex::new(()));
         let held = gate.lock();
         let g = gate.clone();
-        let blocker = ex.submit(move || {
+        let blocker = ex.spawn_map(units(1), SubmitOpts::default(), move |_, ()| {
             drop(g.lock());
         });
         let token = CancelToken::new();
         let ran = Arc::new(AtomicUsize::new(0));
-        let tasks: Vec<Task> = (0..10)
-            .map(|_| {
-                let ran = ran.clone();
-                Box::new(move || {
-                    ran.fetch_add(1, Ordering::SeqCst);
-                }) as Task
-            })
-            .collect();
-        let batch = ex.submit_batch_opts(
-            tasks,
+        let r = ran.clone();
+        let batch = ex.spawn_map(
+            units(10),
             SubmitOpts { cancel: Some(token.clone()), ..SubmitOpts::default() },
+            move |_, ()| {
+                r.fetch_add(1, Ordering::SeqCst);
+            },
         );
         token.cancel();
         drop(held);
-        blocker.wait();
-        assert!(batch.wait_cancelled(), "skip must be reported");
+        blocker.join().unwrap();
+        assert_eq!(batch.join().unwrap(), None, "skip must be reported");
         assert_eq!(ran.load(Ordering::SeqCst), 0, "no queued task may run after cancel");
     }
 
@@ -828,69 +711,70 @@ mod tests {
         let gate = Arc::new(Mutex::new(()));
         let held = gate.lock();
         let g = gate.clone();
-        let blocker = ex.submit(move || {
+        let blocker = ex.spawn_map(units(1), SubmitOpts::default(), move |_, ()| {
             drop(g.lock());
         });
-        let high: Vec<Task> = (0..8).map(|_| Box::new(|| {}) as Task).collect();
-        let high_batch = ex.submit_batch_opts(
-            high,
+        let high_batch = ex.spawn_map(
+            units(8),
             SubmitOpts { priority: Priority::High, ..SubmitOpts::default() },
+            |_, ()| {},
         );
         let token = CancelToken::new();
         let ran = Arc::new(AtomicUsize::new(0));
-        let low: Vec<Task> = (0..4)
-            .map(|_| {
-                let ran = ran.clone();
-                Box::new(move || {
-                    ran.fetch_add(1, Ordering::SeqCst);
-                }) as Task
-            })
-            .collect();
-        let low_batch = ex.submit_batch_opts(
-            low,
+        let r = ran.clone();
+        let low_batch = ex.spawn_map(
+            units(4),
             SubmitOpts {
                 priority: Priority::Low,
                 cancel: Some(token.clone()),
                 ..SubmitOpts::default()
             },
+            move |_, ()| {
+                r.fetch_add(1, Ordering::SeqCst);
+            },
         );
         token.cancel();
         assert_eq!(ex.drain_cancelled(), 4, "all queued low tasks purge");
         // The low batch resolves even though the worker is still gated.
-        assert!(low_batch.wait_cancelled());
+        assert_eq!(low_batch.join().unwrap(), None);
         assert_eq!(ran.load(Ordering::SeqCst), 0);
         drop(held);
-        blocker.wait();
-        high_batch.wait();
+        blocker.join().unwrap();
+        high_batch.join().unwrap();
         // A batch submitted after cancellation never queues at all.
-        let post = ex.submit_batch_opts(
-            vec![Box::new(|| panic!("must not run")) as Task],
+        let post = ex.spawn_map(
+            units(1),
             SubmitOpts { cancel: Some(token), ..SubmitOpts::default() },
+            |_, ()| panic!("must not run"),
         );
-        assert!(post.wait_cancelled());
+        assert_eq!(post.join().unwrap(), None);
     }
 
     #[test]
-    fn map_batch_opts_reports_cancellation() {
+    fn spawn_map_reports_cancellation() {
         let ex = Executor::new(2);
         let token = CancelToken::new();
         // Uncancelled: identical to map_batch.
         let out = ex
-            .map_batch_opts(
+            .spawn_map(
                 vec![1u64, 2, 3],
                 SubmitOpts { cancel: Some(token.clone()), ..SubmitOpts::default() },
                 |_, v| v * 2,
             )
+            .join()
             .unwrap();
-        assert_eq!(out, vec![2, 4, 6]);
-        // Cancelled before submission: every task skips, Err returned.
+        assert_eq!(out, Some(vec![2, 4, 6]));
+        // Cancelled before submission: every task skips, no output.
         token.cancel();
-        let res = ex.map_batch_opts(
-            (0..64u64).collect(),
-            SubmitOpts { cancel: Some(token.clone()), ..SubmitOpts::default() },
-            |_, v| v,
-        );
-        assert_eq!(res, Err(Cancelled));
+        let res = ex
+            .spawn_map(
+                (0..64u64).collect(),
+                SubmitOpts { cancel: Some(token.clone()), ..SubmitOpts::default() },
+                |_, v| v,
+            )
+            .join()
+            .unwrap();
+        assert_eq!(res, None);
     }
 
     #[test]
@@ -898,22 +782,17 @@ mod tests {
         let ex = Executor::new(2);
         let stage = Arc::new(NodeCounters::default());
         let job = Arc::new(NodeCounters::default());
-        let tasks: Vec<Task> = (0..6)
-            .map(|_| {
-                Box::new(move || {
-                    std::thread::sleep(std::time::Duration::from_millis(2));
-                }) as Task
-            })
-            .collect();
-        ex.submit_batch_opts(
-            tasks,
+        ex.spawn_map(
+            units(6),
             SubmitOpts {
                 tag: Some(stage.clone()),
                 job_tag: Some(job.clone()),
                 ..SubmitOpts::default()
             },
+            |_, ()| std::thread::sleep(std::time::Duration::from_millis(2)),
         )
-        .wait();
+        .join()
+        .unwrap();
         assert_eq!(stage.snapshot().items, 6);
         assert_eq!(job.snapshot().items, 6);
         assert!(job.snapshot().busy_ns > 0);
@@ -925,19 +804,17 @@ mod tests {
         let ex = Executor::new(2);
         let tag_a = Arc::new(NodeCounters::default());
         let tag_b = Arc::new(NodeCounters::default());
-        let work = |ms: u64| {
-            (0..4)
-                .map(move |_| {
-                    Box::new(move || {
-                        std::thread::sleep(std::time::Duration::from_millis(ms));
-                    }) as Task
-                })
-                .collect::<Vec<Task>>()
+        let work = |ms: u64, tag: &Arc<NodeCounters>| {
+            ex.spawn_map(
+                units(4),
+                SubmitOpts { tag: Some(tag.clone()), ..SubmitOpts::default() },
+                move |_, ()| std::thread::sleep(std::time::Duration::from_millis(ms)),
+            )
         };
-        let a = ex.submit_batch_tagged(work(20), Some(tag_a.clone()));
-        let b = ex.submit_batch_tagged(work(5), Some(tag_b.clone()));
-        a.wait();
-        b.wait();
+        let a = work(20, &tag_a);
+        let b = work(5, &tag_b);
+        a.join().unwrap();
+        b.join().unwrap();
         let (snap_a, snap_b) = (tag_a.snapshot(), tag_b.snapshot());
         assert_eq!(snap_a.items, 4);
         assert_eq!(snap_b.items, 4);

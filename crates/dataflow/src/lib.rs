@@ -13,8 +13,8 @@
 //!   work". The bound is Persona's flow control (§4.5): "the individual
 //!   servers do not have too many AGD chunks in their pipelines".
 //! * **Bounded queues** ([`queue`]) — a blocking MPMC queue with
-//!   producer-tracked close. No pipeline stage uses it; it is kept as the
-//!   primitive whose hop cost the benchmark reports.
+//!   producer-tracked close. Every chunk edge of a plan runs on one (the
+//!   manifest server wraps it), and the benchmark reports its hop cost.
 //! * **Metrics** ([`metrics`]) — busy/wait counters and a sampled
 //!   utilization timeline, which regenerate the paper's CPU-utilization
 //!   analysis (Fig. 5).
@@ -40,5 +40,5 @@ pub mod executor;
 pub mod metrics;
 pub mod queue;
 
-pub use executor::{CancelToken, Cancelled, Executor, MapBatch, Priority, SubmitOpts};
+pub use executor::{CancelToken, Executor, MapBatch, Priority, SubmitOpts};
 pub use queue::QueueHandle;

@@ -1,15 +1,16 @@
 //! Bounded MPMC queues with producer-tracked close semantics.
 //!
 //! A queue closes automatically when its last registered producer
-//! releases, which propagates end-of-stream to every consumer. Pipeline
-//! stages do not use these queues: they bound their chunks in flight on
-//! the executor, and fused stages stream chunk names through a
-//! `ManifestServer`.
+//! releases, which propagates end-of-stream to every consumer. One lock
+//! guards the items, so delivery is globally FIFO and exactly-once under
+//! any mix of producers and consumers. Every chunk stream of a plan runs
+//! on one: `persona::manifest_server::ManifestServer` wraps a
+//! `QueueHandle` of chunk tasks, both for a dataset at rest and for the
+//! live edge between two fused stages.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
@@ -107,13 +108,11 @@ impl<T> QueueHandle<T> {
     }
 
     /// Blocking push. Returns the value back if the queue is closed.
-    /// Also reports how long the call blocked (for busy/idle metrics).
-    pub fn push_timed(&self, value: T) -> (std::result::Result<(), PushError<T>>, Duration) {
-        let start = Instant::now();
+    pub fn push(&self, value: T) -> std::result::Result<(), PushError<T>> {
         let mut inner = self.shared.inner.lock();
         loop {
             if inner.closed {
-                return (Err(PushError(value)), start.elapsed());
+                return Err(PushError(value));
             }
             if inner.items.len() < self.shared.capacity {
                 inner.items.push_back(value);
@@ -122,39 +121,27 @@ impl<T> QueueHandle<T> {
                 self.shared.pushed.fetch_add(1, Ordering::Relaxed);
                 self.shared.high_water.fetch_max(occupancy, Ordering::Relaxed);
                 self.shared.not_empty.notify_one();
-                return (Ok(()), start.elapsed());
+                return Ok(());
             }
             self.shared.not_full.wait(&mut inner);
         }
     }
 
-    /// Blocking push without timing.
-    pub fn push(&self, value: T) -> std::result::Result<(), PushError<T>> {
-        self.push_timed(value).0
-    }
-
     /// Blocking pop; `None` once the queue is closed *and* drained.
-    /// Also reports how long the call blocked.
-    pub fn pop_timed(&self) -> (Option<T>, Duration) {
-        let start = Instant::now();
+    pub fn pop(&self) -> Option<T> {
         let mut inner = self.shared.inner.lock();
         loop {
             if let Some(v) = inner.items.pop_front() {
                 drop(inner);
                 self.shared.popped.fetch_add(1, Ordering::Relaxed);
                 self.shared.not_full.notify_one();
-                return (Some(v), start.elapsed());
+                return Some(v);
             }
             if inner.closed {
-                return (None, start.elapsed());
+                return None;
             }
             self.shared.not_empty.wait(&mut inner);
         }
-    }
-
-    /// Blocking pop without timing.
-    pub fn pop(&self) -> Option<T> {
-        self.pop_timed().0
     }
 
     /// Non-blocking pop.
@@ -218,6 +205,7 @@ impl<T> QueueHandle<T> {
 mod tests {
     use super::*;
     use std::thread;
+    use std::time::Duration;
 
     #[test]
     fn fifo_single_thread() {
@@ -319,21 +307,6 @@ mod tests {
         thread::sleep(Duration::from_millis(30));
         q.close();
         assert!(h.join().unwrap().is_err());
-    }
-
-    #[test]
-    fn pop_timed_reports_wait() {
-        let q = QueueHandle::new("t", 1);
-        let _p = q.producer();
-        let q2 = q.clone();
-        let h = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(60));
-            q2.push(7).unwrap();
-        });
-        let (v, waited) = q.pop_timed();
-        assert_eq!(v, Some(7));
-        assert!(waited >= Duration::from_millis(40), "waited {waited:?}");
-        h.join().unwrap();
     }
 
     #[test]

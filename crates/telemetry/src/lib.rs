@@ -1,4 +1,4 @@
-//! Persona's observability layer: a lock-sharded metrics registry and
+//! Persona's observability layer: a metrics registry and
 //! per-job trace spans, with zero dependencies outside the workspace.
 //!
 //! Every subsystem that processes work publishes into one

@@ -1,31 +1,28 @@
-//! The lock-sharded metrics registry.
+//! The metrics registry.
 //!
 //! Every Persona subsystem publishes into one [`MetricsRegistry`]
 //! owned by the runtime: the executor (queue depth per priority lane,
-//! task latency), the manifest server (queue occupancy, steals), the
+//! task latency), the manifest server (queue occupancy), the
 //! fair-share scheduler (admission wait, per-tenant in-flight), the
 //! write-ahead journal (append/fsync latency per policy) and the wire
 //! front end (frame decode latency, bytes in/out, in-flight seqs).
 //! `docs/OBSERVABILITY.md` is the metric name catalog.
 //!
 //! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are registered once
-//! per site and publish through plain atomics — no lock is taken on a
-//! hot path. The registry's name → cell map is sharded by name hash, so
-//! even registration (and [`MetricsRegistry::snapshot`]) never
-//! serializes publishers behind one lock. A registry-wide enable flag
+//! per site, stage run or admission event and publish through plain
+//! atomics — no lock is taken on a hot path. The registry's name → cell
+//! map sits behind one lock, which only registration and
+//! [`MetricsRegistry::snapshot`] take. A registry-wide enable flag
 //! turns every handle into a no-op store-free read, which is how the
 //! fused bench measures the cost of telemetry itself.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 use serde::{field, DeError, Deserialize, Serialize, Value};
-
-/// Name-hash shards in the registry map.
-const SHARDS: usize = 16;
 
 /// Log₂ latency buckets per histogram: bucket `b > 0` holds values in
 /// `[2^(b-1), 2^b)` nanoseconds, bucket 0 holds zero. 64 buckets cover
@@ -175,7 +172,7 @@ impl Metric {
     }
 }
 
-/// The lock-sharded name → metric map every subsystem publishes into.
+/// The name → metric map every subsystem publishes into.
 ///
 /// One registry is created per [`persona runtime`](self) (the executor
 /// owns the construction path) and shared by `Arc` into every
@@ -185,7 +182,7 @@ impl Metric {
 /// gauge.
 pub struct MetricsRegistry {
     enabled: Arc<AtomicBool>,
-    shards: Box<[Mutex<HashMap<String, Metric>>]>,
+    metrics: Mutex<BTreeMap<String, Metric>>,
 }
 
 impl Default for MetricsRegistry {
@@ -199,7 +196,7 @@ impl MetricsRegistry {
     pub fn new() -> Self {
         MetricsRegistry {
             enabled: Arc::new(AtomicBool::new(true)),
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            metrics: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -215,16 +212,6 @@ impl MetricsRegistry {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    fn shard(&self, name: &str) -> &Mutex<HashMap<String, Metric>> {
-        // FNV-1a over the name picks the shard.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in name.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        &self.shards[(h as usize) % SHARDS]
-    }
-
     /// Gets or registers the counter `name`.
     ///
     /// # Panics
@@ -233,8 +220,8 @@ impl MetricsRegistry {
     /// the name catalog is fixed (see `docs/OBSERVABILITY.md`), so a
     /// kind collision is a programming error, not runtime input.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut shard = self.shard(name).lock();
-        let metric = shard
+        let mut metrics = self.metrics.lock();
+        let metric = metrics
             .entry(name.to_string())
             .or_insert_with(|| Metric::Counter(Arc::new(CounterCell::default())));
         match metric {
@@ -249,8 +236,8 @@ impl MetricsRegistry {
     ///
     /// If `name` is already registered as a different metric kind.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut shard = self.shard(name).lock();
-        let metric = shard
+        let mut metrics = self.metrics.lock();
+        let metric = metrics
             .entry(name.to_string())
             .or_insert_with(|| Metric::Gauge(Arc::new(GaugeCell::default())));
         match metric {
@@ -265,8 +252,8 @@ impl MetricsRegistry {
     ///
     /// If `name` is already registered as a different metric kind.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut shard = self.shard(name).lock();
-        let metric = shard
+        let mut metrics = self.metrics.lock();
+        let metric = metrics
             .entry(name.to_string())
             .or_insert_with(|| Metric::Histogram(Arc::new(HistogramCell::default())));
         match metric {
@@ -283,24 +270,17 @@ impl MetricsRegistry {
     /// atomic.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
-        for shard in self.shards.iter() {
-            for (name, metric) in shard.lock().iter() {
-                match metric {
-                    Metric::Counter(c) => {
-                        snap.counters.push((name.clone(), c.v.load(Ordering::Relaxed)));
-                    }
-                    Metric::Gauge(g) => {
-                        snap.gauges.push((name.clone(), g.v.load(Ordering::Relaxed)));
-                    }
-                    Metric::Histogram(h) => {
-                        snap.histograms.push((name.clone(), HistogramSnapshot::of(h)));
-                    }
+        for (name, metric) in self.metrics.lock().iter() {
+            match metric {
+                Metric::Counter(c) => {
+                    snap.counters.push((name.clone(), c.v.load(Ordering::Relaxed)));
+                }
+                Metric::Gauge(g) => snap.gauges.push((name.clone(), g.v.load(Ordering::Relaxed))),
+                Metric::Histogram(h) => {
+                    snap.histograms.push((name.clone(), HistogramSnapshot::of(h)));
                 }
             }
         }
-        snap.counters.sort_by(|a, b| a.0.cmp(&b.0));
-        snap.gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        snap.histograms.sort_by(|a, b| a.0.cmp(&b.0));
         snap
     }
 }

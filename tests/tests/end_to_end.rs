@@ -102,7 +102,7 @@ fn multi_server_alignment_partitions_work() {
     let fx = Fixture::new(1003, 800);
     let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
     let manifest = fx.write_dataset(store.as_ref(), "ms", 100);
-    let server = persona::manifest_server::ManifestServer::new(&manifest);
+    let server = persona::manifest_server::ManifestServer::new(&manifest, None);
 
     // Three "servers" share one manifest queue (the paper's multi-node
     // deployment, §5.2).
