@@ -1,88 +1,33 @@
 //! Writing AGD datasets: chunked column emission and manifest assembly.
+//! Every chunk is coded as [`columns`] says.
 
-use persona_compress::codec::Codec;
-use persona_compress::deflate::CompressLevel;
-
-use crate::chunk::{ChunkData, RecordType};
 use crate::chunk_io::ChunkStore;
+use crate::columns::{self, READ_COLUMNS};
 use crate::manifest::{ChunkEntry, Manifest};
-use crate::{columns, Error, Result, DEFAULT_CHUNK_SIZE};
-
-/// Per-column writer configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct ColumnConfig {
-    /// Compression codec for the column's chunks.
-    pub codec: Codec,
-    /// Record encoding.
-    pub record_type: RecordType,
-}
-
-/// Options controlling dataset writing.
-#[derive(Debug, Clone, Copy)]
-pub struct WriterOptions {
-    /// Records per chunk (the paper's default: 100,000).
-    pub chunk_size: usize,
-    /// Effort for gzip-compressed columns.
-    pub level: CompressLevel,
-    /// Codec for the bases column.
-    pub bases: ColumnConfig,
-    /// Codec for the quality column.
-    pub qual: ColumnConfig,
-    /// Codec for the metadata column.
-    pub metadata: ColumnConfig,
-}
-
-impl Default for WriterOptions {
-    fn default() -> Self {
-        WriterOptions {
-            chunk_size: DEFAULT_CHUNK_SIZE,
-            level: CompressLevel::Default,
-            bases: ColumnConfig { codec: Codec::Gzip, record_type: RecordType::CompactBases },
-            qual: ColumnConfig { codec: Codec::Gzip, record_type: RecordType::Text },
-            metadata: ColumnConfig { codec: Codec::Gzip, record_type: RecordType::Text },
-        }
-    }
-}
+use crate::{Error, Result};
 
 /// Streams reads into an AGD dataset: the three raw-read columns
 /// (`bases`, `qual`, `metadata`) are written chunk by chunk.
 pub struct DatasetWriter {
     manifest: Manifest,
-    options: WriterOptions,
-    // Current chunk accumulation (records owned until flush).
-    meta: Vec<Vec<u8>>,
-    bases: Vec<Vec<u8>>,
-    quals: Vec<Vec<u8>>,
+    chunk_size: usize,
+    // Current chunk accumulation, one buffer per read column in
+    // `READ_COLUMNS` order (records owned until flush).
+    records: [Vec<Vec<u8>>; 3],
     next_chunk: u64,
     first_record: u64,
 }
 
 impl DatasetWriter {
-    /// Creates a writer with a custom chunk size and default codecs.
+    /// Creates a writer that cuts a chunk every `chunk_size` reads.
     pub fn new(name: &str, chunk_size: usize) -> Result<Self> {
-        Self::with_options(name, WriterOptions { chunk_size, ..WriterOptions::default() })
-    }
-
-    /// Creates a writer with full options.
-    pub fn with_options(name: &str, options: WriterOptions) -> Result<Self> {
-        if options.chunk_size == 0 {
+        if chunk_size == 0 {
             return Err(Error::Format("chunk_size must be positive".into()));
         }
-        let mut manifest = Manifest::new(name);
-        manifest.add_column(columns::BASES, options.bases.codec)?;
-        manifest.add_column(columns::QUAL, options.qual.codec)?;
-        manifest.add_column(columns::METADATA, options.metadata.codec)?;
-        manifest.row_groups = vec![vec![
-            columns::BASES.to_string(),
-            columns::QUAL.to_string(),
-            columns::METADATA.to_string(),
-        ]];
         Ok(DatasetWriter {
-            manifest,
-            options,
-            meta: Vec::new(),
-            bases: Vec::new(),
-            quals: Vec::new(),
+            manifest: columns::reads_manifest(name)?,
+            chunk_size,
+            records: Default::default(),
             next_chunk: 0,
             first_record: 0,
         })
@@ -99,10 +44,10 @@ impl DatasetWriter {
         if bases.len() != quals.len() {
             return Err(Error::Format("bases/quals length mismatch".into()));
         }
-        self.meta.push(meta.to_vec());
-        self.bases.push(bases.to_vec());
-        self.quals.push(quals.to_vec());
-        if self.meta.len() >= self.options.chunk_size {
+        for (buffer, record) in self.records.iter_mut().zip([bases, quals, meta]) {
+            buffer.push(record.to_vec());
+        }
+        if self.buffered() >= self.chunk_size {
             self.flush_chunk(store)?;
         }
         Ok(())
@@ -110,31 +55,20 @@ impl DatasetWriter {
 
     /// Number of records currently buffered (not yet flushed).
     pub fn buffered(&self) -> usize {
-        self.meta.len()
+        self.records[0].len()
     }
 
     fn flush_chunk(&mut self, store: &dyn ChunkStore) -> Result<()> {
-        if self.meta.is_empty() {
+        let n = self.buffered() as u32;
+        if n == 0 {
             return Ok(());
         }
         let stem = format!("{}-{}", self.manifest.name, self.next_chunk);
-        let n = self.meta.len() as u32;
-
-        let write = |col: &str,
-                     cfg: ColumnConfig,
-                     records: &[Vec<u8>],
-                     level: CompressLevel|
-         -> Result<()> {
-            let chunk =
-                ChunkData::from_records(cfg.record_type, records.iter().map(|r| r.as_slice()))?;
-            let encoded = chunk.encode(cfg.codec, level)?;
-            store.put(&Manifest::chunk_object_name(&stem, col), &encoded)?;
-            Ok(())
-        };
-        write(columns::BASES, self.options.bases, &self.bases, self.options.level)?;
-        write(columns::QUAL, self.options.qual, &self.quals, self.options.level)?;
-        write(columns::METADATA, self.options.metadata, &self.meta, self.options.level)?;
-
+        for (column, records) in READ_COLUMNS.iter().zip(&mut self.records) {
+            let object = columns::encode(column, records.iter().map(Vec::as_slice))?;
+            store.put(&Manifest::chunk_object_name(&stem, column), &object)?;
+            records.clear();
+        }
         self.manifest.records.push(ChunkEntry {
             path: stem,
             first_record: self.first_record,
@@ -143,9 +77,6 @@ impl DatasetWriter {
         self.first_record += n as u64;
         self.manifest.total_records = self.first_record;
         self.next_chunk += 1;
-        self.meta.clear();
-        self.bases.clear();
-        self.quals.clear();
         Ok(())
     }
 
@@ -169,21 +100,14 @@ impl DatasetWriter {
 pub struct ColumnAppender<'m> {
     manifest: &'m mut Manifest,
     column: String,
-    config: ColumnConfig,
-    level: CompressLevel,
     next_chunk: usize,
 }
 
 impl<'m> ColumnAppender<'m> {
     /// Starts appending `column` to `manifest`.
-    pub fn new(
-        manifest: &'m mut Manifest,
-        column: &str,
-        config: ColumnConfig,
-        level: CompressLevel,
-    ) -> Result<Self> {
-        manifest.add_column(column, config.codec)?;
-        Ok(ColumnAppender { manifest, column: column.to_string(), config, level, next_chunk: 0 })
+    pub fn new(manifest: &'m mut Manifest, column: &str) -> Result<Self> {
+        columns::declare(manifest, column)?;
+        Ok(ColumnAppender { manifest, column: column.to_string(), next_chunk: 0 })
     }
 
     /// Writes the next chunk's records for this column.
@@ -205,9 +129,8 @@ impl<'m> ColumnAppender<'m> {
                 entry.num_records
             )));
         }
-        let chunk = ChunkData::from_records(self.config.record_type, records)?;
-        let encoded = chunk.encode(self.config.codec, self.level)?;
-        store.put(&Manifest::chunk_object_name(&entry.path, &self.column), &encoded)?;
+        let object = columns::encode(&self.column, records)?;
+        store.put(&Manifest::chunk_object_name(&entry.path, &self.column), &object)?;
         self.next_chunk += 1;
         Ok(())
     }
@@ -313,10 +236,7 @@ mod tests {
         }
         let mut manifest = w.finish(&store).unwrap();
 
-        let cfg = ColumnConfig { codec: Codec::Gzip, record_type: RecordType::Results };
-        let mut appender =
-            ColumnAppender::new(&mut manifest, columns::RESULTS, cfg, CompressLevel::Default)
-                .unwrap();
+        let mut appender = ColumnAppender::new(&mut manifest, columns::RESULTS).unwrap();
         let counts: Vec<u32> = vec![10, 5];
         let mut payloads = Vec::new();
         for &n in &counts {
@@ -355,9 +275,7 @@ mod tests {
             w.append(&store, &m, &b, &q).unwrap();
         }
         let mut manifest = w.finish(&store).unwrap();
-        let cfg = ColumnConfig { codec: Codec::None, record_type: RecordType::Text };
-        let mut appender =
-            ColumnAppender::new(&mut manifest, "notes", cfg, CompressLevel::Default).unwrap();
+        let mut appender = ColumnAppender::new(&mut manifest, "notes").unwrap();
         let recs: Vec<&[u8]> = vec![b"x"; 3]; // Should be 10.
         assert!(appender.append_chunk(&store, recs.into_iter()).is_err());
     }
@@ -370,9 +288,7 @@ mod tests {
             w.append(&store, &m, &b, &q).unwrap();
         }
         let mut manifest = w.finish(&store).unwrap();
-        let cfg = ColumnConfig { codec: Codec::None, record_type: RecordType::Text };
-        let mut appender =
-            ColumnAppender::new(&mut manifest, "notes", cfg, CompressLevel::Default).unwrap();
+        let mut appender = ColumnAppender::new(&mut manifest, "notes").unwrap();
         let recs: Vec<&[u8]> = vec![b"x"; 5];
         appender.append_chunk(&store, recs.into_iter()).unwrap();
         // Only 1 of 2 chunks appended.

@@ -466,7 +466,7 @@ mod tests {
     fn header_roundtrip() {
         let h = ChunkHeader {
             record_type: RecordType::Results,
-            codec: Codec::Range,
+            codec: Codec::None,
             record_count: 12345,
             uncompressed_len: 999_999,
             compressed_len: 54_321,
@@ -487,13 +487,23 @@ mod tests {
     #[test]
     fn chunk_roundtrip_all_types_and_codecs() {
         for rt in [RecordType::CompactBases, RecordType::Text, RecordType::Results] {
-            for codec in [Codec::None, Codec::Gzip, Codec::Range] {
+            for codec in [Codec::None, Codec::Gzip] {
                 let chunk = sample_chunk(rt);
                 let encoded = chunk.encode(codec, CompressLevel::Default).unwrap();
                 let decoded = ChunkData::decode(&encoded).unwrap();
                 assert_eq!(decoded, chunk, "{rt:?} {codec:?}");
             }
         }
+    }
+
+    #[test]
+    fn retired_codec_id_fails_both_decoders() {
+        let mut enc =
+            sample_chunk(RecordType::Text).encode(Codec::None, CompressLevel::Fast).unwrap();
+        enc[6] = 2;
+        let retired = persona_compress::Error::RetiredCodec("range");
+        assert!(matches!(ChunkData::decode(&enc), Err(Error::Compress(e)) if e == retired));
+        assert!(matches!(RawChunk::decode(&enc), Err(Error::Compress(e)) if e == retired));
     }
 
     #[test]

@@ -50,6 +50,7 @@
 pub mod builder;
 pub mod chunk;
 pub mod chunk_io;
+pub mod columns;
 pub mod compaction;
 pub mod dataset;
 pub mod manifest;
@@ -108,17 +109,3 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// The paper's default chunk size in records (§5.2: "the AGD chunk size
 /// is 100,000").
 pub const DEFAULT_CHUNK_SIZE: usize = 100_000;
-
-/// Standard column names used by Persona (§3: "three columns to store
-/// bases, quality scores, and metadata, and a fourth to store alignment
-/// results").
-pub mod columns {
-    /// Base characters, stored compacted.
-    pub const BASES: &str = "bases";
-    /// Quality scores.
-    pub const QUAL: &str = "qual";
-    /// Read metadata.
-    pub const METADATA: &str = "metadata";
-    /// Alignment results.
-    pub const RESULTS: &str = "results";
-}

@@ -12,7 +12,7 @@ serde::serde_struct! {
     pub struct ColumnSpec {
         /// Column name (e.g. `bases`).
         pub name: String,
-        /// Codec name (`none`, `gzip`, `range`).
+        /// Codec name (`none`, `gzip`).
         pub codec: String,
     }
 }
@@ -203,7 +203,7 @@ mod tests {
         let mut m = Manifest::new("test");
         m.add_column("bases", Codec::Gzip).unwrap();
         m.add_column("qual", Codec::Gzip).unwrap();
-        m.add_column("metadata", Codec::Range).unwrap();
+        m.add_column("metadata", Codec::None).unwrap();
         m.records.push(ChunkEntry { path: "test-0".into(), first_record: 0, num_records: 100 });
         m.records.push(ChunkEntry { path: "test-1".into(), first_record: 100, num_records: 50 });
         m.total_records = 150;
@@ -254,7 +254,7 @@ mod tests {
         let mut m = sample();
         assert!(m.has_column("bases"));
         assert!(!m.has_column("results"));
-        assert_eq!(m.column_codec("metadata").unwrap(), Codec::Range);
+        assert_eq!(m.column_codec("metadata").unwrap(), Codec::None);
         assert!(m.column_codec("nope").is_err());
         // Idempotent add.
         m.add_column("bases", Codec::Gzip).unwrap();
@@ -263,6 +263,15 @@ mod tests {
         // Extension: append a results column.
         m.add_column("results", Codec::Gzip).unwrap();
         assert!(m.has_column("results"));
+    }
+
+    #[test]
+    fn retired_codec_name_fails_column_codec() {
+        let json = sample().to_json().unwrap().replace("\"none\"", "\"range\"");
+        let m = Manifest::from_json(&json).unwrap();
+        let retired = persona_compress::Error::RetiredCodec("range");
+        assert!(matches!(m.column_codec("metadata"), Err(Error::Compress(e)) if e == retired));
+        assert_eq!(m.column_codec("bases").unwrap(), Codec::Gzip);
     }
 
     #[test]

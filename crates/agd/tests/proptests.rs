@@ -33,7 +33,7 @@ proptest! {
             RecordType::CompactBases,
             records.iter().map(|r| r.as_slice()),
         ).unwrap();
-        for codec in [Codec::None, Codec::Gzip, Codec::Range] {
+        for codec in [Codec::None, Codec::Gzip] {
             let enc = chunk.encode(codec, CompressLevel::Fast).unwrap();
             let dec = ChunkData::decode(&enc).unwrap();
             prop_assert_eq!(&dec, &chunk);

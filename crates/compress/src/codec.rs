@@ -5,7 +5,7 @@
 //! compressed file size and decompression time."
 
 use crate::deflate::CompressLevel;
-use crate::{gzip, range, Error, Result};
+use crate::{gzip, Error, Result};
 
 /// A compression scheme applicable to an AGD column chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -16,9 +16,13 @@ pub enum Codec {
     /// being too compute-intensive".
     #[default]
     Gzip,
-    /// Order-1 range coder: denser but slower (the paper's LZMA slot).
-    Range,
 }
+
+/// On-disk id of a retired codec (an order-1 range coder that nothing
+/// wrote). The id and [`RETIRED_NAME`] stay reserved, so a chunk or
+/// manifest naming it fails with [`Error::RetiredCodec`].
+const RETIRED_ID: u8 = 2;
+const RETIRED_NAME: &str = "range";
 
 impl Codec {
     /// Stable on-disk identifier stored in AGD chunk headers.
@@ -26,7 +30,6 @@ impl Codec {
         match self {
             Codec::None => 0,
             Codec::Gzip => 1,
-            Codec::Range => 2,
         }
     }
 
@@ -35,18 +38,14 @@ impl Codec {
         match id {
             0 => Ok(Codec::None),
             1 => Ok(Codec::Gzip),
-            2 => Ok(Codec::Range),
+            RETIRED_ID => Err(Error::RetiredCodec(RETIRED_NAME)),
             _ => Err(Error::BadHeader("unknown codec id")),
         }
     }
 
     /// Compresses a buffer with this codec at default effort.
     pub fn compress(self, data: &[u8]) -> Vec<u8> {
-        match self {
-            Codec::None => data.to_vec(),
-            Codec::Gzip => gzip::compress(data),
-            Codec::Range => range::compress(data),
-        }
+        self.compress_level(data, CompressLevel::Default)
     }
 
     /// Compresses a buffer with an explicit effort level (only meaningful
@@ -55,7 +54,6 @@ impl Codec {
         match self {
             Codec::None => data.to_vec(),
             Codec::Gzip => gzip::compress_level(data, level),
-            Codec::Range => range::compress(data),
         }
     }
 
@@ -64,7 +62,6 @@ impl Codec {
         match self {
             Codec::None => Ok(data.to_vec()),
             Codec::Gzip => gzip::decompress(data),
-            Codec::Range => range::decompress(data),
         }
     }
 
@@ -75,8 +72,8 @@ impl Codec {
     /// length it gets.
     pub fn decompress_sized(self, data: &[u8], size_hint: usize) -> Result<Vec<u8>> {
         match self {
+            Codec::None => Ok(data.to_vec()),
             Codec::Gzip => gzip::decompress_sized(data, size_hint),
-            Codec::None | Codec::Range => self.decompress(data),
         }
     }
 
@@ -85,7 +82,6 @@ impl Codec {
         match self {
             Codec::None => "none",
             Codec::Gzip => "gzip",
-            Codec::Range => "range",
         }
     }
 }
@@ -103,7 +99,7 @@ impl std::str::FromStr for Codec {
         match s {
             "none" => Ok(Codec::None),
             "gzip" => Ok(Codec::Gzip),
-            "range" => Ok(Codec::Range),
+            RETIRED_NAME => Err(Error::RetiredCodec(RETIRED_NAME)),
             _ => Err(Error::BadHeader("unknown codec name")),
         }
     }
@@ -115,7 +111,7 @@ mod tests {
 
     #[test]
     fn id_roundtrip() {
-        for codec in [Codec::None, Codec::Gzip, Codec::Range] {
+        for codec in [Codec::None, Codec::Gzip] {
             assert_eq!(Codec::from_id(codec.id()).unwrap(), codec);
             assert_eq!(codec.name().parse::<Codec>().unwrap(), codec);
         }
@@ -124,35 +120,19 @@ mod tests {
     }
 
     #[test]
-    fn all_codecs_roundtrip_data() {
-        let data =
-            b"AGCTTTTCATTCTGACTGCAACGGGCAATATGTCTCTGTGTGGATTAAAAAAAGAGTGTCTGATAGCAGC".repeat(20);
-        for codec in [Codec::None, Codec::Gzip, Codec::Range] {
-            let packed = codec.compress(&data);
-            assert_eq!(codec.decompress(&packed).unwrap(), data, "{codec}");
-        }
+    fn retired_codec_is_a_typed_error() {
+        assert_eq!(Codec::from_id(2), Err(Error::RetiredCodec("range")));
+        assert_eq!("range".parse::<Codec>(), Err(Error::RetiredCodec("range")));
+        assert!(Error::RetiredCodec("range").to_string().contains("\"range\" is retired"));
     }
 
     #[test]
-    fn tradeoff_shape_matches_paper_claim() {
-        // The paper motivates per-column codec choice (§3): a denser,
-        // slower codec for some columns. Quality-score-like data (small
-        // alphabet, strong local correlation, no long exact repeats) is
-        // where the context model beats gzip's LZ77.
-        let mut data = Vec::new();
-        let mut x = 0x243F_6A88u64;
-        let mut q: i32 = 38;
-        for _ in 0..60_000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let step = ((x >> 60) as i32 % 3) - 1;
-            q = (q + step).clamp(2, 41);
-            data.push(b'!' + q as u8);
+    fn all_codecs_roundtrip_data() {
+        let data =
+            b"AGCTTTTCATTCTGACTGCAACGGGCAATATGTCTCTGTGTGGATTAAAAAAAGAGTGTCTGATAGCAGC".repeat(20);
+        for codec in [Codec::None, Codec::Gzip] {
+            let packed = codec.compress(&data);
+            assert_eq!(codec.decompress(&packed).unwrap(), data, "{codec}");
         }
-        let none = Codec::None.compress(&data).len();
-        let gz = Codec::Gzip.compress(&data).len();
-        let rc = Codec::Range.compress(&data).len();
-        assert!(gz < none);
-        assert!(rc < none);
-        assert!(rc < gz, "range {rc} should beat gzip {gz} on quality-like data");
     }
 }

@@ -12,9 +12,6 @@
 //!   supporting stored, fixed-Huffman and dynamic-Huffman blocks with a
 //!   hash-chain LZ77 matcher.
 //! * [`gzip`] — RFC 1952 gzip member framing around DEFLATE.
-//! * [`range`] — an order-1 adaptive binary range coder standing in for
-//!   the paper's LZMA option (same trade-off class: denser but slower
-//!   than gzip).
 //! * [`codec`] — a unified [`codec::Codec`] selector used by AGD to pick
 //!   a compression scheme per column.
 //!
@@ -35,7 +32,6 @@ pub mod codec;
 pub mod crc32;
 pub mod deflate;
 pub mod gzip;
-pub mod range;
 
 /// Errors produced while decoding a compressed stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,6 +46,8 @@ pub enum Error {
     ChecksumMismatch { expected: u32, actual: u32 },
     /// A declared size did not match the decoded data.
     LengthMismatch { expected: u64, actual: u64 },
+    /// A chunk or manifest names a codec this build no longer has.
+    RetiredCodec(&'static str),
 }
 
 impl std::fmt::Display for Error {
@@ -64,6 +62,7 @@ impl std::fmt::Display for Error {
             Error::LengthMismatch { expected, actual } => {
                 write!(f, "length mismatch: expected {expected}, got {actual}")
             }
+            Error::RetiredCodec(name) => write!(f, "codec {name:?} is retired and cannot be read"),
         }
     }
 }

@@ -7,7 +7,7 @@ mod reference;
 use persona_compress::codec::Codec;
 use persona_compress::crc32::{crc32, Crc32};
 use persona_compress::deflate::{deflate_level, inflate_from, CompressLevel};
-use persona_compress::{gzip, range, Error};
+use persona_compress::{gzip, Error};
 use proptest::prelude::*;
 
 /// Inflates with both decoders, which must agree on the bytes and the
@@ -66,13 +66,8 @@ proptest! {
     }
 
     #[test]
-    fn range_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..10_000)) {
-        prop_assert_eq!(&range::decompress(&range::compress(&data)).unwrap(), &data);
-    }
-
-    #[test]
     fn codec_roundtrip_all(data in proptest::collection::vec(any::<u8>(), 0..5_000)) {
-        for codec in [Codec::None, Codec::Gzip, Codec::Range] {
+        for codec in [Codec::None, Codec::Gzip] {
             prop_assert_eq!(&codec.decompress(&codec.compress(&data)).unwrap(), &data);
         }
     }
@@ -94,7 +89,6 @@ proptest! {
         // Arbitrary bytes must either decode or error, never panic/hang.
         let _ = inflate(&data);
         let _ = gzip::decompress(&data);
-        let _ = range::decompress(&data);
     }
 
     #[test]

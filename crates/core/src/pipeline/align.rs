@@ -16,21 +16,19 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use persona_agd::chunk::{ChunkData, RecordType};
+use persona_agd::chunk::ChunkData;
 use persona_agd::chunk_io::ChunkStore;
 use persona_agd::columns;
 use persona_agd::manifest::Manifest;
 use persona_agd::results::AlignmentResult;
 use persona_align::profile::PhaseProfile;
 use persona_align::Aligner;
-use persona_compress::codec::Codec;
-use persona_compress::deflate::CompressLevel;
 
 use crate::config::PersonaConfig;
 use crate::manifest_server::{ChunkFeeder, ManifestServer};
 use crate::pipeline::{
-    deliver, drive, load_column, push, split_out, subchunk_ranges, Edge, EdgeOut, Progress,
-    StageReport, Step,
+    deliver, drive, encode_results, load_column, push, split_out, subchunk_ranges, Edge, EdgeOut,
+    Progress, StageReport, Step,
 };
 use crate::runtime::{Pending, PersonaRuntime};
 use crate::{Error, Result};
@@ -234,12 +232,7 @@ fn align_chunks(
                 let store = rt.store().clone();
                 let name = Manifest::chunk_object_name(&task.stem, columns::RESULTS);
                 let write = exec.spawn_one(move || {
-                    let encoded: Vec<Vec<u8>> = results.iter().map(|r| r.encode()).collect();
-                    let data = ChunkData::from_records(
-                        RecordType::Results,
-                        encoded.iter().map(|r| r.as_slice()),
-                    )?;
-                    store.put(&name, &data.encode(Codec::Gzip, CompressLevel::Fast)?)?;
+                    store.put(&name, &encode_results(&results)?)?;
                     Ok(())
                 });
                 Ok(Progress::Next((task, AlignStep::Store(write))))
@@ -281,7 +274,7 @@ pub fn finalize_manifest(
     manifest: &mut Manifest,
     reference: &[(String, u64)],
 ) -> Result<()> {
-    manifest.add_column(columns::RESULTS, Codec::Gzip)?;
+    columns::declare(manifest, columns::RESULTS)?;
     persona_formats::convert::set_reference(manifest, reference);
     store.put(&format!("{}.manifest.json", manifest.name), manifest.to_json()?.as_bytes())?;
     Ok(())
@@ -437,8 +430,7 @@ mod tests {
             let (_genome, store, manifest, aligner) = build_world(100, 25);
             let name = Manifest::chunk_object_name("t-1", column);
             let chunk = ChunkData::decode(&store.get(&name).unwrap()).unwrap();
-            let short = ChunkData::from_records(chunk.record_type, chunk.iter().skip(1)).unwrap();
-            store.put(&name, &short.encode(Codec::Gzip, CompressLevel::Fast).unwrap()).unwrap();
+            store.put(&name, &columns::encode(column, chunk.iter().skip(1)).unwrap()).unwrap();
             let before = store.get("t.manifest.json").unwrap();
             let rt = PersonaRuntime::new(store.clone(), PersonaConfig::small()).unwrap();
             let err = align_rt(&rt, Edge::Landed(manifest), aligner, &[], None).unwrap_err();

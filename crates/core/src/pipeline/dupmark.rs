@@ -17,17 +17,15 @@ use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
-use persona_agd::chunk::{ChunkData, RecordType};
+use persona_agd::chunk::ChunkData;
 use persona_agd::chunk_io::ChunkStore;
 use persona_agd::columns;
 use persona_agd::manifest::Manifest;
 use persona_agd::results::{flags, AlignmentResult, CigarKind};
-use persona_compress::codec::Codec;
-use persona_compress::deflate::CompressLevel;
 
 use crate::config::PersonaConfig;
 use crate::manifest_server::ChunkTask;
-use crate::pipeline::{deliver, split_out, Edge, EdgeOut, StageReport, Step};
+use crate::pipeline::{deliver, encode_results, split_out, Edge, EdgeOut, StageReport, Step};
 use crate::runtime::{Pending, PersonaRuntime};
 use crate::{Error, Result};
 
@@ -214,12 +212,7 @@ pub(crate) fn mark_duplicates_rt(
             let name = chunk_names[idx].clone();
             let store = store.clone();
             exec.spawn_one(move || {
-                let encoded: Vec<Vec<u8>> = results.iter().map(|r| r.encode()).collect();
-                let data = ChunkData::from_records(
-                    RecordType::Results,
-                    encoded.iter().map(|r| r.as_slice()),
-                )?;
-                store.put(&name, &data.encode(Codec::Gzip, CompressLevel::Fast)?)?;
+                store.put(&name, &encode_results(&results)?)?;
                 Ok(())
             })
         });
@@ -255,7 +248,7 @@ pub(crate) fn mark_duplicates_rt(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use persona_agd::builder::{ColumnAppender, ColumnConfig, DatasetWriter};
+    use persona_agd::builder::{ColumnAppender, DatasetWriter};
     use persona_agd::chunk_io::MemStore;
     use persona_agd::dataset::Dataset;
     use persona_agd::results::CigarOp;
@@ -279,10 +272,8 @@ mod tests {
             w.append(store.as_ref(), meta.as_bytes(), b"ACGTACGT", b"IIIIIIII").unwrap();
         }
         let mut manifest = w.finish(store.as_ref()).unwrap();
-        let cfg = ColumnConfig { codec: Codec::Gzip, record_type: RecordType::Results };
         let sizes: Vec<u32> = manifest.records.iter().map(|e| e.num_records).collect();
-        let mut app =
-            ColumnAppender::new(&mut manifest, columns::RESULTS, cfg, CompressLevel::Fast).unwrap();
+        let mut app = ColumnAppender::new(&mut manifest, columns::RESULTS).unwrap();
         let mut k = 0usize;
         for &sz in &sizes {
             let recs: Vec<Vec<u8>> = (0..sz)

@@ -415,11 +415,9 @@ impl<W: Write> Drop for BgzfBlocks<'_, W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use persona_agd::builder::{ColumnAppender, ColumnConfig, DatasetWriter};
-    use persona_agd::chunk::RecordType;
+    use persona_agd::builder::{ColumnAppender, DatasetWriter};
     use persona_agd::chunk_io::MemStore;
     use persona_agd::results::{flags, AlignmentResult, CigarKind, CigarOp};
-    use persona_compress::codec::Codec;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn world(n: usize, chunk: usize) -> (Arc<dyn ChunkStore>, Manifest) {
@@ -437,10 +435,8 @@ mod tests {
         }
         let mut manifest = w.finish(store.as_ref()).unwrap();
         persona_formats::convert::set_reference(&mut manifest, &[("chr1".to_string(), 100_000)]);
-        let cfg = ColumnConfig { codec: Codec::Gzip, record_type: RecordType::Results };
         let sizes: Vec<u32> = manifest.records.iter().map(|e| e.num_records).collect();
-        let mut app =
-            ColumnAppender::new(&mut manifest, columns::RESULTS, cfg, CompressLevel::Fast).unwrap();
+        let mut app = ColumnAppender::new(&mut manifest, columns::RESULTS).unwrap();
         let mut k = 0i64;
         for &sz in &sizes {
             let recs: Vec<Vec<u8>> = (0..sz)

@@ -16,12 +16,9 @@ use std::io::BufRead;
 use std::sync::Arc;
 use std::time::Duration;
 
-use persona_agd::chunk::{ChunkData, RecordType};
 use persona_agd::chunk_io::ChunkStore;
-use persona_agd::columns;
+use persona_agd::columns::{self, READ_COLUMNS};
 use persona_agd::manifest::{ChunkEntry, Manifest};
-use persona_compress::codec::Codec;
-use persona_compress::deflate::CompressLevel;
 use persona_seq::Read;
 
 use crate::config::PersonaConfig;
@@ -63,10 +60,6 @@ impl StageReport for ImportReport {
     }
 }
 
-/// One column of an imported chunk: its name, record type and codec,
-/// and the read field it stores.
-type Column = (&'static str, RecordType, Codec, fn(&Read) -> &[u8]);
-
 /// Imports FASTQ into a new AGD dataset named `name` on a transient
 /// private runtime. Returns the manifest and throughput report.
 pub fn import_fastq(
@@ -95,26 +88,9 @@ pub(crate) fn import_fastq_rt(
     if chunk_size == 0 {
         return Err(Error::Pipeline("chunk_size must be positive".into()));
     }
-    let mut manifest = Manifest::new(name);
-    manifest.add_column(columns::BASES, Default::default())?;
-    manifest.add_column(columns::QUAL, Default::default())?;
-    manifest.add_column(columns::METADATA, Default::default())?;
-    manifest.row_groups = vec![vec![
-        columns::BASES.to_string(),
-        columns::QUAL.to_string(),
-        columns::METADATA.to_string(),
-    ]];
-    let columns: [Column; 3] = [
-        (columns::BASES, RecordType::CompactBases, manifest.column_codec(columns::BASES)?, |r| {
-            r.bases.as_slice()
-        }),
-        (columns::QUAL, RecordType::Text, manifest.column_codec(columns::QUAL)?, |r| {
-            r.quals.as_slice()
-        }),
-        (columns::METADATA, RecordType::Text, manifest.column_codec(columns::METADATA)?, |r| {
-            r.meta.as_slice()
-        }),
-    ];
+    let mut manifest = columns::reads_manifest(name)?;
+    // The read field each of the `READ_COLUMNS` stores.
+    let fields: [fn(&Read) -> &[u8]; 3] = [|r| &r.bases, |r| &r.quals, |r| &r.meta];
 
     let timer = rt.stage_timer();
     let exec = rt.stage_exec(&timer);
@@ -148,10 +124,9 @@ pub(crate) fn import_fastq_rt(
             next_idx += 1;
             let (store, stem, batch) = (rt.store().clone(), task.stem.clone(), Arc::new(batch));
             let put = exec.spawn(
-                columns.to_vec(),
-                move |_, (column, rtype, codec, field)| -> Result<()> {
-                    let data = ChunkData::from_records(rtype, batch.iter().map(field))?;
-                    let object = data.encode(codec, CompressLevel::Fast)?;
+                READ_COLUMNS.into_iter().zip(fields).collect(),
+                move |_, (column, field)| -> Result<()> {
+                    let object = columns::encode(column, batch.iter().map(field))?;
                     store.put(&Manifest::chunk_object_name(&stem, column), &object)?;
                     Ok(())
                 },

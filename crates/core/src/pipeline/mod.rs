@@ -41,7 +41,9 @@ use std::time::Duration;
 
 use persona_agd::chunk::{ChunkData, RawChunk};
 use persona_agd::chunk_io::ChunkStore;
+use persona_agd::columns;
 use persona_agd::manifest::Manifest;
+use persona_agd::results::AlignmentResult;
 use persona_telemetry::MetricsRegistry;
 
 use crate::manifest_server::{ChunkFeeder, ChunkTask, ManifestServer};
@@ -143,6 +145,12 @@ pub(crate) fn load_raw_column(
     column: &str,
 ) -> Result<RawChunk> {
     Ok(RawChunk::decode(&get_column(store, stem, column)?)?)
+}
+
+/// One chunk's alignment results as a `results` column object.
+pub(crate) fn encode_results(results: &[AlignmentResult]) -> Result<Vec<u8>> {
+    let encoded: Vec<Vec<u8>> = results.iter().map(AlignmentResult::encode).collect();
+    Ok(columns::encode(columns::RESULTS, encoded.iter().map(Vec::as_slice))?)
 }
 
 /// The executor step one chunk of a stage is waiting on.

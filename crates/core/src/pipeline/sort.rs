@@ -45,11 +45,9 @@ use std::time::{Duration, Instant};
 
 use persona_agd::chunk::{ChunkData, RawChunk, RecordType};
 use persona_agd::chunk_io::ChunkStore;
-use persona_agd::columns;
+use persona_agd::columns::{self, coding};
 use persona_agd::manifest::{ChunkEntry, Manifest, SortOrder};
 use persona_agd::results::AlignmentResult;
-use persona_compress::codec::Codec;
-use persona_compress::deflate::CompressLevel;
 
 use crate::config::PersonaConfig;
 use crate::manifest_server::ChunkTask;
@@ -98,14 +96,9 @@ impl StageReport for SortReport {
 
 /// The columns a run carries, in arena order: metadata, bases and
 /// qualities, then results when the dataset has them.
-const COLUMNS: [(&str, RecordType); 4] = [
-    (columns::METADATA, RecordType::Text),
-    (columns::BASES, RecordType::CompactBases),
-    (columns::QUAL, RecordType::Text),
-    (columns::RESULTS, RecordType::Results),
-];
+const COLUMNS: [&str; 4] = [columns::METADATA, columns::BASES, columns::QUAL, columns::RESULTS];
 /// The columns of a dataset's runs.
-fn run_columns(has_results: bool) -> &'static [(&'static str, RecordType)] {
+fn run_columns(has_results: bool) -> &'static [&'static str] {
     &COLUMNS[..if has_results { 4 } else { 3 }]
 }
 
@@ -203,9 +196,10 @@ pub fn sort_dataset(
 /// records (location -1) sort first, matching the convention that they
 /// carry no coordinate.
 ///
-/// The write phase takes column codecs, chunk sizing and reference
-/// contigs from the input's manifest; a live upstream delivers it after
-/// its last chunk, by which point every chunk has been merged.
+/// The write phase codes each column as `persona_agd::columns` says
+/// and takes chunk sizing and reference contigs from the input's
+/// manifest; a live upstream delivers it after its last chunk, by
+/// which point every chunk has been merged.
 pub(crate) fn sort_rt(
     rt: &PersonaRuntime,
     input: Edge,
@@ -328,7 +322,7 @@ fn load_sorted_run(
 ) -> Result<Run> {
     let n = task.num_records as usize;
     let mut loaded = Vec::with_capacity(COLUMNS.len());
-    for &(column, record_type) in run_columns(has_results) {
+    for &column in run_columns(has_results) {
         let chunk = load_raw_column(store, &task.stem, column)?;
         if chunk.len() != n {
             return Err(Error::Pipeline(format!(
@@ -337,7 +331,7 @@ fn load_sorted_run(
                 chunk.len()
             )));
         }
-        loaded.push(stored_as(chunk, record_type)?);
+        loaded.push(stored_as(chunk, coding(column).record_type)?);
     }
     let locations = match key {
         SortKey::Coordinate => {
@@ -452,7 +446,8 @@ fn merge_order(runs: &[Run], from: &[usize], to: &[usize]) -> Vec<(usize, usize)
 fn gather_column(runs: &[Run], column: usize, order: &[(usize, usize)]) -> RawChunk {
     let arena = |r: usize| &runs[r].columns[column];
     let bytes = order.iter().map(|&(r, i)| arena(r).record(i).len()).sum();
-    let mut out = RawChunk::with_capacity(COLUMNS[column].1, order.len(), bytes);
+    let record_type = coding(COLUMNS[column]).record_type;
+    let mut out = RawChunk::with_capacity(record_type, order.len(), bytes);
     for &(r, i) in order {
         out.push_from(arena(r), i);
     }
@@ -504,11 +499,8 @@ fn write_sorted_dataset(
         .max(1);
 
     let mut manifest = Manifest::new(out_name);
-    manifest.add_column(columns::BASES, src.column_codec(columns::BASES)?)?;
-    manifest.add_column(columns::QUAL, src.column_codec(columns::QUAL)?)?;
-    manifest.add_column(columns::METADATA, src.column_codec(columns::METADATA)?)?;
-    if has_results {
-        manifest.add_column(columns::RESULTS, Codec::Gzip)?;
+    for &column in columns::READ_COLUMNS.iter().chain(has_results.then_some(&columns::RESULTS)) {
+        columns::declare(&mut manifest, column)?;
     }
     manifest.reference = src.reference.clone();
     manifest.sort_order = match key {
@@ -519,10 +511,6 @@ fn write_sorted_dataset(
 
     let n = runs.iter().map(Run::len).sum();
     let ranges = crate::pipeline::subchunk_ranges(n, chunk_size);
-    let codecs: Arc<[Codec]> = run_columns(has_results)
-        .iter()
-        .map(|&(column, _)| manifest.column_codec(column))
-        .collect::<std::result::Result<_, _>>()?;
     let runs = Arc::new(runs);
     let exec = rt.stage_exec(timer);
     let mut next = ranges.iter().copied().enumerate();
@@ -531,14 +519,14 @@ fn write_sorted_dataset(
         |_| {
             let Some((k, (lo, hi))) = next.next() else { return Ok(None) };
             rt.check_cancelled()?;
-            let (runs, codecs, store) = (runs.clone(), codecs.clone(), rt.store().clone());
+            let (runs, store) = (runs.clone(), rt.store().clone());
             let stem = format!("{out_name}-{k}");
             Ok(Some(exec.spawn_one(move || {
                 let order = merge_order(&runs, &co_rank(&runs, lo), &co_rank(&runs, hi));
-                for (c, &codec) in codecs.iter().enumerate() {
+                for (c, &column) in run_columns(has_results).iter().enumerate() {
                     let chunk = gather_column(&runs, c, &order);
-                    let name = Manifest::chunk_object_name(&stem, COLUMNS[c].0);
-                    store.put(&name, &chunk.encode(codec, CompressLevel::Fast))?;
+                    let name = Manifest::chunk_object_name(&stem, column);
+                    store.put(&name, &chunk.encode(coding(column).codec, columns::LEVEL))?;
                 }
                 Ok(())
             })))
@@ -564,10 +552,12 @@ fn write_sorted_dataset(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use persona_agd::builder::{ColumnAppender, ColumnConfig, DatasetWriter};
+    use persona_agd::builder::{ColumnAppender, DatasetWriter};
     use persona_agd::chunk_io::MemStore;
     use persona_agd::dataset::Dataset;
     use persona_agd::results::flags;
+    use persona_compress::codec::Codec;
+    use persona_compress::deflate::CompressLevel;
 
     /// Builds an unsorted aligned dataset with known (shuffled) keys.
     fn world(n: usize, chunk: usize) -> (Arc<dyn ChunkStore>, Manifest) {
@@ -581,10 +571,8 @@ mod tests {
             w.append(store.as_ref(), meta.as_bytes(), &bases, &vec![b'F'; 24]).unwrap();
         }
         let mut manifest = w.finish(store.as_ref()).unwrap();
-        let cfg = ColumnConfig { codec: Codec::Gzip, record_type: RecordType::Results };
         let sizes: Vec<u32> = manifest.records.iter().map(|e| e.num_records).collect();
-        let mut app =
-            ColumnAppender::new(&mut manifest, columns::RESULTS, cfg, CompressLevel::Fast).unwrap();
+        let mut app = ColumnAppender::new(&mut manifest, columns::RESULTS).unwrap();
         let mut k = 0usize;
         for &sz in &sizes {
             let recs: Vec<Vec<u8>> = (0..sz)
@@ -824,10 +812,13 @@ mod tests {
     /// must be its names.
     fn columnar(run: &oracle::Run) -> Run {
         let column = |c: usize, records: &[Vec<u8>]| {
-            ChunkData::from_records(COLUMNS[c].1, records.iter().map(|r| r.as_slice()))
-                .unwrap()
-                .pack()
-                .unwrap()
+            ChunkData::from_records(
+                coding(COLUMNS[c]).record_type,
+                records.iter().map(|r| r.as_slice()),
+            )
+            .unwrap()
+            .pack()
+            .unwrap()
         };
         Run {
             ties: run.keys.iter().map(|k| k.1).collect(),
@@ -998,7 +989,7 @@ mod tests {
         let (sorted, _) =
             sort_dataset(&store, &manifest, SortKey::Coordinate, "got", &config).unwrap();
         for (k, e) in sorted.records.iter().enumerate() {
-            for (column, _) in COLUMNS {
+            for column in COLUMNS {
                 let got = store.get(&Manifest::chunk_object_name(&e.path, column)).unwrap();
                 let want = store.get(&format!("want-{k}.{column}")).unwrap();
                 assert_eq!(got, want, "chunk {k} {column}");
@@ -1015,8 +1006,7 @@ mod tests {
             let (store, manifest) = world(100, 10);
             let name = Manifest::chunk_object_name("u-3", column);
             let chunk = ChunkData::decode(&store.get(&name).unwrap()).unwrap();
-            let short = ChunkData::from_records(chunk.record_type, chunk.iter().skip(1)).unwrap();
-            store.put(&name, &short.encode(Codec::Gzip, CompressLevel::Fast).unwrap()).unwrap();
+            store.put(&name, &columns::encode(column, chunk.iter().skip(1)).unwrap()).unwrap();
             let config = PersonaConfig::small();
             match sort_dataset(&store, &manifest, SortKey::Coordinate, "s", &config) {
                 Err(Error::Pipeline(msg)) => {

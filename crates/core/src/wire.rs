@@ -769,24 +769,31 @@ fn read_fully(r: &mut impl Read, buf: &mut [u8]) -> std::result::Result<(), Fram
     }
 }
 
+/// A frame's length prefix and JSON header, for a body of `body_len`
+/// bytes, checked against the frame limits. The buffer has room for
+/// `reserve` more bytes.
+fn frame_prefix(message: &Message, body_len: usize, reserve: usize) -> io::Result<Vec<u8>> {
+    let header = serde_json::to_string(message)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+    if header.len() > MAX_HEADER_LEN {
+        return Err(io::Error::new(io::ErrorKind::InvalidData, "frame header too large"));
+    }
+    if body_len > MAX_BODY_LEN {
+        return Err(io::Error::new(io::ErrorKind::InvalidData, "frame body too large"));
+    }
+    let mut buf = Vec::with_capacity(8 + header.len() + reserve);
+    buf.extend_from_slice(&(header.len() as u32).to_be_bytes());
+    buf.extend_from_slice(&(body_len as u32).to_be_bytes());
+    buf.extend_from_slice(header.as_bytes());
+    Ok(buf)
+}
+
 /// Writes one frame (header lengths + JSON header + body) and flushes.
 /// Returns the total bytes put on the wire, for egress accounting.
 pub fn write_frame(w: &mut impl Write, message: &Message, body: &[u8]) -> io::Result<usize> {
-    let header = serde_json::to_string(message)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    let header_bytes = header.as_bytes();
-    if header_bytes.len() > MAX_HEADER_LEN {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "frame header too large"));
-    }
-    if body.len() > MAX_BODY_LEN {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "frame body too large"));
-    }
     // Lengths + header go out as one small buffer; the body (which can
     // be hundreds of MiB of FASTQ) is written directly, never copied.
-    let mut prefix = Vec::with_capacity(8 + header_bytes.len());
-    prefix.extend_from_slice(&(header_bytes.len() as u32).to_be_bytes());
-    prefix.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    prefix.extend_from_slice(header_bytes);
+    let prefix = frame_prefix(message, body.len(), 0)?;
     w.write_all(&prefix)?;
     w.write_all(body)?;
     w.flush()?;
@@ -813,19 +820,7 @@ pub fn read_message(
 /// buffer, for write queues that cannot block on a socket. The result
 /// is exactly what [`write_frame`] would have put on the wire.
 pub fn encode_frame(message: &Message, body: &[u8]) -> io::Result<Vec<u8>> {
-    let header = serde_json::to_string(message)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    let header_bytes = header.as_bytes();
-    if header_bytes.len() > MAX_HEADER_LEN {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "frame header too large"));
-    }
-    if body.len() > MAX_BODY_LEN {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "frame body too large"));
-    }
-    let mut buf = Vec::with_capacity(8 + header_bytes.len() + body.len());
-    buf.extend_from_slice(&(header_bytes.len() as u32).to_be_bytes());
-    buf.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    buf.extend_from_slice(header_bytes);
+    let mut buf = frame_prefix(message, body.len(), body.len())?;
     buf.extend_from_slice(body);
     Ok(buf)
 }

@@ -3,9 +3,9 @@
 //! This instrumentation regenerates the paper's Fig. 5 (CPU utilization
 //! over time under different storage configurations) and supports the
 //! "negligible framework overhead" claim (§4, §5.4): busy time is work
-//! done inside node bodies; wait time is time blocked on queue edges.
+//! done inside node bodies.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -14,12 +14,8 @@ use std::time::{Duration, Instant};
 pub struct NodeCounters {
     /// Items processed (node-defined unit, typically queue messages).
     pub items: AtomicU64,
-    /// Nanoseconds spent blocked on queue pushes/pops.
-    pub wait_ns: AtomicU64,
     /// Nanoseconds spent in node code between blocking operations.
     pub busy_ns: AtomicU64,
-    /// Workers currently running.
-    pub active_workers: AtomicUsize,
 }
 
 /// Immutable snapshot of one node's counters.
@@ -27,12 +23,8 @@ pub struct NodeCounters {
 pub struct NodeSnapshot {
     /// Items processed so far.
     pub items: u64,
-    /// Cumulative wait, nanoseconds.
-    pub wait_ns: u64,
     /// Cumulative busy, nanoseconds.
     pub busy_ns: u64,
-    /// Currently active workers.
-    pub active_workers: usize,
 }
 
 impl NodeCounters {
@@ -40,9 +32,7 @@ impl NodeCounters {
     pub fn snapshot(&self) -> NodeSnapshot {
         NodeSnapshot {
             items: self.items.load(Ordering::Relaxed),
-            wait_ns: self.wait_ns.load(Ordering::Relaxed),
             busy_ns: self.busy_ns.load(Ordering::Relaxed),
-            active_workers: self.active_workers.load(Ordering::Relaxed),
         }
     }
 }
@@ -151,11 +141,9 @@ mod tests {
         let c = NodeCounters::default();
         c.items.fetch_add(5, Ordering::Relaxed);
         c.busy_ns.fetch_add(100, Ordering::Relaxed);
-        c.wait_ns.fetch_add(50, Ordering::Relaxed);
         let s = c.snapshot();
         assert_eq!(s.items, 5);
         assert_eq!(s.busy_ns, 100);
-        assert_eq!(s.wait_ns, 50);
     }
 
     #[test]

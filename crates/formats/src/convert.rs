@@ -3,7 +3,7 @@
 
 use std::io::{BufRead, Write};
 
-use persona_agd::builder::{DatasetWriter, WriterOptions};
+use persona_agd::builder::DatasetWriter;
 use persona_agd::chunk::ChunkData;
 use persona_agd::chunk_io::ChunkStore;
 use persona_agd::columns;
@@ -17,15 +17,16 @@ use crate::fastq::FastqReader;
 use crate::sam::{write_header, RefMap, SamRow};
 use crate::{bam, sam, Result};
 
-/// Imports FASTQ into a new AGD dataset, returning the manifest.
+/// Imports FASTQ into a new AGD dataset of `chunk_size`-read chunks,
+/// returning the manifest.
 pub fn fastq_to_agd(
     input: impl BufRead,
     store: &dyn ChunkStore,
     name: &str,
-    options: WriterOptions,
+    chunk_size: usize,
 ) -> Result<Manifest> {
     let mut reader = FastqReader::new(input);
-    let mut writer = DatasetWriter::with_options(name, options)?;
+    let mut writer = DatasetWriter::new(name, chunk_size)?;
     while let Some(read) = reader.next()? {
         writer.append(store, &read.meta, &read.bases, &read.quals)?;
     }

@@ -1,12 +1,10 @@
 //! Integration tests for FASTQ/AGD/SAM/BAM conversion (paper §5.7).
 
-use persona_agd::builder::{ColumnAppender, ColumnConfig, WriterOptions};
-use persona_agd::chunk::RecordType;
+use persona_agd::builder::ColumnAppender;
 use persona_agd::chunk_io::{ChunkStore, MemStore};
 use persona_agd::columns;
 use persona_agd::dataset::Dataset;
 use persona_agd::results::{flags, AlignmentResult, CigarKind, CigarOp};
-use persona_compress::codec::Codec;
 use persona_compress::deflate::CompressLevel;
 use persona_formats::convert;
 use persona_formats::fastq;
@@ -23,8 +21,7 @@ fn make_fastq(n: usize) -> Vec<u8> {
 fn fastq_agd_fastq_roundtrip() {
     let input = make_fastq(250);
     let store = MemStore::new();
-    let opts = WriterOptions { chunk_size: 64, ..WriterOptions::default() };
-    let manifest = convert::fastq_to_agd(std::io::Cursor::new(&input), &store, "rt", opts).unwrap();
+    let manifest = convert::fastq_to_agd(std::io::Cursor::new(&input), &store, "rt", 64).unwrap();
     assert_eq!(manifest.total_records, 250);
     assert_eq!(manifest.records.len(), 4); // 64+64+64+58.
 
@@ -38,15 +35,12 @@ fn fastq_agd_fastq_roundtrip() {
 /// Builds an aligned dataset: every read gets a synthetic result.
 fn aligned_dataset(store: &MemStore, n: usize) -> Dataset {
     let input = make_fastq(n);
-    let opts = WriterOptions { chunk_size: 32, ..WriterOptions::default() };
     let mut manifest =
-        convert::fastq_to_agd(std::io::Cursor::new(&input), store, "al", opts).unwrap();
+        convert::fastq_to_agd(std::io::Cursor::new(&input), store, "al", 32).unwrap();
     convert::set_reference(&mut manifest, &[("chr1".to_string(), 20_000)]);
 
-    let cfg = ColumnConfig { codec: Codec::Gzip, record_type: RecordType::Results };
     let chunk_sizes: Vec<u32> = manifest.records.iter().map(|e| e.num_records).collect();
-    let mut appender =
-        ColumnAppender::new(&mut manifest, columns::RESULTS, cfg, CompressLevel::Fast).unwrap();
+    let mut appender = ColumnAppender::new(&mut manifest, columns::RESULTS).unwrap();
     let mut serial = 0u64;
     for &count in &chunk_sizes {
         let recs: Vec<Vec<u8>> = (0..count)
@@ -124,8 +118,7 @@ fn import_throughput_accounting() {
     // multi-chunk datasets and the store holds all column objects.
     let input = make_fastq(500);
     let store = MemStore::new();
-    let opts = WriterOptions { chunk_size: 100, ..WriterOptions::default() };
-    let manifest = convert::fastq_to_agd(std::io::Cursor::new(&input), &store, "tp", opts).unwrap();
+    let manifest = convert::fastq_to_agd(std::io::Cursor::new(&input), &store, "tp", 100).unwrap();
     assert_eq!(manifest.records.len(), 5);
     let names = store.list().unwrap();
     // 5 chunks × 3 columns + manifest.

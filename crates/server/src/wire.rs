@@ -2,11 +2,10 @@
 //! [`persona::wire`] protocol and schedules everything it admits onto
 //! the one shared [`PersonaService`].
 //!
-//! Threading model: a **fixed pool of event-loop threads** (default
-//! `min(4, available_parallelism)`, overridable with the
-//! `PERSONA_WIRE_THREADS` environment variable) over nonblocking
-//! sockets — no thread per connection, no thread per wait, no external
-//! runtime. Loop 0 owns the listener and deals accepted connections
+//! Threading model: a **fixed pool of event-loop threads**
+//! (`min(4, available_parallelism)`) over nonblocking sockets — no
+//! thread per connection, no thread per wait, no external runtime.
+//! Loop 0 owns the listener and deals accepted connections
 //! across the pool round-robin; each loop multiplexes its connections
 //! through a [`crate::poll::Poller`] (epoll on Linux, portable
 //! `poll(2)` elsewhere). A connection is a pure state machine
@@ -130,16 +129,9 @@ pub struct WireServer {
     threads: Vec<JoinHandle<()>>,
 }
 
-/// Event-loop threads to run: `PERSONA_WIRE_THREADS` when set and
-/// parseable, else `min(4, available_parallelism)`, always at least 1.
+/// Event-loop threads to run: `min(4, available_parallelism)`.
 fn loop_count() -> usize {
-    if let Ok(v) = std::env::var("PERSONA_WIRE_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    cores.min(4).max(1)
+    std::thread::available_parallelism().map_or(1, |n| n.get().min(4))
 }
 
 impl WireServer {

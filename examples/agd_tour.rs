@@ -3,25 +3,24 @@
 //!
 //! Run: `cargo run -p persona-examples --release --bin agd_tour`
 
-use persona_agd::builder::{ColumnConfig, DatasetWriter, WriterOptions};
-use persona_agd::chunk::RecordType;
+use persona_agd::builder::DatasetWriter;
 use persona_agd::chunk_io::{ChunkStore, MemStore};
+use persona_agd::columns;
 use persona_agd::dataset::Dataset;
-use persona_compress::codec::Codec;
 use persona_examples::DemoWorld;
 
 fn main() {
     let world = DemoWorld::new(1_000);
     let store = MemStore::new();
 
-    // Per-column codec choice: gzip for bases/qualities, range coder
-    // for metadata (the paper's gzip/LZMA flexibility).
-    let options = WriterOptions {
-        chunk_size: 250,
-        metadata: ColumnConfig { codec: Codec::Range, record_type: RecordType::Text },
-        ..WriterOptions::default()
-    };
-    let mut writer = DatasetWriter::with_options("tour", options).expect("writer");
+    // Per-column coding: one table gives each column its record type
+    // and codec, and the manifest records each column's codec.
+    println!("column coding (level {:?}):", columns::LEVEL);
+    for (column, coding) in columns::TABLE {
+        println!("  {column:<9} {:?} + {}", coding.record_type, coding.codec);
+    }
+    println!();
+    let mut writer = DatasetWriter::new("tour", 250).expect("writer");
     for r in &world.reads {
         writer.append(&store, &r.meta, &r.bases, &r.quals).expect("append");
     }
@@ -52,7 +51,7 @@ fn main() {
     println!("column sizes on storage (compressed):");
     println!("  bases    {bases_bytes:>8} B  (3-bit compacted + gzip)");
     println!("  qual     {qual_bytes:>8} B  (gzip)");
-    println!("  metadata {meta_bytes:>8} B  (range coder)");
+    println!("  metadata {meta_bytes:>8} B  (gzip)");
 
     // Random access: one record by global index (reads one chunk).
     let rec = ds.get_record(&store, 777, "bases").expect("record");

@@ -157,3 +157,34 @@ fn plan_runs_cancel_mid_flight() {
         Ok(report) => assert_eq!(report.reads(), 400),
     }
 }
+
+#[test]
+fn reference_import_writes_the_import_stage_bytes() {
+    // `fastq_to_agd` and the import stage code every column from the
+    // one `persona_agd::columns` table, so over the same reads and chunk
+    // size they store the same objects, manifest included.
+    let fx = Fixture::new(8006, 400);
+    let fastq_bytes = fastq::to_bytes(&fx.reads);
+    let reference = MemStore::new();
+    persona_formats::convert::fastq_to_agd(
+        std::io::Cursor::new(&fastq_bytes),
+        &reference,
+        "ri",
+        CHUNK,
+    )
+    .unwrap();
+    let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
+    Plan::import_only()
+        .run(&runtime(&store), request(&fx, "ri", PlanSource::fastq_bytes(fastq_bytes)))
+        .unwrap();
+
+    let mut names = reference.list().unwrap();
+    names.sort();
+    let mut stored = store.list().unwrap();
+    stored.sort();
+    assert_eq!(stored, names);
+    assert_eq!(names.len(), 3 * 400usize.div_ceil(CHUNK) + 1);
+    for name in &names {
+        assert!(store.get(name).unwrap() == reference.get(name).unwrap(), "{name} differs");
+    }
+}
