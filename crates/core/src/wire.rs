@@ -130,9 +130,8 @@ serde::serde_enum! {
 }
 
 serde::serde_enum! {
-    /// A job's lifecycle state as it appears on the wire. Mirrors the
-    /// service's `JobStatus`; kept separate so the protocol crate does not
-    /// depend on the service crate.
+    /// Where a job is in its lifecycle, in the service and on the wire
+    /// alike: `persona_server` re-exports this type as `JobStatus`.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum WireJobStatus as "job status" {
         /// Admitted, waiting for a fair-share dispatch slot.

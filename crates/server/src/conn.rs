@@ -10,6 +10,7 @@
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::os::fd::AsRawFd;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -23,7 +24,7 @@ use serde::field;
 
 use crate::event_loop::{LoopCmd, LoopCtx};
 use crate::job::{JobInput, JobOutcome, JobSpec};
-use crate::wire::{to_wire_status, MAX_WAITERS_PER_CONN};
+use crate::wire::MAX_WAITERS_PER_CONN;
 
 /// Stop pumping output chunks into the write queue once it holds this
 /// many bytes; resume as the socket drains. Bounds per-connection
@@ -103,15 +104,8 @@ impl Conn {
         })
     }
 
-    #[cfg(unix)]
     pub(crate) fn fd(&self) -> i32 {
-        use std::os::unix::io::AsRawFd;
         self.stream.as_raw_fd()
-    }
-
-    #[cfg(not(unix))]
-    pub(crate) fn fd(&self) -> i32 {
-        0
     }
 
     pub(crate) fn is_dead(&self) -> bool {
@@ -283,7 +277,7 @@ impl Conn {
                         // jobs once it grows past any plausible live
                         // set. The spec documents this eviction (§2).
                         if jobs.len() >= 4096 {
-                            jobs.retain(|_, h| !to_wire_status(h.status()).is_terminal());
+                            jobs.retain(|_, h| !h.status().is_terminal());
                         }
                         jobs.insert(job_id, handle);
                         drop(jobs);
@@ -303,7 +297,7 @@ impl Conn {
             }
             Message::Status { seq, job_id } => match shared.jobs.lock().get(&job_id).cloned() {
                 Some(handle) => {
-                    let status = to_wire_status(handle.status());
+                    let status = handle.status();
                     self.enqueue(cx, &Message::JobStatus { seq, job_id, status }, &[]);
                 }
                 None => {
@@ -325,7 +319,7 @@ impl Conn {
                             );
                             return;
                         }
-                        let status = to_wire_status(handle.status());
+                        let status = handle.status();
                         self.enqueue(cx, &Message::JobEvent { seq, job_id, status }, &[]);
                         self.pending_watchers += 1;
                         shared.metrics.in_flight_seqs.add(1);
@@ -377,7 +371,7 @@ impl Conn {
                         job_id: h.id(),
                         name: h.name().to_string(),
                         tenant: h.tenant().to_string(),
-                        status: to_wire_status(h.status()),
+                        status: h.status(),
                     })
                     .collect();
                 jobs.sort_by_key(|j| j.job_id);
@@ -392,7 +386,7 @@ impl Conn {
                     .values()
                     .filter(|h| h.name() == name)
                     .max_by_key(|h| h.id())
-                    .map(|h| (h.id(), to_wire_status(h.status())));
+                    .map(|h| (h.id(), h.status()));
                 match found {
                     Some((job_id, status)) => {
                         self.enqueue(cx, &Message::Attached { seq, job_id, status }, &[]);
@@ -463,7 +457,7 @@ impl Conn {
             return;
         }
         self.pending_watchers = self.pending_watchers.saturating_sub(1);
-        let status = to_wire_status(outcome.status());
+        let status = outcome.status();
         self.enqueue(cx, &Message::JobEvent { seq, job_id, status }, &[]);
         self.exports.push(Export { seq, job_id, outcome, stream_idx: 0, offset: 0 });
         self.pump_exports(cx);
@@ -545,7 +539,7 @@ impl Conn {
 
     /// Queues the terminal `job-done` for a fully streamed export.
     fn finish_export(&mut self, cx: &LoopCtx<'_>, ex: Export) {
-        let status = to_wire_status(ex.outcome.status());
+        let status = ex.outcome.status();
         let done = match &*ex.outcome {
             JobOutcome::Completed(out) => {
                 let stages = out
@@ -663,7 +657,7 @@ impl Conn {
         let jobs = shared.jobs.lock();
         for id in &self.my_jobs {
             if let Some(handle) = jobs.get(id) {
-                if !to_wire_status(handle.status()).is_terminal() {
+                if !handle.status().is_terminal() {
                     handle.cancel();
                 }
             }

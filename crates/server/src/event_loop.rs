@@ -3,13 +3,13 @@
 //! runtime), each owning a [`Poller`] and a set of connections. Loop 0
 //! additionally owns the listener and deals accepted sockets across
 //! the pool round-robin. Cross-thread work arrives as [`LoopCmd`]s
-//! through a mutex-protected injector plus a poller [`Waker`] — the
-//! same self-pipe mechanism regardless of backend.
+//! through a mutex-protected injector plus a poller [`Waker`].
 //!
 //! [`Waker`]: crate::poll::Waker
 
 use std::collections::HashMap;
 use std::net::TcpListener;
+use std::os::fd::AsRawFd;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -108,11 +108,7 @@ impl EventLoop {
     pub(crate) fn run(mut self) {
         if let Some(listener) = &self.listener {
             let _ = listener.set_nonblocking(true);
-            #[cfg(unix)]
-            {
-                use std::os::unix::io::AsRawFd;
-                let _ = self.poller.register(listener.as_raw_fd(), LISTENER_TOKEN, true, false);
-            }
+            let _ = self.poller.register(listener.as_raw_fd(), LISTENER_TOKEN, true, false);
         }
         let mut events: Vec<PollEvent> = Vec::new();
         loop {
@@ -131,10 +127,6 @@ impl EventLoop {
                     token => self.conn_ready(token, ev),
                 }
             }
-            // The degraded non-Unix poller has no listener readiness;
-            // poll the accept queue every tick instead.
-            #[cfg(not(unix))]
-            self.accept_ready();
             // Connections this loop dealt to itself are picked up now,
             // not next tick.
             if self.drain_cmds() {

@@ -44,20 +44,7 @@ pub struct JobSpec {
     pub reference: Vec<(String, u64)>,
 }
 
-/// Where a job is in its lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobStatus {
-    /// Admitted, waiting for a fair-share dispatch slot.
-    Queued,
-    /// Running on the shared runtime.
-    Running,
-    /// Finished successfully.
-    Completed,
-    /// Finished with an error.
-    Failed,
-    /// Cancelled (before or during execution).
-    Cancelled,
-}
+pub use persona::wire::WireJobStatus as JobStatus;
 
 /// What a finished job produced. Output fields are per-plan: each is
 /// populated exactly when the plan contains the stage that produces

@@ -67,7 +67,7 @@ pub(crate) mod conn;
 pub(crate) mod event_loop;
 pub mod job;
 pub mod journal;
-pub mod poll;
+pub(crate) mod poll;
 pub mod report;
 pub mod scheduler;
 pub mod service;

@@ -1,19 +1,24 @@
-//! A minimal readiness-notification abstraction for the event-driven
-//! wire front end — `epoll(7)` on Linux through a thin hand-declared
-//! FFI shim (no external crates; `std` already links libc, so the
-//! symbols resolve), with a portable `poll(2)` fallback selectable via
-//! `PERSONA_POLLER=poll` and used automatically on non-Linux Unix.
+//! The readiness poller of the wire front end: `epoll(7)` through a
+//! thin hand-declared FFI shim (no external crates; `std` already links
+//! libc, so the symbols resolve). The server therefore builds on Linux
+//! only, and says so at compile time.
 //!
 //! The surface is deliberately tiny — register / modify / deregister a
 //! file descriptor under a caller-chosen `u64` token, block in
 //! [`Poller::wait`] for readiness, and wake the blocked thread from
-//! anywhere with a [`Waker`] (a self-pipe registered under
-//! [`WAKER_TOKEN`]). Level-triggered semantics everywhere: a readiness
-//! bit repeats until the condition is consumed, which keeps the
-//! connection state machines simple (they can stop reading mid-burst
-//! and pick the rest up on the next tick).
+//! anywhere with a [`Waker`] (a byte written into a nonblocking socket
+//! pair whose other end is registered under [`WAKER_TOKEN`]).
+//! Level-triggered: a readiness bit repeats until the condition is
+//! consumed, which keeps the connection state machines simple (they can
+//! stop reading mid-burst and pick the rest up on the next tick).
 
-use std::io;
+#[cfg(not(target_os = "linux"))]
+compile_error!("persona-server's wire event loop runs on epoll(7), so it builds on Linux only");
+
+use std::io::{self, Read, Write};
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
+use std::os::unix::net::UnixStream;
+use std::sync::Arc;
 
 /// The token [`Poller::wait`] reports when a [`Waker`] fired. Callers
 /// must not register their own fds under it.
@@ -24,21 +29,17 @@ pub const WAKER_TOKEN: u64 = u64::MAX;
 pub struct PollEvent {
     /// The token the fd was registered under.
     pub token: u64,
-    /// The fd has bytes to read (or a pending accept).
+    /// The fd has bytes to read (or a pending accept). An event with
+    /// neither this nor `hangup` set reports writability: the loop
+    /// flushes after every event, so it needs no flag of its own.
     pub readable: bool,
-    /// The fd can accept writes without blocking.
-    pub writable: bool,
     /// The peer hung up or the fd errored; the owner should read to
     /// EOF and close.
     pub hangup: bool,
 }
 
-#[cfg(unix)]
 mod sys {
-    //! Raw syscall surface. Everything here is a direct declaration of
-    //! the C ABI that `std` already links — no new dependencies.
-
-    pub type Fd = i32;
+    //! The epoll C ABI, declared by hand: `std` already links libc.
 
     pub const EPOLLIN: u32 = 0x001;
     pub const EPOLLOUT: u32 = 0x004;
@@ -49,16 +50,8 @@ mod sys {
     pub const EPOLL_CTL_MOD: i32 = 3;
     pub const EPOLL_CLOEXEC: i32 = 0o2000000;
 
-    pub const POLLIN: i16 = 0x001;
-    pub const POLLOUT: i16 = 0x004;
-    pub const POLLERR: i16 = 0x008;
-    pub const POLLHUP: i16 = 0x010;
-
-    pub const F_SETFL: i32 = 4;
-    pub const O_NONBLOCK: i32 = 0o4000;
-
     /// The kernel's `struct epoll_event`: packed on x86-64 (the kernel
-    /// ABI quirk), naturally aligned elsewhere.
+    /// ABI quirk), naturally aligned elsewhere (aarch64).
     #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
     #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
     #[derive(Clone, Copy)]
@@ -67,166 +60,69 @@ mod sys {
         pub data: u64,
     }
 
-    /// `struct pollfd` for the portable fallback.
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    pub struct PollFd {
-        pub fd: Fd,
-        pub events: i16,
-        pub revents: i16,
-    }
-
-    // Every function below is a raw syscall wrapper: callers pass only
-    // live, correctly sized buffers (each call site says which).
+    // Raw syscall wrappers: callers pass only live, correctly sized
+    // buffers (each call site says which).
     extern "C" {
-        #[cfg(target_os = "linux")]
-        pub fn epoll_create1(flags: i32) -> Fd;
-        #[cfg(target_os = "linux")]
-        pub fn epoll_ctl(epfd: Fd, op: i32, fd: Fd, event: *mut EpollEvent) -> i32;
-        #[cfg(target_os = "linux")]
-        pub fn epoll_wait(epfd: Fd, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-        pub fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
-        pub fn pipe(fds: *mut Fd) -> i32;
-        pub fn fcntl(fd: Fd, cmd: i32, arg: i32) -> i32;
-        pub fn close(fd: Fd) -> i32;
-        pub fn read(fd: Fd, buf: *mut u8, count: usize) -> isize;
-        pub fn write(fd: Fd, buf: *const u8, count: usize) -> isize;
-    }
-
-    pub fn last_error() -> std::io::Error {
-        std::io::Error::last_os_error()
+        pub fn epoll_create1(flags: i32) -> i32;
+        pub fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
+        pub fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
     }
 }
 
+/// The wake socket pair: `.0` is registered under [`WAKER_TOKEN`] and
+/// drained by [`Poller::wait`], `.1` is what wakers write to. Wakers
+/// share the whole pair, not only the write end, so a wake after the
+/// poller is gone lands in a buffer nobody reads: never in a descriptor
+/// number reused since, and never at a closed peer (`SIGPIPE`).
+type WakePair = Arc<(UnixStream, UnixStream)>;
+
 /// A cloneable handle that interrupts a blocked [`Poller::wait`] from
-/// any thread: writing one byte to the poller's self-pipe makes the
-/// pipe's read end readable, which wakes the poll syscall. Spurious
-/// wakes are fine (the byte is drained on delivery); a full pipe is
-/// fine too (the wake is already pending).
+/// any thread: one byte written into the poller's wake socket makes its
+/// registered end readable. Spurious wakes are fine (the bytes are
+/// drained on delivery); a full socket buffer is fine too (the wake is
+/// already pending).
 #[derive(Clone)]
 pub struct Waker {
-    #[cfg(unix)]
-    write_fd: i32,
-    #[cfg(not(unix))]
-    flag: std::sync::Arc<std::sync::atomic::AtomicBool>,
+    pair: WakePair,
 }
 
 impl Waker {
     /// Interrupts the poller's current (or next) [`Poller::wait`].
     pub fn wake(&self) {
-        #[cfg(unix)]
-        {
-            let byte = 1u8;
-            debug_assert!(self.write_fd >= 0, "waker without a pipe");
-            // SAFETY: `write(2)` reads exactly one byte from `&byte`, a
-            // live local; the fd is a plain integer, so a closed one (the
-            // poller dropped first) is an `EBADF`, not memory unsafety.
-            // EAGAIN means the pipe already holds unread wake bytes — the
-            // wake is pending, nothing to do.
-            let _ = unsafe { sys::write(self.write_fd, &byte, 1) };
-        }
-        #[cfg(not(unix))]
-        self.flag.store(true, std::sync::atomic::Ordering::SeqCst);
+        // `WouldBlock` means the buffer already holds unread wake bytes:
+        // the wake is pending, nothing to do.
+        let _ = (&self.pair.1).write(&[1]);
     }
-}
-
-#[cfg(unix)]
-enum Backend {
-    #[cfg(target_os = "linux")]
-    Epoll {
-        epfd: i32,
-    },
-    Poll {
-        registered: Vec<(i32, u64, bool, bool)>,
-    },
 }
 
 /// The readiness poller: one per event-loop thread.
 pub struct Poller {
-    #[cfg(unix)]
-    backend: Backend,
-    #[cfg(unix)]
-    pipe_read: i32,
-    #[cfg(unix)]
-    pipe_write: i32,
-    #[cfg(not(unix))]
-    flag: std::sync::Arc<std::sync::atomic::AtomicBool>,
-    #[cfg(not(unix))]
-    registered: Vec<(i32, u64, bool, bool)>,
+    epfd: OwnedFd,
+    wake: WakePair,
 }
 
-#[cfg(unix)]
 impl Poller {
-    /// Creates a poller: epoll on Linux, `poll(2)` elsewhere or when
-    /// `PERSONA_POLLER=poll` forces the portable backend.
+    /// Creates an epoll instance with a waker socket pair registered.
     pub fn new() -> io::Result<Poller> {
-        let mut fds = [0i32; 2];
-        // SAFETY: `pipe(2)` writes exactly two fds into the pointed-to
-        // array, which is a live `[i32; 2]`.
-        if unsafe { sys::pipe(fds.as_mut_ptr()) } < 0 {
-            return Err(sys::last_error());
-        }
-        for fd in fds {
-            // SAFETY: integer arguments only; `fd` came from `pipe` above.
-            if unsafe { sys::fcntl(fd, sys::F_SETFL, sys::O_NONBLOCK) } < 0 {
-                let err = sys::last_error();
-                // SAFETY: both fds were just created and are owned here
-                // alone; they are closed once, and not stored anywhere.
-                unsafe {
-                    sys::close(fds[0]);
-                    sys::close(fds[1]);
-                }
-                return Err(err);
-            }
-        }
-        let backend = Self::make_backend(fds[0])?;
-        Ok(Poller { backend, pipe_read: fds[0], pipe_write: fds[1] })
-    }
-
-    #[cfg(target_os = "linux")]
-    fn make_backend(pipe_read: i32) -> io::Result<Backend> {
-        let force_poll = std::env::var("PERSONA_POLLER").is_ok_and(|v| v == "poll");
-        if force_poll {
-            return Ok(Backend::Poll { registered: vec![(pipe_read, WAKER_TOKEN, true, false)] });
-        }
+        let (read, write) = UnixStream::pair()?;
+        read.set_nonblocking(true)?;
+        write.set_nonblocking(true)?;
         // SAFETY: integer arguments only.
         let epfd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
         if epfd < 0 {
-            return Err(sys::last_error());
+            return Err(io::Error::last_os_error());
         }
-        let mut ev = sys::EpollEvent { events: sys::EPOLLIN, data: WAKER_TOKEN };
-        // SAFETY: `epoll_ctl` reads one `epoll_event` through the pointer,
-        // and `ev` is a live local of the kernel's layout.
-        if unsafe { sys::epoll_ctl(epfd, sys::EPOLL_CTL_ADD, pipe_read, &mut ev) } < 0 {
-            let err = sys::last_error();
-            // SAFETY: `epfd` was created above, is owned here alone and is
-            // closed once, before it could be stored.
-            unsafe { sys::close(epfd) };
-            return Err(err);
-        }
-        Ok(Backend::Epoll { epfd })
-    }
-
-    #[cfg(all(unix, not(target_os = "linux")))]
-    fn make_backend(pipe_read: i32) -> io::Result<Backend> {
-        Ok(Backend::Poll { registered: vec![(pipe_read, WAKER_TOKEN, true, false)] })
+        // SAFETY: `epoll_create1` just returned this fd and nothing else
+        // holds it, so the `OwnedFd` is its one owner and closes it once.
+        let epfd = unsafe { OwnedFd::from_raw_fd(epfd) };
+        let poller = Poller { epfd, wake: Arc::new((read, write)) };
+        poller.ctl(sys::EPOLL_CTL_ADD, poller.wake.0.as_raw_fd(), sys::EPOLLIN, WAKER_TOKEN)?;
+        Ok(poller)
     }
 
     /// A handle that can interrupt [`Poller::wait`] from other threads.
     pub fn waker(&self) -> Waker {
-        Waker { write_fd: self.pipe_write }
-    }
-
-    /// Whether the epoll backend is active (vs the `poll(2)` fallback).
-    pub fn is_epoll(&self) -> bool {
-        #[cfg(target_os = "linux")]
-        {
-            matches!(self.backend, Backend::Epoll { .. })
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            false
-        }
+        Waker { pair: Arc::clone(&self.wake) }
     }
 
     /// Starts watching `fd` under `token` for the given readiness.
@@ -237,25 +133,7 @@ impl Poller {
         readable: bool,
         writable: bool,
     ) -> io::Result<()> {
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { epfd } => {
-                let mut ev =
-                    sys::EpollEvent { events: interest_bits(readable, writable), data: token };
-                // SAFETY: the kernel reads one `epoll_event` from `ev`, a
-                // live local; `fd` is only a number to it (a stale one is
-                // an error return).
-                if unsafe { sys::epoll_ctl(*epfd, sys::EPOLL_CTL_ADD, fd, &mut ev) } < 0 {
-                    return Err(sys::last_error());
-                }
-                Ok(())
-            }
-            Backend::Poll { registered } => {
-                registered.retain(|(f, ..)| *f != fd);
-                registered.push((fd, token, readable, writable));
-                Ok(())
-            }
-        }
+        self.ctl(sys::EPOLL_CTL_ADD, fd, interest_bits(readable, writable), token)
     }
 
     /// Changes the readiness interest of an already-registered fd.
@@ -266,171 +144,80 @@ impl Poller {
         readable: bool,
         writable: bool,
     ) -> io::Result<()> {
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { epfd } => {
-                let mut ev =
-                    sys::EpollEvent { events: interest_bits(readable, writable), data: token };
-                // SAFETY: as in `register`: one `epoll_event` read from a
-                // live local.
-                if unsafe { sys::epoll_ctl(*epfd, sys::EPOLL_CTL_MOD, fd, &mut ev) } < 0 {
-                    return Err(sys::last_error());
-                }
-                Ok(())
-            }
-            Backend::Poll { registered } => {
-                registered.retain(|(f, ..)| *f != fd);
-                registered.push((fd, token, readable, writable));
-                Ok(())
-            }
-        }
+        self.ctl(sys::EPOLL_CTL_MOD, fd, interest_bits(readable, writable), token)
     }
 
     /// Stops watching `fd`. Callers close the fd themselves (dropping
     /// the `TcpStream`), after deregistering.
     pub fn deregister(&mut self, fd: i32) -> io::Result<()> {
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { epfd } => {
-                let mut ev = sys::EpollEvent { events: 0, data: 0 };
-                // SAFETY: as in `register` (`DEL` ignores the event, but
-                // kernels before 2.6.9 required a valid pointer: it is).
-                if unsafe { sys::epoll_ctl(*epfd, sys::EPOLL_CTL_DEL, fd, &mut ev) } < 0 {
-                    return Err(sys::last_error());
-                }
-                Ok(())
-            }
-            Backend::Poll { registered } => {
-                registered.retain(|(f, ..)| *f != fd);
-                Ok(())
-            }
+        self.ctl(sys::EPOLL_CTL_DEL, fd, 0, 0)
+    }
+
+    fn ctl(&self, op: i32, fd: i32, events: u32, token: u64) -> io::Result<()> {
+        let mut ev = sys::EpollEvent { events, data: token };
+        // SAFETY: the kernel reads one `epoll_event` from `ev`, a live
+        // local of its layout (`DEL` ignores it, but kernels before 2.6.9
+        // required a valid pointer: it is); `fd` is only a number to it (a
+        // stale one is an error return).
+        if unsafe { sys::epoll_ctl(self.epfd.as_raw_fd(), op, fd, &mut ev) } < 0 {
+            return Err(io::Error::last_os_error());
         }
+        Ok(())
     }
 
     /// Blocks until at least one registered fd is ready, the timeout
     /// lapses, or a [`Waker`] fires (delivered as a [`WAKER_TOKEN`]
-    /// event with its pipe byte already drained). Events are appended
+    /// event with its wake bytes already drained). Events are appended
     /// to `out`, which is cleared first. A negative timeout blocks
     /// indefinitely.
     pub fn wait(&mut self, out: &mut Vec<PollEvent>, timeout_ms: i32) -> io::Result<()> {
         out.clear();
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { epfd } => {
-                let mut events = [sys::EpollEvent { events: 0, data: 0 }; 256];
-                let n = loop {
-                    // SAFETY: the kernel writes at most `maxevents` =
-                    // `events.len()` entries into `events`, a live array
-                    // of the kernel's `epoll_event` layout.
-                    let n = unsafe {
-                        sys::epoll_wait(*epfd, events.as_mut_ptr(), events.len() as i32, timeout_ms)
-                    };
-                    if n >= 0 {
-                        debug_assert!(n as usize <= events.len(), "epoll_wait overran");
-                        break n as usize;
-                    }
-                    let err = sys::last_error();
-                    if err.kind() != io::ErrorKind::Interrupted {
-                        return Err(err);
-                    }
-                };
-                for ev in &events[..n] {
-                    // Copy out of the (possibly packed) struct before use.
-                    let bits = ev.events;
-                    let token = ev.data;
-                    if token == WAKER_TOKEN {
-                        self.drain_waker();
-                        out.push(PollEvent {
-                            token,
-                            readable: false,
-                            writable: false,
-                            hangup: false,
-                        });
-                        continue;
-                    }
-                    out.push(PollEvent {
-                        token,
-                        readable: bits & (sys::EPOLLIN | sys::EPOLLHUP | sys::EPOLLERR) != 0,
-                        writable: bits & sys::EPOLLOUT != 0,
-                        hangup: bits & (sys::EPOLLHUP | sys::EPOLLERR) != 0,
-                    });
-                }
-                Ok(())
+        let mut events = [sys::EpollEvent { events: 0, data: 0 }; 256];
+        let n = loop {
+            // SAFETY: the kernel writes at most `maxevents` =
+            // `events.len()` entries into `events`, a live array of the
+            // kernel's `epoll_event` layout.
+            let n = unsafe {
+                sys::epoll_wait(
+                    self.epfd.as_raw_fd(),
+                    events.as_mut_ptr(),
+                    events.len() as i32,
+                    timeout_ms,
+                )
+            };
+            if n >= 0 {
+                debug_assert!(n as usize <= events.len(), "epoll_wait overran");
+                break n as usize;
             }
-            Backend::Poll { registered } => {
-                let mut fds: Vec<sys::PollFd> = registered
-                    .iter()
-                    .map(|&(fd, _, readable, writable)| sys::PollFd {
-                        fd,
-                        events: if readable { sys::POLLIN } else { 0 }
-                            | if writable { sys::POLLOUT } else { 0 },
-                        revents: 0,
-                    })
-                    .collect();
-                let n = loop {
-                    // SAFETY: `poll(2)` reads and updates exactly `nfds` =
-                    // `fds.len()` `pollfd`s in `fds`, a live `Vec` of the C
-                    // layout that is not resized during the call.
-                    let n = unsafe { sys::poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
-                    if n >= 0 {
-                        debug_assert!(n as usize <= fds.len(), "poll reported too many fds");
-                        break n;
-                    }
-                    let err = sys::last_error();
-                    if err.kind() != io::ErrorKind::Interrupted {
-                        return Err(err);
-                    }
-                };
-                if n == 0 {
-                    return Ok(());
-                }
-                let tokens: Vec<u64> = registered.iter().map(|&(_, t, ..)| t).collect();
-                let mut drain = false;
-                for (pfd, token) in fds.iter().zip(tokens) {
-                    let bits = pfd.revents;
-                    if bits == 0 {
-                        continue;
-                    }
-                    if token == WAKER_TOKEN {
-                        drain = true;
-                        out.push(PollEvent {
-                            token,
-                            readable: false,
-                            writable: false,
-                            hangup: false,
-                        });
-                        continue;
-                    }
-                    out.push(PollEvent {
-                        token,
-                        readable: bits & (sys::POLLIN | sys::POLLHUP | sys::POLLERR) != 0,
-                        writable: bits & sys::POLLOUT != 0,
-                        hangup: bits & (sys::POLLHUP | sys::POLLERR) != 0,
-                    });
-                }
-                if drain {
-                    self.drain_waker();
-                }
-                Ok(())
+            let err = io::Error::last_os_error();
+            if err.kind() != io::ErrorKind::Interrupted {
+                return Err(err);
             }
+        };
+        for ev in &events[..n] {
+            // Copy out of the (possibly packed) struct before use.
+            let bits = ev.events;
+            let token = ev.data;
+            if token == WAKER_TOKEN {
+                self.drain_waker();
+            }
+            out.push(PollEvent {
+                token,
+                readable: bits & (sys::EPOLLIN | sys::EPOLLHUP | sys::EPOLLERR) != 0,
+                hangup: bits & (sys::EPOLLHUP | sys::EPOLLERR) != 0,
+            });
         }
+        Ok(())
     }
 
+    /// Reads wake bytes until `WouldBlock`. EOF cannot happen: this
+    /// poller holds the write end too.
     fn drain_waker(&self) {
-        let mut buf = [0u8; 64];
-        loop {
-            // SAFETY: `read(2)` writes at most `buf.len()` bytes into
-            // `buf`, a live local array.
-            let n = unsafe { sys::read(self.pipe_read, buf.as_mut_ptr(), buf.len()) };
-            debug_assert!(n <= buf.len() as isize, "read overran its buffer");
-            if n <= 0 {
-                break;
-            }
-        }
+        let mut buf = [0u8; 256];
+        while matches!((&self.wake.0).read(&mut buf), Ok(n) if n > 0) {}
     }
 }
 
-#[cfg(unix)]
 fn interest_bits(readable: bool, writable: bool) -> u32 {
     let mut bits = 0;
     if readable {
@@ -442,96 +229,13 @@ fn interest_bits(readable: bool, writable: bool) -> u32 {
     bits
 }
 
-#[cfg(unix)]
-impl Drop for Poller {
-    fn drop(&mut self) {
-        // SAFETY: the poller owns these fds (created in `new`, never
-        // handed out except as the `Waker`'s number) and closes each once.
-        unsafe {
-            #[cfg(target_os = "linux")]
-            if let Backend::Epoll { epfd } = self.backend {
-                sys::close(epfd);
-            }
-            sys::close(self.pipe_read);
-            sys::close(self.pipe_write);
-        }
-    }
-}
-
-#[cfg(not(unix))]
-impl Poller {
-    /// A degraded timer-tick backend for non-Unix hosts: every wait
-    /// reports all registered fds as ready, so owners run their state
-    /// machines and hit `WouldBlock` when there is nothing to do.
-    pub fn new() -> io::Result<Poller> {
-        Ok(Poller {
-            flag: std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false)),
-            registered: Vec::new(),
-        })
-    }
-
-    pub fn waker(&self) -> Waker {
-        Waker { flag: self.flag.clone() }
-    }
-
-    pub fn is_epoll(&self) -> bool {
-        false
-    }
-
-    pub fn register(
-        &mut self,
-        fd: i32,
-        token: u64,
-        readable: bool,
-        writable: bool,
-    ) -> io::Result<()> {
-        self.registered.retain(|(f, ..)| *f != fd);
-        self.registered.push((fd, token, readable, writable));
-        Ok(())
-    }
-
-    pub fn modify(
-        &mut self,
-        fd: i32,
-        token: u64,
-        readable: bool,
-        writable: bool,
-    ) -> io::Result<()> {
-        self.register(fd, token, readable, writable)
-    }
-
-    pub fn deregister(&mut self, fd: i32) -> io::Result<()> {
-        self.registered.retain(|(f, ..)| *f != fd);
-        Ok(())
-    }
-
-    pub fn wait(&mut self, out: &mut Vec<PollEvent>, timeout_ms: i32) -> io::Result<()> {
-        out.clear();
-        let slept = timeout_ms.clamp(0, 10) as u64;
-        std::thread::sleep(std::time::Duration::from_millis(slept.max(1)));
-        if self.flag.swap(false, std::sync::atomic::Ordering::SeqCst) {
-            out.push(PollEvent {
-                token: WAKER_TOKEN,
-                readable: false,
-                writable: false,
-                hangup: false,
-            });
-        }
-        for &(_, token, readable, writable) in &self.registered {
-            out.push(PollEvent { token, readable, writable, hangup: false });
-        }
-        Ok(())
-    }
-}
-
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
-    use std::os::unix::io::AsRawFd;
+    use std::time::{Duration, Instant};
 
-    /// Plain fd numbers make both types thread-movable without an
+    /// Owned descriptors make both types thread-movable without an
     /// `unsafe impl`: a waker is shared across threads, a poller moves to
     /// its loop thread.
     #[test]
@@ -550,77 +254,95 @@ mod tests {
         (a, b)
     }
 
-    fn backends() -> Vec<Poller> {
-        let mut pollers = vec![Poller::new().unwrap()];
-        // Exercise the portable fallback explicitly regardless of the
-        // default backend choice.
-        #[cfg(target_os = "linux")]
-        {
-            std::env::set_var("PERSONA_POLLER", "poll");
-            let fallback = Poller::new().unwrap();
-            std::env::remove_var("PERSONA_POLLER");
-            assert!(!fallback.is_epoll());
-            pollers.push(fallback);
-        }
-        pollers
-    }
-
     #[test]
     fn readable_fires_when_bytes_arrive() {
-        for mut poller in backends() {
-            let (mut a, b) = pair();
-            b.set_nonblocking(true).unwrap();
-            poller.register(b.as_raw_fd(), 7, true, false).unwrap();
+        let mut poller = Poller::new().unwrap();
+        let (mut a, b) = pair();
+        b.set_nonblocking(true).unwrap();
+        poller.register(b.as_raw_fd(), 7, true, false).unwrap();
 
-            let mut events = Vec::new();
-            poller.wait(&mut events, 0).unwrap();
-            assert!(events.iter().all(|e| !e.readable), "no bytes yet");
+        let mut events = Vec::new();
+        poller.wait(&mut events, 0).unwrap();
+        assert!(events.iter().all(|e| !e.readable), "no bytes yet");
 
-            a.write_all(b"x").unwrap();
-            poller.wait(&mut events, 2_000).unwrap();
-            let ev = events.iter().find(|e| e.token == 7).expect("event for token 7");
-            assert!(ev.readable);
-            let mut buf = [0u8; 8];
-            let mut b2 = &b;
-            assert_eq!(b2.read(&mut buf).unwrap(), 1);
-        }
+        a.write_all(b"x").unwrap();
+        poller.wait(&mut events, 2_000).unwrap();
+        let ev = events.iter().find(|e| e.token == 7).expect("event for token 7");
+        assert!(ev.readable);
+        let mut buf = [0u8; 8];
+        let mut b2 = &b;
+        assert_eq!(b2.read(&mut buf).unwrap(), 1);
     }
 
     #[test]
     fn waker_interrupts_a_blocked_wait() {
-        for mut poller in backends() {
-            let waker = poller.waker();
-            let hand = std::thread::spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(50));
-                waker.wake();
-            });
-            let mut events = Vec::new();
-            // Blocks until the waker fires (10s is a deadline, not a
-            // sleep: the wake arrives after ~50ms).
-            poller.wait(&mut events, 10_000).unwrap();
-            assert!(events.iter().any(|e| e.token == WAKER_TOKEN));
-            hand.join().unwrap();
+        let mut poller = Poller::new().unwrap();
+        let waker = poller.waker();
+        let hand = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            waker.wake();
+        });
+        let mut events = Vec::new();
+        // Blocks until the waker fires (10s is a deadline, not a sleep:
+        // the wake arrives after ~50ms).
+        poller.wait(&mut events, 10_000).unwrap();
+        assert!(events.iter().any(|e| e.token == WAKER_TOKEN));
+        hand.join().unwrap();
+    }
+
+    #[test]
+    fn a_wake_storm_never_blocks_and_one_delivery_drains_it() {
+        let mut poller = Poller::new().unwrap();
+        let waker = poller.waker();
+        let start = Instant::now();
+        for _ in 0..100_000 {
+            waker.wake();
+        }
+        // A full socket buffer turns a wake into an `EAGAIN`; a blocking
+        // write would hang here instead.
+        assert!(start.elapsed() < Duration::from_secs(10), "took {:?}", start.elapsed());
+        let mut events = Vec::new();
+        poller.wait(&mut events, 0).unwrap();
+        assert!(events.iter().any(|e| e.token == WAKER_TOKEN));
+        poller.wait(&mut events, 0).unwrap();
+        assert!(events.is_empty(), "one delivery drains every wake byte: {events:?}");
+    }
+
+    #[test]
+    fn a_waker_outliving_its_poller_writes_into_no_reused_descriptor() {
+        for round in 0..50 {
+            let waker = Poller::new().unwrap().waker();
+            let (a, b) = UnixStream::pair().unwrap();
+            a.set_nonblocking(true).unwrap();
+            b.set_nonblocking(true).unwrap();
+            waker.wake();
+            for (end, mut stream) in [("a", &a), ("b", &b)] {
+                let mut buf = [0u8; 8];
+                match stream.read(&mut buf) {
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                    got => panic!("round {round}: end {end} of a fresh pair read {got:?}"),
+                }
+            }
         }
     }
 
     #[test]
     fn interest_modification_gates_writable_reports() {
-        for mut poller in backends() {
-            let (_a, b) = pair();
-            b.set_nonblocking(true).unwrap();
-            poller.register(b.as_raw_fd(), 3, true, false).unwrap();
-            let mut events = Vec::new();
-            poller.wait(&mut events, 0).unwrap();
-            assert!(events.iter().all(|e| !e.writable), "write interest off");
+        let mut poller = Poller::new().unwrap();
+        let (_a, b) = pair();
+        b.set_nonblocking(true).unwrap();
+        poller.register(b.as_raw_fd(), 3, true, false).unwrap();
+        let mut events = Vec::new();
+        poller.wait(&mut events, 0).unwrap();
+        assert!(events.iter().all(|e| e.token != 3), "no bytes, write interest off");
 
-            poller.modify(b.as_raw_fd(), 3, true, true).unwrap();
-            poller.wait(&mut events, 2_000).unwrap();
-            let ev = events.iter().find(|e| e.token == 3).expect("event");
-            assert!(ev.writable, "an idle socket is writable");
+        poller.modify(b.as_raw_fd(), 3, true, true).unwrap();
+        poller.wait(&mut events, 2_000).unwrap();
+        let ev = events.iter().find(|e| e.token == 3).expect("an idle socket is writable");
+        assert!(!ev.readable && !ev.hangup, "the report is writability alone");
 
-            poller.deregister(b.as_raw_fd()).unwrap();
-            poller.wait(&mut events, 0).unwrap();
-            assert!(events.iter().all(|e| e.token != 3));
-        }
+        poller.deregister(b.as_raw_fd()).unwrap();
+        poller.wait(&mut events, 0).unwrap();
+        assert!(events.iter().all(|e| e.token != 3));
     }
 }

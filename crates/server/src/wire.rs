@@ -7,8 +7,9 @@
 //! thread per connection, no thread per wait, no external runtime.
 //! Loop 0 owns the listener and deals accepted connections
 //! across the pool round-robin; each loop multiplexes its connections
-//! through a [`crate::poll::Poller`] (epoll on Linux, portable
-//! `poll(2)` elsewhere). A connection is a pure state machine
+//! through one `epoll(7)` instance (so the server builds on Linux
+//! only), and other threads wake a loop by writing a byte into its
+//! socket pair. A connection is a pure state machine
 //! (`Conn` in `conn.rs`): an incremental frame decoder feeds request
 //! dispatch, replies queue on a buffered writer, and `wait` reply
 //! streams ride job-completion watchers ([`crate::job::JobHandle::on_done`])
@@ -43,12 +44,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
-use persona::wire::{WireJobStatus, WireReport, WireTenant};
+use persona::wire::{WireReport, WireTenant};
 use persona_align::Aligner;
 use persona_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 
 use crate::event_loop::{EventLoop, LoopCmd, LoopHandle};
-use crate::job::{JobHandle, JobStatus};
+use crate::job::JobHandle;
 use crate::report::ServiceReport;
 use crate::service::PersonaService;
 
@@ -228,16 +229,6 @@ impl WireServer {
 impl Drop for WireServer {
     fn drop(&mut self) {
         self.stop();
-    }
-}
-
-pub(crate) fn to_wire_status(status: JobStatus) -> WireJobStatus {
-    match status {
-        JobStatus::Queued => WireJobStatus::Queued,
-        JobStatus::Running => WireJobStatus::Running,
-        JobStatus::Completed => WireJobStatus::Completed,
-        JobStatus::Failed => WireJobStatus::Failed,
-        JobStatus::Cancelled => WireJobStatus::Cancelled,
     }
 }
 
