@@ -1,6 +1,15 @@
 //! The BWA-MEM-style aligner: FM-index exact-match seeding, seed
-//! chaining, and banded Smith-Waterman extension (Li 2013, integrated by
-//! Persona in §4.3).
+//! chaining, and local alignment of the read against a padded reference
+//! window per chain (Li 2013, integrated by Persona in §4.3).
+//!
+//! Extension is not banded and does not start from the seed ends: each
+//! chain's window (the read's span plus `extension_pad` bases either
+//! side, clipped to the chain's contig) goes to [`smith_waterman`],
+//! which first tries to prove the optimum ungapped
+//! ([`crate::sw::smith_waterman_ungapped`]: one scan of the diagonals
+//! long enough to beat any gapped score) and poses the full local DP
+//! only when it cannot. Either way the result is the DP's, and
+//! [`PhaseProfile::dp_cells`] counts the cells posed, window × read.
 //!
 //! The seeding phase walks the FM-index occurrence table — pointer-
 //! chasing over a structure much larger than cache, which is what makes
@@ -182,15 +191,16 @@ impl BwaMemAligner {
         // Extend each chain with local SW.
         for &(cand, _seed_bases) in chains.iter() {
             prof.candidates += 1;
-            let pad = self.params.extension_pad;
-            let start = (cand as u64).saturating_sub(pad as u64);
-            let (c, off) = if start < self.genome.total_len() {
-                self.genome.from_linear(start)
-            } else {
+            if u64::from(cand) >= self.genome.total_len() {
                 continue;
-            };
+            }
+            // The window is padded on the candidate's own contig: a
+            // candidate near its start must not reach into the previous
+            // contig's tail.
+            let (c, off) = self.genome.from_linear(u64::from(cand));
+            let pad = self.params.extension_pad;
+            let off = (off as usize).saturating_sub(pad);
             let contig = &self.genome.contig(c).seq;
-            let off = off as usize;
             let window_len = read.len() + 2 * pad;
             let end = (off + window_len).min(contig.len());
             if end <= off {
@@ -283,6 +293,7 @@ impl Aligner for BwaMemAligner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use persona_agd::results::{CigarKind, CigarOp};
     use persona_seq::read::Origin;
     use persona_seq::simulate::{ReadSimulator, SimParams};
 
@@ -342,6 +353,24 @@ mod tests {
         }
         assert!(correct + ambiguous >= n * 88 / 100, "{correct}+{ambiguous} of {n}");
         assert!(correct >= n * 80 / 100, "only {correct}/{n} correct");
+    }
+
+    /// Exact reads at the very start of a contig that is not the first
+    /// one map there: the extension window must not be padded into the
+    /// previous contig's tail.
+    #[test]
+    fn maps_reads_at_a_later_contig_start() {
+        let genome = Arc::new(Genome::random_with_seed(37, &[("chr1", 20_000), ("chr2", 20_000)]));
+        let fm = Arc::new(FmIndex::build(&genome));
+        let aligner = BwaMemAligner::new(genome.clone(), fm, BwaParams::default());
+        for off in [0usize, 1, 5, 11, 12, 40] {
+            let read = &genome.contig(1).seq[off..off + 101];
+            let result = aligner.align_read(read, &[b'I'; 101]);
+            assert!(!result.is_unmapped(), "chr2 offset {off} unmapped");
+            assert_eq!(result.location, genome.to_linear(1, off as u64) as i64, "offset {off}");
+            assert!(!result.is_reverse());
+            assert_eq!(result.cigar, vec![CigarOp { kind: CigarKind::Match, len: 101 }]);
+        }
     }
 
     #[test]

@@ -8,11 +8,13 @@
 //!   alignment edit distance function", Fig. 8 discussion).
 //! * [`sw`] — Smith-Waterman affine-gap local alignment with traceback
 //!   (the classic "exact, dynamic programming algorithm" of §2.1; also
-//!   BWA-MEM's extension kernel).
+//!   BWA-MEM's extension kernel), which skips the DP when the optimum is
+//!   provably ungapped.
 //! * [`snap`] — seed / weigh candidates / verify-with-LV, as in Zaharia
 //!   et al.'s SNAP.
 //! * [`bwa`] — SMEM-style exact-match seeding on the FM-index, chaining,
-//!   banded SW extension, as in Li's BWA-MEM.
+//!   local SW of the read against a padded window per chain, after
+//!   Li's BWA-MEM.
 //! * [`paired`] — pair scoring, FR-orientation checks, insert-size
 //!   inference (the single-threaded step §4.3 describes) and mate rescue.
 //! * [`mapq`] — mapping-quality estimation from best/second-best.

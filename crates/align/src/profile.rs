@@ -22,7 +22,10 @@ pub struct PhaseProfile {
     pub verify_time: Duration,
     /// Index probe operations (hash lookups or FM `occ` calls).
     pub index_ops: u64,
-    /// Dynamic-programming cells (or LV fronts) evaluated.
+    /// Dynamic-programming cells posed (or LV fronts budgeted): the size
+    /// of each problem handed to the kernel — window × read for
+    /// Smith-Waterman — whether the kernel fills every cell or, like
+    /// [`crate::sw::smith_waterman_ungapped`], settles it without the DP.
     pub dp_cells: u64,
     /// Candidate locations examined.
     pub candidates: u64,

@@ -10,7 +10,9 @@
 //! matrix is provably identical to the scalar one; its traceback reads
 //! the scalar kernel's direction tags back off that matrix, one path
 //! step at a time, so score, aligned regions and CIGAR match byte for
-//! byte. [`smith_waterman`] routes between them via [`crate::Kernel`].
+//! byte. [`smith_waterman`] routes between them via [`crate::Kernel`],
+//! after [`smith_waterman_ungapped`] has had the chance to prove the
+//! optimum one ungapped run and return it without posing the DP.
 
 use std::cell::RefCell;
 
@@ -87,16 +89,125 @@ enum Tb {
 /// extensions); the paper's aligners never run SW on more than a few
 /// hundred bases at a time.
 ///
-/// Dispatches on [`crate::Kernel::active`]: the SIMD variant handles
+/// First asks [`smith_waterman_ungapped`] whether the optimum is
+/// provably one ungapped run; only when it cannot say is the DP posed.
+/// That runs on [`crate::Kernel::active`]: the SIMD variant handles
 /// typical read-vs-window inputs and falls back to the scalar kernel
 /// outside its guard envelope, so results are identical either way.
 pub fn smith_waterman(reference: &[u8], query: &[u8], sc: Scoring) -> LocalAlignment {
+    if let Some(a) = smith_waterman_ungapped(reference, query, sc) {
+        return a;
+    }
     if crate::Kernel::active() == crate::Kernel::Simd {
         if let Some(a) = smith_waterman_striped(reference, query, sc) {
             return a;
         }
     }
     smith_waterman_scalar(reference, query, sc)
+}
+
+/// [`smith_waterman`] without the DP, when the optimum is provably
+/// ungapped: the result, when present, is [`smith_waterman_scalar`]'s.
+///
+/// Every alignment with a gap pairs at most `min(n, m)` bases and pays
+/// `gap_open` at least once, so it scores at most
+/// `bound = match·min(n, m) + gap_open`. When the best ungapped run on
+/// any diagonal scores `S > bound`, `S` is the optimum, and every cell
+/// of the DP matrix scoring `S` is the end of such a run whose
+/// traceback is all diagonal steps (a gap step would make the path a
+/// gapped one scoring `S`). The result is then rebuilt as the DP
+/// returns it: the first cell scoring `S` in the scalar scan order
+/// (lowest reference end, then lowest query end), starting after the
+/// last cell whose running score fell to 0 or below, one `M` op.
+///
+/// Only diagonals with more than `bound / match` bases can beat the
+/// bound; each is first filtered by counting mismatches 16 bases at a
+/// time (stopping once too many are seen), and the running-max scan
+/// runs only where `matches·match` still exceeds the bound.
+///
+/// Returns `None` when it cannot prove the optimum — the best run
+/// scores at most `bound` (including score 0) — and for scorings
+/// outside the argument: `match ≤ 0`, or a positive `mismatch`,
+/// `gap_open` or `gap_extend`.
+pub fn smith_waterman_ungapped(
+    reference: &[u8],
+    query: &[u8],
+    sc: Scoring,
+) -> Option<LocalAlignment> {
+    if sc.match_score <= 0 || sc.mismatch > 0 || sc.gap_open > 0 || sc.gap_extend > 0 {
+        return None;
+    }
+    let (n, m) = (reference.len(), query.len());
+    let bound = i64::from(sc.match_score) * n.min(m) as i64 + i64::from(sc.gap_open);
+    // Fewest matches scoring above the bound, so also the shortest
+    // diagonal worth a look.
+    let need = if bound < 0 { 1 } else { (bound / i64::from(sc.match_score)) as usize + 1 };
+    if need > n.min(m) {
+        return None;
+    }
+    // (score, reference end, query end, run length) of the best run.
+    let mut best = (0i32, 0usize, 0usize, 0usize);
+    // Diagonal `d = r - q` pairs reference base `r` with query base `q`;
+    // it holds at least `need` pairs for `d` in `need - m ..= n - need`.
+    for d in need as isize - m as isize..=(n - need) as isize {
+        let (r0, q0) = if d >= 0 { (d as usize, 0) } else { (0, d.unsigned_abs()) };
+        let len = (n - r0).min(m - q0);
+        let (a, b) = (&reference[r0..r0 + len], &query[q0..q0 + len]);
+        if !has_matches(a, b, need) {
+            continue;
+        }
+        let (score, from, to) = best_run(a, b, sc);
+        let (i, j) = (r0 + to, q0 + to);
+        if score > best.0 || (score == best.0 && (i, j) < (best.1, best.2)) {
+            best = (score, i, j, to - from);
+        }
+    }
+    let (score, ref_end, query_end, len) = best;
+    if score <= 0 || i64::from(score) <= bound {
+        return None;
+    }
+    Some(LocalAlignment {
+        score,
+        ref_start: ref_end - len,
+        ref_end,
+        query_start: query_end - len,
+        query_end,
+        cigar: vec![CigarOp { kind: CigarKind::Match, len: len as u32 }],
+    })
+}
+
+/// Whether `a` and `b` (equal lengths) agree in at least `need` places.
+fn has_matches(a: &[u8], b: &[u8], need: usize) -> bool {
+    let allowed = a.len() - need;
+    let mut mismatches = 0usize;
+    let (mut xs, mut ys) = (a.chunks_exact(16), b.chunks_exact(16));
+    for (x, y) in (&mut xs).zip(&mut ys) {
+        // A fixed-width block the compiler turns into a vector compare.
+        mismatches += x.iter().zip(y).map(|(x, y)| (x != y) as u8).sum::<u8>() as usize;
+        if mismatches > allowed {
+            return false;
+        }
+    }
+    mismatches += xs.remainder().iter().zip(ys.remainder()).filter(|(x, y)| x != y).count();
+    mismatches <= allowed
+}
+
+/// The best ungapped local run of `a` against `b` as the scalar DP
+/// scores one diagonal: `(score, start, end)` of its first maximum,
+/// starting after the last running score `≤ 0`.
+fn best_run(a: &[u8], b: &[u8], sc: Scoring) -> (i32, usize, usize) {
+    let (mut run, mut from) = (0i32, 0usize);
+    let mut best = (0i32, 0usize, 0usize);
+    for (t, (x, y)) in a.iter().zip(b).enumerate() {
+        run += if x == y { sc.match_score } else { sc.mismatch };
+        if run <= 0 {
+            run = 0;
+            from = t + 1;
+        } else if run > best.0 {
+            best = (run, from, t + 1);
+        }
+    }
+    best
 }
 
 /// Striped-SIMD [`smith_waterman`]: vectorized forward pass (SSE2 or

@@ -11,8 +11,8 @@ use persona_agd::chunk::{ChunkData, RecordType};
 use persona_agd::compaction;
 use persona_align::edit::{landau_vishkin, landau_vishkin_bitparallel, landau_vishkin_scalar};
 use persona_align::sw::{
-    smith_waterman, smith_waterman_scalar, smith_waterman_striped, striped_traceback_repeated,
-    Scoring,
+    smith_waterman, smith_waterman_scalar, smith_waterman_striped, smith_waterman_ungapped,
+    striped_traceback_repeated, Scoring,
 };
 use persona_align::Kernel;
 use persona_bench::World;
@@ -59,8 +59,16 @@ fn bench_kernels(c: &mut Criterion) {
     g.bench_function("landau_vishkin_101bp", |b| {
         b.iter(|| std::hint::black_box(landau_vishkin(text, pattern, 12)))
     });
+    // `pattern` is an exact substring of `text`, so this dispatcher row
+    // times the ungapped proof, not the DP; `smith_waterman_101bp_gapped`
+    // (a 2-base deletion, which the proof declines) times the proof's
+    // refusal plus the DP the dispatcher then runs.
     g.bench_function("smith_waterman_101bp", |b| {
         b.iter(|| std::hint::black_box(smith_waterman(text, pattern, Scoring::default())))
+    });
+    let gapped: Vec<u8> = [&text[..50], &text[52..103]].concat();
+    g.bench_function("smith_waterman_101bp_gapped", |b| {
+        b.iter(|| std::hint::black_box(smith_waterman(text, &gapped, Scoring::default())))
     });
     // ... and both variants side by side, so every run carries the
     // scalar-vs-SIMD comparison.
@@ -75,6 +83,9 @@ fn bench_kernels(c: &mut Criterion) {
     });
     g.bench_function(BenchmarkId::new("smith_waterman_101bp", "striped"), |b| {
         b.iter(|| std::hint::black_box(smith_waterman_striped(text, pattern, Scoring::default())))
+    });
+    g.bench_function(BenchmarkId::new("smith_waterman_101bp", "ungapped"), |b| {
+        b.iter(|| std::hint::black_box(smith_waterman_ungapped(text, pattern, Scoring::default())))
     });
     // A 130 bp read against a 170-base window scores past the 8-bit
     // cells' guard at the default scoring: the 16-bit body.

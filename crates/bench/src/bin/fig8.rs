@@ -45,18 +45,29 @@ fn main() {
         );
     }
 
+    // Microseconds and per-read nanoseconds, so the split still reads
+    // at CI's small scale, where a phase takes well under a millisecond.
+    let split = |prof: &PhaseProfile, second: &str| {
+        let per_read = |d: std::time::Duration| d.as_nanos() as f64 / prof.reads.max(1) as f64;
+        format!(
+            "seed {} us / {second} {} us ({:.0} / {:.0} ns per read, {} reads)",
+            prof.seed_time.as_micros(),
+            prof.verify_time.as_micros(),
+            per_read(prof.seed_time),
+            per_read(prof.verify_time),
+            prof.reads
+        )
+    };
     println!("\nphase detail:");
     println!(
-        "  SNAP: seed {:.0} ms / verify {:.0} ms, {} index probes, {} candidates",
-        snap_prof.seed_time.as_millis(),
-        snap_prof.verify_time.as_millis(),
+        "  SNAP: {}, {} index probes, {} candidates",
+        split(&snap_prof, "verify"),
         snap_prof.index_ops,
         snap_prof.candidates
     );
     println!(
-        "  BWA:  seed {:.0} ms / extend {:.0} ms, {} FM-index ops, {} chains",
-        bwa_prof.seed_time.as_millis(),
-        bwa_prof.verify_time.as_millis(),
+        "  BWA:  {}, {} FM-index ops, {} chains",
+        split(&bwa_prof, "extend"),
         bwa_prof.index_ops,
         bwa_prof.candidates
     );
