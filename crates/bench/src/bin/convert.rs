@@ -1,36 +1,38 @@
 //! §5.7 — conversion throughput: FASTQ→AGD import and AGD→BAM export.
 //!
+//! The FASTQ is imported, aligned (BAM export needs alignment results)
+//! and exported as BAM: import and align run as two plans, so the import
+//! row times import alone rather than import paced by a fused align,
+//! and the export row exports that same dataset.
+//!
 //! Run: `cargo run -p persona-bench --release --bin convert`
 
-use persona::config::PersonaConfig;
-use persona::pipeline::export::export_bam;
-use persona::pipeline::import::import_fastq;
-use persona_bench::{mem_store, print_header, scale, World};
-use persona_compress::deflate::CompressLevel;
+use persona::plan::{Plan, PlanRequest, PlanSource, Stage, StageRun};
+use persona_bench::{mem_runtime, print_header, scale, World};
 use persona_formats::fastq;
 
 fn main() {
     let sc = scale();
     let world = World::build((400_000.0 * sc) as usize, (60_000.0 * sc) as usize, 31);
-    let fastq_bytes = fastq::to_bytes(&world.reads);
+    let rt = mem_runtime();
 
-    let store = mem_store();
-    let (manifest, import_rep) = import_fastq(
-        std::io::Cursor::new(fastq_bytes.clone()),
-        &store,
-        "cv",
-        5_000,
-        &PersonaConfig::default(),
-    )
-    .unwrap();
-
-    // Alignment results are required for BAM export.
-    let manifest = {
-        let _ = manifest;
-        world.write_aligned_agd(&store, "cv2", 5_000)
+    let request = PlanRequest {
+        name: "cv".into(),
+        source: PlanSource::fastq_bytes(fastq::to_bytes(&world.reads)),
+        chunk_size: 5_000,
+        aligner: None,
+        reference: vec![],
     };
-    let mut bam = Vec::new();
-    let export_rep = export_bam(&store, &manifest, &mut bam, CompressLevel::Fast).unwrap();
+    let imported = Plan::import_only().run(&rt, request).unwrap();
+    let Some(StageRun::Import(import_rep)) = imported.stage(Stage::Import) else {
+        unreachable!("an import plan reports its import stage")
+    };
+    let imported = imported.manifest.as_ref().expect("import lands a dataset");
+    let aligned = world.run_stage(&rt, Stage::Align, imported, Some(&world.snap_aligner()));
+    let exported = world.run_stage(&rt, Stage::ExportBam, aligned.manifest.as_ref().unwrap(), None);
+    let Some(StageRun::ExportBam(export_rep)) = exported.stage(Stage::ExportBam) else {
+        unreachable!("an export-bam plan reports its export stage")
+    };
 
     print_header(
         "§5.7: Conversion throughput",

@@ -1,27 +1,30 @@
 //! §5.6 — duplicate marking: Persona (results column only) vs the
-//! Samblaster-style SAM-stream baseline.
+//! Samblaster-style SAM-stream baseline, both over the same
+//! coordinate-sorted dataset (a plan marks duplicates only once sorted).
 //!
 //! Run: `cargo run -p persona-bench --release --bin dupmark`
 
-use persona::config::PersonaConfig;
-use persona::pipeline::dupmark::mark_duplicates;
+use persona::plan::{Stage, StageRun};
 use persona_baseline::samblaster::mark_duplicates_sam;
-use persona_bench::{mem_store, print_header, scale, World};
+use persona_bench::{mem_runtime, print_header, scale, World};
 
 fn main() {
     let sc = scale();
     let world = World::build((400_000.0 * sc) as usize, (60_000.0 * sc) as usize, 29);
-    let store = mem_store();
-    let manifest = world.write_aligned_agd(&store, "dm", 5_000);
+    let rt = mem_runtime();
+    let aligned = world.write_aligned_agd(&rt, "dm", 5_000);
+    let sorted = world.run_stage(&rt, Stage::Sort, &aligned, None).sorted.expect("sorted dataset");
 
-    // SAM stream for the baseline (excluded from its timing).
-    let mut sam = Vec::new();
-    persona::pipeline::export::export_sam(&store, &manifest, &mut sam, &PersonaConfig::default())
-        .unwrap();
-    let refs = persona_formats::sam::RefMap::new(&manifest.reference);
+    // SAM stream of the sorted dataset for the baseline (excluded from
+    // its timing).
+    let sam = world.run_stage(&rt, Stage::ExportSam, &sorted, None).sam.expect("SAM");
+    let refs = persona_formats::sam::RefMap::new(&sorted.reference);
 
     let baseline = mark_duplicates_sam(&sam, &refs).unwrap().1;
-    let persona_rep = mark_duplicates(&store, &manifest).unwrap();
+    let marked = world.run_stage(&rt, Stage::Dupmark, &sorted, None);
+    let Some(StageRun::Dupmark(persona_rep)) = marked.stage(Stage::Dupmark) else {
+        unreachable!("a dupmark plan reports its dupmark stage")
+    };
 
     print_header(
         "§5.6: Duplicate marking throughput",

@@ -12,7 +12,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use persona::config::PersonaConfig;
-use persona::pipeline::align::{align_dataset, AlignInputs};
+use persona::plan::{Stage, StageRun};
+use persona::runtime::PersonaRuntime;
 use persona_align::Aligner;
 use persona_bench::{mem_store, print_header, scale, World};
 use persona_cluster::scaling::ThreadModel;
@@ -37,12 +38,13 @@ fn measure_standalone(world: &World, aligner: &Arc<dyn Aligner>, threads: usize)
 
 /// Measures Persona pipeline throughput with `threads` executor threads.
 fn measure_persona(world: &World, aligner: &Arc<dyn Aligner>, threads: usize) -> f64 {
-    let store = mem_store();
-    let manifest = world.write_agd(store.as_ref(), "f6", 2_000);
     let config = PersonaConfig { compute_threads: threads, ..PersonaConfig::default() };
-    let report =
-        align_dataset(AlignInputs { store, manifest: &manifest, aligner: aligner.clone(), config })
-            .unwrap();
+    let rt = PersonaRuntime::new(mem_store(), config).unwrap();
+    let manifest = world.write_agd(rt.store().as_ref(), "f6", 2_000);
+    let aligned = world.run_stage(&rt, Stage::Align, &manifest, Some(aligner));
+    let Some(StageRun::Align(report)) = aligned.stage(Stage::Align) else {
+        unreachable!("an align plan reports its align stage")
+    };
     report.mbases_per_sec()
 }
 

@@ -8,9 +8,8 @@
 //!
 //! Run: `cargo run -p persona-bench --release --bin fig7`
 
-use persona::config::PersonaConfig;
-use persona::pipeline::align::{align_dataset, AlignInputs};
-use persona_bench::{mem_store, print_header, scale, World};
+use persona::plan::{Stage, StageRun};
+use persona_bench::{mem_runtime, print_header, scale, World};
 use persona_cluster::des::{simulate, SimParams};
 
 fn main() {
@@ -19,15 +18,12 @@ fn main() {
     // Calibration: one real single-machine Persona run gives the
     // honest per-node alignment rate for this hardware.
     let world = World::build((400_000.0 * sc) as usize, (20_000.0 * sc) as usize, 19);
-    let store = mem_store();
-    let manifest = world.write_agd(store.as_ref(), "cal", 2_000);
-    let report = align_dataset(AlignInputs {
-        store,
-        manifest: &manifest,
-        aligner: world.snap_aligner(),
-        config: PersonaConfig::default(),
-    })
-    .unwrap();
+    let rt = mem_runtime();
+    let manifest = world.write_agd(rt.store().as_ref(), "cal", 2_000);
+    let aligned = world.run_stage(&rt, Stage::Align, &manifest, Some(&world.snap_aligner()));
+    let Some(StageRun::Align(report)) = aligned.stage(Stage::Align) else {
+        unreachable!("an align plan reports its align stage")
+    };
     let measured_rate = report.bases as f64 / report.elapsed.as_secs_f64();
     println!(
         "calibration: this machine aligns {:.1} Mbases/s through the full pipeline",

@@ -8,10 +8,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use persona::config::PersonaConfig;
-use persona::pipeline::align::{align_dataset, AlignInputs};
+use persona::plan::Stage;
+use persona::runtime::PersonaRuntime;
 use persona_agd::chunk_io::{ChunkStore, MemStore};
 use persona_baseline::standalone::{run_standalone, write_gzipped_fastq};
-use persona_bench::{mem_store, print_header, scale, World};
+use persona_bench::{print_header, scale, World};
 use persona_store::ceph::{CephCluster, CephConfig};
 use persona_store::local::{DiskConfig, WritebackDisk};
 
@@ -68,15 +69,10 @@ fn main() {
             .unwrap()
             .manifest()
             .clone();
+        let rt = PersonaRuntime::new(dyn_store, PersonaConfig::default()).unwrap();
         let stats_before = disk_store.stats().snapshot();
         let t0 = Instant::now();
-        align_dataset(AlignInputs {
-            store: dyn_store,
-            manifest: &manifest,
-            aligner: aligner.clone(),
-            config: PersonaConfig::default(),
-        })
-        .unwrap();
+        world.run_stage(&rt, Stage::Align, &manifest, Some(&aligner));
         disk_store.sync();
         let persona_time = t0.elapsed().as_secs_f64();
         let stats = disk_store.stats().snapshot();
@@ -111,14 +107,9 @@ fn main() {
         world.write_agd(client.as_ref(), "ds", 2_000);
         let manifest =
             persona_agd::dataset::Dataset::open(client.as_ref(), "ds").unwrap().manifest().clone();
+        let rt = PersonaRuntime::new(client, PersonaConfig::default()).unwrap();
         let t0 = Instant::now();
-        align_dataset(AlignInputs {
-            store: client,
-            manifest: &manifest,
-            aligner: aligner.clone(),
-            config: PersonaConfig::default(),
-        })
-        .unwrap();
+        world.run_stage(&rt, Stage::Align, &manifest, Some(&aligner));
         let persona_time = t0.elapsed().as_secs_f64();
         println!(
             "Network\t{snap_time:.2}\t{persona_time:.2}\t{:.2}x\t1.54x",
@@ -144,7 +135,6 @@ fn main() {
     );
 
     // §5.2 sanity: chunk sizing math at the paper's parameters.
-    let _ = mem_store();
     println!("\n[§5.2 sanity] paper chunk = 100,000 reads of 101 bp:");
     println!(
         "  bases column/chunk ≈ {:.2} MB compacted (paper: ~3.5 MB incl. index+gzip)",

@@ -7,24 +7,19 @@
 use std::time::Instant;
 
 use persona::config::PersonaConfig;
-use persona::pipeline::sort::{sort_dataset, SortKey};
+use persona::plan::Stage;
 use persona_baseline::sort::{picard_sort, sam_to_bam, samtools_sort};
-use persona_bench::{mem_store, print_header, scale, World};
-use persona_compress::deflate::CompressLevel;
+use persona_bench::{mem_runtime, print_header, scale, World};
 
 fn main() {
     let sc = scale();
     let world = World::build((400_000.0 * sc) as usize, (40_000.0 * sc) as usize, 23);
-    let store = mem_store();
-    let manifest = world.write_aligned_agd(&store, "t2", 4_000);
+    let rt = mem_runtime();
+    let manifest = world.write_aligned_agd(&rt, "t2", 4_000);
 
     // Materialize the same data as BAM and SAM for the baselines.
-    let mut bam = Vec::new();
-    persona::pipeline::export::export_bam(&store, &manifest, &mut bam, CompressLevel::Fast)
-        .unwrap();
-    let mut sam = Vec::new();
-    persona::pipeline::export::export_sam(&store, &manifest, &mut sam, &PersonaConfig::default())
-        .unwrap();
+    let bam = world.run_stage(&rt, Stage::ExportBam, &manifest, None).bam.expect("BAM");
+    let sam = world.run_stage(&rt, Stage::ExportSam, &manifest, None).sam.expect("SAM");
     println!(
         "dataset: {} reads | BAM {:.1} MB | SAM {:.1} MB",
         manifest.total_records,
@@ -36,11 +31,9 @@ fn main() {
 
     // Persona columnar sort.
     let t0 = Instant::now();
-    let (_sorted, rep) =
-        sort_dataset(&store, &manifest, SortKey::Coordinate, "t2s", &PersonaConfig::default())
-            .unwrap();
+    let sorted = world.run_stage(&rt, Stage::Sort, &manifest, None);
     let persona_s = t0.elapsed().as_secs_f64();
-    assert_eq!(rep.records, manifest.total_records);
+    assert_eq!(sorted.reads(), manifest.total_records);
 
     // samtools-like BAM sort.
     let t0 = Instant::now();

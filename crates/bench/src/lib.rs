@@ -8,6 +8,9 @@
 
 use std::sync::Arc;
 
+use persona::config::PersonaConfig;
+use persona::plan::{Plan, PlanReport, PlanRequest, PlanSource, Stage};
+use persona::runtime::PersonaRuntime;
 use persona_agd::builder::DatasetWriter;
 use persona_agd::chunk_io::{ChunkStore, MemStore};
 use persona_agd::manifest::Manifest;
@@ -73,27 +76,46 @@ impl World {
         w.finish(store).expect("finish")
     }
 
-    /// Builds an aligned AGD dataset (runs the Persona align pipeline
-    /// quietly) and returns its manifest.
+    /// Runs `stage` alone over the landed dataset `manifest` through
+    /// `Plan::run` on `rt` (the one-stage plan from the state the stage
+    /// typically takes, named after the dataset), aligning with
+    /// `aligner` when the stage aligns.
+    pub fn run_stage(
+        &self,
+        rt: &PersonaRuntime,
+        stage: Stage,
+        manifest: &Manifest,
+        aligner: Option<&Arc<dyn Aligner>>,
+    ) -> PlanReport {
+        let request = PlanRequest {
+            name: manifest.name.clone(),
+            source: PlanSource::Dataset(manifest.clone()),
+            chunk_size: 0,
+            aligner: aligner.cloned(),
+            reference: self.reference.clone(),
+        };
+        let plan = Plan::builder(stage.input_hint()).then(stage).build().expect("one-stage plan");
+        plan.run(rt, request).unwrap_or_else(|e| panic!("{stage}: {e}"))
+    }
+
+    /// Builds an aligned AGD dataset in `rt`'s store (runs the Persona
+    /// align stage quietly) and returns its manifest.
     pub fn write_aligned_agd(
         &self,
-        store: &Arc<dyn ChunkStore>,
+        rt: &PersonaRuntime,
         name: &str,
         chunk_size: usize,
     ) -> Manifest {
-        let mut manifest = self.write_agd(store.as_ref(), name, chunk_size);
-        let aligner = self.snap_aligner();
-        persona::pipeline::align::align_dataset(persona::pipeline::align::AlignInputs {
-            store: store.clone(),
-            manifest: &manifest,
-            aligner,
-            config: persona::config::PersonaConfig::default(),
-        })
-        .expect("align");
-        persona::pipeline::align::finalize_manifest(store.as_ref(), &mut manifest, &self.reference)
-            .expect("finalize");
-        manifest
+        let manifest = self.write_agd(rt.store().as_ref(), name, chunk_size);
+        let aligned = self.run_stage(rt, Stage::Align, &manifest, Some(&self.snap_aligner()));
+        aligned.manifest.expect("align lands a dataset")
     }
+}
+
+/// A runtime over a fresh in-memory store, with the default
+/// configuration.
+pub fn mem_runtime() -> Arc<PersonaRuntime> {
+    PersonaRuntime::new(mem_store(), PersonaConfig::default()).expect("runtime")
 }
 
 /// A fresh in-memory store as the trait object pipelines take.
@@ -117,8 +139,7 @@ mod tests {
         let world = World::build(40_000, 100, 1);
         assert_eq!(world.reads.len(), 100);
         assert_eq!(world.total_bases(), 100 * 101);
-        let store = mem_store();
-        let manifest = world.write_aligned_agd(&store, "w", 50);
+        let manifest = world.write_aligned_agd(&mem_runtime(), "w", 50);
         assert!(manifest.has_column(persona_agd::columns::RESULTS));
         assert_eq!(manifest.total_records, 100);
     }

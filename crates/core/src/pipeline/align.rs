@@ -24,26 +24,12 @@ use persona_agd::results::AlignmentResult;
 use persona_align::profile::PhaseProfile;
 use persona_align::Aligner;
 
-use crate::config::PersonaConfig;
-use crate::manifest_server::{ChunkFeeder, ManifestServer};
 use crate::pipeline::{
     deliver, drive, encode_results, load_column, push, split_out, subchunk_ranges, Edge, EdgeOut,
     Progress, StageReport, Step,
 };
 use crate::runtime::{Pending, PersonaRuntime};
-use crate::{Error, Result};
-
-/// Inputs to [`align_dataset`].
-pub struct AlignInputs<'a> {
-    /// Chunk storage holding the dataset (and receiving results).
-    pub store: Arc<dyn ChunkStore>,
-    /// The dataset manifest.
-    pub manifest: &'a Manifest,
-    /// The aligner resource (shared, like Fig. 3's genome index).
-    pub aligner: Arc<dyn Aligner>,
-    /// Pipeline tuning.
-    pub config: PersonaConfig,
-}
+use crate::Result;
 
 /// Outcome of an alignment run.
 #[derive(Debug)]
@@ -117,31 +103,16 @@ impl Step for AlignStep {
     }
 }
 
-/// Aligns every read of a dataset, writing a `results` column, using a
-/// private manifest server and a transient runtime. Returns the run
-/// report; the manifest gains the results column (callers persist it
-/// via [`finalize_manifest`]).
-pub fn align_dataset(inputs: AlignInputs<'_>) -> Result<AlignReport> {
-    let server = ManifestServer::new(inputs.manifest, None);
-    align_with_server(inputs, &server)
-}
-
-/// Aligns chunks handed out by a (possibly shared) manifest server —
-/// the multi-server deployment path (§5.2): each "server" runs this
-/// function over the same `ManifestServer`.
-pub fn align_with_server(inputs: AlignInputs<'_>, server: &ManifestServer) -> Result<AlignReport> {
-    let rt = PersonaRuntime::new(inputs.store.clone(), inputs.config)?;
-    align_chunks(&rt, server, inputs.aligner.clone(), None)
-}
-
-/// The align stage on a shared runtime: aligns the chunks of `input`,
-/// then records the results column and `reference` in the dataset's
-/// manifest and persists it ([`finalize_manifest`]). With a live input
-/// alignment overlaps whatever stage is feeding it; with `out`, each
-/// chunk is announced downstream once its results are durable (how the
-/// incremental sort starts while later chunks are still aligning), and
-/// the finalized manifest follows.
-pub(crate) fn align_rt(
+/// The align stage: aligns the chunks of `input`, each through a load
+/// task, a batch of subchunk align tasks and a store task on the
+/// runtime's executor (Fig. 4), then records the results column and
+/// `reference` in the dataset's manifest and persists it. With a live
+/// input alignment overlaps whatever stage is feeding it; with `out`,
+/// each chunk is announced downstream once its results are durable (how
+/// the incremental sort starts while later chunks are still aligning),
+/// the stream closes after the last chunk, and the finalized manifest
+/// follows.
+pub(crate) fn align(
     rt: &PersonaRuntime,
     input: Edge,
     aligner: Arc<dyn Aligner>,
@@ -150,24 +121,6 @@ pub(crate) fn align_rt(
 ) -> Result<(Manifest, AlignReport)> {
     let (results_out, promise) = split_out(out);
     let server = input.chunks(Some(rt.telemetry()));
-    let report = align_chunks(rt, &server, aligner, results_out)?;
-    let mut manifest = input.manifest()?;
-    finalize_manifest(rt.store().as_ref(), &mut manifest, reference)?;
-    deliver(promise, &manifest);
-    Ok((manifest, report))
-}
-
-/// Aligns chunks from `server`, each through a load task, a batch of
-/// subchunk align tasks and a store task on the runtime's executor
-/// (Fig. 4). Each chunk's task is pushed into `results_out` after its
-/// results column lands in the store; the feeder is dropped — closing
-/// the downstream queue — when the stage returns.
-fn align_chunks(
-    rt: &PersonaRuntime,
-    server: &ManifestServer,
-    aligner: Arc<dyn Aligner>,
-    results_out: Option<ChunkFeeder>,
-) -> Result<AlignReport> {
     let timer = rt.stage_timer();
     let exec = rt.stage_exec(&timer);
     let subchunk = rt.config().subchunk_size.max(1);
@@ -189,16 +142,8 @@ fn align_chunks(
             }
             let (store, stem, n) = (rt.store().clone(), task.stem.clone(), task.num_records);
             let load = exec.spawn_one(move || {
-                let bases = load_column(store.as_ref(), &stem, columns::BASES)?;
-                let quals = load_column(store.as_ref(), &stem, columns::QUAL)?;
-                for (column, chunk) in [(columns::BASES, &bases), (columns::QUAL, &quals)] {
-                    if chunk.len() != n as usize {
-                        return Err(Error::Pipeline(format!(
-                            "chunk {stem}: {} {column} records on disk, {n} in manifest",
-                            chunk.len()
-                        )));
-                    }
-                }
+                let bases = load_column(store.as_ref(), &stem, columns::BASES, n)?;
+                let quals = load_column(store.as_ref(), &stem, columns::QUAL, n)?;
                 Ok(Loaded { bases, quals })
             });
             Ok(Some((task, AlignStep::Load(load))))
@@ -255,7 +200,7 @@ fn align_chunks(
         },
     )?;
     let stage = timer.finish();
-    Ok(AlignReport {
+    let report = AlignReport {
         elapsed: stage.elapsed,
         reads,
         bases,
@@ -264,12 +209,17 @@ fn align_chunks(
         profile,
         busy_fraction: stage.busy_fraction(),
         finished_at: Instant::now(),
-    })
+    };
+    drop(results_out); // Closes the downstream chunk stream.
+    let mut manifest = input.manifest()?;
+    finalize_manifest(rt.store().as_ref(), &mut manifest, reference)?;
+    deliver(promise, &manifest);
+    Ok((manifest, report))
 }
 
 /// Records the results column (and reference contigs) in the manifest
 /// and persists it to the store.
-pub fn finalize_manifest(
+fn finalize_manifest(
     store: &dyn ChunkStore,
     manifest: &mut Manifest,
     reference: &[(String, u64)],
@@ -283,7 +233,11 @@ pub fn finalize_manifest(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{DataState, Plan, PlanRequest, PlanSource, Stage};
+    use crate::config::PersonaConfig;
+    use crate::manifest_server::ManifestServer;
+    use crate::pipeline::run_stage;
+    use crate::plan::{DataState, Plan, PlanRequest, PlanSource, Stage, StageRun};
+    use crate::Error;
     use persona_agd::builder::DatasetWriter;
     use persona_agd::chunk_io::MemStore;
     use persona_agd::dataset::Dataset;
@@ -297,13 +251,13 @@ mod tests {
     fn build_world(
         n_reads: usize,
         chunk_size: usize,
-    ) -> (Arc<Genome>, Arc<MemStore>, Manifest, Arc<dyn Aligner>) {
+    ) -> (Arc<Genome>, Arc<dyn ChunkStore>, Manifest, Arc<dyn Aligner>) {
         let genome = Arc::new(Genome::random_with_seed(404, &[("chr1", 60_000)]));
         let mut sim = ReadSimulator::new(
             &genome,
             SimParams { error_rate: 0.005, seed: 40, ..SimParams::default() },
         );
-        let store = Arc::new(MemStore::new());
+        let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
         let mut w = DatasetWriter::new("t", chunk_size).unwrap();
         for _ in 0..n_reads {
             let r = sim.next_single();
@@ -316,27 +270,29 @@ mod tests {
         (genome, store, manifest, aligner)
     }
 
+    /// Aligns the landed dataset `manifest` through the one-stage align
+    /// plan.
+    fn align_landed(
+        store: Arc<dyn ChunkStore>,
+        manifest: &Manifest,
+        aligner: Arc<dyn Aligner>,
+    ) -> Result<(Manifest, AlignReport)> {
+        let source = PlanSource::Dataset(manifest.clone());
+        let mut report = run_stage(&store, Stage::Align, source, Some(aligner))?;
+        match report.stages.pop() {
+            Some(StageRun::Align(align)) => Ok((report.manifest.unwrap(), align)),
+            other => panic!("expected an align report, got {other:?}"),
+        }
+    }
+
     #[test]
     fn aligns_whole_dataset_through_pipeline() {
-        let (genome, store, mut manifest, aligner) = build_world(600, 100);
-        let report = align_dataset(AlignInputs {
-            store: store.clone(),
-            manifest: &manifest,
-            aligner,
-            config: PersonaConfig::small(),
-        })
-        .unwrap();
+        let (genome, store, manifest, aligner) = build_world(600, 100);
+        let (manifest, report) = align_landed(store.clone(), &manifest, aligner).unwrap();
         assert_eq!(report.reads, 600);
         assert_eq!(report.chunks, 6);
         assert_eq!(report.bases, 600 * 101);
         assert!(report.mapped >= 590, "only {} mapped", report.mapped);
-
-        finalize_manifest(
-            store.as_ref(),
-            &mut manifest,
-            &[("chr1".to_string(), genome.total_len())],
-        )
-        .unwrap();
 
         // Verify results are readable and mostly correct.
         let ds = Dataset::new(manifest);
@@ -361,13 +317,7 @@ mod tests {
     #[test]
     fn results_preserve_record_order() {
         let (_genome, store, manifest, aligner) = build_world(250, 50);
-        align_dataset(AlignInputs {
-            store: store.clone(),
-            manifest: &manifest,
-            aligner: aligner.clone(),
-            config: PersonaConfig::small(),
-        })
-        .unwrap();
+        align_landed(store.clone(), &manifest, aligner.clone()).unwrap();
         // Re-align chunk 2 serially and compare against the pipeline's
         // stored output: order within the chunk must match exactly.
         let ds = Dataset::new(manifest.clone());
@@ -386,17 +336,17 @@ mod tests {
     fn shared_manifest_server_splits_work() {
         let (_genome, store, manifest, aligner) = build_world(400, 50);
         let server = ManifestServer::new(&manifest, None);
-        let store_dyn: Arc<dyn persona_agd::chunk_io::ChunkStore> = store.clone();
-        let rt = PersonaRuntime::new(store_dyn, PersonaConfig::small()).unwrap();
+        let rt = PersonaRuntime::new(store.clone(), PersonaConfig::small()).unwrap();
         // Two "servers" race on the same manifest queue, sharing one
         // runtime (and therefore one executor).
         let mut handles = Vec::new();
         for _ in 0..2 {
-            let rt = rt.clone();
-            let server = server.clone();
-            let aligner = aligner.clone();
+            let (rt, aligner) = (rt.clone(), aligner.clone());
+            let (promise, promised) = std::sync::mpsc::channel();
+            promise.send(manifest.clone()).unwrap();
+            let input = Edge::Live(server.clone(), promised);
             handles.push(std::thread::spawn(move || {
-                align_chunks(&rt, &server, aligner, None).unwrap().reads
+                align(&rt, input, aligner, &[], None).unwrap().1.reads
             }));
         }
         let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
@@ -412,13 +362,7 @@ mod tests {
     fn missing_column_fails_cleanly() {
         let (_genome, store, manifest, aligner) = build_world(100, 50);
         store.delete("t-1.bases").unwrap();
-        let err = align_dataset(AlignInputs {
-            store: store.clone(),
-            manifest: &manifest,
-            aligner,
-            config: PersonaConfig::small(),
-        });
-        assert!(err.is_err());
+        assert!(align_landed(store, &manifest, aligner).is_err());
     }
 
     /// A column shorter than the manifest says fails the stage with a
@@ -433,7 +377,7 @@ mod tests {
             store.put(&name, &columns::encode(column, chunk.iter().skip(1)).unwrap()).unwrap();
             let before = store.get("t.manifest.json").unwrap();
             let rt = PersonaRuntime::new(store.clone(), PersonaConfig::small()).unwrap();
-            let err = align_rt(&rt, Edge::Landed(manifest), aligner, &[], None).unwrap_err();
+            let err = align(&rt, Edge::Landed(manifest), aligner, &[], None).unwrap_err();
             match err {
                 Error::Pipeline(msg) => {
                     assert!(msg.contains("chunk t-1") && msg.contains(column), "{msg}")
@@ -446,19 +390,13 @@ mod tests {
 
     #[test]
     fn empty_dataset_is_fine() {
-        let store = Arc::new(MemStore::new());
+        let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
         let manifest = DatasetWriter::new("e", 10).unwrap().finish(store.as_ref()).unwrap();
         let genome = Arc::new(Genome::random_with_seed(1, &[("c", 30_000)]));
         let index = Arc::new(SeedIndex::build(&genome, 16));
         let aligner: Arc<dyn Aligner> =
             Arc::new(SnapAligner::new(genome.clone(), index, SnapParams::default()));
-        let report = align_dataset(AlignInputs {
-            store,
-            manifest: &manifest,
-            aligner,
-            config: PersonaConfig::small(),
-        })
-        .unwrap();
+        let (_, report) = align_landed(store, &manifest, aligner).unwrap();
         assert_eq!(report.reads, 0);
     }
 

@@ -14,18 +14,16 @@
 //! the fused pipeline) while later chunks are still being rewritten.
 
 use std::collections::{HashSet, VecDeque};
-use std::sync::Arc;
 use std::time::Duration;
 
-use persona_agd::chunk::ChunkData;
-use persona_agd::chunk_io::ChunkStore;
 use persona_agd::columns;
 use persona_agd::manifest::Manifest;
 use persona_agd::results::{flags, AlignmentResult, CigarKind};
 
-use crate::config::PersonaConfig;
 use crate::manifest_server::ChunkTask;
-use crate::pipeline::{deliver, encode_results, split_out, Edge, EdgeOut, StageReport, Step};
+use crate::pipeline::{
+    deliver, encode_results, load_column, split_out, Edge, EdgeOut, StageReport, Step,
+};
 use crate::runtime::{Pending, PersonaRuntime};
 use crate::{Error, Result};
 
@@ -91,24 +89,17 @@ fn signature(r: &AlignmentResult) -> Option<(i64, bool, i64)> {
     Some((pos, r.is_reverse(), mate))
 }
 
-/// Marks duplicates in a dataset's `results` column on a transient
-/// private runtime, rewriting the column chunks in place.
-pub fn mark_duplicates(store: &Arc<dyn ChunkStore>, manifest: &Manifest) -> Result<DupmarkReport> {
-    let rt = PersonaRuntime::new(store.clone(), PersonaConfig::default())?;
-    Ok(mark_duplicates_rt(&rt, Edge::Landed(manifest.clone()), None)?.1)
-}
-
-/// The dupmark stage on a shared runtime: marks duplicates in the
-/// landed dataset of `input` in place (no other column is touched; the
-/// scan is sequential in chunk order, so nothing streams *into* it) and
-/// returns the dataset's unchanged manifest.
+/// The dupmark stage: marks duplicates in the landed dataset of `input`
+/// in place (no other column is touched; the scan is sequential in chunk
+/// order, so nothing streams *into* it) and returns the dataset's
+/// unchanged manifest.
 ///
 /// When `out` is given, the manifest is delivered up front and every
 /// chunk is announced as soon as its final results are durable in the
 /// store — unchanged chunks right after the scan, rewritten chunks once
 /// their executor write task lands — so a downstream consumer can
 /// overlap with the tail of the marking pass.
-pub(crate) fn mark_duplicates_rt(
+pub(crate) fn mark_duplicates(
     rt: &PersonaRuntime,
     input: Edge,
     out: Option<EdgeOut>,
@@ -123,12 +114,7 @@ pub(crate) fn mark_duplicates_rt(
     let mut duplicates = 0u64;
     let mut reads = 0u64;
 
-    let chunk_names: Vec<String> = manifest
-        .records
-        .iter()
-        .map(|e| Manifest::chunk_object_name(&e.path, columns::RESULTS))
-        .collect();
-    let n = chunk_names.len();
+    let n = manifest.records.len();
     // Bounded lookahead: only this many chunks are decoded (or being
     // rewritten) at once, so memory stays O(window), not O(dataset),
     // while the executor still sees parallel work.
@@ -170,10 +156,10 @@ pub(crate) fn mark_duplicates_rt(
     // trailing behind on it.
     for idx in 0..n {
         while next_decode < n && next_decode < idx + window {
-            let name = chunk_names[next_decode].clone();
-            let store = store.clone();
+            let entry = &manifest.records[next_decode];
+            let (store, stem, records) = (store.clone(), entry.path.clone(), entry.num_records);
             decodes.push_back(exec.spawn_one(move || {
-                let chunk = ChunkData::decode(&store.get(&name)?)?;
+                let chunk = load_column(store.as_ref(), &stem, columns::RESULTS, records)?;
                 let mut results = Vec::with_capacity(chunk.len());
                 for rec in chunk.iter() {
                     results.push(AlignmentResult::decode(rec)?);
@@ -209,7 +195,7 @@ pub(crate) fn mark_duplicates_rt(
             }
         }
         let write = changed.then(|| {
-            let name = chunk_names[idx].clone();
+            let name = Manifest::chunk_object_name(&manifest.records[idx].path, columns::RESULTS);
             let store = store.clone();
             exec.spawn_one(move || {
                 store.put(&name, &encode_results(&results)?)?;
@@ -248,10 +234,14 @@ pub(crate) fn mark_duplicates_rt(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PersonaConfig;
+    use crate::pipeline::run_stage;
+    use crate::plan::{PlanSource, Stage, StageRun};
     use persona_agd::builder::{ColumnAppender, DatasetWriter};
-    use persona_agd::chunk_io::MemStore;
+    use persona_agd::chunk_io::{ChunkStore, MemStore};
     use persona_agd::dataset::Dataset;
     use persona_agd::results::CigarOp;
+    use std::sync::Arc;
 
     fn result(loc: i64, reverse: bool) -> AlignmentResult {
         AlignmentResult {
@@ -289,6 +279,16 @@ mod tests {
         (store, manifest)
     }
 
+    /// Marks duplicates in the landed dataset `manifest` through the
+    /// one-stage dupmark plan.
+    fn mark(store: &Arc<dyn ChunkStore>, manifest: &Manifest) -> Result<DupmarkReport> {
+        let source = PlanSource::Dataset(manifest.clone());
+        match run_stage(store, Stage::Dupmark, source, None)?.stages.pop() {
+            Some(StageRun::Dupmark(report)) => Ok(report),
+            other => panic!("expected a dupmark report, got {other:?}"),
+        }
+    }
+
     fn flags_of(store: &Arc<dyn ChunkStore>, m: &Manifest) -> Vec<bool> {
         let ds = Dataset::new(m.clone());
         let mut out = Vec::new();
@@ -310,7 +310,7 @@ mod tests {
             result(100, false), // Another duplicate.
         ];
         let (store, manifest) = world(results, 3);
-        let report = mark_duplicates(&store, &manifest).unwrap();
+        let report = mark(&store, &manifest).unwrap();
         assert_eq!(report.reads, 5);
         assert_eq!(report.duplicates, 2);
         assert_eq!(flags_of(&store, &manifest), vec![false, false, true, false, true]);
@@ -327,7 +327,7 @@ mod tests {
             CigarOp { kind: CigarKind::Match, len: 47 },
         ];
         let (store, manifest) = world(vec![clean, clipped], 10);
-        let report = mark_duplicates(&store, &manifest).unwrap();
+        let report = mark(&store, &manifest).unwrap();
         assert_eq!(report.duplicates, 1);
         assert_eq!(flags_of(&store, &manifest), vec![false, true]);
     }
@@ -340,7 +340,7 @@ mod tests {
         let mut b = result(110, true); // Span 40 -> end 150.
         b.cigar = vec![CigarOp { kind: CigarKind::Match, len: 40 }];
         let (store, manifest) = world(vec![a, b], 10);
-        let report = mark_duplicates(&store, &manifest).unwrap();
+        let report = mark(&store, &manifest).unwrap();
         assert_eq!(report.duplicates, 1);
     }
 
@@ -348,7 +348,7 @@ mod tests {
     fn unmapped_reads_never_marked() {
         let results = vec![AlignmentResult::unmapped(), AlignmentResult::unmapped()];
         let (store, manifest) = world(results, 10);
-        let report = mark_duplicates(&store, &manifest).unwrap();
+        let report = mark(&store, &manifest).unwrap();
         assert_eq!(report.duplicates, 0);
     }
 
@@ -364,7 +364,7 @@ mod tests {
         c.flags |= flags::PAIRED;
         c.mate_location = 400; // True duplicate of a.
         let (store, manifest) = world(vec![a, b, c], 10);
-        let report = mark_duplicates(&store, &manifest).unwrap();
+        let report = mark(&store, &manifest).unwrap();
         assert_eq!(report.duplicates, 1);
         assert_eq!(flags_of(&store, &manifest), vec![false, false, true]);
     }
@@ -373,9 +373,9 @@ mod tests {
     fn idempotent() {
         let results = vec![result(1, false), result(1, false), result(1, false)];
         let (store, manifest) = world(results, 10);
-        let first = mark_duplicates(&store, &manifest).unwrap();
+        let first = mark(&store, &manifest).unwrap();
         assert_eq!(first.duplicates, 2);
-        let second = mark_duplicates(&store, &manifest).unwrap();
+        let second = mark(&store, &manifest).unwrap();
         assert_eq!(second.duplicates, 0, "re-run must not re-mark");
         assert_eq!(flags_of(&store, &manifest), vec![false, true, true]);
     }
@@ -385,7 +385,7 @@ mod tests {
         // Duplicates in different chunks must still be found.
         let results: Vec<AlignmentResult> = (0..20).map(|i| result(i as i64 % 4, false)).collect();
         let (store, manifest) = world(results, 5);
-        let report = mark_duplicates(&store, &manifest).unwrap();
+        let report = mark(&store, &manifest).unwrap();
         assert_eq!(report.duplicates, 16); // 4 firsts, 16 dups.
     }
 
@@ -405,12 +405,27 @@ mod tests {
                 idxs
             })
         };
-        let (_, report) =
-            mark_duplicates_rt(&rt, Edge::Landed(manifest.clone()), Some(out)).unwrap();
+        let (_, report) = mark_duplicates(&rt, Edge::Landed(manifest.clone()), Some(out)).unwrap();
         assert_eq!(report.duplicates, 24);
         assert_eq!(edge.manifest().unwrap(), manifest);
         let mut idxs = collector.join().unwrap();
         idxs.sort();
         assert_eq!(idxs, (0..manifest.records.len()).collect::<Vec<_>>());
+    }
+
+    /// A chunk whose manifest entry counts more records than its
+    /// `results` column stores fails the stage with the typed error.
+    #[test]
+    fn record_count_short_of_the_manifest_is_a_typed_error() {
+        let results: Vec<AlignmentResult> = (0..8).map(|i| result(i, false)).collect();
+        let (store, mut manifest) = world(results, 3);
+        manifest.records.last_mut().unwrap().num_records += 1;
+        manifest.total_records += 1;
+        match mark(&store, &manifest) {
+            Err(Error::Pipeline(msg)) => {
+                assert_eq!(msg, "chunk d-2: 2 results records on disk, 3 in manifest", "{msg}")
+            }
+            other => panic!("expected a pipeline error, got {other:?}"),
+        }
     }
 }

@@ -28,13 +28,11 @@ use std::time::Duration;
 use persona_agd::chunk::ChunkData;
 use persona_agd::chunk_io::ChunkStore;
 use persona_agd::columns;
-use persona_agd::manifest::Manifest;
 use persona_compress::deflate::CompressLevel;
 use persona_formats::bam::{self, bgzf_block, BGZF_BLOCK_SIZE, BGZF_EOF};
 use persona_formats::convert::for_each_chunk_row;
 use persona_formats::sam::{self, RefMap};
 
-use crate::config::PersonaConfig;
 use crate::pipeline::{drive, load_column, subchunk_ranges, Edge, Progress, StageReport, Step};
 use crate::runtime::{Pending, PersonaRuntime, StageExec};
 use crate::{Error, Result};
@@ -79,20 +77,16 @@ struct Columns {
 }
 
 impl Columns {
-    /// Gets and decodes the four columns of the chunk at `stem`.
-    fn load(store: &dyn ChunkStore, stem: &str) -> Result<Columns> {
-        let load = |column| load_column(store, stem, column);
-        let cols = Columns {
+    /// Gets and decodes the four columns of the chunk at `stem`, each of
+    /// which must hold the chunk's `records` records.
+    fn load(store: &dyn ChunkStore, stem: &str, records: u32) -> Result<Columns> {
+        let load = |column| load_column(store, stem, column, records);
+        Ok(Columns {
             meta: load(columns::METADATA)?,
             bases: load(columns::BASES)?,
             quals: load(columns::QUAL)?,
             results: load(columns::RESULTS)?,
-        };
-        let n = cols.meta.len();
-        if [cols.bases.len(), cols.quals.len(), cols.results.len()] != [n; 3] {
-            return Err(Error::Pipeline(format!("chunk {stem}: columns disagree on record count")));
-        }
-        Ok(cols)
+        })
     }
 
     fn len(&self) -> usize {
@@ -137,26 +131,13 @@ impl Step for SamStep {
     }
 }
 
-/// Exports an aligned dataset as SAM text on a transient private
-/// runtime.
-pub fn export_sam(
-    store: &Arc<dyn ChunkStore>,
-    manifest: &Manifest,
-    out: &mut (impl Write + Send),
-    config: &PersonaConfig,
-) -> Result<ExportReport> {
-    let rt = PersonaRuntime::new(store.clone(), *config)?;
-    export_sam_rt(&rt, Edge::Landed(manifest.clone()), out)
-}
-
-/// The export-sam stage on a shared runtime: formats the chunks of
-/// `input` as SAM text. Each chunk is loaded by one executor task and
-/// formatted by a batch of subchunk tasks; the stage thread writes the
-/// chunks in dataset order. With a live input this overlaps whatever
+/// The export-sam stage: formats the chunks of `input` as SAM text.
+/// Each chunk is loaded by one executor task and formatted by a batch of
+/// subchunk tasks; the stage thread writes the chunks in dataset order. With a live input this overlaps whatever
 /// stage is feeding it (duplicate marking in the fused pipeline); the
 /// header needs the manifest up front, which such a producer delivers
 /// before its first chunk.
-pub(crate) fn export_sam_rt(
+pub(crate) fn export_sam(
     rt: &PersonaRuntime,
     input: Edge,
     out: &mut (impl Write + Send),
@@ -187,8 +168,8 @@ pub(crate) fn export_sam_rt(
             };
             // Stop pulling new chunks once the job is cancelled.
             rt.check_cancelled()?;
-            let (store, stem) = (rt.store().clone(), task.stem);
-            let load = exec.spawn_one(move || Columns::load(store.as_ref(), &stem));
+            let (store, stem, n) = (rt.store().clone(), task.stem, task.num_records);
+            let load = exec.spawn_one(move || Columns::load(store.as_ref(), &stem, n));
             Ok(Some((task.chunk_idx, SamStep::Load(load))))
         },
         |(idx, step)| match step {
@@ -239,27 +220,15 @@ pub(crate) fn export_sam_rt(
     })
 }
 
-/// Exports an aligned dataset as BAM on a transient private runtime
-/// (the compatibility path of §4.4).
-pub fn export_bam(
-    store: &Arc<dyn ChunkStore>,
-    manifest: &Manifest,
-    out: &mut impl Write,
-    level: CompressLevel,
-) -> Result<ExportReport> {
-    let rt = PersonaRuntime::new(store.clone(), PersonaConfig::default())?;
-    export_bam_rt(&rt, Edge::Landed(manifest.clone()), out, level)
-}
-
-/// The export-bam stage on a shared runtime: writes the chunks of
-/// `input` as BAM. One executor task per chunk loads its four columns
-/// and writes its BAM records; the stage thread appends the chunks in
-/// dataset order to a payload that starts with the BAM header, cuts it
-/// into BGZF blocks as they fill, and compresses each block as an
-/// executor task (how `samtools -@` parallelizes BAM writing, on
+/// The export-bam stage (the compatibility path of §4.4): writes the
+/// chunks of `input` as BAM. One executor task per chunk loads its four
+/// columns and writes its BAM records; the stage thread appends the
+/// chunks in dataset order to a payload that starts with the BAM header,
+/// cuts it into BGZF blocks as they fill, and compresses each block as
+/// an executor task (how `samtools -@` parallelizes BAM writing, on
 /// Persona's scheduler). The blocks are exactly those of the whole
 /// payload, so the file is byte-identical to a single-threaded write.
-pub(crate) fn export_bam_rt(
+pub(crate) fn export_bam(
     rt: &PersonaRuntime,
     input: Edge,
     out: &mut impl Write,
@@ -288,9 +257,10 @@ pub(crate) fn export_bam_rt(
                 return Ok(None);
             };
             rt.check_cancelled()?;
-            let (store, stem, refs) = (rt.store().clone(), task.stem, refs.clone());
+            let (store, stem, n, refs) =
+                (rt.store().clone(), task.stem, task.num_records, refs.clone());
             let write = exec.spawn_one(move || {
-                let chunk = Columns::load(store.as_ref(), &stem)?;
+                let chunk = Columns::load(store.as_ref(), &stem, n)?;
                 let n = chunk.len();
                 let mut bam = Vec::with_capacity(chunk.raw_bytes(0, n) + n * 48);
                 for_each_chunk_row(&refs, chunk.columns(), 0..n, |row| {
@@ -415,8 +385,12 @@ impl<W: Write> Drop for BgzfBlocks<'_, W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PersonaConfig;
+    use crate::pipeline::run_stage;
+    use crate::plan::{PlanSource, Stage, StageRun};
     use persona_agd::builder::{ColumnAppender, DatasetWriter};
     use persona_agd::chunk_io::MemStore;
+    use persona_agd::manifest::Manifest;
     use persona_agd::results::{flags, AlignmentResult, CigarKind, CigarOp};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -459,6 +433,20 @@ mod tests {
         (store, manifest)
     }
 
+    /// Exports the landed dataset `manifest` through the one-stage plan
+    /// of `stage`, returning its report and output.
+    fn export(
+        store: &Arc<dyn ChunkStore>,
+        manifest: &Manifest,
+        stage: Stage,
+    ) -> Result<(ExportReport, Vec<u8>)> {
+        let mut report = run_stage(store, stage, PlanSource::Dataset(manifest.clone()), None)?;
+        match (report.stages.pop(), report.sam.or(report.bam)) {
+            (Some(StageRun::ExportSam(r) | StageRun::ExportBam(r)), Some(out)) => Ok((r, out)),
+            (other, _) => panic!("expected an export report, got {other:?}"),
+        }
+    }
+
     /// The single-threaded reference export of the format crate.
     fn reference_bam(store: &Arc<dyn ChunkStore>, manifest: &Manifest) -> Vec<u8> {
         let ds = persona_agd::dataset::Dataset::new(manifest.clone());
@@ -479,8 +467,7 @@ mod tests {
         let rt = PersonaRuntime::new(store.clone(), config).unwrap();
         let mut out = Vec::new();
         let report =
-            export_bam_rt(&rt, Edge::Landed(manifest.clone()), &mut out, CompressLevel::Fast)
-                .unwrap();
+            export_bam(&rt, Edge::Landed(manifest.clone()), &mut out, CompressLevel::Fast).unwrap();
         assert_eq!(report.records, manifest.total_records);
         assert_eq!(report.output_bytes as usize, out.len());
         assert!(out == reference_bam(store, manifest), "{threads} threads");
@@ -501,8 +488,7 @@ mod tests {
     #[test]
     fn sam_export_is_ordered_and_complete() {
         let (store, manifest) = world(200, 32);
-        let mut out = Vec::new();
-        let report = export_sam(&store, &manifest, &mut out, &PersonaConfig::small()).unwrap();
+        let (report, out) = export(&store, &manifest, Stage::ExportSam).unwrap();
         assert_eq!(report.records, 200);
         assert!(report.busy_fraction > 0.0, "formatting must run on the executor");
         let text = String::from_utf8(out).unwrap();
@@ -518,8 +504,7 @@ mod tests {
     #[test]
     fn bam_export_roundtrips() {
         let (store, manifest) = world(120, 50);
-        let mut out = Vec::new();
-        let report = export_bam(&store, &manifest, &mut out, CompressLevel::Fast).unwrap();
+        let (report, out) = export(&store, &manifest, Stage::ExportBam).unwrap();
         assert_eq!(report.records, 120);
         assert_eq!(report.output_bytes as usize, out.len());
         let bam = persona_formats::bam::read_bam(&out).unwrap();
@@ -616,7 +601,7 @@ mod tests {
         let rt = PersonaRuntime::new(dyn_store, PersonaConfig::small()).unwrap();
         let mut out = Vec::new();
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            export_bam_rt(&rt, Edge::Landed(manifest.clone()), &mut out, CompressLevel::Fast)
+            export_bam(&rt, Edge::Landed(manifest.clone()), &mut out, CompressLevel::Fast)
         }));
         let err = run.expect("the caller must not unwind").expect_err("a column is missing");
         assert!(err.to_string().contains(".qual"), "{err}");
@@ -637,7 +622,26 @@ mod tests {
         let mut w = DatasetWriter::new("nores", 10).unwrap();
         w.append(store.as_ref(), b"m", b"ACGT", b"IIII").unwrap();
         let manifest = w.finish(store.as_ref()).unwrap();
-        let mut out = Vec::new();
-        assert!(export_sam(&store, &manifest, &mut out, &PersonaConfig::small()).is_err());
+        assert!(export(&store, &manifest, Stage::ExportSam).is_err());
+    }
+
+    /// A chunk whose manifest entry counts more records than its columns
+    /// store fails both exports with the typed error, instead of
+    /// writing fewer records than the manifest holds.
+    #[test]
+    fn record_count_short_of_the_manifest_is_a_typed_error() {
+        let (store, mut manifest) = world(50, 20);
+        manifest.records.last_mut().unwrap().num_records += 1;
+        manifest.total_records += 1;
+        for stage in [Stage::ExportSam, Stage::ExportBam] {
+            match export(&store, &manifest, stage) {
+                Err(Error::Pipeline(msg)) => assert_eq!(
+                    msg, "chunk x-2: 10 metadata records on disk, 11 in manifest",
+                    "{stage}"
+                ),
+                Err(other) => panic!("{stage}: expected a pipeline error, got {other}"),
+                Ok((report, _)) => panic!("{stage}: exported {} records", report.records),
+            }
+        }
     }
 }

@@ -16,12 +16,10 @@ use std::io::BufRead;
 use std::sync::Arc;
 use std::time::Duration;
 
-use persona_agd::chunk_io::ChunkStore;
 use persona_agd::columns::{self, READ_COLUMNS};
 use persona_agd::manifest::{ChunkEntry, Manifest};
 use persona_seq::Read;
 
-use crate::config::PersonaConfig;
 use crate::manifest_server::ChunkTask;
 use crate::pipeline::{deliver, drive, push, split_out, EdgeOut, Progress, StageReport};
 use crate::runtime::PersonaRuntime;
@@ -60,24 +58,13 @@ impl StageReport for ImportReport {
     }
 }
 
-/// Imports FASTQ into a new AGD dataset named `name` on a transient
-/// private runtime. Returns the manifest and throughput report.
-pub fn import_fastq(
-    input: impl BufRead + Send + 'static,
-    store: &Arc<dyn ChunkStore>,
-    name: &str,
-    chunk_size: usize,
-    config: &PersonaConfig,
-) -> Result<(Manifest, ImportReport)> {
-    let rt = PersonaRuntime::new(store.clone(), *config)?;
-    import_fastq_rt(&rt, input, name, chunk_size, None)
-}
-
-/// Imports FASTQ on a shared runtime, encoding columns as executor task
-/// batches. When `out` is given, every written chunk is also announced
-/// on it (the stream ends when the stage returns) and the manifest is
-/// delivered once it has landed.
-pub(crate) fn import_fastq_rt(
+/// Imports FASTQ into a new AGD dataset named `name`, in chunks of
+/// `chunk_size` reads (positive: [`crate::plan::Plan::check_fastq_input`]
+/// checked it), encoding columns as executor task batches. When `out`
+/// is given, every written chunk is also announced on it (the stream
+/// ends when the stage returns) and the manifest is delivered once it
+/// has landed.
+pub(crate) fn import_fastq(
     rt: &PersonaRuntime,
     input: impl BufRead + Send + 'static,
     name: &str,
@@ -85,9 +72,6 @@ pub(crate) fn import_fastq_rt(
     out: Option<EdgeOut>,
 ) -> Result<(Manifest, ImportReport)> {
     let (feeder, promise) = split_out(out);
-    if chunk_size == 0 {
-        return Err(Error::Pipeline("chunk_size must be positive".into()));
-    }
     let mut manifest = columns::reads_manifest(name)?;
     // The read field each of the `READ_COLUMNS` stores.
     let fields: [fn(&Read) -> &[u8]; 3] = [|r| &r.bases, |r| &r.quals, |r| &r.meta];
@@ -95,7 +79,7 @@ pub(crate) fn import_fastq_rt(
     let timer = rt.stage_timer();
     let exec = rt.stage_exec(&timer);
     let mut reader = persona_formats::fastq::FastqReader::new(input);
-    let (mut input_bytes, mut at_end, mut next_idx) = (0u64, false, 0usize);
+    let (mut at_end, mut next_idx) = (false, 0usize);
     drive(
         rt.chunk_window(),
         |_| {
@@ -103,13 +87,7 @@ pub(crate) fn import_fastq_rt(
             let mut batch = Vec::with_capacity(chunk_size);
             while !at_end && batch.len() < chunk_size {
                 match reader.next().map_err(|e| Error::Pipeline(format!("fastq: {e}")))? {
-                    Some(read) => {
-                        // FASTQ framing: 4 lines ≈ meta + bases + quals + 3
-                        // separators and newlines.
-                        input_bytes +=
-                            (read.meta.len() + read.bases.len() + read.quals.len() + 7) as u64;
-                        batch.push(read);
-                    }
+                    Some(read) => batch.push(read),
                     None => at_end = true,
                 }
             }
@@ -156,7 +134,7 @@ pub(crate) fn import_fastq_rt(
 
     let report = ImportReport {
         elapsed: stage.elapsed,
-        input_bytes,
+        input_bytes: reader.bytes_read(),
         reads: manifest.total_records,
         chunks: manifest.records.len() as u64,
         busy_fraction: stage.busy_fraction(),
@@ -167,7 +145,9 @@ pub(crate) fn import_fastq_rt(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use persona_agd::chunk_io::MemStore;
+    use crate::pipeline::run_stage;
+    use crate::plan::{PlanSource, Stage, StageRun};
+    use persona_agd::chunk_io::{ChunkStore, MemStore};
     use persona_agd::dataset::Dataset;
     use persona_formats::fastq;
     use persona_seq::simulate::{ReadSimulator, SimParams};
@@ -180,13 +160,21 @@ mod tests {
         (fastq::to_bytes(&reads), reads)
     }
 
+    /// Imports `fastq` into `store` through the one-stage import plan.
+    fn import(store: &Arc<dyn ChunkStore>, fastq: &[u8]) -> Result<(Manifest, ImportReport)> {
+        let source = PlanSource::fastq_bytes(fastq.to_vec());
+        let mut report = run_stage(store, Stage::Import, source, None)?;
+        match report.stages.pop() {
+            Some(StageRun::Import(import)) => Ok((report.manifest.unwrap(), import)),
+            other => panic!("expected an import report, got {other:?}"),
+        }
+    }
+
     #[test]
     fn imports_and_preserves_order() {
         let (bytes, reads) = fastq_bytes(300);
         let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
-        let (manifest, report) =
-            import_fastq(std::io::Cursor::new(bytes), &store, "imp", 64, &PersonaConfig::small())
-                .unwrap();
+        let (manifest, report) = import(&store, &bytes).unwrap();
         assert_eq!(report.reads, 300);
         assert_eq!(report.chunks, 5);
         assert_eq!(manifest.total_records, 300);
@@ -207,11 +195,37 @@ mod tests {
         assert_eq!(i, 300);
     }
 
+    /// `input_bytes` is the FASTQ the stage consumed, byte for byte,
+    /// whatever the line ends and however the `+` lines are written.
+    #[test]
+    fn input_bytes_are_the_bytes_consumed() {
+        let (lf, reads) = fastq_bytes(120);
+        let mut crlf = Vec::new();
+        for &b in &lf {
+            if b == b'\n' {
+                crlf.push(b'\r');
+            }
+            crlf.push(b);
+        }
+        let mut named = Vec::new();
+        for r in &reads {
+            let text = |bytes: &[u8]| String::from_utf8(bytes.to_vec()).unwrap();
+            let (meta, bases, quals) = (text(&r.meta), text(&r.bases), text(&r.quals));
+            named.extend(format!("@{meta}\n{bases}\n+{meta}\n{quals}\n").into_bytes());
+        }
+        for (what, bytes) in [("LF", lf), ("CRLF", crlf), ("+name", named)] {
+            let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
+            let (manifest, report) = import(&store, &bytes).unwrap();
+            assert_eq!(manifest.total_records, 120, "{what}");
+            assert_eq!(report.input_bytes, bytes.len() as u64, "{what}");
+        }
+    }
+
     #[test]
     fn streams_chunk_tasks_to_a_feeder() {
         let (bytes, _) = fastq_bytes(250);
         let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
-        let rt = PersonaRuntime::new(store.clone(), PersonaConfig::small()).unwrap();
+        let rt = PersonaRuntime::new(store.clone(), crate::config::PersonaConfig::small()).unwrap();
         let (out, edge) = crate::pipeline::Edge::streaming(4, rt.telemetry());
         let collector = {
             let server = edge.chunks(None);
@@ -224,7 +238,7 @@ mod tests {
             })
         };
         let (manifest, report) =
-            import_fastq_rt(&rt, std::io::Cursor::new(bytes), "st", 100, Some(out)).unwrap();
+            import_fastq(&rt, std::io::Cursor::new(bytes), "st", 100, Some(out)).unwrap();
         assert_eq!(edge.manifest().unwrap(), manifest);
         let mut got = collector.join().unwrap();
         got.sort();
@@ -240,28 +254,13 @@ mod tests {
     #[test]
     fn malformed_fastq_fails() {
         let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
-        let bad = b"@r1\nACGT\nOOPS\nIIII\n";
-        let err = import_fastq(
-            std::io::Cursor::new(&bad[..]),
-            &store,
-            "bad",
-            10,
-            &PersonaConfig::small(),
-        );
-        assert!(err.is_err());
+        assert!(import(&store, b"@r1\nACGT\nOOPS\nIIII\n").is_err());
     }
 
     #[test]
     fn empty_input_empty_dataset() {
         let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
-        let (manifest, report) = import_fastq(
-            std::io::Cursor::new(&b""[..]),
-            &store,
-            "empty",
-            10,
-            &PersonaConfig::small(),
-        )
-        .unwrap();
+        let (manifest, report) = import(&store, b"").unwrap();
         assert_eq!(report.reads, 0);
         assert_eq!(manifest.total_records, 0);
     }

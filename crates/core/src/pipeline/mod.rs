@@ -21,8 +21,10 @@
 //!
 //! # The stage contract
 //!
-//! Every `*_rt` stage function consumes one `Edge` (import, the head
-//! of the chain, consumes FASTQ instead) and the stages that can stream
+//! Every stage function is crate-private and runs on the caller's
+//! runtime; [`crate::plan::Plan::run`] is the only way to run one. Each
+//! consumes one `Edge` (import, the head of the chain, consumes FASTQ
+//! instead) and the stages that can stream
 //! — import, align, dupmark — optionally produce one through an
 //! `EdgeOut`. An edge is a chunk stream plus the dataset's manifest:
 //! both in hand for a dataset at rest, or a live queue fed by an
@@ -133,18 +135,41 @@ fn get_column(store: &dyn ChunkStore, stem: &str, column: &str) -> Result<Vec<u8
     Ok(store.get(&name).map_err(|e| std::io::Error::new(e.kind(), format!("read {name}: {e}")))?)
 }
 
-/// Reads and decodes one column object of a chunk.
-pub(crate) fn load_column(store: &dyn ChunkStore, stem: &str, column: &str) -> Result<ChunkData> {
-    Ok(ChunkData::decode(&get_column(store, stem, column)?)?)
+/// Fails unless a column of the chunk at `stem` stores the `records`
+/// records its manifest entry says it holds.
+fn check_records(stem: &str, column: &str, stored: usize, records: u32) -> Result<()> {
+    if stored != records as usize {
+        return Err(Error::Pipeline(format!(
+            "chunk {stem}: {stored} {column} records on disk, {records} in manifest"
+        )));
+    }
+    Ok(())
 }
 
-/// Reads one column object of a chunk, decoded to its stored records.
+/// Reads and decodes one column object of a chunk whose manifest entry
+/// holds `records` records.
+pub(crate) fn load_column(
+    store: &dyn ChunkStore,
+    stem: &str,
+    column: &str,
+    records: u32,
+) -> Result<ChunkData> {
+    let chunk = ChunkData::decode(&get_column(store, stem, column)?)?;
+    check_records(stem, column, chunk.len(), records)?;
+    Ok(chunk)
+}
+
+/// Reads one column object of a chunk whose manifest entry holds
+/// `records` records, decoded to its stored records.
 pub(crate) fn load_raw_column(
     store: &dyn ChunkStore,
     stem: &str,
     column: &str,
+    records: u32,
 ) -> Result<RawChunk> {
-    Ok(RawChunk::decode(&get_column(store, stem, column)?)?)
+    let chunk = RawChunk::decode(&get_column(store, stem, column)?)?;
+    check_records(stem, column, chunk.len(), records)?;
+    Ok(chunk)
 }
 
 /// One chunk's alignment results as a `results` column object.
@@ -273,6 +298,28 @@ pub(crate) fn subchunk_ranges(n: usize, size: usize) -> Vec<(usize, usize)> {
         lo = hi;
     }
     ranges
+}
+
+/// Runs `stage` alone over `source` through [`crate::plan::Plan::run`]
+/// on a small runtime over `store`: how the stages' unit tests drive a
+/// stage. The one-stage plan starts from the state the stage typically
+/// takes, is named after the source dataset and imports in chunks of 64.
+#[cfg(test)]
+pub(crate) fn run_stage(
+    store: &std::sync::Arc<dyn ChunkStore>,
+    stage: crate::plan::Stage,
+    source: crate::plan::PlanSource,
+    aligner: Option<std::sync::Arc<dyn persona_align::Aligner>>,
+) -> Result<crate::plan::PlanReport> {
+    use crate::plan::{Plan, PlanRequest, PlanSource};
+    let name = match &source {
+        PlanSource::Dataset(manifest) => manifest.name.clone(),
+        PlanSource::Fastq(_) => "imp".into(),
+    };
+    let req = PlanRequest { name, source, chunk_size: 64, aligner, reference: vec![] };
+    let config = crate::config::PersonaConfig::small();
+    let rt = crate::runtime::PersonaRuntime::new(store.clone(), config)?;
+    Plan::builder(stage.input_hint()).then(stage).build()?.run(&rt, req)
 }
 
 #[cfg(test)]

@@ -174,7 +174,9 @@ impl Run {
 }
 
 /// Sorts a dataset into a new dataset `out_name` on a transient private
-/// runtime, returning the new manifest.
+/// runtime, returning the new manifest. The one stage function public
+/// outside the crate: a plan's sort stage sorts by coordinate only, so a
+/// query-name sort has no plan to run in.
 pub fn sort_dataset(
     store: &Arc<dyn ChunkStore>,
     manifest: &Manifest,
@@ -183,14 +185,13 @@ pub fn sort_dataset(
     config: &PersonaConfig,
 ) -> Result<(Manifest, SortReport)> {
     let rt = PersonaRuntime::new(store.clone(), *config)?;
-    sort_rt(&rt, Edge::Landed(manifest.clone()), key, out_name)
+    sort(&rt, Edge::Landed(manifest.clone()), key, out_name)
 }
 
-/// The sort stage on a shared runtime: sorts the chunk stream of
-/// `input` into the dataset `out_name`, merging incrementally — each
-/// batch of arrived chunks is loaded and sorted on the executor, and
-/// full groups of runs fold into superchunks *while upstream is still
-/// producing*. The output dataset is independent of arrival order: runs
+/// The sort stage: sorts the chunk stream of `input` into the dataset
+/// `out_name`, merging incrementally — each batch of arrived chunks is
+/// loaded and sorted on the executor, and full groups of runs fold into
+/// superchunks *while upstream is still producing*. The output dataset is independent of arrival order: runs
 /// merge on globally unique `(key, origin)` composite keys, where the
 /// origin tie-break encodes (chunk index, position in chunk). Unmapped
 /// records (location -1) sort first, matching the convention that they
@@ -200,7 +201,7 @@ pub fn sort_dataset(
 /// and takes chunk sizing and reference contigs from the input's
 /// manifest; a live upstream delivers it after its last chunk, by
 /// which point every chunk has been merged.
-pub(crate) fn sort_rt(
+pub(crate) fn sort(
     rt: &PersonaRuntime,
     input: Edge,
     key: SortKey,
@@ -323,14 +324,7 @@ fn load_sorted_run(
     let n = task.num_records as usize;
     let mut loaded = Vec::with_capacity(COLUMNS.len());
     for &column in run_columns(has_results) {
-        let chunk = load_raw_column(store, &task.stem, column)?;
-        if chunk.len() != n {
-            return Err(Error::Pipeline(format!(
-                "chunk {}: {} {column} records on disk, {n} in manifest",
-                task.stem,
-                chunk.len()
-            )));
-        }
+        let chunk = load_raw_column(store, &task.stem, column, task.num_records)?;
         loaded.push(stored_as(chunk, coding(column).record_type)?);
     }
     let locations = match key {
@@ -705,7 +699,7 @@ mod tests {
         let (store, manifest) = world(300, 30);
         let rt = PersonaRuntime::new(store.clone(), PersonaConfig::small()).unwrap();
         let (oneshot, _) =
-            sort_rt(&rt, Edge::Landed(manifest.clone()), SortKey::Coordinate, "ref").unwrap();
+            sort(&rt, Edge::Landed(manifest.clone()), SortKey::Coordinate, "ref").unwrap();
 
         let (out, edge) = Edge::streaming(4, rt.telemetry());
         let (feeder, promise) = (out.chunks, out.manifest);
@@ -727,7 +721,7 @@ mod tests {
             }
             promise.send(src).unwrap();
         });
-        let (streamed, report) = sort_rt(&rt, edge, SortKey::Coordinate, "str").unwrap();
+        let (streamed, report) = sort(&rt, edge, SortKey::Coordinate, "str").unwrap();
         producer.join().unwrap();
         assert_eq!(report.records, 300);
         assert_eq!(report.runs, 10);

@@ -808,32 +808,32 @@ fn run_stage(
     Ok(match (stage, input) {
         (Stage::Import, StageInput::Fastq(reader)) => {
             let (manifest, report) =
-                import::import_fastq_rt(rt, reader, params.name, params.chunk_size, out)?;
+                import::import_fastq(rt, reader, params.name, params.chunk_size, out)?;
             dataset(StageRun::Import(report), manifest)
         }
         (Stage::Align, StageInput::Edge(input)) => {
             let aligner = params.aligner.expect("validated: aligning plans carry an aligner");
             let (manifest, report) =
-                align::align_rt(rt, input, aligner.clone(), params.reference, out)?;
+                align::align(rt, input, aligner.clone(), params.reference, out)?;
             dataset(StageRun::Align(report), manifest)
         }
         (Stage::Sort, StageInput::Edge(input)) => {
             let sorted_name = format!("{}.sorted", params.name);
-            let (manifest, report) = sort::sort_rt(rt, input, SortKey::Coordinate, &sorted_name)?;
+            let (manifest, report) = sort::sort(rt, input, SortKey::Coordinate, &sorted_name)?;
             dataset(StageRun::Sort(report), manifest)
         }
         (Stage::Dupmark, StageInput::Edge(input)) => {
-            let (manifest, report) = dupmark::mark_duplicates_rt(rt, input, out)?;
+            let (manifest, report) = dupmark::mark_duplicates(rt, input, out)?;
             dataset(StageRun::Dupmark(report), manifest)
         }
         (Stage::ExportSam, StageInput::Edge(input)) => {
             let mut sam = Vec::new();
-            let report = export::export_sam_rt(rt, input, &mut sam)?;
+            let report = export::export_sam(rt, input, &mut sam)?;
             StageOutput { run: StageRun::ExportSam(report), landed: None, bytes: Some(sam) }
         }
         (Stage::ExportBam, StageInput::Edge(input)) => {
             let mut bam = Vec::new();
-            let report = export::export_bam_rt(rt, input, &mut bam, CompressLevel::Fast)?;
+            let report = export::export_bam(rt, input, &mut bam, CompressLevel::Fast)?;
             StageOutput { run: StageRun::ExportBam(report), landed: None, bytes: Some(bam) }
         }
         (Stage::Import, StageInput::Edge(_)) | (_, StageInput::Fastq(_)) => {

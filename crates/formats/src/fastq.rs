@@ -16,18 +16,25 @@ use crate::{Error, Result};
 pub struct FastqReader<R: BufRead> {
     input: R,
     record: u64,
+    consumed: u64,
     line_buf: String,
 }
 
 impl<R: BufRead> FastqReader<R> {
     /// Creates a reader.
     pub fn new(input: R) -> Self {
-        FastqReader { input, record: 0, line_buf: String::new() }
+        FastqReader { input, record: 0, consumed: 0, line_buf: String::new() }
+    }
+
+    /// Bytes of input consumed so far, line ends included.
+    pub fn bytes_read(&self) -> u64 {
+        self.consumed
     }
 
     fn read_line(&mut self) -> Result<Option<&str>> {
         self.line_buf.clear();
         let n = self.input.read_line(&mut self.line_buf)?;
+        self.consumed += n as u64;
         if n == 0 {
             return Ok(None);
         }

@@ -1,7 +1,7 @@
 //! AGD anatomy: manifest, chunks, selective column reads, random access
 //! and per-column codecs (paper §3).
 //!
-//! Run: `cargo run -p persona-examples --release --bin agd_tour`
+//! Run: `cargo run -p persona-examples --release --example agd_tour`
 
 use persona_agd::builder::DatasetWriter;
 use persona_agd::chunk_io::{ChunkStore, MemStore};

@@ -1,7 +1,7 @@
 //! Cluster what-if exploration with the discrete-event simulator:
 //! sweep node counts and storage configurations (Fig. 7 style).
 //!
-//! Run: `cargo run -p persona-examples --release --bin cluster_sim`
+//! Run: `cargo run -p persona-examples --release --example cluster_sim`
 
 use persona_cluster::des::{simulate, SimParams};
 use persona_cluster::tco::{AlignmentEconomics, ClusterCosts};

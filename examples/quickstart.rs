@@ -1,10 +1,11 @@
 //! Quickstart: build a dataset, align it with Persona, inspect results.
 //!
-//! Run: `cargo run -p persona-examples --release --bin quickstart`
+//! Run: `cargo run -p persona-examples --release --example quickstart`
 
 use persona::config::PersonaConfig;
-use persona::pipeline::align::{align_dataset, finalize_manifest, AlignInputs};
-use persona_agd::chunk_io::MemStore;
+use persona::plan::{DataState, Plan, PlanRequest, PlanSource, Stage, StageRun};
+use persona::runtime::PersonaRuntime;
+use persona_agd::chunk_io::{ChunkStore, MemStore};
 use persona_agd::dataset::Dataset;
 use persona_examples::DemoWorld;
 use persona_seq::read::Origin;
@@ -18,20 +19,26 @@ fn main() {
     println!("reads:  {} x {} bp", world.reads.len(), world.reads[0].bases.len());
 
     // 2. Write the reads as an AGD dataset (bases/qual/metadata columns).
-    let store = Arc::new(MemStore::new());
-    let mut manifest = world.write_dataset(store.as_ref(), "demo", 500);
+    let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
+    let manifest = world.write_dataset(store.as_ref(), "demo", 500);
     println!("AGD:    {} chunks of ≤500 records", manifest.records.len());
 
     // 3. Align through the Persona pipeline (readers → parsers →
-    //    aligner kernels on a shared executor → writers).
-    let report = align_dataset(AlignInputs {
-        store: store.clone(),
-        manifest: &manifest,
-        aligner: world.aligner.clone(),
-        config: PersonaConfig::default(),
-    })
-    .expect("alignment");
-    finalize_manifest(store.as_ref(), &mut manifest, &world.reference).expect("manifest");
+    //    aligner kernels on a shared executor → writers): a one-stage
+    //    plan, run on a runtime that owns the executor.
+    let rt = PersonaRuntime::new(store.clone(), PersonaConfig::default()).expect("runtime");
+    let plan = Plan::builder(DataState::EncodedAgd).then(Stage::Align).build().expect("plan");
+    let request = PlanRequest {
+        name: "demo".into(),
+        source: PlanSource::Dataset(manifest),
+        chunk_size: 500,
+        aligner: Some(world.aligner.clone()),
+        reference: world.reference.clone(),
+    };
+    let run = plan.run(&rt, request).expect("alignment");
+    let Some(StageRun::Align(report)) = run.stage(Stage::Align) else {
+        unreachable!("an align plan reports its align stage")
+    };
     println!(
         "aligned {} reads ({} Mbases) in {:.2}s -> {:.1} Mbases/s, {:.1}% mapped",
         report.reads,
@@ -42,7 +49,7 @@ fn main() {
     );
 
     // 4. Check accuracy against the planted origins.
-    let ds = Dataset::new(manifest);
+    let ds = Dataset::new(run.manifest.clone().expect("the aligned dataset"));
     let mut correct = 0u64;
     for c in 0..ds.num_chunks() {
         let results = ds.read_results_chunk(store.as_ref(), c).expect("results");

@@ -1,47 +1,49 @@
 //! Columnar sort + duplicate marking vs the row-oriented baselines on
 //! the same data (Table 2 / §5.6 in miniature).
 //!
-//! Run: `cargo run -p persona-examples --release --bin sort_dedup`
+//! Run: `cargo run -p persona-examples --release --example sort_dedup`
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use persona::config::PersonaConfig;
-use persona::pipeline::align::{align_dataset, finalize_manifest, AlignInputs};
-use persona::pipeline::dupmark::mark_duplicates;
-use persona::pipeline::export::{export_bam, export_sam};
-use persona::pipeline::sort::{sort_dataset, SortKey};
+use persona::plan::{Plan, PlanReport, PlanRequest, PlanSource, Stage, StageRun};
+use persona::runtime::PersonaRuntime;
 use persona_agd::chunk_io::{ChunkStore, MemStore};
+use persona_agd::manifest::Manifest;
 use persona_baseline::samblaster::mark_duplicates_sam;
 use persona_baseline::sort::{picard_sort, samtools_sort};
-use persona_compress::deflate::CompressLevel;
 use persona_examples::DemoWorld;
 
 fn main() {
     let world = DemoWorld::new(6_000);
     let config = PersonaConfig::default();
     let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
-    let mut manifest = world.write_dataset(store.as_ref(), "sd", 1_000);
-    align_dataset(AlignInputs {
-        store: store.clone(),
-        manifest: &manifest,
-        aligner: world.aligner.clone(),
-        config,
-    })
-    .expect("align");
-    finalize_manifest(store.as_ref(), &mut manifest, &world.reference).expect("finalize");
+    let rt = PersonaRuntime::new(store.clone(), config).expect("runtime");
+    // Every step is a one-stage plan over a landed dataset, all on one
+    // runtime.
+    let run = |stage: Stage, manifest: &Manifest| -> PlanReport {
+        let plan = Plan::builder(stage.input_hint()).then(stage).build().expect("plan");
+        let request = PlanRequest {
+            name: manifest.name.clone(),
+            source: PlanSource::Dataset(manifest.clone()),
+            chunk_size: 1_000,
+            aligner: Some(world.aligner.clone()),
+            reference: world.reference.clone(),
+        };
+        plan.run(&rt, request).unwrap_or_else(|e| panic!("{stage}: {e}"))
+    };
+    let written = world.write_dataset(store.as_ref(), "sd", 1_000);
+    let manifest = run(Stage::Align, &written).manifest.expect("aligned dataset");
 
     // Row-oriented copies for the baselines.
-    let mut bam = Vec::new();
-    export_bam(&store, &manifest, &mut bam, CompressLevel::Fast).expect("bam");
-    let mut sam = Vec::new();
-    export_sam(&store, &manifest, &mut sam, &config).expect("sam");
+    let bam = run(Stage::ExportBam, &manifest).bam.expect("bam");
+    let sam = run(Stage::ExportSam, &manifest).sam.expect("sam");
     let refs = persona_formats::sam::RefMap::new(&manifest.reference);
 
     println!("--- sorting {} records ---", manifest.total_records);
     let t = Instant::now();
-    let (sorted, _) =
-        sort_dataset(&store, &manifest, SortKey::Coordinate, "sd.sorted", &config).expect("sort");
+    let sorted = run(Stage::Sort, &manifest).sorted.expect("sorted dataset");
     let persona_t = t.elapsed();
     println!("Persona columnar sort: {persona_t:?}");
 
@@ -63,7 +65,10 @@ fn main() {
 
     println!("\n--- duplicate marking ---");
     let t = Instant::now();
-    let rep = mark_duplicates(&store, &sorted).expect("dupmark");
+    let marked = run(Stage::Dupmark, &sorted);
+    let Some(StageRun::Dupmark(rep)) = marked.stage(Stage::Dupmark) else {
+        unreachable!("a dupmark plan reports its dupmark stage")
+    };
     println!(
         "Persona (results column): {:?} -> {} dups at {:.0} reads/s",
         t.elapsed(),

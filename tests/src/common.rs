@@ -3,7 +3,10 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use persona::plan::{Plan, PlanReport, PlanRequest, PlanSource, Stage};
+use persona::runtime::PersonaRuntime;
 use persona_agd::chunk_io::ChunkStore;
+use persona_agd::manifest::Manifest;
 use persona_agd::results::AlignmentResult;
 use persona_align::snap::{SnapAligner, SnapParams};
 use persona_align::Aligner;
@@ -43,25 +46,39 @@ impl Fixture {
 
     /// A plan request over the fixture's reads as FASTQ, with its
     /// aligner and reference.
-    pub fn fastq_request(&self, name: &str, chunk_size: usize) -> persona::plan::PlanRequest {
-        persona::plan::PlanRequest {
+    pub fn fastq_request(&self, name: &str, chunk_size: usize) -> PlanRequest {
+        PlanRequest {
             name: name.to_string(),
-            source: persona::plan::PlanSource::fastq_bytes(persona_formats::fastq::to_bytes(
-                &self.reads,
-            )),
+            source: PlanSource::fastq_bytes(persona_formats::fastq::to_bytes(&self.reads)),
             chunk_size,
             aligner: Some(self.aligner.clone()),
             reference: self.reference.clone(),
         }
     }
 
-    /// Writes the reads to a store as an AGD dataset.
-    pub fn write_dataset(
+    /// Runs `stage` alone over the landed dataset `manifest` through
+    /// `Plan::run`: the one-stage plan from the state the stage
+    /// typically takes, named after the dataset (so a sort writes
+    /// `{name}.sorted`), with the fixture's aligner and reference. One
+    /// such run per stage is the staged oracle a fused plan is held to.
+    pub fn run_stage(
         &self,
-        store: &dyn ChunkStore,
-        name: &str,
-        chunk_size: usize,
-    ) -> persona_agd::manifest::Manifest {
+        rt: &PersonaRuntime,
+        stage: Stage,
+        manifest: &Manifest,
+    ) -> persona::Result<PlanReport> {
+        let req = PlanRequest {
+            name: manifest.name.clone(),
+            source: PlanSource::Dataset(manifest.clone()),
+            chunk_size: 0,
+            aligner: Some(self.aligner.clone()),
+            reference: self.reference.clone(),
+        };
+        Plan::builder(stage.input_hint()).then(stage).build()?.run(rt, req)
+    }
+
+    /// Writes the reads to a store as an AGD dataset.
+    pub fn write_dataset(&self, store: &dyn ChunkStore, name: &str, chunk_size: usize) -> Manifest {
         let mut w = persona_agd::builder::DatasetWriter::new(name, chunk_size).unwrap();
         for r in &self.reads {
             w.append(store, &r.meta, &r.bases, &r.quals).unwrap();

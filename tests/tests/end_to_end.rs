@@ -4,42 +4,43 @@
 use std::sync::Arc;
 
 use persona::config::PersonaConfig;
-use persona::pipeline::align::{align_dataset, finalize_manifest, AlignInputs};
-use persona::pipeline::dupmark::mark_duplicates;
-use persona::pipeline::export::{export_bam, export_sam};
-use persona::pipeline::import::import_fastq;
-use persona::pipeline::sort::{sort_dataset, SortKey};
+use persona::plan::{Plan, PlanReport, Stage, StageRun};
+use persona::runtime::PersonaRuntime;
 use persona_agd::chunk_io::{ChunkStore, MemStore};
 use persona_agd::dataset::Dataset;
-use persona_compress::deflate::CompressLevel;
 use persona_formats::fastq;
 use persona_integration_tests::common::Fixture;
 use persona_seq::read::Origin;
 
+/// A runtime over a fresh in-memory store.
+fn runtime() -> (Arc<dyn ChunkStore>, Arc<PersonaRuntime>) {
+    let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
+    (store.clone(), PersonaRuntime::new(store, PersonaConfig::small()).unwrap())
+}
+
+/// The report of the one stage `report` ran.
+fn only(report: &PlanReport) -> &StageRun {
+    assert_eq!(report.stages.len(), 1);
+    &report.stages[0]
+}
+
 #[test]
 fn whole_genome_processing_chain() {
     let fx = Fixture::new(1001, 1_500);
-    let config = PersonaConfig::small();
-    let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
+    let (store, rt) = runtime();
 
     // FASTQ import.
-    let fastq_bytes = fastq::to_bytes(&fx.reads);
-    let (mut manifest, import_rep) =
-        import_fastq(std::io::Cursor::new(fastq_bytes), &store, "e2e", 250, &config).unwrap();
-    assert_eq!(import_rep.reads, 1_500);
+    let imported = Plan::import_only().run(&rt, fx.fastq_request("e2e", 250)).unwrap();
+    let manifest = imported.manifest.clone().unwrap();
+    assert_eq!(only(&imported).records(), 1_500);
     assert_eq!(manifest.records.len(), 6);
 
     // Align.
-    let align_rep = align_dataset(AlignInputs {
-        store: store.clone(),
-        manifest: &manifest,
-        aligner: fx.aligner.clone(),
-        config,
-    })
-    .unwrap();
+    let aligned = fx.run_stage(&rt, Stage::Align, &manifest).unwrap();
+    let StageRun::Align(align_rep) = only(&aligned) else { unreachable!() };
     assert_eq!(align_rep.reads, 1_500);
     assert!(align_rep.mapped as f64 >= 1_500.0 * 0.98, "mapped {}", align_rep.mapped);
-    finalize_manifest(store.as_ref(), &mut manifest, &fx.reference).unwrap();
+    let manifest = aligned.manifest.clone().unwrap();
 
     // Accuracy against planted origins.
     let ds = Dataset::new(manifest.clone());
@@ -58,9 +59,10 @@ fn whole_genome_processing_chain() {
     assert!(correct >= 1_350, "only {correct}/1500 at the true position");
 
     // Coordinate sort.
-    let (sorted, sort_rep) =
-        sort_dataset(&store, &manifest, SortKey::Coordinate, "e2e.sorted", &config).unwrap();
-    assert_eq!(sort_rep.records, 1_500);
+    let sorted = fx.run_stage(&rt, Stage::Sort, &manifest).unwrap();
+    assert_eq!(only(&sorted).records(), 1_500);
+    let sorted = sorted.sorted.unwrap();
+    assert_eq!(sorted.name, "e2e.sorted");
     let ds_sorted = Dataset::new(sorted.clone());
     let mut last = i64::MIN;
     for c in 0..ds_sorted.num_chunks() {
@@ -72,22 +74,24 @@ fn whole_genome_processing_chain() {
 
     // Duplicate marking (simulated reads rarely collide; just verify it
     // runs and is idempotent).
-    let rep1 = mark_duplicates(&store, &sorted).unwrap();
-    let rep2 = mark_duplicates(&store, &sorted).unwrap();
+    let rep1 = fx.run_stage(&rt, Stage::Dupmark, &sorted).unwrap();
+    let rep2 = fx.run_stage(&rt, Stage::Dupmark, &sorted).unwrap();
+    let (StageRun::Dupmark(rep1), StageRun::Dupmark(rep2)) = (only(&rep1), only(&rep2)) else {
+        unreachable!()
+    };
     assert_eq!(rep1.reads, 1_500);
     assert_eq!(rep2.duplicates, 0, "dupmark must be idempotent");
 
     // SAM and BAM export.
-    let mut sam = Vec::new();
-    let sam_rep = export_sam(&store, &sorted, &mut sam, &config).unwrap();
-    assert_eq!(sam_rep.records, 1_500);
+    let sam_rep = fx.run_stage(&rt, Stage::ExportSam, &sorted).unwrap();
+    assert_eq!(only(&sam_rep).records(), 1_500);
+    let sam = sam_rep.sam.unwrap();
     let body = sam.split(|&b| b == b'\n').filter(|l| !l.is_empty() && l[0] != b'@').count();
     assert_eq!(body, 1_500);
 
-    let mut bam = Vec::new();
-    let bam_rep = export_bam(&store, &sorted, &mut bam, CompressLevel::Fast).unwrap();
-    assert_eq!(bam_rep.records, 1_500);
-    let parsed = persona_formats::bam::read_bam(&bam).unwrap();
+    let bam_rep = fx.run_stage(&rt, Stage::ExportBam, &sorted).unwrap();
+    assert_eq!(only(&bam_rep).records(), 1_500);
+    let parsed = persona_formats::bam::read_bam(bam_rep.bam.as_deref().unwrap()).unwrap();
     assert_eq!(parsed.records.len(), 1_500);
     // BAM positions are sorted too (same dataset order).
     let positions: Vec<(Option<u32>, i64)> =
@@ -98,88 +102,39 @@ fn whole_genome_processing_chain() {
 }
 
 #[test]
-fn multi_server_alignment_partitions_work() {
-    let fx = Fixture::new(1003, 800);
-    let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
-    let manifest = fx.write_dataset(store.as_ref(), "ms", 100);
-    let server = persona::manifest_server::ManifestServer::new(&manifest, None);
-
-    // Three "servers" share one manifest queue (the paper's multi-node
-    // deployment, §5.2).
-    let total: u64 = std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for _ in 0..3 {
-            let store = store.clone();
-            let manifest = &manifest;
-            let server = &server;
-            let aligner = fx.aligner.clone();
-            handles.push(s.spawn(move || {
-                persona::pipeline::align::align_with_server(
-                    AlignInputs { store, manifest, aligner, config: PersonaConfig::small() },
-                    server,
-                )
-                .unwrap()
-                .reads
-            }));
-        }
-        handles.into_iter().map(|h| h.join().unwrap()).sum()
-    });
-    assert_eq!(total, 800);
-    for e in &manifest.records {
-        assert!(store.exists(&format!("{}.results", e.path)), "missing results for {}", e.path);
-    }
-}
-
-#[test]
 fn failure_injection_truncated_chunk() {
     let fx = Fixture::new(1005, 300);
-    let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
+    let (store, rt) = runtime();
     let manifest = fx.write_dataset(store.as_ref(), "fi", 100);
     // Truncate a chunk object mid-payload.
     let name = format!("{}.bases", manifest.records[1].path);
     let data = store.get(&name).unwrap();
     store.put(&name, &data[..data.len() / 2]).unwrap();
-    let err = align_dataset(AlignInputs {
-        store: store.clone(),
-        manifest: &manifest,
-        aligner: fx.aligner.clone(),
-        config: PersonaConfig::small(),
-    });
+    let err = fx.run_stage(&rt, Stage::Align, &manifest);
     assert!(err.is_err(), "truncated chunk must fail the run");
 }
 
 #[test]
 fn failure_injection_corrupt_payload_crc() {
     let fx = Fixture::new(1007, 200);
-    let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
+    let (store, rt) = runtime();
     let manifest = fx.write_dataset(store.as_ref(), "crc", 100);
     let name = format!("{}.qual", manifest.records[0].path);
     let mut data = store.get(&name).unwrap();
     let n = data.len();
     data[n - 3] ^= 0x55;
     store.put(&name, &data).unwrap();
-    let err = align_dataset(AlignInputs {
-        store: store.clone(),
-        manifest: &manifest,
-        aligner: fx.aligner.clone(),
-        config: PersonaConfig::small(),
-    });
+    let err = fx.run_stage(&rt, Stage::Align, &manifest);
     assert!(err.is_err(), "CRC mismatch must fail the run");
 }
 
 #[test]
 fn fastq_roundtrip_through_agd_is_lossless() {
     let fx = Fixture::new(1009, 400);
-    let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
+    let (store, rt) = runtime();
     let original = fastq::to_bytes(&fx.reads);
-    let (manifest, _) = import_fastq(
-        std::io::Cursor::new(original.clone()),
-        &store,
-        "rt",
-        64,
-        &PersonaConfig::small(),
-    )
-    .unwrap();
+    let manifest = Plan::import_only().run(&rt, fx.fastq_request("rt", 64)).unwrap().manifest;
+    let manifest = manifest.unwrap();
     let ds = Dataset::new(manifest);
     let mut out = Vec::new();
     persona_formats::convert::agd_to_fastq(&ds, store.as_ref(), &mut out).unwrap();

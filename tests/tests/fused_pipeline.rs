@@ -6,39 +6,22 @@
 use std::sync::Arc;
 
 use persona::config::PersonaConfig;
-use persona::pipeline::align::{align_dataset, finalize_manifest, AlignInputs};
-use persona::pipeline::dupmark::mark_duplicates;
-use persona::pipeline::export::export_sam;
-use persona::pipeline::import::import_fastq;
-use persona::pipeline::sort::{sort_dataset, SortKey};
 use persona::plan::{Plan, PlanRequest, PlanSource, Stage};
 use persona::runtime::PersonaRuntime;
 use persona_agd::chunk_io::{ChunkStore, MemStore};
-use persona_formats::fastq;
 use persona_integration_tests::common::Fixture;
 
-/// Runs the five stages one at a time, each on its own private runtime,
-/// and returns (sorted manifest JSON, aligned manifest JSON, SAM text).
+/// Runs the five stages one at a time, each as a one-stage plan, and
+/// returns (sorted manifest JSON, aligned manifest JSON, SAM text).
 fn run_stages_separately(fx: &Fixture, name: &str, chunk: usize) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
-    let config = PersonaConfig::small();
     let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
-    let fastq_bytes = fastq::to_bytes(&fx.reads);
-    let (mut manifest, _) =
-        import_fastq(std::io::Cursor::new(fastq_bytes), &store, name, chunk, &config).unwrap();
-    align_dataset(AlignInputs {
-        store: store.clone(),
-        manifest: &manifest,
-        aligner: fx.aligner.clone(),
-        config,
-    })
-    .unwrap();
-    finalize_manifest(store.as_ref(), &mut manifest, &fx.reference).unwrap();
-    let (sorted, _) =
-        sort_dataset(&store, &manifest, SortKey::Coordinate, &format!("{name}.sorted"), &config)
-            .unwrap();
-    mark_duplicates(&store, &sorted).unwrap();
-    let mut sam = Vec::new();
-    export_sam(&store, &sorted, &mut sam, &config).unwrap();
+    let rt = PersonaRuntime::new(store.clone(), PersonaConfig::small()).unwrap();
+    let imported = Plan::import_only().run(&rt, fx.fastq_request(name, chunk)).unwrap();
+    let aligned = fx.run_stage(&rt, Stage::Align, &imported.manifest.unwrap()).unwrap();
+    let sorted = fx.run_stage(&rt, Stage::Sort, &aligned.manifest.unwrap()).unwrap();
+    let sorted = sorted.sorted.unwrap();
+    fx.run_stage(&rt, Stage::Dupmark, &sorted).unwrap();
+    let sam = fx.run_stage(&rt, Stage::ExportSam, &sorted).unwrap().sam.unwrap();
     (
         store.get(&format!("{name}.sorted.manifest.json")).unwrap(),
         store.get(&format!("{name}.manifest.json")).unwrap(),

@@ -6,14 +6,9 @@
 use std::sync::Arc;
 
 use persona::config::PersonaConfig;
-use persona::pipeline::align::{align_dataset, finalize_manifest, AlignInputs};
-use persona::pipeline::export::{export_bam, export_sam};
-use persona::pipeline::import::import_fastq;
-use persona::pipeline::sort::{sort_dataset, SortKey};
 use persona::plan::{DataState, Plan, PlanRequest, PlanSource, Stage};
 use persona::runtime::PersonaRuntime;
 use persona_agd::chunk_io::{ChunkStore, MemStore};
-use persona_compress::deflate::CompressLevel;
 use persona_formats::fastq;
 use persona_integration_tests::common::Fixture;
 
@@ -37,25 +32,17 @@ fn request(fx: &Fixture, name: &str, source: PlanSource) -> PlanRequest {
 fn no_dupmark_plan_matches_separate_stages_without_dupmark() {
     let fx = Fixture::new(8002, 500);
     let fastq_bytes = fastq::to_bytes(&fx.reads);
-    let config = PersonaConfig::small();
 
     // Reference: import → align → sort → export, stage by stage.
     let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
-    let (mut manifest, _) =
-        import_fastq(std::io::Cursor::new(fastq_bytes.clone()), &store, "nd", CHUNK, &config)
-            .unwrap();
-    align_dataset(AlignInputs {
-        store: store.clone(),
-        manifest: &manifest,
-        aligner: fx.aligner.clone(),
-        config,
-    })
-    .unwrap();
-    finalize_manifest(store.as_ref(), &mut manifest, &fx.reference).unwrap();
-    let (sorted, _) =
-        sort_dataset(&store, &manifest, SortKey::Coordinate, "nd.sorted", &config).unwrap();
-    let mut expect_sam = Vec::new();
-    export_sam(&store, &sorted, &mut expect_sam, &config).unwrap();
+    let rt = runtime(&store);
+    let imported = Plan::import_only()
+        .run(&rt, request(&fx, "nd", PlanSource::fastq_bytes(fastq_bytes.clone())))
+        .unwrap();
+    let aligned = fx.run_stage(&rt, Stage::Align, &imported.manifest.unwrap()).unwrap();
+    let sorted = fx.run_stage(&rt, Stage::Sort, &aligned.manifest.unwrap()).unwrap();
+    let expect_sam =
+        fx.run_stage(&rt, Stage::ExportSam, &sorted.sorted.unwrap()).unwrap().sam.unwrap();
 
     let plan_store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
     let report = Plan::no_dupmark()
@@ -121,11 +108,10 @@ fn custom_bam_plan_matches_direct_bam_export() {
         .unwrap();
     let bam = report.bam.as_deref().unwrap();
 
-    // Reference: the direct single-threaded BAM export of the same
-    // (now aligned) dataset.
+    // Reference: the one-stage BAM export of the same (now aligned)
+    // dataset.
     let aligned = report.manifest.clone().unwrap();
-    let mut expect = Vec::new();
-    export_bam(&store, &aligned, &mut expect, CompressLevel::Fast).unwrap();
+    let expect = fx.run_stage(&rt, Stage::ExportBam, &aligned).unwrap().bam.unwrap();
     assert_eq!(bam, &expect[..], "plan BAM must match direct export");
     let parsed = persona_formats::bam::read_bam(bam).unwrap();
     assert_eq!(parsed.records.len(), 400);

@@ -4,12 +4,25 @@
 use std::sync::Arc;
 
 use persona::config::PersonaConfig;
-use persona::pipeline::align::{align_dataset, AlignInputs};
+use persona::pipeline::align::AlignReport;
+use persona::plan::{Stage, StageRun};
+use persona::runtime::PersonaRuntime;
 use persona_agd::chunk_io::{ChunkStore, MemStore};
+use persona_agd::manifest::Manifest;
 use persona_integration_tests::common::Fixture;
 use persona_store::ceph::{CephCluster, CephConfig};
 use persona_store::clock::ManualClock;
 use persona_store::local::{DiskConfig, ThrottledStore, WritebackDisk};
+
+/// Aligns the landed dataset `manifest` in `store` through the
+/// one-stage align plan.
+fn align(fx: &Fixture, store: Arc<dyn ChunkStore>, manifest: &Manifest) -> AlignReport {
+    let rt = PersonaRuntime::new(store, PersonaConfig::small()).unwrap();
+    match fx.run_stage(&rt, Stage::Align, manifest).unwrap().stages.pop() {
+        Some(StageRun::Align(report)) => report,
+        other => panic!("expected an align report, got {other:?}"),
+    }
+}
 
 #[test]
 fn align_through_throttled_disk() {
@@ -23,13 +36,7 @@ fn align_through_throttled_disk() {
     let manifest = fx.write_dataset(disk.as_ref(), "thr", 100);
     let stats0 = disk.stats().snapshot();
     let store: Arc<dyn ChunkStore> = disk.clone();
-    let report = align_dataset(AlignInputs {
-        store,
-        manifest: &manifest,
-        aligner: fx.aligner.clone(),
-        config: PersonaConfig::small(),
-    })
-    .unwrap();
+    let report = align(&fx, store, &manifest);
     assert_eq!(report.reads, 300);
     let stats = disk.stats().snapshot();
     // Alignment reads exactly the bases+qual columns, not metadata.
@@ -67,13 +74,7 @@ fn align_through_writeback_disk_completes_and_persists() {
     ));
     let manifest = fx.write_dataset(disk.as_ref(), "wb", 100);
     let store: Arc<dyn ChunkStore> = disk.clone();
-    let report = align_dataset(AlignInputs {
-        store,
-        manifest: &manifest,
-        aligner: fx.aligner.clone(),
-        config: PersonaConfig::small(),
-    })
-    .unwrap();
+    let report = align(&fx, store, &manifest);
     assert_eq!(report.chunks, 3);
     disk.sync();
     for e in &manifest.records {
@@ -91,13 +92,7 @@ fn align_through_ceph_model() {
     let client = Arc::new(cluster.client());
     let manifest = fx.write_dataset(client.as_ref(), "ceph", 100);
     let store: Arc<dyn ChunkStore> = client.clone();
-    let report = align_dataset(AlignInputs {
-        store,
-        manifest: &manifest,
-        aligner: fx.aligner.clone(),
-        config: PersonaConfig::small(),
-    })
-    .unwrap();
+    let report = align(&fx, store, &manifest);
     assert_eq!(report.reads, 300);
     let stats = client.stats().snapshot();
     assert!(stats.bytes_read > 0);
