@@ -19,19 +19,25 @@
 //! seeding, locate and chaining; [`PhaseProfile::verify_time`]:
 //! extension), so that split is a measurement.
 //!
-//! Seeding restarts a backward search ([`FmIndex::backward_match`],
-//! which answers the first 8 bases of each restart from the index's
-//! k-mer table) left of every match. A read allocates nothing but its
-//! Smith-Waterman tracebacks and the result it returns: the reverse
-//! complement, the seeds, the chains and the candidate list live in a
-//! per-thread scratch reused across reads.
+//! Seeding restarts a backward search ([`FmIndex::backward_match`])
+//! left of every match. The walk answers the first 8 bases of each
+//! restart from the index's k-mer table, and once the match is unique
+//! and its row sampled it finishes the match on the reference text and
+//! returns the match's position ([`Hits::At`]), so chaining locates
+//! only the seeds still held as BWT rows. Either way
+//! [`PhaseProfile::index_ops`] counts logical steps: one per base the
+//! walk consumed plus its failing step, and one per located occurrence.
+//!
+//! A read allocates nothing but its Smith-Waterman tracebacks and the
+//! result it returns: the reverse complement, the seeds, the chains and
+//! the candidate list live in a per-thread scratch reused across reads.
 
 use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Instant;
 
 use persona_agd::results::{flags, AlignmentResult};
-use persona_index::fm::{FmIndex, Interval};
+use persona_index::fm::{FmIndex, Hits};
 use persona_seq::dna::revcomp_into;
 use persona_seq::Genome;
 
@@ -77,8 +83,8 @@ struct Seed {
     qbeg: usize,
     /// Query interval end (exclusive).
     qend: usize,
-    /// FM interval of the match.
-    interval: Interval,
+    /// The match's BWT rows, or its one text position.
+    hits: Hits,
 }
 
 /// A scored local alignment of one strand of the read.
@@ -112,8 +118,18 @@ pub struct BwaMemAligner {
 }
 
 impl BwaMemAligner {
-    /// Creates an aligner over a prebuilt FM-index.
+    /// Creates an aligner over a prebuilt FM-index of `genome`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the index's text is not as long as the genome: seed
+    /// positions come from the index, windows from the genome.
     pub fn new(genome: Arc<Genome>, fm: Arc<FmIndex>, params: BwaParams) -> Self {
+        assert_eq!(
+            fm.text_len() as u64,
+            genome.total_len(),
+            "the FM-index was not built from this genome"
+        );
         BwaMemAligner { genome, fm, params }
     }
 
@@ -129,11 +145,11 @@ impl BwaMemAligner {
         seeds.clear();
         let mut end = read.len();
         while end >= self.params.min_seed_len {
-            let (iv, j, ops) = self.fm.backward_match(read, end);
+            let (hits, j, ops) = self.fm.backward_match(read, end);
             prof.index_ops += ops;
             let len = end - j;
             if len >= self.params.min_seed_len {
-                seeds.push(Seed { qbeg: j, qend: end, interval: iv });
+                seeds.push(Seed { qbeg: j, qend: end, hits });
             }
             // Restart left of this match (skip at least one position).
             end = if j < end { j } else { end - 1 };
@@ -153,7 +169,9 @@ impl BwaMemAligner {
     ///
     /// The two phases are timed where they happen: seeding, locate and
     /// chaining (the FM-index walks) into `seed_time`, Smith-Waterman
-    /// extension into `verify_time`.
+    /// extension into `verify_time`. A seed finished on the text has its
+    /// position already; it still counts one index op, for the locate
+    /// it stands for.
     fn align_strand(&self, read: &[u8], reverse: bool, prof: &mut PhaseProfile, s: &mut Scratch) {
         let seed_start = Instant::now();
         self.find_seeds(read, prof, &mut s.seeds);
@@ -163,15 +181,20 @@ impl BwaMemAligner {
         let chains = &mut s.chains;
         chains.clear();
         for seed in &s.seeds {
-            if seed.interval.count() as usize > self.params.max_occ {
+            let occurrences = seed.hits.count();
+            if occurrences as usize > self.params.max_occ {
                 continue;
             }
-            prof.index_ops += seed.interval.count() as u64;
-            for row in seed.interval.lo..seed.interval.hi {
-                let cand = self.fm.locate_row(row) as i64 - seed.qbeg as i64;
+            prof.index_ops += u64::from(occurrences);
+            let mut chain = |pos: u32| {
+                let cand = pos as i64 - seed.qbeg as i64;
                 if cand >= 0 {
                     chains.push((cand as u32, (seed.qend - seed.qbeg) as u32));
                 }
+            };
+            match seed.hits {
+                Hits::At(pos) => chain(pos),
+                Hits::Rows(iv) => (iv.lo..iv.hi).for_each(|row| chain(self.fm.locate_row(row))),
             }
         }
         chains.sort_unstable();
@@ -371,6 +394,14 @@ mod tests {
             assert!(!result.is_reverse());
             assert_eq!(result.cigar, vec![CigarOp { kind: CigarKind::Match, len: 101 }]);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "the FM-index was not built from this genome")]
+    fn rejects_an_index_of_another_genome() {
+        let genome = Arc::new(Genome::random_with_seed(38, &[("chr1", 5_000)]));
+        let other = Genome::random_with_seed(38, &[("chr1", 5_000), ("chr2", 10)]);
+        BwaMemAligner::new(genome, Arc::new(FmIndex::build(&other)), BwaParams::default());
     }
 
     #[test]

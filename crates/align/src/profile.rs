@@ -20,7 +20,11 @@ pub struct PhaseProfile {
     pub seed_time: Duration,
     /// Time spent in verification (LV) or extension (SW).
     pub verify_time: Duration,
-    /// Index probe operations (hash lookups or FM `occ` calls).
+    /// Index probe operations: SNAP's hash lookups, or BWA's logical
+    /// FM-index steps — one per base a backward search consumes plus its
+    /// failing step, whether the occurrence table or, for a match
+    /// finished on the reference text, a text comparison answers it —
+    /// and one per seed occurrence located.
     pub index_ops: u64,
     /// Dynamic-programming cells posed (or LV fronts budgeted): the size
     /// of each problem handed to the kernel — window × read for

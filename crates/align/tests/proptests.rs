@@ -2,8 +2,11 @@
 //! differential properties that hold the vectorized kernels and the
 //! ungapped proof to the scalar references: identical distances,
 //! scores, regions and CIGARs on every input, including
-//! `max_k`-exceeded and all-soft-clip cases.
+//! `max_k`-exceeded and all-soft-clip cases. Two tests fail if a
+//! shortcut stops firing: the ungapped proof on true windows, and the
+//! seeding walk's finish on the reference text.
 
+use persona_align::bwa::BwaParams;
 use persona_align::edit::{
     edit_distance_dp, landau_vishkin, landau_vishkin_bitparallel, landau_vishkin_scalar,
 };
@@ -11,6 +14,8 @@ use persona_align::sw::{
     banded_global_cigar, smith_waterman, smith_waterman_scalar, smith_waterman_striped,
     smith_waterman_ungapped, Scoring,
 };
+use persona_index::bwt::base_code;
+use persona_index::fm::{FmIndex, Hits, SA_SAMPLE};
 use persona_seq::dna::revcomp;
 use persona_seq::read::Origin;
 use persona_seq::simulate::{ReadSimulator, SimParams};
@@ -385,4 +390,57 @@ fn ungapped_settles_most_true_windows() {
         }
     }
     assert!(settled * 100 >= reads * 85, "settled {settled} of {reads}");
+}
+
+/// Logical steps of one seeding walk that the text answered: a walk
+/// that returned `Hits::At(pos)` for `read[j..end]` left the BWT at the
+/// first row, walking left, that was unique (the stepwise interval of
+/// `read[i..end]` holds one row) and sampled (text position
+/// `pos + i - j` a multiple of `SA_SAMPLE`); every step after is the
+/// text's.
+fn steps_on_text(fm: &FmIndex, read: &[u8], end: usize, j: usize, pos: u32, ops: u64) -> u64 {
+    let mut iv = fm.full_interval();
+    let mut i = end;
+    while iv.count() > 1 {
+        i -= 1;
+        iv = fm.extend(base_code(read[i]), iv);
+    }
+    while !(pos as usize + i - j).is_multiple_of(SA_SAMPLE) {
+        i -= 1;
+    }
+    ops - (end - i) as u64
+}
+
+/// What finishing a unique match on the text is for: simulated 101 bp
+/// reads at 0.5 % error, both strands walked as `bwa.rs` seeds them
+/// (a restart left of every match while `min_seed_len` bases remain).
+/// At least 20 % of the logical steps are answered from the text, and
+/// every position a walk returns holds its match.
+#[test]
+fn seeding_walks_finish_unique_matches_on_the_text() {
+    let genome = Genome::random_with_seed(92, &[("chr1", 300_000)]);
+    let fm = FmIndex::build(&genome);
+    let text: Vec<u8> = genome.linear_iter().collect();
+    let mut sim = ReadSimulator::new(
+        &genome,
+        SimParams { error_rate: 0.005, seed: 6, ..SimParams::default() },
+    );
+    let min_seed_len = BwaParams::default().min_seed_len;
+    let (mut steps, mut on_text) = (0u64, 0u64);
+    for _ in 0..2_000 {
+        let read = sim.next_single();
+        for strand in [read.bases.clone(), revcomp(&read.bases)] {
+            let mut end = strand.len();
+            while end >= min_seed_len {
+                let (hits, j, ops) = fm.backward_match(&strand, end);
+                steps += ops;
+                if let Hits::At(pos) = hits {
+                    assert_eq!(&text[pos as usize..][..end - j], &strand[j..end]);
+                    on_text += steps_on_text(&fm, &strand, end, j, pos, ops);
+                }
+                end = if j < end { j } else { end - 1 };
+            }
+        }
+    }
+    assert!(on_text * 100 >= steps * 20, "{on_text} of {steps} steps answered from the text");
 }

@@ -117,9 +117,12 @@ fn bench_kernels(c: &mut Criterion) {
     // FM-index is), not the 50 kbp one above.
     let big = World::build(1_000_000, 4096, 105);
     let big_fm = Arc::new(persona_index::FmIndex::build(&big.genome));
-    // One seeding walk as `bwa.rs` does it, both strands: one `extend`
-    // per base, restarting from the full interval when a match ends
-    // (the reverse strand of a forward read ends every ~10 bases). The
+    // The bare `extend` step, both strands of a read: one `extend` per
+    // base, restarting from the full interval when a match ends (the
+    // reverse strand of a forward read ends every ~10 bases). This is
+    // not `bwa.rs`'s walk, which takes its first 8 bases from the k-mer
+    // table and finishes unique matches on the text (`bwa_seed_101bp`
+    // times that); every base here is one occurrence-table step. The
     // reads rotate so the walk meets the index in L2, as a stream of
     // distinct reads does, not the same 200 lines in L1.
     let strands: Vec<[Vec<u8>; 2]> =
@@ -200,9 +203,10 @@ fn bench_kernels(c: &mut Criterion) {
 /// The SNAP path's budgets (docs/PERFORMANCE.md §5), on the regression
 /// benchmark's reference size (1 Mbp: a 20 MiB seed table, far past L2)
 /// and on a 16 Mbp one (337 MiB, past the LLC of most machines: the
-/// regime of the paper's human-genome runs). One iteration is `BATCH` reads (throughput in
-/// reads/s), taken in turn from 4,096, so the table is met as a stream
-/// of distinct reads meets it rather than with the same lines in L1.
+/// regime of the paper's human-genome runs), where BWA seeding is timed
+/// too. One iteration is `BATCH` reads (throughput in reads/s), taken
+/// in turn from 4,096, so the table is met as a stream of distinct
+/// reads meets it rather than with the same lines in L1.
 fn bench_snap(c: &mut Criterion) {
     use persona_align::snap::{SnapAligner, SnapParams};
     use persona_align::sw::banded_global_cigar;
@@ -290,6 +294,26 @@ fn bench_snap(c: &mut Criterion) {
         b.iter(|| {
             batch(huge.reads.len())
                 .map(|i| snap.seed_candidates(&huge.reads[i].bases))
+                .sum::<usize>()
+        })
+    });
+    drop(snap);
+    // BWA seeding on the same reference: a 16 Mbp FM-index (~15 MiB,
+    // text included) outgrows L2, so the walks' occurrence-table steps
+    // go to the LLC or DRAM, toward the regime the paper's Fig. 8
+    // measures for BWA-MEM.
+    let fm = Arc::new(persona_index::FmIndex::build(&huge.genome));
+    let bwa = persona_align::bwa::BwaMemAligner::new(
+        huge.genome.clone(),
+        fm,
+        persona_align::bwa::BwaParams::default(),
+    );
+    let strands: Vec<[Vec<u8>; 2]> =
+        huge.reads.iter().map(|r| [r.bases.clone(), persona_seq::dna::revcomp(&r.bases)]).collect();
+    g.bench_function(BenchmarkId::new("bwa_seed_101bp", "16Mbp"), |b| {
+        b.iter(|| {
+            batch(strands.len())
+                .map(|i| bwa.seed_count(&strands[i][0]) + bwa.seed_count(&strands[i][1]))
                 .sum::<usize>()
         })
     });

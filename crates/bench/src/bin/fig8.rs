@@ -75,7 +75,8 @@ fn main() {
     println!("BWA memory-bound (FM-index occ walks: cache and DTLB misses).");
     println!("\nNOTE (scale artifact): both phase times are measured (timers around seeding +");
     println!("locate + chaining and around extension), but at this synthetic scale the FM-index");
-    println!("(0.64 bytes/base) sits in L2, where the paper's multi-GB hg19 index misses to");
+    println!("(0.64 bytes/base, plus 0.25 for the 2-bit text the seeding walk finishes unique");
+    println!("matches on) sits in L2, where the paper's multi-GB hg19 index misses to");
     println!("DRAM on every occ step: the seed share printed here is a lower bound on the");
     println!("memory-bound share at genome scale (docs/PERFORMANCE.md, section 1).");
 }

@@ -24,6 +24,21 @@
 //! otherwise). An entry is the stepwise result by construction, and a
 //! k-mer that occurs has every suffix occurring too, so the walk ends
 //! where the stepwise one does and reports the same step count.
+//!
+//! **Finishing on the text.** Once the interval holds one row, every
+//! further step only confirms one base of the match's single occurrence
+//! with another dependent line fetch. The index therefore keeps the text
+//! too, as 2-bit codes (`text_len / 4` bytes; BWA keeps its `.pac` for
+//! the same reason), and [`FmIndex::backward_match`] leaves the BWT as
+//! soon as its one row is sampled: the row's marks share its line, so
+//! the sample costs no extra fetch, and it gives the occurrence's text
+//! position. From there the walk compares read codes with the text
+//! leftward, one code per logical step, and returns [`Hits::At`] that
+//! position. The stepwise walk's rules carry over exactly: a read `N`
+//! stops without a step, a mismatch is the failing step, reaching text
+//! position 0 is a failing step (the BWT's sentinel), and contig
+//! boundaries do not exist in either (the text is the contigs'
+//! concatenation, genome `N`s stored as `A`).
 
 use persona_seq::Genome;
 
@@ -111,6 +126,9 @@ pub struct FmIndex {
     /// (`A` = 0 … `T` = 3) with the first base most significant; empty
     /// for a k-mer that does not occur.
     kmers: Vec<Interval>,
+    /// The text as 2-bit codes (`code - 1`), four per byte, position
+    /// `i` in bits `2 * (i % 4)..` of byte `i / 4`.
+    text: Vec<u8>,
 }
 
 /// A half-open BWT row interval `[lo, hi)` representing all suffixes
@@ -132,6 +150,27 @@ impl Interval {
     /// Whether the interval is empty.
     pub fn is_empty(&self) -> bool {
         self.hi <= self.lo
+    }
+}
+
+/// What [`FmIndex::backward_match`] found: the BWT rows of the match,
+/// or, for a match finished on the text, the text position of its one
+/// occurrence (what [`FmIndex::locate_row`] would give for its row).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Hits {
+    /// The interval of the match's rows.
+    Rows(Interval),
+    /// The text position of the match's only occurrence.
+    At(u32),
+}
+
+impl Hits {
+    /// Number of occurrences.
+    pub fn count(&self) -> u32 {
+        match self {
+            Hits::Rows(iv) => iv.count(),
+            Hits::At(_) => 1,
+        }
     }
 }
 
@@ -175,6 +214,10 @@ impl FmIndex {
                 }
             }
         }
+        let mut packed = vec![0u8; text.len().div_ceil(4)];
+        for (i, &c) in text.iter().enumerate() {
+            packed[i / 4] |= (c - 1) << (2 * (i % 4));
+        }
         let mut fm = FmIndex {
             lines,
             sample_rank,
@@ -184,6 +227,7 @@ impl FmIndex {
             rows: rows as u32,
             popcnt: has_popcnt(),
             kmers: Vec::new(),
+            text: packed,
         };
         let mut kmers = vec![Interval { lo: 0, hi: 0 }; 1 << (2 * KMER)];
         fm.fill_kmers(fm.full_interval(), 0, 0, &mut kmers);
@@ -288,20 +332,22 @@ impl FmIndex {
     }
 
     /// Backward search from the end of `read[..end]` for as long as the
-    /// suffix occurs: returns the interval of the longest occurring
-    /// suffix `read[j..end]`, its start `j`, and the `extend` steps the
-    /// walk stands for — one per base consumed, plus the failing one
-    /// when a step comes up empty. An `N` ends the walk without a step;
-    /// any other byte counts as an `A` (see [`base_code`]).
+    /// suffix occurs: returns the hits of the longest occurring suffix
+    /// `read[j..end]`, its start `j`, and the `extend` steps the walk
+    /// stands for — one per base consumed, plus the failing one when a
+    /// step comes up empty. An `N` ends the walk without a step; any
+    /// other byte counts as an `A` (see [`base_code`]).
     ///
     /// The first [`KMER`] bases come from the k-mer table when they are
-    /// all `A`/`C`/`G`/`T` and the k-mer occurs (module docs); the
-    /// result is the same either way.
+    /// all `A`/`C`/`G`/`T` and the k-mer occurs, and a match whose one
+    /// row is sampled is finished on the text and returned as
+    /// [`Hits::At`] (module docs). Both are invisible in `j` and the step
+    /// count, which are the stepwise walk's.
     ///
     /// # Panics
     ///
     /// Panics if `end > read.len()`.
-    pub fn backward_match(&self, read: &[u8], end: usize) -> (Interval, usize, u64) {
+    pub fn backward_match(&self, read: &[u8], end: usize) -> (Hits, usize, u64) {
         #[cfg(target_arch = "x86_64")]
         if self.popcnt {
             // SAFETY: `popcnt` is only set by `has_popcnt`, i.e. after
@@ -317,12 +363,12 @@ impl FmIndex {
     /// instruction: the whole walk is one unit, so every rank inlines.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "popcnt")]
-    fn backward_match_popcnt(&self, read: &[u8], end: usize) -> (Interval, usize, u64) {
+    fn backward_match_popcnt(&self, read: &[u8], end: usize) -> (Hits, usize, u64) {
         self.backward_match_body(read, end)
     }
 
     #[inline(always)]
-    fn backward_match_body(&self, read: &[u8], end: usize) -> (Interval, usize, u64) {
+    fn backward_match_body(&self, read: &[u8], end: usize) -> (Hits, usize, u64) {
         let mut iv = self.full_interval();
         let (mut j, mut ops) = (end, 0u64);
         if let Some(kmer) = end.checked_sub(KMER).map(|at| &read[at..end]) {
@@ -337,6 +383,11 @@ impl FmIndex {
             }
         }
         while j > 0 {
+            if iv.count() == 1 {
+                if let Some(pos) = self.sample(iv.lo) {
+                    return self.finish_on_text(read, j, ops, pos);
+                }
+            }
             let b = read[j - 1];
             if b == b'N' {
                 break;
@@ -349,7 +400,36 @@ impl FmIndex {
             iv = next;
             j -= 1;
         }
-        (iv, j, ops)
+        (Hits::Rows(iv), j, ops)
+    }
+
+    /// The rest of a walk whose match `read[j..]` occurs once, at text
+    /// position `pos`: one step per read code compared with the text
+    /// leftward, by the stepwise walk's rules (module docs).
+    #[inline(always)]
+    fn finish_on_text(
+        &self,
+        read: &[u8],
+        mut j: usize,
+        mut ops: u64,
+        mut pos: u32,
+    ) -> (Hits, usize, u64) {
+        while j > 0 && read[j - 1] != b'N' {
+            ops += 1;
+            if pos == 0 || self.text_code(pos - 1) != base_code(read[j - 1]) {
+                break;
+            }
+            pos -= 1;
+            j -= 1;
+        }
+        (Hits::At(pos), j, ops)
+    }
+
+    /// The code (1..=4) at text position `i`.
+    #[inline(always)]
+    fn text_code(&self, i: u32) -> u8 {
+        let i = i as usize;
+        1 + ((self.text[i / 4] >> (2 * (i % 4))) & 3)
     }
 
     /// Backward-searches an ASCII pattern; returns the matching interval.
@@ -434,11 +514,12 @@ impl FmIndex {
 
     /// Index memory footprint in bytes: one 64-byte line per
     /// [`OCC_BLOCK`] rows, the sampled positions and their per-line
-    /// rank, and the k-mer table.
+    /// rank, the k-mer table, and the 2-bit text.
     pub fn memory_bytes(&self) -> usize {
         self.lines.len() * std::mem::size_of::<Line>()
             + (self.sample_rank.len() + self.samples.len()) * 4
             + self.kmers.len() * std::mem::size_of::<Interval>()
+            + self.text.len()
     }
 }
 
@@ -646,17 +727,26 @@ mod tests {
         (iv, j, ops)
     }
 
-    /// Every prefix end of `read` gives the stepwise walk's interval,
-    /// start and step count.
-    fn assert_walks_match(fm: &FmIndex, read: &[u8]) {
+    /// Every prefix end of `read` gives the stepwise walk's count, start
+    /// and step count, and its interval or, for a walk finished on the
+    /// text, the position `locate_row` gives its one row. Returns how
+    /// many of the walks were finished on the text.
+    fn assert_walks_match(fm: &FmIndex, read: &[u8]) -> usize {
+        let mut on_text = 0;
         for end in 0..=read.len() {
-            assert_eq!(
-                fm.backward_match(read, end),
-                backward_match_stepwise(fm, read, end),
-                "end {end} of {:?}",
-                String::from_utf8_lossy(read)
-            );
+            let (hits, j, ops) = fm.backward_match(read, end);
+            let (iv, oracle_j, oracle_ops) = backward_match_stepwise(fm, read, end);
+            let what = || format!("end {end} of {:?}", String::from_utf8_lossy(read));
+            assert_eq!((hits.count(), j, ops), (iv.count(), oracle_j, oracle_ops), "{}", what());
+            match hits {
+                Hits::Rows(rows) => assert_eq!(rows, iv, "{}", what()),
+                Hits::At(pos) => {
+                    assert_eq!(pos, fm.locate_row(iv.lo), "{}", what());
+                    on_text += 1;
+                }
+            }
         }
+        on_text
     }
 
     /// Each table entry is the interval of its k-mer, empty exactly
@@ -684,11 +774,12 @@ mod tests {
     }
 
     /// Table-driven walks against the stepwise oracle: reads shorter
-    /// than a k-mer, an `N` (or a lowercase base, which counts as `A`)
-    /// at each of the last k-mer's offsets, k-mers absent from a tiny
-    /// text, and reads sampled from the text with substitutions.
+    /// than a k-mer, an `N` (or a lowercase base or an `X`, which count
+    /// as `A`) at every offset, k-mers absent from a tiny text, and
+    /// reads sampled from the text with substitutions.
     #[test]
     fn backward_match_equals_stepwise_walk() {
+        let mut on_text = 0;
         for len in [30usize, 2_000, 50_000] {
             let text: Vec<u8> =
                 lcg_codes(len as u64 + 11, len).iter().map(|&c| code_base(c)).collect();
@@ -700,24 +791,24 @@ mod tests {
             };
             for short in 0..KMER {
                 let at = next(len - short);
-                assert_walks_match(&fm, &text[at..at + short]);
+                on_text += assert_walks_match(&fm, &text[at..at + short]);
             }
             for _ in 0..40 {
                 let rlen = 8 + next(len.min(60) - 8);
                 let at = next(len - rlen + 1);
                 let mut read = text[at..at + rlen].to_vec();
-                assert_walks_match(&fm, &read);
+                on_text += assert_walks_match(&fm, &read);
                 for _ in 0..next(4) {
                     let i = next(rlen);
                     read[i] = b"ACGT"[next(4)];
                 }
-                assert_walks_match(&fm, &read);
-                for off in 0..KMER {
+                on_text += assert_walks_match(&fm, &read);
+                for off in 0..rlen {
                     for odd in [b'N', b'a', b'X'] {
                         let mut spoiled = read.clone();
                         let last = spoiled.len() - 1 - off;
                         spoiled[last] = odd;
-                        assert_walks_match(&fm, &spoiled);
+                        on_text += assert_walks_match(&fm, &spoiled);
                     }
                 }
             }
@@ -725,8 +816,93 @@ mod tests {
             // absent, so the walk falls back to stepping.
             for _ in 0..20 {
                 let read: Vec<u8> = (0..next(40)).map(|_| b"ACGT"[next(4)]).collect();
-                assert_walks_match(&fm, &read);
+                on_text += assert_walks_match(&fm, &read);
             }
+        }
+        assert!(on_text > 1_000, "only {on_text} walks finished on the text");
+    }
+
+    /// Texts built of tandem repeats (periods 1 to 7, runs long enough
+    /// to hold many k-mers and sampled rows) between random stretches:
+    /// matches stay ambiguous deep into a repeat and turn unique only
+    /// at its flanks.
+    #[test]
+    fn backward_match_on_tandem_repeats() {
+        let mut on_text = 0;
+        for period in 1..=7usize {
+            let unit = lcg_codes(period as u64 + 100, period);
+            let mut codes = lcg_codes(period as u64 + 200, 150);
+            codes.extend(unit.iter().cycle().take(120 + 17 * period));
+            codes.extend(lcg_codes(period as u64 + 300, 150));
+            codes.extend(unit.iter().cycle().take(40 + 3 * period));
+            codes.extend(lcg_codes(period as u64 + 400, 90));
+            let text: Vec<u8> = codes.iter().map(|&c| code_base(c)).collect();
+            let fm = build_from_ascii(&text);
+            for at in (0..text.len() - 70).step_by(9) {
+                on_text += assert_walks_match(&fm, &text[at..at + 70]);
+            }
+        }
+        assert!(on_text > 500, "only {on_text} walks finished on the text");
+    }
+
+    /// Several contigs: matches run across contig boundaries exactly as
+    /// the BWT runs across them, and genome `N`s, stored as `A`, match a
+    /// read's `A` (a read's `N` still stops the walk).
+    #[test]
+    fn backward_match_across_contigs_and_genome_ns() {
+        let mut contigs: Vec<(String, Vec<u8>)> = [(1u64, 300usize), (2, 5), (3, 1_000), (4, 64)]
+            .iter()
+            .map(|&(seed, len)| {
+                (
+                    format!("c{seed}"),
+                    lcg_codes(seed + 40, len).iter().map(|&c| code_base(c)).collect(),
+                )
+            })
+            .collect();
+        contigs[2].1[200..230].fill(b'N');
+        contigs[2].1[500] = b'N';
+        let genome = Genome::new(contigs);
+        let fm = FmIndex::build(&genome);
+        assert_eq!(fm.text_len() as u64, genome.total_len());
+        let linear: Vec<u8> = genome.linear_iter().collect();
+        let as_a: Vec<u8> = linear.iter().map(|&b| if b == b'N' { b'A' } else { b }).collect();
+        let mut on_text = 0;
+        // Windows around each contig start, and around the `N`s.
+        for start in [300usize, 305, 1_305, 500, 530, 800] {
+            for at in start.saturating_sub(60)..start + 10 {
+                let at = at.min(linear.len() - 50);
+                on_text += assert_walks_match(&fm, &as_a[at..at + 50]);
+                on_text += assert_walks_match(&fm, &linear[at..at + 50]);
+            }
+        }
+        assert!(on_text > 100, "only {on_text} walks finished on the text");
+        // The `N` run is text 505..535: a read that spells it as `A`s
+        // is finished on the text across it, to its own start.
+        let read = &as_a[480..560];
+        assert_eq!(fm.backward_match(read, read.len()), (Hits::At(480), 0, 80));
+    }
+
+    /// Matches that reach text position 0 cost one failing step when
+    /// the read goes on, and none when it ends there, as the sentinel
+    /// does in the stepwise walk.
+    #[test]
+    fn backward_match_reaching_text_start() {
+        for len in [40usize, 3_000] {
+            let text: Vec<u8> =
+                lcg_codes(len as u64 + 7, len).iter().map(|&c| code_base(c)).collect();
+            let fm = build_from_ascii(&text);
+            let mut on_text = 0;
+            for plen in [20usize, 33, 39] {
+                on_text += assert_walks_match(&fm, &text[..plen]);
+                for first in *b"ACGTN" {
+                    let read = [&[first][..], &text[..plen]].concat();
+                    on_text += assert_walks_match(&fm, &read);
+                    let (hits, j, ops) = fm.backward_match(&read, read.len());
+                    assert_eq!((hits, j), (Hits::At(0), 1), "len {len} plen {plen}");
+                    assert_eq!(ops, plen as u64 + (first != b'N') as u64);
+                }
+            }
+            assert!(on_text > 0, "len {len}");
         }
     }
 
