@@ -330,6 +330,17 @@ impl RawChunk {
         &self.data[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
+    /// Record `i` as stored, to patch in place: a patch keeps the
+    /// record's length, and a packed bases record canonical.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    #[inline]
+    pub fn record_mut(&mut self, i: usize) -> &mut [u8] {
+        &mut self.data[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
     /// Appends record `i` of `src`, copying its stored bytes.
     ///
     /// # Panics

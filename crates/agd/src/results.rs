@@ -154,6 +154,10 @@ impl AlignmentResult {
     /// Size of the fixed (non-CIGAR) part of the wire form.
     pub const FIXED_SIZE: usize = 24;
 
+    /// Where the little-endian `flags` field lies in the wire form, so
+    /// a flag can be set on a stored record without re-encoding it.
+    pub const FLAGS_AT: std::ops::Range<usize> = 20..22;
+
     /// An unmapped-read result.
     pub fn unmapped() -> Self {
         AlignmentResult {
@@ -234,7 +238,7 @@ impl AlignmentResult {
         self.location = i64::from_le_bytes(buf[0..8].try_into().unwrap());
         self.mate_location = i64::from_le_bytes(buf[8..16].try_into().unwrap());
         self.template_len = i32::from_le_bytes(buf[16..20].try_into().unwrap());
-        self.flags = u16::from_le_bytes(buf[20..22].try_into().unwrap());
+        self.flags = u16::from_le_bytes(buf[Self::FLAGS_AT].try_into().unwrap());
         self.mapq = buf[22];
         self.cigar.clear();
         for chunk in buf[Self::FIXED_SIZE..].chunks_exact(4) {

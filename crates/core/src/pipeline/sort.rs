@@ -36,8 +36,18 @@
 //! column, encode, put. Chunk boundaries are the serial merge's, so the
 //! bytes are too.
 //!
+//! **Duplicate marking rides the write.** When a plan's `dupmark`
+//! directly follows its sort, each output chunk task also marks its
+//! chunk's duplicates before it encodes `results`
+//! ([`crate::pipeline::dupmark`]): it co-ranks the key `(L − D, 0)`,
+//! where `L` is the chunk's first mapped location and `D` the largest
+//! 5′ offset of any run (each run keeps its own, taken as its records
+//! are decoded), reads the earlier records from that cut to its own
+//! first cut as its halo, and patches the flags of its duplicates in
+//! the gathered arena. Nothing is read back or written twice.
+//!
 //! Every compute phase — per-chunk load+sort, superchunk folds, output
-//! chunk merge+encode+write — runs as tagged task batches on the
+//! chunk merge+mark+encode+write — runs as tagged task batches on the
 //! runtime's shared executor; the sort stage owns no threads of its own.
 
 use std::sync::Arc;
@@ -51,6 +61,7 @@ use persona_agd::results::AlignmentResult;
 
 use crate::config::PersonaConfig;
 use crate::manifest_server::ChunkTask;
+use crate::pipeline::dupmark::{self, Extent, Marker};
 use crate::pipeline::{drive, load_raw_column, Edge, Progress, StageReport};
 use crate::runtime::PersonaRuntime;
 use crate::{Error, Result};
@@ -126,6 +137,9 @@ struct Run {
     locations: Vec<i64>,
     /// One arena per column, in [`COLUMNS`] order.
     columns: Vec<RawChunk>,
+    /// The largest 5′ offset of a mapped record in a coordinate sort
+    /// ([`dupmark::five_prime_offset`]); 0 in a query-name sort.
+    reach: i64,
 }
 
 /// One executor task of the run phase.
@@ -185,7 +199,8 @@ pub fn sort_dataset(
     config: &PersonaConfig,
 ) -> Result<(Manifest, SortReport)> {
     let rt = PersonaRuntime::new(store.clone(), *config)?;
-    sort(&rt, Edge::Landed(manifest.clone()), key, out_name)
+    let (sorted, report, _) = sort(&rt, Edge::Landed(manifest.clone()), key, out_name, false)?;
+    Ok((sorted, report))
 }
 
 /// The sort stage: sorts the chunk stream of `input` into the dataset
@@ -200,13 +215,16 @@ pub fn sort_dataset(
 /// The write phase codes each column as `persona_agd::columns` says
 /// and takes chunk sizing and reference contigs from the input's
 /// manifest; a live upstream delivers it after its last chunk, by
-/// which point every chunk has been merged.
+/// which point every chunk has been merged. With `dupmark` (a
+/// coordinate sort only) it also marks duplicates, and returns how many
+/// records it newly marked.
 pub(crate) fn sort(
     rt: &PersonaRuntime,
     input: Edge,
     key: SortKey,
     out_name: &str,
-) -> Result<(Manifest, SortReport)> {
+    dupmark: bool,
+) -> Result<(Manifest, SortReport, Option<u64>)> {
     // Chunks streamed by a live upstream carry the results column that
     // upstream is landing (only an align stage streams into a sort).
     let has_results = match &input {
@@ -216,6 +234,10 @@ pub(crate) fn sort(
     if key == SortKey::Coordinate && !has_results {
         return Err(Error::Pipeline("coordinate sort requires a results column".into()));
     }
+    debug_assert!(
+        !dupmark || key == SortKey::Coordinate,
+        "duplicates are marked in coordinate order"
+    );
     // Unmetered: a sort over a landed dataset publishes no `manifest.*`
     // telemetry.
     let server = input.chunks(None);
@@ -297,7 +319,8 @@ pub(crate) fn sort(
     let records = merged.iter().map(|r| r.len() as u64).sum();
 
     let src = input.manifest()?;
-    let out_manifest = write_sorted_dataset(rt, &timer, out_name, &src, merged, key, has_results)?;
+    let (out_manifest, marked) =
+        write_sorted_dataset(rt, &timer, out_name, &src, merged, key, has_results, dupmark)?;
 
     let stage = timer.finish();
     Ok((
@@ -310,6 +333,7 @@ pub(crate) fn sort(
             first_run_at,
             busy_fraction: stage.busy_fraction(),
         },
+        dupmark.then_some(marked),
     ))
 }
 
@@ -327,6 +351,7 @@ fn load_sorted_run(
         let chunk = load_raw_column(store, &task.stem, column, task.num_records)?;
         loaded.push(stored_as(chunk, coding(column).record_type)?);
     }
+    let mut reach = 0;
     let locations = match key {
         SortKey::Coordinate => {
             let mut result = AlignmentResult::unmapped();
@@ -334,6 +359,9 @@ fn load_sorted_run(
             (0..n)
                 .map(|i| {
                     result.decode_into(results.record(i))?;
+                    if !result.is_unmapped() {
+                        reach = reach.max(dupmark::five_prime_offset(&result));
+                    }
                     Ok(result.location)
                 })
                 .collect::<Result<Vec<i64>>>()?
@@ -341,8 +369,8 @@ fn load_sorted_run(
         SortKey::QueryName => Vec::new(),
     };
     let origin = (task.chunk_idx as u64) << 32;
-    let chunk =
-        Run { ties: (0..n).map(|i| origin | i as u64).collect(), locations, columns: loaded };
+    let ties = (0..n).map(|i| origin | i as u64).collect();
+    let chunk = Run { ties, locations, columns: loaded, reach };
     // Within a chunk the tie grows with the position, so `(key,
     // position)` is the composite order: a total order, in which equal
     // keys stay in chunk position order, as the old stable sort did.
@@ -458,6 +486,7 @@ fn gather(runs: &[Run], order: &[(usize, usize)]) -> Run {
             false => Vec::new(),
         },
         columns: (0..runs[0].columns.len()).map(|c| gather_column(runs, c, order)).collect(),
+        reach: runs.iter().map(|r| r.reach).max().unwrap_or(0),
     }
 }
 
@@ -471,11 +500,35 @@ fn fold(mut runs: Vec<Run>) -> Run {
     gather(&runs, &merge_order(&runs, &vec![0; runs.len()], &to))
 }
 
+/// Marks the duplicates of an output chunk whose gathered `results`
+/// begin at the cuts `from`: its halo is every earlier record located
+/// at or above the chunk's first mapped location minus `reach`, which
+/// co-ranking that key cuts out of each run. Returns how many records
+/// it newly marked.
+fn mark_output_chunk(
+    runs: &[Run],
+    from: &[usize],
+    results: &mut RawChunk,
+    reach: i64,
+) -> Result<u64> {
+    let Some(own) = Extent::of(results)? else { return Ok(0) };
+    let floor = dupmark::halo_floor(own.first, reach);
+    let mut marker = Marker::new();
+    for (run, &cut) in runs.iter().zip(from) {
+        for i in run.count_below((Key::Location(floor), 0)).min(cut)..cut {
+            marker.see(run.columns[RESULTS].record(i), &(floor..=own.last))?;
+        }
+    }
+    marker.mark(results)
+}
+
 /// Writes the merged runs as a fresh AGD dataset. Each output chunk is
 /// one executor task: it co-ranks its first and last record in every
 /// run, merges the slices between, then gathers, encodes and puts each
-/// column. Chunk boundaries are the serial merge's, so the bytes are
-/// too.
+/// column — marking the duplicates of `results` first when `dupmark`.
+/// Chunk boundaries are the serial merge's, so the bytes are too.
+/// Returns the manifest and how many records were newly marked.
+#[allow(clippy::too_many_arguments)]
 fn write_sorted_dataset(
     rt: &PersonaRuntime,
     timer: &crate::runtime::StageTimer,
@@ -484,7 +537,8 @@ fn write_sorted_dataset(
     runs: Vec<Run>,
     key: SortKey,
     has_results: bool,
-) -> Result<Manifest> {
+    dupmark: bool,
+) -> Result<(Manifest, u64)> {
     let chunk_size = src
         .records
         .first()
@@ -505,9 +559,11 @@ fn write_sorted_dataset(
 
     let n = runs.iter().map(Run::len).sum();
     let ranges = crate::pipeline::subchunk_ranges(n, chunk_size);
+    let reach = runs.iter().map(|r| r.reach).max().unwrap_or(0);
     let runs = Arc::new(runs);
     let exec = rt.stage_exec(timer);
     let mut next = ranges.iter().copied().enumerate();
+    let mut duplicates = 0u64;
     drive(
         rt.chunk_window(),
         |_| {
@@ -516,17 +572,25 @@ fn write_sorted_dataset(
             let (runs, store) = (runs.clone(), rt.store().clone());
             let stem = format!("{out_name}-{k}");
             Ok(Some(exec.spawn_one(move || {
-                let order = merge_order(&runs, &co_rank(&runs, lo), &co_rank(&runs, hi));
+                let from = co_rank(&runs, lo);
+                let order = merge_order(&runs, &from, &co_rank(&runs, hi));
+                let mut marked = 0;
                 for (c, &column) in run_columns(has_results).iter().enumerate() {
-                    let chunk = gather_column(&runs, c, &order);
+                    let mut chunk = gather_column(&runs, c, &order);
+                    if dupmark && c == RESULTS {
+                        marked = mark_output_chunk(&runs, &from, &mut chunk, reach)?;
+                    }
                     let name = Manifest::chunk_object_name(&stem, column);
                     store.put(&name, &chunk.encode(coding(column).codec, columns::LEVEL))?;
                 }
-                Ok(())
+                Ok(marked)
             })))
         },
         |write| write.wait_one().map(Progress::Done),
-        |()| Ok(()),
+        |marked| {
+            duplicates += marked;
+            Ok(())
+        },
     )?;
     let mut first = 0u64;
     for (k, &(lo, hi)) in ranges.iter().enumerate() {
@@ -540,7 +604,7 @@ fn write_sorted_dataset(
     manifest.total_records = first;
     manifest.validate()?;
     rt.store().put(&format!("{out_name}.manifest.json"), manifest.to_json()?.as_bytes())?;
-    Ok(manifest)
+    Ok((manifest, duplicates))
 }
 
 #[cfg(test)]
@@ -698,8 +762,8 @@ mod tests {
     fn streamed_out_of_order_arrival_matches_one_shot_sort() {
         let (store, manifest) = world(300, 30);
         let rt = PersonaRuntime::new(store.clone(), PersonaConfig::small()).unwrap();
-        let (oneshot, _) =
-            sort(&rt, Edge::Landed(manifest.clone()), SortKey::Coordinate, "ref").unwrap();
+        let (oneshot, ..) =
+            sort(&rt, Edge::Landed(manifest.clone()), SortKey::Coordinate, "ref", false).unwrap();
 
         let (out, edge) = Edge::streaming(4, rt.telemetry());
         let (feeder, promise) = (out.chunks, out.manifest);
@@ -721,7 +785,7 @@ mod tests {
             }
             promise.send(src).unwrap();
         });
-        let (streamed, report) = sort(&rt, edge, SortKey::Coordinate, "str").unwrap();
+        let (streamed, report, _) = sort(&rt, edge, SortKey::Coordinate, "str", false).unwrap();
         producer.join().unwrap();
         assert_eq!(report.records, 300);
         assert_eq!(report.runs, 10);
@@ -830,6 +894,7 @@ mod tests {
                 column(2, &run.quals),
                 column(3, &run.results),
             ],
+            reach: 0,
         }
     }
 

@@ -620,6 +620,7 @@ impl Plan {
             chunk_size: req.chunk_size,
             aligner: req.aligner.as_ref(),
             reference: &req.reference,
+            sort_marks: self.stages.windows(2).any(|w| w == [Stage::Sort, Stage::Dupmark]),
         };
 
         for group in self.fusion_groups_from(elided) {
@@ -642,6 +643,7 @@ impl Plan {
                     Stage::ExportSam => report.sam = output.bytes,
                     Stage::ExportBam => report.bam = output.bytes,
                 }
+                let marked = output.marked;
                 let Some(manifest) = output.landed else { continue };
                 // A landing the group's next stage re-landed under the
                 // same name (import's manifest, rewritten by a fused
@@ -657,7 +659,10 @@ impl Plan {
                         session.landed(idx, &manifest);
                     }
                 }
-                input = Some(StageInput::Edge(Edge::Landed(manifest)));
+                input = Some(match marked {
+                    Some(duplicates) => StageInput::Marked(manifest, duplicates),
+                    None => StageInput::Edge(Edge::Landed(manifest)),
+                });
             }
             spans_end(rt, stages);
         }
@@ -712,6 +717,9 @@ enum StageInput {
     /// A dataset: landed by an earlier group, or streamed by the
     /// upstream stage of this one.
     Edge(Edge),
+    /// A sorted dataset whose sort also marked its duplicates (this
+    /// many), for the dupmark stage that follows it.
+    Marked(Manifest, u64),
 }
 
 /// The per-run parameters stages read: a [`PlanRequest`] minus its
@@ -721,6 +729,9 @@ struct StageParams<'a> {
     chunk_size: usize,
     aligner: Option<&'a Arc<dyn Aligner>>,
     reference: &'a [(String, u64)],
+    /// Whether the plan's sort is directly followed by its dupmark, so
+    /// the sort marks duplicates as it writes.
+    sort_marks: bool,
 }
 
 /// What one stage hands back to the driver.
@@ -730,6 +741,8 @@ struct StageOutput {
     landed: Option<Manifest>,
     /// The bytes an export stage produced.
     bytes: Option<Vec<u8>>,
+    /// How many duplicates a sort marked as it wrote, when it did.
+    marked: Option<u64>,
 }
 
 /// Runs one fusion group: N stages wired by N−1 live edges, the head on
@@ -804,7 +817,8 @@ fn run_stage(
     input: StageInput,
     out: Option<EdgeOut>,
 ) -> Result<StageOutput> {
-    let dataset = |run, manifest| StageOutput { run, landed: Some(manifest), bytes: None };
+    let output = |run, landed, bytes| StageOutput { run, landed, bytes, marked: None };
+    let dataset = |run, manifest| output(run, Some(manifest), None);
     Ok(match (stage, input) {
         (Stage::Import, StageInput::Fastq(reader)) => {
             let (manifest, report) =
@@ -819,25 +833,33 @@ fn run_stage(
         }
         (Stage::Sort, StageInput::Edge(input)) => {
             let sorted_name = format!("{}.sorted", params.name);
-            let (manifest, report) = sort::sort(rt, input, SortKey::Coordinate, &sorted_name)?;
-            dataset(StageRun::Sort(report), manifest)
+            let (manifest, report, marked) =
+                sort::sort(rt, input, SortKey::Coordinate, &sorted_name, params.sort_marks)?;
+            StageOutput { marked, ..dataset(StageRun::Sort(report), manifest) }
         }
         (Stage::Dupmark, StageInput::Edge(input)) => {
             let (manifest, report) = dupmark::mark_duplicates(rt, input, out)?;
             dataset(StageRun::Dupmark(report), manifest)
         }
+        (Stage::Dupmark, StageInput::Marked(manifest, duplicates)) => {
+            let (manifest, report) = dupmark::pass_marked(rt, manifest, duplicates, out)?;
+            dataset(StageRun::Dupmark(report), manifest)
+        }
         (Stage::ExportSam, StageInput::Edge(input)) => {
             let mut sam = Vec::new();
             let report = export::export_sam(rt, input, &mut sam)?;
-            StageOutput { run: StageRun::ExportSam(report), landed: None, bytes: Some(sam) }
+            output(StageRun::ExportSam(report), None, Some(sam))
         }
         (Stage::ExportBam, StageInput::Edge(input)) => {
             let mut bam = Vec::new();
             let report = export::export_bam(rt, input, &mut bam, CompressLevel::Fast)?;
-            StageOutput { run: StageRun::ExportBam(report), landed: None, bytes: Some(bam) }
+            output(StageRun::ExportBam(report), None, Some(bam))
         }
         (Stage::Import, StageInput::Edge(_)) | (_, StageInput::Fastq(_)) => {
             unreachable!("validated: import, and only import, consumes the request's FASTQ")
+        }
+        (_, StageInput::Marked(..)) => {
+            unreachable!("only the dupmark a sort is followed by takes its marked dataset")
         }
     })
 }

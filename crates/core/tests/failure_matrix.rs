@@ -128,6 +128,8 @@ enum Inject {
 const IMPORT_ALIGN: &[Stage] = &[Stage::Import, Stage::Align];
 const ALIGN_SORT: &[Stage] = &[Stage::Align, Stage::Sort];
 const IMPORT_ALIGN_SORT: &[Stage] = &[Stage::Import, Stage::Align, Stage::Sort];
+/// A dupmark that heads its group marks a landed sorted dataset: it
+/// reads and rewrites `results` itself.
 const DUPMARK_EXPORT: &[Stage] = &[Stage::Dupmark, Stage::ExportSam];
 
 /// `(group, failing stage, injection, substring of the root cause)`.
@@ -234,4 +236,43 @@ fn cancelled_wins_over_every_failure_once_the_token_has_fired() {
         assert!(matches!(err, Error::Cancelled), "{what}");
         assert!(heard.is_empty(), "{what}: announced {heard:?}");
     }
+}
+
+/// In `aligned>sort,dupmark,export-sam` duplicates are marked in the
+/// sort's write. A store fault on the sort's first `.results` put must
+/// surface as the plan's error, land no sorted manifest and announce
+/// neither `sort` nor `dupmark`; a clean rerun then exports the SAM of
+/// a cold run.
+#[test]
+fn a_fault_in_the_marking_sort_write_lands_nothing() {
+    let w = World::new();
+    let plan = Plan::from_aligned();
+    let cold = {
+        let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
+        let source = PlanSource::Dataset(w.land(&store, DataState::Aligned));
+        let rt = PersonaRuntime::new(store, PersonaConfig::small()).unwrap();
+        plan.run(&rt, w.request(source)).unwrap().sam.unwrap()
+    };
+
+    let store = Arc::new(FaultyStore { inner: MemStore::new(), fault: Mutex::new(None) });
+    let dyn_store: Arc<dyn ChunkStore> = store.clone();
+    let landed = w.land(&dyn_store, DataState::Aligned);
+    *store.fault.lock().unwrap() = Some((Op::Put, ".results", 0, Arc::new(|| {})));
+    let heard = Arc::new(Mutex::new(Vec::new()));
+    let observer = {
+        let heard = heard.clone();
+        move |stage: Stage, _: &Manifest| heard.lock().unwrap().push(stage)
+    };
+    let job = JobContext::new(Priority::Normal).with_observer(Arc::new(observer));
+    let rt = PersonaRuntime::new(dyn_store.clone(), PersonaConfig::small()).unwrap().for_job(job);
+    let source = || PlanSource::Dataset(landed.clone());
+    let err = plan.run(&rt, w.request(source())).expect_err("the injected fault fails the plan");
+    assert!(err.to_string().contains("injected fault"), "{err}");
+    assert!(!dyn_store.exists("g.sorted.manifest.json"), "a failed sort landed its manifest");
+    assert!(heard.lock().unwrap().is_empty(), "announced {:?}", heard.lock().unwrap());
+
+    *store.fault.lock().unwrap() = None;
+    let sam = plan.run(&rt, w.request(source())).unwrap().sam.unwrap();
+    assert!(sam == cold, "the rerun's SAM differs from a cold run's");
+    assert_eq!(*heard.lock().unwrap(), vec![Stage::Sort, Stage::Dupmark]);
 }

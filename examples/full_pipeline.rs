@@ -29,7 +29,9 @@ fn stage_detail(run: &StageRun) -> String {
             100.0 * r.mapped as f64 / r.reads.max(1) as f64
         ),
         StageRun::Sort(r) => format!("{} records, {} runs", r.records, r.runs),
-        StageRun::Dupmark(r) => format!("{:.0} reads/s, {} dups", r.reads_per_sec(), r.duplicates),
+        // Every preset sorts right before it marks, so marking ran in
+        // the sort's write and this stage only handed chunks on.
+        StageRun::Dupmark(r) => format!("{} dups, marked in the sort's write", r.duplicates),
         StageRun::ExportSam(r) | StageRun::ExportBam(r) => {
             format!("{:.1} MB/s out", r.mb_per_sec())
         }
