@@ -305,6 +305,24 @@ impl RawChunk {
         }
     }
 
+    /// Builds a chunk from records supplied as byte slices, packing
+    /// each bases record. Fails on a base outside `A,C,G,T,N`.
+    pub fn from_records<'a>(
+        record_type: RecordType,
+        records: impl IntoIterator<Item = &'a [u8]>,
+    ) -> Result<Self> {
+        let mut chunk = RawChunk::with_capacity(record_type, 0, 0);
+        for rec in records {
+            chunk.index.push(rec.len() as u32);
+            match record_type {
+                RecordType::CompactBases => compaction::pack_record(rec, &mut chunk.data)?,
+                RecordType::Text | RecordType::Results => chunk.data.extend_from_slice(rec),
+            }
+            chunk.offsets.push(chunk.data.len() as u64);
+        }
+        Ok(chunk)
+    }
+
     /// Record encoding.
     pub fn record_type(&self) -> RecordType {
         self.record_type
@@ -352,6 +370,22 @@ impl RawChunk {
         assert_eq!(self.record_type, src.record_type, "records move between chunks of one type");
         self.index.push(src.index[i]);
         self.data.extend_from_slice(src.record(i));
+        self.offsets.push(self.data.len() as u64);
+    }
+
+    /// Appends the record `write` appends to the data block, so a
+    /// record is encoded straight into the chunk.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a bases chunk: its index counts bases, not the bytes
+    /// written.
+    #[inline]
+    pub fn push_with(&mut self, write: impl FnOnce(&mut Vec<u8>)) {
+        assert_ne!(self.record_type, RecordType::CompactBases, "bases records are packed");
+        let start = self.data.len();
+        write(&mut self.data);
+        self.index.push((self.data.len() - start) as u32);
         self.offsets.push(self.data.len() as u64);
     }
 
@@ -439,23 +473,38 @@ impl RawChunk {
     /// The decoded chunk: bases unpacked to ASCII, every other record
     /// type moved as is.
     pub fn unpack(self) -> Result<ChunkData> {
-        let RawChunk { record_type, index, data, offsets } = self;
+        match self.record_type {
+            RecordType::CompactBases => self.unpacked(),
+            RecordType::Text | RecordType::Results => {
+                let RawChunk { record_type, index, data, offsets } = self;
+                Ok(ChunkData { record_type, index, data, offsets })
+            }
+        }
+    }
+
+    /// [`RawChunk::unpack`] of a chunk that stays in use: the decoded
+    /// chunk is a copy.
+    pub fn unpacked(&self) -> Result<ChunkData> {
+        let (record_type, index) = (self.record_type, self.index.clone());
         match record_type {
             RecordType::CompactBases => {
                 let total: u64 = index.iter().map(|&n| n as u64).sum();
                 let mut bases = Vec::with_capacity(total as usize);
                 let mut unpacked = Vec::with_capacity(index.len() + 1);
                 unpacked.push(0u64);
-                for (w, &n_bases) in offsets.windows(2).zip(&index) {
-                    let packed = &data[w[0] as usize..w[1] as usize];
+                for (w, &n_bases) in self.offsets.windows(2).zip(&index) {
+                    let packed = &self.data[w[0] as usize..w[1] as usize];
                     compaction::unpack_record(packed, n_bases as usize, &mut bases)?;
                     unpacked.push(bases.len() as u64);
                 }
                 Ok(ChunkData { record_type, index, data: bases, offsets: unpacked })
             }
-            RecordType::Text | RecordType::Results => {
-                Ok(ChunkData { record_type, index, data, offsets })
-            }
+            RecordType::Text | RecordType::Results => Ok(ChunkData {
+                record_type,
+                index,
+                data: self.data.clone(),
+                offsets: self.offsets.clone(),
+            }),
         }
     }
 }
@@ -741,11 +790,25 @@ mod tests {
             let rt = if text { RecordType::Text } else { RecordType::CompactBases };
             let data = ChunkData::from_records(rt, records.iter().map(|r| r.as_slice())).unwrap();
             let raw = data.pack().unwrap();
+            let built = RawChunk::from_records(rt, records.iter().map(|r| r.as_slice())).unwrap();
+            prop_assert_eq!(&built, &raw);
             let enc = data.encode(Codec::Gzip, CompressLevel::Fast).unwrap();
             prop_assert_eq!(raw.encode(Codec::Gzip, CompressLevel::Fast), enc.clone());
             let decoded = RawChunk::decode(&enc).unwrap();
             prop_assert_eq!(&decoded, &raw);
+            prop_assert_eq!(decoded.unpacked().unwrap(), ChunkData::decode(&enc).unwrap());
             prop_assert_eq!(decoded.unpack().unwrap(), ChunkData::decode(&enc).unwrap());
+        }
+
+        /// A record written in place is the record pushed as a slice.
+        #[test]
+        fn push_with_is_from_records(records in any_records()) {
+            let mut written = RawChunk::with_capacity(RecordType::Results, 0, 0);
+            for r in &records {
+                written.push_with(|out| out.extend_from_slice(r));
+            }
+            let slices = records.iter().map(|r| r.as_slice());
+            prop_assert_eq!(written, RawChunk::from_records(RecordType::Results, slices).unwrap());
         }
     }
 }

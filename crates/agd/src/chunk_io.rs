@@ -10,6 +10,7 @@
 use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// A keyed blob store for chunk objects and manifests.
@@ -79,10 +80,20 @@ impl ChunkStore for MemStore {
 }
 
 /// A [`ChunkStore`] over a filesystem directory (one file per object).
+///
+/// A put writes a hidden temporary sibling under a name no other put
+/// uses and renames it over the object's name, so a concurrent `get`
+/// reads the old object or the new one, never a partly written one.
+/// Nothing is fsynced: a put survives a process crash, not a power
+/// loss.
 #[derive(Debug)]
 pub struct DirStore {
     root: PathBuf,
 }
+
+/// The name prefix of a put's temporary file; [`ChunkStore::list`]
+/// skips such files.
+const TEMP_PREFIX: &str = ".put-";
 
 impl DirStore {
     /// Opens (creating if needed) a directory-backed store.
@@ -108,7 +119,15 @@ impl ChunkStore for DirStore {
     }
 
     fn put(&self, name: &str, data: &[u8]) -> io::Result<()> {
-        std::fs::write(self.path(name), data)
+        static PUTS: AtomicU64 = AtomicU64::new(0);
+        let seq = PUTS.fetch_add(1, Ordering::Relaxed);
+        let temp = self.path(&format!("{TEMP_PREFIX}{}-{seq}-{name}", std::process::id()));
+        let written =
+            std::fs::write(&temp, data).and_then(|()| std::fs::rename(&temp, self.path(name)));
+        if written.is_err() {
+            let _ = std::fs::remove_file(&temp);
+        }
+        written
     }
 
     fn delete(&self, name: &str) -> io::Result<()> {
@@ -124,8 +143,9 @@ impl ChunkStore for DirStore {
         for entry in std::fs::read_dir(&self.root)? {
             let entry = entry?;
             if entry.file_type()?.is_file() {
-                if let Some(name) = entry.file_name().to_str() {
-                    names.push(name.to_string());
+                match entry.file_name().to_str() {
+                    Some(name) if !name.starts_with(TEMP_PREFIX) => names.push(name.to_string()),
+                    _ => {}
                 }
             }
         }
@@ -170,6 +190,40 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("agd-dirstore-{}", std::process::id()));
         let store = DirStore::open(&dir).unwrap();
         exercise(&store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A `get` racing puts of the same name reads one whole object or
+    /// the other, never a torn one.
+    #[test]
+    fn dir_store_gets_never_see_a_partial_put() {
+        let dir = std::env::temp_dir().join(format!("agd-dirstore-torn-{}", std::process::id()));
+        let store = DirStore::open(&dir).unwrap();
+        let objects = [vec![1u8; 1 << 20], vec![2u8; 1 << 20]];
+        store.put("obj", &objects[0]).unwrap();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_millis(800);
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let reads = std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let mut reads = 0;
+                while !stop.load(Ordering::Relaxed) {
+                    let got = store.get("obj").unwrap();
+                    assert!(objects.contains(&got), "read a torn object of {} bytes", got.len());
+                    reads += 1;
+                }
+                reads
+            });
+            for k in 0.. {
+                if std::time::Instant::now() >= deadline {
+                    break;
+                }
+                store.put("obj", &objects[k % 2]).unwrap();
+            }
+            stop.store(true, Ordering::Relaxed);
+            reader.join().unwrap()
+        });
+        assert!(reads > 0);
+        assert_eq!(store.list().unwrap(), vec!["obj".to_string()], "temporary files are unlisted");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -18,7 +18,7 @@
 use persona_compress::codec::Codec;
 use persona_compress::deflate::CompressLevel;
 
-use crate::chunk::{ChunkData, RecordType};
+use crate::chunk::{RawChunk, RecordType};
 use crate::manifest::Manifest;
 use crate::Result;
 
@@ -63,10 +63,19 @@ pub fn coding(column: &str) -> Coding {
         .map_or(Coding { record_type: RecordType::Text, codec: Codec::Gzip }, |&(_, c)| c)
 }
 
+/// `records` as a stored chunk of `column`: bases packed.
+pub fn pack<'a>(column: &str, records: impl IntoIterator<Item = &'a [u8]>) -> Result<RawChunk> {
+    RawChunk::from_records(coding(column).record_type, records)
+}
+
+/// Encodes a stored chunk of `column` as its chunk object.
+pub fn encode_chunk(column: &str, chunk: &RawChunk) -> Vec<u8> {
+    chunk.encode(coding(column).codec, LEVEL)
+}
+
 /// Encodes `records` as one chunk object of `column`.
 pub fn encode<'a>(column: &str, records: impl IntoIterator<Item = &'a [u8]>) -> Result<Vec<u8>> {
-    let Coding { record_type, codec } = coding(column);
-    ChunkData::from_records(record_type, records)?.encode(codec, LEVEL)
+    Ok(encode_chunk(column, &pack(column, records)?))
 }
 
 /// Declares `column` in `manifest` with its codec.

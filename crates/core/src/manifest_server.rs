@@ -17,15 +17,20 @@
 //!   returns `None`.
 //! * [`ManifestServer::streaming`] — fed incrementally through a
 //!   [`ChunkFeeder`] by an upstream stage, which is how the fused
-//!   pipeline chains stages: chunk names flow through this bounded
-//!   queue while both stages share the compute executor. `fetch` blocks
-//!   until a task arrives or the feeder is dropped.
+//!   pipeline chains stages: chunks flow through this bounded queue
+//!   while both stages share the compute executor, each with the
+//!   stored form of the columns its producer holds for it (an
+//!   [`EdgeChunk`]), so the consumer reads back from the store only
+//!   what was not carried. `fetch` blocks until a chunk arrives or the
+//!   feeder is dropped.
 //!
 //! Either mode publishes `manifest.queue_occupancy` into the registry it
 //! is given: chunks queued but not yet dispatched.
 
+use std::ops::Deref;
 use std::sync::Arc;
 
+use persona_agd::chunk::RawChunk;
 use persona_agd::manifest::Manifest;
 use persona_dataflow::queue::Producer;
 use persona_dataflow::QueueHandle;
@@ -42,12 +47,59 @@ pub struct ChunkTask {
     pub num_records: u32,
 }
 
+impl ChunkTask {
+    /// The task of every chunk of `manifest`, in order.
+    pub fn all(manifest: &Manifest) -> impl Iterator<Item = ChunkTask> + '_ {
+        manifest.records.iter().enumerate().map(|(chunk_idx, e)| ChunkTask {
+            chunk_idx,
+            stem: e.path.clone(),
+            num_records: e.num_records,
+        })
+    }
+}
+
+/// One chunk on an edge: its task, and the stored form of the columns
+/// its producer holds for it. A chunk dispensed from a dataset at rest
+/// carries nothing; its consumer reads every column from the store.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EdgeChunk {
+    /// Which chunk this is.
+    pub task: ChunkTask,
+    /// `(column, records as stored)` for each column carried, each
+    /// holding the chunk's records exactly as its object does.
+    pub carried: Vec<(&'static str, Arc<RawChunk>)>,
+    /// Records of the chunk its producer newly marked as duplicates.
+    pub duplicates: u64,
+}
+
+impl EdgeChunk {
+    /// The carried stored form of `column`, if its producer carried it.
+    pub fn column(&self, column: &str) -> Option<&Arc<RawChunk>> {
+        self.carried.iter().find(|(name, _)| *name == column).map(|(_, chunk)| chunk)
+    }
+}
+
+impl From<ChunkTask> for EdgeChunk {
+    /// A chunk that carries no column.
+    fn from(task: ChunkTask) -> Self {
+        EdgeChunk { task, carried: Vec::new(), duplicates: 0 }
+    }
+}
+
+impl Deref for EdgeChunk {
+    type Target = ChunkTask;
+
+    fn deref(&self) -> &ChunkTask {
+        &self.task
+    }
+}
+
 /// The queue and its occupancy gauge, shared by every server and feeder
 /// handle. Dropped with the last of them, it takes whatever is still
 /// queued off the gauge: a stage that fails leaves chunks behind, and
 /// the registry outlives the job.
 struct Metered {
-    queue: QueueHandle<ChunkTask>,
+    queue: QueueHandle<EdgeChunk>,
     occupancy: Option<Gauge>,
 }
 
@@ -65,7 +117,7 @@ impl Drop for Metered {
     }
 }
 
-/// A shared pull-based queue of chunk tasks.
+/// A shared pull-based queue of chunks.
 #[derive(Clone)]
 pub struct ManifestServer {
     inner: Arc<Metered>,
@@ -84,12 +136,8 @@ impl ManifestServer {
     /// dispatch queue shows up in one snapshot.
     pub fn new(manifest: &Manifest, telemetry: Option<&MetricsRegistry>) -> Self {
         let server = Self::with_capacity(manifest.records.len(), telemetry);
-        for (i, e) in manifest.records.iter().enumerate() {
-            let ok = server.push(ChunkTask {
-                chunk_idx: i,
-                stem: e.path.clone(),
-                num_records: e.num_records,
-            });
+        for task in ChunkTask::all(manifest) {
+            let ok = server.push(task.into());
             assert!(ok, "prefilled manifest queue cannot be closed");
         }
         // No feeder exists: close now so fetch drains the prefilled
@@ -111,37 +159,37 @@ impl ManifestServer {
     }
 
     /// Blocking push; `false` once the queue is closed.
-    fn push(&self, task: ChunkTask) -> bool {
-        let pushed = self.inner.queue.push(task).is_ok();
+    fn push(&self, chunk: EdgeChunk) -> bool {
+        let pushed = self.inner.queue.push(chunk).is_ok();
         if pushed {
             self.inner.publish(1);
         }
         pushed
     }
 
-    /// Counts a fetched task off the occupancy gauge.
-    fn taken(&self, task: Option<ChunkTask>) -> Option<ChunkTask> {
-        if task.is_some() {
+    /// Counts a fetched chunk off the occupancy gauge.
+    fn taken(&self, chunk: Option<EdgeChunk>) -> Option<EdgeChunk> {
+        if chunk.is_some() {
             self.inner.publish(-1);
         }
-        task
+        chunk
     }
 
-    /// Fetches the next chunk task; `None` once the dataset is drained.
+    /// Fetches the next chunk; `None` once the dataset is drained.
     ///
     /// On a streaming server this blocks while the feeder is alive and
     /// the queue is empty.
-    pub fn fetch(&self) -> Option<ChunkTask> {
+    pub fn fetch(&self) -> Option<EdgeChunk> {
         self.taken(self.inner.queue.pop())
     }
 
-    /// Non-blocking fetch: returns a task only if one is queued right
+    /// Non-blocking fetch: returns a chunk only if one is queued right
     /// now. `None` means "momentarily empty" *or* end-of-dataset —
     /// callers that must distinguish the two fall back to the blocking
     /// [`ManifestServer::fetch`]. The streaming sort uses this to
     /// opportunistically batch whatever chunks upstream has already
     /// finished without ever waiting for a full batch.
-    pub fn try_fetch(&self) -> Option<ChunkTask> {
+    pub fn try_fetch(&self) -> Option<EdgeChunk> {
         self.taken(self.inner.queue.try_pop())
     }
 
@@ -169,14 +217,14 @@ impl ManifestServer {
 pub struct ChunkFeeder {
     server: ManifestServer,
     /// Held for its drop, which releases this feeder's producer slot.
-    _producer: Producer<ChunkTask>,
+    _producer: Producer<EdgeChunk>,
 }
 
 impl ChunkFeeder {
-    /// Enqueues one chunk task, blocking while the queue is at
-    /// capacity. Returns `false` if the queue was force-closed.
-    pub fn push(&self, task: ChunkTask) -> bool {
-        self.server.push(task)
+    /// Enqueues one chunk, blocking while the queue is at capacity.
+    /// Returns `false` if the queue was force-closed.
+    pub fn push(&self, chunk: impl Into<EdgeChunk>) -> bool {
+        self.server.push(chunk.into())
     }
 }
 

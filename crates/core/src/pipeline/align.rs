@@ -1,22 +1,25 @@
 //! The alignment pipeline: Persona's flagship subgraph (paper Fig. 3).
 //!
 //! ```text
-//! manifest server ─► load ───────────► align ──────────► store ───────────► (chunk feeder)
-//!     (names)        (get + decode)    (subchunk tasks)   (encode, gzip, put)
+//! chunk stream ─► load ───────────────► align ──────────► store ───────────► (chunk feeder)
+//!                 (carried, else get    (subchunk tasks)   (encode, gzip, put)
+//!                  + decode; unpack)
 //! ```
 //!
-//! The stage thread fetches chunk names and keeps a bounded window of
-//! chunks in flight, each moving through three executor steps: one load
-//! task, one batch of subchunk align tasks (Fig. 4), one store task.
-//! Only the `bases` and `qual` columns are fetched (§5.2: "we read only
-//! these two columns of each chunk"); results are written as a new AGD
-//! column. Splitting every chunk into subchunks on the shared executor
-//! means chunk granularity never causes thread stragglers.
+//! The stage thread fetches chunks and keeps a bounded window of them
+//! in flight, each moving through three executor steps: one load task,
+//! one batch of subchunk align tasks (Fig. 4), one store task. Only the
+//! `bases` and `qual` columns are loaded (§5.2: "we read only these two
+//! columns of each chunk"), from the store unless the chunk carried
+//! them; results are written as a new AGD column. Each chunk goes on
+//! with the columns it brought, the two it loaded and its `results`.
+//! Splitting every chunk into subchunks on the shared executor means
+//! chunk granularity never causes thread stragglers.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use persona_agd::chunk::ChunkData;
+use persona_agd::chunk::{ChunkData, RawChunk};
 use persona_agd::chunk_io::ChunkStore;
 use persona_agd::columns;
 use persona_agd::manifest::Manifest;
@@ -24,8 +27,9 @@ use persona_agd::results::AlignmentResult;
 use persona_align::profile::PhaseProfile;
 use persona_align::Aligner;
 
+use crate::manifest_server::EdgeChunk;
 use crate::pipeline::{
-    deliver, drive, encode_results, load_column, push, split_out, subchunk_ranges, Edge, EdgeOut,
+    deliver, drive, encode_results, push, raw_column, split_out, subchunk_ranges, Edge, EdgeOut,
     Progress, StageReport, Step,
 };
 use crate::runtime::{Pending, PersonaRuntime};
@@ -71,18 +75,20 @@ impl StageReport for AlignReport {
     }
 }
 
-/// One chunk's decoded input columns. Qualities flow with the chunk as
-/// in the paper.
+/// One chunk's input columns as stored, and its bases unpacked to the
+/// ASCII the aligner reads. Qualities flow with the chunk as in the
+/// paper; their stored records are the text itself.
 struct Loaded {
-    bases: ChunkData,
-    quals: ChunkData,
+    bases: Arc<RawChunk>,
+    quals: Arc<RawChunk>,
+    ascii: ChunkData,
 }
 
 /// The executor step one chunk of the align stage is waiting on.
 enum AlignStep {
     Load(Pending<Result<Loaded>>),
     Align(Pending<(Vec<AlignmentResult>, PhaseProfile)>),
-    Store(Pending<Result<()>>),
+    Store(Pending<Result<Arc<RawChunk>>>),
 }
 
 impl Step for AlignStep {
@@ -108,10 +114,10 @@ impl Step for AlignStep {
 /// runtime's executor (Fig. 4), then records the results column and
 /// `reference` in the dataset's manifest and persists it. With a live
 /// input alignment overlaps whatever stage is feeding it; with `out`,
-/// each chunk is announced downstream once its results are durable (how
-/// the incremental sort starts while later chunks are still aligning),
-/// the stream closes after the last chunk, and the finalized manifest
-/// follows.
+/// each chunk goes downstream once its results are durable, carrying
+/// its columns (how the incremental sort starts while later chunks are
+/// still aligning, without reading them back), the stream closes after
+/// the last chunk, and the finalized manifest follows.
 pub(crate) fn align(
     rt: &PersonaRuntime,
     input: Edge,
@@ -130,7 +136,7 @@ pub(crate) fn align(
     drive(
         rt.chunk_window(),
         |block| {
-            let Some(task) = (if block { server.fetch() } else { server.try_fetch() }) else {
+            let Some(chunk) = (if block { server.fetch() } else { server.try_fetch() }) else {
                 return Ok(None);
             };
             // Stop pulling new chunks once the job is cancelled.
@@ -138,36 +144,42 @@ pub(crate) fn align(
             // The chunk span opens when the chunk is dispatched off the
             // manifest server and closes once its results are durable.
             if let Some(t) = trace {
-                t.chunk_begin("align", task.chunk_idx as u64);
+                t.chunk_begin("align", chunk.chunk_idx as u64);
             }
-            let (store, stem, n) = (rt.store().clone(), task.stem.clone(), task.num_records);
+            let (store, input) = (rt.store().clone(), chunk.clone());
             let load = exec.spawn_one(move || {
-                let bases = load_column(store.as_ref(), &stem, columns::BASES, n)?;
-                let quals = load_column(store.as_ref(), &stem, columns::QUAL, n)?;
-                Ok(Loaded { bases, quals })
+                let bases = raw_column(store.as_ref(), &input, columns::BASES)?;
+                let quals = raw_column(store.as_ref(), &input, columns::QUAL)?;
+                let ascii = bases.unpacked()?;
+                Ok(Loaded { bases, quals, ascii })
             });
-            Ok(Some((task, AlignStep::Load(load))))
+            Ok(Some((chunk, AlignStep::Load(load))))
         },
-        |(task, step)| match step {
+        |(mut chunk, step)| match step {
             AlignStep::Load(load) => {
-                let chunk = Arc::new(load.wait_one()?);
-                let n = chunk.bases.len();
-                bases += (0..n).map(|i| chunk.bases.record(i).len() as u64).sum::<u64>();
-                let aligner = aligner.clone();
+                let Loaded { bases: packed, quals, ascii } = load.wait_one()?;
+                for (column, raw) in [(columns::BASES, packed), (columns::QUAL, quals.clone())] {
+                    if chunk.column(column).is_none() {
+                        chunk.carried.push((column, raw));
+                    }
+                }
+                let n = ascii.len();
+                bases += (0..n).map(|i| ascii.record(i).len() as u64).sum::<u64>();
+                let (aligner, reads) = (aligner.clone(), Arc::new((ascii, quals)));
                 let align = exec.spawn(subchunk_ranges(n, subchunk), move |_, (lo, hi)| {
+                    let (bases, quals) = &*reads;
                     let mut prof = PhaseProfile::default();
                     let results = (lo..hi)
                         .map(|i| {
-                            let (b, q) = (chunk.bases.record(i), chunk.quals.record(i));
-                            aligner.align_read_profiled(b, q, &mut prof)
+                            aligner.align_read_profiled(bases.record(i), quals.record(i), &mut prof)
                         })
                         .collect();
                     (results, prof)
                 });
-                Ok(Progress::Next((task, AlignStep::Align(align))))
+                Ok(Progress::Next((chunk, AlignStep::Align(align))))
             }
             AlignStep::Align(align) => {
-                let mut results = Vec::with_capacity(task.num_records as usize);
+                let mut results = Vec::with_capacity(chunk.num_records as usize);
                 for (part, prof) in align.wait()? {
                     results.extend(part);
                     profile.merge(&prof);
@@ -175,23 +187,24 @@ pub(crate) fn align(
                 reads += results.len() as u64;
                 mapped += results.iter().filter(|r| !r.is_unmapped()).count() as u64;
                 let store = rt.store().clone();
-                let name = Manifest::chunk_object_name(&task.stem, columns::RESULTS);
+                let name = Manifest::chunk_object_name(&chunk.stem, columns::RESULTS);
                 let write = exec.spawn_one(move || {
-                    store.put(&name, &encode_results(&results)?)?;
-                    Ok(())
+                    let results = encode_results(&results);
+                    store.put(&name, &columns::encode_chunk(columns::RESULTS, &results))?;
+                    Ok(Arc::new(results))
                 });
-                Ok(Progress::Next((task, AlignStep::Store(write))))
+                Ok(Progress::Next((chunk, AlignStep::Store(write))))
             }
             AlignStep::Store(write) => {
-                write.wait_one()?;
-                Ok(Progress::Done(task))
+                chunk.carried.push((columns::RESULTS, write.wait_one()?));
+                Ok(Progress::Done(chunk))
             }
         },
-        |task| {
-            // Pushed only once the results object is durable: the sort
-            // reads it straight back.
-            let idx = task.chunk_idx as u64;
-            push(results_out.as_ref(), task)?;
+        |chunk: EdgeChunk| {
+            // Pushed only once the results object is durable, with the
+            // columns the sort would otherwise read straight back.
+            let idx = chunk.chunk_idx as u64;
+            push(results_out.as_ref(), chunk)?;
             chunks += 1;
             if let Some(t) = trace {
                 t.chunk_end("align", idx);

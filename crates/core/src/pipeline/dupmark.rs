@@ -24,13 +24,14 @@
 //! state spans the dataset.
 //!
 //! **Marking rides the sort's write.** When `dupmark` directly follows
-//! `sort` in a plan, the sort's output-chunk tasks mark each chunk
-//! before they encode its `results` (the halo is co-ranked out of the
-//! sort's runs, see [`crate::pipeline::sort`]), and this stage does no
-//! I/O: `pass_marked` hands every chunk on and reports the sort's
-//! count. Over a dataset at rest — a `sorted>dupmark…` plan, a job
-//! recovered after its sort landed, a cache hit that ends at `sort` —
-//! `mark_duplicates` runs the same kernel in two parallel passes over
+//! `sort` in a plan, the two share a fused group, the sort's
+//! output-chunk tasks mark each chunk before they encode its `results`
+//! (the halo is co-ranked out of the sort's runs, see
+//! [`crate::pipeline::sort`]), and this stage does no I/O: on its live
+//! edge it forwards every chunk, columns and all, and sums the counts
+//! the sort put on them. Over a dataset at rest — a `sorted>dupmark…`
+//! plan, a job recovered after its sort landed, a cache hit that ends
+//! at `sort` — it runs the same kernel in two parallel passes over
 //! `results`: the first reads each chunk's `Extent`, the second marks
 //! each chunk with the earlier chunks that reach within `D` of it read
 //! as its halo, and rewrites in place only the chunks that changed, a
@@ -44,15 +45,16 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use persona_agd::chunk::RawChunk;
-use persona_agd::columns::{self, coding};
+use persona_agd::columns;
 use persona_agd::manifest::Manifest;
 use persona_agd::results::{flags, AlignmentResult, CigarKind, CigarOp};
 
-use crate::manifest_server::ChunkTask;
+use crate::manifest_server::{ChunkTask, EdgeChunk};
 use crate::pipeline::{
-    deliver, load_raw_column, push, split_out, subchunk_ranges, Edge, EdgeOut, StageReport,
+    deliver, owned, push, raw_column, split_out, subchunk_ranges, Edge, EdgeOut, StageReport,
 };
 use crate::runtime::PersonaRuntime;
+use crate::Error;
 use crate::Result;
 
 /// Outcome of a duplicate-marking run.
@@ -202,26 +204,45 @@ impl Marker {
     }
 }
 
-/// The dupmark stage after a sort that marked `duplicates` records in
-/// its write: it does no I/O, delivers the landed `manifest` and hands
-/// every chunk on at once.
-pub(crate) fn pass_marked(
+/// The dupmark stage. A live `input` comes from the sort of its fused
+/// group, which marked each chunk's duplicates as it wrote it: the
+/// stage does no I/O, hands every chunk on as it arrives and reports
+/// the counts the chunks carry. A dataset at rest it marks itself.
+pub(crate) fn dupmark(
     rt: &PersonaRuntime,
-    manifest: Manifest,
-    duplicates: u64,
+    input: Edge,
     out: Option<EdgeOut>,
 ) -> Result<(Manifest, DupmarkReport)> {
+    match input {
+        Edge::Landed(_) => mark_duplicates(rt, input, out),
+        Edge::Live(..) => forward(rt, input, out),
+    }
+}
+
+/// Forwards the marked chunks of a live `input` to `out`, once the
+/// manifest, which the sort delivers first, has gone ahead of them.
+fn forward(
+    rt: &PersonaRuntime,
+    input: Edge,
+    out: Option<EdgeOut>,
+) -> Result<(Manifest, DupmarkReport)> {
+    let server = input.chunks(None);
+    let manifest = input.manifest()?;
     let (feeder, promise) = split_out(out);
     deliver(promise, &manifest);
     let timer = rt.stage_timer();
-    for (k, entry) in manifest.records.iter().enumerate() {
-        let task =
-            ChunkTask { chunk_idx: k, stem: entry.path.clone(), num_records: entry.num_records };
-        push(feeder.as_ref(), task)?;
+    let (mut chunks, mut reads, mut duplicates) = (0usize, 0u64, 0u64);
+    while let Some(chunk) = server.fetch() {
+        chunks += 1;
+        reads += chunk.num_records as u64;
+        duplicates += chunk.duplicates;
+        push(feeder.as_ref(), chunk)?;
+    }
+    if chunks != manifest.records.len() {
+        return Err(Error::NeighbourClosed);
     }
     drop(feeder); // Closes the downstream chunk stream.
     let stage = timer.finish();
-    let reads = manifest.total_records;
     let report = DupmarkReport {
         elapsed: stage.elapsed,
         reads,
@@ -238,7 +259,7 @@ pub(crate) fn pass_marked(
 /// When `out` is given, the manifest is delivered up front and every
 /// chunk is announced, in order, once its final results are durable in
 /// the store, so a downstream consumer overlaps with the marking pass.
-pub(crate) fn mark_duplicates(
+fn mark_duplicates(
     rt: &PersonaRuntime,
     input: Edge,
     out: Option<EdgeOut>,
@@ -249,15 +270,13 @@ pub(crate) fn mark_duplicates(
     let timer = rt.stage_timer();
     let exec = rt.stage_exec(&timer);
     let store = rt.store().clone();
-    let chunks: Arc<Vec<(String, u32)>> =
-        Arc::new(manifest.records.iter().map(|e| (e.path.clone(), e.num_records)).collect());
+    let chunks: Arc<Vec<EdgeChunk>> = Arc::new(ChunkTask::all(&manifest).map(Into::into).collect());
 
     // Pass 1: every chunk's extent, and from them the dataset's reach.
     let extents: Arc<Vec<Option<Extent>>> = {
         let (store, chunks) = (store.clone(), chunks.clone());
         exec.map((0..chunks.len()).collect(), move |_, k| {
-            let (stem, records) = &chunks[k];
-            Extent::of(&load_raw_column(store.as_ref(), stem, columns::RESULTS, *records)?)
+            Extent::of(&*raw_column(store.as_ref(), &chunks[k], columns::RESULTS)?)
         })?
         .into_iter()
         .collect::<Result<_>>()
@@ -298,10 +317,7 @@ pub(crate) fn mark_duplicates(
             exec.map(work, move |_, (k, halo)| -> Result<(u64, Option<Vec<u8>>)> {
                 let Some(own) = extents[k] else { return Ok((0, None)) };
                 let window = halo_floor(own.first, reach)..=own.last + reach;
-                let load = |j: usize| {
-                    let (stem, records) = &chunks[j];
-                    load_raw_column(store.as_ref(), stem, columns::RESULTS, *records)
-                };
+                let load = |j: usize| raw_column(store.as_ref(), &chunks[j], columns::RESULTS);
                 let mut marker = Marker::new();
                 for j in halo {
                     let chunk = load(j)?;
@@ -309,10 +325,10 @@ pub(crate) fn mark_duplicates(
                         marker.see(chunk.record(i), &window)?;
                     }
                 }
-                let mut results = load(k)?;
+                let mut results = owned(load(k)?);
                 let marked = marker.mark(&mut results)?;
-                let codec = coding(columns::RESULTS).codec;
-                Ok((marked, (marked > 0).then(|| results.encode(codec, columns::LEVEL))))
+                let encoded = columns::encode_chunk(columns::RESULTS, &results);
+                Ok((marked, (marked > 0).then_some(encoded)))
             })?
         };
         let marked = marked.into_iter().collect::<Result<Vec<_>>>()?;
@@ -320,20 +336,18 @@ pub(crate) fn mark_duplicates(
         for (k, (n, encoded)) in (lo..hi).zip(marked) {
             duplicates += n;
             if let Some(encoded) = encoded {
-                rewrites
-                    .push((Manifest::chunk_object_name(&chunks[k].0, columns::RESULTS), encoded));
+                rewrites.push((
+                    Manifest::chunk_object_name(&chunks[k].stem, columns::RESULTS),
+                    encoded,
+                ));
             }
         }
         let store = store.clone();
         exec.map(rewrites, move |_, (name, encoded)| store.put(&name, &encoded))?
             .into_iter()
             .collect::<std::io::Result<()>>()?;
-        for k in lo..hi {
-            let (stem, num_records) = &chunks[k];
-            push(
-                feeder.as_ref(),
-                ChunkTask { chunk_idx: k, stem: stem.clone(), num_records: *num_records },
-            )?;
+        for chunk in &chunks[lo..hi] {
+            push(feeder.as_ref(), chunk.clone())?;
         }
     }
     // Closes the downstream chunk stream.
@@ -345,7 +359,7 @@ pub(crate) fn mark_duplicates(
     let stage = timer.finish();
     let report = DupmarkReport {
         elapsed: stage.elapsed,
-        reads: chunks.iter().map(|&(_, records)| records as u64).sum(),
+        reads: chunks.iter().map(|chunk| chunk.num_records as u64).sum(),
         duplicates,
         busy_fraction: stage.busy_fraction(),
     };

@@ -3,18 +3,19 @@
 //! "Persona also implements an output subgraph for the common SAM/BAM
 //! format for compatibility with tools that have not been integrated or
 //! do not yet support AGD." Both stages keep a bounded window of chunks
-//! in flight and write straight from the AGD columns into each chunk's
-//! output buffer (`sam::write_line`, `bam::write_record`); the stage
-//! thread puts the chunks back in dataset order. SAM formats a chunk as
+//! in flight and write straight from the AGD columns — those a live
+//! chunk carried, unpacked, else read from the store — into each
+//! chunk's output buffer (`sam::write_line`, `bam::write_record`); the
+//! stage thread puts the chunks back in dataset order. SAM formats a chunk as
 //! subchunk tasks and writes the text out; BAM writes a chunk's records
 //! in one task, cuts the ordered payload into BGZF blocks and compresses
 //! each block as a task of its own, writing the blocks in order:
 //!
 //! ```text
-//! manifest server ─► load + format ──────────► stage thread: reorder ─► out (SAM)
-//!     (names)        (4 columns; subchunk       (by chunk index)
-//!                     tasks for SAM, one        │
-//!                     chunk task for BAM)       └─► cut 64 KiB blocks ─► bgzf tasks ─► out (BAM)
+//! chunk stream ─► load + format ──────────► stage thread: reorder ─► out (SAM)
+//!                 (4 columns; subchunk       (by chunk index)
+//!                  tasks for SAM, one        │
+//!                  chunk task for BAM)       └─► cut 64 KiB blocks ─► bgzf tasks ─► out (BAM)
 //! ```
 //!
 //! Memory is bounded by the window: at most `chunk_window` chunks in
@@ -28,11 +29,13 @@ use std::time::Duration;
 use persona_agd::chunk::ChunkData;
 use persona_agd::chunk_io::ChunkStore;
 use persona_agd::columns;
+use persona_agd::manifest::Manifest;
 use persona_compress::deflate::CompressLevel;
 use persona_formats::bam::{self, bgzf_block, BGZF_BLOCK_SIZE, BGZF_EOF};
 use persona_formats::convert::for_each_chunk_row;
 use persona_formats::sam::{self, RefMap};
 
+use crate::manifest_server::EdgeChunk;
 use crate::pipeline::{drive, load_column, subchunk_ranges, Edge, Progress, StageReport, Step};
 use crate::runtime::{Pending, PersonaRuntime, StageExec};
 use crate::{Error, Result};
@@ -77,10 +80,10 @@ struct Columns {
 }
 
 impl Columns {
-    /// Gets and decodes the four columns of the chunk at `stem`, each of
-    /// which must hold the chunk's `records` records.
-    fn load(store: &dyn ChunkStore, stem: &str, records: u32) -> Result<Columns> {
-        let load = |column| load_column(store, stem, column, records);
+    /// The four columns of `chunk` decoded — carried, else read — each
+    /// of which must hold the chunk's records.
+    fn load(store: &dyn ChunkStore, mut chunk: EdgeChunk) -> Result<Columns> {
+        let mut load = |column| load_column(store, &mut chunk, column);
         Ok(Columns {
             meta: load(columns::METADATA)?,
             bases: load(columns::BASES)?,
@@ -163,14 +166,14 @@ pub(crate) fn export_sam(
     drive(
         rt.chunk_window(),
         |block| {
-            let Some(task) = (if block { server.fetch() } else { server.try_fetch() }) else {
+            let Some(chunk) = (if block { server.fetch() } else { server.try_fetch() }) else {
                 return Ok(None);
             };
             // Stop pulling new chunks once the job is cancelled.
             rt.check_cancelled()?;
-            let (store, stem, n) = (rt.store().clone(), task.stem, task.num_records);
-            let load = exec.spawn_one(move || Columns::load(store.as_ref(), &stem, n));
-            Ok(Some((task.chunk_idx, SamStep::Load(load))))
+            let (store, idx) = (rt.store().clone(), chunk.chunk_idx);
+            let load = exec.spawn_one(move || Columns::load(store.as_ref(), chunk));
+            Ok(Some((idx, SamStep::Load(load))))
         },
         |(idx, step)| match step {
             SamStep::Load(load) => {
@@ -208,9 +211,7 @@ pub(crate) fn export_sam(
             Ok(())
         },
     )?;
-    if !parked.is_empty() {
-        return Err(Error::Pipeline("export finished with gaps in chunk order".into()));
-    }
+    check_complete(&parked, next, &manifest)?;
     let stage = timer.finish();
     Ok(ExportReport {
         elapsed: stage.elapsed,
@@ -234,8 +235,8 @@ pub(crate) fn export_bam(
     out: &mut impl Write,
     level: CompressLevel,
 ) -> Result<ExportReport> {
-    // Unmetered: export-bam never streams from a live producer, so
-    // there is no queue whose occupancy says anything.
+    // Unmetered over a dataset at rest: only a live edge's queue has an
+    // occupancy that says anything.
     let server = input.chunks(None);
     let manifest = input.manifest()?;
     let timer = rt.stage_timer();
@@ -253,14 +254,13 @@ pub(crate) fn export_bam(
     drive(
         rt.chunk_window(),
         |block| {
-            let Some(task) = (if block { server.fetch() } else { server.try_fetch() }) else {
+            let Some(chunk) = (if block { server.fetch() } else { server.try_fetch() }) else {
                 return Ok(None);
             };
             rt.check_cancelled()?;
-            let (store, stem, n, refs) =
-                (rt.store().clone(), task.stem, task.num_records, refs.clone());
+            let (store, idx, refs) = (rt.store().clone(), chunk.chunk_idx, refs.clone());
             let write = exec.spawn_one(move || {
-                let chunk = Columns::load(store.as_ref(), &stem, n)?;
+                let chunk = Columns::load(store.as_ref(), chunk)?;
                 let n = chunk.len();
                 let mut bam = Vec::with_capacity(chunk.raw_bytes(0, n) + n * 48);
                 for_each_chunk_row(&refs, chunk.columns(), 0..n, |row| {
@@ -269,7 +269,7 @@ pub(crate) fn export_bam(
                 })?;
                 Ok((n as u64, bam))
             });
-            Ok(Some((task.chunk_idx, write)))
+            Ok(Some((idx, write)))
         },
         |(idx, write)| Ok(Progress::Done((idx, write.wait_one()?))),
         |(idx, chunk)| {
@@ -282,9 +282,7 @@ pub(crate) fn export_bam(
             Ok(())
         },
     )?;
-    if !parked.is_empty() {
-        return Err(Error::Pipeline("export finished with gaps in chunk order".into()));
-    }
+    check_complete(&parked, next, &manifest)?;
     let output_bytes = blocks.finish()?;
     let stage = timer.finish();
     Ok(ExportReport {
@@ -293,6 +291,19 @@ pub(crate) fn export_bam(
         output_bytes,
         busy_fraction: stage.busy_fraction(),
     })
+}
+
+/// Fails unless the stream held every chunk of `manifest`, in order:
+/// `next` chunks written, none left `parked`. A live producer that
+/// stopped early closed its stream after delivering the manifest.
+fn check_complete<T>(parked: &BTreeMap<usize, T>, next: usize, manifest: &Manifest) -> Result<()> {
+    if !parked.is_empty() {
+        return Err(Error::Pipeline("export finished with gaps in chunk order".into()));
+    }
+    if next != manifest.records.len() {
+        return Err(Error::NeighbourClosed);
+    }
+    Ok(())
 }
 
 /// The BGZF side of export-bam, on the stage thread: fills one

@@ -3,7 +3,8 @@
 //! The stage thread parses FASTQ serially (framing is inherently
 //! sequential) and cuts it into chunks; each chunk becomes one executor
 //! batch of three column tasks, each of which encodes, compresses and
-//! stores its own column object:
+//! stores its own column object, and hands back the column as stored,
+//! which the chunk carries downstream:
 //!
 //! ```text
 //! stage thread: parse ─► chunk ─┬─► bases: encode ─► gzip ─► put ─┐
@@ -16,11 +17,12 @@ use std::io::BufRead;
 use std::sync::Arc;
 use std::time::Duration;
 
+use persona_agd::chunk::RawChunk;
 use persona_agd::columns::{self, READ_COLUMNS};
 use persona_agd::manifest::{ChunkEntry, Manifest};
 use persona_seq::Read;
 
-use crate::manifest_server::ChunkTask;
+use crate::manifest_server::{ChunkTask, EdgeChunk};
 use crate::pipeline::{deliver, drive, push, split_out, EdgeOut, Progress, StageReport};
 use crate::runtime::PersonaRuntime;
 use crate::{Error, Result};
@@ -103,28 +105,29 @@ pub(crate) fn import_fastq(
             let (store, stem, batch) = (rt.store().clone(), task.stem.clone(), Arc::new(batch));
             let put = exec.spawn(
                 READ_COLUMNS.into_iter().zip(fields).collect(),
-                move |_, (column, field)| -> Result<()> {
-                    let object = columns::encode(column, batch.iter().map(field))?;
-                    store.put(&Manifest::chunk_object_name(&stem, column), &object)?;
-                    Ok(())
+                move |_, (column, field)| -> Result<(&'static str, Arc<RawChunk>)> {
+                    let chunk = columns::pack(column, batch.iter().map(field))?;
+                    let name = Manifest::chunk_object_name(&stem, column);
+                    store.put(&name, &columns::encode_chunk(column, &chunk))?;
+                    Ok((column, Arc::new(chunk)))
                 },
             );
             Ok(Some((task, put)))
         },
         |(task, put)| {
-            put.wait()?.into_iter().collect::<Result<()>>()?;
-            Ok(Progress::Done(task))
+            let carried = put.wait()?.into_iter().collect::<Result<_>>()?;
+            Ok(Progress::Done(EdgeChunk { task, carried, duplicates: 0 }))
         },
         // Chunks finish in the order they were cut, so the manifest's
         // records grow in chunk order.
-        |task| {
+        |chunk| {
             manifest.records.push(ChunkEntry {
-                path: task.stem.clone(),
+                path: chunk.stem.clone(),
                 first_record: manifest.total_records,
-                num_records: task.num_records,
+                num_records: chunk.num_records,
             });
-            manifest.total_records += task.num_records as u64;
-            push(feeder.as_ref(), task)
+            manifest.total_records += chunk.num_records as u64;
+            push(feeder.as_ref(), chunk)
         },
     )?;
     let stage = timer.finish();
@@ -232,7 +235,7 @@ mod tests {
             std::thread::spawn(move || {
                 let mut stems = Vec::new();
                 while let Some(task) = server.fetch() {
-                    stems.push((task.chunk_idx, task.stem, task.num_records));
+                    stems.push((task.chunk_idx, task.stem.clone(), task.num_records));
                 }
                 stems
             })

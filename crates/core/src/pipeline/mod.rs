@@ -24,21 +24,35 @@
 //! Every stage function is crate-private and runs on the caller's
 //! runtime; [`crate::plan::Plan::run`] is the only way to run one. Each
 //! consumes one `Edge` (import, the head of the chain, consumes FASTQ
-//! instead) and the stages that can stream
-//! — import, align, dupmark — optionally produce one through an
-//! `EdgeOut`. An edge is a chunk stream plus the dataset's manifest:
-//! both in hand for a dataset at rest, or a live queue fed by an
-//! upstream stage with the manifest promised on a channel. A producer
-//! pushes each chunk once it is durable in the store, delivers its
-//! manifest as soon as that is final, and closes the stream by
-//! returning; a stage whose neighbour closes the stream early, or ends
-//! without delivering the manifest, fails with
-//! [`Error::NeighbourClosed`]. The plan driver
+//! instead), and every stage but export can produce one through an
+//! `EdgeOut`. An edge is three things:
+//!
+//! * a **chunk stream** — every chunk of the dataset at rest, or a live
+//!   queue an upstream stage feeds;
+//! * the **carried columns** — each chunk on a live edge brings the
+//!   stored form ([`RawChunk`]) of every column its producer holds for
+//!   it ([`EdgeChunk`]): import carries the three read columns, align
+//!   what it loaded or was handed plus its `results`, the sort's write
+//!   its four gathered columns. A consumer reads from the store only
+//!   the columns its chunk did not bring (`raw_column`,
+//!   `load_column`); there is one load path, whose source is the edge
+//!   or the store;
+//! * the dataset's **manifest** — in hand for a dataset at rest,
+//!   promised on a channel by a live producer.
+//!
+//! A producer pushes each chunk once its objects are durable in the
+//! store, delivers its manifest as soon as that is final (the sort,
+//! whose chunk boundaries are known before it writes, before its first
+//! push; a consumer that needs the manifest first, like export, waits
+//! for it), and closes the stream by returning; a stage whose
+//! neighbour closes the stream early, or ends without delivering the
+//! manifest, fails with [`Error::NeighbourClosed`]. The plan driver
 //! ([`crate::plan::Plan::run`]) wires any chain of stages through these
 //! two types alone.
 
 use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, Sender};
+use std::sync::Arc;
 use std::time::Duration;
 
 use persona_agd::chunk::{ChunkData, RawChunk};
@@ -48,7 +62,7 @@ use persona_agd::manifest::Manifest;
 use persona_agd::results::AlignmentResult;
 use persona_telemetry::MetricsRegistry;
 
-use crate::manifest_server::{ChunkFeeder, ChunkTask, ManifestServer};
+use crate::manifest_server::{ChunkFeeder, EdgeChunk, ManifestServer};
 use crate::runtime::Pending;
 use crate::{Error, Result};
 
@@ -122,9 +136,9 @@ pub(crate) fn deliver(promise: Option<Sender<Manifest>>, manifest: &Manifest) {
 /// Pushes a durable chunk downstream from the stage thread; a consumer
 /// that closed the stream makes this stage fail with the derived
 /// [`Error::NeighbourClosed`].
-pub(crate) fn push(feeder: Option<&ChunkFeeder>, task: ChunkTask) -> Result<()> {
+pub(crate) fn push(feeder: Option<&ChunkFeeder>, chunk: EdgeChunk) -> Result<()> {
     match feeder {
-        Some(feeder) if !feeder.push(task) => Err(Error::NeighbourClosed),
+        Some(feeder) if !feeder.push(chunk) => Err(Error::NeighbourClosed),
         _ => Ok(()),
     }
 }
@@ -135,10 +149,11 @@ fn get_column(store: &dyn ChunkStore, stem: &str, column: &str) -> Result<Vec<u8
     Ok(store.get(&name).map_err(|e| std::io::Error::new(e.kind(), format!("read {name}: {e}")))?)
 }
 
-/// Fails unless a column of the chunk at `stem` stores the `records`
-/// records its manifest entry says it holds.
-fn check_records(stem: &str, column: &str, stored: usize, records: u32) -> Result<()> {
-    if stored != records as usize {
+/// Fails unless a column of `chunk` holds the records its task says it
+/// holds.
+fn check_records(chunk: &EdgeChunk, column: &str, stored: usize) -> Result<()> {
+    if stored != chunk.num_records as usize {
+        let (stem, records) = (&chunk.stem, chunk.num_records);
         return Err(Error::Pipeline(format!(
             "chunk {stem}: {stored} {column} records on disk, {records} in manifest"
         )));
@@ -146,36 +161,56 @@ fn check_records(stem: &str, column: &str, stored: usize, records: u32) -> Resul
     Ok(())
 }
 
-/// Reads and decodes one column object of a chunk whose manifest entry
-/// holds `records` records.
+/// Column `column` of `chunk` as stored (bases packed): the form its
+/// edge carried, else read back from the store.
+pub(crate) fn raw_column(
+    store: &dyn ChunkStore,
+    chunk: &EdgeChunk,
+    column: &str,
+) -> Result<Arc<RawChunk>> {
+    let raw = match chunk.column(column) {
+        Some(carried) => carried.clone(),
+        None => Arc::new(RawChunk::decode(&get_column(store, &chunk.stem, column)?)?),
+    };
+    check_records(chunk, column, raw.len())?;
+    Ok(raw)
+}
+
+/// A chunk of one's own: `chunk` itself when nothing else holds it,
+/// else a copy.
+pub(crate) fn owned(chunk: Arc<RawChunk>) -> RawChunk {
+    Arc::try_unwrap(chunk).unwrap_or_else(|shared| (*shared).clone())
+}
+
+/// Column `column` of `chunk` decoded, bases unpacked to ASCII: the
+/// form its edge carried, unpacked (and moved out of `chunk`), else
+/// read back from the store.
 pub(crate) fn load_column(
     store: &dyn ChunkStore,
-    stem: &str,
+    chunk: &mut EdgeChunk,
     column: &str,
-    records: u32,
 ) -> Result<ChunkData> {
-    let chunk = ChunkData::decode(&get_column(store, stem, column)?)?;
-    check_records(stem, column, chunk.len(), records)?;
-    Ok(chunk)
+    let data = match chunk.carried.iter().position(|(name, _)| *name == column) {
+        Some(at) => match Arc::try_unwrap(chunk.carried.swap_remove(at).1) {
+            Ok(raw) => raw.unpack()?,
+            Err(shared) => shared.unpacked()?,
+        },
+        None => ChunkData::decode(&get_column(store, &chunk.stem, column)?)?,
+    };
+    check_records(chunk, column, data.len())?;
+    Ok(data)
 }
 
-/// Reads one column object of a chunk whose manifest entry holds
-/// `records` records, decoded to its stored records.
-pub(crate) fn load_raw_column(
-    store: &dyn ChunkStore,
-    stem: &str,
-    column: &str,
-    records: u32,
-) -> Result<RawChunk> {
-    let chunk = RawChunk::decode(&get_column(store, stem, column)?)?;
-    check_records(stem, column, chunk.len(), records)?;
-    Ok(chunk)
-}
-
-/// One chunk's alignment results as a `results` column object.
-pub(crate) fn encode_results(results: &[AlignmentResult]) -> Result<Vec<u8>> {
-    let encoded: Vec<Vec<u8>> = results.iter().map(AlignmentResult::encode).collect();
-    Ok(columns::encode(columns::RESULTS, encoded.iter().map(Vec::as_slice))?)
+/// One chunk's alignment results as a stored `results` chunk, each
+/// record encoded straight into its data block.
+pub(crate) fn encode_results(results: &[AlignmentResult]) -> RawChunk {
+    let bytes = results.iter().map(AlignmentResult::wire_size).sum();
+    let record_type = columns::coding(columns::RESULTS).record_type;
+    let mut chunk = RawChunk::with_capacity(record_type, results.len(), bytes);
+    for result in results {
+        chunk.push_with(|out| result.encode_into(out));
+    }
+    chunk
 }
 
 /// The executor step one chunk of a stage is waiting on.

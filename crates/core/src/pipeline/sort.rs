@@ -9,11 +9,12 @@
 //! (aligned location or read metadata). Unlike row-oriented SAM/BAM
 //! sorting, records never need re-parsing: columns are permuted as
 //! opaque byte slices, with only the key column decoded. A sorted run
-//! is its keys plus one [`RawChunk`] arena per column, holding the
-//! records as the data block stores them — bases stay packed 3-bit
-//! words, never unpacked to ASCII and packed again. Loading a chunk
-//! copies each column once, in sorted order; a fold copies the slices
-//! it merges into new arenas. No step allocates per record.
+//! is its keys plus, per column, [`RawChunk`] blocks of 1,024 records
+//! holding the records as the data block stores them — bases stay
+//! packed 3-bit words, never unpacked to ASCII and packed again.
+//! Loading a chunk copies each column once, in sorted order; a fold
+//! copies the slices it merges into new blocks. No step allocates per
+//! record.
 //!
 //! The sort is **incremental**: it pulls chunk tasks from its input
 //! edge's [`ManifestServer`](crate::manifest_server::ManifestServer)
@@ -46,6 +47,14 @@
 //! first cut as its halo, and patches the flags of its duplicates in
 //! the gathered arena. Nothing is read back or written twice.
 //!
+//! **The write is a producer.** Chunks arriving on a live edge bring
+//! their columns as stored, so the sort reads only the columns they did
+//! not carry. Its output chunk boundaries are known before it writes,
+//! so it delivers its manifest first; then each output chunk, once its
+//! puts are done, goes downstream in order with its four gathered
+//! columns and its duplicate count, and a fused dupmark or export reads
+//! nothing back.
+//!
 //! Every compute phase — per-chunk load+sort, superchunk folds, output
 //! chunk merge+mark+encode+write — runs as tagged task batches on the
 //! runtime's shared executor; the sort stage owns no threads of its own.
@@ -60,9 +69,11 @@ use persona_agd::manifest::{ChunkEntry, Manifest, SortOrder};
 use persona_agd::results::AlignmentResult;
 
 use crate::config::PersonaConfig;
-use crate::manifest_server::ChunkTask;
+use crate::manifest_server::{ChunkTask, EdgeChunk};
 use crate::pipeline::dupmark::{self, Extent, Marker};
-use crate::pipeline::{drive, load_raw_column, Edge, Progress, StageReport};
+use crate::pipeline::{
+    deliver, drive, owned, push, raw_column, split_out, Edge, EdgeOut, Progress, StageReport,
+};
 use crate::runtime::PersonaRuntime;
 use crate::{Error, Result};
 
@@ -118,9 +129,60 @@ const META: usize = 0;
 /// Arena of the results column, a coordinate sort's key.
 const RESULTS: usize = 3;
 
+/// Records per block of a gathered run's column: the unit in which the
+/// write lets go of records no output chunk still reads. Unit tests use
+/// 3, so that their small runs span many blocks.
+const BLOCK: usize = if cfg!(test) { 3 } else { 1024 };
+
+/// One column of a run: its records as stored bytes, in blocks of
+/// `per` records (the last may hold fewer). A gathered run's blocks
+/// hold [`BLOCK`] records; a chunk being loaded is one block.
+#[derive(Clone)]
+#[cfg_attr(test, derive(Debug, PartialEq))]
+struct Blocks {
+    per: usize,
+    /// `None` once the write has released the block.
+    blocks: Vec<Option<Arc<RawChunk>>>,
+}
+
+impl Blocks {
+    /// `chunk` as the one block of a column.
+    fn whole(chunk: RawChunk) -> Blocks {
+        let per = chunk.len().max(BLOCK);
+        let blocks = if chunk.is_empty() { Vec::new() } else { vec![Some(Arc::new(chunk))] };
+        Blocks { per, blocks }
+    }
+
+    /// The block holding record `i`, and its position there.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block was released.
+    #[inline]
+    fn at(&self, i: usize) -> (&RawChunk, usize) {
+        let block = self.blocks[i / self.per].as_deref().expect("released records are never read");
+        (block, i % self.per)
+    }
+
+    /// Record `i` as stored.
+    #[inline]
+    fn record(&self, i: usize) -> &[u8] {
+        let (block, i) = self.at(i);
+        block.record(i)
+    }
+
+    /// Releases every block that holds only records below `i`.
+    fn release_below(&mut self, i: usize) {
+        for block in &mut self.blocks[..i / self.per] {
+            *block = None;
+        }
+    }
+}
+
 /// One sorted run: its records' sort keys, and every column's records
-/// in sorted order as stored bytes, one arena per column. A run costs
-/// O(columns) allocations whatever its length.
+/// in sorted order as stored bytes, in blocks. A run costs O(columns)
+/// allocations per [`BLOCK`] records, and a clone of it shares them.
+#[derive(Clone)]
 #[cfg_attr(test, derive(Debug, PartialEq))]
 struct Run {
     /// The tie per record. It embeds the record's global origin —
@@ -131,12 +193,12 @@ struct Run {
     /// components are u32-bounded (chunk counts and
     /// `ChunkEntry::num_records` are `u32`), so the packing cannot
     /// collide.
-    ties: Vec<u64>,
+    ties: Arc<Vec<u64>>,
     /// The aligned location per record in a coordinate sort; empty in a
     /// query-name sort, whose key is the record's metadata.
-    locations: Vec<i64>,
-    /// One arena per column, in [`COLUMNS`] order.
-    columns: Vec<RawChunk>,
+    locations: Arc<Vec<i64>>,
+    /// One column per [`COLUMNS`] entry, in that order.
+    columns: Vec<Blocks>,
     /// The largest 5′ offset of a mapped record in a coordinate sort
     /// ([`dupmark::five_prime_offset`]); 0 in a query-name sort.
     reach: i64,
@@ -147,7 +209,7 @@ enum Work {
     /// Merge a group of runs into a superchunk.
     Fold(Vec<Run>),
     /// Load a chunk and sort it into a run.
-    Load(ChunkTask),
+    Load(EdgeChunk),
 }
 
 /// A sort key, borrowed from its run: either a location or a name.
@@ -199,8 +261,7 @@ pub fn sort_dataset(
     config: &PersonaConfig,
 ) -> Result<(Manifest, SortReport)> {
     let rt = PersonaRuntime::new(store.clone(), *config)?;
-    let (sorted, report, _) = sort(&rt, Edge::Landed(manifest.clone()), key, out_name, false)?;
-    Ok((sorted, report))
+    sort(&rt, Edge::Landed(manifest.clone()), key, out_name, false, None)
 }
 
 /// The sort stage: sorts the chunk stream of `input` into the dataset
@@ -216,15 +277,18 @@ pub fn sort_dataset(
 /// and takes chunk sizing and reference contigs from the input's
 /// manifest; a live upstream delivers it after its last chunk, by
 /// which point every chunk has been merged. With `dupmark` (a
-/// coordinate sort only) it also marks duplicates, and returns how many
-/// records it newly marked.
+/// coordinate sort only) it also marks duplicates, counting each
+/// chunk's on it. With `out`, the output manifest is delivered before
+/// the first output chunk, and each chunk goes downstream with its
+/// columns once it is durable.
 pub(crate) fn sort(
     rt: &PersonaRuntime,
     input: Edge,
     key: SortKey,
     out_name: &str,
     dupmark: bool,
-) -> Result<(Manifest, SortReport, Option<u64>)> {
+    out: Option<EdgeOut>,
+) -> Result<(Manifest, SortReport)> {
     // Chunks streamed by a live upstream carry the results column that
     // upstream is landing (only an align stage streams into a sort).
     let has_results = match &input {
@@ -258,12 +322,12 @@ pub(crate) fn sort(
     let mut superchunks = 0usize;
     let mut first_run_at: Option<Instant> = None;
 
-    let run_batch = |folds: Vec<Vec<Run>>, loads: Vec<ChunkTask>| -> Result<Vec<Run>> {
+    let run_batch = |folds: Vec<Vec<Run>>, loads: Vec<EdgeChunk>| -> Result<Vec<Run>> {
         let store = store.clone();
         let work = folds.into_iter().map(Work::Fold).chain(loads.into_iter().map(Work::Load));
         exec.map(work.collect(), move |_, work| match work {
             Work::Fold(group) => Ok(fold(group)),
-            Work::Load(task) => load_sorted_run(store.as_ref(), &task, key, has_results),
+            Work::Load(chunk) => load_sorted_run(store.as_ref(), chunk, key, has_results),
         })?
         .into_iter()
         .collect()
@@ -278,7 +342,7 @@ pub(crate) fn sort(
         if first.is_none() && due.is_empty() {
             break;
         }
-        let mut batch: Vec<ChunkTask> = first.into_iter().collect();
+        let mut batch: Vec<EdgeChunk> = first.into_iter().collect();
         while !batch.is_empty() && batch.len() < fanin {
             match server.try_fetch() {
                 Some(task) => batch.push(task),
@@ -319,8 +383,8 @@ pub(crate) fn sort(
     let records = merged.iter().map(|r| r.len() as u64).sum();
 
     let src = input.manifest()?;
-    let (out_manifest, marked) =
-        write_sorted_dataset(rt, &timer, out_name, &src, merged, key, has_results, dupmark)?;
+    let out_manifest =
+        write_sorted_dataset(rt, &timer, out_name, &src, merged, key, has_results, dupmark, out)?;
 
     let stage = timer.finish();
     Ok((
@@ -333,23 +397,23 @@ pub(crate) fn sort(
             first_run_at,
             busy_fraction: stage.busy_fraction(),
         },
-        dupmark.then_some(marked),
     ))
 }
 
-/// Loads one chunk's columns and sorts them by `(key, origin)`: the
-/// columns are copied once, in sorted order, into the run's arenas.
+/// Loads one chunk's columns — carried, else read — and sorts them by
+/// `(key, origin)`: the columns are copied once, in sorted order, into
+/// the run's arenas.
 fn load_sorted_run(
     store: &dyn ChunkStore,
-    task: &ChunkTask,
+    chunk: EdgeChunk,
     key: SortKey,
     has_results: bool,
 ) -> Result<Run> {
-    let n = task.num_records as usize;
+    let n = chunk.num_records as usize;
     let mut loaded = Vec::with_capacity(COLUMNS.len());
     for &column in run_columns(has_results) {
-        let chunk = load_raw_column(store, &task.stem, column, task.num_records)?;
-        loaded.push(stored_as(chunk, coding(column).record_type)?);
+        let raw = raw_column(store, &chunk, column)?;
+        loaded.push(stored_as(raw, coding(column).record_type)?);
     }
     let mut reach = 0;
     let locations = match key {
@@ -368,9 +432,10 @@ fn load_sorted_run(
         }
         SortKey::QueryName => Vec::new(),
     };
-    let origin = (task.chunk_idx as u64) << 32;
-    let ties = (0..n).map(|i| origin | i as u64).collect();
-    let chunk = Run { ties, locations, columns: loaded, reach };
+    let origin = (chunk.chunk_idx as u64) << 32;
+    let ties = Arc::new((0..n).map(|i| origin | i as u64).collect());
+    let columns = loaded.into_iter().map(Blocks::whole).collect();
+    let chunk = Run { ties, locations: Arc::new(locations), columns, reach };
     // Within a chunk the tie grows with the position, so `(key,
     // position)` is the composite order: a total order, in which equal
     // keys stay in chunk position order, as the old stable sort did.
@@ -392,14 +457,15 @@ fn load_sorted_run(
     Ok(gather(std::slice::from_ref(&chunk), &order))
 }
 
-/// `chunk` with the record type the sort writes for its column. A
-/// dataset may store a column as another type (bases as text, say);
-/// such a chunk is converted through its decoded records.
-fn stored_as(chunk: RawChunk, record_type: RecordType) -> Result<RawChunk> {
-    if chunk.record_type() == record_type {
-        return Ok(chunk);
+/// `chunk` with the record type the sort writes for its column, as a
+/// chunk of the sort's own. A dataset may store a column as another
+/// type (bases as text, say); such a chunk is converted through its
+/// decoded records.
+fn stored_as(chunk: Arc<RawChunk>, record_type: RecordType) -> Result<RawChunk> {
+    if chunk.record_type() != record_type {
+        return Ok(ChunkData { record_type, ..chunk.unpacked()? }.pack()?);
     }
-    Ok(ChunkData { record_type, ..chunk.unpack()? }.pack()?)
+    Ok(owned(chunk))
 }
 
 /// Co-ranking (Merge Path, Odeh et al., generalised from two runs to
@@ -463,15 +529,16 @@ fn merge_order(runs: &[Run], from: &[usize], to: &[usize]) -> Vec<(usize, usize)
     order
 }
 
-/// Copies the records `order` names into a new arena of column
+/// Copies the records `order` names into a new chunk of column
 /// `column`: one copy of their stored bytes.
 fn gather_column(runs: &[Run], column: usize, order: &[(usize, usize)]) -> RawChunk {
-    let arena = |r: usize| &runs[r].columns[column];
-    let bytes = order.iter().map(|&(r, i)| arena(r).record(i).len()).sum();
+    let column_of = |r: usize| &runs[r].columns[column];
+    let bytes = order.iter().map(|&(r, i)| column_of(r).record(i).len()).sum();
     let record_type = coding(COLUMNS[column]).record_type;
     let mut out = RawChunk::with_capacity(record_type, order.len(), bytes);
     for &(r, i) in order {
-        out.push_from(arena(r), i);
+        let (block, i) = column_of(r).at(i);
+        out.push_from(block, i);
     }
     out
 }
@@ -479,13 +546,20 @@ fn gather_column(runs: &[Run], column: usize, order: &[(usize, usize)]) -> RawCh
 /// The run of the records `order` names, in that order.
 fn gather(runs: &[Run], order: &[(usize, usize)]) -> Run {
     let located = runs.iter().any(|r| !r.locations.is_empty());
+    let column = |c| Blocks {
+        per: BLOCK,
+        blocks: order
+            .chunks(BLOCK)
+            .map(|part| Some(Arc::new(gather_column(runs, c, part))))
+            .collect(),
+    };
     Run {
-        ties: order.iter().map(|&(r, i)| runs[r].ties[i]).collect(),
-        locations: match located {
+        ties: Arc::new(order.iter().map(|&(r, i)| runs[r].ties[i]).collect()),
+        locations: Arc::new(match located {
             true => order.iter().map(|&(r, i)| runs[r].locations[i]).collect(),
             false => Vec::new(),
-        },
-        columns: (0..runs[0].columns.len()).map(|c| gather_column(runs, c, order)).collect(),
+        }),
+        columns: (0..runs[0].columns.len()).map(column).collect(),
         reach: runs.iter().map(|r| r.reach).max().unwrap_or(0),
     }
 }
@@ -522,23 +596,45 @@ fn mark_output_chunk(
     marker.mark(results)
 }
 
+/// Releases the blocks of `runs` that no output chunk from the cuts
+/// `from` on reads. Every such chunk's records, and the halo its
+/// duplicates are marked against, lie at or above the halo floor of
+/// the first record at the cuts, so nothing located below that floor
+/// is read again. A query-name run has no locations, and its keys are
+/// its records, so it keeps them all.
+fn release_read(runs: &mut [Run], from: &[usize], reach: i64) {
+    let next = runs.iter().zip(from).filter_map(|(run, &cut)| run.locations.get(cut)).min();
+    let Some(&first) = next else { return };
+    let floor = (Key::Location(dupmark::halo_floor(first, reach)), 0);
+    for run in runs {
+        let cut = run.count_below(floor);
+        for column in &mut run.columns {
+            column.release_below(cut);
+        }
+    }
+}
+
 /// Writes the merged runs as a fresh AGD dataset. Each output chunk is
-/// one executor task: it co-ranks its first and last record in every
-/// run, merges the slices between, then gathers, encodes and puts each
-/// column — marking the duplicates of `results` first when `dupmark`.
-/// Chunk boundaries are the serial merge's, so the bytes are too.
-/// Returns the manifest and how many records were newly marked.
+/// one executor task, handed the cuts its first and last record make in
+/// every run (co-ranked on the stage thread): it merges the slices
+/// between, then gathers, encodes and puts each column — marking the
+/// duplicates of `results` first when `dupmark`. Chunk
+/// boundaries are the serial merge's, so the bytes are too. Records no
+/// later chunk reads are released as the write moves on. The manifest
+/// is known before the first task and goes out on `out` first; each
+/// chunk follows, in order, with its columns once its puts are done.
 #[allow(clippy::too_many_arguments)]
 fn write_sorted_dataset(
     rt: &PersonaRuntime,
     timer: &crate::runtime::StageTimer,
     out_name: &str,
     src: &Manifest,
-    runs: Vec<Run>,
+    mut runs: Vec<Run>,
     key: SortKey,
     has_results: bool,
     dupmark: bool,
-) -> Result<(Manifest, u64)> {
+    out: Option<EdgeOut>,
+) -> Result<Manifest> {
     let chunk_size = src
         .records
         .first()
@@ -556,55 +652,58 @@ fn write_sorted_dataset(
         SortKey::QueryName => SortOrder::QueryName,
     };
     manifest.row_groups = src.row_groups.clone();
-
     let n = runs.iter().map(Run::len).sum();
     let ranges = crate::pipeline::subchunk_ranges(n, chunk_size);
+    for (k, &(lo, hi)) in ranges.iter().enumerate() {
+        manifest.records.push(ChunkEntry {
+            path: format!("{out_name}-{k}"),
+            first_record: lo as u64,
+            num_records: (hi - lo) as u32,
+        });
+    }
+    manifest.total_records = n as u64;
+    manifest.validate()?;
+    let (feeder, promise) = split_out(out);
+    deliver(promise, &manifest);
+
     let reach = runs.iter().map(|r| r.reach).max().unwrap_or(0);
-    let runs = Arc::new(runs);
     let exec = rt.stage_exec(timer);
-    let mut next = ranges.iter().copied().enumerate();
-    let mut duplicates = 0u64;
+    let mut next = manifest.records.iter().zip(&ranges).enumerate();
+    let mut from = vec![0; runs.len()];
     drive(
         rt.chunk_window(),
         |_| {
-            let Some((k, (lo, hi))) = next.next() else { return Ok(None) };
+            let Some((k, (entry, &(_, hi)))) = next.next() else { return Ok(None) };
             rt.check_cancelled()?;
-            let (runs, store) = (runs.clone(), rt.store().clone());
-            let stem = format!("{out_name}-{k}");
-            Ok(Some(exec.spawn_one(move || {
-                let from = co_rank(&runs, lo);
-                let order = merge_order(&runs, &from, &co_rank(&runs, hi));
+            let to = co_rank(&runs, hi);
+            release_read(&mut runs, &from, reach);
+            let from = std::mem::replace(&mut from, to.clone());
+            let (runs, store, stem) =
+                (Arc::new(runs.clone()), rt.store().clone(), entry.path.clone());
+            let task =
+                ChunkTask { chunk_idx: k, stem: stem.clone(), num_records: entry.num_records };
+            let write = exec.spawn_one(move || {
+                let order = merge_order(&runs, &from, &to);
                 let mut marked = 0;
+                let mut carried = Vec::with_capacity(COLUMNS.len());
                 for (c, &column) in run_columns(has_results).iter().enumerate() {
                     let mut chunk = gather_column(&runs, c, &order);
                     if dupmark && c == RESULTS {
                         marked = mark_output_chunk(&runs, &from, &mut chunk, reach)?;
                     }
                     let name = Manifest::chunk_object_name(&stem, column);
-                    store.put(&name, &chunk.encode(coding(column).codec, columns::LEVEL))?;
+                    store.put(&name, &columns::encode_chunk(column, &chunk))?;
+                    carried.push((column, Arc::new(chunk)));
                 }
-                Ok(marked)
-            })))
+                Ok(EdgeChunk { task, carried, duplicates: marked })
+            });
+            Ok(Some(write))
         },
         |write| write.wait_one().map(Progress::Done),
-        |marked| {
-            duplicates += marked;
-            Ok(())
-        },
+        |chunk| push(feeder.as_ref(), chunk),
     )?;
-    let mut first = 0u64;
-    for (k, &(lo, hi)) in ranges.iter().enumerate() {
-        manifest.records.push(ChunkEntry {
-            path: format!("{out_name}-{k}"),
-            first_record: first,
-            num_records: (hi - lo) as u32,
-        });
-        first += (hi - lo) as u64;
-    }
-    manifest.total_records = first;
-    manifest.validate()?;
     rt.store().put(&format!("{out_name}.manifest.json"), manifest.to_json()?.as_bytes())?;
-    Ok((manifest, duplicates))
+    Ok(manifest)
 }
 
 #[cfg(test)]
@@ -763,7 +862,8 @@ mod tests {
         let (store, manifest) = world(300, 30);
         let rt = PersonaRuntime::new(store.clone(), PersonaConfig::small()).unwrap();
         let (oneshot, ..) =
-            sort(&rt, Edge::Landed(manifest.clone()), SortKey::Coordinate, "ref", false).unwrap();
+            sort(&rt, Edge::Landed(manifest.clone()), SortKey::Coordinate, "ref", false, None)
+                .unwrap();
 
         let (out, edge) = Edge::streaming(4, rt.telemetry());
         let (feeder, promise) = (out.chunks, out.manifest);
@@ -785,7 +885,7 @@ mod tests {
             }
             promise.send(src).unwrap();
         });
-        let (streamed, report, _) = sort(&rt, edge, SortKey::Coordinate, "str", false).unwrap();
+        let (streamed, report) = sort(&rt, edge, SortKey::Coordinate, "str", false, None).unwrap();
         producer.join().unwrap();
         assert_eq!(report.records, 300);
         assert_eq!(report.runs, 10);
@@ -866,9 +966,15 @@ mod tests {
         }
     }
 
-    /// The columnar form of an oracle run. A name-keyed run's metadata
-    /// must be its names.
+    /// The columnar form of an oracle run, in blocks as a gather makes
+    /// them. A name-keyed run's metadata must be its names.
     fn columnar(run: &oracle::Run) -> Run {
+        let whole = one_block(run);
+        gather(std::slice::from_ref(&whole), &(0..whole.len()).map(|i| (0, i)).collect::<Vec<_>>())
+    }
+
+    /// An oracle run with each column as one block.
+    fn one_block(run: &oracle::Run) -> Run {
         let column = |c: usize, records: &[Vec<u8>]| {
             ChunkData::from_records(
                 coding(COLUMNS[c]).record_type,
@@ -879,20 +985,21 @@ mod tests {
             .unwrap()
         };
         Run {
-            ties: run.keys.iter().map(|k| k.1).collect(),
-            locations: run
-                .keys
-                .iter()
-                .filter_map(|k| match k.0 {
-                    oracle::Key::Location(location) => Some(location),
-                    oracle::Key::Name(_) => None,
-                })
-                .collect(),
+            ties: Arc::new(run.keys.iter().map(|k| k.1).collect()),
+            locations: Arc::new(
+                run.keys
+                    .iter()
+                    .filter_map(|k| match k.0 {
+                        oracle::Key::Location(location) => Some(location),
+                        oracle::Key::Name(_) => None,
+                    })
+                    .collect(),
+            ),
             columns: vec![
-                column(0, &run.meta),
-                column(1, &run.bases),
-                column(2, &run.quals),
-                column(3, &run.results),
+                Blocks::whole(column(0, &run.meta)),
+                Blocks::whole(column(1, &run.bases)),
+                Blocks::whole(column(2, &run.quals)),
+                Blocks::whole(column(3, &run.results)),
             ],
             reach: 0,
         }

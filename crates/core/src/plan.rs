@@ -26,10 +26,13 @@
 //! cancellation — an `import` directly followed by `align` streams
 //! chunks through a bounded queue while both stages share the executor,
 //! an `align` directly followed by `sort` streams finished chunks into
-//! the incremental merge (a leading `import → align → sort` fuses as a
-//! triple), and `dupmark` directly followed by `export-sam` does the
-//! same. Which neighbours stream is stated once, in [`STREAMS`];
-//! everything else about fusion is derived from it.
+//! the incremental merge, and the sort's write streams its output
+//! chunks into a following `dupmark` or export, as `dupmark` does into
+//! an export, so `import → align → sort → dupmark → export` runs as one
+//! group. Each chunk travels with the columns its producer holds, so a
+//! fused consumer does not read back what upstream just wrote. Which
+//! neighbours stream is stated once, in [`STREAMS`]; everything else
+//! about fusion is derived from it.
 //!
 //! Plans serialize to JSON through the vendored serde
 //! (`{"input":"fastq","stages":["import","align",...]}`), and
@@ -289,10 +292,14 @@ impl PlanBuilder {
 /// [`Plan::run`] driver all derive from it. A producer must accept an
 /// output edge and a consumer must drain its input's chunk stream (see
 /// the stage contract in [`crate::pipeline`]).
-pub const STREAMS: [(Stage, Stage); 3] = [
+pub const STREAMS: [(Stage, Stage); 7] = [
     (Stage::Import, Stage::Align),
     (Stage::Align, Stage::Sort),
+    (Stage::Sort, Stage::Dupmark),
+    (Stage::Sort, Stage::ExportSam),
+    (Stage::Sort, Stage::ExportBam),
     (Stage::Dupmark, Stage::ExportSam),
+    (Stage::Dupmark, Stage::ExportBam),
 ];
 
 /// The names accepted by [`Plan::preset`], in the order presets are
@@ -315,7 +322,7 @@ impl Plan {
         PlanBuilder::new(input)
     }
 
-    /// The whole paper pipeline: import ‖ align ‖ sort → dupmark ‖
+    /// The whole paper pipeline: import ‖ align ‖ sort ‖ dupmark ‖
     /// export-sam.
     pub fn full() -> Plan {
         Plan::builder(DataState::Fastq)
@@ -450,9 +457,9 @@ impl Plan {
     /// The fusion grouping [`Plan::run`] will actually execute: one
     /// `start..end` range into [`Plan::stages`] per step, where a
     /// multi-stage range is a fused group whose stages overlap through
-    /// streaming queues — the maximal chains over [`STREAMS`]
-    /// (`import‖align`, `align‖sort`, `import‖align‖sort`,
-    /// `dupmark‖export-sam`).
+    /// streaming queues — the maximal chains over [`STREAMS`] (e.g.
+    /// `import‖align`, `align‖sort‖export-bam`,
+    /// `import‖align‖sort‖dupmark‖export-sam`).
     pub fn fusion_groups(&self) -> Vec<std::ops::Range<usize>> {
         self.fusion_groups_from(0)
     }
@@ -555,9 +562,12 @@ impl Plan {
     /// The plan executes one [fusion group](Plan::fusion_groups) at a
     /// time. The stages of a group overlap through bounded streaming
     /// chunk queues while sharing the executor — alignment consumes
-    /// chunks as import encodes them, and the incremental sort loads
-    /// and merges chunks as their results land, instead of waiting for
-    /// the last aligned chunk. Exported SAM/BAM bytes are buffered and
+    /// chunks as import encodes them, the incremental sort loads and
+    /// merges chunks as their results land, instead of waiting for the
+    /// last aligned chunk, and export formats each sorted chunk as the
+    /// sort writes it — and each chunk brings the columns its producer
+    /// holds, so no stage of a group reads back what an earlier one
+    /// wrote. Exported SAM/BAM bytes are buffered and
     /// only surface in the report once the whole plan has succeeded, so
     /// a mid-plan failure can never leave a plausible-looking truncated
     /// export behind.
@@ -567,11 +577,13 @@ impl Plan {
     /// `import`, `align`, `sort`, `dupmark` — and the manifest it
     /// landed, in plan order. A group announces only once all of its
     /// stages have finished (a half-done group has landed nothing
-    /// resumable), and a landing the group's next stage re-landed under
-    /// the same dataset name is not announced: fused `import‖align`
-    /// announces `align` alone, fused `align‖sort` announces `align`
-    /// then `sort`. Export stages buffer bytes in memory rather than
-    /// landing store state, so they never announce.
+    /// resumable), and a landing whose manifest the group's next stage
+    /// overwrote with another under the same dataset name is not
+    /// announced: fused `import‖align` announces `align` alone, fused
+    /// `align‖sort‖dupmark` announces `align`, `sort`, then `dupmark`
+    /// (which hands on the sort's dataset unchanged). Export stages
+    /// buffer bytes in memory rather than landing store state, so they
+    /// never announce.
     ///
     /// **Result cache** ([`JobContext::with_cache`]): the longest cached
     /// prefix of the plan is elided, only the suffix executes (over the
@@ -643,13 +655,14 @@ impl Plan {
                     Stage::ExportSam => report.sam = output.bytes,
                     Stage::ExportBam => report.bam = output.bytes,
                 }
-                let marked = output.marked;
                 let Some(manifest) = output.landed else { continue };
-                // A landing the group's next stage re-landed under the
-                // same name (import's manifest, rewritten by a fused
-                // align) was never a resumable state of its own.
+                // A landing whose manifest the group's next stage
+                // overwrote under the same name (import's, rewritten by
+                // a fused align) was never a resumable state of its own.
+                // A dupmark that hands on its sort's dataset leaves the
+                // sort's landing in place.
                 let superseded = outputs.peek().is_some_and(|(next, _)| {
-                    next.landed.as_ref().is_some_and(|m| m.name == manifest.name)
+                    next.landed.as_ref().is_some_and(|m| m.name == manifest.name && *m != manifest)
                 });
                 if !superseded {
                     if let Some(job) = rt.job() {
@@ -659,10 +672,7 @@ impl Plan {
                         session.landed(idx, &manifest);
                     }
                 }
-                input = Some(match marked {
-                    Some(duplicates) => StageInput::Marked(manifest, duplicates),
-                    None => StageInput::Edge(Edge::Landed(manifest)),
-                });
+                input = Some(StageInput::Edge(Edge::Landed(manifest)));
             }
             spans_end(rt, stages);
         }
@@ -717,9 +727,6 @@ enum StageInput {
     /// A dataset: landed by an earlier group, or streamed by the
     /// upstream stage of this one.
     Edge(Edge),
-    /// A sorted dataset whose sort also marked its duplicates (this
-    /// many), for the dupmark stage that follows it.
-    Marked(Manifest, u64),
 }
 
 /// The per-run parameters stages read: a [`PlanRequest`] minus its
@@ -730,7 +737,8 @@ struct StageParams<'a> {
     aligner: Option<&'a Arc<dyn Aligner>>,
     reference: &'a [(String, u64)],
     /// Whether the plan's sort is directly followed by its dupmark, so
-    /// the sort marks duplicates as it writes.
+    /// the sort marks duplicates as it writes and the dupmark, fused to
+    /// it, hands its chunks on.
     sort_marks: bool,
 }
 
@@ -741,8 +749,6 @@ struct StageOutput {
     landed: Option<Manifest>,
     /// The bytes an export stage produced.
     bytes: Option<Vec<u8>>,
-    /// How many duplicates a sort marked as it wrote, when it did.
-    marked: Option<u64>,
 }
 
 /// Runs one fusion group: N stages wired by N−1 live edges, the head on
@@ -762,7 +768,13 @@ fn run_group(
     stages: &[Stage],
     head: StageInput,
 ) -> Result<Vec<StageOutput>> {
-    // Edge k joins stage k to stage k + 1.
+    // Edge k joins stage k to stage k + 1. The bytes of an export, which
+    // is always last, go into a buffer first allocated on this, the
+    // caller's, thread: the allocator serves each thread from an arena
+    // it picks at the thread's first allocation, a buffer keeps growing
+    // in its first arena, and a stage thread lives for one group only,
+    // so a buffer started there would be retained in a different arena
+    // from one run to the next.
     let capacity = rt.chunk_window();
     let mut streams = Vec::with_capacity(stages.len() - 1);
     let mut wiring = Vec::with_capacity(stages.len());
@@ -770,13 +782,13 @@ fn run_group(
     for _ in 1..stages.len() {
         let (out, edge) = Edge::streaming(capacity, rt.telemetry());
         streams.push(edge.chunks(None));
-        wiring.push((input, Some(out)));
+        wiring.push((input, Some(out), Vec::new()));
         input = StageInput::Edge(edge);
     }
-    wiring.push((input, None));
+    wiring.push((input, None, Vec::with_capacity(1)));
 
-    let run_at = |k: usize, (input, out): (StageInput, Option<EdgeOut>)| {
-        let result = run_stage(rt, params, stages[k], input, out);
+    let run_at = |k: usize, (input, out, bytes): (StageInput, Option<EdgeOut>, Vec<u8>)| {
+        let result = run_stage(rt, params, stages[k], input, out, bytes);
         if result.is_err() {
             for stream in &streams[k.saturating_sub(1)..(k + 1).min(streams.len())] {
                 stream.close();
@@ -809,15 +821,17 @@ fn run_group(
     Ok(outputs)
 }
 
-/// Runs one stage under the stage contract ([`crate::pipeline`]).
+/// Runs one stage under the stage contract ([`crate::pipeline`]); an
+/// export appends its output to `bytes`.
 fn run_stage(
     rt: &PersonaRuntime,
     params: &StageParams<'_>,
     stage: Stage,
     input: StageInput,
     out: Option<EdgeOut>,
+    mut bytes: Vec<u8>,
 ) -> Result<StageOutput> {
-    let output = |run, landed, bytes| StageOutput { run, landed, bytes, marked: None };
+    let output = |run, landed, bytes| StageOutput { run, landed, bytes };
     let dataset = |run, manifest| output(run, Some(manifest), None);
     Ok(match (stage, input) {
         (Stage::Import, StageInput::Fastq(reader)) => {
@@ -833,33 +847,24 @@ fn run_stage(
         }
         (Stage::Sort, StageInput::Edge(input)) => {
             let sorted_name = format!("{}.sorted", params.name);
-            let (manifest, report, marked) =
-                sort::sort(rt, input, SortKey::Coordinate, &sorted_name, params.sort_marks)?;
-            StageOutput { marked, ..dataset(StageRun::Sort(report), manifest) }
+            let (manifest, report) =
+                sort::sort(rt, input, SortKey::Coordinate, &sorted_name, params.sort_marks, out)?;
+            dataset(StageRun::Sort(report), manifest)
         }
         (Stage::Dupmark, StageInput::Edge(input)) => {
-            let (manifest, report) = dupmark::mark_duplicates(rt, input, out)?;
-            dataset(StageRun::Dupmark(report), manifest)
-        }
-        (Stage::Dupmark, StageInput::Marked(manifest, duplicates)) => {
-            let (manifest, report) = dupmark::pass_marked(rt, manifest, duplicates, out)?;
+            let (manifest, report) = dupmark::dupmark(rt, input, out)?;
             dataset(StageRun::Dupmark(report), manifest)
         }
         (Stage::ExportSam, StageInput::Edge(input)) => {
-            let mut sam = Vec::new();
-            let report = export::export_sam(rt, input, &mut sam)?;
-            output(StageRun::ExportSam(report), None, Some(sam))
+            let report = export::export_sam(rt, input, &mut bytes)?;
+            output(StageRun::ExportSam(report), None, Some(bytes))
         }
         (Stage::ExportBam, StageInput::Edge(input)) => {
-            let mut bam = Vec::new();
-            let report = export::export_bam(rt, input, &mut bam, CompressLevel::Fast)?;
-            output(StageRun::ExportBam(report), None, Some(bam))
+            let report = export::export_bam(rt, input, &mut bytes, CompressLevel::Fast)?;
+            output(StageRun::ExportBam(report), None, Some(bytes))
         }
         (Stage::Import, StageInput::Edge(_)) | (_, StageInput::Fastq(_)) => {
             unreachable!("validated: import, and only import, consumes the request's FASTQ")
-        }
-        (_, StageInput::Marked(..)) => {
-            unreachable!("only the dupmark a sort is followed by takes its marked dataset")
         }
     })
 }
@@ -1049,10 +1054,7 @@ mod tests {
         assert_eq!(Plan::from_aligned().input(), DataState::Aligned);
         assert_eq!(Plan::import_align().describe(), "fastq ─[import‖align]→ aligned");
         assert_eq!(Plan::import_only().describe(), "fastq ─import→ encoded-agd");
-        assert_eq!(
-            Plan::full().describe(),
-            "fastq ─[import‖align‖sort]→ sorted ─[dupmark‖export-sam]→ sam"
-        );
+        assert_eq!(Plan::full().describe(), "fastq ─[import‖align‖sort‖dupmark‖export-sam]→ sam");
         assert_eq!(
             Plan::full().describe_cached(3),
             "fastq ┄import┄align┄sort┄ sorted (cached) ─[dupmark‖export-sam]→ sam"

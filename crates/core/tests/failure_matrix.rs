@@ -131,10 +131,25 @@ const IMPORT_ALIGN_SORT: &[Stage] = &[Stage::Import, Stage::Align, Stage::Sort];
 /// A dupmark that heads its group marks a landed sorted dataset: it
 /// reads and rewrites `results` itself.
 const DUPMARK_EXPORT: &[Stage] = &[Stage::Dupmark, Stage::ExportSam];
+/// `fastq_to_bam`'s plan: every chunk travels with its columns, so no
+/// stage reads the store.
+const IMPORT_TO_BAM: &[Stage] =
+    &[Stage::Import, Stage::Align, Stage::Sort, Stage::Dupmark, Stage::ExportBam];
+/// `from-aligned`: the sort reads the landed dataset; dupmark and
+/// export read nothing.
+const SORT_DUPMARK_EXPORT: &[Stage] = &[Stage::Sort, Stage::Dupmark, Stage::ExportSam];
 
 /// `(group, failing stage, injection, substring of the root cause)`.
-/// Only sort and export read `.metadata`; only align and dupmark write
-/// `.results`; dupmark alone writes to the sorted dataset.
+/// Chunks carry their columns down a group, so a stage reads only what
+/// its edge did not bring: align the read columns of a landed dataset,
+/// sort `.metadata` when an align it is fused to loaded none, export
+/// the sorted dataset only after a dupmark that heads its group. Only
+/// align and dupmark write `.results`; the sort and a dupmark that
+/// heads its group write to the sorted dataset. A dupmark fused to its
+/// sort and an export fed by one do no I/O and run no kernel, so no
+/// failure starts at them. Their cell is the sort's manifest put, which
+/// follows its last chunk downstream: the group must fail even when
+/// they have drained the whole stream.
 const MATRIX: &[(&[Stage], Stage, Inject, &str)] = &[
     (IMPORT_ALIGN, Stage::Import, Inject::Fastq, "fastq"),
     (IMPORT_ALIGN, Stage::Align, Inject::Aligner, "aligner boom"),
@@ -142,10 +157,24 @@ const MATRIX: &[(&[Stage], Stage, Inject, &str)] = &[
     (ALIGN_SORT, Stage::Sort, Inject::Store(Op::Get, ".metadata", 1), "injected fault"),
     (IMPORT_ALIGN_SORT, Stage::Import, Inject::Fastq, "fastq"),
     (IMPORT_ALIGN_SORT, Stage::Align, Inject::Aligner, "aligner boom"),
-    (IMPORT_ALIGN_SORT, Stage::Sort, Inject::Store(Op::Get, ".metadata", 1), "injected fault"),
+    (IMPORT_ALIGN_SORT, Stage::Sort, Inject::Store(Op::Put, "g.sorted-", 1), "injected fault"),
     (DUPMARK_EXPORT, Stage::Dupmark, Inject::Store(Op::Put, "g.sorted-", 0), "injected fault"),
     (DUPMARK_EXPORT, Stage::ExportSam, Inject::Store(Op::Get, ".metadata", 1), "injected fault"),
+    (IMPORT_TO_BAM, Stage::Import, Inject::Fastq, "fastq"),
+    (IMPORT_TO_BAM, Stage::Align, Inject::Aligner, "aligner boom"),
+    (IMPORT_TO_BAM, Stage::Sort, Inject::Store(Op::Put, "g.sorted-", 1), "injected fault"),
+    (IMPORT_TO_BAM, Stage::Sort, Inject::Store(Op::Put, SORTED_MANIFEST, 0), "injected fault"),
+    (SORT_DUPMARK_EXPORT, Stage::Sort, Inject::Store(Op::Get, ".metadata", 1), "injected fault"),
+    (
+        SORT_DUPMARK_EXPORT,
+        Stage::Sort,
+        Inject::Store(Op::Put, SORTED_MANIFEST, 0),
+        "injected fault",
+    ),
 ];
+
+/// The sorted dataset's manifest object.
+const SORTED_MANIFEST: &str = "g.sorted.manifest.json";
 
 /// Runs `group` as a plan of its own with `inject` armed and returns
 /// the error the plan surfaced plus whatever the observer heard. With

@@ -25,20 +25,12 @@ fn threads_now() -> usize {
         .expect("a Threads: line")
 }
 
-#[test]
-fn fused_import_align_sort_uses_executor_and_stage_threads_only() {
-    let w = World::new();
-    let config = PersonaConfig { compute_threads: 2, ..PersonaConfig::default() };
+/// Runs `plan` from the FASTQ on a fresh runtime and returns the peak
+/// thread count sampled during the run.
+fn peak_threads(w: &World, config: PersonaConfig, plan: &Plan) -> usize {
+    assert_eq!(plan.fusion_groups(), vec![0..plan.stages().len()], "{plan:?} is one fused group");
     let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
     let rt = PersonaRuntime::new(store, config).unwrap();
-    let plan = Plan::builder(DataState::Fastq)
-        .then(Stage::Import)
-        .then(Stage::Align)
-        .then(Stage::Sort)
-        .build()
-        .unwrap();
-    assert_eq!(plan.fusion_groups(), vec![0..3], "{plan:?} is one fused group");
-
     let (stop, peak) = (Arc::new(AtomicBool::new(false)), Arc::new(AtomicUsize::new(0)));
     let sampler = {
         let (stop, peak) = (stop.clone(), peak.clone());
@@ -52,10 +44,26 @@ fn fused_import_align_sort_uses_executor_and_stage_threads_only() {
     let report = plan.run(&rt, w.request(PlanSource::fastq_bytes(w.fastq.clone()))).unwrap();
     stop.store(true, Ordering::SeqCst);
     sampler.join().unwrap();
-    assert_eq!(report.stages.len(), 3);
+    assert_eq!(report.stages.len(), plan.stages().len());
+    peak.load(Ordering::SeqCst)
+}
 
-    // The harness's main thread, this test's thread and the sampler.
-    let bound = config.compute_threads + plan.stages().len() + 3;
-    let peak = peak.load(Ordering::SeqCst);
-    assert!(peak <= bound, "{peak} threads at peak, more than {bound}");
+/// One test for both groups: tests running in parallel in this binary
+/// would inflate the count.
+#[test]
+fn fused_import_align_sort_uses_executor_and_stage_threads_only() {
+    let w = World::new();
+    let config = PersonaConfig { compute_threads: 2, ..PersonaConfig::default() };
+    let plan = |stages: &[Stage]| {
+        stages.iter().fold(Plan::builder(DataState::Fastq), |b, &s| b.then(s)).build().unwrap()
+    };
+    for plan in [
+        plan(&[Stage::Import, Stage::Align, Stage::Sort]),
+        plan(&[Stage::Import, Stage::Align, Stage::Sort, Stage::Dupmark, Stage::ExportBam]),
+    ] {
+        let peak = peak_threads(&w, config, &plan);
+        // The harness's main thread, this test's thread and the sampler.
+        let bound = config.compute_threads + plan.stages().len() + 3;
+        assert!(peak <= bound, "{plan:?}: {peak} threads at peak, more than {bound}");
+    }
 }

@@ -1,8 +1,8 @@
 //! The paper's end-to-end flow as a composable pipeline plan: by
 //! default the full chain — FASTQ import → align → coordinate sort →
 //! duplicate marking → SAM export — with all stages scheduling compute
-//! on one shared executor and import‖align / dupmark‖export overlapped
-//! (the Fig. 4 scenario). `--plan` swaps in a partial plan so perf
+//! on one shared executor and overlapped as one fused group, each chunk
+//! carrying its columns from stage to stage (the Fig. 4 scenario). `--plan` swaps in a partial plan so perf
 //! runs can target exactly the stages they care about.
 //!
 //! Run: `cargo run -p persona-examples --release --example full_pipeline -- \
