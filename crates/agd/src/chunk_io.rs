@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::path::PathBuf;
+use std::path::{Component, Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -95,6 +95,17 @@ pub struct DirStore {
 /// skips such files.
 const TEMP_PREFIX: &str = ".put-";
 
+/// Fails with [`io::ErrorKind::InvalidInput`] unless `name` is one
+/// normal path component and no put's temporary: object names come from
+/// clients, and none may reach outside a [`DirStore`]'s root.
+pub fn check_object_name(name: &str) -> io::Result<()> {
+    let part = Path::new(name).components().next();
+    if matches!(part, Some(Component::Normal(p)) if p == name) && !name.starts_with(TEMP_PREFIX) {
+        return Ok(());
+    }
+    Err(io::Error::new(io::ErrorKind::InvalidInput, format!("invalid object name {name:?}")))
+}
+
 impl DirStore {
     /// Opens (creating if needed) a directory-backed store.
     pub fn open(root: impl Into<PathBuf>) -> io::Result<Self> {
@@ -103,27 +114,23 @@ impl DirStore {
         Ok(DirStore { root })
     }
 
-    fn path(&self, name: &str) -> PathBuf {
-        self.root.join(name)
-    }
-
-    /// The backing directory.
-    pub fn root(&self) -> &std::path::Path {
-        &self.root
+    fn path(&self, name: &str) -> io::Result<PathBuf> {
+        check_object_name(name)?;
+        Ok(self.root.join(name))
     }
 }
 
 impl ChunkStore for DirStore {
     fn get(&self, name: &str) -> io::Result<Vec<u8>> {
-        std::fs::read(self.path(name))
+        std::fs::read(self.path(name)?)
     }
 
     fn put(&self, name: &str, data: &[u8]) -> io::Result<()> {
         static PUTS: AtomicU64 = AtomicU64::new(0);
+        let path = self.path(name)?;
         let seq = PUTS.fetch_add(1, Ordering::Relaxed);
-        let temp = self.path(&format!("{TEMP_PREFIX}{}-{seq}-{name}", std::process::id()));
-        let written =
-            std::fs::write(&temp, data).and_then(|()| std::fs::rename(&temp, self.path(name)));
+        let temp = self.root.join(format!("{TEMP_PREFIX}{}-{seq}-{name}", std::process::id()));
+        let written = std::fs::write(&temp, data).and_then(|()| std::fs::rename(&temp, path));
         if written.is_err() {
             let _ = std::fs::remove_file(&temp);
         }
@@ -131,7 +138,7 @@ impl ChunkStore for DirStore {
     }
 
     fn delete(&self, name: &str) -> io::Result<()> {
-        match std::fs::remove_file(self.path(name)) {
+        match std::fs::remove_file(self.path(name)?) {
             Ok(()) => Ok(()),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
             Err(e) => Err(e),
@@ -153,7 +160,7 @@ impl ChunkStore for DirStore {
     }
 
     fn exists(&self, name: &str) -> bool {
-        self.path(name).exists()
+        self.path(name).is_ok_and(|path| path.exists())
     }
 }
 
@@ -225,6 +232,33 @@ mod tests {
         assert!(reads > 0);
         assert_eq!(store.list().unwrap(), vec!["obj".to_string()], "temporary files are unlisted");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A name that is not one normal path component, or that is a put's
+    /// temporary, is refused by every operation, and nothing outside
+    /// the root is created, read or deleted through it.
+    #[test]
+    fn dir_store_names_stay_inside_the_root() {
+        let base = std::env::temp_dir().join(format!("agd-dirstore-names-{}", std::process::id()));
+        let (root, outside) = (base.join("root"), base.join("outside"));
+        let store = DirStore::open(&root).unwrap();
+        std::fs::create_dir_all(root.join("a")).unwrap();
+        std::fs::create_dir_all(&outside).unwrap();
+        std::fs::write(outside.join("x"), b"secret").unwrap();
+        let absolute = outside.join("x").to_str().unwrap().to_string();
+        for name in ["../outside/x", "../x", absolute.as_str(), "a/b", ".put-1-2-x", "", ".", ".."]
+        {
+            let refused = |r: io::Result<()>| r.unwrap_err().kind() == io::ErrorKind::InvalidInput;
+            assert!(refused(store.get(name).map(drop)), "get {name:?}");
+            assert!(refused(store.put(name, b"escaped")), "put {name:?}");
+            assert!(refused(store.delete(name)), "delete {name:?}");
+            assert!(!store.exists(name), "exists {name:?}");
+        }
+        assert_eq!(std::fs::read(outside.join("x")).unwrap(), b"secret");
+        assert_eq!(std::fs::read_dir(&outside).unwrap().count(), 1, "nothing created outside");
+        assert!(!root.join("a").join("b").exists() && !base.join("x").exists());
+        assert!(store.list().unwrap().is_empty());
+        std::fs::remove_dir_all(&base).unwrap();
     }
 
     #[test]

@@ -133,11 +133,6 @@ impl BwaMemAligner {
         BwaMemAligner { genome, fm, params }
     }
 
-    /// The aligner's parameters.
-    pub fn params(&self) -> &BwaParams {
-        &self.params
-    }
-
     /// Finds SMEM-style seeds by repeated maximal backward extension
     /// from the right end of unexplored read suffixes, into `seeds`
     /// (cleared first).

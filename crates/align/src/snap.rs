@@ -99,11 +99,6 @@ impl SnapAligner {
         SnapAligner { genome, index, params }
     }
 
-    /// The aligner's parameters.
-    pub fn params(&self) -> &SnapParams {
-        &self.params
-    }
-
     /// Seeding: fills `s.rc` and leaves the candidates to verify, best
     /// first, in `s.candidates`.
     fn seed(&self, bases: &[u8], s: &mut Scratch, prof: &mut PhaseProfile) {

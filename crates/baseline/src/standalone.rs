@@ -6,7 +6,6 @@
 //! formats whose I/O volume Table 1 contrasts with AGD (18 GB read and
 //! 67 GB written vs. 15 GB and 4 GB).
 
-use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -159,20 +158,6 @@ pub fn collect_sam_output(store: &dyn ChunkStore, output_object: &str) -> Result
         out.extend_from_slice(&store.get(&n)?);
     }
     Ok(out)
-}
-
-/// Emits the SAM header for standalone outputs (callers prepend it).
-pub fn sam_header(reference: &[(String, u64)]) -> Vec<u8> {
-    let refs = RefMap::new(
-        &reference
-            .iter()
-            .map(|(name, length)| RefContig { name: name.clone(), length: *length })
-            .collect::<Vec<_>>(),
-    );
-    let mut buf = Vec::new();
-    persona_formats::sam::write_header(&mut buf, &refs, false).expect("in-memory write");
-    let _ = buf.flush();
-    buf
 }
 
 #[cfg(test)]

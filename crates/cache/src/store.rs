@@ -40,14 +40,6 @@ impl CacheKey {
     pub fn new(input: Digest, prefix: impl Into<String>) -> CacheKey {
         CacheKey { input, prefix: prefix.into() }
     }
-
-    /// A short digest of the whole key, for logs and stats output.
-    pub fn fingerprint(&self) -> String {
-        let mut bytes = self.input.to_hex().into_bytes();
-        bytes.push(b'\n');
-        bytes.extend_from_slice(self.prefix.as_bytes());
-        Digest::of_bytes(&bytes).to_hex()[..16].to_string()
-    }
 }
 
 serde::serde_struct! {

@@ -1,8 +1,8 @@
 //! Plan-aware result caching: when a job carries a [`ResultCache`]
 //! ([`JobContext::with_cache`](crate::runtime::JobContext::with_cache)),
 //! [`Plan::run`] consults it before executing, runs only the uncached
-//! suffix of the plan, and registers every durably-landed stage output
-//! under its content-addressed prefix key.
+//! suffix of the plan, and registers stage outputs under their
+//! content-addressed prefix keys (which also makes them land).
 //!
 //! A cache key is `(input digest, prefix key)`:
 //!
@@ -18,10 +18,11 @@
 //!   `sort → dupmark → export`.
 //!
 //! Correctness around in-place mutation: `dupmark` rewrites its input
-//! dataset's results chunks under the same names. The driver therefore
-//! (a) never registers a prefix whose next stage is `dupmark` — the
-//! pre-mutation snapshot would go stale the moment the run continues —
-//! and (b) when a cache hit's first uncached stage is `dupmark`,
+//! dataset's results chunks under the same names, and `align` finishes
+//! import's dataset under the same name. The driver therefore (a) never
+//! registers a prefix whose next stage is `dupmark` or `align` — the
+//! earlier snapshot would go stale the moment the run continues — and
+//! (b) when a cache hit's first uncached stage is `dupmark`,
 //! removes the consumed entry before mutating the shared dataset, then
 //! re-registers it under the longer (post-dupmark) prefix. Duplicate
 //! marking is idempotent, so a dataset that was already marked
@@ -33,7 +34,7 @@ use persona_agd::Manifest;
 pub use persona_cache::{CacheEntry, CacheHit, CacheKey, CacheStats, Digest, ResultCache};
 use serde::{Serialize, Value};
 
-use crate::plan::{DataState, Plan, PlanReport, PlanRequest, PlanSource, Stage};
+use crate::plan::{Plan, PlanRequest, PlanSource, Stage};
 use crate::runtime::PersonaRuntime;
 
 /// The per-run execution parameters that shape a prefix's output and
@@ -99,7 +100,7 @@ pub fn prefix_key(plan: &Plan, len: usize, fp: &RunFingerprint) -> String {
     serde_json::to_string(&Value::Object(fields)).expect("prefix key serialization is infallible")
 }
 
-/// How a run used the result cache ([`PlanReport::cache`]).
+/// How a run used the result cache ([`PlanReport::cache`](crate::plan::PlanReport::cache)).
 #[derive(Debug)]
 pub struct CacheUse {
     /// Leading stages satisfied from the cache (0 on a miss, or when
@@ -200,16 +201,23 @@ impl<'a> CacheSession<'a> {
         self.hit.as_ref().map(|hit| (self.elided, &hit.entry))
     }
 
+    /// Whether the run registers (and so lands, see [`Plan::run`]) the
+    /// state stage `idx` leaves: not when the next stage rewrites that
+    /// dataset in place, as the entry would be stale at once.
+    pub(crate) fn registers(&self, idx: usize) -> bool {
+        let stages = self.plan.stages();
+        stages[idx].is_durable()
+            && !matches!(stages.get(idx + 1), Some(Stage::Align | Stage::Dupmark))
+    }
+
     /// Registers the dataset stage `idx` of the plan landed under the
     /// prefix key ending at that stage, at the cost of the consumed
-    /// prefix plus this run so far.
+    /// prefix plus this run so far, if the run registers it.
     pub(crate) fn landed(&self, idx: usize, manifest: &Manifest) {
-        let stages = self.plan.stages();
-        // A prefix whose next stage rewrites this dataset in place
-        // would be stale before anyone could reuse it: skip it.
-        if stages.get(idx + 1) == Some(&Stage::Dupmark) {
+        if !self.registers(idx) {
             return;
         }
+        let stages = self.plan.stages();
         let len = idx + 1;
         let key = CacheKey::new(self.input_digest, prefix_key(self.plan, len, &self.fp));
         let base_cost_ns = self.hit.as_ref().map_or(0, |hit| hit.entry.cost_ns);
@@ -273,21 +281,10 @@ fn invalidate_written(
     }
 }
 
-/// Slots a cached entry's manifest into the report field a cold run
-/// would have used: `sorted` for sorted/dup-marked state, `manifest`
-/// otherwise (see [`PlanReport::final_manifest`]).
-pub(crate) fn place_manifest(report: &mut PlanReport, entry: &CacheEntry) {
-    match DataState::parse(&entry.state) {
-        Some(DataState::Sorted) | Some(DataState::DupMarked) => {
-            report.sorted = Some(entry.manifest.clone());
-        }
-        _ => report.manifest = Some(entry.manifest.clone()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::DataState;
 
     fn fp(chunk: usize, aligner: Option<&str>) -> RunFingerprint {
         RunFingerprint {

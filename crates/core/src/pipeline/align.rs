@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! chunk stream ─► load ───────────────► align ──────────► store ───────────► (chunk feeder)
-//!                 (carried, else get    (subchunk tasks)   (encode, gzip, put)
-//!                  + decode; unpack)
+//!                 (carried, else get    (subchunk tasks)   (encode; gzip, put
+//!                  + decode; unpack)                        when it lands)
 //! ```
 //!
 //! The stage thread fetches chunks and keeps a bounded window of them
@@ -11,8 +11,9 @@
 //! one batch of subchunk align tasks (Fig. 4), one store task. Only the
 //! `bases` and `qual` columns are loaded (§5.2: "we read only these two
 //! columns of each chunk"), from the store unless the chunk carried
-//! them; results are written as a new AGD column. Each chunk goes on
-//! with the columns it brought, the two it loaded and its `results`.
+//! them; results are written as a new AGD column when the stage's state
+//! lands. Each chunk goes on with the columns it brought, the two it
+//! loaded and its `results`.
 //! Splitting every chunk into subchunks on the shared executor means
 //! chunk granularity never causes thread stragglers.
 
@@ -20,7 +21,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use persona_agd::chunk::{ChunkData, RawChunk};
-use persona_agd::chunk_io::ChunkStore;
 use persona_agd::columns;
 use persona_agd::manifest::Manifest;
 use persona_agd::results::AlignmentResult;
@@ -30,7 +30,7 @@ use persona_align::Aligner;
 use crate::manifest_server::EdgeChunk;
 use crate::pipeline::{
     deliver, drive, encode_results, push, raw_column, split_out, subchunk_ranges, Edge, EdgeOut,
-    Progress, StageReport, Step,
+    Landing, Progress, StageReport, Step,
 };
 use crate::runtime::{Pending, PersonaRuntime};
 use crate::Result;
@@ -112,19 +112,23 @@ impl Step for AlignStep {
 /// The align stage: aligns the chunks of `input`, each through a load
 /// task, a batch of subchunk align tasks and a store task on the
 /// runtime's executor (Fig. 4), then records the results column and
-/// `reference` in the dataset's manifest and persists it. With a live
+/// `reference` in the dataset's manifest, and persists the results and
+/// the manifest when `landing` is [`Landing::State`]. With a live
 /// input alignment overlaps whatever stage is feeding it; with `out`,
-/// each chunk goes downstream once its results are durable, carrying
-/// its columns (how the incremental sort starts while later chunks are
-/// still aligning, without reading them back), the stream closes after
-/// the last chunk, and the finalized manifest follows.
+/// each chunk goes downstream once its results are encoded (and
+/// durable, when they land), carrying its columns (how the incremental
+/// sort starts while later chunks are still aligning, without reading
+/// them back), the stream closes after the last chunk, and the
+/// finalized manifest follows.
 pub(crate) fn align(
     rt: &PersonaRuntime,
     input: Edge,
     aligner: Arc<dyn Aligner>,
     reference: &[(String, u64)],
+    landing: Landing,
     out: Option<EdgeOut>,
 ) -> Result<(Manifest, AlignReport)> {
+    let lands = landing == Landing::State;
     let (results_out, promise) = split_out(out);
     let server = input.chunks(Some(rt.telemetry()));
     let timer = rt.stage_timer();
@@ -190,7 +194,9 @@ pub(crate) fn align(
                 let name = Manifest::chunk_object_name(&chunk.stem, columns::RESULTS);
                 let write = exec.spawn_one(move || {
                     let results = encode_results(&results);
-                    store.put(&name, &columns::encode_chunk(columns::RESULTS, &results))?;
+                    if lands {
+                        store.put(&name, &columns::encode_chunk(columns::RESULTS, &results))?;
+                    }
                     Ok(Arc::new(results))
                 });
                 Ok(Progress::Next((chunk, AlignStep::Store(write))))
@@ -201,8 +207,9 @@ pub(crate) fn align(
             }
         },
         |chunk: EdgeChunk| {
-            // Pushed only once the results object is durable, with the
-            // columns the sort would otherwise read straight back.
+            // Pushed only once the results object is durable, if it
+            // lands, with the columns the sort would otherwise read
+            // straight back.
             let idx = chunk.chunk_idx as u64;
             push(results_out.as_ref(), chunk)?;
             chunks += 1;
@@ -225,22 +232,14 @@ pub(crate) fn align(
     };
     drop(results_out); // Closes the downstream chunk stream.
     let mut manifest = input.manifest()?;
-    finalize_manifest(rt.store().as_ref(), &mut manifest, reference)?;
+    columns::declare(&mut manifest, columns::RESULTS)?;
+    persona_formats::convert::set_reference(&mut manifest, reference);
+    if lands {
+        rt.store()
+            .put(&format!("{}.manifest.json", manifest.name), manifest.to_json()?.as_bytes())?;
+    }
     deliver(promise, &manifest);
     Ok((manifest, report))
-}
-
-/// Records the results column (and reference contigs) in the manifest
-/// and persists it to the store.
-fn finalize_manifest(
-    store: &dyn ChunkStore,
-    manifest: &mut Manifest,
-    reference: &[(String, u64)],
-) -> Result<()> {
-    columns::declare(manifest, columns::RESULTS)?;
-    persona_formats::convert::set_reference(manifest, reference);
-    store.put(&format!("{}.manifest.json", manifest.name), manifest.to_json()?.as_bytes())?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -252,7 +251,7 @@ mod tests {
     use crate::plan::{DataState, Plan, PlanRequest, PlanSource, Stage, StageRun};
     use crate::Error;
     use persona_agd::builder::DatasetWriter;
-    use persona_agd::chunk_io::MemStore;
+    use persona_agd::chunk_io::{ChunkStore, MemStore};
     use persona_agd::dataset::Dataset;
     use persona_align::snap::{SnapAligner, SnapParams};
     use persona_index::SeedIndex;
@@ -359,7 +358,7 @@ mod tests {
             promise.send(manifest.clone()).unwrap();
             let input = Edge::Live(server.clone(), promised);
             handles.push(std::thread::spawn(move || {
-                align(&rt, input, aligner, &[], None).unwrap().1.reads
+                align(&rt, input, aligner, &[], Landing::State, None).unwrap().1.reads
             }));
         }
         let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
@@ -390,7 +389,8 @@ mod tests {
             store.put(&name, &columns::encode(column, chunk.iter().skip(1)).unwrap()).unwrap();
             let before = store.get("t.manifest.json").unwrap();
             let rt = PersonaRuntime::new(store.clone(), PersonaConfig::small()).unwrap();
-            let err = align(&rt, Edge::Landed(manifest), aligner, &[], None).unwrap_err();
+            let input = Edge::Landed(manifest);
+            let err = align(&rt, input, aligner, &[], Landing::State, None).unwrap_err();
             match err {
                 Error::Pipeline(msg) => {
                     assert!(msg.contains("chunk t-1") && msg.contains(column), "{msg}")

@@ -2,9 +2,9 @@
 //!
 //! The stage thread parses FASTQ serially (framing is inherently
 //! sequential) and cuts it into chunks; each chunk becomes one executor
-//! batch of three column tasks, each of which encodes, compresses and
-//! stores its own column object, and hands back the column as stored,
-//! which the chunk carries downstream:
+//! batch of three column tasks, each of which encodes (compressing and
+//! storing it if it lands) and hands back its column, which the chunk
+//! carries downstream:
 //!
 //! ```text
 //! stage thread: parse ─► chunk ─┬─► bases: encode ─► gzip ─► put ─┐
@@ -23,7 +23,7 @@ use persona_agd::manifest::{ChunkEntry, Manifest};
 use persona_seq::Read;
 
 use crate::manifest_server::{ChunkTask, EdgeChunk};
-use crate::pipeline::{deliver, drive, push, split_out, EdgeOut, Progress, StageReport};
+use crate::pipeline::{deliver, drive, push, split_out, EdgeOut, Landing, Progress, StageReport};
 use crate::runtime::PersonaRuntime;
 use crate::{Error, Result};
 
@@ -62,15 +62,16 @@ impl StageReport for ImportReport {
 
 /// Imports FASTQ into a new AGD dataset named `name`, in chunks of
 /// `chunk_size` reads (positive: [`crate::plan::Plan::check_fastq_input`]
-/// checked it), encoding columns as executor task batches. When `out`
-/// is given, every written chunk is also announced on it (the stream
-/// ends when the stage returns) and the manifest is delivered once it
-/// has landed.
+/// checked it), encoding columns as executor task batches and putting
+/// what `landing` says. When `out` is given, every chunk is also
+/// announced on it (the stream ends when the stage returns), then the
+/// manifest.
 pub(crate) fn import_fastq(
     rt: &PersonaRuntime,
     input: impl BufRead + Send + 'static,
     name: &str,
     chunk_size: usize,
+    landing: Landing,
     out: Option<EdgeOut>,
 ) -> Result<(Manifest, ImportReport)> {
     let (feeder, promise) = split_out(out);
@@ -107,8 +108,10 @@ pub(crate) fn import_fastq(
                 READ_COLUMNS.into_iter().zip(fields).collect(),
                 move |_, (column, field)| -> Result<(&'static str, Arc<RawChunk>)> {
                     let chunk = columns::pack(column, batch.iter().map(field))?;
-                    let name = Manifest::chunk_object_name(&stem, column);
-                    store.put(&name, &columns::encode_chunk(column, &chunk))?;
+                    if landing != Landing::Nothing {
+                        let name = Manifest::chunk_object_name(&stem, column);
+                        store.put(&name, &columns::encode_chunk(column, &chunk))?;
+                    }
                     Ok((column, Arc::new(chunk)))
                 },
             );
@@ -132,7 +135,9 @@ pub(crate) fn import_fastq(
     )?;
     let stage = timer.finish();
     manifest.validate()?;
-    rt.store().put(&format!("{name}.manifest.json"), manifest.to_json()?.as_bytes())?;
+    if landing == Landing::State {
+        rt.store().put(&format!("{name}.manifest.json"), manifest.to_json()?.as_bytes())?;
+    }
     deliver(promise, &manifest);
 
     let report = ImportReport {
@@ -241,7 +246,8 @@ mod tests {
             })
         };
         let (manifest, report) =
-            import_fastq(&rt, std::io::Cursor::new(bytes), "st", 100, Some(out)).unwrap();
+            import_fastq(&rt, std::io::Cursor::new(bytes), "st", 100, Landing::State, Some(out))
+                .unwrap();
         assert_eq!(edge.manifest().unwrap(), manifest);
         let mut got = collector.join().unwrap();
         got.sort();

@@ -13,7 +13,7 @@
 //! bounded window of them in flight on the executor (sized from the
 //! executor's thread count, in one place), moves each from one executor
 //! step to the next, and does every push downstream once a chunk is
-//! durable. Executor tasks never wait on a queue, channel or batch, and
+//! finished. Executor tasks never wait on a queue, channel or batch, and
 //! never touch a [`ChunkFeeder`]: a task blocked on a full chunk queue
 //! could hold the very worker that would drain it. A task that panics
 //! fails its stage with [`Error::TaskPanicked`], after the stage has
@@ -41,10 +41,12 @@
 //!   promised on a channel by a live producer.
 //!
 //! A producer pushes each chunk once its objects are durable in the
-//! store, delivers its manifest as soon as that is final (the sort,
-//! whose chunk boundaries are known before it writes, before its first
-//! push; a consumer that needs the manifest first, like export, waits
-//! for it), and closes the stream by returning; a stage whose
+//! store, or once it is built when its state does not land (the plan
+//! driver's landing rule: then it puts nothing), delivers its manifest
+//! as soon as that is final (the sort, whose chunk boundaries are known
+//! before it writes, before its first push; a consumer that needs the
+//! manifest first, like export, waits for it), and closes the stream by
+//! returning; a stage whose
 //! neighbour closes the stream early, or ends without delivering the
 //! manifest, fails with [`Error::NeighbourClosed`]. The plan driver
 //! ([`crate::plan::Plan::run`]) wires any chain of stages through these
@@ -77,7 +79,7 @@ pub(crate) enum Edge {
     /// A dataset at rest in the store.
     Landed(Manifest),
     /// The output of a live upstream stage: chunks arrive on the stream
-    /// as they become durable, and the manifest once upstream has
+    /// as upstream finishes them, and the manifest once upstream has
     /// finalized it.
     Live(ManifestServer, Receiver<Manifest>),
 }
@@ -119,6 +121,17 @@ pub(crate) struct EdgeOut {
     pub(crate) manifest: Sender<Manifest>,
 }
 
+/// What a stage puts in the store ([`crate::plan::Plan::run`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Landing {
+    /// Nothing: chunks and manifest travel on the edge only.
+    Nothing,
+    /// Its chunks, not its manifest: a fused align lands their dataset.
+    Chunks,
+    /// Its chunks and its manifest.
+    State,
+}
+
 /// Splits an optional [`EdgeOut`] into its two halves: the feeder for
 /// the stage thread's chunk pushes, and the promise for the end.
 pub(crate) fn split_out(out: Option<EdgeOut>) -> (Option<ChunkFeeder>, Option<Sender<Manifest>>) {
@@ -133,7 +146,7 @@ pub(crate) fn deliver(promise: Option<Sender<Manifest>>, manifest: &Manifest) {
     }
 }
 
-/// Pushes a durable chunk downstream from the stage thread; a consumer
+/// Pushes a finished chunk downstream from the stage thread; a consumer
 /// that closed the stream makes this stage fail with the derived
 /// [`Error::NeighbourClosed`].
 pub(crate) fn push(feeder: Option<&ChunkFeeder>, chunk: EdgeChunk) -> Result<()> {

@@ -30,9 +30,10 @@
 //! chunks into a following `dupmark` or export, as `dupmark` does into
 //! an export, so `import → align → sort → dupmark → export` runs as one
 //! group. Each chunk travels with the columns its producer holds, so a
-//! fused consumer does not read back what upstream just wrote. Which
-//! neighbours stream is stated once, in [`STREAMS`]; everything else
-//! about fusion is derived from it.
+//! fused consumer does not read back what upstream just wrote, nor
+//! land what no one reads ([`Plan::run`]). Which neighbours stream is
+//! stated once, in [`STREAMS`]; everything else about fusion is derived
+//! from it.
 //!
 //! Plans serialize to JSON through the vendored serde
 //! (`{"input":"fastq","stages":["import","align",...]}`), and
@@ -40,6 +41,7 @@
 //! can ship plans without ever admitting an invalid one.
 
 use std::io::BufRead;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -54,7 +56,7 @@ use crate::pipeline::dupmark::{self, DupmarkReport};
 use crate::pipeline::export::{self, ExportReport};
 use crate::pipeline::import::{self, ImportReport};
 use crate::pipeline::sort::{self, SortKey, SortReport};
-use crate::pipeline::{Edge, EdgeOut, StageReport};
+use crate::pipeline::{Edge, EdgeOut, Landing, StageReport};
 use crate::runtime::PersonaRuntime;
 use crate::{Error, Result};
 
@@ -138,10 +140,10 @@ impl Stage {
         }
     }
 
-    /// Whether this stage lands durable dataset state in the runtime's
-    /// store (and therefore notifies the job's stage observer and is a
-    /// candidate cache boundary). Export stages buffer bytes in memory
-    /// and land nothing.
+    /// Whether this stage's dataset state can land in the runtime's
+    /// store (and therefore notify the job's stage observer and be a
+    /// cache boundary). Export stages buffer bytes in memory and land
+    /// nothing.
     pub fn is_durable(&self) -> bool {
         matches!(self, Stage::Import | Stage::Align | Stage::Sort | Stage::Dupmark)
     }
@@ -460,14 +462,14 @@ impl Plan {
     /// streaming queues — the maximal chains over [`STREAMS`] (e.g.
     /// `import‖align`, `align‖sort‖export-bam`,
     /// `import‖align‖sort‖dupmark‖export-sam`).
-    pub fn fusion_groups(&self) -> Vec<std::ops::Range<usize>> {
+    pub fn fusion_groups(&self) -> Vec<Range<usize>> {
         self.fusion_groups_from(0)
     }
 
     /// [`Plan::fusion_groups`] of the stages from `skip` on, so a cached
     /// run's suffix groups exactly as it will execute (eliding part of
     /// a chain shortens it).
-    fn fusion_groups_from(&self, skip: usize) -> Vec<std::ops::Range<usize>> {
+    fn fusion_groups_from(&self, skip: usize) -> Vec<Range<usize>> {
         let mut groups = Vec::new();
         let mut start = skip;
         for end in skip + 1..=self.stages.len() {
@@ -572,24 +574,29 @@ impl Plan {
     /// a mid-plan failure can never leave a plausible-looking truncated
     /// export behind.
     ///
+    /// **Landing rule.** A group lands its last dataset state (and the
+    /// sort whose dataset a fused `dupmark` hands on), and an earlier
+    /// state only if the job's result cache registers it; the rest
+    /// travels on the edges alone. So an uncached `full` lands only the
+    /// sorted dataset, and fused `import‖align` lands `align` (import
+    /// puts its chunks, not its manifest).
+    ///
     /// **Observer** ([`JobContext::with_observer`]): called after each
-    /// group with every stage of it that landed durable dataset state —
+    /// group with every stage of it whose dataset state landed —
     /// `import`, `align`, `sort`, `dupmark` — and the manifest it
     /// landed, in plan order. A group announces only once all of its
     /// stages have finished (a half-done group has landed nothing
-    /// resumable), and a landing whose manifest the group's next stage
-    /// overwrote with another under the same dataset name is not
-    /// announced: fused `import‖align` announces `align` alone, fused
-    /// `align‖sort‖dupmark` announces `align`, `sort`, then `dupmark`
-    /// (which hands on the sort's dataset unchanged). Export stages
-    /// buffer bytes in memory rather than landing store state, so they
-    /// never announce.
+    /// resumable): an uncached fused `import‖align‖sort‖dupmark`
+    /// announces `sort`, then `dupmark` (which hands on the sort's
+    /// dataset unchanged). Export stages buffer bytes in memory rather
+    /// than landing store state, so they never announce.
     ///
     /// **Result cache** ([`JobContext::with_cache`]): the longest cached
     /// prefix of the plan is elided, only the suffix executes (over the
-    /// cached manifest), and every announced landing is registered
-    /// under its prefix key; [`PlanReport::cache`] says what was reused.
-    /// Output is byte-identical to an uncached run.
+    /// cached manifest), and every landing the cache registers (see the
+    /// landing rule) is registered under its prefix key;
+    /// [`PlanReport::cache`] says what was reused. Output is
+    /// byte-identical to an uncached run.
     ///
     /// [`JobContext::with_observer`]: crate::runtime::JobContext::with_observer
     /// [`JobContext::with_cache`]: crate::runtime::JobContext::with_cache
@@ -643,10 +650,11 @@ impl Plan {
             // spans open — the dump shows where the run died.
             spans_begin(rt, stages);
             count_stage_runs(rt, stages);
+            let landing = self.landing(group.clone(), session.as_ref());
             let head = input.take().expect("only a terminal export lands nothing to continue from");
-            let mut outputs =
-                run_group(rt, &params, stages, head)?.into_iter().zip(group).peekable();
-            while let Some((output, idx)) = outputs.next() {
+            for (output, idx) in
+                run_group(rt, &params, stages, &landing, head)?.into_iter().zip(group)
+            {
                 report.stages.push(output.run);
                 match self.stages[idx] {
                     Stage::Import | Stage::Align => report.manifest = output.landed.clone(),
@@ -656,21 +664,11 @@ impl Plan {
                     Stage::ExportBam => report.bam = output.bytes,
                 }
                 let Some(manifest) = output.landed else { continue };
-                // A landing whose manifest the group's next stage
-                // overwrote under the same name (import's, rewritten by
-                // a fused align) was never a resumable state of its own.
-                // A dupmark that hands on its sort's dataset leaves the
-                // sort's landing in place.
-                let superseded = outputs.peek().is_some_and(|(next, _)| {
-                    next.landed.as_ref().is_some_and(|m| m.name == manifest.name && *m != manifest)
-                });
-                if !superseded {
-                    if let Some(job) = rt.job() {
-                        job.observe(self.stages[idx], &manifest);
-                    }
-                    if let Some(session) = &session {
-                        session.landed(idx, &manifest);
-                    }
+                if let Some(job) = rt.job() {
+                    job.observe(self.stages[idx], &manifest);
+                }
+                if let Some(session) = &session {
+                    session.landed(idx, &manifest);
                 }
                 input = Some(StageInput::Edge(Edge::Landed(manifest)));
             }
@@ -680,11 +678,31 @@ impl Plan {
         if let (None, Some((_, entry))) = (report.final_manifest(), hit) {
             // Nothing that ran landed a dataset (every stage cached, or
             // an export-only suffix): the plan's final dataset is the
-            // cached one.
-            crate::caching::place_manifest(&mut report, entry);
+            // cached one, in the field a cold run would have used.
+            let cached = Some(entry.manifest.clone());
+            match DataState::parse(&entry.state) {
+                Some(DataState::Sorted | DataState::DupMarked) => report.sorted = cached,
+                _ => report.manifest = cached,
+            }
         }
         report.elapsed = started.elapsed();
         Ok(report)
+    }
+
+    /// The landing rule ([`Plan::run`]) for the stages of `group`.
+    fn landing(&self, group: Range<usize>, session: Option<&CacheSession>) -> Vec<Landing> {
+        let last = group.clone().rev().find(|&idx| self.stages[idx].is_durable());
+        let lands = |idx: usize| {
+            last == Some(idx)
+                || (last == Some(idx + 1) && self.stages[idx + 1] == Stage::Dupmark)
+                || session.is_some_and(|session| session.registers(idx))
+        };
+        let landing = |idx: usize| match self.stages.get(idx + 1) {
+            _ if lands(idx) => Landing::State,
+            Some(Stage::Align) if lands(idx + 1) => Landing::Chunks,
+            _ => Landing::Nothing,
+        };
+        group.map(landing).collect()
     }
 }
 
@@ -745,7 +763,7 @@ struct StageParams<'a> {
 /// What one stage hands back to the driver.
 struct StageOutput {
     run: StageRun,
-    /// The dataset the stage landed in the store, if it lands one.
+    /// The dataset state the stage landed in the store, if any.
     landed: Option<Manifest>,
     /// The bytes an export stage produced.
     bytes: Option<Vec<u8>>,
@@ -766,6 +784,7 @@ fn run_group(
     rt: &PersonaRuntime,
     params: &StageParams<'_>,
     stages: &[Stage],
+    landing: &[Landing],
     head: StageInput,
 ) -> Result<Vec<StageOutput>> {
     // Edge k joins stage k to stage k + 1. The bytes of an export, which
@@ -788,7 +807,7 @@ fn run_group(
     wiring.push((input, None, Vec::with_capacity(1)));
 
     let run_at = |k: usize, (input, out, bytes): (StageInput, Option<EdgeOut>, Vec<u8>)| {
-        let result = run_stage(rt, params, stages[k], input, out, bytes);
+        let result = run_stage(rt, params, stages[k], landing[k], input, out, bytes);
         if result.is_err() {
             for stream in &streams[k.saturating_sub(1)..(k + 1).min(streams.len())] {
                 stream.close();
@@ -821,28 +840,30 @@ fn run_group(
     Ok(outputs)
 }
 
-/// Runs one stage under the stage contract ([`crate::pipeline`]); an
-/// export appends its output to `bytes`.
+/// Runs one stage under the stage contract ([`crate::pipeline`]), with
+/// the `landing` of an import or align; an export appends to `bytes`.
 fn run_stage(
     rt: &PersonaRuntime,
     params: &StageParams<'_>,
     stage: Stage,
+    landing: Landing,
     input: StageInput,
     out: Option<EdgeOut>,
     mut bytes: Vec<u8>,
 ) -> Result<StageOutput> {
     let output = |run, landed, bytes| StageOutput { run, landed, bytes };
-    let dataset = |run, manifest| output(run, Some(manifest), None);
+    let dataset =
+        |run, manifest| output(run, (landing == Landing::State).then_some(manifest), None);
     Ok(match (stage, input) {
         (Stage::Import, StageInput::Fastq(reader)) => {
             let (manifest, report) =
-                import::import_fastq(rt, reader, params.name, params.chunk_size, out)?;
+                import::import_fastq(rt, reader, params.name, params.chunk_size, landing, out)?;
             dataset(StageRun::Import(report), manifest)
         }
         (Stage::Align, StageInput::Edge(input)) => {
             let aligner = params.aligner.expect("validated: aligning plans carry an aligner");
             let (manifest, report) =
-                align::align(rt, input, aligner.clone(), params.reference, out)?;
+                align::align(rt, input, aligner.clone(), params.reference, landing, out)?;
             dataset(StageRun::Align(report), manifest)
         }
         (Stage::Sort, StageInput::Edge(input)) => {
@@ -966,9 +987,9 @@ pub struct PlanReport {
     /// One report per executed stage, in plan order.
     pub stages: Vec<StageRun>,
     /// The primary dataset manifest, set whenever `import` or `align`
-    /// ran (align finalizes the manifest with the results column and
+    /// landed (align finalizes the manifest with the results column and
     /// reference metadata, so this supersedes a dataset-source input
-    /// manifest). `None` only for plans that neither import nor align.
+    /// manifest). `None` when neither landed ([`Plan::run`]).
     pub manifest: Option<Manifest>,
     /// The sorted dataset manifest, when [`Stage::Sort`] ran.
     pub sorted: Option<Manifest>,

@@ -112,11 +112,6 @@ impl JobContext {
         &self.cancel
     }
 
-    /// The job's dispatch priority.
-    pub fn priority(&self) -> Priority {
-        self.priority
-    }
-
     /// The job's executor counters: busy time and task counts across
     /// every stage this job ran (the service's per-tenant accounting).
     pub fn counters(&self) -> &Arc<NodeCounters> {

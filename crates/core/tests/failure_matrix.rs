@@ -143,9 +143,10 @@ const SORT_DUPMARK_EXPORT: &[Stage] = &[Stage::Sort, Stage::Dupmark, Stage::Expo
 /// Chunks carry their columns down a group, so a stage reads only what
 /// its edge did not bring: align the read columns of a landed dataset,
 /// sort `.metadata` when an align it is fused to loaded none, export
-/// the sorted dataset only after a dupmark that heads its group. Only
-/// align and dupmark write `.results`; the sort and a dupmark that
-/// heads its group write to the sorted dataset. A dupmark fused to its
+/// the sorted dataset only after a dupmark that heads its group. No
+/// run here has a cache, so import and align put nothing in a group
+/// that continues past them; the sort and a dupmark that heads its
+/// group write to the sorted dataset. A dupmark fused to its
 /// sort and an export fed by one do no I/O and run no kernel, so no
 /// failure starts at them. Their cell is the sort's manifest put, which
 /// follows its last chunk downstream: the group must fail even when
@@ -153,7 +154,7 @@ const SORT_DUPMARK_EXPORT: &[Stage] = &[Stage::Sort, Stage::Dupmark, Stage::Expo
 const MATRIX: &[(&[Stage], Stage, Inject, &str)] = &[
     (IMPORT_ALIGN, Stage::Import, Inject::Fastq, "fastq"),
     (IMPORT_ALIGN, Stage::Align, Inject::Aligner, "aligner boom"),
-    (ALIGN_SORT, Stage::Align, Inject::Store(Op::Put, ".results", 2), "injected fault"),
+    (ALIGN_SORT, Stage::Align, Inject::Store(Op::Get, ".qual", 2), "injected fault"),
     (ALIGN_SORT, Stage::Sort, Inject::Store(Op::Get, ".metadata", 1), "injected fault"),
     (IMPORT_ALIGN_SORT, Stage::Import, Inject::Fastq, "fastq"),
     (IMPORT_ALIGN_SORT, Stage::Align, Inject::Aligner, "aligner boom"),

@@ -41,6 +41,7 @@ use persona::caching::CacheUse;
 use persona::plan::{Plan, PlanReport, PlanRequest, PlanSource, Stage};
 use persona::runtime::{JobContext, PersonaRuntime};
 use persona::{Error, Result};
+use persona_agd::chunk_io::check_object_name;
 use persona_agd::manifest::Manifest;
 use persona_align::Aligner;
 use persona_cache::{CacheEvent, CacheStats, Digest, ResultCache};
@@ -413,6 +414,12 @@ impl PersonaService {
         }
         if spec.tenant.is_empty() {
             return Err(Error::Pipeline("tenant must not be empty".into()));
+        }
+        // Object names derive from the job name and a dataset input.
+        check_object_name(&spec.name)?;
+        if let JobInput::Dataset(m) = &spec.input {
+            let mut names = std::iter::once(&m.name).chain(m.records.iter().map(|e| &e.path));
+            names.try_for_each(|name| check_object_name(name))?;
         }
         // Plan/spec coherence is checked at admission — through the
         // same Plan helpers Plan::run uses, so admission-time and

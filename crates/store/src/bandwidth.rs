@@ -63,11 +63,6 @@ impl TokenBucket {
         Self::with_clock(rate, Duration::from_millis(50), clock)
     }
 
-    /// The configured rate in bytes/second.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
     /// Consumes `n` bytes of budget, sleeping as needed.
     ///
     /// Uses a deficit model: the balance is debited immediately (it may

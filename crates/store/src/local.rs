@@ -75,11 +75,6 @@ impl<S: ChunkStore> ThrottledStore<S> {
     pub fn stats(&self) -> &StoreStats {
         &self.stats
     }
-
-    /// The wrapped store.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
 }
 
 impl<S: ChunkStore> ChunkStore for ThrottledStore<S> {

@@ -207,11 +207,6 @@ impl MetricsRegistry {
         self.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// Whether handles currently publish.
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
     /// Gets or registers the counter `name`.
     ///
     /// # Panics

@@ -5,10 +5,12 @@
 
 use std::sync::Arc;
 
+use persona::caching::{Digest, ResultCache};
 use persona::config::PersonaConfig;
 use persona::plan::{Plan, PlanRequest, PlanSource, Stage};
-use persona::runtime::PersonaRuntime;
+use persona::runtime::{JobContext, PersonaRuntime};
 use persona_agd::chunk_io::{ChunkStore, MemStore};
+use persona_dataflow::Priority;
 use persona_integration_tests::common::Fixture;
 
 /// Runs the five stages one at a time, each as a one-stage plan, and
@@ -30,31 +32,39 @@ fn run_stages_separately(fx: &Fixture, name: &str, chunk: usize) -> (Vec<u8>, Ve
 }
 
 /// The fused run matches the stage-by-stage run at every executor
-/// width. The alignment kernel is whichever `PERSONA_KERNEL` selects
-/// (CI runs this file once per dispatch arm); it is process-global, so
-/// this test never switches it.
+/// width, with and without a result cache. The alignment kernel is
+/// whichever `PERSONA_KERNEL` selects (CI runs this file once per
+/// dispatch arm); it is process-global, so this test never switches it.
 #[test]
 fn fused_pipeline_is_byte_identical_to_separate_stages() {
     let fx = Fixture::new(3001, 900);
     let (sep_sorted_manifest, sep_manifest, sep_sam) = run_stages_separately(&fx, "fp", 150);
+    let digest = Digest::of_bytes(&persona_formats::fastq::to_bytes(&fx.reads));
 
     for threads in [1, 2, 4, 8] {
         let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
         let config = PersonaConfig { compute_threads: threads, ..PersonaConfig::small() };
-        let rt = PersonaRuntime::new(store.clone(), config).unwrap();
+        let cached = threads % 2 == 0;
+        let mut job = JobContext::new(Priority::Normal);
+        if cached {
+            job = job.with_cache(Arc::new(ResultCache::new(4)), digest);
+        }
+        let rt = PersonaRuntime::new(store.clone(), config).unwrap().for_job(job);
         let report = Plan::full().run(&rt, fx.fastq_request("fp", 150)).unwrap();
         let fused_sam = report.sam.as_deref().expect("full plan exports SAM");
 
         // Same record counts through every stage.
         assert_eq!(report.stages.iter().map(|s| s.records()).collect::<Vec<_>>(), [900; 5]);
 
-        // Byte-identical outputs: the exported SAM and both persisted
-        // manifests match the stage-by-stage run exactly.
+        // Byte-identical outputs: the exported SAM and the persisted
+        // manifests match the stage-by-stage run exactly. The unsorted
+        // aligned dataset lands only when the job's cache registers it.
         assert_eq!(
             fused_sam, sep_sam,
             "fused SAM differs from separate stages at {threads} threads"
         );
-        assert_eq!(store.get("fp.manifest.json").unwrap(), sep_manifest, "{threads} threads");
+        let aligned = store.get("fp.manifest.json").ok();
+        assert_eq!(aligned, cached.then(|| sep_manifest.clone()), "{threads} threads");
         assert_eq!(
             store.get("fp.sorted.manifest.json").unwrap(),
             sep_sorted_manifest,

@@ -188,11 +188,12 @@ fn mid_plan_resume_is_byte_identical_at_every_stage_boundary() {
             _ => None,
         })
         .collect();
-    // Full plan ⇒ fused import‖align journals `align`, then `sort`,
-    // then `dupmark` (export stages land no dataset state).
+    // Full plan, one fused group, no cache ⇒ only the sorted dataset
+    // lands: the job journals `sort`, then `dupmark` (export stages
+    // land no dataset state).
     assert_eq!(
         boundaries.iter().map(|(_, name)| name.as_str()).collect::<Vec<_>>(),
-        vec!["started", "align", "sort", "dupmark"],
+        vec!["started", "sort", "dupmark"],
     );
 
     for (index, label) in boundaries {

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use persona::config::PersonaConfig;
-use persona::plan::Plan;
+use persona::plan::{DataState, Plan, Stage};
 use persona::runtime::PersonaRuntime;
 use persona::wire::{
     write_frame, ErrorCode, Message, SubmitInput, WireClient, WireJobStatus, WireSubmit,
@@ -153,6 +153,37 @@ fn partial_plan_over_the_wire_lands_a_dataset() {
     let manifest = outcome.manifest.expect("import lands a dataset");
     assert_eq!(manifest.total_records, 200);
     assert_eq!(outcome.stages.iter().map(|s| s.stage.as_str()).collect::<Vec<_>>(), vec!["import"]);
+}
+
+/// A job name or dataset input that would name a store object outside
+/// the store's root gets an `invalid-request` reply at submit, and the
+/// connection stays usable.
+#[test]
+fn object_names_outside_the_store_are_refused_at_submit() {
+    let fx = Fixture::new(8010, 60);
+    let server = serve(fx.aligner.clone(), 2);
+    let mut client = WireClient::connect(server.local_addr()).unwrap();
+    let job = client.submit(wire_submit(&fx, "ingest", "lab", Plan::import_only())).unwrap();
+    let landed = client.wait(job).unwrap().manifest.expect("import lands a dataset");
+    let refused = |client: &mut WireClient, submit: WireSubmit| match client.submit(submit) {
+        Err(persona::wire::WireClientError::Remote { code, .. }) => {
+            code == ErrorCode::InvalidRequest
+        }
+        other => panic!("expected invalid-request, got {other:?}"),
+    };
+    for name in ["../escape", "/abs/x", "a/b", ".put-1-2-x"] {
+        assert!(refused(&mut client, wire_submit(&fx, name, "lab", Plan::import_only())), "{name}");
+    }
+    let align = Plan::builder(DataState::EncodedAgd).then(Stage::Align).build().unwrap();
+    for path in ["/some/dir/x", "../x"] {
+        let mut manifest = landed.clone();
+        manifest.records[0].path = path.to_string();
+        let mut submit = wire_submit(&fx, "realign", "lab", align.clone());
+        submit.input = SubmitInput::Dataset(manifest);
+        assert!(refused(&mut client, submit), "{path}");
+    }
+    let job = client.submit(wire_submit(&fx, "after", "lab", Plan::import_only())).unwrap();
+    assert_eq!(client.wait(job).unwrap().status, WireJobStatus::Completed);
 }
 
 /// Dropping the connection cancels the client's unfinished jobs.
