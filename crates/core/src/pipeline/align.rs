@@ -27,10 +27,9 @@ use persona_agd::results::AlignmentResult;
 use persona_align::profile::PhaseProfile;
 use persona_align::Aligner;
 
-use crate::manifest_server::EdgeChunk;
+use crate::manifest_server::{Edge, EdgeChunk, EdgeOut};
 use crate::pipeline::{
-    deliver, drive, encode_results, push, raw_column, split_out, subchunk_ranges, Edge, EdgeOut,
-    Landing, Progress, StageReport, Step,
+    drive, encode_results, raw_column, subchunk_ranges, Landing, Progress, StageReport, Step,
 };
 use crate::runtime::{Pending, PersonaRuntime};
 use crate::Result;
@@ -129,8 +128,6 @@ pub(crate) fn align(
     out: Option<EdgeOut>,
 ) -> Result<(Manifest, AlignReport)> {
     let lands = landing == Landing::State;
-    let (results_out, promise) = split_out(out);
-    let server = input.chunks(Some(rt.telemetry()));
     let timer = rt.stage_timer();
     let exec = rt.stage_exec(&timer);
     let subchunk = rt.config().subchunk_size.max(1);
@@ -140,13 +137,13 @@ pub(crate) fn align(
     drive(
         rt.chunk_window(),
         |block| {
-            let Some(chunk) = (if block { server.fetch() } else { server.try_fetch() }) else {
+            let Some(chunk) = (if block { input.fetch() } else { input.try_fetch() }) else {
                 return Ok(None);
             };
             // Stop pulling new chunks once the job is cancelled.
             rt.check_cancelled()?;
-            // The chunk span opens when the chunk is dispatched off the
-            // manifest server and closes once its results are durable.
+            // The chunk span opens when the chunk is fetched off the
+            // input edge and closes once its results are durable.
             if let Some(t) = trace {
                 t.chunk_begin("align", chunk.chunk_idx as u64);
             }
@@ -211,7 +208,9 @@ pub(crate) fn align(
             // lands, with the columns the sort would otherwise read
             // straight back.
             let idx = chunk.chunk_idx as u64;
-            push(results_out.as_ref(), chunk)?;
+            if let Some(out) = &out {
+                out.push(chunk)?;
+            }
             chunks += 1;
             if let Some(t) = trace {
                 t.chunk_end("align", idx);
@@ -230,7 +229,6 @@ pub(crate) fn align(
         busy_fraction: stage.busy_fraction(),
         finished_at: Instant::now(),
     };
-    drop(results_out); // Closes the downstream chunk stream.
     let mut manifest = input.manifest()?;
     columns::declare(&mut manifest, columns::RESULTS)?;
     persona_formats::convert::set_reference(&mut manifest, reference);
@@ -238,7 +236,9 @@ pub(crate) fn align(
         rt.store()
             .put(&format!("{}.manifest.json", manifest.name), manifest.to_json()?.as_bytes())?;
     }
-    deliver(promise, &manifest);
+    if let Some(out) = out {
+        out.deliver(&manifest);
+    }
     Ok((manifest, report))
 }
 
@@ -246,7 +246,6 @@ pub(crate) fn align(
 mod tests {
     use super::*;
     use crate::config::PersonaConfig;
-    use crate::manifest_server::ManifestServer;
     use crate::pipeline::run_stage;
     use crate::plan::{DataState, Plan, PlanRequest, PlanSource, Stage, StageRun};
     use crate::Error;
@@ -347,23 +346,20 @@ mod tests {
     #[test]
     fn shared_manifest_server_splits_work() {
         let (_genome, store, manifest, aligner) = build_world(400, 50);
-        let server = ManifestServer::new(&manifest, None);
+        let edge = Edge::landed(manifest.clone());
         let rt = PersonaRuntime::new(store.clone(), PersonaConfig::small()).unwrap();
         // Two "servers" race on the same manifest queue, sharing one
         // runtime (and therefore one executor).
         let mut handles = Vec::new();
         for _ in 0..2 {
-            let (rt, aligner) = (rt.clone(), aligner.clone());
-            let (promise, promised) = std::sync::mpsc::channel();
-            promise.send(manifest.clone()).unwrap();
-            let input = Edge::Live(server.clone(), promised);
+            let (rt, aligner, input) = (rt.clone(), aligner.clone(), edge.clone());
             handles.push(std::thread::spawn(move || {
                 align(&rt, input, aligner, &[], Landing::State, None).unwrap().1.reads
             }));
         }
         let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
         assert_eq!(total, 400);
-        assert_eq!(server.remaining(), 0);
+        assert_eq!(edge.remaining(), 0);
         // Every chunk's results object exists exactly once.
         for e in &manifest.records {
             assert!(store.exists(&format!("{}.results", e.path)));
@@ -389,7 +385,7 @@ mod tests {
             store.put(&name, &columns::encode(column, chunk.iter().skip(1)).unwrap()).unwrap();
             let before = store.get("t.manifest.json").unwrap();
             let rt = PersonaRuntime::new(store.clone(), PersonaConfig::small()).unwrap();
-            let input = Edge::Landed(manifest);
+            let input = Edge::landed(manifest);
             let err = align(&rt, input, aligner, &[], Landing::State, None).unwrap_err();
             match err {
                 Error::Pipeline(msg) => {

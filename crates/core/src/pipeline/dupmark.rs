@@ -27,17 +27,19 @@
 //! `sort` in a plan, the two share a fused group, the sort's
 //! output-chunk tasks mark each chunk before they encode its `results`
 //! (the halo is co-ranked out of the sort's runs, see
-//! [`crate::pipeline::sort`]), and this stage does no I/O: on its live
-//! edge it forwards every chunk, columns and all, and sums the counts
-//! the sort put on them. Over a dataset at rest — a `sorted>dupmark…`
-//! plan, a job recovered after its sort landed, a cache hit that ends
-//! at `sort` — it runs the same kernel in two parallel passes over
-//! `results`: the first reads each chunk's `Extent`, the second marks
-//! each chunk with the earlier chunks that reach within `D` of it read
-//! as its halo, and rewrites in place only the chunks that changed, a
-//! window of chunks at a time so that no chunk is read while it is
-//! rewritten. That pass assumes no order: on a coordinate-sorted
-//! dataset a chunk's halo is the few chunks just before it.
+//! [`crate::pipeline::sort`]), and the dupmark runs no stage: the plan
+//! driver wires the sort's output edge to the stage after it and
+//! reports the sort's count as the dupmark's, with no wall and no busy
+//! time of its own. This stage runs only over a dataset at rest — a
+//! `sorted>dupmark…` plan, a job recovered after its sort landed, a
+//! cache hit that ends at `sort` — where it runs the same kernel in two
+//! parallel passes over `results`: the first reads each chunk's
+//! `Extent`, the second marks each chunk with the earlier chunks that
+//! reach within `D` of it read as its halo, and rewrites in place only
+//! the chunks that changed, a window of chunks at a time so that no
+//! chunk is read while it is rewritten. That pass assumes no order: on
+//! a coordinate-sorted dataset a chunk's halo is the few chunks just
+//! before it.
 
 use std::collections::HashSet;
 use std::ops::RangeInclusive;
@@ -49,12 +51,9 @@ use persona_agd::columns;
 use persona_agd::manifest::Manifest;
 use persona_agd::results::{flags, AlignmentResult, CigarKind, CigarOp};
 
-use crate::manifest_server::{ChunkTask, EdgeChunk};
-use crate::pipeline::{
-    deliver, owned, push, raw_column, split_out, subchunk_ranges, Edge, EdgeOut, StageReport,
-};
+use crate::manifest_server::{Edge, EdgeChunk, EdgeOut};
+use crate::pipeline::{owned, raw_column, subchunk_ranges, StageReport};
 use crate::runtime::PersonaRuntime;
-use crate::Error;
 use crate::Result;
 
 /// Outcome of a duplicate-marking run.
@@ -204,73 +203,26 @@ impl Marker {
     }
 }
 
-/// The dupmark stage. A live `input` comes from the sort of its fused
-/// group, which marked each chunk's duplicates as it wrote it: the
-/// stage does no I/O, hands every chunk on as it arrives and reports
-/// the counts the chunks carry. A dataset at rest it marks itself.
-pub(crate) fn dupmark(
-    rt: &PersonaRuntime,
-    input: Edge,
-    out: Option<EdgeOut>,
-) -> Result<(Manifest, DupmarkReport)> {
-    match input {
-        Edge::Landed(_) => mark_duplicates(rt, input, out),
-        Edge::Live(..) => forward(rt, input, out),
-    }
-}
-
-/// Forwards the marked chunks of a live `input` to `out`, once the
-/// manifest, which the sort delivers first, has gone ahead of them.
-fn forward(
-    rt: &PersonaRuntime,
-    input: Edge,
-    out: Option<EdgeOut>,
-) -> Result<(Manifest, DupmarkReport)> {
-    let server = input.chunks(None);
-    let manifest = input.manifest()?;
-    let (feeder, promise) = split_out(out);
-    deliver(promise, &manifest);
-    let timer = rt.stage_timer();
-    let (mut chunks, mut reads, mut duplicates) = (0usize, 0u64, 0u64);
-    while let Some(chunk) = server.fetch() {
-        chunks += 1;
-        reads += chunk.num_records as u64;
-        duplicates += chunk.duplicates;
-        push(feeder.as_ref(), chunk)?;
-    }
-    if chunks != manifest.records.len() {
-        return Err(Error::NeighbourClosed);
-    }
-    drop(feeder); // Closes the downstream chunk stream.
-    let stage = timer.finish();
-    let report = DupmarkReport {
-        elapsed: stage.elapsed,
-        reads,
-        duplicates,
-        busy_fraction: stage.busy_fraction(),
-    };
-    Ok((manifest, report))
-}
-
-/// The dupmark stage over the landed dataset of `input`: marks its
+/// The dupmark stage over the dataset at rest `input` holds: marks its
 /// duplicates in place (no other column is touched) and returns its
 /// unchanged manifest.
 ///
 /// When `out` is given, the manifest is delivered up front and every
 /// chunk is announced, in order, once its final results are durable in
 /// the store, so a downstream consumer overlaps with the marking pass.
-fn mark_duplicates(
+pub(crate) fn mark_duplicates(
     rt: &PersonaRuntime,
     input: Edge,
     out: Option<EdgeOut>,
 ) -> Result<(Manifest, DupmarkReport)> {
     let manifest = input.manifest()?;
-    let (feeder, promise) = split_out(out);
-    deliver(promise, &manifest);
+    if let Some(out) = &out {
+        out.deliver(&manifest);
+    }
     let timer = rt.stage_timer();
     let exec = rt.stage_exec(&timer);
     let store = rt.store().clone();
-    let chunks: Arc<Vec<EdgeChunk>> = Arc::new(ChunkTask::all(&manifest).map(Into::into).collect());
+    let chunks: Arc<Vec<EdgeChunk>> = Arc::new(std::iter::from_fn(|| input.fetch()).collect());
 
     // Pass 1: every chunk's extent, and from them the dataset's reach.
     let extents: Arc<Vec<Option<Extent>>> = {
@@ -346,12 +298,14 @@ fn mark_duplicates(
         exec.map(rewrites, move |_, (name, encoded)| store.put(&name, &encoded))?
             .into_iter()
             .collect::<std::io::Result<()>>()?;
-        for chunk in &chunks[lo..hi] {
-            push(feeder.as_ref(), chunk.clone())?;
+        if let Some(out) = &out {
+            for chunk in &chunks[lo..hi] {
+                out.push(chunk.clone())?;
+            }
         }
     }
     // Closes the downstream chunk stream.
-    drop(feeder);
+    drop(out);
     // A rewrite skipped by cancellation leaves stale results in the
     // store; the run must not report success.
     rt.check_cancelled()?;
@@ -590,6 +544,32 @@ mod tests {
         }
     }
 
+    /// A dupmark fused to its sort runs no stage: its row has no wall and
+    /// no busy time, the sort's reads, and the count the landed pass
+    /// finds over the same sorted records.
+    #[test]
+    fn a_folded_dupmark_reports_the_sorts_count_and_no_time() {
+        let results: Vec<AlignmentResult> =
+            (0..60).map(|i| result((i * 7) % 25, i % 3 == 0)).collect();
+        let (store, manifest) = world(results, 7);
+        let rt = PersonaRuntime::new(store.clone(), PersonaConfig::small()).unwrap();
+        let plain = run_plan(&rt, DataState::Aligned, &[Stage::Sort], &manifest, "plain");
+        let sorted = plain.sorted.as_ref().unwrap();
+        let landed = run_plan(&rt, DataState::Sorted, &[Stage::Dupmark], sorted, "plain");
+        let want = dupmark_of(&landed).duplicates;
+        assert!(want > 0, "the dataset has duplicates");
+        for export in [Stage::ExportSam, Stage::ExportBam] {
+            let stages = [Stage::Sort, Stage::Dupmark, export];
+            let folded = run_plan(&rt, DataState::Aligned, &stages, &manifest, "fold");
+            let Some(StageRun::Sort(sort)) = folded.stage(Stage::Sort) else { unreachable!() };
+            let report = dupmark_of(&folded);
+            assert_eq!(report.elapsed(), Duration::ZERO, "{export}");
+            assert_eq!(report.busy_fraction(), 0.0, "{export}");
+            assert_eq!(report.reads, sort.records, "{export}");
+            assert_eq!(report.duplicates, want, "{export}");
+        }
+    }
+
     /// A duplicate exactly `D` past its original, in the next chunk, is
     /// still inside the halo on both paths: a forward read clipped by
     /// the largest leading clip, and a reverse read whose deletion sets
@@ -766,16 +746,16 @@ mod tests {
         let rt = PersonaRuntime::new(store.clone(), PersonaConfig::small()).unwrap();
         let (out, edge) = Edge::streaming(4, rt.telemetry());
         let collector = {
-            let server = edge.chunks(None);
+            let edge = edge.clone();
             std::thread::spawn(move || {
                 let mut idxs = Vec::new();
-                while let Some(task) = server.fetch() {
-                    idxs.push(task.chunk_idx);
+                while let Some(chunk) = edge.fetch() {
+                    idxs.push(chunk.chunk_idx);
                 }
                 idxs
             })
         };
-        let (_, report) = mark_duplicates(&rt, Edge::Landed(manifest.clone()), Some(out)).unwrap();
+        let (_, report) = mark_duplicates(&rt, Edge::landed(manifest.clone()), Some(out)).unwrap();
         assert_eq!(report.duplicates, 24);
         assert_eq!(edge.manifest().unwrap(), manifest);
         let mut idxs = collector.join().unwrap();

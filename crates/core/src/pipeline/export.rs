@@ -35,8 +35,8 @@ use persona_formats::bam::{self, bgzf_block, BGZF_BLOCK_SIZE, BGZF_EOF};
 use persona_formats::convert::for_each_chunk_row;
 use persona_formats::sam::{self, RefMap};
 
-use crate::manifest_server::EdgeChunk;
-use crate::pipeline::{drive, load_column, subchunk_ranges, Edge, Progress, StageReport, Step};
+use crate::manifest_server::{Edge, EdgeChunk};
+use crate::pipeline::{drive, load_column, subchunk_ranges, Progress, StageReport, Step};
 use crate::runtime::{Pending, PersonaRuntime, StageExec};
 use crate::{Error, Result};
 
@@ -145,7 +145,6 @@ pub(crate) fn export_sam(
     input: Edge,
     out: &mut (impl Write + Send),
 ) -> Result<ExportReport> {
-    let server = input.chunks(Some(rt.telemetry()));
     let manifest = input.manifest()?;
     let timer = rt.stage_timer();
     let exec = rt.stage_exec(&timer);
@@ -166,7 +165,7 @@ pub(crate) fn export_sam(
     drive(
         rt.chunk_window(),
         |block| {
-            let Some(chunk) = (if block { server.fetch() } else { server.try_fetch() }) else {
+            let Some(chunk) = (if block { input.fetch() } else { input.try_fetch() }) else {
                 return Ok(None);
             };
             // Stop pulling new chunks once the job is cancelled.
@@ -235,9 +234,6 @@ pub(crate) fn export_bam(
     out: &mut impl Write,
     level: CompressLevel,
 ) -> Result<ExportReport> {
-    // Unmetered over a dataset at rest: only a live edge's queue has an
-    // occupancy that says anything.
-    let server = input.chunks(None);
     let manifest = input.manifest()?;
     let timer = rt.stage_timer();
     let exec = rt.stage_exec(&timer);
@@ -254,7 +250,7 @@ pub(crate) fn export_bam(
     drive(
         rt.chunk_window(),
         |block| {
-            let Some(chunk) = (if block { server.fetch() } else { server.try_fetch() }) else {
+            let Some(chunk) = (if block { input.fetch() } else { input.try_fetch() }) else {
                 return Ok(None);
             };
             rt.check_cancelled()?;
@@ -478,7 +474,7 @@ mod tests {
         let rt = PersonaRuntime::new(store.clone(), config).unwrap();
         let mut out = Vec::new();
         let report =
-            export_bam(&rt, Edge::Landed(manifest.clone()), &mut out, CompressLevel::Fast).unwrap();
+            export_bam(&rt, Edge::landed(manifest.clone()), &mut out, CompressLevel::Fast).unwrap();
         assert_eq!(report.records, manifest.total_records);
         assert_eq!(report.output_bytes as usize, out.len());
         assert!(out == reference_bam(store, manifest), "{threads} threads");
@@ -612,7 +608,7 @@ mod tests {
         let rt = PersonaRuntime::new(dyn_store, PersonaConfig::small()).unwrap();
         let mut out = Vec::new();
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            export_bam(&rt, Edge::Landed(manifest.clone()), &mut out, CompressLevel::Fast)
+            export_bam(&rt, Edge::landed(manifest.clone()), &mut out, CompressLevel::Fast)
         }));
         let err = run.expect("the caller must not unwind").expect_err("a column is missing");
         assert!(err.to_string().contains(".qual"), "{err}");

@@ -22,8 +22,8 @@ use persona_agd::columns::{self, READ_COLUMNS};
 use persona_agd::manifest::{ChunkEntry, Manifest};
 use persona_seq::Read;
 
-use crate::manifest_server::{ChunkTask, EdgeChunk};
-use crate::pipeline::{deliver, drive, push, split_out, EdgeOut, Landing, Progress, StageReport};
+use crate::manifest_server::{EdgeChunk, EdgeOut};
+use crate::pipeline::{drive, Landing, Progress, StageReport};
 use crate::runtime::PersonaRuntime;
 use crate::{Error, Result};
 
@@ -74,7 +74,6 @@ pub(crate) fn import_fastq(
     landing: Landing,
     out: Option<EdgeOut>,
 ) -> Result<(Manifest, ImportReport)> {
-    let (feeder, promise) = split_out(out);
     let mut manifest = columns::reads_manifest(name)?;
     // The read field each of the `READ_COLUMNS` stores.
     let fields: [fn(&Read) -> &[u8]; 3] = [|r| &r.bases, |r| &r.quals, |r| &r.meta];
@@ -97,13 +96,14 @@ pub(crate) fn import_fastq(
             if batch.is_empty() {
                 return Ok(None);
             }
-            let task = ChunkTask {
+            let chunk = EdgeChunk {
                 chunk_idx: next_idx,
                 stem: format!("{name}-{next_idx}"),
                 num_records: batch.len() as u32,
+                carried: Vec::new(),
             };
             next_idx += 1;
-            let (store, stem, batch) = (rt.store().clone(), task.stem.clone(), Arc::new(batch));
+            let (store, stem, batch) = (rt.store().clone(), chunk.stem.clone(), Arc::new(batch));
             let put = exec.spawn(
                 READ_COLUMNS.into_iter().zip(fields).collect(),
                 move |_, (column, field)| -> Result<(&'static str, Arc<RawChunk>)> {
@@ -115,11 +115,11 @@ pub(crate) fn import_fastq(
                     Ok((column, Arc::new(chunk)))
                 },
             );
-            Ok(Some((task, put)))
+            Ok(Some((chunk, put)))
         },
-        |(task, put)| {
-            let carried = put.wait()?.into_iter().collect::<Result<_>>()?;
-            Ok(Progress::Done(EdgeChunk { task, carried, duplicates: 0 }))
+        |(mut chunk, put)| {
+            chunk.carried = put.wait()?.into_iter().collect::<Result<_>>()?;
+            Ok(Progress::Done(chunk))
         },
         // Chunks finish in the order they were cut, so the manifest's
         // records grow in chunk order.
@@ -130,7 +130,10 @@ pub(crate) fn import_fastq(
                 num_records: chunk.num_records,
             });
             manifest.total_records += chunk.num_records as u64;
-            push(feeder.as_ref(), chunk)
+            match &out {
+                Some(out) => out.push(chunk),
+                None => Ok(()),
+            }
         },
     )?;
     let stage = timer.finish();
@@ -138,7 +141,9 @@ pub(crate) fn import_fastq(
     if landing == Landing::State {
         rt.store().put(&format!("{name}.manifest.json"), manifest.to_json()?.as_bytes())?;
     }
-    deliver(promise, &manifest);
+    if let Some(out) = &out {
+        out.deliver(&manifest);
+    }
 
     let report = ImportReport {
         elapsed: stage.elapsed,
@@ -234,12 +239,12 @@ mod tests {
         let (bytes, _) = fastq_bytes(250);
         let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
         let rt = PersonaRuntime::new(store.clone(), crate::config::PersonaConfig::small()).unwrap();
-        let (out, edge) = crate::pipeline::Edge::streaming(4, rt.telemetry());
+        let (out, edge) = crate::manifest_server::Edge::streaming(4, rt.telemetry());
         let collector = {
-            let server = edge.chunks(None);
+            let edge = edge.clone();
             std::thread::spawn(move || {
                 let mut stems = Vec::new();
-                while let Some(task) = server.fetch() {
+                while let Some(task) = edge.fetch() {
                     stems.push((task.chunk_idx, task.stem.clone(), task.num_records));
                 }
                 stems

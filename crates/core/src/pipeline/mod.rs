@@ -14,7 +14,7 @@
 //! executor's thread count, in one place), moves each from one executor
 //! step to the next, and does every push downstream once a chunk is
 //! finished. Executor tasks never wait on a queue, channel or batch, and
-//! never touch a [`ChunkFeeder`]: a task blocked on a full chunk queue
+//! never touch an [`EdgeOut`]: a task blocked on a full chunk queue
 //! could hold the very worker that would drain it. A task that panics
 //! fails its stage with [`Error::TaskPanicked`], after the stage has
 //! settled every batch it still had in flight.
@@ -23,22 +23,18 @@
 //!
 //! Every stage function is crate-private and runs on the caller's
 //! runtime; [`crate::plan::Plan::run`] is the only way to run one. Each
-//! consumes one `Edge` (import, the head of the chain, consumes FASTQ
+//! consumes one [`Edge`] (import, the head of the chain, consumes FASTQ
 //! instead), and every stage but export can produce one through an
-//! `EdgeOut`. An edge is three things:
-//!
-//! * a **chunk stream** — every chunk of the dataset at rest, or a live
-//!   queue an upstream stage feeds;
-//! * the **carried columns** — each chunk on a live edge brings the
-//!   stored form ([`RawChunk`]) of every column its producer holds for
-//!   it ([`EdgeChunk`]): import carries the three read columns, align
-//!   what it loaded or was handed plus its `results`, the sort's write
-//!   its four gathered columns. A consumer reads from the store only
-//!   the columns its chunk did not bring (`raw_column`,
-//!   `load_column`); there is one load path, whose source is the edge
-//!   or the store;
-//! * the dataset's **manifest** — in hand for a dataset at rest,
-//!   promised on a channel by a live producer.
+//! [`EdgeOut`]. An edge is one chunk queue and its dataset's manifest
+//! ([`crate::manifest_server`]): every chunk of a dataset at rest with
+//! its manifest in hand, or a live queue an upstream stage feeds with
+//! the manifest promised; no stage asks which. Each chunk on a live edge brings the stored form ([`RawChunk`])
+//! of every column its producer holds for it ([`EdgeChunk`]): import
+//! carries the three read columns, align what it loaded or was handed
+//! plus its `results`, the sort's write its four gathered columns. A
+//! consumer reads from the store only the columns its chunk did not
+//! bring (`raw_column`, `load_column`); there is one load path, whose
+//! source is the edge or the store.
 //!
 //! A producer pushes each chunk once its objects are durable in the
 //! store, or once it is built when its state does not land (the plan
@@ -46,14 +42,18 @@
 //! as soon as that is final (the sort, whose chunk boundaries are known
 //! before it writes, before its first push; a consumer that needs the
 //! manifest first, like export, waits for it), and closes the stream by
-//! returning; a stage whose
-//! neighbour closes the stream early, or ends without delivering the
-//! manifest, fails with [`Error::NeighbourClosed`]. The plan driver
-//! ([`crate::plan::Plan::run`]) wires any chain of stages through these
-//! two types alone.
+//! returning; a stage whose neighbour closes the stream early, or ends
+//! without delivering the manifest, fails with
+//! [`Error::NeighbourClosed`]. A `dupmark` directly after its `sort`
+//! runs no stage at all: the sort marks duplicates as it writes, and
+//! the plan driver wires the sort's output edge to the stage after the
+//! `dupmark`. The plan driver ([`crate::plan::Plan::run`]) wires any
+//! chain of stages through these two types alone.
+//!
+//! [`Edge`]: crate::manifest_server::Edge
+//! [`EdgeOut`]: crate::manifest_server::EdgeOut
 
 use std::collections::VecDeque;
-use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -62,9 +62,8 @@ use persona_agd::chunk_io::ChunkStore;
 use persona_agd::columns;
 use persona_agd::manifest::Manifest;
 use persona_agd::results::AlignmentResult;
-use persona_telemetry::MetricsRegistry;
 
-use crate::manifest_server::{ChunkFeeder, EdgeChunk, ManifestServer};
+use crate::manifest_server::EdgeChunk;
 use crate::runtime::Pending;
 use crate::{Error, Result};
 
@@ -73,53 +72,6 @@ pub mod dupmark;
 pub mod export;
 pub mod import;
 pub mod sort;
-
-/// What a stage consumes: a dataset's chunks and its manifest.
-pub(crate) enum Edge {
-    /// A dataset at rest in the store.
-    Landed(Manifest),
-    /// The output of a live upstream stage: chunks arrive on the stream
-    /// as upstream finishes them, and the manifest once upstream has
-    /// finalized it.
-    Live(ManifestServer, Receiver<Manifest>),
-}
-
-impl Edge {
-    /// Creates a live edge of at most `capacity` undispatched chunks,
-    /// returning the producing and the consuming end.
-    pub(crate) fn streaming(capacity: usize, telemetry: &MetricsRegistry) -> (EdgeOut, Edge) {
-        let (server, chunks) = ManifestServer::streaming(capacity, Some(telemetry));
-        let (manifest, promised) = std::sync::mpsc::channel();
-        (EdgeOut { chunks, manifest }, Edge::Live(server, promised))
-    }
-
-    /// The chunk stream: the live queue, or every chunk of the landed
-    /// dataset (metered into `telemetry` when given).
-    pub(crate) fn chunks(&self, telemetry: Option<&MetricsRegistry>) -> ManifestServer {
-        match self {
-            Edge::Landed(manifest) => ManifestServer::new(manifest, telemetry),
-            Edge::Live(server, _) => server.clone(),
-        }
-    }
-
-    /// The dataset's manifest, waiting for a live upstream to deliver
-    /// it. Consumers that drain the stream first never wait long: the
-    /// stream only ends once upstream has finished.
-    pub(crate) fn manifest(self) -> Result<Manifest> {
-        match self {
-            Edge::Landed(manifest) => Ok(manifest),
-            Edge::Live(_, promised) => promised.recv().map_err(|_| Error::NeighbourClosed),
-        }
-    }
-}
-
-/// The producing end of a live [`Edge`].
-pub(crate) struct EdgeOut {
-    /// Announces each chunk downstream; dropping it ends the stream.
-    pub(crate) chunks: ChunkFeeder,
-    /// Delivers the producer's manifest.
-    pub(crate) manifest: Sender<Manifest>,
-}
 
 /// What a stage puts in the store ([`crate::plan::Plan::run`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -130,30 +82,6 @@ pub(crate) enum Landing {
     Chunks,
     /// Its chunks and its manifest.
     State,
-}
-
-/// Splits an optional [`EdgeOut`] into its two halves: the feeder for
-/// the stage thread's chunk pushes, and the promise for the end.
-pub(crate) fn split_out(out: Option<EdgeOut>) -> (Option<ChunkFeeder>, Option<Sender<Manifest>>) {
-    out.map(|o| (o.chunks, o.manifest)).unzip()
-}
-
-/// Delivers `manifest` on a stage's output edge, if it has one. A
-/// consumer that already died is not this stage's failure.
-pub(crate) fn deliver(promise: Option<Sender<Manifest>>, manifest: &Manifest) {
-    if let Some(promise) = promise {
-        let _ = promise.send(manifest.clone());
-    }
-}
-
-/// Pushes a finished chunk downstream from the stage thread; a consumer
-/// that closed the stream makes this stage fail with the derived
-/// [`Error::NeighbourClosed`].
-pub(crate) fn push(feeder: Option<&ChunkFeeder>, chunk: EdgeChunk) -> Result<()> {
-    match feeder {
-        Some(feeder) if !feeder.push(chunk) => Err(Error::NeighbourClosed),
-        _ => Ok(()),
-    }
 }
 
 /// Reads one column object of a chunk.

@@ -16,11 +16,10 @@
 //! copies the slices it merges into new blocks. No step allocates per
 //! record.
 //!
-//! The sort is **incremental**: it pulls chunk tasks from its input
-//! edge's [`ManifestServer`](crate::manifest_server::ManifestServer)
-//! and folds sorted runs into superchunks as chunks arrive, so when the
-//! edge is fed by a live upstream stage (the fused `align → sort`
-//! pipeline), run loading and superchunk merging overlap alignment
+//! The sort is **incremental**: it pulls chunks from its input
+//! [`Edge`] and folds sorted runs into superchunks as chunks arrive, so
+//! when the edge is fed by a live upstream stage (the fused `align →
+//! sort` pipeline), run loading and superchunk merging overlap alignment
 //! instead of waiting behind a barrier. Chunks may arrive in *any*
 //! order: every record carries a `(key, chunk, position)` composite, so
 //! the merged output is the unique global order whatever the arrival
@@ -52,8 +51,8 @@
 //! not carry. Its output chunk boundaries are known before it writes,
 //! so it delivers its manifest first; then each output chunk, once its
 //! puts are done, goes downstream in order with its four gathered
-//! columns and its duplicate count, and a fused dupmark or export reads
-//! nothing back.
+//! columns, and a fused export reads nothing back. The count of
+//! duplicates it marked is the folded dupmark's report.
 //!
 //! Every compute phase — per-chunk load+sort, superchunk folds, output
 //! chunk merge+mark+encode+write — runs as tagged task batches on the
@@ -69,11 +68,9 @@ use persona_agd::manifest::{ChunkEntry, Manifest, SortOrder};
 use persona_agd::results::AlignmentResult;
 
 use crate::config::PersonaConfig;
-use crate::manifest_server::{ChunkTask, EdgeChunk};
+use crate::manifest_server::{Edge, EdgeChunk, EdgeOut};
 use crate::pipeline::dupmark::{self, Extent, Marker};
-use crate::pipeline::{
-    deliver, drive, owned, push, raw_column, split_out, Edge, EdgeOut, Progress, StageReport,
-};
+use crate::pipeline::{drive, owned, raw_column, Progress, StageReport};
 use crate::runtime::PersonaRuntime;
 use crate::{Error, Result};
 
@@ -98,6 +95,10 @@ pub struct SortReport {
     /// Number of intermediate superchunk merges (0 if the final merge
     /// alone sufficed).
     pub superchunks: usize,
+    /// Records the write newly marked as duplicates: 0 unless the plan's
+    /// `dupmark` directly follows the sort, which then runs no stage of
+    /// its own and reports this count.
+    pub duplicates: u64,
     /// When the first sorted run was ready — on a fused `align → sort`
     /// run this lands while upstream is still aligning, which is how
     /// tests assert the stages actually overlapped.
@@ -260,8 +261,12 @@ pub fn sort_dataset(
     out_name: &str,
     config: &PersonaConfig,
 ) -> Result<(Manifest, SortReport)> {
+    let has_results = manifest.has_column(columns::RESULTS);
+    if key == SortKey::Coordinate && !has_results {
+        return Err(Error::Pipeline("coordinate sort requires a results column".into()));
+    }
     let rt = PersonaRuntime::new(store.clone(), *config)?;
-    sort(&rt, Edge::Landed(manifest.clone()), key, out_name, false, None)
+    sort(&rt, Edge::landed(manifest.clone()), key, out_name, has_results, false, None)
 }
 
 /// The sort stage: sorts the chunk stream of `input` into the dataset
@@ -273,38 +278,29 @@ pub fn sort_dataset(
 /// records (location -1) sort first, matching the convention that they
 /// carry no coordinate.
 ///
-/// The write phase codes each column as `persona_agd::columns` says
-/// and takes chunk sizing and reference contigs from the input's
-/// manifest; a live upstream delivers it after its last chunk, by
-/// which point every chunk has been merged. With `dupmark` (a
-/// coordinate sort only) it also marks duplicates, counting each
-/// chunk's on it. With `out`, the output manifest is delivered before
-/// the first output chunk, and each chunk goes downstream with its
-/// columns once it is durable.
+/// The input has a `results` column when `has_results`, which a
+/// coordinate sort needs (a plan checks it before it runs). The write
+/// phase codes each column as `persona_agd::columns` says and takes
+/// chunk sizing and reference contigs from the input's manifest; a live
+/// upstream delivers it after its last chunk, by which point every
+/// chunk has been merged. With `dupmark` (a coordinate sort only) it
+/// also marks duplicates, and reports how many. With `out`, the output
+/// manifest is delivered before the first output chunk, and each chunk
+/// goes downstream with its columns once it is durable.
 pub(crate) fn sort(
     rt: &PersonaRuntime,
     input: Edge,
     key: SortKey,
     out_name: &str,
+    has_results: bool,
     dupmark: bool,
     out: Option<EdgeOut>,
 ) -> Result<(Manifest, SortReport)> {
-    // Chunks streamed by a live upstream carry the results column that
-    // upstream is landing (only an align stage streams into a sort).
-    let has_results = match &input {
-        Edge::Landed(manifest) => manifest.has_column(columns::RESULTS),
-        Edge::Live(..) => true,
-    };
-    if key == SortKey::Coordinate && !has_results {
-        return Err(Error::Pipeline("coordinate sort requires a results column".into()));
-    }
+    debug_assert!(has_results || key == SortKey::QueryName, "a coordinate sort reads results");
     debug_assert!(
         !dupmark || key == SortKey::Coordinate,
         "duplicates are marked in coordinate order"
     );
-    // Unmetered: a sort over a landed dataset publishes no `manifest.*`
-    // telemetry.
-    let server = input.chunks(None);
     let timer = rt.stage_timer();
     let exec = rt.stage_exec(&timer);
     let fanin = 8usize;
@@ -338,13 +334,13 @@ pub(crate) fn sort(
         // Block for one task unless a fold is due, then drain whatever
         // else upstream has already finished (up to one merge group)
         // without waiting.
-        let first = if due.is_empty() { server.fetch() } else { server.try_fetch() };
+        let first = if due.is_empty() { input.fetch() } else { input.try_fetch() };
         if first.is_none() && due.is_empty() {
             break;
         }
         let mut batch: Vec<EdgeChunk> = first.into_iter().collect();
         while !batch.is_empty() && batch.len() < fanin {
-            match server.try_fetch() {
+            match input.try_fetch() {
                 Some(task) => batch.push(task),
                 None => break,
             }
@@ -383,7 +379,7 @@ pub(crate) fn sort(
     let records = merged.iter().map(|r| r.len() as u64).sum();
 
     let src = input.manifest()?;
-    let out_manifest =
+    let (out_manifest, duplicates) =
         write_sorted_dataset(rt, &timer, out_name, &src, merged, key, has_results, dupmark, out)?;
 
     let stage = timer.finish();
@@ -394,6 +390,7 @@ pub(crate) fn sort(
             records,
             runs: n_runs,
             superchunks,
+            duplicates,
             first_run_at,
             busy_fraction: stage.busy_fraction(),
         },
@@ -614,7 +611,8 @@ fn release_read(runs: &mut [Run], from: &[usize], reach: i64) {
     }
 }
 
-/// Writes the merged runs as a fresh AGD dataset. Each output chunk is
+/// Writes the merged runs as a fresh AGD dataset, returning its manifest
+/// and how many records it marked as duplicates. Each output chunk is
 /// one executor task, handed the cuts its first and last record make in
 /// every run (co-ranked on the stage thread): it merges the slices
 /// between, then gathers, encodes and puts each column — marking the
@@ -634,7 +632,7 @@ fn write_sorted_dataset(
     has_results: bool,
     dupmark: bool,
     out: Option<EdgeOut>,
-) -> Result<Manifest> {
+) -> Result<(Manifest, u64)> {
     let chunk_size = src
         .records
         .first()
@@ -663,13 +661,15 @@ fn write_sorted_dataset(
     }
     manifest.total_records = n as u64;
     manifest.validate()?;
-    let (feeder, promise) = split_out(out);
-    deliver(promise, &manifest);
+    if let Some(out) = &out {
+        out.deliver(&manifest);
+    }
 
     let reach = runs.iter().map(|r| r.reach).max().unwrap_or(0);
     let exec = rt.stage_exec(timer);
     let mut next = manifest.records.iter().zip(&ranges).enumerate();
     let mut from = vec![0; runs.len()];
+    let mut duplicates = 0;
     drive(
         rt.chunk_window(),
         |_| {
@@ -680,8 +680,7 @@ fn write_sorted_dataset(
             let from = std::mem::replace(&mut from, to.clone());
             let (runs, store, stem) =
                 (Arc::new(runs.clone()), rt.store().clone(), entry.path.clone());
-            let task =
-                ChunkTask { chunk_idx: k, stem: stem.clone(), num_records: entry.num_records };
+            let num_records = entry.num_records;
             let write = exec.spawn_one(move || {
                 let order = merge_order(&runs, &from, &to);
                 let mut marked = 0;
@@ -695,15 +694,21 @@ fn write_sorted_dataset(
                     store.put(&name, &columns::encode_chunk(column, &chunk))?;
                     carried.push((column, Arc::new(chunk)));
                 }
-                Ok(EdgeChunk { task, carried, duplicates: marked })
+                Ok((EdgeChunk { chunk_idx: k, stem, num_records, carried }, marked))
             });
             Ok(Some(write))
         },
         |write| write.wait_one().map(Progress::Done),
-        |chunk| push(feeder.as_ref(), chunk),
+        |(chunk, marked)| {
+            duplicates += marked;
+            match &out {
+                Some(out) => out.push(chunk),
+                None => Ok(()),
+            }
+        },
     )?;
     rt.store().put(&format!("{out_name}.manifest.json"), manifest.to_json()?.as_bytes())?;
-    Ok(manifest)
+    Ok((manifest, duplicates))
 }
 
 #[cfg(test)]
@@ -861,31 +866,22 @@ mod tests {
     fn streamed_out_of_order_arrival_matches_one_shot_sort() {
         let (store, manifest) = world(300, 30);
         let rt = PersonaRuntime::new(store.clone(), PersonaConfig::small()).unwrap();
+        let landed = Edge::landed(manifest.clone());
         let (oneshot, ..) =
-            sort(&rt, Edge::Landed(manifest.clone()), SortKey::Coordinate, "ref", false, None)
-                .unwrap();
+            sort(&rt, landed, SortKey::Coordinate, "ref", true, false, None).unwrap();
 
         let (out, edge) = Edge::streaming(4, rt.telemetry());
-        let (feeder, promise) = (out.chunks, out.manifest);
-        let tasks: Vec<ChunkTask> = manifest
-            .records
-            .iter()
-            .enumerate()
-            .rev()
-            .map(|(i, e)| ChunkTask {
-                chunk_idx: i,
-                stem: e.path.clone(),
-                num_records: e.num_records,
-            })
-            .collect();
+        let mut chunks: Vec<EdgeChunk> = EdgeChunk::all(&manifest).collect();
+        chunks.reverse();
         let src = manifest.clone();
         let producer = std::thread::spawn(move || {
-            for t in tasks {
-                assert!(feeder.push(t));
+            for chunk in chunks {
+                out.push(chunk).unwrap();
             }
-            promise.send(src).unwrap();
+            out.deliver(&src);
         });
-        let (streamed, report) = sort(&rt, edge, SortKey::Coordinate, "str", false, None).unwrap();
+        let (streamed, report) =
+            sort(&rt, edge, SortKey::Coordinate, "str", true, false, None).unwrap();
         producer.join().unwrap();
         assert_eq!(report.records, 300);
         assert_eq!(report.runs, 10);

@@ -26,12 +26,14 @@
 //! cancellation — an `import` directly followed by `align` streams
 //! chunks through a bounded queue while both stages share the executor,
 //! an `align` directly followed by `sort` streams finished chunks into
-//! the incremental merge, and the sort's write streams its output
-//! chunks into a following `dupmark` or export, as `dupmark` does into
-//! an export, so `import → align → sort → dupmark → export` runs as one
-//! group. Each chunk travels with the columns its producer holds, so a
-//! fused consumer does not read back what upstream just wrote, nor
-//! land what no one reads ([`Plan::run`]). Which neighbours stream is
+//! the incremental merge, the sort's write marks duplicates for a
+//! `dupmark` directly after it (which then runs no stage of its own)
+//! and streams its output chunks into the export after either, and a
+//! `dupmark` over a dataset at rest streams into an export, so
+//! `import → align → sort → dupmark → export` runs as one group. Each
+//! chunk travels with the columns its producer holds, so a fused
+//! consumer does not read back what upstream just wrote, nor land what
+//! no one reads ([`Plan::run`]). Which neighbours stream is
 //! stated once, in [`STREAMS`]; everything else about fusion is derived
 //! from it.
 //!
@@ -51,12 +53,13 @@ use persona_compress::deflate::CompressLevel;
 use serde::{field, DeError, Deserialize, Serialize, Value};
 
 use crate::caching::{CacheSession, CacheUse};
+use crate::manifest_server::{Edge, EdgeOut};
 use crate::pipeline::align::{self, AlignReport};
 use crate::pipeline::dupmark::{self, DupmarkReport};
 use crate::pipeline::export::{self, ExportReport};
 use crate::pipeline::import::{self, ImportReport};
 use crate::pipeline::sort::{self, SortKey, SortReport};
-use crate::pipeline::{Edge, EdgeOut, Landing, StageReport};
+use crate::pipeline::{Landing, StageReport};
 use crate::runtime::PersonaRuntime;
 use crate::{Error, Result};
 
@@ -575,8 +578,8 @@ impl Plan {
     /// export behind.
     ///
     /// **Landing rule.** A group lands its last dataset state (and the
-    /// sort whose dataset a fused `dupmark` hands on), and an earlier
-    /// state only if the job's result cache registers it; the rest
+    /// sort whose write a fused `dupmark` is folded into), and an
+    /// earlier state only if the job's result cache registers it; the rest
     /// travels on the edges alone. So an uncached `full` lands only the
     /// sorted dataset, and fused `import‖align` lands `align` (import
     /// puts its chunks, not its manifest).
@@ -587,9 +590,12 @@ impl Plan {
     /// landed, in plan order. A group announces only once all of its
     /// stages have finished (a half-done group has landed nothing
     /// resumable): an uncached fused `import‖align‖sort‖dupmark`
-    /// announces `sort`, then `dupmark` (which hands on the sort's
-    /// dataset unchanged). Export stages buffer bytes in memory rather
-    /// than landing store state, so they never announce.
+    /// announces `sort`, then `dupmark`, whose state is the sort's
+    /// dataset, marked as the sort wrote it. Such a dupmark runs no stage
+    /// and reports the sort's count with no wall or busy time, but it
+    /// lands, announces, registers and counts in `plan.stage_runs` like
+    /// any other. Export stages buffer bytes in memory rather than
+    /// landing store state, so they never announce.
     ///
     /// **Result cache** ([`JobContext::with_cache`]): the longest cached
     /// prefix of the plan is elided, only the suffix executes (over the
@@ -630,9 +636,9 @@ impl Plan {
             elapsed: Duration::ZERO,
         };
         let mut input = Some(match (hit, req.source) {
-            (Some((_, entry)), _) => StageInput::Edge(Edge::Landed(entry.manifest.clone())),
+            (Some((_, entry)), _) => StageInput::Edge(Edge::landed(entry.manifest.clone())),
             (None, PlanSource::Fastq(reader)) => StageInput::Fastq(reader),
-            (None, PlanSource::Dataset(manifest)) => StageInput::Edge(Edge::Landed(manifest)),
+            (None, PlanSource::Dataset(manifest)) => StageInput::Edge(Edge::landed(manifest)),
         });
         let params = StageParams {
             name: &req.name,
@@ -670,7 +676,7 @@ impl Plan {
                 if let Some(session) = &session {
                     session.landed(idx, &manifest);
                 }
-                input = Some(StageInput::Edge(Edge::Landed(manifest)));
+                input = Some(StageInput::Edge(Edge::landed(manifest)));
             }
             spans_end(rt, stages);
         }
@@ -756,7 +762,7 @@ struct StageParams<'a> {
     reference: &'a [(String, u64)],
     /// Whether the plan's sort is directly followed by its dupmark, so
     /// the sort marks duplicates as it writes and the dupmark, fused to
-    /// it, hands its chunks on.
+    /// it, runs no stage ([`run_group`]).
     sort_marks: bool,
 }
 
@@ -769,10 +775,19 @@ struct StageOutput {
     bytes: Option<Vec<u8>>,
 }
 
-/// Runs one fusion group: N stages wired by N−1 live edges, the head on
-/// the calling thread and each later stage on a scoped thread of its
-/// own. A stage that fails closes the streams on both of its sides, so
-/// an upstream neighbour blocked on a full queue and a downstream
+/// Whether `stages[k]` is a `dupmark` directly after its `sort`, which
+/// marks duplicates as it writes: such a dupmark runs no stage.
+fn folded(stages: &[Stage], k: usize) -> bool {
+    k > 0 && stages[k - 1..=k] == [Stage::Sort, Stage::Dupmark]
+}
+
+/// Runs one fusion group: the N stages that run wired by N−1 live
+/// edges, the head on the calling thread and each later stage on a
+/// scoped thread of its own. A dupmark fused to its sort is not one of
+/// them: the sort's output edge goes to the stage after it, and its
+/// output is the sort's count and landing, with no wall or busy time of
+/// its own. A stage that fails closes the streams on both of its sides,
+/// so an upstream neighbour blocked on a full queue and a downstream
 /// neighbour blocked on an empty one both unwind (with
 /// [`Error::NeighbourClosed`]) and the group always joins.
 ///
@@ -787,30 +802,32 @@ fn run_group(
     landing: &[Landing],
     head: StageInput,
 ) -> Result<Vec<StageOutput>> {
-    // Edge k joins stage k to stage k + 1. The bytes of an export, which
-    // is always last, go into a buffer first allocated on this, the
-    // caller's, thread: the allocator serves each thread from an arena
-    // it picks at the thread's first allocation, a buffer keeps growing
-    // in its first arena, and a stage thread lives for one group only,
-    // so a buffer started there would be retained in a different arena
-    // from one run to the next.
+    // Edge j joins the j-th stage that runs to the next. The bytes of an
+    // export, which is always last, go into a buffer first allocated on
+    // this, the caller's, thread: the allocator serves each thread from
+    // an arena it picks at the thread's first allocation, a buffer keeps
+    // growing in its first arena, and a stage thread lives for one group
+    // only, so a buffer started there would be retained in a different
+    // arena from one run to the next.
+    let running: Vec<usize> = (0..stages.len()).filter(|&k| !folded(stages, k)).collect();
     let capacity = rt.chunk_window();
-    let mut streams = Vec::with_capacity(stages.len() - 1);
-    let mut wiring = Vec::with_capacity(stages.len());
+    let mut edges = Vec::with_capacity(running.len() - 1);
+    let mut wiring = Vec::with_capacity(running.len());
     let mut input = head;
-    for _ in 1..stages.len() {
+    for _ in 1..running.len() {
         let (out, edge) = Edge::streaming(capacity, rt.telemetry());
-        streams.push(edge.chunks(None));
+        edges.push(edge.clone());
         wiring.push((input, Some(out), Vec::new()));
         input = StageInput::Edge(edge);
     }
     wiring.push((input, None, Vec::with_capacity(1)));
 
-    let run_at = |k: usize, (input, out, bytes): (StageInput, Option<EdgeOut>, Vec<u8>)| {
+    let run_at = |j: usize, (input, out, bytes): (StageInput, Option<EdgeOut>, Vec<u8>)| {
+        let k = running[j];
         let result = run_stage(rt, params, stages[k], landing[k], input, out, bytes);
         if result.is_err() {
-            for stream in &streams[k.saturating_sub(1)..(k + 1).min(streams.len())] {
-                stream.close();
+            for edge in &edges[j.saturating_sub(1)..(j + 1).min(edges.len())] {
+                edge.close();
             }
         }
         result
@@ -819,23 +836,41 @@ fn run_group(
         let run_at = &run_at;
         let mut wiring = wiring.into_iter().enumerate();
         let head = wiring.next().expect("fusion groups are non-empty").1;
-        let tail: Vec<_> = wiring.map(|(k, edges)| s.spawn(move || run_at(k, edges))).collect();
+        let tail: Vec<_> = wiring.map(|(j, edges)| s.spawn(move || run_at(j, edges))).collect();
         let head = run_at(0, head);
         let tail = tail.into_iter().map(|t| t.join().expect("stage thread panicked"));
         std::iter::once(head).chain(tail).collect()
     });
     rt.check_cancelled()?;
-    let mut outputs = Vec::with_capacity(stages.len());
+    let mut ran = Vec::with_capacity(running.len());
     let mut neighbour_closed = false;
     for result in results {
         match result {
-            Ok(output) => outputs.push(output),
+            Ok(output) => ran.push(output),
             Err(Error::NeighbourClosed) => neighbour_closed = true,
             Err(root_cause) => return Err(root_cause),
         }
     }
     if neighbour_closed {
         return Err(Error::NeighbourClosed);
+    }
+    let mut ran = ran.into_iter();
+    let mut outputs: Vec<StageOutput> = Vec::with_capacity(stages.len());
+    for (k, &lands) in landing.iter().enumerate() {
+        let output = match outputs.last() {
+            Some(StageOutput { run: StageRun::Sort(sort), landed, .. }) if folded(stages, k) => {
+                let report = DupmarkReport {
+                    elapsed: Duration::ZERO,
+                    reads: sort.records,
+                    duplicates: sort.duplicates,
+                    busy_fraction: 0.0,
+                };
+                let landed = landed.clone().filter(|_| lands == Landing::State);
+                StageOutput { run: StageRun::Dupmark(report), landed, bytes: None }
+            }
+            _ => ran.next().expect("one output per stage that ran"),
+        };
+        outputs.push(output);
     }
     Ok(outputs)
 }
@@ -867,13 +902,15 @@ fn run_stage(
             dataset(StageRun::Align(report), manifest)
         }
         (Stage::Sort, StageInput::Edge(input)) => {
-            let sorted_name = format!("{}.sorted", params.name);
-            let (manifest, report) =
-                sort::sort(rt, input, SortKey::Coordinate, &sorted_name, params.sort_marks, out)?;
+            // A plan's sort input has `results`: `check_dataset_input`
+            // refuses an aligned dataset without, and align adds them.
+            let (sorted, key, marks) =
+                (format!("{}.sorted", params.name), SortKey::Coordinate, params.sort_marks);
+            let (manifest, report) = sort::sort(rt, input, key, &sorted, true, marks, out)?;
             dataset(StageRun::Sort(report), manifest)
         }
         (Stage::Dupmark, StageInput::Edge(input)) => {
-            let (manifest, report) = dupmark::dupmark(rt, input, out)?;
+            let (manifest, report) = dupmark::mark_duplicates(rt, input, out)?;
             dataset(StageRun::Dupmark(report), manifest)
         }
         (Stage::ExportSam, StageInput::Edge(input)) => {

@@ -13,12 +13,11 @@
 //!
 //! [`Plan::run`](crate::plan::Plan::run) chains any valid composition
 //! of stages end to end. Stages that can overlap are connected by
-//! bounded chunk queues (streaming
-//! [`ManifestServer`](crate::manifest_server::ManifestServer)s):
-//! alignment consumes chunks while import is still
-//! encoding later ones, and SAM formatting consumes chunks as duplicate
-//! marking finishes them — the Fig. 4 scenario of multiple kernels
-//! feeding one executor at once.
+//! bounded chunk queues (live [`Edge`](crate::manifest_server::Edge)s):
+//! alignment consumes chunks while import is still encoding later ones,
+//! and SAM formatting consumes chunks as the sort's write marks and
+//! writes them — the Fig. 4 scenario of multiple kernels feeding one
+//! executor at once.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

@@ -2,8 +2,9 @@
 //! position. Whatever the position, the run must return (no stage
 //! thread left parked on a queue), surface the injected root cause —
 //! never the derived "my neighbour closed the stream" error it causes
-//! next door — announce nothing from the failed group, and report
-//! `Cancelled` instead once the job's token has fired.
+//! next door, and for a store fault one on an object the failing stage
+//! itself reads or writes — announce nothing from the failed group, and
+//! report `Cancelled` instead once the job's token has fired.
 
 mod common;
 
@@ -18,6 +19,7 @@ use persona::plan::{DataState, Plan, PlanRequest, PlanSource, Stage};
 use persona::runtime::{JobContext, PersonaRuntime};
 use persona::Error;
 use persona_agd::chunk_io::{ChunkStore, MemStore};
+use persona_agd::columns;
 use persona_agd::manifest::Manifest;
 use persona_agd::results::AlignmentResult;
 use persona_align::Aligner;
@@ -33,17 +35,55 @@ enum Op {
     Put,
 }
 
+/// A store object as `(dataset, column)`: `g-3.results` is
+/// `("g", "results")`, `g.sorted.manifest.json` is
+/// `("g.sorted", "manifest.json")`.
+type Object<'a> = (&'a str, &'a str);
+
+/// The manifest object's "column".
+const MANIFEST: &str = "manifest.json";
+
+/// `name` parsed as an [`Object`]: a chunk object is
+/// `{dataset}-{chunk}.{column}`, a manifest `{dataset}.manifest.json`.
+fn parse(name: &str) -> Object<'_> {
+    if let Some(dataset) = name.strip_suffix(".manifest.json") {
+        return (dataset, MANIFEST);
+    }
+    let (stem, column) = name.rsplit_once('.').unwrap_or((name, ""));
+    (stem.rsplit_once('-').map_or(stem, |(dataset, _)| dataset), column)
+}
+
+/// Whether `stage` reads (`Get`) or writes (`Put`) `object` in these
+/// groups: import writes the read columns of the imported dataset `g`,
+/// align reads its bases and qualities and writes its results, the sort
+/// reads `g` and writes `g.sorted`, a dupmark reads and rewrites the
+/// results of `g.sorted`, and export reads the columns of the dataset
+/// it is handed.
+fn touches(stage: Stage, op: Op, (dataset, column): Object<'_>) -> bool {
+    let (input, sorted) = (dataset == "g", dataset == "g.sorted");
+    match (stage, op) {
+        (Stage::Import, Op::Put) => input && columns::READ_COLUMNS.contains(&column),
+        (Stage::Align, Op::Get) => input && [columns::BASES, columns::QUAL].contains(&column),
+        (Stage::Align, Op::Put) => input && [columns::RESULTS, MANIFEST].contains(&column),
+        (Stage::Sort, Op::Get) => input && column != MANIFEST,
+        (Stage::Sort, Op::Put) => sorted,
+        (Stage::Dupmark, _) => sorted && column == columns::RESULTS,
+        (Stage::ExportSam | Stage::ExportBam, Op::Get) => (input || sorted) && column != MANIFEST,
+        _ => false,
+    }
+}
+
 /// A store that, once armed, fails the `nth` operation of kind `op` on
-/// an object whose name contains `pattern`.
+/// the objects of `object`, matched on the parsed name.
 struct FaultyStore {
     inner: MemStore,
-    fault: Mutex<Option<(Op, &'static str, usize, Trip)>>,
+    fault: Mutex<Option<(Op, Object<'static>, usize, Trip)>>,
 }
 
 impl FaultyStore {
     fn check(&self, op: Op, name: &str) -> std::io::Result<()> {
-        if let Some((fop, pattern, nth, trip)) = self.fault.lock().unwrap().as_mut() {
-            if *fop == op && name.contains(*pattern) {
+        if let Some((fop, object, nth, trip)) = self.fault.lock().unwrap().as_mut() {
+            if *fop == op && parse(name) == *object {
                 if *nth == 0 {
                     trip();
                     return Err(std::io::Error::other(format!("injected fault on {name}")));
@@ -122,7 +162,7 @@ enum Inject {
     Fastq,
     Aligner,
     /// The `nth` matching store operation.
-    Store(Op, &'static str, usize),
+    Store(Op, Object<'static>, usize),
 }
 
 const IMPORT_ALIGN: &[Stage] = &[Stage::Import, Stage::Align];
@@ -139,43 +179,58 @@ const IMPORT_TO_BAM: &[Stage] =
 /// export read nothing.
 const SORT_DUPMARK_EXPORT: &[Stage] = &[Stage::Sort, Stage::Dupmark, Stage::ExportSam];
 
-/// `(group, failing stage, injection, substring of the root cause)`.
-/// Chunks carry their columns down a group, so a stage reads only what
-/// its edge did not bring: align the read columns of a landed dataset,
-/// sort `.metadata` when an align it is fused to loaded none, export
-/// the sorted dataset only after a dupmark that heads its group. No
-/// run here has a cache, so import and align put nothing in a group
-/// that continues past them; the sort and a dupmark that heads its
-/// group write to the sorted dataset. A dupmark fused to its
-/// sort and an export fed by one do no I/O and run no kernel, so no
-/// failure starts at them. Their cell is the sort's manifest put, which
-/// follows its last chunk downstream: the group must fail even when
-/// they have drained the whole stream.
-const MATRIX: &[(&[Stage], Stage, Inject, &str)] = &[
-    (IMPORT_ALIGN, Stage::Import, Inject::Fastq, "fastq"),
-    (IMPORT_ALIGN, Stage::Align, Inject::Aligner, "aligner boom"),
-    (ALIGN_SORT, Stage::Align, Inject::Store(Op::Get, ".qual", 2), "injected fault"),
-    (ALIGN_SORT, Stage::Sort, Inject::Store(Op::Get, ".metadata", 1), "injected fault"),
-    (IMPORT_ALIGN_SORT, Stage::Import, Inject::Fastq, "fastq"),
-    (IMPORT_ALIGN_SORT, Stage::Align, Inject::Aligner, "aligner boom"),
-    (IMPORT_ALIGN_SORT, Stage::Sort, Inject::Store(Op::Put, "g.sorted-", 1), "injected fault"),
-    (DUPMARK_EXPORT, Stage::Dupmark, Inject::Store(Op::Put, "g.sorted-", 0), "injected fault"),
-    (DUPMARK_EXPORT, Stage::ExportSam, Inject::Store(Op::Get, ".metadata", 1), "injected fault"),
-    (IMPORT_TO_BAM, Stage::Import, Inject::Fastq, "fastq"),
-    (IMPORT_TO_BAM, Stage::Align, Inject::Aligner, "aligner boom"),
-    (IMPORT_TO_BAM, Stage::Sort, Inject::Store(Op::Put, "g.sorted-", 1), "injected fault"),
-    (IMPORT_TO_BAM, Stage::Sort, Inject::Store(Op::Put, SORTED_MANIFEST, 0), "injected fault"),
-    (SORT_DUPMARK_EXPORT, Stage::Sort, Inject::Store(Op::Get, ".metadata", 1), "injected fault"),
-    (
-        SORT_DUPMARK_EXPORT,
-        Stage::Sort,
-        Inject::Store(Op::Put, SORTED_MANIFEST, 0),
-        "injected fault",
-    ),
+/// `(group, failing stage, injection)`. Chunks carry their columns
+/// down a group, so a stage reads only what its edge did not bring:
+/// align the read columns of a landed dataset, sort `metadata` when an
+/// align it is fused to loaded none, export the sorted dataset only
+/// after a dupmark that heads its group. No run here has a cache, so
+/// import and align put nothing in a group that continues past them;
+/// the sort and a dupmark that heads its group write to the sorted
+/// dataset. A dupmark fused to its sort runs no stage, and an export
+/// fed by the sort does no I/O, so no failure starts at them. Their
+/// cell is the sort's manifest put, which follows its last chunk
+/// downstream: the group must fail even when export has drained the
+/// whole stream.
+const MATRIX: &[(&[Stage], Stage, Inject)] = &[
+    (IMPORT_ALIGN, Stage::Import, Inject::Fastq),
+    (IMPORT_ALIGN, Stage::Align, Inject::Aligner),
+    (ALIGN_SORT, Stage::Align, Inject::Store(Op::Get, ("g", columns::QUAL), 2)),
+    (ALIGN_SORT, Stage::Sort, Inject::Store(Op::Get, ("g", columns::METADATA), 1)),
+    (IMPORT_ALIGN_SORT, Stage::Import, Inject::Fastq),
+    (IMPORT_ALIGN_SORT, Stage::Align, Inject::Aligner),
+    (IMPORT_ALIGN_SORT, Stage::Sort, Inject::Store(Op::Put, SORTED_RESULTS, 1)),
+    (DUPMARK_EXPORT, Stage::Dupmark, Inject::Store(Op::Put, SORTED_RESULTS, 0)),
+    (DUPMARK_EXPORT, Stage::ExportSam, Inject::Store(Op::Get, ("g.sorted", columns::METADATA), 1)),
+    (IMPORT_TO_BAM, Stage::Import, Inject::Fastq),
+    (IMPORT_TO_BAM, Stage::Align, Inject::Aligner),
+    (IMPORT_TO_BAM, Stage::Sort, Inject::Store(Op::Put, SORTED_RESULTS, 1)),
+    (IMPORT_TO_BAM, Stage::Sort, Inject::Store(Op::Put, SORTED_MANIFEST, 0)),
+    (SORT_DUPMARK_EXPORT, Stage::Sort, Inject::Store(Op::Get, ("g", columns::METADATA), 1)),
+    (SORT_DUPMARK_EXPORT, Stage::Sort, Inject::Store(Op::Put, SORTED_MANIFEST, 0)),
 ];
 
+/// The sorted dataset's `results` objects.
+const SORTED_RESULTS: Object = ("g.sorted", columns::RESULTS);
 /// The sorted dataset's manifest object.
-const SORTED_MANIFEST: &str = "g.sorted.manifest.json";
+const SORTED_MANIFEST: Object = ("g.sorted", MANIFEST);
+
+/// Asserts that `err` is the root cause `inject` causes at `failing`:
+/// import's FASTQ parse error, the aligner's panic, or a store fault on
+/// an object that `failing` itself reads or writes.
+fn assert_blames(failing: Stage, inject: Inject, err: &Error, what: &str) {
+    let text = err.to_string();
+    match inject {
+        Inject::Fastq => assert!(failing == Stage::Import && text.contains("fastq"), "{what}"),
+        Inject::Aligner => {
+            assert!(failing == Stage::Align && text.contains("aligner boom"), "{what}")
+        }
+        Inject::Store(op, object, _) => {
+            let (_, name) = text.rsplit_once("injected fault on ").expect(what);
+            assert_eq!(parse(name), object, "{what}");
+            assert!(touches(failing, op, object), "{what}: {failing} does not touch {name}");
+        }
+    }
+}
 
 /// Runs `group` as a plan of its own with `inject` armed and returns
 /// the error the plan surfaced plus whatever the observer heard. With
@@ -248,11 +303,11 @@ fn run_cell(w: &World, group: &[Stage], inject: Inject, cancel_first: bool) -> (
 #[test]
 fn every_group_position_surfaces_its_root_cause_and_announces_nothing() {
     let w = World::new();
-    for &(group, failing, inject, root_cause) in MATRIX {
+    for &(group, failing, inject) in MATRIX {
         let (err, heard) = run_cell(&w, group, inject, false);
         let what = format!("{group:?} failing at {failing}: {err}");
         assert!(!matches!(err, Error::NeighbourClosed | Error::Cancelled), "{what}");
-        assert!(err.to_string().contains(root_cause), "{what}");
+        assert_blames(failing, inject, &err, &what);
         assert!(heard.is_empty(), "{what}: announced {heard:?}");
     }
 }
@@ -260,7 +315,7 @@ fn every_group_position_surfaces_its_root_cause_and_announces_nothing() {
 #[test]
 fn cancelled_wins_over_every_failure_once_the_token_has_fired() {
     let w = World::new();
-    for &(group, failing, inject, _) in MATRIX {
+    for &(group, failing, inject) in MATRIX {
         let (err, heard) = run_cell(&w, group, inject, true);
         let what = format!("{group:?} failing at {failing}: {err}");
         assert!(matches!(err, Error::Cancelled), "{what}");
@@ -287,7 +342,8 @@ fn a_fault_in_the_marking_sort_write_lands_nothing() {
     let store = Arc::new(FaultyStore { inner: MemStore::new(), fault: Mutex::new(None) });
     let dyn_store: Arc<dyn ChunkStore> = store.clone();
     let landed = w.land(&dyn_store, DataState::Aligned);
-    *store.fault.lock().unwrap() = Some((Op::Put, ".results", 0, Arc::new(|| {})));
+    let inject = Inject::Store(Op::Put, SORTED_RESULTS, 0);
+    *store.fault.lock().unwrap() = Some((Op::Put, SORTED_RESULTS, 0, Arc::new(|| {})));
     let heard = Arc::new(Mutex::new(Vec::new()));
     let observer = {
         let heard = heard.clone();
@@ -297,7 +353,7 @@ fn a_fault_in_the_marking_sort_write_lands_nothing() {
     let rt = PersonaRuntime::new(dyn_store.clone(), PersonaConfig::small()).unwrap().for_job(job);
     let source = || PlanSource::Dataset(landed.clone());
     let err = plan.run(&rt, w.request(source())).expect_err("the injected fault fails the plan");
-    assert!(err.to_string().contains("injected fault"), "{err}");
+    assert_blames(Stage::Sort, inject, &err, &err.to_string());
     assert!(!dyn_store.exists("g.sorted.manifest.json"), "a failed sort landed its manifest");
     assert!(heard.lock().unwrap().is_empty(), "announced {:?}", heard.lock().unwrap());
 

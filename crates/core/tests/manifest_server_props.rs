@@ -1,22 +1,27 @@
-//! Property tests for the `ManifestServer`: streaming semantics must
-//! hold for every capacity and producer/consumer mix — exactly-once
-//! delivery, `total()` / `remaining()` consistency, push-after-close
-//! failure, and strict FIFO.
+//! Property tests for the manifest server's `Edge`: streaming semantics
+//! must hold for every capacity and producer/consumer mix — exactly-once
+//! delivery, `remaining()` consistent with the pushes made,
+//! push-after-close failure, and strict FIFO.
 
 use std::sync::Arc;
 
-use persona::manifest_server::{ChunkTask, ManifestServer};
+use persona::manifest_server::{Edge, EdgeChunk, EdgeOut};
+use persona_telemetry::MetricsRegistry;
 use proptest::prelude::*;
 
-fn task(idx: usize) -> ChunkTask {
-    ChunkTask { chunk_idx: idx, stem: format!("c-{idx}"), num_records: 1 }
+fn task(idx: usize) -> EdgeChunk {
+    EdgeChunk { chunk_idx: idx, stem: format!("c-{idx}"), num_records: 1, carried: Vec::new() }
+}
+
+fn streaming(capacity: usize) -> (EdgeOut, Edge) {
+    Edge::streaming(capacity, &MetricsRegistry::new())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Concurrent feeders and fetchers deliver every task exactly once,
-    /// and the counters agree with what happened.
+    /// and the counts agree with the pushes made.
     #[test]
     fn streaming_delivers_exactly_once(
         capacity in 1usize..32,
@@ -24,13 +29,13 @@ proptest! {
         consumers in 1usize..4,
         per_producer in 0usize..120,
     ) {
-        let (server, feeder) = ManifestServer::streaming(capacity, None);
+        let (feeder, server) = streaming(capacity);
         let collected = std::thread::scope(|s| {
             for p in 0..producers {
                 let feeder = feeder.clone();
                 s.spawn(move || {
                     for i in 0..per_producer {
-                        assert!(feeder.push(task(p * 10_000 + i)));
+                        assert!(feeder.push(task(p * 10_000 + i)).is_ok());
                     }
                 });
             }
@@ -59,22 +64,22 @@ proptest! {
             .flat_map(|p| (0..per_producer).map(move |i| p * 10_000 + i))
             .collect();
         expected.sort();
+        prop_assert_eq!(all.len(), producers * per_producer);
         prop_assert_eq!(all, expected);
-        prop_assert_eq!(server.total(), producers * per_producer);
         prop_assert_eq!(server.remaining(), 0);
         prop_assert_eq!(server.fetch(), None);
     }
 
     /// One producer racing one consumer: every task arrives exactly
     /// once, `remaining() <= capacity` (the backpressure bound) holds
-    /// throughout, and `total()` is exact. (Strict FIFO under the same
+    /// throughout, and every push is accepted. (Strict FIFO under the same
     /// race is the next property.)
     #[test]
     fn single_stream_delivers_all_and_respects_capacity(
         capacity in 1usize..16,
         n in 0usize..200,
     ) {
-        let (server, feeder) = ManifestServer::streaming(capacity, None);
+        let (feeder, server) = streaming(capacity);
         let consumer = {
             let server = server.clone();
             std::thread::spawn(move || {
@@ -85,11 +90,13 @@ proptest! {
                 got
             })
         };
+        let mut pushed = 0;
         for i in 0..n {
-            assert!(feeder.push(task(i)));
+            assert!(feeder.push(task(i)).is_ok());
+            pushed += 1;
             assert!(server.remaining() <= capacity, "remaining exceeds capacity");
         }
-        prop_assert_eq!(server.total(), n);
+        prop_assert_eq!(pushed, n);
         drop(feeder);
         let mut got = consumer.join().unwrap();
         got.sort();
@@ -105,7 +112,7 @@ proptest! {
         n in 0usize..150,
     ) {
         // Live race.
-        let (server, feeder) = ManifestServer::streaming(capacity, None);
+        let (feeder, server) = streaming(capacity);
         let consumer = {
             let server = server.clone();
             std::thread::spawn(move || {
@@ -117,15 +124,15 @@ proptest! {
             })
         };
         for i in 0..n {
-            assert!(feeder.push(task(i)));
+            assert!(feeder.push(task(i)).is_ok());
         }
         drop(feeder);
         prop_assert_eq!(consumer.join().unwrap(), (0..n).collect::<Vec<_>>());
 
         // Quiescent drain.
-        let (server, feeder) = ManifestServer::streaming(n.max(1), None);
+        let (feeder, server) = streaming(n.max(1));
         for i in 0..n {
-            assert!(feeder.push(task(i)));
+            assert!(feeder.push(task(i)).is_ok());
         }
         drop(feeder);
         let mut got = Vec::new();
@@ -142,15 +149,15 @@ proptest! {
         accepted in 0usize..20,
         rejected in 1usize..8,
     ) {
-        let (server, feeder) = ManifestServer::streaming(64, None);
+        let (feeder, server) = streaming(64);
         for i in 0..accepted {
-            prop_assert!(feeder.push(task(i)));
+            prop_assert!(feeder.push(task(i)).is_ok());
         }
         server.close();
         for i in 0..rejected {
-            prop_assert!(!feeder.push(task(1000 + i)), "push after close must fail");
+            prop_assert!(feeder.push(task(1000 + i)).is_err(), "push after close must fail");
         }
-        prop_assert_eq!(server.total(), accepted);
+        prop_assert_eq!(server.remaining(), accepted);
         let mut got = Vec::new();
         while let Some(t) = server.fetch() {
             got.push(t.chunk_idx);
@@ -177,8 +184,8 @@ proptest! {
             first += 3;
         }
         m.total_records = first;
-        let server = ManifestServer::new(&m, None);
-        prop_assert_eq!(server.total(), chunks);
+        let server = Edge::landed(m);
+        prop_assert_eq!(server.remaining(), chunks);
         let server = Arc::new(server);
         let mut all: Vec<usize> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)

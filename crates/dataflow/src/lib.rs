@@ -14,7 +14,8 @@
 //!   servers do not have too many AGD chunks in their pipelines".
 //! * **Bounded queues** ([`queue`]) — a blocking MPMC queue with
 //!   producer-tracked close. Every chunk edge of a plan runs on one (the
-//!   manifest server wraps it), and the benchmark reports its hop cost.
+//!   manifest server's `Edge` and `EdgeOut` sit directly on it), and the
+//!   benchmark reports its hop cost.
 //! * **Metrics** ([`metrics`]) — busy/wait counters and a sampled
 //!   utilization timeline, which regenerate the paper's CPU-utilization
 //!   analysis (Fig. 5).

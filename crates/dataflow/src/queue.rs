@@ -4,26 +4,16 @@
 //! releases, which propagates end-of-stream to every consumer. One lock
 //! guards the items, so delivery is globally FIFO and exactly-once under
 //! any mix of producers and consumers. Every chunk stream of a plan runs
-//! on one: `persona::manifest_server::ManifestServer` wraps a
-//! `QueueHandle` of chunk tasks, both for a dataset at rest and for the
-//! live edge between two fused stages.
+//! on one: a `persona::manifest_server::Edge` consumes a `QueueHandle`
+//! of chunks and an `EdgeOut` produces into it, both for a dataset at
+//! rest and for the live edge between two fused stages. The queue keeps
+//! no counters; a live edge's occupancy is the `manifest.queue_occupancy`
+//! gauge.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
-
-/// Snapshot of queue counters (for overhead/occupancy analysis).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct QueueStats {
-    /// Total items ever enqueued.
-    pub pushed: u64,
-    /// Total items ever dequeued.
-    pub popped: u64,
-    /// High-water mark of occupancy.
-    pub high_water: usize,
-}
 
 struct Inner<T> {
     items: VecDeque<T>,
@@ -37,9 +27,6 @@ struct Shared<T> {
     not_full: Condvar,
     capacity: usize,
     name: String,
-    pushed: AtomicU64,
-    popped: AtomicU64,
-    high_water: AtomicUsize,
 }
 
 /// A cloneable handle to a bounded queue.
@@ -92,9 +79,6 @@ impl<T> QueueHandle<T> {
                 not_full: Condvar::new(),
                 capacity: capacity.max(1),
                 name: name.to_string(),
-                pushed: AtomicU64::new(0),
-                popped: AtomicU64::new(0),
-                high_water: AtomicUsize::new(0),
             }),
         }
     }
@@ -116,10 +100,7 @@ impl<T> QueueHandle<T> {
             }
             if inner.items.len() < self.shared.capacity {
                 inner.items.push_back(value);
-                let occupancy = inner.items.len();
                 drop(inner);
-                self.shared.pushed.fetch_add(1, Ordering::Relaxed);
-                self.shared.high_water.fetch_max(occupancy, Ordering::Relaxed);
                 self.shared.not_empty.notify_one();
                 return Ok(());
             }
@@ -133,7 +114,6 @@ impl<T> QueueHandle<T> {
         loop {
             if let Some(v) = inner.items.pop_front() {
                 drop(inner);
-                self.shared.popped.fetch_add(1, Ordering::Relaxed);
                 self.shared.not_full.notify_one();
                 return Some(v);
             }
@@ -150,7 +130,6 @@ impl<T> QueueHandle<T> {
         let v = inner.items.pop_front();
         if v.is_some() {
             drop(inner);
-            self.shared.popped.fetch_add(1, Ordering::Relaxed);
             self.shared.not_full.notify_one();
         }
         v
@@ -181,23 +160,9 @@ impl<T> QueueHandle<T> {
         self.len() == 0
     }
 
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.shared.capacity
-    }
-
     /// The queue's name (for reports).
     pub fn name(&self) -> &str {
         &self.shared.name
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> QueueStats {
-        QueueStats {
-            pushed: self.shared.pushed.load(Ordering::Relaxed),
-            popped: self.shared.popped.load(Ordering::Relaxed),
-            high_water: self.shared.high_water.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -291,10 +256,7 @@ mod tests {
             (0..4).flat_map(|t| (0..250).map(move |i| t * 1000 + i)).collect();
         expected.sort();
         assert_eq!(all, expected);
-        let stats = q.stats();
-        assert_eq!(stats.pushed, 1000);
-        assert_eq!(stats.popped, 1000);
-        assert!(stats.high_water <= 16);
+        assert!(q.is_empty());
     }
 
     #[test]
