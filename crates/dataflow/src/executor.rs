@@ -213,17 +213,6 @@ struct ExecShared {
     task_latency: Histogram,
 }
 
-/// Executor counters.
-#[derive(Debug, Clone, Copy)]
-pub struct ExecutorStats {
-    /// Tasks completed.
-    pub tasks_done: u64,
-    /// Cumulative busy time across workers, nanoseconds.
-    pub busy_ns: u64,
-    /// Number of worker threads.
-    pub workers: usize,
-}
-
 /// A thread-owning executor with a fine-grain task queue.
 pub struct Executor {
     shared: Arc<ExecShared>,
@@ -412,12 +401,6 @@ impl Executor {
         self.workers.len()
     }
 
-    /// Counter snapshot.
-    pub fn stats(&self) -> ExecutorStats {
-        let snap = self.shared.counters.snapshot();
-        ExecutorStats { tasks_done: snap.items, busy_ns: snap.busy_ns, workers: self.workers.len() }
-    }
-
     /// The executor's shared counters, e.g. for a utilization timeline
     /// ([`crate::metrics::Sampler`]).
     pub fn counters(&self) -> Arc<NodeCounters> {
@@ -509,7 +492,7 @@ mod tests {
         .join()
         .unwrap();
         assert_eq!(counter.load(Ordering::SeqCst), 100);
-        assert_eq!(ex.stats().tasks_done, 100);
+        assert_eq!(ex.counters().snapshot().items, 100);
     }
 
     #[test]
@@ -556,7 +539,7 @@ mod tests {
         let elapsed = start.elapsed();
         // 8 × 50 ms on 4 threads ≈ 100 ms; serial would be 400 ms.
         assert!(elapsed < std::time::Duration::from_millis(300), "elapsed {elapsed:?}");
-        assert!(ex.stats().busy_ns >= 8 * 45_000_000);
+        assert!(ex.counters().snapshot().busy_ns >= 8 * 45_000_000);
     }
 
     #[test]
@@ -820,6 +803,6 @@ mod tests {
         assert_eq!(snap_b.items, 4);
         assert!(snap_a.busy_ns > snap_b.busy_ns, "{} <= {}", snap_a.busy_ns, snap_b.busy_ns);
         // The executor's own counters saw everything.
-        assert_eq!(ex.stats().tasks_done, 8);
+        assert_eq!(ex.counters().snapshot().items, 8);
     }
 }

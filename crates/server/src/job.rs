@@ -132,8 +132,6 @@ pub(crate) struct Job {
     pub priority: Priority,
     pub cancel: CancelToken,
     pub submitted: Instant,
-    /// Set when the job dispatches (for queue-wait accounting).
-    pub dispatched: Mutex<Option<Instant>>,
     pub state: Mutex<JobState>,
     pub done_cv: Condvar,
     pub payload: Mutex<Option<JobPayload>>,
@@ -142,42 +140,25 @@ pub(crate) struct Job {
 }
 
 impl Job {
-    pub fn new(id: u64, spec: JobSpec) -> Arc<Job> {
+    /// A queued job. `payload` is `None` for a job that never runs: a
+    /// recovered one that is finished at once, or a scheduler test's.
+    pub fn new(
+        id: u64,
+        name: String,
+        tenant: String,
+        priority: Priority,
+        payload: Option<JobPayload>,
+    ) -> Arc<Job> {
         Arc::new(Job {
             id,
-            name: spec.name,
-            tenant: spec.tenant,
-            priority: spec.priority,
-            cancel: CancelToken::new(),
-            submitted: Instant::now(),
-            dispatched: Mutex::new(None),
-            state: Mutex::new(JobState::Queued),
-            done_cv: Condvar::new(),
-            payload: Mutex::new(Some(JobPayload {
-                plan: spec.plan,
-                input: spec.input,
-                chunk_size: spec.chunk_size,
-                aligner: spec.aligner,
-                reference: spec.reference,
-            })),
-            watchers: Mutex::new(Vec::new()),
-        })
-    }
-
-    /// A payload-less job for scheduler tests.
-    #[cfg(test)]
-    pub fn stub(id: u64, tenant: &str, priority: Priority) -> Arc<Job> {
-        Arc::new(Job {
-            id,
-            name: format!("job-{id}"),
-            tenant: tenant.to_string(),
+            name,
+            tenant,
             priority,
             cancel: CancelToken::new(),
             submitted: Instant::now(),
-            dispatched: Mutex::new(None),
             state: Mutex::new(JobState::Queued),
             done_cv: Condvar::new(),
-            payload: Mutex::new(None),
+            payload: Mutex::new(payload),
             watchers: Mutex::new(Vec::new()),
         })
     }

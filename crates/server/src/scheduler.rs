@@ -309,8 +309,12 @@ mod tests {
         FairScheduler::new(slots, TenantConfig::default())
     }
 
+    fn job(id: u64, tenant: &str, prio: Priority) -> Arc<Job> {
+        Job::new(id, format!("job-{id}"), tenant.to_string(), prio, None)
+    }
+
     fn push(s: &mut FairScheduler, id: u64, tenant: &str, prio: Priority) {
-        s.enqueue(Job::stub(id, tenant, prio));
+        s.enqueue(job(id, tenant, prio));
     }
 
     #[test]
@@ -408,8 +412,8 @@ mod tests {
     #[test]
     fn remove_queued_only_removes_pending_jobs() {
         let mut s = sched(1);
-        let a = Job::stub(1, "t", Priority::Normal);
-        let b = Job::stub(2, "t", Priority::Normal);
+        let a = job(1, "t", Priority::Normal);
+        let b = job(2, "t", Priority::Normal);
         s.enqueue(a.clone());
         s.enqueue(b.clone());
         let dispatched = s.next().unwrap();
@@ -434,7 +438,7 @@ mod tests {
         assert!(!s.job_finished(&a), "second release of the same job is a no-op");
         assert_eq!(s.running(), 1, "double release must not free two slots");
         // Releasing a job that was never dispatched is also a no-op.
-        let ghost = Job::stub(99, "t", Priority::Normal);
+        let ghost = job(99, "t", Priority::Normal);
         assert!(!s.job_finished(&ghost));
         assert_eq!(s.running(), 1);
         assert!(s.job_finished(&b));

@@ -1,17 +1,20 @@
-//! The multi-tenant job service: one dispatcher, N runner threads, one
+//! The multi-tenant job service: a fixed pool of job runners over one
 //! shared [`PersonaRuntime`].
 //!
 //! [`PersonaService::submit`] validates a [`JobSpec`] (plan/input
 //! coherence, through the same `Plan` helpers `Plan::run` uses) and
-//! enqueues it with the `FairScheduler`; a dispatcher thread grants
-//! fair-share slots and spawns one runner thread per dispatched job,
-//! which executes the job's plan on the shared runtime and resolves
-//! the caller's [`JobHandle`]. Terminal accounting (per-tenant
-//! counts, reads, queue wait, executor busy share, per-stage rollups)
-//! aggregates into [`PersonaService::report`]. Both the in-process API
-//! and the TCP front end ([`crate::wire::WireServer`]) go through this
-//! same `submit` path, which is what makes their outputs
-//! byte-identical.
+//! enqueues it with the `FairScheduler`. `max_concurrent_jobs`
+//! long-lived runner threads each take the next job the scheduler
+//! grants and execute its plan on the shared runtime; no thread is
+//! started per job. However a job ends — run to its end, cancelled in
+//! the queue or before it started, drained at shutdown, refused at
+//! recovery — it ends through one path that journals the outcome,
+//! tallies it and only then resolves the caller's [`JobHandle`].
+//! Terminal accounting (per-tenant counts, reads, queue wait, executor
+//! busy share, per-stage rollups) aggregates into
+//! [`PersonaService::report`]. Both the in-process API and the TCP
+//! front end ([`crate::wire::WireServer`]) go through this same
+//! `submit` path, which is what makes their outputs byte-identical.
 //!
 //! # Durability
 //!
@@ -45,10 +48,10 @@ use persona_agd::chunk_io::check_object_name;
 use persona_agd::manifest::Manifest;
 use persona_align::Aligner;
 use persona_cache::{CacheEvent, CacheStats, Digest, ResultCache};
-use persona_dataflow::{CancelToken, Priority};
+use persona_dataflow::Priority;
 use persona_telemetry::{JobTrace, MetricsSnapshot};
 
-use crate::job::{Job, JobHandle, JobInput, JobOutcome, JobOutput, JobSpec, JobState, JobStatus};
+use crate::job::{Job, JobHandle, JobInput, JobOutcome, JobOutput, JobPayload, JobSpec, JobState};
 use crate::journal::{
     JobRecord, Journal, JournalConfig, JournalRecord, RecordedInput, TerminalStatus,
 };
@@ -112,13 +115,12 @@ struct TenantAccum {
 pub(crate) struct Shared {
     rt: Arc<PersonaRuntime>,
     sched: Mutex<FairScheduler>,
-    /// Signals the dispatcher: new work, a freed slot, or shutdown.
+    /// Wakes idle runners: new work, a freed slot, or shutdown.
     work_cv: Condvar,
     shutdown: AtomicBool,
     next_id: AtomicU64,
     started: Instant,
     accum: Mutex<HashMap<String, TenantAccum>>,
-    runners: Mutex<Vec<JoinHandle<()>>>,
     /// The write-ahead journal, when the service is durable
     /// ([`PersonaService::recover`]); `None` for a purely in-memory
     /// service.
@@ -166,7 +168,6 @@ impl Shared {
             next_id: AtomicU64::new(next_id),
             started: Instant::now(),
             accum: Mutex::new(HashMap::new()),
-            runners: Mutex::new(Vec::new()),
             journal: journal.map(Mutex::new),
             catalog: Mutex::new(catalog),
             traces: Mutex::new(HashMap::new()),
@@ -225,13 +226,75 @@ impl Shared {
     pub(crate) fn cancel_queued(&self, job: &Arc<Job>) {
         let removed = self.sched.lock().remove_queued(job);
         if removed {
-            if job.finish(JobOutcome::Cancelled) {
-                self.accum.lock().entry(job.tenant.clone()).or_default().cancelled += 1;
-                self.journal_note(&finished_record(job, TerminalStatus::Cancelled, None));
-            }
+            self.resolve(job, JobOutcome::Cancelled, None);
         } else {
             self.rt.executor().drain_cancelled();
         }
+    }
+
+    /// Counts `job` as submitted and queues it for the runners.
+    fn admit(&self, job: &Arc<Job>) {
+        self.accum.lock().entry(job.tenant.clone()).or_default().submitted += 1;
+        self.sched.lock().enqueue(job.clone());
+        self.work_cv.notify_all();
+    }
+
+    /// Ends `job`; every terminal path goes through here. In order: a
+    /// completed job's final manifest is journaled as a `dataset` and
+    /// then cataloged under the job name, `finished` is journaled, the
+    /// tenant's totals grow, the handle resolves and the job's slot is
+    /// freed — so a client never observes an outcome the journal does
+    /// not hold. The caller owns the job alone (it took it off the
+    /// queue, or ran it), so a job resolves once. `run` is what a
+    /// dispatched job's run adds to the totals.
+    fn resolve(&self, job: &Job, outcome: JobOutcome, run: Option<Run>) {
+        let (status, error) = match &outcome {
+            JobOutcome::Completed(output) => {
+                if let Some(manifest) = &output.manifest {
+                    let name = job.name.clone();
+                    let record = JournalRecord::Dataset { name, manifest: manifest.clone() };
+                    if self.journal_append(&record).is_ok() {
+                        self.catalog.lock().insert(job.name.clone(), manifest.clone());
+                    }
+                }
+                (TerminalStatus::Completed, None)
+            }
+            JobOutcome::Failed(msg) => (TerminalStatus::Failed, Some(msg.clone())),
+            JobOutcome::Cancelled => (TerminalStatus::Cancelled, None),
+        };
+        self.journal_note(&JournalRecord::Finished {
+            job_id: job.id,
+            name: job.name.clone(),
+            tenant: job.tenant.clone(),
+            status,
+            error,
+        });
+        {
+            let mut accum = self.accum.lock();
+            let a = accum.entry(job.tenant.clone()).or_default();
+            match status {
+                TerminalStatus::Completed => a.completed += 1,
+                TerminalStatus::Failed => a.failed += 1,
+                TerminalStatus::Cancelled => a.cancelled += 1,
+            }
+            if let Some(run) = run {
+                a.dispatched += 1;
+                a.busy += run.busy;
+                a.queue_wait += run.queue_wait;
+                a.run_time += run.elapsed;
+            }
+            if let Some(output) = outcome.output() {
+                a.reads += output.reads;
+                for (stage, elapsed, _) in output.report.stage_rows() {
+                    let (runs, total) = a.stages.entry(stage).or_insert((0, Duration::ZERO));
+                    *runs += 1;
+                    *total += elapsed;
+                }
+            }
+        }
+        job.finish(outcome);
+        self.sched.lock().job_finished(job);
+        self.work_cv.notify_all();
     }
 
     /// Appends to the journal, when one is configured. Write-ahead
@@ -254,15 +317,11 @@ impl Shared {
     }
 }
 
-/// The terminal record for `job`.
-fn finished_record(job: &Job, status: TerminalStatus, error: Option<String>) -> JournalRecord {
-    JournalRecord::Finished {
-        job_id: job.id,
-        name: job.name.clone(),
-        tenant: job.tenant.clone(),
-        status,
-        error,
-    }
+/// What a dispatched job's run adds to its tenant's totals.
+struct Run {
+    queue_wait: Duration,
+    elapsed: Duration,
+    busy: Duration,
 }
 
 /// A multi-tenant job service over one shared [`PersonaRuntime`].
@@ -271,7 +330,8 @@ fn finished_record(job: &Job, status: TerminalStatus, error: Option<String>) -> 
 /// joins all in-flight jobs.
 pub struct PersonaService {
     shared: Arc<Shared>,
-    dispatcher: Mutex<Option<JoinHandle<()>>>,
+    /// The job runners, `max_concurrent_jobs` of them.
+    runners: Mutex<Vec<JoinHandle<()>>>,
     /// Handles rebuilt by [`PersonaService::recover`], in submission
     /// order; empty for an in-memory service.
     recovered: Vec<JobHandle>,
@@ -302,8 +362,8 @@ impl PersonaService {
     /// durable variant.
     pub fn new(rt: Arc<PersonaRuntime>, config: ServiceConfig) -> PersonaService {
         let shared = Shared::create(rt, &config, None, HashMap::new(), 1);
-        let dispatcher = spawn_dispatcher(&shared);
-        PersonaService { shared, dispatcher: Mutex::new(Some(dispatcher)), recovered: Vec::new() }
+        let runners = Mutex::new(spawn_runners(&shared, config.max_concurrent_jobs));
+        PersonaService { shared, runners, recovered: Vec::new() }
     }
 
     /// Opens (or creates) the write-ahead journal at `path`, replays
@@ -313,8 +373,9 @@ impl PersonaService {
     /// - **Terminal jobs are never re-admitted.** Their handles
     ///   resolve immediately from the journal (see
     ///   [`PersonaService::recovered_jobs`]); a completed job's output
-    ///   keeps its journaled final manifest, but exported bytes and
-    ///   timings did not survive the crash and come back empty.
+    ///   keeps its journaled final manifest, and its exported bytes are
+    ///   re-created from that dataset. Stage timings did not survive
+    ///   the crash and come back empty.
     /// - **Queued jobs re-enter the scheduler** in submission order
     ///   under their original tenant, priority and id.
     /// - **Jobs interrupted mid-plan resume at the last journaled
@@ -349,15 +410,18 @@ impl PersonaService {
         let mut recovered = Vec::new();
         for record in state.jobs() {
             let job = match &record.terminal {
+                // Never re-admitted, so it journals and tallies nothing.
                 Some((status, error)) => {
-                    recovered_terminal_job(record, *status, error.clone(), &shared)
+                    let job = replayed_job(record, None);
+                    job.finish(recovered_outcome(record, *status, error.clone(), &shared));
+                    job
                 }
                 None => requeue_job(record, &shared, &opts),
             };
             recovered.push(JobHandle { job, service: Arc::downgrade(&shared) });
         }
-        let dispatcher = spawn_dispatcher(&shared);
-        Ok(PersonaService { shared, dispatcher: Mutex::new(Some(dispatcher)), recovered })
+        let runners = Mutex::new(spawn_runners(&shared, config.max_concurrent_jobs));
+        Ok(PersonaService { shared, runners, recovered })
     }
 
     /// The jobs the journal knew about at recovery, in submission
@@ -450,13 +514,10 @@ impl PersonaService {
                 reference: spec.reference.clone(),
             })?;
         }
-        let job = Job::new(id, spec);
-        self.shared.accum.lock().entry(job.tenant.clone()).or_default().submitted += 1;
-        {
-            let mut sched = self.shared.sched.lock();
-            sched.enqueue(job.clone());
-            self.shared.work_cv.notify_all();
-        }
+        let JobSpec { name, tenant, priority, plan, input, chunk_size, aligner, reference } = spec;
+        let payload = JobPayload { plan, input, chunk_size, aligner, reference };
+        let job = Job::new(id, name, tenant, priority, Some(payload));
+        self.shared.admit(&job);
         Ok(JobHandle { job, service: Arc::downgrade(&self.shared) })
     }
 
@@ -564,29 +625,17 @@ impl PersonaService {
         if self.shared.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        {
+        let drained = {
             let mut sched = self.shared.sched.lock();
-            let drained = sched.drain();
             self.shared.work_cv.notify_all();
-            drop(sched);
-            let mut accum = self.shared.accum.lock();
-            for job in drained {
-                if job.finish(JobOutcome::Cancelled) {
-                    accum.entry(job.tenant.clone()).or_default().cancelled += 1;
-                    self.shared.journal_note(&finished_record(
-                        &job,
-                        TerminalStatus::Cancelled,
-                        None,
-                    ));
-                }
-            }
+            sched.drain()
+        };
+        for job in drained {
+            self.shared.resolve(&job, JobOutcome::Cancelled, None);
         }
-        if let Some(d) = self.dispatcher.lock().take() {
-            let _ = d.join();
-        }
-        let runners = std::mem::take(&mut *self.shared.runners.lock());
-        for r in runners {
-            let _ = r.join();
+        let runners = std::mem::take(&mut *self.runners.lock());
+        for runner in runners {
+            let _ = runner.join();
         }
         // A clean stop leaves nothing in the fsync batch window.
         if let Some(journal) = &self.shared.journal {
@@ -601,23 +650,34 @@ impl Drop for PersonaService {
     }
 }
 
-fn spawn_dispatcher(shared: &Arc<Shared>) -> JoinHandle<()> {
-    let shared = shared.clone();
-    std::thread::Builder::new()
-        .name("persona-dispatch".into())
-        .spawn(move || dispatch_loop(shared))
-        .expect("spawn dispatcher")
+/// Starts the pool of `count` job runners.
+fn spawn_runners(shared: &Arc<Shared>, count: usize) -> Vec<JoinHandle<()>> {
+    (0..count)
+        .map(|k| {
+            let shared = shared.clone();
+            std::thread::Builder::new()
+                .name(format!("persona-runner-{k}"))
+                .spawn(move || runner_loop(shared))
+                .expect("spawn job runner")
+        })
+        .collect()
 }
 
-/// A journal-replayed job in a terminal state: its handle resolves
-/// immediately, and it never re-enters the scheduler.
-fn recovered_terminal_job(
+/// A job rebuilt from its journal record; `payload` is `None` when it
+/// will never run.
+fn replayed_job(rec: &JobRecord, payload: Option<JobPayload>) -> Arc<Job> {
+    let priority = rec.spec.as_ref().map_or(Priority::Normal, |s| s.priority);
+    Job::new(rec.id, rec.name.clone(), rec.tenant.clone(), priority, payload)
+}
+
+/// The outcome a journal-replayed terminal job resolves with.
+fn recovered_outcome(
     rec: &JobRecord,
     status: TerminalStatus,
     error: Option<String>,
     shared: &Arc<Shared>,
-) -> Arc<Job> {
-    let outcome = match status {
+) -> JobOutcome {
+    match status {
         TerminalStatus::Failed => {
             JobOutcome::Failed(error.unwrap_or_else(|| "job failed before the restart".into()))
         }
@@ -657,8 +717,7 @@ fn recovered_terminal_job(
                 elapsed: Duration::ZERO,
             })
         }
-    };
-    resolved_job(rec, outcome)
+    }
 }
 
 /// Re-runs a recovered completed job's trailing export stages over its
@@ -700,36 +759,17 @@ fn rematerialize_exports(
     }
 }
 
-/// Builds an already-finished [`Job`] for a recovered record.
-fn resolved_job(rec: &JobRecord, outcome: JobOutcome) -> Arc<Job> {
-    Arc::new(Job {
-        id: rec.id,
-        name: rec.name.clone(),
-        tenant: rec.tenant.clone(),
-        priority: rec.spec.as_ref().map(|s| s.priority).unwrap_or(Priority::Normal),
-        cancel: CancelToken::new(),
-        submitted: Instant::now(),
-        dispatched: Mutex::new(None),
-        state: Mutex::new(JobState::Done(Arc::new(outcome))),
-        done_cv: Condvar::new(),
-        payload: Mutex::new(None),
-        watchers: Mutex::new(Vec::new()),
-    })
-}
-
 /// Re-admits a journal-replayed job the crashed service never
 /// finished, resuming at the last journaled stage when one landed.
+/// Counted as submitted in this incarnation, whether it is re-admitted
+/// or fails re-admission; no `Submitted` is re-journaled — the record
+/// that replayed it is already in the log.
 fn requeue_job(rec: &JobRecord, shared: &Arc<Shared>, opts: &RecoverOptions) -> Arc<Job> {
     let fail = |msg: String| -> Arc<Job> {
-        shared.journal_note(&JournalRecord::Finished {
-            job_id: rec.id,
-            name: rec.name.clone(),
-            tenant: rec.tenant.clone(),
-            status: TerminalStatus::Failed,
-            error: Some(msg.clone()),
-        });
-        shared.accum.lock().entry(rec.tenant.clone()).or_default().failed += 1;
-        resolved_job(rec, JobOutcome::Failed(msg))
+        let job = replayed_job(rec, None);
+        shared.accum.lock().entry(job.tenant.clone()).or_default().submitted += 1;
+        shared.resolve(&job, JobOutcome::Failed(msg), None);
+        job
     };
     let Some(spec) = &rec.spec else {
         // Unreachable through this crate's own compaction (only
@@ -759,32 +799,21 @@ fn requeue_job(rec: &JobRecord, shared: &Arc<Shared>, opts: &RecoverOptions) -> 
     if let Err(e) = admitted {
         return fail(format!("cannot re-admit recovered job: {e}"));
     }
-    let job = Job::new(
-        rec.id,
-        JobSpec {
-            name: rec.name.clone(),
-            tenant: rec.tenant.clone(),
-            priority: spec.priority,
-            plan,
-            input,
-            chunk_size: spec.chunk_size,
-            aligner,
-            reference: spec.reference.clone(),
-        },
-    );
-    // Counted as submitted in this incarnation (its terminal state
-    // will land here too); no `Submitted` re-journaling — the record
-    // that re-admitted it is already in the log.
-    shared.accum.lock().entry(job.tenant.clone()).or_default().submitted += 1;
-    {
-        let mut sched = shared.sched.lock();
-        sched.enqueue(job.clone());
-        shared.work_cv.notify_all();
-    }
+    let payload = JobPayload {
+        plan,
+        input,
+        chunk_size: spec.chunk_size,
+        aligner,
+        reference: spec.reference.clone(),
+    };
+    let job = replayed_job(rec, Some(payload));
+    shared.admit(&job);
     job
 }
 
-fn dispatch_loop(shared: Arc<Shared>) {
+/// One runner of the pool: runs each job the scheduler grants it to
+/// its end, one at a time, until shutdown.
+fn runner_loop(shared: Arc<Shared>) {
     loop {
         let job = {
             let mut sched = shared.sched.lock();
@@ -801,70 +830,36 @@ fn dispatch_loop(shared: Arc<Shared>) {
         // A job cancelled between admission and dispatch never runs;
         // its slot frees immediately.
         if job.cancel.is_cancelled() {
-            if job.finish(JobOutcome::Cancelled) {
-                shared.accum.lock().entry(job.tenant.clone()).or_default().cancelled += 1;
-                shared.journal_note(&finished_record(&job, TerminalStatus::Cancelled, None));
-            }
-            let mut sched = shared.sched.lock();
-            sched.job_finished(&job);
-            shared.work_cv.notify_all();
-            continue;
-        }
-        let dispatched = Instant::now();
-        *job.dispatched.lock() = Some(dispatched);
-        // Everything a client may ask about a running job exists before
-        // `running` becomes observable: its span recorder (fetchable
-        // live via `trace_json` / the wire protocol) and its admission
-        // wait, observed at grant on the scheduler's behalf (the
-        // scheduler itself is clock-free).
-        let trace = JobTrace::real();
-        shared.retain_trace(job.id, trace.clone());
-        shared
-            .rt
-            .telemetry()
-            .histogram("scheduler.admission_wait_ns")
-            .observe(dispatched.duration_since(job.submitted).as_nanos() as u64);
-        *job.state.lock() = crate::job::JobState::Running;
-        shared.journal_note(&JournalRecord::Started { job_id: job.id });
-        let spawned = {
-            let shared = shared.clone();
-            let job = job.clone();
-            std::thread::Builder::new()
-                .name(format!("persona-job-{}", job.id))
-                .spawn(move || run_job(shared, job, trace))
-        };
-        match spawned {
-            Ok(runner) => {
-                let mut runners = shared.runners.lock();
-                // Reap finished runners so the handle list stays
-                // O(in-flight).
-                runners.retain(|h| !h.is_finished());
-                runners.push(runner);
-            }
-            Err(e) => {
-                // Thread exhaustion fails this one job (typed, so the
-                // submitter sees why) and frees its slot; the
-                // dispatcher itself keeps serving everyone else.
-                if job.finish(JobOutcome::Failed(format!("cannot start job runner: {e}"))) {
-                    shared.accum.lock().entry(job.tenant.clone()).or_default().failed += 1;
-                }
-                let mut sched = shared.sched.lock();
-                sched.job_finished(&job);
-                shared.work_cv.notify_all();
-            }
+            shared.resolve(&job, JobOutcome::Cancelled, None);
+        } else {
+            run_job(&shared, &job);
         }
     }
 }
 
 /// Executes one dispatched job on the shared runtime and resolves its
 /// handle. Every dispatched job is traced: the plan driver records
-/// stage spans and the chunk loops record chunk spans into `trace`.
-fn run_job(shared: Arc<Shared>, job: Arc<Job>, trace: Arc<JobTrace>) {
-    let payload = job.payload.lock().take().expect("dispatched job has its payload");
-    let dispatched = job.dispatched.lock().unwrap_or(job.submitted);
+/// stage spans and the chunk loops record chunk spans into its trace.
+fn run_job(shared: &Arc<Shared>, job: &Arc<Job>) {
+    let dispatched = Instant::now();
     let queue_wait = dispatched.duration_since(job.submitted);
+    // Everything a client may ask about a running job exists before
+    // `running` becomes observable: its span recorder (fetchable live
+    // via `trace_json` / the wire protocol) and its admission wait,
+    // observed at grant on the scheduler's behalf (the scheduler
+    // itself is clock-free).
+    let trace = JobTrace::real();
+    shared.retain_trace(job.id, trace.clone());
+    shared
+        .rt
+        .telemetry()
+        .histogram("scheduler.admission_wait_ns")
+        .observe(queue_wait.as_nanos() as u64);
+    *job.state.lock() = JobState::Running;
+    shared.journal_note(&JournalRecord::Started { job_id: job.id });
     let started = Instant::now();
 
+    let payload = job.payload.lock().take().expect("dispatched job has its payload");
     // Content digest of the job's input — half of every cache key. The
     // digest is of what the client submitted (FASTQ bytes or dataset
     // manifest), computed before the input moves into the plan source.
@@ -909,7 +904,7 @@ fn run_job(shared: Arc<Shared>, job: Arc<Job>, trace: Arc<JobTrace>) {
     let result = payload.plan.run(&shared.rt.for_job(ctx), request);
     let elapsed = started.elapsed();
 
-    let (outcome, reads, stage_rows) = match result {
+    let outcome = match result {
         Ok(mut report) => {
             // Cache-elided stages produced no per-stage rows; a fully
             // cached plan reports its reads from the final manifest.
@@ -917,76 +912,25 @@ fn run_job(shared: Arc<Shared>, job: Arc<Job>, trace: Arc<JobTrace>) {
                 0 => report.final_manifest().map(|m| m.total_records).unwrap_or(0),
                 n => n,
             };
-            let rows = report.stage_rows();
             let sam = report.sam.take().unwrap_or_default();
             let bam = report.bam.take().unwrap_or_default();
             let manifest = report.final_manifest().cloned();
-            (
-                JobOutcome::Completed(JobOutput {
-                    sam,
-                    bam,
-                    manifest,
-                    report,
-                    reads,
-                    queue_wait,
-                    elapsed,
-                }),
+            JobOutcome::Completed(JobOutput {
+                sam,
+                bam,
+                manifest,
+                report,
                 reads,
-                rows,
-            )
+                queue_wait,
+                elapsed,
+            })
         }
         // Any error after the token fired is the cancellation
         // unwinding, whatever stage happened to surface it.
-        Err(_) if job.cancel.is_cancelled() => (JobOutcome::Cancelled, 0, Vec::new()),
-        Err(e) if e.is_cancelled() => (JobOutcome::Cancelled, 0, Vec::new()),
-        Err(e) => (JobOutcome::Failed(e.to_string()), 0, Vec::new()),
+        Err(_) if job.cancel.is_cancelled() => JobOutcome::Cancelled,
+        Err(e) if e.is_cancelled() => JobOutcome::Cancelled,
+        Err(e) => JobOutcome::Failed(e.to_string()),
     };
-    let status = outcome.status();
-
-    // Journal the terminal transition before resolving the handle, so
-    // a crash between the two re-runs the job rather than forgetting
-    // a resolution a client may have observed. A completed job's final
-    // manifest also enters the dataset catalog under the job name.
-    match &outcome {
-        JobOutcome::Completed(output) => {
-            if let Some(manifest) = &output.manifest {
-                shared.catalog.lock().insert(job.name.clone(), manifest.clone());
-                shared.journal_note(&JournalRecord::Dataset {
-                    name: job.name.clone(),
-                    manifest: manifest.clone(),
-                });
-            }
-            shared.journal_note(&finished_record(&job, TerminalStatus::Completed, None));
-        }
-        JobOutcome::Failed(msg) => {
-            shared.journal_note(&finished_record(&job, TerminalStatus::Failed, Some(msg.clone())));
-        }
-        JobOutcome::Cancelled => {
-            shared.journal_note(&finished_record(&job, TerminalStatus::Cancelled, None));
-        }
-    }
-
-    {
-        let mut accum = shared.accum.lock();
-        let a = accum.entry(job.tenant.clone()).or_default();
-        match status {
-            JobStatus::Completed => a.completed += 1,
-            JobStatus::Failed => a.failed += 1,
-            _ => a.cancelled += 1,
-        }
-        a.dispatched += 1;
-        a.reads += reads;
-        a.busy += Duration::from_nanos(job_counters.snapshot().busy_ns);
-        a.queue_wait += queue_wait;
-        a.run_time += elapsed;
-        for (stage, stage_elapsed, _) in stage_rows {
-            let (runs, total) = a.stages.entry(stage).or_insert((0, Duration::ZERO));
-            *runs += 1;
-            *total += stage_elapsed;
-        }
-    }
-    job.finish(outcome);
-    let mut sched = shared.sched.lock();
-    sched.job_finished(&job);
-    shared.work_cv.notify_all();
+    let busy = Duration::from_nanos(job_counters.snapshot().busy_ns);
+    shared.resolve(job, outcome, Some(Run { queue_wait, elapsed, busy }));
 }

@@ -24,7 +24,7 @@ use persona_agd::results::AlignmentResult;
 use persona_align::Aligner;
 use persona_dataflow::Priority;
 use persona_formats::fastq;
-use persona_integration_tests::common::Fixture;
+use persona_integration_tests::common::{wait_for, Fixture, Gate, GateAligner};
 use persona_server::journal::{FsyncPolicy, Journal, JournalConfig, JournalRecord};
 use persona_server::{
     JobInput, JobSpec, JobStatus, PersonaService, Plan, RecoverOptions, ServiceConfig,
@@ -270,4 +270,64 @@ fn dataset_catalog_survives_restart_and_compaction() {
     let service = service_over(&store, &wal, &fx);
     assert!(service.dataset("sample").is_some(), "catalog survives compaction");
     assert!(service.dataset("re-export").is_none(), "dataset-input plans land no new dataset");
+}
+
+/// Every terminal path journals `finished` before the handle resolves,
+/// so a crash can never re-run a job whose outcome a client saw. Each
+/// queued job's completion watcher reads the log from inside the
+/// resolution and reports whether its `finished` record is there: one
+/// job is cancelled in the queue, the other drained by shutdown.
+#[test]
+fn finished_is_journaled_before_the_handle_resolves() {
+    let fx = Fixture::new(13, 100);
+    let dir = tmp_dir("finished-first");
+    let wal = dir.join("service.wal");
+    let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
+    let rt = PersonaRuntime::new(store, PersonaConfig::small()).unwrap();
+    let config = ServiceConfig { max_concurrent_jobs: 1, ..ServiceConfig::default() };
+    let service = PersonaService::recover(rt, config, &wal, durable_opts(&fx)).unwrap();
+
+    // The gated job holds the only slot, so the next two stay queued.
+    let gate = Gate::new();
+    let mut held = spec(&fx, "held");
+    held.aligner = Some(Arc::new(GateAligner { inner: fx.aligner.clone(), gate: gate.clone() }));
+    let held = service.submit(held).unwrap();
+    wait_for(|| held.status() == JobStatus::Running, "the gated job to take the slot");
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    let queued: Vec<_> = ["cancelled", "drained"]
+        .into_iter()
+        .map(|name| {
+            let handle = service.submit(spec(&fx, name)).unwrap();
+            let (tx, wal, id) = (tx.clone(), wal.clone(), handle.id());
+            handle.on_done(move |_| {
+                let log = Journal::read(&wal).unwrap();
+                let journaled = log
+                    .records
+                    .iter()
+                    .any(|r| matches!(r, JournalRecord::Finished { job_id, .. } if *job_id == id));
+                let _ = tx.send((id, journaled));
+            });
+            handle
+        })
+        .collect();
+    assert!(queued.iter().all(|h| h.status() == JobStatus::Queued));
+
+    queued[0].cancel();
+    let cancelled = rx.recv_timeout(Duration::from_secs(20)).unwrap();
+    assert_eq!(cancelled, (queued[0].id(), true), "a queued cancel resolved before `finished`");
+
+    // Shutdown drains the queue, then waits for the held job, so it
+    // runs on a helper thread until the drained job has resolved.
+    std::thread::scope(|s| {
+        s.spawn(|| service.stop());
+        let drained = rx.recv_timeout(Duration::from_secs(20));
+        gate.open();
+        assert_eq!(
+            drained.unwrap(),
+            (queued[1].id(), true),
+            "a job drained at shutdown resolved before `finished`"
+        );
+    });
+    assert_eq!(held.status(), JobStatus::Completed);
 }

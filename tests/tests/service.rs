@@ -455,3 +455,42 @@ fn submit_validates_specs_and_shutdown_cancels_queued_jobs() {
     assert_ne!(running.status(), JobStatus::Running);
     assert!(service.submit(spec(&fx, "late", "t", fx.aligner.clone())).is_err());
 }
+
+/// Jobs run on a fixed pool of `max_concurrent_jobs` runner threads,
+/// never on a thread of their own: every job's completion watcher fires
+/// on the runner that ran it, so twelve jobs on a two-slot service see
+/// at most two threads.
+#[test]
+fn jobs_run_on_a_fixed_pool_of_runners() {
+    let fx = Fixture::new(7010, 60);
+    let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
+    let rt = PersonaRuntime::new(store, PersonaConfig::small()).unwrap();
+    let service = PersonaService::new(
+        rt,
+        ServiceConfig { max_concurrent_jobs: 2, ..ServiceConfig::default() },
+    );
+    // Nothing finishes before every watcher is registered.
+    let gate = Gate::new();
+    let gated: Arc<dyn Aligner> =
+        Arc::new(GateAligner { inner: fx.aligner.clone(), gate: gate.clone() });
+    let (tx, rx) = std::sync::mpsc::channel();
+    let handles: Vec<_> = (0..12)
+        .map(|k| {
+            let handle =
+                service.submit(spec(&fx, &format!("pool-{k}"), "t", gated.clone())).unwrap();
+            let tx = tx.clone();
+            handle.on_done(move |_| {
+                let _ = tx.send(std::thread::current().id());
+            });
+            handle
+        })
+        .collect();
+    gate.open();
+    let threads: std::collections::HashSet<_> =
+        (0..12).map(|_| rx.recv_timeout(Duration::from_secs(20)).unwrap()).collect();
+    for handle in &handles {
+        let outcome = handle.wait();
+        assert!(outcome.output().is_some(), "{} must complete, got {outcome:?}", handle.name());
+    }
+    assert!(threads.len() <= 2, "12 jobs ran on {} threads, not on a pool of 2", threads.len());
+}
