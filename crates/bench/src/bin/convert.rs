@@ -7,7 +7,8 @@
 //!
 //! Run: `cargo run -p persona-bench --release --bin convert`
 
-use persona::plan::{Plan, PlanRequest, PlanSource, Stage, StageRun};
+use persona::pipeline::rate_per_sec;
+use persona::plan::{Plan, PlanRequest, PlanSource, Stage, StageRow, StageRun};
 use persona_bench::{mem_runtime, print_header, scale, World};
 use persona_formats::fastq;
 
@@ -24,13 +25,17 @@ fn main() {
         reference: vec![],
     };
     let imported = Plan::import_only().run(&rt, request).unwrap();
-    let Some(StageRun::Import(import_rep)) = imported.stage(Stage::Import) else {
+    let Some(StageRow { run: StageRun::Import(import_rep), elapsed: import_s, .. }) =
+        imported.row(Stage::Import)
+    else {
         unreachable!("an import plan reports its import stage")
     };
     let imported = imported.manifest.as_ref().expect("import lands a dataset");
     let aligned = world.run_stage(&rt, Stage::Align, imported, Some(&world.snap_aligner()));
     let exported = world.run_stage(&rt, Stage::ExportBam, aligned.manifest.as_ref().unwrap(), None);
-    let Some(StageRun::ExportBam(export_rep)) = exported.stage(Stage::ExportBam) else {
+    let Some(StageRow { run: StageRun::ExportBam(export_rep), elapsed: export_s, .. }) =
+        exported.row(Stage::ExportBam)
+    else {
         unreachable!("an export-bam plan reports its export stage")
     };
 
@@ -41,14 +46,14 @@ fn main() {
     println!(
         "FASTQ -> AGD\t{:.1} MB\t{:.2}\t{:.1}\t360",
         import_rep.input_bytes as f64 / 1e6,
-        import_rep.elapsed.as_secs_f64(),
-        import_rep.mb_per_sec()
+        import_s.as_secs_f64(),
+        rate_per_sec(import_rep.input_bytes as f64 / 1e6, *import_s)
     );
     println!(
         "AGD -> BAM\t{:.1} MB\t{:.2}\t{:.1}\t82",
         export_rep.output_bytes as f64 / 1e6,
-        export_rep.elapsed.as_secs_f64(),
-        export_rep.mb_per_sec()
+        export_s.as_secs_f64(),
+        rate_per_sec(export_rep.output_bytes as f64 / 1e6, *export_s)
     );
     println!("\npaper shape: import is several times faster than BAM export (BGZF recompression).");
 }

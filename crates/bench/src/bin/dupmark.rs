@@ -4,7 +4,8 @@
 //!
 //! Run: `cargo run -p persona-bench --release --bin dupmark`
 
-use persona::plan::{Stage, StageRun};
+use persona::pipeline::rate_per_sec;
+use persona::plan::{Stage, StageRow, StageRun};
 use persona_baseline::samblaster::mark_duplicates_sam;
 use persona_bench::{mem_runtime, print_header, scale, World};
 
@@ -22,9 +23,12 @@ fn main() {
 
     let baseline = mark_duplicates_sam(&sam, &refs).unwrap().1;
     let marked = world.run_stage(&rt, Stage::Dupmark, &sorted, None);
-    let Some(StageRun::Dupmark(persona_rep)) = marked.stage(Stage::Dupmark) else {
+    let Some(StageRow { run: StageRun::Dupmark(persona_rep), elapsed, .. }) =
+        marked.row(Stage::Dupmark)
+    else {
         unreachable!("a dupmark plan reports its dupmark stage")
     };
+    let persona_rate = rate_per_sec(persona_rep.reads as f64, *elapsed);
 
     print_header(
         "§5.6: Duplicate marking throughput",
@@ -38,13 +42,11 @@ fn main() {
     );
     println!(
         "Persona (results column)\t{}\t{}\t{:.0}\t1,360,000",
-        persona_rep.reads,
-        persona_rep.duplicates,
-        persona_rep.reads_per_sec()
+        persona_rep.reads, persona_rep.duplicates, persona_rate
     );
     println!(
         "\nspeedup: {:.2}x (paper: ~3.7x); duplicate counts agree: {}",
-        persona_rep.reads_per_sec() / baseline.reads_per_sec(),
+        persona_rate / baseline.reads_per_sec(),
         baseline.duplicates == persona_rep.duplicates
     );
 }

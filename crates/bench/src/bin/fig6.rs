@@ -12,7 +12,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use persona::config::PersonaConfig;
-use persona::plan::{Stage, StageRun};
+use persona::pipeline::rate_per_sec;
+use persona::plan::{Stage, StageRow, StageRun};
 use persona::runtime::PersonaRuntime;
 use persona_align::Aligner;
 use persona_bench::{mem_store, print_header, scale, World};
@@ -42,10 +43,11 @@ fn measure_persona(world: &World, aligner: &Arc<dyn Aligner>, threads: usize) ->
     let rt = PersonaRuntime::new(mem_store(), config).unwrap();
     let manifest = world.write_agd(rt.store().as_ref(), "f6", 2_000);
     let aligned = world.run_stage(&rt, Stage::Align, &manifest, Some(aligner));
-    let Some(StageRun::Align(report)) = aligned.stage(Stage::Align) else {
+    let Some(StageRow { run: StageRun::Align(report), elapsed, .. }) = aligned.row(Stage::Align)
+    else {
         unreachable!("an align plan reports its align stage")
     };
-    report.mbases_per_sec()
+    rate_per_sec(report.bases as f64 / 1e6, *elapsed)
 }
 
 fn main() {

@@ -8,7 +8,7 @@
 //!
 //! Run: `cargo run -p persona-bench --release --bin fig7`
 
-use persona::plan::{Stage, StageRun};
+use persona::plan::{Stage, StageRow, StageRun};
 use persona_bench::{mem_runtime, print_header, scale, World};
 use persona_cluster::des::{simulate, SimParams};
 
@@ -21,10 +21,11 @@ fn main() {
     let rt = mem_runtime();
     let manifest = world.write_agd(rt.store().as_ref(), "cal", 2_000);
     let aligned = world.run_stage(&rt, Stage::Align, &manifest, Some(&world.snap_aligner()));
-    let Some(StageRun::Align(report)) = aligned.stage(Stage::Align) else {
+    let Some(StageRow { run: StageRun::Align(report), elapsed, .. }) = aligned.row(Stage::Align)
+    else {
         unreachable!("an align plan reports its align stage")
     };
-    let measured_rate = report.bases as f64 / report.elapsed.as_secs_f64();
+    let measured_rate = report.bases as f64 / elapsed.as_secs_f64();
     println!(
         "calibration: this machine aligns {:.1} Mbases/s through the full pipeline",
         measured_rate / 1e6
@@ -43,8 +44,8 @@ fn main() {
     println!(
         "DES validation: simulated single node {:.2}s vs measured {:.2}s ({:+.1}%)",
         sim1.completion_s,
-        report.elapsed.as_secs_f64(),
-        (sim1.completion_s / report.elapsed.as_secs_f64() - 1.0) * 100.0
+        elapsed.as_secs_f64(),
+        (sim1.completion_s / elapsed.as_secs_f64() - 1.0) * 100.0
     );
 
     // Paper-parameter sweep.

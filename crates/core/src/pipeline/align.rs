@@ -18,7 +18,6 @@
 //! chunk granularity never causes thread stragglers.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use persona_agd::chunk::{ChunkData, RawChunk};
 use persona_agd::columns;
@@ -29,16 +28,14 @@ use persona_align::Aligner;
 
 use crate::manifest_server::{Edge, EdgeChunk, EdgeOut};
 use crate::pipeline::{
-    drive, encode_results, raw_column, subchunk_ranges, Landing, Progress, StageReport, Step,
+    drive, encode_results, raw_column, subchunk_ranges, Landing, Progress, Step,
 };
-use crate::runtime::{Pending, PersonaRuntime};
+use crate::runtime::{Pending, PersonaRuntime, StageExec};
 use crate::Result;
 
 /// Outcome of an alignment run.
 #[derive(Debug)]
 pub struct AlignReport {
-    /// Wall-clock duration.
-    pub elapsed: Duration,
     /// Reads aligned.
     pub reads: u64,
     /// Bases aligned (the paper's throughput unit).
@@ -49,29 +46,6 @@ pub struct AlignReport {
     pub chunks: u64,
     /// Merged aligner phase profile (Fig. 8 inputs).
     pub profile: PhaseProfile,
-    /// The stage's share of shared-executor worker time.
-    pub busy_fraction: f64,
-    /// When the stage finished — paired with `SortReport::first_run_at`
-    /// to assert a fused `align → sort` run actually overlapped.
-    pub finished_at: Instant,
-}
-
-impl AlignReport {
-    /// Megabases aligned per second (paper Fig. 6 unit); 0.0 for an
-    /// empty or instantaneous run.
-    pub fn mbases_per_sec(&self) -> f64 {
-        crate::pipeline::rate_per_sec(self.bases as f64 / 1e6, self.elapsed)
-    }
-}
-
-impl StageReport for AlignReport {
-    fn elapsed(&self) -> Duration {
-        self.elapsed
-    }
-
-    fn busy_fraction(&self) -> f64 {
-        self.busy_fraction
-    }
 }
 
 /// One chunk's input columns as stored, and its bases unpacked to the
@@ -121,6 +95,7 @@ impl Step for AlignStep {
 /// finalized manifest follows.
 pub(crate) fn align(
     rt: &PersonaRuntime,
+    exec: &StageExec,
     input: Edge,
     aligner: Arc<dyn Aligner>,
     reference: &[(String, u64)],
@@ -128,8 +103,6 @@ pub(crate) fn align(
     out: Option<EdgeOut>,
 ) -> Result<(Manifest, AlignReport)> {
     let lands = landing == Landing::State;
-    let timer = rt.stage_timer();
-    let exec = rt.stage_exec(&timer);
     let subchunk = rt.config().subchunk_size.max(1);
     let trace = rt.trace();
     let mut profile = PhaseProfile::default();
@@ -218,17 +191,7 @@ pub(crate) fn align(
             Ok(())
         },
     )?;
-    let stage = timer.finish();
-    let report = AlignReport {
-        elapsed: stage.elapsed,
-        reads,
-        bases,
-        mapped,
-        chunks,
-        profile,
-        busy_fraction: stage.busy_fraction(),
-        finished_at: Instant::now(),
-    };
+    let report = AlignReport { reads, bases, mapped, chunks, profile };
     let mut manifest = input.manifest()?;
     columns::declare(&mut manifest, columns::RESULTS)?;
     persona_formats::convert::set_reference(&mut manifest, reference);
@@ -247,7 +210,7 @@ mod tests {
     use super::*;
     use crate::config::PersonaConfig;
     use crate::pipeline::run_stage;
-    use crate::plan::{DataState, Plan, PlanRequest, PlanSource, Stage, StageRun};
+    use crate::plan::{DataState, Plan, PlanRequest, PlanSource, Stage, StageRow, StageRun};
     use crate::Error;
     use persona_agd::builder::DatasetWriter;
     use persona_agd::chunk_io::{ChunkStore, MemStore};
@@ -291,7 +254,9 @@ mod tests {
         let source = PlanSource::Dataset(manifest.clone());
         let mut report = run_stage(&store, Stage::Align, source, Some(aligner))?;
         match report.stages.pop() {
-            Some(StageRun::Align(align)) => Ok((report.manifest.unwrap(), align)),
+            Some(StageRow { run: StageRun::Align(align), .. }) => {
+                Ok((report.manifest.unwrap(), align))
+            }
             other => panic!("expected an align report, got {other:?}"),
         }
     }
@@ -354,7 +319,10 @@ mod tests {
         for _ in 0..2 {
             let (rt, aligner, input) = (rt.clone(), aligner.clone(), edge.clone());
             handles.push(std::thread::spawn(move || {
-                align(&rt, input, aligner, &[], Landing::State, None).unwrap().1.reads
+                align(&rt, &rt.stage_exec(), input, aligner, &[], Landing::State, None)
+                    .unwrap()
+                    .1
+                    .reads
             }));
         }
         let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
@@ -386,7 +354,8 @@ mod tests {
             let before = store.get("t.manifest.json").unwrap();
             let rt = PersonaRuntime::new(store.clone(), PersonaConfig::small()).unwrap();
             let input = Edge::landed(manifest);
-            let err = align(&rt, input, aligner, &[], Landing::State, None).unwrap_err();
+            let exec = rt.stage_exec();
+            let err = align(&rt, &exec, input, aligner, &[], Landing::State, None).unwrap_err();
             match err {
                 Error::Pipeline(msg) => {
                     assert!(msg.contains("chunk t-1") && msg.contains(column), "{msg}")

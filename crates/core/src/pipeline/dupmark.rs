@@ -44,7 +44,6 @@
 use std::collections::HashSet;
 use std::ops::RangeInclusive;
 use std::sync::Arc;
-use std::time::Duration;
 
 use persona_agd::chunk::RawChunk;
 use persona_agd::columns;
@@ -52,39 +51,17 @@ use persona_agd::manifest::Manifest;
 use persona_agd::results::{flags, AlignmentResult, CigarKind, CigarOp};
 
 use crate::manifest_server::{Edge, EdgeChunk, EdgeOut};
-use crate::pipeline::{owned, raw_column, subchunk_ranges, StageReport};
-use crate::runtime::PersonaRuntime;
+use crate::pipeline::{owned, raw_column, subchunk_ranges};
+use crate::runtime::{PersonaRuntime, StageExec};
 use crate::Result;
 
 /// Outcome of a duplicate-marking run.
 #[derive(Debug)]
 pub struct DupmarkReport {
-    /// Wall-clock duration.
-    pub elapsed: Duration,
     /// Records examined.
     pub reads: u64,
     /// Records newly marked as duplicates.
     pub duplicates: u64,
-    /// The stage's share of shared-executor worker time.
-    pub busy_fraction: f64,
-}
-
-impl DupmarkReport {
-    /// Reads processed per second (the §5.6 comparison unit); 0.0 for
-    /// an empty or instantaneous run.
-    pub fn reads_per_sec(&self) -> f64 {
-        crate::pipeline::rate_per_sec(self.reads as f64, self.elapsed)
-    }
-}
-
-impl StageReport for DupmarkReport {
-    fn elapsed(&self) -> Duration {
-        self.elapsed
-    }
-
-    fn busy_fraction(&self) -> f64 {
-        self.busy_fraction
-    }
 }
 
 /// The Samblaster-style signature of one alignment: unclipped 5'
@@ -212,6 +189,7 @@ impl Marker {
 /// the store, so a downstream consumer overlaps with the marking pass.
 pub(crate) fn mark_duplicates(
     rt: &PersonaRuntime,
+    exec: &StageExec,
     input: Edge,
     out: Option<EdgeOut>,
 ) -> Result<(Manifest, DupmarkReport)> {
@@ -219,8 +197,6 @@ pub(crate) fn mark_duplicates(
     if let Some(out) = &out {
         out.deliver(&manifest);
     }
-    let timer = rt.stage_timer();
-    let exec = rt.stage_exec(&timer);
     let store = rt.store().clone();
     let chunks: Arc<Vec<EdgeChunk>> = Arc::new(std::iter::from_fn(|| input.fetch()).collect());
 
@@ -310,13 +286,8 @@ pub(crate) fn mark_duplicates(
     // store; the run must not report success.
     rt.check_cancelled()?;
 
-    let stage = timer.finish();
-    let report = DupmarkReport {
-        elapsed: stage.elapsed,
-        reads: chunks.iter().map(|chunk| chunk.num_records as u64).sum(),
-        duplicates,
-        busy_fraction: stage.busy_fraction(),
-    };
+    let reads = chunks.iter().map(|chunk| chunk.num_records as u64).sum();
+    let report = DupmarkReport { reads, duplicates };
     Ok((manifest, report))
 }
 
@@ -325,12 +296,15 @@ mod tests {
     use super::*;
     use crate::config::PersonaConfig;
     use crate::pipeline::run_stage;
-    use crate::plan::{DataState, Plan, PlanReport, PlanRequest, PlanSource, Stage, StageRun};
+    use crate::plan::{
+        DataState, Plan, PlanReport, PlanRequest, PlanSource, Stage, StageRow, StageRun,
+    };
     use crate::Error;
     use persona_agd::builder::{ColumnAppender, DatasetWriter};
     use persona_agd::chunk_io::{ChunkStore, MemStore};
     use persona_agd::dataset::Dataset;
     use proptest::prelude::any;
+    use std::time::Duration;
 
     fn result(loc: i64, reverse: bool) -> AlignmentResult {
         AlignmentResult {
@@ -383,7 +357,7 @@ mod tests {
     fn mark(store: &Arc<dyn ChunkStore>, manifest: &Manifest) -> Result<DupmarkReport> {
         let source = PlanSource::Dataset(manifest.clone());
         match run_stage(store, Stage::Dupmark, source, None)?.stages.pop() {
-            Some(StageRun::Dupmark(report)) => Ok(report),
+            Some(StageRow { run: StageRun::Dupmark(report), .. }) => Ok(report),
             other => panic!("expected a dupmark report, got {other:?}"),
         }
     }
@@ -563,8 +537,9 @@ mod tests {
             let folded = run_plan(&rt, DataState::Aligned, &stages, &manifest, "fold");
             let Some(StageRun::Sort(sort)) = folded.stage(Stage::Sort) else { unreachable!() };
             let report = dupmark_of(&folded);
-            assert_eq!(report.elapsed(), Duration::ZERO, "{export}");
-            assert_eq!(report.busy_fraction(), 0.0, "{export}");
+            let row = folded.row(Stage::Dupmark).unwrap();
+            assert_eq!(row.elapsed, Duration::ZERO, "{export}");
+            assert_eq!(row.busy_fraction, 0.0, "{export}");
             assert_eq!(report.reads, sort.records, "{export}");
             assert_eq!(report.duplicates, want, "{export}");
         }
@@ -755,7 +730,8 @@ mod tests {
                 idxs
             })
         };
-        let (_, report) = mark_duplicates(&rt, Edge::landed(manifest.clone()), Some(out)).unwrap();
+        let input = Edge::landed(manifest.clone());
+        let (_, report) = mark_duplicates(&rt, &rt.stage_exec(), input, Some(out)).unwrap();
         assert_eq!(report.duplicates, 24);
         assert_eq!(edge.manifest().unwrap(), manifest);
         let mut idxs = collector.join().unwrap();

@@ -6,25 +6,26 @@
 //! in flight and write straight from the AGD columns — those a live
 //! chunk carried, unpacked, else read from the store — into each
 //! chunk's output buffer (`sam::write_line`, `bam::write_record`); the
-//! stage thread puts the chunks back in dataset order. SAM formats a chunk as
+//! stage thread writes the chunks in the order it fetched them, which is
+//! dataset order: every producer pushes its chunks in order, and a
+//! chunk out of turn fails the stage. SAM formats a chunk as
 //! subchunk tasks and writes the text out; BAM writes a chunk's records
 //! in one task, cuts the ordered payload into BGZF blocks and compresses
 //! each block as a task of its own, writing the blocks in order:
 //!
 //! ```text
-//! chunk stream ─► load + format ──────────► stage thread: reorder ─► out (SAM)
+//! chunk stream ─► load + format ──────────► stage thread: in order ─► out (SAM)
 //!                 (4 columns; subchunk       (by chunk index)
 //!                  tasks for SAM, one        │
 //!                  chunk task for BAM)       └─► cut 64 KiB blocks ─► bgzf tasks ─► out (BAM)
 //! ```
 //!
 //! Memory is bounded by the window: at most `chunk_window` chunks in
-//! flight or parked, and as many BGZF blocks in flight.
+//! flight, and as many BGZF blocks.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::Arc;
-use std::time::Duration;
 
 use persona_agd::chunk::ChunkData;
 use persona_agd::chunk_io::ChunkStore;
@@ -36,39 +37,17 @@ use persona_formats::convert::for_each_chunk_row;
 use persona_formats::sam::{self, RefMap};
 
 use crate::manifest_server::{Edge, EdgeChunk};
-use crate::pipeline::{drive, load_column, subchunk_ranges, Progress, StageReport, Step};
+use crate::pipeline::{drive, load_column, subchunk_ranges, Progress, Step};
 use crate::runtime::{Pending, PersonaRuntime, StageExec};
 use crate::{Error, Result};
 
 /// Outcome of an export run.
 #[derive(Debug)]
 pub struct ExportReport {
-    /// Wall-clock duration.
-    pub elapsed: Duration,
     /// Records exported.
     pub records: u64,
     /// Output bytes produced.
     pub output_bytes: u64,
-    /// The stage's share of shared-executor worker time.
-    pub busy_fraction: f64,
-}
-
-impl ExportReport {
-    /// Output megabytes per second (the §5.7 unit); 0.0 for an empty or
-    /// instantaneous run.
-    pub fn mb_per_sec(&self) -> f64 {
-        crate::pipeline::rate_per_sec(self.output_bytes as f64 / 1e6, self.elapsed)
-    }
-}
-
-impl StageReport for ExportReport {
-    fn elapsed(&self) -> Duration {
-        self.elapsed
-    }
-
-    fn busy_fraction(&self) -> f64 {
-        self.busy_fraction
-    }
 }
 
 /// The four decoded columns a chunk's records are written from.
@@ -142,12 +121,11 @@ impl Step for SamStep {
 /// before its first chunk.
 pub(crate) fn export_sam(
     rt: &PersonaRuntime,
+    exec: &StageExec,
     input: Edge,
     out: &mut (impl Write + Send),
 ) -> Result<ExportReport> {
     let manifest = input.manifest()?;
-    let timer = rt.stage_timer();
-    let exec = rt.stage_exec(&timer);
     let refs = Arc::new(RefMap::new(&manifest.reference));
     let mut header = Vec::new();
     sam::write_header(
@@ -159,8 +137,6 @@ pub(crate) fn export_sam(
 
     let subchunk = rt.config().subchunk_size.max(1);
     let (mut records, mut output_bytes) = (0u64, header.len() as u64);
-    // Formatted chunks that arrived ahead of an earlier one, by index.
-    let mut parked: BTreeMap<usize, Vec<Vec<u8>>> = BTreeMap::new();
     let mut next = 0usize;
     drive(
         rt.chunk_window(),
@@ -199,25 +175,16 @@ pub(crate) fn export_sam(
             }
         },
         |(idx, pieces)| {
-            parked.insert(idx, pieces);
-            while let Some(pieces) = parked.remove(&next) {
-                for text in pieces {
-                    output_bytes += text.len() as u64;
-                    out.write_all(&text)?;
-                }
-                next += 1;
+            in_turn(idx, &mut next)?;
+            for text in pieces {
+                output_bytes += text.len() as u64;
+                out.write_all(&text)?;
             }
             Ok(())
         },
     )?;
-    check_complete(&parked, next, &manifest)?;
-    let stage = timer.finish();
-    Ok(ExportReport {
-        elapsed: stage.elapsed,
-        records,
-        output_bytes,
-        busy_fraction: stage.busy_fraction(),
-    })
+    check_complete(next, &manifest)?;
+    Ok(ExportReport { records, output_bytes })
 }
 
 /// The export-bam stage (the compatibility path of §4.4): writes the
@@ -230,13 +197,12 @@ pub(crate) fn export_sam(
 /// payload, so the file is byte-identical to a single-threaded write.
 pub(crate) fn export_bam(
     rt: &PersonaRuntime,
+    exec: &StageExec,
     input: Edge,
     out: &mut impl Write,
     level: CompressLevel,
 ) -> Result<ExportReport> {
     let manifest = input.manifest()?;
-    let timer = rt.stage_timer();
-    let exec = rt.stage_exec(&timer);
     let refs = Arc::new(RefMap::new(&manifest.reference));
     let mut blocks = BgzfBlocks::new(exec.clone(), level, rt.chunk_window(), out);
     let mut header = Vec::new();
@@ -244,8 +210,6 @@ pub(crate) fn export_bam(
     blocks.append(&header)?;
 
     let mut records = 0u64;
-    // Written chunks that arrived ahead of an earlier one, by index.
-    let mut parked: BTreeMap<usize, (u64, Vec<u8>)> = BTreeMap::new();
     let mut next = 0usize;
     drive(
         rt.chunk_window(),
@@ -268,34 +232,32 @@ pub(crate) fn export_bam(
             Ok(Some((idx, write)))
         },
         |(idx, write)| Ok(Progress::Done((idx, write.wait_one()?))),
-        |(idx, chunk)| {
-            parked.insert(idx, chunk);
-            while let Some((n, bam)) = parked.remove(&next) {
-                records += n;
-                blocks.append(&bam)?;
-                next += 1;
-            }
-            Ok(())
+        |(idx, (n, bam))| {
+            in_turn(idx, &mut next)?;
+            records += n;
+            blocks.append(&bam)
         },
     )?;
-    check_complete(&parked, next, &manifest)?;
+    check_complete(next, &manifest)?;
     let output_bytes = blocks.finish()?;
-    let stage = timer.finish();
-    Ok(ExportReport {
-        elapsed: stage.elapsed,
-        records,
-        output_bytes,
-        busy_fraction: stage.busy_fraction(),
-    })
+    Ok(ExportReport { records, output_bytes })
 }
 
-/// Fails unless the stream held every chunk of `manifest`, in order:
-/// `next` chunks written, none left `parked`. A live producer that
-/// stopped early closed its stream after delivering the manifest.
-fn check_complete<T>(parked: &BTreeMap<usize, T>, next: usize, manifest: &Manifest) -> Result<()> {
-    if !parked.is_empty() {
-        return Err(Error::Pipeline("export finished with gaps in chunk order".into()));
+/// Fails unless chunk `idx` is the `next` one of the dataset, and moves
+/// `next` on: every producer pushes its chunks in dataset order, and
+/// `drive` finishes them in the order they were fetched.
+fn in_turn(idx: usize, next: &mut usize) -> Result<()> {
+    if idx != *next {
+        return Err(Error::Pipeline(format!("export: chunk {idx} arrived in place of {next}")));
     }
+    *next += 1;
+    Ok(())
+}
+
+/// Fails unless the stream held every chunk of `manifest`: `next`
+/// chunks written. A live producer that stopped early closed its stream
+/// after delivering the manifest.
+fn check_complete(next: usize, manifest: &Manifest) -> Result<()> {
     if next != manifest.records.len() {
         return Err(Error::NeighbourClosed);
     }
@@ -394,12 +356,13 @@ mod tests {
     use super::*;
     use crate::config::PersonaConfig;
     use crate::pipeline::run_stage;
-    use crate::plan::{PlanSource, Stage, StageRun};
+    use crate::plan::{PlanSource, Stage, StageRow, StageRun};
     use persona_agd::builder::{ColumnAppender, DatasetWriter};
     use persona_agd::chunk_io::MemStore;
     use persona_agd::manifest::Manifest;
     use persona_agd::results::{flags, AlignmentResult, CigarKind, CigarOp};
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
     fn world(n: usize, chunk: usize) -> (Arc<dyn ChunkStore>, Manifest) {
         world_of((0..n).map(|i| format!("r{i:04}").into_bytes()).collect(), chunk)
@@ -441,16 +404,24 @@ mod tests {
     }
 
     /// Exports the landed dataset `manifest` through the one-stage plan
-    /// of `stage`, returning its report and output.
+    /// of `stage`, returning its row and output.
     fn export(
         store: &Arc<dyn ChunkStore>,
         manifest: &Manifest,
         stage: Stage,
-    ) -> Result<(ExportReport, Vec<u8>)> {
+    ) -> Result<(StageRow, Vec<u8>)> {
         let mut report = run_stage(store, stage, PlanSource::Dataset(manifest.clone()), None)?;
         match (report.stages.pop(), report.sam.or(report.bam)) {
-            (Some(StageRun::ExportSam(r) | StageRun::ExportBam(r)), Some(out)) => Ok((r, out)),
+            (Some(row), Some(out)) => Ok((row, out)),
             (other, _) => panic!("expected an export report, got {other:?}"),
+        }
+    }
+
+    /// The export report of `row`.
+    fn report(row: &StageRow) -> &ExportReport {
+        match &row.run {
+            StageRun::ExportSam(r) | StageRun::ExportBam(r) => r,
+            other => panic!("expected an export report, got {other:?}"),
         }
     }
 
@@ -472,9 +443,9 @@ mod tests {
     ) {
         let config = PersonaConfig { compute_threads: threads, subchunk_size: 64 };
         let rt = PersonaRuntime::new(store.clone(), config).unwrap();
-        let mut out = Vec::new();
+        let (mut out, input) = (Vec::new(), Edge::landed(manifest.clone()));
         let report =
-            export_bam(&rt, Edge::landed(manifest.clone()), &mut out, CompressLevel::Fast).unwrap();
+            export_bam(&rt, &rt.stage_exec(), input, &mut out, CompressLevel::Fast).unwrap();
         assert_eq!(report.records, manifest.total_records);
         assert_eq!(report.output_bytes as usize, out.len());
         assert!(out == reference_bam(store, manifest), "{threads} threads");
@@ -495,9 +466,10 @@ mod tests {
     #[test]
     fn sam_export_is_ordered_and_complete() {
         let (store, manifest) = world(200, 32);
-        let (report, out) = export(&store, &manifest, Stage::ExportSam).unwrap();
+        let (row, out) = export(&store, &manifest, Stage::ExportSam).unwrap();
+        let report = report(&row);
         assert_eq!(report.records, 200);
-        assert!(report.busy_fraction > 0.0, "formatting must run on the executor");
+        assert!(row.busy_fraction > 0.0, "formatting must run on the executor");
         let text = String::from_utf8(out).unwrap();
         let body: Vec<&str> = text.lines().filter(|l| !l.starts_with('@')).collect();
         assert_eq!(body.len(), 200);
@@ -511,7 +483,8 @@ mod tests {
     #[test]
     fn bam_export_roundtrips() {
         let (store, manifest) = world(120, 50);
-        let (report, out) = export(&store, &manifest, Stage::ExportBam).unwrap();
+        let (row, out) = export(&store, &manifest, Stage::ExportBam).unwrap();
+        let report = report(&row);
         assert_eq!(report.records, 120);
         assert_eq!(report.output_bytes as usize, out.len());
         let bam = persona_formats::bam::read_bam(&out).unwrap();
@@ -608,7 +581,8 @@ mod tests {
         let rt = PersonaRuntime::new(dyn_store, PersonaConfig::small()).unwrap();
         let mut out = Vec::new();
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            export_bam(&rt, Edge::landed(manifest.clone()), &mut out, CompressLevel::Fast)
+            let input = Edge::landed(manifest.clone());
+            export_bam(&rt, &rt.stage_exec(), input, &mut out, CompressLevel::Fast)
         }));
         let err = run.expect("the caller must not unwind").expect_err("a column is missing");
         assert!(err.to_string().contains(".qual"), "{err}");
@@ -621,6 +595,36 @@ mod tests {
             barrier.wait();
         });
         assert_eq!(store.gets.load(Ordering::SeqCst), gets, "export tasks outlived the stage");
+    }
+
+    /// A chunk that arrives out of dataset order fails both exports with
+    /// a typed error: no producer pushes one so, and export writes the
+    /// chunks in the order it fetches them.
+    #[test]
+    fn a_chunk_out_of_turn_is_a_typed_error() {
+        let (store, manifest) = world(60, 20);
+        let rt = PersonaRuntime::new(store, PersonaConfig::small()).unwrap();
+        for bam in [false, true] {
+            let (out, edge) = Edge::streaming(4, rt.telemetry());
+            out.deliver(&manifest);
+            let mut chunks: Vec<EdgeChunk> = EdgeChunk::all(&manifest).collect();
+            chunks.swap(0, 1);
+            for chunk in chunks {
+                out.push(chunk).unwrap();
+            }
+            drop(out);
+            let (exec, mut bytes) = (rt.stage_exec(), Vec::new());
+            let result = match bam {
+                true => export_bam(&rt, &exec, edge, &mut bytes, CompressLevel::Fast),
+                false => export_sam(&rt, &exec, edge, &mut bytes),
+            };
+            match result {
+                Err(Error::Pipeline(msg)) => {
+                    assert_eq!(msg, "export: chunk 1 arrived in place of 0", "bam {bam}")
+                }
+                other => panic!("bam {bam}: expected a pipeline error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -647,7 +651,7 @@ mod tests {
                     "{stage}"
                 ),
                 Err(other) => panic!("{stage}: expected a pipeline error, got {other}"),
-                Ok((report, _)) => panic!("{stage}: exported {} records", report.records),
+                Ok((row, _)) => panic!("{stage}: exported {} records", report(&row).records),
             }
         }
     }

@@ -15,7 +15,6 @@
 
 use std::io::BufRead;
 use std::sync::Arc;
-use std::time::Duration;
 
 use persona_agd::chunk::RawChunk;
 use persona_agd::columns::{self, READ_COLUMNS};
@@ -23,41 +22,19 @@ use persona_agd::manifest::{ChunkEntry, Manifest};
 use persona_seq::Read;
 
 use crate::manifest_server::{EdgeChunk, EdgeOut};
-use crate::pipeline::{drive, Landing, Progress, StageReport};
-use crate::runtime::PersonaRuntime;
+use crate::pipeline::{drive, Landing, Progress};
+use crate::runtime::{PersonaRuntime, StageExec};
 use crate::{Error, Result};
 
 /// Outcome of an import run.
 #[derive(Debug)]
 pub struct ImportReport {
-    /// Wall-clock duration.
-    pub elapsed: Duration,
     /// Uncompressed FASTQ bytes consumed.
     pub input_bytes: u64,
     /// Reads imported.
     pub reads: u64,
     /// Chunks written.
     pub chunks: u64,
-    /// The stage's share of shared-executor worker time.
-    pub busy_fraction: f64,
-}
-
-impl ImportReport {
-    /// Input megabytes per second (the §5.7 unit); 0.0 for an empty or
-    /// instantaneous run.
-    pub fn mb_per_sec(&self) -> f64 {
-        crate::pipeline::rate_per_sec(self.input_bytes as f64 / 1e6, self.elapsed)
-    }
-}
-
-impl StageReport for ImportReport {
-    fn elapsed(&self) -> Duration {
-        self.elapsed
-    }
-
-    fn busy_fraction(&self) -> f64 {
-        self.busy_fraction
-    }
 }
 
 /// Imports FASTQ into a new AGD dataset named `name`, in chunks of
@@ -68,6 +45,7 @@ impl StageReport for ImportReport {
 /// manifest.
 pub(crate) fn import_fastq(
     rt: &PersonaRuntime,
+    exec: &StageExec,
     input: impl BufRead + Send + 'static,
     name: &str,
     chunk_size: usize,
@@ -78,8 +56,6 @@ pub(crate) fn import_fastq(
     // The read field each of the `READ_COLUMNS` stores.
     let fields: [fn(&Read) -> &[u8]; 3] = [|r| &r.bases, |r| &r.quals, |r| &r.meta];
 
-    let timer = rt.stage_timer();
-    let exec = rt.stage_exec(&timer);
     let mut reader = persona_formats::fastq::FastqReader::new(input);
     let (mut at_end, mut next_idx) = (false, 0usize);
     drive(
@@ -136,7 +112,6 @@ pub(crate) fn import_fastq(
             }
         },
     )?;
-    let stage = timer.finish();
     manifest.validate()?;
     if landing == Landing::State {
         rt.store().put(&format!("{name}.manifest.json"), manifest.to_json()?.as_bytes())?;
@@ -146,11 +121,9 @@ pub(crate) fn import_fastq(
     }
 
     let report = ImportReport {
-        elapsed: stage.elapsed,
         input_bytes: reader.bytes_read(),
         reads: manifest.total_records,
         chunks: manifest.records.len() as u64,
-        busy_fraction: stage.busy_fraction(),
     };
     Ok((manifest, report))
 }
@@ -159,7 +132,7 @@ pub(crate) fn import_fastq(
 mod tests {
     use super::*;
     use crate::pipeline::run_stage;
-    use crate::plan::{PlanSource, Stage, StageRun};
+    use crate::plan::{PlanSource, Stage, StageRow, StageRun};
     use persona_agd::chunk_io::{ChunkStore, MemStore};
     use persona_agd::dataset::Dataset;
     use persona_formats::fastq;
@@ -173,12 +146,15 @@ mod tests {
         (fastq::to_bytes(&reads), reads)
     }
 
-    /// Imports `fastq` into `store` through the one-stage import plan.
-    fn import(store: &Arc<dyn ChunkStore>, fastq: &[u8]) -> Result<(Manifest, ImportReport)> {
+    /// Imports `fastq` into `store` through the one-stage import plan;
+    /// returns the stage's busy share too.
+    fn import(store: &Arc<dyn ChunkStore>, fastq: &[u8]) -> Result<(Manifest, ImportReport, f64)> {
         let source = PlanSource::fastq_bytes(fastq.to_vec());
         let mut report = run_stage(store, Stage::Import, source, None)?;
         match report.stages.pop() {
-            Some(StageRun::Import(import)) => Ok((report.manifest.unwrap(), import)),
+            Some(StageRow { run: StageRun::Import(import), busy_fraction, .. }) => {
+                Ok((report.manifest.unwrap(), import, busy_fraction))
+            }
             other => panic!("expected an import report, got {other:?}"),
         }
     }
@@ -187,12 +163,12 @@ mod tests {
     fn imports_and_preserves_order() {
         let (bytes, reads) = fastq_bytes(300);
         let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
-        let (manifest, report) = import(&store, &bytes).unwrap();
+        let (manifest, report, busy_fraction) = import(&store, &bytes).unwrap();
         assert_eq!(report.reads, 300);
         assert_eq!(report.chunks, 5);
         assert_eq!(manifest.total_records, 300);
         assert!(report.input_bytes > 0);
-        assert!(report.busy_fraction > 0.0, "encoding must run on the executor");
+        assert!(busy_fraction > 0.0, "encoding must run on the executor");
 
         let ds = Dataset::new(manifest);
         let mut i = 0usize;
@@ -228,7 +204,7 @@ mod tests {
         }
         for (what, bytes) in [("LF", lf), ("CRLF", crlf), ("+name", named)] {
             let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
-            let (manifest, report) = import(&store, &bytes).unwrap();
+            let (manifest, report, _) = import(&store, &bytes).unwrap();
             assert_eq!(manifest.total_records, 120, "{what}");
             assert_eq!(report.input_bytes, bytes.len() as u64, "{what}");
         }
@@ -250,9 +226,9 @@ mod tests {
                 stems
             })
         };
+        let (cursor, exec) = (std::io::Cursor::new(bytes), rt.stage_exec());
         let (manifest, report) =
-            import_fastq(&rt, std::io::Cursor::new(bytes), "st", 100, Landing::State, Some(out))
-                .unwrap();
+            import_fastq(&rt, &exec, cursor, "st", 100, Landing::State, Some(out)).unwrap();
         assert_eq!(edge.manifest().unwrap(), manifest);
         let mut got = collector.join().unwrap();
         got.sort();
@@ -274,7 +250,7 @@ mod tests {
     #[test]
     fn empty_input_empty_dataset() {
         let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
-        let (manifest, report) = import(&store, b"").unwrap();
+        let (manifest, report, _) = import(&store, b"").unwrap();
         assert_eq!(report.reads, 0);
         assert_eq!(manifest.total_records, 0);
     }

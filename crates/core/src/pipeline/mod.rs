@@ -3,9 +3,10 @@
 //! Every stage schedules its compute — FASTQ encoding, chunk decode,
 //! subchunk alignment, chunk sort/merge, duplicate re-encoding, SAM
 //! formatting, gzip and BGZF compression — as fine-grain task batches on
-//! the runtime's shared executor ([`crate::runtime::PersonaRuntime`]),
-//! and every stage's report exposes the same [`StageReport`]
-//! utilization view.
+//! the runtime's shared executor ([`crate::runtime::PersonaRuntime`])
+//! through the [`StageExec`](crate::runtime::StageExec) the plan driver
+//! hands it. No stage reads a clock for its report: the driver times
+//! each stage once ([`crate::plan::StageRow`]).
 //!
 //! A stage owns no threads. Its *stage thread* (the plan driver's
 //! caller, or one scoped thread per later stage of a fused group) is
@@ -238,16 +239,6 @@ pub(crate) fn drive<S: Step, D>(
         }
     }
     result
-}
-
-/// The uniform per-stage utilization surface: wall clock plus the
-/// stage's share of the shared executor's worker time.
-pub trait StageReport {
-    /// Wall-clock duration of the stage.
-    fn elapsed(&self) -> Duration;
-    /// Fraction of executor worker time this stage's tasks consumed
-    /// during its run (0 when the stage scheduled no executor work).
-    fn busy_fraction(&self) -> f64;
 }
 
 /// `count / elapsed` in Hz, guarded against a ~0 elapsed window: empty

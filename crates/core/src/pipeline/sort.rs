@@ -59,7 +59,6 @@
 //! runtime's shared executor; the sort stage owns no threads of its own.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use persona_agd::chunk::{ChunkData, RawChunk, RecordType};
 use persona_agd::chunk_io::ChunkStore;
@@ -70,8 +69,8 @@ use persona_agd::results::AlignmentResult;
 use crate::config::PersonaConfig;
 use crate::manifest_server::{Edge, EdgeChunk, EdgeOut};
 use crate::pipeline::dupmark::{self, Extent, Marker};
-use crate::pipeline::{drive, owned, raw_column, Progress, StageReport};
-use crate::runtime::PersonaRuntime;
+use crate::pipeline::{drive, owned, raw_column, Progress};
+use crate::runtime::{PersonaRuntime, StageExec};
 use crate::{Error, Result};
 
 /// The sort key.
@@ -86,8 +85,6 @@ pub enum SortKey {
 /// Outcome of a sort run.
 #[derive(Debug)]
 pub struct SortReport {
-    /// Wall-clock duration.
-    pub elapsed: Duration,
     /// Records sorted.
     pub records: u64,
     /// Number of first-phase sorted runs.
@@ -99,22 +96,6 @@ pub struct SortReport {
     /// `dupmark` directly follows the sort, which then runs no stage of
     /// its own and reports this count.
     pub duplicates: u64,
-    /// When the first sorted run was ready — on a fused `align → sort`
-    /// run this lands while upstream is still aligning, which is how
-    /// tests assert the stages actually overlapped.
-    pub first_run_at: Option<Instant>,
-    /// The stage's share of shared-executor worker time.
-    pub busy_fraction: f64,
-}
-
-impl StageReport for SortReport {
-    fn elapsed(&self) -> Duration {
-        self.elapsed
-    }
-
-    fn busy_fraction(&self) -> f64 {
-        self.busy_fraction
-    }
 }
 
 /// The columns a run carries, in arena order: metadata, bases and
@@ -266,7 +247,8 @@ pub fn sort_dataset(
         return Err(Error::Pipeline("coordinate sort requires a results column".into()));
     }
     let rt = PersonaRuntime::new(store.clone(), *config)?;
-    sort(&rt, Edge::landed(manifest.clone()), key, out_name, has_results, false, None)
+    let input = Edge::landed(manifest.clone());
+    sort(&rt, &rt.stage_exec(), input, key, out_name, has_results, false, None)
 }
 
 /// The sort stage: sorts the chunk stream of `input` into the dataset
@@ -287,8 +269,10 @@ pub fn sort_dataset(
 /// also marks duplicates, and reports how many. With `out`, the output
 /// manifest is delivered before the first output chunk, and each chunk
 /// goes downstream with its columns once it is durable.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn sort(
     rt: &PersonaRuntime,
+    exec: &StageExec,
     input: Edge,
     key: SortKey,
     out_name: &str,
@@ -301,9 +285,8 @@ pub(crate) fn sort(
         !dupmark || key == SortKey::Coordinate,
         "duplicates are marked in coordinate order"
     );
-    let timer = rt.stage_timer();
-    let exec = rt.stage_exec(&timer);
     let fanin = 8usize;
+    let trace = rt.trace();
     let store = rt.store().clone();
 
     // Chunk-level runs awaiting a superchunk merge, the superchunk tier
@@ -316,7 +299,6 @@ pub(crate) fn sort(
     let mut due: Vec<Vec<Run>> = Vec::new();
     let mut n_runs = 0usize;
     let mut superchunks = 0usize;
-    let mut first_run_at: Option<Instant> = None;
 
     let run_batch = |folds: Vec<Vec<Run>>, loads: Vec<EdgeChunk>| -> Result<Vec<Run>> {
         let store = store.clone();
@@ -346,14 +328,20 @@ pub(crate) fn sort(
             }
         }
         n_runs += batch.len();
+        // A chunk's span runs from its fetch off the input edge to its
+        // sorted run being loaded.
+        let loading: Vec<u64> = batch.iter().map(|chunk| chunk.chunk_idx as u64).collect();
+        if let Some(t) = trace {
+            loading.iter().for_each(|&idx| t.chunk_begin("sort", idx));
+        }
         let folds = std::mem::take(&mut due);
         let n_folds = folds.len();
         let mut runs = run_batch(folds, batch)?;
+        if let Some(t) = trace {
+            loading.iter().for_each(|&idx| t.chunk_end("sort", idx));
+        }
         pending.extend(runs.split_off(n_folds));
         merged.append(&mut runs);
-        if n_runs > 0 {
-            first_run_at.get_or_insert_with(Instant::now);
-        }
         // Eagerly fold full groups into superchunks while upstream is
         // still producing — the overlap this stage exists for.
         if merged.len() >= fanin {
@@ -380,21 +368,8 @@ pub(crate) fn sort(
 
     let src = input.manifest()?;
     let (out_manifest, duplicates) =
-        write_sorted_dataset(rt, &timer, out_name, &src, merged, key, has_results, dupmark, out)?;
-
-    let stage = timer.finish();
-    Ok((
-        out_manifest,
-        SortReport {
-            elapsed: stage.elapsed,
-            records,
-            runs: n_runs,
-            superchunks,
-            duplicates,
-            first_run_at,
-            busy_fraction: stage.busy_fraction(),
-        },
-    ))
+        write_sorted_dataset(rt, exec, out_name, &src, merged, key, has_results, dupmark, out)?;
+    Ok((out_manifest, SortReport { records, runs: n_runs, superchunks, duplicates }))
 }
 
 /// Loads one chunk's columns — carried, else read — and sorts them by
@@ -624,7 +599,7 @@ fn release_read(runs: &mut [Run], from: &[usize], reach: i64) {
 #[allow(clippy::too_many_arguments)]
 fn write_sorted_dataset(
     rt: &PersonaRuntime,
-    timer: &crate::runtime::StageTimer,
+    exec: &StageExec,
     out_name: &str,
     src: &Manifest,
     mut runs: Vec<Run>,
@@ -666,7 +641,6 @@ fn write_sorted_dataset(
     }
 
     let reach = runs.iter().map(|r| r.reach).max().unwrap_or(0);
-    let exec = rt.stage_exec(timer);
     let mut next = manifest.records.iter().zip(&ranges).enumerate();
     let mut from = vec![0; runs.len()];
     let mut duplicates = 0;
@@ -714,12 +688,16 @@ fn write_sorted_dataset(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{DataState, Plan, PlanRequest, PlanSource, Stage, StageRow, StageRun};
+    use crate::runtime::JobContext;
     use persona_agd::builder::{ColumnAppender, DatasetWriter};
     use persona_agd::chunk_io::MemStore;
     use persona_agd::dataset::Dataset;
     use persona_agd::results::flags;
     use persona_compress::codec::Codec;
     use persona_compress::deflate::CompressLevel;
+    use persona_dataflow::Priority;
+    use persona_telemetry::{JobTrace, TracePhase};
 
     /// Builds an unsorted aligned dataset with known (shuffled) keys.
     fn world(n: usize, chunk: usize) -> (Arc<dyn ChunkStore>, Manifest) {
@@ -778,16 +756,43 @@ mod tests {
         out
     }
 
+    /// A runtime over `store` whose job records into the returned trace.
+    fn traced(store: &Arc<dyn ChunkStore>) -> (Arc<PersonaRuntime>, Arc<JobTrace>) {
+        let trace = JobTrace::real();
+        let rt = PersonaRuntime::new(store.clone(), PersonaConfig::small()).unwrap();
+        (rt.for_job(JobContext::new(Priority::Normal).with_trace(trace.clone())), trace)
+    }
+
+    /// How many chunks `trace` saw the sort load into a sorted run.
+    fn loaded_runs(trace: &JobTrace) -> usize {
+        let events = trace.events();
+        events.iter().filter(|e| e.name == "sort.chunk" && e.phase == TracePhase::End).count()
+    }
+
     #[test]
     fn coordinate_sort_orders_dataset() {
         let (store, manifest) = world(500, 64);
-        let (sorted, report) =
-            sort_dataset(&store, &manifest, SortKey::Coordinate, "s", &PersonaConfig::small())
-                .unwrap();
+        let (rt, trace) = traced(&store);
+        let plan = Plan::builder(DataState::Aligned).then(Stage::Sort).build().unwrap();
+        let source = PlanSource::Dataset(manifest.clone());
+        let req = PlanRequest {
+            name: "s".into(),
+            source,
+            chunk_size: 64,
+            aligner: None,
+            reference: vec![],
+        };
+        let mut plan_report = plan.run(&rt, req).unwrap();
+        let Some(StageRow { run: StageRun::Sort(report), busy_fraction, .. }) =
+            plan_report.stages.pop()
+        else {
+            unreachable!("a sort plan reports its sort")
+        };
+        let sorted = plan_report.sorted.unwrap();
         assert_eq!(report.records, 500);
         assert_eq!(report.runs, manifest.records.len());
-        assert!(report.busy_fraction > 0.0, "sort compute must run on the executor");
-        assert!(report.first_run_at.is_some(), "a non-empty sort loads at least one run");
+        assert!(busy_fraction > 0.0, "sort compute must run on the executor");
+        assert!(loaded_runs(&trace) > 0, "a non-empty sort loads at least one run");
         assert_eq!(sorted.sort_order, SortOrder::Coordinate);
         assert_eq!(sorted.total_records, 500);
         let locs = locations_of(&store, &sorted);
@@ -868,7 +873,8 @@ mod tests {
         let rt = PersonaRuntime::new(store.clone(), PersonaConfig::small()).unwrap();
         let landed = Edge::landed(manifest.clone());
         let (oneshot, ..) =
-            sort(&rt, landed, SortKey::Coordinate, "ref", true, false, None).unwrap();
+            sort(&rt, &rt.stage_exec(), landed, SortKey::Coordinate, "ref", true, false, None)
+                .unwrap();
 
         let (out, edge) = Edge::streaming(4, rt.telemetry());
         let mut chunks: Vec<EdgeChunk> = EdgeChunk::all(&manifest).collect();
@@ -881,7 +887,8 @@ mod tests {
             out.deliver(&src);
         });
         let (streamed, report) =
-            sort(&rt, edge, SortKey::Coordinate, "str", true, false, None).unwrap();
+            sort(&rt, &rt.stage_exec(), edge, SortKey::Coordinate, "str", true, false, None)
+                .unwrap();
         producer.join().unwrap();
         assert_eq!(report.records, 300);
         assert_eq!(report.runs, 10);
@@ -1199,11 +1206,13 @@ mod tests {
     fn empty_dataset_sorts_to_empty() {
         let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
         let manifest = DatasetWriter::new("e", 10).unwrap().finish(store.as_ref()).unwrap();
+        let (rt, trace) = traced(&store);
+        let input = Edge::landed(manifest);
         let (sorted, report) =
-            sort_dataset(&store, &manifest, SortKey::QueryName, "se", &PersonaConfig::small())
+            sort(&rt, &rt.stage_exec(), input, SortKey::QueryName, "se", false, false, None)
                 .unwrap();
         assert_eq!(report.records, 0);
-        assert_eq!(report.first_run_at, None);
+        assert_eq!(loaded_runs(&trace), 0);
         assert_eq!(sorted.total_records, 0);
     }
 }

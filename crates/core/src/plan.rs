@@ -59,7 +59,7 @@ use crate::pipeline::dupmark::{self, DupmarkReport};
 use crate::pipeline::export::{self, ExportReport};
 use crate::pipeline::import::{self, ImportReport};
 use crate::pipeline::sort::{self, SortKey, SortReport};
-use crate::pipeline::{Landing, StageReport};
+use crate::pipeline::Landing;
 use crate::runtime::PersonaRuntime;
 use crate::{Error, Result};
 
@@ -661,7 +661,7 @@ impl Plan {
             for (output, idx) in
                 run_group(rt, &params, stages, &landing, head)?.into_iter().zip(group)
             {
-                report.stages.push(output.run);
+                report.stages.push(output.row);
                 match self.stages[idx] {
                     Stage::Import | Stage::Align => report.manifest = output.landed.clone(),
                     Stage::Sort => report.sorted = output.landed.clone(),
@@ -768,7 +768,7 @@ struct StageParams<'a> {
 
 /// What one stage hands back to the driver.
 struct StageOutput {
-    run: StageRun,
+    row: StageRow,
     /// The dataset state the stage landed in the store, if any.
     landed: Option<Manifest>,
     /// The bytes an export stage produced.
@@ -858,15 +858,14 @@ fn run_group(
     let mut outputs: Vec<StageOutput> = Vec::with_capacity(stages.len());
     for (k, &lands) in landing.iter().enumerate() {
         let output = match outputs.last() {
-            Some(StageOutput { run: StageRun::Sort(sort), landed, .. }) if folded(stages, k) => {
-                let report = DupmarkReport {
-                    elapsed: Duration::ZERO,
-                    reads: sort.records,
-                    duplicates: sort.duplicates,
-                    busy_fraction: 0.0,
-                };
+            Some(StageOutput {
+                row: StageRow { run: StageRun::Sort(sort), .. }, landed, ..
+            }) if folded(stages, k) => {
+                let report = DupmarkReport { reads: sort.records, duplicates: sort.duplicates };
+                let run = StageRun::Dupmark(report);
+                let row = StageRow { run, elapsed: Duration::ZERO, busy_fraction: 0.0 };
                 let landed = landed.clone().filter(|_| lands == Landing::State);
-                StageOutput { run: StageRun::Dupmark(report), landed, bytes: None }
+                StageOutput { row, landed, bytes: None }
             }
             _ => ran.next().expect("one output per stage that ran"),
         };
@@ -877,6 +876,9 @@ fn run_group(
 
 /// Runs one stage under the stage contract ([`crate::pipeline`]), with
 /// the `landing` of an import or align; an export appends to `bytes`.
+/// The one place a stage is timed: its row's wall runs from the call of
+/// the stage function to its return, and its busy share is what its
+/// [`StageExec`](crate::runtime::StageExec) ran in that window.
 fn run_stage(
     rt: &PersonaRuntime,
     params: &StageParams<'_>,
@@ -886,45 +888,48 @@ fn run_stage(
     out: Option<EdgeOut>,
     mut bytes: Vec<u8>,
 ) -> Result<StageOutput> {
-    let output = |run, landed, bytes| StageOutput { run, landed, bytes };
-    let dataset =
-        |run, manifest| output(run, (landing == Landing::State).then_some(manifest), None);
-    Ok(match (stage, input) {
+    let exec = rt.stage_exec();
+    let started = Instant::now();
+    let (run, landed, bytes) = match (stage, input) {
         (Stage::Import, StageInput::Fastq(reader)) => {
+            let (name, chunk_size) = (params.name, params.chunk_size);
             let (manifest, report) =
-                import::import_fastq(rt, reader, params.name, params.chunk_size, landing, out)?;
-            dataset(StageRun::Import(report), manifest)
+                import::import_fastq(rt, &exec, reader, name, chunk_size, landing, out)?;
+            (StageRun::Import(report), Some(manifest), None)
         }
         (Stage::Align, StageInput::Edge(input)) => {
             let aligner = params.aligner.expect("validated: aligning plans carry an aligner");
             let (manifest, report) =
-                align::align(rt, input, aligner.clone(), params.reference, landing, out)?;
-            dataset(StageRun::Align(report), manifest)
+                align::align(rt, &exec, input, aligner.clone(), params.reference, landing, out)?;
+            (StageRun::Align(report), Some(manifest), None)
         }
         (Stage::Sort, StageInput::Edge(input)) => {
             // A plan's sort input has `results`: `check_dataset_input`
             // refuses an aligned dataset without, and align adds them.
             let (sorted, key, marks) =
                 (format!("{}.sorted", params.name), SortKey::Coordinate, params.sort_marks);
-            let (manifest, report) = sort::sort(rt, input, key, &sorted, true, marks, out)?;
-            dataset(StageRun::Sort(report), manifest)
+            let (manifest, report) = sort::sort(rt, &exec, input, key, &sorted, true, marks, out)?;
+            (StageRun::Sort(report), Some(manifest), None)
         }
         (Stage::Dupmark, StageInput::Edge(input)) => {
-            let (manifest, report) = dupmark::mark_duplicates(rt, input, out)?;
-            dataset(StageRun::Dupmark(report), manifest)
+            let (manifest, report) = dupmark::mark_duplicates(rt, &exec, input, out)?;
+            (StageRun::Dupmark(report), Some(manifest), None)
         }
         (Stage::ExportSam, StageInput::Edge(input)) => {
-            let report = export::export_sam(rt, input, &mut bytes)?;
-            output(StageRun::ExportSam(report), None, Some(bytes))
+            let report = export::export_sam(rt, &exec, input, &mut bytes)?;
+            (StageRun::ExportSam(report), None, Some(bytes))
         }
         (Stage::ExportBam, StageInput::Edge(input)) => {
-            let report = export::export_bam(rt, input, &mut bytes, CompressLevel::Fast)?;
-            output(StageRun::ExportBam(report), None, Some(bytes))
+            let report = export::export_bam(rt, &exec, input, &mut bytes, CompressLevel::Fast)?;
+            (StageRun::ExportBam(report), None, Some(bytes))
         }
         (Stage::Import, StageInput::Edge(_)) | (_, StageInput::Fastq(_)) => {
             unreachable!("validated: import, and only import, consumes the request's FASTQ")
         }
-    })
+    };
+    let elapsed = started.elapsed();
+    let row = StageRow { run, elapsed, busy_fraction: exec.busy_fraction(elapsed) };
+    Ok(StageOutput { row, landed: landed.filter(|_| landing == Landing::State), bytes })
 }
 
 /// What a plan consumes: raw FASTQ for [`DataState::Fastq`] plans, an
@@ -1001,17 +1006,28 @@ impl StageRun {
             StageRun::ExportSam(r) | StageRun::ExportBam(r) => r.records,
         }
     }
+}
 
-    /// The stage's uniform utilization view.
-    pub fn report(&self) -> &dyn StageReport {
-        match self {
-            StageRun::Import(r) => r,
-            StageRun::Align(r) => r,
-            StageRun::Sort(r) => r,
-            StageRun::Dupmark(r) => r,
-            StageRun::ExportSam(r) => r,
-            StageRun::ExportBam(r) => r,
-        }
+/// One executed stage as the plan driver saw it: the stage's own report
+/// and the driver's one measurement of it.
+#[derive(Debug)]
+pub struct StageRow {
+    /// The stage's report.
+    pub run: StageRun,
+    /// Wall clock from when the stage's thread called the stage to when
+    /// it returned: blocked time on either edge included, so a consumer
+    /// also counts its wait for upstream's manifest and chunks. Zero for
+    /// a dupmark folded into its sort, which runs no stage.
+    pub elapsed: Duration,
+    /// The stage's share of the executor's worker time over that wall:
+    /// its tasks' busy time ÷ (`elapsed` × workers); 0.0 for a zero wall.
+    pub busy_fraction: f64,
+}
+
+impl StageRow {
+    /// Which stage ran.
+    pub fn stage(&self) -> Stage {
+        self.run.stage()
     }
 }
 
@@ -1021,8 +1037,9 @@ impl StageRun {
 pub struct PlanReport {
     /// The plan that ran.
     pub plan: Plan,
-    /// One report per executed stage, in plan order.
-    pub stages: Vec<StageRun>,
+    /// One row per executed stage, in plan order: its report, wall and
+    /// busy share ([`StageRow`]).
+    pub stages: Vec<StageRow>,
     /// The primary dataset manifest, set whenever `import` or `align`
     /// landed (align finalizes the manifest with the results column and
     /// reference metadata, so this supersedes a dataset-source input
@@ -1045,15 +1062,17 @@ impl PlanReport {
     /// `(stage name, elapsed, executor busy fraction)` rows for
     /// exactly the stages that ran, in plan order.
     pub fn stage_rows(&self) -> Vec<(&'static str, Duration, f64)> {
-        self.stages
-            .iter()
-            .map(|s| (s.stage().name(), s.report().elapsed(), s.report().busy_fraction()))
-            .collect()
+        self.stages.iter().map(|row| (row.stage().name(), row.elapsed, row.busy_fraction)).collect()
+    }
+
+    /// One stage's row, if that stage ran.
+    pub fn row(&self, stage: Stage) -> Option<&StageRow> {
+        self.stages.iter().find(|row| row.stage() == stage)
     }
 
     /// One stage's run report, if that stage ran.
     pub fn stage(&self, stage: Stage) -> Option<&StageRun> {
-        self.stages.iter().find(|s| s.stage() == stage)
+        self.row(stage).map(|row| &row.run)
     }
 
     /// The manifest of the plan's final dataset state: sorted if the
@@ -1065,7 +1084,7 @@ impl PlanReport {
     /// Reads (records) the plan processed, taken from the earliest
     /// stage that counts them.
     pub fn reads(&self) -> u64 {
-        self.stages.first().map_or(0, StageRun::records)
+        self.stages.first().map_or(0, |row| row.run.records())
     }
 }
 

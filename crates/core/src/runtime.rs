@@ -20,7 +20,7 @@
 //! executor at once.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use persona_agd::chunk_io::ChunkStore;
 use persona_agd::manifest::Manifest;
@@ -82,7 +82,7 @@ impl JobContext {
     }
 
     /// Attaches a span recorder: the plan driver records stage spans
-    /// and the chunk loops record chunk spans against it. Tracing is
+    /// and align and the sort record chunk spans against it. Tracing is
     /// opt-in per job; an untraced context records nothing.
     pub fn with_trace(mut self, trace: Arc<JobTrace>) -> Self {
         self.trace = Some(trace);
@@ -206,23 +206,17 @@ impl PersonaRuntime {
         self.executor.threads() * 2 + 2
     }
 
-    /// Starts a per-stage measurement window. Tasks submitted with the
-    /// timer's tag are attributed to this stage, so its busy fraction is
-    /// meaningful even while other stages share the executor.
-    pub fn stage_timer(&self) -> StageTimer {
-        StageTimer {
-            counters: Arc::new(NodeCounters::default()),
-            workers: self.executor.threads(),
-            started: Instant::now(),
-        }
-    }
-
     /// A cloneable submission handle for one stage of this runtime's
-    /// current job: batches submitted through it carry the stage tag
-    /// (from `timer`) *and* the job's priority/cancel/counters. Stages
-    /// submit through this instead of a bare executor handle.
-    pub fn stage_exec(&self, timer: &StageTimer) -> StageExec {
-        StageExec { executor: self.executor.clone(), tag: timer.tag(), job: self.job.clone() }
+    /// current job: batches submitted through it carry a fresh per-stage
+    /// tag *and* the job's priority/cancel/counters. The plan driver
+    /// opens one per stage it runs and hands it to the stage, which
+    /// submits through it instead of a bare executor handle.
+    pub(crate) fn stage_exec(&self) -> StageExec {
+        StageExec {
+            executor: self.executor.clone(),
+            tag: Arc::new(NodeCounters::default()),
+            job: self.job.clone(),
+        }
     }
 }
 
@@ -248,6 +242,20 @@ impl StageExec {
     /// Whether the owning job has been cancelled.
     pub fn is_cancelled(&self) -> bool {
         self.job.as_ref().is_some_and(|j| j.cancel.is_cancelled())
+    }
+
+    /// The stage's share of the executor's worker time over a window of
+    /// `wall`: its tasks' busy time ÷ (`wall` × workers), at most 1. A
+    /// zero-length window gives 0.0, never NaN, so tiny jobs cannot
+    /// poison aggregated metrics.
+    pub(crate) fn busy_fraction(&self, wall: Duration) -> f64 {
+        let denom = wall.as_nanos() as f64 * self.executor.threads() as f64;
+        let busy = self.tag.snapshot().busy_ns as f64;
+        if denom > 0.0 {
+            (busy / denom).min(1.0)
+        } else {
+            0.0
+        }
     }
 
     /// Fans `items` out on the executor as one batch and returns at
@@ -318,60 +326,6 @@ impl<T> Pending<Result<T>> {
     }
 }
 
-/// Measures one stage's use of the shared executor.
-pub struct StageTimer {
-    counters: Arc<NodeCounters>,
-    workers: usize,
-    started: Instant,
-}
-
-/// What a stage did with the executor during its window.
-#[derive(Debug, Clone, Copy)]
-pub struct StageStats {
-    /// Wall-clock duration of the stage.
-    pub elapsed: Duration,
-    /// Fraction of total executor worker time this stage's tasks used,
-    /// or `None` when the window was degenerate (zero wall clock or
-    /// zero workers) and the share is mathematically undefined. A
-    /// `None` with a non-zero [`StageStats::tasks`] means tasks ran
-    /// but the window could not attribute worker time to them —
-    /// distinct from a measured 0.0.
-    pub busy: Option<f64>,
-    /// Executor tasks the stage ran.
-    pub tasks: u64,
-}
-
-impl StageStats {
-    /// The busy share as a plain number: the measured fraction, or a
-    /// NaN-guarded 0.0 when the window was degenerate. Aggregations
-    /// that cannot represent "unmeasured" use this.
-    pub fn busy_fraction(&self) -> f64 {
-        self.busy.unwrap_or(0.0)
-    }
-}
-
-impl StageTimer {
-    /// The counter set to pass as the tag of this stage's batches.
-    pub fn tag(&self) -> Arc<NodeCounters> {
-        self.counters.clone()
-    }
-
-    /// Closes the window and computes the stage's executor share.
-    ///
-    /// A ~0 wall-clock window (empty or instantaneous stage) yields an
-    /// undefined share, reported as `busy: None` rather than a
-    /// fabricated 0.0 — callers that need a number get a NaN-guarded
-    /// 0.0 from [`StageStats::busy_fraction`], so tiny jobs still
-    /// cannot poison aggregated service metrics.
-    pub fn finish(&self) -> StageStats {
-        let elapsed = self.started.elapsed();
-        let snap = self.counters.snapshot();
-        let denom = elapsed.as_nanos() as f64 * self.workers as f64;
-        let busy = (denom > 0.0).then(|| (snap.busy_ns as f64 / denom).min(1.0));
-        StageStats { elapsed, busy, tasks: snap.items }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,29 +337,21 @@ mod tests {
     }
 
     #[test]
-    fn stage_timer_zero_window_reports_zero_not_nan() {
-        // A timer finished immediately (or with no tasks) must report a
-        // finite busy fraction of 0.0, whatever the wall clock did.
+    fn stage_exec_zero_window_reports_zero_not_nan() {
+        // A stage measured over a zero window (or with no tasks) must
+        // report a finite busy fraction of 0.0.
         let rt = runtime();
-        let timer = rt.stage_timer();
-        let stats = timer.finish();
-        assert!(stats.busy_fraction().is_finite(), "busy {}", stats.busy_fraction());
-        assert_eq!(stats.busy_fraction(), 0.0);
-        assert_eq!(stats.tasks, 0);
+        let exec = rt.stage_exec();
+        let busy = exec.busy_fraction(Duration::ZERO);
+        assert!(busy.is_finite(), "busy {busy}");
+        assert_eq!(busy, 0.0);
+        assert_eq!(exec.tag.snapshot().items, 0);
         // Explicitly exercise the zero-denominator branch: tasks ran
         // (busy time was recorded) but the window cannot attribute a
-        // share. That must surface as `None` — not a fabricated 0.0
-        // that looks like a measured idle stage — while the numeric
-        // accessor still NaN-guards to 0.0 for aggregation.
-        let degenerate = StageTimer {
-            counters: Arc::new(NodeCounters::default()),
-            workers: 0,
-            started: Instant::now(),
-        };
-        degenerate.counters.busy_ns.store(1_000_000, std::sync::atomic::Ordering::Relaxed);
-        let stats = degenerate.finish();
-        assert_eq!(stats.busy, None, "degenerate window has no defined share");
-        assert_eq!(stats.busy_fraction(), 0.0);
+        // share, which comes out as 0.0, not NaN or infinity.
+        exec.tag.busy_ns.store(1_000_000, std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(exec.tag.snapshot().busy_ns, 1_000_000, "busy time was recorded");
+        assert_eq!(exec.busy_fraction(Duration::ZERO), 0.0);
     }
 
     #[test]
@@ -430,22 +376,20 @@ mod tests {
         let job = JobContext::new(Priority::Normal);
         let counters = job.counters().clone();
         let view = rt.for_job(job);
-        let timer = view.stage_timer();
-        let exec = view.stage_exec(&timer);
+        let exec = view.stage_exec();
         let out = exec.map((0..50u64).collect(), |i, v| {
             assert_eq!(i as u64, v);
             v + 1
         });
         assert_eq!(out.unwrap(), (1..=50).collect::<Vec<u64>>());
-        assert_eq!(timer.tag().snapshot().items, 50);
+        assert_eq!(exec.tag.snapshot().items, 50);
         assert_eq!(counters.snapshot().items, 50);
     }
 
     #[test]
     fn stage_exec_turns_a_task_panic_into_an_error() {
         let rt = runtime();
-        let timer = rt.stage_timer();
-        let exec = rt.stage_exec(&timer);
+        let exec = rt.stage_exec();
         let res = exec.map((0..8u64).collect(), |_, v| {
             if v == 5 {
                 panic!("task {v} boom");
@@ -463,8 +407,7 @@ mod tests {
         let job = JobContext::new(Priority::Normal);
         job.cancel_token().cancel();
         let view = rt.for_job(job);
-        let timer = view.stage_timer();
-        let exec = view.stage_exec(&timer);
+        let exec = view.stage_exec();
         assert!(exec.is_cancelled());
         let res = exec.map((0..100u64).collect(), |_, v| v);
         assert!(matches!(res, Err(Error::Cancelled)));

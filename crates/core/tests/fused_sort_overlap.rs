@@ -3,20 +3,29 @@
 //! running (no sort barrier), and fused plans must produce output
 //! byte-identical to running the stages separately.
 
-use std::sync::Arc;
+use std::sync::mpsc;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use persona::config::PersonaConfig;
-use persona::plan::{DataState, Plan, PlanRequest, PlanSource, Stage, StageRun};
-use persona::runtime::PersonaRuntime;
+use persona::plan::{DataState, Plan, PlanRequest, PlanSource, Stage};
+use persona::runtime::{JobContext, PersonaRuntime};
 use persona_agd::chunk_io::{ChunkStore, MemStore};
+use persona_agd::results::AlignmentResult;
 use persona_align::snap::{SnapAligner, SnapParams};
 use persona_align::Aligner;
+use persona_dataflow::Priority;
 use persona_index::SeedIndex;
 use persona_seq::simulate::{ReadSimulator, SimParams};
-use persona_seq::Genome;
+use persona_seq::{Genome, Read};
+use persona_telemetry::{JobTrace, TracePhase};
+
+/// How long the test waits on an event before it fails.
+const DEADLINE: Duration = Duration::from_secs(20);
 
 struct World {
     aligner: Arc<dyn Aligner>,
+    reads: Vec<Read>,
     fastq: Vec<u8>,
     reference: Vec<(String, u64)>,
 }
@@ -32,7 +41,8 @@ fn world(n_reads: usize) -> World {
     let aligner: Arc<dyn Aligner> =
         Arc::new(SnapAligner::new(genome.clone(), index, SnapParams::default()));
     let reference = genome.contigs().iter().map(|c| (c.name.clone(), c.seq.len() as u64)).collect();
-    World { aligner, fastq: persona_formats::fastq::to_bytes(&reads), reference }
+    let fastq = persona_formats::fastq::to_bytes(&reads);
+    World { aligner, reads, fastq, reference }
 }
 
 fn request(w: &World, name: &str, source: PlanSource, chunk_size: usize) -> PlanRequest {
@@ -50,9 +60,57 @@ fn runtime() -> Arc<PersonaRuntime> {
     PersonaRuntime::new(store, PersonaConfig::small()).unwrap()
 }
 
+/// Whether `trace` holds the end of a `sort.chunk` span: the sort has
+/// loaded a sorted run.
+fn sort_loaded_a_run(trace: &JobTrace) -> bool {
+    trace.events().iter().any(|e| e.name == "sort.chunk" && e.phase == TracePhase::End)
+}
+
+/// The chunk events `trace` holds, for a failure message.
+fn observed(trace: &JobTrace) -> String {
+    let events = trace.events();
+    let chunks = events.iter().filter_map(|e| Some((e.name.as_str(), e.chunk?, e.phase)));
+    format!("{:?}", chunks.collect::<Vec<_>>())
+}
+
+/// An aligner that holds one read until the job's trace shows the sort
+/// loaded a run, or [`DEADLINE`] passes; every other read aligns
+/// straight away, so only the held read's task waits and the sort's
+/// loads keep a worker.
+struct HoldRead {
+    inner: Arc<dyn Aligner>,
+    /// The bases of the held read.
+    held: Vec<u8>,
+    trace: Arc<JobTrace>,
+    /// What the trace held when the deadline passed, if it did.
+    missed: Mutex<Option<String>>,
+}
+
+impl Aligner for HoldRead {
+    fn align_read(&self, bases: &[u8], quals: &[u8]) -> AlignmentResult {
+        if bases == self.held {
+            let deadline = Instant::now() + DEADLINE;
+            while !sort_loaded_a_run(&self.trace) {
+                if Instant::now() >= deadline {
+                    *self.missed.lock().unwrap() = Some(observed(&self.trace));
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        self.inner.align_read(bases, quals)
+    }
+
+    fn name(&self) -> &'static str {
+        "hold-read"
+    }
+}
+
 /// The tentpole assertion: on a fused `align → sort` run over many
-/// chunks, the sort's first run is loaded *before* alignment finishes —
-/// the sort no longer starts after the last aligned chunk.
+/// chunks, the sort loads a run while align still holds a read of its
+/// last chunk — the sort does not start after the last aligned chunk.
+/// The aligner holds that read until the trace shows a loaded run, so
+/// the test waits on the event itself rather than on a clock.
 #[test]
 fn incremental_sort_overlaps_alignment() {
     let w = world(300); // chunk_size 25 -> 12 chunks
@@ -63,26 +121,30 @@ fn incremental_sort_overlaps_alignment() {
         .manifest
         .unwrap();
 
+    let trace = JobTrace::real();
+    let hold = Arc::new(HoldRead {
+        inner: w.aligner.clone(),
+        held: w.reads.last().unwrap().bases.clone(),
+        trace: trace.clone(),
+        missed: Mutex::new(None),
+    });
     let plan =
         Plan::builder(DataState::EncodedAgd).then(Stage::Align).then(Stage::Sort).build().unwrap();
-    let report = plan.run(&rt, request(&w, "d", PlanSource::Dataset(encoded), 25)).unwrap();
-
-    let mut align_finished = None;
-    let mut sort_first_run = None;
-    for s in &report.stages {
-        match s {
-            StageRun::Align(r) => align_finished = Some(r.finished_at),
-            StageRun::Sort(r) => sort_first_run = r.first_run_at,
-            _ => {}
-        }
+    let mut req = request(&w, "d", PlanSource::Dataset(encoded), 25);
+    req.aligner = Some(hold.clone());
+    let job = rt.for_job(JobContext::new(Priority::Normal).with_trace(trace.clone()));
+    // On its own thread, so a sort that waits for align's end fails the
+    // test instead of hanging it.
+    let (done, result) = mpsc::channel();
+    let runner = std::thread::spawn(move || done.send(plan.run(&job, req)).unwrap());
+    let report = match result.recv_timeout(3 * DEADLINE) {
+        Ok(report) => report.unwrap(),
+        Err(_) => panic!("the plan did not finish; the trace holds {}", observed(&trace)),
+    };
+    runner.join().unwrap();
+    if let Some(seen) = hold.missed.lock().unwrap().take() {
+        panic!("align's last chunk waited {DEADLINE:?} for the sort to load a run: {seen}");
     }
-    let align_finished = align_finished.expect("plan ran align");
-    let sort_first_run = sort_first_run.expect("a non-empty sort loads runs");
-    assert!(
-        sort_first_run < align_finished,
-        "sort loaded its first run {:?} after align finished — the stages did not overlap",
-        align_finished.duration_since(sort_first_run),
-    );
 
     // And the fused output is a correctly sorted dataset.
     let sorted = report.sorted.expect("plan sorted");

@@ -232,10 +232,19 @@ impl Shared {
         }
     }
 
-    /// Counts `job` as submitted and queues it for the runners.
+    /// Counts `job` as submitted and queues it for the runners. A job
+    /// admitted once shutdown has begun resolves as cancelled instead:
+    /// the flag is read under the scheduler lock that [`PersonaService::stop`]
+    /// sets it under, so a job is either queued before `stop` drains the
+    /// queue or sees the flag, and never waits in a queue no one drains.
     fn admit(&self, job: &Arc<Job>) {
         self.accum.lock().entry(job.tenant.clone()).or_default().submitted += 1;
-        self.sched.lock().enqueue(job.clone());
+        let mut sched = self.sched.lock();
+        if self.shutdown.load(Ordering::SeqCst) {
+            drop(sched);
+            return self.resolve(job, JobOutcome::Cancelled, None);
+        }
+        sched.enqueue(job.clone());
         self.work_cv.notify_all();
     }
 
@@ -335,6 +344,11 @@ pub struct PersonaService {
     /// Handles rebuilt by [`PersonaService::recover`], in submission
     /// order; empty for an in-memory service.
     recovered: Vec<JobHandle>,
+    /// Makes [`PersonaService::submit`] stop the service between its
+    /// journal append and the admission: the race a concurrent `stop`
+    /// can win.
+    #[cfg(test)]
+    stop_before_admit: AtomicBool,
 }
 
 /// How [`PersonaService::recover`] rebuilds jobs the journal left
@@ -363,7 +377,13 @@ impl PersonaService {
     pub fn new(rt: Arc<PersonaRuntime>, config: ServiceConfig) -> PersonaService {
         let shared = Shared::create(rt, &config, None, HashMap::new(), 1);
         let runners = Mutex::new(spawn_runners(&shared, config.max_concurrent_jobs));
-        PersonaService { shared, runners, recovered: Vec::new() }
+        PersonaService {
+            shared,
+            runners,
+            recovered: Vec::new(),
+            #[cfg(test)]
+            stop_before_admit: AtomicBool::new(false),
+        }
     }
 
     /// Opens (or creates) the write-ahead journal at `path`, replays
@@ -421,7 +441,13 @@ impl PersonaService {
             recovered.push(JobHandle { job, service: Arc::downgrade(&shared) });
         }
         let runners = Mutex::new(spawn_runners(&shared, config.max_concurrent_jobs));
-        Ok(PersonaService { shared, runners, recovered })
+        Ok(PersonaService {
+            shared,
+            runners,
+            recovered,
+            #[cfg(test)]
+            stop_before_admit: AtomicBool::new(false),
+        })
     }
 
     /// The jobs the journal knew about at recovery, in submission
@@ -517,6 +543,10 @@ impl PersonaService {
         let JobSpec { name, tenant, priority, plan, input, chunk_size, aligner, reference } = spec;
         let payload = JobPayload { plan, input, chunk_size, aligner, reference };
         let job = Job::new(id, name, tenant, priority, Some(payload));
+        #[cfg(test)]
+        if self.stop_before_admit.load(Ordering::SeqCst) {
+            self.stop();
+        }
         self.shared.admit(&job);
         Ok(JobHandle { job, service: Arc::downgrade(&self.shared) })
     }
@@ -622,11 +652,11 @@ impl PersonaService {
     /// owners that hold the service behind an `Arc`-like wrapper (the
     /// wire front end). Identical semantics, equally idempotent.
     pub fn stop(&self) {
-        if self.shared.shutdown.swap(true, Ordering::SeqCst) {
-            return;
-        }
         let drained = {
             let mut sched = self.shared.sched.lock();
+            if self.shared.shutdown.swap(true, Ordering::SeqCst) {
+                return;
+            }
             self.shared.work_cv.notify_all();
             sched.drain()
         };
@@ -839,7 +869,7 @@ fn runner_loop(shared: Arc<Shared>) {
 
 /// Executes one dispatched job on the shared runtime and resolves its
 /// handle. Every dispatched job is traced: the plan driver records
-/// stage spans and the chunk loops record chunk spans into its trace.
+/// stage spans and align and the sort record chunk spans into its trace.
 fn run_job(shared: &Arc<Shared>, job: &Arc<Job>) {
     let dispatched = Instant::now();
     let queue_wait = dispatched.duration_since(job.submitted);
@@ -933,4 +963,57 @@ fn run_job(shared: &Arc<Shared>, job: &Arc<Job>) {
     };
     let busy = Duration::from_nanos(job_counters.snapshot().busy_ns);
     shared.resolve(job, outcome, Some(Run { queue_wait, elapsed, busy }));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::job::JobStatus;
+    use persona::config::PersonaConfig;
+    use persona_agd::chunk_io::MemStore;
+
+    fn durable(wal: &std::path::Path) -> PersonaService {
+        let rt = PersonaRuntime::new(Arc::new(MemStore::new()), PersonaConfig::small()).unwrap();
+        PersonaService::recover(rt, ServiceConfig::default(), wal, RecoverOptions::default())
+            .unwrap()
+    }
+
+    /// A submit that journaled `submitted` and then lost the race with
+    /// `stop()` resolves as cancelled with `finished` journaled, so the
+    /// next `recover` does not run it again.
+    #[test]
+    fn a_submit_that_loses_the_race_with_stop_resolves_cancelled() {
+        let dir = std::env::temp_dir().join(format!("persona-submit-stop-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let wal = dir.join("service.wal");
+        let service = durable(&wal);
+        service.stop_before_admit.store(true, Ordering::SeqCst);
+        let handle = service
+            .submit(JobSpec {
+                name: "late".into(),
+                tenant: "t".into(),
+                priority: Priority::Normal,
+                plan: Plan::import_only(),
+                input: JobInput::Fastq(b"@r\nACGT\n+\nIIII\n".to_vec()),
+                chunk_size: 10,
+                aligner: None,
+                reference: vec![],
+            })
+            .unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        handle.on_done(move |outcome| {
+            let _ = tx.send(matches!(*outcome, JobOutcome::Cancelled));
+        });
+        let cancelled = rx.recv_timeout(Duration::from_secs(20));
+        assert_eq!(cancelled, Ok(true), "the handle never resolved as cancelled");
+        drop(service);
+
+        let recovered = durable(&wal);
+        let jobs = recovered.recovered_jobs();
+        assert_eq!(jobs.len(), 1);
+        assert_eq!(jobs[0].status(), JobStatus::Cancelled, "recover re-ran the job");
+        drop(recovered);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

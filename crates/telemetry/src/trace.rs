@@ -1,8 +1,8 @@
 //! Per-job trace spans with a Chrome `trace_event` JSON dump.
 //!
 //! A [`JobTrace`] rides in a job's `JobContext`: the plan driver
-//! records a begin/end span per stage, and the chunk loops inside the
-//! stages record begin/end events per chunk, all timestamped against
+//! records a begin/end span per stage, and align and the sort record
+//! begin/end events per chunk, all timestamped against
 //! the [`Clock`] trait — production jobs trace against [`RealClock`],
 //! tests against `ManualClock`, which makes a traced run's dump fully
 //! deterministic (same plan → byte-identical JSON).

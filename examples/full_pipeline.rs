@@ -14,18 +14,22 @@
 use std::sync::Arc;
 
 use persona::config::PersonaConfig;
-use persona::plan::{DataState, Plan, PlanReport, PlanRequest, PlanSource, StageRun, PRESET_NAMES};
+use persona::pipeline::rate_per_sec;
+use persona::plan::{
+    DataState, Plan, PlanReport, PlanRequest, PlanSource, StageRow, StageRun, PRESET_NAMES,
+};
 use persona::runtime::PersonaRuntime;
 use persona_agd::chunk_io::{ChunkStore, MemStore};
 use persona_examples::DemoWorld;
 use persona_formats::fastq;
 
-fn stage_detail(run: &StageRun) -> String {
-    match run {
-        StageRun::Import(r) => format!("{:.1} MB/s in", r.mb_per_sec()),
+fn stage_detail(row: &StageRow) -> String {
+    let rate = |count: u64, unit: f64| rate_per_sec(count as f64 / unit, row.elapsed);
+    match &row.run {
+        StageRun::Import(r) => format!("{:.1} MB/s in", rate(r.input_bytes, 1e6)),
         StageRun::Align(r) => format!(
             "{:.1} Mbases/s, {:.1}% mapped",
-            r.mbases_per_sec(),
+            rate(r.bases, 1e6),
             100.0 * r.mapped as f64 / r.reads.max(1) as f64
         ),
         StageRun::Sort(r) => format!("{} records, {} runs", r.records, r.runs),
@@ -33,7 +37,7 @@ fn stage_detail(run: &StageRun) -> String {
         // the sort's write and this stage only handed chunks on.
         StageRun::Dupmark(r) => format!("{} dups, marked in the sort's write", r.duplicates),
         StageRun::ExportSam(r) | StageRun::ExportBam(r) => {
-            format!("{:.1} MB/s out", r.mb_per_sec())
+            format!("{:.1} MB/s out", rate(r.output_bytes, 1e6))
         }
     }
 }
@@ -108,14 +112,13 @@ fn main() {
         .expect("pipeline plan");
 
     println!("\nstage       elapsed     busy%   throughput");
-    for run in &report.stages {
-        let (stage, elapsed, busy) =
-            (run.stage().name(), run.report().elapsed(), run.report().busy_fraction());
+    for row in &report.stages {
         println!(
-            "{stage:<11} {:>7.2}s   {:>5.1}   {}",
-            elapsed.as_secs_f64(),
-            busy * 100.0,
-            stage_detail(run)
+            "{:<11} {:>7.2}s   {:>5.1}   {}",
+            row.stage().name(),
+            row.elapsed.as_secs_f64(),
+            row.busy_fraction * 100.0,
+            stage_detail(row)
         );
     }
     println!(

@@ -3,7 +3,8 @@
 //! Run: `cargo run -p persona-examples --release --example quickstart`
 
 use persona::config::PersonaConfig;
-use persona::plan::{DataState, Plan, PlanRequest, PlanSource, Stage, StageRun};
+use persona::pipeline::rate_per_sec;
+use persona::plan::{DataState, Plan, PlanRequest, PlanSource, Stage, StageRow, StageRun};
 use persona::runtime::PersonaRuntime;
 use persona_agd::chunk_io::{ChunkStore, MemStore};
 use persona_agd::dataset::Dataset;
@@ -36,15 +37,15 @@ fn main() {
         reference: world.reference.clone(),
     };
     let run = plan.run(&rt, request).expect("alignment");
-    let Some(StageRun::Align(report)) = run.stage(Stage::Align) else {
+    let Some(StageRow { run: StageRun::Align(report), elapsed, .. }) = run.row(Stage::Align) else {
         unreachable!("an align plan reports its align stage")
     };
     println!(
         "aligned {} reads ({} Mbases) in {:.2}s -> {:.1} Mbases/s, {:.1}% mapped",
         report.reads,
         report.bases / 1_000_000,
-        report.elapsed.as_secs_f64(),
-        report.mbases_per_sec(),
+        elapsed.as_secs_f64(),
+        rate_per_sec(report.bases as f64 / 1e6, *elapsed),
         100.0 * report.mapped as f64 / report.reads as f64
     );
 

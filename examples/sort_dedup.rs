@@ -7,7 +7,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use persona::config::PersonaConfig;
-use persona::plan::{Plan, PlanReport, PlanRequest, PlanSource, Stage, StageRun};
+use persona::pipeline::rate_per_sec;
+use persona::plan::{Plan, PlanReport, PlanRequest, PlanSource, Stage, StageRow, StageRun};
 use persona::runtime::PersonaRuntime;
 use persona_agd::chunk_io::{ChunkStore, MemStore};
 use persona_agd::manifest::Manifest;
@@ -66,14 +67,15 @@ fn main() {
     println!("\n--- duplicate marking ---");
     let t = Instant::now();
     let marked = run(Stage::Dupmark, &sorted);
-    let Some(StageRun::Dupmark(rep)) = marked.stage(Stage::Dupmark) else {
+    let Some(StageRow { run: StageRun::Dupmark(rep), elapsed, .. }) = marked.row(Stage::Dupmark)
+    else {
         unreachable!("a dupmark plan reports its dupmark stage")
     };
     println!(
         "Persona (results column): {:?} -> {} dups at {:.0} reads/s",
         t.elapsed(),
         rep.duplicates,
-        rep.reads_per_sec()
+        rate_per_sec(rep.reads as f64, *elapsed)
     );
     let t = Instant::now();
     let (_, base_rep) = mark_duplicates_sam(&sam, &refs).expect("samblaster");

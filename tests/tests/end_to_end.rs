@@ -21,7 +21,7 @@ fn runtime() -> (Arc<dyn ChunkStore>, Arc<PersonaRuntime>) {
 /// The report of the one stage `report` ran.
 fn only(report: &PlanReport) -> &StageRun {
     assert_eq!(report.stages.len(), 1);
-    &report.stages[0]
+    &report.stages[0].run
 }
 
 #[test]

@@ -54,7 +54,7 @@ fn fused_pipeline_is_byte_identical_to_separate_stages() {
         let fused_sam = report.sam.as_deref().expect("full plan exports SAM");
 
         // Same record counts through every stage.
-        assert_eq!(report.stages.iter().map(|s| s.records()).collect::<Vec<_>>(), [900; 5]);
+        assert_eq!(report.stages.iter().map(|row| row.run.records()).collect::<Vec<_>>(), [900; 5]);
 
         // Byte-identical outputs: the exported SAM and the persisted
         // manifests match the stage-by-stage run exactly. The unsorted
@@ -78,7 +78,7 @@ fn fused_pipeline_is_byte_identical_to_separate_stages() {
             assert!(elapsed <= report.elapsed, "{stage}: elapsed {elapsed:?}");
         }
         for stage in [Stage::Align, Stage::Sort] {
-            let busy = report.stage(stage).unwrap().report().busy_fraction();
+            let busy = report.row(stage).unwrap().busy_fraction;
             assert!(busy > 0.0, "{stage} must run on the executor at {threads} threads");
         }
     }

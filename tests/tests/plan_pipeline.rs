@@ -9,8 +9,10 @@ use persona::config::PersonaConfig;
 use persona::plan::{DataState, Plan, PlanRequest, PlanSource, Stage};
 use persona::runtime::PersonaRuntime;
 use persona_agd::chunk_io::{ChunkStore, MemStore};
+use persona_agd::results::AlignmentResult;
+use persona_align::Aligner;
 use persona_formats::fastq;
-use persona_integration_tests::common::Fixture;
+use persona_integration_tests::common::{Fixture, Gate};
 
 const CHUNK: usize = 150;
 
@@ -117,6 +119,28 @@ fn custom_bam_plan_matches_direct_bam_export() {
     assert_eq!(parsed.records.len(), 400);
 }
 
+/// An aligner that opens `held` at its first read and holds every read
+/// until the test opens `release`: a chunk is then provably in align.
+struct HoldAligner {
+    inner: Arc<dyn Aligner>,
+    held: Arc<Gate>,
+    release: Arc<Gate>,
+}
+
+impl Aligner for HoldAligner {
+    fn align_read(&self, bases: &[u8], quals: &[u8]) -> AlignmentResult {
+        self.held.open();
+        self.release.wait_open();
+        self.inner.align_read(bases, quals)
+    }
+
+    fn name(&self) -> &'static str {
+        "hold"
+    }
+}
+
+/// A token fired while align holds a chunk unwinds the whole plan as
+/// `Cancelled`.
 #[test]
 fn plan_runs_cancel_mid_flight() {
     use persona::runtime::JobContext;
@@ -129,18 +153,22 @@ fn plan_runs_cancel_mid_flight() {
     let job = JobContext::new(Priority::Normal);
     let token = job.cancel_token().clone();
     let jrt = rt.for_job(job);
-    // Cancel from a side thread shortly after the run starts.
+    let (held, release) = (Gate::new(), Gate::new());
+    let mut req = request(&fx, "cx", PlanSource::fastq_bytes(fastq_bytes));
+    let hold =
+        HoldAligner { inner: fx.aligner.clone(), held: held.clone(), release: release.clone() };
+    req.aligner = Some(Arc::new(hold));
+    // Cancel once align holds a chunk, then let the chunk go.
     let canceller = std::thread::spawn(move || {
-        std::thread::sleep(std::time::Duration::from_millis(30));
+        held.wait_open();
         token.cancel();
+        release.open();
     });
-    let res = Plan::full().run(&jrt, request(&fx, "cx", PlanSource::fastq_bytes(fastq_bytes)));
+    let res = Plan::full().run(&jrt, req);
     canceller.join().unwrap();
     match res {
         Err(e) => assert!(e.is_cancelled(), "cancelled run must surface Cancelled, got {e}"),
-        // A tiny dataset can legitimately finish before the token
-        // fires; that is also a clean outcome.
-        Ok(report) => assert_eq!(report.reads(), 400),
+        Ok(report) => panic!("a run cancelled mid-flight completed ({} reads)", report.reads()),
     }
 }
 

@@ -18,7 +18,7 @@ use persona_store::local::{DiskConfig, ThrottledStore, WritebackDisk};
 /// one-stage align plan.
 fn align(fx: &Fixture, store: Arc<dyn ChunkStore>, manifest: &Manifest) -> AlignReport {
     let rt = PersonaRuntime::new(store, PersonaConfig::small()).unwrap();
-    match fx.run_stage(&rt, Stage::Align, manifest).unwrap().stages.pop() {
+    match fx.run_stage(&rt, Stage::Align, manifest).unwrap().stages.pop().map(|row| row.run) {
         Some(StageRun::Align(report)) => report,
         other => panic!("expected an align report, got {other:?}"),
     }
