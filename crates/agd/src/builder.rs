@@ -203,7 +203,9 @@ mod tests {
             let bases = ds.read_column_chunk(&store, c, columns::BASES).unwrap();
             let meta = ds.read_column_chunk(&store, c, columns::METADATA).unwrap();
             for r in 0..bases.len() {
-                assert_eq!(bases.record(r), rs[i].1.as_slice());
+                let mut read = Vec::new();
+                bases.append_plain(r, &mut read).unwrap();
+                assert_eq!(read, rs[i].1.as_slice());
                 assert_eq!(meta.record(r), rs[i].0.as_slice());
                 i += 1;
             }

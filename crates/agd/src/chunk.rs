@@ -130,8 +130,10 @@ impl ChunkHeader {
     }
 }
 
-/// An in-memory, decoded AGD chunk: the "useable, in-memory chunk object"
-/// the paper's parser nodes produce (§4.2).
+/// An AGD chunk decoded whole, every base unpacked to ASCII. The
+/// pipeline works on [`RawChunk`] alone; this is the oracle its decoder
+/// and [`RawChunk::append_plain`] are checked against, and the form the
+/// regression benchmark's replay decodes to.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkData {
     /// Record encoding.
@@ -194,21 +196,23 @@ impl ChunkData {
     }
 
     /// Parses and decompresses an on-disk chunk: the checks of
-    /// [`RawChunk::decode`], then [`RawChunk::unpack`], which checks
-    /// each base code as it unpacks it.
+    /// [`RawChunk::decode`], the base codes checked as the whole data
+    /// block is unpacked. The oracle [`RawChunk::append_plain`] is held
+    /// to.
     pub fn decode(buf: &[u8]) -> Result<Self> {
-        RawChunk::decode_block(buf)?.unpack()
-    }
-
-    /// The chunk as stored: bases packed into 3-bit words, every other
-    /// record type as is. Fails on a base outside `A,C,G,T,N`.
-    pub fn pack(&self) -> Result<RawChunk> {
-        Ok(RawChunk {
-            record_type: self.record_type,
-            index: self.index.clone(),
-            data: self.stored_block()?.into_owned(),
-            offsets: stored_offsets(self.record_type, &self.index),
-        })
+        let RawChunk { record_type, index, data, offsets } = RawChunk::decode_block(buf)?;
+        if record_type != RecordType::CompactBases {
+            return Ok(ChunkData { record_type, index, data, offsets });
+        }
+        let mut bases = Vec::with_capacity(index.iter().map(|&n| n as usize).sum());
+        let mut unpacked = Vec::with_capacity(index.len() + 1);
+        unpacked.push(0u64);
+        for (w, &n_bases) in offsets.windows(2).zip(&index) {
+            let packed = &data[w[0] as usize..w[1] as usize];
+            compaction::unpack_record(packed, n_bases as usize, &mut bases)?;
+            unpacked.push(bases.len() as u64);
+        }
+        Ok(ChunkData { record_type, index, data: bases, offsets: unpacked })
     }
 
     /// The data block as stored, before compression.
@@ -348,6 +352,38 @@ impl RawChunk {
         &self.data[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
+    /// Appends record `i` to `out` as plain bytes: a bases record
+    /// unpacked to ASCII, any other record as stored. Fails on a base
+    /// code above 4 (a patch that broke the record), leaving `out` as
+    /// it was.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    #[inline]
+    pub fn append_plain(&self, i: usize, out: &mut Vec<u8>) -> Result<()> {
+        match self.record_type {
+            RecordType::CompactBases => {
+                compaction::unpack_record(self.record(i), self.index[i] as usize, out)
+            }
+            RecordType::Text | RecordType::Results => {
+                out.extend_from_slice(self.record(i));
+                Ok(())
+            }
+        }
+    }
+
+    /// Length of record `i` as plain bytes ([`RawChunk::append_plain`]):
+    /// its relative index entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    #[inline]
+    pub fn plain_len(&self, i: usize) -> usize {
+        self.index[i] as usize
+    }
+
     /// Record `i` as stored, to patch in place: a patch keeps the
     /// record's length, and a packed bases record canonical.
     ///
@@ -468,44 +504,6 @@ impl RawChunk {
             }
         }
         Ok(RawChunk { record_type: header.record_type, index, data, offsets })
-    }
-
-    /// The decoded chunk: bases unpacked to ASCII, every other record
-    /// type moved as is.
-    pub fn unpack(self) -> Result<ChunkData> {
-        match self.record_type {
-            RecordType::CompactBases => self.unpacked(),
-            RecordType::Text | RecordType::Results => {
-                let RawChunk { record_type, index, data, offsets } = self;
-                Ok(ChunkData { record_type, index, data, offsets })
-            }
-        }
-    }
-
-    /// [`RawChunk::unpack`] of a chunk that stays in use: the decoded
-    /// chunk is a copy.
-    pub fn unpacked(&self) -> Result<ChunkData> {
-        let (record_type, index) = (self.record_type, self.index.clone());
-        match record_type {
-            RecordType::CompactBases => {
-                let total: u64 = index.iter().map(|&n| n as u64).sum();
-                let mut bases = Vec::with_capacity(total as usize);
-                let mut unpacked = Vec::with_capacity(index.len() + 1);
-                unpacked.push(0u64);
-                for (w, &n_bases) in self.offsets.windows(2).zip(&index) {
-                    let packed = &self.data[w[0] as usize..w[1] as usize];
-                    compaction::unpack_record(packed, n_bases as usize, &mut bases)?;
-                    unpacked.push(bases.len() as u64);
-                }
-                Ok(ChunkData { record_type, index, data: bases, offsets: unpacked })
-            }
-            RecordType::Text | RecordType::Results => Ok(ChunkData {
-                record_type,
-                index,
-                data: self.data.clone(),
-                offsets: self.offsets.clone(),
-            }),
-        }
     }
 }
 
@@ -660,6 +658,18 @@ mod tests {
         out
     }
 
+    /// `raw` read record by record through [`RawChunk::append_plain`].
+    fn plain(raw: &RawChunk) -> ChunkData {
+        let mut records = Vec::new();
+        for i in 0..raw.len() {
+            let mut record = Vec::new();
+            raw.append_plain(i, &mut record).unwrap();
+            records.push(record);
+        }
+        let rt = raw.record_type();
+        ChunkData::from_records(rt, records.iter().map(|r| r.as_slice())).unwrap()
+    }
+
     fn err_text<T: std::fmt::Debug>(r: Result<T>) -> String {
         r.expect_err("decode must fail").to_string()
     }
@@ -675,7 +685,7 @@ mod tests {
             assert_eq!(raw.record(i), compaction::pack(rec).unwrap());
         }
         assert_eq!(raw.encode(Codec::Gzip, CompressLevel::Fast), enc);
-        assert_eq!(raw.unpack().unwrap(), ChunkData::decode(&enc).unwrap());
+        assert_eq!(plain(&raw), ChunkData::decode(&enc).unwrap());
     }
 
     #[test]
@@ -697,6 +707,13 @@ mod tests {
         let want = err_text(ChunkData::decode(&bad));
         assert!(want.contains("invalid 3-bit base code 7"), "{want}");
         assert_eq!(err_text(RawChunk::decode(&bad)), want);
+        // The same code patched into a decoded chunk: reading the
+        // record fails alike and appends nothing.
+        let mut raw = RawChunk::decode(&enc).unwrap();
+        raw.record_mut(1)[0] |= 7 << 3;
+        let mut out = b"kept".to_vec();
+        assert_eq!(err_text(raw.append_plain(1, &mut out)), want);
+        assert_eq!(out, b"kept");
     }
 
     #[test]
@@ -749,7 +766,7 @@ mod tests {
         assert_ne!(dirty, enc);
         let raw = RawChunk::decode(&dirty).unwrap();
         assert_eq!(raw.encode(Codec::None, CompressLevel::Fast), enc);
-        assert_eq!(raw.unpack().unwrap(), ChunkData::decode(&dirty).unwrap());
+        assert_eq!(plain(&raw), ChunkData::decode(&dirty).unwrap());
     }
 
     /// Every single-bit flip of an encoded bases chunk decodes or fails
@@ -763,7 +780,7 @@ mod tests {
                 let mut flipped = enc.clone();
                 flipped[bit / 8] ^= 1 << (bit % 8);
                 match (RawChunk::decode(&flipped), ChunkData::decode(&flipped)) {
-                    (Ok(raw), Ok(data)) => assert_eq!(raw.unpack().unwrap(), data, "bit {bit}"),
+                    (Ok(raw), Ok(data)) => assert_eq!(plain(&raw), data, "bit {bit}"),
                     (Err(raw), Err(data)) => {
                         assert_eq!(raw.to_string(), data.to_string(), "bit {bit}")
                     }
@@ -783,21 +800,39 @@ mod tests {
         )
     }
 
+    fn any_record_type() -> impl Strategy<Value = RecordType> {
+        prop_oneof![
+            Just(RecordType::CompactBases),
+            Just(RecordType::Text),
+            Just(RecordType::Results)
+        ]
+    }
+
     proptest! {
         /// `ChunkData` is `RawChunk` plus unpacking and packing.
         #[test]
-        fn chunk_data_is_raw_chunk_plus_unpack(records in any_records(), text in any::<bool>()) {
-            let rt = if text { RecordType::Text } else { RecordType::CompactBases };
-            let data = ChunkData::from_records(rt, records.iter().map(|r| r.as_slice())).unwrap();
-            let raw = data.pack().unwrap();
-            let built = RawChunk::from_records(rt, records.iter().map(|r| r.as_slice())).unwrap();
-            prop_assert_eq!(&built, &raw);
+        fn chunk_data_is_raw_chunk_plus_unpack(records in any_records(), rt in any_record_type()) {
+            // An empty record and `N` bases in every case.
+            let records: Vec<&[u8]> = [b"".as_slice(), b"NNANNNNNNNNNNNNNNNNNNNNNNT"]
+                .into_iter()
+                .chain(records.iter().map(|r| r.as_slice()))
+                .collect();
+            let data = ChunkData::from_records(rt, records.iter().copied()).unwrap();
+            let raw = RawChunk::from_records(rt, records.iter().copied()).unwrap();
             let enc = data.encode(Codec::Gzip, CompressLevel::Fast).unwrap();
             prop_assert_eq!(raw.encode(Codec::Gzip, CompressLevel::Fast), enc.clone());
             let decoded = RawChunk::decode(&enc).unwrap();
             prop_assert_eq!(&decoded, &raw);
-            prop_assert_eq!(decoded.unpacked().unwrap(), ChunkData::decode(&enc).unwrap());
-            prop_assert_eq!(decoded.unpack().unwrap(), ChunkData::decode(&enc).unwrap());
+            let oracle = ChunkData::decode(&enc).unwrap();
+            prop_assert_eq!(decoded.len(), oracle.len());
+            let mut plain = b"head".to_vec();
+            for i in 0..oracle.len() {
+                let at = plain.len();
+                decoded.append_plain(i, &mut plain).unwrap();
+                prop_assert_eq!(&plain[at..], oracle.record(i), "record {}", i);
+                prop_assert_eq!(decoded.plain_len(i), oracle.record(i).len());
+            }
+            prop_assert_eq!(&plain[..4], b"head");
         }
 
         /// A record written in place is the record pushed as a slice.

@@ -4,7 +4,7 @@
 //! independently and simultaneously", "for more efficient random access,
 //! an absolute index can be generated on the fly").
 
-use crate::chunk::ChunkData;
+use crate::chunk::RawChunk;
 use crate::chunk_io::ChunkStore;
 use crate::manifest::Manifest;
 use crate::results::AlignmentResult;
@@ -45,7 +45,8 @@ impl Dataset {
         self.manifest.records.len()
     }
 
-    /// Reads and decodes one column of one chunk.
+    /// Reads and decodes one column of one chunk, as stored: bases stay
+    /// packed ([`RawChunk::append_plain`] reads a record as ASCII).
     ///
     /// This is *selective field access*: only the requested column's
     /// object is fetched (e.g. alignment reads only `bases` + `qual`,
@@ -55,7 +56,7 @@ impl Dataset {
         store: &dyn ChunkStore,
         chunk_idx: usize,
         column: &str,
-    ) -> Result<ChunkData> {
+    ) -> Result<RawChunk> {
         let entry = self
             .manifest
             .records
@@ -65,7 +66,7 @@ impl Dataset {
             return Err(Error::Format(format!("dataset has no column {column}")));
         }
         let raw = store.get(&Manifest::chunk_object_name(&entry.path, column))?;
-        let chunk = ChunkData::decode(&raw)?;
+        let chunk = RawChunk::decode(&raw)?;
         if chunk.len() != entry.num_records as usize {
             return Err(Error::Format(format!(
                 "chunk {} column {column}: {} records on disk, {} in manifest",
@@ -78,7 +79,8 @@ impl Dataset {
     }
 
     /// Random access: fetches a single record of a single column by
-    /// global record index. Reads one chunk object.
+    /// global record index, as plain bytes (bases unpacked to ASCII).
+    /// Reads one chunk object.
     pub fn get_record(
         &self,
         store: &dyn ChunkStore,
@@ -90,7 +92,9 @@ impl Dataset {
             .locate_record(record_idx)
             .ok_or_else(|| Error::Format(format!("record {record_idx} out of range")))?;
         let chunk = self.read_column_chunk(store, chunk_idx, column)?;
-        Ok(chunk.record(offset as usize).to_vec())
+        let mut record = Vec::new();
+        chunk.append_plain(offset as usize, &mut record)?;
+        Ok(record)
     }
 
     /// Decodes one chunk of the `results` column into alignment results.
@@ -100,19 +104,19 @@ impl Dataset {
         chunk_idx: usize,
     ) -> Result<Vec<AlignmentResult>> {
         let chunk = self.read_column_chunk(store, chunk_idx, columns::RESULTS)?;
-        chunk.iter().map(AlignmentResult::decode).collect()
+        (0..chunk.len()).map(|i| AlignmentResult::decode(chunk.record(i))).collect()
     }
 
     /// Applies `f` to every chunk of the given columns, in chunk order.
     ///
-    /// `f` receives the chunk index and one decoded [`ChunkData`] per
+    /// `f` receives the chunk index and one decoded [`RawChunk`] per
     /// requested column (in the same order as `cols`).
     pub fn for_each_chunk<F>(&self, store: &dyn ChunkStore, cols: &[&str], mut f: F) -> Result<()>
     where
-        F: FnMut(usize, &[ChunkData]) -> Result<()>,
+        F: FnMut(usize, &[RawChunk]) -> Result<()>,
     {
         for chunk_idx in 0..self.num_chunks() {
-            let chunks: Result<Vec<ChunkData>> =
+            let chunks: Result<Vec<RawChunk>> =
                 cols.iter().map(|c| self.read_column_chunk(store, chunk_idx, c)).collect();
             f(chunk_idx, &chunks?)?;
         }

@@ -43,8 +43,12 @@
 //! let manifest = w.finish(&store).unwrap();
 //! let ds = Dataset::new(manifest);
 //! assert_eq!(ds.manifest().total_records, 6);
+//! // A chunk as stored: bases packed 3 bits each, 21 to a 64-bit word.
 //! let chunk = ds.read_column_chunk(&store, 0, "bases").unwrap();
-//! assert_eq!(chunk.record(0), b"ACGTACGT");
+//! assert_eq!(chunk.record(0).len(), 8);
+//! let mut read = Vec::new();
+//! chunk.append_plain(0, &mut read).unwrap();
+//! assert_eq!(read, b"ACGTACGT");
 //! ```
 
 pub mod builder;

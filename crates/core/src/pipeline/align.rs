@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! chunk stream ─► load ───────────────► align ──────────► store ───────────► (chunk feeder)
-//!                 (carried, else get    (subchunk tasks)   (encode; gzip, put
-//!                  + decode; unpack)                        when it lands)
+//!                 (carried, else get    (subchunk tasks;   (encode; gzip, put
+//!                  + decode)             unpack each read)  when it lands)
 //! ```
 //!
 //! The stage thread fetches chunks and keeps a bounded window of them
@@ -12,14 +12,15 @@
 //! `bases` and `qual` columns are loaded (§5.2: "we read only these two
 //! columns of each chunk"), from the store unless the chunk carried
 //! them; results are written as a new AGD column when the stage's state
-//! lands. Each chunk goes on with the columns it brought, the two it
-//! loaded and its `results`.
+//! lands. The bases stay packed as stored: each subchunk task unpacks
+//! a read into one reused buffer as it aligns it. Each chunk goes on
+//! with the columns it brought, the two it loaded and its `results`.
 //! Splitting every chunk into subchunks on the shared executor means
 //! chunk granularity never causes thread stragglers.
 
 use std::sync::Arc;
 
-use persona_agd::chunk::{ChunkData, RawChunk};
+use persona_agd::chunk::RawChunk;
 use persona_agd::columns;
 use persona_agd::manifest::Manifest;
 use persona_agd::results::AlignmentResult;
@@ -48,19 +49,11 @@ pub struct AlignReport {
     pub profile: PhaseProfile,
 }
 
-/// One chunk's input columns as stored, and its bases unpacked to the
-/// ASCII the aligner reads. Qualities flow with the chunk as in the
-/// paper; their stored records are the text itself.
-struct Loaded {
-    bases: Arc<RawChunk>,
-    quals: Arc<RawChunk>,
-    ascii: ChunkData,
-}
-
 /// The executor step one chunk of the align stage is waiting on.
 enum AlignStep {
-    Load(Pending<Result<Loaded>>),
-    Align(Pending<(Vec<AlignmentResult>, PhaseProfile)>),
+    /// A chunk's bases and qualities, as stored.
+    Load(Pending<Result<(Arc<RawChunk>, Arc<RawChunk>)>>),
+    Align(Pending<Result<(Vec<AlignmentResult>, PhaseProfile)>>),
     Store(Pending<Result<Arc<RawChunk>>>),
 }
 
@@ -124,37 +117,38 @@ pub(crate) fn align(
             let load = exec.spawn_one(move || {
                 let bases = raw_column(store.as_ref(), &input, columns::BASES)?;
                 let quals = raw_column(store.as_ref(), &input, columns::QUAL)?;
-                let ascii = bases.unpacked()?;
-                Ok(Loaded { bases, quals, ascii })
+                Ok((bases, quals))
             });
             Ok(Some((chunk, AlignStep::Load(load))))
         },
         |(mut chunk, step)| match step {
             AlignStep::Load(load) => {
-                let Loaded { bases: packed, quals, ascii } = load.wait_one()?;
-                for (column, raw) in [(columns::BASES, packed), (columns::QUAL, quals.clone())] {
+                let (packed, quals) = load.wait_one()?;
+                for (column, raw) in [(columns::BASES, &packed), (columns::QUAL, &quals)] {
                     if chunk.column(column).is_none() {
-                        chunk.carried.push((column, raw));
+                        chunk.carried.push((column, raw.clone()));
                     }
                 }
-                let n = ascii.len();
-                bases += (0..n).map(|i| ascii.record(i).len() as u64).sum::<u64>();
-                let (aligner, reads) = (aligner.clone(), Arc::new((ascii, quals)));
+                let n = packed.len();
+                bases += (0..n).map(|i| packed.plain_len(i) as u64).sum::<u64>();
+                let aligner = aligner.clone();
                 let align = exec.spawn(subchunk_ranges(n, subchunk), move |_, (lo, hi)| {
-                    let (bases, quals) = &*reads;
                     let mut prof = PhaseProfile::default();
-                    let results = (lo..hi)
-                        .map(|i| {
-                            aligner.align_read_profiled(bases.record(i), quals.record(i), &mut prof)
-                        })
-                        .collect();
-                    (results, prof)
+                    let (mut results, mut read) = (Vec::with_capacity(hi - lo), Vec::new());
+                    for i in lo..hi {
+                        read.clear();
+                        packed.append_plain(i, &mut read)?;
+                        let result = aligner.align_read_profiled(&read, quals.record(i), &mut prof);
+                        results.push(result);
+                    }
+                    Ok((results, prof))
                 });
                 Ok(Progress::Next((chunk, AlignStep::Align(align))))
             }
             AlignStep::Align(align) => {
                 let mut results = Vec::with_capacity(chunk.num_records as usize);
-                for (part, prof) in align.wait()? {
+                for part in align.wait()? {
+                    let (part, prof) = part?;
                     results.extend(part);
                     profile.merge(&prof);
                 }
@@ -213,6 +207,7 @@ mod tests {
     use crate::plan::{DataState, Plan, PlanRequest, PlanSource, Stage, StageRow, StageRun};
     use crate::Error;
     use persona_agd::builder::DatasetWriter;
+    use persona_agd::chunk::ChunkData;
     use persona_agd::chunk_io::{ChunkStore, MemStore};
     use persona_agd::dataset::Dataset;
     use persona_align::snap::{SnapAligner, SnapParams};
@@ -302,7 +297,9 @@ mod tests {
         let obj = store.get(&format!("{}.results", manifest.records[2].path)).unwrap();
         let stored = ChunkData::decode(&obj).unwrap();
         for i in 0..bases.len() {
-            let expect = aligner.align_read(bases.record(i), quals.record(i));
+            let mut read = Vec::new();
+            bases.append_plain(i, &mut read).unwrap();
+            let expect = aligner.align_read(&read, quals.record(i));
             let got = AlignmentResult::decode(stored.record(i)).unwrap();
             assert_eq!(got.location, expect.location, "record {i}");
         }

@@ -3,9 +3,10 @@
 //! "Persona also implements an output subgraph for the common SAM/BAM
 //! format for compatibility with tools that have not been integrated or
 //! do not yet support AGD." Both stages keep a bounded window of chunks
-//! in flight and write straight from the AGD columns — those a live
-//! chunk carried, unpacked, else read from the store — into each
-//! chunk's output buffer (`sam::write_line`, `bam::write_record`); the
+//! in flight and write straight from the AGD columns as stored — those
+//! a live chunk carried, else read from the store; each row's bases
+//! unpacked as it is written — into each chunk's output buffer
+//! (`sam::write_line`, `bam::write_record`); the
 //! stage thread writes the chunks in the order it fetched them, which is
 //! dataset order: every producer pushes its chunks in order, and a
 //! chunk out of turn fails the stage. SAM formats a chunk as
@@ -27,7 +28,7 @@ use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::Arc;
 
-use persona_agd::chunk::ChunkData;
+use persona_agd::chunk::RawChunk;
 use persona_agd::chunk_io::ChunkStore;
 use persona_agd::columns;
 use persona_agd::manifest::Manifest;
@@ -37,7 +38,7 @@ use persona_formats::convert::for_each_chunk_row;
 use persona_formats::sam::{self, RefMap};
 
 use crate::manifest_server::{Edge, EdgeChunk};
-use crate::pipeline::{drive, load_column, subchunk_ranges, Progress, Step};
+use crate::pipeline::{drive, raw_column, subchunk_ranges, Progress, Step};
 use crate::runtime::{Pending, PersonaRuntime, StageExec};
 use crate::{Error, Result};
 
@@ -50,19 +51,19 @@ pub struct ExportReport {
     pub output_bytes: u64,
 }
 
-/// The four decoded columns a chunk's records are written from.
+/// The four columns a chunk's records are written from, as stored.
 struct Columns {
-    meta: ChunkData,
-    bases: ChunkData,
-    quals: ChunkData,
-    results: ChunkData,
+    meta: Arc<RawChunk>,
+    bases: Arc<RawChunk>,
+    quals: Arc<RawChunk>,
+    results: Arc<RawChunk>,
 }
 
 impl Columns {
-    /// The four columns of `chunk` decoded — carried, else read — each
-    /// of which must hold the chunk's records.
-    fn load(store: &dyn ChunkStore, mut chunk: EdgeChunk) -> Result<Columns> {
-        let mut load = |column| load_column(store, &mut chunk, column);
+    /// The four columns of `chunk` — carried, else read — each of which
+    /// must hold the chunk's records.
+    fn load(store: &dyn ChunkStore, chunk: EdgeChunk) -> Result<Columns> {
+        let load = |column| raw_column(store, &chunk, column);
         Ok(Columns {
             meta: load(columns::METADATA)?,
             bases: load(columns::BASES)?,
@@ -76,7 +77,7 @@ impl Columns {
     }
 
     /// The columns in the order [`for_each_chunk_row`] takes them.
-    fn columns(&self) -> [&ChunkData; 4] {
+    fn columns(&self) -> [&RawChunk; 4] {
         [&self.meta, &self.bases, &self.quals, &self.results]
     }
 
@@ -85,7 +86,7 @@ impl Columns {
     fn raw_bytes(&self, lo: usize, hi: usize) -> usize {
         (lo..hi)
             .map(|i| {
-                self.meta.record(i).len() + self.bases.record(i).len() + self.quals.record(i).len()
+                self.meta.record(i).len() + self.bases.plain_len(i) + self.quals.record(i).len()
             })
             .sum()
     }
@@ -624,6 +625,20 @@ mod tests {
                 }
                 other => panic!("bam {bam}: expected a pipeline error, got {other:?}"),
             }
+        }
+    }
+
+    /// A dataset whose `bases` column is stored as text exports the
+    /// SAM and BAM of the same reads stored packed.
+    #[test]
+    fn text_typed_bases_export_like_packed_bases() {
+        let (store, manifest) = world(150, 32);
+        let stages = [Stage::ExportSam, Stage::ExportBam];
+        let want = stages.map(|stage| export(&store, &manifest, stage).unwrap().1);
+        crate::pipeline::store_bases_as_text(store.as_ref(), &manifest);
+        for (stage, want) in stages.into_iter().zip(want) {
+            let (_, got) = export(&store, &manifest, stage).unwrap();
+            assert!(got == want, "{stage}");
         }
     }
 

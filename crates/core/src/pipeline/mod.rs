@@ -34,8 +34,10 @@
 //! carries the three read columns, align what it loaded or was handed
 //! plus its `results`, the sort's write its four gathered columns. A
 //! consumer reads from the store only the columns its chunk did not
-//! bring (`raw_column`, `load_column`); there is one load path, whose
-//! source is the edge or the store.
+//! bring (`raw_column`); there is one load path, whose source is the
+//! edge or the store, and one chunk type: a stage reads a bases record
+//! as ASCII one at a time ([`RawChunk::append_plain`]), never a whole
+//! chunk unpacked.
 //!
 //! A producer pushes each chunk once its objects are durable in the
 //! store, or once it is built when its state does not land (the plan
@@ -58,7 +60,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
-use persona_agd::chunk::{ChunkData, RawChunk};
+use persona_agd::chunk::RawChunk;
 use persona_agd::chunk_io::ChunkStore;
 use persona_agd::columns;
 use persona_agd::manifest::Manifest;
@@ -122,25 +124,6 @@ pub(crate) fn raw_column(
 /// else a copy.
 pub(crate) fn owned(chunk: Arc<RawChunk>) -> RawChunk {
     Arc::try_unwrap(chunk).unwrap_or_else(|shared| (*shared).clone())
-}
-
-/// Column `column` of `chunk` decoded, bases unpacked to ASCII: the
-/// form its edge carried, unpacked (and moved out of `chunk`), else
-/// read back from the store.
-pub(crate) fn load_column(
-    store: &dyn ChunkStore,
-    chunk: &mut EdgeChunk,
-    column: &str,
-) -> Result<ChunkData> {
-    let data = match chunk.carried.iter().position(|(name, _)| *name == column) {
-        Some(at) => match Arc::try_unwrap(chunk.carried.swap_remove(at).1) {
-            Ok(raw) => raw.unpack()?,
-            Err(shared) => shared.unpacked()?,
-        },
-        None => ChunkData::decode(&get_column(store, &chunk.stem, column)?)?,
-    };
-    check_records(chunk, column, data.len())?;
-    Ok(data)
 }
 
 /// One chunk's alignment results as a stored `results` chunk, each
@@ -287,6 +270,23 @@ pub(crate) fn run_stage(
     let config = crate::config::PersonaConfig::small();
     let rt = crate::runtime::PersonaRuntime::new(store.clone(), config)?;
     Plan::builder(stage.input_hint()).then(stage).build()?.run(&rt, req)
+}
+
+/// Rewrites every `bases` object of the landed dataset `manifest` as a
+/// `RecordType::Text` chunk of the same reads: an input stored with
+/// another record type than the column table gives.
+#[cfg(test)]
+pub(crate) fn store_bases_as_text(store: &dyn ChunkStore, manifest: &Manifest) {
+    use persona_agd::chunk::{ChunkData, RecordType};
+    use persona_compress::{codec::Codec, deflate::CompressLevel};
+    for e in &manifest.records {
+        let name = Manifest::chunk_object_name(&e.path, columns::BASES);
+        let bases = ChunkData::decode(&store.get(&name).unwrap()).unwrap();
+        let text = ChunkData { record_type: RecordType::Text, ..bases };
+        store.put(&name, &text.encode(Codec::Gzip, CompressLevel::Fast).unwrap()).unwrap();
+        let stored = RawChunk::decode(&store.get(&name).unwrap()).unwrap();
+        assert_eq!(stored.record_type(), RecordType::Text);
+    }
 }
 
 #[cfg(test)]

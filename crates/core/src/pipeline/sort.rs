@@ -60,7 +60,7 @@
 
 use std::sync::Arc;
 
-use persona_agd::chunk::{ChunkData, RawChunk, RecordType};
+use persona_agd::chunk::{RawChunk, RecordType};
 use persona_agd::chunk_io::ChunkStore;
 use persona_agd::columns::{self, coding};
 use persona_agd::manifest::{ChunkEntry, Manifest, SortOrder};
@@ -431,13 +431,18 @@ fn load_sorted_run(
 
 /// `chunk` with the record type the sort writes for its column, as a
 /// chunk of the sort's own. A dataset may store a column as another
-/// type (bases as text, say); such a chunk is converted through its
-/// decoded records.
+/// type (bases as text, say); such a chunk is built again from its
+/// records as plain bytes.
 fn stored_as(chunk: Arc<RawChunk>, record_type: RecordType) -> Result<RawChunk> {
-    if chunk.record_type() != record_type {
-        return Ok(ChunkData { record_type, ..chunk.unpacked()? }.pack()?);
+    if chunk.record_type() == record_type {
+        return Ok(owned(chunk));
     }
-    Ok(owned(chunk))
+    let (mut plain, mut ends) = (Vec::new(), vec![0]);
+    for i in 0..chunk.len() {
+        chunk.append_plain(i, &mut plain)?;
+        ends.push(plain.len());
+    }
+    Ok(RawChunk::from_records(record_type, ends.windows(2).map(|w| &plain[w[0]..w[1]]))?)
 }
 
 /// Co-ranking (Merge Path, Odeh et al., generalised from two runs to
@@ -691,11 +696,10 @@ mod tests {
     use crate::plan::{DataState, Plan, PlanRequest, PlanSource, Stage, StageRow, StageRun};
     use crate::runtime::JobContext;
     use persona_agd::builder::{ColumnAppender, DatasetWriter};
+    use persona_agd::chunk::ChunkData;
     use persona_agd::chunk_io::MemStore;
     use persona_agd::dataset::Dataset;
     use persona_agd::results::flags;
-    use persona_compress::codec::Codec;
-    use persona_compress::deflate::CompressLevel;
     use persona_dataflow::Priority;
     use persona_telemetry::{JobTrace, TracePhase};
 
@@ -751,7 +755,7 @@ mod tests {
         let mut out = Vec::new();
         for c in 0..ds.num_chunks() {
             let meta = ds.read_column_chunk(store.as_ref(), c, columns::METADATA).unwrap();
-            out.extend(meta.iter().map(|r| r.to_vec()));
+            out.extend((0..meta.len()).map(|i| meta.record(i).to_vec()));
         }
         out
     }
@@ -841,7 +845,7 @@ mod tests {
         let mut names: Vec<Vec<u8>> = Vec::new();
         for c in 0..ds.num_chunks() {
             let meta = ds.read_column_chunk(store.as_ref(), c, columns::METADATA).unwrap();
-            names.extend(meta.iter().map(|r| r.to_vec()));
+            names.extend((0..meta.len()).map(|i| meta.record(i).to_vec()));
         }
         assert!(names.windows(2).all(|w| w[0] <= w[1]));
     }
@@ -979,12 +983,10 @@ mod tests {
     /// An oracle run with each column as one block.
     fn one_block(run: &oracle::Run) -> Run {
         let column = |c: usize, records: &[Vec<u8>]| {
-            ChunkData::from_records(
+            RawChunk::from_records(
                 coding(COLUMNS[c]).record_type,
                 records.iter().map(|r| r.as_slice()),
             )
-            .unwrap()
-            .pack()
             .unwrap()
         };
         Run {
@@ -1149,12 +1151,7 @@ mod tests {
         let (store, manifest) = world(120, 16);
         let config = PersonaConfig::small();
         sort_dataset(&store, &manifest, SortKey::Coordinate, "want", &config).unwrap();
-        for e in &manifest.records {
-            let name = Manifest::chunk_object_name(&e.path, columns::BASES);
-            let bases = ChunkData::decode(&store.get(&name).unwrap()).unwrap();
-            let text = ChunkData { record_type: RecordType::Text, ..bases };
-            store.put(&name, &text.encode(Codec::Gzip, CompressLevel::Fast).unwrap()).unwrap();
-        }
+        crate::pipeline::store_bases_as_text(store.as_ref(), &manifest);
         let (sorted, _) =
             sort_dataset(&store, &manifest, SortKey::Coordinate, "got", &config).unwrap();
         for (k, e) in sorted.records.iter().enumerate() {

@@ -4,7 +4,7 @@
 use std::io::{BufRead, Write};
 
 use persona_agd::builder::DatasetWriter;
-use persona_agd::chunk::ChunkData;
+use persona_agd::chunk::RawChunk;
 use persona_agd::chunk_io::ChunkStore;
 use persona_agd::columns;
 use persona_agd::dataset::Dataset;
@@ -38,11 +38,10 @@ pub fn agd_to_fastq(ds: &Dataset, store: &dyn ChunkStore, out: &mut impl Write) 
     let mut n = 0u64;
     ds.for_each_chunk(store, &[columns::METADATA, columns::BASES, columns::QUAL], |_, cols| {
         for i in 0..cols[0].len() {
-            let read = Read {
-                meta: cols[0].record(i).to_vec(),
-                bases: cols[1].record(i).to_vec(),
-                quals: cols[2].record(i).to_vec(),
-            };
+            let mut bases = Vec::new();
+            cols[1].append_plain(i, &mut bases)?;
+            let read =
+                Read { meta: cols[0].record(i).to_vec(), bases, quals: cols[2].record(i).to_vec() };
             crate::fastq::write_record(out, &read).map_err(to_agd_err)?;
             n += 1;
         }
@@ -81,18 +80,22 @@ fn for_each_row(
 }
 
 /// Calls `f` with the rows `rows` of one chunk's metadata, bases,
-/// qualities and results columns, in order, decoding every alignment
-/// result into one reused scratch result.
+/// qualities and results columns as stored, in order, unpacking every
+/// row's bases into one reused scratch buffer and decoding every
+/// alignment result into one reused scratch result.
 pub fn for_each_chunk_row(
     refs: &RefMap,
-    [meta, bases, quals, results]: [&ChunkData; 4],
+    [meta, bases, quals, results]: [&RawChunk; 4],
     rows: std::ops::Range<usize>,
     mut f: impl FnMut(&SamRow<'_>) -> std::io::Result<()>,
 ) -> persona_agd::Result<()> {
     let mut result = AlignmentResult::unmapped();
+    let mut read = Vec::new();
     for i in rows {
         result.decode_into(results.record(i))?;
-        f(&SamRow::from_result(refs, meta.record(i), bases.record(i), quals.record(i), &result))?;
+        read.clear();
+        bases.append_plain(i, &mut read)?;
+        f(&SamRow::from_result(refs, meta.record(i), &read, quals.record(i), &result))?;
     }
     Ok(())
 }

@@ -81,7 +81,7 @@ pub use persona::plan::{DataState, Plan, PlanBuilder, PlanError, PlanReport, Sta
 // The result-cache vocabulary, for configuring and inspecting the
 // service's plan-aware cache (see `docs/CACHING.md`).
 pub use persona_cache::{CacheEntry, CacheKey, CacheStats, Digest, ResultCache};
-pub use report::{ServiceReport, StageRollup, TenantReport};
+pub use report::{ServiceReport, TenantReport};
 pub use scheduler::TenantConfig;
 pub use service::{PersonaService, RecoverOptions, ServiceConfig};
 pub use wire::{WireServer, WireServerConfig};

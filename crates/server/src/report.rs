@@ -3,20 +3,6 @@
 
 use std::time::Duration;
 
-/// Accumulated time in one pipeline stage across a tenant's completed
-/// jobs. Only stages that actually ran appear — a tenant submitting
-/// only `import-align` plans has no `sort`/`dupmark`/`export-sam` rows.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StageRollup {
-    /// Stage wire name (`import`, `align`, `sort`, `dupmark`,
-    /// `export-sam`, `export-bam`).
-    pub stage: String,
-    /// How many completed jobs ran this stage.
-    pub runs: u64,
-    /// Total wall-clock time spent in the stage.
-    pub elapsed: Duration,
-}
-
 /// Accumulated accounting for one tenant.
 #[derive(Debug, Clone, Default)]
 pub struct TenantReport {
@@ -47,9 +33,6 @@ pub struct TenantReport {
     pub queue_wait: Duration,
     /// Cumulative wall-clock run time of finished jobs.
     pub run_time: Duration,
-    /// Per-stage time across completed jobs, in canonical pipeline
-    /// order — exactly the stages this tenant's plans ran.
-    pub stages: Vec<StageRollup>,
 }
 
 impl TenantReport {

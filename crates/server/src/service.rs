@@ -55,7 +55,7 @@ use crate::job::{Job, JobHandle, JobInput, JobOutcome, JobOutput, JobPayload, Jo
 use crate::journal::{
     JobRecord, Journal, JournalConfig, JournalRecord, RecordedInput, TerminalStatus,
 };
-use crate::report::{ServiceReport, StageRollup, TenantReport};
+use crate::report::{ServiceReport, TenantReport};
 use crate::scheduler::{FairScheduler, TenantConfig};
 
 /// Service-level knobs.
@@ -106,10 +106,6 @@ struct TenantAccum {
     busy: Duration,
     queue_wait: Duration,
     run_time: Duration,
-    /// Per-stage rollup over completed jobs: `(runs, total elapsed)`
-    /// keyed by stage name — exactly the stages this tenant's plans
-    /// actually ran.
-    stages: HashMap<&'static str, (u64, Duration)>,
 }
 
 pub(crate) struct Shared {
@@ -294,11 +290,6 @@ impl Shared {
             }
             if let Some(output) = outcome.output() {
                 a.reads += output.reads;
-                for (stage, elapsed, _) in output.report.stage_rows() {
-                    let (runs, total) = a.stages.entry(stage).or_insert((0, Duration::ZERO));
-                    *runs += 1;
-                    *total += elapsed;
-                }
             }
         }
         job.finish(outcome);
@@ -618,18 +609,6 @@ impl PersonaService {
                     t.busy = a.busy;
                     t.queue_wait = a.queue_wait;
                     t.run_time = a.run_time;
-                    // Exactly the stages this tenant's plans ran, in
-                    // canonical pipeline order.
-                    t.stages = Stage::ALL
-                        .iter()
-                        .filter_map(|s| {
-                            a.stages.get(s.name()).map(|&(runs, elapsed)| StageRollup {
-                                stage: s.name().to_string(),
-                                runs,
-                                elapsed,
-                            })
-                        })
-                        .collect();
                 }
                 t
             })

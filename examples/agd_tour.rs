@@ -61,12 +61,17 @@ fn main() {
         String::from_utf8_lossy(&rec[..24])
     );
 
-    // The relative index at work: chunk header + per-record lengths.
+    // The relative index at work: per-record lengths in bases; each
+    // record is stored packed (3 bits a base, 21 to a 64-bit word) and
+    // read back as ASCII through `append_plain`.
     let chunk = ds.read_column_chunk(&store, 0, "bases").expect("chunk");
+    let lengths: Vec<usize> = (0..4).map(|i| chunk.plain_len(i)).collect();
+    let mut read = Vec::new();
+    chunk.append_plain(0, &mut read).expect("record 0");
     println!(
-        "chunk 0: {} records; relative index begins {:?}; absolute offsets begin {:?}",
+        "chunk 0: {} records; relative index begins {lengths:?}; record 0 is {} bytes packed: {}...",
         chunk.len(),
-        &chunk.index[..4],
-        &chunk.offsets[..4]
+        chunk.record(0).len(),
+        String::from_utf8_lossy(&read[..24])
     );
 }

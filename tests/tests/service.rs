@@ -236,13 +236,6 @@ fn import_align_plan_lands_an_aligned_dataset() {
         vec!["import", "align"],
         "per-plan report must list exactly the stages that ran"
     );
-    let tenant = service.report();
-    let stages = &tenant.tenant("lab-a").unwrap().stages;
-    assert_eq!(
-        stages.iter().map(|s| s.stage.as_str()).collect::<Vec<_>>(),
-        vec!["import", "align"],
-        "tenant stage rollup must cover exactly the stages that ran"
-    );
 }
 
 /// The issue's new scenarios, end to end through the service: an

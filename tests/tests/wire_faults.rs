@@ -18,57 +18,13 @@ use persona::wire::{
     WireSubmit, PROTOCOL_VERSION,
 };
 use persona_agd::chunk_io::{ChunkStore, MemStore};
-use persona_agd::results::AlignmentResult;
 use persona_align::Aligner;
 use persona_dataflow::Priority;
 use persona_formats::fastq;
-use persona_integration_tests::common::Fixture;
+use persona_integration_tests::common::{Fixture, Gate, GateAligner};
 use persona_server::{
     JobInput, JobSpec, PersonaService, ServiceConfig, WireServer, WireServerConfig,
 };
-
-/// A gate the test opens once the fault is injected, so the proof that
-/// disconnect-cancellation worked is the `Cancelled` outcome itself —
-/// no wall-clock assertions.
-struct Gate {
-    open: std::sync::Mutex<bool>,
-    cv: std::sync::Condvar,
-}
-
-impl Gate {
-    fn new() -> Arc<Gate> {
-        Arc::new(Gate { open: std::sync::Mutex::new(false), cv: std::sync::Condvar::new() })
-    }
-
-    fn open(&self) {
-        *self.open.lock().unwrap() = true;
-        self.cv.notify_all();
-    }
-
-    fn wait_open(&self) {
-        let guard = self.open.lock().unwrap();
-        let (_guard, timeout) =
-            self.cv.wait_timeout_while(guard, Duration::from_secs(20), |open| !*open).unwrap();
-        assert!(!timeout.timed_out(), "gate never opened");
-    }
-}
-
-/// An aligner whose `align_read` blocks until the test opens the gate.
-struct GateAligner {
-    inner: Arc<dyn Aligner>,
-    gate: Arc<Gate>,
-}
-
-impl Aligner for GateAligner {
-    fn align_read(&self, bases: &[u8], quals: &[u8]) -> AlignmentResult {
-        self.gate.wait_open();
-        self.inner.align_read(bases, quals)
-    }
-
-    fn name(&self) -> &'static str {
-        "gated"
-    }
-}
 
 fn serve(aligner: Arc<dyn Aligner>, max_jobs: usize) -> WireServer {
     let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
