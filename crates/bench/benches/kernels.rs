@@ -320,10 +320,11 @@ fn bench_snap(c: &mut Criterion) {
     g.finish();
 }
 
-/// The codec paths as the pipeline drives them: the three column
-/// payloads of one 5,000-read chunk and one full BGZF block of BAM
-/// records, all at `CompressLevel::Fast` (the only level the pipeline
-/// uses), plus the two per-block / per-read kernels underneath.
+/// The codec paths as the pipeline drives them: the four column
+/// payloads of one 5,000-read chunk (its `results` aligned by SNAP) and
+/// one full BGZF block of BAM records, all at `CompressLevel::Fast`
+/// (the only level the pipeline uses), plus the two per-block /
+/// per-read kernels underneath.
 fn bench_codecs(c: &mut Criterion) {
     let world = World::build(1_000_000, 5_000, 107);
     let mut packed_bases = Vec::new();
@@ -332,13 +333,22 @@ fn bench_codecs(c: &mut Criterion) {
     }
     let qualities: Vec<u8> = world.reads.iter().flat_map(|r| r.quals.iter().copied()).collect();
     let metadata: Vec<u8> = world.reads.iter().flat_map(|r| r.meta.iter().copied()).collect();
+    let snap = world.snap_aligner();
+    let mut results = Vec::new();
+    for r in &world.reads {
+        snap.align_read(&r.bases, &r.quals).encode_into(&mut results);
+    }
+    drop(snap);
 
     let mut g = c.benchmark_group("codecs");
     g.measurement_time(Duration::from_secs(3));
     g.sample_size(10);
-    for (name, payload) in
-        [("packed_bases", &packed_bases), ("qualities", &qualities), ("metadata", &metadata)]
-    {
+    for (name, payload) in [
+        ("packed_bases", &packed_bases),
+        ("qualities", &qualities),
+        ("metadata", &metadata),
+        ("results", &results),
+    ] {
         g.throughput(Throughput::Bytes(payload.len() as u64));
         let packed = Codec::Gzip.compress_level(payload, CompressLevel::Fast);
         g.bench_function(BenchmarkId::new("gzip_fast", name), |b| {

@@ -9,7 +9,7 @@ use std::cell::RefCell;
 
 use super::huffman::{assign_codes, limited_code_lengths};
 use super::inflate::fixed_litlen_lengths;
-use super::lz77::{Matcher, MatcherParams, Token, TokenBlock};
+use super::lz77::{Matcher, MatcherParams, Search, Token, TokenBlock};
 use super::{
     CLEN_ORDER, DIST_EXTRA, LENGTH_BASE, LENGTH_CODE, LENGTH_EXTRA, MAX_CLEN_LEN, MAX_CODE_LEN,
     MAX_MATCH, MIN_MATCH, NUM_DIST, NUM_LITLEN,
@@ -21,29 +21,25 @@ use crate::bits::BitWriter;
 pub enum CompressLevel {
     /// Stored blocks only (no compression).
     Store,
-    /// Fast: shallow hash chains, greedy parsing.
+    /// Fast: a two-entry bucket per hash, greedy parsing. Used by AGD
+    /// chunk compression and BGZF.
     Fast,
-    /// Default: zlib-6-like effort. Used by AGD chunk compression.
+    /// Default: zlib-6-like effort.
     Default,
     /// Best: deep chains, lazy matching.
     Best,
 }
 
 impl CompressLevel {
-    fn matcher(self) -> MatcherParams {
+    fn search(self) -> Search {
         match self {
-            CompressLevel::Store | CompressLevel::Fast => {
-                MatcherParams { max_chain: 4, nice_len: 32, lazy: false, max_insert: 8 }
-            }
+            CompressLevel::Store | CompressLevel::Fast => Search::Buckets,
             CompressLevel::Default => {
-                MatcherParams { max_chain: 128, nice_len: 128, lazy: true, max_insert: usize::MAX }
+                Search::Chains(MatcherParams { max_chain: 128, nice_len: 128 })
             }
-            CompressLevel::Best => MatcherParams {
-                max_chain: 1024,
-                nice_len: MAX_MATCH,
-                lazy: true,
-                max_insert: usize::MAX,
-            },
+            CompressLevel::Best => {
+                Search::Chains(MatcherParams { max_chain: 1024, nice_len: MAX_MATCH })
+            }
         }
     }
 }
@@ -86,11 +82,11 @@ pub(crate) fn deflate_into(out: &mut Vec<u8>, data: &[u8], level: CompressLevel)
     } else {
         ENCODER.with(|enc| {
             let enc = &mut *enc.borrow_mut();
-            let params = level.matcher();
+            let search = level.search();
             let mut rest = data;
             loop {
                 let (run, tail) = rest.split_at(rest.len().min(MAX_RUN));
-                enc.compress_run(&mut w, run, &params, tail.is_empty());
+                enc.compress_run(&mut w, run, &search, tail.is_empty());
                 rest = tail;
                 if rest.is_empty() {
                     break;
@@ -110,25 +106,20 @@ thread_local! {
 #[derive(Default)]
 struct Encoder {
     matcher: Matcher,
+    block: TokenBlock,
     codes: Codes,
 }
 
 impl Encoder {
     /// Compresses one run of input into a sequence of blocks.
-    fn compress_run(
-        &mut self,
-        w: &mut BitWriter<'_>,
-        run: &[u8],
-        params: &MatcherParams,
-        last_run: bool,
-    ) {
-        self.matcher.reset();
+    fn compress_run(&mut self, w: &mut BitWriter<'_>, run: &[u8], search: &Search, last_run: bool) {
+        self.matcher.start(search, run.len());
         let mut pos = 0usize;
         loop {
-            let next = self.matcher.tokenize(run, pos, params);
+            let next = self.matcher.tokenize(run, pos, search, &mut self.block);
             let last = next == run.len();
-            self.codes.emit_block(w, &self.matcher.block, &run[pos..next], last && last_run);
-            self.matcher.block.clear();
+            self.codes.emit_block(w, &self.block, &run[pos..next], last && last_run);
+            self.block.clear();
             pos = next;
             if last {
                 return;

@@ -1,16 +1,33 @@
-//! Hash-chain LZ77 match finding for the DEFLATE compressor.
+//! LZ77 match finding for the DEFLATE compressor.
 //!
-//! One matcher serves every level: positions are hashed four bytes at a
-//! time (one unaligned load) into `head`, collisions are chained through
-//! a window-sized `prev` ring, and the parse is greedy or lazy depending
-//! on [`MatcherParams`]. Three-byte matches are not looked for: on every
-//! column this repository stores, taking them made the output larger
-//! (their distance codes cost more than the literals they replace).
+//! Positions are hashed four bytes at a time (one unaligned load), and
+//! three-byte matches are not looked for: on every column this
+//! repository stores, taking them made the output larger (their
+//! distance codes cost more than the literals they replace). Two
+//! searches share that hash:
 //!
-//! The tables are sized once and reused by every call on a thread;
-//! [`Matcher::reset`] clears the heads, and `prev` is only ever read
-//! through a head written since, so what a thread compressed before
-//! never shows in its output.
+//! * [`Search::Buckets`] (`Fast`, the level every pipeline path uses)
+//!   keeps the two most recent positions of each hash in one 8-byte
+//!   slot, after libdeflate's level-1 `ht_matchfinder`. Each candidate
+//!   is scored with one 8-byte XOR and a trailing-zero count; only a
+//!   full 8-byte hit is extended. Entering a position shifts its slot,
+//!   so there is no chain to walk and no chain of dependent loads. The
+//!   parse is greedy, and the block's token room is checked once per
+//!   stretch of input rather than once per token.
+//! * [`Search::Chains`] (`Default`, `Best`) chains collisions through a
+//!   window-sized `prev` ring, walks as many of them as
+//!   [`MatcherParams`] say and parses lazily.
+//!
+//! The tables are sized once per thread and reused by every call on
+//! it; a thread holds one kind at a time (the last search it ran), 256
+//! KB either way. What a thread compressed before never shows in its
+//! output. The chains clear their heads per input, and `prev` is only
+//! read through a head written since. The buckets are not cleared:
+//! each input's positions are entered offset by a per-thread base that
+//! the input advances past its length plus a window, so an entry of an
+//! earlier input lies more than its own position behind any position
+//! of this one and fails the distance check like an empty slot (0)
+//! does. They are cleared only when the base would wrap.
 
 use super::{dist_code, LENGTH_CODE, MAX_MATCH, MIN_MATCH, NUM_DIST, NUM_LITLEN, WINDOW_SIZE};
 
@@ -18,8 +35,8 @@ const HASH_BITS: u32 = 15;
 const HASH_SIZE: usize = 1 << HASH_BITS;
 const WINDOW_MASK: usize = WINDOW_SIZE - 1;
 
-/// Shortest match the four-byte hash chains can find.
-const MIN_CHAIN_MATCH: usize = 4;
+/// Shortest match a four-byte hash can find.
+const MIN_HASH_MATCH: usize = 4;
 /// Through a run of input without matches, every 2^this fruitless
 /// searches widen the stride between searched positions by one, up to
 /// [`MAX_STEP`]. Packed bases have a match worth taking every few
@@ -28,10 +45,12 @@ const MIN_CHAIN_MATCH: usize = 4;
 const MISSES_PER_STEP_LOG2: u32 = 5;
 const MAX_STEP: usize = 8;
 
-/// Capacity of a block in tokens. [`Matcher::tokenize`] stops
-/// [`BLOCK_SLACK`] short of it, because one step of a lazy parse can
-/// emit a run of literals (each deferral finds a longer match, so fewer
-/// than [`MAX_MATCH`] of them) and the match that ends it.
+/// Capacity of a block in tokens. A block counts as full
+/// [`BLOCK_SLACK`] short of it: the chain search checks before each
+/// step, and one step of a lazy parse can emit a run of literals (each
+/// deferral finds a longer match, so fewer than [`MAX_MATCH`] of them)
+/// and the match that ends it. The bucket search fills a block to that
+/// same mark and never past it.
 const BLOCK_TOKENS: usize = 32 * 1024;
 const BLOCK_SLACK: usize = MAX_MATCH + 2;
 
@@ -114,15 +133,17 @@ pub struct TokenBlock {
     pub dist_freq: [u32; NUM_DIST],
 }
 
-impl TokenBlock {
-    fn new() -> Self {
+impl Default for TokenBlock {
+    fn default() -> Self {
         TokenBlock {
             tokens: Vec::with_capacity(BLOCK_TOKENS),
             litlen_freq: [0; NUM_LITLEN],
             dist_freq: [0; NUM_DIST],
         }
     }
+}
 
+impl TokenBlock {
     /// The tokens pushed since the last [`clear`](Self::clear).
     pub fn tokens(&self) -> &[Token] {
         &self.tokens
@@ -137,6 +158,11 @@ impl TokenBlock {
 
     fn is_full(&self) -> bool {
         self.tokens.len() + BLOCK_SLACK > BLOCK_TOKENS
+    }
+
+    /// How many more tokens fit before the block counts as full.
+    fn room(&self) -> usize {
+        (BLOCK_TOKENS - BLOCK_SLACK).saturating_sub(self.tokens.len())
     }
 
     #[inline]
@@ -154,23 +180,34 @@ impl TokenBlock {
     }
 }
 
-/// Tuning parameters for the matcher, one set per compression level.
+/// How a level looks for matches.
+#[derive(Debug, Clone, Copy)]
+pub enum Search {
+    /// Two candidates per four-byte hash, greedy parse (`Fast`).
+    Buckets,
+    /// Hash chains searched as the parameters say (`Default`, `Best`).
+    Chains(MatcherParams),
+}
+
+/// Tuning parameters for the hash chains, one set per level. The parse
+/// is lazy: a match is deferred while the next position has a longer
+/// one, and every position a match covers is entered.
 #[derive(Debug, Clone, Copy)]
 pub struct MatcherParams {
     /// Maximum hash-chain entries to examine per position.
     pub max_chain: u32,
     /// Match length at which the search (and a lazy deferral) stops.
     pub nice_len: usize,
-    /// Defer a match while the next position has a longer one.
-    pub lazy: bool,
-    /// How many of the positions a match covers are entered into the
-    /// hash chains (zlib's fast levels skip the inside of long matches).
-    pub max_insert: usize,
 }
 
 #[inline(always)]
 fn load32(data: &[u8], i: usize) -> u32 {
     u32::from_le_bytes(data[i..i + 4].try_into().unwrap())
+}
+
+#[inline(always)]
+fn load64(data: &[u8], i: usize) -> u64 {
+    u64::from_le_bytes(data[i..i + 8].try_into().unwrap())
 }
 
 #[inline(always)]
@@ -198,34 +235,218 @@ fn match_length(data: &[u8], a: usize, b: usize, max: usize) -> usize {
     n
 }
 
-/// The match finder's tables, reusable across inputs.
-pub struct Matcher {
+/// A zeroed table, built on the heap (these are too big to pass over
+/// the stack of a small thread).
+fn table<T: Clone + Default, const N: usize>() -> Box<[T; N]> {
+    vec![T::default(); N].into_boxed_slice().try_into().unwrap_or_else(|_| unreachable!())
+}
+
+/// The match finder's tables, reusable across inputs: those of the
+/// search the thread ran last.
+pub enum Matcher {
+    /// [`Search::Buckets`]' table.
+    Buckets(Buckets),
+    /// [`Search::Chains`]' tables.
+    Chains(Chains),
+}
+
+impl Default for Matcher {
+    fn default() -> Self {
+        Matcher::Buckets(Buckets::default())
+    }
+}
+
+impl Matcher {
+    /// Readies the tables for a new input of `len` bytes searched by
+    /// `search`, replacing them if they are of the other kind.
+    pub fn start(&mut self, search: &Search, len: usize) {
+        match (search, &mut *self) {
+            (Search::Buckets, Matcher::Buckets(buckets)) => buckets.start(len),
+            (Search::Chains(_), Matcher::Chains(chains)) => chains.reset(),
+            (Search::Buckets, _) => {
+                *self = Matcher::Buckets(Buckets::default());
+                self.start(search, len);
+            }
+            (Search::Chains(_), _) => *self = Matcher::Chains(Chains::default()),
+        }
+    }
+
+    /// Runs LZ77 over `data` from position `start`, pushing tokens into
+    /// `block` until it is full or the input ends, and returns the
+    /// position reached. Tokens never straddle the return, so
+    /// consecutive calls cover consecutive ranges of `data`.
+    ///
+    /// `data` must be at most 1 GiB long, and the same slice, searched
+    /// the same way, for every call since [`start`](Self::start).
+    pub fn tokenize(
+        &mut self,
+        data: &[u8],
+        start: usize,
+        search: &Search,
+        block: &mut TokenBlock,
+    ) -> usize {
+        match (self, search) {
+            (Matcher::Buckets(buckets), Search::Buckets) => buckets.tokenize(data, start, block),
+            (Matcher::Chains(chains), Search::Chains(params)) => {
+                chains.tokenize(data, start, params, block)
+            }
+            _ => panic!("`tokenize` was given another search than `start`"),
+        }
+    }
+}
+
+/// How many of the eight bytes at `p` (whose value is `word`) the eight
+/// bytes `dist` back repeat, or 0 where `dist` is 0, reaches before the
+/// input or leaves the window — an empty slot and an entry of an
+/// earlier input among them. Branch-free: which of the two entries
+/// matches longer is what the parse cannot predict.
+#[inline(always)]
+fn prefix8(data: &[u8], p: usize, word: u64, dist: u32) -> usize {
+    let ok = dist.wrapping_sub(1) < p.min(WINDOW_SIZE) as u32;
+    // Compared with itself when out of range, and then masked to 0.
+    let back = (dist & 0u32.wrapping_sub(ok as u32)) as usize;
+    let same = (load64(data, p - back) ^ word).trailing_zeros() as usize / 8;
+    same * ok as usize
+}
+
+/// Per four-byte hash, the two most recent positions entered.
+pub struct Buckets {
+    /// One slot per hash: the newer entry in the low half, the older in
+    /// the high half. An entry is a position plus the `base` of its
+    /// input.
+    slots: Box<[u64; HASH_SIZE]>,
+    /// What position 0 of the current input is entered as.
+    base: u32,
+    /// The next input's `base`: more than a window past every entry.
+    next_base: u32,
+}
+
+impl Default for Buckets {
+    fn default() -> Self {
+        // A base of at least 1 puts an empty slot (0) out of reach.
+        Buckets { slots: table(), base: 1, next_base: 1 }
+    }
+}
+
+impl Buckets {
+    fn start(&mut self, len: usize) {
+        debug_assert!(len <= 1 << 30);
+        let span = (len + WINDOW_SIZE) as u32;
+        if self.next_base.checked_add(span).is_none() {
+            self.slots.fill(0);
+            self.next_base = 1;
+        }
+        self.base = self.next_base;
+        self.next_base = self.base + span;
+    }
+
+    /// Enters position `p` of the current input, whose first four bytes
+    /// are `word`, and returns the slot as it was.
+    #[inline(always)]
+    fn insert(&mut self, word: u32, p: usize) -> u64 {
+        let slot = &mut self.slots[hash(word)];
+        let old = *slot;
+        *slot = old << 32 | (self.base + p as u32) as u64;
+        old
+    }
+
+    /// The longer of the matches a slot's two entries give position
+    /// `p`, whose first eight bytes are `word`, as `(len, dist)`; the
+    /// nearer on a tie. `len < MIN_HASH_MATCH` means no match. `p`
+    /// must have eight bytes of input.
+    #[inline(always)]
+    fn best_of(&self, data: &[u8], p: usize, word: u64, slot: u64) -> (usize, usize) {
+        let here = self.base + p as u32;
+        let (d0, d1) = (here.wrapping_sub(slot as u32), here.wrapping_sub((slot >> 32) as u32));
+        let (l0, l1) = (prefix8(data, p, word, d0), prefix8(data, p, word, d1));
+        if l0 < 8 && l1 < 8 {
+            return if l1 > l0 { (l1, d1 as usize) } else { (l0, d0 as usize) };
+        }
+        // At least one full 8-byte hit: extend the hits.
+        let max = MAX_MATCH.min(data.len() - p) - 8;
+        let extend = |l: usize, d: u32| {
+            if l < 8 {
+                return l;
+            }
+            let c = p - d as usize;
+            8 + match_length(data, c + 8, p + 8, max)
+        };
+        let (l0, l1) = (extend(l0, d0), extend(l1, d1));
+        if l1 > l0 {
+            (l1, d1 as usize)
+        } else {
+            (l0, d0 as usize)
+        }
+    }
+
+    fn tokenize(&mut self, data: &[u8], start: usize, block: &mut TokenBlock) -> usize {
+        let n = data.len();
+        // Positions from here on have fewer than eight bytes to compare
+        // and are emitted as literals.
+        let fast_end = n.saturating_sub(7);
+        let mut i = start;
+        // Searches since the last match that found nothing.
+        let mut misses = 0usize;
+        while i < fast_end {
+            // Tokens start at distinct positions, so a stretch of `room`
+            // positions cannot overfill the block.
+            let room = block.room();
+            if room == 0 {
+                return i;
+            }
+            let stop = fast_end.min(i + room);
+            while i < stop {
+                let word = load64(data, i);
+                let slot = self.insert(word as u32, i);
+                let (len, dist) = self.best_of(data, i, word, slot);
+                if len < MIN_HASH_MATCH {
+                    // Where nothing has matched for a while nothing is
+                    // likely to: search (and index) only every `step`th
+                    // position until something does.
+                    misses += 1;
+                    let step = (1 + (misses >> MISSES_PER_STEP_LOG2)).min(MAX_STEP).min(stop - i);
+                    for &byte in &data[i..i + step] {
+                        block.push_literal(byte);
+                    }
+                    i += step;
+                    continue;
+                }
+                misses = 0;
+                block.push_match(len, dist);
+                let end = i + len;
+                for k in i + 1..end.min(fast_end) {
+                    self.insert(load32(data, k), k);
+                }
+                i = end;
+            }
+        }
+        let end = n.min(i + block.room());
+        for &byte in &data[i..end] {
+            block.push_literal(byte);
+        }
+        end
+    }
+}
+
+/// Per four-byte hash, a chain of every position entered.
+pub struct Chains {
     /// Most recent position (plus one; 0 = none) per four-byte hash.
     head: Box<[u32; HASH_SIZE]>,
     /// For each position modulo the window, the previous position (plus
     /// one) with the same four-byte hash.
     prev: Box<[u32; WINDOW_SIZE]>,
-    /// The block being filled.
-    pub block: TokenBlock,
 }
 
-/// A zeroed table, built on the heap (these are too big to pass over
-/// the stack of a small thread).
-fn table<const N: usize>() -> Box<[u32; N]> {
-    vec![0u32; N].into_boxed_slice().try_into().expect("length is N")
-}
-
-impl Default for Matcher {
+impl Default for Chains {
     fn default() -> Self {
-        Matcher { head: table(), prev: table(), block: TokenBlock::new() }
+        Chains { head: table(), prev: table() }
     }
 }
 
-impl Matcher {
-    /// Forgets every position seen so far; call before each new input.
-    pub fn reset(&mut self) {
+impl Chains {
+    /// Forgets every position seen so far.
+    fn reset(&mut self) {
         self.head.fill(0);
-        self.block.clear();
     }
 
     /// Enters position `p`, where `word` starts, into the tables and
@@ -241,7 +462,7 @@ impl Matcher {
 
     /// Finds the longest match for position `p` among at most
     /// `max_chain` earlier positions and enters `p` into the tables.
-    /// Returns `(len, dist)`; `len < MIN_CHAIN_MATCH` means no match.
+    /// Returns `(len, dist)`; `len < MIN_HASH_MATCH` means no match.
     #[inline(always)]
     fn find_and_insert(&mut self, data: &[u8], p: usize, params: &MatcherParams) -> (usize, usize) {
         let word = load32(data, p);
@@ -266,7 +487,7 @@ impl Matcher {
         // One comparison rejects both "no position" (0, which maps to a
         // distance of p + 1) and a position that left the window.
         let max_dist = p.min(WINDOW_SIZE) as u32;
-        let (mut best_len, mut best_dist) = (MIN_CHAIN_MATCH - 1, 0);
+        let (mut best_len, mut best_dist) = (MIN_HASH_MATCH - 1, 0);
         for _ in 0..params.max_chain {
             let dist = (p as u32 + 1).wrapping_sub(cand);
             if dist > max_dist {
@@ -275,12 +496,12 @@ impl Matcher {
             let c = p - dist as usize;
             // `best_len < nice_len <= max_len` keeps both reads inside.
             if data[c + best_len] == data[p + best_len] && load32(data, c) == word {
-                let len = MIN_CHAIN_MATCH
+                let len = MIN_HASH_MATCH
                     + match_length(
                         data,
-                        c + MIN_CHAIN_MATCH,
-                        p + MIN_CHAIN_MATCH,
-                        max_len - MIN_CHAIN_MATCH,
+                        c + MIN_HASH_MATCH,
+                        p + MIN_HASH_MATCH,
+                        max_len - MIN_HASH_MATCH,
                     );
                 if len > best_len {
                     (best_len, best_dist) = (len, p - c);
@@ -294,36 +515,32 @@ impl Matcher {
         (best_len, best_dist)
     }
 
-    /// Runs LZ77 over `data` from position `start`, pushing tokens into
-    /// [`block`](Self::block) until it is full or the input ends, and
-    /// returns the position reached. Tokens never straddle the return,
-    /// so consecutive calls cover consecutive ranges of `data`.
-    ///
-    /// `data` must be shorter than 4 GiB and the same slice for every
-    /// call since the last [`reset`](Self::reset).
-    pub fn tokenize(&mut self, data: &[u8], start: usize, params: &MatcherParams) -> usize {
+    fn tokenize(
+        &mut self,
+        data: &[u8],
+        start: usize,
+        params: &MatcherParams,
+        block: &mut TokenBlock,
+    ) -> usize {
         debug_assert!(data.len() < u32::MAX as usize);
         let n = data.len();
         // Positions from here on have fewer than four bytes to hash.
-        let hash_end = n.saturating_sub(MIN_CHAIN_MATCH - 1);
+        let hash_end = n.saturating_sub(MIN_HASH_MATCH - 1);
         let mut i = start;
         // Searches since the last match that found nothing.
         let mut misses = 0usize;
-        while i < n && !self.block.is_full() {
+        while i < n && !block.is_full() {
             if i >= hash_end {
-                self.block.push_literal(data[i]);
+                block.push_literal(data[i]);
                 i += 1;
                 continue;
             }
             let (mut len, mut dist) = self.find_and_insert(data, i, params);
-            if len < MIN_CHAIN_MATCH {
-                // Where nothing has matched for a while nothing is
-                // likely to: search (and index) only every `step`th
-                // position until something does.
+            if len < MIN_HASH_MATCH {
                 misses += 1;
                 let step = (1 + (misses >> MISSES_PER_STEP_LOG2)).min(MAX_STEP).min(n - i);
                 for &byte in &data[i..i + step] {
-                    self.block.push_literal(byte);
+                    block.push_literal(byte);
                 }
                 i += step;
                 continue;
@@ -331,22 +548,19 @@ impl Matcher {
             misses = 0;
             // Positions up to and including `inserted` are in the tables.
             let mut inserted = i;
-            if params.lazy {
-                while len < params.nice_len && i + 1 < hash_end {
-                    let next = self.find_and_insert(data, i + 1, params);
-                    inserted = i + 1;
-                    if next.0 <= len {
-                        break;
-                    }
-                    self.block.push_literal(data[i]);
-                    i += 1;
-                    (len, dist) = next;
+            while len < params.nice_len && i + 1 < hash_end {
+                let next = self.find_and_insert(data, i + 1, params);
+                inserted = i + 1;
+                if next.0 <= len {
+                    break;
                 }
+                block.push_literal(data[i]);
+                i += 1;
+                (len, dist) = next;
             }
-            self.block.push_match(len, dist);
+            block.push_match(len, dist);
             let end = i + len;
-            for k in inserted + 1..end.min(hash_end).min((i + 1).saturating_add(params.max_insert))
-            {
+            for k in inserted + 1..end.min(hash_end) {
                 self.insert(load32(data, k), k);
             }
             i = end;
@@ -359,21 +573,19 @@ impl Matcher {
 mod tests {
     use super::*;
 
-    const FAST: MatcherParams =
-        MatcherParams { max_chain: 8, nice_len: 32, lazy: false, max_insert: 8 };
-    const LAZY: MatcherParams =
-        MatcherParams { max_chain: 128, nice_len: 128, lazy: true, max_insert: usize::MAX };
-    const DEEP: MatcherParams =
-        MatcherParams { max_chain: 1024, nice_len: MAX_MATCH, lazy: true, max_insert: usize::MAX };
+    const FAST: Search = Search::Buckets;
+    const LAZY: Search = Search::Chains(MatcherParams { max_chain: 128, nice_len: 128 });
+    const DEEP: Search = Search::Chains(MatcherParams { max_chain: 1024, nice_len: MAX_MATCH });
 
-    fn tokens_of(m: &mut Matcher, data: &[u8], params: &MatcherParams) -> Vec<Token> {
-        m.reset();
+    fn tokens_of(m: &mut Matcher, data: &[u8], search: &Search) -> Vec<Token> {
+        m.start(search, data.len());
+        let mut block = TokenBlock::default();
         let mut tokens = Vec::new();
         let mut pos = 0;
         loop {
-            let next = m.tokenize(data, pos, params);
-            tokens.extend_from_slice(m.block.tokens());
-            m.block.clear();
+            let next = m.tokenize(data, pos, search, &mut block);
+            tokens.extend_from_slice(block.tokens());
+            block.clear();
             pos = next;
             if pos == data.len() {
                 return tokens;
@@ -399,8 +611,8 @@ mod tests {
 
     fn roundtrip(data: &[u8]) {
         let mut m = Matcher::default();
-        for params in [&FAST, &LAZY, &DEEP] {
-            assert_eq!(detokenize(&tokens_of(&mut m, data, params)), data, "{params:?}");
+        for search in [&FAST, &LAZY, &DEEP] {
+            assert_eq!(detokenize(&tokens_of(&mut m, data, search)), data, "{search:?}");
         }
     }
 
@@ -456,13 +668,15 @@ mod tests {
         // Two copies of a 40-byte phrase exactly one window apart, then
         // one byte further apart, separated by bytes that match nothing.
         let phrase: Vec<u8> = (0..40u8).map(|i| i.wrapping_mul(37) ^ 0x5A).collect();
-        for gap in [WINDOW_SIZE, WINDOW_SIZE + 1] {
+        for (search, gap) in
+            [&FAST, &DEEP].into_iter().flat_map(|s| [(s, WINDOW_SIZE), (s, WINDOW_SIZE + 1)])
+        {
             let mut data = phrase.clone();
             data.extend((0..gap - phrase.len()).map(|i| 128 + (i % 2) as u8 + (i / 999) as u8));
             data.extend_from_slice(&phrase);
-            let tokens = tokens_of(&mut Matcher::default(), &data, &DEEP);
+            let tokens = tokens_of(&mut Matcher::default(), &data, search);
             let reaches = tokens.iter().any(|t| t.is_match() && t.dist() == WINDOW_SIZE);
-            assert_eq!(reaches, gap == WINDOW_SIZE, "gap {gap}");
+            assert_eq!(reaches, gap == WINDOW_SIZE, "{search:?}, gap {gap}");
             assert!(tokens.iter().all(|t| !t.is_match() || t.dist() <= WINDOW_SIZE));
             assert_eq!(detokenize(&tokens), data);
         }
@@ -472,30 +686,62 @@ mod tests {
     fn reuse_does_not_leak_earlier_inputs() {
         let a: Vec<u8> = (0..50_000u32).map(|i| (i.wrapping_mul(2654435761) >> 15) as u8).collect();
         let b = b"the quick brown fox jumps over the lazy dog ".repeat(300);
-        let fresh = tokens_of(&mut Matcher::default(), &b, &LAZY);
-        let mut reused = Matcher::default();
-        tokens_of(&mut reused, &a, &FAST);
-        tokens_of(&mut reused, &b[..1234], &DEEP);
-        assert_eq!(tokens_of(&mut reused, &b, &LAZY), fresh);
+        // `noise` is long enough that a search enters only every eighth
+        // position of its end; `quiet` has the same end after a run that
+        // keeps every position there entered. Each `echo` repeats 16
+        // bytes of that end: a position `quiet` left in the tables would
+        // hand `echo` a match that its own tables do not hold.
+        let mut x = 1u64;
+        let noise: Vec<u8> = (0..4_000)
+            .map(|_| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (x >> 56) as u8
+            })
+            .collect();
+        let mut quiet = vec![b'a'; 3_000];
+        quiet.extend_from_slice(&noise[3_000..]);
+        let echoes = (3_000..3_016).map(|q| [&noise[..], &noise[q..q + 16]].concat());
+        for search in [&FAST, &LAZY] {
+            let fresh = |data: &[u8]| tokens_of(&mut Matcher::default(), data, search);
+            let mut reused = Matcher::default();
+            // Inputs after one searched the other way, after themselves,
+            // after a shorter and after a longer one.
+            for (earlier, data, other) in [
+                (&a[..], &a[..], true),
+                (&a, &a, false),
+                (&b[..1234], &b, false),
+                (&b, &b[7..], false),
+            ] {
+                tokens_of(&mut reused, earlier, if other { &DEEP } else { search });
+                assert_eq!(tokens_of(&mut reused, data, search), fresh(data), "{search:?}");
+            }
+            for echo in echoes.clone() {
+                tokens_of(&mut reused, &quiet, search);
+                assert_eq!(tokens_of(&mut reused, &echo, search), fresh(&echo), "{search:?}");
+            }
+        }
     }
 
     #[test]
     fn histogram_matches_tokens() {
         let data = b"abracadabra, abracadabra! ".repeat(100);
-        let mut m = Matcher::default();
-        m.reset();
-        assert_eq!(m.tokenize(&data, 0, &LAZY), data.len());
-        let mut litlen = [0u32; NUM_LITLEN];
-        let mut dist = [0u32; NUM_DIST];
-        for t in m.block.tokens() {
-            if t.is_match() {
-                litlen[257 + super::super::length_code(t.match_len())] += 1;
-                dist[dist_code(t.dist())] += 1;
-            } else {
-                litlen[t.byte() as usize] += 1;
+        for search in [&FAST, &LAZY] {
+            let mut m = Matcher::default();
+            let mut block = TokenBlock::default();
+            m.start(search, data.len());
+            assert_eq!(m.tokenize(&data, 0, search, &mut block), data.len());
+            let mut litlen = [0u32; NUM_LITLEN];
+            let mut dist = [0u32; NUM_DIST];
+            for t in block.tokens() {
+                if t.is_match() {
+                    litlen[257 + super::super::length_code(t.match_len())] += 1;
+                    dist[dist_code(t.dist())] += 1;
+                } else {
+                    litlen[t.byte() as usize] += 1;
+                }
             }
+            assert_eq!(block.litlen_freq, litlen, "{search:?}");
+            assert_eq!(block.dist_freq, dist, "{search:?}");
         }
-        assert_eq!(m.block.litlen_freq, litlen);
-        assert_eq!(m.block.dist_freq, dist);
     }
 }

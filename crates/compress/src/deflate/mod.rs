@@ -1,10 +1,10 @@
 //! RFC 1951 DEFLATE, implemented from scratch.
 //!
 //! The inflater handles all three block types (stored, fixed Huffman,
-//! dynamic Huffman) with table-driven decoding. The compressor uses a
-//! hash-chain LZ77 matcher with optional lazy matching and picks the
-//! cheapest of stored / fixed / dynamic encoding per block, like zlib
-//! does.
+//! dynamic Huffman) with table-driven decoding. The compressor finds
+//! LZ77 matches in two-entry hash buckets (`Fast`) or hash chains with
+//! lazy matching (`Default`, `Best`) and picks the cheapest of stored /
+//! fixed / dynamic encoding per block, like zlib does.
 
 pub mod compress;
 pub mod huffman;

@@ -9,8 +9,8 @@
 //!   folding on x86-64 CPUs that have it, slicing-by-8 elsewhere. Its
 //!   folding kernel is the crate's only `unsafe` code.
 //! * [`deflate`] — RFC 1951 DEFLATE: a full inflater and a compressor
-//!   supporting stored, fixed-Huffman and dynamic-Huffman blocks with a
-//!   hash-chain LZ77 matcher.
+//!   supporting stored, fixed-Huffman and dynamic-Huffman blocks over an
+//!   LZ77 matcher (two-entry hash buckets at `Fast`, hash chains above).
 //! * [`gzip`] — RFC 1952 gzip member framing around DEFLATE.
 //! * [`codec`] — a unified [`codec::Codec`] selector used by AGD to pick
 //!   a compression scheme per column.

@@ -104,3 +104,50 @@ proptest! {
         let _ = inflate(&packed);
     }
 }
+
+/// Inputs at the edges of the `Fast` bucket search, built from a
+/// phrase, a byte and a length: every length 0–16, a repeated phrase
+/// followed by 0–8 bytes that do not repeat it (the last seven
+/// positions have no eight bytes to compare), one BGZF block's worth of
+/// phrase with a stray byte every 37, and runs longer than a match.
+fn fast_edges(unit: &[u8], byte: u8, run: usize) -> Vec<Vec<u8>> {
+    let mut inputs: Vec<Vec<u8>> = (0..=16).map(|len| unit.repeat(17)[..len].to_vec()).collect();
+    for tail in 0..=8 {
+        let mut data = unit.repeat(40);
+        data.extend((0..tail).map(|k| byte ^ (k as u8 + 1).wrapping_mul(97)));
+        inputs.push(data);
+    }
+    let block_len = 65_280;
+    inputs.push(
+        (0..block_len)
+            .map(|k| if k % 37 == 0 { (k / 37) as u8 ^ byte } else { unit[k % unit.len()] })
+            .collect(),
+    );
+    let mut runs = vec![byte; run];
+    runs.extend_from_slice(unit);
+    runs.extend(std::iter::repeat_n(byte, run + 1));
+    inputs.push(runs);
+    inputs
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn fast_edges_roundtrip_back_to_back(
+        unit in proptest::collection::vec(any::<u8>(), 1..24),
+        byte in any::<u8>(),
+        run in 259usize..1_200,
+    ) {
+        let inputs = fast_edges(&unit, byte, run);
+        let packed: Vec<Vec<u8>> =
+            inputs.iter().map(|data| deflate_level(data, CompressLevel::Fast)).collect();
+        for (data, packed) in inputs.iter().zip(&packed) {
+            prop_assert_eq!(&inflate(packed).unwrap(), data);
+        }
+        // Back to back on this thread in the other order: the same bytes.
+        for (data, packed) in inputs.iter().zip(&packed).rev() {
+            prop_assert!(&deflate_level(data, CompressLevel::Fast) == packed, "{} bytes", data.len());
+        }
+    }
+}

@@ -7,6 +7,13 @@
 //! threads. The SAM and BAM that `sort,dupmark,export-*` write are
 //! pinned the same way. Fused ≡ staged runs one sort on both sides, so
 //! only this table notices a sort that changes bytes consistently.
+//!
+//! Compressed bytes also move with the DEFLATE encoder, which may
+//! change them as long as what they decode to does not. So every cell
+//! of compressed bytes has a twin over what they hold: each sorted
+//! dataset's records, column by column, decoded, and the BAM's
+//! BGZF-inflated payload. An encoder change re-pins the compressed
+//! cells and leaves the twins (and the SAM) where they are.
 
 use std::sync::Arc;
 
@@ -15,7 +22,7 @@ use persona::config::PersonaConfig;
 use persona::pipeline::sort::{sort_dataset, SortKey};
 use persona::plan::{DataState, Plan, PlanRequest, PlanSource, Stage};
 use persona::runtime::PersonaRuntime;
-use persona_agd::chunk::{ChunkHeader, RecordType, HEADER_SIZE};
+use persona_agd::chunk::{ChunkData, ChunkHeader, RecordType, HEADER_SIZE};
 use persona_agd::chunk_io::{ChunkStore, MemStore};
 use persona_agd::columns;
 use persona_agd::compaction::BASES_PER_WORD;
@@ -38,28 +45,46 @@ const THREADS: [usize; 3] = [1, 2, 4];
 /// `(chunk size, case, digest)`. Cases: `coordinate` and `queryname`
 /// sort a landed aligned dataset, `fused` is the sorted dataset of an
 /// `encoded-agd>align,sort` plan, and `sam`/`bam` are the outputs of
-/// `aligned>sort,dupmark,export-*`.
+/// `aligned>sort,dupmark,export-*`. A case with ` records` appended
+/// digests the sorted dataset's decoded records, and `bam payload` the
+/// BAM's inflated payload.
 const GOLDEN: &[(usize, &str, &str)] = &[
-    (1, "coordinate", "97e45d4dc5a0033e61fa4a3a08432535"),
-    (1, "queryname", "a6ef964fad796af2c67d9287b4685489"),
-    (1, "fused", "97e45d4dc5a0033e61fa4a3a08432535"),
+    (1, "coordinate", "2e3809ce90211db1783cd673e5cec1fb"),
+    (1, "queryname", "7aa73bad8d1f78c46f9426b4852b8897"),
+    (1, "fused", "2e3809ce90211db1783cd673e5cec1fb"),
     (1, "sam", "ad97f1b901780f4e183d7839a1c16b94"),
-    (1, "bam", "b7ac2c7f362fad5bed52984feb5e57b8"),
-    (7, "coordinate", "7601416c78303b89b60c2c7c27f6cb20"),
-    (7, "queryname", "7e171824f4d2763ac3107c3ab114ba1a"),
-    (7, "fused", "7601416c78303b89b60c2c7c27f6cb20"),
+    (1, "bam", "5de0d043cc374fab3f1ae9694fa629c7"),
+    (1, "coordinate records", "69608887edc77d495f43cd97371b32d2"),
+    (1, "queryname records", "19be50a06af49dc70845d6addd36bff2"),
+    (1, "fused records", "69608887edc77d495f43cd97371b32d2"),
+    (1, "bam payload", "bfe1ccb0317942322875ae43b0e356a3"),
+    (7, "coordinate", "91911ae8c8f3ba40a706b243314e0fe3"),
+    (7, "queryname", "a7b781180fcd760088c4341f8a097502"),
+    (7, "fused", "91911ae8c8f3ba40a706b243314e0fe3"),
     (7, "sam", "ad97f1b901780f4e183d7839a1c16b94"),
-    (7, "bam", "b7ac2c7f362fad5bed52984feb5e57b8"),
-    (64, "coordinate", "b86178ca77380121bc7527a21d76c9c4"),
-    (64, "queryname", "e8586d894124382a85d55bb2362a70d7"),
-    (64, "fused", "b86178ca77380121bc7527a21d76c9c4"),
+    (7, "bam", "5de0d043cc374fab3f1ae9694fa629c7"),
+    (7, "coordinate records", "69608887edc77d495f43cd97371b32d2"),
+    (7, "queryname records", "19be50a06af49dc70845d6addd36bff2"),
+    (7, "fused records", "69608887edc77d495f43cd97371b32d2"),
+    (7, "bam payload", "bfe1ccb0317942322875ae43b0e356a3"),
+    (64, "coordinate", "44278881d93cabdb2dd917c3b02e09e5"),
+    (64, "queryname", "0a83d9a65fabd2b3b27d49a276e9879e"),
+    (64, "fused", "44278881d93cabdb2dd917c3b02e09e5"),
     (64, "sam", "ad97f1b901780f4e183d7839a1c16b94"),
-    (64, "bam", "b7ac2c7f362fad5bed52984feb5e57b8"),
-    (5, "coordinate", "acc314361253545276b6bf2faac8408a"),
-    (5, "queryname", "6a72578943fd85944b26730ac4d3aa63"),
-    (5, "fused", "acc314361253545276b6bf2faac8408a"),
+    (64, "bam", "5de0d043cc374fab3f1ae9694fa629c7"),
+    (64, "coordinate records", "69608887edc77d495f43cd97371b32d2"),
+    (64, "queryname records", "19be50a06af49dc70845d6addd36bff2"),
+    (64, "fused records", "69608887edc77d495f43cd97371b32d2"),
+    (64, "bam payload", "bfe1ccb0317942322875ae43b0e356a3"),
+    (5, "coordinate", "d859840577e26d013b1184267a6b89f0"),
+    (5, "queryname", "931cc0c674d8cfed5beac7bb5340ac6d"),
+    (5, "fused", "d859840577e26d013b1184267a6b89f0"),
     (5, "sam", "ad97f1b901780f4e183d7839a1c16b94"),
-    (5, "bam", "b7ac2c7f362fad5bed52984feb5e57b8"),
+    (5, "bam", "5de0d043cc374fab3f1ae9694fa629c7"),
+    (5, "coordinate records", "69608887edc77d495f43cd97371b32d2"),
+    (5, "queryname records", "19be50a06af49dc70845d6addd36bff2"),
+    (5, "fused records", "69608887edc77d495f43cd97371b32d2"),
+    (5, "bam payload", "bfe1ccb0317942322875ae43b0e356a3"),
 ];
 
 struct World {
@@ -150,6 +175,33 @@ fn dataset_digest(store: &Arc<dyn ChunkStore>, name: &str) -> String {
     Digest::of_bytes(&all).to_hex()
 }
 
+/// One digest over the records of every column of dataset `name`,
+/// decoded (bases unpacked), column by column in manifest order.
+fn records_digest(store: &Arc<dyn ChunkStore>, name: &str) -> String {
+    let json = store.get(&format!("{name}.manifest.json")).unwrap();
+    let manifest = Manifest::from_json(std::str::from_utf8(&json).unwrap()).unwrap();
+    let mut all = Vec::new();
+    for column in &manifest.columns {
+        all.extend_from_slice(column.name.as_bytes());
+        for entry in &manifest.records {
+            let obj = store.get(&Manifest::chunk_object_name(&entry.path, &column.name)).unwrap();
+            let chunk = ChunkData::decode(&obj).unwrap();
+            for i in 0..chunk.len() {
+                all.extend_from_slice(&(chunk.record(i).len() as u32).to_le_bytes());
+                all.extend_from_slice(chunk.record(i));
+            }
+        }
+    }
+    Digest::of_bytes(&all).to_hex()
+}
+
+/// Checks the compressed objects of the sorted dataset `g.sorted` and
+/// the records they hold against the table's `case` rows.
+fn check_sorted(chunk: usize, case: &str, threads: usize, store: &Arc<dyn ChunkStore>) {
+    check(chunk, case, threads, &dataset_digest(store, "g.sorted"));
+    check(chunk, &format!("{case} records"), threads, &records_digest(store, "g.sorted"));
+}
+
 /// Checks `digest` against the table; a missing row fails with the
 /// row to add.
 fn check(chunk: usize, case: &str, threads: usize, digest: &str) {
@@ -176,7 +228,7 @@ fn landed_sort_bytes_are_pinned() {
                     // Past 64 runs the superchunk tier folds into itself.
                     assert!(report.superchunks > report.runs / 8, "{report:?}");
                 }
-                check(chunk, case, threads, &dataset_digest(&store, "g.sorted"));
+                check_sorted(chunk, case, threads, &store);
             }
         }
     }
@@ -194,7 +246,7 @@ fn fused_align_sort_bytes_are_pinned() {
             let rt = PersonaRuntime::new(store.clone(), config(threads)).unwrap();
             let request = w.request(PlanSource::Dataset(manifest.clone()), chunk);
             plan.run(&rt, request).unwrap();
-            check(chunk, "fused", threads, &dataset_digest(&store, "g.sorted"));
+            check_sorted(chunk, "fused", threads, &store);
         }
     }
 }
@@ -220,6 +272,10 @@ fn sam_and_bam_after_sort_and_dupmark_are_pinned() {
                 let report = export(stage).run(&rt, request).unwrap();
                 let out = report.sam.or(report.bam).expect("an export ran");
                 check(chunk, case, threads, &Digest::of_bytes(&out).to_hex());
+                if case == "bam" {
+                    let payload = persona_formats::bam::bgzf_decompress(&out).unwrap();
+                    check(chunk, "bam payload", threads, &Digest::of_bytes(&payload).to_hex());
+                }
             }
         }
     }
@@ -276,6 +332,6 @@ fn garbage_in_unused_base_bits_sorts_to_the_pinned_bytes() {
     for (key, case) in [(SortKey::Coordinate, "coordinate"), (SortKey::QueryName, "queryname")] {
         let store = copy_of(&store);
         sort_dataset(&store, &manifest, key, "g.sorted", &config(2)).unwrap();
-        check(chunk, case, 2, &dataset_digest(&store, "g.sorted"));
+        check_sorted(chunk, case, 2, &store);
     }
 }
