@@ -537,7 +537,7 @@ mod tests {
     fn header_rejects_garbage() {
         assert!(ChunkHeader::decode(b"nope").is_err());
         let mut h =
-            sample_chunk(RecordType::Text).encode(Codec::None, CompressLevel::Default).unwrap();
+            sample_chunk(RecordType::Text).encode(Codec::None, CompressLevel::Fast).unwrap();
         h[0] = b'X';
         assert!(ChunkData::decode(&h).is_err());
     }
@@ -547,7 +547,7 @@ mod tests {
         for rt in [RecordType::CompactBases, RecordType::Text, RecordType::Results] {
             for codec in [Codec::None, Codec::Gzip] {
                 let chunk = sample_chunk(rt);
-                let encoded = chunk.encode(codec, CompressLevel::Default).unwrap();
+                let encoded = chunk.encode(codec, CompressLevel::Fast).unwrap();
                 let decoded = ChunkData::decode(&encoded).unwrap();
                 assert_eq!(decoded, chunk, "{rt:?} {codec:?}");
             }
@@ -578,7 +578,7 @@ mod tests {
     #[test]
     fn crc_detects_payload_corruption() {
         let chunk = sample_chunk(RecordType::Text);
-        let mut enc = chunk.encode(Codec::Gzip, CompressLevel::Default).unwrap();
+        let mut enc = chunk.encode(Codec::Gzip, CompressLevel::Fast).unwrap();
         let n = enc.len();
         enc[n - 1] ^= 0xFF;
         match ChunkData::decode(&enc) {
@@ -590,7 +590,7 @@ mod tests {
     #[test]
     fn truncation_detected() {
         let chunk = sample_chunk(RecordType::CompactBases);
-        let enc = chunk.encode(Codec::Gzip, CompressLevel::Default).unwrap();
+        let enc = chunk.encode(Codec::Gzip, CompressLevel::Fast).unwrap();
         for cut in [3, HEADER_SIZE - 1, HEADER_SIZE + 3, enc.len() - 1] {
             assert!(ChunkData::decode(&enc[..cut]).is_err(), "cut {cut}");
         }
@@ -599,7 +599,7 @@ mod tests {
     #[test]
     fn empty_chunk() {
         let chunk = ChunkData::from_records(RecordType::Text, Vec::<&[u8]>::new()).unwrap();
-        let enc = chunk.encode(Codec::Gzip, CompressLevel::Default).unwrap();
+        let enc = chunk.encode(Codec::Gzip, CompressLevel::Fast).unwrap();
         let dec = ChunkData::decode(&enc).unwrap();
         assert!(dec.is_empty());
     }
@@ -612,11 +612,11 @@ mod tests {
         let refs: Vec<&[u8]> = reads.iter().map(|r| r.as_slice()).collect();
         let compact = ChunkData::from_records(RecordType::CompactBases, refs.iter().copied())
             .unwrap()
-            .encode(Codec::None, CompressLevel::Default)
+            .encode(Codec::None, CompressLevel::Fast)
             .unwrap();
         let text = ChunkData::from_records(RecordType::Text, refs.iter().copied())
             .unwrap()
-            .encode(Codec::None, CompressLevel::Default)
+            .encode(Codec::None, CompressLevel::Fast)
             .unwrap();
         assert!(compact.len() < text.len() * 45 / 100, "{} vs {}", compact.len(), text.len());
     }
@@ -625,7 +625,7 @@ mod tests {
     fn index_mismatch_detected() {
         // Tamper with the relative index after encoding.
         let chunk = sample_chunk(RecordType::Text);
-        let mut enc = chunk.encode(Codec::None, CompressLevel::Default).unwrap();
+        let mut enc = chunk.encode(Codec::None, CompressLevel::Fast).unwrap();
         enc[HEADER_SIZE] = 99; // First record length.
         assert!(ChunkData::decode(&enc).is_err());
     }

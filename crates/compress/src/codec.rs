@@ -43,13 +43,13 @@ impl Codec {
         }
     }
 
-    /// Compresses a buffer with this codec at default effort.
+    /// Compresses a buffer with this codec at [`CompressLevel::Fast`].
     pub fn compress(self, data: &[u8]) -> Vec<u8> {
-        self.compress_level(data, CompressLevel::Default)
+        self.compress_level(data, CompressLevel::Fast)
     }
 
-    /// Compresses a buffer with an explicit effort level (only meaningful
-    /// for [`Codec::Gzip`]).
+    /// Compresses a buffer at an explicit level (only meaningful for
+    /// [`Codec::Gzip`]).
     pub fn compress_level(self, data: &[u8], level: CompressLevel) -> Vec<u8> {
         match self {
             Codec::None => data.to_vec(),

@@ -1,7 +1,7 @@
 //! The DEFLATE compressor: tokenize with LZ77, then emit each block as
 //! whichever of stored / fixed-Huffman / dynamic-Huffman is smallest.
 //!
-//! All working memory — the matcher's tables, one block of tokens, the
+//! All working memory — the matcher's table, one block of tokens, the
 //! code tables — lives in one per-thread `Encoder` that every call on
 //! the thread reuses, and the output is appended to the caller's vector.
 
@@ -9,39 +9,21 @@ use std::cell::RefCell;
 
 use super::huffman::{assign_codes, limited_code_lengths};
 use super::inflate::fixed_litlen_lengths;
-use super::lz77::{Matcher, MatcherParams, Search, Token, TokenBlock};
+use super::lz77::{Buckets, Token, TokenBlock};
 use super::{
     CLEN_ORDER, DIST_EXTRA, LENGTH_BASE, LENGTH_CODE, LENGTH_EXTRA, MAX_CLEN_LEN, MAX_CODE_LEN,
     MAX_MATCH, MIN_MATCH, NUM_DIST, NUM_LITLEN,
 };
 use crate::bits::BitWriter;
 
-/// Compression effort level.
+/// Whether to compress at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompressLevel {
     /// Stored blocks only (no compression).
     Store,
-    /// Fast: a two-entry bucket per hash, greedy parsing. Used by AGD
-    /// chunk compression and BGZF.
+    /// A two-entry bucket per hash, greedy parsing: the one search there
+    /// is. Used by AGD chunk compression and BGZF.
     Fast,
-    /// Default: zlib-6-like effort.
-    Default,
-    /// Best: deep chains, lazy matching.
-    Best,
-}
-
-impl CompressLevel {
-    fn search(self) -> Search {
-        match self {
-            CompressLevel::Store | CompressLevel::Fast => Search::Buckets,
-            CompressLevel::Default => {
-                Search::Chains(MatcherParams { max_chain: 128, nice_len: 128 })
-            }
-            CompressLevel::Best => {
-                Search::Chains(MatcherParams { max_chain: 1024, nice_len: MAX_MATCH })
-            }
-        }
-    }
 }
 
 /// Longest input run the matcher's 32-bit positions are trusted with;
@@ -51,9 +33,10 @@ const MAX_RUN: usize = 1 << 30;
 /// Most symbols the code-length sequence of a dynamic header can have.
 const MAX_CLEN_SYMBOLS: usize = NUM_LITLEN + NUM_DIST;
 
-/// Compresses `data` into a complete DEFLATE stream at default effort.
+/// Compresses `data` into a complete DEFLATE stream at
+/// [`CompressLevel::Fast`].
 pub fn deflate(data: &[u8]) -> Vec<u8> {
-    deflate_level(data, CompressLevel::Default)
+    deflate_level(data, CompressLevel::Fast)
 }
 
 /// Compresses `data` into a complete DEFLATE stream.
@@ -64,7 +47,7 @@ pub fn deflate(data: &[u8]) -> Vec<u8> {
 /// use persona_compress::deflate::{deflate_level, inflate, CompressLevel};
 ///
 /// let data = vec![42u8; 1000];
-/// let packed = deflate_level(&data, CompressLevel::Best);
+/// let packed = deflate_level(&data, CompressLevel::Fast);
 /// assert!(packed.len() < 50);
 /// assert_eq!(inflate(&packed).unwrap(), data);
 /// ```
@@ -82,11 +65,10 @@ pub(crate) fn deflate_into(out: &mut Vec<u8>, data: &[u8], level: CompressLevel)
     } else {
         ENCODER.with(|enc| {
             let enc = &mut *enc.borrow_mut();
-            let search = level.search();
             let mut rest = data;
             loop {
                 let (run, tail) = rest.split_at(rest.len().min(MAX_RUN));
-                enc.compress_run(&mut w, run, &search, tail.is_empty());
+                enc.compress_run(&mut w, run, tail.is_empty());
                 rest = tail;
                 if rest.is_empty() {
                     break;
@@ -105,18 +87,18 @@ thread_local! {
 /// Everything a compression needs besides its input and output.
 #[derive(Default)]
 struct Encoder {
-    matcher: Matcher,
+    matcher: Buckets,
     block: TokenBlock,
     codes: Codes,
 }
 
 impl Encoder {
     /// Compresses one run of input into a sequence of blocks.
-    fn compress_run(&mut self, w: &mut BitWriter<'_>, run: &[u8], search: &Search, last_run: bool) {
-        self.matcher.start(search, run.len());
+    fn compress_run(&mut self, w: &mut BitWriter<'_>, run: &[u8], last_run: bool) {
+        self.matcher.start(run.len());
         let mut pos = 0usize;
         loop {
-            let next = self.matcher.tokenize(run, pos, search, &mut self.block);
+            let next = self.matcher.tokenize(run, pos, &mut self.block);
             let last = next == run.len();
             self.codes.emit_block(w, &self.block, &run[pos..next], last && last_run);
             self.block.clear();
@@ -380,8 +362,7 @@ mod tests {
         packed.len()
     }
 
-    const LEVELS: [CompressLevel; 4] =
-        [CompressLevel::Store, CompressLevel::Fast, CompressLevel::Default, CompressLevel::Best];
+    const LEVELS: [CompressLevel; 2] = [CompressLevel::Store, CompressLevel::Fast];
 
     #[test]
     fn empty_and_tiny() {
@@ -397,7 +378,7 @@ mod tests {
     #[test]
     fn compresses_repetitive_data() {
         let data = b"TATTAGGACCA".repeat(2000);
-        let n = roundtrip(&data, CompressLevel::Default);
+        let n = roundtrip(&data, CompressLevel::Fast);
         assert!(n < data.len() / 10, "{} of {}", n, data.len());
     }
 
@@ -440,7 +421,6 @@ mod tests {
             }
         }
         roundtrip(&data, CompressLevel::Fast);
-        roundtrip(&data, CompressLevel::Default);
     }
 
     #[test]
@@ -453,22 +433,14 @@ mod tests {
                 b"ACGT"[(x >> 60) as usize & 3]
             })
             .collect();
-        let n = roundtrip(&data, CompressLevel::Default);
+        let n = roundtrip(&data, CompressLevel::Fast);
         assert!((n as f64) < data.len() as f64 * 0.40, "ratio {}", n as f64 / data.len() as f64);
-    }
-
-    #[test]
-    fn levels_are_ordered_in_effort() {
-        let data = b"the quick brown fox jumps over the lazy dog. ".repeat(400);
-        let fast = deflate_level(&data, CompressLevel::Fast).len();
-        let best = deflate_level(&data, CompressLevel::Best).len();
-        assert!(best <= fast, "best {best} > fast {fast}");
     }
 
     #[test]
     fn all_byte_values() {
         let data: Vec<u8> = (0..=255u8).cycle().take(4096).collect();
-        roundtrip(&data, CompressLevel::Default);
+        roundtrip(&data, CompressLevel::Fast);
     }
 
     #[test]

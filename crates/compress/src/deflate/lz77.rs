@@ -3,37 +3,29 @@
 //! Positions are hashed four bytes at a time (one unaligned load), and
 //! three-byte matches are not looked for: on every column this
 //! repository stores, taking them made the output larger (their
-//! distance codes cost more than the literals they replace). Two
-//! searches share that hash:
+//! distance codes cost more than the literals they replace).
 //!
-//! * [`Search::Buckets`] (`Fast`, the level every pipeline path uses)
-//!   keeps the two most recent positions of each hash in one 8-byte
-//!   slot, after libdeflate's level-1 `ht_matchfinder`. Each candidate
-//!   is scored with one 8-byte XOR and a trailing-zero count; only a
-//!   full 8-byte hit is extended. Entering a position shifts its slot,
-//!   so there is no chain to walk and no chain of dependent loads. The
-//!   parse is greedy, and the block's token room is checked once per
-//!   stretch of input rather than once per token.
-//! * [`Search::Chains`] (`Default`, `Best`) chains collisions through a
-//!   window-sized `prev` ring, walks as many of them as
-//!   [`MatcherParams`] say and parses lazily.
+//! [`Buckets`] keeps the two most recent positions of each hash in one
+//! 8-byte slot, after libdeflate's level-1 `ht_matchfinder`. Each
+//! candidate is scored with one 8-byte XOR and a trailing-zero count;
+//! only a full 8-byte hit is extended. Entering a position shifts its
+//! slot, so there is no chain to walk and no chain of dependent loads.
+//! The parse is greedy, and the block's token room is checked once per
+//! stretch of input rather than once per token.
 //!
-//! The tables are sized once per thread and reused by every call on
-//! it; a thread holds one kind at a time (the last search it ran), 256
-//! KB either way. What a thread compressed before never shows in its
-//! output. The chains clear their heads per input, and `prev` is only
-//! read through a head written since. The buckets are not cleared:
-//! each input's positions are entered offset by a per-thread base that
-//! the input advances past its length plus a window, so an entry of an
-//! earlier input lies more than its own position behind any position
-//! of this one and fails the distance check like an empty slot (0)
-//! does. They are cleared only when the base would wrap.
+//! The table is sized once per thread (256 KB) and reused by every call
+//! on it, and is not cleared between inputs, yet what a thread
+//! compressed before never shows in its output: each input's positions
+//! are entered offset by a per-thread base that the input advances past
+//! its length plus a window, so an entry of an earlier input lies more
+//! than its own position behind any position of this one and fails the
+//! distance check like an empty slot (0) does. The table is cleared
+//! only when the base would wrap.
 
 use super::{dist_code, LENGTH_CODE, MAX_MATCH, MIN_MATCH, NUM_DIST, NUM_LITLEN, WINDOW_SIZE};
 
 const HASH_BITS: u32 = 15;
 const HASH_SIZE: usize = 1 << HASH_BITS;
-const WINDOW_MASK: usize = WINDOW_SIZE - 1;
 
 /// Shortest match a four-byte hash can find.
 const MIN_HASH_MATCH: usize = 4;
@@ -41,16 +33,15 @@ const MIN_HASH_MATCH: usize = 4;
 /// searches widen the stride between searched positions by one, up to
 /// [`MAX_STEP`]. Packed bases have a match worth taking every few
 /// hundred bytes and would otherwise pay a cache-missing, mispredicted
-/// chain walk at every one of them.
+/// probe at every one of them.
 const MISSES_PER_STEP_LOG2: u32 = 5;
 const MAX_STEP: usize = 8;
 
-/// Capacity of a block in tokens. A block counts as full
-/// [`BLOCK_SLACK`] short of it: the chain search checks before each
-/// step, and one step of a lazy parse can emit a run of literals (each
-/// deferral finds a longer match, so fewer than [`MAX_MATCH`] of them)
-/// and the match that ends it. The bucket search fills a block to that
-/// same mark and never past it.
+/// Capacity of a block in tokens. The search fills a block to
+/// [`BLOCK_SLACK`] short of it and never past that mark. The mark is
+/// where blocks are cut, and so decides every compressed byte the
+/// pipeline writes (the stored columns and BAM files that the golden
+/// digests pin); changing it changes them all.
 const BLOCK_TOKENS: usize = 32 * 1024;
 const BLOCK_SLACK: usize = MAX_MATCH + 2;
 
@@ -156,10 +147,6 @@ impl TokenBlock {
         self.dist_freq.fill(0);
     }
 
-    fn is_full(&self) -> bool {
-        self.tokens.len() + BLOCK_SLACK > BLOCK_TOKENS
-    }
-
     /// How many more tokens fit before the block counts as full.
     fn room(&self) -> usize {
         (BLOCK_TOKENS - BLOCK_SLACK).saturating_sub(self.tokens.len())
@@ -178,26 +165,6 @@ impl TokenBlock {
         self.litlen_freq[257 + LENGTH_CODE[len - MIN_MATCH] as usize] += 1;
         self.dist_freq[token.dist_code()] += 1;
     }
-}
-
-/// How a level looks for matches.
-#[derive(Debug, Clone, Copy)]
-pub enum Search {
-    /// Two candidates per four-byte hash, greedy parse (`Fast`).
-    Buckets,
-    /// Hash chains searched as the parameters say (`Default`, `Best`).
-    Chains(MatcherParams),
-}
-
-/// Tuning parameters for the hash chains, one set per level. The parse
-/// is lazy: a match is deferred while the next position has a longer
-/// one, and every position a match covers is entered.
-#[derive(Debug, Clone, Copy)]
-pub struct MatcherParams {
-    /// Maximum hash-chain entries to examine per position.
-    pub max_chain: u32,
-    /// Match length at which the search (and a lazy deferral) stops.
-    pub nice_len: usize,
 }
 
 #[inline(always)]
@@ -235,66 +202,6 @@ fn match_length(data: &[u8], a: usize, b: usize, max: usize) -> usize {
     n
 }
 
-/// A zeroed table, built on the heap (these are too big to pass over
-/// the stack of a small thread).
-fn table<T: Clone + Default, const N: usize>() -> Box<[T; N]> {
-    vec![T::default(); N].into_boxed_slice().try_into().unwrap_or_else(|_| unreachable!())
-}
-
-/// The match finder's tables, reusable across inputs: those of the
-/// search the thread ran last.
-pub enum Matcher {
-    /// [`Search::Buckets`]' table.
-    Buckets(Buckets),
-    /// [`Search::Chains`]' tables.
-    Chains(Chains),
-}
-
-impl Default for Matcher {
-    fn default() -> Self {
-        Matcher::Buckets(Buckets::default())
-    }
-}
-
-impl Matcher {
-    /// Readies the tables for a new input of `len` bytes searched by
-    /// `search`, replacing them if they are of the other kind.
-    pub fn start(&mut self, search: &Search, len: usize) {
-        match (search, &mut *self) {
-            (Search::Buckets, Matcher::Buckets(buckets)) => buckets.start(len),
-            (Search::Chains(_), Matcher::Chains(chains)) => chains.reset(),
-            (Search::Buckets, _) => {
-                *self = Matcher::Buckets(Buckets::default());
-                self.start(search, len);
-            }
-            (Search::Chains(_), _) => *self = Matcher::Chains(Chains::default()),
-        }
-    }
-
-    /// Runs LZ77 over `data` from position `start`, pushing tokens into
-    /// `block` until it is full or the input ends, and returns the
-    /// position reached. Tokens never straddle the return, so
-    /// consecutive calls cover consecutive ranges of `data`.
-    ///
-    /// `data` must be at most 1 GiB long, and the same slice, searched
-    /// the same way, for every call since [`start`](Self::start).
-    pub fn tokenize(
-        &mut self,
-        data: &[u8],
-        start: usize,
-        search: &Search,
-        block: &mut TokenBlock,
-    ) -> usize {
-        match (self, search) {
-            (Matcher::Buckets(buckets), Search::Buckets) => buckets.tokenize(data, start, block),
-            (Matcher::Chains(chains), Search::Chains(params)) => {
-                chains.tokenize(data, start, params, block)
-            }
-            _ => panic!("`tokenize` was given another search than `start`"),
-        }
-    }
-}
-
 /// How many of the eight bytes at `p` (whose value is `word`) the eight
 /// bytes `dist` back repeat, or 0 where `dist` is 0, reaches before the
 /// input or leaves the window — an empty slot and an entry of an
@@ -323,13 +230,17 @@ pub struct Buckets {
 
 impl Default for Buckets {
     fn default() -> Self {
+        // Built on the heap: the table is too big to pass over the stack
+        // of a small thread.
+        let slots = vec![0; HASH_SIZE].into_boxed_slice().try_into().unwrap();
         // A base of at least 1 puts an empty slot (0) out of reach.
-        Buckets { slots: table(), base: 1, next_base: 1 }
+        Buckets { slots, base: 1, next_base: 1 }
     }
 }
 
 impl Buckets {
-    fn start(&mut self, len: usize) {
+    /// Readies the table for a new input of `len` bytes, at most 1 GiB.
+    pub fn start(&mut self, len: usize) {
         debug_assert!(len <= 1 << 30);
         let span = (len + WINDOW_SIZE) as u32;
         if self.next_base.checked_add(span).is_none() {
@@ -379,7 +290,14 @@ impl Buckets {
         }
     }
 
-    fn tokenize(&mut self, data: &[u8], start: usize, block: &mut TokenBlock) -> usize {
+    /// Runs LZ77 over `data` from position `start`, pushing tokens into
+    /// `block` until it is full or the input ends, and returns the
+    /// position reached. Tokens never straddle the return, so
+    /// consecutive calls cover consecutive ranges of `data`.
+    ///
+    /// `data` must be the same slice for every call since
+    /// [`start`](Self::start).
+    pub fn tokenize(&mut self, data: &[u8], start: usize, block: &mut TokenBlock) -> usize {
         let n = data.len();
         // Positions from here on have fewer than eight bytes to compare
         // and are emitted as literals.
@@ -428,162 +346,17 @@ impl Buckets {
     }
 }
 
-/// Per four-byte hash, a chain of every position entered.
-pub struct Chains {
-    /// Most recent position (plus one; 0 = none) per four-byte hash.
-    head: Box<[u32; HASH_SIZE]>,
-    /// For each position modulo the window, the previous position (plus
-    /// one) with the same four-byte hash.
-    prev: Box<[u32; WINDOW_SIZE]>,
-}
-
-impl Default for Chains {
-    fn default() -> Self {
-        Chains { head: table(), prev: table() }
-    }
-}
-
-impl Chains {
-    /// Forgets every position seen so far.
-    fn reset(&mut self) {
-        self.head.fill(0);
-    }
-
-    /// Enters position `p`, where `word` starts, into the tables and
-    /// returns the previous head of its hash chain.
-    #[inline(always)]
-    fn insert(&mut self, word: u32, p: usize) -> u32 {
-        let h = hash(word);
-        let cand = self.head[h];
-        self.prev[p & WINDOW_MASK] = cand;
-        self.head[h] = p as u32 + 1;
-        cand
-    }
-
-    /// Finds the longest match for position `p` among at most
-    /// `max_chain` earlier positions and enters `p` into the tables.
-    /// Returns `(len, dist)`; `len < MIN_HASH_MATCH` means no match.
-    #[inline(always)]
-    fn find_and_insert(&mut self, data: &[u8], p: usize, params: &MatcherParams) -> (usize, usize) {
-        let word = load32(data, p);
-        // The search must read `prev` before `p` takes the ring slot of
-        // the position one window back.
-        let found = self.longest_match(data, p, word, self.head[hash(word)], params);
-        self.insert(word, p);
-        found
-    }
-
-    #[inline(always)]
-    fn longest_match(
-        &self,
-        data: &[u8],
-        p: usize,
-        word: u32,
-        mut cand: u32,
-        params: &MatcherParams,
-    ) -> (usize, usize) {
-        let max_len = MAX_MATCH.min(data.len() - p);
-        let nice_len = params.nice_len.min(max_len);
-        // One comparison rejects both "no position" (0, which maps to a
-        // distance of p + 1) and a position that left the window.
-        let max_dist = p.min(WINDOW_SIZE) as u32;
-        let (mut best_len, mut best_dist) = (MIN_HASH_MATCH - 1, 0);
-        for _ in 0..params.max_chain {
-            let dist = (p as u32 + 1).wrapping_sub(cand);
-            if dist > max_dist {
-                break;
-            }
-            let c = p - dist as usize;
-            // `best_len < nice_len <= max_len` keeps both reads inside.
-            if data[c + best_len] == data[p + best_len] && load32(data, c) == word {
-                let len = MIN_HASH_MATCH
-                    + match_length(
-                        data,
-                        c + MIN_HASH_MATCH,
-                        p + MIN_HASH_MATCH,
-                        max_len - MIN_HASH_MATCH,
-                    );
-                if len > best_len {
-                    (best_len, best_dist) = (len, p - c);
-                    if len >= nice_len {
-                        break;
-                    }
-                }
-            }
-            cand = self.prev[c & WINDOW_MASK];
-        }
-        (best_len, best_dist)
-    }
-
-    fn tokenize(
-        &mut self,
-        data: &[u8],
-        start: usize,
-        params: &MatcherParams,
-        block: &mut TokenBlock,
-    ) -> usize {
-        debug_assert!(data.len() < u32::MAX as usize);
-        let n = data.len();
-        // Positions from here on have fewer than four bytes to hash.
-        let hash_end = n.saturating_sub(MIN_HASH_MATCH - 1);
-        let mut i = start;
-        // Searches since the last match that found nothing.
-        let mut misses = 0usize;
-        while i < n && !block.is_full() {
-            if i >= hash_end {
-                block.push_literal(data[i]);
-                i += 1;
-                continue;
-            }
-            let (mut len, mut dist) = self.find_and_insert(data, i, params);
-            if len < MIN_HASH_MATCH {
-                misses += 1;
-                let step = (1 + (misses >> MISSES_PER_STEP_LOG2)).min(MAX_STEP).min(n - i);
-                for &byte in &data[i..i + step] {
-                    block.push_literal(byte);
-                }
-                i += step;
-                continue;
-            }
-            misses = 0;
-            // Positions up to and including `inserted` are in the tables.
-            let mut inserted = i;
-            while len < params.nice_len && i + 1 < hash_end {
-                let next = self.find_and_insert(data, i + 1, params);
-                inserted = i + 1;
-                if next.0 <= len {
-                    break;
-                }
-                block.push_literal(data[i]);
-                i += 1;
-                (len, dist) = next;
-            }
-            block.push_match(len, dist);
-            let end = i + len;
-            for k in inserted + 1..end.min(hash_end) {
-                self.insert(load32(data, k), k);
-            }
-            i = end;
-        }
-        i
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const FAST: Search = Search::Buckets;
-    const LAZY: Search = Search::Chains(MatcherParams { max_chain: 128, nice_len: 128 });
-    const DEEP: Search = Search::Chains(MatcherParams { max_chain: 1024, nice_len: MAX_MATCH });
-
-    fn tokens_of(m: &mut Matcher, data: &[u8], search: &Search) -> Vec<Token> {
-        m.start(search, data.len());
+    fn tokens_of(m: &mut Buckets, data: &[u8]) -> Vec<Token> {
+        m.start(data.len());
         let mut block = TokenBlock::default();
         let mut tokens = Vec::new();
         let mut pos = 0;
         loop {
-            let next = m.tokenize(data, pos, search, &mut block);
+            let next = m.tokenize(data, pos, &mut block);
             tokens.extend_from_slice(block.tokens());
             block.clear();
             pos = next;
@@ -610,10 +383,7 @@ mod tests {
     }
 
     fn roundtrip(data: &[u8]) {
-        let mut m = Matcher::default();
-        for search in [&FAST, &LAZY, &DEEP] {
-            assert_eq!(detokenize(&tokens_of(&mut m, data, search)), data, "{search:?}");
-        }
+        assert_eq!(detokenize(&tokens_of(&mut Buckets::default(), data)), data);
     }
 
     #[test]
@@ -649,7 +419,7 @@ mod tests {
     #[test]
     fn finds_long_matches() {
         let data = b"0123456789".repeat(30);
-        let tokens = tokens_of(&mut Matcher::default(), &data, &LAZY);
+        let tokens = tokens_of(&mut Buckets::default(), &data);
         let match_bytes: usize =
             tokens.iter().filter(|t| t.is_match()).map(|t| t.match_len()).sum();
         assert!(match_bytes > data.len() * 9 / 10, "only {match_bytes} of {} matched", data.len());
@@ -658,7 +428,7 @@ mod tests {
     #[test]
     fn long_runs_capped_at_max_match() {
         let data = vec![7u8; 1000];
-        let tokens = tokens_of(&mut Matcher::default(), &data, &DEEP);
+        let tokens = tokens_of(&mut Buckets::default(), &data);
         assert!(tokens.iter().filter(|t| t.is_match()).all(|t| t.match_len() <= MAX_MATCH));
         assert_eq!(detokenize(&tokens), data);
     }
@@ -668,15 +438,13 @@ mod tests {
         // Two copies of a 40-byte phrase exactly one window apart, then
         // one byte further apart, separated by bytes that match nothing.
         let phrase: Vec<u8> = (0..40u8).map(|i| i.wrapping_mul(37) ^ 0x5A).collect();
-        for (search, gap) in
-            [&FAST, &DEEP].into_iter().flat_map(|s| [(s, WINDOW_SIZE), (s, WINDOW_SIZE + 1)])
-        {
+        for gap in [WINDOW_SIZE, WINDOW_SIZE + 1] {
             let mut data = phrase.clone();
             data.extend((0..gap - phrase.len()).map(|i| 128 + (i % 2) as u8 + (i / 999) as u8));
             data.extend_from_slice(&phrase);
-            let tokens = tokens_of(&mut Matcher::default(), &data, search);
+            let tokens = tokens_of(&mut Buckets::default(), &data);
             let reaches = tokens.iter().any(|t| t.is_match() && t.dist() == WINDOW_SIZE);
-            assert_eq!(reaches, gap == WINDOW_SIZE, "{search:?}, gap {gap}");
+            assert_eq!(reaches, gap == WINDOW_SIZE, "gap {gap}");
             assert!(tokens.iter().all(|t| !t.is_match() || t.dist() <= WINDOW_SIZE));
             assert_eq!(detokenize(&tokens), data);
         }
@@ -689,8 +457,8 @@ mod tests {
         // `noise` is long enough that a search enters only every eighth
         // position of its end; `quiet` has the same end after a run that
         // keeps every position there entered. Each `echo` repeats 16
-        // bytes of that end: a position `quiet` left in the tables would
-        // hand `echo` a match that its own tables do not hold.
+        // bytes of that end: a position `quiet` left in the table would
+        // hand `echo` a match that its own table does not hold.
         let mut x = 1u64;
         let noise: Vec<u8> = (0..4_000)
             .map(|_| {
@@ -701,47 +469,37 @@ mod tests {
         let mut quiet = vec![b'a'; 3_000];
         quiet.extend_from_slice(&noise[3_000..]);
         let echoes = (3_000..3_016).map(|q| [&noise[..], &noise[q..q + 16]].concat());
-        for search in [&FAST, &LAZY] {
-            let fresh = |data: &[u8]| tokens_of(&mut Matcher::default(), data, search);
-            let mut reused = Matcher::default();
-            // Inputs after one searched the other way, after themselves,
-            // after a shorter and after a longer one.
-            for (earlier, data, other) in [
-                (&a[..], &a[..], true),
-                (&a, &a, false),
-                (&b[..1234], &b, false),
-                (&b, &b[7..], false),
-            ] {
-                tokens_of(&mut reused, earlier, if other { &DEEP } else { search });
-                assert_eq!(tokens_of(&mut reused, data, search), fresh(data), "{search:?}");
-            }
-            for echo in echoes.clone() {
-                tokens_of(&mut reused, &quiet, search);
-                assert_eq!(tokens_of(&mut reused, &echo, search), fresh(&echo), "{search:?}");
-            }
+        let fresh = |data: &[u8]| tokens_of(&mut Buckets::default(), data);
+        let mut reused = Buckets::default();
+        // Inputs after themselves, after a shorter and after a longer one.
+        for (earlier, data) in [(&a[..], &a[..]), (&b[..1234], &b), (&b, &b[7..])] {
+            tokens_of(&mut reused, earlier);
+            assert_eq!(tokens_of(&mut reused, data), fresh(data));
+        }
+        for echo in echoes {
+            tokens_of(&mut reused, &quiet);
+            assert_eq!(tokens_of(&mut reused, &echo), fresh(&echo));
         }
     }
 
     #[test]
     fn histogram_matches_tokens() {
         let data = b"abracadabra, abracadabra! ".repeat(100);
-        for search in [&FAST, &LAZY] {
-            let mut m = Matcher::default();
-            let mut block = TokenBlock::default();
-            m.start(search, data.len());
-            assert_eq!(m.tokenize(&data, 0, search, &mut block), data.len());
-            let mut litlen = [0u32; NUM_LITLEN];
-            let mut dist = [0u32; NUM_DIST];
-            for t in block.tokens() {
-                if t.is_match() {
-                    litlen[257 + super::super::length_code(t.match_len())] += 1;
-                    dist[dist_code(t.dist())] += 1;
-                } else {
-                    litlen[t.byte() as usize] += 1;
-                }
+        let mut m = Buckets::default();
+        let mut block = TokenBlock::default();
+        m.start(data.len());
+        assert_eq!(m.tokenize(&data, 0, &mut block), data.len());
+        let mut litlen = [0u32; NUM_LITLEN];
+        let mut dist = [0u32; NUM_DIST];
+        for t in block.tokens() {
+            if t.is_match() {
+                litlen[257 + super::super::length_code(t.match_len())] += 1;
+                dist[dist_code(t.dist())] += 1;
+            } else {
+                litlen[t.byte() as usize] += 1;
             }
-            assert_eq!(block.litlen_freq, litlen, "{search:?}");
-            assert_eq!(block.dist_freq, dist, "{search:?}");
         }
+        assert_eq!(block.litlen_freq, litlen);
+        assert_eq!(block.dist_freq, dist);
     }
 }

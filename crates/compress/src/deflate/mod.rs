@@ -2,9 +2,8 @@
 //!
 //! The inflater handles all three block types (stored, fixed Huffman,
 //! dynamic Huffman) with table-driven decoding. The compressor finds
-//! LZ77 matches in two-entry hash buckets (`Fast`) or hash chains with
-//! lazy matching (`Default`, `Best`) and picks the cheapest of stored /
-//! fixed / dynamic encoding per block, like zlib does.
+//! LZ77 matches in two-entry hash buckets and picks the cheapest of
+//! stored / fixed / dynamic encoding per block, like zlib does.
 
 pub mod compress;
 pub mod huffman;

@@ -12,11 +12,16 @@ const FEXTRA: u8 = 1 << 2;
 const FNAME: u8 = 1 << 3;
 const FCOMMENT: u8 = 1 << 4;
 
+/// gzip XFL: the compressor used its fastest algorithm (there is only
+/// the one).
+const XFL_FASTEST: u8 = 4;
+
 /// Size of the fixed member header, and of the CRC-32 + ISIZE trailer.
 const HEADER_LEN: usize = 10;
 const TRAILER_LEN: usize = 8;
 
-/// Compresses `data` into a single-member gzip stream at default effort.
+/// Compresses `data` into a single-member gzip stream at
+/// [`CompressLevel::Fast`].
 ///
 /// # Examples
 ///
@@ -28,7 +33,7 @@ const TRAILER_LEN: usize = 8;
 /// assert_eq!(gzip::decompress(&packed).unwrap(), b"persona persona persona");
 /// ```
 pub fn compress(data: &[u8]) -> Vec<u8> {
-    compress_level(data, CompressLevel::Default)
+    compress_level(data, CompressLevel::Fast)
 }
 
 /// Compresses `data` into a single-member gzip stream.
@@ -49,12 +54,7 @@ pub fn compress_with_extra(data: &[u8], level: CompressLevel, extra: Option<&[u8
 /// multi-member stream.
 pub fn compress_into(out: &mut Vec<u8>, data: &[u8], level: CompressLevel, extra: Option<&[u8]>) {
     let flg = if extra.is_some() { FEXTRA } else { 0 };
-    let xfl: u8 = match level {
-        CompressLevel::Best => 2,
-        CompressLevel::Fast | CompressLevel::Store => 4,
-        CompressLevel::Default => 0,
-    };
-    out.extend_from_slice(&[0x1f, 0x8b, 8, flg, 0, 0, 0, 0, xfl, 255]);
+    out.extend_from_slice(&[0x1f, 0x8b, 8, flg, 0, 0, 0, 0, XFL_FASTEST, 255]);
     if let Some(x) = extra {
         assert!(x.len() <= u16::MAX as usize, "FEXTRA too large");
         out.extend_from_slice(&(x.len() as u16).to_le_bytes());
@@ -211,7 +211,7 @@ mod tests {
     #[test]
     fn extra_field_roundtrip() {
         let packed =
-            compress_with_extra(b"payload", CompressLevel::Default, Some(b"BC\x02\x00\x99\x00"));
+            compress_with_extra(b"payload", CompressLevel::Fast, Some(b"BC\x02\x00\x99\x00"));
         let member = decompress_member(&packed).unwrap();
         assert_eq!(member.data, b"payload");
         assert_eq!(member.extra.as_deref(), Some(&b"BC\x02\x00\x99\x00"[..]));

@@ -10,7 +10,7 @@
 //!   folding kernel is the crate's only `unsafe` code.
 //! * [`deflate`] — RFC 1951 DEFLATE: a full inflater and a compressor
 //!   supporting stored, fixed-Huffman and dynamic-Huffman blocks over an
-//!   LZ77 matcher (two-entry hash buckets at `Fast`, hash chains above).
+//!   LZ77 matcher that keeps two positions per hash bucket.
 //! * [`gzip`] — RFC 1952 gzip member framing around DEFLATE.
 //! * [`codec`] — a unified [`codec::Codec`] selector used by AGD to pick
 //!   a compression scheme per column.

