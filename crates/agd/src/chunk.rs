@@ -19,10 +19,10 @@
 //!
 //! The relative index stores each record's *length*; offsets are obtained
 //! by summing preceding entries (paper §3). For [`RecordType::CompactBases`]
-//! the length is in bases (the packed byte size is derived); for all
-//! other types it is in bytes. The index is stored uncompressed so
-//! applications can build an absolute index "on the fly" without
-//! touching the data block.
+//! the length is in bases (the packed byte size is derived, see
+//! [`compaction`]); for all other types it is in bytes. The index is
+//! stored uncompressed so applications can build an absolute index "on
+//! the fly" without touching the data block.
 
 use std::borrow::Cow;
 
@@ -46,7 +46,8 @@ pub const HEADER_SIZE: usize = 32;
 /// parsing to apply to each record" (paper §3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecordType {
-    /// Base characters with 3-bit compaction (index unit: bases).
+    /// Base characters, five to a 12-bit group ([`compaction`]; index
+    /// unit: bases).
     CompactBases,
     /// Raw text records, e.g. qualities or metadata (index unit: bytes).
     Text,
@@ -54,22 +55,30 @@ pub enum RecordType {
     Results,
 }
 
+/// On-disk id of a retired record type: bases 3 bits each, 21 to a
+/// 64-bit word (the paper's layout, replaced by base-5 groups). The id
+/// stays reserved, so a chunk naming it fails with
+/// [`Error::RetiredRecordType`].
+const RETIRED_ID: u8 = 0;
+const RETIRED_NAME: &str = "3-bit bases";
+
 impl RecordType {
     /// Stable on-disk id.
     pub fn id(self) -> u8 {
         match self {
-            RecordType::CompactBases => 0,
             RecordType::Text => 1,
             RecordType::Results => 2,
+            RecordType::CompactBases => 3,
         }
     }
 
     /// Parses an on-disk id.
     pub fn from_id(id: u8) -> Result<Self> {
         match id {
-            0 => Ok(RecordType::CompactBases),
             1 => Ok(RecordType::Text),
             2 => Ok(RecordType::Results),
+            3 => Ok(RecordType::CompactBases),
+            RETIRED_ID => Err(Error::RetiredRecordType(RETIRED_NAME)),
             _ => Err(Error::Format(format!("unknown record type id {id}"))),
         }
     }
@@ -196,7 +205,7 @@ impl ChunkData {
     }
 
     /// Parses and decompresses an on-disk chunk: the checks of
-    /// [`RawChunk::decode`], the base codes checked as the whole data
+    /// [`RawChunk::decode`], the base groups checked as the whole data
     /// block is unpacked. The oracle [`RawChunk::append_plain`] is held
     /// to.
     pub fn decode(buf: &[u8]) -> Result<Self> {
@@ -247,7 +256,8 @@ fn stored_offsets(record_type: RecordType, index: &[u32]) -> Vec<u64> {
 }
 
 /// Header, relative index and compressed data block: the one place a
-/// chunk object is written.
+/// chunk object is written. An uncompressed block is copied once, into
+/// the object.
 fn encode_block(
     record_type: RecordType,
     index: &[u32],
@@ -255,7 +265,10 @@ fn encode_block(
     codec: Codec,
     level: CompressLevel,
 ) -> Vec<u8> {
-    let compressed = codec.compress_level(raw, level);
+    let compressed = match codec {
+        Codec::None => Cow::Borrowed(raw),
+        Codec::Gzip => Cow::Owned(codec.compress_level(raw, level)),
+    };
     let header = ChunkHeader {
         record_type,
         codec,
@@ -275,7 +288,7 @@ fn encode_block(
 
 /// An AGD chunk as stored: the relative index and the decompressed data
 /// block, each record's bytes as the block holds them — bases stay
-/// packed 3-bit words. This is what a step that only moves records
+/// packed in base-5 groups. This is what a step that only moves records
 /// works on (the sort): it copies stored bytes from chunk to chunk and
 /// never unpacks or repacks a base.
 ///
@@ -342,7 +355,7 @@ impl RawChunk {
         self.index.is_empty()
     }
 
-    /// Record `i` as stored: packed words for a bases chunk.
+    /// Record `i` as stored: packed groups for a bases chunk.
     ///
     /// # Panics
     ///
@@ -353,8 +366,8 @@ impl RawChunk {
     }
 
     /// Appends record `i` to `out` as plain bytes: a bases record
-    /// unpacked to ASCII, any other record as stored. Fails on a base
-    /// code above 4 (a patch that broke the record), leaving `out` as
+    /// unpacked to ASCII, any other record as stored. Fails on a group
+    /// out of range (a patch that broke the record), leaving `out` as
     /// it was.
     ///
     /// # Panics
@@ -432,7 +445,7 @@ impl RawChunk {
 
     /// Parses and decompresses an on-disk chunk, checking the header,
     /// the data block's checksum and length, and that the relative index
-    /// covers the block exactly; for a bases chunk also every base code
+    /// covers the block exactly; for a bases chunk also every base group
     /// (see [`compaction::canonicalize_record`]).
     pub fn decode(buf: &[u8]) -> Result<Self> {
         let mut chunk = RawChunk::decode_block(buf)?;
@@ -445,7 +458,7 @@ impl RawChunk {
         Ok(chunk)
     }
 
-    /// [`RawChunk::decode`] short of the base codes: the header, the
+    /// [`RawChunk::decode`] short of the base groups: the header, the
     /// index and the data block, as stored.
     fn decode_block(buf: &[u8]) -> Result<Self> {
         let header = ChunkHeader::decode(buf)?;
@@ -562,6 +575,21 @@ mod tests {
         let retired = persona_compress::Error::RetiredCodec("range");
         assert!(matches!(ChunkData::decode(&enc), Err(Error::Compress(e)) if e == retired));
         assert!(matches!(RawChunk::decode(&enc), Err(Error::Compress(e)) if e == retired));
+    }
+
+    #[test]
+    fn retired_record_type_id_fails_both_decoders() {
+        let mut enc = sample_chunk(RecordType::CompactBases)
+            .encode(Codec::None, CompressLevel::Fast)
+            .unwrap();
+        enc[5] = 0;
+        let retired = |r: &Result<_>| matches!(r, Err(Error::RetiredRecordType("3-bit bases")));
+        assert!(retired(&ChunkHeader::decode(&enc).map(|_| ())));
+        assert!(retired(&ChunkData::decode(&enc).map(|_| ())));
+        assert!(retired(&RawChunk::decode(&enc).map(|_| ())));
+        assert!(err_text(RawChunk::decode(&enc)).contains("\"3-bit bases\" is retired"));
+        enc[5] = 9;
+        assert_eq!(err_text(RawChunk::decode(&enc)), "format error: unknown record type id 9");
     }
 
     #[test]
@@ -702,15 +730,19 @@ mod tests {
     #[test]
     fn raw_chunk_rejects_a_bad_base_code_like_chunk_data() {
         let enc = bases_chunk(&[b"ACGT", b"TTTTTTTTTTTTTTTTTTTTTTTTT"], Codec::None);
-        // Code 7 in the second record's second base.
-        let bad = edit_block(&enc, |block| block[8] |= 7 << 3);
+        // 4,095 in the second record's first group (its bytes 0 and 1).
+        let bad = edit_block(&enc, |block| {
+            block[2] = 0xFF;
+            block[3] |= 0x0F;
+        });
         let want = err_text(ChunkData::decode(&bad));
-        assert!(want.contains("invalid 3-bit base code 7"), "{want}");
+        assert!(want.contains("base group 0 holds 4095"), "{want}");
         assert_eq!(err_text(RawChunk::decode(&bad)), want);
-        // The same code patched into a decoded chunk: reading the
+        // The same group patched into a decoded chunk: reading the
         // record fails alike and appends nothing.
         let mut raw = RawChunk::decode(&enc).unwrap();
-        raw.record_mut(1)[0] |= 7 << 3;
+        raw.record_mut(1)[0] = 0xFF;
+        raw.record_mut(1)[1] |= 0x0F;
         let mut out = b"kept".to_vec();
         assert_eq!(err_text(raw.append_plain(1, &mut out)), want);
         assert_eq!(out, b"kept");
@@ -721,7 +753,7 @@ mod tests {
         let enc = bases_chunk(&[b"ACGT", b"GATTACA"], Codec::None);
         let mut crc = enc.clone();
         *crc.last_mut().unwrap() ^= 1;
-        let short = edit_block(&enc, |block| block.truncate(block.len() - 8));
+        let short = edit_block(&enc, |block| block.truncate(block.len() - 1));
         let trailing = edit_block(&enc, |block| block.extend_from_slice(&[0; 8]));
         let text = ChunkData::from_records(RecordType::Text, [b"ab".as_slice(), b"c"])
             .unwrap()
@@ -753,14 +785,17 @@ mod tests {
     /// to what packing the same bases writes.
     #[test]
     fn raw_chunk_zeroes_unused_bits() {
-        let records: [&[u8]; 3] = [b"A", b"ACGTACGTACGTACGTACGTA", b"CCCCCCCCCCCCCCCCCCCCCCC"];
+        let records: [&[u8]; 4] =
+            [b"A", b"ACGTACGTACGTACGTACGTA", b"CCCCCCCCCC", b"CCCCCCCCCCCCCCCCCCCCCCC"];
         let enc = bases_chunk(&records, Codec::None);
         let dirty = edit_block(&enc, |block| {
-            // Top bit of every word, and the tails of the partial ones.
-            for (at, used) in [(0, 1), (8, 21), (16, 21), (24, 2)] {
-                let word = u64::from_le_bytes(block[at..at + 8].try_into().unwrap());
-                let word = word | !0u64 << (3 * used);
-                block[at..at + 8].copy_from_slice(&word.to_le_bytes());
+            // The padding nibble after each odd group count.
+            let mut end = 0;
+            for rec in records {
+                end += compaction::packed_size(rec.len());
+                if rec.len().div_ceil(compaction::BASES_PER_GROUP) % 2 == 1 {
+                    block[end - 1] |= 0xF0;
+                }
             }
         });
         assert_ne!(dirty, enc);

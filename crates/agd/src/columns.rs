@@ -6,9 +6,12 @@
 //! This module is the only place that choice is made. [`coding`] gives
 //! every column its record type and codec: the four standard columns
 //! from [`TABLE`], any other column (one a [`ColumnAppender`] adds) Text
-//! with gzip. Every gzip-coded column is written at [`LEVEL`]. No writer
-//! takes a codec, record type or level of its own, so the same records
-//! make the same chunk bytes whichever stage writes them.
+//! with gzip. Every gzip-coded column is written at [`LEVEL`]. Bases are
+//! stored with no codec: packed in base-5 groups they take less room
+//! than DEFLATE made of the paper's 3-bit words, at no coding cost
+//! ([`compaction`](crate::compaction)). No writer takes a codec,
+//! record type or level of its own, so the same records make the same
+//! chunk bytes whichever stage writes them.
 //!
 //! Reading never consults the policy: a chunk's header and the
 //! manifest name the codec it was written with.
@@ -22,7 +25,7 @@ use crate::chunk::{RawChunk, RecordType};
 use crate::manifest::Manifest;
 use crate::Result;
 
-/// Base characters, stored compacted.
+/// Base characters, stored compacted and uncompressed.
 pub const BASES: &str = "bases";
 /// Quality scores.
 pub const QUAL: &str = "qual";
@@ -49,7 +52,7 @@ pub const LEVEL: CompressLevel = CompressLevel::Fast;
 
 /// The coding of each standard column.
 pub const TABLE: [(&str, Coding); 4] = [
-    (BASES, Coding { record_type: RecordType::CompactBases, codec: Codec::Gzip }),
+    (BASES, Coding { record_type: RecordType::CompactBases, codec: Codec::None }),
     (QUAL, Coding { record_type: RecordType::Text, codec: Codec::Gzip }),
     (METADATA, Coding { record_type: RecordType::Text, codec: Codec::Gzip }),
     (RESULTS, Coding { record_type: RecordType::Results, codec: Codec::Gzip }),
@@ -106,6 +109,22 @@ mod tests {
             assert_eq!(coding(column), row);
         }
         assert_eq!(coding("notes"), Coding { record_type: RecordType::Text, codec: Codec::Gzip });
+    }
+
+    /// A bases chunk object is its header, its index and the packed
+    /// groups, 32 bytes to a 101-base read, copied as they are.
+    #[test]
+    fn a_bases_chunk_is_stored_uncompressed() {
+        use crate::chunk::{ChunkHeader, HEADER_SIZE};
+        for n in [0usize, 1, 7, 500] {
+            let reads: Vec<Vec<u8>> =
+                (0..n).map(|i| (0..101).map(|j| b"ACGTN"[(i * 3 + j) % 5]).collect()).collect();
+            let obj = encode(BASES, reads.iter().map(|r| r.as_slice())).unwrap();
+            assert_eq!(obj.len(), HEADER_SIZE + 4 * n + 32 * n, "{n} reads");
+            let header = ChunkHeader::decode(&obj).unwrap();
+            assert_eq!(header.codec, Codec::None);
+            assert_eq!(header.compressed_len, header.uncompressed_len);
+        }
     }
 
     #[test]

@@ -1,23 +1,49 @@
-//! Base compaction: 3 bits per base, 21 bases per 64-bit word.
+//! Base compaction: five bases per 12-bit group, two groups per three
+//! bytes.
 //!
-//! The paper (§3): "An additional optimization of base compaction is
-//! applied to the base reads column, which stores base characters using
-//! 3 bits each, with 21 bases in a 64-bit word."
+//! The paper (§3) packs the base reads column "using 3 bits each, with
+//! 21 bases in a 64-bit word", and then compresses the column like any
+//! other. Five letters (`A`, `C`, `G`, `T`, `N`) need only log2(5) ≈ 2.32
+//! bits, and the slack the 3-bit fields leave is nearly all that DEFLATE
+//! then finds (about 1.23× on simulated reads), at the price of deflating
+//! on every write and inflating on every read. Here the bases are
+//! instead written as base-5 digits, five to a 12-bit group
+//! (5⁵ = 3,125 ≤ 4,096): a 101-base read takes 32 bytes, less than
+//! DEFLATE made of its 3-bit words, so the column is stored with no
+//! codec at all.
 //!
-//! Each record's bases are packed independently into whole words so that
-//! records remain independently addressable; the record's base count
-//! comes from the chunk's relative index.
+//! Layout of one record:
+//!
+//! - `A`, `C`, `G`, `T`, `N` are the digits 0–4;
+//! - group `k` holds bases `5k..5k+5`, the first base in the least
+//!   significant digit; a last group of `r < 5` bases is below `5^r`;
+//! - two groups fill three bytes, the first group in the low 12 bits of
+//!   the little-endian 24-bit value;
+//! - after an odd number of groups, the last one takes two bytes and
+//!   the top 4 bits of the second byte (the padding nibble) are zero.
+//!
+//! So a record of `n` bases takes [`packed_size`]`(n)` =
+//! `(3·⌈n/5⌉ + 1) / 2` bytes. Each record is packed on its own, so
+//! records stay independently addressable; the record's base count comes
+//! from the chunk's relative index.
 
 use crate::{Error, Result};
 
-/// Bases per 64-bit word (21 × 3 bits = 63 bits used).
-pub const BASES_PER_WORD: usize = 21;
+/// Bases per 12-bit group (5⁵ = 3,125 ≤ 2¹²).
+pub const BASES_PER_GROUP: usize = 5;
 
-/// Marks a byte that is not a base in [`BASE_CODE`].
+/// Number of valid group values, 5⁵.
+const GROUP_VALUES: u32 = 3_125;
+
+/// `5^r`: the bound on a group of `r` bases.
+const POW5: [u32; BASES_PER_GROUP + 1] = [1, 5, 25, 125, 625, 3_125];
+
+/// Marks a byte that is not a base in [`BASE_DIGIT`].
 const NOT_A_BASE: u8 = 0x80;
 
-/// 3-bit code for each base character, [`NOT_A_BASE`] for anything else.
-const BASE_CODE: [u8; 256] = {
+/// Base-5 digit of each base character, [`NOT_A_BASE`] for anything
+/// else.
+const BASE_DIGIT: [u8; 256] = {
     let mut table = [NOT_A_BASE; 256];
     table[b'A' as usize] = 0;
     table[b'C' as usize] = 1;
@@ -27,117 +53,120 @@ const BASE_CODE: [u8; 256] = {
     table
 };
 
-/// Packs up to [`BASES_PER_WORD`] bases into a word. The second value
-/// has [`NOT_A_BASE`] set if any byte was not a base.
-#[inline(always)]
-fn pack_word(group: &[u8]) -> (u64, u8) {
-    let (mut word, mut seen) = (0u64, 0u8);
-    for (i, &b) in group.iter().enumerate() {
-        let code = BASE_CODE[b as usize];
-        seen |= code;
-        word |= ((code & 7) as u64) << (3 * i);
+/// The five bases of every valid group value.
+static GROUP_BASES: [[u8; BASES_PER_GROUP]; GROUP_VALUES as usize] = {
+    let mut table = [[0u8; BASES_PER_GROUP]; GROUP_VALUES as usize];
+    let mut value = 0;
+    while value < GROUP_VALUES as usize {
+        let (mut rest, mut i) = (value, 0);
+        while i < BASES_PER_GROUP {
+            table[value][i] = b"ACGTN"[rest % 5];
+            rest /= 5;
+            i += 1;
+        }
+        value += 1;
     }
-    (word, seen)
+    table
+};
+
+/// Packs up to [`BASES_PER_GROUP`] bases into a group value. The second
+/// value has [`NOT_A_BASE`] set if any byte was not a base.
+#[inline(always)]
+fn pack_group(group: &[u8]) -> (u32, u8) {
+    let (mut value, mut seen) = (0u32, 0u8);
+    for &b in group.iter().rev() {
+        let digit = BASE_DIGIT[b as usize];
+        seen |= digit;
+        value = value * 5 + u32::from(digit & 7);
+    }
+    (value, seen)
 }
-
-/// Inverse of [`BASE_CODE`] for the valid codes `0..=4`.
-const CODE_BASE: [u8; 8] = *b"ACGTN???";
-
-/// Bit 0 of each of a word's [`BASES_PER_WORD`] 3-bit codes.
-const CODE_LOW_BITS: u64 = 0o111_111_111_111_111_111_111;
 
 /// Number of bytes the packed form of `n_bases` occupies.
 #[inline]
 pub fn packed_size(n_bases: usize) -> usize {
-    n_bases.div_ceil(BASES_PER_WORD) * 8
+    (3 * n_bases.div_ceil(BASES_PER_GROUP)).div_ceil(2)
 }
 
-/// Packs one record of bases, appending little-endian words to `out`.
+/// Packs one record of bases, appending its groups to `out`.
 ///
 /// Returns an error on characters outside `A,C,G,T,N`, naming the first
 /// one, and leaves `out` as it was.
 pub fn pack_record(bases: &[u8], out: &mut Vec<u8>) -> Result<()> {
     let start = out.len();
     out.reserve(packed_size(bases.len()));
-    // Checked once for the whole record: the words of a bad record are
+    // Checked once for the whole record: the groups of a bad record are
     // never used, so there is nothing to stop early for.
     let mut seen = 0u8;
-    let mut groups = bases.chunks_exact(BASES_PER_WORD);
-    for group in &mut groups {
-        // A fixed-size group lets the 21 steps be unrolled.
-        let group: &[u8; BASES_PER_WORD] = group.try_into().expect("chunks_exact");
-        let (word, s) = pack_word(group);
-        seen |= s;
-        out.extend_from_slice(&word.to_le_bytes());
+    let mut pairs = bases.chunks_exact(2 * BASES_PER_GROUP);
+    for pair in &mut pairs {
+        // A fixed-size pair lets the ten steps be unrolled.
+        seen |= pack_pair(pair, out);
     }
-    if !groups.remainder().is_empty() {
-        let (word, s) = pack_word(groups.remainder());
-        seen |= s;
-        out.extend_from_slice(&word.to_le_bytes());
+    if !pairs.remainder().is_empty() {
+        seen |= pack_pair(pairs.remainder(), out);
     }
     if seen & NOT_A_BASE != 0 {
         out.truncate(start);
-        let bad = bases.iter().find(|&&b| BASE_CODE[b as usize] == NOT_A_BASE);
+        let bad = bases.iter().find(|&&b| BASE_DIGIT[b as usize] == NOT_A_BASE);
         let b = bad.expect("a byte set the marker");
         return Err(Error::Format(format!("cannot compact byte {b:#04x}")));
     }
     Ok(())
 }
 
+/// Appends up to two groups of bases: three bytes, or two for five
+/// bases or fewer. Returns [`pack_group`]'s marker.
+#[inline(always)]
+fn pack_pair(bases: &[u8], out: &mut Vec<u8>) -> u8 {
+    let split = bases.len().min(BASES_PER_GROUP);
+    let (lo, s0) = pack_group(&bases[..split]);
+    let (hi, s1) = pack_group(&bases[split..]);
+    let bytes = (lo | hi << 12).to_le_bytes();
+    out.extend_from_slice(&bytes[..if bases.len() > BASES_PER_GROUP { 3 } else { 2 }]);
+    s0 | s1
+}
+
 /// Unpacks one record of `n_bases` bases from `packed`, appending the
 /// ASCII characters to `out`.
 ///
 /// `packed` must be exactly [`packed_size`]`(n_bases)` bytes. Returns
-/// an error naming the first code above 4 among the record's bases, and
-/// leaves `out` as it was.
+/// an error naming the first group out of range for its bases (see
+/// [`canonicalize_record`]), and leaves `out` as it was.
 pub fn unpack_record(packed: &[u8], n_bases: usize, out: &mut Vec<u8>) -> Result<()> {
-    if packed.len() != packed_size(n_bases) {
-        return Err(Error::Format(format!(
-            "packed record size {} does not match {} bases",
-            packed.len(),
-            n_bases
-        )));
-    }
+    check_size(packed, n_bases)?;
     let start = out.len();
-    out.reserve(n_bases);
-    let mut remaining = n_bases;
-    for wbytes in packed.chunks_exact(8) {
-        let word = u64::from_le_bytes(wbytes.try_into().expect("chunks_exact(8)"));
-        let take = remaining.min(BASES_PER_WORD);
-        if let Err(e) = check_word(word, take) {
+    out.reserve(n_bases.next_multiple_of(BASES_PER_GROUP));
+    match for_each_group(packed, n_bases, |bases| out.extend_from_slice(bases)) {
+        Ok(()) => {
+            // The last group wrote its five bases whatever it holds.
+            out.truncate(start + n_bases);
+            Ok(())
+        }
+        Err(e) => {
             out.truncate(start);
-            return Err(e);
+            Err(e)
         }
-        let mut bases = [0u8; BASES_PER_WORD];
-        for (i, b) in bases.iter_mut().enumerate() {
-            *b = CODE_BASE[(word >> (3 * i)) as usize & 7];
-        }
-        out.extend_from_slice(&bases[..take]);
-        remaining -= take;
     }
-    debug_assert_eq!(remaining, 0);
-    Ok(())
-}
-
-/// Checks the first `take` codes of a packed word: a code above 4 has
-/// bit 2 and one of bits 0, 1 set. Only the record's own codes count,
-/// not the word's unused tail.
-#[inline(always)]
-fn check_word(word: u64, take: usize) -> Result<()> {
-    let bad = (word >> 2) & (word | word >> 1) & CODE_LOW_BITS & ((1u64 << (3 * take)) - 1);
-    if bad != 0 {
-        let code = (word >> (bad.trailing_zeros() / 3 * 3)) & 7;
-        return Err(Error::Format(format!("invalid 3-bit base code {code}")));
-    }
-    Ok(())
 }
 
 /// Brings a packed record of `n_bases` bases, in place, to the form
-/// [`pack_record`] writes: checks every base code as [`unpack_record`]
-/// does (with the same errors) and zeroes the bits no base uses — the
-/// top bit of every word and the tail of the last. A canonical record
-/// can be copied between chunks as stored bytes.
+/// [`pack_record`] writes: checks every group as [`unpack_record`] does
+/// (with the same errors) and zeroes the padding nibble, the only bits
+/// no base uses. A group is valid below 3,125, and a last group of
+/// `r < 5` bases below `5^r`, so every other bit pattern is either a
+/// base or an error. A canonical record can be copied between chunks as
+/// stored bytes.
 pub fn canonicalize_record(packed: &mut [u8], n_bases: usize) -> Result<()> {
+    check_size(packed, n_bases)?;
+    for_each_group(packed, n_bases, |_| {})?;
+    if n_bases.div_ceil(BASES_PER_GROUP) % 2 == 1 {
+        *packed.last_mut().expect("an odd group count takes two bytes") &= 0x0F;
+    }
+    Ok(())
+}
+
+fn check_size(packed: &[u8], n_bases: usize) -> Result<()> {
     if packed.len() != packed_size(n_bases) {
         return Err(Error::Format(format!(
             "packed record size {} does not match {} bases",
@@ -145,15 +174,64 @@ pub fn canonicalize_record(packed: &mut [u8], n_bases: usize) -> Result<()> {
             n_bases
         )));
     }
-    let mut remaining = n_bases;
-    for wbytes in packed.chunks_exact_mut(8) {
-        let word = u64::from_le_bytes((&*wbytes).try_into().expect("chunks_exact_mut(8)"));
-        let take = remaining.min(BASES_PER_WORD);
-        check_word(word, take)?;
-        wbytes.copy_from_slice(&(word & ((1u64 << (3 * take)) - 1)).to_le_bytes());
-        remaining -= take;
+    Ok(())
+}
+
+/// Passes the five bases of each group of a record of `n_bases` bases
+/// to `emit`, in order (all five of the last group too), after checking
+/// each group's range; on the first group out of range, returns its
+/// error. `packed` is [`packed_size`]`(n_bases)` bytes.
+#[inline(always)]
+fn for_each_group(
+    packed: &[u8],
+    n_bases: usize,
+    mut emit: impl FnMut(&[u8; BASES_PER_GROUP]),
+) -> Result<()> {
+    let bases_of =
+        |value: u32| GROUP_BASES.get(value as usize).ok_or_else(|| bad_group(packed, n_bases));
+    let mut pairs = packed.chunks_exact(3);
+    for pair in &mut pairs {
+        let word = u32::from(pair[0]) | u32::from(pair[1]) << 8 | u32::from(pair[2]) << 16;
+        emit(bases_of(word & 0xFFF)?);
+        emit(bases_of(word >> 12)?);
+    }
+    if let [lo, hi] = *pairs.remainder() {
+        emit(bases_of(u32::from(lo) | u32::from(hi & 0x0F) << 8)?);
+    }
+    // A short last group was checked against 5⁵ above; its unused
+    // digits must also be zero.
+    let tail = n_bases % BASES_PER_GROUP;
+    if tail != 0 && group_value(packed, n_bases / BASES_PER_GROUP) >= POW5[tail] {
+        return Err(bad_group(packed, n_bases));
     }
     Ok(())
+}
+
+/// Value of group `k` of a packed record.
+#[inline]
+fn group_value(packed: &[u8], k: usize) -> u32 {
+    let at = k / 2 * 3;
+    if k.is_multiple_of(2) {
+        u32::from(packed[at]) | u32::from(packed[at + 1] & 0x0F) << 8
+    } else {
+        u32::from(packed[at + 1] >> 4) | u32::from(packed[at + 2]) << 4
+    }
+}
+
+/// The error for the first group of the record out of range for the
+/// bases it holds.
+#[cold]
+fn bad_group(packed: &[u8], n_bases: usize) -> Error {
+    for k in 0..n_bases.div_ceil(BASES_PER_GROUP) {
+        let held = (n_bases - k * BASES_PER_GROUP).min(BASES_PER_GROUP);
+        let value = group_value(packed, k);
+        if value >= POW5[held] {
+            return Error::Format(format!(
+                "base group {k} holds {value}, out of range for {held} bases"
+            ));
+        }
+    }
+    unreachable!("a group is out of range")
 }
 
 /// Convenience: packs a record into a fresh vector.
@@ -175,46 +253,59 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The per-base `match` packer this module shipped before the
-    /// table-driven one, kept as the oracle for its output and errors.
-    fn pack_record_reference(bases: &[u8], out: &mut Vec<u8>) -> Result<()> {
-        for group in bases.chunks(BASES_PER_WORD) {
-            let mut word = 0u64;
-            for (i, &b) in group.iter().enumerate() {
-                let code = match b {
-                    b'A' => 0,
-                    b'C' => 1,
-                    b'G' => 2,
-                    b'T' => 3,
-                    b'N' => 4,
-                    _ => return Err(Error::Format(format!("cannot compact byte {b:#04x}"))),
-                };
-                word |= code << (3 * i);
-            }
-            out.extend_from_slice(&word.to_le_bytes());
+    /// Base-5 digit of a base, one `match` per base: the oracle's
+    /// alphabet.
+    fn digit(b: u8) -> Result<u32> {
+        match b {
+            b'A' => Ok(0),
+            b'C' => Ok(1),
+            b'G' => Ok(2),
+            b'T' => Ok(3),
+            b'N' => Ok(4),
+            _ => Err(Error::Format(format!("cannot compact byte {b:#04x}"))),
         }
+    }
+
+    /// The layout written one base at a time: each base's digit added
+    /// at its power of five, each group's 12 bits at bit `12k` of the
+    /// record's little-endian bit string.
+    fn pack_record_reference(bases: &[u8], out: &mut Vec<u8>) -> Result<()> {
+        let groups = bases.len().div_ceil(BASES_PER_GROUP);
+        let mut bits = vec![0u8; packed_size(bases.len())];
+        for k in 0..groups {
+            let mut value = 0;
+            for (i, &b) in bases[k * 5..].iter().take(5).enumerate() {
+                value += digit(b)? * 5u32.pow(i as u32);
+            }
+            for bit in 0..12 {
+                if value >> bit & 1 == 1 {
+                    bits[(12 * k + bit) / 8] |= 1 << ((12 * k + bit) % 8);
+                }
+            }
+        }
+        out.extend_from_slice(&bits);
         Ok(())
     }
 
-    /// The per-base `match` unpacker this module shipped before the
-    /// table-driven one, kept as the oracle for its output and errors
-    /// (it leaves the bases before a bad code in `out`).
+    /// The inverse of [`pack_record_reference`], one digit at a time;
+    /// it leaves the bases before a bad group in `out` and ignores the
+    /// padding nibble.
     fn unpack_record_reference(packed: &[u8], n_bases: usize, out: &mut Vec<u8>) -> Result<()> {
-        let mut remaining = n_bases;
-        for wbytes in packed.chunks_exact(8) {
-            let word = u64::from_le_bytes(wbytes.try_into().unwrap());
-            let take = remaining.min(BASES_PER_WORD);
-            for i in 0..take {
-                out.push(match (word >> (3 * i)) & 0x7 {
-                    0 => b'A',
-                    1 => b'C',
-                    2 => b'G',
-                    3 => b'T',
-                    4 => b'N',
-                    code => return Err(Error::Format(format!("invalid 3-bit base code {code}"))),
-                });
+        for k in 0..n_bases.div_ceil(BASES_PER_GROUP) {
+            let mut value = 0u32;
+            for bit in 0..12 {
+                value |= u32::from(packed[(12 * k + bit) / 8] >> ((12 * k + bit) % 8) & 1) << bit;
             }
-            remaining -= take;
+            let held = (n_bases - 5 * k).min(5);
+            if value >= 5u32.pow(held as u32) {
+                return Err(Error::Format(format!(
+                    "base group {k} holds {value}, out of range for {held} bases"
+                )));
+            }
+            for _ in 0..held {
+                out.push(b"ACGTN"[(value % 5) as usize]);
+                value /= 5;
+            }
         }
         Ok(())
     }
@@ -224,6 +315,15 @@ mod tests {
             prop_oneof![Just(b'A'), Just(b'C'), Just(b'G'), Just(b'T'), Just(b'N')],
             0..max_len,
         )
+    }
+
+    /// Sets 12-bit group `k` of `packed` to `value` (the two bytes or
+    /// nibbles it spans).
+    fn set_group(packed: &mut [u8], k: usize, value: u32) {
+        for bit in 0..12 {
+            let (at, shift) = ((12 * k + bit) / 8, (12 * k + bit) % 8);
+            packed[at] = packed[at] & !(1 << shift) | ((value >> bit & 1) as u8) << shift;
+        }
     }
 
     proptest! {
@@ -271,24 +371,21 @@ mod tests {
             prop_assert_eq!(&got[1..], &bases[..]);
         }
 
-        /// Codes 5–7 written at any of a word's 21 slots (or its unused
-        /// top bit): the same error as the reference when the slot holds
-        /// one of the record's bases, the same bases when it is past the
-        /// record's end, and `out` untouched on error.
+        /// Any 12-bit value written at any group: the same error as the
+        /// reference when the group is out of range for its bases, the
+        /// same bases otherwise, and `out` untouched on error.
         #[test]
         fn rejects_bad_codes_like_the_reference(
             bases in base_vec(301),
-            spoil in proptest::collection::vec((any::<usize>(), 0usize..22, 5u64..8), 1..4),
+            spoil in proptest::collection::vec((any::<usize>(), 0u32..4_096), 1..4),
         ) {
             let mut packed = pack(&bases).unwrap();
-            for (word, slot, code) in spoil {
-                if packed.is_empty() {
+            let groups = bases.len().div_ceil(BASES_PER_GROUP);
+            for (k, value) in spoil {
+                if groups == 0 {
                     break;
                 }
-                let at = word % (packed.len() / 8) * 8;
-                let mut w = u64::from_le_bytes(packed[at..at + 8].try_into().unwrap());
-                w = (w & !(7 << (3 * slot))) | code << (3 * slot);
-                packed[at..at + 8].copy_from_slice(&w.to_le_bytes());
+                set_group(&mut packed, k % groups, value);
             }
             let mut got = vec![0xEE];
             let mut want = vec![0xEE];
@@ -307,65 +404,125 @@ mod tests {
     }
 
     proptest! {
-        /// Garbage in the bits no base uses is cleared to what packing
-        /// writes; a bad code anywhere in the record fails as unpacking
+        /// Garbage in the padding nibble is cleared to what packing
+        /// writes; a bad group anywhere in the record fails as unpacking
         /// fails.
         #[test]
         fn canonicalizes_to_the_packed_form(
             bases in base_vec(301),
-            spoil in proptest::collection::vec((any::<usize>(), 0usize..22, 0u64..8), 0..4),
+            spoil in proptest::collection::vec((any::<usize>(), 0u32..4_096), 0..3),
+            nibble in 0u8..16,
         ) {
-            let clean = pack(&bases).unwrap();
-            let mut packed = clean.clone();
-            for (word, slot, code) in spoil {
-                if packed.is_empty() {
+            let mut packed = pack(&bases).unwrap();
+            let groups = bases.len().div_ceil(BASES_PER_GROUP);
+            for (k, value) in spoil {
+                if groups == 0 {
                     break;
                 }
-                let at = word % (packed.len() / 8) * 8;
-                let mut w = u64::from_le_bytes(packed[at..at + 8].try_into().unwrap());
-                w = (w & !(7 << (3 * slot))) | code << (3 * slot);
-                packed[at..at + 8].copy_from_slice(&w.to_le_bytes());
+                set_group(&mut packed, k % groups, value);
+            }
+            if groups % 2 == 1 {
+                *packed.last_mut().unwrap() |= nibble << 4;
             }
             let unpacked = unpack(&packed, bases.len());
             let mut got = packed.clone();
             match (canonicalize_record(&mut got, bases.len()), unpacked) {
                 (Ok(()), Ok(unpacked)) => prop_assert_eq!(pack(&unpacked).unwrap(), got),
                 (Err(got_err), Err(want_err)) => {
-                    prop_assert_eq!(got_err.to_string(), want_err.to_string())
+                    prop_assert_eq!(got_err.to_string(), want_err.to_string());
+                    prop_assert_eq!(got, packed);
                 }
                 (got, want) => prop_assert!(false, "{:?} vs {:?}", got, want),
             }
         }
     }
 
+    proptest! {
+        /// Every length 0–64 (every `n mod 5`, both group parities) with
+        /// `N` at one offset: pack, unpack and canonicalize agree with
+        /// the oracle.
+        #[test]
+        fn every_short_length_with_n_anywhere(len in 0usize..65, n_at in any::<usize>(), seed in any::<u64>()) {
+            let mut bases: Vec<u8> =
+                (0..len).map(|i| b"ACGT"[(seed >> (2 * (i % 32)) & 3) as usize]).collect();
+            if len > 0 {
+                bases[n_at % len] = b'N';
+            }
+            let packed = pack(&bases).unwrap();
+            let mut want = Vec::new();
+            pack_record_reference(&bases, &mut want).unwrap();
+            prop_assert_eq!(&packed, &want);
+            prop_assert_eq!(packed.len(), packed_size(len));
+            let mut plain = Vec::new();
+            unpack_record_reference(&packed, len, &mut plain).unwrap();
+            prop_assert_eq!(&unpack(&packed, len).unwrap(), &plain);
+            prop_assert_eq!(&plain, &bases);
+            let mut canonical = packed.clone();
+            canonicalize_record(&mut canonical, len).unwrap();
+            prop_assert_eq!(canonical, packed);
+        }
+    }
+
+    #[test]
+    fn n_at_every_offset() {
+        for len in [1usize, 4, 5, 6, 10, 11, 101] {
+            for at in 0..len {
+                let mut bases = vec![b'T'; len];
+                bases[at] = b'N';
+                let packed = pack(&bases).unwrap();
+                assert_eq!(unpack(&packed, len).unwrap(), bases, "{len} bases, N at {at}");
+            }
+        }
+    }
+
     #[test]
     fn canonicalize_zeroes_every_unused_bit() {
-        for len in [1usize, 20, 21, 22, 42, 101] {
+        for len in [1usize, 5, 6, 10, 11, 15, 16, 101] {
             let bases: Vec<u8> = (0..len).map(|i| b"ACGTN"[i % 5]).collect();
             let clean = pack(&bases).unwrap();
             let mut dirty = clean.clone();
-            let mut remaining = len;
-            for w in dirty.chunks_exact_mut(8) {
-                let take = remaining.min(BASES_PER_WORD);
-                let word = u64::from_le_bytes((&*w).try_into().unwrap()) | !0u64 << (3 * take);
-                w.copy_from_slice(&word.to_le_bytes());
-                remaining -= take;
+            let odd = len.div_ceil(5) % 2 == 1;
+            if odd {
+                *dirty.last_mut().unwrap() |= 0xF0;
+                assert_ne!(dirty, clean);
             }
-            assert_ne!(dirty, clean);
             canonicalize_record(&mut dirty, len).unwrap();
             assert_eq!(dirty, clean, "{len} bases");
         }
-        assert!(canonicalize_record(&mut [0u8; 8], 22).is_err());
+        assert!(canonicalize_record(&mut [0u8; 2], 6).is_err());
+    }
+
+    #[test]
+    fn group_bounds_are_typed_errors() {
+        // A full group at 3,125, and a one-base tail group at 5.
+        let mut full = pack(b"ACGTN").unwrap();
+        set_group(&mut full, 0, 3_124);
+        assert_eq!(unpack(&full, 5).unwrap(), b"NNNNN");
+        set_group(&mut full, 0, 3_125);
+        let mut out = b"kept".to_vec();
+        let err = unpack_record(&full, 5, &mut out).unwrap_err();
+        assert!(matches!(&err, Error::Format(_)), "{err:?}");
+        assert_eq!(
+            err.to_string(),
+            "format error: base group 0 holds 3125, out of range for 5 bases"
+        );
+        assert_eq!(out, b"kept");
+        let mut tail = pack(b"ACGTNC").unwrap();
+        set_group(&mut tail, 1, 5);
+        let err = canonicalize_record(&mut tail.clone(), 6).unwrap_err();
+        assert_eq!(err.to_string(), "format error: base group 1 holds 5, out of range for 1 bases");
+        assert_eq!(unpack(&tail, 6).unwrap_err().to_string(), err.to_string());
     }
 
     #[test]
     fn sizes() {
         assert_eq!(packed_size(0), 0);
-        assert_eq!(packed_size(1), 8);
-        assert_eq!(packed_size(21), 8);
-        assert_eq!(packed_size(22), 16);
-        assert_eq!(packed_size(42), 16);
-        assert_eq!(packed_size(101), 40); // The paper's read length: 5 words.
+        assert_eq!(packed_size(1), 2);
+        assert_eq!(packed_size(5), 2);
+        assert_eq!(packed_size(6), 3);
+        assert_eq!(packed_size(10), 3);
+        assert_eq!(packed_size(11), 5);
+        assert_eq!(packed_size(101), 32); // The paper's read length: 21 groups.
     }
 
     #[test]
@@ -381,11 +538,11 @@ mod tests {
 
     #[test]
     fn compaction_ratio_at_paper_read_length() {
-        // 101 ASCII bases = 101 bytes raw; compacted = 40 bytes.
+        // 101 ASCII bases = 101 bytes raw; compacted = 32 bytes.
         let bases = vec![b'A'; 101];
         let packed = pack(&bases).unwrap();
-        assert_eq!(packed.len(), 40);
-        assert!((packed.len() as f64) < 0.4 * bases.len() as f64);
+        assert_eq!(packed.len(), 32);
+        assert!((packed.len() as f64) < 0.32 * bases.len() as f64);
     }
 
     #[test]
@@ -400,14 +557,15 @@ mod tests {
         let packed = pack(b"ACGT").unwrap();
         let mut out = Vec::new();
         assert!(unpack_record(&packed, 30, &mut out).is_err());
-        assert!(unpack_record(&packed[..7], 4, &mut out).is_err());
+        assert!(unpack_record(&packed[..1], 4, &mut out).is_err());
     }
 
     #[test]
     fn rejects_invalid_code_in_word() {
-        // Craft a word containing code 7.
-        let word = 7u64.to_le_bytes();
-        assert!(unpack(&word, 1).is_err());
+        // Craft a three-byte word whose first group is 4,095.
+        assert!(unpack(&[0xFF, 0x0F, 0x00], 10).is_err());
+        assert!(unpack(&[0x00, 0xF0, 0xFF], 10).is_err());
+        assert_eq!(unpack(&[0x00, 0x00, 0x00], 10).unwrap(), b"AAAAAAAAAA");
     }
 
     #[test]

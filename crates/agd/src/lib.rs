@@ -9,8 +9,9 @@
 //!
 //! Each chunk object holds a fixed header, a *relative index* (one entry
 //! per record, summed to obtain offsets), and a compressed data block.
-//! The `bases` column additionally applies *base compaction*: 3 bits per
-//! base, 21 bases per 64-bit word.
+//! The `bases` column additionally applies *base compaction*: five bases
+//! per 12-bit group, stored with no codec (see [`compaction`] for why
+//! this departs from the paper's 21 bases per 64-bit word).
 //!
 //! ```text
 //! manifest.json      test-0.bases  test-0.qual  test-0.metadata  test-0.results
@@ -43,9 +44,10 @@
 //! let manifest = w.finish(&store).unwrap();
 //! let ds = Dataset::new(manifest);
 //! assert_eq!(ds.manifest().total_records, 6);
-//! // A chunk as stored: bases packed 3 bits each, 21 to a 64-bit word.
+//! // A chunk as stored: bases packed five to 12 bits, two groups to
+//! // three bytes.
 //! let chunk = ds.read_column_chunk(&store, 0, "bases").unwrap();
-//! assert_eq!(chunk.record(0).len(), 8);
+//! assert_eq!(chunk.record(0).len(), 3);
 //! let mut read = Vec::new();
 //! chunk.append_plain(0, &mut read).unwrap();
 //! assert_eq!(read, b"ACGTACGT");
@@ -72,6 +74,9 @@ pub enum Error {
     Compress(persona_compress::Error),
     /// The chunk or manifest violates the format.
     Format(String),
+    /// The chunk names a record type that is no longer read (the
+    /// name of its layout).
+    RetiredRecordType(&'static str),
     /// Manifest JSON could not be parsed.
     Json(serde_json::Error),
 }
@@ -82,6 +87,9 @@ impl std::fmt::Display for Error {
             Error::Io(e) => write!(f, "io error: {e}"),
             Error::Compress(e) => write!(f, "compression error: {e}"),
             Error::Format(what) => write!(f, "format error: {what}"),
+            Error::RetiredRecordType(name) => {
+                write!(f, "record type {name:?} is retired and cannot be read")
+            }
             Error::Json(e) => write!(f, "manifest error: {e}"),
         }
     }

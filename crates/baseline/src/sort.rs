@@ -16,7 +16,7 @@ use std::cmp::Ordering as CmpOrdering;
 use std::time::{Duration, Instant};
 
 use persona_compress::deflate::CompressLevel;
-use persona_formats::bam::{bgzf_compress_parallel, read_bam, write_bam, BGZF_EOF};
+use persona_formats::bam::{bgzf_compress_parallel, read_bam, write_bam, write_bam_with};
 use persona_formats::sam::{RefMap, SamRecord};
 
 use crate::Result;
@@ -83,13 +83,11 @@ pub fn samtools_sort(bam_in: &[u8], threads: usize) -> Result<(Vec<u8>, Baseline
     records = merged;
 
     // samtools -@ also parallelizes the BGZF re-encode of the output:
-    // build the uncompressed BAM payload, then compress blocks in
-    // parallel.
-    let mut plain = Vec::new();
-    write_bam(&mut plain, &file.refs, records, CompressLevel::Store)?;
-    let payload = persona_formats::bam::bgzf_decompress(&plain)?;
-    let mut out = bgzf_compress_parallel(&payload, CompressLevel::Fast, threads.max(1));
-    out.extend_from_slice(&BGZF_EOF);
+    // the uncompressed BAM payload's blocks are compressed in parallel.
+    let mut out = Vec::new();
+    write_bam_with(&mut out, &file.refs, records, CompressLevel::Fast, |payload, level| {
+        bgzf_compress_parallel(&payload, level, threads.max(1))
+    })?;
     Ok((out, BaselineSortReport { elapsed: started.elapsed(), records: n as u64 }))
 }
 
@@ -171,6 +169,24 @@ mod tests {
         let (out, report) = samtools_sort(&bam, 4).unwrap();
         assert_eq!(report.records, 500);
         assert_sorted(&out, 500);
+    }
+
+    /// The output is the sorted payload, built once, as `bgzf_compress`
+    /// writes it, then the EOF marker; the payload is the one the
+    /// single-threaded sort writes.
+    #[test]
+    fn samtools_like_output_is_the_payload_compressed_once() {
+        use persona_formats::bam::{bgzf_compress, bgzf_decompress, BGZF_EOF};
+        let bam = shuffled_bam(3_000);
+        let (picard, _) = picard_sort(&bam).unwrap();
+        let payload = bgzf_decompress(&picard).unwrap();
+        assert!(payload.len() > 2 * persona_formats::bam::BGZF_BLOCK_SIZE);
+        for threads in [1, 3] {
+            let (out, _) = samtools_sort(&bam, threads).unwrap();
+            let mut want = bgzf_compress(&payload, CompressLevel::Fast);
+            want.extend_from_slice(&BGZF_EOF);
+            assert!(out == want, "{threads} threads");
+        }
     }
 
     #[test]

@@ -7,8 +7,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use persona_agd::chunk::{RawChunk, RecordType};
-use persona_agd::compaction;
+use persona_agd::chunk::RawChunk;
+use persona_agd::{columns, compaction};
 use persona_align::edit::{landau_vishkin, landau_vishkin_bitparallel, landau_vishkin_scalar};
 use persona_align::sw::{
     smith_waterman, smith_waterman_scalar, smith_waterman_striped, smith_waterman_ungapped,
@@ -320,17 +320,15 @@ fn bench_snap(c: &mut Criterion) {
     g.finish();
 }
 
-/// The codec paths as the pipeline drives them: the four column
-/// payloads of one 5,000-read chunk (its `results` aligned by SNAP) and
-/// one full BGZF block of BAM records, all at `CompressLevel::Fast`
-/// (the only level the pipeline uses), plus the two per-block /
-/// per-read kernels underneath.
+/// The codec paths as the pipeline drives them: the three deflated
+/// column payloads of one 5,000-read chunk (its `results` aligned by
+/// SNAP) and one full BGZF block of BAM records, all at
+/// `CompressLevel::Fast` (the only level the pipeline uses), plus the
+/// per-block and per-read kernels underneath: a Huffman code, and a
+/// read's bases packed into and unpacked from their base-5 groups (the
+/// `bases` column is stored with no codec).
 fn bench_codecs(c: &mut Criterion) {
     let world = World::build(1_000_000, 5_000, 107);
-    let mut packed_bases = Vec::new();
-    for r in &world.reads {
-        compaction::pack_record(&r.bases, &mut packed_bases).unwrap();
-    }
     let qualities: Vec<u8> = world.reads.iter().flat_map(|r| r.quals.iter().copied()).collect();
     let metadata: Vec<u8> = world.reads.iter().flat_map(|r| r.meta.iter().copied()).collect();
     let snap = world.snap_aligner();
@@ -343,12 +341,9 @@ fn bench_codecs(c: &mut Criterion) {
     let mut g = c.benchmark_group("codecs");
     g.measurement_time(Duration::from_secs(3));
     g.sample_size(10);
-    for (name, payload) in [
-        ("packed_bases", &packed_bases),
-        ("qualities", &qualities),
-        ("metadata", &metadata),
-        ("results", &results),
-    ] {
+    for (name, payload) in
+        [("qualities", &qualities), ("metadata", &metadata), ("results", &results)]
+    {
         g.throughput(Throughput::Bytes(payload.len() as u64));
         let packed = Codec::Gzip.compress_level(payload, CompressLevel::Fast);
         g.bench_function(BenchmarkId::new("gzip_fast", name), |b| {
@@ -420,6 +415,16 @@ fn bench_codecs(c: &mut Criterion) {
         b.iter(|| {
             out.clear();
             compaction::pack_record(std::hint::black_box(read), &mut out).unwrap();
+            std::hint::black_box(out.len())
+        })
+    });
+    g.bench_function("base_compaction_unpack", |b| {
+        let packed = compaction::pack(read).unwrap();
+        let mut out = Vec::with_capacity(read.len());
+        b.iter(|| {
+            out.clear();
+            let packed = std::hint::black_box(packed.as_slice());
+            compaction::unpack_record(packed, read.len(), &mut out).unwrap();
             std::hint::black_box(out.len())
         })
     });
@@ -618,14 +623,11 @@ mod oracle {
 
 fn bench_chunks(c: &mut Criterion) {
     let world = World::build(50_000, 2_000, 109);
-    // Encoding packs the bases and compresses, as import does; decoding
-    // leaves them packed, as every stage reads a chunk.
-    let encode = || {
-        let bases = world.reads.iter().map(|r| r.bases.as_slice());
-        RawChunk::from_records(RecordType::CompactBases, bases)
-            .unwrap()
-            .encode(Codec::Gzip, CompressLevel::Fast)
-    };
+    // Encoding packs the bases and stores them with the column's coding,
+    // as import does; decoding leaves them packed, as every stage reads
+    // a chunk.
+    let encode =
+        || columns::encode(columns::BASES, world.reads.iter().map(|r| r.bases.as_slice())).unwrap();
     let encoded = encode();
     let mut g = c.benchmark_group("agd_chunks");
     g.measurement_time(Duration::from_secs(3));

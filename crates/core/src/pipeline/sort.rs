@@ -11,7 +11,7 @@
 //! opaque byte slices, with only the key column decoded. A sorted run
 //! is its keys plus, per column, [`RawChunk`] blocks of 1,024 records
 //! holding the records as the data block stores them — bases stay
-//! packed 3-bit words, never unpacked to ASCII and packed again.
+//! packed base-5 groups, never unpacked to ASCII and packed again.
 //! Loading a chunk copies each column once, in sorted order; a fold
 //! copies the slices it merges into new blocks. No step allocates per
 //! record.

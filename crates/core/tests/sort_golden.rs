@@ -13,7 +13,9 @@
 //! of compressed bytes has a twin over what they hold: each sorted
 //! dataset's records, column by column, decoded, and the BAM's
 //! BGZF-inflated payload. An encoder change re-pins the compressed
-//! cells and leaves the twins (and the SAM) where they are.
+//! cells and leaves the twins (and the SAM) where they are; so did the
+//! move of the bases column from DEFLATE-compressed 3-bit words to
+//! uncompressed base-5 groups.
 
 use std::sync::Arc;
 
@@ -25,7 +27,7 @@ use persona::runtime::PersonaRuntime;
 use persona_agd::chunk::{ChunkData, ChunkHeader, RecordType, HEADER_SIZE};
 use persona_agd::chunk_io::{ChunkStore, MemStore};
 use persona_agd::columns;
-use persona_agd::compaction::BASES_PER_WORD;
+use persona_agd::compaction::{packed_size, BASES_PER_GROUP};
 use persona_agd::manifest::Manifest;
 use persona_align::snap::{SnapAligner, SnapParams};
 use persona_align::Aligner;
@@ -49,36 +51,36 @@ const THREADS: [usize; 3] = [1, 2, 4];
 /// digests the sorted dataset's decoded records, and `bam payload` the
 /// BAM's inflated payload.
 const GOLDEN: &[(usize, &str, &str)] = &[
-    (1, "coordinate", "2e3809ce90211db1783cd673e5cec1fb"),
-    (1, "queryname", "7aa73bad8d1f78c46f9426b4852b8897"),
-    (1, "fused", "2e3809ce90211db1783cd673e5cec1fb"),
+    (1, "coordinate", "6fae949dcce88d7798f076696fbf37cf"),
+    (1, "queryname", "97504e01dea3decea6e43bc190b548b1"),
+    (1, "fused", "6fae949dcce88d7798f076696fbf37cf"),
     (1, "sam", "ad97f1b901780f4e183d7839a1c16b94"),
     (1, "bam", "5de0d043cc374fab3f1ae9694fa629c7"),
     (1, "coordinate records", "69608887edc77d495f43cd97371b32d2"),
     (1, "queryname records", "19be50a06af49dc70845d6addd36bff2"),
     (1, "fused records", "69608887edc77d495f43cd97371b32d2"),
     (1, "bam payload", "bfe1ccb0317942322875ae43b0e356a3"),
-    (7, "coordinate", "91911ae8c8f3ba40a706b243314e0fe3"),
-    (7, "queryname", "a7b781180fcd760088c4341f8a097502"),
-    (7, "fused", "91911ae8c8f3ba40a706b243314e0fe3"),
+    (7, "coordinate", "b770ffff19bb3ceb738cf7f13a69bdb6"),
+    (7, "queryname", "c058227ca2c92d898611d3a14e866ffc"),
+    (7, "fused", "b770ffff19bb3ceb738cf7f13a69bdb6"),
     (7, "sam", "ad97f1b901780f4e183d7839a1c16b94"),
     (7, "bam", "5de0d043cc374fab3f1ae9694fa629c7"),
     (7, "coordinate records", "69608887edc77d495f43cd97371b32d2"),
     (7, "queryname records", "19be50a06af49dc70845d6addd36bff2"),
     (7, "fused records", "69608887edc77d495f43cd97371b32d2"),
     (7, "bam payload", "bfe1ccb0317942322875ae43b0e356a3"),
-    (64, "coordinate", "44278881d93cabdb2dd917c3b02e09e5"),
-    (64, "queryname", "0a83d9a65fabd2b3b27d49a276e9879e"),
-    (64, "fused", "44278881d93cabdb2dd917c3b02e09e5"),
+    (64, "coordinate", "48f21efcd5515a8adbe45a6380d3f09d"),
+    (64, "queryname", "03a65ccb8c04bd28cc5baeba4961e8ef"),
+    (64, "fused", "48f21efcd5515a8adbe45a6380d3f09d"),
     (64, "sam", "ad97f1b901780f4e183d7839a1c16b94"),
     (64, "bam", "5de0d043cc374fab3f1ae9694fa629c7"),
     (64, "coordinate records", "69608887edc77d495f43cd97371b32d2"),
     (64, "queryname records", "19be50a06af49dc70845d6addd36bff2"),
     (64, "fused records", "69608887edc77d495f43cd97371b32d2"),
     (64, "bam payload", "bfe1ccb0317942322875ae43b0e356a3"),
-    (5, "coordinate", "d859840577e26d013b1184267a6b89f0"),
-    (5, "queryname", "931cc0c674d8cfed5beac7bb5340ac6d"),
-    (5, "fused", "d859840577e26d013b1184267a6b89f0"),
+    (5, "coordinate", "2a5f8896ce5dc33981d2e5e8fa1d87ad"),
+    (5, "queryname", "430bbb8e518f649e65dd2ed4585f7b86"),
+    (5, "fused", "2a5f8896ce5dc33981d2e5e8fa1d87ad"),
     (5, "sam", "ad97f1b901780f4e183d7839a1c16b94"),
     (5, "bam", "5de0d043cc374fab3f1ae9694fa629c7"),
     (5, "coordinate records", "69608887edc77d495f43cd97371b32d2"),
@@ -281,8 +283,8 @@ fn sam_and_bam_after_sort_and_dupmark_are_pinned() {
     }
 }
 
-/// Sets every bit no base uses — the top bit of every packed word and
-/// the tail of each record's last — in a bases chunk, re-compressing
+/// Sets every bit no base uses — the padding nibble after each record
+/// with an odd number of base groups — in a bases chunk, re-compressing
 /// with the chunk's own codec.
 fn garble_unused_bits(obj: &[u8]) -> Vec<u8> {
     let header = ChunkHeader::decode(obj).unwrap();
@@ -293,13 +295,10 @@ fn garble_unused_bits(obj: &[u8]) -> Vec<u8> {
     let mut pos = 0usize;
     for i in 0..n {
         let at = HEADER_SIZE + 4 * i;
-        let mut remaining = u32::from_le_bytes(obj[at..at + 4].try_into().unwrap()) as usize;
-        while remaining > 0 {
-            let used = remaining.min(BASES_PER_WORD);
-            let word = u64::from_le_bytes(raw[pos..pos + 8].try_into().unwrap());
-            raw[pos..pos + 8].copy_from_slice(&(word | !0u64 << (3 * used)).to_le_bytes());
-            remaining -= used;
-            pos += 8;
+        let bases = u32::from_le_bytes(obj[at..at + 4].try_into().unwrap()) as usize;
+        pos += packed_size(bases);
+        if bases.div_ceil(BASES_PER_GROUP) % 2 == 1 {
+            raw[pos - 1] |= 0xF0;
         }
     }
     assert_eq!(pos, raw.len());
@@ -315,9 +314,9 @@ fn garble_unused_bits(obj: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Garbage in the unused tail bits of packed bases is not data: the
+/// Garbage in the padding nibbles of packed bases is not data: the
 /// sort writes the bytes it writes for the same records with zeroed
-/// tails.
+/// nibbles.
 #[test]
 fn garbage_in_unused_base_bits_sorts_to_the_pinned_bytes() {
     let w = world();

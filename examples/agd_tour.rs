@@ -48,8 +48,8 @@ fn main() {
     let meta_bytes = ds.column_bytes(&store, "metadata").expect("meta");
     let bases_bytes = ds.column_bytes(&store, "bases").expect("bases");
     let qual_bytes = ds.column_bytes(&store, "qual").expect("qual");
-    println!("column sizes on storage (compressed):");
-    println!("  bases    {bases_bytes:>8} B  (3-bit compacted + gzip)");
+    println!("column sizes on storage:");
+    println!("  bases    {bases_bytes:>8} B  (base-5 groups, no codec)");
     println!("  qual     {qual_bytes:>8} B  (gzip)");
     println!("  metadata {meta_bytes:>8} B  (gzip)");
 
@@ -62,8 +62,10 @@ fn main() {
     );
 
     // The relative index at work: per-record lengths in bases; each
-    // record is stored packed (3 bits a base, 21 to a 64-bit word) and
-    // read back as ASCII through `append_plain`.
+    // record is stored packed (five bases to a 12-bit group, two groups
+    // to three bytes: 32 bytes for 101 bases, where the paper's 3-bit
+    // words take 40 and need gzip to get near that) and read back as
+    // ASCII through `append_plain`.
     let chunk = ds.read_column_chunk(&store, 0, "bases").expect("chunk");
     let lengths: Vec<usize> = (0..4).map(|i| chunk.plain_len(i)).collect();
     let mut read = Vec::new();
