@@ -2,6 +2,9 @@
 //! single disk (writeback interference) and on RAID0.
 //!
 //! Run: `cargo run -p persona-bench --release --bin fig5`
+//!
+//! Exits non-zero when a Persona timeline is empty or its mean is 0: the
+//! sampler read no busy time, so the figure would show nothing.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -11,8 +14,8 @@ use persona::plan::{DataState, Plan, PlanRequest, PlanSource, Stage};
 use persona::runtime::PersonaRuntime;
 use persona_agd::chunk_io::{ChunkStore, MemStore};
 use persona_baseline::standalone::{run_standalone, write_gzipped_fastq};
+use persona_bench::metrics::sample_utilization;
 use persona_bench::{print_header, scale, World};
-use persona_dataflow::metrics::Sampler;
 use persona_store::local::{DiskConfig, WritebackDisk};
 
 fn main() {
@@ -26,17 +29,13 @@ fn main() {
         ("(b) RAID0", DiskConfig::raid0(bw_scale)),
     ] {
         // Persona run: the align-only plan on a runtime of its own, its
-        // executor's busy time sampled into a utilization timeline.
+        // executor's busy time (the task-latency histogram's sum)
+        // sampled into a utilization timeline.
         let disk_store = Arc::new(WritebackDisk::new(MemStore::new(), disk, 48 << 20));
         let manifest = world.write_agd(disk_store.as_ref(), "ds", 2_000);
         let dyn_store: Arc<dyn ChunkStore> = disk_store.clone();
         let rt = PersonaRuntime::new(dyn_store, PersonaConfig::default()).unwrap();
-        let executor = rt.executor();
-        let sampler = Sampler::start(
-            vec![executor.counters()],
-            executor.threads(),
-            Duration::from_millis(100),
-        );
+        let busy = rt.telemetry().histogram("executor.task_latency_ns");
         let plan = Plan::builder(DataState::EncodedAgd).then(Stage::Align).build().unwrap();
         let request = PlanRequest {
             name: "ds".into(),
@@ -45,8 +44,10 @@ fn main() {
             aligner: Some(aligner.clone()),
             reference: world.reference.clone(),
         };
-        plan.run(&rt, request).unwrap();
-        let timeline = sampler.finish();
+        let interval = Duration::from_millis(100);
+        let (report, timeline) =
+            sample_utilization(&busy, rt.executor().threads(), interval, || plan.run(&rt, request));
+        report.unwrap();
         disk_store.sync();
 
         print_header(
@@ -60,6 +61,10 @@ fn main() {
             "mean {:.0}%  (paper: Persona CPU-bound & steady in both configs)",
             timeline.mean() * 100.0
         );
+        if timeline.samples.is_empty() || timeline.mean() == 0.0 {
+            eprintln!("fig5 {label}: the utilization timeline is empty or reads 0");
+            std::process::exit(1);
+        }
 
         // Standalone run: sample utilization by polling a side-channel —
         // approximate via coarse phases (read/align/write interleave is

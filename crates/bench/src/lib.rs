@@ -8,6 +8,8 @@
 
 use std::sync::Arc;
 
+pub mod metrics;
+
 use persona::config::PersonaConfig;
 use persona::plan::{Plan, PlanReport, PlanRequest, PlanSource, Stage};
 use persona::runtime::PersonaRuntime;

@@ -561,8 +561,8 @@ impl Plan {
 
     /// Runs the plan on `rt`. When `rt` is a job-bound view
     /// ([`PersonaRuntime::for_job`]), every stage carries the job's
-    /// priority, cancel token and counters, and a fired token unwinds
-    /// the plan as [`Error::Cancelled`] mid-stage.
+    /// priority and cancel token and adds its busy time to the job's, and
+    /// a fired token unwinds the plan as [`Error::Cancelled`] mid-stage.
     ///
     /// The plan executes one [fusion group](Plan::fusion_groups) at a
     /// time. The stages of a group overlap through bounded streaming
@@ -878,7 +878,8 @@ fn run_group(
 /// the `landing` of an import or align; an export appends to `bytes`.
 /// The one place a stage is timed: its row's wall runs from the call of
 /// the stage function to its return, and its busy share is what its
-/// [`StageExec`](crate::runtime::StageExec) ran in that window.
+/// [`StageExec`](crate::runtime::StageExec) ran in that window. When the
+/// stage returns, `Ok` or `Err`, its busy time is added to the job's.
 fn run_stage(
     rt: &PersonaRuntime,
     params: &StageParams<'_>,
@@ -890,44 +891,50 @@ fn run_stage(
 ) -> Result<StageOutput> {
     let exec = rt.stage_exec();
     let started = Instant::now();
-    let (run, landed, bytes) = match (stage, input) {
-        (Stage::Import, StageInput::Fastq(reader)) => {
-            let (name, chunk_size) = (params.name, params.chunk_size);
-            let (manifest, report) =
-                import::import_fastq(rt, &exec, reader, name, chunk_size, landing, out)?;
-            (StageRun::Import(report), Some(manifest), None)
-        }
-        (Stage::Align, StageInput::Edge(input)) => {
-            let aligner = params.aligner.expect("validated: aligning plans carry an aligner");
-            let (manifest, report) =
-                align::align(rt, &exec, input, aligner.clone(), params.reference, landing, out)?;
-            (StageRun::Align(report), Some(manifest), None)
-        }
-        (Stage::Sort, StageInput::Edge(input)) => {
-            // A plan's sort input has `results`: `check_dataset_input`
-            // refuses an aligned dataset without, and align adds them.
-            let (sorted, key, marks) =
-                (format!("{}.sorted", params.name), SortKey::Coordinate, params.sort_marks);
-            let (manifest, report) = sort::sort(rt, &exec, input, key, &sorted, true, marks, out)?;
-            (StageRun::Sort(report), Some(manifest), None)
-        }
-        (Stage::Dupmark, StageInput::Edge(input)) => {
-            let (manifest, report) = dupmark::mark_duplicates(rt, &exec, input, out)?;
-            (StageRun::Dupmark(report), Some(manifest), None)
-        }
-        (Stage::ExportSam, StageInput::Edge(input)) => {
-            let report = export::export_sam(rt, &exec, input, &mut bytes)?;
-            (StageRun::ExportSam(report), None, Some(bytes))
-        }
-        (Stage::ExportBam, StageInput::Edge(input)) => {
-            let report = export::export_bam(rt, &exec, input, &mut bytes, CompressLevel::Fast)?;
-            (StageRun::ExportBam(report), None, Some(bytes))
-        }
-        (Stage::Import, StageInput::Edge(_)) | (_, StageInput::Fastq(_)) => {
-            unreachable!("validated: import, and only import, consumes the request's FASTQ")
-        }
-    };
+    let ran = (|| -> Result<_> {
+        Ok(match (stage, input) {
+            (Stage::Import, StageInput::Fastq(reader)) => {
+                let (name, chunk_size) = (params.name, params.chunk_size);
+                let (manifest, report) =
+                    import::import_fastq(rt, &exec, reader, name, chunk_size, landing, out)?;
+                (StageRun::Import(report), Some(manifest), None)
+            }
+            (Stage::Align, StageInput::Edge(input)) => {
+                let aligner = params.aligner.expect("validated: aligning plans carry an aligner");
+                let (aligner, reference) = (aligner.clone(), params.reference);
+                let (manifest, report) =
+                    align::align(rt, &exec, input, aligner, reference, landing, out)?;
+                (StageRun::Align(report), Some(manifest), None)
+            }
+            (Stage::Sort, StageInput::Edge(input)) => {
+                // A plan's sort input has `results`: `check_dataset_input`
+                // refuses an aligned dataset without, and align adds them.
+                let (sorted, key, marks) =
+                    (format!("{}.sorted", params.name), SortKey::Coordinate, params.sort_marks);
+                let (manifest, report) =
+                    sort::sort(rt, &exec, input, key, &sorted, true, marks, out)?;
+                (StageRun::Sort(report), Some(manifest), None)
+            }
+            (Stage::Dupmark, StageInput::Edge(input)) => {
+                let (manifest, report) = dupmark::mark_duplicates(rt, &exec, input, out)?;
+                (StageRun::Dupmark(report), Some(manifest), None)
+            }
+            (Stage::ExportSam, StageInput::Edge(input)) => {
+                let report = export::export_sam(rt, &exec, input, &mut bytes)?;
+                (StageRun::ExportSam(report), None, Some(bytes))
+            }
+            (Stage::ExportBam, StageInput::Edge(input)) => {
+                let report = export::export_bam(rt, &exec, input, &mut bytes, CompressLevel::Fast)?;
+                (StageRun::ExportBam(report), None, Some(bytes))
+            }
+            (Stage::Import, StageInput::Edge(_)) | (_, StageInput::Fastq(_)) => {
+                unreachable!("validated: import, and only import, consumes the request's FASTQ")
+            }
+        })
+    })();
     let elapsed = started.elapsed();
+    exec.charge_job();
+    let (run, landed, bytes) = ran?;
     let row = StageRow { run, elapsed, busy_fraction: exec.busy_fraction(elapsed) };
     Ok(StageOutput { row, landed: landed.filter(|_| landing == Landing::State), bytes })
 }

@@ -19,12 +19,12 @@
 //! writes them — the Fig. 4 scenario of multiple kernels feeding one
 //! executor at once.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use persona_agd::chunk_io::ChunkStore;
 use persona_agd::manifest::Manifest;
-use persona_dataflow::metrics::NodeCounters;
 use persona_dataflow::{CancelToken, Executor, MapBatch, Priority, SubmitOpts};
 use persona_telemetry::{JobTrace, MetricsRegistry};
 
@@ -34,14 +34,16 @@ use crate::plan::Stage;
 use crate::{Error, Result};
 
 /// Per-job execution context: the cancellation token, dispatch
-/// priority, job-level counter attribution, span recorder and the two
-/// plan-run hooks (stage-landing observer, result cache) a multi-tenant
+/// priority, the job's busy total, span recorder and the two plan-run
+/// hooks (stage-landing observer, result cache) a multi-tenant
 /// service threads through every stage of one job's pipeline.
 #[derive(Clone, Default)]
 pub struct JobContext {
     cancel: CancelToken,
     priority: Priority,
-    counters: Arc<NodeCounters>,
+    /// Nanoseconds of executor time the job's stages ran, charged by
+    /// the plan driver as each stage returns ([`StageExec::charge_job`]).
+    busy_ns: Arc<AtomicU64>,
     trace: Option<Arc<JobTrace>>,
     observer: Option<Arc<dyn Fn(Stage, &Manifest) + Send + Sync>>,
     cache: Option<(Arc<ResultCache>, Digest)>,
@@ -111,10 +113,11 @@ impl JobContext {
         &self.cancel
     }
 
-    /// The job's executor counters: busy time and task counts across
-    /// every stage this job ran (the service's per-tenant accounting).
-    pub fn counters(&self) -> &Arc<NodeCounters> {
-        &self.counters
+    /// The job's busy time: the sum of the busy time of every stage it
+    /// ran so far, failed and cancelled stages included (the service's
+    /// per-tenant accounting).
+    pub fn busy(&self) -> Duration {
+        Duration::from_nanos(self.busy_ns.load(Ordering::Relaxed))
     }
 }
 
@@ -138,7 +141,7 @@ impl PersonaRuntime {
 
     /// A view of this runtime bound to one job: same executor, store
     /// and config, but every stage batch submitted through the view
-    /// carries the job's priority, cancel token and counters. This is
+    /// carries the job's priority and cancel token. This is
     /// how a service multiplexes many jobs onto one runtime.
     pub fn for_job(self: &Arc<Self>, job: JobContext) -> Arc<PersonaRuntime> {
         Arc::new(PersonaRuntime {
@@ -208,32 +211,29 @@ impl PersonaRuntime {
 
     /// A cloneable submission handle for one stage of this runtime's
     /// current job: batches submitted through it carry a fresh per-stage
-    /// tag *and* the job's priority/cancel/counters. The plan driver
+    /// busy cell and the job's priority and cancel token. The plan driver
     /// opens one per stage it runs and hands it to the stage, which
     /// submits through it instead of a bare executor handle.
     pub(crate) fn stage_exec(&self) -> StageExec {
-        StageExec {
-            executor: self.executor.clone(),
-            tag: Arc::new(NodeCounters::default()),
-            job: self.job.clone(),
-        }
+        StageExec { executor: self.executor.clone(), busy: Arc::default(), job: self.job.clone() }
     }
 }
 
-/// A stage's handle onto the shared executor, carrying both stage-level
-/// attribution and the owning job's dispatch options.
+/// A stage's handle onto the shared executor, carrying the stage's busy
+/// cell and the owning job's dispatch options.
 #[derive(Clone)]
 pub struct StageExec {
     executor: Arc<Executor>,
-    tag: Arc<NodeCounters>,
+    /// Nanoseconds the stage's tasks ran, added by the executor's
+    /// workers.
+    busy: Arc<AtomicU64>,
     job: Option<JobContext>,
 }
 
 impl StageExec {
     fn opts(&self) -> SubmitOpts {
         SubmitOpts {
-            tag: Some(self.tag.clone()),
-            job_tag: self.job.as_ref().map(|j| j.counters.clone()),
+            busy: Some(self.busy.clone()),
             priority: self.job.as_ref().map(|j| j.priority).unwrap_or_default(),
             cancel: self.job.as_ref().map(|j| j.cancel.clone()),
         }
@@ -250,11 +250,20 @@ impl StageExec {
     /// poison aggregated metrics.
     pub(crate) fn busy_fraction(&self, wall: Duration) -> f64 {
         let denom = wall.as_nanos() as f64 * self.executor.threads() as f64;
-        let busy = self.tag.snapshot().busy_ns as f64;
+        let busy = self.busy.load(Ordering::Relaxed) as f64;
         if denom > 0.0 {
             (busy / denom).min(1.0)
         } else {
             0.0
+        }
+    }
+
+    /// Adds the stage's busy time to its job's total. The plan driver
+    /// calls this once, when the stage returns, whether it succeeded or
+    /// not, so a job that fails or is cancelled is charged too.
+    pub(crate) fn charge_job(&self) {
+        if let Some(job) = &self.job {
+            job.busy_ns.fetch_add(self.busy.load(Ordering::Relaxed), Ordering::Relaxed);
         }
     }
 
@@ -345,12 +354,12 @@ mod tests {
         let busy = exec.busy_fraction(Duration::ZERO);
         assert!(busy.is_finite(), "busy {busy}");
         assert_eq!(busy, 0.0);
-        assert_eq!(exec.tag.snapshot().items, 0);
+        assert_eq!(exec.busy.load(Ordering::Relaxed), 0);
         // Explicitly exercise the zero-denominator branch: tasks ran
         // (busy time was recorded) but the window cannot attribute a
         // share, which comes out as 0.0, not NaN or infinity.
-        exec.tag.busy_ns.store(1_000_000, std::sync::atomic::Ordering::Relaxed);
-        assert_eq!(exec.tag.snapshot().busy_ns, 1_000_000, "busy time was recorded");
+        exec.busy.store(1_000_000, Ordering::Relaxed);
+        assert_eq!(exec.busy.load(Ordering::Relaxed), 1_000_000, "busy time was recorded");
         assert_eq!(exec.busy_fraction(Duration::ZERO), 0.0);
     }
 
@@ -374,16 +383,21 @@ mod tests {
     fn stage_exec_attributes_to_stage_and_job() {
         let rt = runtime();
         let job = JobContext::new(Priority::Normal);
-        let counters = job.counters().clone();
-        let view = rt.for_job(job);
+        let view = rt.for_job(job.clone());
         let exec = view.stage_exec();
         let out = exec.map((0..50u64).collect(), |i, v| {
             assert_eq!(i as u64, v);
             v + 1
         });
         assert_eq!(out.unwrap(), (1..=50).collect::<Vec<u64>>());
-        assert_eq!(exec.tag.snapshot().items, 50);
-        assert_eq!(counters.snapshot().items, 50);
+        // The executor's histogram saw the 50 tasks; the stage cell got
+        // exactly their run time, and the job gets it when charged.
+        let tasks = rt.telemetry().histogram("executor.task_latency_ns").snapshot();
+        assert_eq!(tasks.count, 50);
+        assert_eq!(exec.busy.load(Ordering::Relaxed), tasks.sum);
+        assert_eq!(job.busy(), Duration::ZERO);
+        exec.charge_job();
+        assert_eq!(job.busy(), Duration::from_nanos(tasks.sum));
     }
 
     #[test]

@@ -1086,19 +1086,17 @@ impl WireClient {
 
     /// Submits a job; returns the server-assigned job id.
     pub fn submit(&mut self, submit: WireSubmit) -> WireResult<u64> {
-        let seq = self.submit_pipelined(submit)?;
-        self.take_submit(seq)
+        self.submit_pipelined(submit).and_then(|seq| self.take_submit(seq))
     }
 
     /// Send half of [`WireClient::submit`]: queues the frame and
     /// returns its `seq` without waiting for the reply.
     pub fn submit_pipelined(&mut self, submit: WireSubmit) -> WireResult<u64> {
-        let seq = self.bump_seq();
         let (input, body) = match submit.input {
             SubmitInput::Fastq(bytes) => (WireInput::Fastq, bytes),
             SubmitInput::Dataset(manifest) => (WireInput::Dataset(manifest), Vec::new()),
         };
-        let msg = Message::SubmitJob {
+        let msg = |seq| Message::SubmitJob {
             seq,
             name: submit.name,
             tenant: submit.tenant,
@@ -1108,8 +1106,7 @@ impl WireClient {
             chunk_size: submit.chunk_size as u64,
             reference: submit.reference,
         };
-        write_frame(&mut self.writer, &msg, &body)?;
-        Ok(seq)
+        self.send(msg, &body)
     }
 
     /// Receive half of [`WireClient::submit`].
@@ -1122,15 +1119,12 @@ impl WireClient {
 
     /// Polls a job's lifecycle state.
     pub fn status(&mut self, job_id: u64) -> WireResult<WireJobStatus> {
-        let seq = self.status_pipelined(job_id)?;
-        self.take_status(seq)
+        self.status_pipelined(job_id).and_then(|seq| self.take_status(seq))
     }
 
     /// Send half of [`WireClient::status`].
     pub fn status_pipelined(&mut self, job_id: u64) -> WireResult<u64> {
-        let seq = self.bump_seq();
-        write_frame(&mut self.writer, &Message::Status { seq, job_id }, &[])?;
-        Ok(seq)
+        self.send(|seq| Message::Status { seq, job_id }, &[])
     }
 
     /// Receive half of [`WireClient::status`].
@@ -1145,8 +1139,7 @@ impl WireClient {
     /// `job-event` / `output-chunk` / `job-done` reply sequence, and
     /// returns the reassembled outcome.
     pub fn wait(&mut self, job_id: u64) -> WireResult<WireOutcome> {
-        let seq = self.wait_pipelined(job_id)?;
-        self.take_wait(seq)
+        self.wait_pipelined(job_id).and_then(|seq| self.take_wait(seq))
     }
 
     /// Send half of [`WireClient::wait`]: registers interest in the
@@ -1155,9 +1148,7 @@ impl WireClient {
     /// their streams interleave and [`WireClient::take_wait`] separates
     /// them by `seq`.
     pub fn wait_pipelined(&mut self, job_id: u64) -> WireResult<u64> {
-        let seq = self.bump_seq();
-        write_frame(&mut self.writer, &Message::Wait { seq, job_id }, &[])?;
-        Ok(seq)
+        self.send(|seq| Message::Wait { seq, job_id }, &[])
     }
 
     /// Receive half of [`WireClient::wait`].
@@ -1220,15 +1211,12 @@ impl WireClient {
 
     /// Requests cooperative cancellation of a job.
     pub fn cancel(&mut self, job_id: u64) -> WireResult<()> {
-        let seq = self.cancel_pipelined(job_id)?;
-        self.take_cancel(seq)
+        self.cancel_pipelined(job_id).and_then(|seq| self.take_cancel(seq))
     }
 
     /// Send half of [`WireClient::cancel`].
     pub fn cancel_pipelined(&mut self, job_id: u64) -> WireResult<u64> {
-        let seq = self.bump_seq();
-        write_frame(&mut self.writer, &Message::Cancel { seq, job_id }, &[])?;
-        Ok(seq)
+        self.send(|seq| Message::Cancel { seq, job_id }, &[])
     }
 
     /// Receive half of [`WireClient::cancel`].
@@ -1241,9 +1229,7 @@ impl WireClient {
 
     /// Lists the jobs the server currently tracks (v2 servers only).
     pub fn list_jobs(&mut self) -> WireResult<Vec<WireJobSummary>> {
-        let seq = self.bump_seq();
-        write_frame(&mut self.writer, &Message::ListJobs { seq }, &[])?;
-        match self.reply_for(seq)? {
+        match self.request(|seq| Message::ListJobs { seq })? {
             (Message::JobList { jobs, .. }, _) => Ok(jobs),
             (other, _) => Err(self.unexpected("job-list", other)),
         }
@@ -1254,9 +1240,7 @@ impl WireClient {
     /// job id and its current status; follow with
     /// [`WireClient::wait`] to stream the outcome.
     pub fn attach(&mut self, name: &str) -> WireResult<(u64, WireJobStatus)> {
-        let seq = self.bump_seq();
-        write_frame(&mut self.writer, &Message::Attach { seq, name: name.into() }, &[])?;
-        match self.reply_for(seq)? {
+        match self.request(|seq| Message::Attach { seq, name: name.into() })? {
             (Message::Attached { job_id, status, .. }, _) => Ok((job_id, status)),
             (other, _) => Err(self.unexpected("attached", other)),
         }
@@ -1264,9 +1248,7 @@ impl WireClient {
 
     /// Fetches a service accounting snapshot.
     pub fn report(&mut self) -> WireResult<WireReport> {
-        let seq = self.bump_seq();
-        write_frame(&mut self.writer, &Message::Report { seq }, &[])?;
-        match self.reply_for(seq)? {
+        match self.request(|seq| Message::Report { seq })? {
             (Message::ReportReply { report, .. }, _) => Ok(report),
             (other, _) => Err(self.unexpected("report-reply", other)),
         }
@@ -1276,9 +1258,7 @@ impl WireClient {
     /// registry: every subsystem's counters, gauges and latency
     /// histograms.
     pub fn metrics(&mut self) -> WireResult<MetricsSnapshot> {
-        let seq = self.bump_seq();
-        write_frame(&mut self.writer, &Message::MetricsRequest { seq }, &[])?;
-        match self.reply_for(seq)? {
+        match self.request(|seq| Message::MetricsRequest { seq })? {
             (Message::MetricsReply { metrics, .. }, _) => Ok(metrics),
             (other, _) => Err(self.unexpected("metrics-reply", other)),
         }
@@ -1287,9 +1267,7 @@ impl WireClient {
     /// Fetches the server's result-cache counters. A server running
     /// without a cache replies `enabled: false` with zeroed counters.
     pub fn cache_stats(&mut self) -> WireResult<CacheStats> {
-        let seq = self.bump_seq();
-        write_frame(&mut self.writer, &Message::CacheStatsRequest { seq }, &[])?;
-        match self.reply_for(seq)? {
+        match self.request(|seq| Message::CacheStatsRequest { seq })? {
             (Message::CacheStatsReply { stats, .. }, _) => Ok(stats),
             (other, _) => Err(self.unexpected("cache-stats-reply", other)),
         }
@@ -1299,19 +1277,28 @@ impl WireClient {
     /// partial but well-formed while the job still runs, complete once
     /// it finishes.
     pub fn trace(&mut self, job_id: u64) -> WireResult<String> {
-        let seq = self.bump_seq();
-        write_frame(&mut self.writer, &Message::TraceRequest { seq, job_id }, &[])?;
-        match self.reply_for(seq)? {
+        match self.request(|seq| Message::TraceRequest { seq, job_id })? {
             (Message::TraceReply { .. }, body) => String::from_utf8(body)
                 .map_err(|e| WireClientError::Protocol(format!("trace body is not UTF-8: {e}"))),
             (other, _) => Err(self.unexpected("trace-reply", other)),
         }
     }
 
-    fn bump_seq(&mut self) -> u64 {
+    /// Claims the next `seq`, writes the request `msg` builds for it
+    /// with `body`, and returns the `seq` without waiting for a reply:
+    /// the send half of every request.
+    fn send(&mut self, msg: impl FnOnce(u64) -> Message, body: &[u8]) -> WireResult<u64> {
         let seq = self.next_seq;
         self.next_seq += 1;
-        seq
+        write_frame(&mut self.writer, &msg(seq), body)?;
+        Ok(seq)
+    }
+
+    /// A one-shot request: [`WireClient::send`] without a body, then its
+    /// one reply.
+    fn request(&mut self, msg: impl FnOnce(u64) -> Message) -> WireResult<(Message, Vec<u8>)> {
+        let seq = self.send(msg, &[])?;
+        self.reply_for(seq)
     }
 
     /// Reads the next reply frame destined for `seq`, turning server

@@ -9,15 +9,13 @@
 //! fires. Multiple kernels feed the same executor concurrently, which is
 //! exactly how "all cores in the system are kept running continuously".
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
 use persona_telemetry::{Gauge, Histogram, MetricsRegistry};
-
-use crate::metrics::NodeCounters;
 
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
@@ -81,15 +79,13 @@ impl Priority {
     pub const LANE_NAMES: [&'static str; Priority::LEVELS] = ["low", "normal", "high"];
 }
 
-/// Per-batch submission options: counter attribution, dispatch
+/// Per-batch submission options: busy-time attribution, dispatch
 /// priority, and a cooperative cancellation token.
 #[derive(Clone, Default)]
 pub struct SubmitOpts {
-    /// Stage-level counter attribution (busy time + task counts).
-    pub tag: Option<Arc<NodeCounters>>,
-    /// Secondary attribution, e.g. the owning job of a multi-tenant
-    /// service; busy time is added to both counter sets.
-    pub job_tag: Option<Arc<NodeCounters>>,
+    /// The cell every task of the batch adds its run time to, in
+    /// nanoseconds: a stage's busy time.
+    pub busy: Option<Arc<AtomicU64>>,
     /// Dispatch priority.
     pub priority: Priority,
     /// When set and cancelled, still-queued tasks of the batch are
@@ -175,8 +171,7 @@ impl<Out> MapBatch<Out> {
 struct QueuedTask {
     task: Task,
     latch: Arc<Latch>,
-    tag: Option<Arc<NodeCounters>>,
-    job_tag: Option<Arc<NodeCounters>>,
+    busy: Option<Arc<AtomicU64>>,
     cancel: Option<CancelToken>,
 }
 
@@ -206,9 +201,9 @@ struct ExecShared {
     queue: Mutex<PrioQueue>,
     available: Condvar,
     shutdown: AtomicBool,
-    counters: Arc<NodeCounters>,
     /// Published registry metrics: queued tasks per priority lane and
-    /// the per-task run-time distribution (see `docs/OBSERVABILITY.md`).
+    /// the per-task run-time distribution, whose count and sum are the
+    /// executor's task and busy totals (see `docs/OBSERVABILITY.md`).
     lane_depth: [Gauge; Priority::LEVELS],
     task_latency: Histogram,
 }
@@ -246,7 +241,6 @@ impl Executor {
             queue: Mutex::new(PrioQueue::default()),
             available: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            counters: Arc::new(NodeCounters::default()),
             lane_depth,
             task_latency: telemetry.histogram("executor.task_latency_ns"),
         });
@@ -276,7 +270,7 @@ impl Executor {
     pub fn map_batch<In, Out, F>(
         &self,
         items: Vec<In>,
-        tag: Option<Arc<NodeCounters>>,
+        busy: Option<Arc<AtomicU64>>,
         f: F,
     ) -> Vec<Out>
     where
@@ -284,7 +278,7 @@ impl Executor {
         Out: Send + 'static,
         F: Fn(usize, In) -> Out + Send + Sync + 'static,
     {
-        match self.spawn_map(items, SubmitOpts { tag, ..SubmitOpts::default() }, f).join() {
+        match self.spawn_map(items, SubmitOpts { busy, ..SubmitOpts::default() }, f).join() {
             Ok(outputs) => outputs.expect("map_batch without a cancel token cannot be cancelled"),
             Err(payload) => std::panic::resume_unwind(payload),
         }
@@ -292,8 +286,9 @@ impl Executor {
 
     /// Submits `f` over every item of `items` as one batch and returns
     /// without waiting, for a caller that keeps several batches in
-    /// flight. Every submission to the executor goes through here. The options carry counter attribution (stage and job),
-    /// priority, and cooperative cancellation: if the cancel token
+    /// flight. Every submission to the executor goes through here. The
+    /// options carry busy-time attribution, priority, and cooperative
+    /// cancellation: if the cancel token
     /// fires while tasks are still queued, those tasks are dropped
     /// without running (the batch still completes, and
     /// [`MapBatch::join`] reports the skip).
@@ -350,8 +345,7 @@ impl Executor {
                     QueuedTask {
                         task: t,
                         latch: latch.clone(),
-                        tag: opts.tag.clone(),
-                        job_tag: opts.job_tag.clone(),
+                        busy: opts.busy.clone(),
                         cancel: opts.cancel.clone(),
                     },
                 );
@@ -400,12 +394,6 @@ impl Executor {
     pub fn threads(&self) -> usize {
         self.workers.len()
     }
-
-    /// The executor's shared counters, e.g. for a utilization timeline
-    /// ([`crate::metrics::Sampler`]).
-    pub fn counters(&self) -> Arc<NodeCounters> {
-        self.shared.counters.clone()
-    }
 }
 
 impl Drop for Executor {
@@ -438,7 +426,7 @@ fn worker_loop(shared: Arc<ExecShared>) {
         };
         drop(q);
         shared.lane_depth[lane].sub(1);
-        let QueuedTask { task, latch, tag, job_tag, cancel } = task;
+        let QueuedTask { task, latch, busy, cancel } = task;
         // Cooperative cancellation: a queued task whose token fired is
         // dropped without running. The latch still counts down (or its
         // waiter would hang), and the skip is recorded so map-style
@@ -459,13 +447,10 @@ fn worker_loop(shared: Arc<ExecShared>) {
                 *slot = Some(payload);
             }
         }
-        let busy = start.elapsed().as_nanos() as u64;
-        shared.task_latency.observe(busy);
-        shared.counters.busy_ns.fetch_add(busy, Ordering::Relaxed);
-        shared.counters.items.fetch_add(1, Ordering::Relaxed);
-        for t in [&tag, &job_tag].into_iter().flatten() {
-            t.busy_ns.fetch_add(busy, Ordering::Relaxed);
-            t.items.fetch_add(1, Ordering::Relaxed);
+        let ran = start.elapsed().as_nanos() as u64;
+        shared.task_latency.observe(ran);
+        if let Some(busy) = busy {
+            busy.fetch_add(ran, Ordering::Relaxed);
         }
         latch.count_down();
     }
@@ -481,6 +466,12 @@ mod tests {
         vec![(); n]
     }
 
+    /// The executor's totals: tasks run (`count`) and their busy
+    /// nanoseconds (`sum`).
+    fn totals(ex: &Executor) -> persona_telemetry::HistogramSnapshot {
+        ex.telemetry().histogram("executor.task_latency_ns").snapshot()
+    }
+
     #[test]
     fn runs_all_tasks() {
         let ex = Executor::new(4);
@@ -492,7 +483,7 @@ mod tests {
         .join()
         .unwrap();
         assert_eq!(counter.load(Ordering::SeqCst), 100);
-        assert_eq!(ex.counters().snapshot().items, 100);
+        assert_eq!(totals(&ex).count, 100);
     }
 
     #[test]
@@ -539,7 +530,7 @@ mod tests {
         let elapsed = start.elapsed();
         // 8 × 50 ms on 4 threads ≈ 100 ms; serial would be 400 ms.
         assert!(elapsed < std::time::Duration::from_millis(300), "elapsed {elapsed:?}");
-        assert!(ex.counters().snapshot().busy_ns >= 8 * 45_000_000);
+        assert!(totals(&ex).sum >= 8 * 45_000_000);
     }
 
     #[test]
@@ -761,48 +752,42 @@ mod tests {
     }
 
     #[test]
-    fn job_tag_attributes_alongside_stage_tag() {
+    fn busy_cell_gets_what_the_histogram_got() {
         let ex = Executor::new(2);
-        let stage = Arc::new(NodeCounters::default());
-        let job = Arc::new(NodeCounters::default());
+        let busy = Arc::new(AtomicU64::new(0));
         ex.spawn_map(
             units(6),
-            SubmitOpts {
-                tag: Some(stage.clone()),
-                job_tag: Some(job.clone()),
-                ..SubmitOpts::default()
-            },
+            SubmitOpts { busy: Some(busy.clone()), ..SubmitOpts::default() },
             |_, ()| std::thread::sleep(std::time::Duration::from_millis(2)),
         )
         .join()
         .unwrap();
-        assert_eq!(stage.snapshot().items, 6);
-        assert_eq!(job.snapshot().items, 6);
-        assert!(job.snapshot().busy_ns > 0);
-        assert_eq!(stage.snapshot().busy_ns, job.snapshot().busy_ns);
+        assert_eq!(totals(&ex).count, 6);
+        assert!(busy.load(Ordering::Relaxed) > 0);
+        assert_eq!(busy.load(Ordering::Relaxed), totals(&ex).sum);
     }
 
     #[test]
     fn tagged_batches_attribute_busy_time_per_stage() {
         let ex = Executor::new(2);
-        let tag_a = Arc::new(NodeCounters::default());
-        let tag_b = Arc::new(NodeCounters::default());
-        let work = |ms: u64, tag: &Arc<NodeCounters>| {
+        let busy_a = Arc::new(AtomicU64::new(0));
+        let busy_b = Arc::new(AtomicU64::new(0));
+        let work = |ms: u64, busy: &Arc<AtomicU64>| {
             ex.spawn_map(
                 units(4),
-                SubmitOpts { tag: Some(tag.clone()), ..SubmitOpts::default() },
+                SubmitOpts { busy: Some(busy.clone()), ..SubmitOpts::default() },
                 move |_, ()| std::thread::sleep(std::time::Duration::from_millis(ms)),
             )
         };
-        let a = work(20, &tag_a);
-        let b = work(5, &tag_b);
+        let a = work(20, &busy_a);
+        let b = work(5, &busy_b);
         a.join().unwrap();
         b.join().unwrap();
-        let (snap_a, snap_b) = (tag_a.snapshot(), tag_b.snapshot());
-        assert_eq!(snap_a.items, 4);
-        assert_eq!(snap_b.items, 4);
-        assert!(snap_a.busy_ns > snap_b.busy_ns, "{} <= {}", snap_a.busy_ns, snap_b.busy_ns);
-        // The executor's own counters saw everything.
-        assert_eq!(ex.counters().snapshot().items, 8);
+        let (a, b) = (busy_a.load(Ordering::Relaxed), busy_b.load(Ordering::Relaxed));
+        assert!(a >= 4 * 20_000_000 && b >= 4 * 5_000_000, "{a}, {b}");
+        assert!(a > b, "{a} <= {b}");
+        // The executor's histogram saw everything, and nothing else.
+        assert_eq!(totals(&ex).count, 8);
+        assert_eq!(totals(&ex).sum, a + b);
     }
 }

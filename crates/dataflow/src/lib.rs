@@ -16,9 +16,11 @@
 //!   producer-tracked close. Every chunk edge of a plan runs on one (the
 //!   manifest server's `Edge` and `EdgeOut` sit directly on it), and the
 //!   benchmark reports its hop cost.
-//! * **Metrics** ([`metrics`]) — busy/wait counters and a sampled
-//!   utilization timeline, which regenerate the paper's CPU-utilization
-//!   analysis (Fig. 5).
+//!
+//! The executor records each task's run time once into its
+//! `executor.task_latency_ns` histogram, whose count and sum are the
+//! executor's task and busy totals, and once into the busy cell its
+//! batch carries ([`SubmitOpts::busy`]), a stage's busy time.
 //!
 //! # Examples
 //!
@@ -38,7 +40,6 @@
 //! ```
 
 pub mod executor;
-pub mod metrics;
 pub mod queue;
 
 pub use executor::{CancelToken, Executor, MapBatch, Priority, SubmitOpts};

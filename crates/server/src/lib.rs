@@ -12,8 +12,8 @@
 //! a [`JobHandle`] with a `submit / status / wait / cancel` lifecycle,
 //! while the service multiplexes every admitted job onto **one shared
 //! [`persona::runtime::PersonaRuntime`]** — one executor owns all the
-//! cores, and each job's task batches carry its priority, cancel token
-//! and counters. Plans serialize to JSON (`Plan::to_json` /
+//! cores, and each job's task batches carry its priority and cancel
+//! token, and its stage's busy cell. Plans serialize to JSON (`Plan::to_json` /
 //! `Plan::from_json`), so a wire front end can ship exactly what
 //! `submit` consumes.
 //!

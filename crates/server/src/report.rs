@@ -1,5 +1,7 @@
-//! Service-wide and per-tenant accounting, aggregated from per-job
-//! [`persona::plan::PlanReport`]s and executor counters.
+//! Service-wide and per-tenant accounting. Each tenant has one record,
+//! kept in the scheduler and grown as its jobs are admitted and
+//! resolved; a job's busy time is the sum of its stages' busy time,
+//! which the plan driver charges as each stage returns.
 
 use std::time::Duration;
 
@@ -27,7 +29,9 @@ pub struct TenantReport {
     pub running: usize,
     /// Reads processed by finished jobs.
     pub reads: u64,
-    /// Executor busy time attributed to this tenant's finished jobs.
+    /// Executor busy time of this tenant's finished dispatched jobs:
+    /// the busy time of every stage they ran, failed and cancelled runs
+    /// included.
     pub busy: Duration,
     /// Cumulative queue wait of dispatched jobs.
     pub queue_wait: Duration,

@@ -24,6 +24,7 @@ use persona_dataflow::Priority;
 use persona_telemetry::MetricsRegistry;
 
 use crate::job::Job;
+use crate::report::TenantReport;
 
 /// Per-tenant fair-share knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,15 +64,20 @@ struct TenantState {
     in_flight: usize,
     /// Dispatches left in the current weighted round.
     credits: u32,
+    /// The tenant's totals, kept by the service; the live fields
+    /// (`weight`, `queued`, `running`) are filled in by
+    /// [`FairScheduler::report`].
+    totals: TenantReport,
 }
 
 impl TenantState {
-    fn new(config: TenantConfig) -> Self {
+    fn new(name: &str, config: TenantConfig) -> Self {
         TenantState {
             config,
             pending: (0..Priority::LEVELS).map(|_| VecDeque::new()).collect(),
             in_flight: 0,
             credits: config.weight,
+            totals: TenantReport { tenant: name.to_string(), ..TenantReport::default() },
         }
     }
 
@@ -109,14 +115,6 @@ pub(crate) struct FairScheduler {
     telemetry: Option<Arc<MetricsRegistry>>,
 }
 
-/// A point-in-time view of one tenant's queue state.
-pub(crate) struct TenantSnapshot {
-    pub tenant: String,
-    pub config: TenantConfig,
-    pub queued: usize,
-    pub in_flight: usize,
-}
-
 impl FairScheduler {
     pub fn new(max_concurrent: usize, default_config: TenantConfig) -> Self {
         FairScheduler {
@@ -152,7 +150,7 @@ impl FairScheduler {
                 t.credits = t.credits.min(config.weight);
             }
             None => {
-                self.tenants.insert(name.to_string(), TenantState::new(config));
+                self.tenants.insert(name.to_string(), TenantState::new(name, config));
                 self.ring.push(name.to_string());
             }
         }
@@ -170,6 +168,13 @@ impl FairScheduler {
             self.set_tenant(name, cfg);
         }
         self.tenants.get_mut(name).expect("tenant just ensured")
+    }
+
+    /// The totals of tenant `name`, registering it at the default config
+    /// if it is new, so a tenant is reported once anything is counted for
+    /// it.
+    pub fn totals(&mut self, name: &str) -> &mut TenantReport {
+        &mut self.tenant_mut(name).totals
     }
 
     /// Admits a job into its tenant's queue.
@@ -274,27 +279,17 @@ impl FairScheduler {
         out
     }
 
-    /// Jobs currently accounted as running.
-    pub fn running(&self) -> usize {
-        self.running
-    }
-
-    /// Total queued jobs across tenants.
-    pub fn queued(&self) -> usize {
-        self.tenants.values().map(|t| t.pending_count()).sum()
-    }
-
-    /// Per-tenant queue/in-flight snapshot, in ring order.
-    pub fn snapshot(&self) -> Vec<TenantSnapshot> {
+    /// Every tenant's report, in ring (registration) order.
+    pub fn report(&self) -> Vec<TenantReport> {
         self.ring
             .iter()
             .map(|name| {
                 let t = &self.tenants[name];
-                TenantSnapshot {
-                    tenant: name.clone(),
-                    config: t.config,
+                TenantReport {
+                    weight: t.config.weight,
                     queued: t.pending_count(),
-                    in_flight: t.in_flight,
+                    running: t.in_flight,
+                    ..t.totals.clone()
                 }
             })
             .collect()
@@ -304,6 +299,18 @@ impl FairScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FairScheduler {
+        /// Jobs currently accounted as running.
+        fn running(&self) -> usize {
+            self.running
+        }
+
+        /// Total queued jobs across tenants.
+        fn queued(&self) -> usize {
+            self.tenants.values().map(|t| t.pending_count()).sum()
+        }
+    }
 
     fn sched(slots: usize) -> FairScheduler {
         FairScheduler::new(slots, TenantConfig::default())
@@ -443,7 +450,7 @@ mod tests {
         assert_eq!(s.running(), 1);
         assert!(s.job_finished(&b));
         assert_eq!(s.running(), 0);
-        assert_eq!(s.snapshot()[0].in_flight, 0);
+        assert_eq!(s.report()[0].running, 0);
     }
 
     #[test]

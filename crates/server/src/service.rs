@@ -10,11 +10,12 @@
 //! the queue or before it started, drained at shutdown, refused at
 //! recovery — it ends through one path that journals the outcome,
 //! tallies it and only then resolves the caller's [`JobHandle`].
-//! Terminal accounting (per-tenant counts, reads, queue wait, executor
-//! busy share, per-stage rollups) aggregates into
-//! [`PersonaService::report`]. Both the in-process API and the TCP
-//! front end ([`crate::wire::WireServer`]) go through this same
-//! `submit` path, which is what makes their outputs byte-identical.
+//! Each tenant's totals (job counts, reads, queue wait, run time and
+//! busy time, the sum of its jobs' stage busy) live in its one record
+//! in the scheduler, which [`PersonaService::report`] reads. Both the
+//! in-process API and the TCP front end ([`crate::wire::WireServer`])
+//! go through this same `submit` path, which is what makes their
+//! outputs byte-identical.
 //!
 //! # Durability
 //!
@@ -55,7 +56,7 @@ use crate::job::{Job, JobHandle, JobInput, JobOutcome, JobOutput, JobPayload, Jo
 use crate::journal::{
     JobRecord, Journal, JournalConfig, JournalRecord, RecordedInput, TerminalStatus,
 };
-use crate::report::{ServiceReport, TenantReport};
+use crate::report::ServiceReport;
 use crate::scheduler::{FairScheduler, TenantConfig};
 
 /// Service-level knobs.
@@ -93,21 +94,6 @@ impl ServiceConfig {
     }
 }
 
-/// Per-tenant terminal-state accounting (running/queued counts come
-/// from the scheduler).
-#[derive(Default)]
-struct TenantAccum {
-    submitted: u64,
-    completed: u64,
-    failed: u64,
-    cancelled: u64,
-    dispatched: u64,
-    reads: u64,
-    busy: Duration,
-    queue_wait: Duration,
-    run_time: Duration,
-}
-
 pub(crate) struct Shared {
     rt: Arc<PersonaRuntime>,
     sched: Mutex<FairScheduler>,
@@ -116,7 +102,6 @@ pub(crate) struct Shared {
     shutdown: AtomicBool,
     next_id: AtomicU64,
     started: Instant,
-    accum: Mutex<HashMap<String, TenantAccum>>,
     /// The write-ahead journal, when the service is durable
     /// ([`PersonaService::recover`]); `None` for a purely in-memory
     /// service.
@@ -163,7 +148,6 @@ impl Shared {
             shutdown: AtomicBool::new(false),
             next_id: AtomicU64::new(next_id),
             started: Instant::now(),
-            accum: Mutex::new(HashMap::new()),
             journal: journal.map(Mutex::new),
             catalog: Mutex::new(catalog),
             traces: Mutex::new(HashMap::new()),
@@ -222,7 +206,7 @@ impl Shared {
     pub(crate) fn cancel_queued(&self, job: &Arc<Job>) {
         let removed = self.sched.lock().remove_queued(job);
         if removed {
-            self.resolve(job, JobOutcome::Cancelled, None);
+            self.resolve(job, JobOutcome::Cancelled);
         } else {
             self.rt.executor().drain_cancelled();
         }
@@ -234,11 +218,11 @@ impl Shared {
     /// sets it under, so a job is either queued before `stop` drains the
     /// queue or sees the flag, and never waits in a queue no one drains.
     fn admit(&self, job: &Arc<Job>) {
-        self.accum.lock().entry(job.tenant.clone()).or_default().submitted += 1;
         let mut sched = self.sched.lock();
+        sched.totals(&job.tenant).submitted += 1;
         if self.shutdown.load(Ordering::SeqCst) {
             drop(sched);
-            return self.resolve(job, JobOutcome::Cancelled, None);
+            return self.resolve(job, JobOutcome::Cancelled);
         }
         sched.enqueue(job.clone());
         self.work_cv.notify_all();
@@ -250,9 +234,8 @@ impl Shared {
     /// tenant's totals grow, the handle resolves and the job's slot is
     /// freed — so a client never observes an outcome the journal does
     /// not hold. The caller owns the job alone (it took it off the
-    /// queue, or ran it), so a job resolves once. `run` is what a
-    /// dispatched job's run adds to the totals.
-    fn resolve(&self, job: &Job, outcome: JobOutcome, run: Option<Run>) {
+    /// queue, or ran it), so a job resolves once.
+    fn resolve(&self, job: &Job, outcome: JobOutcome) {
         let (status, error) = match &outcome {
             JobOutcome::Completed(output) => {
                 if let Some(manifest) = &output.manifest {
@@ -275,22 +258,14 @@ impl Shared {
             error,
         });
         {
-            let mut accum = self.accum.lock();
-            let a = accum.entry(job.tenant.clone()).or_default();
+            let mut sched = self.sched.lock();
+            let totals = sched.totals(&job.tenant);
             match status {
-                TerminalStatus::Completed => a.completed += 1,
-                TerminalStatus::Failed => a.failed += 1,
-                TerminalStatus::Cancelled => a.cancelled += 1,
+                TerminalStatus::Completed => totals.completed += 1,
+                TerminalStatus::Failed => totals.failed += 1,
+                TerminalStatus::Cancelled => totals.cancelled += 1,
             }
-            if let Some(run) = run {
-                a.dispatched += 1;
-                a.busy += run.busy;
-                a.queue_wait += run.queue_wait;
-                a.run_time += run.elapsed;
-            }
-            if let Some(output) = outcome.output() {
-                a.reads += output.reads;
-            }
+            totals.reads += outcome.output().map_or(0, |output| output.reads);
         }
         job.finish(outcome);
         self.sched.lock().job_finished(job);
@@ -315,13 +290,6 @@ impl Shared {
     fn journal_note(&self, record: &JournalRecord) {
         let _ = self.journal_append(record);
     }
-}
-
-/// What a dispatched job's run adds to its tenant's totals.
-struct Run {
-    queue_wait: Duration,
-    elapsed: Duration,
-    busy: Duration,
 }
 
 /// A multi-tenant job service over one shared [`PersonaRuntime`].
@@ -573,48 +541,12 @@ impl PersonaService {
         Some(trace.to_chrome_json(job_id))
     }
 
-    /// Jobs queued (admitted, not yet dispatched) across all tenants.
-    pub fn queued_jobs(&self) -> usize {
-        self.shared.sched.lock().queued()
-    }
-
-    /// Jobs currently running.
-    pub fn running_jobs(&self) -> usize {
-        self.shared.sched.lock().running()
-    }
-
     /// A point-in-time service report: per-tenant throughput, queue
-    /// wait and terminal-state counts, in tenant registration order.
+    /// wait, queued and running jobs and terminal-state counts, in
+    /// tenant registration order.
     pub fn report(&self) -> ServiceReport {
-        let snapshots = self.shared.sched.lock().snapshot();
-        let accum = self.shared.accum.lock();
-        let tenants = snapshots
-            .into_iter()
-            .map(|snap| {
-                let a = accum.get(&snap.tenant);
-                let mut t = TenantReport {
-                    tenant: snap.tenant,
-                    weight: snap.config.weight,
-                    queued: snap.queued,
-                    running: snap.in_flight,
-                    ..TenantReport::default()
-                };
-                if let Some(a) = a {
-                    t.submitted = a.submitted;
-                    t.completed = a.completed;
-                    t.failed = a.failed;
-                    t.cancelled = a.cancelled;
-                    t.dispatched = a.dispatched;
-                    t.reads = a.reads;
-                    t.busy = a.busy;
-                    t.queue_wait = a.queue_wait;
-                    t.run_time = a.run_time;
-                }
-                t
-            })
-            .collect();
         ServiceReport {
-            tenants,
+            tenants: self.shared.sched.lock().report(),
             elapsed: self.shared.started.elapsed(),
             workers: self.shared.rt.executor().threads(),
         }
@@ -640,7 +572,7 @@ impl PersonaService {
             sched.drain()
         };
         for job in drained {
-            self.shared.resolve(&job, JobOutcome::Cancelled, None);
+            self.shared.resolve(&job, JobOutcome::Cancelled);
         }
         let runners = std::mem::take(&mut *self.runners.lock());
         for runner in runners {
@@ -776,8 +708,8 @@ fn rematerialize_exports(
 fn requeue_job(rec: &JobRecord, shared: &Arc<Shared>, opts: &RecoverOptions) -> Arc<Job> {
     let fail = |msg: String| -> Arc<Job> {
         let job = replayed_job(rec, None);
-        shared.accum.lock().entry(job.tenant.clone()).or_default().submitted += 1;
-        shared.resolve(&job, JobOutcome::Failed(msg), None);
+        shared.sched.lock().totals(&job.tenant).submitted += 1;
+        shared.resolve(&job, JobOutcome::Failed(msg));
         job
     };
     let Some(spec) = &rec.spec else {
@@ -839,7 +771,7 @@ fn runner_loop(shared: Arc<Shared>) {
         // A job cancelled between admission and dispatch never runs;
         // its slot frees immediately.
         if job.cancel.is_cancelled() {
-            shared.resolve(&job, JobOutcome::Cancelled, None);
+            shared.resolve(&job, JobOutcome::Cancelled);
         } else {
             run_job(&shared, &job);
         }
@@ -909,8 +841,7 @@ fn run_job(shared: &Arc<Shared>, job: &Arc<Job>) {
     if let Some(cache) = shared.cache_for(&job.tenant) {
         ctx = ctx.with_cache(cache, input_digest);
     }
-    let job_counters = ctx.counters().clone();
-    let result = payload.plan.run(&shared.rt.for_job(ctx), request);
+    let result = payload.plan.run(&shared.rt.for_job(ctx.clone()), request);
     let elapsed = started.elapsed();
 
     let outcome = match result {
@@ -940,8 +871,15 @@ fn run_job(shared: &Arc<Shared>, job: &Arc<Job>) {
         Err(e) if e.is_cancelled() => JobOutcome::Cancelled,
         Err(e) => JobOutcome::Failed(e.to_string()),
     };
-    let busy = Duration::from_nanos(job_counters.snapshot().busy_ns);
-    shared.resolve(job, outcome, Some(Run { queue_wait, elapsed, busy }));
+    {
+        let mut sched = shared.sched.lock();
+        let totals = sched.totals(&job.tenant);
+        totals.dispatched += 1;
+        totals.busy += ctx.busy();
+        totals.queue_wait += queue_wait;
+        totals.run_time += elapsed;
+    }
+    shared.resolve(job, outcome);
 }
 
 #[cfg(test)]
@@ -993,6 +931,59 @@ mod tests {
         assert_eq!(jobs.len(), 1);
         assert_eq!(jobs[0].status(), JobStatus::Cancelled, "recover re-ran the job");
         drop(recovered);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A tenant whose jobs all resolved without ever being queued is
+    /// still reported, with its counts: a recovered job that fails
+    /// re-admission (an align plan, and no aligner to re-inject) and a
+    /// submit that lost the race with `stop`.
+    #[test]
+    fn tenants_whose_jobs_never_queued_are_reported() {
+        let dir = std::env::temp_dir().join(format!("persona-never-queued-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let wal = dir.join("service.wal");
+        let fastq = b"@r\nACGT\n+\nIIII\n".to_vec();
+        let mut journal = Journal::open(&wal, JournalConfig::default()).unwrap();
+        let submitted = JournalRecord::Submitted {
+            job_id: 1,
+            name: "orphan".into(),
+            tenant: "recovered".into(),
+            priority: Priority::Normal,
+            plan: Plan::import_align(),
+            input: RecordedInput::Fastq(fastq.clone()),
+            chunk_size: 10,
+            reference: vec![],
+        };
+        journal.append(&submitted).unwrap();
+        journal.sync().unwrap();
+        drop(journal);
+
+        let service = durable(&wal);
+        assert_eq!(service.recovered_jobs()[0].status(), JobStatus::Failed);
+        service.stop_before_admit.store(true, Ordering::SeqCst);
+        let late = service
+            .submit(JobSpec {
+                name: "late".into(),
+                tenant: "late".into(),
+                priority: Priority::Normal,
+                plan: Plan::import_only(),
+                input: JobInput::Fastq(fastq),
+                chunk_size: 10,
+                aligner: None,
+                reference: vec![],
+            })
+            .unwrap();
+        assert!(matches!(*late.wait(), JobOutcome::Cancelled));
+
+        let report = service.report();
+        let recovered = report.tenant("recovered").expect("the recovered job's tenant");
+        assert_eq!((recovered.submitted, recovered.failed, recovered.dispatched), (1, 1, 0));
+        let late = report.tenant("late").expect("the late submit's tenant");
+        assert_eq!((late.submitted, late.cancelled, late.dispatched), (1, 1, 0));
+        assert_eq!(report.jobs_finished(), 2);
+        drop(service);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

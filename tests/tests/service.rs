@@ -10,6 +10,7 @@ use std::time::Duration;
 use persona::config::PersonaConfig;
 use persona::runtime::PersonaRuntime;
 use persona_agd::chunk_io::{ChunkStore, MemStore};
+use persona_agd::results::AlignmentResult;
 use persona_align::Aligner;
 use persona_dataflow::Priority;
 use persona_formats::fastq;
@@ -486,4 +487,57 @@ fn jobs_run_on_a_fixed_pool_of_runners() {
         assert!(outcome.output().is_some(), "{} must complete, got {outcome:?}", handle.name());
     }
     assert!(threads.len() <= 2, "12 jobs ran on {} threads, not on a pool of 2", threads.len());
+}
+
+/// An aligner whose every read panics: its job fails inside align.
+struct BoomAligner;
+
+impl Aligner for BoomAligner {
+    fn align_read(&self, _: &[u8], _: &[u8]) -> AlignmentResult {
+        panic!("boom")
+    }
+
+    fn name(&self) -> &'static str {
+        "boom"
+    }
+}
+
+/// A job that does not complete is still charged for the executor time
+/// its stages ran: one fails inside align, another is cancelled after
+/// dispatch while align waits at a gate.
+#[test]
+fn jobs_that_do_not_complete_are_charged_their_busy_time() {
+    let fx = Fixture::new(7013, 400);
+    let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
+    let rt = PersonaRuntime::new(store, PersonaConfig::small()).unwrap();
+    let service = PersonaService::new(
+        rt,
+        ServiceConfig { max_concurrent_jobs: 1, ..ServiceConfig::default() },
+    );
+    let tasks_run =
+        || service.metrics().histogram("executor.task_latency_ns").map_or(0, |h| h.count);
+
+    let failed = service.submit(spec(&fx, "boom", "lab-failed", Arc::new(BoomAligner))).unwrap();
+    let outcome = failed.wait();
+    assert!(matches!(&*outcome, JobOutcome::Failed(e) if e.contains("boom")), "got {outcome:?}");
+
+    let gate = Gate::new();
+    let gated: Arc<dyn Aligner> =
+        Arc::new(GateAligner { inner: fx.aligner.clone(), gate: gate.clone() });
+    let before = tasks_run();
+    let victim = service.submit(spec(&fx, "victim", "lab-cancelled", gated)).unwrap();
+    // Import's first task has run (align's are held at the gate).
+    wait_for(|| tasks_run() > before, "the victim to run a task");
+    victim.cancel();
+    gate.open();
+    let outcome = victim.wait();
+    assert!(matches!(*outcome, JobOutcome::Cancelled), "got {outcome:?}");
+
+    let report = service.report();
+    for tenant in ["lab-failed", "lab-cancelled"] {
+        let t = report.tenant(tenant).unwrap();
+        assert_eq!((t.completed, t.dispatched), (0, 1), "{tenant}");
+        assert!(t.busy > Duration::ZERO, "{tenant} was charged no busy time");
+        assert!(report.busy_fraction(tenant) > 0.0, "{tenant}");
+    }
 }
