@@ -2,10 +2,9 @@
 //!
 //! The paper stresses that AGD "requires only a way to store keyed
 //! chunks of data" (§7) — this trait is that requirement. Persona layers
-//! it over local disks, RAID arrays and a Ceph-like object store (see
-//! `persona-store`); this module ships the two trivial implementations
-//! (filesystem directory, in-memory map) that the format crate itself
-//! needs.
+//! it over throttled single-disk and RAID models (see `persona-store`);
+//! this module ships the two trivial implementations (filesystem
+//! directory, in-memory map) that the format crate itself needs.
 
 use std::collections::HashMap;
 use std::io;

@@ -1,10 +1,9 @@
 //! Fig. 6 — alignment-rate scaling across threads: standalone vs
-//! Persona, SNAP and BWA, plus perfect-scaling lines.
+//! Persona, SNAP and BWA.
 //!
-//! Real measurements run up to the machine's hardware threads; the
-//! 48-thread server of the paper is then modeled with the measured
-//! per-thread rate and the paper's hyperthread/contention parameters
-//! (see DESIGN.md, substitution table).
+//! Measured from 1 thread up to the machine's hardware threads
+//! ([`persona_bench::thread_points`]); the paper's 48-thread curve past
+//! that is not reproduced.
 //!
 //! Run: `cargo run -p persona-bench --release --bin fig6`
 
@@ -16,8 +15,7 @@ use persona::pipeline::rate_per_sec;
 use persona::plan::{Stage, StageRow, StageRun};
 use persona::runtime::PersonaRuntime;
 use persona_align::Aligner;
-use persona_bench::{mem_store, print_header, scale, World};
-use persona_cluster::scaling::ThreadModel;
+use persona_bench::{mem_store, print_header, scale, thread_points, World};
 
 /// Measures raw aligner throughput with `threads` ad-hoc threads
 /// (standalone style: static batch split).
@@ -58,52 +56,15 @@ fn main() {
     let bwa = bwa_world.bwa_aligner();
 
     let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(8);
-    let mut points: Vec<usize> = vec![1, 2, 4];
-    let mut t = 8;
-    while t < hw {
-        points.push(t);
-        t *= 2;
-    }
-    points.push(hw);
-    points.dedup();
-
     print_header(
         "Fig. 6 (measured): alignment rate vs threads (Mbases/s)",
         &["threads", "SNAP", "Persona SNAP", "BWA", "Persona BWA"],
     );
-    let mut snap_1t = 0.0;
-    let mut bwa_1t = 0.0;
-    for &t in &points {
+    for t in thread_points(hw) {
         let s_sa = measure_standalone(&world, &snap, t);
         let s_pe = measure_persona(&world, &snap, t);
         let b_sa = measure_standalone(&bwa_world, &bwa, t);
         let b_pe = measure_persona(&bwa_world, &bwa, t);
-        if t == 1 {
-            snap_1t = s_sa;
-            bwa_1t = b_sa;
-        }
         println!("{t}\t{s_sa:.1}\t{s_pe:.1}\t{b_sa:.1}\t{b_pe:.1}");
     }
-
-    // Modeled extension to the paper's 48-thread server.
-    let models = [
-        ("SNAP", ThreadModel::snap_standalone(snap_1t)),
-        ("Persona SNAP", ThreadModel::snap_persona(snap_1t)),
-        ("BWA", ThreadModel::bwa_standalone(bwa_1t)),
-        ("Persona BWA", ThreadModel::bwa_persona(bwa_1t)),
-    ];
-    print_header(
-        "Fig. 6 (modeled, 48-thread server): Mbases/s",
-        &["threads", "SNAP", "Persona SNAP", "BWA", "Persona BWA", "SNAP perfect", "BWA perfect"],
-    );
-    for t in [1usize, 6, 12, 18, 24, 30, 36, 42, 47, 48] {
-        print!("{t}");
-        for (_, m) in &models {
-            print!("\t{:.1}", m.rate_at(t));
-        }
-        println!("\t{:.1}\t{:.1}", models[0].1.perfect(t), models[2].1.perfect(t));
-    }
-    println!("\nPaper shapes: near-linear to 24 cores; 2nd hyperthread adds ~32%;");
-    println!("standalone SNAP dips at 48 threads (I/O contention) while Persona does not;");
-    println!("BWA flattens past 24 threads (memory contention), Persona-BWA slightly better.");
 }

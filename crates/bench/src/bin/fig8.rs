@@ -1,12 +1,12 @@
-//! Fig. 8 — workload analysis: phase-resolved profiles of both aligners
-//! (core-bound vs memory-bound) next to SPEC reference anchors.
+//! Fig. 8 — workload analysis: the measured seed and verify/extend
+//! split of both aligners. The paper's top-down backend-bound shares
+//! need hardware PMUs and are not reproduced.
 //!
 //! Run: `cargo run -p persona-bench --release --bin fig8`
 
 use persona_align::profile::PhaseProfile;
 use persona_align::Aligner;
-use persona_bench::{print_header, scale, World};
-use persona_cluster::fig8::{spec_reference_rows, Fig8Row};
+use persona_bench::{scale, World};
 
 fn main() {
     let sc = scale();
@@ -26,25 +26,6 @@ fn main() {
     let snap_prof = profile_of(&world, &snap);
     let bwa_prof = profile_of(&bwa_world, &bwa);
 
-    print_header(
-        "Fig. 8: workload analysis (backend-bound split)",
-        &["workload", "backend-bound", "core-bound", "memory-bound"],
-    );
-    let mut rows = vec![
-        Fig8Row::from_profile("Persona SNAP", &snap_prof),
-        Fig8Row::from_profile("Persona BWA-MEM", &bwa_prof),
-    ];
-    rows.extend(spec_reference_rows());
-    for row in &rows {
-        println!(
-            "{}\t{:.0}%\t{:.0}%\t{:.0}%",
-            row.name,
-            row.backend_bound * 100.0,
-            row.core_bound * 100.0,
-            row.memory_bound * 100.0
-        );
-    }
-
     // Microseconds and per-read nanoseconds, so the split still reads
     // at CI's small scale, where a phase takes well under a millisecond.
     let split = |prof: &PhaseProfile, second: &str| {
@@ -58,7 +39,7 @@ fn main() {
             prof.reads
         )
     };
-    println!("\nphase detail:");
+    println!("\nFig. 8: phase detail (measured)");
     println!(
         "  SNAP: {}, {} index probes, {} candidates",
         split(&snap_prof, "verify"),
@@ -71,8 +52,8 @@ fn main() {
         bwa_prof.index_ops,
         bwa_prof.candidates
     );
-    println!("\npaper finding: both backend-bound; SNAP core-bound (edit-distance ALU chains),");
-    println!("BWA memory-bound (FM-index occ walks: cache and DTLB misses).");
+    println!("\npaper finding (VTune top-down, not reproduced): SNAP core-bound (edit-distance");
+    println!("ALU chains), BWA memory-bound (FM-index occ walks: cache and DTLB misses).");
     println!("\nNOTE (scale artifact): both phase times are measured (timers around seeding +");
     println!("locate + chaining and around extension), but at this synthetic scale the FM-index");
     println!("(0.64 bytes/base, plus 0.25 for the 2-bit text the seeding walk finishes unique");

@@ -1,6 +1,7 @@
 //! Table 1 — single-server dataset alignment time: standalone SNAP
-//! (gzipped FASTQ → SAM) vs Persona (AGD), under a single disk, RAID0,
-//! and a Ceph-like network store; plus data read/written.
+//! (gzipped FASTQ → SAM) vs Persona (AGD), under a single disk and
+//! RAID0; plus data read/written. The paper's Ceph "Network" row needs
+//! a storage cluster and is not reproduced.
 //!
 //! Run: `cargo run -p persona-bench --release --bin table1`
 
@@ -13,7 +14,6 @@ use persona::runtime::PersonaRuntime;
 use persona_agd::chunk_io::{ChunkStore, MemStore};
 use persona_baseline::standalone::{run_standalone, write_gzipped_fastq};
 use persona_bench::{print_header, scale, World};
-use persona_store::ceph::{CephCluster, CephConfig};
 use persona_store::local::{DiskConfig, WritebackDisk};
 
 fn main() {
@@ -81,38 +81,6 @@ fn main() {
 
         println!(
             "{name}\t{snap_time:.2}\t{persona_time:.2}\t{:.2}x\t{paper_speedup}x",
-            snap_time / persona_time
-        );
-    }
-
-    // --- Network (Ceph-like): both systems through cluster clients.
-    {
-        let cluster = CephCluster::new(CephConfig::paper_cluster(bw_scale));
-        let client: Arc<dyn ChunkStore> = Arc::new(cluster.client());
-        write_gzipped_fastq(client.as_ref(), "in.fastq.gz", &world.reads).unwrap();
-        let t0 = Instant::now();
-        run_standalone(
-            &client,
-            "in.fastq.gz",
-            "out.sam",
-            &world.reference,
-            &aligner,
-            PersonaConfig::default().compute_threads,
-        )
-        .unwrap();
-        let snap_time = t0.elapsed().as_secs_f64();
-
-        let cluster = CephCluster::new(CephConfig::paper_cluster(bw_scale));
-        let client: Arc<dyn ChunkStore> = Arc::new(cluster.client());
-        world.write_agd(client.as_ref(), "ds", 2_000);
-        let manifest =
-            persona_agd::dataset::Dataset::open(client.as_ref(), "ds").unwrap().manifest().clone();
-        let rt = PersonaRuntime::new(client, PersonaConfig::default()).unwrap();
-        let t0 = Instant::now();
-        world.run_stage(&rt, Stage::Align, &manifest, Some(&aligner));
-        let persona_time = t0.elapsed().as_secs_f64();
-        println!(
-            "Network\t{snap_time:.2}\t{persona_time:.2}\t{:.2}x\t1.54x",
             snap_time / persona_time
         );
     }

@@ -125,6 +125,16 @@ pub fn mem_store() -> Arc<dyn ChunkStore> {
     Arc::new(MemStore::new())
 }
 
+/// The thread counts to measure on a machine with `hw` ≥ 1 hardware
+/// threads: 1, the powers of two below `hw`, then `hw` — strictly
+/// increasing and never past `hw`.
+pub fn thread_points(hw: usize) -> Vec<usize> {
+    let mut points: Vec<usize> =
+        std::iter::successors(Some(1), |t| Some(t * 2)).take_while(|&t| t < hw).collect();
+    points.push(hw);
+    points
+}
+
 /// Prints a table header and separator.
 pub fn print_header(title: &str, cols: &[&str]) {
     println!("\n=== {title} ===");
@@ -144,5 +154,14 @@ mod tests {
         let manifest = world.write_aligned_agd(&mem_runtime(), "w", 50);
         assert!(manifest.has_column(persona_agd::columns::RESULTS));
         assert_eq!(manifest.total_records, 100);
+    }
+
+    #[test]
+    fn thread_points_rise_to_hw() {
+        assert_eq!(thread_points(1), [1]);
+        assert_eq!(thread_points(2), [1, 2]);
+        assert_eq!(thread_points(3), [1, 2, 3]);
+        assert_eq!(thread_points(8), [1, 2, 4, 8]);
+        assert_eq!(thread_points(12), [1, 2, 4, 8, 12]);
     }
 }

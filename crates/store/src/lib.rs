@@ -1,10 +1,10 @@
 //! Storage subsystem models for Persona's I/O experiments.
 //!
-//! The paper evaluates three storage configurations (§5.1, §5.3): a
-//! single local disk, a 6-disk RAID0 array, and a 7-node Ceph object
-//! store reached over 10 GbE. None of that hardware is assumed here;
-//! instead, every configuration is modeled *with real bytes* flowing
-//! through token-bucket bandwidth meters:
+//! The paper evaluates a single local disk and a 6-disk RAID0 array on
+//! one server (§5.3), plus a 7-node Ceph object store reached over
+//! 10 GbE (§5.1). Neither disk setup is assumed here; each is modeled
+//! *with real bytes* flowing through token-bucket bandwidth meters. A
+//! Ceph cluster is not modeled: one box cannot measure it.
 //!
 //! * [`bandwidth`] — blocking token buckets.
 //! * [`clock`] — the time source the buckets meter against: real for
@@ -13,8 +13,6 @@
 //!   model that reproduces the read/write interference of Fig. 5a
 //!   ("the operating system's buffer cache writeback policy competes
 //!   with the application-driven data reads").
-//! * [`ceph`] — a replicated multi-node object store with a
-//!   `rados bench`-style throughput probe (§5.1 measures 6 GB/s peak).
 //! * [`stats`] — byte/op accounting shared by all stores (Table 1's
 //!   "Data Read / Data Written" rows).
 //!
@@ -22,13 +20,11 @@
 //! AGD dataset can be placed on any modeled subsystem.
 
 pub mod bandwidth;
-pub mod ceph;
 pub mod clock;
 pub mod local;
 pub mod stats;
 
 pub use bandwidth::TokenBucket;
-pub use ceph::CephStore;
 pub use clock::{Clock, ManualClock, RealClock};
 pub use local::{DiskConfig, ThrottledStore, WritebackDisk};
 pub use stats::StoreStats;
