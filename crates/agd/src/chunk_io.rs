@@ -1,10 +1,10 @@
 //! Storage abstraction for AGD chunk objects.
 //!
 //! The paper stresses that AGD "requires only a way to store keyed
-//! chunks of data" (§7) — this trait is that requirement. Persona layers
-//! it over throttled single-disk and RAID models (see `persona-store`);
-//! this module ships the two trivial implementations (filesystem
-//! directory, in-memory map) that the format crate itself needs.
+//! chunks of data" (§7) — this trait is that requirement. This module
+//! ships the two trivial implementations (filesystem directory,
+//! in-memory map) that the format crate itself needs; `persona-store`
+//! can meter any of them to a chosen bandwidth.
 
 use std::collections::HashMap;
 use std::io;
@@ -41,11 +41,6 @@ impl MemStore {
     /// Creates an empty store.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Total bytes across all objects.
-    pub fn total_bytes(&self) -> usize {
-        self.objects.lock().unwrap().values().map(|v| v.len()).sum()
     }
 }
 
@@ -188,7 +183,6 @@ mod tests {
     fn mem_store() {
         let store = MemStore::new();
         exercise(&store);
-        assert_eq!(store.total_bytes(), 5);
     }
 
     #[test]

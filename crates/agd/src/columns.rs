@@ -130,9 +130,11 @@ mod tests {
     #[test]
     fn reads_manifest_declares_the_read_columns() {
         let m = reads_manifest("ds").unwrap();
-        for column in READ_COLUMNS {
-            assert_eq!(m.column_codec(column).unwrap(), coding(column).codec);
-        }
+        let declared: Vec<(&str, &str)> =
+            m.columns.iter().map(|c| (c.name.as_str(), c.codec.as_str())).collect();
+        let expected: Vec<(&str, &str)> =
+            READ_COLUMNS.iter().map(|&column| (column, coding(column).codec.name())).collect();
+        assert_eq!(declared, expected);
         assert_eq!(m.row_groups, vec![vec!["bases", "qual", "metadata"]]);
         m.validate().unwrap();
     }

@@ -35,11 +35,6 @@ impl Dataset {
         &self.manifest
     }
 
-    /// Mutable access to the manifest (for updating sort order etc.).
-    pub fn manifest_mut(&mut self) -> &mut Manifest {
-        &mut self.manifest
-    }
-
     /// Number of chunks.
     pub fn num_chunks(&self) -> usize {
         self.manifest.records.len()
@@ -196,9 +191,9 @@ mod tests {
     #[test]
     fn detects_manifest_chunk_disagreement() {
         let (store, mut ds) = build(10, 5);
-        ds.manifest_mut().records[0].num_records = 4;
-        ds.manifest_mut().records[1].first_record = 4;
-        ds.manifest_mut().total_records = 9;
+        ds.manifest.records[0].num_records = 4;
+        ds.manifest.records[1].first_record = 4;
+        ds.manifest.total_records = 9;
         assert!(ds.read_column_chunk(&store, 0, columns::BASES).is_err());
     }
 

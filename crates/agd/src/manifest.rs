@@ -153,16 +153,6 @@ impl Manifest {
         self.columns.iter().any(|c| c.name == name)
     }
 
-    /// The codec configured for a column.
-    pub fn column_codec(&self, name: &str) -> Result<persona_compress::codec::Codec> {
-        let spec = self
-            .columns
-            .iter()
-            .find(|c| c.name == name)
-            .ok_or_else(|| Error::Format(format!("no column {name}")))?;
-        spec.codec.parse().map_err(Error::Compress)
-    }
-
     /// Adds a column (idempotent for identical specs).
     ///
     /// This is the manifest half of the paper's extensibility story: "a
@@ -254,8 +244,6 @@ mod tests {
         let mut m = sample();
         assert!(m.has_column("bases"));
         assert!(!m.has_column("results"));
-        assert_eq!(m.column_codec("metadata").unwrap(), Codec::None);
-        assert!(m.column_codec("nope").is_err());
         // Idempotent add.
         m.add_column("bases", Codec::Gzip).unwrap();
         // Conflicting codec rejected.
@@ -263,15 +251,6 @@ mod tests {
         // Extension: append a results column.
         m.add_column("results", Codec::Gzip).unwrap();
         assert!(m.has_column("results"));
-    }
-
-    #[test]
-    fn retired_codec_name_fails_column_codec() {
-        let json = sample().to_json().unwrap().replace("\"none\"", "\"range\"");
-        let m = Manifest::from_json(&json).unwrap();
-        let retired = persona_compress::Error::RetiredCodec("range");
-        assert!(matches!(m.column_codec("metadata"), Err(Error::Compress(e)) if e == retired));
-        assert_eq!(m.column_codec("bases").unwrap(), Codec::Gzip);
     }
 
     #[test]

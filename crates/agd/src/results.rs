@@ -249,19 +249,6 @@ impl AlignmentResult {
         Ok(())
     }
 
-    /// Renders the CIGAR as a SAM string (`*` when empty).
-    pub fn cigar_string(&self) -> String {
-        if self.cigar.is_empty() {
-            return "*".to_string();
-        }
-        let mut s = String::new();
-        for op in &self.cigar {
-            s.push_str(&op.len.to_string());
-            s.push(op.kind.to_char());
-        }
-        s
-    }
-
     /// Number of query bases covered by the CIGAR.
     pub fn query_len(&self) -> u32 {
         self.cigar.iter().filter(|op| op.kind.consumes_query()).map(|op| op.len).sum()
@@ -308,7 +295,6 @@ mod tests {
         let enc = r.encode();
         assert_eq!(enc.len(), AlignmentResult::FIXED_SIZE);
         assert_eq!(AlignmentResult::decode(&enc).unwrap(), r);
-        assert_eq!(r.cigar_string(), "*");
     }
 
     #[test]
@@ -330,11 +316,6 @@ mod tests {
         let n = enc.len();
         enc[n - 4] = 0x0F | (10 << 4); // Op code 15.
         assert!(AlignmentResult::decode(&enc).is_err());
-    }
-
-    #[test]
-    fn cigar_string_rendering() {
-        assert_eq!(sample().cigar_string(), "5S90M2I4M");
     }
 
     #[test]

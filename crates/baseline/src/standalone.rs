@@ -34,13 +34,6 @@ pub struct StandaloneReport {
     pub output_bytes: u64,
 }
 
-impl StandaloneReport {
-    /// Megabases aligned per second.
-    pub fn mbases_per_sec(&self) -> f64 {
-        self.bases as f64 / 1e6 / self.elapsed.as_secs_f64()
-    }
-}
-
 /// Runs the standalone aligner: reads `input_object` (gzipped FASTQ)
 /// from `store`, aligns with `threads` worker threads, writes SAM text
 /// as `output_object` (in segments, modeling streaming output).
@@ -147,19 +140,6 @@ pub fn write_gzipped_fastq(store: &dyn ChunkStore, object: &str, reads: &[Read])
     Ok(n)
 }
 
-/// Collects the SAM text a standalone run produced (concatenating the
-/// streamed segments in order).
-pub fn collect_sam_output(store: &dyn ChunkStore, output_object: &str) -> Result<Vec<u8>> {
-    let mut names: Vec<String> =
-        store.list()?.into_iter().filter(|n| n.starts_with(&format!("{output_object}."))).collect();
-    names.sort();
-    let mut out = Vec::new();
-    for n in names {
-        out.extend_from_slice(&store.get(&n)?);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,7 +183,10 @@ mod tests {
 
         // Output parses as SAM and is mostly correct.
         let refs = RefMap::new(&[RefContig { name: "chr1".into(), length: genome.total_len() }]);
-        let sam = collect_sam_output(store.as_ref(), "out.sam").unwrap();
+        let mut segments: Vec<String> =
+            store.list().unwrap().into_iter().filter(|n| n.starts_with("out.sam.")).collect();
+        segments.sort();
+        let sam: Vec<u8> = segments.iter().flat_map(|n| store.get(n).unwrap()).collect();
         let text = String::from_utf8(sam).unwrap();
         let mut correct = 0;
         let mut ambiguous = 0;

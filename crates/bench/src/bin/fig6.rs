@@ -3,7 +3,8 @@
 //!
 //! Measured from 1 thread up to the machine's hardware threads
 //! ([`persona_bench::thread_points`]); the paper's 48-thread curve past
-//! that is not reproduced.
+//! that is not reproduced. Each point is the median of
+//! [`persona_bench::RUNS`] runs.
 //!
 //! Run: `cargo run -p persona-bench --release --bin fig6`
 
@@ -15,7 +16,7 @@ use persona::pipeline::rate_per_sec;
 use persona::plan::{Stage, StageRow, StageRun};
 use persona::runtime::PersonaRuntime;
 use persona_align::Aligner;
-use persona_bench::{mem_store, print_header, scale, thread_points, World};
+use persona_bench::{median_of_runs, mem_store, print_header, scale, thread_points, World};
 
 /// Measures raw aligner throughput with `threads` ad-hoc threads
 /// (standalone style: static batch split).
@@ -55,16 +56,16 @@ fn main() {
     let bwa_world = World::build((150_000.0 * sc) as usize, (6_000.0 * sc) as usize, 18);
     let bwa = bwa_world.bwa_aligner();
 
-    let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(8);
+    let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     print_header(
         "Fig. 6 (measured): alignment rate vs threads (Mbases/s)",
         &["threads", "SNAP", "Persona SNAP", "BWA", "Persona BWA"],
     );
     for t in thread_points(hw) {
-        let s_sa = measure_standalone(&world, &snap, t);
-        let s_pe = measure_persona(&world, &snap, t);
-        let b_sa = measure_standalone(&bwa_world, &bwa, t);
-        let b_pe = measure_persona(&bwa_world, &bwa, t);
+        let s_sa = median_of_runs(|| measure_standalone(&world, &snap, t));
+        let s_pe = median_of_runs(|| measure_persona(&world, &snap, t));
+        let b_sa = median_of_runs(|| measure_standalone(&bwa_world, &bwa, t));
+        let b_pe = median_of_runs(|| measure_persona(&bwa_world, &bwa, t));
         println!("{t}\t{s_sa:.1}\t{s_pe:.1}\t{b_sa:.1}\t{b_pe:.1}");
     }
 }

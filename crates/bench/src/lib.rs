@@ -6,6 +6,7 @@
 //! keep each harness run in the seconds-to-a-minute range on a laptop
 //! while preserving the paper's *relative* results.
 
+use std::path::PathBuf;
 use std::sync::Arc;
 
 pub mod metrics;
@@ -14,11 +15,12 @@ use persona::config::PersonaConfig;
 use persona::plan::{Plan, PlanReport, PlanRequest, PlanSource, Stage};
 use persona::runtime::PersonaRuntime;
 use persona_agd::builder::DatasetWriter;
-use persona_agd::chunk_io::{ChunkStore, MemStore};
+use persona_agd::chunk_io::{ChunkStore, DirStore, MemStore};
 use persona_agd::manifest::Manifest;
 use persona_align::bwa::{BwaMemAligner, BwaParams};
 use persona_align::snap::{SnapAligner, SnapParams};
 use persona_align::Aligner;
+use persona_baseline::standalone::{run_standalone, write_gzipped_fastq, StandaloneReport};
 use persona_index::{FmIndex, SeedIndex};
 use persona_seq::simulate::{ReadSimulator, SimParams};
 use persona_seq::{Genome, Read};
@@ -100,6 +102,15 @@ impl World {
         plan.run(rt, request).unwrap_or_else(|e| panic!("{stage}: {e}"))
     }
 
+    /// Runs the standalone aligner (gzipped FASTQ in, SAM out, `threads`
+    /// threads) over the reads on a fresh [`TempStore`].
+    pub fn run_standalone(&self, aligner: &Arc<dyn Aligner>, threads: usize) -> StandaloneReport {
+        let temp = TempStore::new("standalone");
+        write_gzipped_fastq(temp.store.as_ref(), "in.fastq.gz", &self.reads).expect("input");
+        run_standalone(&temp.store, "in.fastq.gz", "out.sam", &self.reference, aligner, threads)
+            .expect("standalone run")
+    }
+
     /// Builds an aligned AGD dataset in `rt`'s store (runs the Persona
     /// align stage quietly) and returns its manifest.
     pub fn write_aligned_agd(
@@ -123,6 +134,41 @@ pub fn mem_runtime() -> Arc<PersonaRuntime> {
 /// A fresh in-memory store as the trait object pipelines take.
 pub fn mem_store() -> Arc<dyn ChunkStore> {
     Arc::new(MemStore::new())
+}
+
+/// A [`DirStore`] in a fresh temporary directory, removed on drop: the
+/// store `bench/`'s workloads run on, for the bins that time I/O.
+pub struct TempStore {
+    dir: PathBuf,
+    /// The store, as the trait object pipelines take.
+    pub store: Arc<dyn ChunkStore>,
+}
+
+impl TempStore {
+    /// Opens a store in `<temp dir>/persona-<tag>-<pid>`, emptied first.
+    pub fn new(tag: &str) -> TempStore {
+        let dir = std::env::temp_dir().join(format!("persona-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(DirStore::open(&dir).expect("temporary store"));
+        TempStore { dir, store }
+    }
+}
+
+impl Drop for TempStore {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+/// Timed runs behind each number a bin prints through [`median_of_runs`].
+pub const RUNS: usize = 5;
+
+/// The median of [`RUNS`] values of `sample`, taken one after the
+/// other: one sub-second timing on a shared machine is mostly noise.
+pub fn median_of_runs(mut sample: impl FnMut() -> f64) -> f64 {
+    let mut values: Vec<f64> = (0..RUNS).map(|_| sample()).collect();
+    values.sort_by(f64::total_cmp);
+    values[RUNS / 2]
 }
 
 /// The thread counts to measure on a machine with `hw` ≥ 1 hardware
@@ -163,5 +209,22 @@ mod tests {
         assert_eq!(thread_points(3), [1, 2, 3]);
         assert_eq!(thread_points(8), [1, 2, 4, 8]);
         assert_eq!(thread_points(12), [1, 2, 4, 8, 12]);
+    }
+
+    #[test]
+    fn median_of_runs_takes_the_middle_sample() {
+        let mut samples = [3.0, 1.0, 5.0, 2.0, 4.0].into_iter();
+        assert_eq!(median_of_runs(|| samples.next().unwrap()), 3.0);
+        assert_eq!(samples.next(), None);
+    }
+
+    #[test]
+    fn temp_store_is_removed_on_drop() {
+        let temp = TempStore::new("temp-store-test");
+        temp.store.put("a", b"x").unwrap();
+        let dir = temp.dir.clone();
+        assert!(dir.join("a").exists());
+        drop(temp);
+        assert!(!dir.exists());
     }
 }

@@ -1,8 +1,7 @@
 //! Utilization timelines for the paper's Fig. 5 (CPU utilization over
-//! time under different storage configurations), sampled from the
-//! executor's task-latency histogram: its sum is the busy time spent
-//! inside node bodies, the "negligible framework overhead" fact of
-//! §4 and §5.4.
+//! time), sampled from the executor's task-latency histogram: its sum
+//! is the busy time spent inside node bodies, the "negligible framework
+//! overhead" fact of §4 and §5.4.
 
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::{Duration, Instant};

@@ -19,8 +19,8 @@ pub enum Codec {
 }
 
 /// On-disk id of a retired codec (an order-1 range coder that nothing
-/// wrote). The id and [`RETIRED_NAME`] stay reserved, so a chunk or
-/// manifest naming it fails with [`Error::RetiredCodec`].
+/// wrote). The id and [`RETIRED_NAME`] stay reserved, so a chunk header
+/// or a codec name naming it fails with [`Error::RetiredCodec`].
 const RETIRED_ID: u8 = 2;
 const RETIRED_NAME: &str = "range";
 

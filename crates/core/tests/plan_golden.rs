@@ -32,7 +32,7 @@ use persona::runtime::{JobContext, PersonaRuntime};
 use persona_agd::chunk_io::{ChunkStore, MemStore};
 use persona_agd::manifest::Manifest;
 use persona_dataflow::Priority;
-use persona_store::clock::{Clock, ManualClock};
+use persona_telemetry::clock::{Clock, ManualClock};
 use persona_telemetry::{JobTrace, TracePhase};
 
 /// One row per legal plan, in `all_plans()` order:

@@ -16,7 +16,7 @@ use persona_dataflow::Priority;
 use persona_index::SeedIndex;
 use persona_seq::simulate::{ReadSimulator, SimParams};
 use persona_seq::Genome;
-use persona_store::clock::ManualClock;
+use persona_telemetry::clock::ManualClock;
 use persona_telemetry::JobTrace;
 
 fn traced_run(plan: &Plan) -> String {

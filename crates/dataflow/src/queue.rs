@@ -145,11 +145,6 @@ impl<T> QueueHandle<T> {
         self.shared.not_full.notify_all();
     }
 
-    /// Whether the queue has been closed.
-    pub fn is_closed(&self) -> bool {
-        self.shared.inner.lock().closed
-    }
-
     /// Current occupancy.
     pub fn len(&self) -> usize {
         self.shared.inner.lock().items.len()
@@ -190,9 +185,10 @@ mod tests {
         let p1 = q.producer();
         let p2 = q.producer();
         drop(p1);
-        assert!(!q.is_closed());
+        q.push(1).unwrap(); // Still open.
         drop(p2);
-        assert!(q.is_closed());
+        assert!(q.push(2).is_err());
+        assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), None);
     }
 

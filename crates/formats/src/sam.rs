@@ -354,26 +354,6 @@ impl SamRecord {
         let qual = if qual_s == "*" { Vec::new() } else { qual_s.as_bytes().to_vec() };
         Ok(SamRecord { qname, flag, rname, pos, mapq, cigar, rnext, pnext, tlen, seq, qual })
     }
-
-    /// Converts back to an AGD alignment result (for AGD import of SAM).
-    pub fn to_result(&self, refs: &RefMap) -> AlignmentResult {
-        let location = match self.rname {
-            Some(c) if self.pos >= 0 => refs.to_linear(c as usize, self.pos as u64) as i64,
-            _ => -1,
-        };
-        let mate_location = match self.rnext {
-            Some(c) if self.pnext >= 0 => refs.to_linear(c as usize, self.pnext as u64) as i64,
-            _ => -1,
-        };
-        AlignmentResult {
-            location,
-            mate_location,
-            template_len: self.tlen,
-            flags: self.flag,
-            mapq: self.mapq,
-            cigar: self.cigar.clone(),
-        }
-    }
 }
 
 fn parse_cigar(s: &str, record: u64) -> Result<Vec<CigarOp>> {
@@ -690,8 +670,9 @@ mod tests {
         let rec = SamRecord::from_result(&r, b"q", b"ACGTACGTAC", b"IIIIIIIIII", &result);
         assert_eq!(rec.rname, Some(1));
         assert_eq!(rec.pos, 42);
-        let back = rec.to_result(&r);
-        assert_eq!(back, result);
+        assert_eq!((rec.rnext, rec.pnext, rec.tlen), (Some(1), 142, 110));
+        assert_eq!((rec.flag, rec.mapq), (flags::PAIRED, 37));
+        assert_eq!(rec.cigar, result.cigar);
     }
 
     #[test]

@@ -80,44 +80,6 @@ pub fn base_to_code(b: u8) -> u8 {
     BASE_CODE[b as usize]
 }
 
-/// Maps codes `0..4` back to `A,C,G,T`; 4 maps to `N`.
-#[inline]
-pub fn code_to_base(c: u8) -> u8 {
-    match c {
-        0 => b'A',
-        1 => b'C',
-        2 => b'G',
-        3 => b'T',
-        _ => b'N',
-    }
-}
-
-/// Packs up to 32 bases (no `N`) into a `u64`, 2 bits per base, first
-/// base in the low bits.
-///
-/// # Panics
-///
-/// Panics if `seq.len() > 32` or if the sequence contains `N`.
-pub fn pack_2bit(seq: &[u8]) -> u64 {
-    assert!(seq.len() <= 32, "at most 32 bases per u64");
-    let mut v = 0u64;
-    for (i, &b) in seq.iter().enumerate() {
-        let code = base_to_code(b);
-        assert!(code < 4, "cannot 2-bit pack ambiguous base N");
-        v |= (code as u64) << (2 * i);
-    }
-    v
-}
-
-/// Fraction of G/C bases in a sequence (0.0 for an empty sequence).
-pub fn gc_content(seq: &[u8]) -> f64 {
-    if seq.is_empty() {
-        return 0.0;
-    }
-    let gc = seq.iter().filter(|&&b| b == b'G' || b == b'C').count();
-    gc as f64 / seq.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,38 +134,6 @@ mod tests {
         let mut out = b"leftover bytes".to_vec();
         revcomp_into(b"AACGTN", &mut out);
         assert_eq!(out, b"NACGTT");
-    }
-
-    #[test]
-    fn code_roundtrip() {
-        for &b in &BASES {
-            assert_eq!(code_to_base(base_to_code(b)), b);
-        }
-        assert_eq!(code_to_base(base_to_code(b'N')), b'N');
-    }
-
-    #[test]
-    fn pack_2bit_layout() {
-        assert_eq!(pack_2bit(b""), 0);
-        assert_eq!(pack_2bit(b"A"), 0);
-        assert_eq!(pack_2bit(b"C"), 1);
-        assert_eq!(pack_2bit(b"CA"), 1);
-        assert_eq!(pack_2bit(b"AC"), 0b0100);
-        assert_eq!(pack_2bit(b"ACGT"), 0b11_10_01_00);
-    }
-
-    #[test]
-    #[should_panic(expected = "ambiguous")]
-    fn pack_2bit_rejects_n() {
-        pack_2bit(b"ACGN");
-    }
-
-    #[test]
-    fn gc() {
-        assert_eq!(gc_content(b""), 0.0);
-        assert_eq!(gc_content(b"GGCC"), 1.0);
-        assert_eq!(gc_content(b"AATT"), 0.0);
-        assert!((gc_content(b"ACGT") - 0.5).abs() < 1e-12);
     }
 
     #[test]

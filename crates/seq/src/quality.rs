@@ -22,12 +22,6 @@ pub fn decode(c: u8) -> u8 {
     c.saturating_sub(PHRED_OFFSET)
 }
 
-/// Error probability for a phred score: `10^(-q/10)`.
-#[inline]
-pub fn error_probability(q: u8) -> f64 {
-    10f64.powf(-(q as f64) / 10.0)
-}
-
 /// Generates an Illumina-like quality string: high and flat early in the
 /// read, degrading toward the 3' end, with local random-walk noise.
 ///
@@ -56,13 +50,6 @@ mod tests {
         for q in 0..=93u8 {
             assert_eq!(decode(encode(q)), q);
         }
-    }
-
-    #[test]
-    fn error_probabilities() {
-        assert!((error_probability(0) - 1.0).abs() < 1e-12);
-        assert!((error_probability(10) - 0.1).abs() < 1e-12);
-        assert!((error_probability(30) - 0.001).abs() < 1e-12);
     }
 
     #[test]

@@ -177,14 +177,6 @@ impl<'g> ReadSimulator<'g> {
     pub fn take_pairs(&mut self, n: usize) -> Vec<ReadPair> {
         (0..n).map(|_| self.next_pair()).collect()
     }
-
-    /// Number of reads needed for a target coverage depth.
-    ///
-    /// Coverage = reads × read_len / genome_len (paper §2.1: "typically
-    /// 30 to 50×").
-    pub fn reads_for_coverage(&self, coverage: f64) -> usize {
-        ((self.genome.total_len() as f64 * coverage) / self.params.read_len as f64).ceil() as usize
-    }
 }
 
 #[cfg(test)]
@@ -267,14 +259,6 @@ mod tests {
         let reads = sim.take_single(300);
         let rev = reads.iter().filter(|r| Origin::parse(&r.meta).unwrap().reverse).count();
         assert!((60..240).contains(&rev), "strand balance off: {rev}/300");
-    }
-
-    #[test]
-    fn coverage_math() {
-        let g = small_genome(); // 70 kb.
-        let sim = ReadSimulator::new(&g, SimParams::default());
-        let n = sim.reads_for_coverage(30.0);
-        assert_eq!(n, (70_000f64 * 30.0 / 101.0).ceil() as usize);
     }
 
     #[test]

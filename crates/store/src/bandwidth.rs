@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use crate::clock::{Clock, RealClock};
+use persona_telemetry::clock::{Clock, RealClock};
 
 struct Bucket {
     /// Bytes currently available.
@@ -84,24 +84,12 @@ impl TokenBucket {
         };
         self.clock.sleep(wait);
     }
-
-    /// Non-blocking: consumes up to `n`, returning how much was granted.
-    pub fn try_consume(&self, n: usize) -> usize {
-        let mut b = self.inner.lock();
-        let now = self.clock.now();
-        b.tokens =
-            (b.tokens + now.saturating_sub(b.last).as_secs_f64() * self.rate).min(self.burst);
-        b.last = now;
-        let granted = (n as f64).min(b.tokens.max(0.0));
-        b.tokens -= granted;
-        granted as usize
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::ManualClock;
+    use persona_telemetry::clock::ManualClock;
 
     #[test]
     fn enforces_rate() {
@@ -140,16 +128,6 @@ mod tests {
         // deepest debt any consumer observed must have elapsed.
         let elapsed = clock.elapsed();
         assert!(elapsed >= Duration::from_millis(120), "elapsed {elapsed:?}");
-    }
-
-    #[test]
-    fn try_consume_grants_partial() {
-        let clock = ManualClock::new();
-        let bucket = TokenBucket::with_clock(1000.0, Duration::from_millis(100), clock);
-        let got = bucket.try_consume(1_000_000);
-        assert!(got <= 101); // At most the burst.
-        let got2 = bucket.try_consume(1_000_000);
-        assert!(got2 <= 5);
     }
 
     #[test]

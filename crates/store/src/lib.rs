@@ -1,30 +1,25 @@
-//! Storage subsystem models for Persona's I/O experiments.
+//! A bandwidth-throttled chunk store for I/O experiments.
 //!
-//! The paper evaluates a single local disk and a 6-disk RAID0 array on
-//! one server (§5.3), plus a 7-node Ceph object store reached over
-//! 10 GbE (§5.1). Neither disk setup is assumed here; each is modeled
-//! *with real bytes* flowing through token-bucket bandwidth meters. A
-//! Ceph cluster is not modeled: one box cannot measure it.
+//! The paper's disks (§5.3: one SATA disk, a 6-disk RAID0) and its Ceph
+//! cluster are not modeled: the figures that need them run on a real
+//! [`DirStore`](persona_agd::chunk_io::DirStore) instead. What is left
+//! throttles any store to a bandwidth the caller names, with real bytes
+//! flowing through it.
 //!
-//! * [`bandwidth`] — blocking token buckets.
-//! * [`clock`] — the time source the buckets meter against: real for
-//!   production, manual for deterministic tests without real sleeps.
-//! * [`local`] — throttled disk stores, including a writeback-cache
-//!   model that reproduces the read/write interference of Fig. 5a
-//!   ("the operating system's buffer cache writeback policy competes
-//!   with the application-driven data reads").
-//! * [`stats`] — byte/op accounting shared by all stores (Table 1's
-//!   "Data Read / Data Written" rows).
+//! * [`bandwidth`] — blocking token buckets, metered against a
+//!   [`persona_telemetry::clock::Clock`]: real for production, manual
+//!   for deterministic tests without real sleeps.
+//! * [`local`] — [`ThrottledStore`], which meters an inner store's gets
+//!   and puts through the buckets.
+//! * [`stats`] — the byte/op counters a throttled store keeps.
 //!
-//! All stores implement [`persona_agd::chunk_io::ChunkStore`], so any
-//! AGD dataset can be placed on any modeled subsystem.
+//! [`ThrottledStore`] implements [`persona_agd::chunk_io::ChunkStore`],
+//! so any AGD dataset can be placed behind it.
 
 pub mod bandwidth;
-pub mod clock;
 pub mod local;
 pub mod stats;
 
 pub use bandwidth::TokenBucket;
-pub use clock::{Clock, ManualClock, RealClock};
-pub use local::{DiskConfig, ThrottledStore, WritebackDisk};
+pub use local::{DiskConfig, ThrottledStore};
 pub use stats::StoreStats;

@@ -1,7 +1,4 @@
-//! Byte and operation accounting for storage models.
-//!
-//! These counters produce the "Data Read / Data Written" rows of the
-//! paper's Table 1.
+//! Byte and operation accounting for a throttled store.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

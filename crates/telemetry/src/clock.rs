@@ -1,17 +1,18 @@
-//! Time sources for the bandwidth models.
+//! Time sources for trace spans and bandwidth meters.
 //!
-//! The token buckets meter bytes against wall-clock time, which makes
-//! every bandwidth test sleep for real and makes upper-bound assertions
-//! sensitive to machine load. Virtualizing time behind this trait lets
-//! production code run on the real clock while tests run on a manual
-//! clock whose "sleeps" advance instantly and deterministically.
+//! [`JobTrace`](crate::JobTrace) timestamps spans and
+//! `persona_store`'s token buckets meter bytes against this clock. On
+//! wall-clock time a trace differs from run to run and every bandwidth
+//! test sleeps for real; behind this trait production code runs on the
+//! real clock while tests run on a manual clock whose "sleeps" advance
+//! instantly and deterministically.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-/// A monotonic time source the bandwidth models meter against.
+/// A monotonic time source for traces and bandwidth meters.
 pub trait Clock: Send + Sync {
     /// Time elapsed since the clock's epoch.
     fn now(&self) -> Duration;

@@ -1,13 +1,14 @@
-//! Persona's observability layer: a metrics registry and
-//! per-job trace spans, with zero dependencies outside the workspace.
+//! Persona's observability layer: a metrics registry, per-job trace
+//! spans and the clock they run on. It depends on no other workspace
+//! crate, so any layer (AGD codecs and the store included) can publish
+//! into it.
 //!
 //! Every subsystem that processes work publishes into one
 //! [`MetricsRegistry`] — the executor, the manifest server, the
 //! fair-share scheduler, the write-ahead journal and the wire front
 //! end — and every service job carries a [`JobTrace`] recording
-//! stage/chunk begin–end spans against the virtualizable
-//! [`Clock`](persona_store::clock::Clock). Both are inspectable live
-//! over the wire protocol (`metrics-request` / `trace-request`; see
+//! stage/chunk begin–end spans against the virtualizable [`Clock`].
+//! Both are inspectable live over the wire protocol (`metrics-request` / `trace-request`; see
 //! `docs/PROTOCOL.md`) and from the command line (`persona-cli stats`,
 //! `persona-cli trace`). `docs/OBSERVABILITY.md` catalogs the metric
 //! names and the span model.
@@ -25,8 +26,10 @@
 //!    registries (future: many nodes) fold together losslessly —
 //!    counters add, histograms add bucket-wise.
 
+pub mod clock;
 pub mod metrics;
 pub mod trace;
 
+pub use clock::{Clock, ManualClock, RealClock};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use trace::{JobTrace, TraceEvent, TracePhase};

@@ -19,8 +19,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::clock::{Clock, RealClock};
 use parking_lot::Mutex;
-use persona_store::clock::{Clock, RealClock};
 
 /// Whether an event opens, closes, or marks a point in a span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -214,7 +214,7 @@ fn escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use persona_store::clock::ManualClock;
+    use crate::clock::ManualClock;
 
     #[test]
     fn spans_pair_into_complete_events() {

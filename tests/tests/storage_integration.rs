@@ -8,10 +8,12 @@ use persona::pipeline::align::AlignReport;
 use persona::plan::{Stage, StageRun};
 use persona::runtime::PersonaRuntime;
 use persona_agd::chunk_io::{ChunkStore, MemStore};
+use persona_agd::columns::{BASES, QUAL};
+use persona_agd::dataset::Dataset;
 use persona_agd::manifest::Manifest;
 use persona_integration_tests::common::Fixture;
-use persona_store::clock::ManualClock;
-use persona_store::local::{DiskConfig, ThrottledStore, WritebackDisk};
+use persona_store::local::{DiskConfig, ThrottledStore};
+use persona_telemetry::clock::ManualClock;
 
 /// Aligns the landed dataset `manifest` in `store` through the
 /// one-stage align plan.
@@ -48,23 +50,9 @@ fn align_through_throttled_disk() {
         })
         .sum();
     assert_eq!(read_delta, bases_qual);
-}
-
-#[test]
-fn align_through_writeback_disk_completes_and_persists() {
-    let fx = Fixture::new(2003, 300);
-    let disk = Arc::new(WritebackDisk::with_clock(
-        MemStore::new(),
-        DiskConfig { read_bw: 40e6, write_bw: 40e6, shared: true },
-        16 << 20,
-        ManualClock::new(),
-    ));
-    let manifest = fx.write_dataset(disk.as_ref(), "wb", 100);
-    let store: Arc<dyn ChunkStore> = disk.clone();
-    let report = align(&fx, store, &manifest);
-    assert_eq!(report.chunks, 3);
-    disk.sync();
-    for e in &manifest.records {
-        assert!(disk.exists(&format!("{}.results", e.path)));
-    }
+    // The same sum as `Dataset::column_bytes`, which `table1` prints.
+    let dataset = Dataset::open(disk.as_ref(), "thr").unwrap();
+    let column_bytes = dataset.column_bytes(disk.as_ref(), BASES).unwrap()
+        + dataset.column_bytes(disk.as_ref(), QUAL).unwrap();
+    assert_eq!(bases_qual, column_bytes);
 }
