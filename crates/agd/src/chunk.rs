@@ -19,10 +19,15 @@
 //!
 //! The relative index stores each record's *length*; offsets are obtained
 //! by summing preceding entries (paper §3). For [`RecordType::CompactBases`]
-//! the length is in bases (the packed byte size is derived, see
-//! [`compaction`]); for all other types it is in bytes. The index is
-//! stored uncompressed so applications can build an absolute index "on
-//! the fly" without touching the data block.
+//! and [`RecordType::ConsensusBases`] the length is in bases (the packed
+//! byte size is derived, see [`compaction`]); for all other types it is
+//! in bytes. The index is stored uncompressed so applications can build
+//! an absolute index "on the fly" without touching the data block.
+//!
+//! A [`RecordType::ConsensusBases`] chunk stores its data block coded
+//! against a consensus ([`consensus`]), with codec id 0 (none); its
+//! header's uncompressed length is that of the base-5 block it decodes
+//! to, and its compressed length that of the coded block.
 
 use std::borrow::Cow;
 
@@ -30,7 +35,7 @@ use persona_compress::codec::Codec;
 use persona_compress::crc32::crc32;
 use persona_compress::deflate::CompressLevel;
 
-use crate::compaction;
+use crate::{compaction, consensus};
 use crate::{Error, Result};
 
 /// Magic bytes at the start of every chunk object.
@@ -53,6 +58,11 @@ pub enum RecordType {
     Text,
     /// Binary alignment-result records (index unit: bytes).
     Results,
+    /// Base records coded against a consensus the chunk carries
+    /// ([`consensus`]; index unit: bases). Only a chunk object's header
+    /// names it: its data block decodes to [`RecordType::CompactBases`]
+    /// records, the record type of every chunk in memory.
+    ConsensusBases,
 }
 
 /// On-disk id of a retired record type: bases 3 bits each, 21 to a
@@ -69,6 +79,7 @@ impl RecordType {
             RecordType::Text => 1,
             RecordType::Results => 2,
             RecordType::CompactBases => 3,
+            RecordType::ConsensusBases => 4,
         }
     }
 
@@ -78,6 +89,7 @@ impl RecordType {
             1 => Ok(RecordType::Text),
             2 => Ok(RecordType::Results),
             3 => Ok(RecordType::CompactBases),
+            4 => Ok(RecordType::ConsensusBases),
             RETIRED_ID => Err(Error::RetiredRecordType(RETIRED_NAME)),
             _ => Err(Error::Format(format!("unknown record type id {id}"))),
         }
@@ -235,6 +247,9 @@ impl ChunkData {
                 Cow::Owned(packed)
             }
             RecordType::Text | RecordType::Results => Cow::Borrowed(&self.data),
+            RecordType::ConsensusBases => {
+                return Err(Error::Format("a consensus block is coded from a sorted chunk".into()))
+            }
         })
     }
 }
@@ -247,7 +262,9 @@ fn stored_offsets(record_type: RecordType, index: &[u32]) -> Vec<u64> {
     offsets.push(pos);
     for &len in index {
         pos += match record_type {
-            RecordType::CompactBases => compaction::packed_size(len as usize) as u64,
+            RecordType::CompactBases | RecordType::ConsensusBases => {
+                compaction::packed_size(len as usize) as u64
+            }
             RecordType::Text | RecordType::Results => len as u64,
         };
         offsets.push(pos);
@@ -269,20 +286,32 @@ fn encode_block(
         Codec::None => Cow::Borrowed(raw),
         Codec::Gzip => Cow::Owned(codec.compress_level(raw, level)),
     };
+    write_object(record_type, codec, index, raw.len(), &compressed)
+}
+
+/// Header, relative index and `stored`, the data block as coded, which
+/// decodes to `uncompressed_len` bytes.
+pub(crate) fn write_object(
+    record_type: RecordType,
+    codec: Codec,
+    index: &[u32],
+    uncompressed_len: usize,
+    stored: &[u8],
+) -> Vec<u8> {
     let header = ChunkHeader {
         record_type,
         codec,
         record_count: index.len() as u32,
-        uncompressed_len: raw.len() as u64,
-        compressed_len: compressed.len() as u64,
-        payload_crc: crc32(&compressed),
+        uncompressed_len: uncompressed_len as u64,
+        compressed_len: stored.len() as u64,
+        payload_crc: crc32(stored),
     };
-    let mut out = Vec::with_capacity(HEADER_SIZE + 4 * index.len() + compressed.len());
+    let mut out = Vec::with_capacity(HEADER_SIZE + 4 * index.len() + stored.len());
     out.extend_from_slice(&header.encode());
     for &sz in index {
         out.extend_from_slice(&sz.to_le_bytes());
     }
-    out.extend_from_slice(&compressed);
+    out.extend_from_slice(stored);
     out
 }
 
@@ -311,7 +340,13 @@ pub struct RawChunk {
 impl RawChunk {
     /// An empty chunk with room for `records` records of `bytes` stored
     /// bytes in total.
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`RecordType::ConsensusBases`]: a bases chunk in memory
+    /// holds [`RecordType::CompactBases`] groups.
     pub fn with_capacity(record_type: RecordType, records: usize, bytes: usize) -> Self {
+        assert_ne!(record_type, RecordType::ConsensusBases, "bases are held as groups");
         let mut offsets = Vec::with_capacity(records + 1);
         offsets.push(0);
         RawChunk {
@@ -332,7 +367,9 @@ impl RawChunk {
         for rec in records {
             chunk.index.push(rec.len() as u32);
             match record_type {
-                RecordType::CompactBases => compaction::pack_record(rec, &mut chunk.data)?,
+                RecordType::CompactBases | RecordType::ConsensusBases => {
+                    compaction::pack_record(rec, &mut chunk.data)?
+                }
                 RecordType::Text | RecordType::Results => chunk.data.extend_from_slice(rec),
             }
             chunk.offsets.push(chunk.data.len() as u64);
@@ -376,7 +413,7 @@ impl RawChunk {
     #[inline]
     pub fn append_plain(&self, i: usize, out: &mut Vec<u8>) -> Result<()> {
         match self.record_type {
-            RecordType::CompactBases => {
+            RecordType::CompactBases | RecordType::ConsensusBases => {
                 compaction::unpack_record(self.record(i), self.index[i] as usize, out)
             }
             RecordType::Text | RecordType::Results => {
@@ -395,6 +432,16 @@ impl RawChunk {
     #[inline]
     pub fn plain_len(&self, i: usize) -> usize {
         self.index[i] as usize
+    }
+
+    /// The relative index: each record's length in bases or bytes.
+    pub(crate) fn index(&self) -> &[u32] {
+        &self.index
+    }
+
+    /// Length of the data block as stored.
+    pub(crate) fn stored_len(&self) -> usize {
+        self.data.len()
     }
 
     /// Record `i` as stored, to patch in place: a patch keeps the
@@ -483,10 +530,21 @@ impl RawChunk {
                 actual: actual_crc,
             }));
         }
-        // The header's length sizes the output buffer; a forged one is
-        // capped by the codec and caught by the comparison below.
-        let size_hint = usize::try_from(header.uncompressed_len).unwrap_or(usize::MAX);
-        let data = header.codec.decompress_sized(payload, size_hint).map_err(Error::Compress)?;
+        let (record_type, data) = match (header.record_type, header.codec) {
+            (RecordType::ConsensusBases, Codec::None) => {
+                let data = consensus::decode(payload, &index, header.uncompressed_len)?;
+                (RecordType::CompactBases, data)
+            }
+            (RecordType::ConsensusBases, codec) => {
+                return Err(Error::Format(format!("a consensus block is not coded by {codec}")))
+            }
+            (record_type, codec) => {
+                // The header's length sizes the output buffer; a forged one
+                // is capped by the codec and caught by the comparison below.
+                let size_hint = usize::try_from(header.uncompressed_len).unwrap_or(usize::MAX);
+                (record_type, codec.decompress_sized(payload, size_hint).map_err(Error::Compress)?)
+            }
+        };
         if data.len() as u64 != header.uncompressed_len {
             return Err(Error::Format(format!(
                 "data block length {} != header {}",
@@ -496,10 +554,10 @@ impl RawChunk {
         }
 
         // The absolute index, "generated on the fly" per the paper.
-        let offsets = stored_offsets(header.record_type, &index);
+        let offsets = stored_offsets(record_type, &index);
         let total = *offsets.last().expect("offsets hold the total");
-        match header.record_type {
-            RecordType::CompactBases => {
+        match record_type {
+            RecordType::CompactBases | RecordType::ConsensusBases => {
                 if total > data.len() as u64 {
                     return Err(Error::Format("compacted data shorter than index".into()));
                 }
@@ -516,7 +574,7 @@ impl RawChunk {
                 }
             }
         }
-        Ok(RawChunk { record_type: header.record_type, index, data, offsets })
+        Ok(RawChunk { record_type, index, data, offsets })
     }
 }
 
@@ -804,13 +862,25 @@ mod tests {
         assert_eq!(plain(&raw), ChunkData::decode(&dirty).unwrap());
     }
 
-    /// Every single-bit flip of an encoded bases chunk decodes or fails
-    /// with an error, both ways alike; nothing panics.
+    /// Every single-bit flip of an encoded bases chunk — plain groups
+    /// stored or gzipped, or coded against a consensus — decodes or
+    /// fails with an error, both ways alike; nothing panics.
     #[test]
     fn raw_chunk_survives_every_single_bit_flip() {
+        use crate::consensus::tests::{chunks, Shape};
         let records: [&[u8]; 4] = [b"ACGTN", b"", b"GATTACAGATTACAGATTACAGA", b"T"];
-        for codec in [Codec::None, Codec::Gzip] {
-            let enc = bases_chunk(&records, codec);
+        let genome = b"GATTACAGATTACANGATTACAGATTACAGGATTACAGATTACAGATCCA";
+        let placed: Vec<_> = (0..12)
+            .map(|i| {
+                let shape = if i % 3 == 1 { Shape::Reverse } else { Shape::Forward };
+                (2 * i as u64, genome[2 * i..2 * i + 23].to_vec(), shape)
+            })
+            .collect();
+        let (bases, results) = chunks(&placed);
+        let coded = crate::consensus::encode(&bases, &results).expect("overlapping reads");
+        let objects =
+            [bases_chunk(&records, Codec::None), bases_chunk(&records, Codec::Gzip), coded];
+        for enc in objects {
             for bit in 0..enc.len() * 8 {
                 let mut flipped = enc.clone();
                 flipped[bit / 8] ^= 1 << (bit % 8);

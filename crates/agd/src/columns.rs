@@ -9,9 +9,13 @@
 //! with gzip. Every gzip-coded column is written at [`LEVEL`]. Bases are
 //! stored with no codec: packed in base-5 groups they take less room
 //! than DEFLATE made of the paper's 3-bit words, at no coding cost
-//! ([`compaction`](crate::compaction)). No writer takes a codec,
-//! record type or level of its own, so the same records make the same
-//! chunk bytes whichever stage writes them.
+//! ([`compaction`](crate::compaction)). The sort's write, which holds
+//! each read's alignment beside its bases, codes its `bases` chunks
+//! through [`encode_placed_bases`]: against the chunk's consensus where
+//! that is smaller ([`consensus`](crate::consensus)). No writer takes a
+//! codec, record type or level of its own, so the same records (and,
+//! for sorted bases, the same alignments) make the same chunk bytes
+//! whichever stage writes them.
 //!
 //! Reading never consults the policy: a chunk's header and the
 //! manifest name the codec it was written with.
@@ -74,6 +78,14 @@ pub fn pack<'a>(column: &str, records: impl IntoIterator<Item = &'a [u8]>) -> Re
 /// Encodes a stored chunk of `column` as its chunk object.
 pub fn encode_chunk(column: &str, chunk: &RawChunk) -> Vec<u8> {
     chunk.encode(coding(column).codec, LEVEL)
+}
+
+/// Encodes a position-sorted `bases` chunk whose reads `results` places
+/// (the same records' alignment results, in the same order): coded
+/// against the chunk's consensus where that is smaller
+/// ([`consensus`](crate::consensus)), else as [`encode_chunk`] would.
+pub fn encode_placed_bases(bases: &RawChunk, results: &RawChunk) -> Vec<u8> {
+    crate::consensus::encode(bases, results).unwrap_or_else(|| encode_chunk(BASES, bases))
 }
 
 /// Encodes `records` as one chunk object of `column`.

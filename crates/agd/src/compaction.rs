@@ -53,29 +53,50 @@ const BASE_DIGIT: [u8; 256] = {
     table
 };
 
-/// The five bases of every valid group value.
-static GROUP_BASES: [[u8; BASES_PER_GROUP]; GROUP_VALUES as usize] = {
-    let mut table = [[0u8; BASES_PER_GROUP]; GROUP_VALUES as usize];
+/// Each digit as itself, [`NOT_A_BASE`] for anything else: the table
+/// that packs records of digits.
+const DIGIT_DIGIT: [u8; 256] = {
+    let mut table = [NOT_A_BASE; 256];
+    let mut d = 0;
+    while d < 5 {
+        table[d] = d as u8;
+        d += 1;
+    }
+    table
+};
+
+/// The five symbols of every valid group value, each digit spelled by
+/// `alphabet`, in entries of `W` bytes.
+const fn group_table<const W: usize>(alphabet: [u8; 5]) -> [[u8; W]; GROUP_VALUES as usize] {
+    let mut table = [[0u8; W]; GROUP_VALUES as usize];
     let mut value = 0;
     while value < GROUP_VALUES as usize {
         let (mut rest, mut i) = (value, 0);
         while i < BASES_PER_GROUP {
-            table[value][i] = b"ACGTN"[rest % 5];
+            table[value][i] = alphabet[rest % 5];
             rest /= 5;
             i += 1;
         }
         value += 1;
     }
     table
-};
+}
 
-/// Packs up to [`BASES_PER_GROUP`] bases into a group value. The second
-/// value has [`NOT_A_BASE`] set if any byte was not a base.
+/// The five bases of every valid group value.
+static GROUP_BASES: [[u8; BASES_PER_GROUP]; GROUP_VALUES as usize] = group_table(*b"ACGTN");
+
+/// The five digits of every valid group value, padded to eight bytes so
+/// that a group is copied with one 8-byte store.
+static GROUP_DIGITS: [[u8; 8]; GROUP_VALUES as usize] = group_table([0, 1, 2, 3, 4]);
+
+/// Packs up to [`BASES_PER_GROUP`] symbols into a group value, each
+/// symbol's digit read from `digit_of`. The second value has
+/// [`NOT_A_BASE`] set if any byte was not a symbol.
 #[inline(always)]
-fn pack_group(group: &[u8]) -> (u32, u8) {
+fn pack_group(digit_of: &[u8; 256], group: &[u8]) -> (u32, u8) {
     let (mut value, mut seen) = (0u32, 0u8);
     for &b in group.iter().rev() {
-        let digit = BASE_DIGIT[b as usize];
+        let digit = digit_of[b as usize];
         seen |= digit;
         value = value * 5 + u32::from(digit & 7);
     }
@@ -94,19 +115,7 @@ pub fn packed_size(n_bases: usize) -> usize {
 /// one, and leaves `out` as it was.
 pub fn pack_record(bases: &[u8], out: &mut Vec<u8>) -> Result<()> {
     let start = out.len();
-    out.reserve(packed_size(bases.len()));
-    // Checked once for the whole record: the groups of a bad record are
-    // never used, so there is nothing to stop early for.
-    let mut seen = 0u8;
-    let mut pairs = bases.chunks_exact(2 * BASES_PER_GROUP);
-    for pair in &mut pairs {
-        // A fixed-size pair lets the ten steps be unrolled.
-        seen |= pack_pair(pair, out);
-    }
-    if !pairs.remainder().is_empty() {
-        seen |= pack_pair(pairs.remainder(), out);
-    }
-    if seen & NOT_A_BASE != 0 {
+    if pack_with(&BASE_DIGIT, bases, out) & NOT_A_BASE != 0 {
         out.truncate(start);
         let bad = bases.iter().find(|&&b| BASE_DIGIT[b as usize] == NOT_A_BASE);
         let b = bad.expect("a byte set the marker");
@@ -115,13 +124,43 @@ pub fn pack_record(bases: &[u8], out: &mut Vec<u8>) -> Result<()> {
     Ok(())
 }
 
-/// Appends up to two groups of bases: three bytes, or two for five
-/// bases or fewer. Returns [`pack_group`]'s marker.
+/// Packs one record of base digits (0–4, as [`unpack_digits`] writes
+/// them), appending its groups to `out`: the groups [`pack_record`]
+/// writes for the same bases.
+///
+/// # Panics
+///
+/// Panics if a byte is not a digit.
+pub(crate) fn pack_digits(digits: &[u8], out: &mut Vec<u8>) {
+    assert_eq!(pack_with(&DIGIT_DIGIT, digits, out) & NOT_A_BASE, 0, "base digits are 0-4");
+}
+
+/// Appends the groups of `symbols`, each symbol's digit read from
+/// `digit_of`, and returns [`pack_group`]'s marker for the record.
 #[inline(always)]
-fn pack_pair(bases: &[u8], out: &mut Vec<u8>) -> u8 {
+fn pack_with(digit_of: &[u8; 256], symbols: &[u8], out: &mut Vec<u8>) -> u8 {
+    out.reserve(packed_size(symbols.len()));
+    // Checked once for the whole record: the groups of a bad record are
+    // never used, so there is nothing to stop early for.
+    let mut seen = 0u8;
+    let mut pairs = symbols.chunks_exact(2 * BASES_PER_GROUP);
+    for pair in &mut pairs {
+        // A fixed-size pair lets the ten steps be unrolled.
+        seen |= pack_pair(digit_of, pair, out);
+    }
+    if !pairs.remainder().is_empty() {
+        seen |= pack_pair(digit_of, pairs.remainder(), out);
+    }
+    seen
+}
+
+/// Appends up to two groups of symbols: three bytes, or two for five
+/// symbols or fewer. Returns [`pack_group`]'s marker.
+#[inline(always)]
+fn pack_pair(digit_of: &[u8; 256], bases: &[u8], out: &mut Vec<u8>) -> u8 {
     let split = bases.len().min(BASES_PER_GROUP);
-    let (lo, s0) = pack_group(&bases[..split]);
-    let (hi, s1) = pack_group(&bases[split..]);
+    let (lo, s0) = pack_group(digit_of, &bases[..split]);
+    let (hi, s1) = pack_group(digit_of, &bases[split..]);
     let bytes = (lo | hi << 12).to_le_bytes();
     out.extend_from_slice(&bytes[..if bases.len() > BASES_PER_GROUP { 3 } else { 2 }]);
     s0 | s1
@@ -137,7 +176,7 @@ pub fn unpack_record(packed: &[u8], n_bases: usize, out: &mut Vec<u8>) -> Result
     check_size(packed, n_bases)?;
     let start = out.len();
     out.reserve(n_bases.next_multiple_of(BASES_PER_GROUP));
-    match for_each_group(packed, n_bases, |bases| out.extend_from_slice(bases)) {
+    match for_each_group(&GROUP_BASES, packed, n_bases, |bases| out.extend_from_slice(bases)) {
         Ok(()) => {
             // The last group wrote its five bases whatever it holds.
             out.truncate(start + n_bases);
@@ -150,6 +189,23 @@ pub fn unpack_record(packed: &[u8], n_bases: usize, out: &mut Vec<u8>) -> Result
     }
 }
 
+/// [`unpack_record`], appending each base as its digit 0–4 (`A`, `C`,
+/// `G`, `T`, `N`) instead of its character.
+pub(crate) fn unpack_digits(packed: &[u8], n_bases: usize, out: &mut Vec<u8>) -> Result<()> {
+    check_size(packed, n_bases)?;
+    let start = out.len();
+    // Each group stores eight bytes, the last three of which the next
+    // group overwrites.
+    out.resize(start + n_bases.next_multiple_of(BASES_PER_GROUP) + 3, 0);
+    let mut at = start;
+    let checked = for_each_group(&GROUP_DIGITS, packed, n_bases, |digits| {
+        out[at..at + 8].copy_from_slice(digits);
+        at += BASES_PER_GROUP;
+    });
+    out.truncate(if checked.is_ok() { start + n_bases } else { start });
+    checked
+}
+
 /// Brings a packed record of `n_bases` bases, in place, to the form
 /// [`pack_record`] writes: checks every group as [`unpack_record`] does
 /// (with the same errors) and zeroes the padding nibble, the only bits
@@ -159,7 +215,7 @@ pub fn unpack_record(packed: &[u8], n_bases: usize, out: &mut Vec<u8>) -> Result
 /// stored bytes.
 pub fn canonicalize_record(packed: &mut [u8], n_bases: usize) -> Result<()> {
     check_size(packed, n_bases)?;
-    for_each_group(packed, n_bases, |_| {})?;
+    for_each_group(&GROUP_BASES, packed, n_bases, |_| {})?;
     if n_bases.div_ceil(BASES_PER_GROUP) % 2 == 1 {
         *packed.last_mut().expect("an odd group count takes two bytes") &= 0x0F;
     }
@@ -177,18 +233,18 @@ fn check_size(packed: &[u8], n_bases: usize) -> Result<()> {
     Ok(())
 }
 
-/// Passes the five bases of each group of a record of `n_bases` bases
-/// to `emit`, in order (all five of the last group too), after checking
-/// each group's range; on the first group out of range, returns its
-/// error. `packed` is [`packed_size`]`(n_bases)` bytes.
+/// Passes the `table` entry of each group of a record of `n_bases`
+/// bases to `emit`, in order (the last group's too), after checking each
+/// group's range; on the first group out of range, returns its error.
+/// `packed` is [`packed_size`]`(n_bases)` bytes.
 #[inline(always)]
-fn for_each_group(
+fn for_each_group<const W: usize>(
+    table: &[[u8; W]; GROUP_VALUES as usize],
     packed: &[u8],
     n_bases: usize,
-    mut emit: impl FnMut(&[u8; BASES_PER_GROUP]),
+    mut emit: impl FnMut(&[u8; W]),
 ) -> Result<()> {
-    let bases_of =
-        |value: u32| GROUP_BASES.get(value as usize).ok_or_else(|| bad_group(packed, n_bases));
+    let bases_of = |value: u32| table.get(value as usize).ok_or_else(|| bad_group(packed, n_bases));
     let mut pairs = packed.chunks_exact(3);
     for pair in &mut pairs {
         let word = u32::from(pair[0]) | u32::from(pair[1]) << 8 | u32::from(pair[2]) << 16;

@@ -58,6 +58,7 @@ pub mod chunk;
 pub mod chunk_io;
 pub mod columns;
 pub mod compaction;
+pub mod consensus;
 pub mod dataset;
 pub mod manifest;
 pub mod results;

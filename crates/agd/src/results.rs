@@ -249,6 +249,23 @@ impl AlignmentResult {
         Ok(())
     }
 
+    /// Where the read of a stored record lies on the reference when it
+    /// is mapped as one `M` op `n_bases` long (no gap, no clip): its
+    /// leftmost position and whether it is on the reverse strand. Read
+    /// straight off the stored bytes; `None` for any other record.
+    pub(crate) fn ungapped_placement(record: &[u8], n_bases: usize) -> Option<(u64, bool)> {
+        if record.len() != Self::FIXED_SIZE + 4 || record[23] != 1 {
+            return None;
+        }
+        let location = i64::from_le_bytes(record[0..8].try_into().unwrap());
+        let flags = u16::from_le_bytes(record[Self::FLAGS_AT].try_into().unwrap());
+        let op = u32::from_le_bytes(record[Self::FIXED_SIZE..].try_into().unwrap());
+        let ungapped = op == (n_bases as u32) << 4 | CigarKind::Match as u32;
+        let mapped = location >= 0 && flags & flags::UNMAPPED == 0;
+        (mapped && ungapped && n_bases > 0 && n_bases < 1 << 28)
+            .then_some((location as u64, flags & flags::REVERSE != 0))
+    }
+
     /// Number of query bases covered by the CIGAR.
     pub fn query_len(&self) -> u32 {
         self.cigar.iter().filter(|op| op.kind.consumes_query()).map(|op| op.len).sum()

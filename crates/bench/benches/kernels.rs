@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks of the compute kernels: aligners,
-//! edit-distance/SW, FM-index, codecs, base compaction, chunk codec,
+//! edit-distance/SW, FM-index, codecs, base compaction, consensus coding, chunk codec,
 //! and the dataflow framework primitives (queue/executor), whose
 //! overhead underpins the paper's "≤1% framework overhead" claim.
 
@@ -428,7 +428,37 @@ fn bench_codecs(c: &mut Criterion) {
             std::hint::black_box(out.len())
         })
     });
+
+    // One position-sorted chunk of 5,000 reads at 10x coverage, as the
+    // sort writes it: coded against its consensus, and decoded to groups.
+    let (bases, results) = sorted_chunk(&World::build(50_000, 5_000, 113));
+    let coded = columns::encode_placed_bases(&bases, &results);
+    let header = persona_agd::ChunkHeader::decode(&coded).unwrap();
+    assert_eq!(header.record_type, persona_agd::RecordType::ConsensusBases);
+    g.throughput(Throughput::Elements(bases.len() as u64));
+    g.bench_function("consensus/encode", |b| {
+        b.iter(|| std::hint::black_box(columns::encode_placed_bases(&bases, &results)))
+    });
+    g.bench_function("consensus/decode", |b| {
+        b.iter(|| std::hint::black_box(RawChunk::decode(&coded).unwrap()))
+    });
     g.finish();
+}
+
+/// The stored `bases` and `results` chunks of `world`'s reads aligned
+/// by SNAP and sorted by position, unmapped reads last.
+fn sorted_chunk(world: &World) -> (RawChunk, RawChunk) {
+    let snap = world.snap_aligner();
+    let mut aligned: Vec<_> = world
+        .reads
+        .iter()
+        .map(|r| (snap.align_read(&r.bases, &r.quals), r.bases.as_slice()))
+        .collect();
+    aligned.sort_by_key(|(result, _)| (result.location < 0, result.location));
+    let results: Vec<Vec<u8>> = aligned.iter().map(|(result, _)| result.encode()).collect();
+    let bases = columns::pack(columns::BASES, aligned.iter().map(|&(_, b)| b)).unwrap();
+    let results = columns::pack(columns::RESULTS, results.iter().map(|r| r.as_slice())).unwrap();
+    (bases, results)
 }
 
 /// The output path's kernels (docs/PERFORMANCE.md §6): CRC-32 by table

@@ -19,9 +19,15 @@ pub struct PersonaConfig {
 
 impl Default for PersonaConfig {
     fn default() -> Self {
-        let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(8);
-        PersonaConfig { compute_threads: (hw - 1).max(1), subchunk_size: 512 }
+        let hw = std::thread::available_parallelism().ok();
+        PersonaConfig { compute_threads: compute_threads_for(hw), subchunk_size: 512 }
     }
+}
+
+/// Compute threads on a machine of `hw` hardware threads: all but one
+/// (§4.3), and one when the count is unknown.
+fn compute_threads_for(hw: Option<std::num::NonZeroUsize>) -> usize {
+    hw.map_or(1, |n| (n.get() - 1).max(1))
 }
 
 impl PersonaConfig {
@@ -52,6 +58,15 @@ impl PersonaConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn an_unknown_thread_count_falls_back_to_one() {
+        let hw = |n| std::num::NonZeroUsize::new(n);
+        assert_eq!(compute_threads_for(None), 1);
+        assert_eq!(compute_threads_for(hw(1)), 1);
+        assert_eq!(compute_threads_for(hw(2)), 1);
+        assert_eq!(compute_threads_for(hw(8)), 7);
+    }
 
     #[test]
     fn default_uses_most_threads() {

@@ -663,14 +663,21 @@ fn write_sorted_dataset(
             let write = exec.spawn_one(move || {
                 let order = merge_order(&runs, &from, &to);
                 let mut marked = 0;
-                let mut carried = Vec::with_capacity(COLUMNS.len());
-                for (c, &column) in run_columns(has_results).iter().enumerate() {
+                let mut carried: Vec<(&str, Arc<RawChunk>)> = Vec::with_capacity(COLUMNS.len());
+                // Results first: the bases are coded against the places
+                // they give the reads.
+                for (c, &column) in run_columns(has_results).iter().enumerate().rev() {
                     let mut chunk = gather_column(&runs, c, &order);
                     if dupmark && c == RESULTS {
                         marked = mark_output_chunk(&runs, &from, &mut chunk, reach)?;
                     }
-                    let name = Manifest::chunk_object_name(&stem, column);
-                    store.put(&name, &columns::encode_chunk(column, &chunk))?;
+                    let encoded = match carried.first() {
+                        Some((columns::RESULTS, results)) if column == columns::BASES => {
+                            columns::encode_placed_bases(&chunk, results)
+                        }
+                        _ => columns::encode_chunk(column, &chunk),
+                    };
+                    store.put(&Manifest::chunk_object_name(&stem, column), &encoded)?;
                     carried.push((column, Arc::new(chunk)));
                 }
                 Ok((EdgeChunk { chunk_idx: k, stem, num_records, carried }, marked))

@@ -15,7 +15,8 @@
 //! BGZF-inflated payload. An encoder change re-pins the compressed
 //! cells and leaves the twins (and the SAM) where they are; so did the
 //! move of the bases column from DEFLATE-compressed 3-bit words to
-//! uncompressed base-5 groups.
+//! uncompressed base-5 groups, and the coding of sorted bases against
+//! their chunk's consensus.
 
 use std::sync::Arc;
 
@@ -60,27 +61,27 @@ const GOLDEN: &[(usize, &str, &str)] = &[
     (1, "queryname records", "19be50a06af49dc70845d6addd36bff2"),
     (1, "fused records", "69608887edc77d495f43cd97371b32d2"),
     (1, "bam payload", "bfe1ccb0317942322875ae43b0e356a3"),
-    (7, "coordinate", "b770ffff19bb3ceb738cf7f13a69bdb6"),
-    (7, "queryname", "c058227ca2c92d898611d3a14e866ffc"),
-    (7, "fused", "b770ffff19bb3ceb738cf7f13a69bdb6"),
+    (7, "coordinate", "1e818e66c4c470ec22d97836b40095dc"),
+    (7, "queryname", "4f72dd9968772d463288c9f8c1d93848"),
+    (7, "fused", "1e818e66c4c470ec22d97836b40095dc"),
     (7, "sam", "ad97f1b901780f4e183d7839a1c16b94"),
     (7, "bam", "5de0d043cc374fab3f1ae9694fa629c7"),
     (7, "coordinate records", "69608887edc77d495f43cd97371b32d2"),
     (7, "queryname records", "19be50a06af49dc70845d6addd36bff2"),
     (7, "fused records", "69608887edc77d495f43cd97371b32d2"),
     (7, "bam payload", "bfe1ccb0317942322875ae43b0e356a3"),
-    (64, "coordinate", "48f21efcd5515a8adbe45a6380d3f09d"),
-    (64, "queryname", "03a65ccb8c04bd28cc5baeba4961e8ef"),
-    (64, "fused", "48f21efcd5515a8adbe45a6380d3f09d"),
+    (64, "coordinate", "7ac74ac69e8cebcfae9d3364d0d820db"),
+    (64, "queryname", "e4b5593a836b18bd37446bc27b96f2ca"),
+    (64, "fused", "7ac74ac69e8cebcfae9d3364d0d820db"),
     (64, "sam", "ad97f1b901780f4e183d7839a1c16b94"),
     (64, "bam", "5de0d043cc374fab3f1ae9694fa629c7"),
     (64, "coordinate records", "69608887edc77d495f43cd97371b32d2"),
     (64, "queryname records", "19be50a06af49dc70845d6addd36bff2"),
     (64, "fused records", "69608887edc77d495f43cd97371b32d2"),
     (64, "bam payload", "bfe1ccb0317942322875ae43b0e356a3"),
-    (5, "coordinate", "2a5f8896ce5dc33981d2e5e8fa1d87ad"),
-    (5, "queryname", "430bbb8e518f649e65dd2ed4585f7b86"),
-    (5, "fused", "2a5f8896ce5dc33981d2e5e8fa1d87ad"),
+    (5, "coordinate", "270c1b4854c8217b6ee59fb4b0077faf"),
+    (5, "queryname", "b9c9e4bfb4558bdfe0cce2cd46474bcc"),
+    (5, "fused", "270c1b4854c8217b6ee59fb4b0077faf"),
     (5, "sam", "ad97f1b901780f4e183d7839a1c16b94"),
     (5, "bam", "5de0d043cc374fab3f1ae9694fa629c7"),
     (5, "coordinate records", "69608887edc77d495f43cd97371b32d2"),

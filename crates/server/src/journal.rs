@@ -802,11 +802,27 @@ mod tests {
     use super::*;
     use persona::plan::Plan;
 
-    fn tmp_path(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("persona-journal-{}-{tag}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join("service.wal")
+    /// A fresh `persona-journal-<pid>-<tag>` directory, removed on drop.
+    struct TmpDir(PathBuf);
+
+    impl TmpDir {
+        fn new(tag: &str) -> TmpDir {
+            let dir =
+                std::env::temp_dir().join(format!("persona-journal-{}-{tag}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            TmpDir(dir)
+        }
+
+        fn wal(&self) -> PathBuf {
+            self.0.join("service.wal")
+        }
+    }
+
+    impl Drop for TmpDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
     }
 
     fn submitted(id: u64, input: RecordedInput) -> JournalRecord {
@@ -864,8 +880,8 @@ mod tests {
     fn records_roundtrip_through_the_log() {
         let records = mixed_records();
         for fsync in [FsyncPolicy::Always, FsyncPolicy::Batch(16), FsyncPolicy::Never] {
-            let path = tmp_path(&format!("roundtrip-{}", fsync.metric_name()));
-            let _ = std::fs::remove_file(&path);
+            let tmp = TmpDir::new(&format!("roundtrip-{}", fsync.metric_name()));
+            let path = tmp.wal();
             let written = {
                 let mut j =
                     Journal::open(&path, JournalConfig { fsync, ..JournalConfig::default() })
@@ -926,8 +942,8 @@ mod tests {
 
     #[test]
     fn torn_tail_truncates_to_last_good_record() {
-        let path = tmp_path("torn");
-        let _ = std::fs::remove_file(&path);
+        let tmp = TmpDir::new("torn");
+        let path = tmp.wal();
         let records = mixed_records();
         {
             let mut j = Journal::open(&path, JournalConfig::default()).unwrap();
@@ -960,8 +976,8 @@ mod tests {
 
     #[test]
     fn corrupted_checksum_stops_replay() {
-        let path = tmp_path("crc");
-        let _ = std::fs::remove_file(&path);
+        let tmp = TmpDir::new("crc");
+        let path = tmp.wal();
         {
             let mut j = Journal::open(&path, JournalConfig::default()).unwrap();
             for r in mixed_records() {
@@ -982,8 +998,8 @@ mod tests {
 
     #[test]
     fn compaction_preserves_state_and_shrinks_terminal_jobs() {
-        let path = tmp_path("compact");
-        let _ = std::fs::remove_file(&path);
+        let tmp = TmpDir::new("compact");
+        let path = tmp.wal();
         let mut j = Journal::open(&path, JournalConfig::default()).unwrap();
         for r in mixed_records() {
             j.append(&r).unwrap();
@@ -1009,8 +1025,8 @@ mod tests {
 
     #[test]
     fn auto_compaction_triggers_past_threshold() {
-        let path = tmp_path("auto");
-        let _ = std::fs::remove_file(&path);
+        let tmp = TmpDir::new("auto");
+        let path = tmp.wal();
         let config = JournalConfig { fsync: FsyncPolicy::Never, compact_threshold: 4096 };
         let mut j = Journal::open(&path, config).unwrap();
         // Terminal churn: submit+finish pairs fold to one line each, so

@@ -298,13 +298,28 @@ fn protocol_examples_round_trip_byte_for_byte() {
     assert!(checked >= 20, "only {checked} one-line examples found");
 }
 
-fn tmp_wal(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("persona-serde-golden-{}-{tag}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("service.wal");
-    let _ = std::fs::remove_file(&path);
-    path
+/// A fresh `persona-serde-golden-<pid>-<tag>` directory, removed on
+/// drop.
+struct TmpDir(PathBuf);
+
+impl TmpDir {
+    fn new(tag: &str) -> TmpDir {
+        let dir =
+            std::env::temp_dir().join(format!("persona-serde-golden-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        TmpDir(dir)
+    }
+
+    fn wal(&self) -> PathBuf {
+        self.0.join("service.wal")
+    }
+}
+
+impl Drop for TmpDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 fn wal_records() -> Vec<JournalRecord> {
@@ -392,7 +407,8 @@ fn wal_frames(bytes: &[u8]) -> Vec<(String, Vec<u8>)> {
 
 #[test]
 fn wal_with_every_record_kind_is_pinned() {
-    let path = tmp_wal("every-kind");
+    let tmp = TmpDir::new("every-kind");
+    let path = tmp.wal();
     let config = JournalConfig { fsync: FsyncPolicy::Never, compact_threshold: 0 };
     let records = wal_records();
     {
@@ -437,7 +453,8 @@ fn wal_records_that_do_not_decode_are_torn() {
         r#"{"type":"submitted","job_id":1,"name":"j","tenant":"t","priority":"low","plan":{"input":"fastq","stages":["import"]},"input":"dataset","chunk_size":1,"reference":[]}"#,
         r#"{"type":"cache-evict","key":{"input":"xyz","prefix":"{}"}}"#,
     ] {
-        let path = tmp_wal("torn");
+        let tmp = TmpDir::new("torn");
+        let path = tmp.wal();
         let mut bytes = Vec::new();
         for header in [good, bad, good] {
             let mut crc = Crc32::new();
@@ -454,7 +471,8 @@ fn wal_records_that_do_not_decode_are_torn() {
     }
     // Unknown keys are ignored, a missing `reference` reads as empty
     // and a missing `error` as none.
-    let path = tmp_wal("lenient");
+    let tmp = TmpDir::new("lenient");
+    let path = tmp.wal();
     let mut bytes = Vec::new();
     for header in [
         r#"{"type":"checkpoint","next_id":5,"extra":[1,{"x":null}]}"#,

@@ -30,11 +30,23 @@ use persona_server::{
     JobInput, JobSpec, JobStatus, PersonaService, Plan, RecoverOptions, ServiceConfig,
 };
 
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("persona-recovery-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+/// A fresh `persona-recovery-<pid>-<tag>` directory, removed on drop.
+struct TmpDir(PathBuf);
+
+impl TmpDir {
+    fn new(tag: &str) -> TmpDir {
+        let dir =
+            std::env::temp_dir().join(format!("persona-recovery-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        TmpDir(dir)
+    }
+}
+
+impl Drop for TmpDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 fn durable_opts(fx: &Fixture) -> RecoverOptions {
@@ -86,7 +98,8 @@ impl Aligner for SlowAligner {
 #[test]
 fn completed_jobs_stay_done_and_unfinished_jobs_survive() {
     let fx = Fixture::new(11, 150);
-    let dir = tmp_dir("survive");
+    let tmp = TmpDir::new("survive");
+    let dir = tmp.0.clone();
     let wal = dir.join("service.wal");
     let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
 
@@ -161,7 +174,8 @@ fn completed_jobs_stay_done_and_unfinished_jobs_survive() {
 #[test]
 fn mid_plan_resume_is_byte_identical_at_every_stage_boundary() {
     let fx = Fixture::new(23, 150);
-    let dir = tmp_dir("resume");
+    let tmp = TmpDir::new("resume");
+    let dir = tmp.0.clone();
     let wal = dir.join("service.wal");
     let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
 
@@ -221,7 +235,8 @@ fn mid_plan_resume_is_byte_identical_at_every_stage_boundary() {
 #[test]
 fn dataset_catalog_survives_restart_and_compaction() {
     let fx = Fixture::new(37, 150);
-    let dir = tmp_dir("catalog");
+    let tmp = TmpDir::new("catalog");
+    let dir = tmp.0.clone();
     let wal = dir.join("service.wal");
     let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
 
@@ -280,7 +295,8 @@ fn dataset_catalog_survives_restart_and_compaction() {
 #[test]
 fn finished_is_journaled_before_the_handle_resolves() {
     let fx = Fixture::new(13, 100);
-    let dir = tmp_dir("finished-first");
+    let tmp = TmpDir::new("finished-first");
+    let dir = tmp.0.clone();
     let wal = dir.join("service.wal");
     let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
     let rt = PersonaRuntime::new(store, PersonaConfig::small()).unwrap();
