@@ -23,7 +23,7 @@ use persona::wire::{
 use serde::field;
 
 use crate::event_loop::{LoopCmd, LoopCtx};
-use crate::job::{JobInput, JobOutcome, JobSpec};
+use crate::job::{JobHandle, JobInput, JobOutcome, JobSpec};
 use crate::wire::MAX_WAITERS_PER_CONN;
 
 /// Stop pumping output chunks into the write queue once it holds this
@@ -74,7 +74,8 @@ pub(crate) struct Conn {
     exports: Vec<Export>,
     /// Waits whose completion watcher has not reported back yet.
     pending_watchers: usize,
-    /// Jobs this connection submitted, for cancel-on-disconnect.
+    /// Jobs this connection submitted that were live at its last
+    /// submission, for cancel-on-disconnect.
     my_jobs: Vec<u64>,
     /// Error reply queued and draining; no further frames are
     /// processed and the connection closes once the queue empties.
@@ -272,15 +273,10 @@ impl Conn {
                 match shared.service.submit(spec) {
                     Ok(handle) => {
                         let job_id = handle.id();
-                        let mut jobs = shared.jobs.lock();
-                        // Bound the registry: drop handles of finished
-                        // jobs once it grows past any plausible live
-                        // set. The spec documents this eviction (§2).
-                        if jobs.len() >= 4096 {
-                            jobs.retain(|_, h| !h.status().is_terminal());
-                        }
-                        jobs.insert(job_id, handle);
-                        drop(jobs);
+                        // Only a live job can need cancelling at close.
+                        self.my_jobs.retain(|id| {
+                            shared.service.job(*id).is_some_and(|h| !h.status().is_terminal())
+                        });
                         self.my_jobs.push(job_id);
                         self.enqueue(cx, &Message::JobAccepted { seq, job_id }, &[]);
                     }
@@ -295,64 +291,45 @@ impl Conn {
                     }
                 }
             }
-            Message::Status { seq, job_id } => match shared.jobs.lock().get(&job_id).cloned() {
-                Some(handle) => {
+            Message::Status { seq, job_id } => {
+                if let Some(handle) = self.find_job(cx, seq, job_id) {
                     let status = handle.status();
                     self.enqueue(cx, &Message::JobStatus { seq, job_id, status }, &[]);
                 }
-                None => {
-                    self.enqueue_error(cx, seq, ErrorCode::UnknownJob, format!("no job {job_id}"));
-                }
-            },
-            Message::Wait { seq, job_id } => {
-                let handle = shared.jobs.lock().get(&job_id).cloned();
-                match handle {
-                    Some(handle) => {
-                        // Bounded per connection so a wait-spamming
-                        // client cannot pile up reply streams.
-                        if self.pending_watchers + self.exports.len() >= MAX_WAITERS_PER_CONN {
-                            self.enqueue_error(
-                                cx,
-                                seq,
-                                ErrorCode::InvalidRequest,
-                                format!("more than {MAX_WAITERS_PER_CONN} concurrent waits"),
-                            );
-                            return;
-                        }
-                        let status = handle.status();
-                        self.enqueue(cx, &Message::JobEvent { seq, job_id, status }, &[]);
-                        self.pending_watchers += 1;
-                        shared.metrics.in_flight_seqs.add(1);
-                        // The watcher fires on whatever thread finishes
-                        // the job (or right here if it already did) and
-                        // posts back to this connection's loop — the
-                        // event-driven replacement for the old
-                        // thread-per-wait.
-                        let post = cx.handle.clone();
-                        let token = self.token;
-                        handle.on_done(move |outcome| {
-                            post.post(LoopCmd::JobDone { token, seq, job_id, outcome });
-                        });
-                    }
-                    None => {
-                        self.enqueue_error(
-                            cx,
-                            seq,
-                            ErrorCode::UnknownJob,
-                            format!("no job {job_id}"),
-                        );
-                    }
-                }
             }
-            Message::Cancel { seq, job_id } => match shared.jobs.lock().get(&job_id).cloned() {
-                Some(handle) => {
+            Message::Wait { seq, job_id } => {
+                let Some(handle) = self.find_job(cx, seq, job_id) else { return };
+                // Bounded per connection so a wait-spamming client
+                // cannot pile up reply streams.
+                if self.pending_watchers + self.exports.len() >= MAX_WAITERS_PER_CONN {
+                    self.enqueue_error(
+                        cx,
+                        seq,
+                        ErrorCode::InvalidRequest,
+                        format!("more than {MAX_WAITERS_PER_CONN} concurrent waits"),
+                    );
+                    return;
+                }
+                let status = handle.status();
+                self.enqueue(cx, &Message::JobEvent { seq, job_id, status }, &[]);
+                self.pending_watchers += 1;
+                shared.metrics.in_flight_seqs.add(1);
+                // The watcher fires on whatever thread finishes the job
+                // (or right here if it already did) and posts back to
+                // this connection's loop — the event-driven replacement
+                // for the old thread-per-wait.
+                let post = cx.handle.clone();
+                let token = self.token;
+                handle.on_done(move |outcome| {
+                    post.post(LoopCmd::JobDone { token, seq, job_id, outcome });
+                });
+            }
+            Message::Cancel { seq, job_id } => {
+                if let Some(handle) = self.find_job(cx, seq, job_id) {
                     handle.cancel();
                     self.enqueue(cx, &Message::CancelOk { seq, job_id }, &[]);
                 }
-                None => {
-                    self.enqueue_error(cx, seq, ErrorCode::UnknownJob, format!("no job {job_id}"));
-                }
-            },
+            }
             Message::Credit { chunks } => {
                 // A connection-scoped window grant: open (or widen) the
                 // output-chunk window and resume any stalled exports.
@@ -363,10 +340,10 @@ impl Conn {
                 self.pump_exports(cx);
             }
             Message::ListJobs { seq } => {
-                let mut jobs: Vec<WireJobSummary> = shared
-                    .jobs
-                    .lock()
-                    .values()
+                let jobs: Vec<WireJobSummary> = shared
+                    .service
+                    .jobs()
+                    .iter()
                     .map(|h| WireJobSummary {
                         job_id: h.id(),
                         name: h.name().to_string(),
@@ -374,18 +351,17 @@ impl Conn {
                         status: h.status(),
                     })
                     .collect();
-                jobs.sort_by_key(|j| j.job_id);
                 self.enqueue(cx, &Message::JobList { seq, jobs }, &[]);
             }
             Message::Attach { seq, name } => {
                 // Names are unique among *live* jobs but can recur
                 // across finished ones; attach resolves to the newest.
                 let found = shared
-                    .jobs
-                    .lock()
-                    .values()
-                    .filter(|h| h.name() == name)
-                    .max_by_key(|h| h.id())
+                    .service
+                    .jobs()
+                    .iter()
+                    .rev()
+                    .find(|h| h.name() == name)
                     .map(|h| (h.id(), h.status()));
                 match found {
                     Some((job_id, status)) => {
@@ -439,6 +415,16 @@ impl Conn {
                 );
             }
         }
+    }
+
+    /// The registered job `job_id`, or `None` with an `unknown-job`
+    /// reply queued.
+    fn find_job(&mut self, cx: &LoopCtx<'_>, seq: u64, job_id: u64) -> Option<JobHandle> {
+        let handle = cx.shared.service.job(job_id);
+        if handle.is_none() {
+            self.enqueue_error(cx, seq, ErrorCode::UnknownJob, format!("no job {job_id}"));
+        }
+        handle
     }
 
     /// A completion watcher reported back: queue the terminal
@@ -564,22 +550,14 @@ impl Conn {
                     manifest: out.manifest.clone(),
                 }
             }
-            JobOutcome::Failed(message) => Message::JobDone {
+            failed_or_cancelled => Message::JobDone {
                 seq: ex.seq,
                 job_id: ex.job_id,
                 status,
-                error: Some(message.clone()),
-                reads: 0,
-                queue_wait_s: 0.0,
-                elapsed_s: 0.0,
-                stages: Vec::new(),
-                manifest: None,
-            },
-            JobOutcome::Cancelled => Message::JobDone {
-                seq: ex.seq,
-                job_id: ex.job_id,
-                status,
-                error: None,
+                error: match failed_or_cancelled {
+                    JobOutcome::Failed(message) => Some(message.clone()),
+                    _ => None,
+                },
                 reads: 0,
                 queue_wait_s: 0.0,
                 elapsed_s: 0.0,
@@ -654,15 +632,8 @@ impl Conn {
     /// [`Conn`] drops.
     pub(crate) fn close(&mut self, cx: &LoopCtx<'_>) {
         let shared = cx.shared;
-        let jobs = shared.jobs.lock();
-        for id in &self.my_jobs {
-            if let Some(handle) = jobs.get(id) {
-                if !handle.status().is_terminal() {
-                    handle.cancel();
-                }
-            }
-        }
-        drop(jobs);
+        let mine = self.my_jobs.iter().filter_map(|id| shared.service.job(*id));
+        mine.filter(|h| !h.status().is_terminal()).for_each(|h| h.cancel());
         shared.metrics.pending_writes.sub(self.queued_bytes as i64);
         self.queued_bytes = 0;
         self.write_queue.clear();

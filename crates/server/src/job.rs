@@ -1,6 +1,6 @@
 //! Job lifecycle: specs, states, outcomes and the client handle.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
@@ -8,6 +8,7 @@ use persona::plan::{Plan, PlanReport};
 use persona_agd::manifest::Manifest;
 use persona_align::Aligner;
 use persona_dataflow::{CancelToken, Priority};
+use persona_telemetry::JobTrace;
 
 /// What a job consumes, matched against its plan's input state at
 /// submit time.
@@ -135,6 +136,9 @@ pub(crate) struct Job {
     pub state: Mutex<JobState>,
     pub done_cv: Condvar,
     pub payload: Mutex<Option<JobPayload>>,
+    /// The job's span recorder, set by its runner before the job is
+    /// seen running; unset for a job that never dispatched.
+    pub trace: OnceLock<Arc<JobTrace>>,
     /// Completion callbacks, fired exactly once by [`Job::finish`].
     pub watchers: Mutex<Vec<Watcher>>,
 }
@@ -159,6 +163,7 @@ impl Job {
             state: Mutex::new(JobState::Queued),
             done_cv: Condvar::new(),
             payload: Mutex::new(payload),
+            trace: OnceLock::new(),
             watchers: Mutex::new(Vec::new()),
         })
     }
@@ -172,13 +177,13 @@ impl Job {
     }
 
     /// Moves the job to its terminal state, wakes every waiter and
-    /// fires every registered completion watcher. Returns `false` if
-    /// it was already finished.
-    pub fn finish(&self, outcome: JobOutcome) -> bool {
+    /// fires every registered completion watcher; a no-op if it was
+    /// already finished.
+    pub fn finish(&self, outcome: JobOutcome) {
         let outcome = Arc::new(outcome);
         let mut state = self.state.lock();
         if matches!(*state, JobState::Done(_)) {
-            return false;
+            return;
         }
         *state = JobState::Done(outcome.clone());
         drop(state);
@@ -190,7 +195,6 @@ impl Job {
         for watcher in watchers {
             watcher(outcome.clone());
         }
-        true
     }
 
     /// Registers a completion callback. If the job is already

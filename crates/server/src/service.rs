@@ -10,6 +10,8 @@
 //! the queue or before it started, drained at shutdown, refused at
 //! recovery — it ends through one path that journals the outcome,
 //! tallies it and only then resolves the caller's [`JobHandle`].
+//! Every job the service creates is kept in one registry, under one
+//! retention rule ([`JOB_RETAIN`]).
 //! Each tenant's totals (job counts, reads, queue wait, run time and
 //! busy time, the sum of its jobs' stage busy) live in its one record
 //! in the scheduler, which [`PersonaService::report`] reads. Both the
@@ -33,7 +35,7 @@
 //! it already holds. `docs/DURABILITY.md` specifies the record
 //! format and the recovery invariants.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -109,10 +111,8 @@ pub(crate) struct Shared {
     /// Dataset catalog: name → manifest. Journaled through the WAL, so
     /// dataset-input submissions survive restarts.
     catalog: Mutex<HashMap<String, Manifest>>,
-    /// Span recorders per dispatched job, kept after completion so a
-    /// client can fetch a finished job's trace. Bounded to
-    /// [`TRACE_RETAIN`] jobs: oldest (smallest id) evicted first.
-    traces: Mutex<HashMap<u64, Arc<JobTrace>>>,
+    /// Every job the service answers for (see [`Registry`]).
+    registry: Mutex<Registry>,
     /// The plan-aware result cache, when enabled
     /// ([`ServiceConfig::cache_capacity`] > 0). Mutations mirror into
     /// the journal through the cache's listener, so warm entries
@@ -120,10 +120,31 @@ pub(crate) struct Shared {
     cache: Option<Arc<ResultCache>>,
 }
 
-/// How many job traces the service retains (in-memory only; traces are
-/// diagnostics, not durable state, so they neither journal nor
-/// survive recovery).
-pub const TRACE_RETAIN: usize = 64;
+/// How many terminal jobs (outcomes and traces with them) the service
+/// keeps answering for; live jobs are all kept. Past it, the job that
+/// ended earliest is forgotten, one at a time.
+pub const JOB_RETAIN: usize = 4_096;
+
+/// The service's jobs by id: every live job, and the [`JOB_RETAIN`]
+/// terminal ones that ended last.
+#[derive(Default)]
+struct Registry {
+    jobs: BTreeMap<u64, Arc<Job>>,
+    /// The terminal jobs' ids, in the order they ended.
+    ended: VecDeque<u64>,
+}
+
+impl Registry {
+    /// Counts job `id` as ended, forgetting the earliest-ended job once
+    /// more than [`JOB_RETAIN`] have.
+    fn ended(&mut self, id: u64) {
+        self.ended.push_back(id);
+        if self.ended.len() > JOB_RETAIN {
+            let evicted = self.ended.pop_front().expect("more than JOB_RETAIN ended");
+            self.jobs.remove(&evicted);
+        }
+    }
+}
 
 impl Shared {
     fn create(
@@ -150,7 +171,7 @@ impl Shared {
             started: Instant::now(),
             journal: journal.map(Mutex::new),
             catalog: Mutex::new(catalog),
-            traces: Mutex::new(HashMap::new()),
+            registry: Mutex::new(Registry::default()),
             cache,
         });
         // Mirror every cache mutation into the journal (best-effort,
@@ -186,15 +207,9 @@ impl Shared {
         Some(Arc::clone(cache))
     }
 
-    /// Registers a job's span recorder, evicting the oldest trace once
-    /// [`TRACE_RETAIN`] are held.
-    fn retain_trace(&self, job_id: u64, trace: Arc<JobTrace>) {
-        let mut traces = self.traces.lock();
-        traces.insert(job_id, trace);
-        while traces.len() > TRACE_RETAIN {
-            let oldest = *traces.keys().min().expect("non-empty trace map");
-            traces.remove(&oldest);
-        }
+    /// Adds a job the service just created to the registry.
+    fn register(&self, job: &Arc<Job>) {
+        self.registry.lock().jobs.insert(job.id, job.clone());
     }
 
     /// Resolves a still-queued job as cancelled (called from
@@ -233,9 +248,12 @@ impl Shared {
     /// then cataloged under the job name, `finished` is journaled, the
     /// tenant's totals grow, the handle resolves and the job's slot is
     /// freed — so a client never observes an outcome the journal does
-    /// not hold. The caller owns the job alone (it took it off the
+    /// not hold. The registry counts the job as ended just before it
+    /// resolves. The caller owns the job alone (it took it off the
     /// queue, or ran it), so a job resolves once.
     fn resolve(&self, job: &Job, outcome: JobOutcome) {
+        // A job that never ran still holds its input.
+        drop(job.payload.lock().take());
         let (status, error) = match &outcome {
             JobOutcome::Completed(output) => {
                 if let Some(manifest) = &output.manifest {
@@ -267,6 +285,7 @@ impl Shared {
             }
             totals.reads += outcome.output().map_or(0, |output| output.reads);
         }
+        self.registry.lock().ended(job.id);
         job.finish(outcome);
         self.sched.lock().job_finished(job);
         self.work_cv.notify_all();
@@ -294,15 +313,19 @@ impl Shared {
 
 /// A multi-tenant job service over one shared [`PersonaRuntime`].
 ///
+/// Every job it creates, submitted or recovered, is in one registry
+/// under the [`JOB_RETAIN`] rule; a caller's [`JobHandle`] keeps its
+/// job whatever the registry forgets.
+///
 /// Dropping the service stops admitting work, cancels queued jobs, and
 /// joins all in-flight jobs.
 pub struct PersonaService {
     shared: Arc<Shared>,
     /// The job runners, `max_concurrent_jobs` of them.
     runners: Mutex<Vec<JoinHandle<()>>>,
-    /// Handles rebuilt by [`PersonaService::recover`], in submission
-    /// order; empty for an in-memory service.
-    recovered: Vec<JobHandle>,
+    /// The id watermark [`PersonaService::recover`] replayed: the
+    /// retained jobs below it are the recovered ones.
+    recovered_below: u64,
     /// Makes [`PersonaService::submit`] stop the service between its
     /// journal append and the admission: the race a concurrent `stop`
     /// can win.
@@ -312,6 +335,7 @@ pub struct PersonaService {
 
 /// How [`PersonaService::recover`] rebuilds jobs the journal left
 /// unfinished.
+#[derive(Default)]
 pub struct RecoverOptions {
     /// The aligner handed to recovered plans that contain an align
     /// stage. An aligner is a process resource (index memory, kernel
@@ -321,12 +345,6 @@ pub struct RecoverOptions {
     pub aligner: Option<Arc<dyn Aligner>>,
     /// Journal knobs for the recovered service.
     pub journal: JournalConfig,
-}
-
-impl Default for RecoverOptions {
-    fn default() -> Self {
-        RecoverOptions { aligner: None, journal: JournalConfig::default() }
-    }
 }
 
 impl PersonaService {
@@ -339,7 +357,7 @@ impl PersonaService {
         PersonaService {
             shared,
             runners,
-            recovered: Vec::new(),
+            recovered_below: 0,
             #[cfg(test)]
             stop_before_admit: AtomicBool::new(false),
         }
@@ -349,12 +367,13 @@ impl PersonaService {
     /// it, and starts a durable service continuing exactly where the
     /// journaled one stopped:
     ///
-    /// - **Terminal jobs are never re-admitted.** Their handles
-    ///   resolve immediately from the journal (see
-    ///   [`PersonaService::recovered_jobs`]); a completed job's output
-    ///   keeps its journaled final manifest, and its exported bytes are
-    ///   re-created from that dataset. Stage timings did not survive
-    ///   the crash and come back empty.
+    /// - **Terminal jobs are never re-admitted.** The newest
+    ///   [`JOB_RETAIN`] (in id order) resolve from the journal (see
+    ///   [`PersonaService::recovered_jobs`]). A completed job keeps its
+    ///   journaled final manifest; the newest completed job of a name
+    ///   re-creates its exported bytes from that dataset, an older one
+    ///   gets none (the later job's objects replaced its own). Stage
+    ///   timings did not survive the crash and come back empty.
     /// - **Queued jobs re-enter the scheduler** in submission order
     ///   under their original tenant, priority and id.
     /// - **Jobs interrupted mid-plan resume at the last journaled
@@ -386,36 +405,62 @@ impl PersonaService {
                 cache.insert(key.clone(), entry.clone());
             }
         }
-        let mut recovered = Vec::new();
+        // Only the jobs the retention rule keeps are rebuilt: the live
+        // ones and the newest `JOB_RETAIN` terminal ones. A later job of
+        // a name replaced an earlier one's objects, so only the newest
+        // completed job of a name re-exports.
+        let terminal = state.jobs().filter(|record| record.terminal.is_some()).count();
+        let mut forgotten = terminal.saturating_sub(JOB_RETAIN);
+        let completed = |r: &&JobRecord| matches!(r.terminal, Some((TerminalStatus::Completed, _)));
+        let newest_completed: HashMap<&str, u64> =
+            state.jobs().filter(completed).map(|r| (r.name.as_str(), r.id)).collect();
         for record in state.jobs() {
-            let job = match &record.terminal {
+            match &record.terminal {
+                Some(_) if forgotten > 0 => forgotten -= 1,
                 // Never re-admitted, so it journals and tallies nothing.
                 Some((status, error)) => {
-                    let job = replayed_job(record, None);
-                    job.finish(recovered_outcome(record, *status, error.clone(), &shared));
-                    job
+                    let job = replayed_job(record, None, &shared);
+                    let newest = newest_completed.get(record.name.as_str()) == Some(&record.id);
+                    job.finish(recovered_outcome(record, *status, error.clone(), newest, &shared));
+                    shared.registry.lock().ended(job.id);
                 }
                 None => requeue_job(record, &shared, &opts),
-            };
-            recovered.push(JobHandle { job, service: Arc::downgrade(&shared) });
+            }
         }
         let runners = Mutex::new(spawn_runners(&shared, config.max_concurrent_jobs));
         Ok(PersonaService {
             shared,
             runners,
-            recovered,
+            recovered_below: state.next_id(),
             #[cfg(test)]
             stop_before_admit: AtomicBool::new(false),
         })
     }
 
-    /// The jobs the journal knew about at recovery, in submission
-    /// order — terminal ones pre-resolved, unfinished ones re-queued
-    /// (a resumed job's handle behaves exactly like a fresh one:
-    /// `status`, `wait`, `cancel`). Empty for [`PersonaService::new`]
-    /// services.
+    /// The jobs the journal knew about at recovery that the registry
+    /// still holds, in submission order — terminal ones pre-resolved,
+    /// unfinished ones re-queued (a resumed job's handle behaves
+    /// exactly like a fresh one: `status`, `wait`, `cancel`). Empty for
+    /// [`PersonaService::new`] services.
     pub fn recovered_jobs(&self) -> Vec<JobHandle> {
-        self.recovered.clone()
+        let mut jobs = self.jobs();
+        jobs.retain(|handle| handle.id() < self.recovered_below);
+        jobs
+    }
+
+    /// The job with service id `id`, while the registry holds it: live,
+    /// or among the [`JOB_RETAIN`] terminal jobs that ended last.
+    pub fn job(&self, id: u64) -> Option<JobHandle> {
+        let job = self.shared.registry.lock().jobs.get(&id).cloned()?;
+        Some(JobHandle { job, service: Arc::downgrade(&self.shared) })
+    }
+
+    /// Every job the registry holds, in id (= submission) order.
+    pub fn jobs(&self) -> Vec<JobHandle> {
+        let jobs: Vec<Arc<Job>> = self.shared.registry.lock().jobs.values().cloned().collect();
+        jobs.into_iter()
+            .map(|job| JobHandle { job, service: Arc::downgrade(&self.shared) })
+            .collect()
     }
 
     /// Registers `manifest` in the dataset catalog under `name`,
@@ -502,6 +547,7 @@ impl PersonaService {
         let JobSpec { name, tenant, priority, plan, input, chunk_size, aligner, reference } = spec;
         let payload = JobPayload { plan, input, chunk_size, aligner, reference };
         let job = Job::new(id, name, tenant, priority, Some(payload));
+        self.shared.register(&job);
         #[cfg(test)]
         if self.stop_before_admit.load(Ordering::SeqCst) {
             self.stop();
@@ -535,10 +581,10 @@ impl PersonaService {
 
     /// The Chrome-`trace_event` JSON dump of a job's spans: valid (and
     /// partial) while the job runs, complete after it finishes. `None`
-    /// for ids never dispatched here or evicted past [`TRACE_RETAIN`].
+    /// for a job that never dispatched in this process or that the
+    /// registry no longer holds (see [`JOB_RETAIN`]).
     pub fn trace_json(&self, job_id: u64) -> Option<String> {
-        let trace = self.shared.traces.lock().get(&job_id).cloned()?;
-        Some(trace.to_chrome_json(job_id))
+        Some(self.job(job_id)?.job.trace.get()?.to_chrome_json(job_id))
     }
 
     /// A point-in-time service report: per-tenant throughput, queue
@@ -604,18 +650,23 @@ fn spawn_runners(shared: &Arc<Shared>, count: usize) -> Vec<JoinHandle<()>> {
         .collect()
 }
 
-/// A job rebuilt from its journal record; `payload` is `None` when it
-/// will never run.
-fn replayed_job(rec: &JobRecord, payload: Option<JobPayload>) -> Arc<Job> {
+/// A job rebuilt from its journal record, in the registry; `payload`
+/// is `None` when it will never run.
+fn replayed_job(rec: &JobRecord, payload: Option<JobPayload>, shared: &Shared) -> Arc<Job> {
     let priority = rec.spec.as_ref().map_or(Priority::Normal, |s| s.priority);
-    Job::new(rec.id, rec.name.clone(), rec.tenant.clone(), priority, payload)
+    let job = Job::new(rec.id, rec.name.clone(), rec.tenant.clone(), priority, payload);
+    shared.register(&job);
+    job
 }
 
-/// The outcome a journal-replayed terminal job resolves with.
+/// The outcome a journal-replayed terminal job resolves with. `newest`:
+/// no later completed job has its name, so the objects it landed are
+/// still its own.
 fn recovered_outcome(
     rec: &JobRecord,
     status: TerminalStatus,
     error: Option<String>,
+    newest: bool,
     shared: &Arc<Shared>,
 ) -> JobOutcome {
     match status {
@@ -630,18 +681,20 @@ fn recovered_outcome(
             // but exports are pure functions of the final dataset —
             // re-run the plan's trailing export stages over it so a
             // reconnecting client reads the same bytes it would have.
-            // Stage timings did not survive and come back empty.
-            let manifest = shared
-                .catalog
-                .lock()
-                .get(&rec.name)
-                .cloned()
-                .or_else(|| rec.stages.last().map(|(_, m)| m.clone()));
+            // The catalog entry under the name and the objects behind
+            // it belong to the newest completed job of that name; an
+            // older one keeps its own journaled manifest and gets no
+            // bytes. Stage timings did not survive and come back empty.
+            let cataloged = newest.then(|| shared.catalog.lock().get(&rec.name).cloned());
+            let manifest =
+                cataloged.flatten().or_else(|| rec.stages.last().map(|(_, m)| m.clone()));
             let plan = rec.spec.as_ref().map(|s| s.plan.clone()).unwrap_or_else(Plan::full);
-            let (sam, bam, reads) = rematerialize_exports(shared, rec, &plan, manifest.as_ref());
+            let exported = newest.then(|| rematerialize_exports(shared, rec, &plan, &manifest));
+            let mut exported = exported.flatten();
             JobOutcome::Completed(JobOutput {
-                sam,
-                bam,
+                sam: exported.as_mut().and_then(|r| r.sam.take()).unwrap_or_default(),
+                bam: exported.as_mut().and_then(|r| r.bam.take()).unwrap_or_default(),
+                reads: manifest.as_ref().map_or(0, |m| m.total_records),
                 manifest,
                 report: PlanReport {
                     plan,
@@ -653,7 +706,6 @@ fn recovered_outcome(
                     cache: CacheUse { elided: 0, saved_ns: 0, executed: None },
                     elapsed: Duration::ZERO,
                 },
-                reads,
                 queue_wait: Duration::ZERO,
                 elapsed: Duration::ZERO,
             })
@@ -666,38 +718,24 @@ fn recovered_outcome(
 /// exported bytes the crashed process did. Exports are deterministic
 /// over the dataset and need no aligner, which is what makes this safe
 /// at recovery time. Best-effort: any gap (no spec, no manifest, no
-/// export stages, export error) degrades to empty bytes, never a
-/// failed recovery. Returns `(sam, bam, reads)`.
+/// export stages, export error) is `None`, so the job gets empty bytes,
+/// never a failed recovery.
 fn rematerialize_exports(
     shared: &Arc<Shared>,
     rec: &JobRecord,
     plan: &Plan,
-    manifest: Option<&Manifest>,
-) -> (Vec<u8>, Vec<u8>, u64) {
-    let reads = manifest.map(|m| m.total_records).unwrap_or(0);
-    let (Some(spec), Some(manifest)) = (rec.spec.as_ref(), manifest) else {
-        return (Vec::new(), Vec::new(), reads);
-    };
-    let stages = plan.stages();
-    let Some(last_durable) = stages.iter().rposition(|s| s.is_durable()) else {
-        return (Vec::new(), Vec::new(), reads);
-    };
-    let Some(suffix) = plan.suffix_plan(last_durable + 1) else {
-        return (Vec::new(), Vec::new(), reads);
-    };
+    manifest: &Option<Manifest>,
+) -> Option<PlanReport> {
+    let (spec, manifest) = (rec.spec.as_ref()?, manifest.clone()?);
+    let last_durable = plan.stages().iter().rposition(|s| s.is_durable())?;
     let request = PlanRequest {
         name: rec.name.clone(),
-        source: PlanSource::Dataset(manifest.clone()),
+        source: PlanSource::Dataset(manifest),
         chunk_size: spec.chunk_size,
         aligner: None,
         reference: spec.reference.clone(),
     };
-    match suffix.run(&shared.rt, request) {
-        Ok(mut report) => {
-            (report.sam.take().unwrap_or_default(), report.bam.take().unwrap_or_default(), reads)
-        }
-        Err(_) => (Vec::new(), Vec::new(), reads),
-    }
+    plan.suffix_plan(last_durable + 1)?.run(&shared.rt, request).ok()
 }
 
 /// Re-admits a journal-replayed job the crashed service never
@@ -705,12 +743,11 @@ fn rematerialize_exports(
 /// Counted as submitted in this incarnation, whether it is re-admitted
 /// or fails re-admission; no `Submitted` is re-journaled — the record
 /// that replayed it is already in the log.
-fn requeue_job(rec: &JobRecord, shared: &Arc<Shared>, opts: &RecoverOptions) -> Arc<Job> {
-    let fail = |msg: String| -> Arc<Job> {
-        let job = replayed_job(rec, None);
+fn requeue_job(rec: &JobRecord, shared: &Arc<Shared>, opts: &RecoverOptions) {
+    let fail = |msg: String| {
+        let job = replayed_job(rec, None, shared);
         shared.sched.lock().totals(&job.tenant).submitted += 1;
         shared.resolve(&job, JobOutcome::Failed(msg));
-        job
     };
     let Some(spec) = &rec.spec else {
         // Unreachable through this crate's own compaction (only
@@ -747,9 +784,8 @@ fn requeue_job(rec: &JobRecord, shared: &Arc<Shared>, opts: &RecoverOptions) -> 
         aligner,
         reference: spec.reference.clone(),
     };
-    let job = replayed_job(rec, Some(payload));
+    let job = replayed_job(rec, Some(payload), shared);
     shared.admit(&job);
-    job
 }
 
 /// One runner of the pool: runs each job the scheduler grants it to
@@ -790,7 +826,7 @@ fn run_job(shared: &Arc<Shared>, job: &Arc<Job>) {
     // observed at grant on the scheduler's behalf (the scheduler
     // itself is clock-free).
     let trace = JobTrace::real();
-    shared.retain_trace(job.id, trace.clone());
+    let _ = job.trace.set(trace.clone());
     shared
         .rt
         .telemetry()
@@ -888,6 +924,7 @@ mod tests {
     use crate::job::JobStatus;
     use persona::config::PersonaConfig;
     use persona_agd::chunk_io::MemStore;
+    use persona_agd::results::AlignmentResult;
 
     fn durable(wal: &std::path::Path) -> PersonaService {
         let rt = PersonaRuntime::new(Arc::new(MemStore::new()), PersonaConfig::small()).unwrap();
@@ -985,5 +1022,102 @@ mod tests {
         assert_eq!(report.jobs_finished(), 2);
         drop(service);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An aligner whose reads wait until the test opens it.
+    #[derive(Default)]
+    struct HeldAligner {
+        open: Mutex<bool>,
+        cv: Condvar,
+    }
+
+    impl HeldAligner {
+        fn open(&self) {
+            *self.open.lock() = true;
+            self.cv.notify_all();
+        }
+    }
+
+    impl Aligner for HeldAligner {
+        fn align_read(&self, _bases: &[u8], _quals: &[u8]) -> AlignmentResult {
+            let mut open = self.open.lock();
+            while !*open {
+                let waited = self.cv.wait_for(&mut open, Duration::from_secs(20));
+                assert!(*open || !waited.timed_out(), "the held aligner never opened");
+            }
+            AlignmentResult::unmapped()
+        }
+
+        fn name(&self) -> &'static str {
+            "held"
+        }
+    }
+
+    fn tiny_job(name: &str, aligner: Option<Arc<dyn Aligner>>) -> JobSpec {
+        JobSpec {
+            name: name.into(),
+            tenant: "t".into(),
+            priority: Priority::Normal,
+            plan: if aligner.is_some() { Plan::import_align() } else { Plan::import_only() },
+            input: JobInput::Fastq(b"@r\nACGT\n+\nIIII\n".to_vec()),
+            chunk_size: 10,
+            aligner,
+            reference: vec![],
+        }
+    }
+
+    /// The registry keeps every live job, however many jobs it holds,
+    /// and forgets terminal jobs in the order they ended, not in id
+    /// order; a trace answers exactly for the retained jobs that
+    /// dispatched.
+    #[test]
+    fn the_registry_keeps_live_jobs_and_forgets_the_earliest_ended() {
+        let rt = PersonaRuntime::new(Arc::new(MemStore::new()), PersonaConfig::small()).unwrap();
+        let config = ServiceConfig { max_concurrent_jobs: 1, ..ServiceConfig::default() };
+        let service = PersonaService::new(rt, config);
+        let traced = |service: &PersonaService| -> Vec<u64> {
+            let last = service.jobs().last().map_or(0, |h| h.id());
+            (1..=last).filter(|&id| service.trace_json(id).is_some()).collect()
+        };
+
+        let first = service.submit(tiny_job("first", None)).unwrap();
+        assert_eq!(first.wait().status(), JobStatus::Completed);
+        let aligner = Arc::new(HeldAligner::default());
+        let held = service.submit(tiny_job("held", Some(aligner.clone()))).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while held.status() != JobStatus::Running {
+            assert!(Instant::now() < deadline, "the held job never dispatched");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let queued = service.submit(tiny_job("queued", None)).unwrap();
+        let cancelled: Vec<u64> = (0..JOB_RETAIN)
+            .map(|i| {
+                let handle = service.submit(tiny_job(&format!("c{i}"), None)).unwrap();
+                handle.cancel();
+                handle.id()
+            })
+            .collect();
+
+        // JOB_RETAIN + 1 jobs have ended: the first to end is gone, and
+        // both live jobs stay on top of the JOB_RETAIN terminal ones.
+        assert!(service.job(first.id()).is_none());
+        assert!(service.trace_json(first.id()).is_none());
+        assert_eq!(service.jobs().len(), JOB_RETAIN + 2);
+        assert_eq!(service.job(held.id()).map(|h| h.status()), Some(JobStatus::Running));
+        assert_eq!(service.job(queued.id()).map(|h| h.status()), Some(JobStatus::Queued));
+        assert_eq!(traced(&service), vec![held.id()]);
+
+        // The held and queued jobs have smaller ids than every cancelled
+        // one but end after them: their ends forget the two cancelled
+        // jobs that ended first.
+        aligner.open();
+        assert_eq!(held.wait().status(), JobStatus::Completed);
+        assert_eq!(queued.wait().status(), JobStatus::Completed);
+        assert!(service.job(cancelled[0]).is_none());
+        assert!(service.job(cancelled[1]).is_none());
+        assert_eq!(service.job(cancelled[2]).map(|h| h.status()), Some(JobStatus::Cancelled));
+        assert_eq!(service.jobs().len(), JOB_RETAIN);
+        assert_eq!(service.jobs()[0].id(), held.id(), "the registry is in id order");
+        assert_eq!(traced(&service), vec![held.id(), queued.id()]);
     }
 }

@@ -35,21 +35,22 @@
 //! that disconnects — cleanly or not — has its still-unfinished jobs
 //! cancelled (cancel-on-disconnect), so an abandoned connection can
 //! never pin fair-share slots.
+//!
+//! The front end keeps no jobs of its own: every request naming a job
+//! reads the service's one registry ([`PersonaService::job`],
+//! [`PersonaService::jobs`]), from any connection.
 
-use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use parking_lot::Mutex;
 use persona::wire::{WireReport, WireTenant};
 use persona_align::Aligner;
 use persona_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 
 use crate::event_loop::{EventLoop, LoopCmd, LoopHandle};
-use crate::job::JobHandle;
 use crate::report::ServiceReport;
 use crate::service::PersonaService;
 
@@ -112,16 +113,12 @@ pub(crate) struct WireShared {
     pub(crate) metrics: WireMetrics,
     pub(crate) config: WireServerConfig,
     pub(crate) shutdown: AtomicBool,
-    /// Every job admitted over the wire, by service job id — global, so
-    /// one connection can watch, attach to, or cancel a job another
-    /// submitted.
-    pub(crate) jobs: Mutex<HashMap<u64, JobHandle>>,
 }
 
 /// A TCP front end over one [`PersonaService`]. Binding spawns the
 /// event-loop pool; dropping the server (or calling
-/// [`WireServer::stop`]) stops accepting, cancels every wire-submitted
-/// job that is still in flight, disconnects clients, and shuts the
+/// [`WireServer::stop`]) stops accepting, cancels every job of the
+/// service that is still in flight, disconnects clients, and shuts the
 /// service down.
 pub struct WireServer {
     shared: Arc<WireShared>,
@@ -145,20 +142,9 @@ impl WireServer {
     ) -> io::Result<WireServer> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        // A recovered service keeps its journaled job ids, so a client
-        // reconnecting after a restart can `status`/`wait`/`cancel` the
-        // ids it already holds: pre-populate the registry with every
-        // recovered handle (terminal ones answer immediately).
-        let jobs: HashMap<u64, JobHandle> =
-            service.recovered_jobs().into_iter().map(|h| (h.id(), h)).collect();
         let metrics = WireMetrics::register(service.runtime().telemetry());
-        let shared = Arc::new(WireShared {
-            service,
-            metrics,
-            config,
-            shutdown: AtomicBool::new(false),
-            jobs: Mutex::new(jobs),
-        });
+        let shared =
+            Arc::new(WireShared { service, metrics, config, shutdown: AtomicBool::new(false) });
         let n = loop_count();
         let mut loops = Vec::with_capacity(n);
         let mut bodies = Vec::with_capacity(n);
@@ -202,7 +188,7 @@ impl WireServer {
         &self.shared.service
     }
 
-    /// Stops the front end: in-flight wire jobs are cancelled, every
+    /// Stops the front end: in-flight jobs are cancelled, every
     /// event loop drops its connections and exits (closing the
     /// listening port), and the underlying service stops admitting
     /// (queued jobs resolve as cancelled, runners are joined).
@@ -213,9 +199,8 @@ impl WireServer {
         }
         // Cancel outstanding jobs first so completion watchers (and
         // the service shutdown below) resolve quickly.
-        for handle in self.shared.jobs.lock().values() {
-            handle.cancel();
-        }
+        let jobs = self.shared.service.jobs();
+        jobs.iter().filter(|h| !h.status().is_terminal()).for_each(|h| h.cancel());
         for handle in &self.loops {
             handle.post(LoopCmd::Shutdown);
         }

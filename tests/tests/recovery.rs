@@ -25,7 +25,8 @@ use persona_align::Aligner;
 use persona_dataflow::Priority;
 use persona_formats::fastq;
 use persona_integration_tests::common::{wait_for, Fixture, Gate, GateAligner};
-use persona_server::journal::{FsyncPolicy, Journal, JournalConfig, JournalRecord};
+use persona_server::journal::{FsyncPolicy, Journal, JournalConfig, JournalRecord, TerminalStatus};
+use persona_server::service::JOB_RETAIN;
 use persona_server::{
     JobInput, JobSpec, JobStatus, PersonaService, Plan, RecoverOptions, ServiceConfig,
 };
@@ -346,4 +347,106 @@ fn finished_is_journaled_before_the_handle_resolves() {
         );
     });
     assert_eq!(held.status(), JobStatus::Completed);
+}
+
+/// Names recur across finished jobs, and a later job's objects replace
+/// an earlier one's. After a restart, the older of two completed jobs
+/// of one name must not serve the newer one's exported bytes as its
+/// own: only the newest re-exports, the older gets empty bytes.
+#[test]
+fn an_older_job_of_a_recurring_name_does_not_serve_the_newer_ones_bytes() {
+    let fx = Fixture::new(43, 150);
+    let tmp = TmpDir::new("recurring-name");
+    let wal = tmp.0.join("service.wal");
+    let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
+
+    let (older, newer) = {
+        let service = service_over(&store, &wal, &fx);
+        let run = |reads: &[persona_seq::Read]| {
+            let mut job = spec(&fx, "sample");
+            job.input = JobInput::Fastq(fastq::to_bytes(reads));
+            let handle = service.submit(job).unwrap();
+            let outcome = handle.wait();
+            let sam = outcome.output().expect("job completes").sam.clone();
+            (handle.id(), sam)
+        };
+        let older = run(&fx.reads[..75]);
+        let newer = run(&fx.reads[75..]);
+        assert_ne!(older.1, newer.1, "different inputs export different bytes");
+        (older, newer)
+    };
+
+    let service = service_over(&store, &wal, &fx);
+    let sam_of = |id: u64| {
+        let outcome = service.job(id).expect("recovered job is retained").wait();
+        outcome.output().expect("recovered job stays completed").sam.clone()
+    };
+    assert_eq!(sam_of(newer.0), newer.1, "the newest job of the name re-exports its bytes");
+    let older_sam = sam_of(older.0);
+    assert_ne!(older_sam, newer.1, "the older job serves the newer job's bytes");
+    assert!(older_sam.is_empty(), "the older job's objects are gone, so it has no bytes");
+}
+
+/// `register_dataset` journals the catalog entry and `sync_journal`
+/// forces the batch window to disk: a crash right after them recovers
+/// the entry.
+#[test]
+fn a_registered_dataset_survives_a_crash_after_sync_journal() {
+    let fx = Fixture::new(47, 100);
+    let tmp = TmpDir::new("register");
+    let wal = tmp.0.join("service.wal");
+    let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
+    let manifest = fx.write_dataset(&*store, "landed", 64);
+    let batched = |fx: &Fixture| RecoverOptions {
+        aligner: Some(fx.aligner.clone()),
+        journal: JournalConfig { fsync: FsyncPolicy::Batch(1_000), compact_threshold: 0 },
+    };
+
+    let rt = PersonaRuntime::new(store.clone(), PersonaConfig::small()).unwrap();
+    let service =
+        PersonaService::recover(rt, ServiceConfig::default(), &wal, batched(&fx)).unwrap();
+    service.register_dataset("landed", manifest.clone()).unwrap();
+    service.sync_journal().unwrap();
+    let crash_wal = tmp.0.join("crash.wal");
+    std::fs::copy(&wal, &crash_wal).unwrap();
+    drop(service);
+
+    let rt = PersonaRuntime::new(store, PersonaConfig::small()).unwrap();
+    let recovered =
+        PersonaService::recover(rt, ServiceConfig::default(), &crash_wal, batched(&fx)).unwrap();
+    assert_eq!(recovered.dataset("landed"), Some(manifest));
+}
+
+/// Recovery rebuilds only the jobs the retention rule keeps: of
+/// `JOB_RETAIN + 2` finished jobs, the newest `JOB_RETAIN`.
+#[test]
+fn recovery_rebuilds_only_the_newest_job_retain_terminal_jobs() {
+    let fx = Fixture::new(53, 10);
+    let tmp = TmpDir::new("retain");
+    let wal = tmp.0.join("service.wal");
+    let mut journal =
+        Journal::open(&wal, JournalConfig { fsync: FsyncPolicy::Never, compact_threshold: 0 })
+            .unwrap();
+    let finished = (JOB_RETAIN + 2) as u64;
+    for job_id in 1..=finished {
+        let record = JournalRecord::Finished {
+            job_id,
+            name: format!("j{job_id}"),
+            tenant: "lab".into(),
+            status: TerminalStatus::Cancelled,
+            error: None,
+        };
+        journal.append(&record).unwrap();
+    }
+    journal.sync().unwrap();
+    drop(journal);
+
+    let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
+    let service = service_over(&store, &wal, &fx);
+    let recovered = service.recovered_jobs();
+    assert_eq!(recovered.len(), JOB_RETAIN);
+    assert_eq!(recovered[0].id(), 3);
+    assert!(service.job(1).is_none());
+    assert!(service.job(2).is_none());
+    assert_eq!(service.job(finished).map(|h| h.status()), Some(JobStatus::Cancelled));
 }

@@ -21,6 +21,7 @@ use persona_align::Aligner;
 use persona_dataflow::Priority;
 use persona_formats::fastq;
 use persona_integration_tests::common::{wait_for, Fixture, Gate, GateAligner, SlowAligner};
+use persona_server::service::JOB_RETAIN;
 use persona_server::{
     JobInput, JobSpec, PersonaService, ServiceConfig, WireServer, WireServerConfig,
 };
@@ -455,6 +456,61 @@ fn a_job_seen_dispatched_always_has_a_trace() {
             panic!("job {job} (submission {i}) left the queue but has no trace: {e:?}");
         }
     }
+}
+
+/// The job registry has no purge cliff. With the one runner held by a
+/// gated job, every other job is cancelled in the queue: a job
+/// cancelled just before the registry reaches 4,096 entries still
+/// answers after the next submission, and once more than `JOB_RETAIN`
+/// jobs have ended, only the one that ended first is forgotten.
+#[test]
+fn a_full_registry_forgets_only_the_earliest_ended_job() {
+    let fx = Fixture::new(8012, 50);
+    let gate = Gate::new();
+    let gated: Arc<dyn Aligner> =
+        Arc::new(GateAligner { inner: fx.aligner.clone(), gate: gate.clone() });
+    let server = serve(gated, 1);
+    let mut client = WireClient::connect(server.local_addr()).unwrap();
+    let held = client.submit(wire_submit(&fx, "held", "lab", Plan::full())).unwrap();
+    wait_for(|| client.status(held).unwrap() == WireJobStatus::Running, "job to dispatch");
+
+    let one_read = fastq::to_bytes(&fx.reads[..1]);
+    let submit = |client: &mut WireClient, name: String| {
+        let mut submit = wire_submit(&fx, &name, "lab", Plan::import_only());
+        submit.input = SubmitInput::Fastq(one_read.clone());
+        client.submit(submit).unwrap()
+    };
+    let mut cancelled = Vec::new();
+    let submit_and_cancel = |client: &mut WireClient, cancelled: &mut Vec<u64>| {
+        let job = submit(client, format!("c{}", cancelled.len()));
+        client.cancel(job).unwrap();
+        cancelled.push(job);
+    };
+    // The held job and 4,095 cancelled ones: 4,096 entries.
+    while cancelled.len() < JOB_RETAIN - 1 {
+        submit_and_cancel(&mut client, &mut cancelled);
+    }
+    let queued = submit(&mut client, "queued".into());
+    let last = *cancelled.last().unwrap();
+    assert_eq!(client.status(last).unwrap(), WireJobStatus::Cancelled, "job {last} forgotten");
+
+    // Two more ended jobs make JOB_RETAIN + 1.
+    submit_and_cancel(&mut client, &mut cancelled);
+    submit_and_cancel(&mut client, &mut cancelled);
+    match client.status(cancelled[0]) {
+        Err(persona::wire::WireClientError::Remote { code, .. }) => {
+            assert_eq!(code, ErrorCode::UnknownJob)
+        }
+        other => panic!("expected the earliest-ended job to be forgotten, got {other:?}"),
+    }
+    let mut expected = vec![held, queued];
+    expected.extend(&cancelled[1..]);
+    expected.sort_unstable();
+    let listed: Vec<u64> = client.list_jobs().unwrap().iter().map(|j| j.job_id).collect();
+    assert_eq!(listed, expected);
+    assert_eq!(client.status(queued).unwrap(), WireJobStatus::Queued);
+    gate.open();
+    assert_eq!(client.wait(queued).unwrap().status, WireJobStatus::Completed);
 }
 
 /// A version-mismatched hello is rejected with `unsupported-version`
