@@ -15,8 +15,6 @@
 //! * [`bwa`] — SMEM-style exact-match seeding on the FM-index, chaining,
 //!   local SW of the read against a padded window per chain, after
 //!   Li's BWA-MEM.
-//! * [`paired`] — pair scoring, FR-orientation checks, insert-size
-//!   inference (the single-threaded step §4.3 describes) and mate rescue.
 //! * [`mapq`] — mapping-quality estimation from best/second-best.
 //! * [`profile`] — per-phase time/op counters that regenerate the Fig. 8
 //!   workload analysis without hardware PMUs.
@@ -42,7 +40,6 @@
 pub mod bwa;
 pub mod edit;
 pub mod mapq;
-pub mod paired;
 pub mod profile;
 pub mod snap;
 pub mod sw;

@@ -622,18 +622,13 @@ impl Plan {
         let hit = session.as_ref().and_then(CacheSession::hit);
         let elided = hit.map_or(0, |(elided, _)| elided);
         let mut report = PlanReport {
-            plan: self.clone(),
             stages: Vec::with_capacity(self.stages.len() - elided),
-            manifest: None,
-            sorted: None,
-            sam: None,
-            bam: None,
             cache: CacheUse {
                 elided,
                 saved_ns: hit.map_or(0, |(_, entry)| entry.cost_ns),
                 executed: if elided == 0 { Some(self.clone()) } else { self.suffix_plan(elided) },
             },
-            elapsed: Duration::ZERO,
+            ..PlanReport::empty(self.clone())
         };
         let mut input = Some(match (hit, req.source) {
             (Some((_, entry)), _) => StageInput::Edge(Edge::landed(entry.manifest.clone())),
@@ -1066,6 +1061,21 @@ pub struct PlanReport {
 }
 
 impl PlanReport {
+    /// The report of a run of `plan` that ran no stage and used no
+    /// cache; [`Plan::run`] fills one in as stages run.
+    pub fn empty(plan: Plan) -> PlanReport {
+        PlanReport {
+            plan,
+            stages: Vec::new(),
+            manifest: None,
+            sorted: None,
+            sam: None,
+            bam: None,
+            cache: CacheUse { elided: 0, saved_ns: 0, executed: None },
+            elapsed: Duration::ZERO,
+        }
+    }
+
     /// `(stage name, elapsed, executor busy fraction)` rows for
     /// exactly the stages that ran, in plan order.
     pub fn stage_rows(&self) -> Vec<(&'static str, Duration, f64)> {

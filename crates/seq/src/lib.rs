@@ -27,4 +27,4 @@ pub mod read;
 pub mod simulate;
 
 pub use genome::Genome;
-pub use read::{Read, ReadPair};
+pub use read::Read;

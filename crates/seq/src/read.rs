@@ -36,18 +36,9 @@ impl Read {
     }
 }
 
-/// A paired-end read: two mates sequenced from the ends of one fragment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReadPair {
-    /// Mate 1 (5' end of the fragment).
-    pub r1: Read,
-    /// Mate 2 (3' end, sequenced reverse-complemented).
-    pub r2: Read,
-}
-
 /// The true origin of a simulated read, encoded in its metadata.
 ///
-/// Format: `sim:<contig>:<pos>:<strand>:<serial>[/1|/2]`, where `pos` is
+/// Format: `sim:<contig>:<pos>:<strand>:<serial>`, where `pos` is
 /// the 0-based leftmost reference position of the read's alignment and
 /// `strand` is `+` or `-`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,19 +55,15 @@ pub struct Origin {
 
 impl Origin {
     /// Renders the origin as read metadata.
-    pub fn to_meta(self, mate: Option<u8>) -> Vec<u8> {
+    pub fn to_meta(self) -> Vec<u8> {
         let strand = if self.reverse { '-' } else { '+' };
-        let mut s = format!("sim:{}:{}:{}:{}", self.contig, self.pos, strand, self.serial);
-        if let Some(m) = mate {
-            s.push('/');
-            s.push((b'0' + m) as char);
-        }
-        s.into_bytes()
+        format!("sim:{}:{}:{}:{}", self.contig, self.pos, strand, self.serial).into_bytes()
     }
 
     /// Parses origin metadata written by [`Origin::to_meta`].
     ///
-    /// Returns `None` for reads that did not come from the simulator.
+    /// Returns `None` for reads that did not come from the simulator. A
+    /// mate suffix (`/1`, `/2`) is ignored.
     pub fn parse(meta: &[u8]) -> Option<Origin> {
         let s = std::str::from_utf8(meta).ok()?;
         let s = s.strip_prefix("sim:")?;
@@ -115,9 +102,9 @@ mod tests {
     #[test]
     fn origin_roundtrip() {
         let o = Origin { contig: 3, pos: 123_456, reverse: true, serial: 99 };
-        assert_eq!(Origin::parse(&o.to_meta(None)), Some(o));
-        assert_eq!(Origin::parse(&o.to_meta(Some(1))), Some(o));
-        assert_eq!(Origin::parse(&o.to_meta(Some(2))), Some(o));
+        assert_eq!(Origin::parse(&o.to_meta()), Some(o));
+        assert_eq!(Origin::parse(b"sim:3:123456:-:99/1"), Some(o));
+        assert_eq!(Origin::parse(b"sim:3:123456:-:99/2"), Some(o));
     }
 
     #[test]

@@ -58,9 +58,10 @@ pub struct JobOutput {
     /// Exported BGZF BAM; non-empty iff the plan ran `export-bam`.
     pub bam: Vec<u8>,
     /// Manifest of the plan's final dataset state (sorted if the plan
-    /// sorted, else the imported/aligned dataset). `None` for plans
-    /// over an existing dataset that produced no new one — the caller
-    /// already holds the input manifest.
+    /// sorted, else the imported/aligned dataset; a job resumed after a
+    /// restart, the dataset it resumed from when its plan suffix lands
+    /// none). `None` for plans over an existing dataset that produced
+    /// no new one — the caller already holds the input manifest.
     pub manifest: Option<Manifest>,
     /// Per-stage reports for exactly the stages that ran, in plan
     /// order. Exported payloads are *moved out* of this report into
@@ -113,6 +114,9 @@ pub(crate) struct JobPayload {
     pub chunk_size: usize,
     pub aligner: Option<Arc<dyn Aligner>>,
     pub reference: Vec<(String, u64)>,
+    /// A resumed job's dataset from before the restart: its final
+    /// manifest when the plan suffix lands no newer one.
+    pub landed: Option<Manifest>,
 }
 
 pub(crate) enum JobState {

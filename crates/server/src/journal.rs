@@ -35,16 +35,17 @@
 //! # Compaction
 //!
 //! The journal folds every append into an in-memory [`JournalState`]
-//! mirror. When the file outgrows [`JournalConfig::compact_threshold`]
-//! a checkpoint rewrite replaces it: terminal jobs shrink to a single
-//! [`JournalRecord::Finished`] line (their specs, inputs and stage
-//! manifests are dead weight), live jobs keep exactly the records
-//! replay needs, and the dataset catalog is re-emitted. The rewrite
-//! goes to a temp file, is fsynced, and atomically renamed over the
-//! log, so a crash mid-compaction leaves either the old log or the new
-//! one — never a mix.
+//! mirror, which keeps jobs under the service's retention rule
+//! ([`JOB_RETAIN`]): an ended job shrinks to its
+//! [`JournalRecord::Finished`] record, and the earliest-ended is
+//! forgotten past the bound. When the file outgrows
+//! [`JournalConfig::compact_threshold`] a checkpoint rewrite replaces
+//! it with the mirror as it is. The rewrite goes to a temp file, is
+//! fsynced, and atomically renamed over the log, so a crash
+//! mid-compaction leaves either the old log or the new one — never a
+//! mix.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -180,20 +181,25 @@ serde::serde_enum! {
             /// The manifest that stage landed in the shared store.
             manifest: Manifest,
         },
-        /// The job reached a terminal state. Carries name and tenant so a
-        /// compacted log can drop the job's `Submitted` record while
-        /// recovery still answers `status` for the id.
+        /// The job reached a terminal state. It is all replay keeps of an
+        /// ended job: name and tenant answer `status` for the id, and a
+        /// completed job's plan and final manifest re-create its exports.
         Finished = "finished" {
             /// The job.
             job_id: u64,
-            /// Dataset name (for compacted logs).
+            /// Dataset name.
             name: String,
-            /// Tenant (for compacted logs).
+            /// Tenant.
             tenant: String,
             /// How it ended.
             status: TerminalStatus,
             /// The failure message, for failed jobs.
             error: Option<String> = default,
+            /// The plan a completed job ran.
+            plan: Option<Plan> = default,
+            /// A completed job's final manifest
+            /// ([`crate::job::JobOutput::manifest`]).
+            manifest: Option<Manifest> = default,
         },
         /// A catalog entry: `name` resolves to `manifest` for dataset-input
         /// submissions after a restart. Last write per name wins.
@@ -316,8 +322,49 @@ impl JournalRecord {
     }
 }
 
-/// Everything known about one journaled job after replay.
-#[derive(Debug, Clone)]
+/// How many ended jobs a service keeps: its registry answers for them
+/// and its journal keeps their `finished` records. Live jobs are all
+/// kept. Past it, the job that ended earliest is forgotten, one at a
+/// time.
+pub const JOB_RETAIN: usize = 4_096;
+
+/// Jobs by id under the retention rule: every live job, and the
+/// [`JOB_RETAIN`] jobs that ended last. The service's registry and the
+/// journal's [`JournalState`] each keep their jobs in one.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Retained<T> {
+    /// Every kept job (id order is submission order).
+    pub by_id: BTreeMap<u64, T>,
+    /// The kept ended jobs' ids, in the order they ended.
+    ended: VecDeque<u64>,
+}
+
+impl<T> Default for Retained<T> {
+    fn default() -> Self {
+        Retained { by_id: BTreeMap::new(), ended: VecDeque::new() }
+    }
+}
+
+impl<T> Retained<T> {
+    /// The kept ended jobs, in the order they ended.
+    pub fn ended(&self) -> impl Iterator<Item = &T> {
+        self.ended.iter().map(|id| &self.by_id[id])
+    }
+
+    /// Counts the kept job `id` as ended, once; forgets the
+    /// earliest-ended job once more than [`JOB_RETAIN`] have.
+    pub fn end(&mut self, id: u64) {
+        self.ended.push_back(id);
+        if self.ended.len() > JOB_RETAIN {
+            let evicted = self.ended.pop_front().expect("more than JOB_RETAIN ended");
+            self.by_id.remove(&evicted);
+        }
+    }
+}
+
+/// What replay keeps of one journaled job: a live job's spec, start
+/// marker and landed stages, or an ended job's `finished` record.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct JobRecord {
     /// Service-assigned id.
     pub id: u64,
@@ -325,20 +372,20 @@ pub struct JobRecord {
     pub name: String,
     /// Submitting tenant.
     pub tenant: String,
-    /// The submission spec; `None` for terminal jobs whose spec was
-    /// compacted away.
+    /// The submission spec; `None` once the job has ended.
     pub spec: Option<RecordedSpec>,
-    /// Whether a `started` record was journaled.
+    /// Whether a `started` record was journaled while the job was live.
     pub started: bool,
     /// Completed stages with the manifest each landed, in completion
     /// order; a re-run stage keeps its slot with the newest manifest.
+    /// Empty once the job has ended.
     pub stages: Vec<(Stage, Manifest)>,
-    /// The terminal state, when one was journaled.
-    pub terminal: Option<(TerminalStatus, Option<String>)>,
+    /// The job's [`JournalRecord::Finished`] record, once it has ended.
+    pub terminal: Option<JournalRecord>,
 }
 
 /// The resumable parts of a journaled [`crate::job::JobSpec`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecordedSpec {
     /// Dispatch priority.
     pub priority: Priority,
@@ -355,8 +402,8 @@ pub struct RecordedSpec {
 impl JobRecord {
     /// The furthest plan stage with a journaled completion, as an index
     /// into the *original* plan's stage list, with the manifest it
-    /// landed. `None` when no stage has completed (or the spec is
-    /// gone). This is the resume point: replay rebuilds the plan
+    /// landed. `None` when no stage has completed (or the job has
+    /// ended). This is the resume point: replay rebuilds the plan
     /// suffix after it.
     pub fn resume_point(&self) -> Option<(usize, &Manifest)> {
         let plan = &self.spec.as_ref()?.plan;
@@ -372,11 +419,11 @@ impl JobRecord {
     }
 }
 
-/// The fold of a journal's records: jobs by id (id order = submission
-/// order), the dataset catalog, and the id watermark.
-#[derive(Debug, Clone, Default)]
+/// The fold of a journal's records: the jobs under the retention rule,
+/// the dataset catalog, the result-cache entries and the id watermark.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct JournalState {
-    jobs: BTreeMap<u64, JobRecord>,
+    jobs: Retained<JobRecord>,
     datasets: BTreeMap<String, Manifest>,
     cache: BTreeMap<CacheKey, CacheEntry>,
     next_id: u64,
@@ -398,50 +445,51 @@ impl JournalState {
                 reference,
             } => {
                 self.next_id = self.next_id.max(job_id + 1);
-                self.jobs.insert(
-                    *job_id,
-                    JobRecord {
-                        id: *job_id,
-                        name: name.clone(),
-                        tenant: tenant.clone(),
-                        spec: Some(RecordedSpec {
-                            priority: *priority,
-                            plan: plan.clone(),
-                            input: input.clone(),
-                            chunk_size: *chunk_size,
-                            reference: reference.clone(),
-                        }),
-                        started: false,
-                        stages: Vec::new(),
-                        terminal: None,
-                    },
-                );
+                // Ids are never reused: a kept job is not submitted again.
+                self.jobs.by_id.entry(*job_id).or_insert_with(|| JobRecord {
+                    id: *job_id,
+                    name: name.clone(),
+                    tenant: tenant.clone(),
+                    spec: Some(RecordedSpec {
+                        priority: *priority,
+                        plan: plan.clone(),
+                        input: input.clone(),
+                        chunk_size: *chunk_size,
+                        reference: reference.clone(),
+                    }),
+                    ..JobRecord::default()
+                });
             }
             JournalRecord::Started { job_id } => {
-                if let Some(job) = self.jobs.get_mut(job_id) {
+                if let Some(job) = self.jobs.by_id.get_mut(job_id).filter(|j| j.terminal.is_none())
+                {
                     job.started = true;
                 }
             }
             JournalRecord::StageCompleted { job_id, stage, manifest } => {
-                if let Some(job) = self.jobs.get_mut(job_id) {
+                if let Some(job) = self.jobs.by_id.get_mut(job_id).filter(|j| j.terminal.is_none())
+                {
                     match job.stages.iter_mut().find(|(s, _)| s == stage) {
                         Some((_, m)) => *m = manifest.clone(),
                         None => job.stages.push((*stage, manifest.clone())),
                     }
                 }
             }
-            JournalRecord::Finished { job_id, name, tenant, status, error } => {
+            JournalRecord::Finished { job_id, name, tenant, .. } => {
                 self.next_id = self.next_id.max(job_id + 1);
-                let job = self.jobs.entry(*job_id).or_insert_with(|| JobRecord {
+                // The job keeps only its `finished` record: its spec
+                // (FASTQ and all) and stage manifests are dropped. A
+                // repeated `finished` replaces the record in place.
+                let job = JobRecord {
                     id: *job_id,
                     name: name.clone(),
                     tenant: tenant.clone(),
-                    spec: None,
-                    started: false,
-                    stages: Vec::new(),
-                    terminal: None,
-                });
-                job.terminal = Some((*status, error.clone()));
+                    terminal: Some(record.clone()),
+                    ..JobRecord::default()
+                };
+                if self.jobs.by_id.insert(*job_id, job).and_then(|old| old.terminal).is_none() {
+                    self.jobs.end(*job_id);
+                }
             }
             JournalRecord::Dataset { name, manifest } => {
                 self.datasets.insert(name.clone(), manifest.clone());
@@ -458,24 +506,25 @@ impl JournalState {
         }
     }
 
-    /// Journaled jobs in id (= submission) order.
+    /// Every kept job in id (= submission) order.
     pub fn jobs(&self) -> impl Iterator<Item = &JobRecord> {
-        self.jobs.values()
+        self.jobs.by_id.values()
     }
 
-    /// One job by id.
+    /// The kept ended jobs (at most [`JOB_RETAIN`]), in the order they
+    /// ended.
+    pub fn ended(&self) -> impl Iterator<Item = &JobRecord> {
+        self.jobs.ended()
+    }
+
+    /// One kept job by id.
     pub fn job(&self, id: u64) -> Option<&JobRecord> {
-        self.jobs.get(&id)
+        self.jobs.by_id.get(&id)
     }
 
     /// The dataset catalog (name → manifest, last write wins).
     pub fn datasets(&self) -> impl Iterator<Item = (&str, &Manifest)> {
         self.datasets.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// One catalog entry by name.
-    pub fn dataset(&self, name: &str) -> Option<&Manifest> {
-        self.datasets.get(name)
     }
 
     /// The journaled result-cache entries (key order; last write per
@@ -489,34 +538,20 @@ impl JournalState {
         self.next_id.max(1)
     }
 
-    /// The minimal record sequence that replays to this state — what
-    /// compaction writes. Terminal jobs shrink to one `finished` line;
-    /// live jobs keep their spec, start marker and newest per-stage
-    /// manifests; the catalog and id watermark are re-emitted.
+    /// The record sequence that replays to exactly this state — what
+    /// compaction writes: the id watermark, the catalog, the cache,
+    /// each live job's spec, start marker and stage manifests, then
+    /// each ended job's `finished` record in the order they ended.
     fn compact_records(&self) -> Vec<JournalRecord> {
-        let mut out = vec![JournalRecord::Checkpoint { next_id: self.next_id() }];
+        let mut out = vec![JournalRecord::Checkpoint { next_id: self.next_id }];
         for (name, manifest) in &self.datasets {
             out.push(JournalRecord::Dataset { name: name.clone(), manifest: manifest.clone() });
         }
         for (key, entry) in &self.cache {
             out.push(JournalRecord::CacheInsert { key: key.clone(), entry: entry.clone() });
         }
-        for job in self.jobs.values() {
-            if let Some((status, error)) = &job.terminal {
-                out.push(JournalRecord::Finished {
-                    job_id: job.id,
-                    name: job.name.clone(),
-                    tenant: job.tenant.clone(),
-                    status: *status,
-                    error: error.clone(),
-                });
-                continue;
-            }
-            let Some(spec) = &job.spec else {
-                // A live job without a spec cannot be resumed or
-                // re-run; there is nothing worth rewriting.
-                continue;
-            };
+        for job in self.jobs() {
+            let Some(spec) = &job.spec else { continue };
             out.push(JournalRecord::Submitted {
                 job_id: job.id,
                 name: job.name.clone(),
@@ -538,6 +573,7 @@ impl JournalState {
                 });
             }
         }
+        out.extend(self.ended().filter_map(|job| job.terminal.clone()));
         out
     }
 }
@@ -642,11 +678,7 @@ impl Journal {
         let mut records = Vec::new();
         let mut offsets = Vec::new();
         let mut at = 0usize;
-        loop {
-            let Some(record) = decode_record_at(&bytes, at) else {
-                break;
-            };
-            let (record, next) = record;
+        while let Some((record, next)) = decode_record_at(&bytes, at) {
             records.push(record);
             offsets.push(at as u64);
             at = next;
@@ -838,6 +870,18 @@ mod tests {
         }
     }
 
+    fn finished(id: u64) -> JournalRecord {
+        JournalRecord::Finished {
+            job_id: id,
+            name: format!("job-{id}"),
+            tenant: "prod".into(),
+            status: TerminalStatus::Cancelled,
+            error: None,
+            plan: None,
+            manifest: None,
+        }
+    }
+
     fn mixed_records() -> Vec<JournalRecord> {
         let manifest = Manifest::new("job-1");
         vec![
@@ -855,6 +899,8 @@ mod tests {
                 tenant: "prod".into(),
                 status: TerminalStatus::Completed,
                 error: None,
+                plan: Some(Plan::full()),
+                manifest: Some(manifest.clone()),
             },
             JournalRecord::Dataset { name: "landed".into(), manifest: manifest.clone() },
             JournalRecord::CacheInsert {
@@ -898,9 +944,9 @@ mod tests {
             assert_eq!(replayed.good_len, written, "{fsync:?}: replay length");
             let state = replayed.state();
             assert_eq!(state.next_id(), 7);
-            assert_eq!(state.job(1).unwrap().terminal, Some((TerminalStatus::Completed, None)));
+            assert_eq!(state.job(1).unwrap().terminal.as_ref(), Some(&records[4]));
             assert!(state.job(2).unwrap().terminal.is_none());
-            assert!(state.dataset("landed").is_some());
+            assert!(state.datasets().any(|(name, _)| name == "landed"));
         }
     }
 
@@ -1010,12 +1056,14 @@ mod tests {
         assert!(j.len() < len_before, "terminal job 1's records must shrink");
         let replayed = Journal::read(&path).unwrap();
         let after = replayed.state();
-        assert_eq!(after.next_id(), before.next_id());
+        assert!(after.jobs().eq(before.jobs()), "compaction changed a job");
+        assert!(after.ended().eq(before.ended()), "compaction changed the end order");
+        assert_eq!(after, before);
         let j1 = after.job(1).unwrap();
-        assert_eq!(j1.terminal, Some((TerminalStatus::Completed, None)));
+        assert_eq!(j1.terminal.as_ref(), Some(&mixed_records()[4]));
         assert!(j1.spec.is_none(), "terminal job keeps only its finished line");
         assert!(after.job(2).unwrap().spec.is_some(), "live job keeps its spec");
-        assert!(after.dataset("landed").is_some());
+        assert!(after.datasets().any(|(name, _)| name == "landed"));
         // And appends continue on the compacted file.
         j.append(&JournalRecord::Started { job_id: 2 }).unwrap();
         j.sync().unwrap();
@@ -1033,14 +1081,7 @@ mod tests {
         // the log keeps shrinking back under the threshold.
         for id in 0..200u64 {
             j.append(&submitted(id, RecordedInput::Fastq(vec![b'A'; 256]))).unwrap();
-            j.append(&JournalRecord::Finished {
-                job_id: id,
-                name: format!("job-{id}"),
-                tenant: "prod".into(),
-                status: TerminalStatus::Cancelled,
-                error: None,
-            })
-            .unwrap();
+            j.append(&finished(id)).unwrap();
         }
         // 200 submit records at ~700 bytes each would be well past
         // 100 KiB without compaction folding finished pairs away.
@@ -1058,6 +1099,44 @@ mod tests {
         let state = Journal::read(&path).unwrap().state();
         assert_eq!(state.jobs().count(), 200);
         assert!(state.jobs().all(|job| job.spec.is_none()));
+    }
+
+    /// Compacting a log of 2 × `JOB_RETAIN` ended jobs keeps exactly
+    /// the `JOB_RETAIN` that ended last, so a recovery replays the live
+    /// jobs and those, and no more.
+    #[test]
+    fn compaction_keeps_exactly_the_job_retain_jobs_that_ended_last() {
+        let tmp = TmpDir::new("retain");
+        let path = tmp.wal();
+        let config = JournalConfig { fsync: FsyncPolicy::Never, compact_threshold: 0 };
+        let mut j = Journal::open(&path, config).unwrap();
+        let (ended, live) = (2 * JOB_RETAIN as u64, 3u64);
+        for id in 1..=ended + live {
+            j.append(&submitted(id, RecordedInput::Fastq(b"@r\nA\n+\nI\n".to_vec()))).unwrap();
+        }
+        for id in 1..=ended {
+            j.append(&finished(id)).unwrap();
+        }
+        let mirror = j.state().clone();
+        j.compact().unwrap();
+        drop(j);
+
+        let log = Journal::read(&path).unwrap();
+        let count =
+            |keep: fn(&JournalRecord) -> bool| log.records.iter().filter(|r| keep(r)).count();
+        assert_eq!(count(|r| matches!(r, JournalRecord::Finished { .. })), JOB_RETAIN);
+        let job_records = count(|r| {
+            matches!(r, JournalRecord::Submitted { .. } | JournalRecord::Finished { .. })
+        });
+        assert_eq!(job_records, live as usize + JOB_RETAIN);
+        let state = log.state();
+        assert_eq!(state, mirror);
+        let kept: Vec<u64> = state.ended().map(|job| job.id).collect();
+        assert_eq!(kept, (ended - JOB_RETAIN as u64 + 1..=ended).collect::<Vec<_>>());
+        assert!(state.ended().all(|job| job.spec.is_none()));
+        assert_eq!(state.jobs().filter(|job| job.spec.is_some()).count() as u64, live);
+        let reopened = Journal::open(&path, config).unwrap();
+        assert_eq!(reopened.state().jobs().count(), live as usize + JOB_RETAIN);
     }
 
     #[test]

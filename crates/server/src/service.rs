@@ -35,7 +35,7 @@
 //! it already holds. `docs/DURABILITY.md` specifies the record
 //! format and the recovery invariants.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -43,7 +43,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
-use persona::caching::CacheUse;
 use persona::plan::{Plan, PlanReport, PlanRequest, PlanSource, Stage};
 use persona::runtime::{JobContext, PersonaRuntime};
 use persona::{Error, Result};
@@ -55,8 +54,10 @@ use persona_dataflow::Priority;
 use persona_telemetry::{JobTrace, MetricsSnapshot};
 
 use crate::job::{Job, JobHandle, JobInput, JobOutcome, JobOutput, JobPayload, JobSpec, JobState};
+pub use crate::journal::JOB_RETAIN;
 use crate::journal::{
-    JobRecord, Journal, JournalConfig, JournalRecord, RecordedInput, TerminalStatus,
+    JobRecord, Journal, JournalConfig, JournalRecord, RecordedInput, RecordedSpec, Retained,
+    TerminalStatus,
 };
 use crate::report::ServiceReport;
 use crate::scheduler::{FairScheduler, TenantConfig};
@@ -111,39 +112,14 @@ pub(crate) struct Shared {
     /// Dataset catalog: name → manifest. Journaled through the WAL, so
     /// dataset-input submissions survive restarts.
     catalog: Mutex<HashMap<String, Manifest>>,
-    /// Every job the service answers for (see [`Registry`]).
-    registry: Mutex<Registry>,
+    /// Every job the service answers for: the live ones and the
+    /// [`JOB_RETAIN`] that ended last.
+    registry: Mutex<Retained<Arc<Job>>>,
     /// The plan-aware result cache, when enabled
     /// ([`ServiceConfig::cache_capacity`] > 0). Mutations mirror into
     /// the journal through the cache's listener, so warm entries
     /// survive [`PersonaService::recover`].
     cache: Option<Arc<ResultCache>>,
-}
-
-/// How many terminal jobs (outcomes and traces with them) the service
-/// keeps answering for; live jobs are all kept. Past it, the job that
-/// ended earliest is forgotten, one at a time.
-pub const JOB_RETAIN: usize = 4_096;
-
-/// The service's jobs by id: every live job, and the [`JOB_RETAIN`]
-/// terminal ones that ended last.
-#[derive(Default)]
-struct Registry {
-    jobs: BTreeMap<u64, Arc<Job>>,
-    /// The terminal jobs' ids, in the order they ended.
-    ended: VecDeque<u64>,
-}
-
-impl Registry {
-    /// Counts job `id` as ended, forgetting the earliest-ended job once
-    /// more than [`JOB_RETAIN`] have.
-    fn ended(&mut self, id: u64) {
-        self.ended.push_back(id);
-        if self.ended.len() > JOB_RETAIN {
-            let evicted = self.ended.pop_front().expect("more than JOB_RETAIN ended");
-            self.jobs.remove(&evicted);
-        }
-    }
 }
 
 impl Shared {
@@ -171,7 +147,7 @@ impl Shared {
             started: Instant::now(),
             journal: journal.map(Mutex::new),
             catalog: Mutex::new(catalog),
-            registry: Mutex::new(Registry::default()),
+            registry: Mutex::new(Retained::default()),
             cache,
         });
         // Mirror every cache mutation into the journal (best-effort,
@@ -209,7 +185,7 @@ impl Shared {
 
     /// Adds a job the service just created to the registry.
     fn register(&self, job: &Arc<Job>) {
-        self.registry.lock().jobs.insert(job.id, job.clone());
+        self.registry.lock().by_id.insert(job.id, job.clone());
     }
 
     /// Resolves a still-queued job as cancelled (called from
@@ -245,7 +221,8 @@ impl Shared {
 
     /// Ends `job`; every terminal path goes through here. In order: a
     /// completed job's final manifest is journaled as a `dataset` and
-    /// then cataloged under the job name, `finished` is journaled, the
+    /// then cataloged under the job name, `finished` is journaled (with
+    /// a completed job's plan and final manifest), the
     /// tenant's totals grow, the handle resolves and the job's slot is
     /// freed — so a client never observes an outcome the journal does
     /// not hold. The registry counts the job as ended just before it
@@ -274,6 +251,8 @@ impl Shared {
             tenant: job.tenant.clone(),
             status,
             error,
+            plan: outcome.output().map(|output| output.report.plan.clone()),
+            manifest: outcome.output().and_then(|output| output.manifest.clone()),
         });
         {
             let mut sched = self.sched.lock();
@@ -285,7 +264,7 @@ impl Shared {
             }
             totals.reads += outcome.output().map_or(0, |output| output.reads);
         }
-        self.registry.lock().ended(job.id);
+        self.registry.lock().end(job.id);
         job.finish(outcome);
         self.sched.lock().job_finished(job);
         self.work_cv.notify_all();
@@ -367,13 +346,15 @@ impl PersonaService {
     /// it, and starts a durable service continuing exactly where the
     /// journaled one stopped:
     ///
-    /// - **Terminal jobs are never re-admitted.** The newest
-    ///   [`JOB_RETAIN`] (in id order) resolve from the journal (see
+    /// - **Terminal jobs are never re-admitted.** The [`JOB_RETAIN`]
+    ///   the journal keeps resolve from their `finished` records and
+    ///   enter the registry in the order they ended (see
     ///   [`PersonaService::recovered_jobs`]). A completed job keeps its
-    ///   journaled final manifest; the newest completed job of a name
-    ///   re-creates its exported bytes from that dataset, an older one
-    ///   gets none (the later job's objects replaced its own). Stage
-    ///   timings did not survive the crash and come back empty.
+    ///   journaled final manifest; the completed job of a name that
+    ///   ended last re-creates its exported bytes from that dataset, an
+    ///   earlier one gets none (the later job's objects replaced its
+    ///   own). Stage timings did not survive the crash and come back
+    ///   empty.
     /// - **Queued jobs re-enter the scheduler** in submission order
     ///   under their original tenant, priority and id.
     /// - **Jobs interrupted mid-plan resume at the last journaled
@@ -405,26 +386,27 @@ impl PersonaService {
                 cache.insert(key.clone(), entry.clone());
             }
         }
-        // Only the jobs the retention rule keeps are rebuilt: the live
-        // ones and the newest `JOB_RETAIN` terminal ones. A later job of
-        // a name replaced an earlier one's objects, so only the newest
-        // completed job of a name re-exports.
-        let terminal = state.jobs().filter(|record| record.terminal.is_some()).count();
-        let mut forgotten = terminal.saturating_sub(JOB_RETAIN);
-        let completed = |r: &&JobRecord| matches!(r.terminal, Some((TerminalStatus::Completed, _)));
-        let newest_completed: HashMap<&str, u64> =
-            state.jobs().filter(completed).map(|r| (r.name.as_str(), r.id)).collect();
+        // Ended jobs enter the registry in the order they ended, so it
+        // forgets them as the crashed service would have; they journal
+        // and tally nothing. A later job of a name replaced an earlier
+        // one's objects, so only the last completed one re-exports.
+        let completed = |job: &&JobRecord| {
+            matches!(
+                job.terminal,
+                Some(JournalRecord::Finished { status: TerminalStatus::Completed, .. })
+            )
+        };
+        let newest: HashMap<&str, u64> =
+            state.ended().filter(completed).map(|job| (job.name.as_str(), job.id)).collect();
+        for record in state.ended() {
+            let job = replayed_job(record, None, &shared);
+            let newest = newest.get(record.name.as_str()) == Some(&record.id);
+            job.finish(recovered_outcome(record, newest, &shared));
+            shared.registry.lock().end(job.id);
+        }
         for record in state.jobs() {
-            match &record.terminal {
-                Some(_) if forgotten > 0 => forgotten -= 1,
-                // Never re-admitted, so it journals and tallies nothing.
-                Some((status, error)) => {
-                    let job = replayed_job(record, None, &shared);
-                    let newest = newest_completed.get(record.name.as_str()) == Some(&record.id);
-                    job.finish(recovered_outcome(record, *status, error.clone(), newest, &shared));
-                    shared.registry.lock().ended(job.id);
-                }
-                None => requeue_job(record, &shared, &opts),
+            if let Some(spec) = &record.spec {
+                requeue_job(record, spec, &shared, &opts);
             }
         }
         let runners = Mutex::new(spawn_runners(&shared, config.max_concurrent_jobs));
@@ -451,16 +433,16 @@ impl PersonaService {
     /// The job with service id `id`, while the registry holds it: live,
     /// or among the [`JOB_RETAIN`] terminal jobs that ended last.
     pub fn job(&self, id: u64) -> Option<JobHandle> {
-        let job = self.shared.registry.lock().jobs.get(&id).cloned()?;
+        let job = self.shared.registry.lock().by_id.get(&id).cloned()?;
         Some(JobHandle { job, service: Arc::downgrade(&self.shared) })
     }
 
     /// Every job the registry holds, in id (= submission) order.
     pub fn jobs(&self) -> Vec<JobHandle> {
-        let jobs: Vec<Arc<Job>> = self.shared.registry.lock().jobs.values().cloned().collect();
-        jobs.into_iter()
-            .map(|job| JobHandle { job, service: Arc::downgrade(&self.shared) })
-            .collect()
+        let registry = self.shared.registry.lock();
+        let handle =
+            |job: &Arc<Job>| JobHandle { job: job.clone(), service: Arc::downgrade(&self.shared) };
+        registry.by_id.values().map(handle).collect()
     }
 
     /// Registers `manifest` in the dataset catalog under `name`,
@@ -545,7 +527,7 @@ impl PersonaService {
             })?;
         }
         let JobSpec { name, tenant, priority, plan, input, chunk_size, aligner, reference } = spec;
-        let payload = JobPayload { plan, input, chunk_size, aligner, reference };
+        let payload = JobPayload { plan, input, chunk_size, aligner, reference, landed: None };
         let job = Job::new(id, name, tenant, priority, Some(payload));
         self.shared.register(&job);
         #[cfg(test)]
@@ -659,83 +641,66 @@ fn replayed_job(rec: &JobRecord, payload: Option<JobPayload>, shared: &Shared) -
     job
 }
 
-/// The outcome a journal-replayed terminal job resolves with. `newest`:
-/// no later completed job has its name, so the objects it landed are
-/// still its own.
-fn recovered_outcome(
-    rec: &JobRecord,
-    status: TerminalStatus,
-    error: Option<String>,
-    newest: bool,
-    shared: &Arc<Shared>,
-) -> JobOutcome {
-    match status {
-        TerminalStatus::Failed => {
-            JobOutcome::Failed(error.unwrap_or_else(|| "job failed before the restart".into()))
+/// The outcome a journal-replayed ended job resolves with, from its
+/// `finished` record. `newest`: no completed job of its name ended
+/// after it, so the objects it landed are still its own.
+fn recovered_outcome(rec: &JobRecord, newest: bool, shared: &Arc<Shared>) -> JobOutcome {
+    let Some(JournalRecord::Finished { status, error, plan, manifest, .. }) = &rec.terminal else {
+        unreachable!("an ended job holds its `finished` record");
+    };
+    let plan = match (status, plan) {
+        (TerminalStatus::Cancelled, _) => return JobOutcome::Cancelled,
+        (TerminalStatus::Failed, _) => {
+            let error = error.as_deref().unwrap_or("job failed before the restart");
+            return JobOutcome::Failed(error.into());
         }
-        TerminalStatus::Cancelled => JobOutcome::Cancelled,
-        TerminalStatus::Completed => {
-            // The durable parts of the output survive: the final
-            // manifest (via the catalog, or the furthest journaled
-            // stage). Exported bytes lived only in the crashed process,
-            // but exports are pure functions of the final dataset —
-            // re-run the plan's trailing export stages over it so a
-            // reconnecting client reads the same bytes it would have.
-            // The catalog entry under the name and the objects behind
-            // it belong to the newest completed job of that name; an
-            // older one keeps its own journaled manifest and gets no
-            // bytes. Stage timings did not survive and come back empty.
-            let cataloged = newest.then(|| shared.catalog.lock().get(&rec.name).cloned());
-            let manifest =
-                cataloged.flatten().or_else(|| rec.stages.last().map(|(_, m)| m.clone()));
-            let plan = rec.spec.as_ref().map(|s| s.plan.clone()).unwrap_or_else(Plan::full);
-            let exported = newest.then(|| rematerialize_exports(shared, rec, &plan, &manifest));
-            let mut exported = exported.flatten();
-            JobOutcome::Completed(JobOutput {
-                sam: exported.as_mut().and_then(|r| r.sam.take()).unwrap_or_default(),
-                bam: exported.as_mut().and_then(|r| r.bam.take()).unwrap_or_default(),
-                reads: manifest.as_ref().map_or(0, |m| m.total_records),
-                manifest,
-                report: PlanReport {
-                    plan,
-                    stages: Vec::new(),
-                    manifest: None,
-                    sorted: None,
-                    sam: None,
-                    bam: None,
-                    cache: CacheUse { elided: 0, saved_ns: 0, executed: None },
-                    elapsed: Duration::ZERO,
-                },
-                queue_wait: Duration::ZERO,
-                elapsed: Duration::ZERO,
-            })
+        (TerminalStatus::Completed, None) => {
+            return JobOutcome::Failed("completed before the restart; no plan journaled".into());
         }
-    }
+        (TerminalStatus::Completed, Some(plan)) => plan.clone(),
+    };
+    // Exported bytes died with the process, but exports are pure
+    // functions of the final dataset: re-run the plan's trailing exports
+    // over it. Stage timings did not survive and come back empty.
+    let exported = newest.then(|| rematerialize_exports(shared, &rec.name, &plan, manifest));
+    let mut exported = exported.flatten();
+    JobOutcome::Completed(JobOutput {
+        sam: exported.as_mut().and_then(|r| r.sam.take()).unwrap_or_default(),
+        bam: exported.as_mut().and_then(|r| r.bam.take()).unwrap_or_default(),
+        reads: manifest.as_ref().map_or(0, |m| m.total_records),
+        manifest: manifest.clone(),
+        report: PlanReport::empty(plan),
+        queue_wait: Duration::ZERO,
+        elapsed: Duration::ZERO,
+    })
 }
 
-/// Re-runs a recovered completed job's trailing export stages over its
-/// cataloged final dataset, so the recovered handle serves the same
-/// exported bytes the crashed process did. Exports are deterministic
-/// over the dataset and need no aligner, which is what makes this safe
-/// at recovery time. Best-effort: any gap (no spec, no manifest, no
-/// export stages, export error) is `None`, so the job gets empty bytes,
-/// never a failed recovery.
+/// Re-runs a recovered completed job's trailing export stages (the
+/// whole plan, when it lands no dataset) over its final dataset, so
+/// the recovered handle serves the same exported bytes the crashed
+/// process did. Exports are deterministic over the dataset and need no
+/// aligner, which is what makes this safe at recovery time.
+/// Best-effort: any gap (no manifest, no export stages, export error)
+/// is `None`, so the job gets empty bytes, never a failed recovery.
 fn rematerialize_exports(
     shared: &Arc<Shared>,
-    rec: &JobRecord,
+    name: &str,
     plan: &Plan,
     manifest: &Option<Manifest>,
 ) -> Option<PlanReport> {
-    let (spec, manifest) = (rec.spec.as_ref()?, manifest.clone()?);
-    let last_durable = plan.stages().iter().rposition(|s| s.is_durable())?;
-    let request = PlanRequest {
-        name: rec.name.clone(),
-        source: PlanSource::Dataset(manifest),
-        chunk_size: spec.chunk_size,
-        aligner: None,
-        reference: spec.reference.clone(),
+    let exports = match plan.stages().iter().rposition(|s| s.is_durable()) {
+        Some(last_durable) => plan.suffix_plan(last_durable + 1)?,
+        None => plan.clone(),
     };
-    plan.suffix_plan(last_durable + 1)?.run(&shared.rt, request).ok()
+    let request = PlanRequest {
+        name: name.to_string(),
+        source: PlanSource::Dataset(manifest.clone()?),
+        // Exports read the dataset's chunks as they are.
+        chunk_size: 0,
+        aligner: None,
+        reference: Vec::new(),
+    };
+    exports.run(&shared.rt, request).ok()
 }
 
 /// Re-admits a journal-replayed job the crashed service never
@@ -743,31 +708,28 @@ fn rematerialize_exports(
 /// Counted as submitted in this incarnation, whether it is re-admitted
 /// or fails re-admission; no `Submitted` is re-journaled — the record
 /// that replayed it is already in the log.
-fn requeue_job(rec: &JobRecord, shared: &Arc<Shared>, opts: &RecoverOptions) {
+fn requeue_job(rec: &JobRecord, spec: &RecordedSpec, shared: &Arc<Shared>, opts: &RecoverOptions) {
     let fail = |msg: String| {
         let job = replayed_job(rec, None, shared);
         shared.sched.lock().totals(&job.tenant).submitted += 1;
         shared.resolve(&job, JobOutcome::Failed(msg));
-    };
-    let Some(spec) = &rec.spec else {
-        // Unreachable through this crate's own compaction (only
-        // terminal jobs shed their specs), but a foreign or hand-edited
-        // log must not panic recovery.
-        return fail("journal has no spec for this unfinished job".into());
-    };
-    let original_input = || match &spec.input {
-        RecordedInput::Fastq(bytes) => JobInput::Fastq(bytes.clone()),
-        RecordedInput::Dataset(m) => JobInput::Dataset(m.clone()),
     };
     // Resume after the furthest journaled stage when the plan has
     // stages left past it; otherwise (nothing journaled, or only the
     // final stage's export work remained — exports land no dataset
     // state to restart from) re-run the whole plan. Store writes are
     // create-or-replace, so overlap with the crashed run is safe.
-    let resumed = rec.resume_point().and_then(|(at, manifest)| {
-        Some((spec.plan.suffix_plan(at + 1)?, JobInput::Dataset(manifest.clone())))
-    });
-    let (plan, input) = resumed.unwrap_or_else(|| (spec.plan.clone(), original_input()));
+    let resumed = rec
+        .resume_point()
+        .and_then(|(at, manifest)| Some((spec.plan.suffix_plan(at + 1)?, manifest.clone())));
+    let original_input = || match &spec.input {
+        RecordedInput::Fastq(bytes) => JobInput::Fastq(bytes.clone()),
+        RecordedInput::Dataset(m) => JobInput::Dataset(m.clone()),
+    };
+    let (plan, input, landed) = match resumed {
+        Some((plan, m)) => (plan, JobInput::Dataset(m.clone()), Some(m)),
+        None => (spec.plan.clone(), original_input(), None),
+    };
     let aligner = plan.contains(Stage::Align).then(|| opts.aligner.clone()).flatten();
     let admitted = match &input {
         JobInput::Fastq(_) => plan.check_fastq_input(spec.chunk_size),
@@ -783,6 +745,7 @@ fn requeue_job(rec: &JobRecord, shared: &Arc<Shared>, opts: &RecoverOptions) {
         chunk_size: spec.chunk_size,
         aligner,
         reference: spec.reference.clone(),
+        landed,
     };
     let job = replayed_job(rec, Some(payload), shared);
     shared.admit(&job);
@@ -837,6 +800,7 @@ fn run_job(shared: &Arc<Shared>, job: &Arc<Job>) {
     let started = Instant::now();
 
     let payload = job.payload.lock().take().expect("dispatched job has its payload");
+    let landed = payload.landed;
     // Content digest of the job's input — half of every cache key. The
     // digest is of what the client submitted (FASTQ bytes or dataset
     // manifest), computed before the input moves into the plan source.
@@ -890,7 +854,7 @@ fn run_job(shared: &Arc<Shared>, job: &Arc<Job>) {
             };
             let sam = report.sam.take().unwrap_or_default();
             let bam = report.bam.take().unwrap_or_default();
-            let manifest = report.final_manifest().cloned();
+            let manifest = report.final_manifest().cloned().or(landed);
             JobOutcome::Completed(JobOutput {
                 sam,
                 bam,

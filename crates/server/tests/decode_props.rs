@@ -164,6 +164,8 @@ fn corpus() -> Vec<(Kind, Value)> {
             tenant: "t".into(),
             status: TerminalStatus::Failed,
             error: Some("boom".into()),
+            plan: None,
+            manifest: None,
         },
         JournalRecord::Dataset { name: "d".into(), manifest: manifest() },
         JournalRecord::CacheInsert { key: cache_key(), entry: cache_entry() },
@@ -285,7 +287,7 @@ proptest! {
         // Absent or null is the default for these; a job-done row's
         // `stage` is free text.
         let lenient = match damage {
-            0 | 1 => ["sort_order", "reference", "row_groups", "error", "manifest"]
+            0 | 1 => ["sort_order", "reference", "row_groups", "error", "manifest", "plan"]
                 .contains(&key.as_str()),
             3 => key == "stage" && matches!(path.as_slice(), [.., Step::Key(k), Step::Index(_)] if k == "stages"),
             _ => false,

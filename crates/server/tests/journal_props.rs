@@ -2,7 +2,8 @@
 //! written and wherever the file is cut, replay recovers exactly the
 //! longest verified prefix — completed jobs stay completed, surviving
 //! queued jobs keep their submission order, and the log stays
-//! appendable after torn-tail truncation.
+//! appendable after torn-tail truncation; and a compacted log replays
+//! to exactly the mirror it was written from.
 
 use std::path::PathBuf;
 
@@ -12,6 +13,7 @@ use persona_dataflow::Priority;
 use persona_server::journal::{
     FsyncPolicy, Journal, JournalConfig, JournalRecord, JournalState, RecordedInput, TerminalStatus,
 };
+use persona_server::service::JOB_RETAIN;
 use proptest::prelude::*;
 
 fn tmp_dir(tag: u64) -> PathBuf {
@@ -56,12 +58,15 @@ fn op_to_record(kind: u64, pick: usize, salt: u8, ids: &mut Vec<u64>) -> Journal
                 _ => TerminalStatus::Cancelled,
             };
             let id = existing(ids);
+            let completed = status == TerminalStatus::Completed;
             JournalRecord::Finished {
                 job_id: id,
                 name: format!("job-{id}"),
                 tenant: format!("tenant-{}", pick % 3),
                 status,
                 error: (status == TerminalStatus::Failed).then(|| format!("boom {salt}")),
+                plan: completed.then(Plan::full),
+                manifest: completed.then(|| Manifest::new(&format!("job-{id}.sorted"))),
             }
         }
         4 => JournalRecord::Dataset {
@@ -164,6 +169,66 @@ proptest! {
             reopened.records.last().unwrap(),
             &JournalRecord::Checkpoint { next_id: 777 }
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Compaction writes the journal's mirror as it is: for any record
+    /// mix, with or without enough ended jobs in the middle to push
+    /// earlier ones past `JOB_RETAIN`, the state replayed from the
+    /// compacted log equals the mirror in every field of every job and
+    /// in end order, and no ended job holds a spec or stage manifests.
+    #[test]
+    fn the_compacted_log_replays_to_the_mirror(
+        ops in proptest::collection::vec((0u64..6, 0usize..8, 0u8..=255), 1..40),
+        churn in any::<bool>(),
+        tag in 0u64..1_000_000,
+    ) {
+        // Tags above the other property's range: their directories differ.
+        let dir = tmp_dir(1_000_000 + tag);
+        let wal = dir.join("compacted.wal");
+        let _ = std::fs::remove_file(&wal);
+        let mut ids = Vec::new();
+        let (head, tail) = ops.split_at(ops.len() / 2);
+        let mut records: Vec<JournalRecord> =
+            head.iter().map(|&(k, p, s)| op_to_record(k, p, s, &mut ids)).collect();
+        // Ended jobs with no `submitted` record, as a compacted log has.
+        for _ in 0..if churn { JOB_RETAIN - 4 } else { 0 } {
+            let id = ids.len() as u64 + 1;
+            ids.push(id);
+            records.push(JournalRecord::Finished {
+                job_id: id,
+                name: format!("job-{id}"),
+                tenant: "churn".into(),
+                status: TerminalStatus::Cancelled,
+                error: None,
+                plan: None,
+                manifest: None,
+            });
+        }
+        records.extend(tail.iter().map(|&(k, p, s)| op_to_record(k, p, s, &mut ids)));
+
+        let mut journal = Journal::open(&wal, JournalConfig {
+            fsync: FsyncPolicy::Never,
+            compact_threshold: 0,
+        }).unwrap();
+        for record in &records {
+            journal.append(record).unwrap();
+        }
+        let mirror = journal.state().clone();
+        journal.compact().unwrap();
+        drop(journal);
+        let replayed = Journal::read(&wal).unwrap().state();
+        prop_assert!(replayed.jobs().eq(mirror.jobs()), "a job differs after compaction");
+        prop_assert!(replayed.ended().eq(mirror.ended()), "the end order differs");
+        prop_assert!(replayed == mirror, "the catalog, cache or id watermark differs");
+        prop_assert!(mirror.ended().count() <= JOB_RETAIN);
+        for job in mirror.ended() {
+            prop_assert!(job.spec.is_none() && job.stages.is_empty() && !job.started, "{}", job.id);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

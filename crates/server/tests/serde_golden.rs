@@ -356,6 +356,8 @@ fn wal_records() -> Vec<JournalRecord> {
             tenant: "prod".into(),
             status: TerminalStatus::Completed,
             error: None,
+            plan: Some(Plan::full()),
+            manifest: Some(Manifest::new("job-1")),
         },
         JournalRecord::Finished {
             job_id: 2,
@@ -363,6 +365,8 @@ fn wal_records() -> Vec<JournalRecord> {
             tenant: "dev".into(),
             status: TerminalStatus::Failed,
             error: Some("store down".into()),
+            plan: None,
+            manifest: None,
         },
         JournalRecord::Dataset { name: "landed".into(), manifest: Manifest::new("landed") },
         JournalRecord::CacheInsert { key: cache_key(), entry: cache_entry() },
@@ -376,14 +380,14 @@ const WAL_HEADERS: &[&str] = &[
     r#"{"type":"submitted","job_id":2,"name":"job-2","tenant":"dev","priority":"high","plan":{"input":"aligned","stages":["sort","dupmark","export-sam"]},"input":"dataset","manifest":{"name":"landed","version":1,"columns":[],"records":[],"total_records":0,"sort_order":"unsorted","reference":[],"row_groups":[]},"chunk_size":0,"reference":[]}"#,
     r#"{"type":"started","job_id":1}"#,
     r#"{"type":"stage-completed","job_id":1,"stage":"export-sam","manifest":{"name":"job-1","version":1,"columns":[],"records":[],"total_records":0,"sort_order":"unsorted","reference":[],"row_groups":[]}}"#,
-    r#"{"type":"finished","job_id":1,"name":"job-1","tenant":"prod","status":"completed","error":null}"#,
-    r#"{"type":"finished","job_id":2,"name":"job-2","tenant":"dev","status":"failed","error":"store down"}"#,
+    r#"{"type":"finished","job_id":1,"name":"job-1","tenant":"prod","status":"completed","error":null,"plan":{"input":"fastq","stages":["import","align","sort","dupmark","export-sam"]},"manifest":{"name":"job-1","version":1,"columns":[],"records":[],"total_records":0,"sort_order":"unsorted","reference":[],"row_groups":[]}}"#,
+    r#"{"type":"finished","job_id":2,"name":"job-2","tenant":"dev","status":"failed","error":"store down","plan":null,"manifest":null}"#,
     r#"{"type":"dataset","name":"landed","manifest":{"name":"landed","version":1,"columns":[],"records":[],"total_records":0,"sort_order":"unsorted","reference":[],"row_groups":[]}}"#,
     r#"{"type":"cache-insert","key":{"input":"66f0b8f7abedd8ac23a852e38e0e84b0","prefix":"{\"input\":\"fastq\",\"stages\":[\"import\"]}"},"entry":{"manifest":{"name":"cached","version":1,"columns":[],"records":[],"total_records":0,"sort_order":"unsorted","reference":[],"row_groups":[]},"state":"aligned","stages":2,"cost_ns":42}}"#,
     r#"{"type":"cache-evict","key":{"input":"66f0b8f7abedd8ac23a852e38e0e84b0","prefix":"{\"input\":\"fastq\",\"stages\":[\"import\"]}"}}"#,
     r#"{"type":"checkpoint","next_id":3}"#,
 ];
-const WAL_DIGEST: &str = "7121dc3c452143a17eaf0b772a076297";
+const WAL_DIGEST: &str = "e41c2ddceb39357782d8972a7761fb48";
 
 /// Splits a WAL file into (header text, body) per record, checking the
 /// framing and every CRC on the way.
@@ -470,7 +474,7 @@ fn wal_records_that_do_not_decode_are_torn() {
         assert_eq!(replayed.good_len, (12 + good.len()) as u64, "{bad}");
     }
     // Unknown keys are ignored, a missing `reference` reads as empty
-    // and a missing `error` as none.
+    // and a missing `error`, `plan` or `manifest` as none.
     let tmp = TmpDir::new("lenient");
     let path = tmp.wal();
     let mut bytes = Vec::new();
@@ -508,6 +512,8 @@ fn wal_records_that_do_not_decode_are_torn() {
                 tenant: "t".into(),
                 status: TerminalStatus::Cancelled,
                 error: None,
+                plan: None,
+                manifest: None,
             },
         ]
     );

@@ -10,7 +10,9 @@
 //! calls `std::process::abort()` the moment the journal records the
 //! `sort` stage landing. The parent then recovers a new service from
 //! the same directory and verifies the resumed job's SAM against a
-//! reference run that was never interrupted.
+//! reference run that was never interrupted. Last it compacts the
+//! journal, recovers once more, and checks that the completed job
+//! re-exports the same SAM from its dataset in the on-disk store.
 //!
 //! Run: `cargo run -p persona-examples --release --example recovery [n_reads]`
 
@@ -170,6 +172,24 @@ fn main() {
         "resumed job completed: {} bytes of SAM, byte-identical to the uninterrupted run",
         output.sam.len()
     );
+    let job_id = handle.id();
+    drop(recovered);
+    drop(service);
+
+    // The compacted journal keeps the completed job's `finished` record
+    // alone; it names the plan and the final dataset, so a service
+    // recovered from it re-exports the same bytes.
+    let config = JournalConfig { fsync: FsyncPolicy::Always, compact_threshold: 0 };
+    Journal::open(wal_path(&dir), config).expect("open journal").compact().expect("compact");
+    let service = durable_service(&dir, &world);
+    let outcome = service.job(job_id).expect("the completed job is kept").wait();
+    let sam = &outcome.output().expect("the job stays completed").sam;
+    assert_eq!(sam, &reference_sam, "re-export after compaction must be byte-identical");
+    println!(
+        "after compaction: job {job_id} re-exports {} bytes of SAM, byte-identical",
+        sam.len()
+    );
+    drop(service);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

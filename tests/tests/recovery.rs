@@ -417,6 +417,19 @@ fn a_registered_dataset_survives_a_crash_after_sync_journal() {
     assert_eq!(recovered.dataset("landed"), Some(manifest));
 }
 
+/// A bare `finished` record for a cancelled job.
+fn cancelled(job_id: u64) -> JournalRecord {
+    JournalRecord::Finished {
+        job_id,
+        name: format!("j{job_id}"),
+        tenant: "lab".into(),
+        status: TerminalStatus::Cancelled,
+        error: None,
+        plan: None,
+        manifest: None,
+    }
+}
+
 /// Recovery rebuilds only the jobs the retention rule keeps: of
 /// `JOB_RETAIN + 2` finished jobs, the newest `JOB_RETAIN`.
 #[test]
@@ -429,14 +442,7 @@ fn recovery_rebuilds_only_the_newest_job_retain_terminal_jobs() {
             .unwrap();
     let finished = (JOB_RETAIN + 2) as u64;
     for job_id in 1..=finished {
-        let record = JournalRecord::Finished {
-            job_id,
-            name: format!("j{job_id}"),
-            tenant: "lab".into(),
-            status: TerminalStatus::Cancelled,
-            error: None,
-        };
-        journal.append(&record).unwrap();
+        journal.append(&cancelled(job_id)).unwrap();
     }
     journal.sync().unwrap();
     drop(journal);
@@ -449,4 +455,62 @@ fn recovery_rebuilds_only_the_newest_job_retain_terminal_jobs() {
     assert!(service.job(1).is_none());
     assert!(service.job(2).is_none());
     assert_eq!(service.job(finished).map(|h| h.status()), Some(JobStatus::Cancelled));
+}
+
+/// The registry forgets ended jobs in the order they ended, and so
+/// does a restart: of `JOB_RETAIN + 1` jobs where job 2 ended before
+/// job 1, recovery forgets job 2, as the running service did.
+#[test]
+fn eviction_order_survives_a_restart() {
+    let fx = Fixture::new(59, 10);
+    let tmp = TmpDir::new("end-order");
+    let wal = tmp.0.join("service.wal");
+    let mut journal =
+        Journal::open(&wal, JournalConfig { fsync: FsyncPolicy::Never, compact_threshold: 0 })
+            .unwrap();
+    let last = (JOB_RETAIN + 1) as u64;
+    for job_id in [2, 1].into_iter().chain(3..=last) {
+        journal.append(&cancelled(job_id)).unwrap();
+    }
+    journal.sync().unwrap();
+    drop(journal);
+
+    let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
+    let service = service_over(&store, &wal, &fx);
+    assert!(service.job(2).is_none(), "the earliest-ended job is kept after the restart");
+    assert_eq!(service.job(1).map(|h| h.status()), Some(JobStatus::Cancelled));
+    assert_eq!(service.recovered_jobs().len(), JOB_RETAIN);
+}
+
+/// Compaction keeps what recovery needs to re-export a completed job:
+/// recovered from the compacted journal, it serves the same SAM as
+/// from the uncompacted one.
+#[test]
+fn a_completed_job_re_exports_after_compaction() {
+    let fx = Fixture::new(37, 150);
+    let tmp = TmpDir::new("re-export");
+    let wal = tmp.0.join("service.wal");
+    let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new());
+    let recovered_sam = |id: u64| {
+        let service = service_over(&store, &wal, &fx);
+        let outcome = service.job(id).expect("the completed job is retained").wait();
+        outcome.output().expect("the job stays completed").sam.clone()
+    };
+
+    let (id, sam) = {
+        let service = service_over(&store, &wal, &fx);
+        let handle = service.submit(spec(&fx, "sample")).unwrap();
+        let outcome = handle.wait();
+        (handle.id(), outcome.output().expect("the job completes").sam.clone())
+    };
+    assert!(!sam.is_empty());
+    assert_eq!(recovered_sam(id), sam, "re-export from the uncompacted journal");
+
+    Journal::open(&wal, JournalConfig { fsync: FsyncPolicy::Always, compact_threshold: 0 })
+        .unwrap()
+        .compact()
+        .unwrap();
+    let compacted = recovered_sam(id);
+    assert_eq!(compacted.len(), sam.len(), "SAM bytes re-exported from the compacted journal");
+    assert_eq!(compacted, sam);
 }
