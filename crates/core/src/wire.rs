@@ -982,11 +982,15 @@ pub struct WireSubmit {
     pub reference: Vec<(String, u64)>,
 }
 
-/// The client-side input to a [`WireSubmit`].
+/// A job's input, as a client submits it, the service runs it and the
+/// server's journal records it (`persona_server::JobInput`).
+#[derive(Debug, Clone, PartialEq)]
 pub enum SubmitInput {
-    /// Raw FASTQ bytes, shipped as the submit frame's body.
+    /// Raw FASTQ bytes, shipped as the submit frame's (and the journal
+    /// record's) body.
     Fastq(Vec<u8>),
-    /// An existing dataset on the server, named by its manifest.
+    /// An existing AGD dataset in the server's shared store, named by
+    /// its manifest.
     Dataset(Manifest),
 }
 

@@ -15,6 +15,7 @@ use persona::plan::{DataState, Plan, PlanReport, PlanSource, Stage};
 use persona::runtime::{JobContext, PersonaRuntime};
 use persona_agd::chunk_io::{ChunkStore, MemStore};
 use persona_agd::columns;
+use persona_agd::dataset::Dataset;
 use persona_agd::manifest::Manifest;
 use persona_dataflow::Priority;
 
@@ -128,6 +129,30 @@ fn from_aligned_reads_each_input_column_once_and_no_sorted_chunk() {
     let columns = [columns::BASES, columns::QUAL, columns::METADATA, columns::RESULTS];
     assert_eq!(gets, objects(&landed.unwrap(), &columns));
     assert!(gets.iter().all(|name| !name.starts_with("g.sorted-")), "{gets:?}");
+}
+
+#[test]
+fn align_reads_bases_and_qual_once_and_those_are_the_column_bytes() {
+    let w = World::new();
+    let store = Arc::new(CountingStore::default());
+    let dyn_store: Arc<dyn ChunkStore> = store.clone();
+    let landed = w.land(&dyn_store, DataState::EncodedAgd);
+    store.gets.lock().unwrap().clear();
+    let rt = PersonaRuntime::new(dyn_store, PersonaConfig::small()).unwrap();
+    let plan = Plan::builder(DataState::EncodedAgd).then(Stage::Align).build().unwrap();
+    plan.run(&rt, w.request(PlanSource::Dataset(landed.clone()))).unwrap();
+    // Align reads each `bases` and `qual` object exactly once, and
+    // never `metadata`.
+    let mut gets = store.gets.lock().unwrap().clone();
+    gets.sort();
+    assert_eq!(gets, objects(&landed, &[columns::BASES, columns::QUAL]));
+    // Those bytes are what `Dataset::column_bytes` counts (`table1`
+    // prints it as the bytes Persona reads).
+    let read: u64 = gets.iter().map(|name| store.inner.get(name).unwrap().len() as u64).sum();
+    let dataset = Dataset::open(&store.inner, &landed.name).unwrap();
+    let column_bytes = dataset.column_bytes(&store.inner, columns::BASES).unwrap()
+        + dataset.column_bytes(&store.inner, columns::QUAL).unwrap();
+    assert_eq!(read, column_bytes);
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! handshake, request dispatch, and credit-windowed output streaming
 //! in between. Everything here runs on the connection's event-loop
 //! thread; the only cross-thread entry point is the job-completion
-//! watcher, which posts a [`LoopCmd::JobDone`] back to the owning loop
+//! watcher, which posts a [`LoopCmd::JobDone`] back to the loop
 //! instead of touching the connection directly.
 
 use std::collections::VecDeque;
@@ -510,14 +510,13 @@ impl Conn {
                 index: (offset / OUTPUT_CHUNK_LEN) as u64,
                 last: end == bytes.len(),
             };
-            let chunk = bytes[offset..end].to_vec();
+            self.enqueue(cx, &msg, &bytes[offset..end]);
             self.credit -= 1;
             offset = end;
-            if offset == streams[stream_idx].1.len() {
+            if offset == bytes.len() {
                 stream_idx += 1;
                 offset = 0;
             }
-            self.enqueue(cx, &msg, &chunk);
             self.exports[i].stream_idx = stream_idx;
             self.exports[i].offset = offset;
         }

@@ -1,9 +1,8 @@
-//! The readiness loops behind [`crate::wire::WireServer`]: a fixed
-//! pool of event-loop threads (no thread per connection, no external
-//! runtime), each owning a [`Poller`] and a set of connections. Loop 0
-//! additionally owns the listener and deals accepted sockets across
-//! the pool round-robin. Cross-thread work arrives as [`LoopCmd`]s
-//! through a mutex-protected injector plus a poller [`Waker`].
+//! The readiness loop behind [`crate::wire::WireServer`]: one
+//! event-loop thread (no thread per connection, no external runtime)
+//! that owns a [`Poller`], the listener and every connection.
+//! Cross-thread work arrives as [`LoopCmd`]s through a
+//! mutex-protected injector plus a poller [`Waker`].
 //!
 //! [`Waker`]: crate::poll::Waker
 
@@ -19,13 +18,11 @@ use crate::job::JobOutcome;
 use crate::poll::{PollEvent, Poller, WAKER_TOKEN};
 use crate::wire::WireShared;
 
-/// The token loop 0 registers its listener under.
+/// The token the listener is registered under.
 const LISTENER_TOKEN: u64 = u64::MAX - 1;
 
 /// Work posted to an event loop from another thread.
 pub(crate) enum LoopCmd {
-    /// An accepted socket assigned to this loop.
-    NewConn(std::net::TcpStream),
     /// A job a connection was waiting on reached its terminal state.
     JobDone { token: u64, seq: u64, job_id: u64, outcome: Arc<JobOutcome> },
     /// Drop every connection and exit the loop thread.
@@ -61,24 +58,19 @@ pub(crate) struct EventLoop {
     conns: HashMap<u64, Conn>,
     /// Last interest registered per token, to elide no-op `modify`s.
     interests: HashMap<u64, (bool, bool)>,
-    /// Loop 0 only: the listening socket.
-    listener: Option<TcpListener>,
-    /// All loops in the pool (for round-robin accept dealing).
-    peers: Vec<Arc<LoopHandle>>,
-    next_peer: usize,
+    listener: TcpListener,
     next_token: u64,
 }
 
 impl EventLoop {
-    /// Builds the loop around a fresh poller. `index` seeds token
-    /// allocation (tokens only need uniqueness within one loop, but
-    /// distinct ranges make logs readable).
+    /// Builds the loop around a fresh poller watching `listener`.
     pub(crate) fn new(
         shared: Arc<WireShared>,
-        listener: Option<TcpListener>,
-        index: usize,
+        listener: TcpListener,
     ) -> std::io::Result<(EventLoop, Arc<LoopHandle>)> {
-        let poller = Poller::new()?;
+        let mut poller = Poller::new()?;
+        listener.set_nonblocking(true)?;
+        poller.register(listener.as_raw_fd(), LISTENER_TOKEN, true, false)?;
         let handle =
             Arc::new(LoopHandle { injector: Mutex::new(Vec::new()), waker: poller.waker() });
         Ok((
@@ -89,27 +81,15 @@ impl EventLoop {
                 conns: HashMap::new(),
                 interests: HashMap::new(),
                 listener,
-                peers: Vec::new(),
-                next_peer: 0,
-                next_token: (index as u64) << 32,
+                next_token: 0,
             },
             handle,
         ))
     }
 
-    /// Wires in the full pool (including this loop's own handle) for
-    /// accept dealing. Called once before the thread starts.
-    pub(crate) fn set_peers(&mut self, peers: Vec<Arc<LoopHandle>>) {
-        self.peers = peers;
-    }
-
     /// The loop body: poll, drain injected commands, service readiness,
     /// re-arm interest. Runs until a [`LoopCmd::Shutdown`] arrives.
     pub(crate) fn run(mut self) {
-        if let Some(listener) = &self.listener {
-            let _ = listener.set_nonblocking(true);
-            let _ = self.poller.register(listener.as_raw_fd(), LISTENER_TOKEN, true, false);
-        }
         let mut events: Vec<PollEvent> = Vec::new();
         loop {
             // The waker interrupts this wait whenever a command is
@@ -119,19 +99,12 @@ impl EventLoop {
                 self.shutdown();
                 return;
             }
-            let batch: Vec<PollEvent> = events.clone();
-            for ev in batch {
+            for &ev in &events {
                 match ev.token {
                     WAKER_TOKEN => {}
                     LISTENER_TOKEN => self.accept_ready(),
                     token => self.conn_ready(token, ev),
                 }
-            }
-            // Connections this loop dealt to itself are picked up now,
-            // not next tick.
-            if self.drain_cmds() {
-                self.shutdown();
-                return;
             }
         }
     }
@@ -142,7 +115,6 @@ impl EventLoop {
         let mut shutdown = false;
         for cmd in cmds {
             match cmd {
-                LoopCmd::NewConn(stream) => self.add_conn(stream),
                 LoopCmd::JobDone { token, seq, job_id, outcome } => {
                     let handle = self.handle.clone();
                     if let Some(conn) = self.conns.get_mut(&token) {
@@ -176,18 +148,9 @@ impl EventLoop {
     }
 
     fn accept_ready(&mut self) {
-        let Some(listener) = &self.listener else { return };
         loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if self.peers.is_empty() {
-                        self.handle.post(LoopCmd::NewConn(stream));
-                    } else {
-                        let peer = self.next_peer % self.peers.len();
-                        self.next_peer = self.next_peer.wrapping_add(1);
-                        self.peers[peer].post(LoopCmd::NewConn(stream));
-                    }
-                }
+            match self.listener.accept() {
+                Ok((stream, _)) => self.add_conn(stream),
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => break,
@@ -250,8 +213,7 @@ impl EventLoop {
             }
         }
         self.interests.clear();
-        // Dropping the listener closes the port; stop() joins this
-        // thread before returning, so the close is observable.
-        self.listener.take();
+        // The listener closes when `run` returns and drops the loop;
+        // stop() joins this thread first, so the close is observable.
     }
 }

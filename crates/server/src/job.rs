@@ -3,7 +3,7 @@
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use persona::plan::{Plan, PlanReport};
 use persona_agd::manifest::Manifest;
 use persona_align::Aligner;
@@ -11,15 +11,10 @@ use persona_dataflow::{CancelToken, Priority};
 use persona_telemetry::JobTrace;
 
 /// What a job consumes, matched against its plan's input state at
-/// submit time.
-pub enum JobInput {
-    /// Raw FASTQ bytes (plans whose input state is
-    /// [`persona::plan::DataState::Fastq`]).
-    Fastq(Vec<u8>),
-    /// An existing AGD dataset in the service's shared store (plans
-    /// starting from an encoded/aligned/sorted dataset).
-    Dataset(Manifest),
-}
+/// submit time: FASTQ bytes for plans whose input state is
+/// [`persona::plan::DataState::Fastq`], else a dataset in the shared
+/// store. The wire client's and the journal's input type too.
+pub use persona::wire::SubmitInput as JobInput;
 
 /// A client's job submission: the input, the composed stage plan, and
 /// who is asking at what priority.
@@ -138,7 +133,6 @@ pub(crate) struct Job {
     pub cancel: CancelToken,
     pub submitted: Instant,
     pub state: Mutex<JobState>,
-    pub done_cv: Condvar,
     pub payload: Mutex<Option<JobPayload>>,
     /// The job's span recorder, set by its runner before the job is
     /// seen running; unset for a job that never dispatched.
@@ -165,7 +159,6 @@ impl Job {
             cancel: CancelToken::new(),
             submitted: Instant::now(),
             state: Mutex::new(JobState::Queued),
-            done_cv: Condvar::new(),
             payload: Mutex::new(payload),
             trace: OnceLock::new(),
             watchers: Mutex::new(Vec::new()),
@@ -180,9 +173,8 @@ impl Job {
         }
     }
 
-    /// Moves the job to its terminal state, wakes every waiter and
-    /// fires every registered completion watcher; a no-op if it was
-    /// already finished.
+    /// Moves the job to its terminal state and fires every registered
+    /// completion watcher; a no-op if it was already finished.
     pub fn finish(&self, outcome: JobOutcome) {
         let outcome = Arc::new(outcome);
         let mut state = self.state.lock();
@@ -191,7 +183,6 @@ impl Job {
         }
         *state = JobState::Done(outcome.clone());
         drop(state);
-        self.done_cv.notify_all();
         // Watchers registered after this drain saw `Done` under the
         // state lock and fired immediately (see `add_watcher`), so
         // every watcher runs exactly once.
@@ -219,14 +210,14 @@ impl Job {
         self.watchers.lock().push(Box::new(watcher));
     }
 
+    /// Blocks until the job is terminal: a watcher like any other,
+    /// over a one-shot channel.
     pub fn wait(&self) -> Arc<JobOutcome> {
-        let mut state = self.state.lock();
-        loop {
-            if let JobState::Done(outcome) = &*state {
-                return outcome.clone();
-            }
-            self.done_cv.wait(&mut state);
-        }
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
+        self.add_watcher(move |outcome| {
+            let _ = tx.send(outcome);
+        });
+        rx.recv().expect("a job's watchers fire before it is dropped")
     }
 }
 

@@ -60,6 +60,8 @@ use persona_dataflow::Priority;
 use persona_telemetry::{Histogram, MetricsRegistry};
 use serde::{field, DeError, Deserialize, Serialize, Value};
 
+pub use crate::job::JobInput;
+
 /// Header bytes per record are bounded (a manifest-bearing header is
 /// well under this); a length beyond the bound is treated as a torn
 /// or corrupt record, not an allocation request.
@@ -115,16 +117,6 @@ impl Default for JournalConfig {
     }
 }
 
-/// A job input as journaled: FASTQ bytes travel in the record body,
-/// dataset inputs ship their manifest in the header.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RecordedInput {
-    /// Raw FASTQ bytes (the record body).
-    Fastq(Vec<u8>),
-    /// An existing dataset, by manifest.
-    Dataset(Manifest),
-}
-
 serde::serde_enum! {
     /// A terminal job status as journaled.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,8 +151,9 @@ serde::serde_enum! {
             priority: Priority = with(priority_field),
             /// The composed plan.
             plan: Plan,
-            /// The input.
-            input: RecordedInput = with(recorded_input),
+            /// The input: FASTQ bytes travel in the record body, a
+            /// dataset's manifest in the header.
+            input: JobInput = with(job_input),
             /// Records per AGD chunk (FASTQ inputs).
             chunk_size: usize,
             /// `(contig, length)` reference metadata.
@@ -239,23 +232,23 @@ serde::serde_enum! {
 /// `"input":"fastq"` (the bytes are the record body) or
 /// `"input":"dataset"` plus a `"manifest"` key. Hand-written because it
 /// spans two keys and the body.
-mod recorded_input {
-    use super::{field, DeError, RecordedInput, Serialize, Value};
+mod job_input {
+    use super::{field, DeError, JobInput, Serialize, Value};
 
-    pub fn serialize(input: &RecordedInput, key: &str, out: &mut Vec<(String, Value)>) {
+    pub fn serialize(input: &JobInput, key: &str, out: &mut Vec<(String, Value)>) {
         match input {
-            RecordedInput::Fastq(_) => out.push((key.into(), Value::String("fastq".into()))),
-            RecordedInput::Dataset(manifest) => {
+            JobInput::Fastq(_) => out.push((key.into(), Value::String("fastq".into()))),
+            JobInput::Dataset(manifest) => {
                 out.push((key.into(), Value::String("dataset".into())));
                 out.push(("manifest".into(), manifest.serialize()));
             }
         }
     }
 
-    pub fn deserialize(v: &Value, key: &str) -> Result<RecordedInput, DeError> {
+    pub fn deserialize(v: &Value, key: &str) -> Result<JobInput, DeError> {
         match field::tag(v, key)? {
-            "fastq" => Ok(RecordedInput::Fastq(Vec::new())),
-            "dataset" => Ok(RecordedInput::Dataset(field::required(v, "manifest")?)),
+            "fastq" => Ok(JobInput::Fastq(Vec::new())),
+            "dataset" => Ok(JobInput::Dataset(field::required(v, "manifest")?)),
             other => Err(DeError::new(format!("unknown input kind `{other}`"))),
         }
     }
@@ -297,7 +290,7 @@ impl JournalRecord {
     /// Encodes the record as one framed log entry.
     fn encode(&self) -> Result<Vec<u8>> {
         let body: &[u8] = match self {
-            JournalRecord::Submitted { input: RecordedInput::Fastq(bytes), .. } => bytes,
+            JournalRecord::Submitted { input: JobInput::Fastq(bytes), .. } => bytes,
             _ => &[],
         };
         let header_json = serde_json::to_string(self)
@@ -372,8 +365,9 @@ pub struct JobRecord {
     pub name: String,
     /// Submitting tenant.
     pub tenant: String,
-    /// The submission spec; `None` once the job has ended.
-    pub spec: Option<RecordedSpec>,
+    /// The job's [`JournalRecord::Submitted`] record; `None` once the
+    /// job has ended.
+    pub spec: Option<JournalRecord>,
     /// Whether a `started` record was journaled while the job was live.
     pub started: bool,
     /// Completed stages with the manifest each landed, in completion
@@ -384,21 +378,6 @@ pub struct JobRecord {
     pub terminal: Option<JournalRecord>,
 }
 
-/// The resumable parts of a journaled [`crate::job::JobSpec`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecordedSpec {
-    /// Dispatch priority.
-    pub priority: Priority,
-    /// The composed plan.
-    pub plan: Plan,
-    /// The journaled input.
-    pub input: RecordedInput,
-    /// Records per AGD chunk.
-    pub chunk_size: usize,
-    /// `(contig, length)` reference metadata.
-    pub reference: Vec<(String, u64)>,
-}
-
 impl JobRecord {
     /// The furthest plan stage with a journaled completion, as an index
     /// into the *original* plan's stage list, with the manifest it
@@ -406,7 +385,7 @@ impl JobRecord {
     /// ended). This is the resume point: replay rebuilds the plan
     /// suffix after it.
     pub fn resume_point(&self) -> Option<(usize, &Manifest)> {
-        let plan = &self.spec.as_ref()?.plan;
+        let Some(JournalRecord::Submitted { plan, .. }) = &self.spec else { return None };
         let mut best: Option<(usize, &Manifest)> = None;
         for (stage, manifest) in &self.stages {
             if let Some(at) = plan.stages().iter().position(|s| s == stage) {
@@ -434,29 +413,14 @@ impl JournalState {
     /// `records.for_each(|r| state.apply(&r))`.
     pub fn apply(&mut self, record: &JournalRecord) {
         match record {
-            JournalRecord::Submitted {
-                job_id,
-                name,
-                tenant,
-                priority,
-                plan,
-                input,
-                chunk_size,
-                reference,
-            } => {
+            JournalRecord::Submitted { job_id, name, tenant, .. } => {
                 self.next_id = self.next_id.max(job_id + 1);
                 // Ids are never reused: a kept job is not submitted again.
                 self.jobs.by_id.entry(*job_id).or_insert_with(|| JobRecord {
                     id: *job_id,
                     name: name.clone(),
                     tenant: tenant.clone(),
-                    spec: Some(RecordedSpec {
-                        priority: *priority,
-                        plan: plan.clone(),
-                        input: input.clone(),
-                        chunk_size: *chunk_size,
-                        reference: reference.clone(),
-                    }),
+                    spec: Some(record.clone()),
                     ..JobRecord::default()
                 });
             }
@@ -551,17 +515,8 @@ impl JournalState {
             out.push(JournalRecord::CacheInsert { key: key.clone(), entry: entry.clone() });
         }
         for job in self.jobs() {
-            let Some(spec) = &job.spec else { continue };
-            out.push(JournalRecord::Submitted {
-                job_id: job.id,
-                name: job.name.clone(),
-                tenant: job.tenant.clone(),
-                priority: spec.priority,
-                plan: spec.plan.clone(),
-                input: spec.input.clone(),
-                chunk_size: spec.chunk_size,
-                reference: spec.reference.clone(),
-            });
+            let Some(submitted) = &job.spec else { continue };
+            out.push(submitted.clone());
             if job.started {
                 out.push(JournalRecord::Started { job_id: job.id });
             }
@@ -823,7 +778,7 @@ fn decode_record_at(bytes: &[u8], at: usize) -> Option<(JournalRecord, usize)> {
     let header_str = std::str::from_utf8(header).ok()?;
     let value = serde_json::parse_value(header_str).ok()?;
     let mut record = JournalRecord::deserialize(&value).ok()?;
-    if let JournalRecord::Submitted { input: RecordedInput::Fastq(bytes), .. } = &mut record {
+    if let JournalRecord::Submitted { input: JobInput::Fastq(bytes), .. } = &mut record {
         *bytes = body.to_vec();
     }
     Some((record, next))
@@ -857,7 +812,7 @@ mod tests {
         }
     }
 
-    fn submitted(id: u64, input: RecordedInput) -> JournalRecord {
+    fn submitted(id: u64, input: JobInput) -> JournalRecord {
         JournalRecord::Submitted {
             job_id: id,
             name: format!("job-{id}"),
@@ -885,14 +840,14 @@ mod tests {
     fn mixed_records() -> Vec<JournalRecord> {
         let manifest = Manifest::new("job-1");
         vec![
-            submitted(1, RecordedInput::Fastq(b"@r1\nACGT\n+\nIIII\n".to_vec())),
+            submitted(1, JobInput::Fastq(b"@r1\nACGT\n+\nIIII\n".to_vec())),
             JournalRecord::Started { job_id: 1 },
             JournalRecord::StageCompleted {
                 job_id: 1,
                 stage: Stage::Sort,
                 manifest: manifest.clone(),
             },
-            submitted(2, RecordedInput::Dataset(manifest.clone())),
+            submitted(2, JobInput::Dataset(manifest.clone())),
             JournalRecord::Finished {
                 job_id: 1,
                 name: "job-1".into(),
@@ -1080,7 +1035,7 @@ mod tests {
         // Terminal churn: submit+finish pairs fold to one line each, so
         // the log keeps shrinking back under the threshold.
         for id in 0..200u64 {
-            j.append(&submitted(id, RecordedInput::Fastq(vec![b'A'; 256]))).unwrap();
+            j.append(&submitted(id, JobInput::Fastq(vec![b'A'; 256]))).unwrap();
             j.append(&finished(id)).unwrap();
         }
         // 200 submit records at ~700 bytes each would be well past
@@ -1112,7 +1067,7 @@ mod tests {
         let mut j = Journal::open(&path, config).unwrap();
         let (ended, live) = (2 * JOB_RETAIN as u64, 3u64);
         for id in 1..=ended + live {
-            j.append(&submitted(id, RecordedInput::Fastq(b"@r\nA\n+\nI\n".to_vec()))).unwrap();
+            j.append(&submitted(id, JobInput::Fastq(b"@r\nA\n+\nI\n".to_vec()))).unwrap();
         }
         for id in 1..=ended {
             j.append(&finished(id)).unwrap();
@@ -1142,7 +1097,7 @@ mod tests {
     #[test]
     fn resume_point_is_furthest_plan_stage() {
         let mut state = JournalState::default();
-        state.apply(&submitted(1, RecordedInput::Fastq(Vec::new())));
+        state.apply(&submitted(1, JobInput::Fastq(Vec::new())));
         state.apply(&JournalRecord::Started { job_id: 1 });
         let m1 = Manifest::new("a");
         let m2 = Manifest::new("b");

@@ -55,10 +55,7 @@ use persona_telemetry::{JobTrace, MetricsSnapshot};
 
 use crate::job::{Job, JobHandle, JobInput, JobOutcome, JobOutput, JobPayload, JobSpec, JobState};
 pub use crate::journal::JOB_RETAIN;
-use crate::journal::{
-    JobRecord, Journal, JournalConfig, JournalRecord, RecordedInput, RecordedSpec, Retained,
-    TerminalStatus,
-};
+use crate::journal::{JobRecord, Journal, JournalConfig, JournalRecord, Retained, TerminalStatus};
 use crate::report::ServiceReport;
 use crate::scheduler::{FairScheduler, TenantConfig};
 
@@ -405,9 +402,7 @@ impl PersonaService {
             shared.registry.lock().end(job.id);
         }
         for record in state.jobs() {
-            if let Some(spec) = &record.spec {
-                requeue_job(record, spec, &shared, &opts);
-            }
+            requeue_job(record, &shared, &opts);
         }
         let runners = Mutex::new(spawn_runners(&shared, config.max_concurrent_jobs));
         Ok(PersonaService {
@@ -518,10 +513,7 @@ impl PersonaService {
                 tenant: spec.tenant.clone(),
                 priority: spec.priority,
                 plan: spec.plan.clone(),
-                input: match &spec.input {
-                    JobInput::Fastq(bytes) => RecordedInput::Fastq(bytes.clone()),
-                    JobInput::Dataset(manifest) => RecordedInput::Dataset(manifest.clone()),
-                },
+                input: spec.input.clone(),
                 chunk_size: spec.chunk_size,
                 reference: spec.reference.clone(),
             })?;
@@ -635,7 +627,10 @@ fn spawn_runners(shared: &Arc<Shared>, count: usize) -> Vec<JoinHandle<()>> {
 /// A job rebuilt from its journal record, in the registry; `payload`
 /// is `None` when it will never run.
 fn replayed_job(rec: &JobRecord, payload: Option<JobPayload>, shared: &Shared) -> Arc<Job> {
-    let priority = rec.spec.as_ref().map_or(Priority::Normal, |s| s.priority);
+    let priority = match &rec.spec {
+        Some(JournalRecord::Submitted { priority, .. }) => *priority,
+        _ => Priority::Normal,
+    };
     let job = Job::new(rec.id, rec.name.clone(), rec.tenant.clone(), priority, payload);
     shared.register(&job);
     job
@@ -707,8 +702,14 @@ fn rematerialize_exports(
 /// finished, resuming at the last journaled stage when one landed.
 /// Counted as submitted in this incarnation, whether it is re-admitted
 /// or fails re-admission; no `Submitted` is re-journaled — the record
-/// that replayed it is already in the log.
-fn requeue_job(rec: &JobRecord, spec: &RecordedSpec, shared: &Arc<Shared>, opts: &RecoverOptions) {
+/// that replayed it is already in the log. An ended job holds no
+/// `submitted` record and is left alone.
+fn requeue_job(rec: &JobRecord, shared: &Arc<Shared>, opts: &RecoverOptions) {
+    let Some(JournalRecord::Submitted { plan: original, input, chunk_size, reference, .. }) =
+        &rec.spec
+    else {
+        return;
+    };
     let fail = |msg: String| {
         let job = replayed_job(rec, None, shared);
         shared.sched.lock().totals(&job.tenant).submitted += 1;
@@ -721,18 +722,14 @@ fn requeue_job(rec: &JobRecord, spec: &RecordedSpec, shared: &Arc<Shared>, opts:
     // create-or-replace, so overlap with the crashed run is safe.
     let resumed = rec
         .resume_point()
-        .and_then(|(at, manifest)| Some((spec.plan.suffix_plan(at + 1)?, manifest.clone())));
-    let original_input = || match &spec.input {
-        RecordedInput::Fastq(bytes) => JobInput::Fastq(bytes.clone()),
-        RecordedInput::Dataset(m) => JobInput::Dataset(m.clone()),
-    };
+        .and_then(|(at, manifest)| Some((original.suffix_plan(at + 1)?, manifest.clone())));
     let (plan, input, landed) = match resumed {
         Some((plan, m)) => (plan, JobInput::Dataset(m.clone()), Some(m)),
-        None => (spec.plan.clone(), original_input(), None),
+        None => (original.clone(), input.clone(), None),
     };
     let aligner = plan.contains(Stage::Align).then(|| opts.aligner.clone()).flatten();
     let admitted = match &input {
-        JobInput::Fastq(_) => plan.check_fastq_input(spec.chunk_size),
+        JobInput::Fastq(_) => plan.check_fastq_input(*chunk_size),
         JobInput::Dataset(manifest) => plan.check_dataset_input(manifest),
     }
     .and_then(|()| plan.check_resources(aligner.is_some()));
@@ -742,9 +739,9 @@ fn requeue_job(rec: &JobRecord, spec: &RecordedSpec, shared: &Arc<Shared>, opts:
     let payload = JobPayload {
         plan,
         input,
-        chunk_size: spec.chunk_size,
+        chunk_size: *chunk_size,
         aligner,
-        reference: spec.reference.clone(),
+        reference: reference.clone(),
         landed,
     };
     let job = replayed_job(rec, Some(payload), shared);
@@ -953,7 +950,7 @@ mod tests {
             tenant: "recovered".into(),
             priority: Priority::Normal,
             plan: Plan::import_align(),
-            input: RecordedInput::Fastq(fastq.clone()),
+            input: JobInput::Fastq(fastq.clone()),
             chunk_size: 10,
             reference: vec![],
         };

@@ -2,18 +2,16 @@
 //! [`persona::wire`] protocol and schedules everything it admits onto
 //! the one shared [`PersonaService`].
 //!
-//! Threading model: a **fixed pool of event-loop threads**
-//! (`min(4, available_parallelism)`) over nonblocking sockets — no
-//! thread per connection, no thread per wait, no external runtime.
-//! Loop 0 owns the listener and deals accepted connections
-//! across the pool round-robin; each loop multiplexes its connections
-//! through one `epoll(7)` instance (so the server builds on Linux
-//! only), and other threads wake a loop by writing a byte into its
-//! socket pair. A connection is a pure state machine
+//! Threading model: **one event-loop thread** over nonblocking
+//! sockets — no thread per connection, no thread per wait, no external
+//! runtime. The loop owns the listener and every accepted connection
+//! and multiplexes them through one `epoll(7)` instance (so the server
+//! builds on Linux only); other threads wake it by writing a byte into
+//! its socket pair. A connection is a pure state machine
 //! (`Conn` in `conn.rs`): an incremental frame decoder feeds request
 //! dispatch, replies queue on a buffered writer, and `wait` reply
 //! streams ride job-completion watchers ([`crate::job::JobHandle::on_done`])
-//! that post back to the owning loop — so thousands of idle or
+//! that post back to the loop — so thousands of idle or
 //! pipelined connections cost file descriptors, not threads. All
 //! pipeline compute still happens on the shared
 //! [`persona::runtime::PersonaRuntime`] behind the service's
@@ -83,7 +81,7 @@ pub(crate) struct WireMetrics {
     /// `wire.in_flight_seqs`: `wait` reply streams currently open.
     pub(crate) in_flight_seqs: Gauge,
     /// `wire.connections`: connections currently registered with the
-    /// event loops.
+    /// event loop.
     pub(crate) connections: Gauge,
     /// `wire.pending_writes`: reply bytes queued but not yet written
     /// to any socket.
@@ -107,7 +105,7 @@ impl WireMetrics {
     }
 }
 
-/// Server-wide state shared by every event loop and connection.
+/// Server-wide state shared by the event loop and every connection.
 pub(crate) struct WireShared {
     pub(crate) service: PersonaService,
     pub(crate) metrics: WireMetrics,
@@ -116,20 +114,15 @@ pub(crate) struct WireShared {
 }
 
 /// A TCP front end over one [`PersonaService`]. Binding spawns the
-/// event-loop pool; dropping the server (or calling
+/// event-loop thread; dropping the server (or calling
 /// [`WireServer::stop`]) stops accepting, cancels every job of the
 /// service that is still in flight, disconnects clients, and shuts the
 /// service down.
 pub struct WireServer {
     shared: Arc<WireShared>,
     local_addr: SocketAddr,
-    loops: Vec<Arc<LoopHandle>>,
-    threads: Vec<JoinHandle<()>>,
-}
-
-/// Event-loop threads to run: `min(4, available_parallelism)`.
-fn loop_count() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get().min(4))
+    handle: Arc<LoopHandle>,
+    thread: Option<JoinHandle<()>>,
 }
 
 impl WireServer {
@@ -145,36 +138,14 @@ impl WireServer {
         let metrics = WireMetrics::register(service.runtime().telemetry());
         let shared =
             Arc::new(WireShared { service, metrics, config, shutdown: AtomicBool::new(false) });
-        let n = loop_count();
-        let mut loops = Vec::with_capacity(n);
-        let mut bodies = Vec::with_capacity(n);
-        for index in 0..n {
-            let listener = if index == 0 { Some(listener.try_clone()?) } else { None };
-            let (event_loop, handle) = EventLoop::new(shared.clone(), listener, index)?;
-            loops.push(handle);
-            bodies.push(event_loop);
-        }
-        let mut threads = Vec::with_capacity(n);
-        for (index, mut body) in bodies.into_iter().enumerate() {
-            body.set_peers(loops.clone());
-            // A spawn failure here (thread exhaustion at bind time) is
-            // an ordinary bind error for the caller, not a panic; loops
-            // already spawned are torn down by the partial server's
-            // Drop, and the service moved into `shared` shuts down
-            // cleanly with it.
-            let spawned = std::thread::Builder::new()
-                .name(format!("persona-wire-loop-{index}"))
-                .spawn(move || body.run());
-            match spawned {
-                Ok(t) => threads.push(t),
-                Err(e) => {
-                    let mut partial = WireServer { shared, local_addr, loops, threads };
-                    partial.stop();
-                    return Err(e);
-                }
-            }
-        }
-        Ok(WireServer { shared, local_addr, loops, threads })
+        let (event_loop, handle) = EventLoop::new(shared.clone(), listener)?;
+        // A spawn failure (thread exhaustion at bind time) is an
+        // ordinary bind error; the service moved into `shared` shuts
+        // down when the last reference drops.
+        let thread = std::thread::Builder::new()
+            .name("persona-wire-loop".into())
+            .spawn(|| event_loop.run())?;
+        Ok(WireServer { shared, local_addr, handle, thread: Some(thread) })
     }
 
     /// The bound address (useful with an ephemeral port).
@@ -188,9 +159,9 @@ impl WireServer {
         &self.shared.service
     }
 
-    /// Stops the front end: in-flight jobs are cancelled, every
-    /// event loop drops its connections and exits (closing the
-    /// listening port), and the underlying service stops admitting
+    /// Stops the front end: in-flight jobs are cancelled, the event
+    /// loop drops its connections and exits (closing the listening
+    /// port), and the underlying service stops admitting
     /// (queued jobs resolve as cancelled, runners are joined).
     /// Idempotent; also invoked by `Drop`.
     pub fn stop(&mut self) {
@@ -201,11 +172,9 @@ impl WireServer {
         // the service shutdown below) resolve quickly.
         let jobs = self.shared.service.jobs();
         jobs.iter().filter(|h| !h.status().is_terminal()).for_each(|h| h.cancel());
-        for handle in &self.loops {
-            handle.post(LoopCmd::Shutdown);
-        }
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+        self.handle.post(LoopCmd::Shutdown);
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
         }
         self.shared.service.stop();
     }

@@ -14,7 +14,7 @@ use persona::wire::{
 use persona_agd::manifest::{ChunkEntry, ColumnSpec, Manifest, RefContig, SortOrder};
 use persona_cache::{CacheEntry, CacheKey, CacheStats, Digest};
 use persona_dataflow::Priority;
-use persona_server::journal::{JournalRecord, RecordedInput, TerminalStatus};
+use persona_server::journal::{JobInput, JournalRecord, TerminalStatus};
 use proptest::prelude::*;
 use serde::{DeError, Deserialize, Serialize, Value};
 
@@ -142,7 +142,7 @@ fn corpus() -> Vec<(Kind, Value)> {
             tenant: "t".into(),
             priority: Priority::Normal,
             plan: Plan::full(),
-            input: RecordedInput::Fastq(Vec::new()),
+            input: JobInput::Fastq(Vec::new()),
             chunk_size: 512,
             reference: vec![("chr1".into(), 1000)],
         },
@@ -152,7 +152,7 @@ fn corpus() -> Vec<(Kind, Value)> {
             tenant: "t".into(),
             priority: Priority::High,
             plan: Plan::from_aligned(),
-            input: RecordedInput::Dataset(manifest()),
+            input: JobInput::Dataset(manifest()),
             chunk_size: 0,
             reference: Vec::new(),
         },

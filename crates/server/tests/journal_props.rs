@@ -11,7 +11,7 @@ use persona::plan::{Plan, Stage};
 use persona_agd::manifest::Manifest;
 use persona_dataflow::Priority;
 use persona_server::journal::{
-    FsyncPolicy, Journal, JournalConfig, JournalRecord, JournalState, RecordedInput, TerminalStatus,
+    FsyncPolicy, JobInput, Journal, JournalConfig, JournalRecord, JournalState, TerminalStatus,
 };
 use persona_server::service::JOB_RETAIN;
 use proptest::prelude::*;
@@ -37,9 +37,9 @@ fn op_to_record(kind: u64, pick: usize, salt: u8, ids: &mut Vec<u64>) -> Journal
                 priority: Priority::Normal,
                 plan: Plan::full(),
                 input: if salt % 2 == 0 {
-                    RecordedInput::Fastq(vec![salt; usize::from(salt) % 64])
+                    JobInput::Fastq(vec![salt; usize::from(salt) % 64])
                 } else {
-                    RecordedInput::Dataset(Manifest::new(&format!("job-{id}")))
+                    JobInput::Dataset(Manifest::new(&format!("job-{id}")))
                 },
                 chunk_size: 128,
                 reference: vec![("chr1".into(), 1000 + u64::from(salt))],

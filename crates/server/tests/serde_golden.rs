@@ -21,7 +21,7 @@ use persona_cache::{CacheEntry, CacheKey, CacheStats, Digest};
 use persona_compress::crc32::Crc32;
 use persona_dataflow::Priority;
 use persona_server::journal::{
-    FsyncPolicy, Journal, JournalConfig, JournalRecord, RecordedInput, TerminalStatus,
+    FsyncPolicy, JobInput, Journal, JournalConfig, JournalRecord, TerminalStatus,
 };
 use persona_telemetry::{MetricsRegistry, MetricsSnapshot};
 use serde::{Deserialize, Serialize};
@@ -330,7 +330,7 @@ fn wal_records() -> Vec<JournalRecord> {
             tenant: "prod".into(),
             priority: Priority::Normal,
             plan: Plan::full(),
-            input: RecordedInput::Fastq(b"@r1\nACGT\n+\nIIII\n".to_vec()),
+            input: JobInput::Fastq(b"@r1\nACGT\n+\nIIII\n".to_vec()),
             chunk_size: 512,
             reference: vec![("chr1".into(), 1000), ("chrM".into(), 16)],
         },
@@ -340,7 +340,7 @@ fn wal_records() -> Vec<JournalRecord> {
             tenant: "dev".into(),
             priority: Priority::High,
             plan: Plan::from_aligned(),
-            input: RecordedInput::Dataset(Manifest::new("landed")),
+            input: JobInput::Dataset(Manifest::new("landed")),
             chunk_size: 0,
             reference: Vec::new(),
         },
@@ -428,7 +428,7 @@ fn wal_with_every_record_kind_is_pinned() {
     assert_eq!(headers, WAL_HEADERS);
     for ((_, body), record) in frames.iter().zip(&records) {
         let want: &[u8] = match record {
-            JournalRecord::Submitted { input: RecordedInput::Fastq(bytes), .. } => bytes,
+            JournalRecord::Submitted { input: JobInput::Fastq(bytes), .. } => bytes,
             _ => b"",
         };
         assert_eq!(body.as_slice(), want);
@@ -502,7 +502,7 @@ fn wal_records_that_do_not_decode_are_torn() {
                 tenant: "t".into(),
                 priority: Priority::Low,
                 plan: Plan::import_only(),
-                input: RecordedInput::Fastq(Vec::new()),
+                input: JobInput::Fastq(Vec::new()),
                 chunk_size: 1,
                 reference: Vec::new(),
             },

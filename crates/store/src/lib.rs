@@ -11,15 +11,12 @@
 //!   for deterministic tests without real sleeps.
 //! * [`local`] — [`ThrottledStore`], which meters an inner store's gets
 //!   and puts through the buckets.
-//! * [`stats`] — the byte/op counters a throttled store keeps.
 //!
 //! [`ThrottledStore`] implements [`persona_agd::chunk_io::ChunkStore`],
 //! so any AGD dataset can be placed behind it.
 
 pub mod bandwidth;
 pub mod local;
-pub mod stats;
 
 pub use bandwidth::TokenBucket;
-pub use local::{DiskConfig, ThrottledStore};
-pub use stats::StoreStats;
+pub use local::ThrottledStore;
